@@ -130,9 +130,8 @@ type Daemon struct {
 	encw *wire.Writer
 
 	// scratches recycles copy-pipeline state (staging resource, per-block
-	// request/event slices, the reassembly buffer) between transfers. A
-	// transfer in flight holds its scratch exclusively; steady state runs
-	// allocation-free.
+	// request/event slices) between transfers. A transfer in flight holds
+	// its scratch exclusively; steady state runs allocation-free.
 	scratches []*pipeScratch
 
 	// Tenant sessions (multi-tenant sharing). sessOrder is the open order
@@ -156,10 +155,10 @@ type Daemon struct {
 // rank.
 func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 	return &Daemon{
-		comm:    comm,
-		dev:     dev,
-		cfg:     cfg,
-		sim:     comm.World().Sim(),
+		comm:     comm,
+		dev:      dev,
+		cfg:      cfg,
+		sim:      comm.World().Sim(),
 		streams:  make(map[uint8]*sim.Mailbox),
 		seen:     make(map[dedupKey][]byte),
 		active:   make(map[int]struct{}),
@@ -571,9 +570,9 @@ func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
 }
 
 // pipeScratch is the reusable state of one copy pipeline: the staging
-// resource, the per-block request and event slots, the per-block pooled
-// payload buffers of the send path and the receive path's reassembly
-// buffer. A transfer holds a scratch exclusively from prepare to release;
+// resource, the per-block request and event slots and the per-block pooled
+// payload buffers of the send path. A transfer holds a scratch exclusively
+// from prepare to release;
 // everything is quiescent in between (all events fired and awaited, every
 // staging slot released), so reuse is invisible to the simulation.
 type pipeScratch struct {
@@ -584,7 +583,6 @@ type pipeScratch struct {
 	posted    []sim.Event
 	done      []sim.Event
 	blockBufs [][]byte
-	assembled []byte
 }
 
 // prepare sizes the scratch for a transfer of nb blocks at the given
@@ -613,7 +611,6 @@ func (ps *pipeScratch) prepare(s *sim.Simulation, depth, nb int) {
 		ps.done[i].Init(s)
 		ps.blockBufs[i] = nil
 	}
-	ps.assembled = ps.assembled[:0]
 }
 
 // getScratch pops a pipeline scratch from the daemon's free list. A
@@ -659,11 +656,14 @@ func (q *request) geometry() (colBytes, cols, pitch int) {
 // direct AC-to-AC transfers) into a bounded pool of pinned staging
 // buffers, and each block is DMA-copied to the GPU while later blocks are
 // still on the wire. The payload describes a strided device window
-// (cudaMemcpy2D style); timing flows through the per-block DMAs and the
-// bytes are placed once the payload is complete. A non-nil preErr (e.g.
-// a session ownership failure) takes the place of the range check: the
-// payload still drains so the sender winds down in lockstep, but the
-// device is never touched and preErr travels in the response.
+// (cudaMemcpy2D style); timing flows through the per-block DMAs and each
+// block's bytes are placed at its packed offset as it arrives. A payload
+// that fails mid-way (block timeout, DMA error, wrong length) leaves the
+// blocks already placed and reports the error, like an interrupted
+// cudaMemcpy. A non-nil preErr (e.g. a session ownership failure) takes
+// the place of the range check: the payload still drains so the sender
+// winds down in lockstep, but the device is never touched and preErr
+// travels in the response.
 func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int, tag minimpi.Tag, preErr error) {
 	nb := numBlocks(q.size, q.block)
 	if nb == 0 {
@@ -671,9 +671,11 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 		return
 	}
 	colBytes, cols, pitch := q.geometry()
-	rangeErr := preErr
-	if rangeErr == nil {
-		rangeErr = d.dev.ValidRange(q.ptr, q.off, (cols-1)*pitch+colBytes)
+	// placeErr gates placement: bytes reach the device only while the
+	// range/ownership check and every earlier block's placement passed.
+	placeErr := preErr
+	if placeErr == nil {
+		placeErr = d.dev.ValidRange(q.ptr, q.off, (cols-1)*pitch+colBytes)
 	}
 	d.noteStaging(q.block, q.depth, nb)
 	ps := d.getScratch()
@@ -691,6 +693,7 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 		}
 	})
 	var dmaErr, recvErr error
+	placed := 0 // packed bytes received so far: the next block's offset
 	deadline := d.cfg.PayloadTimeout
 	for i := 0; i < nb; i++ {
 		ps.posted[i].Await(p)
@@ -715,11 +718,12 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 			data, st = reqs[i].Wait(p)
 		}
 		d.stats.BlocksIn++
-		if data != nil && rangeErr == nil {
-			ps.assembled = append(ps.assembled, data...)
+		if data != nil && placeErr == nil {
+			placeErr = d.dev.ScatterColumnsAt(q.ptr, q.off, colBytes, cols, pitch, placed, data)
 		}
-		// The block's bytes are copied out; a pooled payload buffer (an
-		// ownership-handoff send from a peer daemon) goes back to the pool.
+		placed += len(data)
+		// The block's bytes are copied out; a pooled payload buffer (from a
+		// peer daemon's ownership handoff or a socket reader) goes back.
 		reqs[i].Free()
 		// Per-block CPU work: progress the receive, post the async DMA.
 		p.Wait(d.cfg.PostCost + d.dev.AsyncSetupCost())
@@ -738,17 +742,15 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 	for i := range ps.done {
 		ps.done[i].Await(p)
 	}
-	firstErr := rangeErr
+	firstErr := placeErr
 	if firstErr == nil {
 		firstErr = recvErr
 	}
 	if firstErr == nil {
 		firstErr = dmaErr
 	}
-	if firstErr == nil && len(ps.assembled) > 0 {
-		if err := d.dev.ScatterColumns(q.ptr, q.off, colBytes, cols, pitch, ps.assembled); err != nil {
-			firstErr = err
-		}
+	if firstErr == nil && placed > 0 && placed != colBytes*cols && d.dev.ExecuteMode() {
+		firstErr = fmt.Errorf("core: payload carried %d bytes for %d columns of %d", placed, cols, colBytes)
 	}
 	d.putScratch(ps)
 	d.respond(respDst, q.reqID, firstErr, 0)

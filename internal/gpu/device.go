@@ -419,6 +419,19 @@ func (d *Device) Stats() Stats {
 // timed through their block pipeline; this call only places the bytes in
 // execute mode (it is a no-op for nil data).
 func (d *Device) ScatterColumns(ptr Ptr, off, colBytes, cols, pitchBytes int, data []byte) error {
+	if data != nil && d.execute && len(data) != colBytes*cols {
+		return fmt.Errorf("gpu: scatter: %d bytes for %d columns of %d", len(data), cols, colBytes)
+	}
+	return d.ScatterColumnsAt(ptr, off, colBytes, cols, pitchBytes, 0, data)
+}
+
+// ScatterColumnsAt places data at the packed-byte offset lo of the strided
+// window, where lo indexes the packed layout ScatterColumns takes whole:
+// the inverse of GatherColumnsInto. The pipelined H2D path uses it to
+// place each transfer block as it arrives instead of reassembling the
+// payload first. The geometry and the window's device range are validated
+// on every call; bytes are placed in execute mode only.
+func (d *Device) ScatterColumnsAt(ptr Ptr, off, colBytes, cols, pitchBytes, lo int, data []byte) error {
 	if colBytes < 0 || cols < 0 || pitchBytes < colBytes {
 		return fmt.Errorf("gpu: scatter: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitchBytes)
 	}
@@ -427,18 +440,33 @@ func (d *Device) ScatterColumns(ptr Ptr, off, colBytes, cols, pitchBytes int, da
 			return err
 		}
 	}
-	if !d.execute || data == nil {
+	if !d.execute || len(data) == 0 {
 		return nil
 	}
-	if len(data) != colBytes*cols {
-		return fmt.Errorf("gpu: scatter: %d bytes for %d columns of %d", len(data), cols, colBytes)
+	if lo < 0 || lo+len(data) > colBytes*cols {
+		return fmt.Errorf("gpu: scatter: range [%d,%d) outside %d packed bytes", lo, lo+len(data), colBytes*cols)
 	}
-	for c := 0; c < cols; c++ {
-		buf, err := d.alloc.slice(ptr, off+c*pitchBytes, colBytes)
+	return d.packedRuns(ptr, off, colBytes, pitchBytes, lo, len(data), func(dev []byte, at int) {
+		copy(dev, data[at:])
+	})
+}
+
+// packedRuns walks the packed-byte range [lo, lo+n) of a strided window
+// (colBytes > 0) and hands fn each contiguous run of device memory that
+// backs it, with the run's offset within the range.
+func (d *Device) packedRuns(ptr Ptr, off, colBytes, pitchBytes, lo, n int, fn func(dev []byte, at int)) error {
+	for at := 0; at < n; {
+		c, r := (lo+at)/colBytes, (lo+at)%colBytes
+		take := colBytes - r
+		if rem := n - at; take > rem {
+			take = rem
+		}
+		dev, err := d.alloc.slice(ptr, off+c*pitchBytes+r, take)
 		if err != nil {
 			return err
 		}
-		copy(buf, data[c*colBytes:(c+1)*colBytes])
+		fn(dev, at)
+		at += take
 	}
 	return nil
 }
@@ -481,22 +509,9 @@ func (d *Device) GatherColumnsInto(dst []byte, ptr Ptr, off, colBytes, cols, pit
 	if lo < 0 || lo+len(dst) > colBytes*cols {
 		return fmt.Errorf("gpu: gather: range [%d,%d) outside %d packed bytes", lo, lo+len(dst), colBytes*cols)
 	}
-	for n := 0; n < len(dst); {
-		b := lo + n
-		c := b / colBytes
-		r := b % colBytes
-		take := colBytes - r
-		if rem := len(dst) - n; take > rem {
-			take = rem
-		}
-		buf, err := d.alloc.slice(ptr, off+c*pitchBytes+r, take)
-		if err != nil {
-			return err
-		}
-		copy(dst[n:n+take], buf)
-		n += take
-	}
-	return nil
+	return d.packedRuns(ptr, off, colBytes, pitchBytes, lo, len(dst), func(dev []byte, at int) {
+		copy(dst[at:], dev)
+	})
 }
 
 // Execute-mode data accessors, used by kernel implementations and tests.

@@ -17,9 +17,10 @@ import (
 // zero so a hot-path regression trips it without making the test brittle.
 func TestPipelinedBlockCycleAllocs(t *testing.T) {
 	const (
-		warmup = 64
-		rounds = 512
-		block  = 64 * netmodel.KiB
+		warmup   = 64
+		rounds   = 512
+		attempts = 3
+		block    = 64 * netmodel.KiB
 		// Measured steady state is 6 allocs/cycle on the current engine:
 		// sender Request, message record, and transfer-proc bookkeeping,
 		// plus the receiver's Request — the payload buffer, events, and
@@ -45,15 +46,23 @@ func TestPipelinedBlockCycleAllocs(t *testing.T) {
 			}
 		}
 		cycle(warmup)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		cycle(rounds)
-		runtime.ReadMemStats(&after)
-		delta = after.Mallocs - before.Mallocs
+		// MemStats.Mallocs is process-wide and the runtime's background
+		// work allocates too; strays do not repeat, so keep the smallest
+		// of a few attempts.
+		delta = ^uint64(0)
+		for a := 0; a < attempts; a++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cycle(rounds)
+			runtime.ReadMemStats(&after)
+			if d := after.Mallocs - before.Mallocs; d < delta {
+				delta = d
+			}
+		}
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
 		c := w.Comm(1)
-		for i := 0; i < warmup+rounds; i++ {
+		for i := 0; i < warmup+attempts*rounds; i++ {
 			req := c.Irecv(0, 0)
 			data, _ := req.Wait(p)
 			if len(data) != block {

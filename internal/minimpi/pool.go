@@ -1,13 +1,20 @@
 package minimpi
 
-import "os"
+import (
+	"math/bits"
+	"os"
+	"sync"
+)
 
 // Payload buffer pool. Pipelined transfers move bounded windows of
-// uniformly-sized blocks, so recycling buffers by exact capacity keeps the
-// steady-state transfer path allocation-free: the sender takes a block
-// with World.GetBuf, ships it with Comm.IsendOwned (ownership travels with
-// the message), and the receiver returns it with Request.Free once the
-// bytes are consumed. A buffer whose message is dropped, canceled or never
+// uniformly-sized blocks, so recycling buffers keeps the steady-state
+// transfer path allocation-free: the sender takes a block with
+// World.GetBuf, ships it with Comm.IsendOwned (ownership travels with the
+// message), and the receiver returns it with Request.Free once the bytes
+// are consumed. A socket transport runs every remote payload through the
+// same pool from its own goroutines (the connection reader takes the
+// receive buffer, the writer returns the sent one), so the pool is
+// goroutine-safe. A buffer whose message is dropped, canceled or never
 // received simply falls out of the pool — correctness never depends on a
 // Free happening.
 
@@ -20,48 +27,79 @@ var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
 
 const poisonByte = 0xDB
 
-// bufPool recycles byte buffers keyed by exact capacity. Not safe for
-// concurrent use; like everything else in a World it runs under the
-// simulation's cooperative scheduling.
+// maxPooledBytes bounds the capacity the pool retains; a buffer freed
+// beyond it is left to the garbage collector. It covers the largest
+// steady-state working set in the tree (a whole 16 MiB payload queued in
+// a socket outbox) several times over.
+const maxPooledBytes = 64 << 20
+
+// sizeClass rounds n up to its size class: four classes per power of two,
+// so a buffer wastes under a quarter of its capacity and the number of
+// buckets stays bounded however many distinct sizes pass through.
+func sizeClass(n int) int {
+	if n <= 64 {
+		return 64
+	}
+	g := 1 << (bits.Len(uint(n-1)) - 3) // class spacing within n's octave
+	return (n + g - 1) &^ (g - 1)
+}
+
+// bufPool recycles byte buffers bucketed by size class. Safe for
+// concurrent use.
 type bufPool struct {
-	buckets map[int][][]byte
+	mu       sync.Mutex
+	buckets  map[int][][]byte
+	retained int // total capacity held in buckets
 }
 
 func (bp *bufPool) get(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	if list := bp.buckets[n]; len(list) > 0 {
+	class := sizeClass(n)
+	bp.mu.Lock()
+	if list := bp.buckets[class]; len(list) > 0 {
 		b := list[len(list)-1]
 		list[len(list)-1] = nil
-		bp.buckets[n] = list[:len(list)-1]
-		return b
+		bp.buckets[class] = list[:len(list)-1]
+		bp.retained -= class
+		bp.mu.Unlock()
+		return b[:n]
 	}
-	return make([]byte, n)
+	bp.mu.Unlock()
+	return make([]byte, n, class)
 }
 
+// put files b under its capacity, which is a class size for every buffer
+// get made; a foreign buffer whose capacity is not one is dropped.
 func (bp *bufPool) put(b []byte) {
-	n := cap(b)
-	if n == 0 {
+	class := cap(b)
+	if class == 0 || sizeClass(class) != class {
 		return
 	}
-	b = b[:n]
+	b = b[:class]
 	if poisonFreed {
 		for i := range b {
 			b[i] = poisonByte
 		}
 	}
-	if bp.buckets == nil {
-		bp.buckets = make(map[int][][]byte)
+	bp.mu.Lock()
+	if bp.retained+class <= maxPooledBytes {
+		if bp.buckets == nil {
+			bp.buckets = make(map[int][][]byte)
+		}
+		bp.buckets[class] = append(bp.buckets[class], b)
+		bp.retained += class
 	}
-	bp.buckets[n] = append(bp.buckets[n], b)
+	bp.mu.Unlock()
 }
 
 // GetBuf returns an n-byte buffer from the world's payload pool,
-// allocating only when no recycled buffer of that exact size exists. The
-// contents are unspecified — callers overwrite the whole buffer.
+// allocating only when no recycled buffer of that size class exists. The
+// contents are unspecified — callers overwrite the whole buffer. Safe to
+// call from any goroutine.
 func (w *World) GetBuf(n int) []byte { return w.pool.get(n) }
 
 // PutBuf returns a buffer obtained from GetBuf to the pool. The caller
-// must hold the only live reference.
+// must hold the only live reference. Safe to call from any goroutine.
 func (w *World) PutBuf(b []byte) { w.pool.put(b) }

@@ -25,7 +25,7 @@ import (
 //   - It owns the Message from that point on. An owned payload
 //     (IsendOwned) must eventually return to the world pool — either by
 //     the receiver's Request.Free (local delivery) or by the transport
-//     itself once the bytes are copied out (remote delivery).
+//     itself once the bytes are on the wire (remote delivery).
 //   - The sender's request must eventually complete (FinishLocal or the
 //     sim flight), or be cancellable; "lost forever with no signal" is
 //     reserved for fault injection.
@@ -132,16 +132,26 @@ func (m *Message) RemoteEnvelope() Envelope {
 	}
 }
 
-// Payload returns the message payload (nil for sized sends). The slice is
-// only valid until FinishLocal releases an owned buffer — transports copy
-// it out first.
-func (m *Message) Payload() []byte { return m.data }
+// TakePayload hands the message payload (nil for sized sends) to the
+// transport. An owned payload (IsendOwned) is detached from the message
+// and owned reports true: the transport now holds the only reference and
+// must PutBuf it once the bytes are on the wire. A borrowed payload is
+// returned as is and stays valid only until FinishLocal lets the sender
+// reuse it — the transport copies it out first.
+func (m *Message) TakePayload() (data []byte, owned bool) {
+	data, owned = m.data, m.owned
+	if owned {
+		m.data, m.owned = nil, false
+	}
+	return data, owned
+}
 
 // FinishLocal completes the send at the sender without modelling a flight:
 // the request fires, the endpoint's send counters advance, and an owned
-// payload returns to the world pool. A remote-bound transport calls it
-// from Deliver once the payload has been copied onto the wire — eager
-// local completion, exactly what the sim backend reports for eager sends.
+// payload the transport did not take returns to the world pool. A
+// remote-bound transport calls it from Deliver once it holds its own
+// reference to the bytes — eager local completion, exactly what the sim
+// backend reports for eager sends.
 func (m *Message) FinishLocal() {
 	m.sreq.done.Trigger()
 	m.srcEp.traffic.MsgsSent++
@@ -161,7 +171,8 @@ func (m *Message) FinishLocal() {
 // sim.RunRealtime.
 //
 // payload must be nil (sized send) or exactly env.Size bytes; the World
-// takes ownership of it.
+// takes ownership of it as a pool buffer (transports read into
+// World.GetBuf), so the receiver's Request.Free recycles it.
 func (w *World) InjectRemote(env Envelope, payload []byte) error {
 	if env.Dst < 0 || env.Dst >= len(w.eps) {
 		return fmt.Errorf("minimpi: InjectRemote: rank %d out of range [0,%d)", env.Dst, len(w.eps))
@@ -178,6 +189,7 @@ func (w *World) InjectRemote(env Envelope, payload []byte) error {
 			tag:      env.Tag,
 			size:     env.Size,
 			data:     payload,
+			owned:    payload != nil,
 			w:        w,
 			dstEp:    ep,
 		}

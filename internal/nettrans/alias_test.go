@@ -1,112 +1,168 @@
 package nettrans
 
 import (
-	"net"
+	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"dynacc/internal/minimpi"
+	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
 )
 
-// deadAddr returns a loopback address nothing listens on.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
+// pooledAgain polls the world pool until a GetBuf of buf's size hands buf
+// itself back, i.e. until whoever held it returned it. Misses allocate a
+// throwaway buffer; the pool's bucket for this size must otherwise be idle.
+func pooledAgain(w *minimpi.World, buf []byte, timeout time.Duration) bool {
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got := w.GetBuf(len(buf)); &got[0] == &buf[0] {
+			return true
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return false
 }
 
-// TestFrameCopyOutlivesEncoderReset pins the copy-on-enqueue contract:
-// Deliver encodes every remote message through one persistent scratch
-// wire.Writer, so a queued frame outlives many Resets of that encoder —
-// and the caller may reuse its own payload buffer the moment the send
-// completes locally. Three sends share a single caller buffer, each
-// overwriting the last; with the peer unreachable all three frames sit in
-// the outbox, where each must still carry its original bytes.
+// TestFrameCopyOutlivesEncoderReset pins who owns a payload between Deliver
+// and the wire. A borrowed payload (Isend) is the caller's again the moment
+// the send completes locally, so the outbox must hold its own copy: the
+// caller scribbles over it right away and the original bytes still arrive.
+// An owned payload (IsendOwned) is taken over without a copy and returns
+// to the world pool exactly once, and only after the writer has put it on
+// the wire. A borrowed payload of length zero has nothing to copy, and
+// whatever capacity its slice has stays the caller's: it must arrive as an
+// empty payload (not a sized send) and never show up in the pool. The
+// peer's listener is bound but not served at first, so the frames provably
+// sit in the outbox while the first half is checked.
 func TestFrameCopyOutlivesEncoderReset(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	procs := []ProcSpec{
-		{Addr: ln.Addr().String(), Ranks: []int{0}},
-		{Addr: deadAddr(t), Ranks: []int{1}},
-	}
-	a := startNode(t, 2, 0, procs, ln, nil)
+	lns, procs := listeners(t, 2, nil)
+	a := startNode(t, 2, 0, procs, lns[0], nil)
 	defer a.halt()
 
-	sizes := []int{48, 7, 160}
+	const borrowedLen, ownedLen = 3000, 4096
+	owned := a.w.GetBuf(ownedLen)
+	for i := range owned {
+		owned[i] = 'O'
+	}
+	empty := make([]byte, 2*ownedLen) // a pool class of its own
 	done := a.run("enqueue", func(p *sim.Proc) {
 		c := a.w.Comm(0)
-		scratch := make([]byte, 160)
-		for i, sz := range sizes {
-			for j := 0; j < sz; j++ {
-				scratch[j] = byte('A' + i)
-			}
-			// Remote sends complete locally at Deliver time, so Wait
-			// returns with no peer — and the next loop iteration is then
-			// free to clobber scratch.
-			c.Isend(1, minimpi.Tag(i+1), scratch[:sz]).Wait(p)
+		scratch := bytes.Repeat([]byte{'B'}, borrowedLen)
+		// Remote sends complete locally at Deliver time, so Wait returns
+		// with no peer — and the caller is then free to clobber scratch.
+		c.Isend(1, 1, scratch).Wait(p)
+		for i := range scratch {
+			scratch[i] = 'X'
+		}
+		c.IsendOwned(1, 2, owned).Wait(p)
+		c.Isend(1, 3, empty[:0]).Wait(p)
+	})
+	wait(t, done, "enqueue with the peer down")
+
+	if n := a.tr.peers[1].queued(); n != 3 {
+		t.Fatalf("outbox holds %d frames, want 3", n)
+	}
+	if pooledAgain(a.w, owned, 20*time.Millisecond) {
+		t.Fatal("owned payload returned to the pool while its frame was still queued")
+	}
+
+	b := startNode(t, 2, 1, procs, lns[1], nil)
+	defer b.halt()
+	bDone := b.run("recv", func(p *sim.Proc) {
+		c := b.w.Comm(1)
+		if data, _ := c.Recv(p, 0, 1); !bytes.Equal(data, bytes.Repeat([]byte{'B'}, borrowedLen)) {
+			t.Errorf("borrowed payload (%d bytes) arrived modified", len(data))
+		}
+		if data, _ := c.Recv(p, 0, 2); !bytes.Equal(data, bytes.Repeat([]byte{'O'}, ownedLen)) {
+			t.Errorf("owned payload (%d bytes) arrived modified", len(data))
+		}
+		if data, st := c.Recv(p, 0, 3); data == nil || len(data) != 0 || st.Size != 0 {
+			t.Errorf("empty payload arrived as %v (nil: %v), status %+v", data, data == nil, st)
 		}
 	})
-	wait(t, done, "enqueue of aliased sends")
+	wait(t, bDone, "delivery once the peer is up")
 
-	pr := a.tr.peers[1]
-	pr.mu.Lock()
-	queued := make([][]byte, 0, len(pr.queue)-pr.head)
-	for _, f := range pr.queue[pr.head:] {
-		queued = append(queued, append([]byte(nil), f...))
+	if !pooledAgain(a.w, owned, 5*time.Second) {
+		t.Fatal("owned payload never returned to the pool after the write")
 	}
-	pr.mu.Unlock()
-
-	if len(queued) != len(sizes) {
-		t.Fatalf("outbox holds %d frames, want %d", len(queued), len(sizes))
+	if pooledAgain(a.w, owned, 20*time.Millisecond) {
+		t.Fatal("owned payload was returned to the pool twice")
 	}
-	for i, frame := range queued {
-		if len(frame) < lenPrefixSize {
-			t.Fatalf("frame %d truncated: %d bytes", i, len(frame))
-		}
-		env, payload, err := decodeMsgBody(frame[lenPrefixSize:])
-		if err != nil {
-			t.Fatalf("frame %d does not decode: %v", i, err)
-		}
-		if env.Tag != minimpi.Tag(i+1) || env.Src != 0 || env.Dst != 1 {
-			t.Errorf("frame %d envelope = %+v", i, env)
-		}
-		if len(payload) != sizes[i] {
-			t.Fatalf("frame %d payload %dB, want %dB", i, len(payload), sizes[i])
-		}
-		for j, bb := range payload {
-			if bb != byte('A'+i) {
-				t.Fatalf("frame %d byte %d = %q: clobbered by a later encoder Reset or caller reuse", i, j, bb)
-			}
-		}
+	if pooledAgain(a.w, empty, 20*time.Millisecond) {
+		t.Fatal("the caller's buffer behind an empty borrowed payload ended up in the pool")
 	}
 }
 
-// TestEncodeEnqueueSteadyStateAllocs bounds the per-frame allocation cost
-// of the socket send path at steady state: encode into the persistent
-// scratch writer, copy into a pooled frame, return the frame. The only
-// unavoidable allocation is the slice-header boxing on the sync.Pool
-// round-trip, so anything beyond two allocations per frame means the
-// scratch writer or the pool stopped being reused.
+// TestEncodeEnqueueSteadyStateAllocs bounds the allocation cost of the
+// socket send path at steady state: header into the inline array, one copy
+// of a borrowed payload into a world-pool buffer, buffer back to the pool
+// after the write. Nothing there may allocate once the pool is warm.
 func TestEncodeEnqueueSteadyStateAllocs(t *testing.T) {
-	var tr Transport
+	w, err := minimpi.NewWorld(sim.New(), 2, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := minimpi.Envelope{Src: 0, Dst: 1, Ctx: 2, Tag: 42, Size: 4096}
 	payload := make([]byte, 4096)
 	frame := func() {
-		tr.encw.Reset()
-		appendMsgFrame(&tr.encw, env, payload)
-		f := tr.getFrame(tr.encw.Len())
-		copy(f, tr.encw.Bytes())
-		tr.putFrame(f)
+		var f outFrame
+		putMsgHeader(&f.hdr, env, payload)
+		f.payload = w.GetBuf(len(payload))
+		copy(f.payload, payload)
+		w.PutBuf(f.payload)
 	}
-	frame() // warm the writer and the pool
-	if allocs := testing.AllocsPerRun(100, frame); allocs > 2 {
-		t.Errorf("encode+enqueue allocates %.1f objects per frame, want <= 2", allocs)
+	frame() // warm the pool
+	if allocs := testing.AllocsPerRun(100, frame); allocs > 0 {
+		t.Errorf("encode+enqueue allocates %.1f objects per frame, want 0", allocs)
+	}
+}
+
+// TestWarmRoundTripAllocatesNoPayloadBuffer pins the steady state of the
+// whole socket hop: once the pools are warm, a 1 MiB payload going out
+// borrowed (one copy into a pool buffer), coming in through the reader
+// (pool buffer), being forwarded back owned (no copy) and freed by the
+// final receiver allocates no payload-sized buffer on either side.
+func TestWarmRoundTripAllocatesNoPayloadBuffer(t *testing.T) {
+	lns, procs := listeners(t, 2, nil)
+	a := startNode(t, 2, 0, procs, lns[0], nil)
+	b := startNode(t, 2, 1, procs, lns[1], nil)
+	defer a.halt()
+	defer b.halt()
+
+	const size, warm, rounds = 1 << 20, 3, 20
+	bDone := b.run("echo", func(p *sim.Proc) {
+		c := b.w.Comm(1)
+		for i := 0; i < warm+rounds; i++ {
+			data, _ := c.Recv(p, 0, 1)
+			c.IsendOwned(0, 2, data).Wait(p) // hand the reader's buffer on
+		}
+	})
+	var grew uint64
+	aDone := a.run("ping", func(p *sim.Proc) {
+		c := a.w.Comm(0)
+		src := bytes.Repeat([]byte{0x5A}, size)
+		var before, after runtime.MemStats
+		for i := 0; i < warm+rounds; i++ {
+			if i == warm {
+				runtime.ReadMemStats(&before)
+			}
+			c.Isend(1, 1, src).Wait(p)
+			req := c.Irecv(1, 2)
+			if data, _ := req.Wait(p); !bytes.Equal(data, src) {
+				t.Errorf("round %d: echo differs from what was sent", i)
+			}
+			req.Free()
+		}
+		runtime.ReadMemStats(&after)
+		grew = after.TotalAlloc - before.TotalAlloc
+	})
+	wait(t, aDone, "ping side")
+	wait(t, bDone, "echo side")
+	// Each side's pool settles at one or two buffers (the writer may still
+	// hold the last payload sent when the next one arrives), so a side may
+	// allocate its second buffer late; anything per round trip would show
+	// as rounds MiB or more.
+	if grew >= 3*size {
+		t.Errorf("%d warmed 1 MiB round trips allocated %d bytes: payload-sized buffers are being allocated", rounds, grew)
 	}
 }

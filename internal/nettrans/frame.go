@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // Stream format: every frame travels as [u32 length][body], length counting
-// the body only. Bodies start with a one-byte kind and use the wire codec
-// (little-endian, length-prefixed strings) for the rest. Three kinds exist:
-// the connection handshake pair (hello/welcome) and the message frame that
-// carries one minimpi envelope plus payload.
+// the body only. Bodies start with a one-byte kind; all integers are
+// little-endian. Three kinds exist: the connection handshake pair
+// (hello/welcome, wire codec) and the message frame that carries one
+// minimpi envelope as a fixed header, then the payload.
 
 // ProtocolVersion is the wire protocol revision. Connections between
 // mismatched versions are refused during the handshake.
@@ -43,59 +44,82 @@ const maxHandshakeFrame = 1 << 16
 
 // msgHeaderSize is the fixed-size header of a kindMsg body: kind byte,
 // four u32 fields (dst, src, srcComm, ctx), i64 tag, u64 size and the
-// has-payload flag.
-const msgHeaderSize = 1 + 4*4 + 8 + 8 + 1
+// has-payload flag. frameHeaderSize adds the stream length prefix.
+const (
+	msgHeaderSize   = 1 + 4*4 + 8 + 8 + 1
+	frameHeaderSize = lenPrefixSize + msgHeaderSize
+)
 
-// appendMsgFrame appends a length-prefixed message frame to buf. The tag
-// is encoded as i64: collective tags are negative and must round-trip.
-func appendMsgFrame(w *wire.Writer, env minimpi.Envelope, payload []byte) {
-	w.U32(uint32(msgHeaderSize + len(payload)))
-	w.U8(kindMsg)
-	w.U32(uint32(env.Dst))
-	w.U32(uint32(env.Src))
-	w.U32(uint32(env.SrcComm))
-	w.U32(uint32(env.Ctx))
-	w.I64(int64(env.Tag))
-	w.U64(uint64(env.Size))
+// putMsgHeader encodes the prefix and header of a message frame carrying
+// payload (nil for a sized send). The tag is encoded as i64: collective
+// tags are negative and must round-trip.
+func putMsgHeader(hdr *[frameHeaderSize]byte, env minimpi.Envelope, payload []byte) {
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:], uint32(msgHeaderSize+len(payload)))
+	hdr[4] = kindMsg
+	le.PutUint32(hdr[5:], uint32(env.Dst))
+	le.PutUint32(hdr[9:], uint32(env.Src))
+	le.PutUint32(hdr[13:], uint32(env.SrcComm))
+	le.PutUint32(hdr[17:], uint32(env.Ctx))
+	le.PutUint64(hdr[21:], uint64(env.Tag))
+	le.PutUint64(hdr[29:], uint64(env.Size))
+	hdr[37] = 0
 	if payload != nil {
-		w.U8(1)
-		w.Raw(payload)
-	} else {
-		w.U8(0)
+		hdr[37] = 1
 	}
 }
 
-// decodeMsgBody parses a kindMsg frame body (kind byte already consumed by
-// the caller's peek, but still present in body). The returned payload
-// aliases body; the caller hands the whole buffer over to the World.
-func decodeMsgBody(body []byte) (minimpi.Envelope, []byte, error) {
-	r := wire.NewReader(body)
-	if k := r.U8(); k != kindMsg {
-		return minimpi.Envelope{}, nil, fmt.Errorf("nettrans: frame kind %d, want message", k)
-	}
+// decodeMsgHeader validates a message frame's prefix and header in full —
+// length against maxFrame, kind, size, and that exactly the announced
+// payload follows — and returns the envelope with that payload length, -1
+// for a sized send. The reader takes a payload buffer only after this
+// passed, so a corrupt or hostile header costs no allocation.
+func decodeMsgHeader(hdr *[frameHeaderSize]byte, maxFrame int) (minimpi.Envelope, int, error) {
+	le := binary.LittleEndian
+	n := int(le.Uint32(hdr[0:]))
 	env := minimpi.Envelope{
-		Dst:     int(int32(r.U32())),
-		Src:     int(int32(r.U32())),
-		SrcComm: int(int32(r.U32())),
-		Ctx:     int(int32(r.U32())),
-		Tag:     minimpi.Tag(r.I64()),
-		Size:    int(int64(r.U64())),
+		Dst:     int(int32(le.Uint32(hdr[5:]))),
+		Src:     int(int32(le.Uint32(hdr[9:]))),
+		SrcComm: int(int32(le.Uint32(hdr[13:]))),
+		Ctx:     int(int32(le.Uint32(hdr[17:]))),
+		Tag:     minimpi.Tag(int64(le.Uint64(hdr[21:]))),
+		Size:    int(int64(le.Uint64(hdr[29:]))),
 	}
-	hasPayload := r.U8() != 0
-	var payload []byte
-	if hasPayload {
-		payload = r.Rest()
-	} else if r.Remaining() != 0 {
-		return minimpi.Envelope{}, nil, fmt.Errorf("nettrans: %d trailing bytes after sized-send frame", r.Remaining())
+	rest, sized := n-msgHeaderSize, hdr[37] == 0
+	switch {
+	case n < msgHeaderSize || n > maxFrame:
+		return env, 0, fmt.Errorf("nettrans: frame length %d outside [%d,%d]", n, msgHeaderSize, maxFrame)
+	case hdr[4] != kindMsg:
+		return env, 0, fmt.Errorf("nettrans: frame kind %d, want message", hdr[4])
+	case env.Size < 0:
+		return env, 0, fmt.Errorf("nettrans: negative envelope size %d", env.Size)
+	case sized && rest != 0:
+		return env, 0, fmt.Errorf("nettrans: %d trailing bytes after sized-send frame", rest)
+	case sized:
+		rest = -1
+	case rest != env.Size:
+		return env, 0, fmt.Errorf("nettrans: payload %dB does not match envelope size %dB", rest, env.Size)
 	}
-	if err := r.Err(); err != nil {
+	return env, rest, nil
+}
+
+// readMsgFrame reads one message frame from r: the fixed header into hdr,
+// then — once decodeMsgHeader accepted it — the payload straight into a
+// buffer from getBuf, which the caller owns from then on.
+func readMsgFrame(r io.Reader, hdr *[frameHeaderSize]byte, maxFrame int, getBuf func(int) []byte) (minimpi.Envelope, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return minimpi.Envelope{}, nil, err
 	}
-	if env.Size < 0 {
-		return minimpi.Envelope{}, nil, fmt.Errorf("nettrans: negative envelope size %d", env.Size)
+	env, n, err := decodeMsgHeader(hdr, maxFrame)
+	if err != nil || n < 0 {
+		return env, nil, err // refused, or a sized send: nothing follows
 	}
-	if hasPayload && len(payload) != env.Size {
-		return minimpi.Envelope{}, nil, fmt.Errorf("nettrans: payload %dB does not match envelope size %dB", len(payload), env.Size)
+	payload := []byte{} // an empty payload is still a payload, not a sized send
+	if n > 0 {
+		payload = getBuf(n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return minimpi.Envelope{}, nil, err
+		}
 	}
 	return env, payload, nil
 }
@@ -184,19 +208,17 @@ func decodeWelcomeBody(body []byte) (welcome, error) {
 	return wl, nil
 }
 
-// readFrame reads one length-prefixed frame body from r. The length is
-// validated against maxFrame before any body allocation, so an adversarial
-// or corrupt prefix cannot cause an allocation blowup.
-func readFrame(r io.Reader, scratch *[lenPrefixSize]byte, maxFrame int) ([]byte, error) {
-	if _, err := io.ReadFull(r, scratch[:]); err != nil {
+// readFrame reads one length-prefixed handshake frame body from r. The
+// length is validated against maxFrame before any body allocation, so an
+// adversarial or corrupt prefix cannot cause an allocation blowup.
+func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
+	var prefix [lenPrefixSize]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, err
 	}
-	n := int(uint32(scratch[0]) | uint32(scratch[1])<<8 | uint32(scratch[2])<<16 | uint32(scratch[3])<<24)
-	if n <= 0 {
-		return nil, fmt.Errorf("nettrans: invalid frame length %d", n)
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("nettrans: frame length %d exceeds limit %d", n, maxFrame)
+	n := int(binary.LittleEndian.Uint32(prefix[:]))
+	if n <= 0 || n > maxFrame {
+		return nil, fmt.Errorf("nettrans: handshake frame length %d outside (0,%d]", n, maxFrame)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

@@ -31,6 +31,7 @@ package nettrans
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,18 +92,22 @@ type Transport struct {
 	peers    []*peer
 	ln       net.Listener
 
-	encw      wire.Writer // Deliver-side scratch encoder (scheduler context only)
-	framePool sync.Pool
-
 	closed   atomic.Bool
 	closedCh chan struct{}
 	wg       sync.WaitGroup
 
 	stats struct {
-		dials, reconnects, handshakeFailures    atomic.Int64
+		dials, reconnects, handshakeFailures     atomic.Int64
 		framesSent, framesReceived, framesResent atomic.Int64
 		bytesSent, bytesReceived                 atomic.Int64
 	}
+}
+
+// outFrame is one queued message frame: the fixed header inline and the
+// payload, a world-pool buffer the outbox owns until the frame is written.
+type outFrame struct {
+	hdr     [frameHeaderSize]byte
+	payload []byte
 }
 
 // peer is the connection state toward one remote process.
@@ -114,7 +119,7 @@ type peer struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   [][]byte // encoded frames awaiting write; queue[head] is next
+	queue   []outFrame // frames awaiting write; queue[head] is next
 	head    int
 	conn    net.Conn
 	connGen int
@@ -223,10 +228,10 @@ func New(cfg Config) (*Transport, error) {
 func (t *Transport) Addr() net.Addr { return t.ln.Addr() }
 
 // Deliver implements minimpi.Transport. Local-destination messages take
-// the in-sim path unchanged; remote ones are encoded into a pooled frame
-// buffer (copy-on-enqueue — the payload may belong to a scratch encoder or
-// the world pool, and must not be aliased past this call), complete
-// locally, and queue toward the destination process.
+// the in-sim path unchanged; remote ones complete locally and queue toward
+// the destination process. An owned payload is taken over as is; a
+// borrowed one is copied once into a world-pool buffer, because the caller
+// may reuse its slice the moment the send completes.
 func (t *Transport) Deliver(m *minimpi.Message) {
 	dst := m.Dst()
 	pid := t.rankProc[dst]
@@ -234,12 +239,17 @@ func (t *Transport) Deliver(m *minimpi.Message) {
 		t.local.Deliver(m)
 		return
 	}
-	t.encw.Reset()
-	appendMsgFrame(&t.encw, m.RemoteEnvelope(), m.Payload())
-	frame := t.getFrame(t.encw.Len())
-	copy(frame, t.encw.Bytes())
+	var f outFrame
+	payload, owned := m.TakePayload()
+	putMsgHeader(&f.hdr, m.RemoteEnvelope(), payload)
+	if owned {
+		f.payload = payload
+	} else if len(payload) > 0 { // an empty borrowed slice stays the caller's
+		f.payload = t.world.GetBuf(len(payload))
+		copy(f.payload, payload)
+	}
 	m.FinishLocal()
-	t.peers[pid].enqueue(frame)
+	t.peers[pid].enqueue(f)
 }
 
 // Stats implements minimpi.Transport.
@@ -329,23 +339,10 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// getFrame returns a buffer of length n from the frame pool.
-func (t *Transport) getFrame(n int) []byte {
-	if v := t.framePool.Get(); v != nil {
-		b := v.([]byte)
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func (t *Transport) putFrame(b []byte) { t.framePool.Put(b[:0]) } //nolint:staticcheck // slice header boxing is fine here
-
 // enqueue appends a frame to the peer's outbox. Never blocks: the outbox
 // is unbounded so the simulation scheduler cannot be wedged by a slow or
 // dead peer.
-func (pr *peer) enqueue(frame []byte) {
+func (pr *peer) enqueue(frame outFrame) {
 	pr.mu.Lock()
 	if pr.t.closed.Load() {
 		pr.mu.Unlock()
@@ -362,11 +359,18 @@ func (pr *peer) queued() int {
 	return len(pr.queue) - pr.head
 }
 
-// writeLoop writes queued frames to the current connection. A failed write
-// drops the connection and leaves the frame at the head of the queue; it
-// is resent on the next connection (counted in FramesResent).
+// writeLoop writes queued frames to the current connection, header and
+// payload in one writev, and returns each written payload to the world
+// pool. A failed write drops the connection and leaves the frame at the
+// head of the queue; it is resent whole on the next connection (counted in
+// FramesResent).
 func (pr *peer) writeLoop() {
 	defer pr.t.wg.Done()
+	// Declared once: these escape into the writev call. frame copies the
+	// queue head because enqueue may move the queue's backing array.
+	var frame outFrame
+	var iov [2][]byte
+	var bufs net.Buffers
 	for {
 		pr.mu.Lock()
 		for !pr.t.closed.Load() && (pr.head >= len(pr.queue) || pr.conn == nil) {
@@ -376,11 +380,13 @@ func (pr *peer) writeLoop() {
 			pr.mu.Unlock()
 			return
 		}
-		frame := pr.queue[pr.head]
+		frame = pr.queue[pr.head]
 		conn, gen := pr.conn, pr.connGen
 		pr.mu.Unlock()
 
-		_, err := conn.Write(frame)
+		iov[0], iov[1] = frame.hdr[:], frame.payload
+		bufs = iov[:]
+		n, err := bufs.WriteTo(conn)
 
 		pr.mu.Lock()
 		if err != nil {
@@ -392,7 +398,7 @@ func (pr *peer) writeLoop() {
 			pr.mu.Unlock()
 			continue
 		}
-		pr.queue[pr.head] = nil
+		pr.queue[pr.head].payload = nil
 		pr.head++
 		if pr.head == len(pr.queue) {
 			pr.queue = pr.queue[:0]
@@ -400,15 +406,23 @@ func (pr *peer) writeLoop() {
 		}
 		pr.mu.Unlock()
 		pr.t.stats.framesSent.Add(1)
-		pr.t.stats.bytesSent.Add(int64(len(frame)))
-		pr.t.putFrame(frame)
+		pr.t.stats.bytesSent.Add(n)
+		pr.t.world.PutBuf(frame.payload)
 	}
 }
 
 // setConn installs a fresh, handshaken connection, replacing (and closing)
-// any previous one.
+// any previous one. Once Close has swept the peers (under this mutex)
+// nobody would close an installed conn, so one that completes its
+// handshake that late is closed here instead; the caller's readLoop then
+// ends on its first read.
 func (pr *peer) setConn(conn net.Conn) {
 	pr.mu.Lock()
+	if pr.t.closed.Load() {
+		pr.mu.Unlock()
+		conn.Close()
+		return
+	}
 	if pr.conn != nil {
 		pr.conn.Close()
 	}
@@ -500,8 +514,7 @@ func (t *Transport) handshakeOut(conn net.Conn) error {
 	if _, err := conn.Write(w.Bytes()); err != nil {
 		return err
 	}
-	var scratch [lenPrefixSize]byte
-	body, err := readFrame(conn, &scratch, maxHandshakeFrame)
+	body, err := readFrame(conn, maxHandshakeFrame)
 	if err != nil {
 		return err
 	}
@@ -551,8 +564,7 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) handshakeIn(conn net.Conn) (*peer, error) {
 	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
-	var scratch [lenPrefixSize]byte
-	body, err := readFrame(conn, &scratch, maxHandshakeFrame)
+	body, err := readFrame(conn, maxHandshakeFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -561,9 +573,7 @@ func (t *Transport) handshakeIn(conn net.Conn) (*peer, error) {
 		return nil, t.refuse(conn, err.Error())
 	}
 	if h.version != t.version {
-		w := wire.NewWriter(32)
-		appendWelcome(w, welcome{ok: false, version: t.version, reason: "protocol version mismatch"})
-		conn.Write(w.Bytes())
+		t.refuse(conn, "protocol version mismatch")
 		return nil, &VersionMismatchError{Mine: t.version, Theirs: h.version}
 	}
 	if h.token != t.cfg.Token {
@@ -573,7 +583,7 @@ func (t *Transport) handshakeIn(conn net.Conn) (*peer, error) {
 		return nil, t.refuse(conn, fmt.Sprintf("bogus proc id %d", h.procID))
 	}
 	want := t.cfg.Procs[h.procID].Ranks
-	if !equalRanks(h.ranks, want) {
+	if !slices.Equal(h.ranks, want) {
 		return nil, t.refuse(conn, fmt.Sprintf("rank claim %v does not match topology %v for proc %d", h.ranks, want, h.procID))
 	}
 	w := wire.NewWriter(32)
@@ -592,35 +602,19 @@ func (t *Transport) refuse(conn net.Conn, reason string) error {
 	return &HandshakeError{Peer: conn.RemoteAddr().String(), Reason: reason}
 }
 
-func equalRanks(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// readLoop decodes message frames off one connection and injects them into
-// the local World until the connection dies. Each frame gets a fresh
-// buffer: the World takes ownership of the payload, and the World's own
-// buffer pool is not goroutine-safe, so readers never touch it.
+// readLoop reads message frames off one connection and injects them into
+// the local World until the connection dies. Payloads land in world-pool
+// buffers that the receiver's Request.Free recycles.
 func (t *Transport) readLoop(conn net.Conn, pr *peer) {
-	var scratch [lenPrefixSize]byte
+	var hdr [frameHeaderSize]byte
+	getBuf := t.world.GetBuf
 	for {
-		body, err := readFrame(conn, &scratch, t.maxFrame)
-		if err != nil {
-			break
-		}
-		env, payload, err := decodeMsgBody(body)
+		env, payload, err := readMsgFrame(conn, &hdr, t.maxFrame, getBuf)
 		if err != nil {
 			break
 		}
 		t.stats.framesReceived.Add(1)
-		t.stats.bytesReceived.Add(int64(lenPrefixSize + len(body)))
+		t.stats.bytesReceived.Add(int64(frameHeaderSize + len(payload)))
 		if err := t.world.InjectRemote(env, payload); err != nil {
 			break
 		}

@@ -1,14 +1,18 @@
 package nettrans
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"dynacc/internal/minimpi"
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
+	"dynacc/internal/wire"
 )
 
 // node is one test process: its own simulation, World and Transport,
@@ -99,6 +103,18 @@ func (n *node) run(name string, fn func(p *sim.Proc)) chan struct{} {
 	return ch
 }
 
+// statsWhen polls the transport's counters until ok accepts them or a
+// second has passed, and returns the last reading. Transport goroutines
+// bump a counter just after the I/O it counts, and the peer's reaction to
+// that I/O can reach the test first.
+func statsWhen(tr *Transport, ok func(minimpi.TransportStats) bool) minimpi.TransportStats {
+	st := tr.Stats()
+	for deadline := time.Now().Add(time.Second); !ok(st) && time.Now().Before(deadline); st = tr.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	return st
+}
+
 func wait(t *testing.T, ch chan struct{}, what string) {
 	t.Helper()
 	select {
@@ -136,7 +152,7 @@ func TestPingPongAcrossProcesses(t *testing.T) {
 	wait(t, aDone, "ping side")
 	wait(t, bDone, "pong side")
 
-	st := a.tr.Stats()
+	st := statsWhen(a.tr, func(st minimpi.TransportStats) bool { return st.FramesSent > 0 })
 	if st.FramesSent == 0 || st.FramesReceived == 0 {
 		t.Errorf("proc 0 stats show no traffic: %+v", st)
 	}
@@ -184,7 +200,7 @@ func TestSizedAndLocalDelivery(t *testing.T) {
 	wait(t, aDone, "sender")
 	wait(t, bDone, "sized receiver")
 
-	st := a.tr.Stats()
+	st := statsWhen(a.tr, func(st minimpi.TransportStats) bool { return st.FramesSent > 0 })
 	if st.FramesSent != 1 {
 		t.Errorf("want exactly 1 frame (local hop must not hit the wire), got %+v", st)
 	}
@@ -231,8 +247,13 @@ func TestCollectivesAcrossProcesses(t *testing.T) {
 }
 
 // TestReconnectAfterKill kills the accept-side process mid-conversation,
-// restarts it on the same address with a fresh World, and checks that a
-// message sent during the outage is delivered after the dialer reconnects.
+// restarts it on the same address with a fresh World, and checks what the
+// outbox owes a dead connection: a small message sent during the outage
+// and a large payload whose write the kill interrupts half-way must both
+// be delivered, intact, after the dialer reconnects. For the interrupted
+// write the test itself plays proc 1 for one connection — handshake, read
+// a little of the frame, reset — so the kill provably lands mid-payload
+// and the frame is resent whole from the outbox.
 func TestReconnectAfterKill(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
 	a := startNode(t, 2, 0, procs, lns[0], nil)
@@ -271,33 +292,65 @@ func TestReconnectAfterKill(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Send into the outage: the frame must queue, not vanish.
+	// Send into the outage: the frames must queue, not vanish. The large
+	// one exceeds what loopback socket buffers absorb (a few MiB), so its
+	// write cannot complete against a peer that stops reading.
+	big := make([]byte, 16<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
 	aDone = a.run("send2", func(p *sim.Proc) {
-		a.w.Comm(0).Send(p, 1, 2, []byte("two"))
+		c := a.w.Comm(0)
+		c.Send(p, 1, 2, []byte("two"))
+		c.Send(p, 1, 3, big)
 	})
-	wait(t, aDone, "send during outage (local completion)")
+	wait(t, aDone, "sends during outage (local completion)")
 
-	// Restart proc 1 on the same address with a fresh World.
+	// A dying proc 1: accept the redial, shake hands, take "two" and the
+	// first 64 KiB of the large frame, then reset the connection.
 	ln, err := net.Listen("tcp", procs[1].Addr)
 	if err != nil {
 		t.Fatalf("rebind %s: %v", procs[1].Addr, err)
 	}
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept redial: %v", err)
+	}
+	if _, err := readFrame(conn, maxHandshakeFrame); err != nil {
+		t.Fatalf("read hello: %v", err)
+	}
+	w := wire.NewWriter(32)
+	appendWelcome(w, welcome{ok: true, version: ProtocolVersion})
+	if _, err := conn.Write(w.Bytes()); err != nil {
+		t.Fatalf("write welcome: %v", err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, frameHeaderSize+3+64<<10)); err != nil {
+		t.Fatalf("read the head of the stream: %v", err)
+	}
+	conn.Close() // unread bytes pending: the kernel answers with a reset
+
+	// Restart proc 1 for real on the same listener with a fresh World.
+	// "two" was written in full to the connection that died — the
+	// at-most-once case above — so only the interrupted frame is owed.
 	b2 := startNode(t, 2, 1, procs, ln, nil)
 	defer b2.halt()
 
 	b2Done := b2.run("recv2", func(p *sim.Proc) {
-		data, st := b2.w.Comm(1).Recv(p, 0, 2)
-		if string(data) != "two" || st.Tag != 2 {
-			t.Errorf("post-restart recv got %q %+v", data, st)
+		data, st := b2.w.Comm(1).Recv(p, 0, 3)
+		if !bytes.Equal(data, big) || st.Tag != 3 {
+			t.Errorf("post-restart recv got %d bytes %+v, differing from what was sent", len(data), st)
 		}
 	})
 	wait(t, b2Done, "delivery after reconnect")
 
 	st := a.tr.Stats()
-	if st.Reconnects < 1 {
-		t.Errorf("want at least one reconnect, got %+v", st)
+	if st.FramesResent < 1 {
+		t.Errorf("want the interrupted frame resent, got %+v", st)
 	}
-	if st.Dials < 2 {
+	if st.Reconnects < 2 {
+		t.Errorf("want two reconnects (the dying proc, the restarted one), got %+v", st)
+	}
+	if st.Dials < 3 {
 		t.Errorf("want redials, got %+v", st)
 	}
 }
@@ -328,7 +381,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if a.tr.Stats().HandshakeFailures == 0 {
 		t.Error("dialer did not count the handshake failure")
 	}
-	if b.tr.Stats().HandshakeFailures == 0 {
+	if statsWhen(b.tr, func(st minimpi.TransportStats) bool { return st.HandshakeFailures > 0 }).HandshakeFailures == 0 {
 		t.Error("acceptor did not count the handshake failure")
 	}
 }
@@ -389,9 +442,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOwnedBufferReturnsToPool checks the IsendOwned contract over the
-// socket path: Deliver copies the payload out and the buffer returns to
-// the world pool immediately (eager local completion), ready for reuse.
+// TestOwnedBufferReturnsToPool checks the pool round trip on both ends of
+// a socket hop. Sender: an IsendOwned buffer is taken over by the outbox
+// and comes back to the sender's world pool once written. Receiver: the
+// payload lands in a buffer from the receiver's world pool, and
+// Request.Free puts exactly that buffer back.
 func TestOwnedBufferReturnsToPool(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
 	a := startNode(t, 2, 0, procs, lns[0], nil)
@@ -399,40 +454,83 @@ func TestOwnedBufferReturnsToPool(t *testing.T) {
 	defer a.halt()
 	defer b.halt()
 
+	const n = 4096
 	bDone := b.run("recv-owned", func(p *sim.Proc) {
 		c := b.w.Comm(1)
 		for i := 0; i < 2; i++ {
 			req := c.Irecv(0, 9)
 			data, _ := req.Wait(p)
-			want := byte('A' + i)
-			for _, bb := range data {
-				if bb != want {
-					t.Errorf("owned payload %d corrupted: got %d want %d", i, bb, want)
-					break
-				}
+			if want := bytes.Repeat([]byte{byte('A' + i)}, n); !bytes.Equal(data, want) {
+				t.Errorf("owned payload %d corrupted: got %d bytes starting %q", i, len(data), data[:1])
 			}
-			req.Free() // no-op on the receive side of a socket hop; must not panic
+			req.Free()
+			if again := b.w.GetBuf(n); &again[0] != &data[0] {
+				t.Errorf("payload %d: Free did not return the reader's buffer to the pool", i)
+			} else {
+				b.w.PutBuf(again)
+			}
 		}
 	})
+	buf := a.w.GetBuf(n)
 	aDone := a.run("send-owned", func(p *sim.Proc) {
 		c := a.w.Comm(0)
-		const n = 4096
-		buf1 := a.w.GetBuf(n)
-		for i := range buf1 {
-			buf1[i] = 'A'
+		for i := 0; i < 2; i++ {
+			for j := range buf {
+				buf[j] = byte('A' + i)
+			}
+			c.IsendOwned(1, 9, buf).Wait(p)
+			// The writer goroutine returns buf once it is on the wire; the
+			// second round reuses it from the pool.
+			if !pooledAgain(a.w, buf, 5*time.Second) {
+				t.Errorf("owned send buffer %d did not return to the pool after the write", i)
+				return
+			}
 		}
-		c.IsendOwned(1, 9, buf1).Wait(p)
-		// Deliver returned buf1 to the pool at enqueue time; the next
-		// GetBuf of the same size must reuse it.
-		buf2 := a.w.GetBuf(n)
-		if &buf2[0] != &buf1[0] {
-			t.Error("owned send buffer did not return to the pool at Deliver")
-		}
-		for i := range buf2 {
-			buf2[i] = 'B'
-		}
-		c.IsendOwned(1, 9, buf2).Wait(p)
 	})
 	wait(t, aDone, "owned sender")
 	wait(t, bDone, "owned receiver")
+}
+
+// TestCloseRightAfterNew is the regression test for a Close that never
+// returned: a dial whose handshake completed after Close had swept the
+// peers installed its connection anyway, nobody closed it, and Close
+// waited forever on the reader parked on it. Closing a dialer the moment
+// New returns, against an acceptor that stays up, lands in that window.
+func TestCloseRightAfterNew(t *testing.T) {
+	lns, procs := listeners(t, 2, nil)
+	b := startNode(t, 2, 1, procs, lns[1], nil)
+	defer b.halt()
+	lns[0].Close()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			w, err := minimpi.NewWorld(sim.New(), 2, netmodel.QDRInfiniBand())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tr, err := New(Config{World: w, ProcID: 0, Procs: procs, Listener: ln, Token: "test-token"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if i%2 == 1 {
+				runtime.Gosched() // vary where in the dial Close lands
+			}
+			tr.Close()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("New->Close loop hung:\n%s", buf[:runtime.Stack(buf, true)])
+	}
 }
