@@ -58,7 +58,7 @@ func TestRouteIDsAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := NewDirectory(NewRing(3), []int{1, 2, 3}, nil)
-	sc := NewShardedClient(w.Comm(0), dir)
+	sc := NewDirectoryClient(w.Comm(0), dir)
 	handles := make([]Handle, 16)
 	for i := range handles {
 		handles[i] = Handle{ID: i, Rank: 100 + i}

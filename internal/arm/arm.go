@@ -548,10 +548,10 @@ func (s *Server) handle(src int, data []byte) bool {
 	op := r.U8()
 	reqID := r.U64()
 	if op == opEpoched {
-		// Sharded clients wrap requests in an epoch envelope: the id
-		// slot carries their directory view of this shard's epoch, the
-		// real header follows. A claim above myEpoch means a newer
-		// leader exists and this server must step down.
+		// Clients of a directory plane wrap requests in an epoch
+		// envelope: the id slot carries their directory view of this
+		// shard's epoch, the real header follows. A claim above myEpoch
+		// means a newer leader exists and this server must step down.
 		s.observeEpoch(reqID)
 		op = r.U8()
 		reqID = r.U64()
@@ -569,6 +569,12 @@ func (s *Server) handle(src int, data []byte) bool {
 		op = r.U8()
 		reqID = r.U64()
 		forwarded = true
+	}
+	if src < 0 || src >= s.comm.Size() || tagReplyBase+minimpi.Tag(reqID) < tagReplyBase {
+		// A forward on behalf of a rank outside the world, or a request id
+		// whose reply tag wraps around: there is nowhere to answer, and
+		// sending there would panic the transport. Drop the frame.
+		return true
 	}
 	switch op {
 	case opLoad:
@@ -648,22 +654,15 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		}
 		s.acquire(req, blocking && !forwarded)
 	case opRelease:
-		count := r.Int()
-		ids := make([]int, 0, count)
-		for i := 0; i < count; i++ {
-			ids = append(ids, r.Int())
-		}
+		// Ints checks the count against the bytes left before allocating:
+		// a negative or absurd count off the wire is a bad request.
+		ids := r.Ints()
 		if r.Err() != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
 		if owner, ok := s.foreignOwner(ids, forwarded); ok {
-			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) {
-				w.Int(len(ids))
-				for _, id := range ids {
-					w.Int(id)
-				}
-			})
+			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) { w.Ints(ids) })
 			return true
 		}
 		s.release(src, reqID, ids)
@@ -694,11 +693,7 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		}
 		s.replace(src, reqID, rank)
 	case opHeartbeat:
-		count := r.Int()
-		active := make([]int, 0, count)
-		for i := 0; i < count; i++ {
-			active = append(active, r.Int())
-		}
+		active := r.Ints()
 		if r.Err() == nil {
 			s.heartbeat(src, active)
 		}
@@ -1360,6 +1355,10 @@ func decodeStatsEx(body []byte) (PoolStats, error) {
 	count := r.Int()
 	if err := r.Err(); err != nil {
 		return PoolStats{}, err
+	}
+	// A row is at least 52 bytes (six 8-byte fields and a string length).
+	if count < 0 || count > r.Remaining()/52 {
+		return PoolStats{}, fmt.Errorf("arm: malformed stats reply: %d rows in %d bytes", count, r.Remaining())
 	}
 	st.PerAccel = make([]AccelStats, 0, count)
 	for i := 0; i < count; i++ {

@@ -111,7 +111,7 @@ func encodeCapability(w *wire.Writer, c Capability) {
 func decodeCapability(r *wire.Reader) Capability {
 	c := Capability{Class: r.Str()}
 	n := r.Int()
-	if r.Err() != nil || n < 0 || n > 1<<16 {
+	if r.Err() != nil || n < 0 || n > r.Remaining()/4 { // a kernel name is >= 4 bytes
 		return Capability{}
 	}
 	for i := 0; i < n; i++ {

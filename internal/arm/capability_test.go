@@ -312,9 +312,16 @@ func TestGoldenCapabilityEncoding(t *testing.T) {
 	}
 }
 
-// captureRequest runs one client call against a scripted responder and
-// returns the raw request bytes the client sent.
+// captureRequest runs one call of a lone manager's client (NewClient)
+// against a scripted responder and returns the raw request bytes sent.
 func captureRequest(t *testing.T, status uint8, body []byte, do func(p *sim.Proc, c *Client)) []byte {
+	t.Helper()
+	return captureRequestVia(t, nil, status, body, do)
+}
+
+// captureRequestVia is captureRequest for a client built over dir, whose
+// every shard must be served by rank 1 (the responder); nil is NewClient.
+func captureRequestVia(t *testing.T, dir *Directory, status uint8, body []byte, do func(p *sim.Proc, c *Client)) []byte {
 	t.Helper()
 	s := sim.New()
 	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
@@ -326,13 +333,22 @@ func captureRequest(t *testing.T, status uint8, body []byte, do func(p *sim.Proc
 		data, _ := w.Comm(1).Recv(p, minimpi.AnySource, TagRequest)
 		got = append([]byte(nil), data...)
 		r := wire.NewReader(data)
-		r.U8()
+		if r.U8() == opEpoched {
+			r.U64() // epoch claim; the real header follows
+			r.U8()
+		}
 		reqID := r.U64()
 		reply := wire.NewWriter(16 + len(body))
 		reply.U8(status).Blob(body)
 		w.Comm(1).Isend(0, tagReplyBase+minimpi.Tag(reqID), reply.Bytes())
 	})
-	s.Spawn("client", func(p *sim.Proc) { do(p, NewClient(w.Comm(0), 1)) })
+	s.Spawn("client", func(p *sim.Proc) {
+		if dir == nil {
+			do(p, NewClient(w.Comm(0), 1))
+		} else {
+			do(p, NewDirectoryClient(w.Comm(0), dir))
+		}
+	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,21 @@
 package arm
 
+// client.go is the client side of the ARM: one Client whatever sits
+// behind it. Every operation is routed to the owning shard via a
+// Directory; a lone manager is the one-shard directory NewClient builds.
+// Replies are received with an any-source Irecv, because the shard that
+// answers is not always the shard that was asked (peer forwarding and
+// least-loaded fallback reply directly from the executing shard). When
+// shards have follower replicas, calls use a failover timeout: on
+// silence past the promotion threshold the client re-resolves the
+// shard's serving rank from the directory and replays the request with
+// its original reqID — the server-side dedup cache turns an
+// already-answered replay into a resend, never a re-execution.
+
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
@@ -11,39 +24,173 @@ import (
 
 // Client is the resource-management API a compute-node process uses to
 // talk to the ARM (the paper's extra API complementing the computation
-// API). A Client is bound to one communicator rank; it is not safe to
-// share one Client between concurrently blocking processes.
+// API), be it one manager or a fleet of shards behind a directory. A
+// Client is bound to one communicator rank; it is not safe to share one
+// Client between concurrently blocking processes.
 type Client struct {
 	comm    *minimpi.Comm
-	armRank int
+	dir     *Directory
 	nextReq uint64
+	rng     *rand.Rand // jitter for client-paced blocking acquires; see jitter
+
+	// failTimeout > 0 arms failover: a call silent for this long
+	// re-checks the directory and replays to a promoted follower. Zero
+	// (set when no shard has a replica) waits indefinitely.
+	failTimeout sim.Duration
+	maxSilence  int // give up after this many consecutive timeouts
+
+	groups [][]int // per-shard id scratch for Release routing (reused)
 }
 
-// NewClient creates a resource-management client addressing the ARM at
-// armRank on comm.
+// NewClient creates a resource-management client addressing the lone ARM
+// at armRank on comm. It is the one-shard case of NewDirectoryClient: the
+// client builds the degenerate directory itself (SingleDirectory), so its
+// requests carry the legacy bytes and the manager queues its blocking
+// acquires.
 func NewClient(comm *minimpi.Comm, armRank int) *Client {
-	return &Client{comm: comm, armRank: armRank}
+	return NewDirectoryClient(comm, SingleDirectory(armRank))
 }
 
-// call performs one request/reply round trip.
-func (c *Client) call(p *sim.Proc, op uint8, args func(w *wire.Writer)) (uint8, []byte, error) {
-	c.nextReq++
-	reqID := c.nextReq
-	w := wire.NewWriter(32)
+// NewDirectoryClient builds a client over a directory shared with the
+// servers (and the other clients) of a sharded or replicated ARM.
+// Failover timeouts arm automatically when at least one shard has a
+// follower replica.
+func NewDirectoryClient(comm *minimpi.Comm, dir *Directory) *Client {
+	c := &Client{comm: comm, dir: dir, groups: make([][]int, dir.Shards())}
+	for sh := 0; sh < dir.Shards(); sh++ {
+		if dir.Follower(sh) >= 0 {
+			c.failTimeout = 2 * DefaultHealthConfig().DeadAfter
+			c.maxSilence = 64
+			break
+		}
+	}
+	return c
+}
+
+// SetFailover overrides the failover silence threshold (0 disables) and
+// the consecutive-timeout budget before a call errors out.
+func (c *Client) SetFailover(timeout sim.Duration, maxSilence int) {
+	c.failTimeout = timeout
+	c.maxSilence = maxSilence
+}
+
+// homeShard spreads clients across shards for operations with no natural
+// owner (acquires, renews with one target).
+func (c *Client) homeShard() int {
+	return int(mix64(uint64(c.comm.Rank())) % uint64(c.dir.Shards()))
+}
+
+// jitter returns the randomness behind client-paced blocking acquires,
+// seeded from the rank so runs replay exactly. It is built on first use:
+// a lone manager's client never paces.
+func (c *Client) jitter() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(int64(c.comm.Rank())*7919 + 1))
+	}
+	return c.rng
+}
+
+func acquireOp(op uint8) bool {
+	return op == opAcquire || op == opAcquireShared || op == opAcquireCapable
+}
+
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// request encodes one request frame for shard. When the directory holds
+// an epoch to claim (every directory but a lone manager's), the frame
+// travels in an opEpoched envelope whose id slot carries the epoch the
+// client believes the shard is serving under — re-read at every send, so
+// a fenced replay carries the successor's epoch — and acquires end in a
+// replay marker telling a promoted follower to recall its peers before
+// executing. With no epoch the frame is the legacy one, byte for byte.
+func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args func(w *wire.Writer)) []byte {
+	w := wire.NewWriter(64)
+	epoch := c.dir.Epoch(shard)
+	if epoch != 0 {
+		w.U8(opEpoched).U64(epoch)
+	}
 	w.U8(op).U64(reqID)
 	if args != nil {
 		args(w)
 	}
-	resp := c.comm.Irecv(c.armRank, tagReplyBase+minimpi.Tag(reqID))
-	c.comm.Send(p, c.armRank, TagRequest, w.Bytes())
-	data, _ := resp.Wait(p)
-	r := wire.NewReader(data)
-	status := r.U8()
-	payload := r.Blob()
-	if err := r.Err(); err != nil {
-		return 0, nil, fmt.Errorf("arm: malformed reply: %w", err)
+	if epoch != 0 && acquireOp(op) {
+		w.U8(boolByte(replay))
 	}
-	return status, payload, nil
+	return w.Bytes()
+}
+
+// call performs one request/reply round trip against a shard, with
+// directory-driven failover replay when armed and fencing-driven replay
+// always: a statusFenced reply (the server we reached has been deposed)
+// re-resolves the serving rank and replays with the original reqID — the
+// dedup cache makes the replay a resend when the successor already
+// executed it. Any other status comes back as its client error
+// (statusErr). The returned epoch is the answering server's epoch hint
+// from the reply trailer (zero from a directory-less server, which sends
+// none), stamped into Handles as the fencing token.
+func (c *Client) call(p *sim.Proc, shard int, op uint8, args func(w *wire.Writer)) ([]byte, uint64, error) {
+	c.nextReq++
+	reqID := c.nextReq
+	const maxFenceReplays = 4
+	for fenceReplays := 0; ; fenceReplays++ {
+		// Any shard may answer (forwarding replies directly), so match any
+		// source on the reply tag; reqIDs are unique per client, so the tag
+		// cannot collide.
+		resp := c.comm.Irecv(minimpi.AnySource, tagReplyBase+minimpi.Tag(reqID))
+		served := c.dir.Serving(shard)
+		c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, fenceReplays > 0, args))
+		var data []byte
+		if c.failTimeout <= 0 {
+			data, _ = resp.Wait(p)
+		} else {
+			silent := 0
+			for {
+				d, _, ok := resp.WaitTimeout(p, c.failTimeout)
+				if ok {
+					data = d
+					break
+				}
+				silent++
+				if silent > c.maxSilence {
+					resp.Cancel()
+					return nil, 0, fmt.Errorf("arm: shard %d unresponsive after %d timeouts", shard, silent)
+				}
+				if cur := c.dir.Serving(shard); cur != served {
+					// The shard failed over: replay at the promoted follower
+					// with the same reqID (dedup makes this safe).
+					served = cur
+					c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, true, args))
+				}
+				// Still the same serving rank: the shard is slow (a delayed
+				// drain reply, say), not dead — keep waiting.
+			}
+		}
+		r := wire.NewReader(data)
+		status := r.U8()
+		payload := r.Blob()
+		var epoch uint64
+		if r.Remaining() >= 8 {
+			epoch = r.U64() // epoch hint trailer (directory servers only)
+		}
+		if err := r.Err(); err != nil {
+			return nil, 0, fmt.Errorf("arm: malformed reply: %w", err)
+		}
+		if status != statusFenced {
+			return payload, epoch, statusErr(status)
+		}
+		if fenceReplays >= maxFenceReplays {
+			return nil, 0, fmt.Errorf("arm: shard %d request fenced %d times: %w",
+				shard, fenceReplays+1, ErrFenced)
+		}
+		// A deposed server answered. The directory already names the
+		// successor (promotion flips it before anything can fence);
+		// replay there under the fresh epoch.
+	}
 }
 
 func statusErr(status uint8) error {
@@ -63,35 +210,95 @@ func statusErr(status uint8) error {
 	}
 }
 
+// decodeHandles parses the count-prefixed handle list of an acquire,
+// replace or migrate reply (what names the op in errors): id/rank pairs,
+// each followed by the granted device's capability descriptor in an
+// opAcquireCapable reply. The count is checked against the bytes left
+// before anything is allocated for it.
+func decodeHandles(what string, payload []byte, shared, described bool, epoch uint64) ([]Handle, error) {
+	r := wire.NewReader(payload)
+	count := r.Int()
+	if count < 0 || count > r.Remaining()/16 {
+		return nil, fmt.Errorf("arm: malformed %s reply: %d handles in %d bytes", what, count, r.Remaining())
+	}
+	handles := make([]Handle, 0, count)
+	for i := 0; i < count; i++ {
+		h := Handle{ID: r.Int(), Rank: r.Int(), Shared: shared, Epoch: epoch}
+		if described {
+			h.Cap = decodeCapability(r)
+		}
+		handles = append(handles, h)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("arm: malformed %s reply: %w", what, err)
+	}
+	return handles, nil
+}
+
+// acquire is the one acquire routine behind Acquire, AcquireShared,
+// AcquireCapable and AcquireRetry: up to attempts non-blocking tries,
+// rotating the target shard (which forwards to the least-loaded peer
+// itself when its pool can't satisfy) and sleeping b.Delay between
+// ErrUnavailable results; any other verdict — a grant,
+// ErrNoCapableDevice, ErrImpossible, a fencing failure — ends the loop.
+//
+// Who queues a blocking acquire is read off the directory. One shard
+// with no follower is the paper's ARM: the request is passed to the
+// server, which queues it FIFO and answers when it can grant. A server
+// queue is neither visible to peer shards nor shipped to a follower, so
+// anywhere else blocking is client-paced: retrying with jittered backoff
+// until granted, FIFO fairness per shard rather than global (DESIGN.md
+// §11), and a typed timeout when the retry budget runs out.
+func (c *Client) acquire(p *sim.Proc, op uint8, n int, constraint Constraint, blocking bool, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
+	const blockingAttempts = 4096 // virtual-seconds of backoff before giving up
+	queued := blocking && c.dir.Shards() == 1 && c.dir.Follower(0) < 0
+	switch {
+	case queued || attempts < 1:
+		attempts = 1
+	case blocking:
+		attempts, rng = blockingAttempts, c.jitter()
+	}
+	home := c.homeShard()
+	start := c.comm.World().Sim().Now()
+	var err error
+	for i := 0; i < attempts; i++ {
+		if i > 0 {
+			p.Wait(b.Delay(i-1, rng))
+		}
+		var payload []byte
+		var epoch uint64
+		payload, epoch, err = c.call(p, (home+i)%c.dir.Shards(), op, func(w *wire.Writer) {
+			w.Int(n).U8(boolByte(queued))
+			if op == opAcquireCapable {
+				encodeConstraint(w, constraint)
+			}
+		})
+		if err == nil {
+			return decodeHandles("acquire", payload, op == opAcquireShared, op == opAcquireCapable, epoch)
+		}
+		if err != ErrUnavailable {
+			return nil, err
+		}
+	}
+	if blocking && !queued {
+		// A blocking acquire that exhausted its retry budget is a
+		// timeout, not a capacity answer: surface it as one instead of
+		// silently giving up with the last ErrUnavailable.
+		return nil, &AcquireTimeoutError{
+			Attempts: attempts,
+			Elapsed:  c.comm.World().Sim().Now().Sub(start),
+		}
+	}
+	return nil, err
+}
+
 // Acquire requests n exclusive accelerators. With blocking=false it fails
 // immediately with ErrUnavailable when fewer than n are free; with
 // blocking=true it waits until the ARM can grant the request. A request
 // larger than the operational pool fails with ErrImpossible in both
 // modes.
 func (c *Client) Acquire(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
-	status, payload, err := c.call(p, opAcquire, func(w *wire.Writer) {
-		b := uint8(0)
-		if blocking {
-			b = 1
-		}
-		w.Int(n).U8(b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(status); err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(payload)
-	count := r.Int()
-	handles := make([]Handle, 0, count)
-	for i := 0; i < count; i++ {
-		handles = append(handles, Handle{ID: r.Int(), Rank: r.Int()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("arm: malformed acquire reply: %w", err)
-	}
-	return handles, nil
+	return c.acquire(p, opAcquire, n, Constraint{}, blocking, 1, DefaultBackoff(), nil)
 }
 
 // AcquireCapable requests n exclusive accelerators satisfying the
@@ -100,40 +307,11 @@ func (c *Client) Acquire(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
 // grant's Capability descriptor. Blocking semantics match Acquire,
 // except that a constraint no live device can ever satisfy fails
 // immediately with ErrNoCapableDevice in both modes — waiting for a
-// device class the fleet does not have would block forever.
+// device class the fleet does not have would block forever. Across
+// shards, class-constrained requests route on the per-class free counts
+// the shards gossip.
 func (c *Client) AcquireCapable(p *sim.Proc, n int, blocking bool, constraint Constraint) ([]Handle, error) {
-	status, payload, err := c.call(p, opAcquireCapable, func(w *wire.Writer) {
-		b := uint8(0)
-		if blocking {
-			b = 1
-		}
-		w.Int(n).U8(b)
-		encodeConstraint(w, constraint)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(status); err != nil {
-		return nil, err
-	}
-	return decodeCapableHandles(payload)
-}
-
-// decodeCapableHandles parses an opAcquireCapable reply: handle pairs
-// each followed by the granted device's capability descriptor.
-func decodeCapableHandles(payload []byte) ([]Handle, error) {
-	r := wire.NewReader(payload)
-	count := r.Int()
-	handles := make([]Handle, 0, count)
-	for i := 0; i < count; i++ {
-		h := Handle{ID: r.Int(), Rank: r.Int()}
-		h.Cap = decodeCapability(r)
-		handles = append(handles, h)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("arm: malformed acquire reply: %w", err)
-	}
-	return handles, nil
+	return c.acquire(p, opAcquireCapable, n, constraint, blocking, 1, DefaultBackoff(), nil)
 }
 
 // AcquireShared requests shared leases on n distinct accelerators. Unlike
@@ -145,136 +323,112 @@ func decodeCapableHandles(payload []byte) ([]Handle, error) {
 // semantics match Acquire, with availability counted as accelerators that
 // can take one more sharer for this client.
 func (c *Client) AcquireShared(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
-	status, payload, err := c.call(p, opAcquireShared, func(w *wire.Writer) {
-		b := uint8(0)
-		if blocking {
-			b = 1
-		}
-		w.Int(n).U8(b)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := statusErr(status); err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(payload)
-	count := r.Int()
-	handles := make([]Handle, 0, count)
-	for i := 0; i < count; i++ {
-		handles = append(handles, Handle{ID: r.Int(), Rank: r.Int(), Shared: true})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("arm: malformed acquire reply: %w", err)
-	}
-	return handles, nil
+	return c.acquire(p, opAcquireShared, n, Constraint{}, blocking, 1, DefaultBackoff(), nil)
 }
 
-// Release returns previously acquired accelerators to the pool.
-func (c *Client) Release(p *sim.Proc, handles []Handle) error {
-	status, _, err := c.call(p, opRelease, func(w *wire.Writer) {
-		w.Int(len(handles))
-		for _, h := range handles {
-			w.Int(h.ID)
-		}
-	})
-	if err != nil {
-		return err
+// AcquireRetry is Acquire(n, blocking=false) wrapped in a jittered
+// exponential backoff: up to attempts tries, sleeping b.Delay between
+// ErrUnavailable results. Other errors abort immediately. rng may be nil
+// (no jitter); pass a seeded one for deterministic-but-decorrelated
+// retries.
+func (c *Client) AcquireRetry(p *sim.Proc, n, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
+	return c.acquire(p, opAcquire, n, Constraint{}, false, attempts, b, rng)
+}
+
+// routeIDs groups handle ids by owning shard into reused scratch slices
+// (the routing hot path pinned by the alloc regression test).
+func (c *Client) routeIDs(handles []Handle) [][]int {
+	for sh := range c.groups {
+		c.groups[sh] = c.groups[sh][:0]
 	}
-	return statusErr(status)
+	for _, h := range handles {
+		sh := c.dir.OwnerOf(h.ID)
+		c.groups[sh] = append(c.groups[sh], h.ID)
+	}
+	return c.groups
+}
+
+// Release returns previously acquired accelerators to the pool — to
+// their owning shards, splitting the batch per shard. On a partial
+// failure the first error is returned; releases to other shards still go
+// through.
+func (c *Client) Release(p *sim.Proc, handles []Handle) error {
+	var firstErr error
+	for sh, ids := range c.routeIDs(handles) {
+		if len(ids) == 0 {
+			continue
+		}
+		_, _, err := c.call(p, sh, opRelease, func(w *wire.Writer) { w.Ints(ids) })
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// rankKeyedCall tries each shard in turn for operations addressed by
+// daemon rank (Replace, Migrate), which the ring cannot route: only the
+// holding shard accepts; the others answer ErrBadRequest. what names the
+// op in errors.
+func (c *Client) rankKeyedCall(p *sim.Proc, op uint8, what string, rank int) (Handle, error) {
+	shards := c.dir.Shards()
+	home := c.homeShard()
+	for i := 0; i < shards; i++ {
+		payload, epoch, err := c.call(p, (home+i)%shards, op, func(w *wire.Writer) { w.Int(rank) })
+		if err == ErrBadRequest {
+			continue // not held on this shard
+		}
+		if err != nil {
+			return Handle{}, err
+		}
+		handles, err := decodeHandles(what, payload, false, false, epoch)
+		if err != nil {
+			return Handle{}, err
+		}
+		if len(handles) != 1 {
+			return Handle{}, fmt.Errorf("arm: %s reply has %d handles", what, len(handles))
+		}
+		return handles[0], nil
+	}
+	return Handle{}, ErrBadRequest
 }
 
 // Replace reports that the accelerator whose daemon listens on
 // failedRank stopped answering and asks for a substitute. The ARM marks
 // the failed accelerator broken and grants a replacement from the free
-// pool; ErrUnavailable means no spare is free right now (the failure
-// report still sticks), ErrImpossible that the operational pool is
-// exhausted, ErrBadRequest that the caller does not hold an accelerator
-// on that rank.
+// pool (any shard's); ErrUnavailable means no spare is free right now
+// (the failure report still sticks), ErrImpossible that the operational
+// pool is exhausted, ErrBadRequest that the caller does not hold an
+// accelerator on that rank.
 func (c *Client) Replace(p *sim.Proc, failedRank int) (Handle, error) {
-	status, payload, err := c.call(p, opReplace, func(w *wire.Writer) { w.Int(failedRank) })
-	if err != nil {
-		return Handle{}, err
-	}
-	if err := statusErr(status); err != nil {
-		return Handle{}, err
-	}
-	r := wire.NewReader(payload)
-	if count := r.Int(); count != 1 {
-		return Handle{}, fmt.Errorf("arm: replace reply has %d handles", count)
-	}
-	h := Handle{ID: r.Int(), Rank: r.Int()}
-	if err := r.Err(); err != nil {
-		return Handle{}, fmt.Errorf("arm: malformed replace reply: %w", err)
-	}
-	return h, nil
+	return c.rankKeyedCall(p, opReplace, "replace", failedRank)
 }
 
-// Stats fetches the ARM's pool snapshot.
-func (c *Client) Stats(p *sim.Proc) (PoolStats, error) {
-	status, payload, err := c.call(p, opStats, nil)
-	if err != nil {
-		return PoolStats{}, err
-	}
-	if err := statusErr(status); err != nil {
-		return PoolStats{}, err
-	}
-	return decodeStats(payload)
+// Migrate trades the accelerator this client holds on oldRank for a
+// spare. The old assignment is surrendered (its daemon sanitizes it back
+// into the pool on its next heartbeat) and the returned handle points at
+// the replacement. ErrUnavailable means no spare could be granted right
+// now — the old assignment is kept, so the caller can retry or limp on.
+func (c *Client) Migrate(p *sim.Proc, oldRank int) (Handle, error) {
+	return c.rankKeyedCall(p, opMigrate, "migrate", oldRank)
 }
 
-// StatsEx fetches the pool snapshot plus the sharing counters and the
-// per-accelerator utilization table (PoolStats.Shared, .Sessions,
-// .PerAccel), which the legacy Stats reply omits.
-func (c *Client) StatsEx(p *sim.Proc) (PoolStats, error) {
-	status, payload, err := c.call(p, opStatsEx, nil)
-	if err != nil {
-		return PoolStats{}, err
-	}
-	if err := statusErr(status); err != nil {
-		return PoolStats{}, err
-	}
-	return decodeStatsEx(payload)
+// idCall routes a single-id administrative op to the owning shard.
+func (c *Client) idCall(p *sim.Proc, id int, op uint8, args func(w *wire.Writer)) error {
+	_, _, err := c.call(p, c.dir.OwnerOf(id), op, args)
+	return err
 }
 
 // Fail marks an accelerator broken (administrative; in a deployment this
 // comes from a health monitor). Queued requests that become impossible
 // are rejected.
 func (c *Client) Fail(p *sim.Proc, id int) error {
-	status, _, err := c.call(p, opFail, func(w *wire.Writer) { w.Int(id) })
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
+	return c.idCall(p, id, opFail, func(w *wire.Writer) { w.Int(id) })
 }
 
 // Repair returns a failed accelerator to the free pool.
 func (c *Client) Repair(p *sim.Proc, id int) error {
-	status, _, err := c.call(p, opRepair, func(w *wire.Writer) { w.Int(id) })
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
-}
-
-// Shutdown stops the ARM server loop (used at simulation teardown).
-func (c *Client) Shutdown(p *sim.Proc) error {
-	status, _, err := c.call(p, opShutdown, nil)
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
-}
-
-// Renew explicitly renews every lease this client rank holds. Lease
-// renewal is normally implicit (any ARM request, or daemon heartbeats
-// reporting the client active), so Renew is only needed by a client that
-// holds accelerators while idling on both fronts.
-func (c *Client) Renew(p *sim.Proc) error {
-	status, _, err := c.call(p, opRenew, nil)
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
+	return c.idCall(p, id, opRepair, func(w *wire.Writer) { w.Int(id) })
 }
 
 // Drain takes accelerator id out of service: no new grants, in-flight
@@ -283,26 +437,16 @@ func (c *Client) Renew(p *sim.Proc) error {
 // deadline bounds the wait: when it expires with the holder still
 // attached the ARM revokes the lease, sanitizes, and retires.
 func (c *Client) Drain(p *sim.Proc, id int, deadline sim.Duration) error {
-	status, _, err := c.call(p, opDrain, func(w *wire.Writer) {
-		w.Int(id).I64(int64(deadline))
-	})
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
+	return c.idCall(p, id, opDrain, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
 }
 
 // Register admits a new accelerator — pool id plus its daemon's world
-// rank — into the ARM's live inventory (elastic grow). The daemon should
-// already be running and heartbeating; it gets a full silence budget
-// from the moment of registration. ErrBadRequest means the id is already
-// in the inventory.
+// rank — into the live inventory of the owning shard (elastic grow). The
+// daemon should already be running and heartbeating; it gets a full
+// silence budget from the moment of registration. ErrBadRequest means
+// the id is already in the inventory.
 func (c *Client) Register(p *sim.Proc, id, rank int) error {
-	status, _, err := c.call(p, opRegister, func(w *wire.Writer) { w.Int(id).Int(rank) })
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
+	return c.RegisterCapable(p, id, rank, Capability{})
 }
 
 // RegisterCapable is Register with a capability descriptor: the
@@ -311,16 +455,12 @@ func (c *Client) Register(p *sim.Proc, id, rank int) error {
 // and class-aware migration. A zero capability is exactly Register
 // (legacy wire bytes included).
 func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) error {
-	status, _, err := c.call(p, opRegister, func(w *wire.Writer) {
+	return c.idCall(p, id, opRegister, func(w *wire.Writer) {
 		w.Int(id).Int(rank)
 		if !cap.IsZero() {
 			encodeCapability(w, cap)
 		}
 	})
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
 }
 
 // Retire drains accelerator id and then removes it from the inventory
@@ -330,45 +470,104 @@ func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) erro
 // wait by revoking stragglers. After Retire returns, the pool holds no
 // record of the accelerator and therefore no stranded lease on it.
 func (c *Client) Retire(p *sim.Proc, id int, deadline sim.Duration) error {
-	status, _, err := c.call(p, opRetire, func(w *wire.Writer) {
-		w.Int(id).I64(int64(deadline))
-	})
-	if err != nil {
-		return err
-	}
-	return statusErr(status)
+	return c.idCall(p, id, opRetire, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
 }
 
-// Migrate trades the accelerator this client holds on oldRank for a
-// spare. The old assignment is surrendered (its daemon sanitizes it back
-// into the pool on its next heartbeat) and the returned handle points at
-// the replacement. ErrUnavailable means no spare could be granted right
-// now — the old assignment is kept, so the caller can retry or limp on.
-func (c *Client) Migrate(p *sim.Proc, oldRank int) (Handle, error) {
-	status, payload, err := c.call(p, opMigrate, func(w *wire.Writer) { w.Int(oldRank) })
-	if err != nil {
-		return Handle{}, err
+// Renew explicitly renews every lease this client rank holds, on every
+// shard. Lease renewal is normally implicit (any ARM request, or daemon
+// heartbeats reporting the client active), so Renew is only needed by a
+// client that holds accelerators while idling on both fronts.
+func (c *Client) Renew(p *sim.Proc) error {
+	for sh := 0; sh < c.dir.Shards(); sh++ {
+		if _, _, err := c.call(p, sh, opRenew, nil); err != nil {
+			return err
+		}
 	}
-	if err := statusErr(status); err != nil {
-		return Handle{}, err
-	}
-	r := wire.NewReader(payload)
-	if count := r.Int(); count != 1 {
-		return Handle{}, fmt.Errorf("arm: migrate reply has %d handles", count)
-	}
-	h := Handle{ID: r.Int(), Rank: r.Int()}
-	if err := r.Err(); err != nil {
-		return Handle{}, fmt.Errorf("arm: malformed migrate reply: %w", err)
-	}
-	return h, nil
+	return nil
 }
 
-// RecvNotice blocks until the ARM sends this rank a health notice
-// (suspect daemon, declared death, lease revocation). Run it in a
+// mergeStats folds one shard's snapshot into the aggregate.
+func mergeStats(agg *PoolStats, st PoolStats) {
+	agg.Total += st.Total
+	agg.Free += st.Free
+	agg.Assigned += st.Assigned
+	agg.Failed += st.Failed
+	agg.Suspect += st.Suspect
+	agg.Retired += st.Retired
+	agg.Queued += st.Queued
+	agg.Acquires += st.Acquires
+	agg.Releases += st.Releases
+	agg.Reclaimed += st.Reclaimed
+	agg.Migrations += st.Migrations
+	agg.BusySeconds += st.BusySeconds
+	agg.WaitSeconds += st.WaitSeconds
+	agg.Shared += st.Shared
+	agg.Sessions += st.Sessions
+	agg.PerAccel = append(agg.PerAccel, st.PerAccel...)
+}
+
+// stats aggregates one snapshot op across every shard.
+func (c *Client) stats(p *sim.Proc, op uint8, decode func([]byte) (PoolStats, error)) (PoolStats, error) {
+	var agg PoolStats
+	for sh := 0; sh < c.dir.Shards(); sh++ {
+		payload, _, err := c.call(p, sh, op, nil)
+		if err != nil {
+			return PoolStats{}, err
+		}
+		st, err := decode(payload)
+		if err != nil {
+			return PoolStats{}, err
+		}
+		mergeStats(&agg, st)
+	}
+	return agg, nil
+}
+
+// Stats fetches the ARM's pool snapshot, summed across every shard.
+func (c *Client) Stats(p *sim.Proc) (PoolStats, error) {
+	return c.stats(p, opStats, decodeStats)
+}
+
+// StatsEx fetches the pool snapshot plus the sharing counters and the
+// per-accelerator utilization table (PoolStats.Shared, .Sessions,
+// .PerAccel), which the legacy Stats reply omits. PerAccel is the
+// concatenation of the shards' tables, sorted by accelerator id.
+func (c *Client) StatsEx(p *sim.Proc) (PoolStats, error) {
+	agg, err := c.stats(p, opStatsEx, decodeStatsEx)
+	sort.Slice(agg.PerAccel, func(i, j int) bool { return agg.PerAccel[i].ID < agg.PerAccel[j].ID })
+	return agg, err
+}
+
+// ShutdownShard stops one shard's serving rank (teardown helper: the
+// cluster skips shards already crash-killed by fault injection).
+func (c *Client) ShutdownShard(p *sim.Proc, shard int) error {
+	_, _, err := c.call(p, shard, opShutdown, nil)
+	return err
+}
+
+// Shutdown stops the ARM server loop on every distinct serving rank
+// (used at simulation teardown).
+func (c *Client) Shutdown(p *sim.Proc) error {
+	done := make(map[int]bool, c.dir.Shards())
+	for sh := 0; sh < c.dir.Shards(); sh++ {
+		rank := c.dir.Serving(sh)
+		if done[rank] {
+			continue
+		}
+		done[rank] = true
+		if err := c.ShutdownShard(p, sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RecvNotice blocks until the ARM (any shard) sends this rank a health
+// notice (suspect daemon, declared death, lease revocation). Run it in a
 // dedicated watcher process: notices are unsolicited and arrive on their
 // own tag, so they never interleave with request/reply traffic.
 func (c *Client) RecvNotice(p *sim.Proc) (Notice, error) {
-	data, _ := c.comm.Recv(p, c.armRank, TagNotify)
+	data, _ := c.comm.Recv(p, minimpi.AnySource, TagNotify)
 	return DecodeNotice(data)
 }
 
@@ -417,27 +616,4 @@ func (b Backoff) Delay(attempt int, rng *rand.Rand) sim.Duration {
 		d = 1
 	}
 	return sim.Duration(d)
-}
-
-// AcquireRetry is Acquire(n, blocking=false) wrapped in a jittered
-// exponential backoff: up to attempts tries, sleeping b.Delay between
-// ErrUnavailable results. Other errors abort immediately. rng may be nil
-// (no jitter); pass a seeded one for deterministic-but-decorrelated
-// retries.
-func (c *Client) AcquireRetry(p *sim.Proc, n, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			p.Wait(b.Delay(i-1, rng))
-		}
-		var hs []Handle
-		hs, err = c.Acquire(p, n, false)
-		if err == nil || err != ErrUnavailable {
-			return hs, err
-		}
-	}
-	return nil, err
 }

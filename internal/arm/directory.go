@@ -12,7 +12,8 @@ package arm
 
 // Directory tracks, per shard, the leader rank, the optional follower
 // rank, which of the two is currently serving, and the shard's
-// leadership epoch. Epochs start at 1 and are bumped on every
+// leadership epoch. Epochs start at 1 (0 only in SingleDirectory, whose
+// lone manager takes no part in fencing) and are bumped on every
 // promotion; they are the fencing tokens the rest of the system carries
 // (DESIGN.md §12): a server that observes an epoch above its own for
 // its shard knows it has been deposed, and a daemon that observes an
@@ -54,6 +55,17 @@ func NewDirectory(ring *Ring, leaders, followers []int) *Directory {
 		}
 	}
 	copy(d.serving, leaders)
+	return d
+}
+
+// SingleDirectory is the degenerate directory of a lone manager: one
+// shard led by rank, no follower, and epoch 0 — no epoch to claim, which
+// is what keeps a lone manager's clients on the legacy wire bytes (see
+// Client.request). NewClient builds one per client; the cluster shares
+// one between its clients, daemons' heartbeat sinks and teardown.
+func SingleDirectory(rank int) *Directory {
+	d := NewDirectory(NewRing(1), []int{rank}, nil)
+	d.epochs[0] = 0
 	return d
 }
 

@@ -58,18 +58,24 @@ func u64hex(v uint64) string {
 }
 
 // TestGoldenEpochedRequest pins the opEpoched client envelope — the
-// layout NewShardedClient emits for every sharded request — and proves
-// the server decodes it: epoch claim, inner op, reqID, args, trailing
-// replay marker.
+// layout a client over a sharded directory really emits, captured off
+// the wire from a 2-shard client's seventh request — and proves the
+// server decodes it: epoch claim, inner op, reqID, args, trailing replay
+// marker.
 func TestGoldenEpochedRequest(t *testing.T) {
 	srv := epochServer(t)
 	// opEpoched | epoch=1 | opAcquire | reqID=7 | n=1 | blocking=0 | replay=0
 	want := "13" + u64hex(1) + "01" + u64hex(7) + u64hex(1) + "00" + "00"
-	msg := wire.NewWriter(32).
-		U8(opEpoched).U64(1).
-		U8(opAcquire).U64(7).
-		Int(1).U8(0).U8(0).
-		Bytes()
+	emptyGrant := wire.NewWriter(8).Int(0).Bytes()
+	dir := NewDirectory(NewRing(2), []int{1, 1}, nil)
+	msg := captureRequestVia(t, dir, statusOK, emptyGrant, func(p *sim.Proc, c *Client) {
+		c.nextReq = 6
+		// Blocking, yet the flag on the wire stays 0: with two shards the
+		// client paces the wait itself.
+		if _, err := c.Acquire(p, 1, true); err != nil {
+			t.Errorf("acquire: %v", err)
+		}
+	})
 	if got := hex.EncodeToString(msg); got != want {
 		t.Fatalf("epoched request encoding drifted:\n got  %s\n want %s", got, want)
 	}

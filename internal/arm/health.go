@@ -107,12 +107,7 @@ func (s *Server) SetSessionReaper(fn func(p *sim.Proc, rank, client int) error) 
 // implicit renewal).
 func EncodeHeartbeat(active []int) []byte {
 	w := wire.NewWriter(16 + 8*len(active))
-	w.U8(opHeartbeat).U64(0)
-	w.Int(len(active))
-	for _, r := range active {
-		w.Int(r)
-	}
-	return w.Bytes()
+	return w.U8(opHeartbeat).U64(0).Ints(active).Bytes()
 }
 
 // NoticeKind classifies an unsolicited ARM→client health notice.

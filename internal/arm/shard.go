@@ -196,7 +196,7 @@ func (s *Server) handleLoad(src int, r *wire.Reader) {
 	if r.Remaining() > 0 {
 		// Per-class table from a capability-tagged peer.
 		nc := r.Int()
-		if r.Err() == nil && nc >= 0 && nc <= 1<<16 {
+		if r.Err() == nil && nc >= 0 && nc <= r.Remaining()/20 { // a row is >= 20 bytes
 			cf := make(map[string]int, nc)
 			co := make(map[string]int, nc)
 			for i := 0; i < nc; i++ {

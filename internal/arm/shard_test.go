@@ -24,7 +24,7 @@ type shardPool struct {
 	dir      *Directory
 	srvs    []*Server
 	reps    []*Replica
-	clients []*ShardedClient
+	clients []*Client
 	nCN     int
 }
 
@@ -77,7 +77,7 @@ func newShardPool(t *testing.T, nAC, nCN, shards int, replicas bool) *shardPool 
 	// One client instance per rank, shared with the closer: a rank's
 	// reqID sequence must stay monotonic for the dedup cache.
 	for r := 0; r < nCN; r++ {
-		sp.clients = append(sp.clients, NewShardedClient(w.Comm(r), dir))
+		sp.clients = append(sp.clients, NewDirectoryClient(w.Comm(r), dir))
 	}
 	return sp
 }
@@ -86,7 +86,7 @@ func newShardPool(t *testing.T, nAC, nCN, shards int, replicas bool) *shardPool 
 // standby followers are stopped first (they would otherwise promote into
 // the silence left by leader shutdown), then every live serving shard is
 // stopped.
-func (sp *shardPool) run(client func(p *sim.Proc, c *ShardedClient, rank int)) {
+func (sp *shardPool) run(client func(p *sim.Proc, c *Client, rank int)) {
 	sp.t.Helper()
 	var procs []*sim.Proc
 	for r := 0; r < sp.nCN; r++ {
@@ -123,7 +123,7 @@ func TestShardedAcquireReleaseStats(t *testing.T) {
 	// 9 accelerators over 3 shards (ring splits them 4/3/2); two clients
 	// each take 3, so at least one acquire crosses shards.
 	sp := newShardPool(t, 9, 2, 3, false)
-	sp.run(func(p *sim.Proc, c *ShardedClient, rank int) {
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
 		p.Wait(3 * sim.Millisecond) // let load gossip warm up
 		handles, err := c.Acquire(p, 1, true)
 		if err != nil {
@@ -190,7 +190,7 @@ func TestShardedCrossShardFallback(t *testing.T) {
 			t.Fatalf("ring gives shard %d no accelerators; pick different test sizes", sh)
 		}
 	}
-	sp.run(func(p *sim.Proc, c *ShardedClient, rank int) {
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
 		p.Wait(3 * sim.Millisecond)
 		var handles []Handle
 		shardsUsed := map[int]bool{}
@@ -227,7 +227,7 @@ func TestShardedCrossShardFallback(t *testing.T) {
 
 func TestShardedRegisterRetire(t *testing.T) {
 	sp := newShardPool(t, 3, 1, 3, false)
-	sp.run(func(p *sim.Proc, c *ShardedClient, rank int) {
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
 		p.Wait(3 * sim.Millisecond)
 		// Elastic grow: admit two new accelerators into the live fleet.
 		for _, id := range []int{3, 4} {
@@ -304,7 +304,7 @@ func TestShardedFailoverPromotion(t *testing.T) {
 	// follower must promote, the replicated ownership must survive, and
 	// the client must fail over transparently on its next calls.
 	sp := newShardPool(t, 4, 1, 2, true)
-	sp.run(func(p *sim.Proc, c *ShardedClient, rank int) {
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
 		p.Wait(3 * sim.Millisecond)
 		handles, err := c.Acquire(p, 2, true)
 		if err != nil {

@@ -101,15 +101,15 @@ type Config struct {
 
 	// ARMShards > 1 splits resource management across that many ARM
 	// shards: accelerator ownership is partitioned by consistent hashing
-	// over accelerator ids, and nodes talk to the fleet through a
-	// shard-routing client (arm.ShardedClient). 0 or 1 keeps the single
-	// manager, byte-identical to the classic wire traffic.
+	// over accelerator ids, and the nodes' arm.Client routes each request
+	// to the owning shard through the shared directory. 0 or 1 keeps the
+	// single manager, byte-identical to the classic wire traffic.
 	ARMShards int
 
 	// ARMReplicas gives every shard a follower replica that applies the
 	// leader's replication stream and takes over (promoting itself in the
-	// shared directory) when the leader goes silent. Implies the sharded
-	// client even with one shard.
+	// shared directory) when the leader goes silent. Implies directory
+	// servers (epochs, reply dedup) even with one shard.
 	ARMReplicas bool
 
 	// ARMPromoteAfter is the replication-stream silence threshold for
@@ -157,50 +157,46 @@ type Node struct {
 
 // NodeARM wraps the resource-management client with acquisition
 // bookkeeping so the cluster can enforce end-of-job release. The
-// embedded API is arm.Client against a single manager and
-// arm.ShardedClient when the cluster runs ARM shards or replicas.
+// embedded arm.Client routes through the cluster's directory, whether
+// that names a single manager or ARM shards and replicas.
 type NodeARM struct {
-	arm.API
+	*arm.Client
 	held    map[int]arm.Handle
 	retries int
 	backoff arm.Backoff
 	rng     *rand.Rand
 }
 
-// Acquire requests n exclusive accelerators (see arm.Client.Acquire) and
-// records them for end-of-job cleanup.
-func (na *NodeARM) Acquire(p *sim.Proc, n int, blocking bool) ([]arm.Handle, error) {
-	handles, err := na.API.Acquire(p, n, blocking)
+// hold records an acquire's grants for end-of-job cleanup.
+func (na *NodeARM) hold(handles []arm.Handle, err error) ([]arm.Handle, error) {
 	for _, h := range handles {
 		na.held[h.ID] = h
 	}
 	return handles, err
 }
 
+// Acquire requests n exclusive accelerators (see arm.Client.Acquire) and
+// records them for end-of-job cleanup.
+func (na *NodeARM) Acquire(p *sim.Proc, n int, blocking bool) ([]arm.Handle, error) {
+	return na.hold(na.Client.Acquire(p, n, blocking))
+}
+
 // AcquireShared requests shared leases on n accelerators (see
 // arm.Client.AcquireShared) and records them for end-of-job cleanup.
 func (na *NodeARM) AcquireShared(p *sim.Proc, n int, blocking bool) ([]arm.Handle, error) {
-	handles, err := na.API.AcquireShared(p, n, blocking)
-	for _, h := range handles {
-		na.held[h.ID] = h
-	}
-	return handles, err
+	return na.hold(na.Client.AcquireShared(p, n, blocking))
 }
 
 // AcquireCapable requests n exclusive accelerators matching a capability
 // constraint (see arm.Client.AcquireCapable) and records them for
 // end-of-job cleanup.
 func (na *NodeARM) AcquireCapable(p *sim.Proc, n int, blocking bool, c arm.Constraint) ([]arm.Handle, error) {
-	handles, err := na.API.AcquireCapable(p, n, blocking, c)
-	for _, h := range handles {
-		na.held[h.ID] = h
-	}
-	return handles, err
+	return na.hold(na.Client.AcquireCapable(p, n, blocking, c))
 }
 
 // Release returns accelerators to the pool (see arm.Client.Release).
 func (na *NodeARM) Release(p *sim.Proc, handles []arm.Handle) error {
-	err := na.API.Release(p, handles)
+	err := na.Client.Release(p, handles)
 	if err == nil {
 		for _, h := range handles {
 			delete(na.held, h.ID)
@@ -216,10 +212,10 @@ func (na *NodeARM) Release(p *sim.Proc, handles []arm.Handle) error {
 // with FailoverRetries, the grant is retried with jittered exponential
 // backoff — the failure report from the first attempt sticks either way.
 func (na *NodeARM) Replace(p *sim.Proc, failedRank int) (int, error) {
-	h, err := na.API.Replace(p, failedRank)
+	h, err := na.Client.Replace(p, failedRank)
 	if err == arm.ErrUnavailable && na.retries > 0 {
 		var hs []arm.Handle
-		hs, err = na.API.AcquireRetry(p, 1, na.retries, na.backoff, na.rng)
+		hs, err = na.AcquireRetry(p, 1, na.retries, na.backoff, na.rng)
 		if err == nil {
 			h = hs[0]
 		}
@@ -227,28 +223,28 @@ func (na *NodeARM) Replace(p *sim.Proc, failedRank int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for id, held := range na.held {
-		if held.Rank == failedRank {
-			delete(na.held, id)
-		}
-	}
-	na.held[h.ID] = h
+	na.swap(failedRank, h)
 	return h.Rank, nil
 }
 
-// Migrate trades the handle this node holds on oldRank for a spare (see
-// arm.Client.Migrate) and swaps the bookkeeping entry.
-func (na *NodeARM) Migrate(p *sim.Proc, oldRank int) (arm.Handle, error) {
-	h, err := na.API.Migrate(p, oldRank)
-	if err != nil {
-		return arm.Handle{}, err
-	}
+// swap replaces the bookkeeping entries on oldRank with h.
+func (na *NodeARM) swap(oldRank int, h arm.Handle) {
 	for id, held := range na.held {
 		if held.Rank == oldRank {
 			delete(na.held, id)
 		}
 	}
 	na.held[h.ID] = h
+}
+
+// Migrate trades the handle this node holds on oldRank for a spare (see
+// arm.Client.Migrate) and swaps the bookkeeping entry.
+func (na *NodeARM) Migrate(p *sim.Proc, oldRank int) (arm.Handle, error) {
+	h, err := na.Client.Migrate(p, oldRank)
+	if err != nil {
+		return arm.Handle{}, err
+	}
+	na.swap(oldRank, h)
 	return h, nil
 }
 
@@ -334,11 +330,16 @@ type Cluster struct {
 	nodeMains  [][]*sim.Proc
 	watchers   []*sim.Proc
 	infraProcs []*sim.Proc
-	srv        *arm.Server
 
-	// Sharded-ARM state (nil/empty for the classic single manager).
-	sdir      *arm.Directory
-	shardSrvs []*arm.Server
+	// The resource-management plane. dir names who serves what and is
+	// shared by the nodes' clients, the daemons' heartbeat sinks and
+	// teardown; a single manager is its one-shard case
+	// (arm.SingleDirectory). sharded says the servers are built over the
+	// directory too (ARM shards or replicas) — the classic single manager
+	// is not, which keeps its wire traffic byte-identical.
+	dir       *arm.Directory
+	sharded   bool
+	shardSrvs []*arm.Server // leader per locally hosted shard
 	shardReps []*arm.Replica
 
 	// caps maps daemon rank → device capability on heterogeneous fleets
@@ -346,11 +347,9 @@ type Cluster struct {
 	caps map[int]gpu.Capability
 }
 
-// Sharded reports whether resource management runs on the sharded plane.
-func (cl *Cluster) Sharded() bool { return cl.sdir != nil }
-
-// Directory returns the shard directory (nil for a single manager).
-func (cl *Cluster) Directory() *arm.Directory { return cl.sdir }
+// Directory returns the shard directory (one shard, no follower, for a
+// single manager).
+func (cl *Cluster) Directory() *arm.Directory { return cl.dir }
 
 // ARMShardServer returns shard i's leader server (for fault injection
 // and inspection in tests).
@@ -444,54 +443,27 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := cfg.ARMShards
-	if shards < 1 {
-		shards = 1
-	}
-	sharded := shards > 1 || cfg.ARMReplicas
-
 	s := sim.New()
-	daemonRanks := cfg.Accelerators + cfg.SpareAccelerators
-	armBase := cfg.ComputeNodes + daemonRanks
-	armRanks := 1
-	if sharded {
-		armRanks = shards
-		if cfg.ARMReplicas {
-			armRanks *= 2
-		}
-	}
-	nRanks := armBase + armRanks
-	w, err := minimpi.NewWorld(s, nRanks, env.net)
+	l := RankLayout(cfg)
+	w, err := minimpi.NewWorld(s, l.Total, env.net)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Sim: s, World: w, cfg: cfg, dcfg: dcfg, env: env, armRank: armBase,
+	daemonRanks := len(l.Daemons)
+	// The directory must exist before the daemons: their heartbeat sinks
+	// resolve the serving rank through it.
+	cl := &Cluster{Sim: s, World: w, cfg: cfg, dcfg: dcfg, env: env, armRank: l.ARM[0],
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
+		sharded:   len(l.ARM) > 1,
 		caps:      env.capsByRank(cfg.ComputeNodes, daemonRanks)}
-	if sharded {
-		// The shard directory must exist before the daemons: their
-		// heartbeat sinks resolve the serving rank through it.
-		leaders := make([]int, shards)
-		var followers []int
-		for sh := 0; sh < shards; sh++ {
-			leaders[sh] = armBase + sh
-		}
-		if cfg.ARMReplicas {
-			followers = make([]int, shards)
-			for sh := 0; sh < shards; sh++ {
-				followers[sh] = armBase + shards + sh
-			}
-		}
-		cl.sdir = arm.NewDirectory(arm.NewRing(shards), leaders, followers)
+	if cl.sharded {
+		cl.dir = shardDirectory(l.ARM, cfg.ARMReplicas)
+	} else {
+		cl.dir = arm.SingleDirectory(cl.armRank)
 	}
-
-	cnRanks := make([]int, cfg.ComputeNodes)
-	for i := range cnRanks {
-		cnRanks[i] = i
-	}
-	cl.appGroup, err = w.NewGroup(cnRanks)
+	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {
 		return nil, err
 	}
@@ -508,33 +480,27 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	if !sharded {
-		if err := cl.startARM(inventory); err != nil {
+	// The ARM: ownership partitioned by the directory's consistent-hash
+	// ring, one leader (and optionally one follower) per shard — a single
+	// manager owns everything.
+	for sh, inv := range shardInventory(cl.dir, inventory) {
+		srvOpts, err := cl.startARM(sh, inv)
+		if err != nil {
 			return nil, err
 		}
-	} else {
-		// The ARM shards: ownership partitioned by the consistent-hash
-		// ring, one leader (and optionally one follower) per shard.
-		perShard := shardInventory(cl.sdir, shards, inventory)
-		for sh := 0; sh < shards; sh++ {
-			srvOpts, err := cl.startShardLeader(sh, perShard[sh])
+		if cfg.ARMReplicas {
+			rp, err := arm.ReplicaFor(w.Comm(cl.dir.Follower(sh)), cl.dir, sh,
+				inv, srvOpts, cfg.ARMPromoteAfter)
 			if err != nil {
 				return nil, err
 			}
-			if cfg.ARMReplicas {
-				rp, err := arm.ReplicaFor(w.Comm(cl.sdir.Follower(sh)), cl.sdir, sh,
-					perShard[sh], srvOpts, cfg.ARMPromoteAfter)
-				if err != nil {
-					return nil, err
-				}
-				// The follower gets its own sanitizer front-end (on its own
-				// rank) now, so a promotion needs no extra wiring.
-				if err := cl.armHealthSetup(rp.Server(), cl.sdir.Follower(sh), env.opts); err != nil {
-					return nil, err
-				}
-				cl.shardReps = append(cl.shardReps, rp)
-				s.Spawn(fmt.Sprintf("arm-s%d-replica", sh), rp.Run)
+			// The follower gets its own sanitizer front-end (on its own
+			// rank) now, so a promotion needs no extra wiring.
+			if err := cl.armHealthSetup(rp.Server(), cl.dir.Follower(sh), env.opts); err != nil {
+				return nil, err
 			}
+			cl.shardReps = append(cl.shardReps, rp)
+			s.Spawn(fmt.Sprintf("arm-s%d-replica", sh), rp.Run)
 		}
 	}
 
@@ -566,24 +532,20 @@ func (cl *Cluster) addAccelNode(i int) error {
 	return nil
 }
 
-// startARM builds and starts the single resource manager.
-func (cl *Cluster) startARM(inventory []arm.Handle) error {
-	srv, err := arm.NewServerOpts(cl.World.Comm(cl.armRank), inventory,
-		arm.Options{Policy: cl.cfg.Policy, ShareCapacity: cl.cfg.ShareCapacity})
-	if err != nil {
-		return err
+// shardDirectory builds the directory of a sharded plane over its ARM
+// ranks: the leaders first, then (with replicas) one follower per shard.
+func shardDirectory(armRanks []int, replicas bool) *arm.Directory {
+	shards, followers := len(armRanks), []int(nil)
+	if replicas {
+		shards /= 2
+		followers = armRanks[shards:]
 	}
-	cl.srv = srv
-	if err := cl.armHealthSetup(srv, cl.armRank, cl.env.opts); err != nil {
-		return err
-	}
-	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn("arm", srv.Run))
-	return nil
+	return arm.NewDirectory(arm.NewRing(shards), armRanks[:shards], followers)
 }
 
 // shardInventory partitions the inventory by the directory's hash ring.
-func shardInventory(dir *arm.Directory, shards int, inventory []arm.Handle) [][]arm.Handle {
-	perShard := make([][]arm.Handle, shards)
+func shardInventory(dir *arm.Directory, inventory []arm.Handle) [][]arm.Handle {
+	perShard := make([][]arm.Handle, dir.Shards())
 	for _, h := range inventory {
 		sh := dir.OwnerOf(h.ID)
 		perShard[sh] = append(perShard[sh], h)
@@ -591,26 +553,25 @@ func shardInventory(dir *arm.Directory, shards int, inventory []arm.Handle) [][]
 	return perShard
 }
 
-// startShardLeader builds and starts shard sh's leader server on the rank
-// the directory assigns it, returning the server options a replica of the
-// same shard must share.
-func (cl *Cluster) startShardLeader(sh int, inv []arm.Handle) (arm.Options, error) {
-	srvOpts := arm.Options{
-		Policy:        cl.cfg.Policy,
-		ShareCapacity: cl.cfg.ShareCapacity,
-		Shards:        cl.sdir.Shards(),
-		Shard:         sh,
-		Directory:     cl.sdir,
+// startARM builds and starts shard sh's leader server — the single
+// manager when there is one shard — on the rank the directory assigns it,
+// returning the server options a replica of the same shard must share.
+func (cl *Cluster) startARM(sh int, inv []arm.Handle) (arm.Options, error) {
+	srvOpts := arm.Options{Policy: cl.cfg.Policy, ShareCapacity: cl.cfg.ShareCapacity}
+	name := "arm"
+	if cl.sharded {
+		srvOpts.Shards, srvOpts.Shard, srvOpts.Directory = cl.dir.Shards(), sh, cl.dir
+		name = fmt.Sprintf("arm-s%d", sh)
 	}
-	srv, err := arm.NewServerOpts(cl.World.Comm(cl.sdir.Leader(sh)), inv, srvOpts)
+	srv, err := arm.NewServerOpts(cl.World.Comm(cl.dir.Leader(sh)), inv, srvOpts)
 	if err != nil {
 		return srvOpts, err
 	}
-	if err := cl.armHealthSetup(srv, cl.sdir.Leader(sh), cl.env.opts); err != nil {
+	if err := cl.armHealthSetup(srv, cl.dir.Leader(sh), cl.env.opts); err != nil {
 		return srvOpts, err
 	}
 	cl.shardSrvs = append(cl.shardSrvs, srv)
-	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn(fmt.Sprintf("arm-s%d", sh), srv.Run))
+	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn(name, srv.Run))
 	return srvOpts, nil
 }
 
@@ -627,25 +588,19 @@ func (cl *Cluster) addComputeNode(i int) error {
 	if cfg.FailoverBackoff != nil {
 		backoff = *cfg.FailoverBackoff
 	}
-	var api arm.API
-	if cl.sdir != nil {
-		sc := arm.NewShardedClient(worldComm, cl.sdir)
-		if cfg.ARMReplicas {
-			// Give calls twice the promotion threshold of silence
-			// before replaying, so a live-but-slow leader is never
-			// raced by its own client.
-			sc.SetFailover(2*cl.promoteThreshold(), 64)
-		}
-		api = sc
-	} else {
-		api = arm.NewClient(worldComm, cl.armRank)
+	api := arm.NewDirectoryClient(worldComm, cl.dir)
+	if cfg.ARMReplicas {
+		// Give calls twice the promotion threshold of silence before
+		// replaying, so a live-but-slow leader is never raced by its own
+		// client.
+		api.SetFailover(2*cl.promoteThreshold(), 64)
 	}
 	node := &Node{
 		Rank:  i,
 		World: worldComm,
 		App:   cl.appGroup.Comm(i),
 		ARM: &NodeARM{
-			API:     api,
+			Client:  api,
 			held:    make(map[int]arm.Handle),
 			retries: cfg.FailoverRetries,
 			backoff: backoff,
@@ -766,25 +721,16 @@ func fenceErr(what string, rank int, err error) error {
 }
 
 // daemonConfig returns the daemon configuration for the given world
-// rank, wiring the heartbeat sink to the ARM when health is on. On the
-// sharded plane the sink re-resolves the owning shard's serving rank on
-// every beat, so heartbeats follow a failover to the promoted follower.
+// rank, wiring the heartbeat sink to the ARM when health is on. The sink
+// re-resolves the owning shard's serving rank on every beat, so
+// heartbeats follow a failover to the promoted follower.
 func (cl *Cluster) daemonConfig(rank int) core.DaemonConfig {
 	dc := cl.dcfg
 	if cl.cfg.Health != nil && cl.cfg.Health.HeartbeatInterval > 0 {
-		comm := cl.World.Comm(rank)
+		comm, dir, id := cl.World.Comm(rank), cl.dir, rank-cl.cfg.ComputeNodes
 		dc.HeartbeatInterval = cl.cfg.Health.HeartbeatInterval
-		if cl.sdir != nil {
-			dir := cl.sdir
-			id := rank - cl.cfg.ComputeNodes
-			dc.Heartbeat = func(active []int) {
-				comm.Isend(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(active))
-			}
-		} else {
-			armRank := cl.armRank
-			dc.Heartbeat = func(active []int) {
-				comm.Isend(armRank, arm.TagRequest, arm.EncodeHeartbeat(active))
-			}
+		dc.Heartbeat = func(active []int) {
+			comm.Isend(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(active))
 		}
 	}
 	return dc
@@ -884,39 +830,32 @@ func (cl *Cluster) Run() (sim.Time, error) {
 				panic(fmt.Sprintf("cluster: daemon shutdown: %v", err))
 			}
 		}
-		if cl.sdir == nil {
-			if err := node.ARM.Shutdown(p); err != nil {
-				panic(fmt.Sprintf("cluster: arm shutdown: %v", err))
+		// Standby followers first: once the leaders stop beating, a
+		// surviving follower would promote itself into an empty cluster
+		// and tick forever.
+		for _, rp := range cl.shardReps {
+			if rp != nil {
+				rp.Stop() // no-op on promoted replicas
 			}
-		} else {
-			// Standby followers first: once the leaders stop beating, a
-			// surviving follower would promote itself into an empty cluster
-			// and tick forever.
-			for _, rp := range cl.shardReps {
-				if rp != nil {
-					rp.Stop() // no-op on promoted replicas
-				}
+		}
+		// Deposed leaders next: a leader that lost its shard to a
+		// promotion but was never crash-killed (a partition, not a
+		// crash) receives no shutdown — nothing routes to it — so it
+		// must be stopped like the stale process it is.
+		for sh, srv := range cl.shardSrvs {
+			if cl.dir.Serving(sh) != cl.dir.Leader(sh) && !srv.Closed() {
+				srv.Kill()
 			}
-			// Deposed leaders next: a leader that lost its shard to a
-			// promotion but was never crash-killed (a partition, not a
-			// crash) receives no shutdown — nothing routes to it — so it
-			// must be stopped like the stale process it is.
-			for sh, srv := range cl.shardSrvs {
-				if cl.sdir.Serving(sh) != cl.sdir.Leader(sh) && !srv.Closed() {
-					srv.Kill()
-				}
+		}
+		for sh, srv := range cl.shardSrvs {
+			if rp := cl.ARMShardReplica(sh); rp != nil && rp.Promoted() {
+				srv = rp.Server()
 			}
-			sc := node.ARM.API.(*arm.ShardedClient)
-			for sh, srv := range cl.shardSrvs {
-				if rp := cl.ARMShardReplica(sh); rp != nil && rp.Promoted() {
-					srv = rp.Server()
-				}
-				if srv.Closed() {
-					continue // crash-killed by the test; nothing to stop
-				}
-				if err := sc.ShutdownShard(p, sh); err != nil {
-					panic(fmt.Sprintf("cluster: arm shard %d shutdown: %v", sh, err))
-				}
+			if srv.Closed() {
+				continue // crash-killed by the test; nothing to stop
+			}
+			if err := node.ARM.ShutdownShard(p, sh); err != nil {
+				panic(fmt.Sprintf("cluster: arm shard %d shutdown: %v", sh, err))
 			}
 		}
 	})
@@ -995,13 +934,8 @@ func (cl *Cluster) RegisterSpare(p *sim.Proc, n *Node, i int) (arm.Handle, error
 	}
 	id := cl.cfg.Accelerators + i
 	h := cl.env.inventoryHandle(cl.cfg.ComputeNodes, id)
-	if !h.Cap.IsZero() {
-		if err := n.ARM.RegisterCapable(p, h.ID, h.Rank, h.Cap); err != nil {
-			return arm.Handle{}, err
-		}
-		return h, nil
-	}
-	if err := n.ARM.Register(p, h.ID, h.Rank); err != nil {
+	// A zero capability (homogeneous fleet) makes this the plain Register.
+	if err := n.ARM.RegisterCapable(p, h.ID, h.Rank, h.Cap); err != nil {
 		return arm.Handle{}, err
 	}
 	return h, nil

@@ -85,16 +85,8 @@ type Topology struct {
 // need promotion, which mutates the directory — not safe across the
 // concurrently running per-process simulations).
 func NewShardDirectory(cfg Config) *arm.Directory {
-	shards := cfg.ARMShards
-	if shards < 1 {
-		shards = 1
-	}
-	armBase := cfg.ComputeNodes + cfg.Accelerators + cfg.SpareAccelerators
-	leaders := make([]int, shards)
-	for sh := range leaders {
-		leaders[sh] = armBase + sh
-	}
-	return arm.NewDirectory(arm.NewRing(shards), leaders, nil)
+	cfg.ARMReplicas = false
+	return shardDirectory(RankLayout(cfg).ARM, false)
 }
 
 // ThreeTierSplit returns the rank sets of the canonical deployment: one
@@ -257,8 +249,12 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
-		sdir:      topo.Dir,
+		dir:       topo.Dir,
+		sharded:   topo.Dir != nil,
 		caps:      env.capsByRank(cfg.ComputeNodes, daemonRanks),
+	}
+	if !cl.sharded {
+		cl.dir = arm.SingleDirectory(cl.armRank)
 	}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {
@@ -288,16 +284,9 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 				return nil, err
 			}
 		default:
-			if cl.sdir == nil {
-				if err := cl.startARM(inventory); err != nil {
-					return nil, err
-				}
-			} else {
-				sh := r - cl.armRank
-				perShard := shardInventory(cl.sdir, cl.sdir.Shards(), inventory)
-				if _, err := cl.startShardLeader(sh, perShard[sh]); err != nil {
-					return nil, err
-				}
+			sh := r - cl.armRank
+			if _, err := cl.startARM(sh, shardInventory(cl.dir, inventory)[sh]); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -443,11 +432,5 @@ func (m *Member) teardown(p *sim.Proc) {
 	for r := cl.cfg.ComputeNodes; r < cl.armRank; r++ {
 		_ = node.FE.Attach(r).Shutdown(p)
 	}
-	if sc, ok := node.ARM.API.(*arm.ShardedClient); ok {
-		for sh := 0; sh < cl.sdir.Shards(); sh++ {
-			_ = sc.ShutdownShard(p, sh)
-		}
-	} else {
-		_ = node.ARM.Shutdown(p)
-	}
+	_ = node.ARM.Shutdown(p)
 }
