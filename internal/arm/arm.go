@@ -303,15 +303,15 @@ type accel struct {
 	id    int
 	rank  int
 	state acState
-	owner int // world rank of owner while assigned
 
-	// sharers maps tenant rank → lease expiry (0 = no lease) while the
-	// accelerator is shared. Non-empty only in acShared, except that a
-	// failure may freeze the map so tenants can still release.
-	sharers map[int]sim.Time
+	// holders maps the world rank of each client holding the accelerator
+	// to its lease expiry (0 = no lease): one entry while acAssigned, up
+	// to ShareCapacity while acShared. Empty in every other state, except
+	// that an administrative Fail freezes the table so the holders can
+	// still release.
+	holders map[int]sim.Time
 
 	// Health bookkeeping (unused while the subsystem is off).
-	lease    sim.Time   // assignment expires when now passes this (0 = no lease)
 	dirty    bool       // device may hold residue; sanitize before re-granting
 	draining bool       // retire instead of freeing on next un-assignment
 	removing bool       // opRetire: leave the inventory once out of service
@@ -328,24 +328,27 @@ type accel struct {
 	grants      int
 }
 
-// holders counts the clients currently holding a: 1 for an exclusive
-// assignment, the sharer count for a shared accelerator, 0 otherwise.
-func (a *accel) holders() int {
-	switch a.state {
-	case acAssigned:
-		return 1
-	case acShared:
-		return len(a.sharers)
-	default:
+// held reports whether a is in use: exclusively assigned or shared.
+func (a *accel) held() bool { return a.state == acAssigned || a.state == acShared }
+
+// holderCount counts the clients currently using a: 1 for an exclusive
+// assignment, the sharer count for a shared accelerator, 0 otherwise (a
+// frozen table on a failed accelerator is nobody using it).
+func (a *accel) holderCount() int {
+	if !a.held() {
 		return 0
 	}
+	return len(a.holders)
 }
 
-// sortedSharerRanks returns a's sharer ranks in ascending order, so loops
-// over them are deterministic.
-func sortedSharerRanks(a *accel) []int {
-	ranks := make([]int, 0, len(a.sharers))
-	for r := range a.sharers {
+// holderRanks returns a's holder ranks in ascending order, so loops over
+// them are deterministic.
+func (a *accel) holderRanks() []int {
+	if len(a.holders) == 0 {
+		return nil
+	}
+	ranks := make([]int, 0, len(a.holders))
+	for r := range a.holders {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
@@ -837,12 +840,6 @@ func (s *Server) Epoch() uint64 { return s.myEpoch }
 // a higher leadership epoch for its shard.
 func (s *Server) Abdicated() bool { return s.abdicated }
 
-// StepDown forces the server into the abdicated state, as if it had
-// observed the given epoch in traffic. The cluster uses it when a
-// daemon fences one of this server's reclaim calls; tests use it
-// directly.
-func (s *Server) StepDown(observed uint64) { s.stepDown(observed) }
-
 // SetFencer installs the function the ARM uses at promotion to push its
 // new epoch to one daemon as a fencing token (the cluster wires a
 // tokened no-op through the computation API). It runs in its own
@@ -882,7 +879,7 @@ func (s *Server) accrue(now sim.Time) {
 	dt := now.Sub(s.lastChange).Seconds()
 	if dt > 0 {
 		for _, a := range s.accels {
-			if a.holders() > 0 {
+			if a.holderCount() > 0 {
 				a.busySeconds += dt
 				s.busySeconds += dt
 			}
@@ -895,26 +892,14 @@ func (s *Server) accrue(now sim.Time) {
 // src: free or already shared, not draining, below capacity, and src not
 // already sharing it (one lease per tenant per accelerator).
 func (s *Server) sharedGrantable(a *accel, src int) bool {
-	if a.draining || len(a.sharers) >= s.shareCap {
+	if a.draining || len(a.holders) >= s.shareCap {
 		return false
 	}
 	if a.state != acFree && a.state != acShared {
 		return false
 	}
-	_, dup := a.sharers[src]
+	_, dup := a.holders[src]
 	return !dup
-}
-
-// sharedAvailable counts accelerators that could take a new sharer for
-// src right now.
-func (s *Server) sharedAvailable(src int) int {
-	n := 0
-	for _, a := range s.accels {
-		if s.sharedGrantable(a, src) {
-			n++
-		}
-	}
-	return n
 }
 
 // canGrant reports whether req is satisfiable right now. Shared and
@@ -936,10 +921,10 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 	ceiling := s.operationalFor(req.constraint)
 	if req.shared {
 		// Accelerators this client already shares can never satisfy the
-		// request (one lease per tenant per accelerator).
+		// request (one lease per tenant per accelerator). One it holds
+		// exclusively stays in the ceiling: releasing it makes it shareable.
 		for _, a := range s.accels {
-			if _, held := a.sharers[req.src]; held && a.state != acFailed && a.state != acRetired &&
-				s.eligible(a, req.constraint) {
+			if _, held := a.holders[req.src]; held && a.state == acShared && s.eligible(a, req.constraint) {
 				ceiling--
 			}
 		}
@@ -980,81 +965,75 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 	s.queue = append(s.queue, req)
 }
 
-// pickShared selects n distinct accelerators for a new sharer:
-// constraint-eligible candidates only, least-loaded first (fewest
-// current sharers) so tenants spread across the pool, pool order
-// breaking ties for determinism.
-func (s *Server) pickShared(src, n int, c Constraint) []*accel {
-	var cand []*accel
+// pick selects the accelerators a grantable request gets, constraint-
+// eligible ones only: the lowest-id free ones for an exclusive request;
+// for a shared request the least-loaded shareable ones (fewest current
+// holders) so tenants spread across the pool, pool order breaking ties
+// for determinism.
+func (s *Server) pick(req *pendingAcquire) []*accel {
+	cand := make([]*accel, 0, req.n)
 	for _, a := range s.accels {
-		if s.sharedGrantable(a, src) && s.eligible(a, c) {
+		grantable := a.state == acFree
+		if req.shared {
+			grantable = s.sharedGrantable(a, req.src)
+		}
+		if grantable && s.eligible(a, req.constraint) {
 			cand = append(cand, a)
+			if !req.shared && len(cand) == req.n {
+				break // pool order is the exclusive preference: done
+			}
 		}
 	}
-	sort.SliceStable(cand, func(i, j int) bool {
-		return len(cand[i].sharers) < len(cand[j].sharers)
-	})
-	if len(cand) > n {
-		cand = cand[:n]
+	if req.shared {
+		sort.SliceStable(cand, func(i, j int) bool {
+			return len(cand[i].holders) < len(cand[j].holders)
+		})
 	}
-	return cand
+	if len(cand) < req.n {
+		panic(fmt.Sprintf("arm: grant invariant broken: %d of %d", len(cand), req.n))
+	}
+	return cand[:req.n]
 }
 
-// grant assigns req.n accelerators and replies with their handles:
-// lowest-id free ones for an exclusive request, least-loaded shareable
-// ones for a shared request.
-func (s *Server) grant(req *pendingAcquire) {
+// grant picks req.n accelerators and leases them to the requester.
+func (s *Server) grant(req *pendingAcquire) { s.lease(req, s.pick(req)) }
+
+// grantOne leases one specific free accelerator to src exclusively. The
+// classed migrate/replace paths use it to honor the same-class-first
+// preference that the pool-order scan inside pick cannot express.
+func (s *Server) grantOne(a *accel, src int, reqID uint64) {
+	s.lease(&pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now()}, []*accel{a})
+}
+
+// lease enters req.src in the holder table of each picked accelerator and
+// replies with their handles.
+func (s *Server) lease(req *pendingAcquire, picked []*accel) {
 	now := s.now()
 	s.accrue(now)
-	var lease sim.Time
+	var expiry sim.Time
 	if s.healthOn && s.health.LeaseTTL > 0 {
-		lease = now.Add(s.health.LeaseTTL)
+		expiry = now.Add(s.health.LeaseTTL)
 	}
 	wait := now.Sub(req.enqueued).Seconds()
-	w := wire.NewWriter(8 + 16*req.n)
-	w.Int(req.n)
-	granted := 0
-	if req.shared {
-		for _, a := range s.pickShared(req.src, req.n, req.constraint) {
+	w := wire.NewWriter(8 + 16*len(picked))
+	w.Int(len(picked))
+	for _, a := range picked {
+		a.state = acAssigned
+		if req.shared {
 			a.state = acShared
-			if a.sharers == nil {
-				a.sharers = make(map[int]sim.Time)
-			}
-			a.sharers[req.src] = lease
-			a.notified = false
-			a.grants++
-			a.waitSeconds += wait
-			w.Int(a.id).Int(a.rank)
-			if req.capable {
-				encodeCapability(w, a.cap)
-			}
-			s.logGrant(a, req.src, true)
-			granted++
 		}
-	} else {
-		for _, a := range s.accels {
-			if granted == req.n {
-				break
-			}
-			if a.state != acFree || !s.eligible(a, req.constraint) {
-				continue
-			}
-			a.state = acAssigned
-			a.owner = req.src
-			a.notified = false
-			a.lease = lease
-			a.grants++
-			a.waitSeconds += wait
-			w.Int(a.id).Int(a.rank)
-			if req.capable {
-				encodeCapability(w, a.cap)
-			}
-			s.logGrant(a, req.src, false)
-			granted++
+		if a.holders == nil {
+			a.holders = make(map[int]sim.Time)
 		}
-	}
-	if granted != req.n {
-		panic(fmt.Sprintf("arm: grant invariant broken: %d of %d", granted, req.n))
+		a.holders[req.src] = expiry
+		a.notified = false
+		a.grants++
+		a.waitSeconds += wait
+		w.Int(a.id).Int(a.rank)
+		if req.capable {
+			encodeCapability(w, a.cap)
+		}
+		s.logGrant(a, req.src, req.shared)
 	}
 	s.acquireCount++
 	s.waitSeconds += wait
@@ -1069,48 +1048,35 @@ func (s *Server) release(src int, reqID uint64, ids []int) {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return
 		}
-		if a.state == acAssigned && a.owner != src {
+		if _, holds := a.holders[src]; !holds && a.held() {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return
-		}
-		if a.state == acShared {
-			if _, held := a.sharers[src]; !held {
-				s.reply(src, reqID, statusBadRequest, nil)
-				return
-			}
 		}
 	}
 	s.accrue(s.now())
 	for _, id := range ids {
 		a := s.byID[id]
 		s.logEnd(a, src)
-		switch a.state {
-		case acAssigned:
-			a.owner = 0
-			if a.draining {
-				s.retire(a)
-			} else {
-				a.state = acFree
-			}
-		case acShared:
-			delete(a.sharers, src)
-			if len(a.sharers) == 0 {
-				if a.draining {
-					s.retire(a)
-				} else {
-					a.state = acFree
-				}
-			}
-		default:
-			// Releasing a failed (or suspect, reclaiming, retired)
-			// accelerator leaves it in that state; just drop any frozen
-			// sharer bookkeeping for this tenant.
-			delete(a.sharers, src)
+		delete(a.holders, src)
+		// Releasing a failed (or suspect, reclaiming, retired) accelerator
+		// leaves it in that state; only the frozen hold is dropped.
+		if a.held() && len(a.holders) == 0 {
+			s.vacate(a)
 		}
 	}
 	s.releaseCount++
 	s.reply(src, reqID, statusOK, nil)
 	s.drainQueue()
+}
+
+// vacate settles an accelerator its last holder has left: back to the
+// free pool, or into retirement when a drain was waiting for that.
+func (s *Server) vacate(a *accel) {
+	if a.draining {
+		s.retire(a)
+	} else {
+		a.state = acFree
+	}
 }
 
 // drainQueue grants queued requests according to the policy and rejects
@@ -1154,43 +1120,28 @@ func (s *Server) drainQueue() {
 // same shape as an acquire reply with one handle.
 func (s *Server) replace(src int, reqID uint64, rank int) {
 	var failed *accel
-	shared := false
 	for _, a := range s.accels {
-		if a.rank != rank {
-			continue
-		}
-		if a.state == acAssigned && a.owner == src {
+		if _, holds := a.holders[src]; holds && a.rank == rank && a.held() {
 			failed = a
 			break
-		}
-		if a.state == acShared {
-			if _, held := a.sharers[src]; held {
-				failed = a
-				shared = true
-				break
-			}
 		}
 	}
 	if failed == nil {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
+	shared := failed.state == acShared
 	s.accrue(s.now())
-	if shared {
-		// The daemon is down for every tenant on it: tell the other
-		// sharers so they can fail over too.
-		for _, r := range sortedSharerRanks(failed) {
-			s.logEnd(failed, r)
-			if r != src {
-				s.notify(r, NoticeDead, failed)
-			}
+	// The daemon is down for every holder on it: tell the other sharers so
+	// they can fail over too.
+	for _, r := range failed.holderRanks() {
+		s.logEnd(failed, r)
+		if r != src {
+			s.notify(r, NoticeDead, failed)
 		}
-		failed.sharers = nil
-	} else {
-		s.logEnd(failed, failed.owner)
 	}
+	clear(failed.holders)
 	failed.state = acFailed
-	failed.owner = 0
 	s.settleDrainer(failed)
 	// The shrunken pool may make queued requests impossible; settle them
 	// before queueing the replacement acquire.
@@ -1221,19 +1172,15 @@ func (s *Server) setState(id int, state acState, src int, reqID uint64) {
 	s.accrue(s.now())
 	// Failing an assigned or shared accelerator is the paper's
 	// fault-tolerance property: the compute nodes survive and discover
-	// the failure on next use or at release (the sharer map is kept so
+	// the failure on next use or at release (the holder table is kept so
 	// those releases still validate).
 	if state == acFree {
 		// Administrative repair returns any out-of-service accelerator
 		// (failed, suspect, retired) to the pool, presumed clean.
-		if a.owner != 0 {
-			s.logEnd(a, a.owner)
-		}
-		for _, rk := range sortedSharerRanks(a) {
+		for _, rk := range a.holderRanks() {
 			s.logEnd(a, rk)
 		}
-		a.owner = 0
-		a.sharers = nil
+		clear(a.holders)
 		a.dirty = false
 		a.draining = false
 		if s.lastBeat != nil {
@@ -1273,7 +1220,7 @@ func (s *Server) snapshot(now sim.Time) PoolStats {
 		case acShared:
 			st.Assigned++
 			st.Shared++
-			st.Sessions += len(a.sharers)
+			st.Sessions += len(a.holders)
 		case acFailed:
 			st.Failed++
 		case acSuspect, acReclaiming:
@@ -1309,7 +1256,7 @@ func (s *Server) encodeStatsEx(now sim.Time) []byte {
 	w.Int(len(s.accels))
 	for _, a := range s.accels {
 		w.Int(a.id).Int(a.rank).Str(a.state.String())
-		w.Int(a.holders()).Int(a.grants)
+		w.Int(a.holderCount()).Int(a.grants)
 		w.F64(a.busySeconds).F64(a.waitSeconds)
 	}
 	if s.classed {

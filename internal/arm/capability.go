@@ -13,7 +13,6 @@ package arm
 import (
 	"sort"
 
-	"dynacc/internal/sim"
 	"dynacc/internal/wire"
 )
 
@@ -213,30 +212,6 @@ func (s *Server) migrationTarget(old *accel) *accel {
 		}
 	}
 	return compat
-}
-
-// grantOne grants one specific free accelerator to src exclusively,
-// replying in the one-handle acquire shape. The classed migrate/replace
-// paths use it to honor the same-class-first preference that the
-// pool-order scan inside grant() cannot express.
-func (s *Server) grantOne(a *accel, src int, reqID uint64) {
-	now := s.now()
-	s.accrue(now)
-	var lease sim.Time
-	if s.healthOn && s.health.LeaseTTL > 0 {
-		lease = now.Add(s.health.LeaseTTL)
-	}
-	w := wire.NewWriter(24)
-	w.Int(1)
-	a.state = acAssigned
-	a.owner = src
-	a.notified = false
-	a.lease = lease
-	a.grants++
-	s.logGrant(a, src, false)
-	w.Int(a.id).Int(a.rank)
-	s.acquireCount++
-	s.reply(src, reqID, statusOK, w.Bytes())
 }
 
 // classLoads summarizes the local inventory per class for gossip:

@@ -112,13 +112,3 @@ func (d *Directory) Promote(shard int) bool {
 	d.epochs[shard]++
 	return true
 }
-
-// ShardOf returns the shard index whose serving rank is rank, or -1.
-func (d *Directory) ShardOf(rank int) int {
-	for i, r := range d.serving {
-		if r == rank {
-			return i
-		}
-	}
-	return -1
-}

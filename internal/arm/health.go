@@ -201,16 +201,14 @@ func (s *Server) checkHealth() {
 	}
 	if hc.LeaseTTL > 0 {
 		for _, a := range s.accels {
-			if a.state == acAssigned && now.Sub(a.lease) >= 0 {
-				s.reclaim(a)
+			if !a.held() {
+				continue
 			}
-			if a.state == acShared {
-				// Shared leases expire per tenant: only the silent
-				// sharer is revoked, the others keep the accelerator.
-				for _, rank := range sortedSharerRanks(a) {
-					if lease := a.sharers[rank]; lease > 0 && now.Sub(lease) >= 0 {
-						s.reclaimShared(a, rank)
-					}
+			// Leases expire per holder: on a shared accelerator only the
+			// silent sharer is revoked, the others keep it.
+			for _, rank := range a.holderRanks() {
+				if lease := a.holders[rank]; lease > 0 && now.Sub(lease) >= 0 {
+					s.reclaim(a, rank)
 				}
 			}
 		}
@@ -220,50 +218,36 @@ func (s *Server) checkHealth() {
 }
 
 // markSuspect moves a silent node's accelerator out of circulation: a
-// free one leaves the pool, an assigned one stays with its owner but the
-// owner is told (once per episode) so it can migrate.
+// free one leaves the pool, a held one stays with its holders but they
+// are told (once per episode) so they can migrate.
 func (s *Server) markSuspect(a *accel) {
-	switch a.state {
-	case acFree:
+	switch {
+	case a.state == acFree:
 		a.state = acSuspect
-	case acAssigned:
-		if !a.notified {
-			a.notified = true
-			s.notify(a.owner, NoticeSuspect, a)
-		}
-	case acShared:
-		if !a.notified {
-			a.notified = true
-			for _, rank := range sortedSharerRanks(a) {
-				s.notify(rank, NoticeSuspect, a)
-			}
+	case a.held() && !a.notified:
+		a.notified = true
+		for _, rank := range a.holderRanks() {
+			s.notify(rank, NoticeSuspect, a)
 		}
 	}
 }
 
-// markDead declares a node's accelerator failed after prolonged silence.
+// markDead declares a node's accelerator failed after prolonged silence;
+// whoever held it is told and their holds end.
 func (s *Server) markDead(a *accel) {
-	switch a.state {
-	case acFree, acSuspect, acReclaiming:
-		a.state = acFailed
-		s.settleDrainer(a)
-	case acAssigned:
+	if a.state == acFailed || a.state == acRetired {
+		return
+	}
+	if a.held() {
 		s.accrue(s.now())
-		s.notify(a.owner, NoticeDead, a)
-		s.logEnd(a, a.owner)
-		a.owner = 0
-		a.state = acFailed
-		s.settleDrainer(a)
-	case acShared:
-		s.accrue(s.now())
-		for _, rank := range sortedSharerRanks(a) {
+		for _, rank := range a.holderRanks() {
 			s.notify(rank, NoticeDead, a)
 			s.logEnd(a, rank)
 		}
-		a.sharers = nil
-		a.state = acFailed
-		s.settleDrainer(a)
+		clear(a.holders)
 	}
+	a.state = acFailed
+	s.settleDrainer(a)
 }
 
 // heartbeat processes one daemon beat: refresh the detector, recover
@@ -309,40 +293,30 @@ func (s *Server) touchClient(src int) {
 	}
 	exp := s.now().Add(s.health.LeaseTTL)
 	for _, a := range s.accels {
-		if a.state == acAssigned && a.owner == src {
-			a.lease = exp
-		}
-		if a.state == acShared {
-			if _, held := a.sharers[src]; held {
-				a.sharers[src] = exp
-			}
+		if _, holds := a.holders[src]; holds {
+			a.holders[src] = exp
 		}
 	}
 }
 
-// reclaim revokes an expired lease: the owner is presumed dead, its
-// accelerator is taken back and sanitized before re-entering the pool.
-func (s *Server) reclaim(a *accel) {
-	s.accrue(s.now())
-	s.notify(a.owner, NoticeRevoked, a)
-	s.logEnd(a, a.owner)
-	a.owner = 0
-	a.dirty = true
-	s.reclaimedCount++
-	s.sanitizeOrSettle(a)
-}
-
-// reclaimShared revokes one expired sharer lease. The accelerator is not
-// sanitized wholesale — the surviving tenants' state must stay intact —
-// so instead the session reaper tears down just the dead tenant's
-// sessions on the daemon. Only when the last sharer leaves does the
-// accelerator return to the free pool.
-func (s *Server) reclaimShared(a *accel, client int) {
+// reclaim revokes one expired lease: the holder is presumed dead. An
+// exclusive holder's accelerator is taken back and sanitized before
+// re-entering the pool. A shared one is not sanitized wholesale — the
+// surviving tenants' state must stay intact — so instead the session
+// reaper tears down just the dead tenant's sessions on the daemon, and
+// only when the last sharer leaves does the accelerator return to the
+// free pool.
+func (s *Server) reclaim(a *accel, client int) {
 	s.accrue(s.now())
 	s.notify(client, NoticeRevoked, a)
 	s.logEnd(a, client)
-	delete(a.sharers, client)
+	delete(a.holders, client)
 	s.reclaimedCount++
+	if a.state == acAssigned {
+		a.dirty = true
+		s.sanitizeOrSettle(a)
+		return
+	}
 	if s.reaper != nil {
 		rank := a.rank
 		s.spawnTracked(fmt.Sprintf("arm-reap-ac%d-cn%d", a.id, client), func(p *sim.Proc) {
@@ -355,12 +329,8 @@ func (s *Server) reclaimShared(a *accel, client int) {
 			}
 		})
 	}
-	if len(a.sharers) == 0 {
-		if a.draining {
-			s.retire(a)
-		} else {
-			a.state = acFree
-		}
+	if len(a.holders) == 0 {
+		s.vacate(a)
 		s.drainQueue()
 	}
 }
@@ -479,24 +449,17 @@ func (s *Server) drain(src int, reqID uint64, id int, deadline sim.Duration) {
 // attached: the lease(s) are revoked and the accelerator sanitized into
 // retirement.
 func (s *Server) forceDrain(a *accel) {
-	if s.closed || (a.state != acAssigned && a.state != acShared) || !a.draining {
+	if s.closed || !a.held() || !a.draining {
 		return
 	}
 	defer s.ship()
 	s.accrue(s.now())
-	if a.state == acShared {
-		for _, rank := range sortedSharerRanks(a) {
-			s.notify(rank, NoticeRevoked, a)
-			s.logEnd(a, rank)
-			s.reclaimedCount++
-		}
-		a.sharers = nil
-	} else {
-		s.notify(a.owner, NoticeRevoked, a)
-		s.logEnd(a, a.owner)
-		a.owner = 0
+	for _, rank := range a.holderRanks() {
+		s.notify(rank, NoticeRevoked, a)
+		s.logEnd(a, rank)
 		s.reclaimedCount++
 	}
+	clear(a.holders)
 	a.dirty = true
 	s.sanitizeOrSettle(a)
 	s.drainQueue()
@@ -516,7 +479,7 @@ func (s *Server) forceDrain(a *accel) {
 func (s *Server) migrate(src int, reqID uint64, rank int) {
 	var old *accel
 	for _, a := range s.accels {
-		if a.rank == rank && a.state == acAssigned && a.owner == src {
+		if _, holds := a.holders[src]; holds && a.rank == rank && a.state == acAssigned {
 			old = a
 			break
 		}
@@ -529,35 +492,29 @@ func (s *Server) migrate(src int, reqID uint64, rank int) {
 		s.reply(src, reqID, statusUnavailable, nil)
 		return
 	}
+	var target *accel
 	if s.classed {
 		// Heterogeneous pool: resident device state only moves to a
 		// capability-compatible spare, same-class preferred (a C1060's
 		// state never lands on the FPGA). Picked before surrendering the
 		// old assignment — limping on a suspect device beats trading a
 		// working hold for nothing.
-		target := s.migrationTarget(old)
-		if target == nil {
+		if target = s.migrationTarget(old); target == nil {
 			s.reply(src, reqID, statusUnavailable, nil)
 			return
 		}
-		s.accrue(s.now())
-		s.logEnd(old, old.owner)
-		old.owner = 0
-		old.state = acSuspect
-		old.dirty = true
-		old.notified = false
-		s.migrateCount++
-		s.settleDrainer(old)
-		s.grantOne(target, src, reqID)
-		return
 	}
 	s.accrue(s.now())
-	s.logEnd(old, old.owner)
-	old.owner = 0
+	s.logEnd(old, src)
+	delete(old.holders, src)
 	old.state = acSuspect
 	old.dirty = true
 	old.notified = false
 	s.migrateCount++
 	s.settleDrainer(old)
-	s.acquire(&pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now()}, false)
+	if target != nil {
+		s.grantOne(target, src, reqID)
+	} else {
+		s.acquire(&pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now()}, false)
+	}
 }

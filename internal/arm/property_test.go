@@ -1,9 +1,11 @@
 package arm
 
 // Randomized invariants over the ARM's bookkeeping (testing/quick):
-// under any interleaving of acquire / release / replace / repair, the
-// pool partition Free+Assigned+Failed == Total holds, no accelerator is
-// ever assigned twice, and FIFO queues grant strictly in arrival order.
+// under any interleaving of acquire / release / replace / repair and two
+// tenants' shared acquires / releases, the pool partition
+// Free+Assigned+Failed == Total holds, Sessions counts the live shared
+// holds, no accelerator is ever assigned twice or assigned and shared at
+// once, and FIFO queues grant strictly in arrival order.
 
 import (
 	"errors"
@@ -19,13 +21,25 @@ func TestPropertyPoolPartitionInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nAC := 2 + rng.Intn(4)
 		ok := true
-		pool(t, nAC, 1, Policy(rng.Intn(2)), func(p *sim.Proc, c *Client, rank int) {
+		// Rank 1 holds exclusively and drives the script; rank 2 only lends
+		// its client so shared leases come from a second tenant as well.
+		var tenant *Client
+		opts := Options{Policy: Policy(rng.Intn(2)), ShareCapacity: 2}
+		poolOpts(t, nAC, 2, opts, func(p *sim.Proc, c *Client, rank int) {
+			if rank == 2 {
+				tenant = c
+				return
+			}
+			p.Wait(sim.Microsecond) // rank 2's process has run by now
+			sharers := []*Client{c, tenant}
 			lrng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 			var held []Handle
 			heldIDs := make(map[int]bool)
 			var failedIDs []int
+			var shared [2][]Handle     // live shared holds, per sharer
+			sharedIDs := map[int]int{} // accelerator -> live shared holds on it
 			check := func() {
-				st, err := c.Stats(p)
+				st, err := c.StatsEx(p)
 				if err != nil {
 					ok = false
 					return
@@ -34,14 +48,34 @@ func TestPropertyPoolPartitionInvariant(t *testing.T) {
 					t.Errorf("partition broken: %+v", st)
 					ok = false
 				}
-				if st.Assigned != len(held) || st.Failed != len(failedIDs) {
-					t.Errorf("books disagree: %+v, held %d, failed %d", st, len(held), len(failedIDs))
+				if st.Assigned != len(held)+len(sharedIDs) || st.Failed != len(failedIDs) {
+					t.Errorf("books disagree: %+v, held %d, shared %d, failed %d", st, len(held), len(sharedIDs), len(failedIDs))
 					ok = false
 				}
+				if st.Shared != len(sharedIDs) || st.Sessions != len(shared[0])+len(shared[1]) {
+					t.Errorf("shared books disagree: %+v, shared holds %v", st, shared)
+					ok = false
+				}
+				for _, row := range st.PerAccel {
+					want := "free"
+					switch {
+					case heldIDs[row.ID] && sharedIDs[row.ID] > 0:
+						t.Errorf("accel %d both assigned and shared", row.ID)
+						ok = false
+					case heldIDs[row.ID]:
+						want = "assigned"
+					case sharedIDs[row.ID] > 0:
+						want = "shared"
+					}
+					if row.State != "failed" && row.State != want {
+						t.Errorf("accel %d is %s, want %s", row.ID, row.State, want)
+						ok = false
+					}
+				}
 			}
-			free := func() int { return nAC - len(held) - len(failedIDs) }
-			for i := 0; i < 12 && ok; i++ {
-				switch lrng.Intn(4) {
+			free := func() int { return nAC - len(held) - len(failedIDs) - len(sharedIDs) }
+			for i := 0; i < 16 && ok; i++ {
+				switch op := lrng.Intn(6); op {
 				case 0: // acquire one more
 					hs, err := c.Acquire(p, 1, false)
 					switch {
@@ -103,6 +137,43 @@ func TestPropertyPoolPartitionInvariant(t *testing.T) {
 						ok = false
 					}
 					failedIDs = failedIDs[1:]
+				case 4, 5: // a sharer takes or drops one shared lease
+					k := op - 4
+					if len(shared[k]) > 0 && lrng.Intn(2) == 0 {
+						h := shared[k][0]
+						if err := sharers[k].Release(p, shared[k][:1]); err != nil {
+							t.Errorf("shared release: %v", err)
+							ok = false
+						}
+						shared[k] = shared[k][1:]
+						if sharedIDs[h.ID]--; sharedIDs[h.ID] == 0 {
+							delete(sharedIDs, h.ID)
+						}
+						continue
+					}
+					// Shareable for k: anything free, or shared by the other
+					// sharer only (capacity 2, one lease per tenant per device).
+					shareable := free() + len(sharedIDs) - len(shared[k])
+					hs, err := sharers[k].AcquireShared(p, 1, false)
+					switch {
+					case err == nil:
+						for _, old := range shared[k] {
+							if old.ID == hs[0].ID {
+								t.Errorf("sharer %d leased accel %d twice", k, old.ID)
+								ok = false
+							}
+						}
+						shared[k] = append(shared[k], hs[0])
+						sharedIDs[hs[0].ID]++
+					case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrImpossible):
+						if shareable > 0 {
+							t.Errorf("shared acquire refused (%v) with %d shareable", err, shareable)
+							ok = false
+						}
+					default:
+						t.Errorf("shared acquire: %v", err)
+						ok = false
+					}
 				}
 				check()
 			}
@@ -110,6 +181,15 @@ func TestPropertyPoolPartitionInvariant(t *testing.T) {
 			if len(held) > 0 {
 				if err := c.Release(p, held); err != nil {
 					t.Errorf("final release: %v", err)
+					ok = false
+				}
+			}
+			for k, hs := range shared {
+				if len(hs) == 0 {
+					continue
+				}
+				if err := sharers[k].Release(p, hs); err != nil {
+					t.Errorf("final shared release: %v", err)
 					ok = false
 				}
 			}

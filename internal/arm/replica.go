@@ -48,7 +48,14 @@ func (s *Server) ship() {
 	w.U64(s.repSeq)
 	w.Int(len(s.accels))
 	for _, a := range s.accels {
-		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).Int(a.owner)
+		// The record keeps its owner slot + sharer list layout: an
+		// exclusive holder travels in the slot, any other holders (shared,
+		// or frozen by a Fail) in the list.
+		owner, sharers := 0, a.holderRanks()
+		if a.state == acAssigned && len(sharers) == 1 {
+			owner, sharers = sharers[0], nil
+		}
+		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).Int(owner)
 		var fl uint8
 		if a.draining {
 			fl |= 1
@@ -59,12 +66,7 @@ func (s *Server) ship() {
 		if a.dirty {
 			fl |= 4
 		}
-		w.U8(fl)
-		if len(a.sharers) == 0 {
-			w.Int(0)
-		} else {
-			w.Ints(sortedSharerRanks(a))
-		}
+		w.U8(fl).Ints(sharers)
 	}
 	w.Int(len(s.repReplies))
 	for _, rr := range s.repReplies {
@@ -94,7 +96,6 @@ type Replica struct {
 	promoteAfter sim.Duration
 	promoted     bool
 	stopped      bool
-	onPromote    func(s *Server)
 }
 
 // ReplicaFor builds the follower replica for the given shard. The
@@ -137,10 +138,6 @@ func (rp *Replica) Stop() {
 	rp.srv.Kill()
 }
 
-// OnPromote installs a hook run at promotion, before the replica starts
-// serving (the cluster uses it to flip monitoring to the new rank).
-func (rp *Replica) OnPromote(fn func(s *Server)) { rp.onPromote = fn }
-
 // silenceThreshold resolves the promotion timeout.
 func (rp *Replica) silenceThreshold() sim.Duration {
 	if rp.promoteAfter > 0 {
@@ -178,9 +175,6 @@ func (rp *Replica) Run(p *sim.Proc) {
 	// Serve under the epoch the promotion just minted: every grant,
 	// gossip message, and fencer RPC from here on carries it.
 	s.myEpoch = rp.dir.Epoch(rp.shard)
-	if rp.onPromote != nil {
-		rp.onPromote(s) // wire sanitizer/reaper/fencer before any reclaim runs
-	}
 	rp.rearm()
 	s.Run(p)
 }
@@ -215,17 +209,18 @@ func (rp *Replica) apply(data []byte) {
 		}
 		a.rank = rank
 		a.state = state
-		a.owner = owner
 		a.draining = fl&1 != 0
 		a.removing = fl&2 != 0
 		a.dirty = fl&4 != 0
-		if len(sharers) == 0 {
-			a.sharers = nil
-		} else {
-			a.sharers = make(map[int]sim.Time, len(sharers))
-			for _, rk := range sharers {
-				a.sharers[rk] = 0 // leases re-arm at promotion
-			}
+		if state == acAssigned {
+			sharers = append(sharers, owner)
+		}
+		if a.holders == nil {
+			a.holders = make(map[int]sim.Time)
+		}
+		clear(a.holders)
+		for _, rk := range sharers {
+			a.holders[rk] = 0 // leases re-arm at promotion
 		}
 	}
 	// Elastic shrink on the leader: drop accelerators it no longer has.
@@ -301,13 +296,9 @@ func (rp *Replica) rearm() {
 				}
 			})
 		}
-		if a.state == acAssigned {
-			a.lease = lease
-			s.logGrant(a, a.owner, false)
-		}
-		for _, rk := range sortedSharerRanks(a) {
-			a.sharers[rk] = lease
-			s.logGrant(a, rk, true)
+		for _, rk := range a.holderRanks() {
+			a.holders[rk] = lease
+			s.logGrant(a, rk, a.state != acAssigned)
 		}
 		// A sanitize that was in flight on the dead leader is lost with
 		// it; restart the reclaim from scratch.

@@ -344,3 +344,37 @@ func TestShardedFailoverPromotion(t *testing.T) {
 		}
 	})
 }
+
+// TestRepairEndsRankZeroHold pins that the holder table has no "0 means
+// nobody" sentinel: compute node 0 is a legal holder, so an operator
+// Fail+Repair of an accelerator it holds must end its hold in the grant
+// ledger, or the next grant reads as a split brain.
+func TestRepairEndsRankZeroHold(t *testing.T) {
+	sp := newShardPool(t, 1, 2, 1, false)
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
+		if rank == 0 {
+			if _, err := c.Acquire(p, 1, false); err != nil {
+				t.Errorf("cn0 acquire: %v", err)
+			}
+			return // never releases
+		}
+		p.Wait(sim.Millisecond) // after cn0's acquire
+		if err := c.Fail(p, 0); err != nil {
+			t.Errorf("fail: %v", err)
+		}
+		if err := c.Repair(p, 0); err != nil {
+			t.Errorf("repair: %v", err)
+		}
+		hs, err := c.Acquire(p, 1, false)
+		if err != nil {
+			t.Errorf("cn1 acquire after repair: %v", err)
+			return
+		}
+		if err := c.Release(p, hs); err != nil {
+			t.Errorf("cn1 release: %v", err)
+		}
+	})
+	if v := CheckSplitBrain(sp.srvs[0].GrantLedger(), nil); len(v) != 0 {
+		t.Errorf("false overlap after repairing rank 0's accelerator: %v", v)
+	}
+}

@@ -284,11 +284,7 @@ func (n *Node) Attach(h arm.Handle) *core.Accel {
 // before the session opens, so the open itself is fence-checked: a stale
 // grant cannot admit a new tenant onto a daemon its successor owns.
 func (n *Node) AttachSession(p *sim.Proc, h arm.Handle) (*core.Accel, error) {
-	ac := n.FE.Attach(h.Rank)
-	ac.SetFence(h.Epoch)
-	if c, ok := n.caps[h.Rank]; ok {
-		ac.SetCapability(c)
-	}
+	ac := n.Attach(h)
 	if err := ac.OpenSession(p); err != nil {
 		return nil, err
 	}

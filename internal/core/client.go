@@ -911,13 +911,8 @@ func (a *Accel) MemcpyD2HAsync(dst []byte, src gpu.Ptr, off, n int, stream uint8
 	return a.MemcpyD2H2DAsync(dst, src, off, n, 1, n, stream)
 }
 
-// MemcpyD2H2D copies a strided device window into packed host memory, the
-// inverse of MemcpyH2D2D.
-func (a *Accel) MemcpyD2H2D(p *sim.Proc, dst []byte, src gpu.Ptr, off, colBytes, cols, pitch int) error {
-	return a.MemcpyD2H2DAsync(dst, src, off, colBytes, cols, pitch, 0).Wait(p)
-}
-
-// MemcpyD2H2DAsync is the asynchronous strided device-to-host copy.
+// MemcpyD2H2DAsync is the asynchronous strided device-to-host copy of a
+// device window into packed host memory, the inverse of MemcpyH2D2D.
 func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, pitch int, stream uint8) *Pending {
 	pd := &Pending{done: sim.NewEvent(a.sim())}
 	n := colBytes * cols

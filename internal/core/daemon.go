@@ -100,8 +100,7 @@ type Daemon struct {
 	sim   *sim.Simulation
 	stats DaemonStats
 
-	streams map[uint8]*sim.Mailbox
-	mainP   *sim.Proc
+	mainP *sim.Proc
 
 	// procs tracks every process the daemon owns (dispatch loop, stream
 	// workers, pipeline helpers) so Kill can take the whole daemon down
@@ -134,12 +133,11 @@ type Daemon struct {
 	// its scratch exclusively; steady state runs allocation-free.
 	scratches []*pipeScratch
 
-	// Tenant sessions (multi-tenant sharing). sessOrder is the open order
-	// the round-robin scheduler walks; sessRR is its cursor. Empty in
-	// exclusive mode.
-	sessions  map[sessKey]*session
-	sessOrder []sessKey
-	sessRR    int
+	// root is the session session-less requests run in: no ownership
+	// view, no quota. sessions holds the tenants' (multi-tenant sharing;
+	// empty in exclusive mode). See session.go.
+	root     *session
+	sessions map[sessKey]*session
 
 	// Fencing (split-brain safety). fenceHigh is the highest fencing
 	// token ever seen; any tokened request advances it, and destructive
@@ -159,7 +157,7 @@ func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 		dev:      dev,
 		cfg:      cfg,
 		sim:      comm.World().Sim(),
-		streams:  make(map[uint8]*sim.Mailbox),
+		root:     &session{streams: make(map[uint8]*sim.Mailbox)},
 		seen:     make(map[dedupKey][]byte),
 		active:   make(map[int]struct{}),
 		sessions: make(map[sessKey]*session),
@@ -251,13 +249,13 @@ type workItem struct {
 	sync *syncGroup
 }
 
-// syncGroup implements the cross-stream barrier behind OpSync and
-// OpShutdown: each stream worker "arrives" when it drains to the marker;
-// the last arrival completes the group.
+// syncGroup implements the cross-stream barrier behind OpSync, session
+// close/reset/reap and OpShutdown: each stream worker "arrives" when it
+// drains to the marker; the last arrival completes the group.
 type syncGroup struct {
 	remaining int
 	done      *sim.Event
-	poison    bool // workers exit after arriving (shutdown)
+	poison    bool // workers exit after arriving (close, reap, shutdown)
 }
 
 func (g *syncGroup) arrive() {
@@ -319,14 +317,14 @@ func (d *Daemon) Run(p *sim.Proc) {
 				continue
 			}
 		}
-		switch {
-		case q.op == OpShutdown:
-			g := d.barrier(true)
-			g.done.Await(p)
-			d.drainSessions(p)
+		switch q.op {
+		case OpShutdown:
+			// Sessions are drained, not closed: their allocations die with
+			// the device.
+			d.barrier(true, append(d.sortedSessions(), d.root)...).Await(p)
 			d.respond(st.Source, q.reqID, nil, 0)
 			return
-		case q.op == OpDeviceInfo:
+		case OpDeviceInfo:
 			di := DeviceInfo{
 				ModelName: d.dev.Model().Name,
 				MemBytes:  d.dev.Model().MemBytes,
@@ -335,17 +333,44 @@ func (d *Daemon) Run(p *sim.Proc) {
 				Kernels:   d.dev.Registry().Names(),
 			}
 			d.sendResponse(st.Source, q.reqID, &response{status: statusOK, payload: encodeDeviceInfo(di)})
-		case q.op == OpSessionReap:
+		case OpSessionReap:
 			d.reapSessions(st.Source, q)
-		case q.session != 0:
-			d.handleSession(st.Source, q)
-		case q.op == OpSync:
-			src, reqID := st.Source, q.reqID
-			g := d.barrier(false)
-			g.done.OnTrigger(func() { d.respond(src, reqID, nil, 0) })
+		case OpSessionOpen:
+			d.openSession(st.Source, q)
+		case OpSessionClose:
+			d.closeSession(st.Source, q)
 		default:
-			d.stream(q.stream).Send(workItem{src: st.Source, q: q})
+			d.submit(st.Source, q)
 		}
+	}
+}
+
+// submit hands a request to its session: the root for session-less
+// traffic, the sender's own tenant session otherwise. Sync and a tenant's
+// reset are barriers over that session's streams only, so neither waits
+// for a neighbour's work; everything else queues on its stream's worker.
+func (d *Daemon) submit(src int, q *request) {
+	sess := d.root
+	if q.session != 0 {
+		sess = d.sessions[sessKey{src: src, id: q.session}]
+		if sess == nil || sess.drained != nil {
+			d.respond(src, q.reqID, sessGone(q.session), 0)
+			return
+		}
+	}
+	switch {
+	case q.op == OpSync:
+		reqID := q.reqID
+		d.barrier(false, sess).OnTrigger(func() { d.respond(src, reqID, nil, 0) })
+	case q.op == OpReset && sess != d.root:
+		d.resetSession(src, sess, q)
+	default:
+		mbox, err := d.stream(sess, q.stream)
+		if err != nil {
+			d.respond(src, q.reqID, err, 0)
+			return
+		}
+		mbox.Send(workItem{src: src, q: q})
 	}
 }
 
@@ -384,36 +409,45 @@ func (d *Daemon) admit(key dedupKey) {
 	d.seenOrder = append(d.seenOrder, key)
 }
 
-// barrier posts a sync marker to every live stream and returns the group;
-// with no live streams the group completes immediately.
-func (d *Daemon) barrier(poison bool) *syncGroup {
-	g := &syncGroup{remaining: len(d.streams), done: sim.NewEvent(d.sim), poison: poison}
+// barrier posts a sync marker to every live stream of the given sessions
+// and returns the event that fires once each has drained to it — at once
+// when there are none. Commands queued later are not waited for. A
+// poisoned marker also ends the stream's worker, so the caller must let
+// no further work reach those sessions.
+func (d *Daemon) barrier(poison bool, sessions ...*session) *sim.Event {
+	g := &syncGroup{done: sim.NewEvent(d.sim), poison: poison}
+	for _, sess := range sessions {
+		for _, id := range sess.sortedStreams() {
+			g.remaining++
+			sess.streams[id].Send(workItem{sync: g})
+		}
+		if poison {
+			clear(sess.streams)
+		}
+	}
 	if g.remaining == 0 {
 		g.done.Trigger()
-		return g
 	}
-	// Sorted iteration keeps event creation order — and therefore the
-	// whole simulation — deterministic.
-	ids := make([]uint8, 0, len(d.streams))
-	for id := range d.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		d.streams[id].Send(workItem{sync: g})
-	}
-	return g
+	return g.done
 }
 
-// stream returns the mailbox of a stream, starting its worker on first
-// use.
-func (d *Daemon) stream(id uint8) *sim.Mailbox {
-	if mbox, ok := d.streams[id]; ok {
-		return mbox
+// stream returns the mailbox of a session's stream, starting its worker
+// on first use. A tenant's stream id is outside input, so the number it
+// can start is capped.
+func (d *Daemon) stream(sess *session, id uint8) (*sim.Mailbox, error) {
+	if mbox, ok := sess.streams[id]; ok {
+		return mbox, nil
 	}
-	mbox := sim.NewMailbox(d.sim, fmt.Sprintf("%s.stream%d", d.dev.Name(), id))
-	d.streams[id] = mbox
-	d.spawn(d.mainP, fmt.Sprintf("%s-stream%d", d.dev.Name(), id), func(p *sim.Proc) {
+	name := fmt.Sprintf("%s-stream%d", d.dev.Name(), id)
+	if sess != d.root {
+		if len(sess.streams) >= maxSessionStreams {
+			return nil, fmt.Errorf("core: session %d already has %d streams", sess.key.id, maxSessionStreams)
+		}
+		name = fmt.Sprintf("%s-cn%d-sess%d-stream%d", d.dev.Name(), sess.key.src, sess.key.id, id)
+	}
+	mbox := sim.NewMailbox(d.sim, name)
+	sess.streams[id] = mbox
+	d.spawn(d.mainP, name, func(p *sim.Proc) {
 		for {
 			item := mbox.Recv(p).(workItem)
 			if item.sync != nil {
@@ -423,10 +457,10 @@ func (d *Daemon) stream(id uint8) *sim.Mailbox {
 				}
 				continue
 			}
-			d.execute(p, item.src, item.q)
+			d.execute(p, sess, item.src, item.q)
 		}
 	})
-	return mbox
+	return mbox, nil
 }
 
 // respond sends a status-only response; typed session errors map to
@@ -451,44 +485,67 @@ func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 	d.comm.Isend(src, respTag(reqID), enc)
 }
 
-// execute runs one request inside a stream worker.
-func (d *Daemon) execute(p *sim.Proc, src int, q *request) {
+// execute runs one request inside a stream worker, under its session:
+// the ownership and quota checks first (no-ops for the root session, which
+// has no view), then the device. For streamed copies an ownership failure
+// is threaded into the copy pipeline as a pre-error so the payload still
+// drains in lockstep — the wire winds down cleanly and the typed error
+// travels in the response.
+func (d *Daemon) execute(p *sim.Proc, sess *session, src int, q *request) {
+	err := sess.checkOwned(q)
+	switch q.op {
+	case OpMemcpyH2D:
+		d.recvToDevice(p, src, q, src, dataTag(q.reqID), err)
+		return
+	case OpMemcpyD2H:
+		d.sendFromDevice(p, src, q, src, dataTag(q.reqID), err)
+		return
+	case OpD2DRecv, OpD2DSend:
+		if q.peer >= d.comm.Size() {
+			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
+		} else if q.op == OpD2DRecv {
+			d.recvToDevice(p, src, q, q.peer, d2dTag(q.xferID), err)
+		} else {
+			d.sendFromDevice(p, src, q, q.peer, d2dTag(q.xferID), err)
+		}
+		return
+	case OpBatch:
+		d.executeBatch(p, src, q, sess)
+		return
+	}
+	if err != nil {
+		// Refused: the allocation behind a foreign pointer is never touched.
+		d.respond(src, q.reqID, err, 0)
+		return
+	}
+	var ptr gpu.Ptr
+	view := sess.view
 	switch q.op {
 	case OpMemAlloc:
-		ptr, err := d.dev.MemAlloc(p, q.size)
-		d.respond(src, q.reqID, err, ptr)
+		if view != nil && !view.Admits(q.size) {
+			err = fmt.Errorf("%w: %d bytes over quota %d (%d in use)",
+				ErrQuotaExceeded, q.size, view.Quota(), view.Used())
+		} else if ptr, err = d.dev.MemAlloc(p, q.size); err == nil && view != nil {
+			view.NoteAlloc(ptr, q.size)
+		}
 	case OpMemFree:
-		d.respond(src, q.reqID, d.dev.MemFree(p, q.ptr), 0)
+		if err = d.dev.MemFree(p, q.ptr); err == nil && view != nil {
+			view.NoteFree(q.ptr)
+		}
 	case OpKernelRun:
-		d.respond(src, q.reqID, d.dev.LaunchKernel(p, q.kernel, q.launch), 0)
+		err = d.dev.LaunchKernel(p, q.kernel, q.launch)
 	case OpMemset:
-		d.respond(src, q.reqID, d.dev.Memset(p, q.ptr, q.off, q.size, q.value), 0)
+		err = d.dev.Memset(p, q.ptr, q.off, q.size, q.value)
 	case OpMemcpyD2D:
-		d.respond(src, q.reqID, d.dev.CopyD2D(p, q.ptr2, q.off2, q.ptr, q.off, q.size), 0)
-	case OpBatch:
-		d.executeBatch(p, src, q, nil)
+		err = d.dev.CopyD2D(p, q.ptr2, q.off2, q.ptr, q.off, q.size)
 	case OpReset:
+		// Root only: a tenant's reset is a barrier over its own streams
+		// (resetSession) and never reaches a worker.
 		d.dev.Reset(p)
-		d.respond(src, q.reqID, nil, 0)
-	case OpMemcpyH2D:
-		d.recvToDevice(p, src, q, src, dataTag(q.reqID), nil)
-	case OpMemcpyD2H:
-		d.sendFromDevice(p, src, q, src, dataTag(q.reqID), nil)
-	case OpD2DRecv:
-		if q.peer >= d.comm.Size() {
-			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
-			return
-		}
-		d.recvToDevice(p, src, q, q.peer, d2dTag(q.xferID), nil)
-	case OpD2DSend:
-		if q.peer >= d.comm.Size() {
-			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
-			return
-		}
-		d.sendFromDevice(p, src, q, q.peer, d2dTag(q.xferID), nil)
 	default:
-		d.respond(src, q.reqID, fmt.Errorf("op %d not executable on a stream", q.op), 0)
+		err = fmt.Errorf("op %d not executable on a stream", q.op)
 	}
+	d.respond(src, q.reqID, err, ptr)
 }
 
 // executeBatch runs a command buffer in order inside its stream worker,
@@ -496,9 +553,9 @@ func (d *Daemon) execute(p *sim.Proc, src int, q *request) {
 // violated by executing past an error); the rest are marked skipped. The
 // single response carries the per-command status vector, and — like any
 // response — is recorded in the dedup table, so a retransmitted batch is
-// replayed atomically: executed once, answered twice. Under a session
-// (sess non-nil) every command passes the ownership check first and
-// frees update the session's allocator view.
+// replayed atomically: executed once, answered twice. Under a tenant
+// session every command passes the ownership check first and frees update
+// the session's allocator view.
 func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
 	sts := make([]cmdStatus, len(q.batch))
 	failed := false
@@ -511,10 +568,7 @@ func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
 			sts[i] = cmdStatus{status: batchCmdSkipped}
 			continue
 		}
-		var err error
-		if sess != nil {
-			err = sess.checkOwned(sub)
-		}
+		err := sess.checkOwned(sub)
 		if err == nil {
 			switch sub.op {
 			case OpKernelRun:
@@ -528,7 +582,7 @@ func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
 				err = d.dev.Memset(p, sub.ptr, sub.off, sub.size, sub.value)
 			case OpMemFree:
 				err = d.dev.MemFree(p, sub.ptr)
-				if err == nil && sess != nil {
+				if err == nil && sess.view != nil {
 					sess.view.NoteFree(sub.ptr)
 				}
 			case OpWriteInline:

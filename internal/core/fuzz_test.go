@@ -7,9 +7,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dynacc/internal/gpu"
+	"dynacc/internal/minimpi"
+	"dynacc/internal/sim"
 )
 
 func fuzzSeedRequests() []*request {
@@ -85,6 +88,207 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if !bytes.Equal(encodeResponse(rsp2), enc) {
 			t.Fatalf("encoding is not canonical:\n first %x\nsecond %x", enc, encodeResponse(rsp2))
+		}
+	})
+}
+
+// A session script is a list of 3-byte steps: who and what (actor +
+// 3*op), the stream id as it goes on the wire, and an argument (which
+// pointer, which size, whom to reap).
+const (
+	fzOpen = iota
+	fzAlloc
+	fzCopy
+	fzLaunch
+	fzFree
+	fzSync
+	fzReset
+	fzClose
+	fzReap
+	fzOps
+)
+
+// Actors. The holder is the session-less exclusive client (rank 0); the
+// tenants are ranks 1 and 2, the second with command batching on.
+const (
+	fzHolder = iota
+	fzTenantA
+	fzTenantB
+	fzActors
+)
+
+func fzStep(actor, op int, stream, arg uint8) []byte {
+	return []byte{byte(actor + fzActors*op), stream, arg}
+}
+
+func fzScript(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
+
+// The seed scripts replay the session tests' call sequences.
+func fuzzSeedSessionScripts() [][]byte {
+	isolation := fzScript(
+		fzStep(fzTenantA, fzOpen, 0, 0), fzStep(fzTenantB, fzOpen, 0, 0),
+		fzStep(fzTenantA, fzAlloc, 0, 0), fzStep(fzTenantA, fzCopy, 0, 0),
+		fzStep(fzTenantB, fzFree, 0, 0), fzStep(fzTenantB, fzCopy, 0, 0), fzStep(fzTenantB, fzCopy, 0, 1<<6),
+		fzStep(fzTenantB, fzLaunch, 0, 0), fzStep(fzTenantA, fzCopy, 0, 1<<6), fzStep(fzTenantA, fzFree, 0, 0),
+		fzStep(fzTenantA, fzClose, 0, 0), fzStep(fzTenantB, fzClose, 0, 0))
+	fair := fzScript(fzStep(fzTenantA, fzOpen, 0, 0), fzStep(fzTenantB, fzOpen, 0, 0), fzStep(fzTenantA, fzAlloc, 0, 0))
+	for _, tenant := range []int{fzTenantA, fzTenantB} {
+		for i := 0; i < 8; i++ {
+			fair = append(fair, fzStep(tenant, fzLaunch, 1, 0)...)
+		}
+	}
+	fair = append(fair, fzScript(fzStep(fzTenantA, fzClose, 0, 0), fzStep(fzTenantB, fzClose, 0, 0))...)
+	reap := fzScript(
+		fzStep(fzTenantA, fzOpen, 0, 0), fzStep(fzTenantA, fzAlloc, 0, 0),
+		fzStep(fzTenantB, fzOpen, 0, 0), fzStep(fzTenantB, fzAlloc, 0, 0),
+		fzStep(fzHolder, fzReap, 0, 3), fzStep(fzHolder, fzReap, 0, fzTenantA),
+		fzStep(fzTenantA, fzAlloc, 0, 0), fzStep(fzHolder, fzReset, 0, 0))
+	return [][]byte{isolation, fair, reap}
+}
+
+// FuzzDaemonSessions drives one daemon with a script of session
+// operations from two tenants and the session-less holder on arbitrary
+// stream ids. Whatever the interleaving — work behind a close, a reap
+// racing a tenant, a stream id past the cap, a foreign or stale pointer —
+// every call must come back with a result or an error, and once the
+// tenants are closed the daemon must hold no session, no device memory
+// and no process.
+func FuzzDaemonSessions(f *testing.F) {
+	for _, script := range fuzzSeedSessionScripts() {
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const maxSteps = 96 // bounds one execution, not what a script may say
+		if len(script) > 3*maxSteps {
+			script = script[:3*maxSteps]
+		}
+		s := sim.New()
+		w, err := minimpi.NewWorld(s, fzActors+1, fastNet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := gpu.NewRegistry()
+		reg.Register(gpu.FuncKernel{
+			KernelName: "touch",
+			CostFn:     func(gpu.Launch, gpu.Model) sim.Duration { return 10 * sim.Microsecond },
+		})
+		model := gpu.TeslaC1060()
+		model.MemBytes = 64 << 20
+		dev, err := gpu.NewDevice(s, gpu.Config{Name: "ac0", Model: model, Registry: reg, Execute: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const daemonRank = fzActors
+		d := NewDaemon(w.Comm(daemonRank), dev, DefaultDaemonConfig())
+		s.Spawn("daemon0", d.Run)
+
+		// A copy the daemon refuses outright (no such session, stream cap)
+		// is never drained, so the front-ends need a timeout to get their
+		// call back; nothing else in a fault-free run may hit it.
+		var handles [fzActors]*Accel
+		for i := range handles {
+			opts := DefaultOptions()
+			if i == fzTenantB {
+				opts = BatchedOptions()
+			}
+			opts.Timeout = 5 * sim.Millisecond
+			c, err := NewClient(w.Comm(i), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[i] = c.Attach(daemonRank) // a tenant's is replaced at its first open
+		}
+		type alloc struct {
+			owner int
+			ptr   gpu.Ptr
+		}
+		s.Spawn("script", func(p *sim.Proc) {
+			var pool []alloc // every pointer ever handed out, stale ones included
+			var pends []*Pending
+			var opened []*Accel // every session handle, superseded ones included
+			settle := func(step, op int, err error) {
+				if errors.Is(err, ErrTimeout) && op != fzCopy {
+					t.Errorf("step %d: op %d got no answer: %v", step, op, err)
+				}
+			}
+			for i := 0; i+2 < len(script); i += 3 {
+				actor, op := int(script[i])%fzActors, int(script[i])/fzActors%fzOps
+				stream, arg := script[i+1], int(script[i+2])
+				h := handles[actor]
+				if op != fzOpen && actor != fzHolder && h.Session() == 0 {
+					continue // tenant not opened yet
+				}
+				var ptr gpu.Ptr
+				if len(pool) > 0 {
+					ptr = pool[arg%len(pool)].ptr
+				}
+				var err error
+				switch op {
+				case fzOpen:
+					if actor != fzHolder {
+						fresh, err := h.Client().AttachSession(p, daemonRank)
+						if err != nil {
+							t.Errorf("step %d: open: %v", i/3, err)
+							continue
+						}
+						handles[actor] = fresh
+						opened = append(opened, fresh)
+					}
+				case fzAlloc:
+					if ptr, err = h.MemAlloc(p, 16<<10); err == nil {
+						pool = append(pool, alloc{actor, ptr})
+					}
+				case fzCopy:
+					n := 256 // eager
+					if arg&(1<<7) != 0 {
+						n = 8 << 10 // rendezvous, pipelined
+					}
+					if arg&(1<<6) != 0 {
+						pends = append(pends, h.MemcpyD2HAsync(make([]byte, n), ptr, 0, n, stream))
+					} else {
+						pends = append(pends, h.MemcpyH2DAsync(ptr, 0, make([]byte, n), n, stream))
+					}
+				case fzLaunch:
+					k := h.KernelCreate("touch").SetArgs(gpu.PtrArg(ptr))
+					pends = append(pends, k.RunAsync(gpu.Dim3{X: 1}, gpu.Dim3{X: 1}, stream))
+				case fzFree:
+					err = h.MemFree(p, ptr)
+				case fzSync:
+					err = h.Sync(p)
+				case fzReset:
+					err = h.Reset(p)
+				case fzClose:
+					err = h.CloseSession(p)
+				case fzReap:
+					err = handles[fzHolder].ReapSessions(p, arg%(fzActors+1))
+				}
+				settle(i/3, op, err)
+			}
+			for _, pd := range pends {
+				pd.Wait(p) // must return; a lost command would deadlock the run
+			}
+			for _, h := range opened {
+				settle(-1, fzClose, h.CloseSession(p))
+			}
+			for _, a := range pool {
+				if a.owner == fzHolder {
+					_ = handles[fzHolder].MemFree(p, a.ptr) // may be long gone
+				}
+			}
+			if n := d.OpenSessions(); n != 0 {
+				t.Errorf("%d sessions open after every tenant closed", n)
+			}
+			if used := dev.MemUsed(); used != 0 {
+				t.Errorf("%d device bytes leaked", used)
+			}
+			if err := handles[fzHolder].Shutdown(p); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		// Run fails on a deadlock, i.e. on any process still parked once the
+		// event queue drains: a lost command or a leaked stream worker.
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

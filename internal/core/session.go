@@ -8,79 +8,55 @@ import (
 	"dynacc/internal/sim"
 )
 
-// This file is the daemon's multi-tenant session layer. A session is one
-// client's private namespace on a shared accelerator: its own view of
-// the device allocator (ownership set + memory quota) and its own
-// streams. Sessioned commands are admitted by a round-robin scheduler —
-// one command per session per turn — so a tenant with a deep backlog
-// cannot starve the others, while commands on the same (session, stream)
-// pair still execute strictly in order. Session-less requests (session
-// id 0, the default) never enter this file: they keep the original
-// exclusive-mode path, bit for bit.
+// This file is the daemon's session layer. A session is a namespace, not
+// a scheduler: its own view of the device allocator (ownership set +
+// memory quota) and its own streams. Every (session, stream) pair gets
+// the same long-lived mailbox worker, so commands on one stream execute
+// strictly in order with one in flight, and tenants interleave because
+// the device's engines serve the workers' commands FIFO — a deep backlog
+// in one session delays its own stream, never a neighbour's turn.
+// Session-less requests (session id 0, the default) run in the daemon's
+// root session, which has no view: nothing is checked and nothing is
+// charged, exactly the exclusive-mode path.
 
 // maxSessions bounds the daemon's session table; beyond it, opens fail
 // instead of letting a hostile client grow daemon state without bound.
 const maxSessions = 1024
 
+// maxSessionStreams bounds the live streams of one tenant session. A
+// stream id comes off the wire and starts a parked worker process, so a
+// tenant may not open all 256; the middleware itself uses streams 0-2.
+// The root session belongs to the exclusive holder and keeps the full
+// uint8 range.
+const maxSessionStreams = 16
+
 // sessKey identifies a session: the owning client's rank plus the
 // client-chosen session id (unique per client, so tenants cannot collide
-// or forge each other's keys — the rank comes from the transport).
+// or forge each other's keys — the rank comes from the transport). The
+// root session has the zero key.
 type sessKey struct {
 	src int
 	id  uint64
 }
 
-// session is one tenant's state on the daemon.
+// session is one namespace on the daemon: a tenant's, or the root.
 type session struct {
-	key     sessKey
-	view    *gpu.AllocView
-	streams map[uint8]*sessStream
-	// closing rejects new work while the close/reap barrier drains.
-	closing bool
+	key sessKey
+	// view is the tenant's ownership set and quota; nil for the root
+	// session, whose holder owns the whole device.
+	view *gpu.AllocView
+	// streams maps a stream id to the mailbox of its worker, started on
+	// first use.
+	streams map[uint8]*sim.Mailbox
+	// drained is set once a close or reap has begun, which rejects new
+	// work; it fires when every command accepted before that has completed
+	// and the stream workers have exited.
+	drained *sim.Event
 }
 
-// sessStream is one stream's FIFO queue within a session. At most one
-// item is in flight (running) per stream, which is what preserves
-// per-stream order under the cross-session round robin.
-type sessStream struct {
-	items   []sessItem
-	running bool
-}
-
-// sessItem is either a queued command or a barrier marker.
-type sessItem struct {
-	src     int
-	q       *request
-	barrier *sessBarrier
-}
-
-// sessBarrier completes when every stream it was posted to has drained
-// to its marker.
-type sessBarrier struct {
-	remaining int
-	done      *sim.Event
-}
-
-func (b *sessBarrier) arrive() {
-	b.remaining--
-	if b.remaining <= 0 {
-		b.done.Trigger()
-	}
-}
-
-// stream returns the session's queue for a stream id, creating it on
-// first use.
-func (sess *session) stream(id uint8) *sessStream {
-	st, ok := sess.streams[id]
-	if !ok {
-		st = &sessStream{}
-		sess.streams[id] = st
-	}
-	return st
-}
-
-// sortedStreams returns the session's stream ids in ascending order so
-// every scheduling scan is deterministic.
+// sortedStreams returns the session's stream ids in ascending order:
+// sorted iteration keeps event creation order — and therefore the whole
+// simulation — deterministic.
 func (sess *session) sortedStreams() []uint8 {
 	ids := make([]uint8, 0, len(sess.streams))
 	for id := range sess.streams {
@@ -94,8 +70,12 @@ func (sess *session) sortedStreams() []uint8 {
 // session's namespace. This is the isolation fix sharing makes
 // reachable: the daemon no longer trusts any valid device pointer, only
 // the requesting session's own allocations. A foreign pointer fails with
-// ErrNotOwner and the allocation behind it is never touched.
+// ErrNotOwner and the allocation behind it is never touched. The root
+// session has no view: its holder owns the whole device.
 func (sess *session) checkOwned(q *request) error {
+	if sess.view == nil {
+		return nil
+	}
 	owns := func(p gpu.Ptr) error {
 		if p == 0 {
 			return nil // null pointers fail device-side validation instead
@@ -129,28 +109,6 @@ func sessGone(id uint64) error {
 	return fmt.Errorf("%w: session %d", ErrNoSession, id)
 }
 
-// handleSession routes a sessioned request from the dispatch loop.
-func (d *Daemon) handleSession(src int, q *request) {
-	switch q.op {
-	case OpSessionOpen:
-		d.openSession(src, q)
-	case OpSessionClose:
-		d.closeSession(src, q)
-	case OpReset:
-		d.resetSession(src, q)
-	case OpSync:
-		sess := d.sessions[sessKey{src: src, id: q.session}]
-		if sess == nil || sess.closing {
-			d.respond(src, q.reqID, sessGone(q.session), 0)
-			return
-		}
-		reqID := q.reqID
-		d.sessionBarrier(sess).OnTrigger(func() { d.respond(src, reqID, nil, 0) })
-	default:
-		d.sessEnqueue(src, q)
-	}
-}
-
 // openSession registers a new session.
 func (d *Daemon) openSession(src int, q *request) {
 	key := sessKey{src: src, id: q.session}
@@ -162,8 +120,7 @@ func (d *Daemon) openSession(src int, q *request) {
 		d.respond(src, q.reqID, fmt.Errorf("core: session table full (%d sessions)", maxSessions), 0)
 		return
 	}
-	d.sessions[key] = &session{key: key, view: gpu.NewAllocView(q.quota), streams: make(map[uint8]*sessStream)}
-	d.sessOrder = append(d.sessOrder, key)
+	d.sessions[key] = &session{key: key, view: gpu.NewAllocView(q.quota), streams: make(map[uint8]*sim.Mailbox)}
 	d.stats.SessionsOpened++
 	d.respond(src, q.reqID, nil, 0)
 }
@@ -174,34 +131,21 @@ func (d *Daemon) openSession(src int, q *request) {
 // succeeds: closes are idempotent so retransmits and teardown races are
 // harmless.
 func (d *Daemon) closeSession(src int, q *request) {
-	key := sessKey{src: src, id: q.session}
-	sess := d.sessions[key]
+	sess := d.sessions[sessKey{src: src, id: q.session}]
 	if sess == nil {
 		d.respond(src, q.reqID, nil, 0)
 		return
 	}
 	reqID := q.reqID
-	sess.closing = true
-	bar := d.sessionBarrier(sess)
-	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-close", d.dev.Name(), key.id), func(p *sim.Proc) {
-		bar.Await(p)
-		err := d.freeSession(p, sess)
-		d.dropSession(key)
-		d.respond(src, reqID, err, 0)
-	})
+	d.retire(sess, func(err error) { d.respond(src, reqID, err, 0) })
 }
 
 // resetSession is the session-scoped acDeviceReset: it waits for the
 // session's in-flight work, then frees its allocations. The session
 // stays open.
-func (d *Daemon) resetSession(src int, q *request) {
-	sess := d.sessions[sessKey{src: src, id: q.session}]
-	if sess == nil || sess.closing {
-		d.respond(src, q.reqID, sessGone(q.session), 0)
-		return
-	}
-	src, reqID := src, q.reqID
-	bar := d.sessionBarrier(sess)
+func (d *Daemon) resetSession(src int, sess *session, q *request) {
+	reqID := q.reqID
+	bar := d.barrier(false, sess)
 	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-reset", d.dev.Name(), sess.key.id), func(p *sim.Proc) {
 		bar.Await(p)
 		d.respond(src, reqID, d.freeSession(p, sess), 0)
@@ -213,11 +157,10 @@ func (d *Daemon) resetSession(src int, q *request) {
 // is sanitized; every other session keeps running throughout. The
 // response arrives once all victim sessions are drained and freed.
 func (d *Daemon) reapSessions(src int, q *request) {
-	target := q.peer
 	var victims []*session
-	for _, key := range d.sessOrder {
-		if key.src == target {
-			victims = append(victims, d.sessions[key])
+	for _, sess := range d.sortedSessions() {
+		if sess.key.src == q.peer {
+			victims = append(victims, sess)
 		}
 	}
 	if len(victims) == 0 {
@@ -227,19 +170,33 @@ func (d *Daemon) reapSessions(src int, q *request) {
 	reqID := q.reqID
 	remaining := len(victims)
 	for _, sess := range victims {
-		sess := sess
-		sess.closing = true
-		bar := d.sessionBarrier(sess)
-		d.spawn(d.mainP, fmt.Sprintf("%s-reap-cn%d-sess%d", d.dev.Name(), target, sess.key.id), func(p *sim.Proc) {
-			bar.Await(p)
-			d.freeSession(p, sess)
-			d.dropSession(sess.key)
+		d.retire(sess, func(error) {
 			remaining--
 			if remaining == 0 {
 				d.respond(src, reqID, nil, 0)
 			}
 		})
 	}
+}
+
+// retire tears a session down on behalf of a close or a reap: it stops
+// admitting work, waits until every command accepted so far has completed
+// and the stream workers have exited, frees what the session still owns,
+// drops it from the table and reports to done. A session being retired
+// twice (a reap racing the tenant's own close) drains once; both callers
+// wait on the same event.
+func (d *Daemon) retire(sess *session, done func(error)) {
+	if sess.drained == nil {
+		sess.drained = d.barrier(true, sess)
+	}
+	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-close", d.dev.Name(), sess.key.id), func(p *sim.Proc) {
+		sess.drained.Await(p)
+		err := d.freeSession(p, sess)
+		if d.sessions[sess.key] == sess {
+			delete(d.sessions, sess.key)
+		}
+		done(err)
+	})
 }
 
 // freeSession releases every allocation the session still owns.
@@ -255,196 +212,19 @@ func (d *Daemon) freeSession(p *sim.Proc, sess *session) error {
 	return first
 }
 
-// dropSession removes a session from the table and the round-robin
-// order.
-func (d *Daemon) dropSession(key sessKey) {
-	if d.sessions[key] == nil {
-		return
+// sortedSessions returns the open tenant sessions ordered by client rank,
+// then session id (a client's ids grow in open order), so teardown
+// scans are deterministic.
+func (d *Daemon) sortedSessions() []*session {
+	out := make([]*session, 0, len(d.sessions))
+	for _, sess := range d.sessions {
+		out = append(out, sess)
 	}
-	delete(d.sessions, key)
-	for i, k := range d.sessOrder {
-		if k == key {
-			d.sessOrder = append(d.sessOrder[:i], d.sessOrder[i+1:]...)
-			if d.sessRR > i {
-				d.sessRR--
-			}
-			break
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].key.src != out[j].key.src {
+			return out[i].key.src < out[j].key.src
 		}
-	}
-	if len(d.sessOrder) == 0 {
-		d.sessRR = 0
-	} else {
-		d.sessRR %= len(d.sessOrder)
-	}
-}
-
-// sessEnqueue queues a command on its session stream and pumps the
-// scheduler.
-func (d *Daemon) sessEnqueue(src int, q *request) {
-	sess := d.sessions[sessKey{src: src, id: q.session}]
-	if sess == nil || sess.closing {
-		d.respond(src, q.reqID, sessGone(q.session), 0)
-		return
-	}
-	st := sess.stream(q.stream)
-	st.items = append(st.items, sessItem{src: src, q: q})
-	d.sessPump()
-}
-
-// sessPump grants work until no session has a runnable stream: a strict
-// round robin over sessions in open order, one command per turn. It is
-// called whenever work arrives or completes.
-func (d *Daemon) sessPump() {
-	for d.sessGrantOne() {
-	}
-}
-
-// sessGrantOne scans sessions from the round-robin cursor and starts the
-// first runnable item it finds; the cursor then moves past the granted
-// session so the next turn goes to a different tenant.
-func (d *Daemon) sessGrantOne() bool {
-	n := len(d.sessOrder)
-	for i := 0; i < n; i++ {
-		idx := (d.sessRR + i) % n
-		sess := d.sessions[d.sessOrder[idx]]
-		if sess == nil {
-			continue
-		}
-		if d.sessGrantFrom(sess) {
-			d.sessRR = (idx + 1) % n
-			return true
-		}
-	}
-	return false
-}
-
-// sessGrantFrom starts the next item of the session's lowest-numbered
-// ready stream: a stream is ready when it has queued items and nothing
-// in flight. Barrier markers complete instantly.
-func (d *Daemon) sessGrantFrom(sess *session) bool {
-	for _, id := range sess.sortedStreams() {
-		st := sess.streams[id]
-		if st.running || len(st.items) == 0 {
-			continue
-		}
-		item := st.items[0]
-		st.items = st.items[1:]
-		if item.barrier != nil {
-			item.barrier.arrive()
-			return true
-		}
-		st.running = true
-		d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-stream%d", d.dev.Name(), sess.key.id, item.q.stream), func(p *sim.Proc) {
-			d.executeSession(p, sess, item.src, item.q)
-			st.running = false
-			d.sessPump()
-		})
-		return true
-	}
-	return false
-}
-
-// sessionBarrier returns an event that triggers once every command the
-// session has enqueued so far (on any stream) has completed. Commands
-// enqueued later are not waited for.
-func (d *Daemon) sessionBarrier(sess *session) *sim.Event {
-	b := &sessBarrier{done: sim.NewEvent(d.sim)}
-	for _, id := range sess.sortedStreams() {
-		st := sess.streams[id]
-		if !st.running && len(st.items) == 0 {
-			continue
-		}
-		b.remaining++
-		st.items = append(st.items, sessItem{barrier: b})
-	}
-	if b.remaining == 0 {
-		b.done.Trigger()
-		return b.done
-	}
-	d.sessPump()
-	return b.done
-}
-
-// drainSessions waits for every open session's enqueued work during
-// shutdown. Sessions are not closed: their allocations die with the
-// device.
-func (d *Daemon) drainSessions(p *sim.Proc) {
-	for _, key := range append([]sessKey(nil), d.sessOrder...) {
-		sess := d.sessions[key]
-		if sess == nil {
-			continue
-		}
-		d.sessionBarrier(sess).Await(p)
-	}
-}
-
-// executeSession runs one granted command under its session: ownership
-// and quota checks first, then the same device paths the session-less
-// daemon uses. For streamed copies an ownership failure is threaded into
-// the copy pipeline as a pre-error so the payload still drains in
-// lockstep — the wire winds down cleanly and the typed error travels in
-// the response.
-func (d *Daemon) executeSession(p *sim.Proc, sess *session, src int, q *request) {
-	ownErr := sess.checkOwned(q)
-	switch q.op {
-	case OpMemAlloc:
-		if !sess.view.Admits(q.size) {
-			d.respond(src, q.reqID, fmt.Errorf("%w: %d bytes over quota %d (%d in use)",
-				ErrQuotaExceeded, q.size, sess.view.Quota(), sess.view.Used()), 0)
-			return
-		}
-		ptr, err := d.dev.MemAlloc(p, q.size)
-		if err == nil {
-			sess.view.NoteAlloc(ptr, q.size)
-		}
-		d.respond(src, q.reqID, err, ptr)
-	case OpMemFree:
-		if ownErr != nil {
-			d.respond(src, q.reqID, ownErr, 0)
-			return
-		}
-		err := d.dev.MemFree(p, q.ptr)
-		if err == nil {
-			sess.view.NoteFree(q.ptr)
-		}
-		d.respond(src, q.reqID, err, 0)
-	case OpKernelRun:
-		if ownErr != nil {
-			d.respond(src, q.reqID, ownErr, 0)
-			return
-		}
-		d.respond(src, q.reqID, d.dev.LaunchKernel(p, q.kernel, q.launch), 0)
-	case OpMemset:
-		if ownErr != nil {
-			d.respond(src, q.reqID, ownErr, 0)
-			return
-		}
-		d.respond(src, q.reqID, d.dev.Memset(p, q.ptr, q.off, q.size, q.value), 0)
-	case OpMemcpyD2D:
-		if ownErr != nil {
-			d.respond(src, q.reqID, ownErr, 0)
-			return
-		}
-		d.respond(src, q.reqID, d.dev.CopyD2D(p, q.ptr2, q.off2, q.ptr, q.off, q.size), 0)
-	case OpBatch:
-		d.executeBatch(p, src, q, sess)
-	case OpMemcpyH2D:
-		d.recvToDevice(p, src, q, src, dataTag(q.reqID), ownErr)
-	case OpMemcpyD2H:
-		d.sendFromDevice(p, src, q, src, dataTag(q.reqID), ownErr)
-	case OpD2DRecv:
-		if q.peer >= d.comm.Size() {
-			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
-			return
-		}
-		d.recvToDevice(p, src, q, q.peer, d2dTag(q.xferID), ownErr)
-	case OpD2DSend:
-		if q.peer >= d.comm.Size() {
-			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
-			return
-		}
-		d.sendFromDevice(p, src, q, q.peer, d2dTag(q.xferID), ownErr)
-	default:
-		d.respond(src, q.reqID, fmt.Errorf("core: op %d not executable in a session stream", q.op), 0)
-	}
+		return out[i].key.id < out[j].key.id
+	})
+	return out
 }

@@ -358,3 +358,127 @@ func TestSessionReap(t *testing.T) {
 		}
 	})
 }
+
+// TestSessionStreamCap pins the bound on what a tenant's wire input can
+// start: each stream id parks one worker process on the daemon, so the
+// 17th distinct id of a session is refused — and only that request.
+func TestSessionStreamCap(t *testing.T) {
+	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
+		s1, err := tb.client.AttachSession(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := s1.MemAlloc(p, 4096) // stream 0
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 1; id < maxSessionStreams; id++ {
+			if err := s1.MemsetAsync(ptr, 0, 64, 1, uint8(id)).Wait(p); err != nil {
+				t.Fatalf("stream %d of %d: %v", id+1, maxSessionStreams, err)
+			}
+		}
+		err = s1.MemsetAsync(ptr, 0, 64, 1, 200).Wait(p)
+		if err == nil || errors.Is(err, ErrNoSession) {
+			t.Fatalf("stream %d: %v, want a refusal that leaves the session open", maxSessionStreams+1, err)
+		}
+		if err := s1.MemsetAsync(ptr, 0, 64, 2, maxSessionStreams-1).Wait(p); err != nil {
+			t.Errorf("session unusable after the refusal: %v", err)
+		}
+		if err := s1.Sync(p); err != nil {
+			t.Errorf("sync after the refusal: %v", err)
+		}
+		// The root session belongs to the exclusive holder: no cap.
+		root, err := tb.accels[0].MemAlloc(p, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < 2*maxSessionStreams; id++ {
+			if err := tb.accels[0].MemsetAsync(root, 0, 64, 1, uint8(id)).Wait(p); err != nil {
+				t.Fatalf("root stream %d: %v", id, err)
+			}
+		}
+		if err := s1.CloseSession(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSessionTeardownLeavesNoProcess checks that the stream workers a
+// session started are gone once it is closed or reaped.
+func TestSessionTeardownLeavesNoProcess(t *testing.T) {
+	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
+		for _, teardown := range []struct {
+			name string
+			fn   func(h *Accel) error
+		}{
+			{"CloseSession", func(h *Accel) error { return h.CloseSession(p) }},
+			{"ReapSessions", func(*Accel) error { return tb.accels[0].ReapSessions(p, 0) }},
+		} {
+			before := tb.sim.LiveProcs()
+			h, err := tb.client.AttachSession(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptr, err := h.MemAlloc(p, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := uint8(1); id <= 3; id++ {
+				if err := h.MemsetAsync(ptr, 0, 64, 1, id).Wait(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := tb.sim.LiveProcs(); got != before+4 {
+				t.Errorf("%d processes with 4 streams open, want %d", got, before+4)
+			}
+			if err := teardown.fn(h); err != nil {
+				t.Fatalf("%s: %v", teardown.name, err)
+			}
+			if got := tb.sim.LiveProcs(); got != before {
+				t.Errorf("%d live processes after %s, want %d", got, teardown.name, before)
+			}
+			if n := tb.daemons[0].OpenSessions(); n != 0 {
+				t.Errorf("%d sessions open after %s", n, teardown.name)
+			}
+			if used := tb.daemons[0].Device().MemUsed(); used != 0 {
+				t.Errorf("%d bytes allocated after %s", used, teardown.name)
+			}
+		}
+	})
+}
+
+// TestSessionBarriersAreScoped checks that one session's Sync and
+// CloseSession drain its own streams only: a neighbour's long kernel
+// does not hold them up.
+func TestSessionBarriersAreScoped(t *testing.T) {
+	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
+		s1, err := tb.client.AttachSession(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := tb.client.AttachSession(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.MemAlloc(p, 4096); err != nil {
+			t.Fatal(err)
+		}
+		start := p.Now()
+		long := s1.KernelCreate("slow").RunAsync(gpu.Dim3{X: 1}, gpu.Dim3{X: 1}, 1) // 1 ms
+		if err := s2.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.CloseSession(p); err != nil {
+			t.Fatal(err)
+		}
+		if waited := p.Now().Sub(start); waited >= sim.Millisecond/2 {
+			t.Errorf("neighbour's sync+close took %v: waited for the other session's kernel", waited)
+		}
+		if err := long.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.CloseSession(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -75,11 +75,6 @@ func (m Model) Capability() Capability {
 	}
 }
 
-// SupportsKernel reports whether the model can run the named kernel.
-func (m Model) SupportsKernel(name string) bool {
-	return m.Capability().Supports(KernelClass(name))
-}
-
 // KernelEff resolves the efficiency a kernel cost model should use: a
 // model with a fixed (deterministic) efficiency — the FPGA-style device,
 // whose pipelined datapath runs every kernel at its synthesized rate —

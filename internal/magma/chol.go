@@ -89,7 +89,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 			// port's behaviour) or flows directly between the accelerators
 			// when cfg.D2DBroadcast is set.
 			if G > 1 {
-				if err := d.broadcastL21(p, cfg, pj, j, jb, mt, owner, l21, dW, track); err != nil {
+				if err := d.broadcastL21(p, cfg, pj, j, jb, mt, owner, l21, dW); err != nil {
 					return err
 				}
 			}
@@ -170,7 +170,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 // broadcastL21 distributes the just-solved panel L21 (mt×jb, stored in
 // the owner's matrix below the diagonal block of panel pj) to every
 // other GPU's workspace.
-func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l21 []float64, dW []gpu.Ptr, track func(...Pending)) error {
+func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l21 []float64, dW []gpu.Ptr) error {
 	if cfg.D2DBroadcast {
 		// Direct accelerator-to-accelerator: the L21 columns are strided
 		// in the owner's matrix, so ship them column by column (each
@@ -209,10 +209,6 @@ func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l
 			continue
 		}
 		bcast = append(bcast, other.CopyH2DAsync(dW[g], 0, l21Bytes, 8*mt*jb, 0))
-	}
-	if cfg.AsyncBroadcast {
-		track(bcast...)
-		return nil
 	}
 	return waitAllPending(p, bcast)
 }

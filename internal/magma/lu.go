@@ -97,9 +97,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			}
 			bcast = append(bcast, dev.CopyH2DAsync(dP[g], 0, hostBytes(pivF, jb), 8*jb, 0))
 		}
-		if cfg.AsyncBroadcast {
-			track(bcast...)
-		} else if err := waitAllPending(p, bcast); err != nil {
+		if err := waitAllPending(p, bcast); err != nil {
 			return err
 		}
 

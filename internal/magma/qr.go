@@ -102,11 +102,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 					_ = dev.MemFree(p, dV[g])
 					_ = dev.MemFree(p, dT[g])
 				}
-				redist := d.Redistribute
-				if cfg.DirectRedistribute {
-					redist = d.RedistributeDirect
-				}
-				if err := redist(p, devs); err != nil {
+				if err := d.Redistribute(p, devs); err != nil {
 					return err
 				}
 				G = len(d.Devs)
@@ -169,16 +165,18 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		if po != nil && pj+1 < npanels {
 			bcast = append(bcast, po.broadcast(panel, tmat, mj, jb)...)
 		}
-		if cfg.AsyncBroadcast {
-			track(bcast...)
-		} else if err := waitAllPending(p, bcast); err != nil {
+		// MAGMA 1.1 used the synchronous magma_dsetmatrix: the broadcast
+		// stays on the critical path, which is exactly what makes the
+		// factorizations sensitive to the host-accelerator bandwidth (paper
+		// Figures 9-10).
+		if err := waitAllPending(p, bcast); err != nil {
 			return err
 		}
 		if treePend != nil {
 			// The tree fan-out writes dV over dedicated daemon streams, so
 			// stream-0 FIFO order cannot fence the trailing-update launches
 			// behind it: the fan-out must complete before any kernel that
-			// reads dV is issued, even under AsyncBroadcast.
+			// reads dV is issued.
 			if err := treePend.Wait(p); err != nil {
 				return err
 			}

@@ -32,12 +32,6 @@ type Config struct {
 	// Lookahead overlaps the next panel's download and CPU factorization
 	// with the wide trailing update, as MAGMA does.
 	Lookahead bool
-	// AsyncBroadcast lets the V/T (or L21) broadcast overlap the trailing
-	// update. MAGMA 1.1 used the synchronous magma_dsetmatrix, so the
-	// paper-faithful default keeps the broadcast on the critical path —
-	// which is exactly what makes the factorizations sensitive to the
-	// host-accelerator bandwidth (paper Figures 9-10).
-	AsyncBroadcast bool
 	// D2DBroadcast routes Cholesky's L21 broadcast directly between the
 	// accelerators (the paper's AC-to-AC transfers, Section III) instead
 	// of staging it through the compute node. Falls back to the host
@@ -52,13 +46,6 @@ type Config struct {
 	// block. Off by default, which keeps the paper's host-staged
 	// broadcast (and its wire traffic) byte-identical.
 	TreeBroadcast bool
-	// DirectRedistribute moves redistributed blocks daemon-to-daemon
-	// (accel.PeerCopier) when the owner changes and with a device-local
-	// copy when it does not, staging through the host only for blocks
-	// with no peer path (see Dist.RedistributeDirect). Off by default:
-	// the classic host-staged path remains, though it now skips
-	// re-uploading blocks whose owning device is unchanged.
-	DirectRedistribute bool
 	// Heterogeneous splits Dgeqrf's device roles across a mixed fleet:
 	// the latency-bound lookahead work (next-panel update and download)
 	// runs on PanelDevice — a fast-launch device outside the matrix

@@ -186,12 +186,6 @@ func (r *Reader) Blob() []byte {
 	return r.take(int(n))
 }
 
-// Rest returns every undecoded byte (aliasing the input buffer) and
-// consumes them. The counterpart of Writer.Raw.
-func (r *Reader) Rest() []byte {
-	return r.take(r.Remaining())
-}
-
 // Ints reads a count-prefixed int slice. A count that cannot fit in the
 // remaining bytes fails like any other truncation (bounding allocation
 // before it happens).
