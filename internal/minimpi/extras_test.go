@@ -3,6 +3,7 @@ package minimpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dynacc/internal/sim"
@@ -146,6 +147,68 @@ func TestCancelAbandonsRendezvousSend(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStrandedRendezvousSendIsReported keeps the check the per-message
+// process used to give for free: a rendezvous send nobody receives and
+// nobody Cancels must fail the run by name, so a forgotten Cancel on an
+// abandoned send cannot pass silently.
+func TestStrandedRendezvousSendIsReported(t *testing.T) {
+	s := sim.New()
+	w, err := NewWorld(s, 2, fastNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("sender", func(p *sim.Proc) {
+		w.Comm(0).IsendSized(1, 0, 8<<20)
+	})
+	err = s.Run()
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "[mpi-send ") {
+		t.Fatalf("Run = %v, want a deadlock error listing mpi-send", err)
+	}
+}
+
+// TestResetEndpointMidTransfer restarts a rank while a transfer to it holds
+// its NIC: the transfer must give back the units it took, not units of the
+// fresh resources ResetEndpoint installed, and the endpoint must carry
+// later traffic at the modelled time.
+func TestResetEndpointMidTransfer(t *testing.T) {
+	s := sim.New()
+	params := fastNet()
+	w, err := NewWorld(s, 2, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big, small = 8 << 20, 1024
+	var sentAt, arrivedAt sim.Time
+	s.Spawn("sender", func(p *sim.Proc) {
+		c := w.Comm(0)
+		req := c.IsendSized(1, 0, big)
+		p.Wait(500 * sim.Microsecond) // mid-payload: 8 MiB takes 8.4 ms
+		w.ResetEndpoint(1)
+		req.Wait(p)
+		if req.Canceled() {
+			t.Error("in-flight send reported canceled")
+		}
+		p.Wait(sim.Millisecond)
+		sentAt = p.Now()
+		c.SendSized(p, 1, 1, small)
+	})
+	s.Spawn("receiver", func(p *sim.Proc) {
+		c := w.Comm(1)
+		c.Recv(p, 0, 0)
+		c.Recv(p, 0, 1)
+		arrivedAt = p.Now()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := sentAt.Add(params.OneWayTime(small)); arrivedAt != want {
+		t.Errorf("message through the reset endpoint arrived at %d, want %d", arrivedAt, want)
+	}
+	if tr := w.Traffic(1); tr.MsgsReceived != 2 || tr.BytesReceived != big+small {
+		t.Errorf("rank 1 traffic = %+v, want both messages counted", tr)
 	}
 }
 

@@ -40,8 +40,9 @@ func (w *World) verdict(src, dst int, tag Tag, size int) LinkVerdict {
 // unexpected envelopes, pending probes — and replaces its NIC resources
 // with fresh ones. It models the network-facing half of restarting a
 // crashed daemon: messages that arrived while the process was dead are
-// lost, and transfers the corpse left holding the NIC no longer pin it.
-// Rendezvous senders whose envelope is discarded stay parked until their
+// lost, and transfers the corpse left holding the NIC no longer pin it (a
+// transfer still in flight runs to completion on the old resources and
+// returns its units there). Rendezvous senders whose envelope is discarded stay parked until their
 // request is Canceled (the client timeout path does exactly that).
 func (w *World) ResetEndpoint(rank int) {
 	ep := w.eps[rank]

@@ -8,9 +8,10 @@ import (
 
 // Message is an in-flight transfer. The envelope (matching metadata)
 // travels ahead of the payload; bodyArrived fires when the payload has
-// fully landed at the receiver. The record also carries the send process's
-// state (endpoints, requests, world), so the per-message transfer process
-// and completion callbacks run closure-free: one message, one allocation.
+// fully landed at the receiver. The record also carries the whole state of
+// the flight (endpoints, requests, world, verdict, NIC units held, both
+// rendezvous events), so the send chain and the completion callbacks run
+// closure-free: one message, one allocation.
 //
 // Messages are exported only so Transport implementations outside this
 // package can carry them (see transport.go); all fields stay private and
@@ -31,6 +32,11 @@ type Message struct {
 	bodyArrived *sim.Event
 	bodyEv      sim.Event  // backing storage for bodyArrived
 	cts         *sim.Event // rendezvous clear-to-send; nil for eager sends
+	ctsEv       sim.Event  // backing storage for cts
+	// Send-chain state (sim backend only; see sendStart).
+	dropped bool          // the link filter's verdict: vanish at envelope arrival
+	parked  bool          // waiting for cts or the sender's Cancel
+	tx, rx  *sim.Resource // the NIC units this message holds, as acquired
 }
 
 type prober struct {
@@ -48,7 +54,8 @@ type prober struct {
 type Request struct {
 	doneEv   sim.Event // backing storage for done
 	done     *sim.Event
-	cancel   *sim.Event // created only for rendezvous sends (lazy)
+	cancel   *sim.Event // armed only for rendezvous sends on the sim backend
+	cancelEv sim.Event  // backing storage for cancel
 	isSend   bool
 	canceled bool
 	status   Status
@@ -216,50 +223,136 @@ func (c *Comm) isendAnyTag(dst int, tag Tag, data []byte, size int, owned bool) 
 	return req
 }
 
-// runSend is the per-message transfer process: overheads, fault verdict,
-// envelope flight, optional rendezvous, then payload serialization across
-// both NICs. Top-level (not a closure) so spawning it allocates nothing
-// beyond the message itself.
-func runSend(p *sim.Proc, v any) {
+// The flight of a message on the sim backend is a chain of scheduler
+// callbacks, not a process: each function below is one leg — overheads,
+// fault verdict, envelope flight, optional rendezvous, then payload
+// serialization across both NICs — and ends by scheduling the next at the
+// point where a process running the same script would have called Wait,
+// AwaitAny or Acquire. Every leg therefore pushes exactly one event, at the
+// queue position the process's resumption had, so the (at, seq) order of
+// every other event in the simulation does not depend on the form. All are
+// top-level functions over the Message: a flight allocates nothing.
+
+// parkedSend names, in a deadlock report, rendezvous sends left waiting
+// for a clearance that nobody gave and a Cancel that nobody called.
+const parkedSend = "mpi-send"
+
+// sendStart is the head of the chain (scheduled by simTransport.Deliver):
+// the sender's software overhead.
+func sendStart(v any) {
 	m := v.(*Message)
-	w, params := m.w, m.w.params
-	srcEp, dstEp, req := m.srcEp, m.dstEp, m.sreq
-	p.Wait(params.SendOverhead)
-	verdict := w.verdict(srcEp.rank, dstEp.rank, m.tag, m.size)
+	m.w.sim.AfterCall(m.w.params.SendOverhead, sendEnterWire, m)
+}
+
+// sendEnterWire draws the fault verdict, waits out any injected delay and
+// starts the envelope flight.
+func sendEnterWire(v any) {
+	m := v.(*Message)
+	verdict := m.w.verdict(m.srcEp.rank, m.dstEp.rank, m.tag, m.size)
+	m.dropped = verdict.Drop
 	if verdict.Delay > 0 {
-		p.Wait(verdict.Delay)
+		m.w.sim.AfterCall(verdict.Delay, sendEnvelope, m)
+		return
 	}
-	p.Wait(params.Latency) // envelope flight
-	if verdict.Drop {
+	sendEnvelope(m)
+}
+
+func sendEnvelope(v any) {
+	m := v.(*Message)
+	m.w.sim.AfterCall(m.w.params.Latency, sendEnvelopeArrived, m)
+}
+
+func sendEnvelopeArrived(v any) {
+	m := v.(*Message)
+	req := m.sreq
+	if m.dropped {
 		// Lost on the wire: the sender sees local completion (it
 		// cannot tell), the receiver never sees the envelope, and a
 		// rendezvous payload is silently abandoned.
 		req.done.Trigger()
-		srcEp.traffic.MsgsSent++
+		m.srcEp.traffic.MsgsSent++
 		return
 	}
-	dstEp.deliverEnvelope(m)
-	if m.cts != nil {
-		if sim.AwaitAny(p, m.cts, req.cancel) == 1 && !m.cts.Triggered() {
-			// Canceled while waiting for the receiver's clearance: the
-			// payload never flows.
-			req.done.Trigger()
-			return
-		}
-		p.Wait(params.RendezvousRTT)
+	m.dstEp.deliverEnvelope(m)
+	switch {
+	case m.cts == nil:
+		sendAcquireTx(m)
+	case m.cts.Triggered():
+		sendCleared(m)
+	case req.cancel.Triggered():
+		req.done.Trigger()
+	default:
+		// Wait for the receiver's clearance or the sender's Cancel,
+		// whichever fires first. Neither event has another registrant.
+		m.parked = true
+		m.w.sim.Park(parkedSend)
+		m.cts.OnTriggerCall(sendUnparked, m)
+		req.cancel.OnTriggerCall(sendUnparked, m)
 	}
-	// Payload occupies the sender's transmit path and the receiver's
-	// receive path for the serialization time.
-	srcEp.tx.Acquire(p, 1)
-	dstEp.rx.Acquire(p, 1)
-	p.Wait(params.TransferTime(m.size))
-	req.done.Trigger() // local completion at the sender
+}
+
+// sendUnparked runs when cts or cancel fired; if both did, cts wins.
+func sendUnparked(v any) {
+	m := v.(*Message)
+	if !m.parked {
+		return // the other event fired too and has already resumed the send
+	}
+	m.parked = false
+	m.w.sim.Unpark(parkedSend)
+	if !m.cts.Triggered() {
+		// Canceled while waiting for the receiver's clearance: the
+		// payload never flows.
+		m.sreq.done.Trigger()
+		return
+	}
+	sendCleared(m)
+}
+
+func sendCleared(m *Message) {
+	m.w.sim.AfterCall(m.w.params.RendezvousRTT, sendAcquireTx, m)
+}
+
+// sendAcquireTx and sendAcquireRx take the sender's transmit path, then the
+// receiver's receive path, each FIFO behind earlier messages. The message
+// remembers the resources it took: ResetEndpoint may swap an endpoint's
+// NIC under a transfer in flight, and the units go back where they came
+// from.
+func sendAcquireTx(v any) {
+	m := v.(*Message)
+	m.tx = m.srcEp.tx
+	if m.tx.AcquireCall(1, sendAcquireRx, m) {
+		sendAcquireRx(m)
+	}
+}
+
+func sendAcquireRx(v any) {
+	m := v.(*Message)
+	m.rx = m.dstEp.rx
+	if m.rx.AcquireCall(1, sendPayload, m) {
+		sendPayload(m)
+	}
+}
+
+// sendPayload occupies both paths for the serialization time.
+func sendPayload(v any) {
+	m := v.(*Message)
+	m.w.sim.AfterCall(m.w.params.TransferTime(m.size), sendPayloadLanded, m)
+}
+
+func sendPayloadLanded(v any) {
+	m := v.(*Message)
+	m.sreq.done.Trigger() // local completion at the sender
 	m.bodyArrived.Trigger()
 	// Per-message completion processing occupies both endpoints a
 	// little longer, bounding the achievable message rate.
-	p.Wait(params.MessageGap)
-	srcEp.tx.Release(1)
-	dstEp.rx.Release(1)
+	m.w.sim.AfterCall(m.w.params.MessageGap, sendRelease, m)
+}
+
+func sendRelease(v any) {
+	m := v.(*Message)
+	params, srcEp, dstEp := m.w.params, m.srcEp, m.dstEp
+	m.tx.Release(1)
+	m.rx.Release(1)
 	occupancy := params.TransferTime(m.size) + params.MessageGap
 	srcEp.traffic.MsgsSent++
 	srcEp.traffic.BytesSent += int64(m.size)

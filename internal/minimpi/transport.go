@@ -73,10 +73,13 @@ type Waiter interface {
 }
 
 // simTransport is the in-sim backend: the flight of every message is
-// modelled on the virtual clock by a per-message transfer process. Setup
-// order here is load-bearing: rendezvous event creation followed by the
-// SpawnArg reproduces the pre-Transport scheduler event order exactly, so
-// sim-mode runs stay bit-identical.
+// modelled on the virtual clock by the send chain in p2p.go. What Deliver
+// pushes is load-bearing: exactly one event at the current instant, the
+// head of the chain, which only then schedules the send overhead. That is
+// the event a process spawned per message would occupy the queue with, and
+// the recorded figures and TestGoldenSendSchedule are timed against that
+// order: scheduling the overhead from here directly would take its heap
+// sequence number early and reorder same-instant ties elsewhere.
 type simTransport struct {
 	w *World
 }
@@ -84,10 +87,12 @@ type simTransport struct {
 func (t simTransport) Deliver(m *Message) {
 	w := t.w
 	if w.params.Rendezvous(m.size) {
-		m.cts = sim.NewEvent(w.sim)
-		m.sreq.cancel = sim.NewEvent(w.sim)
+		m.ctsEv.Init(w.sim)
+		m.cts = &m.ctsEv
+		m.sreq.cancelEv.Init(w.sim)
+		m.sreq.cancel = &m.sreq.cancelEv
 	}
-	w.sim.SpawnArg("mpi-send", runSend, m)
+	w.sim.AfterCall(0, sendStart, m)
 }
 
 func (t simTransport) Stats() TransportStats { return TransportStats{} }

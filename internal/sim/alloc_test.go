@@ -139,3 +139,69 @@ func TestMailboxSendRecvAllocFree(t *testing.T) {
 		t.Errorf("mailbox send/recv allocated %d times over %d rounds, want 0", delta, rounds)
 	}
 }
+
+// TestAcquireCallQueuedAllocFree pins the scheduler-context acquire: a
+// continuation that queues behind a holder, is granted by the holder's
+// Release and runs must not allocate once the waiter and event free lists
+// are warm. This is the per-message NIC handoff of the minimpi send chain.
+func TestAcquireCallQueuedAllocFree(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 1)
+	granted := 0
+	arg := any(&granted)
+	bump := func(a any) { *a.(*int)++ }
+	cycle := func() {
+		if !r.AcquireCall(1, bump, arg) {
+			t.Fatal("free resource was not taken inline")
+		}
+		if r.AcquireCall(1, bump, arg) {
+			t.Fatal("held resource was taken inline")
+		}
+		r.Release(1) // grants the queued request: schedules bump
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		r.Release(1)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	const rounds = 1000
+	delta := mallocsAround(func() {
+		for i := 0; i < rounds; i++ {
+			cycle()
+		}
+	})
+	if delta != 0 {
+		t.Errorf("queued AcquireCall/Release cycle allocated %d times over %d rounds, want 0", delta, rounds)
+	}
+	if want := 100 + mallocAttempts*rounds; granted != want {
+		t.Errorf("continuation ran %d times, want %d", granted, want)
+	}
+}
+
+// TestSpawnAllocatesOnlyTheProc pins worker reuse: in steady state a
+// short-lived process costs exactly one allocation, its Proc — the
+// coroutine it runs on comes back from the free list.
+func TestSpawnAllocatesOnlyTheProc(t *testing.T) {
+	const rounds = 1000
+	s := New()
+	var delta uint64
+	child := func(p *Proc) { p.Wait(1) }
+	s.Spawn("parent", func(p *Proc) {
+		cycle := func(n int) {
+			for i := 0; i < n; i++ {
+				p.Spawn("child", child)
+				p.Wait(2)
+			}
+		}
+		cycle(100) // warm the worker, event and process-table storage
+		delta = mallocsAround(func() { cycle(rounds) })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delta != rounds {
+		t.Errorf("%d spawns of a short-lived process allocated %d times, want %d (one Proc each)", rounds, delta, rounds)
+	}
+}

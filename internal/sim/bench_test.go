@@ -16,7 +16,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 }
 
 // BenchmarkProcessSwitch measures the cost of a full process suspend and
-// resume (two channel handoffs per Wait).
+// resume (two coroutine switches per Wait).
 func BenchmarkProcessSwitch(b *testing.B) {
 	s := New()
 	s.Spawn("waiter", func(p *Proc) {

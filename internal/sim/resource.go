@@ -19,13 +19,17 @@ type Resource struct {
 	whead    int
 }
 
-// resWaiter is a pooled acquire registration. Ownership is simple — grant
-// pops a waiter before waking it — so no generation counter is needed: a
-// waiter is recycled either by the Acquire that blocked on it (normal
-// return) or by grant when it drops a killed process's entry.
+// resWaiter is a pooled acquire registration: a blocked process (p) or a
+// scheduler-context continuation (fn, arg; see AcquireCall). Ownership is
+// simple — grant pops a waiter before waking it — so no generation counter
+// is needed: a waiter is recycled either by the Acquire that blocked on it
+// (normal return) or by grant, when it drops a killed process's entry or
+// has scheduled a continuation.
 type resWaiter struct {
-	p *Proc
-	n int
+	p   *Proc
+	n   int
+	fn  func(any)
+	arg any
 }
 
 func (s *Simulation) getResWaiter(p *Proc, n int) *resWaiter {
@@ -39,7 +43,7 @@ func (s *Simulation) getResWaiter(p *Proc, n int) *resWaiter {
 }
 
 func (s *Simulation) putResWaiter(w *resWaiter) {
-	w.p = nil
+	w.p, w.fn, w.arg = nil, nil, nil
 	s.freeResWaiters = append(s.freeResWaiters, w)
 }
 
@@ -74,6 +78,21 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	// killed process unwinds in block and never reaches this; its waiter is
 	// recycled (or dropped) by grant instead.
 	r.sim.putResWaiter(w)
+}
+
+// AcquireCall is Acquire for scheduler-context code, which cannot block. If
+// n units are free and nobody is queued it takes them and reports true: the
+// caller continues inline. Otherwise it queues FIFO among the blocked
+// acquirers and reports false; fn(arg) then runs holding the units, at the
+// instant and queue position a process blocked in Acquire would resume.
+func (r *Resource) AcquireCall(n int, fn func(any), arg any) bool {
+	if r.TryAcquire(n) {
+		return true
+	}
+	w := r.sim.getResWaiter(nil, n)
+	w.fn, w.arg = fn, arg
+	r.waiters = append(r.waiters, w)
+	return false
 }
 
 // TryAcquire takes n units if immediately available, reporting success.
@@ -112,7 +131,7 @@ func (r *Resource) popWaiter() {
 func (r *Resource) grant() {
 	for r.whead < len(r.waiters) {
 		w := r.waiters[r.whead]
-		if w.p.gone() {
+		if w.p != nil && w.p.gone() {
 			r.popWaiter()
 			// The dead process's Acquire frame unwinds without touching w.
 			r.sim.putResWaiter(w)
@@ -123,7 +142,12 @@ func (r *Resource) grant() {
 		}
 		r.inUse += w.n
 		r.popWaiter()
-		w.p.wake()
+		if w.p != nil {
+			w.p.wake()
+			continue
+		}
+		r.sim.AfterCall(0, w.fn, w.arg)
+		r.sim.putResWaiter(w)
 	}
 }
 

@@ -2,20 +2,33 @@
 // simulation kernel.
 //
 // A Simulation owns a virtual clock and a set of cooperative processes.
-// Each process is a goroutine, but exactly one process runs at any moment:
-// a process runs until it blocks on a simulation primitive (Wait, Event,
-// Resource, Mailbox), at which point control returns to the scheduler,
-// which advances the virtual clock to the next pending event. Ties in
-// virtual time are broken by event creation order, so a simulation is
-// bit-for-bit reproducible across runs and safe under the race detector.
+// Each process runs on a pooled runtime coroutine (iter.Pull), and exactly
+// one process runs at any moment: it runs until it blocks on a simulation
+// primitive (Wait, Event, Resource, Mailbox), at which point control
+// switches straight back to the scheduler — goroutine to goroutine, past
+// the Go scheduler's run queue — which advances the virtual clock to the
+// next pending event. Ties in virtual time are broken by event creation
+// order, so a simulation is bit-for-bit reproducible across runs and safe
+// under the race detector.
 //
 // The package provides the primitives the rest of this repository is built
 // on: timed waits, one-shot events (completions), counted resources
 // (semaphores modelling links, DMA engines, CPUs) and mailboxes (FIFO
-// message queues with blocking receive).
+// message queues with blocking receive). Work that only waits out delays
+// and queues for resources need not be a process: AfterCall, OnTriggerCall
+// and Resource.AcquireCall chain scheduler-context callbacks through the
+// same event queue. Deadlock detection cannot see such a chain, so one
+// that waits on another party brackets the wait with Park and Unpark and
+// is then reported like a blocked process.
+//
+// A process function that panics fails the simulation: Run returns the
+// panic as an error. One that leaves through runtime.Goexit — testing's
+// t.Fatal and t.FailNow — ends the goroutine that called Run, running its
+// deferred calls, which on a test's own goroutine is what FailNow needs;
+// Run does not return and the Simulation is finished.
 //
 // The scheduler is allocation-free in steady state: event records, process
-// waiter records and worker goroutines are recycled through free lists
+// waiter records and worker coroutines are recycled through free lists
 // owned by the Simulation. Recycling never changes execution order — see
 // the comment on push for the ordering argument.
 package sim
@@ -23,6 +36,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -119,9 +133,8 @@ type Simulation struct {
 	ready     []*event
 	readyHead int
 
-	yield chan struct{} // processes signal the scheduler here when blocking
-
 	procs   map[*Proc]struct{} // live (spawned, not yet terminated) processes
+	parked  map[string]int     // scheduler-context activities waiting on another party; see Park
 	nprocs  int                // total processes ever spawned, for naming
 	failure error              // first process panic, if any
 
@@ -143,8 +156,8 @@ type Simulation struct {
 // New creates an empty simulation with the clock at zero.
 func New() *Simulation {
 	s := &Simulation{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
+		procs:  make(map[*Proc]struct{}),
+		parked: make(map[string]int),
 	}
 	s.inj.sig = make(chan struct{}, 1)
 	return s
@@ -232,29 +245,30 @@ func (s *Simulation) putEvent(e *event) {
 
 // Proc is the handle a process function uses to interact with the
 // simulation: waiting, spawning children, and querying the clock. A Proc is
-// only valid inside the goroutine of the process it belongs to, except for
+// only valid inside the coroutine of the process it belongs to, except for
 // Kill, Killed, Terminated and Done, which other processes use to manage it.
 type Proc struct {
 	sim        *Simulation
 	name       string
 	w          *worker
-	resume     chan struct{}
 	state      string // human-readable description of what the process waits on
 	done       *Event // created lazily by Done; triggered at termination
 	killed     bool   // Kill was called; unwind at the next scheduling point
 	terminated bool   // the process function has returned or unwound
 }
 
-// worker is a reusable process shell: a goroutine plus its resume channel.
-// When its process terminates the worker parks on resume and returns to
-// the simulation's free list, so steady-state Spawn starts no goroutine.
+// worker is a reusable process shell: a runtime coroutine (iter.Pull) that
+// runs one process per assignment. next switches from the scheduler into
+// the coroutine and returns when it yields: the process blocked, or it
+// terminated and the worker is back on the simulation's free list, so
+// steady-state Spawn creates no coroutine. The coroutine is made at first
+// dispatch, not at Spawn: a simulation never run leaves nothing behind.
 type worker struct {
-	resume  chan struct{}
-	started bool // the goroutine exists (created lazily at first dispatch)
-	p       *Proc
-	fn      func(*Proc)
-	fnArg   func(*Proc, any) // SpawnArg form; exactly one of fn/fnArg is set
-	arg     any
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool // valid inside the coroutine only
+	p     *Proc
+	fn    func(*Proc)
 }
 
 // killSignal is the panic value that unwinds a killed process. It is
@@ -313,9 +327,7 @@ func (p *Proc) gone() bool { return p.killed || p.terminated }
 // killed process unwinds here instead of resuming.
 func (p *Proc) block(state string) {
 	p.state = state
-	p.sim.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.w.yield(struct{}{}) || p.killed {
 		panic(killSignal{})
 	}
 	p.state = ""
@@ -333,12 +345,11 @@ func (s *Simulation) dispatch(p *Proc) {
 	if p.terminated {
 		return
 	}
-	if w := p.w; !w.started {
-		w.started = true
-		go w.loop(s)
+	w := p.w
+	if w.next == nil {
+		w.next, w.stop = iter.Pull(w.run)
 	}
-	p.resume <- struct{}{}
-	<-s.yield
+	w.next()
 }
 
 const stateWaiting = "waiting"
@@ -362,32 +373,16 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // Spawn registers a new process to start at the current virtual time and
-// returns its handle. The process function runs in its own goroutine under
+// returns its handle. The process function runs in its own coroutine under
 // the cooperative scheduling discipline described in the package comment.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(name, fn, nil, nil)
-}
-
-// SpawnArg is Spawn without the closure: the process body runs fn(p, arg).
-// Hot paths that spawn per-message processes use it with a top-level fn and
-// a pointer arg so spawning allocates only the Proc itself.
-func (s *Simulation) SpawnArg(name string, fn func(p *Proc, arg any), arg any) *Proc {
-	return s.spawn(name, nil, fn, arg)
-}
-
-func (s *Simulation) spawn(name string, fn func(*Proc), fnArg func(*Proc, any), arg any) *Proc {
 	s.nprocs++
 	if name == "" {
 		name = fmt.Sprintf("proc-%d", s.nprocs)
 	}
 	w := s.getWorker()
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		w:      w,
-		resume: w.resume,
-	}
-	w.p, w.fn, w.fnArg, w.arg = p, fn, fnArg, arg
+	p := &Proc{sim: s, name: name, w: w}
+	w.p, w.fn = p, fn
 	s.procs[p] = struct{}{}
 	s.scheduleProc(s.now, p)
 	return p
@@ -399,29 +394,30 @@ func (s *Simulation) getWorker() *worker {
 		s.freeWorkers = s.freeWorkers[:n-1]
 		return w
 	}
-	return &worker{resume: make(chan struct{})}
+	return &worker{}
 }
 
-// loop is the worker goroutine body: run one process per resume, park in
-// between. A resume with no pending assignment (fn == nil) is the stop
-// signal from drainWorkers.
-func (w *worker) loop(s *Simulation) {
+// run is the coroutine body: run the assigned process, yield to the
+// scheduler, and find the next assignment in place when resumed. A false
+// yield is the stop from drainWorkers.
+func (w *worker) run(yield func(struct{}) bool) {
+	w.yield = yield
 	for {
-		<-w.resume
-		if w.fn == nil && w.fnArg == nil {
+		w.runProc()
+		if !yield(struct{}{}) {
 			return
 		}
-		w.runProc(s)
 	}
 }
 
 // runProc executes one process function inside the recover shell, then
-// returns the worker to the free list. The scheduler is parked in dispatch
-// while this runs, so the free list and process table are never touched
-// concurrently.
-func (w *worker) runProc(s *Simulation) {
-	p, fn, fnArg, arg := w.p, w.fn, w.fnArg, w.arg
-	w.p, w.fn, w.fnArg, w.arg = nil, nil, nil, nil
+// returns the worker to the free list. The scheduler is suspended in
+// dispatch while this runs, so the free list and process table are never
+// touched concurrently.
+func (w *worker) runProc() {
+	p, fn := w.p, w.fn
+	w.p, w.fn = nil, nil
+	s := p.sim
 	defer func() {
 		if r := recover(); r != nil {
 			if _, wasKilled := r.(killSignal); !wasKilled && s.failure == nil {
@@ -436,25 +432,18 @@ func (w *worker) runProc(s *Simulation) {
 		p.state = "terminated"
 		p.w = nil
 		s.freeWorkers = append(s.freeWorkers, w)
-		s.yield <- struct{}{}
 	}()
 	if !p.killed { // killed before ever running: skip the body
-		if fnArg != nil {
-			fnArg(p, arg)
-		} else {
-			fn(p)
-		}
+		fn(p)
 	}
 }
 
-// drainWorkers stops the goroutines of all idle pooled workers. Called when
+// drainWorkers ends the coroutines of all idle pooled workers. Called when
 // the simulation quiesces with no live processes, so a finished Simulation
 // leaves no parked goroutines behind.
 func (s *Simulation) drainWorkers() {
 	for _, w := range s.freeWorkers {
-		if w.started {
-			w.resume <- struct{}{} // fn == nil: worker exits
-		}
+		w.stop()
 	}
 	s.freeWorkers = s.freeWorkers[:0]
 }
@@ -529,7 +518,7 @@ func (s *Simulation) run(limit Time, advance bool) error {
 			return s.failure
 		}
 	}
-	if len(s.procs) > 0 {
+	if len(s.procs) > 0 || len(s.parked) > 0 {
 		return s.deadlockError()
 	}
 	s.drainWorkers()
@@ -551,14 +540,35 @@ func (s *Simulation) Step() (bool, error) {
 	return true, s.failure
 }
 
+// Park records that a scheduler-context activity — a chain of callbacks,
+// which unlike a process the scheduler cannot see — now waits on another
+// party, and Unpark that it went on. An activity still parked when the
+// event queue drains is a deadlock exactly as a blocked process is, and is
+// reported under the name it parked with.
+func (s *Simulation) Park(what string) { s.parked[what]++ }
+
+// Unpark undoes one Park(what).
+func (s *Simulation) Unpark(what string) {
+	if n := s.parked[what]; n > 1 {
+		s.parked[what] = n - 1
+	} else {
+		delete(s.parked, what)
+	}
+}
+
 func (s *Simulation) deadlockError() error {
 	var names []string
+	blocked := len(s.procs)
 	for p := range s.procs {
 		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.state))
 	}
+	for what, n := range s.parked {
+		names = append(names, fmt.Sprintf("%s ×%d", what, n))
+		blocked += n
+	}
 	sort.Strings(names)
-	return fmt.Errorf("sim: deadlock at t=%v: %d process(es) blocked forever: %v",
-		Duration(s.now), len(names), names)
+	return fmt.Errorf("sim: deadlock at t=%v: %d blocked forever: %v",
+		Duration(s.now), blocked, names)
 }
 
 // Pending reports the number of scheduled events.

@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -306,6 +308,43 @@ func TestResourceFIFONoBarging(t *testing.T) {
 	}
 }
 
+// TestAcquireCallQueuesFIFOWithProcesses interleaves blocking acquirers and
+// a scheduler-context one behind a holder: grants follow arrival order, and
+// the continuation runs holding its unit.
+func TestAcquireCallQueuesFIFOWithProcesses(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 1)
+	var order []string
+	acquirer := func(name string, arrive Duration) {
+		s.Spawn(name, func(p *Proc) {
+			p.Wait(arrive)
+			r.Acquire(p, 1)
+			order = append(order, fmt.Sprintf("%s@%d", name, p.Now()))
+			p.Wait(10)
+			r.Release(1)
+		})
+	}
+	acquirer("holder", 0)
+	acquirer("a", 1)
+	s.After(2, func() {
+		queued := !r.AcquireCall(1, func(any) {
+			order = append(order, fmt.Sprintf("call@%d inUse=%d", s.Now(), r.InUse()))
+			s.After(10, func() { r.Release(1) })
+		}, nil)
+		if !queued {
+			t.Error("AcquireCall on a held resource reported the units taken")
+		}
+	})
+	acquirer("c", 3)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[holder@0 a@10 call@20 inUse=1 c@30]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("grant order %s, want %s", got, want)
+	}
+}
+
 func TestResourceTryAcquire(t *testing.T) {
 	s := New()
 	r := NewResource(s, "r", 2)
@@ -488,6 +527,24 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestParkedActivityIsADeadlock: a callback chain that parked and was never
+// resumed fails the run by name, like a blocked process; one that unparked
+// does not.
+func TestParkedActivityIsADeadlock(t *testing.T) {
+	s := New()
+	s.Park("flight")
+	s.Park("flight")
+	s.After(5, func() { s.Unpark("flight") })
+	err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "flight ×1") {
+		t.Fatalf("Run = %v, want a deadlock listing flight ×1", err)
+	}
+	s.Unpark("flight")
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run after the last Unpark: %v", err)
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	s := New()
 	s.Spawn("bomb", func(p *Proc) {
@@ -497,6 +554,38 @@ func TestProcessPanicPropagates(t *testing.T) {
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic propagation", err)
+	}
+}
+
+// TestGoexitInProcessEndsRun pins what t.Fatal inside a process body
+// does: the exit surfaces in the goroutine that called Run — which ends,
+// running its defers — instead of wedging the scheduler on a worker whose
+// goroutine is gone.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	s := New()
+	s.Spawn("quitter", func(p *Proc) {
+		p.Wait(1)
+		runtime.Goexit()
+	})
+	s.Spawn("spawner", func(p *Proc) {
+		p.Wait(5)
+		p.Spawn("child", func(p *Proc) {}) // reuses the quitter's worker, if pooled
+		p.Wait(5)
+	})
+	ended := make(chan struct{})
+	var returned bool
+	go func() {
+		defer close(ended)
+		_ = s.Run()
+		returned = true
+	}()
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run still going 2 s after a process called Goexit")
+	}
+	if returned {
+		t.Error("Run returned normally; the Goexit was swallowed")
 	}
 }
 
