@@ -32,14 +32,19 @@ type chaosBed struct {
 
 func newChaosBed(t *testing.T, nAC int, exec bool, opts Options) *chaosBed {
 	t.Helper()
+	model := gpu.TeslaC1060()
+	model.MemBytes = 64 << 20
+	return newChaosBedModel(t, nAC, exec, opts, model)
+}
+
+func newChaosBedModel(t *testing.T, nAC int, exec bool, opts Options, model gpu.Model) *chaosBed {
+	t.Helper()
 	s := sim.New()
 	w, err := minimpi.NewWorld(s, nAC+1, fastNet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := &chaosBed{sim: s, world: w}
-	model := gpu.TeslaC1060()
-	model.MemBytes = 64 << 20
 	reg := gpu.NewRegistry()
 	registerTestKernels(reg)
 	for i := 0; i < nAC; i++ {

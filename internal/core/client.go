@@ -717,18 +717,63 @@ func (a *Accel) flushStream(stream uint8) *Pending {
 	return master
 }
 
-// awaitReq waits for a payload-stream request with the accelerator's
-// timeout policy (single attempt: payload blocks are not retransmitted).
-func (a *Accel) awaitReq(p *sim.Proc, req *minimpi.Request) ([]byte, minimpi.Status, error) {
-	if t := a.c.opts.Timeout; t > 0 {
-		data, st, ok := req.WaitTimeout(p, t)
-		if !ok {
-			return nil, minimpi.Status{}, &TimeoutError{Rank: a.rank, Attempts: 1}
-		}
-		return data, st, nil
+// blockWaits is the front-end's side of a copy's block stream: the loop
+//
+//	for i := 0; i < n; i++ { req := issue(i); wait for req; taken(i, req) }
+//
+// with each wait bounded by the client's Timeout (single attempt: payload
+// blocks are not retransmitted), run on behalf of process p by a chain of
+// scheduler callbacks while p is suspended — one process switch per copy
+// instead of one per block. Every leg stands where a resumption of p stood
+// when p ran the loop itself (see the daemon's pipeScratch for the ordering
+// rule).
+type blockWaits struct {
+	p       *sim.Proc
+	n       int
+	timeout sim.Duration
+	issue   func(i int) *minimpi.Request
+	taken   func(i int, req *minimpi.Request) // may be nil
+
+	i       int // the block the loop is at
+	reqWait     // on req: block i's request, once issued
+}
+
+// run blocks p until the loop is over and returns the index of the block
+// whose wait timed out, or n when none did.
+func (w *blockWaits) run() int {
+	if !w.advance() {
+		w.p.Suspend("awaiting payload blocks")
 	}
-	data, st := req.Wait(p)
-	return data, st, nil
+	return w.i
+}
+
+// advance runs the loop up to the next request that is still in flight and
+// reports whether the loop is over instead.
+func (w *blockWaits) advance() bool {
+	for w.i < w.n {
+		if w.req == nil {
+			w.req = w.issue(w.i)
+		}
+		if !w.await(w.p.Sim(), w.timeout, blockWaitOver, w) {
+			return false
+		}
+		if w.taken != nil {
+			w.taken(w.i, w.req)
+		}
+		w.req = nil
+		w.i++
+	}
+	return true
+}
+
+// blockWaitOver resumes the loop after a wait, and the process once the
+// loop is over: at the block whose request is still not complete, or past
+// the last one.
+func blockWaitOver(v any) {
+	w := v.(*blockWaits)
+	if !w.req.Completed() || w.advance() {
+		w.p.Resume()
+	}
 }
 
 // rawAlloc performs the MemAlloc round trip without touching the
@@ -877,17 +922,17 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 				sends = append(sends, a.c.comm.IsendSized(a.rank, tag, hi-lo))
 			}
 		}
-		for i, sreq := range sends {
-			if _, _, err := a.awaitReq(hp, sreq); err != nil {
-				// Abandon the rest of the payload (the peer is considered
-				// dead); canceling releases the in-flight transfers.
-				for _, rest := range sends[i:] {
-					rest.Cancel()
-				}
-				pd.err = err
-				pd.done.Trigger()
-				return
+		w := blockWaits{p: hp, n: nb, timeout: a.c.opts.Timeout,
+			issue: func(i int) *minimpi.Request { return sends[i] }}
+		if i := w.run(); i < nb {
+			// Abandon the rest of the payload (the peer is considered
+			// dead); canceling releases the in-flight transfers.
+			for _, rest := range sends[i:] {
+				rest.Cancel()
 			}
+			pd.err = &TimeoutError{Rank: a.rank, Attempts: 1}
+			pd.done.Trigger()
+			return
 		}
 		pd.err = cl.statusOnly(hp)
 		if pd.err == nil {
@@ -936,20 +981,20 @@ func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, p
 	a.sim().Spawn("d2h-receiver", func(hp *sim.Proc) {
 		t0 := hp.Now()
 		nb := numBlocks(n, block)
-		for i := 0; i < nb; i++ {
-			req := a.c.comm.Irecv(a.rank, tag)
-			data, _, err := a.awaitReq(hp, req)
-			if err != nil {
-				pd.err = err
-				pd.done.Trigger()
-				return
-			}
-			if dst != nil && data != nil {
-				copy(dst[i*block:], data)
-			}
-			// The daemon ships blocks in pooled buffers (ownership
-			// handoff); the bytes are copied out, so recycle.
-			req.Free()
+		w := blockWaits{p: hp, n: nb, timeout: a.c.opts.Timeout,
+			issue: func(int) *minimpi.Request { return a.c.comm.Irecv(a.rank, tag) },
+			taken: func(i int, req *minimpi.Request) {
+				if data, _ := req.Result(); dst != nil && data != nil {
+					copy(dst[i*block:], data)
+				}
+				// The daemon ships blocks in pooled buffers (ownership
+				// handoff); the bytes are copied out, so recycle.
+				req.Free()
+			}}
+		if w.run() < nb {
+			pd.err = &TimeoutError{Rank: a.rank, Attempts: 1}
+			pd.done.Trigger()
+			return
 		}
 		pd.err = cl.statusOnly(hp)
 		if pd.err == nil {
@@ -1004,15 +1049,26 @@ func (a *Accel) MemsetAsync(dst gpu.Ptr, off, n int, value byte, stream uint8) *
 			if rec.shadow == nil {
 				rec.shadow = make([]byte, rec.size)
 			}
-			for i := off; i < off+n; i++ {
-				rec.shadow[i] = value
-			}
+			fillBytes(rec.shadow[off:off+n], value)
 		}
 	}
 	if a.batching() {
 		return a.record(q, onOK)
 	}
 	return a.asyncCall(q, onOK)
+}
+
+// fillBytes sets every byte of b to v at memmove speed: a zero fill is a
+// clear, any other value is seeded once and doubled.
+func fillBytes(b []byte, v byte) {
+	if v == 0 || len(b) == 0 {
+		clear(b)
+		return
+	}
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // Kernel is a client-side kernel object, created per the paper's

@@ -103,8 +103,9 @@ type Daemon struct {
 	mainP *sim.Proc
 
 	// procs tracks every process the daemon owns (dispatch loop, stream
-	// workers, pipeline helpers) so Kill can take the whole daemon down
-	// the way a host crash would.
+	// workers, session teardown helpers) so Kill can take the whole daemon
+	// down the way a host crash would. Copy pipelines are callback legs,
+	// not processes: they stop on dead (see pipeScratch).
 	procs   []*sim.Proc
 	dead    bool
 	stopped bool // Run returned (graceful shutdown)
@@ -205,9 +206,10 @@ func (d *Daemon) Device() *gpu.Device { return d.dev }
 func (d *Daemon) Alive() bool { return !d.dead && !d.stopped }
 
 // Kill crashes the daemon: every process it owns (the dispatch loop,
-// stream workers, in-flight copy pipelines) dies at its next scheduling
-// point, mid-request state and all. Use cluster.RestartDaemon (or a fresh
-// NewDaemon plus endpoint/engine resets) to bring the rank back.
+// stream workers) dies at its next scheduling point and the legs of every
+// copy pipeline in flight end at their next event, mid-request state and
+// all. Use cluster.RestartDaemon (or a fresh NewDaemon plus endpoint/engine
+// resets) to bring the rank back.
 func (d *Daemon) Kill() {
 	if d.dead {
 		return
@@ -624,47 +626,159 @@ func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
 }
 
 // pipeScratch is the reusable state of one copy pipeline: the staging
-// resource, the per-block request and event slots and the per-block pooled
-// payload buffers of the send path. A transfer holds a scratch exclusively
-// from prepare to release;
-// everything is quiescent in between (all events fired and awaited, every
-// staging slot released), so reuse is invisible to the simulation.
+// resource, the per-block records and what the pipeline's legs need to know
+// about the transfer in flight. A transfer holds a scratch exclusively from
+// prepare to release; everything is quiescent in between (all events fired
+// and seen, every leg run out, every staging slot released), so reuse is
+// invisible to the simulation.
+//
+// A pipeline is not a set of processes but chains of scheduler callbacks
+// over these records, the way a message in flight is (minimpi/p2p.go): the
+// per-block loop the stream worker used to run itself, and the stages it
+// used to spawn per block — posting receives, the DMA of a received block,
+// the DMA and send of an outgoing one. Each leg is a top-level function
+// that ends by scheduling the next at the point where the process running
+// the same script was spawned or would have resumed, so every leg pushes
+// exactly one event, at the queue position that process's dispatch had. The
+// stream worker starts the chains, blocks in Suspend — which is what keeps
+// an unanswered transfer visible to the deadlock detector, under the
+// worker's name — and is resumed by the last leg, inside that leg's event,
+// to answer the request. A killed daemon's legs end at their next event, as
+// its processes would: nothing released, nothing counted, no event
+// triggered.
 type pipeScratch struct {
+	d       *Daemon
 	staging *sim.Resource
 	depth   int
+	blocks  []pipeBlock
 
-	reqs      []*minimpi.Request
-	posted    []sim.Event
-	done      []sim.Event
-	blockBufs [][]byte
+	owner    *sim.Proc // the stream worker, suspended while the transfer runs
+	q        *request
+	peer     int         // the rank blocks come from (receive) or go to (send)
+	tag      minimpi.Tag // the block stream's tag
+	deadline sim.Duration
+	// cost is the per-block CPU work: progress the message, post the
+	// asynchronous DMA.
+	cost                  sim.Duration
+	colBytes, cols, pitch int
+
+	next    int // the block the per-block loop is at
+	nposted int // receive: blocks the poster has posted a receive for
+	ndone   int // blocks the drain has seen through
+	placed  int // receive: packed bytes received so far, the next block's offset
+	// winErr puts the device window off limits: the ownership or range
+	// check failed up front, or a block's placement (receive) or gather
+	// (send) did. Blocks keep flowing so the peer stays in lockstep, but
+	// from then on a received one is not placed and a sent one ships empty.
+	// peerErr is the first block wait that ran out of time, dmaErr the
+	// first DMA error.
+	winErr, peerErr, dmaErr error
 }
 
-// prepare sizes the scratch for a transfer of nb blocks at the given
-// staging depth, re-initializing the per-block events in place.
-func (ps *pipeScratch) prepare(s *sim.Simulation, depth, nb int) {
-	if ps.staging == nil || ps.depth != depth {
-		ps.staging = sim.NewResource(s, "staging", depth)
-		ps.depth = depth
+// pipeBlock is one block's slot in a pipeline.
+type pipeBlock struct {
+	ps      *pipeScratch
+	reqWait           // on req: the block's posted receive, or its send
+	posted  sim.Event // receive: req is posted
+	done    sim.Event // the block is through; its staging slot is free
+	lo      int       // send: packed offset of the block in the window
+	size    int
+	buf     []byte // send: the gathered bytes (execute mode), while the DMA runs
+	dma     gpu.PinnedCopy
+}
+
+// statePipeline is what a stream worker is blocked on while its transfer's
+// legs run.
+const statePipeline = "in copy pipeline"
+
+// prepare sizes the scratch for a transfer of nb blocks on behalf of
+// worker p, re-initializing the per-block events in place, and checks the
+// device window unless preErr (e.g. a session ownership failure) has
+// already refused it.
+func (ps *pipeScratch) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb int, preErr error) {
+	d := ps.d
+	if ps.staging == nil || ps.depth != q.depth {
+		ps.staging = sim.NewResource(d.sim, "staging", q.depth)
+		ps.depth = q.depth
 	}
-	if cap(ps.reqs) < nb {
-		// The old event arrays are fully consumed (no registered waiters),
-		// so replacing them wholesale is safe despite Events being
-		// address-pinned after Init.
-		ps.reqs = make([]*minimpi.Request, nb)
-		ps.posted = make([]sim.Event, nb)
-		ps.done = make([]sim.Event, nb)
-		ps.blockBufs = make([][]byte, nb)
+	if cap(ps.blocks) < nb {
+		// The old blocks are fully consumed (no registered callbacks, no
+		// leg in flight), so replacing them wholesale is safe despite Events
+		// being address-pinned after Init.
+		ps.blocks = make([]pipeBlock, nb)
 	}
-	ps.reqs = ps.reqs[:nb]
-	ps.posted = ps.posted[:nb]
-	ps.done = ps.done[:nb]
-	ps.blockBufs = ps.blockBufs[:nb]
-	for i := 0; i < nb; i++ {
-		ps.reqs[i] = nil
-		ps.posted[i].Init(s)
-		ps.done[i].Init(s)
-		ps.blockBufs[i] = nil
+	ps.blocks = ps.blocks[:nb]
+	for i := range ps.blocks {
+		blk := &ps.blocks[i]
+		blk.ps = ps
+		blk.req = nil
+		blk.posted.Init(d.sim)
+		blk.done.Init(d.sim)
+		blk.waiting = false
 	}
+	ps.owner, ps.q, ps.peer, ps.tag = p, q, peer, tag
+	ps.deadline = d.cfg.PayloadTimeout
+	ps.cost = d.cfg.PostCost + d.dev.AsyncSetupCost()
+	ps.colBytes, ps.cols, ps.pitch = q.geometry()
+	ps.next, ps.nposted, ps.ndone, ps.placed = 0, 0, 0, 0
+	ps.winErr, ps.peerErr, ps.dmaErr = preErr, nil, nil
+	if ps.winErr == nil {
+		ps.winErr = d.dev.ValidRange(q.ptr, q.off, (ps.cols-1)*ps.pitch+ps.colBytes)
+	}
+}
+
+// firstOf returns the first non-nil error.
+func firstOf(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// await continues the block's leg with then(blk) once its request has
+// completed or, under a payload deadline, has run out of time.
+func (blk *pipeBlock) await(then func(any)) {
+	if blk.reqWait.await(blk.ps.d.sim, blk.ps.deadline, then, blk) {
+		then(blk)
+	}
+}
+
+// release frees the block's staging slot and marks the block through.
+func (blk *pipeBlock) release() {
+	blk.ps.staging.Release(1)
+	blk.done.Trigger()
+}
+
+// noteDMA keeps the transfer's first DMA error.
+func (ps *pipeScratch) noteDMA(err error) {
+	if err != nil && ps.dmaErr == nil {
+		ps.dmaErr = err
+	}
+}
+
+// drain ends a transfer's per-block loop: it sees every block through, in
+// order, and then hands the transfer back to the worker. The worker may
+// reuse the scratch at once, so nothing touches ps after a call that can
+// get here.
+func (ps *pipeScratch) drain() {
+	for ps.ndone < len(ps.blocks) {
+		if done := &ps.blocks[ps.ndone].done; !done.Triggered() {
+			done.OnTriggerCall(drainOn, ps)
+			return
+		}
+		ps.ndone++
+	}
+	ps.owner.Resume()
+}
+
+func drainOn(v any) {
+	ps := v.(*pipeScratch)
+	if ps.d.dead {
+		return
+	}
+	ps.drain()
 }
 
 // getScratch pops a pipeline scratch from the daemon's free list. A
@@ -677,7 +791,7 @@ func (d *Daemon) getScratch() *pipeScratch {
 		d.scratches = d.scratches[:n-1]
 		return ps
 	}
-	return &pipeScratch{}
+	return &pipeScratch{d: d}
 }
 
 func (d *Daemon) putScratch(ps *pipeScratch) { d.scratches = append(d.scratches, ps) }
@@ -724,90 +838,139 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 		d.respond(respDst, q.reqID, preErr, 0)
 		return
 	}
-	colBytes, cols, pitch := q.geometry()
-	// placeErr gates placement: bytes reach the device only while the
-	// range/ownership check and every earlier block's placement passed.
-	placeErr := preErr
-	if placeErr == nil {
-		placeErr = d.dev.ValidRange(q.ptr, q.off, (cols-1)*pitch+colBytes)
-	}
 	d.noteStaging(q.block, q.depth, nb)
 	ps := d.getScratch()
-	ps.prepare(d.sim, q.depth, nb)
-	bufs := ps.staging
-	reqs := ps.reqs
-	// The poster keeps `depth` receives outstanding: a receive is posted
-	// as soon as a staging buffer frees up, which is what grants the
-	// sender's rendezvous clearance (flow control comes for free).
-	d.spawn(p, "pipeline-poster", func(pp *sim.Proc) {
-		for i := 0; i < nb; i++ {
-			bufs.Acquire(pp, 1)
-			reqs[i] = d.comm.Irecv(dataSrc, tag)
-			ps.posted[i].Trigger()
-		}
-	})
-	var dmaErr, recvErr error
-	placed := 0 // packed bytes received so far: the next block's offset
-	deadline := d.cfg.PayloadTimeout
-	for i := 0; i < nb; i++ {
-		ps.posted[i].Await(p)
-		var data []byte
-		var st minimpi.Status
-		if deadline > 0 {
-			var arrived bool
-			data, st, arrived = reqs[i].WaitTimeout(p, deadline)
-			if !arrived {
-				// Peer presumed dead: the block never arrived. Return the
-				// staging buffer (no DMA will fire this block's done event)
-				// and keep draining so the pipeline winds down; the error
-				// travels in the response.
-				if recvErr == nil {
-					recvErr = fmt.Errorf("core: payload block %d/%d from rank %d timed out", i+1, nb, dataSrc)
-				}
-				bufs.Release(1)
-				ps.done[i].Trigger()
-				continue
-			}
-		} else {
-			data, st = reqs[i].Wait(p)
-		}
-		d.stats.BlocksIn++
-		if data != nil && placeErr == nil {
-			placeErr = d.dev.ScatterColumnsAt(q.ptr, q.off, colBytes, cols, pitch, placed, data)
-		}
-		placed += len(data)
-		// The block's bytes are copied out; a pooled payload buffer (from a
-		// peer daemon's ownership handoff or a socket reader) goes back.
-		reqs[i].Free()
-		// Per-block CPU work: progress the receive, post the async DMA.
-		p.Wait(d.cfg.PostCost + d.dev.AsyncSetupCost())
-		ev := &ps.done[i]
-		sz := st.Size
-		d.spawn(p, "pipeline-dma", func(dp *sim.Proc) {
-			// GPUDirect: the staging buffer is registered with both the
-			// NIC and the GPU, so this is a pinned DMA.
-			if err := d.dev.CopyEngineTransfer(dp, sz, true, true); err != nil && dmaErr == nil {
-				dmaErr = err
-			}
-			bufs.Release(1)
-			ev.Trigger()
-		})
-	}
-	for i := range ps.done {
-		ps.done[i].Await(p)
-	}
-	firstErr := placeErr
-	if firstErr == nil {
-		firstErr = recvErr
-	}
-	if firstErr == nil {
-		firstErr = dmaErr
-	}
-	if firstErr == nil && placed > 0 && placed != colBytes*cols && d.dev.ExecuteMode() {
-		firstErr = fmt.Errorf("core: payload carried %d bytes for %d columns of %d", placed, cols, colBytes)
+	ps.prepare(p, q, dataSrc, tag, nb, preErr)
+	d.sim.AfterCall(0, postReceives, ps)
+	ps.recvNext()
+	p.Suspend(statePipeline)
+	firstErr := firstOf(ps.winErr, ps.peerErr, ps.dmaErr)
+	if firstErr == nil && ps.placed > 0 && ps.placed != ps.colBytes*ps.cols && d.dev.ExecuteMode() {
+		firstErr = fmt.Errorf("core: payload carried %d bytes for %d columns of %d", ps.placed, ps.cols, ps.colBytes)
 	}
 	d.putScratch(ps)
 	d.respond(respDst, q.reqID, firstErr, 0)
+}
+
+// postReceives is the receive pipeline's poster: it keeps `depth` receives
+// outstanding. A receive is posted as soon as a staging buffer frees up,
+// which is what grants the sender's rendezvous clearance (flow control
+// comes for free).
+func postReceives(v any) {
+	ps := v.(*pipeScratch)
+	if ps.d.dead {
+		return
+	}
+	for ps.nposted < len(ps.blocks) {
+		if !ps.staging.AcquireCall(1, postGranted, ps) {
+			return
+		}
+		ps.post()
+	}
+}
+
+// postGranted resumes the poster holding the staging slot it queued for.
+func postGranted(v any) {
+	ps := v.(*pipeScratch)
+	if ps.d.dead {
+		return
+	}
+	ps.post()
+	postReceives(ps)
+}
+
+func (ps *pipeScratch) post() {
+	blk := &ps.blocks[ps.nposted]
+	ps.nposted++
+	blk.req = ps.d.comm.Irecv(ps.peer, ps.tag)
+	blk.posted.Trigger()
+}
+
+// recvNext is the head of the receive loop: wait until the next block's
+// receive is posted, then for the block itself.
+func (ps *pipeScratch) recvNext() {
+	if ps.next == len(ps.blocks) {
+		ps.drain()
+		return
+	}
+	blk := &ps.blocks[ps.next]
+	if blk.posted.Triggered() {
+		recvPosted(blk)
+		return
+	}
+	blk.posted.OnTriggerCall(recvPosted, blk)
+}
+
+func recvPosted(v any) {
+	blk := v.(*pipeBlock)
+	if blk.ps.d.dead {
+		return
+	}
+	blk.await(recvArrived)
+}
+
+// recvArrived places a received block's bytes and charges the per-block
+// CPU work.
+func recvArrived(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	d := ps.d
+	if d.dead {
+		return
+	}
+	if !blk.req.Completed() {
+		// Peer presumed dead: the block never arrived. Return the staging
+		// buffer (no DMA will mark this block through) and keep draining so
+		// the pipeline winds down; the error travels in the response.
+		if ps.peerErr == nil {
+			ps.peerErr = fmt.Errorf("core: payload block %d/%d from rank %d timed out", ps.next+1, len(ps.blocks), ps.peer)
+		}
+		blk.release()
+		ps.next++
+		ps.recvNext()
+		return
+	}
+	data, st := blk.req.Result()
+	d.stats.BlocksIn++
+	if data != nil && ps.winErr == nil {
+		ps.winErr = d.dev.ScatterColumnsAt(ps.q.ptr, ps.q.off, ps.colBytes, ps.cols, ps.pitch, ps.placed, data)
+	}
+	ps.placed += len(data)
+	// The block's bytes are copied out; a pooled payload buffer (from a
+	// peer daemon's ownership handoff or a socket reader) goes back.
+	blk.req.Free()
+	blk.size = st.Size
+	d.sim.AfterCall(ps.cost, recvProgressed, blk)
+}
+
+// recvProgressed posts the block's DMA and turns to the next block.
+func recvProgressed(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	if ps.d.dead {
+		return
+	}
+	ps.d.sim.AfterCall(0, dmaIn, blk)
+	ps.next++
+	ps.recvNext()
+}
+
+// dmaIn copies a received block from its staging buffer to the GPU.
+// GPUDirect: the buffer is registered with both the NIC and the GPU, so
+// this is a pinned DMA.
+func dmaIn(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	if ps.d.dead {
+		return
+	}
+	ps.d.dev.StartPinnedCopy(&blk.dma, ps.owner, blk.size, true, dmaInDone, blk)
+}
+
+func dmaInDone(v any) {
+	blk := v.(*pipeBlock)
+	blk.ps.noteDMA(blk.dma.Err)
+	blk.release()
 }
 
 // sendFromDevice implements the sending half: blocks are DMA-copied from
@@ -821,100 +984,118 @@ func (d *Daemon) sendFromDevice(p *sim.Proc, respDst int, q *request, dataDst in
 		d.respond(respDst, q.reqID, preErr, 0)
 		return
 	}
-	colBytes, cols, pitch := q.geometry()
 	d.noteStaging(q.block, q.depth, nb)
 	ps := d.getScratch()
-	ps.prepare(d.sim, q.depth, nb)
-	// Validate the device range and snapshot the (execute-mode) bytes once,
-	// before any block ships: when the range is bad, the protocol still
-	// ships nb empty blocks so the receiver stays in lockstep, and the
-	// error travels in the response. The snapshot is gathered one block at
-	// a time into pooled payload buffers whose ownership travels with the
-	// send (Request.Free on the receiving side recycles them), so a
-	// steady-state transfer allocates nothing and copies nothing extra.
-	// Timing flows through the per-block DMA+send pipeline.
-	firstErr := preErr
-	if firstErr == nil {
-		firstErr = d.dev.ValidRange(q.ptr, q.off, (cols-1)*pitch+colBytes)
-	}
-	if firstErr == nil && d.dev.ExecuteMode() {
-		world := d.comm.World()
-		for i := 0; i < nb; i++ {
-			lo := i * q.block
-			hi := lo + q.block
-			if hi > q.size {
-				hi = q.size
-			}
-			buf := world.GetBuf(hi - lo)
-			if err := d.dev.GatherColumnsInto(buf, q.ptr, q.off, colBytes, cols, pitch, lo); err != nil {
-				world.PutBuf(buf)
-				for j := 0; j < i; j++ {
-					world.PutBuf(ps.blockBufs[j])
-					ps.blockBufs[j] = nil
-				}
-				firstErr = err
-				break
-			}
-			ps.blockBufs[i] = buf
-		}
-	}
-	rangeErr := firstErr
-	var dmaErr, sendErr error
-	deadline := d.cfg.PayloadTimeout
-	bufs := ps.staging
-	for i := 0; i < nb; i++ {
-		bufs.Acquire(p, 1)
-		p.Wait(d.cfg.PostCost + d.dev.AsyncSetupCost())
-		ev := &ps.done[i]
-		lo := i * q.block
-		hi := lo + q.block
-		if hi > q.size {
-			hi = q.size
-		}
-		sz := hi - lo
-		blockBuf := ps.blockBufs[i]
-		d.spawn(p, "pipeline-d2h", func(dp *sim.Proc) {
-			var sendReq *minimpi.Request
-			switch {
-			case rangeErr != nil:
-				sendReq = d.comm.IsendSized(dataDst, tag, 0)
-			case blockBuf != nil:
-				if err := d.dev.CopyEngineTransfer(dp, sz, false, true); err != nil && dmaErr == nil {
-					dmaErr = err
-				}
-				sendReq = d.comm.IsendOwned(dataDst, tag, blockBuf)
-			default:
-				if err := d.dev.CopyEngineTransfer(dp, sz, false, true); err != nil && dmaErr == nil {
-					dmaErr = err
-				}
-				sendReq = d.comm.IsendSized(dataDst, tag, sz)
-			}
-			if deadline > 0 {
-				if _, _, sent := sendReq.WaitTimeout(dp, deadline); !sent {
-					// Receiver presumed dead: abandon the un-cleared payload
-					// so the pipeline winds down instead of wedging.
-					sendReq.Cancel()
-					if sendErr == nil {
-						sendErr = fmt.Errorf("core: payload block to rank %d timed out", dataDst)
-					}
-				}
-			} else {
-				sendReq.Wait(dp)
-			}
-			d.stats.BlocksOut++
-			bufs.Release(1)
-			ev.Trigger()
-		})
-	}
-	for i := range ps.done {
-		ps.done[i].Await(p)
-	}
-	if firstErr == nil {
-		firstErr = dmaErr
-	}
-	if firstErr == nil {
-		firstErr = sendErr
-	}
+	// The device range is validated once, before any block ships: when it
+	// is bad, the protocol still ships nb empty blocks so the receiver stays
+	// in lockstep, and the error travels in the response. Timing flows
+	// through the per-block DMA+send pipeline.
+	ps.prepare(p, q, dataDst, tag, nb, preErr)
+	ps.shipNext()
+	p.Suspend(statePipeline)
+	firstErr := firstOf(ps.winErr, ps.dmaErr, ps.peerErr)
 	d.putScratch(ps)
 	d.respond(respDst, q.reqID, firstErr, 0)
+}
+
+// shipNext is the head of the send loop: take a staging slot for the next
+// block, then charge the per-block CPU work.
+func (ps *pipeScratch) shipNext() {
+	if ps.next == len(ps.blocks) {
+		ps.drain()
+		return
+	}
+	if ps.staging.AcquireCall(1, shipSlotted, ps) {
+		shipSlotted(ps)
+	}
+}
+
+func shipSlotted(v any) {
+	ps := v.(*pipeScratch)
+	if ps.d.dead {
+		return
+	}
+	ps.d.sim.AfterCall(ps.cost, shipProgressed, ps)
+}
+
+// shipProgressed starts the block's own leg and turns to the next block.
+func shipProgressed(v any) {
+	ps := v.(*pipeScratch)
+	if ps.d.dead {
+		return
+	}
+	blk := &ps.blocks[ps.next]
+	blk.lo = ps.next * ps.q.block
+	blk.size = min(ps.q.block, ps.q.size-blk.lo)
+	ps.d.sim.AfterCall(0, shipBlock, blk)
+	ps.next++
+	ps.shipNext()
+}
+
+// shipBlock is the head of an outgoing block's leg, run holding the
+// block's staging slot. In execute mode it gathers the block's bytes into
+// a pooled payload buffer whose ownership travels with the send
+// (Request.Free on the receiving side recycles it), so a steady-state
+// transfer allocates nothing, copies nothing extra and keeps at most
+// depth blocks of pooled memory in flight. A gather that fails — the
+// allocation went away under the copy — fails the transfer like a bad
+// range: this block and the ones after it ship empty.
+func shipBlock(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	d := ps.d
+	if d.dead {
+		return
+	}
+	if ps.winErr == nil && d.dev.ExecuteMode() {
+		world := d.comm.World()
+		blk.buf = world.GetBuf(blk.size)
+		if err := d.dev.GatherColumnsInto(blk.buf, ps.q.ptr, ps.q.off, ps.colBytes, ps.cols, ps.pitch, blk.lo); err != nil {
+			world.PutBuf(blk.buf)
+			blk.buf = nil
+			ps.winErr = err
+		}
+	}
+	if ps.winErr != nil {
+		blk.req = d.comm.IsendSized(ps.peer, ps.tag, 0)
+		blk.await(blockShipped)
+		return
+	}
+	d.dev.StartPinnedCopy(&blk.dma, ps.owner, blk.size, false, dmaOutDone, blk)
+}
+
+// dmaOutDone sends a block the DMA engine has copied into its staging
+// buffer. A DMA error fails the transfer; the block still ships.
+func dmaOutDone(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	ps.noteDMA(blk.dma.Err)
+	if blk.buf != nil {
+		blk.req = ps.d.comm.IsendOwned(ps.peer, ps.tag, blk.buf)
+		blk.buf = nil
+	} else {
+		blk.req = ps.d.comm.IsendSized(ps.peer, ps.tag, blk.size)
+	}
+	blk.await(blockShipped)
+}
+
+// blockShipped ends an outgoing block's trip through the pipeline, its
+// send completed or out of time.
+func blockShipped(v any) {
+	blk := v.(*pipeBlock)
+	ps := blk.ps
+	d := ps.d
+	if d.dead {
+		return
+	}
+	if !blk.req.Completed() {
+		// Receiver presumed dead: abandon the un-cleared payload so the
+		// pipeline winds down instead of wedging.
+		blk.req.Cancel()
+		if ps.peerErr == nil {
+			ps.peerErr = fmt.Errorf("core: payload block to rank %d timed out", ps.peer)
+		}
+	}
+	d.stats.BlocksOut++
+	blk.release()
 }

@@ -1,0 +1,362 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dynacc/internal/gpu"
+	"dynacc/internal/minimpi"
+	"dynacc/internal/netmodel"
+	"dynacc/internal/sim"
+)
+
+// The stages of a copy pipeline are chains of scheduler callbacks, not
+// processes (see pipeScratch). These tests pin what the process form gave
+// for free and the chains must provide themselves — a killed daemon's
+// stages stop dead, an unanswered transfer is a deadlock reported by name
+// — and what the chains are for: no process and no allocation per block.
+
+// slowDMABed is an execute-mode chaos bed whose DMA engine is a fifth as
+// fast as its network, so that from the first block on the engine is held
+// by one leg while others queue for it, in both directions.
+func slowDMABed(t *testing.T) *chaosBed {
+	t.Helper()
+	model := gpu.TeslaC1060()
+	model.MemBytes = 64 << 20
+	model.H2DPinned.Bandwidth = fastNet().Bandwidth / 5
+	model.D2HPinned.Bandwidth = fastNet().Bandwidth / 5
+	return newChaosBedModel(t, 1, true, chaosOpts(), model)
+}
+
+// TestKilledDaemonLegsStop crashes a daemon with an upload's DMA legs and a
+// download's DMA+send legs in flight. From the crash on the old daemon
+// must do nothing at all — no block counted, no device statistic advanced,
+// no transfer answered — and the rebooted rank must serve a full copy on
+// the device's fresh engines while the old legs' timers still run out.
+func TestKilledDaemonLegsStop(t *testing.T) {
+	const n = 4 << 20
+	cb := slowDMABed(t)
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		a, dev, old := cb.accels[0], cb.devs[0], cb.daemons[0]
+		up, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		down, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		var atKill gpu.Stats
+		var statsAtKill DaemonStats
+		cb.sim.After(4*sim.Millisecond, func() {
+			atKill, statsAtKill = dev.Stats(), old.Stats()
+			old.Kill()
+		})
+		h2d := a.MemcpyH2DAsync(up, 0, pattern(n), n, 1)
+		d2h := a.MemcpyD2HAsync(make([]byte, n), down, 0, n, 2)
+		if err := h2d.Wait(p); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("upload into the crash: %v, want a timeout", err)
+		}
+		if err := d2h.Wait(p); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("download into the crash: %v, want a timeout", err)
+		}
+		if atKill.BytesIn == 0 || atKill.BytesIn >= n || atKill.BytesOut == 0 || atKill.BytesOut >= n {
+			t.Fatalf("the crash did not land mid-transfer in both directions: %+v", atKill)
+		}
+		// The client's timeouts are many block times long: any leg that
+		// survived the crash has run by now.
+		if got := dev.Stats(); got != atKill {
+			t.Errorf("device statistics moved after the crash: %+v, were %+v", got, atKill)
+		}
+		if got := old.Stats(); got != statsAtKill {
+			t.Errorf("daemon statistics moved after the crash: %+v, were %+v", got, statsAtKill)
+		}
+
+		// Reboot the rank in place, as cluster.RestartDaemon does.
+		cb.world.ResetEndpoint(1)
+		dev.ResetEngines()
+		dev.Reset(p)
+		d := NewDaemon(cb.world.Comm(1), dev, DefaultDaemonConfig())
+		cb.daemons[0] = d
+		cb.sim.Spawn("daemon0-reborn", d.Run)
+
+		ptr, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc after restart: %v", err)
+		}
+		src := pattern(n)
+		if err := a.MemcpyH2D(p, ptr, 0, src, n); err != nil {
+			t.Fatalf("upload after restart: %v", err)
+		}
+		got := make([]byte, n)
+		if err := a.MemcpyD2H(p, got, ptr, 0, n); err != nil {
+			t.Fatalf("download after restart: %v", err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Error("round trip after restart returned different bytes")
+		}
+		if st := dev.Stats(); st.BytesIn != atKill.BytesIn+n || st.BytesOut != atKill.BytesOut+n {
+			t.Errorf("device moved %d in / %d out after the restart, want exactly the one round trip on top of %+v",
+				st.BytesIn, st.BytesOut, atKill)
+		}
+	})
+}
+
+// TestEngineResetUnderLiveTransfer swaps the device's engines under a live
+// daemon's transfers, as faults.RepairGPU does right after a repair: each
+// DMA leg in flight gives its unit back to the engine it took it from (a
+// release on the fresh engine ends the run with "release 1 with 0 in
+// use"), later blocks queue on the fresh one, and both copies complete.
+func TestEngineResetUnderLiveTransfer(t *testing.T) {
+	const n = 4 << 20
+	cb := slowDMABed(t)
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		a, dev := cb.accels[0], cb.devs[0]
+		up, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		down := filledAlloc(t, p, a, n)
+		cb.sim.After(1500*sim.Microsecond, dev.ResetEngines)
+		src, got := pattern(n), make([]byte, n)
+		h2d := a.MemcpyH2DAsync(up, 0, src, n, 1)
+		d2h := a.MemcpyD2HAsync(got, down, 0, n, 2)
+		if err := h2d.Wait(p); err != nil {
+			t.Fatalf("upload across the reset: %v", err)
+		}
+		if err := d2h.Wait(p); err != nil {
+			t.Fatalf("download across the reset: %v", err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{fill}, n)) {
+			t.Error("download across the reset returned different bytes")
+		}
+		if err := a.MemcpyD2H(p, got, up, 0, n); err != nil {
+			t.Fatalf("download: %v", err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Error("upload across the reset did not land")
+		}
+	})
+}
+
+// TestUnansweredTransferIsADeadlockByName: a pipeline's legs are invisible
+// to the deadlock detector, but the stream worker that owns the transfer
+// stays blocked on the block events, so a transfer nobody answers still
+// ends Run with the worker's name in the report.
+func TestUnansweredTransferIsADeadlockByName(t *testing.T) {
+	const block, nb = 64 << 10, 6
+	for _, tc := range []struct {
+		name string
+		op   uint8
+		sent int      // upload blocks the front-end ships before going silent
+		want []string // what the report must name
+	}{
+		{"upload whose blocks stop arriving", OpMemcpyH2D, 2, []string{"ac0-stream0"}},
+		{"download nobody receives", OpMemcpyD2H, 0, []string{"ac0-stream0", "mpi-send"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cb := newChaosBed(t, 1, false, DefaultOptions())
+			cb.sim.Spawn("cn", func(p *sim.Proc) {
+				ptr, err := cb.accels[0].MemAlloc(p, nb*block)
+				if err != nil {
+					t.Errorf("alloc: %v", err)
+					return
+				}
+				const reqID = 1 << 40
+				cb.rawSend(reqID, &request{op: tc.op, ptr: ptr, size: nb * block, block: block, depth: 2})
+				for i := 0; i < tc.sent; i++ {
+					cb.world.Comm(0).IsendSized(1, dataTag(reqID), block)
+				}
+			})
+			err := cb.sim.Run()
+			if err == nil {
+				t.Fatal("Run returned nil with a transfer left unanswered")
+			}
+			for _, name := range tc.want {
+				if !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), name) {
+					t.Errorf("report does not name %s: %v", name, err)
+				}
+			}
+		})
+	}
+}
+
+// copyBed is one front-end and one daemon over QDR InfiniBand, for the
+// cost pins below: fn runs as the front-end process, and the daemon is
+// shut down after it.
+func copyBed(t *testing.T, exec bool, opts Options, fn func(p *sim.Proc, s *sim.Simulation, a *Accel, dev *gpu.Device)) {
+	t.Helper()
+	s := sim.New()
+	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := gpu.TeslaC1060()
+	model.MemBytes = 64 << 20
+	dev, err := gpu.NewDevice(s, gpu.Config{Model: model, Execute: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("daemon", NewDaemon(w.Comm(1), dev, DefaultDaemonConfig()).Run)
+	client, err := NewClient(w.Comm(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("cn", func(p *sim.Proc) {
+		a := client.Attach(1)
+		fn(p, s, a, dev)
+		if err := a.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCopySpawnsNoProcessPerBlock samples the live-process count every few
+// virtual microseconds across a warm 16 MiB upload (32 blocks) and
+// download (128 blocks): beside the processes that idle between copies
+// there is the front-end's one helper per copy, and nothing per block.
+func TestCopySpawnsNoProcessPerBlock(t *testing.T) {
+	const n = 16 << 20
+	copyBed(t, false, DefaultOptions(), func(p *sim.Proc, s *sim.Simulation, a *Accel, _ *gpu.Device) {
+		ptr, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		roundTrip := func() {
+			if err := a.MemcpyH2D(p, ptr, 0, nil, n); err != nil {
+				t.Fatalf("upload: %v", err)
+			}
+			if err := a.MemcpyD2H(p, nil, ptr, 0, n); err != nil {
+				t.Fatalf("download: %v", err)
+			}
+		}
+		roundTrip() // warm: the stream worker exists from here on
+		idle, peak, samples := s.LiveProcs(), 0, 0
+		sampling := true
+		var sample func()
+		sample = func() {
+			if !sampling {
+				return
+			}
+			samples++
+			peak = max(peak, s.LiveProcs())
+			s.After(5*sim.Microsecond, sample)
+		}
+		sample()
+		roundTrip()
+		sampling = false
+		if samples < 1000 {
+			t.Fatalf("only %d samples across the round trip", samples)
+		}
+		if peak > idle+1 {
+			t.Errorf("up to %d live processes during a copy, %d when idle: want at most one helper per copy", peak, idle)
+		}
+	})
+}
+
+// TestPipelineBlockAllocs pins the host cost of a steady-state block: the
+// three records minimpi needs for any message (the sender's request, the
+// message, the receiver's request — see minimpi's
+// TestPipelinedBlockCycleAllocs) and nothing for the daemon's stages,
+// which run over pooled per-block slots. The handful of per-copy records
+// (requests, responses, the front-end's helper) is spread over 160 blocks.
+func TestPipelineBlockAllocs(t *testing.T) {
+	const (
+		n        = 16 << 20
+		blocks   = n/(512<<10) + n/(128<<10) // adaptive up, 128K down
+		rounds   = 8
+		attempts = 3
+		// Measured 3.25; a process, a closure or an event per block and stage
+		// reads 5 or more.
+		maxPerBlock = 3.8
+	)
+	copyBed(t, false, DefaultOptions(), func(p *sim.Proc, s *sim.Simulation, a *Accel, _ *gpu.Device) {
+		ptr, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		cycle := func(k int) {
+			for i := 0; i < k; i++ {
+				if err := a.MemcpyH2D(p, ptr, 0, nil, n); err != nil {
+					t.Fatalf("upload: %v", err)
+				}
+				if err := a.MemcpyD2H(p, nil, ptr, 0, n); err != nil {
+					t.Fatalf("download: %v", err)
+				}
+			}
+		}
+		cycle(2)
+		// MemStats.Mallocs is process-wide; strays do not repeat, so keep
+		// the smallest of a few attempts.
+		delta := ^uint64(0)
+		for i := 0; i < attempts; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cycle(rounds)
+			runtime.ReadMemStats(&after)
+			delta = min(delta, after.Mallocs-before.Mallocs)
+		}
+		if perBlock := float64(delta) / (rounds * blocks); perBlock > maxPerBlock {
+			t.Errorf("%.2f allocations per pipeline block (%d over %d round trips), want <= %.1f",
+				perBlock, delta, rounds, maxPerBlock)
+		}
+	})
+}
+
+// TestD2HGathersBlockByBlock: a download gathers each block when its turn
+// in the pipeline comes, not the whole window up front. Bytes written to
+// the tail of the allocation while the head is on the wire are therefore
+// the bytes that arrive, and a download through a cold payload pool
+// allocates a few blocks, not the payload.
+func TestD2HGathersBlockByBlock(t *testing.T) {
+	const block, n = 64 << 10, 64 * (64 << 10)
+	opts := DefaultOptions()
+	opts.D2H = PaperPipeline(block)
+	copyBed(t, true, opts, func(p *sim.Proc, s *sim.Simulation, a *Accel, dev *gpu.Device) {
+		ptr, err := a.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc: %v", err)
+		}
+		if err := a.Memset(p, ptr, 0, n, 0x11); err != nil {
+			t.Fatalf("memset: %v", err)
+		}
+		got := make([]byte, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		t0 := p.Now()
+		// Well into the transfer, overwrite the last block on the device.
+		s.After(500*sim.Microsecond, func() {
+			tail, err := dev.Bytes(a.translate(ptr), n-block, block)
+			if err != nil {
+				t.Errorf("device bytes: %v", err)
+				return
+			}
+			for i := range tail {
+				tail[i] = 0x22
+			}
+		})
+		if err := a.MemcpyD2H(p, got, ptr, 0, n); err != nil {
+			t.Fatalf("download: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		if took := p.Now().Sub(t0); took < sim.Millisecond {
+			t.Fatalf("download took %v: the overwrite at 500us was not mid-transfer", took)
+		}
+		if !bytes.Equal(got[:n-block], bytes.Repeat([]byte{0x11}, n-block)) {
+			t.Error("head of the download is not what the device held")
+		}
+		if !bytes.Equal(got[n-block:], bytes.Repeat([]byte{0x22}, block)) {
+			t.Error("last block was gathered before its turn: it misses the bytes written mid-transfer")
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > n/2 {
+			t.Errorf("download through a cold pool allocated %d bytes for a %d-byte payload at depth %d x %d",
+				grew, n, DefaultDepth, block)
+		}
+	})
+}

@@ -186,15 +186,8 @@ func (d *Device) CopyH2D(p *sim.Proc, dst Ptr, off int, src []byte, n int, pinne
 	if err := d.checkRange(dst, off, n); err != nil {
 		return err
 	}
-	cm := d.copyModel(true, pinned)
-	t := cm.Time(n)
-	if pinned {
-		d.dma.Acquire(p, 1)
-		p.Wait(t)
-		d.dma.Release(1)
-	} else {
-		p.Wait(t)
-	}
+	t := d.copyModel(true, pinned).Time(n)
+	d.occupyEngine(p, t, pinned)
 	d.busy += t
 	d.bytesIn += int64(n)
 	if d.execute && src != nil {
@@ -219,15 +212,8 @@ func (d *Device) CopyD2H(p *sim.Proc, dst []byte, src Ptr, off, n int, pinned bo
 	if err := d.checkRange(src, off, n); err != nil {
 		return err
 	}
-	cm := d.copyModel(false, pinned)
-	t := cm.Time(n)
-	if pinned {
-		d.dma.Acquire(p, 1)
-		p.Wait(t)
-		d.dma.Release(1)
-	} else {
-		p.Wait(t)
-	}
+	t := d.copyModel(false, pinned).Time(n)
+	d.occupyEngine(p, t, pinned)
 	d.busy += t
 	d.bytesOut += int64(n)
 	if d.execute && dst != nil {
@@ -300,18 +286,40 @@ func (d *Device) AsyncSetupCost() sim.Duration { return d.model.AsyncSetup }
 // It reports the device failure, if any (checked again after the engine
 // time, so a device dying mid-transfer fails that transfer).
 func (d *Device) CopyEngineTransfer(p *sim.Proc, n int, toDevice, pinned bool) error {
+	t, err := d.engineBegin(n, toDevice, pinned)
+	if err != nil {
+		return err
+	}
+	d.occupyEngine(p, t, pinned)
+	return d.engineEnd(n, toDevice, t)
+}
+
+// occupyEngine sits out a transfer's time: on the DMA engine, FIFO behind
+// earlier transfers, when pinned; on the calling CPU otherwise.
+func (d *Device) occupyEngine(p *sim.Proc, t sim.Duration, pinned bool) {
+	if !pinned {
+		p.Wait(t)
+		return
+	}
+	dma := d.dma // the unit goes back where it came from: see PinnedCopy
+	dma.Acquire(p, 1)
+	p.Wait(t)
+	dma.Release(1)
+}
+
+// engineBegin and engineEnd are the two ends of an engine transfer, shared
+// by its process form (CopyEngineTransfer) and its callback form
+// (StartPinnedCopy): refuse on a failed device and price the transfer;
+// then, once the engine time has passed, account it and report a device
+// that died underneath.
+func (d *Device) engineBegin(n int, toDevice, pinned bool) (sim.Duration, error) {
 	if d.failure != nil {
-		return d.failure
+		return 0, d.failure
 	}
-	cm := d.copyModel(toDevice, pinned)
-	t := cm.Time(n)
-	if pinned {
-		d.dma.Acquire(p, 1)
-		p.Wait(t)
-		d.dma.Release(1)
-	} else {
-		p.Wait(t)
-	}
+	return d.copyModel(toDevice, pinned).Time(n), nil
+}
+
+func (d *Device) engineEnd(n int, toDevice bool, t sim.Duration) error {
 	d.busy += t
 	if toDevice {
 		d.bytesIn += int64(n)
@@ -319,6 +327,67 @@ func (d *Device) CopyEngineTransfer(p *sim.Proc, n int, toDevice, pinned bool) e
 		d.bytesOut += int64(n)
 	}
 	return d.failure
+}
+
+// PinnedCopy is the caller-owned record of one pinned engine transfer
+// timed by scheduler callbacks instead of on a process of its own (see
+// StartPinnedCopy). It embeds in the caller's per-block state and may be
+// reused once its completion has run.
+type PinnedCopy struct {
+	// Err is the transfer's result, set before the completion runs.
+	Err error
+
+	dev   *Device
+	owner *sim.Proc
+	// dma is the engine the transfer holds a unit of, as acquired:
+	// ResetEngines may swap the device's engines under a transfer in
+	// flight, and the unit goes back where it came from.
+	dma      *sim.Resource
+	n        int
+	toDevice bool
+	t        sim.Duration
+	fn       func(any)
+	arg      any
+}
+
+// StartPinnedCopy is CopyEngineTransfer(owner, n, toDevice, true) for
+// scheduler-context code, which cannot block: it queues for the DMA engine
+// FIFO among blocked processes, occupies it for the transfer time and then
+// runs fn(arg) with x.Err set — each step at the instant and queue position
+// at which a process running CopyEngineTransfer would have resumed. On an
+// already-failed device fn runs before StartPinnedCopy returns, as the
+// process form returns without yielding. The transfer runs on behalf of
+// owner: once owner is killed the chain ends at its next step, like the
+// process it stands for — the engine stays seized, nothing is counted and
+// fn never runs.
+func (d *Device) StartPinnedCopy(x *PinnedCopy, owner *sim.Proc, n int, toDevice bool, fn func(any), arg any) {
+	*x = PinnedCopy{dev: d, owner: owner, n: n, toDevice: toDevice, fn: fn, arg: arg}
+	if x.t, x.Err = d.engineBegin(n, toDevice, true); x.Err != nil {
+		fn(arg)
+		return
+	}
+	x.dma = d.dma
+	if x.dma.AcquireCall(1, pinnedCopyGranted, x) {
+		pinnedCopyGranted(x)
+	}
+}
+
+func pinnedCopyGranted(v any) {
+	x := v.(*PinnedCopy)
+	if x.owner.Killed() {
+		return
+	}
+	x.dev.sim.AfterCall(x.t, pinnedCopyDone, x)
+}
+
+func pinnedCopyDone(v any) {
+	x := v.(*PinnedCopy)
+	if x.owner.Killed() {
+		return
+	}
+	x.dma.Release(1)
+	x.Err = x.dev.engineEnd(x.n, x.toDevice, x.t)
+	x.fn(x.arg)
 }
 
 // ValidRange checks that [ptr+off, ptr+off+n) lies inside a live

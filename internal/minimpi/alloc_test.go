@@ -25,10 +25,13 @@ func TestPipelinedBlockCycleAllocs(t *testing.T) {
 		// the sender's Request, the message record and the receiver's
 		// Request. The flight itself is a callback chain over the message
 		// record with both rendezvous events embedded, and the payload
-		// buffer, scheduler events and waiters all come from pools. The
-		// pin leaves 50% slack so noise doesn't trip it, but a per-block
-		// buffer, event or process allocation (two or more per cycle)
-		// does.
+		// buffer, scheduler events and waiters all come from pools. These
+		// three are all a pipelined copy pays per block end to end: the
+		// daemon's stages run as callbacks over pooled per-block slots and
+		// add nothing (core's TestPipelineBlockAllocs measures 3.25 with the
+		// per-copy records spread in). The pin leaves 50% slack so noise
+		// doesn't trip it, but a per-block buffer, event or process
+		// allocation (two or more per cycle) does.
 		maxPerCycle = 4.5
 	)
 	s := sim.New()

@@ -205,3 +205,37 @@ func TestSpawnAllocatesOnlyTheProc(t *testing.T) {
 		t.Errorf("%d spawns of a short-lived process allocated %d times, want %d (one Proc each)", rounds, delta, rounds)
 	}
 }
+
+// TestInjectBurstAllocFree pins the injection queue's two buffers: a drain
+// hands the next burst the array the burst before it grew, so bursts of a
+// size seen before cost no allocation, and the drained closures are
+// dropped rather than pinned by the idle array.
+func TestInjectBurstAllocFree(t *testing.T) {
+	s := New()
+	ran := 0
+	fn := func() { ran++ }
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			s.Inject(fn)
+		}
+		if !s.drainInjected(0) {
+			t.Fatal("drain found nothing")
+		}
+	}
+	burst() // grow both buffers to burst size
+	burst()
+	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
+		t.Errorf("a 64-injection burst allocates %.2f, want 0", avg)
+	}
+	if ran != 64*103 {
+		t.Errorf("%d injections ran, want %d", ran, 64*103)
+	}
+	for _, f := range s.inj.spare[:cap(s.inj.spare)] {
+		if f != nil {
+			t.Fatal("a drained buffer still references an injected function")
+		}
+	}
+	if s.drainInjected(0) {
+		t.Error("an empty queue reported work")
+	}
+}

@@ -22,7 +22,12 @@ import (
 type injector struct {
 	mu  sync.Mutex
 	fns []func()
-	sig chan struct{} // capacity 1; a pending signal means "queue non-empty"
+	// spare is the previous drain's batch, emptied: drainInjected swaps it
+	// in for fns, so a burst refills an array that already grew to burst
+	// size instead of growing a fresh one after every drain. Only the
+	// scheduler goroutine touches it.
+	spare []func()
+	sig   chan struct{} // capacity 1; a pending signal means "queue non-empty"
 }
 
 // Inject queues fn to run in scheduler context. It is safe to call from any
@@ -50,18 +55,17 @@ func (s *Simulation) Inject(fn func()) {
 func (s *Simulation) drainInjected(wall Time) bool {
 	s.inj.mu.Lock()
 	fns := s.inj.fns
-	s.inj.fns = nil
+	s.inj.fns, s.inj.spare = s.inj.spare, nil
 	s.inj.mu.Unlock()
-	if len(fns) == 0 {
-		return false
-	}
-	if wall > s.now {
+	if len(fns) > 0 && wall > s.now {
 		s.now = wall
 	}
 	for _, fn := range fns {
 		fn()
 	}
-	return true
+	clear(fns) // drop the closures, keep the array
+	s.inj.spare = fns[:0]
+	return len(fns) > 0
 }
 
 // DefaultCoarseness is the scheduling granularity of RunRealtime: events due

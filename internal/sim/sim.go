@@ -19,7 +19,9 @@
 // and Resource.AcquireCall chain scheduler-context callbacks through the
 // same event queue. Deadlock detection cannot see such a chain, so one
 // that waits on another party brackets the wait with Park and Unpark and
-// is then reported like a blocked process.
+// is then reported like a blocked process. A process can hand a stretch of
+// its own script to a chain and stay visible meanwhile: it blocks in
+// Suspend, and the chain's last leg switches back into it with Resume.
 //
 // A process function that panics fails the simulation: Run returns the
 // panic as an error. One that leaves through runtime.Goexit — testing's
@@ -254,6 +256,7 @@ type Proc struct {
 	state      string // human-readable description of what the process waits on
 	done       *Event // created lazily by Done; triggered at termination
 	killed     bool   // Kill was called; unwind at the next scheduling point
+	suspended  bool   // blocked in Suspend, waiting for Resume
 	terminated bool   // the process function has returned or unwound
 }
 
@@ -363,6 +366,31 @@ func (p *Proc) Wait(d Duration) {
 	s := p.sim
 	s.scheduleProc(s.now.Add(d), p)
 	p.block(stateWaiting)
+}
+
+// Suspend blocks the process until scheduler-context code calls Resume. It
+// is how a process hands a stretch of its script to a chain of callbacks
+// (see the package comment) and takes over again when the chain is done:
+// the process stays live and blocked under the given state, so a chain that
+// never finishes is a deadlock reported under the process's name.
+func (p *Proc) Suspend(state string) {
+	p.suspended = true
+	p.block(state)
+}
+
+// Resume switches into a process blocked in Suspend, at once, and returns
+// when it blocks again or terminates. Only scheduler-context code may call
+// it. Nothing is queued: the callback that calls Resume stands where the
+// dispatch of a woken process would, so a chain whose every leg takes the
+// queue position of one of the process's own resumptions hands control back
+// at exactly the position the process's last resumption had. Resuming a
+// process that was killed meanwhile lets it unwind.
+func (p *Proc) Resume() {
+	if !p.suspended {
+		panic(fmt.Sprintf("sim: Resume of process %q, which is not suspended", p.name))
+	}
+	p.suspended = false
+	p.sim.dispatch(p)
 }
 
 // Spawn starts a new process at the current virtual time. The child runs

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -542,6 +543,106 @@ func TestParkedActivityIsADeadlock(t *testing.T) {
 	s.Unpark("flight")
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run after the last Unpark: %v", err)
+	}
+}
+
+// TestResumeTakesTheCallersQueuePosition is the ordering rule behind
+// Suspend/Resume: a process that waits for an event itself (Await) and one
+// that leaves the wait to a callback and is resumed by it run their next
+// step at the same place among the other events of that instant, because
+// the callback stands where the wake-up stood and Resume queues nothing.
+func TestResumeTakesTheCallersQueuePosition(t *testing.T) {
+	script := func(suspend bool) (order []string) {
+		s := New()
+		ev := NewEvent(s)
+		mark := func(what string) func() { return func() { order = append(order, what) } }
+		p := s.Spawn("worker", func(p *Proc) {
+			if suspend {
+				ev.OnTriggerCall(func(a any) { a.(*Proc).Resume() }, p)
+				p.Suspend("handed over")
+			} else {
+				ev.Await(p)
+			}
+			order = append(order, "worker")
+			s.After(0, mark("worker's follow-up"))
+		})
+		s.After(10, func() {
+			s.After(0, mark("queued before the trigger"))
+			ev.Trigger()
+			s.After(0, mark("queued after the trigger"))
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Terminated() {
+			t.Fatal("worker did not finish")
+		}
+		return order
+	}
+	awaited, resumed := script(false), script(true)
+	want := []string{"queued before the trigger", "worker", "queued after the trigger", "worker's follow-up"}
+	if !reflect.DeepEqual(awaited, want) || !reflect.DeepEqual(resumed, want) {
+		t.Errorf("order with Await %v, with Suspend/Resume %v, want both %v", awaited, resumed, want)
+	}
+}
+
+// TestSuspendedProcessIsADeadlockByName: nobody calling Resume is a
+// deadlock like any other, reported under the process's name and the
+// state it suspended with.
+func TestSuspendedProcessIsADeadlockByName(t *testing.T) {
+	s := New()
+	s.Spawn("worker", func(p *Proc) { p.Suspend("in a chain") })
+	err := s.Run()
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "worker (in a chain)") {
+		t.Fatalf("Run = %v, want a deadlock naming worker (in a chain)", err)
+	}
+}
+
+// TestKillSuspendedProcess: a killed process unwinds out of Suspend like
+// out of any other wait, and a chain that resumes it afterwards — or
+// before the kill's own wake-up has run — finds nothing to run.
+func TestKillSuspendedProcess(t *testing.T) {
+	for _, resumeFirst := range []bool{false, true} {
+		s := New()
+		cleaned, continued := false, false
+		p := s.Spawn("worker", func(p *Proc) {
+			defer func() { cleaned = true }()
+			p.Suspend("in a chain")
+			continued = true
+		})
+		s.After(5, func() {
+			p.Kill()
+			if resumeFirst {
+				p.Resume() // ahead of the wake-up Kill queued
+			}
+		})
+		s.After(6, func() {
+			if !resumeFirst {
+				p.Resume()
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !cleaned || continued || !p.Terminated() {
+			t.Errorf("resumeFirst=%v: cleaned=%v continued=%v terminated=%v, want an unwound process", resumeFirst, cleaned, continued, p.Terminated())
+		}
+	}
+}
+
+func TestResumeOfRunningProcessPanics(t *testing.T) {
+	s := New()
+	p := s.Spawn("worker", func(p *Proc) { p.Wait(10) })
+	s.After(5, func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not suspended") {
+				t.Errorf("Resume of a process blocked in Wait: recovered %v, want a panic", r)
+			}
+		}()
+		p.Resume()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
