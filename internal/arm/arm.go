@@ -436,15 +436,15 @@ type Server struct {
 	// classed is true while any inventory entry carries a capability
 	// descriptor; it gates every new wire section so untagged fleets
 	// stay byte-identical to the legacy ARM.
-	classed bool
-	fwdSeq       uint64 // reply-tag sequence for server-to-server calls
-	fwdW         *wire.Writer
-	replies      map[int]map[uint64][]byte // client → reqID → sent reply (dedup)
-	repW         *wire.Writer
-	repSeq       uint64
-	repReplies   []repReply
-	mainProc     *sim.Proc
-	spawned      []*sim.Proc // helper procs that die with the server (Kill)
+	classed    bool
+	fwdSeq     uint64 // reply-tag sequence for server-to-server calls
+	fwdW       *wire.Writer
+	replies    map[int]map[uint64][]byte // client → reqID → sent reply (dedup)
+	repW       *wire.Writer
+	repSeq     uint64
+	repReplies []repReply
+	mainProc   *sim.Proc
+	spawned    []*sim.Proc // helper procs that die with the server (Kill)
 
 	// Epoch fencing (PR 7, DESIGN.md §12). myEpoch is the leadership
 	// epoch this server believes it serves under (directory epoch at

@@ -18,10 +18,10 @@ import (
 // shardPool is a test world with nCN client ranks (0..nCN-1), one leader
 // rank per shard, and — with replicas — one follower rank per shard.
 type shardPool struct {
-	t        *testing.T
-	s        *sim.Simulation
-	w        *minimpi.World
-	dir      *Directory
+	t       *testing.T
+	s       *sim.Simulation
+	w       *minimpi.World
+	dir     *Directory
 	srvs    []*Server
 	reps    []*Replica
 	clients []*Client

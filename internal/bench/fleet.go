@@ -87,8 +87,8 @@ type HotPathResult struct {
 	SeedWallNS int64 `json:"seed_wall_ns"`
 	SeedAllocs int64 `json:"seed_allocs"`
 	// Current numbers, measured in this run.
-	WallNS  int64 `json:"wall_ns"`
-	Allocs  int64 `json:"allocs"`
+	WallNS int64 `json:"wall_ns"`
+	Allocs int64 `json:"allocs"`
 	// Ratios >1 mean the current engine is better.
 	WallSpeedup float64 `json:"wall_speedup"`
 	AllocRatio  float64 `json:"alloc_ratio"`

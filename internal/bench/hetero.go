@@ -34,10 +34,10 @@ type ClassUtil struct {
 
 // HeteroReport is the `acbench -hetero-json` artifact.
 type HeteroReport struct {
-	Fleet      string  `json:"fleet"`
-	N          int     `json:"n"`
-	NB         int     `json:"nb"`
-	PanelClass string  `json:"panel_class"`
+	Fleet      string `json:"fleet"`
+	N          int    `json:"n"`
+	NB         int    `json:"nb"`
+	PanelClass string `json:"panel_class"`
 	// ClassicSecs and HeteroSecs are the virtual times of the same QR
 	// under the homogeneous schedule and the split-role schedule.
 	ClassicSecs float64     `json:"classic_seconds"`

@@ -43,13 +43,13 @@ type AccelUtil struct {
 
 // SharingReport is the `acbench -arm-json` artifact.
 type SharingReport struct {
-	Tenants       int          `json:"tenants"`
-	OpsPerTenant  int          `json:"ops_per_tenant"`
-	ShareCapacity int          `json:"share_capacity"`
-	Shards        int          `json:"shards"`
-	VirtualSecs   float64      `json:"virtual_seconds"`
-	SharedAccels  int          `json:"shared_accels"`
-	Sessions      int          `json:"sessions"`
+	Tenants       int           `json:"tenants"`
+	OpsPerTenant  int           `json:"ops_per_tenant"`
+	ShareCapacity int           `json:"share_capacity"`
+	Shards        int           `json:"shards"`
+	VirtualSecs   float64       `json:"virtual_seconds"`
+	SharedAccels  int           `json:"shared_accels"`
+	Sessions      int           `json:"sessions"`
 	PerTenant     []TenantShare `json:"per_tenant"`
 	PerAccel      []AccelUtil   `json:"per_accel"`
 }

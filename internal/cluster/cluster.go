@@ -16,7 +16,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dynacc/internal/arm"
@@ -91,14 +90,6 @@ type Config struct {
 	// yourself via node.ARM.RecvNotice.
 	AutoMigrate bool
 
-	// FailoverRetries is how many times the failover path retries an
-	// ErrUnavailable replacement grant, with jittered exponential
-	// backoff. Zero keeps the single-attempt behavior.
-	FailoverRetries int
-
-	// FailoverBackoff tunes those retries; defaults to arm.DefaultBackoff.
-	FailoverBackoff *arm.Backoff
-
 	// ARMShards > 1 splits resource management across that many ARM
 	// shards: accelerator ownership is partitioned by consistent hashing
 	// over accelerator ids, and the nodes' arm.Client routes each request
@@ -161,10 +152,7 @@ type Node struct {
 // that names a single manager or ARM shards and replicas.
 type NodeARM struct {
 	*arm.Client
-	held    map[int]arm.Handle
-	retries int
-	backoff arm.Backoff
-	rng     *rand.Rand
+	held map[int]arm.Handle
 }
 
 // hold records an acquire's grants for end-of-job cleanup.
@@ -207,19 +195,9 @@ func (na *NodeARM) Release(p *sim.Proc, handles []arm.Handle) error {
 
 // Replace implements core.Replacer: it reports the failed daemon rank to
 // the ARM, swaps the bookkeeping entry, and returns the replacement's
-// daemon rank. The front-end calls this during Client.Failover. When the
-// pool has no spare right now (ErrUnavailable) and the cluster was built
-// with FailoverRetries, the grant is retried with jittered exponential
-// backoff — the failure report from the first attempt sticks either way.
+// daemon rank. The front-end calls this during Client.Failover.
 func (na *NodeARM) Replace(p *sim.Proc, failedRank int) (int, error) {
 	h, err := na.Client.Replace(p, failedRank)
-	if err == arm.ErrUnavailable && na.retries > 0 {
-		var hs []arm.Handle
-		hs, err = na.AcquireRetry(p, 1, na.retries, na.backoff, na.rng)
-		if err == nil {
-			h = hs[0]
-		}
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -580,10 +558,6 @@ func (cl *Cluster) addComputeNode(i int) error {
 	if err != nil {
 		return err
 	}
-	backoff := arm.DefaultBackoff()
-	if cfg.FailoverBackoff != nil {
-		backoff = *cfg.FailoverBackoff
-	}
 	api := arm.NewDirectoryClient(worldComm, cl.dir)
 	if cfg.ARMReplicas {
 		// Give calls twice the promotion threshold of silence before
@@ -595,15 +569,9 @@ func (cl *Cluster) addComputeNode(i int) error {
 		Rank:  i,
 		World: worldComm,
 		App:   cl.appGroup.Comm(i),
-		ARM: &NodeARM{
-			Client:  api,
-			held:    make(map[int]arm.Handle),
-			retries: cfg.FailoverRetries,
-			backoff: backoff,
-			rng:     rand.New(rand.NewSource(0x9E3779B9 + int64(i))),
-		},
-		FE:   fe,
-		caps: cl.caps,
+		ARM:   &NodeARM{Client: api, held: make(map[int]arm.Handle)},
+		FE:    fe,
+		caps:  cl.caps,
 	}
 	fe.SetReplacer(node.ARM)
 	if cfg.AutoMigrate && cfg.Health != nil {

@@ -154,18 +154,21 @@ func rungFor(block int) int {
 // bit-for-bit the pre-tuner behavior. Autotune resolves statically too
 // until the link has a bandwidth sample (the warm start), then plans
 // on the best-measured rung, probing a neighboring rung every
-// tuneProbeEvery-th transfer.
-func (c *Client) tunePlan(cfg CopyConfig, peer int, dir TransferDir, n int) (block, depth int) {
+// tuneProbeEvery-th transfer. The cadence advances for a transfer that is
+// starting; otherwise this is a look at what the tuner would pick right now.
+func (c *Client) tunePlan(cfg CopyConfig, peer int, dir TransferDir, n int, starting bool) (block, depth int) {
 	if cfg.Kind != Autotune {
 		return cfg.resolve(n)
 	}
 	m := c.linkFor(peer, dir)
-	m.xfers++
+	if starting {
+		m.xfers++
+	}
 	if m.samples == 0 {
 		return cfg.resolve(n)
 	}
 	idx := m.best()
-	if m.xfers%tuneProbeEvery == 0 {
+	if starting && m.xfers%tuneProbeEvery == 0 {
 		// Exploration turn: alternate probing one rung above and one
 		// below the current best (clamped to the ladder), so both a
 		// faster and a slower optimum are rediscovered after a change.
@@ -177,23 +180,27 @@ func (c *Client) tunePlan(cfg CopyConfig, peer int, dir TransferDir, n int) (blo
 			idx--
 		}
 	}
+	return rungPlan(idx, n)
+}
+
+// rungPlan is the plan on ladder rung idx: its block size, clamped to the
+// transfer, and a depth that adapts with it — enough staging buffers to
+// keep the pipeline full, but never more buffers than blocks.
+func rungPlan(idx, n int) (block, depth int) {
 	block = tuneRungs[idx]
-	if block > n {
+	if block > n || block <= 0 {
 		block = n
 	}
-	if block <= 0 {
-		block = n
+	return block, min(max(numBlocks(n, block), 1), maxTuneDepth)
+}
+
+// protocol is the configured copy protocol of a direction (DirD2D uses the
+// D2H protocol, like DirectCopy does).
+func (c *Client) protocol(dir TransferDir) CopyConfig {
+	if dir == DirH2D {
+		return c.opts.H2D
 	}
-	// Depth adapts with the plan: enough staging buffers to keep the
-	// pipeline full, but never more buffers than blocks.
-	depth = numBlocks(n, block)
-	if depth > maxTuneDepth {
-		depth = maxTuneDepth
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	return block, depth
+	return c.opts.D2H
 }
 
 // tuneRecord feeds one completed transfer back into the link model:
@@ -218,34 +225,7 @@ func (c *Client) tuneRecord(cfg CopyConfig, peer int, dir TransferDir, block, n 
 // AutotunePlan reports the (block, depth) the tuner would pick right
 // now for an n-byte transfer on the given link, without advancing the
 // probe cadence: the read-only observability hook tests and benchmarks
-// use to watch convergence. The direction's configuration is taken
-// from the client's options (H2D/D2H; DirD2D uses the D2H protocol
-// like DirectCopy does).
+// use to watch convergence.
 func (c *Client) AutotunePlan(peer int, dir TransferDir, n int) (block, depth int) {
-	cfg := c.opts.H2D
-	if dir != DirH2D {
-		cfg = c.opts.D2H
-	}
-	if cfg.Kind != Autotune {
-		return cfg.resolve(n)
-	}
-	m := c.linkFor(peer, dir)
-	if m.samples == 0 {
-		return cfg.resolve(n)
-	}
-	block = tuneRungs[m.best()]
-	if block > n {
-		block = n
-	}
-	if block <= 0 {
-		block = n
-	}
-	depth = numBlocks(n, block)
-	if depth > maxTuneDepth {
-		depth = maxTuneDepth
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	return block, depth
+	return c.tunePlan(c.protocol(dir), peer, dir, n, false)
 }

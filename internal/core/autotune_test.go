@@ -36,7 +36,7 @@ func TestAutotuneWarmStartMatchesPaperAdaptive(t *testing.T) {
 					dir, n, gb, gd, wb, wd)
 			}
 			// The planning path the copies actually take must agree too.
-			pb, pd := c.tunePlan(c.opts.H2D, 1, dir, n)
+			pb, pd := c.tunePlan(c.opts.H2D, 1, dir, n, true)
 			if pb != wb || pd != wd {
 				t.Errorf("%v n=%d: tunePlan (%d,%d), want PaperAdaptive (%d,%d)",
 					dir, n, pb, pd, wb, wd)
@@ -64,7 +64,7 @@ func TestAutotunePlanAlwaysValid(t *testing.T) {
 		for i := 0; i <= int(repeat%5); i++ {
 			c.tuneRecord(c.opts.H2D, int(peer), dir, int(block), n, sim.Duration(elapsed))
 		}
-		b, d := c.tunePlan(c.opts.H2D, int(peer), dir, n)
+		b, d := c.tunePlan(c.opts.H2D, int(peer), dir, n, true)
 		if b <= 0 || b > n {
 			t.Logf("peer=%d dir=%v n=%d: block %d out of range", peer, dir, n, b)
 			return false
@@ -142,7 +142,7 @@ func TestAutotuneProbesNeighborRungs(t *testing.T) {
 
 	seen := map[int]bool{}
 	for i := 0; i < 8; i++ {
-		b, _ := c.tunePlan(c.opts.H2D, peer, DirH2D, n)
+		b, _ := c.tunePlan(c.opts.H2D, peer, DirH2D, n, true)
 		seen[b] = true
 		if b != best/2 && b != best && b != 2*best {
 			t.Fatalf("transfer %d planned block %d, want %d or a ladder neighbor", i, b, best)
@@ -165,7 +165,7 @@ func TestAutotuneDefaultPathUntouched(t *testing.T) {
 	c := &Client{opts: DefaultOptions()}
 	for _, n := range []int{4096, 1 << 20, 32 << 20} {
 		wb, wd := c.opts.H2D.resolve(n)
-		b, d := c.tunePlan(c.opts.H2D, 1, DirH2D, n)
+		b, d := c.tunePlan(c.opts.H2D, 1, DirH2D, n, true)
 		if b != wb || d != wd {
 			t.Errorf("n=%d: default plan (%d,%d), want resolve (%d,%d)", n, b, d, wb, wd)
 		}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"dynacc/internal/gpu"
@@ -155,8 +156,10 @@ type Client struct {
 	// locking — encodes never block, and the simulation is cooperative.
 	encw *wire.Writer
 
-	// attached lists every handle this client created, so rank-wide
-	// operations (MigrateRank) can find the handles pointing at a daemon.
+	// attached lists the handles in use, so rank-wide operations
+	// (MigrateRank) can find the ones pointing at a daemon: a handle is
+	// listed from Attach, and again from its next request, until a call
+	// that leaves it nothing on its daemon succeeds (see Accel.finished).
 	attached []*Accel
 
 	// tuner is the per-(peer,direction) link-model table behind
@@ -188,15 +191,49 @@ func (c *Client) SetReplacer(r Replacer) { c.replacer = r }
 // listens on) and returns the per-accelerator API object. The handle is
 // what the ARM's Acquire returned.
 func (c *Client) Attach(daemonRank int) *Accel {
-	a := &Accel{
+	a := c.handle(daemonRank, false)
+	a.list()
+	return a
+}
+
+// handle makes an unlisted handle; a temporary one (Migrate's: not the
+// application's to repoint) stays so.
+func (c *Client) handle(rank int, temp bool) *Accel {
+	return &Accel{
 		c:      c,
-		rank:   daemonRank,
+		rank:   rank,
+		temp:   temp,
 		allocs: make(map[gpu.Ptr]*allocRecord),
 		remap:  make(map[gpu.Ptr]gpu.Ptr),
-		recs:   make(map[uint8]*recorder),
 	}
-	c.attached = append(c.attached, a)
-	return a
+}
+
+// list enters the handle among the client's handles in use.
+func (a *Accel) list() {
+	if !a.listed && !a.temp {
+		a.listed = true
+		a.c.attached = append(a.c.attached, a)
+	}
+}
+
+// finished takes the outcome of a call that, if it succeeded, left the
+// handle nothing on its daemon (Reset, CloseSession, Shutdown): the ledger
+// empties and the handle leaves the list, until its next request if any.
+func (a *Accel) finished(err error) error {
+	if err != nil {
+		return err
+	}
+	a.allocs = make(map[gpu.Ptr]*allocRecord)
+	a.remap = make(map[gpu.Ptr]gpu.Ptr)
+	if a.listed {
+		a.listed = false
+		att := a.c.attached
+		i := slices.Index(att, a)
+		copy(att[i:], att[i+1:])
+		att[len(att)-1] = nil
+		a.c.attached = att[:len(att)-1]
+	}
+	return nil
 }
 
 // AttachSession binds a daemon rank like Attach and opens a private
@@ -208,23 +245,20 @@ func (c *Client) Attach(daemonRank int) *Accel {
 // session-less protocol bit for bit.
 func (c *Client) AttachSession(p *sim.Proc, daemonRank int) (*Accel, error) {
 	a := c.Attach(daemonRank)
-	if err := a.openSession(p); err != nil {
+	if err := a.OpenSession(p); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// OpenSession establishes a tenant session on an already-attached
-// handle. Equivalent to AttachSession, but usable when the handle needs
-// configuration (e.g. a fencing token) before the open travels.
-func (a *Accel) OpenSession(p *sim.Proc) error { return a.openSession(p) }
-
-// openSession establishes a fresh session id on the handle's current
-// rank. Failover/Migrate reuse it to re-home a sessioned handle.
-func (a *Accel) openSession(p *sim.Proc) error {
+// OpenSession establishes a tenant session, under a fresh id, on an
+// already-attached handle's current rank. Equivalent to AttachSession, but
+// usable when the handle needs configuration (e.g. a fencing token) before
+// the open travels; Failover/Migrate reuse it to re-home a sessioned handle.
+func (a *Accel) OpenSession(p *sim.Proc) error {
 	a.c.nextSess++
 	a.session = a.c.nextSess
-	err := a.newCall(&request{op: OpSessionOpen, quota: a.c.opts.SessionQuota}, true).statusOnly(p)
+	err := a.status(p, &request{op: OpSessionOpen, quota: a.c.opts.SessionQuota})
 	if err != nil {
 		// A refused open (table full, fenced token) must not leave the
 		// handle claiming a session the daemon never admitted — later
@@ -248,19 +282,14 @@ func (a *Accel) CloseSession(p *sim.Proc) error {
 		return nil
 	}
 	a.flushAll()
-	err := a.newCall(&request{op: OpSessionClose}, true).statusOnly(p)
-	if err == nil {
-		a.allocs = make(map[gpu.Ptr]*allocRecord)
-		a.remap = make(map[gpu.Ptr]gpu.Ptr)
-	}
-	return err
+	return a.finished(a.status(p, &request{op: OpSessionClose}))
 }
 
 // ReapSessions closes every session a given client rank holds on this
 // handle's daemon: the ARM's reclaim path after a tenant death. Only the
 // dead tenant's allocations are freed.
 func (a *Accel) ReapSessions(p *sim.Proc, clientRank int) error {
-	return a.newCall(&request{op: OpSessionReap, peer: clientRank}, true).statusOnly(p)
+	return a.status(p, &request{op: OpSessionReap, peer: clientRank})
 }
 
 // allocRecord is the front-end's failover ledger entry for one device
@@ -282,6 +311,8 @@ const virtBase gpu.Ptr = 1 << 52
 type Accel struct {
 	c    *Client
 	rank int
+	// listed: the handle is in c.attached; a temp one never is.
+	listed, temp bool
 
 	// Failover ledger: app-visible pointer → allocation record, plus the
 	// translation of app-visible pointers to the current daemon's
@@ -295,7 +326,7 @@ type Accel struct {
 	// Failover/Migrate rebuild state on a new rank, so recorded-but-
 	// unflushed commands replay on the replacement as one whole batch
 	// instead of interleaving with rebuild traffic.
-	recs    map[uint8]*recorder
+	recs    []recorder // by stream
 	noFlush bool
 
 	// session is the tenant session id every request of this handle
@@ -349,21 +380,17 @@ func (a *Accel) translate(ptr gpu.Ptr) gpu.Ptr {
 
 // Pending is an in-flight asynchronous operation.
 type Pending struct {
-	done *sim.Event
+	done sim.Event
 	err  error
-	// flush ships the command buffer this operation is recorded in; set
-	// only while the operation sits in a recorder, cleared once the batch
-	// is on the wire. Waiting on a recorded operation is a blocking call
-	// and therefore a flush trigger.
-	flush func()
+	// queued is the operation's call while it sits in a command recorder,
+	// nil once the batch is on the wire. Waiting on a recorded operation
+	// is a blocking call and therefore a flush trigger.
+	queued *call
 }
 
 // Wait blocks until the operation completes and returns its error.
 func (pd *Pending) Wait(p *sim.Proc) error {
-	if f := pd.flush; f != nil {
-		f()
-	}
-	pd.done.Await(p)
+	pd.Done().Await(p)
 	return pd.err
 }
 
@@ -371,32 +398,88 @@ func (pd *Pending) Wait(p *sim.Proc) error {
 // the operation is still sitting in a command recorder it is flushed
 // first — the event could otherwise never trigger.
 func (pd *Pending) Done() *sim.Event {
-	if f := pd.flush; f != nil {
-		f()
+	if cl := pd.queued; cl != nil {
+		cl.a.Flush(cl.q.stream)
 	}
-	return pd.done
+	return &pd.done
 }
 
-// call is one request round trip in flight: the encoded header (kept for
-// retransmission), the posted response receive, and the retry policy.
+// failed returns an operation that is over before it began.
+func (a *Accel) failed(err error) *Pending {
+	pd := &Pending{err: err}
+	pd.done.Init(a.sim())
+	pd.done.Trigger()
+	return pd
+}
+
+// call is one request to a daemon and the front-end's one way of waiting for
+// its answer: the paper's two MPI messages per request, with the payload
+// blocks of a streamed copy in between. Whoever issues it, a call is driven
+// by legs — scheduler callbacks over its reqWait, each standing where a
+// process making the same wait (the caller, or the helper a copy used to
+// spawn) would have resumed:
+//
+//   - issue posts the response receive and ships the header; nothing waits
+//     yet.
+//   - arm starts the response wait: at once for a header-only call, after the
+//     last block for a copy, one call after the other for the two halves of a
+//     direct copy — never at issue, or a transfer longer than Options.Timeout
+//     would time out with its payload still streaming.
+//   - respond runs when the response is in or its deadline has run out:
+//     resend (the daemon's dedup table makes that idempotent) or fail with a
+//     TimeoutError, decode, discard a stale reply, finish — once.
+//
+// The deadline belongs to the send: a reply whose echoed request ID is not
+// this call's (a tag-window collision, an error reply to garbage) is dropped
+// and the re-posted receive waits out the time the send has left, so stale
+// replies cannot postpone a TimeoutError.
+//
+// A synchronous caller (wait) suspends until finish resumes it inside the
+// finishing leg, so it goes on at the queue position a process woken by the
+// response itself would have; an asynchronous one holds the call's Pending.
 type call struct {
-	a     *Accel
-	q     *request
-	enc   []byte
-	resp  *minimpi.Request
-	retry bool
+	a   *Accel
+	q   *request
+	enc []byte // the encoded header, kept for retransmission
 	// pad inflates the request message's wire size (model-mode inline
 	// writes carry no payload bytes but must cost the same virtual time).
-	pad int
+	pad     int
+	resp    *minimpi.Request // the posted response receive
+	sent    int              // times the header was shipped
+	resends int              // retransmissions left
+	due     sim.Time         // when the last send runs out of time, under a Timeout
+	reqWait                  // on req: resp (re-posted after a stale reply), or a copy's block i
+	Pending                  // done fires when the call is over, err is its outcome
+	rsp     *response
+	p       *sim.Proc // a synchronous caller, suspended in wait
+	app     gpu.Ptr   // q.ptr as the application names it, for the ledger (see applied)
+	cmds    []*call   // an opBatch's recorded commands, in q.batch order
+
+	// A streamed copy's block loop (see stream).
+	dir   TransferDir
+	host  []byte             // the packed host bytes, source or destination; nil in model mode
+	sends []*minimpi.Request // host-to-device: every block's send, posted up front
+	i, nb int                // the block the loop is at, of how many
+	t0    sim.Time
+}
+
+// stateCall is what a synchronous caller is blocked on, parkedCopy what the
+// deadlock report calls a streamed copy nobody answers (it has no process).
+const (
+	stateCall  = "awaiting accelerator response"
+	parkedCopy = "streamed-copy"
+)
+
+func (a *Accel) newCall(q *request) *call {
+	cl := &call{a: a, q: q, app: q.ptr}
+	cl.done.Init(a.sim())
+	return cl
 }
 
 // send ships (or re-ships) the encoded header.
 func (cl *call) send() {
-	if cl.pad > 0 {
-		cl.a.c.comm.IsendPadded(cl.a.rank, TagRequest, cl.enc, len(cl.enc)+cl.pad)
-	} else {
-		cl.a.c.comm.Isend(cl.a.rank, TagRequest, cl.enc)
-	}
+	cl.sent++
+	cl.a.c.comm.IsendPadded(cl.a.rank, TagRequest, cl.enc, len(cl.enc)+cl.pad)
 }
 
 // translateReq maps a request's device pointers through the failover
@@ -417,170 +500,181 @@ func (a *Accel) translateReq(q *request) {
 	}
 }
 
-// newCall assigns a request ID, translates device pointers through the
-// failover ledger, posts the response receive and ships the header.
-func (a *Accel) newCall(q *request, retry bool) *call {
-	return a.newCallPadded(q, retry, 0)
-}
-
-func (a *Accel) newCallPadded(q *request, retry bool, pad int) *call {
+// issue assigns a request ID, translates device pointers through the
+// failover ledger, posts the response receive and ships the header, to be
+// retransmitted up to resends times.
+func (cl *call) issue(resends, pad int) *call {
+	a, q := cl.a, cl.q
+	a.list()
 	a.c.nextReq++
 	q.reqID = a.c.nextReq
 	q.session = a.session
 	q.fence = a.fence
 	a.translateReq(q)
-	cl := &call{a: a, q: q, enc: encodeRequestTo(a.c.encw, q), retry: retry, pad: pad}
+	cl.enc, cl.resends, cl.pad = encodeRequestTo(a.c.encw, q), resends, pad
 	cl.resp = a.c.comm.Irecv(a.rank, respTag(q.reqID))
 	cl.send()
 	return cl
 }
 
-// wait blocks until the call's verified response arrives, retransmitting
-// on timeout when the call allows it. Responses whose echoed request ID
-// does not match are stale (tag-window collisions, error replies to
-// garbage) and are discarded.
-func (cl *call) wait(p *sim.Proc) (*response, error) {
-	a := cl.a
-	t := a.c.opts.Timeout
-	attempts := 1
-	if cl.retry {
-		attempts += a.c.opts.Retries
+// arm starts the wait for the response.
+func (cl *call) arm() {
+	s, t := cl.a.sim(), cl.a.c.opts.Timeout
+	cl.req, cl.due = cl.resp, s.Now().Add(t)
+	if cl.await(s, t, callOver, cl) {
+		cl.respond()
 	}
-	sent := 1
-	for {
-		var data []byte
-		if t > 0 {
-			d, _, ok := cl.resp.WaitTimeout(p, t)
-			if !ok {
-				if sent < attempts {
-					sent++
-					cl.send()
-					continue
-				}
-				return nil, &TimeoutError{Op: cl.q.op, Rank: a.rank, Attempts: sent}
+}
+
+// callOver is the leg after a response wait. A caller killed meanwhile takes
+// its call with it, as the loop in its own process ended with the process.
+func callOver(v any) {
+	if cl := v.(*call); cl.p == nil || !cl.p.Killed() {
+		cl.respond()
+	}
+}
+
+// respond deals with the response wait that just ended — request complete
+// or out of time — until the call is over or waits again.
+func (cl *call) respond() {
+	c, s := cl.a.c, cl.a.sim()
+	for t := c.opts.Timeout; ; {
+		switch {
+		case cl.req.Completed():
+			data, _ := cl.req.Result()
+			rsp, err := decodeResponse(data)
+			if err != nil || rsp.reqID == cl.q.reqID {
+				cl.finish(rsp, err)
+				return
 			}
-			data = d
-		} else {
-			data, _ = cl.resp.Wait(p)
-		}
-		rsp, err := decodeResponse(data)
-		if err != nil {
-			return nil, err
-		}
-		if rsp.reqID != cl.q.reqID {
-			cl.resp = a.c.comm.Irecv(a.rank, respTag(cl.q.reqID))
-			continue
-		}
-		return rsp, nil
-	}
-}
-
-// statusOnly waits for the call and folds the daemon's status into one
-// error.
-func (cl *call) statusOnly(p *sim.Proc) error {
-	rsp, err := cl.wait(p)
-	if err != nil {
-		return err
-	}
-	return rsp.err()
-}
-
-// asyncCall drives a header-only round trip without blocking the caller:
-// response arrival, request-ID verification, timeout and bounded retry
-// are all event-driven. onOK runs (before completion) when the daemon
-// reported success.
-func (a *Accel) asyncCall(q *request, onOK func()) *Pending {
-	pd := &Pending{done: sim.NewEvent(a.sim())}
-	a.roundTrip(q, pd, 0, func(rsp *response, err error) {
-		if err != nil {
-			pd.err = err
-		} else {
-			pd.err = rsp.err()
-		}
-		if pd.err == nil && onOK != nil {
-			onOK()
-		}
-		pd.done.Trigger()
-	})
-	return pd
-}
-
-// roundTrip is the event-driven request engine shared by asyncCall and
-// batch flushes: it ships q with bounded retransmission and hands the
-// verified response (or the transport error) to finish, exactly once.
-// finish must trigger pd.done; the pending's event doubles as the
-// round trip's liveness guard (a triggered pd stops timers and watchers).
-func (a *Accel) roundTrip(q *request, pd *Pending, pad int, finish func(rsp *response, err error)) {
-	cl := a.newCallPadded(q, true, pad)
-	t := a.c.opts.Timeout
-	attempts := 1 + a.c.opts.Retries
-	sent := 1
-	gen := 0 // invalidates superseded deadline timers
-	var watch func(r *minimpi.Request)
-	var arm func()
-	arm = func() {
-		if t <= 0 {
+			cl.req = c.comm.Irecv(cl.a.rank, respTag(cl.q.reqID))
+		case cl.resends > 0:
+			cl.resends--
+			cl.send()
+			cl.due = s.Now().Add(t)
+		default:
+			cl.finish(nil, &TimeoutError{Op: cl.q.op, Rank: cl.a.rank, Attempts: cl.sent})
 			return
 		}
-		myGen := gen
-		a.sim().After(t, func() {
-			if pd.done.Triggered() || gen != myGen {
-				return
+		left := t
+		if t > 0 {
+			if left = cl.due.Sub(s.Now()); left <= 0 {
+				continue // a stale reply at the very deadline
 			}
-			if sent < attempts {
-				sent++
-				gen++
-				cl.send()
-				arm()
-				return
-			}
-			finish(nil, &TimeoutError{Op: q.op, Rank: a.rank, Attempts: sent})
-		})
+		}
+		if !cl.await(s, left, callOver, cl) {
+			return
+		}
 	}
-	watch = func(r *minimpi.Request) {
-		r.Done().OnTrigger(func() {
-			if pd.done.Triggered() {
-				return // already timed out
-			}
-			data, _ := r.Result()
-			rsp, err := decodeResponse(data)
-			if err == nil && rsp.reqID != q.reqID {
-				// Stale response on our tag: keep listening.
-				watch(a.c.comm.Irecv(a.rank, respTag(q.reqID)))
-				return
-			}
-			gen++
-			finish(rsp, err)
-		})
-	}
-	watch(cl.resp)
-	arm()
 }
 
-// recCmd is one recorded command: its (untranslated) request, the
-// Pending handed to the caller, and the ledger update to run on success.
-type recCmd struct {
-	q    *request
-	pd   *Pending
-	onOK func()
+// finish ends the call, once: the outcome is the transport's error or else
+// the daemon's status, a success is entered in the ledger, and whoever waits
+// goes on.
+func (cl *call) finish(rsp *response, err error) {
+	if err == nil {
+		err = rsp.err()
+	}
+	cl.rsp, cl.err = rsp, err
+	switch {
+	case cl.q.op == OpBatch:
+		cl.fanOut()
+	case err == nil:
+		cl.applied()
+	}
+	if cl.dir != 0 {
+		cl.a.sim().Unpark(parkedCopy)
+		cl.sends = nil // the caller's Pending may outlive the copy by long
+	}
+	cl.done.Trigger()
+	if cl.p != nil {
+		cl.p.Resume()
+	}
 }
 
-// recorder accumulates one stream's command buffer between flushes.
+// applied enters a successful operation in the failover ledger: a free
+// forgets the allocation, and whatever the front-end itself put into device
+// memory — a memset's value, an upload's or inline write's bytes — or read
+// from it (a download is host-visible truth all the same) goes into the
+// allocation's host shadow. A streamed copy also teaches the link model.
+func (cl *call) applied() {
+	a, q := cl.a, cl.q
+	src := cl.host
+	switch q.op {
+	case OpMemFree:
+		delete(a.allocs, cl.app)
+		delete(a.remap, cl.app)
+		return
+	case OpMemset:
+	case OpWriteInline:
+		src = q.inline
+	case OpMemcpyH2D, OpMemcpyD2H:
+		a.c.tuneRecord(a.c.protocol(cl.dir), a.rank, cl.dir, q.block, q.size, a.sim().Now().Sub(cl.t0))
+	default:
+		return
+	}
+	if src != nil || q.op == OpMemset {
+		colBytes, cols, pitch := q.geometry()
+		a.shadowWrite(cl.app, q.off, colBytes, cols, pitch, src, q.value)
+	}
+}
+
+// wait is the synchronous call: it arms the response wait and blocks p until
+// the call is over.
+func (cl *call) wait(p *sim.Proc) (*response, error) {
+	cl.arm()
+	if !cl.done.Triggered() {
+		cl.p = p
+		p.Suspend(stateCall)
+	}
+	return cl.rsp, cl.err
+}
+
+// call is a synchronous header-only round trip; status is one whose answer
+// is only the daemon's status.
+func (a *Accel) call(p *sim.Proc, q *request) (*response, error) {
+	return a.newCall(q).issue(a.c.opts.Retries, 0).wait(p)
+}
+
+func (a *Accel) status(p *sim.Proc, q *request) error {
+	_, err := a.call(p, q)
+	return err
+}
+
+// submit starts a header-only stream command and returns at once: on its way
+// to the daemon, or with batching on recorded behind the stream's queued
+// commands. The buffer flushes at the BatchOps/BatchBytes thresholds;
+// otherwise it ships at the next blocking call on the stream, an explicit
+// Flush, or a Wait on any recorded Pending.
+func (a *Accel) submit(q *request) *Pending {
+	cl := a.newCall(q)
+	if !a.batching() {
+		cl.issue(a.c.opts.Retries, 0).arm()
+		return &cl.Pending
+	}
+	if n := int(q.stream) + 1; n > len(a.recs) {
+		a.recs = append(a.recs, make([]recorder, n-len(a.recs))...)
+	}
+	rec := &a.recs[q.stream]
+	cl.queued = cl
+	rec.cmds = append(rec.cmds, cl)
+	rec.bytes += cmdCost(q)
+	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= cmp.Or(a.c.opts.BatchBytes, DefaultBatchBytes) {
+		a.Flush(q.stream)
+	}
+	return &cl.Pending
+}
+
+// recorder accumulates one stream's command buffer between flushes: calls
+// not yet issued, each with the Pending its caller holds.
 type recorder struct {
-	cmds  []recCmd
+	cmds  []*call
 	bytes int // wire-size estimate, inline payloads and model pads included
 }
 
 // batching reports whether ops may be recorded right now (batching is
 // configured on and no Failover/Migrate rebuild is in progress).
 func (a *Accel) batching() bool { return a.c.opts.BatchOps > 0 && !a.noFlush }
-
-func (a *Accel) batchBytesLimit() int {
-	if a.c.opts.BatchBytes > 0 {
-		return a.c.opts.BatchBytes
-	}
-	return DefaultBatchBytes
-}
 
 // cmdCost estimates the bytes a command adds to the batch message. It
 // only steers the BatchBytes flush threshold, so a rough upper bound on
@@ -589,213 +683,170 @@ func cmdCost(q *request) int {
 	return 48 + len(q.kernel) + 12*len(q.launch.Args) + len(q.inline) + q.modelPad()
 }
 
-// record queues a command on its stream's recorder and returns the
-// caller's Pending. The buffer auto-flushes at the BatchOps/BatchBytes
-// thresholds; otherwise it ships at the next blocking call on the
-// stream, an explicit Flush, or a Wait on any recorded Pending.
-func (a *Accel) record(q *request, onOK func()) *Pending {
-	rec := a.recs[q.stream]
-	if rec == nil {
-		rec = &recorder{}
-		a.recs[q.stream] = rec
-	}
-	pd := &Pending{done: sim.NewEvent(a.sim())}
-	stream := q.stream
-	pd.flush = func() { a.flushStream(stream) }
-	rec.cmds = append(rec.cmds, recCmd{q: q, pd: pd, onOK: onOK})
-	rec.bytes += cmdCost(q)
-	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= a.batchBytesLimit() {
-		a.flushStream(stream)
-	}
-	return pd
-}
-
-// Flush ships the recorded command buffer of a stream as one opBatch
-// wire message and returns a Pending that completes when the daemon has
-// answered (each recorded operation's own Pending completes too, with
-// its per-command error). It returns nil when nothing was pending.
-func (a *Accel) Flush(stream uint8) *Pending {
-	return a.flushStream(stream)
-}
-
-// flushAll flushes every stream's recorder in ascending stream order
-// (sorted, so event-creation order — and DES determinism — never depends
-// on map iteration).
+// flushAll flushes every stream's recorder, in ascending stream order.
 func (a *Accel) flushAll() {
-	if len(a.recs) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(a.recs))
-	for id, rec := range a.recs {
-		if len(rec.cmds) > 0 {
-			ids = append(ids, int(id))
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		a.flushStream(uint8(id))
+	for id := range a.recs {
+		a.Flush(uint8(id))
 	}
 }
 
-// flushStream ships one stream's recorded commands. A single recorded
-// non-inline command goes out as a plain request — the wire shape is
-// then identical to the unbatched path. Multiple commands (or an inline
-// write) travel as one opBatch carrying one request ID: the daemon
-// executes them in order, answers with a per-command status vector, and
-// its dedup table replays the whole batch atomically on retransmission.
-func (a *Accel) flushStream(stream uint8) *Pending {
-	rec := a.recs[stream]
-	if a.noFlush || rec == nil || len(rec.cmds) == 0 {
+// Flush ships one stream's recorded commands and returns a Pending that
+// completes when the daemon has answered (each recorded operation's own
+// Pending completes too, with its per-command error), or nil when nothing
+// was pending. A single recorded non-inline command is issued as it is —
+// the wire shape is then identical to the unbatched path. Multiple commands
+// (or an inline write) travel as one opBatch carrying one request ID: the
+// daemon executes them in order, answers with a per-command status vector,
+// and its dedup table replays the whole batch atomically on retransmission.
+func (a *Accel) Flush(stream uint8) *Pending {
+	if a.noFlush || int(stream) >= len(a.recs) || len(a.recs[stream].cmds) == 0 {
 		return nil
 	}
+	rec := &a.recs[stream]
 	cmds := rec.cmds
-	rec.cmds = nil
-	rec.bytes = 0
-	for i := range cmds {
-		cmds[i].pd.flush = nil
+	rec.cmds, rec.bytes = nil, 0
+	for _, cm := range cmds {
+		cm.queued = nil
 	}
-	if len(cmds) == 1 && cmds[0].q.op != OpWriteInline {
-		cm := cmds[0]
-		a.roundTrip(cm.q, cm.pd, 0, func(rsp *response, err error) {
-			if err != nil {
-				cm.pd.err = err
+	cl, pad := cmds[0], 0
+	if len(cmds) > 1 || cl.q.op == OpWriteInline {
+		sub := make([]*request, len(cmds))
+		for i, cm := range cmds {
+			sub[i] = cm.q
+			pad += cm.q.modelPad()
+		}
+		cl = a.newCall(&request{op: OpBatch, stream: stream, batch: sub})
+		cl.cmds = cmds
+	}
+	cl.issue(a.c.opts.Retries, pad).arm()
+	return &cl.Pending
+}
+
+// fanOut completes a batch's recorded commands from its answer, each with
+// its own status, in order and before the batch itself.
+func (cl *call) fanOut() {
+	var sts []cmdStatus
+	if cl.err == nil {
+		sts, cl.err = decodeBatchStatus(cl.rsp.payload, len(cl.cmds))
+	}
+	if cl.err != nil {
+		// Transport or whole-batch failure: every command fails
+		// identically — the batch is atomic, never half-applied from
+		// the caller's view.
+		for _, cm := range cl.cmds {
+			cm.err = cl.err
+			cm.done.Trigger()
+		}
+		return
+	}
+	for i, cm := range cl.cmds {
+		switch sts[i].status {
+		case batchCmdOK:
+			cm.applied()
+		case batchCmdFailed:
+			cm.err = &BatchError{Index: i, Op: cm.q.op, Err: &remoteError{msg: sts[i].errmsg}}
+			if cl.err == nil {
+				cl.err = cm.err
+			}
+		default: // batchCmdSkipped
+			cm.err = &BatchError{Index: i, Op: cm.q.op, Err: ErrBatchAborted}
+		}
+		cm.done.Trigger()
+	}
+}
+
+// streamCopy issues a copy request and starts its block stream: q.size bytes
+// between host (nil in model mode) and the device window q describes, in
+// blocks planned by the direction's protocol. The stream is a chain of legs
+// over the call's reqWait; its first leg takes the queue position the copy's
+// helper process was spawned at.
+func (a *Accel) streamCopy(dir TransferDir, q *request, host []byte) *Pending {
+	// A streamed copy is a blocking exchange on its stream: recorded
+	// commands there must reach the daemon first to keep stream order (and
+	// a download reads what they wrote).
+	a.Flush(q.stream)
+	q.block, q.depth = a.c.tunePlan(a.c.protocol(dir), a.rank, dir, q.size, true)
+	cl := a.newCall(q)
+	cl.dir, cl.host = dir, host
+	cl.issue(0, 0)
+	a.sim().Park(parkedCopy)
+	a.sim().AfterCall(0, startStream, cl)
+	return &cl.Pending
+}
+
+// startStream posts an upload's sends, all of them (each waits for the
+// daemon's clearance), and enters the block loop.
+func startStream(v any) {
+	cl := v.(*call)
+	a, q := cl.a, cl.q
+	cl.t0, cl.nb = a.sim().Now(), numBlocks(q.size, q.block)
+	if cl.dir == DirH2D {
+		cl.sends = make([]*minimpi.Request, cl.nb)
+		for i := range cl.sends {
+			lo := i * q.block
+			hi := min(lo+q.block, q.size)
+			if cl.host != nil {
+				cl.sends[i] = a.c.comm.Isend(a.rank, dataTag(q.reqID), cl.host[lo:hi])
 			} else {
-				cm.pd.err = rsp.err()
+				cl.sends[i] = a.c.comm.IsendSized(a.rank, dataTag(q.reqID), hi-lo)
 			}
-			if cm.pd.err == nil && cm.onOK != nil {
-				cm.onOK()
-			}
-			cm.pd.done.Trigger()
-		})
-		return cm.pd
-	}
-	sub := make([]*request, len(cmds))
-	pad := 0
-	for i, cm := range cmds {
-		sub[i] = cm.q
-		pad += cm.q.modelPad()
-	}
-	q := &request{op: OpBatch, stream: stream, batch: sub}
-	master := &Pending{done: sim.NewEvent(a.sim())}
-	a.roundTrip(q, master, pad, func(rsp *response, err error) {
-		defer master.done.Trigger()
-		if err == nil {
-			err = rsp.err()
 		}
-		var sts []cmdStatus
-		if err == nil {
-			sts, err = decodeBatchStatus(rsp.payload, len(cmds))
+	}
+	cl.stream()
+}
+
+// stream is the front-end's side of a copy's block stream: block by block it
+// waits for the send to clear, or posts the receive and takes the bytes —
+// each wait bounded by the client's Timeout, single attempt: payload blocks
+// are not retransmitted — and past the last block it arms the response wait.
+func (cl *call) stream() {
+	a, q := cl.a, cl.q
+	for ; cl.i < cl.nb; cl.i++ {
+		switch {
+		case cl.req != nil: // back from waiting on it
+		case cl.dir == DirH2D:
+			cl.req = cl.sends[cl.i]
+		default:
+			cl.req = a.c.comm.Irecv(a.rank, dataTag(q.reqID))
 		}
-		if err != nil {
-			// Transport or whole-batch failure: every command fails
-			// identically — the batch is atomic, never half-applied from
-			// the caller's view.
-			master.err = err
-			for _, cm := range cmds {
-				cm.pd.err = err
-				cm.pd.done.Trigger()
-			}
+		if !cl.await(a.sim(), a.c.opts.Timeout, blockOver, cl) {
 			return
 		}
-		for i, cm := range cmds {
-			switch sts[i].status {
-			case batchCmdOK:
-				if cm.onOK != nil {
-					cm.onOK()
-				}
-			case batchCmdFailed:
-				cm.pd.err = &BatchError{Index: i, Op: cm.q.op, Err: &remoteError{msg: sts[i].errmsg}}
-				if master.err == nil {
-					master.err = cm.pd.err
-				}
-			default: // batchCmdSkipped
-				cm.pd.err = &BatchError{Index: i, Op: cm.q.op, Err: ErrBatchAborted}
+		if cl.dir == DirD2H {
+			if data, _ := cl.req.Result(); cl.host != nil && data != nil {
+				copy(cl.host[cl.i*q.block:], data)
 			}
-			cm.pd.done.Trigger()
+			// The daemon ships blocks in pooled buffers (ownership
+			// handoff); the bytes are copied out, so recycle.
+			cl.req.Free()
 		}
-	})
-	return master
+		cl.req = nil
+	}
+	cl.arm()
 }
 
-// blockWaits is the front-end's side of a copy's block stream: the loop
-//
-//	for i := 0; i < n; i++ { req := issue(i); wait for req; taken(i, req) }
-//
-// with each wait bounded by the client's Timeout (single attempt: payload
-// blocks are not retransmitted), run on behalf of process p by a chain of
-// scheduler callbacks while p is suspended — one process switch per copy
-// instead of one per block. Every leg stands where a resumption of p stood
-// when p ran the loop itself (see the daemon's pipeScratch for the ordering
-// rule).
-type blockWaits struct {
-	p       *sim.Proc
-	n       int
-	timeout sim.Duration
-	issue   func(i int) *minimpi.Request
-	taken   func(i int, req *minimpi.Request) // may be nil
-
-	i       int // the block the loop is at
-	reqWait     // on req: block i's request, once issued
-}
-
-// run blocks p until the loop is over and returns the index of the block
-// whose wait timed out, or n when none did.
-func (w *blockWaits) run() int {
-	if !w.advance() {
-		w.p.Suspend("awaiting payload blocks")
+// blockOver is the leg after a block wait: on with the loop, or the peer is
+// considered dead — the rest of the payload is abandoned (canceling releases
+// the in-flight transfers) and the copy fails.
+func blockOver(v any) {
+	cl := v.(*call)
+	if cl.req.Completed() {
+		cl.stream()
+		return
 	}
-	return w.i
-}
-
-// advance runs the loop up to the next request that is still in flight and
-// reports whether the loop is over instead.
-func (w *blockWaits) advance() bool {
-	for w.i < w.n {
-		if w.req == nil {
-			w.req = w.issue(w.i)
-		}
-		if !w.await(w.p.Sim(), w.timeout, blockWaitOver, w) {
-			return false
-		}
-		if w.taken != nil {
-			w.taken(w.i, w.req)
-		}
-		w.req = nil
-		w.i++
+	for i := cl.i; i < len(cl.sends); i++ {
+		cl.sends[i].Cancel()
 	}
-	return true
-}
-
-// blockWaitOver resumes the loop after a wait, and the process once the
-// loop is over: at the block whose request is still not complete, or past
-// the last one.
-func blockWaitOver(v any) {
-	w := v.(*blockWaits)
-	if !w.req.Completed() || w.advance() {
-		w.p.Resume()
-	}
-}
-
-// rawAlloc performs the MemAlloc round trip without touching the
-// failover ledger (Failover uses it to rebuild on a replacement).
-func (a *Accel) rawAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
-	cl := a.newCall(&request{op: OpMemAlloc, size: n}, true)
-	rsp, err := cl.wait(p)
-	if err != nil {
-		return 0, err
-	}
-	if err := rsp.err(); err != nil {
-		return 0, err
-	}
-	return rsp.ptr, nil
+	cl.finish(nil, &TimeoutError{Rank: cl.a.rank, Attempts: 1})
 }
 
 // MemAlloc allocates n bytes on the accelerator (acMemAlloc).
 func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
-	phys, err := a.rawAlloc(p, n)
+	rsp, err := a.call(p, &request{op: OpMemAlloc, size: n})
 	if err != nil {
 		return 0, err
 	}
+	phys := rsp.ptr
 	app := phys
 	if _, taken := a.allocs[app]; taken {
 		// A replacement daemon reused an address the ledger still maps:
@@ -816,37 +867,43 @@ func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
 // flushes immediately — the call still blocks until the daemon confirms,
 // but coalesces with everything recorded before it.
 func (a *Accel) MemFree(p *sim.Proc, ptr gpu.Ptr) error {
-	onOK := func() {
-		delete(a.allocs, ptr)
-		delete(a.remap, ptr)
-	}
 	if a.batching() {
-		return a.record(&request{op: OpMemFree, ptr: ptr}, onOK).Wait(p)
+		return a.submit(&request{op: OpMemFree, ptr: ptr}).Wait(p)
 	}
-	err := a.newCall(&request{op: OpMemFree, ptr: ptr}, true).statusOnly(p)
-	if err == nil {
-		onOK()
-	}
-	return err
+	return a.status(p, &request{op: OpMemFree, ptr: ptr})
 }
 
-// noteUpload mirrors successfully uploaded bytes into the allocation's
-// host shadow so Failover can replay them.
-func (a *Accel) noteUpload(ptr gpu.Ptr, off, colBytes, cols, pitch int, src []byte) {
+// shadowWrite mirrors a write to a device window — src's packed columns, or
+// with src nil the byte value throughout — into the allocation's host
+// shadow, made on first touch, so Failover can replay it.
+func (a *Accel) shadowWrite(ptr gpu.Ptr, off, colBytes, cols, pitch int, src []byte, value byte) {
 	rec := a.allocs[ptr]
-	if rec == nil || src == nil || colBytes <= 0 {
+	if rec == nil || colBytes <= 0 || off < 0 || off+(cols-1)*pitch+colBytes > rec.size {
 		return
 	}
 	if rec.shadow == nil {
 		rec.shadow = make([]byte, rec.size)
 	}
 	for c := 0; c < cols; c++ {
-		lo := off + c*pitch
-		if lo < 0 || lo+colBytes > len(rec.shadow) || (c+1)*colBytes > len(src) {
-			return
+		col := rec.shadow[off+c*pitch:][:colBytes]
+		if src != nil {
+			copy(col, src[c*colBytes:])
+		} else {
+			fillBytes(col, value)
 		}
-		copy(rec.shadow[lo:lo+colBytes], src[c*colBytes:(c+1)*colBytes])
 	}
+}
+
+// checkWindow validates a strided window and, when the copy has a host side
+// (name, host), that it holds exactly the window's bytes.
+func checkWindow(op, name string, host []byte, colBytes, cols, pitch int) error {
+	if n := colBytes * cols; host != nil && len(host) != n {
+		return fmt.Errorf("core: %s: %s has %d bytes, geometry says %d", op, name, len(host), n)
+	}
+	if colBytes < 0 || cols <= 0 || pitch < colBytes {
+		return fmt.Errorf("core: %s: invalid geometry colBytes=%d cols=%d pitch=%d", op, colBytes, cols, pitch)
+	}
+	return nil
 }
 
 // MemcpyH2D copies n bytes of host memory into device memory at dst+off
@@ -859,7 +916,7 @@ func (a *Accel) MemcpyH2D(p *sim.Proc, dst gpu.Ptr, off int, src []byte, n int) 
 }
 
 // MemcpyH2DAsync starts a host-to-device copy on the given stream and
-// returns immediately; the payload is streamed by a helper process.
+// returns immediately; the payload streams in the background.
 func (a *Accel) MemcpyH2DAsync(dst gpu.Ptr, off int, src []byte, n int, stream uint8) *Pending {
 	return a.MemcpyH2D2DAsync(dst, off, n, 1, n, src, stream)
 }
@@ -874,74 +931,23 @@ func (a *Accel) MemcpyH2D2D(p *sim.Proc, dst gpu.Ptr, off, colBytes, cols, pitch
 
 // MemcpyH2D2DAsync is the asynchronous strided host-to-device copy.
 func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, src []byte, stream uint8) *Pending {
-	pd := &Pending{done: sim.NewEvent(a.sim())}
+	if err := checkWindow("MemcpyH2D", "src", src, colBytes, cols, pitch); err != nil {
+		return a.failed(err)
+	}
 	n := colBytes * cols
-	if src != nil && len(src) != n {
-		pd.err = fmt.Errorf("core: MemcpyH2D: src has %d bytes, geometry says %d", len(src), n)
-		pd.done.Trigger()
-		return pd
-	}
-	if colBytes < 0 || cols <= 0 || pitch < colBytes {
-		pd.err = fmt.Errorf("core: MemcpyH2D: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitch)
-		pd.done.Trigger()
-		return pd
-	}
+	q := &request{op: OpMemcpyH2D, stream: stream, ptr: dst, off: off, size: n, cols: cols, pitch: pitch}
 	if a.batching() && a.c.opts.InlineCopy > 0 && n <= a.c.opts.InlineCopy {
 		// Small upload: the payload rides inside the command buffer (a
 		// copy is taken now — the caller may reuse src immediately). In
 		// model mode (src nil) the flush pads the wire message by n bytes
 		// so the virtual-time cost matches execute mode.
-		q := &request{op: OpWriteInline, stream: stream, ptr: dst, off: off, size: n,
-			cols: cols, pitch: pitch}
+		q.op = OpWriteInline
 		if src != nil {
 			q.inline = append([]byte(nil), src...)
 		}
-		return a.record(q, func() { a.noteUpload(dst, off, colBytes, cols, pitch, q.inline) })
+		return a.submit(q)
 	}
-	// A streamed copy is a blocking exchange on its stream: recorded
-	// commands there must reach the daemon first to keep stream order.
-	a.flushStream(stream)
-	block, depth := a.c.tunePlan(a.c.opts.H2D, a.rank, DirH2D, n)
-	q := &request{op: OpMemcpyH2D, stream: stream, ptr: dst, off: off, size: n,
-		cols: cols, pitch: pitch, block: block, depth: depth}
-	cl := a.newCall(q, false)
-	tag := dataTag(q.reqID)
-	a.sim().Spawn("h2d-sender", func(hp *sim.Proc) {
-		t0 := hp.Now()
-		nb := numBlocks(n, block)
-		sends := make([]*minimpi.Request, 0, nb)
-		for i := 0; i < nb; i++ {
-			lo := i * block
-			hi := lo + block
-			if hi > n {
-				hi = n
-			}
-			if src != nil {
-				sends = append(sends, a.c.comm.Isend(a.rank, tag, src[lo:hi]))
-			} else {
-				sends = append(sends, a.c.comm.IsendSized(a.rank, tag, hi-lo))
-			}
-		}
-		w := blockWaits{p: hp, n: nb, timeout: a.c.opts.Timeout,
-			issue: func(i int) *minimpi.Request { return sends[i] }}
-		if i := w.run(); i < nb {
-			// Abandon the rest of the payload (the peer is considered
-			// dead); canceling releases the in-flight transfers.
-			for _, rest := range sends[i:] {
-				rest.Cancel()
-			}
-			pd.err = &TimeoutError{Rank: a.rank, Attempts: 1}
-			pd.done.Trigger()
-			return
-		}
-		pd.err = cl.statusOnly(hp)
-		if pd.err == nil {
-			a.c.tuneRecord(a.c.opts.H2D, a.rank, DirH2D, block, n, sim.Duration(hp.Now()-t0))
-			a.noteUpload(dst, off, colBytes, cols, pitch, src)
-		}
-		pd.done.Trigger()
-	})
-	return pd
+	return a.streamCopy(DirH2D, q, src)
 }
 
 // MemcpyD2H copies n bytes of device memory at src+off into dst
@@ -951,7 +957,7 @@ func (a *Accel) MemcpyD2H(p *sim.Proc, dst []byte, src gpu.Ptr, off, n int) erro
 }
 
 // MemcpyD2HAsync starts a device-to-host copy on the given stream; the
-// blocks are drained into dst by a helper process.
+// blocks are drained into dst in the background.
 func (a *Accel) MemcpyD2HAsync(dst []byte, src gpu.Ptr, off, n int, stream uint8) *Pending {
 	return a.MemcpyD2H2DAsync(dst, src, off, n, 1, n, stream)
 }
@@ -959,74 +965,11 @@ func (a *Accel) MemcpyD2HAsync(dst []byte, src gpu.Ptr, off, n int, stream uint8
 // MemcpyD2H2DAsync is the asynchronous strided device-to-host copy of a
 // device window into packed host memory, the inverse of MemcpyH2D2D.
 func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, pitch int, stream uint8) *Pending {
-	pd := &Pending{done: sim.NewEvent(a.sim())}
-	n := colBytes * cols
-	if dst != nil && len(dst) != n {
-		pd.err = fmt.Errorf("core: MemcpyD2H: dst has %d bytes, geometry says %d", len(dst), n)
-		pd.done.Trigger()
-		return pd
+	if err := checkWindow("MemcpyD2H", "dst", dst, colBytes, cols, pitch); err != nil {
+		return a.failed(err)
 	}
-	if colBytes < 0 || cols <= 0 || pitch < colBytes {
-		pd.err = fmt.Errorf("core: MemcpyD2H: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitch)
-		pd.done.Trigger()
-		return pd
-	}
-	// Downloads read what queued commands wrote: flush the stream first.
-	a.flushStream(stream)
-	block, depth := a.c.tunePlan(a.c.opts.D2H, a.rank, DirD2H, n)
-	q := &request{op: OpMemcpyD2H, stream: stream, ptr: src, off: off, size: n,
-		cols: cols, pitch: pitch, block: block, depth: depth}
-	cl := a.newCall(q, false)
-	tag := dataTag(q.reqID)
-	a.sim().Spawn("d2h-receiver", func(hp *sim.Proc) {
-		t0 := hp.Now()
-		nb := numBlocks(n, block)
-		w := blockWaits{p: hp, n: nb, timeout: a.c.opts.Timeout,
-			issue: func(int) *minimpi.Request { return a.c.comm.Irecv(a.rank, tag) },
-			taken: func(i int, req *minimpi.Request) {
-				if data, _ := req.Result(); dst != nil && data != nil {
-					copy(dst[i*block:], data)
-				}
-				// The daemon ships blocks in pooled buffers (ownership
-				// handoff); the bytes are copied out, so recycle.
-				req.Free()
-			}}
-		if w.run() < nb {
-			pd.err = &TimeoutError{Rank: a.rank, Attempts: 1}
-			pd.done.Trigger()
-			return
-		}
-		pd.err = cl.statusOnly(hp)
-		if pd.err == nil {
-			a.c.tuneRecord(a.c.opts.D2H, a.rank, DirD2H, block, n, sim.Duration(hp.Now()-t0))
-			if dst != nil {
-				// Downloaded contents are host-visible truth: refresh the
-				// shadow so a later failover replays them too.
-				a.noteDownload(src, off, colBytes, cols, pitch, dst)
-			}
-		}
-		pd.done.Trigger()
-	})
-	return pd
-}
-
-// noteDownload scatters freshly downloaded bytes into the allocation's
-// shadow (the strided inverse of noteUpload).
-func (a *Accel) noteDownload(ptr gpu.Ptr, off, colBytes, cols, pitch int, data []byte) {
-	rec := a.allocs[ptr]
-	if rec == nil || data == nil || colBytes <= 0 {
-		return
-	}
-	if rec.shadow == nil {
-		rec.shadow = make([]byte, rec.size)
-	}
-	for c := 0; c < cols; c++ {
-		lo := off + c*pitch
-		if lo < 0 || lo+colBytes > len(rec.shadow) || (c+1)*colBytes > len(data) {
-			return
-		}
-		copy(rec.shadow[lo:lo+colBytes], data[c*colBytes:(c+1)*colBytes])
-	}
+	return a.streamCopy(DirD2H, &request{op: OpMemcpyD2H, stream: stream, ptr: src, off: off, size: colBytes * cols,
+		cols: cols, pitch: pitch}, dst)
 }
 
 // Memset fills n bytes of device memory at dst+off with value
@@ -1038,24 +981,9 @@ func (a *Accel) Memset(p *sim.Proc, dst gpu.Ptr, off, n int, value byte) error {
 // MemsetAsync queues the fill on a stream.
 func (a *Accel) MemsetAsync(dst gpu.Ptr, off, n int, value byte, stream uint8) *Pending {
 	if n < 0 {
-		pd := &Pending{done: sim.NewEvent(a.sim())}
-		pd.err = fmt.Errorf("core: Memset: negative size %d", n)
-		pd.done.Trigger()
-		return pd
+		return a.failed(fmt.Errorf("core: Memset: negative size %d", n))
 	}
-	q := &request{op: OpMemset, stream: stream, ptr: dst, off: off, size: n, value: value}
-	onOK := func() {
-		if rec := a.allocs[dst]; rec != nil && off >= 0 && off+n <= rec.size {
-			if rec.shadow == nil {
-				rec.shadow = make([]byte, rec.size)
-			}
-			fillBytes(rec.shadow[off:off+n], value)
-		}
-	}
-	if a.batching() {
-		return a.record(q, onOK)
-	}
-	return a.asyncCall(q, onOK)
+	return a.submit(&request{op: OpMemset, stream: stream, ptr: dst, off: off, size: n, value: value})
 }
 
 // fillBytes sets every byte of b to v at memmove speed: a zero fill is a
@@ -1106,10 +1034,7 @@ func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
 		kernel: k.name,
 		launch: gpu.Launch{Grid: grid, Block: block, Args: append([]gpu.Value(nil), k.args...)},
 	}
-	if k.a.batching() {
-		return k.a.record(q, nil)
-	}
-	return k.a.asyncCall(q, nil)
+	return k.a.submit(q)
 }
 
 // Sync blocks until every outstanding request on every stream of this
@@ -1117,18 +1042,15 @@ func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
 // command buffers on every stream are flushed first.
 func (a *Accel) Sync(p *sim.Proc) error {
 	a.flushAll()
-	return a.newCall(&request{op: OpSync}, true).statusOnly(p)
+	return a.status(p, &request{op: OpSync})
 }
 
 // Info queries the accelerator's device description. Queued commands
 // flush first so MemUsed reflects every recorded alloc-affecting op.
 func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 	a.flushAll()
-	rsp, err := a.newCall(&request{op: OpDeviceInfo}, true).wait(p)
+	rsp, err := a.call(p, &request{op: OpDeviceInfo})
 	if err != nil {
-		return DeviceInfo{}, err
-	}
-	if err := rsp.err(); err != nil {
 		return DeviceInfo{}, err
 	}
 	return decodeDeviceInfo(rsp.payload)
@@ -1139,19 +1061,14 @@ func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 // back to the ARM.
 func (a *Accel) Reset(p *sim.Proc) error {
 	a.flushAll()
-	err := a.newCall(&request{op: OpReset}, true).statusOnly(p)
-	if err == nil {
-		a.allocs = make(map[gpu.Ptr]*allocRecord)
-		a.remap = make(map[gpu.Ptr]gpu.Ptr)
-	}
-	return err
+	return a.finished(a.status(p, &request{op: OpReset}))
 }
 
 // Shutdown stops the accelerator's daemon (simulation teardown).
 // Recorded commands flush first so nothing queued is lost.
 func (a *Accel) Shutdown(p *sim.Proc) error {
 	a.flushAll()
-	return a.newCall(&request{op: OpShutdown}, true).statusOnly(p)
+	return a.finished(a.status(p, &request{op: OpShutdown}))
 }
 
 // Failover migrates the handle to a replacement accelerator after its
@@ -1187,31 +1104,46 @@ func (c *Client) Failover(p *sim.Proc, a *Accel) error {
 	// rebuild traffic: open a fresh id there (the dead daemon's session
 	// died with it; the ARM reaps whatever survives a partial failure).
 	if a.session != 0 {
-		if err := a.openSession(p); err != nil {
+		if err := a.OpenSession(p); err != nil {
 			return fmt.Errorf("core: failover %d->%d: open session: %w", oldRank, newRank, err)
 		}
 	}
-	// Deterministic rebuild order: sorted app-visible pointers.
-	ptrs := make([]gpu.Ptr, 0, len(a.allocs))
-	for ptr := range a.allocs {
-		ptrs = append(ptrs, ptr)
-	}
-	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
-	for _, ptr := range ptrs {
-		rec := a.allocs[ptr]
-		phys, err := a.rawAlloc(p, rec.size)
-		if err != nil {
-			return fmt.Errorf("core: failover %d->%d: re-alloc %d bytes: %w", oldRank, newRank, rec.size, err)
-		}
+	err = a.rebuild(p, a, fmt.Sprintf("failover %d->%d: re-alloc", oldRank, newRank), func(ptr, phys gpu.Ptr, rec *allocRecord) error {
 		a.remap[ptr] = phys
 		if rec.shadow != nil {
 			if err := a.MemcpyH2D(p, ptr, 0, rec.shadow, rec.size); err != nil {
 				return fmt.Errorf("core: failover %d->%d: re-upload: %w", oldRank, newRank, err)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	a.noFlush = false
 	a.flushAll()
+	return nil
+}
+
+// rebuild re-creates the handle's live allocations on the accelerator
+// behind on, in a deterministic order — sorted app-visible pointers — and
+// has fill put the contents of each in place.
+func (a *Accel) rebuild(p *sim.Proc, on *Accel, what string, fill func(ptr, phys gpu.Ptr, rec *allocRecord) error) error {
+	ptrs := make([]gpu.Ptr, 0, len(a.allocs))
+	for ptr := range a.allocs {
+		ptrs = append(ptrs, ptr)
+	}
+	slices.Sort(ptrs)
+	for _, ptr := range ptrs {
+		rec := a.allocs[ptr]
+		rsp, err := on.call(p, &request{op: OpMemAlloc, size: rec.size})
+		if err != nil {
+			return fmt.Errorf("core: %s %d bytes: %w", what, rec.size, err)
+		}
+		if err := fill(ptr, rsp.ptr, rec); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -1247,24 +1179,14 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 	// app-visible pointers and records. A sessioned handle gets a fresh
 	// session on the destination; the allocations made below belong to it,
 	// and the handle adopts it when the swap commits.
-	tmp := c.Attach(newRank)
+	tmp := c.handle(newRank, true)
 	if a.session != 0 {
-		if err := tmp.openSession(p); err != nil {
+		if err := tmp.OpenSession(p); err != nil {
 			return fmt.Errorf("core: migrate %d->%d: open session: %w", oldRank, newRank, err)
 		}
 	}
-	ptrs := make([]gpu.Ptr, 0, len(a.allocs))
-	for ptr := range a.allocs {
-		ptrs = append(ptrs, ptr)
-	}
-	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i] < ptrs[j] })
-	newRemap := make(map[gpu.Ptr]gpu.Ptr, len(ptrs))
-	for _, ptr := range ptrs {
-		rec := a.allocs[ptr]
-		phys, err := tmp.rawAlloc(p, rec.size)
-		if err != nil {
-			return fmt.Errorf("core: migrate %d->%d: alloc %d bytes: %w", oldRank, newRank, rec.size, err)
-		}
+	newRemap := make(map[gpu.Ptr]gpu.Ptr, len(a.allocs))
+	err := a.rebuild(p, tmp, fmt.Sprintf("migrate %d->%d: alloc", oldRank, newRank), func(ptr, phys gpu.Ptr, rec *allocRecord) error {
 		if err := c.DirectCopy(p, a, ptr, 0, tmp, phys, 0, rec.size); err != nil {
 			// The old daemon died mid-copy after all: fall back to the
 			// failover path for this allocation when a host shadow exists.
@@ -1276,6 +1198,10 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 			}
 		}
 		newRemap[ptr] = phys
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	oldSession := a.session
 	a.rank = newRank
@@ -1285,7 +1211,7 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 		// daemon frees the migrated-away allocations (best effort: the old
 		// daemon is suspect and may be gone).
 		a.session = tmp.session
-		old := c.Attach(oldRank)
+		old := c.handle(oldRank, true)
 		old.session = oldSession
 		_ = old.CloseSession(p)
 	}
@@ -1343,15 +1269,15 @@ func (c *Client) DirectCopy2DOn(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff,
 		// sentinel lets data-plane callers fall back to host staging.
 		return fmt.Errorf("core: DirectCopy: accelerators belong to a different client: %w", ErrNoPeerPath)
 	}
-	if colBytes < 0 || cols <= 0 || pitch < colBytes {
-		return fmt.Errorf("core: DirectCopy: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitch)
+	if err := checkWindow("DirectCopy", "", nil, colBytes, cols, pitch); err != nil {
+		return err
 	}
 	// The copy reads and writes device state touched by queued commands:
 	// flush both handles before the daemons start streaming.
 	src.flushAll()
 	dst.flushAll()
 	n := colBytes * cols
-	block, depth := c.tunePlan(c.opts.D2H, dst.rank, DirD2D, n)
+	block, depth := c.tunePlan(c.opts.D2H, dst.rank, DirD2D, n, true)
 	t0 := p.Now()
 	c.nextReq++
 	xferID := c.nextReq
@@ -1360,10 +1286,10 @@ func (c *Client) DirectCopy2DOn(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff,
 	recvQ := &request{op: OpD2DRecv, ptr: dstPtr, off: dstOff, size: n, cols: 1, pitch: n,
 		block: block, depth: depth, peer: src.rank, xferID: xferID, stream: dstStream}
 	// Post the receiver side first so its daemon is ready for the stream.
-	recvCall := dst.newCall(recvQ, false)
-	sendCall := src.newCall(sendQ, false)
-	errRecv := recvCall.statusOnly(p)
-	errSend := sendCall.statusOnly(p)
+	recvCall := dst.newCall(recvQ).issue(0, 0)
+	sendCall := src.newCall(sendQ).issue(0, 0)
+	_, errRecv := recvCall.wait(p)
+	_, errSend := sendCall.wait(p)
 	if errSend != nil {
 		return errSend
 	}
@@ -1385,28 +1311,13 @@ func (a *Accel) MemcpyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, src
 	// The copy reads and writes device state touched by queued commands.
 	a.flushAll()
 	q := &request{op: OpMemcpyD2D, ptr: src, off: srcOff, ptr2: dst, off2: dstOff, size: n}
-	err := a.newCall(q, true).statusOnly(p)
-	if err == nil {
-		a.noteLocalCopy(dst, dstOff, src, srcOff, n)
+	err := a.status(p, q)
+	// Whatever host shadow the source range has becomes the destination
+	// range's, so a replayed replacement sees the copied bytes too.
+	if rec := a.allocs[src]; err == nil && rec != nil && rec.shadow != nil && srcOff+n <= len(rec.shadow) {
+		a.shadowWrite(dst, dstOff, n, 1, n, rec.shadow[srcOff:], 0)
 	}
 	return err
-}
-
-// noteLocalCopy mirrors a device-local copy into the failover ledger:
-// whatever host shadow the source range has becomes the destination
-// range's shadow, so a replayed replacement sees the copied bytes too.
-func (a *Accel) noteLocalCopy(dst gpu.Ptr, dstOff int, src gpu.Ptr, srcOff, n int) {
-	srcRec, dstRec := a.allocs[src], a.allocs[dst]
-	if srcRec == nil || dstRec == nil || srcRec.shadow == nil || n <= 0 {
-		return
-	}
-	if srcOff+n > len(srcRec.shadow) || dstOff+n > dstRec.size {
-		return
-	}
-	if dstRec.shadow == nil {
-		dstRec.shadow = make([]byte, dstRec.size)
-	}
-	copy(dstRec.shadow[dstOff:dstOff+n], srcRec.shadow[srcOff:srcOff+n])
 }
 
 func (a *Accel) sim() *sim.Simulation { return a.c.comm.World().Sim() }

@@ -7,9 +7,9 @@ import (
 
 // reqWait is Request.WaitTimeout (Wait, without a deadline) for
 // scheduler-context code, which cannot block: the one wait on a request
-// that a leg of a callback chain makes, embedded in the chain's record.
-// Both ends of a block stream use it — the daemon's pipeline blocks and the
-// front-end's blockWaits.
+// that a leg of a callback chain makes, embedded in the chain's record: the
+// daemon's pipeline blocks, and the front-end's call for a copy's blocks
+// and every response.
 type reqWait struct {
 	req *minimpi.Request
 	// waiting is set while the wait lasts, and expires is when it runs out

@@ -24,7 +24,8 @@ import (
 // the daemon's block and staging counters, the device's counters, a hash
 // over every message that entered the wire (instant, ranks, tag, size, in
 // order) and the instant the simulation drained. Any reordering of a
-// pipeline stage's events moves at least one literal below.
+// pipeline stage's events moves at least one literal below. The last rows
+// do the same for the front-end's request engine on header-only calls.
 func TestGoldenCopySchedule(t *testing.T) {
 	const k, m = netmodel.KiB, netmodel.MiB
 	pipe128 := Options{H2D: PaperPipeline(128 * k), D2H: PaperPipeline(128 * k)}
@@ -32,6 +33,8 @@ func TestGoldenCopySchedule(t *testing.T) {
 	timeout.PayloadTimeout = 5 * sim.Millisecond
 	patient := pipe128
 	patient.Timeout, patient.Retries = 20*sim.Millisecond, 1
+	retrying := DefaultOptions()
+	retrying.Timeout, retrying.Retries = 5*sim.Millisecond, 2
 
 	// roundTrips uploads then downloads each size on stream 0.
 	roundTrips := func(sizes ...int) func(*sim.Proc, *goldenBed) {
@@ -46,6 +49,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 	scenarios := []struct {
 		name string
 		exec bool
+		two  bool // a second daemon, rank 2
 		opts Options
 		cfg  DaemonConfig
 		run  func(*sim.Proc, *goldenBed)
@@ -250,10 +254,204 @@ func TestGoldenCopySchedule(t *testing.T) {
 				wireMsgs: 49, wireHash: 0xbb4c3e50fafdc84d, end: 20673800,
 			},
 		},
+		// Header-only calls, flushes, resends and stale replies: the
+		// front-end's request engine. Recorded while a synchronous call was a
+		// loop in the calling process (call.wait) and an asynchronous one a
+		// closure engine (roundTrip).
+		{
+			name: "synchronous calls", opts: DefaultOptions(), cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				a, err := gb.a.MemAlloc(p, 1*m)
+				gb.note(p, err)
+				b, err := gb.a.MemAlloc(p, 2*m)
+				gb.note(p, err)
+				gb.note(p, gb.a.MemcpyD2D(p, b, 4*k, a, 0, 64*k))
+				gb.note(p, gb.a.Sync(p))
+				_, err = gb.a.Info(p)
+				gb.note(p, err)
+				gb.note(p, gb.a.MemFree(p, a))
+				gb.note(p, gb.a.MemFree(p, a))
+				gb.note(p, gb.a.MemFree(p, b))
+			},
+			want: copySchedule{
+				client:   []sim.Time{14014, 28028, 33338, 37349, 41375, 55389, 69418, 83432},
+				daemon:   []sim.Time{12156, 26170, 31480, 35491, 39502, 53531, 67545, 81574, 85585},
+				errs:     []string{"", "", "", "", "", "", "core: accelerator error: gpu: free of invalid device pointer 0x100", ""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
+				wireMsgs: 18, wireHash: 0x62e0b47cf92d6135, end: 90293,
+			},
+		},
+		{
+			// Launches and memsets on two streams, awaited out of order.
+			name: "asynchronous calls", opts: patient, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				gb.dev.Registry().Register(gpu.FuncKernel{
+					KernelName: "slow",
+					CostFn:     func(gpu.Launch, gpu.Model) sim.Duration { return 300 * sim.Microsecond },
+				})
+				ptr := gb.alloc(p, 1*m)
+				one := gpu.Dim3{X: 1}
+				pds := []*Pending{
+					gb.a.KernelCreate("slow").RunAsync(one, one, 1),
+					gb.a.MemsetAsync(ptr, 0, 512*k, 1, 2),
+					gb.a.KernelCreate("bogus").RunAsync(one, one, 2),
+					gb.a.MemsetAsync(ptr, 512*k, 512*k, 2, 1),
+					gb.a.KernelCreate("slow").SetArgs(gpu.PtrArg(ptr), gpu.IntArg(7)).RunAsync(one, one, 2),
+					gb.a.MemsetAsync(ptr, 1*m, 1, 3, 1),
+				}
+				gb.noteAll(p, []*Pending{pds[4], pds[1], pds[5], pds[0], pds[3], pds[2]})
+			},
+			want: copySchedule{
+				client:   []sim.Time{632048, 33200, 340219, 325048, 337188, 36218},
+				daemon:   []sim.Time{12156, 31342, 31342, 323190, 335330, 335330, 630190, 634201},
+				errs:     []string{"", "", "core: accelerator error: gpu: access [1048576,1048577) beyond allocation of 1048576 bytes", "", "", "core: accelerator error: gpu: unknown kernel \"bogus\""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 2, Busy: 614000},
+				wireMsgs: 16, wireHash: 0xde67fa2c3e0495a1, end: 20632048,
+			},
+		},
+		{
+			// A three-command buffer travels as one opBatch, a single command
+			// ships plain, an inline write makes a batch of one.
+			name: "batch flushes", opts: BatchedOptions(), cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				ptr := gb.alloc(p, 1*m)
+				three := []*Pending{
+					gb.a.MemsetAsync(ptr, 0, 256*k, 1, 1),
+					gb.a.MemsetAsync(ptr, 2*m, 1, 2, 1),
+					gb.a.MemsetAsync(ptr, 256*k, 256*k, 3, 1),
+				}
+				single := gb.a.MemsetAsync(ptr, 0, 128*k, 4, 2)
+				gb.noteAll(p, append(three, gb.a.Flush(1), gb.a.Flush(2), single))
+				gb.note(p, gb.a.MemcpyH2D(p, ptr, 0, nil, 2*k))
+				gb.note(p, gb.a.MemFree(p, ptr))
+			},
+			want: copySchedule{
+				client:   []sim.Time{27651, 27651, 27651, 27651, 30659, 30659, 50828, 64842},
+				daemon:   []sim.Time{12156, 25766, 27493, 48968, 62984, 66995},
+				errs:     []string{"", "core: batch command 1 (op 10): core: accelerator error: gpu: access [2097152,2097153) beyond allocation of 1048576 bytes", "core: batch command 2 (op 10): core: command skipped after earlier batch error", "core: batch command 1 (op 10): core: accelerator error: gpu: access [2097152,2097153) beyond allocation of 1048576 bytes", "", "", "", ""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 2048, BytesOut: 0, Launches: 0, Busy: 11410},
+				wireMsgs: 12, wireHash: 0xfdf7438f104f54f1, end: 71703,
+			},
+		},
+		{
+			// Both daemons answer when the stream between them is through;
+			// the front-end waits for the receiver, then for the sender.
+			name: "direct copy", two: true, opts: patient, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				src := gb.alloc(p, 4*m)
+				dst, err := gb.a2.MemAlloc(p, 4*m)
+				gb.note(p, err)
+				c := gb.a.Client()
+				gb.note(p, c.DirectCopy2DOn(p, gb.a, src, 512, 100*k, 30, 128*k, gb.a2, dst, 0, 1, 2))
+				gb.note(p, c.DirectCopy(p, gb.a2, dst, 0, gb.a, src, 0, 4*m))
+				gb.note(p, c.DirectCopy(p, gb.a, src, 2*m, gb.a2, dst, 0, 4*m))
+			},
+			want: copySchedule{
+				client:   []sim.Time{28028, 1267439, 2935125, 3240191},
+				daemon:   []sim.Time{12156, 26170, 1235641, 1265581, 2898416, 2933267, 3070183, 3238333, 3242344, 3246355},
+				errs:     []string{"", "", "", "core: accelerator error: gpu: access [2097152,6291456) beyond allocation of 4194304 bytes"},
+				blocksIn: 32, blocksOut: 56, stagingPeak: 524288,
+				gpu:      gpu.Stats{BytesIn: 4194304, BytesOut: 3072000, Launches: 0, Busy: 1714221},
+				wireMsgs: 108, wireHash: 0x36d949ef1ae9c75a, end: 23244202,
+			},
+		},
+		{
+			// One response is lost under a synchronous call and one under an
+			// asynchronous one: each is resent once, at its deadline.
+			name: "dropped response", opts: retrying, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				ptr := gb.alloc(p, 1*m)
+				gb.dropResponse(0)
+				gb.note(p, gb.a.Sync(p))
+				gb.dropResponse(0)
+				other := gb.a.MemsetAsync(ptr, 0, 1*k, 5, 2)
+				gb.noteAll(p, []*Pending{gb.a.MemsetAsync(ptr, 0, 1*m, 6, 1), other})
+				gb.dropResponse(0)
+				_, err := gb.a.MemAlloc(p, 1*k)
+				gb.note(p, err)
+			},
+			want: copySchedule{
+				client:   []sim.Time{5018025, 5042337, 10022045, 15026059},
+				daemon:   []sim.Time{12156, 16167, 5016167, 5027197, 5040479, 10020187, 10034201, 15024201, 15028212},
+				errs:     []string{"", "", "", ""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
+				wireMsgs: 18, wireHash: 0xb1bbc01e08ab8a8b, end: 20026059,
+			},
+		},
+		{
+			// Nobody answers: three sends each, then the typed error.
+			name: "daemon dead", opts: retrying, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				ptr := gb.alloc(p, 1*m)
+				gb.d.Kill()
+				pd := gb.a.MemsetAsync(ptr, 0, 1*k, 7, 1)
+				gb.note(p, gb.a.Sync(p))
+				gb.noteAll(p, []*Pending{pd, gb.a.KernelCreate("k").RunAsync(gpu.Dim3{X: 1}, gpu.Dim3{X: 1}, 0)})
+				_, err := gb.a.Info(p)
+				gb.note(p, err)
+			},
+			want: copySchedule{
+				client:   []sim.Time{15014014, 15014014, 30014014, 45014014},
+				daemon:   []sim.Time{12156},
+				errs:     []string{"core: op 6 to accelerator rank 1 timed out after 3 attempt(s)", "core: op 10 to accelerator rank 1 timed out after 3 attempt(s)", "core: op 5 to accelerator rank 1 timed out after 3 attempt(s)", "core: op 7 to accelerator rank 1 timed out after 3 attempt(s)"},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
+				wireMsgs: 14, wireHash: 0x779047df3dfdc03b, end: 45014014,
+			},
+		},
+		{
+			// A reply to somebody else's request lands on an asynchronous
+			// call's tag (the tag window wrapped): it is discarded and the
+			// receive re-posted; the second time the true reply is lost too.
+			name: "stale reply, asynchronous", opts: retrying, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				ptr := gb.alloc(p, 1*m)
+				gb.staleNext()
+				gb.noteAll(p, []*Pending{gb.a.MemsetAsync(ptr, 0, 1*k, 8, 0)})
+				gb.staleNext()
+				gb.dropResponse(1)
+				gb.noteAll(p, []*Pending{gb.a.MemsetAsync(ptr, 0, 1*k, 9, 0)})
+			},
+			want: copySchedule{
+				client:   []sim.Time{28047, 5032067},
+				daemon:   []sim.Time{12156, 16167, 26189, 30200, 40222, 5030209, 5034220},
+				errs:     []string{"", ""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
+				wireMsgs: 14, wireHash: 0x329078cae77547e7, end: 10032067,
+			},
+		},
+		{
+			// The same under synchronous calls. The one row that moved when the
+			// engines merged: call.wait restarted the deadline at every stale
+			// reply, so the resend left 4011 ns later than here (completion
+			// 5015041, hash 0x31654600b3c15f05, end 10015041); now the deadline
+			// belongs to the send, as it always did for asynchronous calls.
+			name: "stale reply, synchronous", opts: retrying, cfg: DefaultDaemonConfig(),
+			run: func(p *sim.Proc, gb *goldenBed) {
+				gb.staleNext()
+				gb.note(p, gb.a.Sync(p))
+				gb.staleNext()
+				gb.dropResponse(1)
+				gb.note(p, gb.a.Sync(p))
+			},
+			want: copySchedule{
+				client:   []sim.Time{7019, 5011030},
+				daemon:   []sim.Time{2153, 5156, 9172, 12175, 5009172, 5013183},
+				errs:     []string{"", ""},
+				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
+				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
+				wireMsgs: 12, wireHash: 0x78f19158b2775bc4, end: 10011030,
+			},
+		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			gb := newGoldenBed(t, sc.exec, sc.opts, sc.cfg)
+			gb := newGoldenBed(t, sc.exec, sc.two, sc.opts, sc.cfg)
 			got := gb.run(t, func(p *sim.Proc) { sc.run(p, gb) })
 			if !reflect.DeepEqual(got, sc.want) {
 				t.Errorf("schedule moved:\n got %s\nwant %s", got.literal(), sc.want.literal())
@@ -291,49 +489,86 @@ func (cs copySchedule) literal() string {
 }
 
 // goldenBed is one front-end (rank 0) and one daemon (rank 1) over QDR
-// InfiniBand, with every message entering the wire folded into the record.
+// InfiniBand — two daemons when a scenario asks for the second (rank 2) —
+// with every message entering the wire folded into the record.
 type goldenBed struct {
 	sim   *sim.Simulation
 	world *minimpi.World
-	a     *Accel
-	d     *Daemon
+	a, a2 *Accel
+	d, d2 *Daemon
 	dev   *gpu.Device
 	got   copySchedule
+	// dropping loses one daemon response on the wire, after letting
+	// dropSkip others through; see dropResponse.
+	dropping bool
+	dropSkip int
 }
 
-func newGoldenBed(t *testing.T, exec bool, opts Options, cfg DaemonConfig) *goldenBed {
+func newGoldenBed(t *testing.T, exec, two bool, opts Options, cfg DaemonConfig) *goldenBed {
 	t.Helper()
 	s := sim.New()
-	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
+	ranks := 2
+	if two {
+		ranks = 3
+	}
+	w, err := minimpi.NewWorld(s, ranks, netmodel.QDRInfiniBand())
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := gpu.TeslaC1060()
 	model.MemBytes = 64 << 20
-	dev, err := gpu.NewDevice(s, gpu.Config{Name: "ac0", Model: model, Execute: exec})
-	if err != nil {
-		t.Fatal(err)
+	daemon := func(rank int) (*gpu.Device, *Daemon) {
+		name := fmt.Sprintf("ac%d", rank-1)
+		dev, err := gpu.NewDevice(s, gpu.Config{Name: name, Model: model, Execute: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDaemon(w.Comm(rank), dev, cfg)
+		s.Spawn(fmt.Sprintf("daemon%d", rank-1), d.Run)
+		return dev, d
 	}
-	gb := &goldenBed{sim: s, world: w, dev: dev, d: NewDaemon(w.Comm(1), dev, cfg)}
-	s.Spawn("daemon0", gb.d.Run)
+	gb := &goldenBed{sim: s, world: w}
+	gb.dev, gb.d = daemon(1)
+	if two {
+		_, gb.d2 = daemon(2)
+	}
 	client, err := NewClient(w.Comm(0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gb.a = client.Attach(1)
+	if two {
+		gb.a2 = client.Attach(2)
+	}
 	h := fnv.New64a()
-	// The filter only observes: a zero verdict delivers the message as if
-	// no filter were installed.
+	// Unless a scenario asked for a drop the filter only observes: a zero
+	// verdict delivers the message as if no filter were installed.
 	w.SetLinkFilter(func(src, dst int, tag minimpi.Tag, size int) minimpi.LinkVerdict {
 		fmt.Fprintf(h, "%d %d>%d %d %d\n", s.Now(), src, dst, tag, size)
 		gb.got.wireMsgs++
 		gb.got.wireHash = h.Sum64()
-		if src == 1 && tag >= tagRespBase && tag < tagDataBase {
+		if src != 0 && tag >= tagRespBase && tag < tagDataBase {
 			gb.got.daemon = append(gb.got.daemon, s.Now())
+			if gb.dropping {
+				if gb.dropSkip--; gb.dropSkip < 0 {
+					gb.dropping = false
+					return minimpi.LinkVerdict{Drop: true}
+				}
+			}
 		}
 		return minimpi.LinkVerdict{}
 	})
 	return gb
+}
+
+// dropResponse loses the daemon response after the next skip ones.
+func (gb *goldenBed) dropResponse(skip int) { gb.dropping, gb.dropSkip = true, skip }
+
+// staleNext makes the front-end's next request receive a stale reply first:
+// a raw request whose ID falls on the same tag of the window travels just
+// ahead of it, and the daemon answers that one first.
+func (gb *goldenBed) staleNext() {
+	gb.rawSend(1<<50|(gb.a.c.nextReq+1)%tagWindow, &request{op: OpSync})
 }
 
 // run executes fn as the front-end process, shuts the daemon down if it
@@ -342,11 +577,13 @@ func (gb *goldenBed) run(t *testing.T, fn func(p *sim.Proc)) copySchedule {
 	t.Helper()
 	gb.sim.Spawn("cn", func(p *sim.Proc) {
 		fn(p)
-		if !gb.d.Alive() {
-			return
-		}
-		if err := gb.a.Shutdown(p); err != nil {
-			t.Errorf("shutdown: %v", err)
+		for i, d := range []*Daemon{gb.d, gb.d2} {
+			if d == nil || !d.Alive() {
+				continue
+			}
+			if err := []*Accel{gb.a, gb.a2}[i].Shutdown(p); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
 		}
 	})
 	if err := gb.sim.Run(); err != nil {

@@ -482,3 +482,105 @@ func TestSessionBarriersAreScoped(t *testing.T) {
 		}
 	})
 }
+
+// TestMigrateRankMovesOnlyHandlesInUse: a client's list of attached handles
+// holds the handles in use and nothing else. Migrate's temporaries (the
+// destination's raw handle, the old session's closer) never enter it, so a
+// second MigrateRank does not migrate the first one's leftovers — which used
+// to open an orphan session on the third daemon that no CloseSession ever
+// reached.
+func TestMigrateRankMovesOnlyHandlesInUse(t *testing.T) {
+	cb := newChaosBed(t, 3, true, DefaultOptions())
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		c := cb.client
+		idle := len(c.attached) // the bed's own three handles
+		a, err := c.AttachSession(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := a.MemAlloc(p, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := pattern(4096)
+		if err := a.MemcpyH2D(p, ptr, 0, src, len(src)); err != nil {
+			t.Fatal(err)
+		}
+		for i, hop := range [][2]int{{1, 2}, {2, 3}} {
+			// The bed's session-less handles on the rank move too: its own,
+			// and the second time the one that arrived with the first hop.
+			if moved, err := c.MigrateRank(p, hop[0], hop[1]); err != nil || moved != 2+i {
+				t.Errorf("MigrateRank(%d->%d) moved %d handles (err %v), want the %d in use", hop[0], hop[1], moved, err, 2+i)
+			}
+			if got := len(c.attached); got != idle+1 {
+				t.Errorf("%d handles attached after MigrateRank(%d->%d), want %d", got, hop[0], hop[1], idle+1)
+			}
+		}
+		if a.Rank() != 3 {
+			t.Fatalf("handle on rank %d after two migrations, want 3", a.Rank())
+		}
+		if n := cb.daemons[2].OpenSessions(); n != 1 {
+			t.Errorf("%d sessions open on the final daemon, want the tenant's one", n)
+		}
+		got := make([]byte, len(src))
+		if err := a.MemcpyD2H(p, got, ptr, 0, len(got)); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("contents after two migrations: err %v, equal %v", err, bytes.Equal(got, src))
+		}
+		if err := a.CloseSession(p); err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range cb.daemons {
+			if n := d.OpenSessions(); n != 0 {
+				t.Errorf("daemon %d: %d sessions still open after CloseSession", i, n)
+			}
+			if used := cb.devs[i].MemUsed(); used != 0 {
+				t.Errorf("daemon %d: %d bytes still allocated", i, used)
+			}
+		}
+		if got := len(c.attached); got != idle {
+			t.Errorf("%d handles attached after CloseSession, want %d", got, idle)
+		}
+	})
+}
+
+// TestAttachedHandlesStayBounded: a handle leaves the client's list when
+// Reset, CloseSession or Shutdown leaves it nothing on its daemon, so
+// acquire/attach/work/reset rounds do not grow the list, and enters it again
+// with its next request.
+func TestAttachedHandlesStayBounded(t *testing.T) {
+	cb := newChaosBed(t, 2, false, DefaultOptions())
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		c := cb.client
+		idle := len(c.attached)
+		for round := 0; round < 1000; round++ {
+			h := c.Attach(1)
+			ptr, err := h.MemAlloc(p, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.MemFree(p, ptr); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Reset(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(c.attached); got != idle {
+			t.Errorf("%d handles attached after 1000 attach/alloc/free/Reset rounds, want %d", got, idle)
+		}
+		// A reset handle used again is in use again.
+		h := c.Attach(1)
+		if err := h.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.MemAlloc(p, 256); err != nil {
+			t.Fatal(err)
+		}
+		if moved, err := c.MigrateRank(p, 1, 2); err != nil || moved != 2 || h.Rank() != 2 {
+			t.Errorf("reused handle: moved %d (err %v), now on rank %d, want it and the bed's moved to rank 2", moved, err, h.Rank())
+		}
+		if err := h.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -70,14 +70,17 @@ type Config struct {
 	// ProtocolVersion when zero.
 	Version uint32
 
-	// DialTimeout is the per-attempt connect timeout (default 2s).
-	// DialBackoff/DialBackoffMax shape the reconnect schedule (default
-	// 50ms doubling to 2s).
-	DialTimeout      time.Duration
-	DialBackoff      time.Duration
-	DialBackoffMax   time.Duration
-	HandshakeTimeout time.Duration // default 5s
+	// DialBackoff is the first step of the reconnect schedule, doubling to
+	// dialBackoffMax (default 50ms).
+	DialBackoff time.Duration
 }
+
+// Per connect attempt, the reconnect schedule's ceiling, per handshake.
+const (
+	dialTimeout      = 2 * time.Second
+	dialBackoffMax   = 2 * time.Second
+	handshakeTimeout = 5 * time.Second
+)
 
 // Transport is a minimpi.Transport carrying remote-rank messages over TCP.
 // Create with New, install with World.SetTransport, and drive the world
@@ -161,17 +164,8 @@ func New(cfg Config) (*Transport, error) {
 			return nil, fmt.Errorf("nettrans: rank %d not assigned to any proc", r)
 		}
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.DialBackoff == 0 {
 		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	if cfg.DialBackoffMax == 0 {
-		cfg.DialBackoffMax = 2 * time.Second
-	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
 	}
 	t := &Transport{
 		cfg:      cfg,
@@ -468,7 +462,7 @@ func (pr *peer) dialLoop() {
 		if t.closed.Load() {
 			return
 		}
-		conn, err := net.DialTimeout("tcp", pr.addr, t.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", pr.addr, dialTimeout)
 		t.stats.dials.Add(1)
 		if err == nil {
 			herr := t.handshakeOut(conn)
@@ -493,16 +487,13 @@ func (pr *peer) dialLoop() {
 			return
 		case <-timer.C:
 		}
-		backoff *= 2
-		if backoff > t.cfg.DialBackoffMax {
-			backoff = t.cfg.DialBackoffMax
-		}
+		backoff = min(2*backoff, dialBackoffMax)
 	}
 }
 
 // handshakeOut runs the dialer's half: send hello, await welcome.
 func (t *Transport) handshakeOut(conn net.Conn) error {
-	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	w := wire.NewWriter(64)
 	appendHello(w, hello{
@@ -562,7 +553,7 @@ func (t *Transport) acceptLoop() {
 // handshakeIn runs the accept side: read the hello, verify the version,
 // token and rank claim against the shared topology, and reply.
 func (t *Transport) handshakeIn(conn net.Conn) (*peer, error) {
-	conn.SetDeadline(time.Now().Add(t.cfg.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	body, err := readFrame(conn, maxHandshakeFrame)
 	if err != nil {
