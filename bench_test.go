@@ -111,8 +111,7 @@ func BenchmarkSimQRThreeGPUsN2048(b *testing.B) {
 // BenchmarkFleetScale simulates the full CI rack — 32 network-attached
 // accelerator daemons time-shared by 96 tenants running a mixed
 // session/copy/launch workload — and reports the engine's own cost per
-// completed virtual operation. This is the workload `acbench -fleet-json`
-// snapshots into BENCH_core.json.
+// completed virtual operation.
 func BenchmarkFleetScale(b *testing.B) {
 	var r bench.FleetResult
 	for i := 0; i < b.N; i++ {

@@ -105,9 +105,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *shards > 1 {
-			topo.Dir = cluster.NewShardDirectory(cfg)
-		}
 		var wg sync.WaitGroup
 		infra := make([]*cluster.Member, 0, 2)
 		for pid := 1; pid < len(topo.Procs); pid++ {

@@ -69,21 +69,6 @@ func CloseSession(p *sim.Proc, d Device) (bool, error) {
 	return true, r.a.CloseSession(p)
 }
 
-// CapabilityOf reports the device's placement descriptor when one is
-// known: a local device's comes from its model, a remote attachment's
-// from the capability the cluster stamped at attach time (heterogeneous
-// fleets only — ok is false for an unstamped remote handle).
-func CapabilityOf(d Device) (gpu.Capability, bool) {
-	switch v := d.(type) {
-	case *LocalDevice:
-		return v.dev.Model().Capability(), true
-	case remoteDevice:
-		c := v.a.Capability()
-		return c, c.Class != ""
-	}
-	return gpu.Capability{}, false
-}
-
 // PeerCopier is an optional Device capability: moving data directly
 // between two accelerators without staging it through the compute node —
 // the paper's AC-to-AC transfer advantage (Section III). The source is a

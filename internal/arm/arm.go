@@ -94,7 +94,7 @@ const (
 	opRecall   // peer→peer: dedup-cache query while serving a replay
 	// Split-brain-safe failover (PR 7).
 	opEpoched // client→server envelope carrying the sender's epoch view
-	// Heterogeneous fleets (PR 9).
+	// Mixed-model fleets (PR 9).
 	opAcquireCapable // opAcquire with a capability constraint and described reply
 )
 

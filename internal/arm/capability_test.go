@@ -1,6 +1,6 @@
 package arm
 
-// Heterogeneous-fleet regression tests (PR 9): capability-constrained
+// Mixed-fleet regression tests (PR 9): capability-constrained
 // acquire routing, the typed ErrNoCapableDevice in both blocking modes,
 // class-aware migration preference (same model before merely
 // compatible; a C1060's resident state never lands on the FPGA),

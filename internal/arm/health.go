@@ -494,7 +494,7 @@ func (s *Server) migrate(src int, reqID uint64, rank int) {
 	}
 	var target *accel
 	if s.classed {
-		// Heterogeneous pool: resident device state only moves to a
+		// Mixed-model pool: resident device state only moves to a
 		// capability-compatible spare, same-class preferred (a C1060's
 		// state never lands on the FPGA). Picked before surrendering the
 		// old assignment — limping on a suspect device beats trading a

@@ -8,9 +8,6 @@ package bench
 // post-time counters; throughput is launches over virtual time.
 
 import (
-	"encoding/json"
-	"os"
-
 	"dynacc/internal/core"
 	"dynacc/internal/gpu"
 	"dynacc/internal/minimpi"
@@ -20,12 +17,12 @@ import (
 
 // LaunchStormResult summarizes one launch-storm run.
 type LaunchStormResult struct {
-	Batched     bool    `json:"batched"`
-	Launches    int     `json:"launches"`
-	WireMsgs    int64   `json:"wire_msgs"`
-	WireBytes   int64   `json:"wire_bytes"`
-	VirtualSecs float64 `json:"virtual_seconds"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
+	Batched     bool
+	Launches    int
+	WireMsgs    int64
+	WireBytes   int64
+	VirtualSecs float64
+	OpsPerSec   float64
 }
 
 // stormKernelCost is the modelled execution time of the storm's kernel:
@@ -91,16 +88,15 @@ func LaunchStorm(launches int, batched bool) LaunchStormResult {
 	return res
 }
 
-// BatchingReport pairs the two launch-storm modes for the smoke
-// benchmark's JSON artifact.
+// BatchingReport pairs the two launch-storm modes.
 type BatchingReport struct {
-	Launches  int               `json:"launches"`
-	Unbatched LaunchStormResult `json:"unbatched"`
-	Batched   LaunchStormResult `json:"batched"`
+	Launches  int
+	Unbatched LaunchStormResult
+	Batched   LaunchStormResult
 	// MsgRatio is unbatched/batched wire messages; Speedup is the
 	// batched/unbatched ops-per-second ratio.
-	MsgRatio float64 `json:"wire_msg_ratio"`
-	Speedup  float64 `json:"ops_per_sec_speedup"`
+	MsgRatio float64
+	Speedup  float64
 }
 
 // MeasureBatching runs the launch storm in both modes.
@@ -117,15 +113,4 @@ func MeasureBatching(launches int) BatchingReport {
 		r.Speedup = r.Batched.OpsPerSec / r.Unbatched.OpsPerSec
 	}
 	return r
-}
-
-// WriteBatchingJSON writes a MeasureBatching report to path (the CI
-// bench-smoke artifact BENCH_batching.json).
-func WriteBatchingJSON(path string, launches int) (BatchingReport, error) {
-	r := MeasureBatching(launches)
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return r, err
-	}
-	return r, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,9 +1,9 @@
 package bench
 
-// Data-plane fast-path benchmark (`acbench -dataplane-json`): measures
-// the two opt-in transports DESIGN.md §15 describes against their
-// paper-faithful host-staged baselines, on the same modeled QDR fabric
-// the figures use.
+// Data-plane fast-path benchmark (pinned by TestDataplaneReport):
+// measures the two direct transports DESIGN.md §15 describes against
+// their paper-faithful host-staged baselines, on the same modeled QDR
+// fabric the figures use.
 //
 //   - Panel broadcast: one QR-panel-sized buffer fanned out to G
 //     accelerator workspaces, classic per-device host upload loop vs the
@@ -21,9 +21,6 @@ package bench
 //     compares host staging against the direct daemon-to-daemon path.
 
 import (
-	"encoding/json"
-	"os"
-
 	"dynacc/internal/accel"
 	"dynacc/internal/cluster"
 	"dynacc/internal/gpu"
@@ -34,47 +31,46 @@ import (
 // BroadcastResult compares the two panel-broadcast strategies at one
 // fleet size.
 type BroadcastResult struct {
-	GPUs       int     `json:"gpus"`
-	PanelBytes int     `json:"panel_bytes"`
-	HostSecs   float64 `json:"host_loop_seconds"`
-	TreeSecs   float64 `json:"tree_seconds"`
-	Speedup    float64 `json:"speedup"`
+	GPUs       int
+	PanelBytes int
+	HostSecs   float64
+	TreeSecs   float64
+	Speedup    float64
 	// Host NIC bytes sent by the compute node under each strategy: the
 	// loop uploads the panel G times, the tree once (plus the headers
 	// of the daemon-to-daemon hops it orchestrates).
-	HostLoopNICBytes int64 `json:"host_loop_nic_bytes"`
-	TreeNICBytes     int64 `json:"tree_nic_bytes"`
+	HostLoopNICBytes int64
+	TreeNICBytes     int64
 }
 
 // RedistResult measures one grow scenario under the redistribution
 // strategies (wire bytes summed over every endpoint's sends).
 type RedistResult struct {
-	Scenario   string `json:"scenario"`
-	FromGPUs   int    `json:"from_gpus"`
-	ToGPUs     int    `json:"to_gpus"`
-	Blocks     int    `json:"blocks"`
-	Unchanged  int    `json:"unchanged_owner_blocks"`
-	BlockBytes int64  `json:"total_block_bytes"`
-	// Wire bytes of each strategy. Staged is the legacy full host
-	// round trip; Default is Dist.Redistribute (unchanged owners copy
-	// device-locally, header-only on the wire); Direct additionally
-	// moves changed-owner blocks daemon-to-daemon.
-	StagedWireBytes  int64 `json:"staged_wire_bytes"`
-	DefaultWireBytes int64 `json:"default_wire_bytes"`
-	DirectWireBytes  int64 `json:"direct_wire_bytes"`
+	Scenario   string
+	FromGPUs   int
+	ToGPUs     int
+	Blocks     int
+	Unchanged  int
+	BlockBytes int64
+	// Wire bytes of each strategy. Staged is the full host round trip
+	// (download, free, re-allocate, upload); Default is
+	// Dist.Redistribute (unchanged owners copy device-locally,
+	// header-only on the wire); Direct is Redistribute with direct set,
+	// which additionally moves changed-owner blocks daemon-to-daemon.
+	StagedWireBytes  int64
+	DefaultWireBytes int64
+	DirectWireBytes  int64
 	// UnchangedPayloadBytes is the payload the default path moved for
 	// unchanged-owner blocks. In the all-unchanged scenario any payload
 	// would be at least one block; wire traffic below that is header
 	// traffic only, reported as zero. Pinned by TestDataplaneReport.
-	UnchangedPayloadBytes int64 `json:"unchanged_owner_payload_bytes"`
+	UnchangedPayloadBytes int64
 }
 
-// DataplaneReport is the `acbench -dataplane-json` artifact
-// (BENCH_dataplane.json in CI).
+// DataplaneReport is the full data-plane comparison.
 type DataplaneReport struct {
-	Broadcast []BroadcastResult `json:"broadcast"`
-	Redist    []RedistResult    `json:"redistribute"`
-	Notes     []string          `json:"notes,omitempty"`
+	Broadcast []BroadcastResult
+	Redist    []RedistResult
 }
 
 // dataplaneFleet builds a cluster with nAC network-attached
@@ -195,13 +191,22 @@ func MeasureRedistribute(scenario string, fromGPUs, toGPUs, m, n, nb int) Redist
 		return wire
 	}
 	res.StagedWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
-		return d.RedistributeStaged(p, devs)
+		if err := d.Download(p, nil); err != nil {
+			return err
+		}
+		d.Free(p)
+		nd, err := magma.NewDist(p, devs, m, n, nb, false)
+		if err != nil {
+			return err
+		}
+		*d = *nd
+		return d.Upload(p, nil)
 	})
 	res.DefaultWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
-		return d.Redistribute(p, devs)
+		return d.Redistribute(p, devs, false)
 	})
 	res.DirectWireBytes = run(func(d *magma.Dist, p *sim.Proc, devs []magma.Device) error {
-		return d.RedistributeDirect(p, devs)
+		return d.Redistribute(p, devs, true)
 	})
 	if res.Unchanged == blocks {
 		perBlock := res.BlockBytes / int64(blocks)
@@ -230,22 +235,5 @@ func MeasureDataplane() DataplaneReport {
 			// Half the owners change: 8 blocks grown 2 -> 4.
 			MeasureRedistribute("mixed", 2, 4, 2048, 8*128, 128),
 		},
-		Notes: []string{
-			"host_loop uploads the panel once per GPU, serialized on the compute node's",
-			"NIC; tree seeds the owner and fans out daemon-to-daemon (O(log G) rounds).",
-			"Wire bytes include message headers; 'unchanged' grows a distribution where",
-			"every block keeps its device, so only headers cross the wire.",
-		},
 	}
-}
-
-// WriteDataplaneJSON runs MeasureDataplane and writes the report
-// (BENCH_dataplane.json in CI).
-func WriteDataplaneJSON(path string) (DataplaneReport, error) {
-	r := MeasureDataplane()
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return r, err
-	}
-	return r, os.WriteFile(path, append(data, '\n'), 0o644)
 }

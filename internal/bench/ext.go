@@ -233,14 +233,14 @@ func ExtB(o Options) *Figure {
 		mibPerSec(n, direct), mibPerSec(n, staged), float64(staged)/float64(direct)))
 
 	// The same capability inside an application: Cholesky's L21 broadcast
-	// routed accelerator-to-accelerator (Config.D2DBroadcast).
+	// routed accelerator-to-accelerator (Config.Direct).
 	cholN := 4032
 	if o.Quick {
 		cholN = 2048
 	}
 	cfgC := magma.DefaultConfig()
 	hostRoute := runFactorizationNet(factorCholesky, 3, cholN, cfgC, nil)
-	cfgC.D2DBroadcast = true
+	cfgC.Direct = true
 	d2dRoute := runFactorizationNet(factorCholesky, 3, cholN, cfgC, nil)
 	f.Notes = append(f.Notes, fmt.Sprintf(
 		"Cholesky N=%d on 3 network GPUs: D2D L21 broadcast %.1f GF vs host-routed %.1f GF (%.1f%% gain)",

@@ -7,19 +7,14 @@ package bench
 // this measures the *simulator*: host wall-clock and host allocations
 // for a fixed amount of virtual work, which is what the hot-path pooling
 // work (pooled events, payload buffers, pipeline scratch, encoder reuse)
-// is meant to improve. `acbench -fleet-json` writes the report to the CI
-// artifact BENCH_core.json, alongside re-measured hot-path baselines so
-// every CI run records the speedup over the pre-pooling engine.
+// is meant to improve. The root BenchmarkFleetScale* benchmarks drive it.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
 	"dynacc/internal/cluster"
-	"dynacc/internal/core"
 	"dynacc/internal/gpu"
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
@@ -62,54 +57,21 @@ func Fleet256Config() FleetConfig {
 
 // FleetResult is one measured fleet run.
 type FleetResult struct {
-	Daemons int `json:"daemons"`
-	Tenants int `json:"tenants"`
-	Shards  int `json:"shards"`
+	Daemons int
+	Tenants int
+	Shards  int
 	// Ops counts completed operations (alloc/copy/launch/free/session
 	// calls) across all tenants; BytesMoved is the total payload.
-	Ops        int   `json:"ops"`
-	BytesMoved int64 `json:"bytes_moved"`
+	Ops        int
+	BytesMoved int64
 	// Host-side cost of simulating the fleet.
-	WallNS  int64   `json:"wall_ns"`
-	Mallocs uint64  `json:"mallocs"`
-	PerOp   float64 `json:"allocs_per_op"`
+	WallNS  int64
+	Mallocs uint64
+	PerOp   float64
 	// Virtual-time results.
-	VirtualSecs      float64 `json:"virtual_seconds"`
-	OpsPerVirtualSec float64 `json:"ops_per_virtual_sec"`
+	VirtualSecs      float64
+	OpsPerVirtualSec float64
 }
-
-// HotPathResult re-measures one tracked hot path and compares it against
-// its recorded pre-pooling seed numbers.
-type HotPathResult struct {
-	Name string `json:"name"`
-	// Seed numbers: the engine before the hot-path performance pass
-	// (recorded constants, measured on the CI machine class).
-	SeedWallNS int64 `json:"seed_wall_ns"`
-	SeedAllocs int64 `json:"seed_allocs"`
-	// Current numbers, measured in this run.
-	WallNS int64 `json:"wall_ns"`
-	Allocs int64 `json:"allocs"`
-	// Ratios >1 mean the current engine is better.
-	WallSpeedup float64 `json:"wall_speedup"`
-	AllocRatio  float64 `json:"alloc_ratio"`
-}
-
-// FleetReport is the `acbench -fleet-json` artifact (BENCH_core.json).
-type FleetReport struct {
-	Fleet    FleetResult     `json:"fleet"`
-	HotPaths []HotPathResult `json:"hot_paths"`
-}
-
-// Pre-pooling seed numbers of the tracked hot paths (one-shot runs of
-// the root benchmarks at the commit preceding the performance pass).
-// Wall times are machine-dependent and only anchor the speedup column;
-// allocation counts are deterministic.
-const (
-	seedFig9WallNS      = 316_018_944
-	seedFig9Allocs      = 1_217_953
-	seedPipe16MiBWallNS = 708_707
-	seedPipe16MiBAllocs = 3_494
-)
 
 // MeasureFleet simulates the fleet once and reports host cost and
 // virtual throughput.
@@ -199,63 +161,4 @@ func MeasureFleet(cfg FleetConfig) (FleetResult, error) {
 		res.OpsPerVirtualSec = float64(ops) / res.VirtualSecs
 	}
 	return res, nil
-}
-
-// measureHotPath runs fn once under ReadMemStats/wall-clock bracketing.
-func measureHotPath(name string, seedWall, seedAllocs int64, fn func()) HotPathResult {
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	fn()
-	wall := time.Since(start).Nanoseconds()
-	runtime.ReadMemStats(&ms1)
-	r := HotPathResult{
-		Name:       name,
-		SeedWallNS: seedWall,
-		SeedAllocs: seedAllocs,
-		WallNS:     wall,
-		Allocs:     int64(ms1.Mallocs - ms0.Mallocs),
-	}
-	if wall > 0 {
-		r.WallSpeedup = float64(seedWall) / float64(wall)
-	}
-	if r.Allocs > 0 {
-		r.AllocRatio = float64(seedAllocs) / float64(r.Allocs)
-	}
-	return r
-}
-
-// MeasureFleetReport runs the fleet benchmark plus the tracked hot-path
-// comparisons.
-func MeasureFleetReport(cfg FleetConfig) (FleetReport, error) {
-	fleet, err := MeasureFleet(cfg)
-	if err != nil {
-		return FleetReport{}, err
-	}
-	rep := FleetReport{Fleet: fleet}
-	rep.HotPaths = append(rep.HotPaths,
-		measureHotPath("fig9_magma_qr", seedFig9WallNS, seedFig9Allocs, func() {
-			Fig9(Options{Quick: true})
-		}),
-		measureHotPath("pipeline_copy_16mib", seedPipe16MiBWallNS, seedPipe16MiBAllocs, func() {
-			MeasureRemoteCopy(16*netmodel.MiB, true,
-				core.Options{H2D: core.PaperAdaptive(), D2H: core.PaperNaive()})
-		}),
-	)
-	return rep, nil
-}
-
-// WriteFleetJSON runs MeasureFleetReport and writes the artifact
-// (BENCH_core.json in CI).
-func WriteFleetJSON(path string, cfg FleetConfig) (FleetReport, error) {
-	r, err := MeasureFleetReport(cfg)
-	if err != nil {
-		return r, err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return r, err
-	}
-	return r, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,30 +1,80 @@
 package bench
 
-import "testing"
+import (
+	"testing"
 
-// TestMeasureHeteroRoutesByClass pins the mixed-fleet benchmark's
-// shape: the panel role lands on the FPGA, both schedules complete, and
-// the opStatsEx report carries every fleet class.
-func TestMeasureHeteroRoutesByClass(t *testing.T) {
-	r, err := MeasureHetero(512, 128)
+	"dynacc/internal/arm"
+	"dynacc/internal/cluster"
+	"dynacc/internal/gpu"
+	"dynacc/internal/sim"
+)
+
+// classPlacement is one device class's row of the ARM's extended
+// stats: how many devices it has and how many grants they served.
+type classPlacement struct{ devices, grants int }
+
+// measureHetero builds the mixed fleet, acquires every device through
+// a class constraint and aggregates opStatsEx per class while the
+// leases are held.
+func measureHetero(t *testing.T) map[string]classPlacement {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{
+		ComputeNodes: 1,
+		Accelerators: 4,
+		Fleet:        "tesla-c1060:2,tesla-m2050:1,fpga:1",
+		Registry:     gpu.NewRegistry(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PanelClass != "fpga" {
-		t.Errorf("panel class %q, want fpga", r.PanelClass)
+	byClass := map[string]classPlacement{}
+	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
+		var all []arm.Handle
+		defer func() { node.ARM.Release(p, all) }()
+		for _, want := range []struct {
+			class string
+			count int
+		}{{"c1060", 2}, {"fermi", 1}, {"fpga", 1}} {
+			hs, err := node.ARM.AcquireCapable(p, want.count, false, arm.Constraint{Class: want.class})
+			if err != nil {
+				t.Errorf("acquire %s: %v", want.class, err)
+				return
+			}
+			all = append(all, hs...)
+		}
+		st, err := node.ARM.StatsEx(p)
+		if err != nil {
+			t.Errorf("stats: %v", err)
+			return
+		}
+		for _, a := range st.PerAccel {
+			c := byClass[a.Class]
+			c.devices++
+			c.grants += a.Grants
+			byClass[a.Class] = c
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if r.ClassicSecs <= 0 || r.HeteroSecs <= 0 {
-		t.Errorf("degenerate timings: %+v", r)
-	}
+	return byClass
+}
+
+// TestMeasureHeteroRoutesByClass pins capability-aware placement on the
+// mixed fleet: constrained acquires succeed for every class, and the
+// opStatsEx report carries every fleet class with its device count and
+// at least one grant.
+func TestMeasureHeteroRoutesByClass(t *testing.T) {
+	got := measureHetero(t)
 	wantDevs := map[string]int{"c1060": 2, "fermi": 1, "fpga": 1}
-	for _, c := range r.PerClass {
-		if c.Devices != wantDevs[c.Class] {
-			t.Errorf("class %q has %d devices, want %d", c.Class, c.Devices, wantDevs[c.Class])
+	for class, c := range got {
+		if c.devices != wantDevs[class] {
+			t.Errorf("class %q has %d devices, want %d", class, c.devices, wantDevs[class])
 		}
-		if c.Grants < 1 {
-			t.Errorf("class %q saw no grants", c.Class)
+		if c.grants < 1 {
+			t.Errorf("class %q saw no grants", class)
 		}
-		delete(wantDevs, c.Class)
+		delete(wantDevs, class)
 	}
 	if len(wantDevs) != 0 {
 		t.Errorf("classes missing from report: %v", wantDevs)

@@ -140,10 +140,6 @@ type Node struct {
 	// AttachSession, so teardown can close them without device-resetting
 	// shared accelerators under other tenants.
 	sessions []*core.Accel
-
-	// caps maps daemon rank → device capability on heterogeneous fleets
-	// (nil otherwise); Attach stamps it onto the front-end handle.
-	caps map[int]gpu.Capability
 }
 
 // NodeARM wraps the resource-management client with acquisition
@@ -247,9 +243,6 @@ func (na *NodeARM) Held() []arm.Handle {
 func (n *Node) Attach(h arm.Handle) *core.Accel {
 	ac := n.FE.Attach(h.Rank)
 	ac.SetFence(h.Epoch)
-	if c, ok := n.caps[h.Rank]; ok {
-		ac.SetCapability(c)
-	}
 	return ac
 }
 
@@ -315,10 +308,6 @@ type Cluster struct {
 	sharded   bool
 	shardSrvs []*arm.Server // leader per locally hosted shard
 	shardReps []*arm.Replica
-
-	// caps maps daemon rank → device capability on heterogeneous fleets
-	// (nil otherwise); Attach stamps it onto client-side handles.
-	caps map[int]gpu.Capability
 }
 
 // Directory returns the shard directory (one shard, no follower, for a
@@ -430,13 +419,8 @@ func New(cfg Config) (*Cluster, error) {
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
-		sharded:   len(l.ARM) > 1,
-		caps:      env.capsByRank(cfg.ComputeNodes, daemonRanks)}
-	if cl.sharded {
-		cl.dir = shardDirectory(l.ARM, cfg.ARMReplicas)
-	} else {
-		cl.dir = arm.SingleDirectory(cl.armRank)
-	}
+		dir:       l.directory(cfg.ARMReplicas),
+		sharded:   len(l.ARM) > 1}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {
 		return nil, err
@@ -506,15 +490,21 @@ func (cl *Cluster) addAccelNode(i int) error {
 	return nil
 }
 
-// shardDirectory builds the directory of a sharded plane over its ARM
-// ranks: the leaders first, then (with replicas) one follower per shard.
-func shardDirectory(armRanks []int, replicas bool) *arm.Directory {
-	shards, followers := len(armRanks), []int(nil)
+// directory builds the resource-management directory the layout
+// implies: the single manager for one ARM rank, otherwise a sharded
+// plane over the ARM ranks — the leaders first, then (with replicas) one
+// follower per shard. Without followers it is a pure function of the
+// Config, so every process of a socket-mode deployment derives its own.
+func (l Layout) directory(replicas bool) *arm.Directory {
+	if len(l.ARM) == 1 {
+		return arm.SingleDirectory(l.ARM[0])
+	}
+	shards, followers := len(l.ARM), []int(nil)
 	if replicas {
 		shards /= 2
-		followers = armRanks[shards:]
+		followers = l.ARM[shards:]
 	}
-	return arm.NewDirectory(arm.NewRing(shards), armRanks[:shards], followers)
+	return arm.NewDirectory(arm.NewRing(shards), l.ARM[:shards], followers)
 }
 
 // shardInventory partitions the inventory by the directory's hash ring.
@@ -571,7 +561,6 @@ func (cl *Cluster) addComputeNode(i int) error {
 		App:   cl.appGroup.Comm(i),
 		ARM:   &NodeARM{Client: api, held: make(map[int]arm.Handle)},
 		FE:    fe,
-		caps:  cl.caps,
 	}
 	fe.SetReplacer(node.ARM)
 	if cfg.AutoMigrate && cfg.Health != nil {

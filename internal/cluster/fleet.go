@@ -90,16 +90,3 @@ func (env *buildEnv) inventoryHandle(computeNodes, id int) arm.Handle {
 	}
 	return h
 }
-
-// capsByRank maps every daemon rank to its device capability descriptor,
-// for stamping client-side attachments; nil on homogeneous clusters.
-func (env *buildEnv) capsByRank(computeNodes, daemonRanks int) map[int]gpu.Capability {
-	if !env.hetero() {
-		return nil
-	}
-	caps := make(map[int]gpu.Capability, daemonRanks)
-	for i := 0; i < daemonRanks; i++ {
-		caps[computeNodes+i] = env.modelFor(i).Capability()
-	}
-	return caps
-}

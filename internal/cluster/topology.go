@@ -72,21 +72,6 @@ type Topology struct {
 	// for same-OS-process deployments on ":0" addresses. Entries may be
 	// nil; a process without one listens on its Procs address.
 	Listeners []net.Listener
-	// Dir is the shared shard directory, required when cfg.ARMShards > 1.
-	// The directory is plain shared memory, so sharded resource management
-	// only works when all processes of the topology live in one OS process
-	// (the multi-listener deployment); cross-machine topologies must use
-	// the single manager. Build it with NewShardDirectory.
-	Dir *arm.Directory
-}
-
-// NewShardDirectory builds the static shard directory for a socket-mode
-// sharded deployment: leaders on the ARM ranks, no followers (replicas
-// need promotion, which mutates the directory — not safe across the
-// concurrently running per-process simulations).
-func NewShardDirectory(cfg Config) *arm.Directory {
-	cfg.ARMReplicas = false
-	return shardDirectory(RankLayout(cfg).ARM, false)
 }
 
 // ThreeTierSplit returns the rank sets of the canonical deployment: one
@@ -213,15 +198,14 @@ const socketTimeout = 2 * sim.Second
 // Serve (infrastructure-only processes), both of which own the real-time
 // loop.
 //
-// Restrictions against the in-sim builder: ARMReplicas is not supported
-// (follower promotion mutates the shared directory under concurrent
-// simulations), and ARMShards > 1 requires Topology.Dir.
+// Restriction against the in-sim builder: ARMReplicas is not supported —
+// a follower's promotion mutates the shard directory, and every process
+// holds its own copy. ARMShards > 1 works, across OS processes too: a
+// directory without followers is never written, so each process derives
+// an identical one from cfg.
 func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 	if cfg.ARMReplicas {
 		return nil, fmt.Errorf("cluster: ARM replicas are not supported over sockets")
-	}
-	if cfg.ARMShards > 1 && topo.Dir == nil {
-		return nil, fmt.Errorf("cluster: ARMShards > 1 over sockets needs Topology.Dir (see NewShardDirectory)")
 	}
 	if procID < 0 || procID >= len(topo.Procs) {
 		return nil, fmt.Errorf("cluster: proc id %d out of range [0,%d)", procID, len(topo.Procs))
@@ -249,12 +233,8 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
-		dir:       topo.Dir,
-		sharded:   topo.Dir != nil,
-		caps:      env.capsByRank(cfg.ComputeNodes, daemonRanks),
-	}
-	if !cl.sharded {
-		cl.dir = arm.SingleDirectory(cl.armRank)
+		dir:       l.directory(false),
+		sharded:   len(l.ARM) > 1,
 	}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {

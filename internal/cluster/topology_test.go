@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,30 @@ func TestParseTopology(t *testing.T) {
 	}
 }
 
+// TestStartProcessRefusesReplicas pins socket mode's one refusal: a
+// follower's promotion would have to reach every process's own copy of
+// the shard directory, so replicated resource management is rejected up
+// front — for one shard and for several, on a topology that is otherwise
+// valid for the replicated layout.
+func TestStartProcessRefusesReplicas(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := Config{ComputeNodes: 1, Accelerators: 2, ARMShards: shards, ARMReplicas: true}
+		topo, err := ListenTopology("t", ThreeTierSplit(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid := range topo.Procs {
+			_, err := StartProcess(cfg, topo, pid)
+			if err == nil || !strings.Contains(err.Error(), "replicas are not supported over sockets") {
+				t.Errorf("shards=%d proc %d: StartProcess = %v, want the replica refusal", shards, pid, err)
+			}
+		}
+		for _, ln := range topo.Listeners {
+			ln.Close()
+		}
+	}
+}
+
 func TestStartProcessRestrictions(t *testing.T) {
 	cfg := Config{ComputeNodes: 1, Accelerators: 1}
 	topo, err := ListenTopology("t", ThreeTierSplit(cfg))
@@ -65,16 +90,6 @@ func TestStartProcessRestrictions(t *testing.T) {
 			ln.Close()
 		}
 	}()
-	repl := cfg
-	repl.ARMReplicas = true
-	if _, err := StartProcess(repl, topo, 0); err == nil {
-		t.Error("ARMReplicas accepted over sockets")
-	}
-	shard := cfg
-	shard.ARMShards = 2
-	if _, err := StartProcess(shard, topo, 0); err == nil {
-		t.Error("ARMShards accepted without a shared directory")
-	}
 	if _, err := StartProcess(cfg, topo, 5); err == nil {
 		t.Error("out-of-range proc id accepted")
 	}
@@ -207,15 +222,14 @@ func TestDistributedWorkload(t *testing.T) {
 }
 
 // TestDistributedShardedARM runs the sharded resource-management plane
-// over sockets: two shard leaders on their own listener, sharing the
-// static directory with the client and daemon processes.
+// over sockets: two shard leaders on their own listener; the client and
+// daemon processes each derive the same static directory from cfg.
 func TestDistributedShardedARM(t *testing.T) {
 	cfg := Config{ComputeNodes: 1, Accelerators: 4, ARMShards: 2, Execute: true}
 	topo, err := ListenTopology("sharded-test", ThreeTierSplit(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo.Dir = NewShardDirectory(cfg)
 	join := serveInfra(t, cfg, topo, 1, 2)
 
 	client, err := StartProcess(cfg, topo, 0)

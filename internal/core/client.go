@@ -339,11 +339,6 @@ type Accel struct {
 	// (DESIGN.md §12). Zero (the default) omits the token entirely,
 	// keeping the wire traffic identical to the pre-fencing protocol.
 	fence uint64
-
-	// cap is the remote device's capability descriptor, stamped by the
-	// cluster at attach time on heterogeneous fleets (zero otherwise).
-	// Client-side only; it never rides on the wire.
-	cap gpu.Capability
 }
 
 // SetFence stamps the handle with a fencing token; every subsequent
@@ -354,14 +349,6 @@ func (a *Accel) SetFence(epoch uint64) { a.fence = epoch }
 
 // Fence returns the handle's fencing token (0 = token-less).
 func (a *Accel) Fence() uint64 { return a.fence }
-
-// SetCapability stamps the handle with the remote device's capability
-// descriptor, so capability-aware drivers (magma's heterogeneous QR)
-// can pick roles per device without a round trip.
-func (a *Accel) SetCapability(c gpu.Capability) { a.cap = c }
-
-// Capability returns the stamped descriptor (zero if never stamped).
-func (a *Accel) Capability() gpu.Capability { return a.cap }
 
 // Rank returns the communicator rank of the accelerator's daemon.
 func (a *Accel) Rank() int { return a.rank }

@@ -114,7 +114,7 @@ func TestAutotuneStepChangeConvergence(t *testing.T) {
 	}
 }
 
-// treeQR factors a matrix with Config.TreeBroadcast on a 4-GPU pool
+// treeQR factors a matrix with Config.Direct on a 4-GPU pool
 // (one spare standing by), optionally crash-killing daemon victim at
 // killAt — mid panel fan-out — and failing over. It returns the
 // downloaded factors and tau.
@@ -165,7 +165,7 @@ func treeQR(t *testing.T, n, nb int, a []float64, killAt sim.Duration, victim in
 		tau = make([]float64, n)
 		cfg := magma.DefaultConfig()
 		cfg.NB = nb
-		cfg.TreeBroadcast = true
+		cfg.Direct = true
 		err = magma.Dgeqrf(p, dist, tau, cfg)
 		if killAt > 0 {
 			// The kill lands mid-fan-out: the factorization must surface
@@ -281,7 +281,7 @@ func calibrateTreeQRKillAt(t *testing.T, n, nb int, a []float64) sim.Duration {
 		tau := make([]float64, n)
 		cfg := magma.DefaultConfig()
 		cfg.NB = nb
-		cfg.TreeBroadcast = true
+		cfg.Direct = true
 		start = p.Now()
 		if err := magma.Dgeqrf(p, dist, tau, cfg); err != nil {
 			t.Fatalf("calibration: %v", err)

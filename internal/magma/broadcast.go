@@ -10,7 +10,7 @@ import (
 	"dynacc/internal/sim"
 )
 
-// Tree panel broadcast (Config.TreeBroadcast, DESIGN.md §15).
+// Tree panel broadcast (Dgeqrf's Config.Direct route, DESIGN.md §15).
 //
 // The classic QR broadcast uploads the factored panel from the host to
 // every GPU's workspace: G transfers that all serialize on the compute
@@ -66,7 +66,7 @@ func treeSegs(nbytes int) int {
 // serialized on the compute node's NIC. tree=true uploads the panel to
 // dV[owner] once and fans the remaining copies out over the segmented
 // binomial tree. This is the primitive Dgeqrf's broadcast step uses
-// (Config.TreeBroadcast); it is exported so the data-plane benchmark
+// (Config.Direct); it is exported so the data-plane benchmark
 // and tests can compare the two strategies in isolation.
 func BroadcastPanel(p *sim.Proc, devs []Device, owner int, dV []gpu.Ptr, panelBytes []byte, nbytes int, tree bool) error {
 	if !tree || len(devs) < 2 {

@@ -50,7 +50,7 @@ func TestBroadcastPanelTreeDeliversBytes(t *testing.T) {
 }
 
 // TestDgeqrfTreeBroadcastBitIdentical factors the same matrix with the
-// classic host-loop broadcast and with Config.TreeBroadcast and
+// classic host-loop broadcast and with Config.Direct and
 // requires bit-identical factors and tau: the fast path changes only
 // how the panel bytes travel, never what any kernel computes. Both are
 // also checked against the LAPACK reference.
@@ -73,7 +73,7 @@ func TestDgeqrfTreeBroadcastBitIdentical(t *testing.T) {
 				tau = make([]float64, n)
 				cfg := DefaultConfig()
 				cfg.NB = nb
-				cfg.TreeBroadcast = tree
+				cfg.Direct = tree
 				if err := Dgeqrf(p, dist, tau, cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -143,8 +143,8 @@ func TestRedistributeDirectPreservesData(t *testing.T) {
 		})
 		return got
 	}
-	staged := run(func(d *Dist, p *sim.Proc, devs []Device) error { return d.RedistributeStaged(p, devs) })
-	direct := run(func(d *Dist, p *sim.Proc, devs []Device) error { return d.RedistributeDirect(p, devs) })
+	staged := run(func(d *Dist, p *sim.Proc, devs []Device) error { return d.redistributeStaged(p, devs) })
+	direct := run(func(d *Dist, p *sim.Proc, devs []Device) error { return d.Redistribute(p, devs, true) })
 	for i := range staged {
 		if staged[i] != direct[i] {
 			t.Fatalf("direct redistribution differs from staged at %d", i)

@@ -87,7 +87,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 			// sensitive than QR in the paper). The broadcast either stages
 			// through the compute node (download + uploads, the MAGMA
 			// port's behaviour) or flows directly between the accelerators
-			// when cfg.D2DBroadcast is set.
+			// when cfg.Direct is set.
 			if G > 1 {
 				if err := d.broadcastL21(p, cfg, pj, j, jb, mt, owner, l21, dW); err != nil {
 					return err
@@ -171,7 +171,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 // the owner's matrix below the diagonal block of panel pj) to every
 // other GPU's workspace.
 func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l21 []float64, dW []gpu.Ptr) error {
-	if cfg.D2DBroadcast {
+	if cfg.Direct {
 		// Direct accelerator-to-accelerator: the L21 columns are strided
 		// in the owner's matrix, so ship them column by column (each
 		// device column is contiguous). The transfer never touches the

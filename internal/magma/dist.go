@@ -98,26 +98,16 @@ func (d *Dist) Free(p *sim.Proc) {
 // Redistribute moves the matrix onto a new device set, block by block:
 // blocks whose owning device is unchanged never leave it (a
 // device-local copy shifts them to their new offset — zero payload
-// bytes on the wire), and only blocks whose owner changed are staged
-// through the host. An identical device list is a no-op. In model mode
+// bytes on the wire). A block whose owner changed is staged through
+// the host, or with direct set moves between its two accelerators
+// (accel.PeerCopier), falling back to host staging per block when no
+// peer path exists (core.ErrNoPeerPath, or a device without the
+// capability). An identical device list is a no-op. In model mode
 // the same transfers are issued with nil payloads, so the
 // redistribution cost still lands in virtual time. The caller must have
 // quiesced all in-flight operations first. On error the Dist may be
 // left without device storage and must not be used further.
-func (d *Dist) Redistribute(p *sim.Proc, devs []Device) error {
-	return d.redistribute(p, devs, false)
-}
-
-// RedistributeDirect is Redistribute with the daemon-to-daemon fast
-// path on: blocks whose owner changed move directly between the two
-// accelerators (accel.PeerCopier) and fall back to host staging only
-// when no peer path exists (core.ErrNoPeerPath, or a device without
-// the capability).
-func (d *Dist) RedistributeDirect(p *sim.Proc, devs []Device) error {
-	return d.redistribute(p, devs, true)
-}
-
-func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
+func (d *Dist) Redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	if len(devs) == 0 {
 		return fmt.Errorf("magma: no devices")
 	}
@@ -131,7 +121,7 @@ func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	// back to the legacy gather-free-reupload path.
 	nd, err := NewDist(p, devs, d.M, d.N, d.NB, d.exec)
 	if err != nil {
-		return d.RedistributeStaged(p, devs)
+		return d.redistributeStaged(p, devs)
 	}
 	old := *d // shallow snapshot of the old layout (Devs/ptrs/widths)
 	fail := func(err error) error {
@@ -204,12 +194,11 @@ func (d *Dist) redistribute(p *sim.Proc, devs []Device, direct bool) error {
 	return nil
 }
 
-// RedistributeStaged is the legacy full-matrix host round trip: gather
+// redistributeStaged is the full-matrix host round trip: gather
 // everything, free, re-allocate over devs, re-upload. It is the
-// fallback when the devices cannot hold the old and new layouts at once
-// and the measurement baseline the data-plane benchmark compares the
-// block-wise paths against.
-func (d *Dist) RedistributeStaged(p *sim.Proc, devs []Device) error {
+// fallback when the devices cannot hold the old and new layouts at
+// once, and the reference the block-wise routes are tested against.
+func (d *Dist) redistributeStaged(p *sim.Proc, devs []Device) error {
 	var host []float64
 	if d.exec {
 		host = make([]float64, d.M*d.N)

@@ -10,6 +10,7 @@ package magma
 // legacy ARM and a 3-shard fleet.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 
 	"dynacc/internal/arm"
 	"dynacc/internal/cluster"
+	"dynacc/internal/core"
 	"dynacc/internal/gpu"
 	"dynacc/internal/lapack"
 	"dynacc/internal/sim"
@@ -208,5 +210,96 @@ func testQRGrowShrink(t *testing.T, shards int) {
 	})
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowOntoDyingDaemonReturnsError grows a running QR 2 -> 4 onto
+// spares one of which dies while the blocks are moving: allocation on
+// the newcomer succeeded, its block upload does not. Dgeqrf must hand
+// the transfer error back (so Failover + retry can act on it) rather
+// than trip over workspaces indexed by the half-installed device list,
+// and must leave no device memory behind on the survivors.
+func TestGrowOntoDyingDaemonReturnsError(t *testing.T) {
+	const (
+		n, nb  = 96, 16
+		baseAC = 2
+		spares = 2
+		growAt = 2
+		victim = 3 // the second spare
+	)
+	reg := gpu.NewRegistry()
+	RegisterKernels(reg)
+	opts := core.DefaultOptions()
+	opts.Timeout = 5 * sim.Millisecond
+	cl, err := cluster.New(cluster.Config{
+		ComputeNodes:      1,
+		Accelerators:      baseAC,
+		SpareAccelerators: spares,
+		Registry:          reg,
+		Execute:           true,
+		Options:           &opts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
+		handles, err := node.ARM.Acquire(p, baseAC, true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var devs []Device
+		for _, h := range handles {
+			devs = append(devs, Remote(node.Attach(h)))
+		}
+		dist, err := NewDist(p, devs, n, n, nb, true)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer dist.Free(p)
+		if err := dist.Upload(p, randSquare(rand.New(rand.NewSource(41)), n)); err != nil {
+			t.Error(err)
+			return
+		}
+
+		grown := false
+		cfg := DefaultConfig()
+		cfg.NB = nb
+		cfg.Rebalance = func(p *sim.Proc, done int) []Device {
+			if grown || done < growAt {
+				return nil
+			}
+			grown = true
+			nd := append([]Device(nil), dist.Devs...)
+			for i := 0; i < spares; i++ {
+				if _, err := cl.RegisterSpare(p, node, i); err != nil {
+					t.Errorf("register spare %d: %v", i, err)
+					return nil
+				}
+			}
+			for i := 0; i < spares; i++ {
+				hs, err := node.ARM.Acquire(p, 1, true)
+				if err != nil {
+					t.Errorf("acquire spare %d: %v", i, err)
+					return nil
+				}
+				nd = append(nd, Remote(node.Attach(hs[0])))
+			}
+			cl.Sim.After(150*sim.Microsecond, func() { cl.KillDaemon(victim) })
+			return nd
+		}
+		err = Dgeqrf(p, dist, make([]float64, n), cfg)
+		if !errors.Is(err, core.ErrTimeout) {
+			t.Errorf("Dgeqrf = %v, want a timeout from the dead newcomer", err)
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range cl.Daemons {
+		if used := d.Device().MemUsed(); i != victim && used != 0 {
+			t.Errorf("daemon %d still holds %d bytes of device memory", i, used)
+		}
 	}
 }

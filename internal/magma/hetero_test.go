@@ -13,10 +13,10 @@ import (
 )
 
 // withHeteroCluster runs fn on compute node 0 of a mixed fleet — two
-// C1060s, one Fermi, one FPGA card — with one device of each class
-// acquired by capability: the update set (C1060s + Fermi) and the
-// fast-launch panel device (FPGA).
-func withHeteroCluster(t *testing.T, exec bool, fn func(p *sim.Proc, update []Device, panel Device)) {
+// C1060s, one Fermi, one FPGA card — with the devices the matrix is
+// distributed over (the C1060s and the Fermi) acquired by capability
+// class, which is what keeps the FPGA out of the set.
+func withHeteroCluster(t *testing.T, exec bool, fn func(p *sim.Proc, devs []Device)) {
 	t.Helper()
 	reg := gpu.NewRegistry()
 	RegisterKernels(reg)
@@ -32,7 +32,7 @@ func withHeteroCluster(t *testing.T, exec bool, fn func(p *sim.Proc, update []De
 	}
 	cl.Spawn(0, func(p *sim.Proc, n *cluster.Node) {
 		var all []arm.Handle
-		var update []Device
+		var devs []Device
 		for _, want := range []struct {
 			class string
 			count int
@@ -44,29 +44,22 @@ func withHeteroCluster(t *testing.T, exec bool, fn func(p *sim.Proc, update []De
 			}
 			all = append(all, hs...)
 			for _, h := range hs {
-				update = append(update, Remote(n.Attach(h)))
+				devs = append(devs, Remote(n.Attach(h)))
 			}
 		}
-		hs, err := n.ARM.AcquireCapable(p, 1, false, arm.Constraint{Class: "fpga"})
-		if err != nil {
-			t.Errorf("acquire fpga: %v", err)
-			return
-		}
-		all = append(all, hs...)
-		panel := Remote(n.Attach(hs[0]))
 		defer n.ARM.Release(p, all)
-		fn(p, update, panel)
+		fn(p, devs)
 	})
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDgeqrfHeterogeneousMatchesLAPACK factors with the panel role on
-// the FPGA and the wide update on the GPUs, and checks the factors are
-// bit-compatible with the homogeneous schedule's reference.
+// TestDgeqrfHeterogeneousMatchesLAPACK factors a matrix distributed
+// over devices of different models (two C1060s and a Fermi) under the
+// classic schedule and checks factors and tau against LAPACK.
 func TestDgeqrfHeterogeneousMatchesLAPACK(t *testing.T) {
-	withHeteroCluster(t, true, func(p *sim.Proc, update []Device, panel Device) {
+	withHeteroCluster(t, true, func(p *sim.Proc, devs []Device) {
 		n, nb := 80, 16
 		rng := rand.New(rand.NewSource(77))
 		a := randSquare(rng, n)
@@ -74,7 +67,7 @@ func TestDgeqrfHeterogeneousMatchesLAPACK(t *testing.T) {
 		refTau := make([]float64, n)
 		lapack.Dgeqrf(n, n, ref, n, refTau, nb)
 
-		dist, err := NewDist(p, update, n, n, nb, true)
+		dist, err := NewDist(p, devs, n, n, nb, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +78,6 @@ func TestDgeqrfHeterogeneousMatchesLAPACK(t *testing.T) {
 		tau := make([]float64, n)
 		cfg := DefaultConfig()
 		cfg.NB = nb
-		cfg.Heterogeneous = true
-		cfg.PanelDevice = panel
 		if err := Dgeqrf(p, dist, tau, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +99,12 @@ func TestDgeqrfHeterogeneousMatchesLAPACK(t *testing.T) {
 	})
 }
 
-// TestDgeqrfHeterogeneousModelMode runs the split schedule with nil
-// payloads: virtual time must advance and nothing may deadlock.
+// TestDgeqrfHeterogeneousModelMode runs the same mixed-model
+// distribution with nil payloads: virtual time must advance and nothing
+// may deadlock.
 func TestDgeqrfHeterogeneousModelMode(t *testing.T) {
-	withHeteroCluster(t, false, func(p *sim.Proc, update []Device, panel Device) {
-		dist, err := NewDist(p, update, 512, 512, 128, false)
+	withHeteroCluster(t, false, func(p *sim.Proc, devs []Device) {
+		dist, err := NewDist(p, devs, 512, 512, 128, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,47 +113,12 @@ func TestDgeqrfHeterogeneousModelMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		cfg.Heterogeneous = true
-		cfg.PanelDevice = panel
 		start := p.Now()
 		if err := Dgeqrf(p, dist, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now() <= start {
 			t.Error("no virtual time spent")
-		}
-	})
-}
-
-// TestDgeqrfHeterogeneousRequiresPanelDevice pins the config error.
-func TestDgeqrfHeterogeneousRequiresPanelDevice(t *testing.T) {
-	withHeteroCluster(t, false, func(p *sim.Proc, update []Device, _ Device) {
-		dist, err := NewDist(p, update, 64, 64, 16, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dist.Free(p)
-		cfg := DefaultConfig()
-		cfg.Heterogeneous = true
-		if err := Dgeqrf(p, dist, nil, cfg); err == nil {
-			t.Error("Heterogeneous without PanelDevice accepted")
-		}
-	})
-}
-
-// TestPickPanelDevice prefers the lowest-launch-overhead capable device
-// and reports -1 when no capabilities are stamped.
-func TestPickPanelDevice(t *testing.T) {
-	withHeteroCluster(t, false, func(p *sim.Proc, update []Device, panel Device) {
-		devs := append(append([]Device(nil), update...), panel)
-		if got := PickPanelDevice(devs); got != len(devs)-1 {
-			t.Errorf("PickPanelDevice = %d, want %d (the FPGA)", got, len(devs)-1)
-		}
-	})
-	// Homogeneous attachments carry no capability stamp.
-	withCluster(t, 2, false, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
-		if got := PickPanelDevice(devs); got != -1 {
-			t.Errorf("PickPanelDevice on unstamped devices = %d, want -1", got)
 		}
 	})
 }

@@ -574,7 +574,7 @@ func TestDpotrfD2DBroadcast(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NB = nb
-		cfg.D2DBroadcast = true
+		cfg.Direct = true
 		if err := Dpotrf(p, dist, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -617,7 +617,7 @@ func TestDpotrfD2DFallbackWithLocalDevice(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.NB = nb
-		cfg.D2DBroadcast = true // must fall back transparently
+		cfg.Direct = true // must fall back transparently
 		if err := Dpotrf(p, dist, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -641,7 +641,7 @@ func TestD2DBroadcastFasterThanHostRoute(t *testing.T) {
 		var elapsed sim.Duration
 		withCluster(t, 3, false, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
 			cfg := DefaultConfig()
-			cfg.D2DBroadcast = d2d
+			cfg.Direct = d2d
 			dist, err := NewDist(p, devs, 4032, 4032, cfg.NB, false)
 			if err != nil {
 				t.Fatal(err)

@@ -28,40 +28,41 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 	if d.exec && len(tau) < n {
 		return fmt.Errorf("magma: tau needs %d entries, got %d", n, len(tau))
 	}
-	G := len(d.Devs)
 	npanels := d.Blocks()
 
-	// Workspaces: V (panel broadcast target) and T per GPU.
-	dV := make([]gpu.Ptr, G)
-	dT := make([]gpu.Ptr, G)
-	for g, dev := range d.Devs {
-		var err error
-		if dV[g], err = dev.MemAlloc(p, 8*m*nb); err != nil {
-			return err
+	// Workspaces: V (panel broadcast target) and T per GPU. They are freed
+	// on wsDevs, the list they were allocated on: a rebalance replaces
+	// d.Devs, also when it fails half-way.
+	var (
+		wsDevs []Device
+		dV, dT []gpu.Ptr
+	)
+	freeWS := func() {
+		for g, dev := range wsDevs {
+			for _, ptr := range [...]gpu.Ptr{dV[g], dT[g]} {
+				if !ptr.IsNull() {
+					_ = dev.MemFree(p, ptr)
+				}
+			}
 		}
-		if dT[g], err = dev.MemAlloc(p, 8*nb*nb); err != nil {
-			return err
-		}
+		wsDevs = nil
 	}
-	defer func() {
-		for g, dev := range d.Devs {
-			_ = dev.MemFree(p, dV[g])
-			_ = dev.MemFree(p, dT[g])
+	allocWS := func() error {
+		wsDevs, dV, dT = d.Devs, make([]gpu.Ptr, len(d.Devs)), make([]gpu.Ptr, len(d.Devs))
+		for g, dev := range wsDevs {
+			var err error
+			if dV[g], err = dev.MemAlloc(p, 8*m*nb); err != nil {
+				return err
+			}
+			if dT[g], err = dev.MemAlloc(p, 8*nb*nb); err != nil {
+				return err
+			}
 		}
-	}()
-
-	// Heterogeneous role split: the lookahead panel work moves to a
-	// dedicated fast-launch device (see hetero.go).
-	var po *panelOffload
-	if cfg.Heterogeneous {
-		if cfg.PanelDevice == nil {
-			return fmt.Errorf("magma: Heterogeneous needs Config.PanelDevice")
-		}
-		var err error
-		if po, err = newPanelOffload(p, cfg.PanelDevice, m, nb, d.exec); err != nil {
-			return err
-		}
-		defer po.free(p)
+		return nil
+	}
+	defer freeWS()
+	if err := allocWS(); err != nil {
+		return err
 	}
 
 	var panel, nextPanel, tmat []float64
@@ -98,28 +99,17 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 					return err
 				}
 				issued = issued[:0]
-				for g, dev := range d.Devs {
-					_ = dev.MemFree(p, dV[g])
-					_ = dev.MemFree(p, dT[g])
-				}
-				if err := d.Redistribute(p, devs); err != nil {
+				freeWS()
+				if err := d.Redistribute(p, devs, cfg.Direct); err != nil {
 					return err
 				}
-				G = len(d.Devs)
-				dV = make([]gpu.Ptr, G)
-				dT = make([]gpu.Ptr, G)
-				for g, dev := range d.Devs {
-					var err error
-					if dV[g], err = dev.MemAlloc(p, 8*m*nb); err != nil {
-						return err
-					}
-					if dT[g], err = dev.MemAlloc(p, 8*nb*nb); err != nil {
-						return err
-					}
+				if err := allocWS(); err != nil {
+					return err
 				}
 			}
 		}
 
+		G := len(d.Devs)
 		j := pj * nb
 		jb := d.blockWidth(pj)
 		mj := m - j
@@ -139,8 +129,8 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		tBytes := hostBytes(tmat, jb*jb)
 		var bcast []Pending
 		var treePend Pending
-		if cfg.TreeBroadcast && G > 1 {
-			// Data-plane fast path: the host seeds the owner's V
+		if cfg.Direct && G > 1 {
+			// Direct route: the host seeds the owner's V
 			// workspace segment by segment, then the panel fans out
 			// accelerator-to-accelerator along the segmented binomial
 			// tree (broadcast.go) — the host NIC carries the panel once
@@ -161,9 +151,6 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 				}
 				bcast = append(bcast, dev.CopyH2DAsync(dT[g], 0, tBytes, 8*jb*jb, 0))
 			}
-		}
-		if po != nil && pj+1 < npanels {
-			bcast = append(bcast, po.broadcast(panel, tmat, mj, jb)...)
 		}
 		// MAGMA 1.1 used the synchronous magma_dsetmatrix: the broadcast
 		// stays on the critical path, which is exactly what makes the
@@ -196,24 +183,12 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		if next < npanels {
 			owner2 := d.Owner(next)
 			jbn := d.blockWidth(next)
-			if po != nil {
-				// Heterogeneous: the whole panel role — block fetch, update,
-				// download — runs on the fast-launch panel device, keeping
-				// the high-FLOP devices free for the wide update below.
-				var err error
-				nextPends, err = po.lookahead(p, d, next, j, jb, jbn,
-					hostPanel(nextPanel, (m-j-jb)*jbn))
-				if err != nil {
-					return err
-				}
-			} else {
-				// Lookahead: update just the next panel's block on its owner,
-				// then queue its download behind that update.
-				track(d.Devs[owner2].LaunchAsync(KernelLarfb,
-					vLaunch(owner2, jbn, d.elemOff(next, j, 0)), 0))
-				nextPends = d.downloadCols(p, next, j+jb, m-j-jb, 0, jbn,
-					hostPanel(nextPanel, (m-j-jb)*jbn), 0)
-			}
+			// Lookahead: update just the next panel's block on its owner,
+			// then queue its download behind that update.
+			track(d.Devs[owner2].LaunchAsync(KernelLarfb,
+				vLaunch(owner2, jbn, d.elemOff(next, j, 0)), 0))
+			nextPends = d.downloadCols(p, next, j+jb, m-j-jb, 0, jbn,
+				hostPanel(nextPanel, (m-j-jb)*jbn), 0)
 		}
 
 		// Wide update: each GPU applies the block reflector to its
@@ -253,11 +228,6 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			}
 			if err := waitAllPending(p, nextPends); err != nil {
 				return err
-			}
-			if po != nil {
-				// Push the R rows the panel device produced back into the
-				// block owner's matrix; disjoint from every later write.
-				track(po.writeback(d, next, j)...)
 			}
 			panel, nextPanel = nextPanel, panel
 		}

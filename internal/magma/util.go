@@ -32,32 +32,16 @@ type Config struct {
 	// Lookahead overlaps the next panel's download and CPU factorization
 	// with the wide trailing update, as MAGMA does.
 	Lookahead bool
-	// D2DBroadcast routes Cholesky's L21 broadcast directly between the
-	// accelerators (the paper's AC-to-AC transfers, Section III) instead
-	// of staging it through the compute node. Falls back to the host
-	// route for devices without the capability (e.g. node-local GPUs).
-	D2DBroadcast bool
-	// TreeBroadcast fans the QR panel out over a binomial tree of direct
-	// accelerator-to-accelerator links (minimpi.BcastTree schedule): the
-	// host uploads the panel once, to the owner, and the G-1 remaining
-	// copies travel daemon-to-daemon — O(log G) link-serialized rounds
-	// instead of G uploads serialized on the compute node's NIC.
-	// Destinations without a peer path degrade to a host upload per
-	// block. Off by default, which keeps the paper's host-staged
-	// broadcast (and its wire traffic) byte-identical.
-	TreeBroadcast bool
-	// Heterogeneous splits Dgeqrf's device roles across a mixed fleet:
-	// the latency-bound lookahead work (next-panel update and download)
-	// runs on PanelDevice — a fast-launch device outside the matrix
-	// distribution — while the FLOP-bound wide trailing update stays on
-	// the distribution's high-throughput devices. Off by default, which
-	// keeps homogeneous runs byte-identical to the classic schedule.
-	Heterogeneous bool
-	// PanelDevice hosts the panel role in Heterogeneous mode (pick it
-	// with PickPanelDevice, or supply any device with cheap launches).
-	// The panel block moves device-to-device when both ends support
-	// accel.PeerCopier, and stages through the host otherwise.
-	PanelDevice Device
+	// Direct moves blocks accelerator-to-accelerator wherever both ends
+	// support it (the paper's AC-to-AC transfers, Section III), per
+	// destination, and host-staged otherwise: Cholesky's L21 broadcast
+	// goes owner-to-peer (accel.PeerCopier), the QR panel fans out over
+	// a binomial tree of daemon-to-daemon links (broadcast.go) — the
+	// host uploads it once instead of G times — and a Rebalance
+	// redistribution moves re-homed blocks between their two
+	// accelerators. Off is MAGMA 1.1's host-staged routes, the ones
+	// Figures 9-10 reproduce, wire traffic byte-identical.
+	Direct bool
 	// Rebalance, when set, is consulted by Dgeqrf between panel steps
 	// with the number of panels already factored. Returning a non-nil
 	// device list that differs from the distribution's current one

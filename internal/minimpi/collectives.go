@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"dynacc/internal/sim"
 )
 
 // Reserved internal tags for collectives. Collective calls on a
@@ -54,7 +56,7 @@ func BcastTree(size, vrank int) (parent int, children []int) {
 // Barrier blocks until every rank of the communicator has entered it.
 // It uses the dissemination algorithm: ceil(log2 n) rounds of paired
 // exchanges.
-func (c *Comm) Barrier(p Waiter) {
+func (c *Comm) Barrier(p *sim.Proc) {
 	n := c.Size()
 	if n == 1 {
 		return
@@ -72,7 +74,7 @@ func (c *Comm) Barrier(p Waiter) {
 // Bcast distributes root's buffer to every rank over a binomial tree and
 // returns the received copy (the root returns data unchanged). Callers on
 // non-root ranks pass nil.
-func (c *Comm) Bcast(p Waiter, root int, data []byte) []byte {
+func (c *Comm) Bcast(p *sim.Proc, root int, data []byte) []byte {
 	c.checkRank(root, "Bcast")
 	n := c.Size()
 	if n == 1 {
@@ -97,7 +99,7 @@ func (c *Comm) Bcast(p Waiter, root int, data []byte) []byte {
 // the BcastTree schedule. It matches on its own tag so a driver can
 // interleave it with the fixed collectives; the returned slice is the
 // received copy (root returns data unchanged).
-func (c *Comm) Bcastv(p Waiter, root int, data []byte) []byte {
+func (c *Comm) Bcastv(p *sim.Proc, root int, data []byte) []byte {
 	c.checkRank(root, "Bcastv")
 	n := c.Size()
 	if n == 1 {
@@ -118,7 +120,7 @@ func (c *Comm) Bcastv(p Waiter, root int, data []byte) []byte {
 // from the root to rank i and returns the local part (the byte-level
 // MPI_Scatterv). Non-root callers pass nil. All sends are posted before
 // any completes, so the scatter overlaps across receivers.
-func (c *Comm) Scatterv(p Waiter, root int, parts [][]byte) []byte {
+func (c *Comm) Scatterv(p *sim.Proc, root int, parts [][]byte) []byte {
 	c.checkRank(root, "Scatterv")
 	if c.rank != root {
 		data, _ := c.irecvAnyTag(root, tagScatterv).Wait(p)
@@ -142,7 +144,7 @@ func (c *Comm) Scatterv(p Waiter, root int, parts [][]byte) []byte {
 // (the byte-level MPI_Gatherv); the root returns the slices indexed by
 // rank, others return nil. All receives are posted up front so arrivals
 // complete in whatever order the network delivers them.
-func (c *Comm) Gatherv(p Waiter, root int, contrib []byte) [][]byte {
+func (c *Comm) Gatherv(p *sim.Proc, root int, contrib []byte) [][]byte {
 	c.checkRank(root, "Gatherv")
 	if c.rank != root {
 		c.isendAnyTag(root, tagGatherv, contrib, len(contrib), false).Wait(p)
@@ -172,7 +174,7 @@ func (c *Comm) Gatherv(p Waiter, root int, contrib []byte) [][]byte {
 // indexed by sender (the local part is copied). Every rank posts all
 // receives before waiting on anything, so the n² exchange proceeds
 // fully concurrently without ordering deadlocks.
-func (c *Comm) Alltoallv(p Waiter, parts [][]byte) [][]byte {
+func (c *Comm) Alltoallv(p *sim.Proc, parts [][]byte) [][]byte {
 	n := c.Size()
 	if len(parts) != n {
 		panic(fmt.Sprintf("minimpi: Alltoallv: %d parts for %d ranks", len(parts), n))
@@ -208,7 +210,7 @@ type ReduceOp func(dst, src []byte)
 // Reduce combines every rank's equally-sized contribution at the root
 // using op, over a binomial tree, and returns the result at the root (nil
 // elsewhere). The contribution slice is not modified.
-func (c *Comm) Reduce(p Waiter, root int, contrib []byte, op ReduceOp) []byte {
+func (c *Comm) Reduce(p *sim.Proc, root int, contrib []byte, op ReduceOp) []byte {
 	c.checkRank(root, "Reduce")
 	n := c.Size()
 	acc := append([]byte(nil), contrib...)
@@ -237,7 +239,7 @@ func (c *Comm) Reduce(p Waiter, root int, contrib []byte, op ReduceOp) []byte {
 
 // Allreduce is Reduce followed by Bcast; every rank returns the combined
 // value.
-func (c *Comm) Allreduce(p Waiter, contrib []byte, op ReduceOp) []byte {
+func (c *Comm) Allreduce(p *sim.Proc, contrib []byte, op ReduceOp) []byte {
 	res := c.Reduce(p, 0, contrib, op)
 	return c.Bcast(p, 0, res)
 }
@@ -245,7 +247,7 @@ func (c *Comm) Allreduce(p Waiter, contrib []byte, op ReduceOp) []byte {
 // Gather collects every rank's contribution at the root; the root returns
 // the slices indexed by rank, others return nil. Contributions may have
 // different sizes.
-func (c *Comm) Gather(p Waiter, root int, contrib []byte) [][]byte {
+func (c *Comm) Gather(p *sim.Proc, root int, contrib []byte) [][]byte {
 	c.checkRank(root, "Gather")
 	if c.rank != root {
 		c.isendAnyTag(root, tagGather, contrib, len(contrib), false).Wait(p)
@@ -271,7 +273,7 @@ func (c *Comm) Gather(p Waiter, root int, contrib []byte) [][]byte {
 
 // Allgather collects every rank's contribution everywhere: Gather at rank
 // 0 followed by a broadcast of the concatenation.
-func (c *Comm) Allgather(p Waiter, contrib []byte) [][]byte {
+func (c *Comm) Allgather(p *sim.Proc, contrib []byte) [][]byte {
 	parts := c.Gather(p, 0, contrib)
 	var blob []byte
 	if c.rank == 0 {
@@ -283,7 +285,7 @@ func (c *Comm) Allgather(p Waiter, contrib []byte) [][]byte {
 
 // Scatter distributes parts[i] from the root to rank i and returns the
 // local part. Non-root callers pass nil.
-func (c *Comm) Scatter(p Waiter, root int, parts [][]byte) []byte {
+func (c *Comm) Scatter(p *sim.Proc, root int, parts [][]byte) []byte {
 	c.checkRank(root, "Scatter")
 	if c.rank == root {
 		if len(parts) != c.Size() {
@@ -374,7 +376,7 @@ func MaxF64(dst, src []byte) {
 // new communicator, ordered by (key, old rank). Every rank must call
 // Split; the call synchronizes like a collective. A negative color
 // returns nil (the rank opts out), mirroring MPI_UNDEFINED.
-func (c *Comm) Split(p Waiter, color, key int) *Comm {
+func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	// Exchange (color, key) so every rank can compute every group.
 	mine := make([]byte, 12)
 	binary.LittleEndian.PutUint32(mine[0:], uint32(int32(color)))
@@ -428,6 +430,6 @@ func (c *Comm) Split(p Waiter, color, key int) *Comm {
 
 // Dup creates a communicator with the same group but an isolated matching
 // context. Like Split, all ranks must call it.
-func (c *Comm) Dup(p Waiter) *Comm {
+func (c *Comm) Dup(p *sim.Proc) *Comm {
 	return c.Split(p, 0, c.rank)
 }

@@ -9,7 +9,7 @@ import (
 // Sendrecv posts the send and the receive together and waits for both,
 // the deadlock-free paired exchange of MPI_Sendrecv. It returns the
 // received payload and status.
-func (c *Comm) Sendrecv(p Waiter, dst int, sendTag Tag, data []byte, src int, recvTag Tag) ([]byte, Status) {
+func (c *Comm) Sendrecv(p *sim.Proc, dst int, sendTag Tag, data []byte, src int, recvTag Tag) ([]byte, Status) {
 	rreq := c.Irecv(src, recvTag)
 	sreq := c.Isend(dst, sendTag, data)
 	out, st := rreq.Wait(p)
@@ -21,7 +21,7 @@ func (c *Comm) Sendrecv(p Waiter, dst int, sendTag Tag, data []byte, src int, re
 // from every rank (the caller's own contribution is passed through).
 // Parts may have different sizes (MPI_Alltoallv flavour). All ranks must
 // call it with len(parts) == Size().
-func (c *Comm) Alltoall(p Waiter, parts [][]byte) [][]byte {
+func (c *Comm) Alltoall(p *sim.Proc, parts [][]byte) [][]byte {
 	n := c.Size()
 	if len(parts) != n {
 		panic(fmt.Sprintf("minimpi: Alltoall: %d parts for %d ranks", len(parts), n))

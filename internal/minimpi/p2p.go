@@ -96,8 +96,8 @@ func (r *Request) Completed() bool { return r.done.Triggered() }
 
 // Wait blocks the calling process until the request completes. For
 // receives it returns the payload (nil for sized sends) and the status.
-func (r *Request) Wait(p Waiter) ([]byte, Status) {
-	p.AwaitEvent(r.done)
+func (r *Request) Wait(p *sim.Proc) ([]byte, Status) {
+	r.done.Await(p)
 	return r.data, r.status
 }
 
@@ -114,8 +114,8 @@ func (r *Request) Result() ([]byte, Status) {
 // boolean reports completion; on timeout the request stays posted (MPI
 // has no portable cancel either — the caller must treat the peer as
 // failed).
-func (r *Request) WaitTimeout(p Waiter, d sim.Duration) ([]byte, Status, bool) {
-	if !p.AwaitEventTimeout(r.done, d) {
+func (r *Request) WaitTimeout(p *sim.Proc, d sim.Duration) ([]byte, Status, bool) {
+	if !r.done.AwaitTimeout(p, d) {
 		return nil, Status{}, false
 	}
 	return r.data, r.status, true
@@ -363,13 +363,13 @@ func sendRelease(v any) {
 }
 
 // Send is the blocking form of Isend.
-func (c *Comm) Send(p Waiter, dst int, tag Tag, data []byte) {
+func (c *Comm) Send(p *sim.Proc, dst int, tag Tag, data []byte) {
 	r := c.Isend(dst, tag, data)
 	r.Wait(p)
 }
 
 // SendSized is the blocking form of IsendSized.
-func (c *Comm) SendSized(p Waiter, dst int, tag Tag, size int) {
+func (c *Comm) SendSized(p *sim.Proc, dst int, tag Tag, size int) {
 	r := c.IsendSized(dst, tag, size)
 	r.Wait(p)
 }
@@ -407,7 +407,7 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 
 // Recv blocks until a matching message arrives and returns its payload
 // (nil for sized sends) and status.
-func (c *Comm) Recv(p Waiter, src int, tag Tag) ([]byte, Status) {
+func (c *Comm) Recv(p *sim.Proc, src int, tag Tag) ([]byte, Status) {
 	return c.Irecv(src, tag).Wait(p)
 }
 
@@ -468,14 +468,14 @@ func (ep *endpoint) notifyProbers(m *Message) {
 
 // Probe blocks until a message matching (src, tag) is available to
 // receive, without consuming it, and returns its status.
-func (c *Comm) Probe(p Waiter, src int, tag Tag) Status {
+func (c *Comm) Probe(p *sim.Proc, src int, tag Tag) Status {
 	if st, ok := c.Iprobe(src, tag); ok {
 		return st
 	}
 	ep := c.ep()
 	pb := &prober{ctx: c.ctx, src: src, tag: tag, comm: c, ev: sim.NewEvent(c.world.sim)}
 	ep.probers = append(ep.probers, pb)
-	p.AwaitEvent(pb.ev)
+	pb.ev.Await(p)
 	return Status{Source: pb.match.srcComm, Tag: pb.match.tag, Size: pb.match.size}
 }
 
@@ -495,18 +495,18 @@ func (c *Comm) Iprobe(src int, tag Tag) (Status, bool) {
 }
 
 // WaitAll blocks until every request has completed.
-func WaitAll(p Waiter, reqs ...*Request) {
+func WaitAll(p *sim.Proc, reqs ...*Request) {
 	for _, r := range reqs {
-		p.AwaitEvent(r.done)
+		r.done.Await(p)
 	}
 }
 
 // WaitAny blocks until at least one request completes and returns the
 // index of a completed one (lowest index if several already are).
-func WaitAny(p Waiter, reqs ...*Request) int {
+func WaitAny(p *sim.Proc, reqs ...*Request) int {
 	events := make([]*sim.Event, len(reqs))
 	for i, r := range reqs {
 		events[i] = r.done
 	}
-	return p.AwaitAnyEvent(events...)
+	return sim.AwaitAny(p, events...)
 }

@@ -1,10 +1,6 @@
 package minimpi
 
-import (
-	"fmt"
-
-	"dynacc/internal/sim"
-)
+import "fmt"
 
 // Transport is the pluggable message-carrying backend of a World. Every
 // posted send — point-to-point or collective-internal — reaches the wire
@@ -53,23 +49,6 @@ type TransportStats struct {
 	FramesResent      int64 // frames re-queued after a connection drop
 	BytesSent         int64 // framed bytes, headers included
 	BytesReceived     int64
-}
-
-// Waiter is the backend-neutral face of a blocked caller: everything a
-// Comm blocking call needs from "the thing that sleeps". *sim.Proc
-// implements it, so sim-mode call sites are unchanged; a socket-mode
-// process is still a sim.Proc (driven by sim.RunRealtime), so the same
-// implementation serves both backends — under the real-time driver the
-// timeout variant maps to a wall-clock deadline.
-type Waiter interface {
-	// AwaitEvent blocks until the event fires.
-	AwaitEvent(*sim.Event)
-	// AwaitEventTimeout blocks until the event fires or d elapses,
-	// reporting whether it fired.
-	AwaitEventTimeout(*sim.Event, sim.Duration) bool
-	// AwaitAnyEvent blocks until any event fires and returns the index of
-	// one fired event.
-	AwaitAnyEvent(...*sim.Event) int
 }
 
 // simTransport is the in-sim backend: the flight of every message is

@@ -64,8 +64,6 @@ type Config struct {
 	// the resolved address already published in Procs). When nil, the
 	// transport listens on Procs[ProcID].Addr.
 	Listener net.Listener
-	// MaxFrame bounds one frame body; DefaultMaxFrame when zero.
-	MaxFrame int
 	// Version overrides the announced protocol version (tests only);
 	// ProtocolVersion when zero.
 	Version uint32
@@ -90,7 +88,6 @@ type Transport struct {
 	world    *minimpi.World
 	local    minimpi.Transport // in-sim backend for local-destination traffic
 	version  uint32
-	maxFrame int
 	rankProc []int // world rank -> proc id
 	peers    []*peer
 	ln       net.Listener
@@ -172,15 +169,11 @@ func New(cfg Config) (*Transport, error) {
 		world:    cfg.World,
 		local:    cfg.World.SimTransport(),
 		version:  cfg.Version,
-		maxFrame: cfg.MaxFrame,
 		rankProc: rankProc,
 		closedCh: make(chan struct{}),
 	}
 	if t.version == 0 {
 		t.version = ProtocolVersion
-	}
-	if t.maxFrame == 0 {
-		t.maxFrame = DefaultMaxFrame
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -600,7 +593,7 @@ func (t *Transport) readLoop(conn net.Conn, pr *peer) {
 	var hdr [frameHeaderSize]byte
 	getBuf := t.world.GetBuf
 	for {
-		env, payload, err := readMsgFrame(conn, &hdr, t.maxFrame, getBuf)
+		env, payload, err := readMsgFrame(conn, &hdr, DefaultMaxFrame, getBuf)
 		if err != nil {
 			break
 		}

@@ -182,19 +182,6 @@ func AwaitAny(p *Proc, events ...*Event) int {
 	panic("sim: AwaitAny woken with no fired event")
 }
 
-// AwaitEvent blocks until e fires. It is Await with the receiver flipped,
-// so *Proc satisfies waiter interfaces (e.g. minimpi.Waiter) that abstract
-// "something a blocking call can sleep on".
-func (p *Proc) AwaitEvent(e *Event) { e.Await(p) }
-
-// AwaitEventTimeout blocks until e fires or d elapses, reporting whether it
-// fired. Interface form of Event.AwaitTimeout.
-func (p *Proc) AwaitEventTimeout(e *Event, d Duration) bool { return e.AwaitTimeout(p, d) }
-
-// AwaitAnyEvent blocks until any of the events fires and returns the index
-// of one fired event. Interface form of AwaitAny.
-func (p *Proc) AwaitAnyEvent(events ...*Event) int { return AwaitAny(p, events...) }
-
 // AwaitTimeout blocks until the event fires or d elapses. It reports true
 // if the event fired (possibly exactly at the deadline) and false on
 // timeout.

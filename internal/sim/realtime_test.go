@@ -46,7 +46,7 @@ func TestRealtimeInject(t *testing.T) {
 	ev := NewEvent(s)
 	got := make(chan struct{})
 	s.Spawn("waiter", func(p *Proc) {
-		p.AwaitEvent(ev)
+		ev.Await(p)
 		close(got)
 	})
 	stop := make(chan struct{})
@@ -116,7 +116,7 @@ func TestRealtimeTimeoutFires(t *testing.T) {
 	ev := NewEvent(s) // never triggered
 	res := make(chan bool, 1)
 	s.Spawn("to", func(p *Proc) {
-		res <- p.AwaitEventTimeout(ev, 20*Millisecond)
+		res <- ev.AwaitTimeout(p, 20*Millisecond)
 	})
 	stop := make(chan struct{})
 	done := make(chan error, 1)
