@@ -789,7 +789,7 @@ func (s *Server) reply(dst int, reqID uint64, status uint8, body []byte) {
 			s.repReplies = append(s.repReplies, repReply{dst: dst, reqID: reqID, msg: msg})
 		}
 	}
-	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg)
+	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg).Free()
 }
 
 // epochHint is the epoch a reply trailer advertises: the highest this

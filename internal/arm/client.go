@@ -143,7 +143,7 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args func(w *wire.Writer
 		// cannot collide.
 		resp := c.comm.Irecv(minimpi.AnySource, tagReplyBase+minimpi.Tag(reqID))
 		served := c.dir.Serving(shard)
-		c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, fenceReplays > 0, args))
+		c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, fenceReplays > 0, args)).Free()
 		var data []byte
 		if c.failTimeout <= 0 {
 			data, _ = resp.Wait(p)
@@ -164,7 +164,7 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args func(w *wire.Writer
 					// The shard failed over: replay at the promoted follower
 					// with the same reqID (dedup makes this safe).
 					served = cur
-					c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, true, args))
+					c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, true, args)).Free()
 				}
 				// Still the same serving rank: the shard is slow (a delayed
 				// drain reply, say), not dead — keep waiting.

@@ -167,7 +167,7 @@ func DecodeNotice(data []byte) (Notice, error) {
 // notify sends a health notice to an accelerator's owner, fire and
 // forget: a dead client simply never reads it.
 func (s *Server) notify(owner int, kind NoticeKind, a *accel) {
-	s.comm.Isend(owner, TagNotify, encodeNotice(Notice{Kind: kind, ID: a.id, Rank: a.rank}))
+	s.comm.Isend(owner, TagNotify, encodeNotice(Notice{Kind: kind, ID: a.id, Rank: a.rank})).Free()
 }
 
 // scheduleTick re-arms the detector until the server shuts down or

@@ -83,7 +83,7 @@ func (s *Server) ship() {
 			encodeCapability(w, a.cap)
 		}
 	}
-	s.comm.Isend(s.followerRank, TagReplicate, w.CopyBytes())
+	s.comm.Isend(s.followerRank, TagReplicate, w.CopyBytes()).Free()
 }
 
 // Replica is a shard follower: it applies the leader's replication

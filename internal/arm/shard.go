@@ -169,7 +169,7 @@ func (s *Server) gossip() {
 		if sh == s.shard {
 			continue
 		}
-		s.comm.Isend(s.dir.Serving(sh), TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh)))
+		s.comm.Isend(s.dir.Serving(sh), TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh))).Free()
 	}
 }
 
@@ -211,7 +211,7 @@ func (s *Server) handleLoad(src int, r *wire.Reader) {
 		}
 	}
 	if !s.abdicated && senderEpoch > 0 && senderEpoch < s.dir.Epoch(sh) {
-		s.comm.Isend(src, TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh)))
+		s.comm.Isend(src, TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh))).Free()
 	}
 }
 
@@ -282,7 +282,7 @@ func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, args func
 	if args != nil {
 		args(w)
 	}
-	s.comm.Isend(s.dir.Serving(owner), TagRequest, w.CopyBytes())
+	s.comm.Isend(s.dir.Serving(owner), TagRequest, w.CopyBytes()).Free()
 }
 
 // forwardAcquire tries to hand an acquire the local pool cannot satisfy
@@ -372,7 +372,7 @@ func (s *Server) rememberReply(dst int, reqID uint64, msg []byte) {
 
 // resendReply re-sends a recorded reply verbatim.
 func (s *Server) resendReply(dst int, reqID uint64, msg []byte) {
-	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg)
+	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg).Free()
 }
 
 // handleRecall answers a peer's dedup query: did this shard already
@@ -416,7 +416,7 @@ func (s *Server) recallThenAcquire(req *pendingAcquire, blocking bool) {
 			resp := s.comm.Irecv(peer, tagReplyBase+minimpi.Tag(id))
 			w := wire.NewWriter(40)
 			w.U8(opRecall).U64(id).Int(req.src).U64(req.reqID).U64(s.dir.Epoch(sh))
-			s.comm.Isend(peer, TagRequest, w.Bytes())
+			s.comm.Isend(peer, TagRequest, w.Bytes()).Free()
 			data, _, ok := resp.WaitTimeout(p, timeout)
 			if !ok {
 				resp.Cancel()

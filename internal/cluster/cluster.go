@@ -683,7 +683,7 @@ func (cl *Cluster) daemonConfig(rank int) core.DaemonConfig {
 		comm, dir, id := cl.World.Comm(rank), cl.dir, rank-cl.cfg.ComputeNodes
 		dc.HeartbeatInterval = cl.cfg.Health.HeartbeatInterval
 		dc.Heartbeat = func(active []int) {
-			comm.Isend(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(active))
+			comm.Isend(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(active)).Free()
 		}
 	}
 	return dc

@@ -466,7 +466,7 @@ func (a *Accel) newCall(q *request) *call {
 // send ships (or re-ships) the encoded header.
 func (cl *call) send() {
 	cl.sent++
-	cl.a.c.comm.IsendPadded(cl.a.rank, TagRequest, cl.enc, len(cl.enc)+cl.pad)
+	cl.a.c.comm.IsendPadded(cl.a.rank, TagRequest, cl.enc, len(cl.enc)+cl.pad).Free()
 }
 
 // translateReq maps a request's device pointers through the failover
@@ -530,6 +530,7 @@ func (cl *call) respond() {
 		case cl.req.Completed():
 			data, _ := cl.req.Result()
 			rsp, err := decodeResponse(data)
+			cl.req.Free() // decodeResponse copied what it keeps
 			if err != nil || rsp.reqID == cl.q.reqID {
 				cl.finish(rsp, err)
 				return
@@ -803,10 +804,10 @@ func (cl *call) stream() {
 			if data, _ := cl.req.Result(); cl.host != nil && data != nil {
 				copy(cl.host[cl.i*q.block:], data)
 			}
-			// The daemon ships blocks in pooled buffers (ownership
-			// handoff); the bytes are copied out, so recycle.
-			cl.req.Free()
 		}
+		// The block is done with, either way; a download's arrived in a
+		// pooled buffer (ownership handoff) whose bytes are copied out.
+		cl.req.Free()
 		cl.req = nil
 	}
 	cl.arm()

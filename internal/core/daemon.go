@@ -286,23 +286,27 @@ func (d *Daemon) Run(p *sim.Proc) {
 		})
 	}
 	for {
-		data, st := d.comm.Recv(p, minimpi.AnySource, TagRequest)
+		req := d.comm.Irecv(minimpi.AnySource, TagRequest)
+		data, st := req.Wait(p)
 		d.active[st.Source] = struct{}{}
 		q, err := decodeRequest(data)
 		if err != nil {
 			// A malformed header still deserves an answer when its reqID
 			// survived, or the caller waits for a response forever.
-			if reqID, ok := peekReqID(data); ok {
+			reqID, ok := peekReqID(data)
+			req.Free()
+			if ok {
 				d.respond(st.Source, reqID, err, 0)
 			}
 			continue
 		}
+		req.Free() // decodeRequest copied what it keeps; over sockets data is a pool buffer
 		key := dedupKey{src: st.Source, reqID: q.reqID}
 		if cached, dup := d.seen[key]; dup {
 			d.stats.DupsDropped++
 			if cached != nil {
 				// Completed before: replay the recorded response.
-				d.comm.Isend(st.Source, respTag(q.reqID), cached)
+				d.comm.Isend(st.Source, respTag(q.reqID), cached).Free()
 			}
 			// Still in flight: drop the duplicate; the original will answer.
 			continue
@@ -484,7 +488,7 @@ func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 	if _, ok := d.seen[key]; ok {
 		d.seen[key] = enc
 	}
-	d.comm.Isend(src, respTag(reqID), enc)
+	d.comm.Isend(src, respTag(reqID), enc).Free()
 }
 
 // execute runs one request inside a stream worker, under its session:
@@ -1096,6 +1100,7 @@ func blockShipped(v any) {
 			ps.peerErr = fmt.Errorf("core: payload block to rank %d timed out", ps.peer)
 		}
 	}
+	blk.req.Free()
 	d.stats.BlocksOut++
 	blk.release()
 }

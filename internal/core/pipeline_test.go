@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -359,23 +360,24 @@ func TestCopySpawnsNoProcessPerBlock(t *testing.T) {
 	})
 }
 
-// TestPipelineBlockAllocs pins the host cost of a steady-state block: the
-// three records minimpi needs for any message (the sender's request, the
-// message, the receiver's request — see minimpi's
-// TestPipelinedBlockCycleAllocs) and nothing for the daemon's stages,
-// which run over pooled per-block slots. The handful of per-copy records
-// (the front-end's call, requests, responses) is spread over 160 blocks.
+// TestPipelineBlockAllocs pins the host cost of a steady-state block:
+// nothing. The three records minimpi needs for any message (the sender's
+// request, the message, the receiver's request) are freed where the block is
+// done with and recycled (see minimpi's TestPipelinedBlockCycleAllocs), and
+// the daemon's stages run over pooled per-block slots. What is left is the
+// handful of per-copy records (the front-end's call, requests, responses)
+// spread over 160 blocks.
 func TestPipelineBlockAllocs(t *testing.T) {
 	const (
 		n        = 16 << 20
 		blocks   = n/(512<<10) + n/(128<<10) // adaptive up, 128K down
 		rounds   = 8
 		attempts = 3
-		// Measured 3.17 (3.25 while each copy had a helper process on the
-		// front-end); a process, a closure or an event per block reads 4 or
-		// more.
-		maxPerBlock = 3.5
+		// Measured 0.09 (3.17 while minimpi left its records to the GC); a
+		// record, a process, a closure or an event per block reads 1 or more.
+		maxPerBlock = 0.5
 	)
+	skipUnderPoison(t)
 	copyBed(t, false, DefaultOptions(), func(p *sim.Proc, s *sim.Simulation, a *Accel, _ *gpu.Device) {
 		ptr, err := a.MemAlloc(p, n)
 		if err != nil {
@@ -471,10 +473,12 @@ func TestRoundTripAllocs(t *testing.T) {
 	const (
 		trips    = 400
 		attempts = 2
-		// Measured 14 for both (15 and 25 before the engines merged; one less
-		// each without a Timeout).
-		maxPerTrip = 14.5
+		// Measured 8 for both, none of them minimpi's: the six records of the
+		// two messages are recycled (14 while they were not; 15 and 25 before
+		// the engines merged; one less each without a Timeout).
+		maxPerTrip = 8.5
 	)
+	skipUnderPoison(t)
 	opts := DefaultOptions()
 	opts.Timeout = 2 * sim.Second // as socket mode runs: every wait arms a deadline
 	copyBed(t, false, opts, func(p *sim.Proc, s *sim.Simulation, a *Accel, _ *gpu.Device) {
@@ -510,4 +514,102 @@ func TestRoundTripAllocs(t *testing.T) {
 		}
 		t.Logf("allocations per round trip: synchronous %.2f, asynchronous %.2f", blocking, async)
 	})
+}
+
+// skipUnderPoison skips an allocation pin when DYNACC_POISON=1 makes minimpi
+// retire every freed record instead of reusing it.
+func skipUnderPoison(t *testing.T) {
+	if os.Getenv("DYNACC_POISON") == "1" {
+		t.Skip("DYNACC_POISON=1: freed records are retired, so every message allocates")
+	}
+}
+
+// loopback is a transport that treats every message as remote-bound, the
+// way nettrans treats a peer in another process: the payload is copied into
+// a world-pool buffer (the connection reader's), the send completes locally
+// and the frame re-enters the world through InjectRemote. It counts the
+// buffers the pool had to get from the allocator.
+type loopback struct {
+	w     *minimpi.World
+	seen  map[*byte]bool // every buffer handed out, kept alive so addresses stay unique
+	fresh int
+}
+
+func (l *loopback) Deliver(m *minimpi.Message) {
+	env := m.RemoteEnvelope()
+	payload, owned := m.TakePayload()
+	buf := payload
+	if len(payload) > 0 {
+		buf = l.w.GetBuf(len(payload))
+		copy(buf, payload)
+		if !l.seen[&buf[0]] {
+			l.seen[&buf[0]] = true
+			l.fresh++
+		}
+		if owned {
+			l.w.PutBuf(payload)
+		}
+	}
+	m.FinishLocal()
+	if err := l.w.InjectRemote(env, buf); err != nil {
+		panic(err)
+	}
+}
+
+func (l *loopback) Stats() minimpi.TransportStats { return minimpi.TransportStats{} }
+func (l *loopback) Close() error                  { return nil }
+
+// TestWarmHeaderRoundTripTakesNoNewBuffer pins the socket-mode steady state
+// of a header-only request: the frame's payload arrives in a pool buffer on
+// each side, the daemon decodes the request and the front-end the response
+// (both copy what they keep), and each frees its receive — so once the pool
+// is warm a round trip takes no buffer from the allocator. While only copy
+// blocks were freed, every request and every response took a fresh one.
+func TestWarmHeaderRoundTripTakesNoNewBuffer(t *testing.T) {
+	const warm, trips = 8, 200
+	s := sim.New()
+	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &loopback{w: w, seen: make(map[*byte]bool)}
+	w.SetTransport(lb)
+	dev, err := gpu.NewDevice(s, gpu.Config{Model: gpu.TeslaC1060()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("daemon", NewDaemon(w.Comm(1), dev, DefaultDaemonConfig()).Run)
+	client, err := NewClient(w.Comm(0), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	s.Spawn("cn", func(p *sim.Proc) {
+		defer close(stop)
+		a := client.Attach(1)
+		ptr, err := a.MemAlloc(p, 4096)
+		if err != nil {
+			t.Errorf("alloc: %v", err)
+			return
+		}
+		var warmed int
+		for i := 0; i < warm+trips; i++ {
+			if i == warm {
+				warmed = lb.fresh
+			}
+			if err := a.Memset(p, ptr, 0, 4096, 7); err != nil {
+				t.Errorf("memset %d: %v", i, err)
+				return
+			}
+		}
+		if got := lb.fresh - warmed; got != 0 {
+			t.Errorf("%d warm header-only round trips took %d new buffers from the allocator, want 0", trips, got)
+		}
+		if err := a.Shutdown(p); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	if err := s.RunRealtime(stop); err != nil {
+		t.Fatal(err)
+	}
 }

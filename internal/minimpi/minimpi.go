@@ -59,7 +59,9 @@ type World struct {
 	linkFilter LinkFilter
 	// pool recycles payload block buffers for the ownership-handoff send
 	// path (IsendOwned / Request.Free).
-	pool bufPool
+	pool     bufPool
+	freeReqs []*Request // recycled per-message records; see pool.go
+	freeMsgs []*Message
 	// transport carries every posted send. The default is the in-sim
 	// backend (simTransport); SetTransport swaps in a socket-backed one.
 	transport Transport
@@ -73,7 +75,7 @@ type splitKey struct {
 
 // endpoint is the per-rank network attachment point. Posted receives are
 // the Requests themselves (matching state lives on the Request), so
-// posting a receive costs one allocation.
+// posting a receive costs no allocation beyond its recycled Request.
 type endpoint struct {
 	world      *World
 	rank       int // world rank

@@ -11,7 +11,7 @@ import (
 // fully landed at the receiver. The record also carries the whole state of
 // the flight (endpoints, requests, world, verdict, NIC units held, both
 // rendezvous events), so the send chain and the completion callbacks run
-// closure-free: one message, one allocation.
+// closure-free, on a record its World recycles (pool.go): no allocation.
 //
 // Messages are exported only so Transport implementations outside this
 // package can carry them (see transport.go); all fields stay private and
@@ -37,15 +37,38 @@ type Message struct {
 	dropped bool          // the link filter's verdict: vanish at envelope arrival
 	parked  bool          // waiting for cts or the sender's Cancel
 	tx, rx  *sim.Resource // the NIC units this message holds, as acquired
+	halves  int8          // ends of the flight still to come: sendRelease, recvComplete
 }
 
+func (m *Message) status() Status { return Status{Source: m.srcComm, Tag: m.tag, Size: m.size} }
+
+// halfOver ends one half of the flight; the second one recycles the record.
+func (m *Message) halfOver() {
+	if m.halves--; m.halves == 0 {
+		m.w.putMessage(m)
+	}
+}
+
+// completeSend fires the sender's request, at the one leg of a flight that
+// does, and lets go of it: a request freed in flight is recycled here.
+func (m *Message) completeSend() {
+	r := m.sreq
+	m.sreq = nil
+	r.done.Trigger()
+	if r.freed {
+		m.w.putRequest(r)
+	}
+}
+
+// prober is a blocked Probe. It copies the status of the envelope that
+// satisfies it: the Message may be recycled before the prober runs again.
 type prober struct {
-	ctx   int
-	src   int
-	tag   Tag
-	comm  *Comm
-	ev    *sim.Event
-	match *Message
+	ctx  int
+	src  int
+	tag  Tag
+	comm *Comm
+	ev   *sim.Event
+	st   Status
 }
 
 // Request is a handle for a nonblocking operation. Wait (or the Comm
@@ -61,7 +84,8 @@ type Request struct {
 	status   Status
 	data     []byte
 	owned    bool   // data is a pool buffer; Free returns it
-	world    *World // pool owner for Free
+	world    *World // owner of the payload pool and of this record
+	freed    bool   // the caller called Free; see there
 	// Posted-receive matching state, filled by irecvAnyTag: folding the
 	// queue entry into the request saves an allocation per receive.
 	prComm *Comm
@@ -70,8 +94,15 @@ type Request struct {
 	prTag  Tag
 }
 
+// check panics on use of a freed request under the chaos guard.
+func (r *Request) check() {
+	if r.freed && poisonFreed {
+		panic("minimpi: use of a freed Request")
+	}
+}
+
 // Done returns the completion event.
-func (r *Request) Done() *sim.Event { return r.done }
+func (r *Request) Done() *sim.Event { r.check(); return r.done }
 
 // Cancel aborts a send that has not completed (MPI_Cancel): a rendezvous
 // payload still waiting for the receiver's clearance is abandoned and the
@@ -80,6 +111,7 @@ func (r *Request) Done() *sim.Event { return r.done }
 // leaves the peer's receive pending forever — cancellation is for
 // unreachable peers.
 func (r *Request) Cancel() {
+	r.check()
 	if r.isSend && !r.done.Triggered() {
 		r.canceled = true
 		if r.cancel != nil {
@@ -89,14 +121,15 @@ func (r *Request) Cancel() {
 }
 
 // Canceled reports whether the request was aborted by Cancel.
-func (r *Request) Canceled() bool { return r.canceled }
+func (r *Request) Canceled() bool { r.check(); return r.canceled }
 
 // Completed reports whether the operation has finished.
-func (r *Request) Completed() bool { return r.done.Triggered() }
+func (r *Request) Completed() bool { r.check(); return r.done.Triggered() }
 
 // Wait blocks the calling process until the request completes. For
 // receives it returns the payload (nil for sized sends) and the status.
 func (r *Request) Wait(p *sim.Proc) ([]byte, Status) {
+	r.check()
 	r.done.Await(p)
 	return r.data, r.status
 }
@@ -104,6 +137,7 @@ func (r *Request) Wait(p *sim.Proc) ([]byte, Status) {
 // Result returns the payload and status of an already-completed request.
 // It panics if the request is still in flight (use Wait or Done first).
 func (r *Request) Result() ([]byte, Status) {
+	r.check()
 	if !r.done.Triggered() {
 		panic("minimpi: Result on incomplete request")
 	}
@@ -115,22 +149,33 @@ func (r *Request) Result() ([]byte, Status) {
 // has no portable cancel either — the caller must treat the peer as
 // failed).
 func (r *Request) WaitTimeout(p *sim.Proc, d sim.Duration) ([]byte, Status, bool) {
+	r.check()
 	if !r.done.AwaitTimeout(p, d) {
 		return nil, Status{}, false
 	}
 	return r.data, r.status, true
 }
 
-// Free returns an ownership-transferred payload (see IsendOwned) to the
-// world's buffer pool. The caller must be done with the data: after Free
-// the bytes may be recycled into a future message (and are scribbled over
-// first when poisoning is enabled). Free on a request whose payload was
-// not pool-owned is a no-op.
+// Free says the caller is done with the request and its payload
+// (MPI_Request_free): neither may be touched again. On a completed request
+// a pool-owned payload (see IsendOwned) returns to the buffer pool and the
+// record to the world's free list, both to be handed out again (under
+// DYNACC_POISON=1 the bytes are scribbled over, the record is retired and
+// every later method call on it panics). A send still in flight is marked
+// and recycled by the leg that completes it: Isend(...).Free() is a
+// fire-and-forget send. On a receive still incomplete — it stays posted —
+// and on a request already freed, Free does nothing.
 func (r *Request) Free() {
-	if r.owned && r.data != nil && r.world != nil {
-		r.world.PutBuf(r.data)
-		r.data = nil
-		r.owned = false
+	r.check()
+	switch {
+	case r.freed:
+	case r.done.Triggered():
+		if r.owned && r.data != nil {
+			r.world.PutBuf(r.data)
+		}
+		r.world.putRequest(r)
+	case r.isSend:
+		r.freed = true
 	}
 }
 
@@ -201,24 +246,11 @@ func (c *Comm) isendAnyTag(dst int, tag Tag, data []byte, size int, owned bool) 
 	c.wire.Bytes += int64(size)
 	w := c.world
 	srcEp := c.ep()
-	req := &Request{isSend: true, status: Status{Source: dst, Tag: tag, Size: size}}
-	req.doneEv.Init(w.sim)
-	req.done = &req.doneEv
-	m := &Message{
-		ctx:      c.ctx,
-		srcWorld: srcEp.rank,
-		srcComm:  c.rank,
-		tag:      tag,
-		size:     size,
-		data:     data,
-		owned:    owned,
-		w:        w,
-		srcEp:    srcEp,
-		dstEp:    w.eps[c.group[dst]],
-		sreq:     req,
-	}
-	m.bodyEv.Init(w.sim)
-	m.bodyArrived = &m.bodyEv
+	req := w.getRequest()
+	req.isSend, req.status = true, Status{Source: dst, Tag: tag, Size: size}
+	m := w.getMessage(2)
+	m.ctx, m.srcWorld, m.srcComm, m.tag, m.size = c.ctx, srcEp.rank, c.rank, tag, size
+	m.data, m.owned, m.srcEp, m.dstEp, m.sreq = data, owned, srcEp, w.eps[c.group[dst]], req
 	w.transport.Deliver(m)
 	return req
 }
@@ -231,7 +263,7 @@ func (c *Comm) isendAnyTag(dst int, tag Tag, data []byte, size int, owned bool) 
 // AwaitAny or Acquire. Every leg therefore pushes exactly one event, at the
 // queue position the process's resumption had, so the (at, seq) order of
 // every other event in the simulation does not depend on the form. All are
-// top-level functions over the Message: a flight allocates nothing.
+// top-level functions over the Message.
 
 // parkedSend names, in a deadlock report, rendezvous sends left waiting
 // for a clearance that nobody gave and a Cancel that nobody called.
@@ -268,9 +300,10 @@ func sendEnvelopeArrived(v any) {
 	if m.dropped {
 		// Lost on the wire: the sender sees local completion (it
 		// cannot tell), the receiver never sees the envelope, and a
-		// rendezvous payload is silently abandoned.
-		req.done.Trigger()
+		// rendezvous payload is silently abandoned: the flight is over.
+		m.completeSend()
 		m.srcEp.traffic.MsgsSent++
+		m.w.putMessage(m)
 		return
 	}
 	m.dstEp.deliverEnvelope(m)
@@ -280,7 +313,8 @@ func sendEnvelopeArrived(v any) {
 	case m.cts.Triggered():
 		sendCleared(m)
 	case req.cancel.Triggered():
-		req.done.Trigger()
+		// The peer may still match the landed envelope: m is never recycled.
+		m.completeSend()
 	default:
 		// Wait for the receiver's clearance or the sender's Cancel,
 		// whichever fires first. Neither event has another registrant.
@@ -302,7 +336,7 @@ func sendUnparked(v any) {
 	if !m.cts.Triggered() {
 		// Canceled while waiting for the receiver's clearance: the
 		// payload never flows.
-		m.sreq.done.Trigger()
+		m.completeSend()
 		return
 	}
 	sendCleared(m)
@@ -341,7 +375,7 @@ func sendPayload(v any) {
 
 func sendPayloadLanded(v any) {
 	m := v.(*Message)
-	m.sreq.done.Trigger() // local completion at the sender
+	m.completeSend() // local completion at the sender
 	m.bodyArrived.Trigger()
 	// Per-message completion processing occupies both endpoints a
 	// little longer, bounding the achievable message rate.
@@ -360,18 +394,21 @@ func sendRelease(v any) {
 	dstEp.traffic.MsgsReceived++
 	dstEp.traffic.BytesReceived += int64(m.size)
 	dstEp.traffic.RxBusy += occupancy
+	m.halfOver()
 }
 
 // Send is the blocking form of Isend.
 func (c *Comm) Send(p *sim.Proc, dst int, tag Tag, data []byte) {
 	r := c.Isend(dst, tag, data)
 	r.Wait(p)
+	r.Free()
 }
 
 // SendSized is the blocking form of IsendSized.
 func (c *Comm) SendSized(p *sim.Proc, dst int, tag Tag, size int) {
 	r := c.IsendSized(dst, tag, size)
 	r.Wait(p)
+	r.Free()
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
@@ -389,9 +426,7 @@ func (c *Comm) Irecv(src int, tag Tag) *Request {
 func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 	w := c.world
 	ep := c.ep()
-	req := &Request{}
-	req.doneEv.Init(w.sim)
-	req.done = &req.doneEv
+	req := w.getRequest()
 	// First try the unexpected queue, in envelope-arrival order.
 	for i, m := range ep.unexpected {
 		if envelopeMatches(m, c.ctx, src, tag) {
@@ -406,9 +441,13 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 }
 
 // Recv blocks until a matching message arrives and returns its payload
-// (nil for sized sends) and status.
+// (nil for sized sends) and status; the request record never escapes and
+// is recycled here.
 func (c *Comm) Recv(p *sim.Proc, src int, tag Tag) ([]byte, Status) {
-	return c.Irecv(src, tag).Wait(p)
+	r := c.Irecv(src, tag)
+	data, st := r.Wait(p)
+	c.world.putRequest(r)
+	return data, st
 }
 
 // completeRecv wires a matched message to its receive request: grant the
@@ -419,7 +458,6 @@ func (c *Comm) completeRecv(req *Request, m *Message) {
 		m.cts.Trigger()
 	}
 	m.rreq = req
-	req.world = c.world
 	m.bodyArrived.OnTriggerCall(recvBodyArrived, m)
 }
 
@@ -431,10 +469,10 @@ func recvBodyArrived(v any) {
 func recvComplete(v any) {
 	m := v.(*Message)
 	req := m.rreq
-	req.data = m.data
-	req.owned = m.owned
-	req.status = Status{Source: m.srcComm, Tag: m.tag, Size: m.size}
+	m.rreq = nil
+	req.data, req.owned, req.status = m.data, m.owned, m.status()
 	req.done.Trigger()
+	m.halfOver()
 }
 
 // deliverEnvelope lands an envelope at the endpoint: match a posted
@@ -456,8 +494,8 @@ func (ep *endpoint) deliverEnvelope(m *Message) {
 func (ep *endpoint) notifyProbers(m *Message) {
 	kept := ep.probers[:0]
 	for _, pb := range ep.probers {
-		if pb.match == nil && envelopeMatches(m, pb.ctx, pb.src, pb.tag) {
-			pb.match = m
+		if envelopeMatches(m, pb.ctx, pb.src, pb.tag) {
+			pb.st = m.status()
 			pb.ev.Trigger()
 			continue
 		}
@@ -476,7 +514,7 @@ func (c *Comm) Probe(p *sim.Proc, src int, tag Tag) Status {
 	pb := &prober{ctx: c.ctx, src: src, tag: tag, comm: c, ev: sim.NewEvent(c.world.sim)}
 	ep.probers = append(ep.probers, pb)
 	pb.ev.Await(p)
-	return Status{Source: pb.match.srcComm, Tag: pb.match.tag, Size: pb.match.size}
+	return pb.st
 }
 
 // Iprobe reports whether a matching message has arrived (matched or
@@ -488,7 +526,7 @@ func (c *Comm) Iprobe(src int, tag Tag) (Status, bool) {
 	}
 	for _, m := range c.ep().unexpected {
 		if envelopeMatches(m, c.ctx, src, tag) {
-			return Status{Source: m.srcComm, Tag: m.tag, Size: m.size}, true
+			return m.status(), true
 		}
 	}
 	return Status{}, false

@@ -17,12 +17,24 @@ import (
 // goroutine-safe. A buffer whose message is dropped, canceled or never
 // received simply falls out of the pool — correctness never depends on a
 // Free happening.
+//
+// Recycled records. Every Request and every Message comes from a per-World
+// free list (scheduler context only, so unlocked; empty in a new World) and
+// goes back under one ownership rule. A Message is internal: it returns by
+// itself when both halves of its flight are over — the sender's at
+// sendRelease, the receiver's at recvComplete; at once where no receiver
+// will ever see it (the link filter's drop, FinishLocal) and never when a
+// rendezvous send was canceled after its envelope landed, since the peer may
+// still match it. A Request is the caller's until Request.Free; the blocking
+// forms whose handle never escapes (Send, SendSized, Recv) recycle their
+// own. A record nobody frees is garbage-collected, as a buffer is.
 
 // poisonFreed enables the chaos guard: freed pool buffers are scribbled
 // with a sentinel so any consumer that wrongly held on to a released
 // buffer reads garbage (and data-integrity checks fail loudly) instead of
-// silently aliasing recycled memory. Enabled by DYNACC_POISON=1; CI runs
-// the chaos suite with it set.
+// silently aliasing recycled memory, and a freed Request is retired instead
+// of reused and panics on every later method call. Enabled by
+// DYNACC_POISON=1; CI runs the test suites with it set.
 var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
 
 const poisonByte = 0xDB
@@ -103,3 +115,47 @@ func (w *World) GetBuf(n int) []byte { return w.pool.get(n) }
 // PutBuf returns a buffer obtained from GetBuf to the pool. The caller
 // must hold the only live reference. Safe to call from any goroutine.
 func (w *World) PutBuf(b []byte) { w.pool.put(b) }
+
+func (w *World) getRequest() *Request {
+	var r *Request
+	if n := len(w.freeReqs); n > 0 {
+		r, w.freeReqs = w.freeReqs[n-1], w.freeReqs[:n-1]
+		r.freed = false
+	} else {
+		r = &Request{}
+	}
+	r.world = w
+	r.doneEv.Init(w.sim)
+	r.done = &r.doneEv
+	return r
+}
+
+// putRequest recycles a request nobody will touch again: the caller freed
+// it and no message still points at it.
+func (w *World) putRequest(r *Request) {
+	*r = Request{freed: true}
+	if !poisonFreed {
+		w.freeReqs = append(w.freeReqs, r)
+	}
+}
+
+// getMessage returns a blank message with that many flight halves to end.
+func (w *World) getMessage(halves int8) *Message {
+	var m *Message
+	if n := len(w.freeMsgs); n > 0 {
+		m, w.freeMsgs = w.freeMsgs[n-1], w.freeMsgs[:n-1]
+	} else {
+		m = &Message{}
+	}
+	m.w, m.halves = w, halves
+	m.bodyEv.Init(w.sim)
+	m.bodyArrived = &m.bodyEv
+	return m
+}
+
+func (w *World) putMessage(m *Message) {
+	*m = Message{}
+	if !poisonFreed {
+		w.freeMsgs = append(w.freeMsgs, m)
+	}
+}

@@ -25,6 +25,10 @@ import "fmt"
 //   - The sender's request must eventually complete (FinishLocal or the
 //     sim flight), or be cancellable; "lost forever with no signal" is
 //     reserved for fault injection.
+//   - Whoever completes the sender's request ends the message's sender
+//     half: the sim flight at sendRelease, a remote-bound transport with
+//     FinishLocal, which recycles the record — no local receiver will ever
+//     see it — so Deliver must not touch m afterwards.
 type Transport interface {
 	// Deliver carries one message toward its destination rank.
 	Deliver(m *Message)
@@ -135,16 +139,16 @@ func (m *Message) TakePayload() (data []byte, owned bool) {
 // payload the transport did not take returns to the world pool. A
 // remote-bound transport calls it from Deliver once it holds its own
 // reference to the bytes — eager local completion, exactly what the sim
-// backend reports for eager sends.
+// backend reports for eager sends. The message record is recycled: the
+// caller must not use m again.
 func (m *Message) FinishLocal() {
-	m.sreq.done.Trigger()
+	m.completeSend()
 	m.srcEp.traffic.MsgsSent++
 	m.srcEp.traffic.BytesSent += int64(m.size)
 	if m.owned && m.data != nil {
 		m.w.PutBuf(m.data)
-		m.data = nil
-		m.owned = false
 	}
+	m.w.putMessage(m)
 }
 
 // InjectRemote lands a message that arrived from another process in the
@@ -166,19 +170,9 @@ func (w *World) InjectRemote(env Envelope, payload []byte) error {
 	}
 	w.sim.Inject(func() {
 		ep := w.eps[env.Dst]
-		m := &Message{
-			ctx:      env.Ctx,
-			srcWorld: env.Src,
-			srcComm:  env.SrcComm,
-			tag:      env.Tag,
-			size:     env.Size,
-			data:     payload,
-			owned:    payload != nil,
-			w:        w,
-			dstEp:    ep,
-		}
-		m.bodyEv.Init(w.sim)
-		m.bodyArrived = &m.bodyEv
+		m := w.getMessage(1) // the sender's half ended in another process
+		m.ctx, m.srcWorld, m.srcComm, m.tag, m.size = env.Ctx, env.Src, env.SrcComm, env.Tag, env.Size
+		m.data, m.owned, m.dstEp = payload, payload != nil, ep
 		ep.traffic.MsgsReceived++
 		ep.traffic.BytesReceived += int64(env.Size)
 		ep.deliverEnvelope(m)

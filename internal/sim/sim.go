@@ -36,7 +36,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"sort"
@@ -89,10 +88,9 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // runs in scheduler context, p is dispatched. Executed events return to the
 // simulation's free list.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	p   *Proc
+	at Time
+	fn func()
+	p  *Proc
 	// afn/arg is the closure-free callback form: afn is typically a
 	// top-level function and arg its state, so hot paths schedule work
 	// without capturing.
@@ -100,26 +98,68 @@ type event struct {
 	arg any
 }
 
-type eventHeap []*event
+// eventHeap is the future-event queue: a binary min-heap on (at, seq) with
+// the key held inline, so sifting compares slice entries without following
+// the event pointer or calling through an interface. (at, seq) is a strict
+// total order — seq is unique — so pop order does not depend on the heap's
+// shape.
+type eventHeap []heapEntry
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+type heapEntry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+func (a heapEntry) before(b heapEntry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+func (h *eventHeap) pushEvent(x heapEntry) {
+	q := append(*h, heapEntry{})
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = x
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (v any) {
-	old := *h
-	n := len(old)
-	v = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+// popEvent removes and returns the earliest event; the heap must not be
+// empty.
+func (h *eventHeap) popEvent() *event {
+	q := *h
+	top := q[0].e
+	n := len(q) - 1
+	x := q[n]
+	q[n] = heapEntry{}
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = x
+	}
+	return top
 }
-func (h *eventHeap) pushEvent(e *event) { heap.Push(h, e) }
 
 // Simulation is a discrete-event simulation instance. The zero value is not
 // usable; create one with New.
@@ -222,8 +262,7 @@ func (s *Simulation) push(e *event, at Time) {
 	}
 	e.at = at
 	s.seq++
-	e.seq = s.seq
-	s.events.pushEvent(e)
+	s.events.pushEvent(heapEntry{at, s.seq, e})
 }
 
 func (s *Simulation) getEvent() *event {
@@ -492,13 +531,13 @@ func (s *Simulation) RunUntil(limit Time) error { return s.run(limit, true) }
 // still queued; the caller pops it after the limit check.
 func (s *Simulation) next() (e *event, fromReady bool) {
 	if len(s.events) > 0 && s.events[0].at <= s.now {
-		return s.events[0], false
+		return s.events[0].e, false
 	}
 	if s.readyHead < len(s.ready) {
 		return s.ready[s.readyHead], true
 	}
 	if len(s.events) > 0 {
-		return s.events[0], false
+		return s.events[0].e, false
 	}
 	return nil, false
 }
@@ -513,7 +552,7 @@ func (s *Simulation) pop(fromReady bool) {
 		}
 		return
 	}
-	heap.Pop(&s.events)
+	s.events.popEvent()
 }
 
 // exec runs one popped event and recycles it.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -914,5 +915,41 @@ func TestCallbackChainsKeepClockMonotonic(t *testing.T) {
 		if times[i] < times[i-1] {
 			t.Errorf("clock went backwards: %v", times)
 		}
+	}
+}
+
+// TestEventHeapAgainstSort drives the event queue's hand-written heap with
+// 10 000 seeded random pushes interleaved with pops — bursts of both, of
+// random length — and checks every pop against a sorted reference: (at, seq)
+// is a strict total order, so the heap has exactly one right answer each
+// time. Times are drawn from a small range so that most pushes tie on at and
+// the order falls to seq.
+func TestEventHeapAgainstSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var h eventHeap
+	var ref []heapEntry
+	popSorted := func(n int) {
+		sort.Slice(ref, func(i, j int) bool { return ref[i].before(ref[j]) })
+		for ; n > 0; n-- {
+			want := ref[0]
+			ref = ref[1:]
+			if got := h.popEvent(); got != want.e {
+				t.Fatalf("pop with %d queued: got event at %d, want (%d, %d)", len(ref)+1, got.at, want.at, want.seq)
+			}
+		}
+	}
+	for seq := uint64(0); seq < 10000; {
+		for n := 1 + rng.Intn(64); n > 0; n-- {
+			seq++
+			x := heapEntry{at: Time(rng.Intn(64)), seq: seq}
+			x.e = &event{at: x.at}
+			h.pushEvent(x)
+			ref = append(ref, x)
+		}
+		popSorted(rng.Intn(min(len(ref), 64) + 1))
+	}
+	popSorted(len(ref))
+	if len(h) != 0 {
+		t.Fatalf("%d entries left in the heap", len(h))
 	}
 }
