@@ -38,11 +38,10 @@ import (
 // Handle is an assignment of one accelerator: its pool id and the world
 // rank its back-end daemon listens on. Shared marks a shared lease
 // (AcquireShared) as opposed to an exclusive assignment; Epoch is the
-// shard leadership epoch the lease was granted under (zero from the
-// unsharded manager), which the cluster stamps into the computation
-// API as a fencing token. Both are client-side bookkeeping: Shared is
-// not part of the wire format, and Epoch rides in the reply trailer,
-// not the handle list.
+// shard leadership epoch the lease was granted under (zero from a lone
+// manager), which the cluster stamps into the computation API as a
+// fencing token. Both are client-side bookkeeping: Shared echoes the
+// request, and Epoch comes from the reply header, not the handle list.
 type Handle struct {
 	ID   int
 	Rank int
@@ -50,9 +49,8 @@ type Handle struct {
 	Shared bool
 	Epoch  uint64
 
-	// Cap is the accelerator's capability descriptor. Zero for legacy
-	// (untagged) inventory; populated in capability-constrained acquire
-	// replies so the holder knows what class of device it was granted.
+	// Cap is the accelerator's capability descriptor, carried by every
+	// granted handle; zero on an untagged fleet.
 	Cap Capability
 }
 
@@ -69,7 +67,10 @@ const (
 	TagReplicate minimpi.Tag = TagRequest - 2
 )
 
-// Request op codes.
+// Request op codes. Every request is op | reqID | epoch | body, the epoch
+// being the sender's directory view of the receiving shard's leadership
+// epoch; every reply is status | epoch | body, the epoch being the highest
+// the answering server has proof of (DESIGN.md §11 has the per-op bodies).
 const (
 	opAcquire uint8 = iota + 1
 	opRelease
@@ -78,25 +79,31 @@ const (
 	opRepair
 	opShutdown
 	opReplace
-	// Health subsystem (PR 2).
 	opHeartbeat // daemon→ARM liveness beat; no reply
 	opRenew     // explicit lease renewal
 	opMigrate   // swap a suspect assignment for a spare
 	opDrain     // retire an accelerator gracefully
-	// Multi-tenant sharing (PR 4).
-	opAcquireShared // like opAcquire, but a capacity-N shared lease
-	opStatsEx       // opStats plus per-accelerator utilization
-	// Sharded, replicated ARM with elastic membership (PR 6).
-	opRegister // admit a new accelerator into the live inventory
-	opRetire   // drain an accelerator, then remove it from the inventory
-	opForward  // peer→peer: a client request relayed to the owning shard
-	opLoad     // peer→peer: free/operational gossip for fallback placement
-	opRecall   // peer→peer: dedup-cache query while serving a replay
-	// Split-brain-safe failover (PR 7).
-	opEpoched // client→server envelope carrying the sender's epoch view
-	// Mixed-model fleets (PR 9).
-	opAcquireCapable // opAcquire with a capability constraint and described reply
+	opStatsEx   // opStats plus per-accelerator utilization
+	opRegister  // admit a new accelerator into the live inventory
+	opRetire    // drain an accelerator, then remove it from the inventory
+	opForward   // peer→peer: a client request relayed to the owning shard
+	opLoad      // peer→peer: per-class free/operational gossip for fallback placement
+	opRecall    // peer→peer: dedup-cache query while serving a replay
 )
+
+// opAcquire flag bits.
+const (
+	flagBlocking uint8 = 1 << iota // queue at the server until grantable
+	flagShared                     // capacity-N shared leases instead of exclusive
+	flagReplay                     // a failover replay: recall the peers before executing
+)
+
+func flag(on bool, bit uint8) uint8 {
+	if on {
+		return bit
+	}
+	return 0
+}
 
 // Reply status codes.
 const (
@@ -216,7 +223,7 @@ type PoolStats struct {
 	Shared   int
 	Sessions int
 	// PerAccel is per-accelerator utilization, populated only by
-	// Client.StatsEx (the legacy Stats reply layout is unchanged).
+	// Client.StatsEx.
 	PerAccel []AccelStats
 }
 
@@ -365,11 +372,12 @@ type pendingAcquire struct {
 	// non-blocking, never re-forwards (no routing loops), and the reply
 	// goes straight to the original client at src.
 	forwarded bool
-	// constraint restricts the grant to matching devices (zero = any);
-	// capable marks an opAcquireCapable request, whose reply carries
-	// each handle's capability descriptor.
+	// constraint restricts the grant to matching devices (zero = any).
 	constraint Constraint
-	capable    bool
+	// replaces is the device whose resident state the grant takes over
+	// (Replace, Migrate): only spares that can host it are eligible,
+	// same-class ones first (migrationTarget).
+	replaces *accel
 }
 
 // Options configures an ARM server beyond the queueing policy.
@@ -381,22 +389,24 @@ type Options struct {
 	// entirely: AcquireShared fails with ErrBadRequest and the ARM behaves
 	// exactly as the exclusive-only manager.
 	ShareCapacity int
-	// Shards is the total number of ARM shards this server is part of;
-	// 0 or 1 (the default) is the classic single manager with every
-	// sharding code path dormant. When > 1, Directory is required and
-	// Shard names this server's index. Accelerator ownership is
-	// partitioned by the directory's consistent-hash ring; requests for
-	// accelerators owned elsewhere are forwarded to the owning peer, and
-	// acquires the local pool cannot satisfy fall back to the
-	// least-loaded peer (see shard.go).
-	Shards int
-	// Shard is this server's shard index in [0, Shards).
+	// Shard is this server's shard index in the Directory.
 	Shard int
 	// Directory supplies the ownership ring and the leader/follower rank
-	// table shared by every shard and client. Setting it (even with one
-	// shard) also arms the reply-dedup cache, and a follower rank in the
-	// directory enables log-shipping replication to it.
+	// table shared by every shard and client; nil is a lone manager,
+	// SingleDirectory(comm.Rank()). Accelerator ownership is partitioned
+	// by its consistent-hash ring: requests for accelerators owned
+	// elsewhere are forwarded to the owning peer, acquires the local pool
+	// cannot satisfy fall back to the least-loaded peer (shard.go), and a
+	// follower rank receives the replication stream (replica.go).
 	Directory *Directory
+}
+
+// peerLoad is one peer shard's last gossiped load: its per-class free
+// and operational counts and their totals.
+type peerLoad struct {
+	seen                 bool
+	free, oper           int
+	classFree, classOper map[string]int
 }
 
 // Server is the ARM service state machine.
@@ -418,42 +428,31 @@ type Server struct {
 	lastBeat  map[int]sim.Time // daemon rank → last heartbeat arrival
 	closed    bool             // stops the detector tick after shutdown
 
-	// Sharding and replication (shard.go, replica.go). dir == nil is the
-	// classic single manager: none of this machinery runs and the wire
-	// traffic is byte-identical to the unsharded ARM.
+	// Sharding and replication (shard.go, replica.go). A lone manager is
+	// the one-shard directory with no follower: no peer to gossip with or
+	// forward to, followerRank -1, and — the one thing computed from that,
+	// Directory.replayable — no reply kept for a replay that cannot come.
 	dir          *Directory
 	shard        int
-	sharded      bool // dir has more than one shard
-	replicated   bool // ship the effect log to followerRank
-	followerRank int
-	peerFree     []int  // per-shard free counts from opLoad gossip
-	peerOper     []int  // per-shard operational counts
-	peerSeen     []bool // which peers have gossiped at least once
-	// Per-class gossip (capability.go): shard → class → counts. Only
-	// populated between classed peers; nil maps otherwise.
-	peerClassFree []map[string]int
-	peerClassOper []map[string]int
-	// classed is true while any inventory entry carries a capability
-	// descriptor; it gates every new wire section so untagged fleets
-	// stay byte-identical to the legacy ARM.
-	classed    bool
-	fwdSeq     uint64 // reply-tag sequence for server-to-server calls
-	fwdW       *wire.Writer
-	replies    map[int]map[uint64][]byte // client → reqID → sent reply (dedup)
-	repW       *wire.Writer
-	repSeq     uint64
-	repReplies []repReply
-	mainProc   *sim.Proc
-	spawned    []*sim.Proc // helper procs that die with the server (Kill)
+	followerRank int                       // replication target; -1 when there is none
+	peers        []peerLoad                // indexed by shard; this server's own entry is unused
+	loads        []classLoad               // classLoads scratch
+	fwdSeq       uint64                    // reply-tag sequence for server-to-server calls
+	scratch      *wire.Writer              // forwards, gossip and snapshots (copied out at once)
+	replies      map[int]map[uint64][]byte // client → reqID → sent reply (dedup)
+	repSeq       uint64
+	repReplies   []repReply
+	mainProc     *sim.Proc
+	spawned      []*sim.Proc // helper procs that die with the server (Kill)
 
-	// Epoch fencing (PR 7, DESIGN.md §12). myEpoch is the leadership
-	// epoch this server believes it serves under (directory epoch at
-	// construction, re-read at promotion); seenEpoch is the highest
-	// epoch observed in traffic. Observing seenEpoch > myEpoch means a
-	// newer leader exists for this shard: the server abdicates — it
-	// answers ownership ops with statusFenced, stops granting,
-	// gossiping, shipping, and reclaiming, and only dedup-cache resends
-	// and read-only ops keep working.
+	// Epoch fencing (DESIGN.md §12). myEpoch is the leadership epoch this
+	// server believes it serves under (directory epoch at construction,
+	// re-read at promotion); seenEpoch is the highest epoch observed in
+	// traffic. Observing seenEpoch > myEpoch means a newer leader exists
+	// for this shard: the server abdicates — it answers ownership ops
+	// with statusFenced, stops granting, gossiping, shipping, and
+	// reclaiming, and only dedup-cache resends and read-only ops keep
+	// working.
 	myEpoch   uint64
 	seenEpoch uint64
 	abdicated bool
@@ -465,7 +464,7 @@ type Server struct {
 	fencer func(p *sim.Proc, rank int, epoch uint64) error
 	// ledger records every grant and hold-end with its epoch and
 	// virtual time; the split-brain checker replays merged ledgers
-	// after chaos runs (ledger.go). Only populated when dir != nil.
+	// after chaos runs (ledger.go).
 	ledger []GrantEvent
 
 	// accounting
@@ -478,8 +477,8 @@ type Server struct {
 	migrateCount   int
 }
 
-// NewServer creates an ARM serving the given accelerator inventory on the
-// communicator. Inventory ids must be unique.
+// NewServer creates a lone ARM serving the given accelerator inventory on
+// the communicator. Inventory ids must be unique.
 func NewServer(comm *minimpi.Comm, inventory []Handle, policy Policy) (*Server, error) {
 	return NewServerOpts(comm, inventory, Options{Policy: policy})
 }
@@ -489,29 +488,50 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 	if opts.ShareCapacity < 0 {
 		return nil, fmt.Errorf("arm: negative share capacity %d", opts.ShareCapacity)
 	}
-	s := &Server{
-		comm:     comm,
-		sim:      comm.World().Sim(),
-		policy:   opts.Policy,
-		shareCap: opts.ShareCapacity,
-		byID:     make(map[int]*accel),
+	if opts.Directory == nil {
+		opts.Directory = SingleDirectory(comm.Rank())
 	}
-	if err := s.configureShard(opts); err != nil {
-		return nil, err
+	dir := opts.Directory
+	if opts.Shard < 0 || opts.Shard >= dir.Shards() {
+		return nil, fmt.Errorf("arm: shard index %d out of range [0,%d)", opts.Shard, dir.Shards())
+	}
+	s := &Server{
+		comm:         comm,
+		sim:          comm.World().Sim(),
+		policy:       opts.Policy,
+		shareCap:     opts.ShareCapacity,
+		byID:         make(map[int]*accel),
+		dir:          dir,
+		shard:        opts.Shard,
+		myEpoch:      dir.Epoch(opts.Shard),
+		followerRank: dir.Follower(opts.Shard),
+		peers:        make([]peerLoad, dir.Shards()),
+		fwdSeq:       1 << 32, // disjoint from client reqID sequences
+		scratch:      wire.NewWriter(64),
+		replies:      make(map[int]map[uint64][]byte),
+	}
+	if s.followerRank == comm.Rank() {
+		// The shard's follower itself (serving after a promotion) has
+		// nobody to ship to.
+		s.followerRank = -1
+	}
+	for sh := range s.peers {
+		if sh != s.shard {
+			s.peers[sh].classFree = make(map[string]int)
+			s.peers[sh].classOper = make(map[string]int)
+		}
 	}
 	for _, h := range inventory {
 		if _, dup := s.byID[h.ID]; dup {
 			return nil, fmt.Errorf("arm: duplicate accelerator id %d", h.ID)
 		}
-		if s.sharded && s.dir.OwnerOf(h.ID) != s.shard {
-			return nil, fmt.Errorf("arm: accelerator %d belongs to shard %d, not %d",
-				h.ID, s.dir.OwnerOf(h.ID), s.shard)
+		if owner := dir.OwnerOf(h.ID); owner != s.shard {
+			return nil, fmt.Errorf("arm: accelerator %d belongs to shard %d, not %d", h.ID, owner, s.shard)
 		}
 		a := &accel{id: h.ID, rank: h.Rank, state: acFree, cap: h.Cap}
 		s.accels = append(s.accels, a)
 		s.byID[h.ID] = a
 	}
-	s.updateClassed()
 	return s, nil
 }
 
@@ -533,7 +553,8 @@ func (s *Server) Run(p *sim.Proc) {
 		}
 		s.scheduleTick()
 	}
-	if s.sharded || s.replicated {
+	if s.dir.replayable(s.shard) {
+		// Someone to gossip with or ship to: start the beat.
 		s.scheduleShardTick()
 	}
 	for {
@@ -548,42 +569,28 @@ func (s *Server) Run(p *sim.Proc) {
 // handle processes one request; it reports false on shutdown.
 func (s *Server) handle(src int, data []byte) bool {
 	r := wire.NewReader(data)
-	op := r.U8()
-	reqID := r.U64()
-	if op == opEpoched {
-		// Clients of a directory plane wrap requests in an epoch
-		// envelope: the id slot carries their directory view of this
-		// shard's epoch, the real header follows. A claim above myEpoch
-		// means a newer leader exists and this server must step down.
-		s.observeEpoch(reqID)
-		op = r.U8()
-		reqID = r.U64()
+	op, reqID, claim := r.U8(), r.U64(), r.U64()
+	forwarded := op == opForward
+	if forwarded {
+		// A peer relayed a client's request to us, the owner: execute it on
+		// the original client's behalf. The reply goes straight back to
+		// that client (its reply Irecv matches any source), so a forward
+		// costs one extra hop, not two.
+		src, op = r.Int(), r.U8()
 	}
-	forwarded := false
-	if op == opForward {
-		// A peer relayed a client's request to us, the owner: unwrap it
-		// and execute on the original client's behalf. The reply goes
-		// straight back to that client (its sharded reply Irecv matches
-		// any source), so a forward costs one extra hop, not two. The
-		// envelope's id slot carries the forwarder's view of this
-		// shard's epoch (it was 0 before fencing existed).
-		s.observeEpoch(reqID)
-		src = r.Int()
-		op = r.U8()
-		reqID = r.U64()
-		forwarded = true
-	}
-	if src < 0 || src >= s.comm.Size() || tagReplyBase+minimpi.Tag(reqID) < tagReplyBase {
-		// A forward on behalf of a rank outside the world, or a request id
-		// whose reply tag wraps around: there is nowhere to answer, and
-		// sending there would panic the transport. Drop the frame.
+	if r.Err() != nil || src < 0 || src >= s.comm.Size() || tagReplyBase+minimpi.Tag(reqID) < tagReplyBase {
+		// A truncated header, a forward on behalf of a rank outside the
+		// world, or a request id whose reply tag wraps around: there is
+		// nowhere to answer, and sending there would panic the transport.
+		// Drop the frame.
 		return true
 	}
+	// The header's epoch is the sender's directory view of this shard's
+	// epoch; a claim above myEpoch means a newer leader exists and this
+	// server must step down.
+	s.observeEpoch(claim)
 	switch op {
 	case opLoad:
-		// The id slot of gossip carries the sender's view of this
-		// shard's epoch — the step-down channel for a deposed leader.
-		s.observeEpoch(reqID)
 		s.handleLoad(src, r)
 		return true
 	case opRecall:
@@ -594,7 +601,7 @@ func (s *Server) handle(src int, data []byte) bool {
 	// leases implicitly (the front-end's piggybacked renewal).
 	if op != opHeartbeat {
 		s.touchClient(src)
-		if cached := s.cachedReply(src, reqID); cached != nil {
+		if cached := s.replies[src][reqID]; cached != nil {
 			// Failover replay of a request we already answered: resend
 			// the recorded reply instead of executing twice.
 			s.resendReply(src, reqID, cached)
@@ -632,30 +639,25 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		}
 	}
 	switch op {
-	case opAcquire, opAcquireShared, opAcquireCapable:
-		n := r.Int()
-		blocking := r.U8() == 1
-		var constraint Constraint
-		if op == opAcquireCapable {
-			constraint = decodeConstraint(r)
-		}
-		replay := r.Remaining() > 0 && r.U8() == 1 // absent in legacy requests
+	case opAcquire:
+		n, flags := r.Int(), r.U8()
+		constraint := decodeConstraint(r)
 		if r.Err() != nil || n <= 0 {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
 		req := &pendingAcquire{
-			src: src, reqID: reqID, n: n,
-			shared: op == opAcquireShared, enqueued: s.now(), forwarded: forwarded,
-			constraint: constraint, capable: op == opAcquireCapable,
+			src: src, reqID: reqID, n: n, shared: flags&flagShared != 0,
+			enqueued: s.now(), forwarded: forwarded, constraint: constraint,
 		}
-		if replay && s.sharded && !forwarded {
+		blocking := flags&flagBlocking != 0 && !forwarded
+		if flags&flagReplay != 0 && !forwarded {
 			// The original attempt may have been forwarded and granted by
 			// a peer before this shard's leader died: ask the peers first.
 			s.recallThenAcquire(req, blocking)
 			return true
 		}
-		s.acquire(req, blocking && !forwarded)
+		s.acquire(req, blocking)
 	case opRelease:
 		// Ints checks the count against the bytes left before allocating:
 		// a negative or absurd count off the wire is a bad request.
@@ -679,7 +681,7 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		if owner, ok := s.foreignOwnerOne(id, forwarded); ok {
+		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
 			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) { w.Int(id) })
 			return true
 		}
@@ -719,7 +721,7 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		if owner, ok := s.foreignOwnerOne(id, forwarded); ok {
+		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
 			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) {
 				w.Int(id).I64(int64(deadline))
 			})
@@ -733,20 +735,14 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 	case opRegister:
 		id := r.Int()
 		rank := r.Int()
-		var cap Capability
-		if r.Remaining() > 0 { // optional trailer; absent in legacy requests
-			cap = decodeCapability(r)
-		}
-		if r.Err() != nil {
+		cap, err := decodeCapability(r)
+		if err != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		if owner, ok := s.foreignOwnerOne(id, forwarded); ok {
+		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
 			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) {
-				w.Int(id).Int(rank)
-				if !cap.IsZero() {
-					encodeCapability(w, cap)
-				}
+				encodeCapability(w.Int(id).Int(rank), cap)
 			})
 			return true
 		}
@@ -760,40 +756,37 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 	return true
 }
 
+// reply answers (dst, reqID) with status | epoch | body. The epoch is the
+// one the request was served under, which clients stamp into grants as
+// their fencing token; an abdicated server advertises the higher epoch it
+// observed, steering the client to refresh.
 func (s *Server) reply(dst int, reqID uint64, status uint8, body []byte) {
-	w := wire.NewWriter(16 + len(body))
-	w.U8(status)
-	if body != nil {
-		w.Blob(body)
-	} else {
-		w.Blob(nil)
-	}
-	if s.dir != nil {
-		// Epoch trailer: every sharded reply advertises the epoch it
-		// was served under, so clients can stamp grants with their
-		// fencing token. An abdicated server advertises the higher
-		// epoch it observed, steering the client to refresh. Absent in
-		// unsharded replies, which stay byte-identical to the legacy
-		// wire format.
-		w.U64(s.epochHint())
-	}
-	msg := w.Bytes()
-	if s.dir != nil && status != statusFenced {
-		// Sharded/replicated operation records every reply so a failover
-		// replay of the same (client, reqID) resends instead of
-		// re-executing, and ships it to the follower for the same reason.
-		// Fenced refusals are deliberately not recorded: the replay must
-		// re-execute at whichever server is actually serving.
+	msg := wire.NewWriter(9 + len(body)).U8(status).U64(s.epochHint()).Raw(body).Bytes()
+	if status != statusFenced && s.dir.replayable(s.shard) {
+		// A replay can reach this server or its follower: record the reply
+		// so the same (client, reqID) is resent instead of re-executed, and
+		// ship it to the follower for the same reason. Fenced refusals are
+		// deliberately not recorded: the replay must re-execute at
+		// whichever server is actually serving. A lone manager records
+		// nothing — clients on one rank may each count reqIDs from 1.
 		s.rememberReply(dst, reqID, msg)
-		if s.replicated {
+		if s.followerRank >= 0 {
 			s.repReplies = append(s.repReplies, repReply{dst: dst, reqID: reqID, msg: msg})
 		}
 	}
 	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg).Free()
 }
 
-// epochHint is the epoch a reply trailer advertises: the highest this
-// server has proof of (its own, or the newer one that deposed it).
+// decodeReply splits a reply into its status, the answering server's
+// epoch hint and the body (aliasing data).
+func decodeReply(data []byte) (status uint8, epoch uint64, body []byte, err error) {
+	r := wire.NewReader(data)
+	status, epoch = r.U8(), r.U64()
+	return status, epoch, data[len(data)-r.Remaining():], r.Err()
+}
+
+// epochHint is the epoch a reply advertises: the highest this server has
+// proof of (its own, or the newer one that deposed it).
 func (s *Server) epochHint() uint64 {
 	if s.seenEpoch > s.myEpoch {
 		return s.seenEpoch
@@ -805,10 +798,9 @@ func (s *Server) epochHint() uint64 {
 // by incoming traffic. A claim above myEpoch is proof of a newer
 // leader: step down.
 func (s *Server) observeEpoch(claim uint64) {
-	if s.dir == nil || claim <= s.myEpoch {
-		return
+	if claim > s.myEpoch {
+		s.stepDown(claim)
 	}
-	s.stepDown(claim)
 }
 
 // stepDown moves the server into the abdicated state: queued acquires
@@ -816,24 +808,21 @@ func (s *Server) observeEpoch(claim uint64) {
 // the real leader), and dispatch fences everything ownership-touching
 // from here on. Detector, gossip, and replication ticks stop re-arming.
 func (s *Server) stepDown(observed uint64) {
-	if s.dir == nil || s.abdicated {
-		if observed > s.seenEpoch {
-			s.seenEpoch = observed
-		}
-		return
-	}
-	s.abdicated = true
 	if observed > s.seenEpoch {
 		s.seenEpoch = observed
 	}
+	if s.abdicated {
+		return
+	}
+	s.abdicated = true
 	for _, req := range s.queue {
 		s.reply(req.src, req.reqID, statusFenced, nil)
 	}
 	s.queue = nil
 }
 
-// Epoch returns the leadership epoch this server serves under (0 for
-// the unsharded manager).
+// Epoch returns the leadership epoch this server serves under (0 for a
+// lone manager).
 func (s *Server) Epoch() uint64 { return s.myEpoch }
 
 // Abdicated reports whether the server has stepped down after observing
@@ -846,30 +835,6 @@ func (s *Server) Abdicated() bool { return s.abdicated }
 // process per daemon; an ErrFenced result means an even newer epoch
 // exists and this server steps down too.
 func (s *Server) SetFencer(fn func(p *sim.Proc, rank int, epoch uint64) error) { s.fencer = fn }
-
-// operational counts accelerators that can (eventually) serve: everything
-// but failed and retired ones. Suspect accelerators count — they may
-// recover — so a queued request waiting on one blocks rather than being
-// rejected until the detector declares the node dead.
-func (s *Server) operational() int {
-	n := 0
-	for _, a := range s.accels {
-		if a.state != acFailed && a.state != acRetired {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Server) freeCount() int {
-	n := 0
-	for _, a := range s.accels {
-		if a.state == acFree {
-			n++
-		}
-	}
-	return n
-}
 
 // accrue charges the busy-time integral up to now: each accelerator with
 // at least one holder adds the elapsed interval to its own busy time and
@@ -907,9 +872,9 @@ func (s *Server) sharedGrantable(a *accel, src int) bool {
 // grant predicate both kinds are checked against.
 func (s *Server) canGrant(req *pendingAcquire) bool {
 	if req.shared {
-		return s.sharedAvailableFor(req.src, req.constraint) >= req.n
+		return s.sharedAvailableFor(req) >= req.n
 	}
-	return s.freeCountFor(req.constraint) >= req.n
+	return s.freeCountFor(req) >= req.n
 }
 
 func (s *Server) acquire(req *pendingAcquire, blocking bool) {
@@ -918,44 +883,39 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 		s.reply(req.src, req.reqID, statusBadRequest, nil)
 		return
 	}
-	ceiling := s.operationalFor(req.constraint)
+	ceiling := s.operationalFor(req)
 	if req.shared {
 		// Accelerators this client already shares can never satisfy the
 		// request (one lease per tenant per accelerator). One it holds
 		// exclusively stays in the ceiling: releasing it makes it shareable.
 		for _, a := range s.accels {
-			if _, held := a.holders[req.src]; held && a.state == acShared && s.eligible(a, req.constraint) {
+			if _, held := a.holders[req.src]; held && a.state == acShared && s.eligible(a, req) {
 				ceiling--
 			}
 		}
 	}
 	if req.n > ceiling {
-		if req.forwarded {
+		switch {
+		case req.forwarded:
 			// Partial view: the forwarder saw a healthier cluster than
 			// this shard's pool. Unavailable lets the client retry rather
 			// than aborting on a wrongly-global "impossible".
 			s.reply(req.src, req.reqID, statusUnavailable, nil)
-			return
+		case s.forwardAcquire(req):
+			// The local ceiling is one shard's, not the cluster's: the
+			// least-loaded peer answers.
+		case !s.gossipComplete() || req.n <= ceiling+s.peerOperationalFor(req.constraint):
+			s.reply(req.src, req.reqID, statusUnavailable, nil)
+		default:
+			s.reply(req.src, req.reqID, exhaustedStatus(req), nil)
 		}
-		if s.sharded {
-			// The local ceiling is one shard's, not the cluster's: try
-			// the least-loaded peer before judging the request.
-			if s.forwardAcquire(req) {
-				return
-			}
-			if !s.gossipComplete() || req.n <= s.clusterOperationalFor(req.constraint) {
-				s.reply(req.src, req.reqID, statusUnavailable, nil)
-				return
-			}
-		}
-		s.reply(req.src, req.reqID, exhaustedStatus(req), nil)
 		return
 	}
 	if s.canGrant(req) && (s.policy == Backfill || len(s.queue) == 0) {
 		s.grant(req)
 		return
 	}
-	if s.sharded && !req.forwarded && s.forwardAcquire(req) {
+	if !req.forwarded && s.forwardAcquire(req) {
 		return
 	}
 	if !blocking {
@@ -965,19 +925,22 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 	s.queue = append(s.queue, req)
 }
 
-// pick selects the accelerators a grantable request gets, constraint-
-// eligible ones only: the lowest-id free ones for an exclusive request;
-// for a shared request the least-loaded shareable ones (fewest current
-// holders) so tenants spread across the pool, pool order breaking ties
-// for determinism.
+// pick selects the accelerators a grantable request gets, eligible ones
+// only: the lowest-id free ones for an exclusive request (a replacement's
+// class first); for a shared request the least-loaded shareable ones
+// (fewest current holders) so tenants spread across the pool, pool order
+// breaking ties for determinism.
 func (s *Server) pick(req *pendingAcquire) []*accel {
+	if req.replaces != nil {
+		return []*accel{s.migrationTarget(req.replaces)}
+	}
 	cand := make([]*accel, 0, req.n)
 	for _, a := range s.accels {
 		grantable := a.state == acFree
 		if req.shared {
 			grantable = s.sharedGrantable(a, req.src)
 		}
-		if grantable && s.eligible(a, req.constraint) {
+		if grantable && s.eligible(a, req) {
 			cand = append(cand, a)
 			if !req.shared && len(cand) == req.n {
 				break // pool order is the exclusive preference: done
@@ -998,13 +961,6 @@ func (s *Server) pick(req *pendingAcquire) []*accel {
 // grant picks req.n accelerators and leases them to the requester.
 func (s *Server) grant(req *pendingAcquire) { s.lease(req, s.pick(req)) }
 
-// grantOne leases one specific free accelerator to src exclusively. The
-// classed migrate/replace paths use it to honor the same-class-first
-// preference that the pool-order scan inside pick cannot express.
-func (s *Server) grantOne(a *accel, src int, reqID uint64) {
-	s.lease(&pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now()}, []*accel{a})
-}
-
 // lease enters req.src in the holder table of each picked accelerator and
 // replies with their handles.
 func (s *Server) lease(req *pendingAcquire, picked []*accel) {
@@ -1015,7 +971,7 @@ func (s *Server) lease(req *pendingAcquire, picked []*accel) {
 		expiry = now.Add(s.health.LeaseTTL)
 	}
 	wait := now.Sub(req.enqueued).Seconds()
-	w := wire.NewWriter(8 + 16*len(picked))
+	w := wire.NewWriter(8 + 28*len(picked))
 	w.Int(len(picked))
 	for _, a := range picked {
 		a.state = acAssigned
@@ -1029,10 +985,7 @@ func (s *Server) lease(req *pendingAcquire, picked []*accel) {
 		a.notified = false
 		a.grants++
 		a.waitSeconds += wait
-		w.Int(a.id).Int(a.rank)
-		if req.capable {
-			encodeCapability(w, a.cap)
-		}
+		encodeCapability(w.Int(a.id).Int(a.rank), a.cap)
 		s.logGrant(a, req.src, req.shared)
 	}
 	s.acquireCount++
@@ -1088,7 +1041,7 @@ func (s *Server) drainQueue() {
 		kept := s.queue[:0]
 		for i, req := range s.queue {
 			switch {
-			case req.n > s.operationalFor(req.constraint):
+			case req.n > s.operationalFor(req):
 				s.reply(req.src, req.reqID, exhaustedStatus(req), nil)
 				progressed = true
 			case s.canGrant(req):
@@ -1146,20 +1099,13 @@ func (s *Server) replace(src int, reqID uint64, rank int) {
 	// The shrunken pool may make queued requests impossible; settle them
 	// before queueing the replacement acquire.
 	s.drainQueue()
-	if s.classed && !shared {
-		// A heterogeneous pool must not hand back just any device: the
-		// replacement is the job's failed device by another name, so pick
-		// a same-class spare first, then a capability-compatible one.
-		if s.policy == Backfill || len(s.queue) == 0 {
-			if t := s.migrationTarget(failed); t != nil {
-				s.grantOne(t, src, reqID)
-				return
-			}
-		}
-		s.reply(src, reqID, statusUnavailable, nil)
-		return
+	req := &pendingAcquire{src: src, reqID: reqID, n: 1, shared: shared, enqueued: s.now()}
+	if !shared {
+		// The replacement is the job's failed device by another name: a
+		// pool must not hand back just any device.
+		req.replaces = failed
 	}
-	s.acquire(&pendingAcquire{src: src, reqID: reqID, n: 1, shared: shared, enqueued: s.now()}, false)
+	s.acquire(req, false)
 }
 
 // setState handles fail/repair administrative requests.
@@ -1247,24 +1193,17 @@ func (s *Server) encodeStats(now sim.Time) []byte {
 }
 
 // encodeStatsEx appends the sharing counters and the per-accelerator
-// utilization table to the legacy layout.
+// utilization table to the opStats layout.
 func (s *Server) encodeStatsEx(now sim.Time) []byte {
 	st := s.snapshot(now)
-	w := wire.NewWriter(96 + 56*len(s.accels))
+	w := wire.NewWriter(96 + 64*len(s.accels))
 	encodeLegacyStats(w, st)
 	w.Int(st.Shared).Int(st.Sessions)
 	w.Int(len(s.accels))
 	for _, a := range s.accels {
-		w.Int(a.id).Int(a.rank).Str(a.state.String())
+		w.Int(a.id).Int(a.rank).Str(a.state.String()).Str(a.cap.Class)
 		w.Int(a.holderCount()).Int(a.grants)
 		w.F64(a.busySeconds).F64(a.waitSeconds)
-	}
-	if s.classed {
-		// Per-accelerator device classes, one per table row in order — an
-		// appended trailer so untagged fleets keep the legacy bytes.
-		for _, a := range s.accels {
-			w.Str(a.cap.Class)
-		}
 	}
 	return w.Bytes()
 }
@@ -1303,23 +1242,18 @@ func decodeStatsEx(body []byte) (PoolStats, error) {
 	if err := r.Err(); err != nil {
 		return PoolStats{}, err
 	}
-	// A row is at least 52 bytes (six 8-byte fields and a string length).
-	if count < 0 || count > r.Remaining()/52 {
+	// A row is at least 56 bytes (six 8-byte fields and two string lengths).
+	if count < 0 || count > r.Remaining()/56 {
 		return PoolStats{}, fmt.Errorf("arm: malformed stats reply: %d rows in %d bytes", count, r.Remaining())
 	}
 	st.PerAccel = make([]AccelStats, 0, count)
 	for i := 0; i < count; i++ {
-		as := AccelStats{ID: r.Int(), Rank: r.Int(), State: r.Str()}
+		as := AccelStats{ID: r.Int(), Rank: r.Int(), State: r.Str(), Class: r.Str()}
 		as.Sessions = r.Int()
 		as.Grants = r.Int()
 		as.BusySeconds = r.F64()
 		as.WaitSeconds = r.F64()
 		st.PerAccel = append(st.PerAccel, as)
-	}
-	if r.Remaining() > 0 { // classed trailer: device class per row
-		for i := range st.PerAccel {
-			st.PerAccel[i].Class = r.Str()
-		}
 	}
 	return st, r.Err()
 }

@@ -1,17 +1,15 @@
 package arm
 
-// capability.go makes the ARM inventory capability-aware (ISSUE 9
-// tentpole): accelerators carry a Capability descriptor (device class
-// plus supported kernel classes), acquires can carry a Constraint, and
-// placement becomes match-constraint-to-device then least-loaded within
-// the matching set. Everything here is gated on the server's `classed`
-// flag — true only when at least one inventory entry carries a non-zero
-// capability — so a homogeneous, descriptor-less fleet (every default
-// path) sends and receives exactly the bytes it did before capabilities
-// existed.
+// capability.go makes the ARM inventory capability-aware: accelerators
+// carry a Capability descriptor (device class plus supported kernel
+// classes), acquires carry a Constraint, and placement is
+// match-constraint-to-device then least-loaded within the matching set.
+// A homogeneous, descriptor-less fleet is the case of one class with the
+// empty name: the zero capability hosts anything and the zero constraint
+// matches it.
 
 import (
-	"sort"
+	"fmt"
 
 	"dynacc/internal/wire"
 )
@@ -31,7 +29,7 @@ type Capability struct {
 	Kernels []string
 }
 
-// IsZero reports an absent descriptor (a legacy, untagged accelerator).
+// IsZero reports an absent descriptor (an untagged accelerator).
 func (c Capability) IsZero() bool { return c.Class == "" && len(c.Kernels) == 0 }
 
 // Supports reports whether the capability covers the given kernel
@@ -94,10 +92,8 @@ func (c Constraint) Matches(cap Capability) bool {
 }
 
 // Wire encoding: Str(Class) Int(len(Kernels)) Str(kernel)... for a
-// capability, Str(Class) Str(Kernel) for a constraint. Both appear only
-// in the new opAcquireCapable encoding, as an optional opRegister
-// trailer, and in classed-only sections of gossip/replication/statsEx —
-// never in legacy traffic.
+// capability (every granted handle, opRegister, replication records),
+// Str(Class) Str(Kernel) for a constraint (every opAcquire).
 
 func encodeCapability(w *wire.Writer, c Capability) {
 	w.Str(c.Class)
@@ -107,16 +103,18 @@ func encodeCapability(w *wire.Writer, c Capability) {
 	}
 }
 
-func decodeCapability(r *wire.Reader) Capability {
+// decodeCapability fails on a truncated descriptor and on a kernel count
+// the remaining bytes cannot hold, checked before anything is allocated.
+func decodeCapability(r *wire.Reader) (Capability, error) {
 	c := Capability{Class: r.Str()}
 	n := r.Int()
-	if r.Err() != nil || n < 0 || n > r.Remaining()/4 { // a kernel name is >= 4 bytes
-		return Capability{}
+	if r.Err() == nil && (n < 0 || n > r.Remaining()/4) { // a kernel name is >= 4 bytes
+		return Capability{}, fmt.Errorf("arm: malformed capability: %d kernel classes in %d bytes", n, r.Remaining())
 	}
 	for i := 0; i < n; i++ {
 		c.Kernels = append(c.Kernels, r.Str())
 	}
-	return c
+	return c, r.Err()
 }
 
 func encodeConstraint(w *wire.Writer, c Constraint) {
@@ -127,55 +125,45 @@ func decodeConstraint(r *wire.Reader) Constraint {
 	return Constraint{Class: r.Str(), Kernel: r.Str()}
 }
 
-// updateClassed recomputes whether any inventory entry carries a
-// capability descriptor. While false, every classed-only wire section
-// and placement filter stays dormant and the server is byte-identical
-// to the pre-capability ARM.
-func (s *Server) updateClassed() {
-	s.classed = false
-	for _, a := range s.accels {
-		if !a.cap.IsZero() {
-			s.classed = true
-			return
-		}
-	}
+// eligible reports whether accelerator a may serve req: it satisfies the
+// constraint and, for a replacement, can host the replaced device's
+// resident state.
+func (s *Server) eligible(a *accel, req *pendingAcquire) bool {
+	return req.constraint.Matches(a.cap) && (req.replaces == nil || a.cap.CanHost(req.replaces.cap))
 }
 
-// eligible reports whether accelerator a satisfies the request's
-// constraint (always true for the unconstrained legacy request).
-func (s *Server) eligible(a *accel, c Constraint) bool {
-	return c.IsZero() || c.Matches(a.cap)
-}
-
-// freeCountFor counts free accelerators satisfying the constraint.
-func (s *Server) freeCountFor(c Constraint) int {
+// freeCountFor counts free accelerators eligible for req.
+func (s *Server) freeCountFor(req *pendingAcquire) int {
 	n := 0
 	for _, a := range s.accels {
-		if a.state == acFree && s.eligible(a, c) {
+		if a.state == acFree && s.eligible(a, req) {
 			n++
 		}
 	}
 	return n
 }
 
-// operationalFor counts operational accelerators satisfying the
-// constraint (same exclusions as operational: failed and retired).
-func (s *Server) operationalFor(c Constraint) int {
+// operationalFor counts accelerators eligible for req that can
+// (eventually) serve: everything but failed and retired ones. Suspect
+// accelerators count — they may recover — so a queued request waiting on
+// one blocks rather than being rejected until the detector declares the
+// node dead.
+func (s *Server) operationalFor(req *pendingAcquire) int {
 	n := 0
 	for _, a := range s.accels {
-		if a.state != acFailed && a.state != acRetired && s.eligible(a, c) {
+		if a.state != acFailed && a.state != acRetired && s.eligible(a, req) {
 			n++
 		}
 	}
 	return n
 }
 
-// sharedAvailableFor counts accelerators that could take a new sharer
-// for src and satisfy the constraint.
-func (s *Server) sharedAvailableFor(src int, c Constraint) int {
+// sharedAvailableFor counts eligible accelerators that could take
+// req.src as a new sharer.
+func (s *Server) sharedAvailableFor(req *pendingAcquire) int {
 	n := 0
 	for _, a := range s.accels {
-		if s.sharedGrantable(a, src) && s.eligible(a, c) {
+		if s.sharedGrantable(a, req.src) && s.eligible(a, req) {
 			n++
 		}
 	}
@@ -214,50 +202,54 @@ func (s *Server) migrationTarget(old *accel) *accel {
 	return compat
 }
 
-// classLoads summarizes the local inventory per class for gossip:
-// sorted class names with free and operational counts.
-func (s *Server) classLoads() (names []string, free, oper map[string]int) {
-	free = make(map[string]int)
-	oper = make(map[string]int)
+// classLoad is one row of the gossiped load table: a device class (the
+// empty name on an untagged fleet) with its free and operational counts.
+type classLoad struct {
+	class      string
+	free, oper int
+}
+
+// classLoads summarizes the local inventory per class for gossip, sorted
+// by class name, into a scratch table reused between calls.
+func (s *Server) classLoads() []classLoad {
+	loads := s.loads[:0]
 	for _, a := range s.accels {
 		if a.state == acFailed || a.state == acRetired {
 			continue
 		}
-		cl := a.cap.Class
-		oper[cl]++
+		i := 0
+		for i < len(loads) && loads[i].class < a.cap.Class {
+			i++
+		}
+		if i == len(loads) || loads[i].class != a.cap.Class {
+			loads = append(loads, classLoad{})
+			copy(loads[i+1:], loads[i:])
+			loads[i] = classLoad{class: a.cap.Class}
+		}
+		loads[i].oper++
 		if a.state == acFree {
-			free[cl]++
+			loads[i].free++
 		}
 	}
-	names = make([]string, 0, len(oper))
-	for cl := range oper {
-		names = append(names, cl)
-	}
-	sort.Strings(names)
-	return names, free, oper
+	s.loads = loads
+	return loads
 }
 
-// clusterOperationalFor estimates the cluster-wide operational count
-// for a constrained request from the local pool plus the per-class
-// gossip. A kernel-only constraint cannot be evaluated remotely (gossip
-// carries device classes, not kernel tables), so it conservatively
-// counts every peer accelerator — the cost is an "unavailable" retry
-// instead of a wrong "no capable device".
-func (s *Server) clusterOperationalFor(c Constraint) int {
-	if c.IsZero() {
-		return s.clusterOperational()
-	}
-	n := s.operationalFor(c)
-	for sh := range s.peerOper {
-		if sh == s.shard {
-			continue
-		}
-		if c.Class != "" {
-			if m := s.peerClassOper[sh]; m != nil {
-				n += m[c.Class]
-			}
-		} else {
-			n += s.peerOper[sh]
+// peerOperationalFor estimates how many operational accelerators the
+// peer shards hold for a constraint, from the last gossip. A kernel-only
+// constraint cannot be evaluated remotely (gossip carries device classes,
+// not kernel tables), so it conservatively counts every peer accelerator
+// — the cost is an "unavailable" retry instead of a wrong "no capable
+// device".
+func (s *Server) peerOperationalFor(c Constraint) int {
+	n := 0
+	for sh, peer := range s.peers {
+		switch {
+		case sh == s.shard:
+		case c.Class != "":
+			n += peer.classOper[c.Class]
+		default:
+			n += peer.oper
 		}
 	}
 	return n

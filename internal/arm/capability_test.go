@@ -4,10 +4,10 @@ package arm
 // acquire routing, the typed ErrNoCapableDevice in both blocking modes,
 // class-aware migration preference (same model before merely
 // compatible; a C1060's resident state never lands on the FPGA),
-// randomized placement invariants, and golden wire vectors — the new
-// capability encodings pinned byte-exact, and the constraint-less
-// opAcquire/opRegister request frames pinned unchanged so homogeneous
-// clusters keep their historical traffic.
+// randomized placement invariants, and golden wire vectors — the
+// capability encodings and the opAcquire/opRegister request frames pinned
+// byte-exact (udpx TestABI style: a change here is a protocol break and
+// must come with a nettrans.ProtocolVersion bump).
 
 import (
 	"encoding/hex"
@@ -214,9 +214,10 @@ func TestPropertyCapabilityPlacement(t *testing.T) {
 			}
 		}
 		c := Constraint{Class: classes[rng.Intn(len(classes))], Kernel: kernels[rng.Intn(len(kernels))]}
+		req := &pendingAcquire{constraint: c}
 		wantFree := 0
 		for _, a := range srv.accels {
-			if srv.eligible(a, c) != c.Matches(a.cap) {
+			if srv.eligible(a, req) != c.Matches(a.cap) {
 				t.Errorf("eligible disagrees with Matches for cap %+v constraint %+v", a.cap, c)
 				return false
 			}
@@ -224,7 +225,7 @@ func TestPropertyCapabilityPlacement(t *testing.T) {
 				wantFree++
 			}
 		}
-		if got := srv.freeCountFor(c); got != wantFree {
+		if got := srv.freeCountFor(req); got != wantFree {
 			t.Errorf("freeCountFor(%+v) = %d, want %d", c, got, wantFree)
 			return false
 		}
@@ -282,15 +283,19 @@ const (
 	// encodeConstraint({Class: "fermi", Kernel: "magma"}).
 	goldenConstraintHex = "050000006665726d69" + "050000006d61676d61"
 
-	// Full request frames as the client puts them on the wire (first
-	// request, reqID 1).
-	goldenAcquireReqHex = "01" /* opAcquire */ + "0100000000000000" /* reqID */ +
-		"0200000000000000" /* n=2 */ + "00" /* non-blocking */
-	goldenRegisterReqHex = "0e" /* opRegister */ + "0100000000000000" +
-		"0700000000000000" /* id=7 */ + "6b00000000000000" /* rank=107 */
-	goldenAcquireCapableReqHex = "14" /* opAcquireCapable */ + "0100000000000000" +
-		"0100000000000000" /* n=1 */ + "01" /* blocking */ +
+	// Full request frames as a lone manager's client puts them on the wire
+	// (first request, reqID 1, epoch 0): op | reqID | epoch | body, the
+	// acquire body being n | flags | constraint.
+	goldenAcquireReqHex = "01" /* opAcquire */ + "0100000000000000" /* reqID */ + "0000000000000000" /* epoch */ +
+		"0200000000000000" /* n=2 */ + "00" /* no flags */ + "00000000" + "00000000" /* any class, any kernel */
+	goldenRegisterReqHex = "0d" /* opRegister */ + "0100000000000000" + "0000000000000000" +
+		"0700000000000000" /* id=7 */ + "6b00000000000000" /* rank=107 */ +
+		"00000000" + "0000000000000000" /* untagged: empty class, no kernel classes */
+	goldenAcquireCapableReqHex = "01" /* opAcquire */ + "0100000000000000" + "0000000000000000" +
+		"0100000000000000" /* n=1 */ + "01" /* flagBlocking */ +
 		goldenConstraintHex
+	goldenAcquireSharedReqHex = "01" /* opAcquire */ + "0100000000000000" + "0000000000000000" +
+		"0100000000000000" /* n=1 */ + "02" /* flagShared */ + "00000000" + "00000000"
 )
 
 func TestGoldenCapabilityEncoding(t *testing.T) {
@@ -299,10 +304,9 @@ func TestGoldenCapabilityEncoding(t *testing.T) {
 	if got := hex.EncodeToString(w.Bytes()); got != goldenCapabilityHex {
 		t.Errorf("capability encoding drifted:\n got  %s\n want %s", got, goldenCapabilityHex)
 	}
-	r := wire.NewReader(w.Bytes())
-	back := decodeCapability(r)
-	if back.Class != "fpga" || len(back.Kernels) != 2 || back.Kernels[0] != "magma" || back.Kernels[1] != "blas" {
-		t.Errorf("capability round trip: %+v", back)
+	back, err := decodeCapability(wire.NewReader(w.Bytes()))
+	if err != nil || back.Class != "fpga" || len(back.Kernels) != 2 || back.Kernels[0] != "magma" || back.Kernels[1] != "blas" {
+		t.Errorf("capability round trip: %+v, %v", back, err)
 	}
 
 	w2 := wire.NewWriter(32)
@@ -333,13 +337,10 @@ func captureRequestVia(t *testing.T, dir *Directory, status uint8, body []byte, 
 		data, _ := w.Comm(1).Recv(p, minimpi.AnySource, TagRequest)
 		got = append([]byte(nil), data...)
 		r := wire.NewReader(data)
-		if r.U8() == opEpoched {
-			r.U64() // epoch claim; the real header follows
-			r.U8()
-		}
+		r.U8()
 		reqID := r.U64()
 		reply := wire.NewWriter(16 + len(body))
-		reply.U8(status).Blob(body)
+		reply.U8(status).U64(0).Raw(body)
 		w.Comm(1).Isend(0, tagReplyBase+minimpi.Tag(reqID), reply.Bytes())
 	})
 	s.Spawn("client", func(p *sim.Proc) {
@@ -355,47 +356,42 @@ func captureRequestVia(t *testing.T, dir *Directory, status uint8, body []byte, 
 	return got
 }
 
-// TestGoldenRequestFrames pins the constraint-less opAcquire and
-// opRegister frames to their pre-heterogeneity bytes — a homogeneous
-// cluster's wire traffic must not change — and the new opAcquireCapable
-// frame to its golden vector.
+// TestGoldenRequestFrames pins the request frames a client emits: one
+// opAcquire whatever the kind (exclusive, constrained and blocking,
+// shared) and one opRegister whatever the capability.
 func TestGoldenRequestFrames(t *testing.T) {
 	emptyGrant := wire.NewWriter(8).Int(0).Bytes()
-	acq := captureRequest(t, statusOK, emptyGrant, func(p *sim.Proc, c *Client) {
-		if _, err := c.Acquire(p, 2, false); err != nil {
-			t.Errorf("acquire: %v", err)
+	for _, tc := range []struct {
+		name, want string
+		body       []byte
+		do         func(p *sim.Proc, c *Client) error
+	}{
+		{"Acquire", goldenAcquireReqHex, emptyGrant, func(p *sim.Proc, c *Client) error {
+			_, err := c.Acquire(p, 2, false)
+			return err
+		}},
+		{"AcquireCapable", goldenAcquireCapableReqHex, emptyGrant, func(p *sim.Proc, c *Client) error {
+			_, err := c.AcquireCapable(p, 1, true, Constraint{Class: "fermi", Kernel: "magma"})
+			return err
+		}},
+		{"AcquireShared", goldenAcquireSharedReqHex, emptyGrant, func(p *sim.Proc, c *Client) error {
+			_, err := c.AcquireShared(p, 1, false)
+			return err
+		}},
+		{"Register", goldenRegisterReqHex, nil, func(p *sim.Proc, c *Client) error {
+			return c.Register(p, 7, 107)
+		}},
+		{"RegisterCapable zero", goldenRegisterReqHex, nil, func(p *sim.Proc, c *Client) error {
+			return c.RegisterCapable(p, 7, 107, Capability{})
+		}},
+	} {
+		frame := captureRequest(t, statusOK, tc.body, func(p *sim.Proc, c *Client) {
+			if err := tc.do(p, c); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+		})
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Errorf("%s frame drifted:\n got  %s\n want %s", tc.name, got, tc.want)
 		}
-	})
-	if got := hex.EncodeToString(acq); got != goldenAcquireReqHex {
-		t.Errorf("opAcquire frame drifted:\n got  %s\n want %s", got, goldenAcquireReqHex)
-	}
-
-	reg := captureRequest(t, statusOK, nil, func(p *sim.Proc, c *Client) {
-		if err := c.Register(p, 7, 107); err != nil {
-			t.Errorf("register: %v", err)
-		}
-	})
-	if got := hex.EncodeToString(reg); got != goldenRegisterReqHex {
-		t.Errorf("opRegister frame drifted:\n got  %s\n want %s", got, goldenRegisterReqHex)
-	}
-
-	// RegisterCapable with a zero capability degrades to the exact
-	// legacy Register bytes.
-	regZero := captureRequest(t, statusOK, nil, func(p *sim.Proc, c *Client) {
-		if err := c.RegisterCapable(p, 7, 107, Capability{}); err != nil {
-			t.Errorf("register capable: %v", err)
-		}
-	})
-	if got := hex.EncodeToString(regZero); got != goldenRegisterReqHex {
-		t.Errorf("zero-capability RegisterCapable frame drifted:\n got  %s\n want %s", got, goldenRegisterReqHex)
-	}
-
-	capReq := captureRequest(t, statusOK, emptyGrant, func(p *sim.Proc, c *Client) {
-		if _, err := c.AcquireCapable(p, 1, true, Constraint{Class: "fermi", Kernel: "magma"}); err != nil {
-			t.Errorf("acquire capable: %v", err)
-		}
-	})
-	if got := hex.EncodeToString(capReq); got != goldenAcquireCapableReqHex {
-		t.Errorf("opAcquireCapable frame drifted:\n got  %s\n want %s", got, goldenAcquireCapableReqHex)
 	}
 }

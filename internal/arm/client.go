@@ -44,9 +44,8 @@ type Client struct {
 
 // NewClient creates a resource-management client addressing the lone ARM
 // at armRank on comm. It is the one-shard case of NewDirectoryClient: the
-// client builds the degenerate directory itself (SingleDirectory), so its
-// requests carry the legacy bytes and the manager queues its blocking
-// acquires.
+// client builds the degenerate directory itself (SingleDirectory), so the
+// manager queues its blocking acquires.
 func NewClient(comm *minimpi.Comm, armRank int) *Client {
 	return NewDirectoryClient(comm, SingleDirectory(armRank))
 }
@@ -90,36 +89,18 @@ func (c *Client) jitter() *rand.Rand {
 	return c.rng
 }
 
-func acquireOp(op uint8) bool {
-	return op == opAcquire || op == opAcquireShared || op == opAcquireCapable
-}
+// argsFunc writes a request body. replay is set when the frame is a
+// failover or fencing replay, which only opAcquire encodes (flagReplay).
+type argsFunc func(w *wire.Writer, replay bool)
 
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// request encodes one request frame for shard. When the directory holds
-// an epoch to claim (every directory but a lone manager's), the frame
-// travels in an opEpoched envelope whose id slot carries the epoch the
-// client believes the shard is serving under — re-read at every send, so
-// a fenced replay carries the successor's epoch — and acquires end in a
-// replay marker telling a promoted follower to recall its peers before
-// executing. With no epoch the frame is the legacy one, byte for byte.
-func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args func(w *wire.Writer)) []byte {
+// request encodes one request frame for shard: op | reqID | epoch | body.
+// The epoch is the one the client believes the shard is serving under —
+// re-read at every send, so a fenced replay carries the successor's.
+func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args argsFunc) []byte {
 	w := wire.NewWriter(64)
-	epoch := c.dir.Epoch(shard)
-	if epoch != 0 {
-		w.U8(opEpoched).U64(epoch)
-	}
-	w.U8(op).U64(reqID)
+	w.U8(op).U64(reqID).U64(c.dir.Epoch(shard))
 	if args != nil {
-		args(w)
-	}
-	if epoch != 0 && acquireOp(op) {
-		w.U8(boolByte(replay))
+		args(w, replay)
 	}
 	return w.Bytes()
 }
@@ -131,9 +112,9 @@ func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args fu
 // dedup cache makes the replay a resend when the successor already
 // executed it. Any other status comes back as its client error
 // (statusErr). The returned epoch is the answering server's epoch hint
-// from the reply trailer (zero from a directory-less server, which sends
-// none), stamped into Handles as the fencing token.
-func (c *Client) call(p *sim.Proc, shard int, op uint8, args func(w *wire.Writer)) ([]byte, uint64, error) {
+// from the reply header (zero from a lone manager), stamped into Handles
+// as the fencing token.
+func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
 	c.nextReq++
 	reqID := c.nextReq
 	const maxFenceReplays = 4
@@ -170,14 +151,8 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args func(w *wire.Writer
 				// drain reply, say), not dead — keep waiting.
 			}
 		}
-		r := wire.NewReader(data)
-		status := r.U8()
-		payload := r.Blob()
-		var epoch uint64
-		if r.Remaining() >= 8 {
-			epoch = r.U64() // epoch hint trailer (directory servers only)
-		}
-		if err := r.Err(); err != nil {
+		status, epoch, payload, err := decodeReply(data)
+		if err != nil {
 			return nil, 0, fmt.Errorf("arm: malformed reply: %w", err)
 		}
 		if status != statusFenced {
@@ -211,26 +186,23 @@ func statusErr(status uint8) error {
 }
 
 // decodeHandles parses the count-prefixed handle list of an acquire,
-// replace or migrate reply (what names the op in errors): id/rank pairs,
-// each followed by the granted device's capability descriptor in an
-// opAcquireCapable reply. The count is checked against the bytes left
-// before anything is allocated for it.
-func decodeHandles(what string, payload []byte, shared, described bool, epoch uint64) ([]Handle, error) {
+// replace or migrate reply (what names the op in errors): id, rank and
+// the granted device's capability descriptor each. The count is checked
+// against the bytes left before anything is allocated for it.
+func decodeHandles(what string, payload []byte, shared bool, epoch uint64) ([]Handle, error) {
 	r := wire.NewReader(payload)
 	count := r.Int()
-	if count < 0 || count > r.Remaining()/16 {
+	if count < 0 || count > r.Remaining()/28 {
 		return nil, fmt.Errorf("arm: malformed %s reply: %d handles in %d bytes", what, count, r.Remaining())
 	}
 	handles := make([]Handle, 0, count)
 	for i := 0; i < count; i++ {
 		h := Handle{ID: r.Int(), Rank: r.Int(), Shared: shared, Epoch: epoch}
-		if described {
-			h.Cap = decodeCapability(r)
+		var err error
+		if h.Cap, err = decodeCapability(r); err != nil {
+			return nil, fmt.Errorf("arm: malformed %s reply: %w", what, err)
 		}
 		handles = append(handles, h)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("arm: malformed %s reply: %w", what, err)
 	}
 	return handles, nil
 }
@@ -246,12 +218,13 @@ func decodeHandles(what string, payload []byte, shared, described bool, epoch ui
 // with no follower is the paper's ARM: the request is passed to the
 // server, which queues it FIFO and answers when it can grant. A server
 // queue is neither visible to peer shards nor shipped to a follower, so
-// anywhere else blocking is client-paced: retrying with jittered backoff
-// until granted, FIFO fairness per shard rather than global (DESIGN.md
-// §11), and a typed timeout when the retry budget runs out.
-func (c *Client) acquire(p *sim.Proc, op uint8, n int, constraint Constraint, blocking bool, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
+// where a replay can happen (Directory.replayable) blocking is
+// client-paced: retrying with jittered backoff until granted, FIFO
+// fairness per shard rather than global (DESIGN.md §11), and a typed
+// timeout when the retry budget runs out.
+func (c *Client) acquire(p *sim.Proc, n int, shared bool, constraint Constraint, blocking bool, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
 	const blockingAttempts = 4096 // virtual-seconds of backoff before giving up
-	queued := blocking && c.dir.Shards() == 1 && c.dir.Follower(0) < 0
+	queued := blocking && !c.dir.replayable(0)
 	switch {
 	case queued || attempts < 1:
 		attempts = 1
@@ -267,14 +240,12 @@ func (c *Client) acquire(p *sim.Proc, op uint8, n int, constraint Constraint, bl
 		}
 		var payload []byte
 		var epoch uint64
-		payload, epoch, err = c.call(p, (home+i)%c.dir.Shards(), op, func(w *wire.Writer) {
-			w.Int(n).U8(boolByte(queued))
-			if op == opAcquireCapable {
-				encodeConstraint(w, constraint)
-			}
+		payload, epoch, err = c.call(p, (home+i)%c.dir.Shards(), opAcquire, func(w *wire.Writer, replay bool) {
+			w.Int(n).U8(flag(queued, flagBlocking) | flag(shared, flagShared) | flag(replay, flagReplay))
+			encodeConstraint(w, constraint)
 		})
 		if err == nil {
-			return decodeHandles("acquire", payload, op == opAcquireShared, op == opAcquireCapable, epoch)
+			return decodeHandles("acquire", payload, shared, epoch)
 		}
 		if err != ErrUnavailable {
 			return nil, err
@@ -298,20 +269,19 @@ func (c *Client) acquire(p *sim.Proc, op uint8, n int, constraint Constraint, bl
 // larger than the operational pool fails with ErrImpossible in both
 // modes.
 func (c *Client) Acquire(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
-	return c.acquire(p, opAcquire, n, Constraint{}, blocking, 1, DefaultBackoff(), nil)
+	return c.acquire(p, n, false, Constraint{}, blocking, 1, DefaultBackoff(), nil)
 }
 
 // AcquireCapable requests n exclusive accelerators satisfying the
 // capability constraint (device class and/or supported kernel class; a
-// zero constraint matches any device). The returned handles carry each
-// grant's Capability descriptor. Blocking semantics match Acquire,
-// except that a constraint no live device can ever satisfy fails
-// immediately with ErrNoCapableDevice in both modes — waiting for a
-// device class the fleet does not have would block forever. Across
-// shards, class-constrained requests route on the per-class free counts
-// the shards gossip.
+// zero constraint matches any device, which makes it Acquire). Blocking
+// semantics match Acquire, except that a constraint no live device can
+// ever satisfy fails immediately with ErrNoCapableDevice in both modes —
+// waiting for a device class the fleet does not have would block forever.
+// Across shards, class-constrained requests route on the per-class free
+// counts the shards gossip.
 func (c *Client) AcquireCapable(p *sim.Proc, n int, blocking bool, constraint Constraint) ([]Handle, error) {
-	return c.acquire(p, opAcquireCapable, n, constraint, blocking, 1, DefaultBackoff(), nil)
+	return c.acquire(p, n, false, constraint, blocking, 1, DefaultBackoff(), nil)
 }
 
 // AcquireShared requests shared leases on n distinct accelerators. Unlike
@@ -323,7 +293,7 @@ func (c *Client) AcquireCapable(p *sim.Proc, n int, blocking bool, constraint Co
 // semantics match Acquire, with availability counted as accelerators that
 // can take one more sharer for this client.
 func (c *Client) AcquireShared(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
-	return c.acquire(p, opAcquireShared, n, Constraint{}, blocking, 1, DefaultBackoff(), nil)
+	return c.acquire(p, n, true, Constraint{}, blocking, 1, DefaultBackoff(), nil)
 }
 
 // AcquireRetry is Acquire(n, blocking=false) wrapped in a jittered
@@ -332,7 +302,7 @@ func (c *Client) AcquireShared(p *sim.Proc, n int, blocking bool) ([]Handle, err
 // (no jitter); pass a seeded one for deterministic-but-decorrelated
 // retries.
 func (c *Client) AcquireRetry(p *sim.Proc, n, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
-	return c.acquire(p, opAcquire, n, Constraint{}, false, attempts, b, rng)
+	return c.acquire(p, n, false, Constraint{}, false, attempts, b, rng)
 }
 
 // routeIDs groups handle ids by owning shard into reused scratch slices
@@ -358,7 +328,7 @@ func (c *Client) Release(p *sim.Proc, handles []Handle) error {
 		if len(ids) == 0 {
 			continue
 		}
-		_, _, err := c.call(p, sh, opRelease, func(w *wire.Writer) { w.Ints(ids) })
+		_, _, err := c.call(p, sh, opRelease, func(w *wire.Writer, _ bool) { w.Ints(ids) })
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -374,14 +344,14 @@ func (c *Client) rankKeyedCall(p *sim.Proc, op uint8, what string, rank int) (Ha
 	shards := c.dir.Shards()
 	home := c.homeShard()
 	for i := 0; i < shards; i++ {
-		payload, epoch, err := c.call(p, (home+i)%shards, op, func(w *wire.Writer) { w.Int(rank) })
+		payload, epoch, err := c.call(p, (home+i)%shards, op, func(w *wire.Writer, _ bool) { w.Int(rank) })
 		if err == ErrBadRequest {
 			continue // not held on this shard
 		}
 		if err != nil {
 			return Handle{}, err
 		}
-		handles, err := decodeHandles(what, payload, false, false, epoch)
+		handles, err := decodeHandles(what, payload, false, epoch)
 		if err != nil {
 			return Handle{}, err
 		}
@@ -414,7 +384,7 @@ func (c *Client) Migrate(p *sim.Proc, oldRank int) (Handle, error) {
 }
 
 // idCall routes a single-id administrative op to the owning shard.
-func (c *Client) idCall(p *sim.Proc, id int, op uint8, args func(w *wire.Writer)) error {
+func (c *Client) idCall(p *sim.Proc, id int, op uint8, args argsFunc) error {
 	_, _, err := c.call(p, c.dir.OwnerOf(id), op, args)
 	return err
 }
@@ -423,12 +393,12 @@ func (c *Client) idCall(p *sim.Proc, id int, op uint8, args func(w *wire.Writer)
 // comes from a health monitor). Queued requests that become impossible
 // are rejected.
 func (c *Client) Fail(p *sim.Proc, id int) error {
-	return c.idCall(p, id, opFail, func(w *wire.Writer) { w.Int(id) })
+	return c.idCall(p, id, opFail, func(w *wire.Writer, _ bool) { w.Int(id) })
 }
 
 // Repair returns a failed accelerator to the free pool.
 func (c *Client) Repair(p *sim.Proc, id int) error {
-	return c.idCall(p, id, opRepair, func(w *wire.Writer) { w.Int(id) })
+	return c.idCall(p, id, opRepair, func(w *wire.Writer, _ bool) { w.Int(id) })
 }
 
 // Drain takes accelerator id out of service: no new grants, in-flight
@@ -437,7 +407,7 @@ func (c *Client) Repair(p *sim.Proc, id int) error {
 // deadline bounds the wait: when it expires with the holder still
 // attached the ARM revokes the lease, sanitizes, and retires.
 func (c *Client) Drain(p *sim.Proc, id int, deadline sim.Duration) error {
-	return c.idCall(p, id, opDrain, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
+	return c.idCall(p, id, opDrain, func(w *wire.Writer, _ bool) { w.Int(id).I64(int64(deadline)) })
 }
 
 // Register admits a new accelerator — pool id plus its daemon's world
@@ -452,14 +422,10 @@ func (c *Client) Register(p *sim.Proc, id, rank int) error {
 // RegisterCapable is Register with a capability descriptor: the
 // accelerator joins the inventory tagged with its device class and
 // supported kernel classes, making it eligible for constrained acquires
-// and class-aware migration. A zero capability is exactly Register
-// (legacy wire bytes included).
+// and class-aware migration. A zero capability is exactly Register.
 func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) error {
-	return c.idCall(p, id, opRegister, func(w *wire.Writer) {
-		w.Int(id).Int(rank)
-		if !cap.IsZero() {
-			encodeCapability(w, cap)
-		}
+	return c.idCall(p, id, opRegister, func(w *wire.Writer, _ bool) {
+		encodeCapability(w.Int(id).Int(rank), cap)
 	})
 }
 
@@ -470,7 +436,7 @@ func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) erro
 // wait by revoking stragglers. After Retire returns, the pool holds no
 // record of the accelerator and therefore no stranded lease on it.
 func (c *Client) Retire(p *sim.Proc, id int, deadline sim.Duration) error {
-	return c.idCall(p, id, opRetire, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
+	return c.idCall(p, id, opRetire, func(w *wire.Writer, _ bool) { w.Int(id).I64(int64(deadline)) })
 }
 
 // Renew explicitly renews every lease this client rank holds, on every
@@ -530,7 +496,7 @@ func (c *Client) Stats(p *sim.Proc) (PoolStats, error) {
 
 // StatsEx fetches the pool snapshot plus the sharing counters and the
 // per-accelerator utilization table (PoolStats.Shared, .Sessions,
-// .PerAccel), which the legacy Stats reply omits. PerAccel is the
+// .PerAccel), which the Stats reply omits. PerAccel is the
 // concatenation of the shards' tables, sorted by accelerator id.
 func (c *Client) StatsEx(p *sim.Proc) (PoolStats, error) {
 	agg, err := c.stats(p, opStatsEx, decodeStatsEx)

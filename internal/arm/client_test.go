@@ -1,15 +1,16 @@
 package arm
 
 // client_test.go covers what the single Client and the server's request
-// decoding owe each other: a lone manager reached through NewClient
-// behaves exactly like a one-shard directory plane reached through
-// NewDirectoryClient, and no byte string off the wire — a forged count,
+// decoding owe each other: a lone manager reached through NewClient is a
+// one-shard directory plane reached through NewDirectoryClient, frame for
+// frame, and no byte string off the wire — a forged count,
 // rank or request id included — can crash the server or make it allocate
 // beyond the frame it was sent.
 
 import (
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -23,25 +24,29 @@ import (
 // parityRun drives one scripted sequence — a non-blocking miss, two
 // blocking acquires queued behind a holder, releases, fail, repair,
 // Stats/StatsEx — against one server on rank 0 and returns the grant log
-// (in grant order) and every stats snapshot taken. withDir selects the
-// plane: false is a directory-less server reached through NewClient,
-// true a one-shard, no-follower directory shared by server and clients.
-func parityRun(t *testing.T, withDir bool) (log []string, stats []PoolStats) {
+// (in grant order), every stats snapshot taken and a hash over every wire
+// message's instant, endpoints, tag and size. dir selects the plane: nil
+// is NewServer reached through NewClient, anything else a directory shared
+// by server and clients.
+func parityRun(t *testing.T, dir *Directory) (log []string, stats []PoolStats, wireHash uint64) {
 	t.Helper()
 	s := sim.New()
 	w, err := minimpi.NewWorld(s, 4, netmodel.QDRInfiniBand())
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := fnv.New64a()
+	w.SetLinkFilter(func(src, dst int, tag minimpi.Tag, size int) minimpi.LinkVerdict {
+		fmt.Fprintf(h, "%d %d>%d %d %d\n", s.Now(), src, dst, tag, size)
+		return minimpi.LinkVerdict{}
+	})
 	inv := []Handle{{ID: 0, Rank: 100}, {ID: 1, Rank: 101}}
-	var opts Options
+	srv, err := NewServer(w.Comm(0), inv, FIFO)
 	client := func(rank int) *Client { return NewClient(w.Comm(rank), 0) }
-	if withDir {
-		dir := NewDirectory(NewRing(1), []int{0}, nil)
-		opts.Directory = dir
+	if dir != nil {
+		srv, err = NewServerOpts(w.Comm(0), inv, Options{Directory: dir})
 		client = func(rank int) *Client { return NewDirectoryClient(w.Comm(rank), dir) }
 	}
-	srv, err := NewServerOpts(w.Comm(0), inv, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +70,6 @@ func parityRun(t *testing.T, withDir bool) (log []string, stats []PoolStats) {
 			stats = append(stats, st)
 		}
 	}
-	// One client per rank for the whole run: a directory server dedups on
-	// (rank, reqID), so a rank's request ids must never restart.
 	c1 := client(1)
 	holder := s.Spawn("cn1", func(p *sim.Proc) {
 		c := c1
@@ -119,7 +122,7 @@ func parityRun(t *testing.T, withDir bool) (log []string, stats []PoolStats) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return log, stats
+	return log, stats, h.Sum64()
 }
 
 // TestOneShardParity: the lone manager is the one-shard case of the
@@ -128,8 +131,8 @@ func parityRun(t *testing.T, withDir bool) (log []string, stats []PoolStats) {
 // queued by the server on both planes (FIFO: cn2 before cn3); a
 // client-paced retry loop would still grant, but in backoff order.
 func TestOneShardParity(t *testing.T) {
-	loneLog, loneStats := parityRun(t, false)
-	dirLog, dirStats := parityRun(t, true)
+	loneLog, loneStats, loneHash := parityRun(t, nil)
+	dirLog, dirStats, dirHash := parityRun(t, NewDirectory(NewRing(1), []int{0}, nil))
 	want := []string{
 		"cn1 acquire: 0@100 1@101",
 		"cn2 miss: " + ErrUnavailable.Error(),
@@ -150,50 +153,105 @@ func TestOneShardParity(t *testing.T) {
 	if len(dirStats) != len(loneStats) {
 		t.Fatalf("%d snapshots against %d", len(dirStats), len(loneStats))
 	}
-	// The directory plane's frames are a few bytes longer (envelope,
-	// reply trailer), which shifts arrival times by nanoseconds: the time
-	// integrals agree to well under a microsecond, everything else exactly.
-	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
+	// The two planes differ in the epoch their headers carry (0 and 1) and
+	// in nothing else: same frames at the same instants, same books.
+	if dirHash != loneHash {
+		t.Errorf("wire hash: lone %#x, one-shard directory %#x", loneHash, dirHash)
+	}
 	for i, a := range loneStats {
-		b := dirStats[i]
-		if !near(a.BusySeconds, b.BusySeconds) || !near(a.WaitSeconds, b.WaitSeconds) || len(a.PerAccel) != len(b.PerAccel) {
-			t.Errorf("snapshot %d integrals: lone %+v dir %+v", i, a, b)
-		}
-		for j := range a.PerAccel {
-			ra, rb := &a.PerAccel[j], &b.PerAccel[j]
-			if !near(ra.BusySeconds, rb.BusySeconds) || !near(ra.WaitSeconds, rb.WaitSeconds) {
-				t.Errorf("snapshot %d row %d integrals: lone %+v dir %+v", i, j, *ra, *rb)
-			}
-			ra.BusySeconds, ra.WaitSeconds, rb.BusySeconds, rb.WaitSeconds = 0, 0, 0, 0
-		}
-		a.BusySeconds, a.WaitSeconds, b.BusySeconds, b.WaitSeconds = 0, 0, 0, 0
-		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
+		if b := dirStats[i]; fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 			t.Errorf("snapshot %d:\n lone %+v\n dir  %+v", i, a, b)
 		}
 	}
 }
 
+// TestLoneManagerHasNoSecondMode: NewServer and NewServerOpts over
+// SingleDirectory are the same server — one scripted session puts the
+// same messages on the wire at the same instants and reads the same books.
+func TestLoneManagerHasNoSecondMode(t *testing.T) {
+	log, stats, hash := parityRun(t, nil)
+	dirLog, dirStats, dirHash := parityRun(t, SingleDirectory(0))
+	if hash != dirHash {
+		t.Errorf("wire hash: NewServer %#x, SingleDirectory %#x", hash, dirHash)
+	}
+	if fmt.Sprint(log) != fmt.Sprint(dirLog) || fmt.Sprintf("%+v", stats) != fmt.Sprintf("%+v", dirStats) {
+		t.Errorf("sessions diverged:\n NewServer       %q %+v\n SingleDirectory %q %+v", log, stats, dirLog, dirStats)
+	}
+}
+
+// TestLoneManagerExecutesEveryRequest: several Clients on one rank, each
+// counting reqIDs from 1, are legal against a lone manager — no replay
+// can reach it, so it keeps no reply cache that would answer the second
+// client from the first one's replies.
+func TestLoneManagerExecutesEveryRequest(t *testing.T) {
+	pool(t, 2, 1, FIFO, func(p *sim.Proc, c1 *Client, rank int) {
+		c2 := NewClient(c1.comm, 0)
+		h1, err := c1.Acquire(p, 1, false) // reqID 1
+		if err != nil {
+			t.Fatalf("first client: %v", err)
+		}
+		h2, err := c2.Acquire(p, 1, false) // reqID 1 again, same rank
+		if err != nil {
+			t.Fatalf("second client: %v", err)
+		}
+		if h1[0].ID == h2[0].ID {
+			t.Errorf("both clients hold accelerator %d: the second request was answered from the first one's reply", h1[0].ID)
+		}
+		if st, err := c1.Stats(p); err != nil || st.Acquires != 2 || st.Assigned != 2 {
+			t.Errorf("after two acquires: %+v, %v", st, err)
+		}
+		if err := c2.Release(p, append(h1, h2...)); err != nil {
+			t.Errorf("release: %v", err)
+		}
+	})
+}
+
 // hostileFrames are requests no client sends: element counts that are
 // negative or beyond any frame, a forward on behalf of a rank outside
-// the world, and a request id whose reply tag overflows.
+// the world, a request id whose reply tag overflows, and a header cut
+// short (the pre-epoch frame of an older binary).
 func hostileFrames() [][]byte {
 	var frames [][]byte
 	for _, op := range []uint8{opRelease, opHeartbeat} {
 		for _, count := range []int{-1, 1 << 60} {
-			frames = append(frames, wire.NewWriter(17).U8(op).U64(9).Int(count).Bytes())
+			frames = append(frames, wire.NewWriter(25).U8(op).U64(9).U64(0).Int(count).Bytes())
 		}
 	}
 	return append(frames,
-		wire.NewWriter(32).U8(opForward).U64(1).Int(-5).U8(opStats).U64(9).Bytes(),
-		wire.NewWriter(32).U8(opForward).U64(1).Int(1<<40).U8(opStats).U64(9).Bytes(),
-		wire.NewWriter(9).U8(opStats).U64(1<<63).Bytes(),
-		wire.NewWriter(9).U8(opStats).U64(math.MaxUint64-uint64(tagReplyBase)).Bytes())
+		wire.NewWriter(32).U8(opForward).U64(9).U64(1).Int(-5).U8(opStats).Bytes(),
+		wire.NewWriter(32).U8(opForward).U64(9).U64(1).Int(1<<40).U8(opStats).Bytes(),
+		wire.NewWriter(17).U8(opStats).U64(1<<63).U64(0).Bytes(),
+		wire.NewWriter(17).U8(opStats).U64(math.MaxUint64-uint64(tagReplyBase)).U64(0).Bytes(),
+		wire.NewWriter(9).U8(opStats).U64(9).Bytes())
 }
 
-// TestHostileCountsAreBadRequests: a 17-byte opRelease or opHeartbeat
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+// malformedFrames are well-headed requests whose body is not what the op
+// takes: each must be answered statusBadRequest and change nothing.
+func malformedFrames() []namedFrame {
+	head := func(op uint8) *wire.Writer { return wire.NewWriter(64).U8(op).U64(9).U64(0) }
+	return []namedFrame{
+		{"register: kernel count beyond the frame", head(opRegister).Int(7).Int(107).Str("fermi").Int(1 << 40).Bytes()},
+		{"register: negative kernel count", head(opRegister).Int(7).Int(107).Str("fermi").Int(-1).Bytes()},
+		{"register: no descriptor", head(opRegister).Int(7).Int(107).Bytes()},
+		{"acquire: no constraint", head(opAcquire).Int(1).U8(0).Bytes()},
+		{"acquire: constraint cut short", head(opAcquire).Int(1).U8(0).Str("fermi").U32(9).Bytes()},
+		{"acquire: class longer than the frame", head(opAcquire).Int(1).U8(0).U32(1 << 30).Bytes()},
+	}
+}
+
+// TestHostileCountsAreBadRequests: a 25-byte opRelease or opHeartbeat
 // whose count is -1 or 1<<60 used to reach make([]int, 0, count) and
-// kill the manager. The release must be answered statusBadRequest, the
-// heartbeat (fire-and-forget) dropped, and the server must keep serving.
+// kill the manager, and a register whose capability descriptor claims
+// 1<<40 kernel classes used to be answered statusOK with the device
+// joining the inventory untagged (decodeCapability gave up without
+// failing the reader). Each must be answered statusBadRequest — the
+// heartbeat (fire-and-forget) dropped — and change nothing, and the
+// server must keep serving.
 func TestHostileCountsAreBadRequests(t *testing.T) {
 	s := sim.New()
 	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
@@ -204,22 +262,25 @@ func TestHostileCountsAreBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := malformedFrames()
+	for _, frame := range hostileFrames()[:4] {
+		frames = append(frames, namedFrame{"hostile count", frame})
+	}
 	s.Spawn("arm", srv.Run)
 	s.Spawn("peer", func(p *sim.Proc) {
 		comm := w.Comm(1)
-		for _, frame := range hostileFrames()[:4] {
-			comm.Send(p, 0, TagRequest, frame)
-			if frame[0] != opRelease {
-				continue
-			}
-			data, _ := comm.Recv(p, 0, tagReplyBase+9)
-			if len(data) == 0 || data[0] != statusBadRequest {
-				t.Errorf("release with a hostile count answered % x, want statusBadRequest", data)
-			}
-		}
 		c := NewClient(comm, 0)
-		if st, err := c.Stats(p); err != nil || st.Free != 1 {
-			t.Errorf("server after hostile frames: %+v, %v", st, err)
+		for _, tc := range frames {
+			comm.Send(p, 0, TagRequest, tc.frame)
+			if tc.frame[0] != opHeartbeat {
+				data, _ := comm.Recv(p, 0, tagReplyBase+9)
+				if len(data) == 0 || data[0] != statusBadRequest {
+					t.Errorf("%s: answered % x, want statusBadRequest", tc.name, data)
+				}
+			}
+			if st, err := c.Stats(p); err != nil || st.Total != 1 || st.Free != 1 {
+				t.Errorf("%s: pool afterwards %+v, %v", tc.name, st, err)
+			}
 		}
 		if err := c.Shutdown(p); err != nil {
 			t.Error(err)
@@ -249,22 +310,24 @@ func handleBounded(t *testing.T, srv *Server, src int, data []byte) {
 // TestHostileFramesNeitherCrashNorBalloon runs the hostile frames through
 // both kinds of server without the simulation, as the fuzz target does.
 func TestHostileFramesNeitherCrashNorBalloon(t *testing.T) {
-	for _, frame := range hostileFrames() {
+	frames := hostileFrames()
+	for _, tc := range malformedFrames() {
+		frames = append(frames, tc.frame)
+	}
+	for _, frame := range frames {
 		handleBounded(t, goldenServer(t), 0, frame)
 		handleBounded(t, epochServer(t), 0, frame)
-		epoched := wire.NewWriter(9 + len(frame)).U8(opEpoched).U64(1).Raw(frame).Bytes()
-		handleBounded(t, epochServer(t), 0, epoched)
 	}
 }
 
 // FuzzServerHandle throws arbitrary bytes from an arbitrary rank at
-// Server.handle on a sharded and on a directory-less server (fresh ones
+// Server.handle on a sharded server and on a lone manager (fresh ones
 // each time, so retained state cannot hide a balloon behind amortised
 // growth): it must never panic and never allocate past the frame. Seeds
-// are the golden request vectors and the hostile frames.
+// are the golden request vectors and the hostile and malformed frames.
 func FuzzServerHandle(f *testing.F) {
-	epoched := "13" + u64hex(1) + "01" + u64hex(7) + u64hex(1) + "00" + "00"
-	for _, h := range []string{goldenAcquireReqHex, goldenRegisterReqHex, goldenAcquireCapableReqHex, epoched} {
+	epoched := "01" + u64hex(7) + u64hex(1) + u64hex(1) + "00" + "00000000" + "00000000"
+	for _, h := range []string{goldenAcquireReqHex, goldenRegisterReqHex, goldenAcquireCapableReqHex, goldenAcquireSharedReqHex, epoched} {
 		seed, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
@@ -274,7 +337,11 @@ func FuzzServerHandle(f *testing.F) {
 	for _, frame := range hostileFrames() {
 		f.Add(uint8(1), frame)
 	}
-	f.Add(uint8(2), encodeLoad(wire.NewWriter(64), 1, 1, 4, 5, 1))
+	for _, tc := range malformedFrames() {
+		f.Add(uint8(0), tc.frame)
+	}
+	f.Add(uint8(2), loadFrame(1, 1, 1, classLoad{free: 4, oper: 5}))
+	f.Add(uint8(2), wire.NewWriter(64).U8(opRecall).U64(77).U64(1).Int(0).U64(21).Bytes())
 	f.Add(uint8(0), EncodeHeartbeat([]int{0, 1}))
 	f.Fuzz(func(t *testing.T, src uint8, data []byte) {
 		lone, sharded := goldenServer(t), epochServer(t)

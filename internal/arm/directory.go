@@ -59,14 +59,25 @@ func NewDirectory(ring *Ring, leaders, followers []int) *Directory {
 }
 
 // SingleDirectory is the degenerate directory of a lone manager: one
-// shard led by rank, no follower, and epoch 0 — no epoch to claim, which
-// is what keeps a lone manager's clients on the legacy wire bytes (see
-// Client.request). NewClient builds one per client; the cluster shares
-// one between its clients, daemons' heartbeat sinks and teardown.
+// shard led by rank, no follower, and epoch 0 — its grants carry no
+// fencing token, since nobody can succeed it. NewClient and NewServer
+// build one each; the cluster shares one between its server, clients,
+// daemons' heartbeat sinks and teardown.
 func SingleDirectory(rank int) *Directory {
 	d := NewDirectory(NewRing(1), []int{rank}, nil)
 	d.epochs[0] = 0
 	return d
+}
+
+// replayable reports whether a replay of a request sent to shard can
+// reach a server: a peer that may have been forwarded the original, or a
+// follower that may take over, exists. It is the one thing a lone manager
+// is asked about itself, and it decides only what is *kept* — replies for
+// dedup, a beat to send them on — never what a frame looks like. Where it
+// is false the server executes every request (several clients on one rank
+// may each count reqIDs from 1) and queues blocking acquires itself.
+func (d *Directory) replayable(shard int) bool {
+	return len(d.leaders) > 1 || d.followers[shard] >= 0
 }
 
 // Shards returns the shard count.

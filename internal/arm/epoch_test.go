@@ -1,14 +1,13 @@
 package arm
 
-// epoch_test.go pins the epoch-carrying wire encodings introduced by the
-// fencing protocol (DESIGN.md §12) to byte-exact golden vectors, and
-// checks the epoch algebra itself: strictly monotonic per-shard epochs
-// across arbitrary promotion sequences, step-down on any higher observed
-// claim, and clean standby shutdown via Replica.Stop. Like
-// golden_test.go, a failure in a golden vector means a protocol break —
-// default single-shard traffic must stay byte-identical, and sharded
-// traffic must keep the exact envelope layout peers and clients agree
-// on.
+// epoch_test.go pins the fixed request header (op | reqID | epoch), the
+// reply header (status | epoch) and the peer-to-peer bodies that ride on
+// them (DESIGN.md §11, §12) to byte-exact golden vectors, and checks the
+// epoch algebra itself: strictly monotonic per-shard epochs across
+// arbitrary promotion sequences, step-down on any higher observed claim,
+// and clean standby shutdown via Replica.Stop. Like golden_test.go, a
+// failure in a golden vector means a protocol break: peers and clients
+// must agree on the exact layout.
 
 import (
 	"encoding/hex"
@@ -42,7 +41,7 @@ func epochServer(t *testing.T) *Server {
 	if len(inv) == 0 {
 		t.Fatal("ring assigns no accelerator to shard 0")
 	}
-	srv, err := NewServerOpts(w.Comm(1), inv, Options{Shards: 2, Shard: 0, Directory: dir})
+	srv, err := NewServerOpts(w.Comm(1), inv, Options{Shard: 0, Directory: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +56,31 @@ func u64hex(v uint64) string {
 	return hex.EncodeToString(b)
 }
 
-// TestGoldenEpochedRequest pins the opEpoched client envelope — the
-// layout a client over a sharded directory really emits, captured off
-// the wire from a 2-shard client's seventh request — and proves the
-// server decodes it: epoch claim, inner op, reqID, args, trailing replay
-// marker.
+// loadFrame hand-builds one gossip message: the header's epoch is the
+// sender's view of the receiver's shard epoch, the body names the sender's
+// shard, the epoch it claims for itself, and one row per device class.
+func loadFrame(targetEpoch uint64, shard int, senderEpoch uint64, rows ...classLoad) []byte {
+	w := wire.NewWriter(64).U8(opLoad).U64(0).U64(targetEpoch).Int(shard).U64(senderEpoch).Int(len(rows))
+	for _, l := range rows {
+		w.Str(l.class).Int(l.free).Int(l.oper)
+	}
+	return w.Bytes()
+}
+
+// TestGoldenEpochedRequest pins the fixed request header — every request
+// is the epoched request — as a client over a sharded directory really
+// emits it, captured off the wire from a 2-shard client's seventh
+// request, and proves the server decodes it: op, reqID, epoch claim, body.
 func TestGoldenEpochedRequest(t *testing.T) {
 	srv := epochServer(t)
-	// opEpoched | epoch=1 | opAcquire | reqID=7 | n=1 | blocking=0 | replay=0
-	want := "13" + u64hex(1) + "01" + u64hex(7) + u64hex(1) + "00" + "00"
+	// opAcquire | reqID=7 | epoch=1 | n=1 | flags=0 | any class | any kernel
+	want := "01" + u64hex(7) + u64hex(1) + u64hex(1) + "00" + "00000000" + "00000000"
 	emptyGrant := wire.NewWriter(8).Int(0).Bytes()
 	dir := NewDirectory(NewRing(2), []int{1, 1}, nil)
 	msg := captureRequestVia(t, dir, statusOK, emptyGrant, func(p *sim.Proc, c *Client) {
 		c.nextReq = 6
-		// Blocking, yet the flag on the wire stays 0: with two shards the
-		// client paces the wait itself.
+		// Blocking, yet flagBlocking stays off the wire: with two shards
+		// the client paces the wait itself.
 		if _, err := c.Acquire(p, 1, true); err != nil {
 			t.Errorf("acquire: %v", err)
 		}
@@ -85,7 +94,7 @@ func TestGoldenEpochedRequest(t *testing.T) {
 	if srv.Abdicated() {
 		t.Error("matching epoch claim must not depose the server")
 	}
-	if srv.cachedReply(0, 7) == nil {
+	if srv.replies[0][7] == nil {
 		t.Error("epoched acquire left no dedup-cached reply")
 	}
 	var granted bool
@@ -99,13 +108,13 @@ func TestGoldenEpochedRequest(t *testing.T) {
 	}
 }
 
-// TestEpochedRequestStepDown: a client envelope claiming a higher epoch
+// TestEpochedRequestStepDown: a request header claiming a higher epoch
 // is proof of succession — the server must abdicate on the spot while
 // keeping its own epoch (the claim is advertised via epochHint, not
 // adopted).
 func TestEpochedRequestStepDown(t *testing.T) {
 	srv := epochServer(t)
-	msg := wire.NewWriter(32).U8(opEpoched).U64(7).U8(opStats).U64(9).Bytes()
+	msg := wire.NewWriter(32).U8(opStats).U64(9).U64(7).Bytes()
 	if !srv.handle(0, msg) {
 		t.Fatal("epoched stats refused")
 	}
@@ -120,15 +129,13 @@ func TestEpochedRequestStepDown(t *testing.T) {
 	}
 	// An abdicated server must refuse ownership ops: no grant, no
 	// cached reply (the replay must re-execute at the successor).
-	free := srv.freeCount()
-	acq := wire.NewWriter(32).
-		U8(opEpoched).U64(7).U8(opAcquire).U64(10).Int(1).U8(0).U8(0).
-		Bytes()
+	free := srv.freeCountFor(&pendingAcquire{})
+	acq := wire.NewWriter(40).U8(opAcquire).U64(10).U64(7).Int(1).U8(0).Str("").Str("").Bytes()
 	srv.handle(0, acq)
-	if srv.freeCount() != free {
+	if srv.freeCountFor(&pendingAcquire{}) != free {
 		t.Error("abdicated server granted an accelerator")
 	}
-	if srv.cachedReply(0, 10) != nil {
+	if srv.replies[0][10] != nil {
 		t.Error("fenced refusal was dedup-cached; replays must re-execute at the successor")
 	}
 	if len(srv.GrantLedger()) != 0 {
@@ -136,38 +143,43 @@ func TestEpochedRequestStepDown(t *testing.T) {
 	}
 }
 
-// TestGoldenGossipEncoding pins the opLoad gossip layout: target-shard
-// epoch in the id slot, then shard, free, operational, and the sender's
-// own epoch in the trailer (the deposed-leader rebuff channel).
+// TestGoldenGossipEncoding pins the opLoad gossip layout: no reply tag,
+// the target shard's epoch in the header, then the sender's shard, the
+// sender's own epoch (the deposed-leader rebuff channel) and the per-class
+// load table — one row with the empty name on an untagged fleet.
 func TestGoldenGossipEncoding(t *testing.T) {
-	want := "11" + u64hex(3) + u64hex(1) + u64hex(4) + u64hex(5) + u64hex(2)
-	got := hex.EncodeToString(encodeLoad(wire.NewWriter(64), 3, 1, 4, 5, 2))
+	want := "10" + u64hex(0) + u64hex(3) + u64hex(1) + u64hex(2) + u64hex(1) +
+		"00000000" + u64hex(4) + u64hex(5)
+	got := hex.EncodeToString(loadFrame(3, 1, 2, classLoad{free: 4, oper: 5}))
 	if got != want {
 		t.Fatalf("gossip encoding drifted:\n got  %s\n want %s", got, want)
 	}
+	// What a server emits is that layout over its own pool.
+	srv := epochServer(t)
+	n := len(srv.accels)
+	if got, want := srv.encodeLoad(3), loadFrame(3, 0, 1, classLoad{free: n, oper: n}); string(got) != string(want) {
+		t.Fatalf("server gossip:\n got  %x\n want %x", got, want)
+	}
 
 	// Round trip: a peer's gossip lands in the load table.
-	srv := epochServer(t)
-	msg := encodeLoad(wire.NewWriter(64), 1 /* our epoch */, 1, 4, 5, 1)
+	msg := loadFrame(1 /* our epoch */, 1, 1, classLoad{class: "fermi", free: 1, oper: 2}, classLoad{class: "fpga", free: 3, oper: 3})
 	if !srv.handle(2, msg) {
 		t.Fatal("gossip refused")
 	}
 	if srv.Abdicated() {
 		t.Error("gossip with matching epoch deposed the server")
 	}
-	if srv.peerFree[1] != 4 || srv.peerOper[1] != 5 || !srv.peerSeen[1] {
-		t.Errorf("gossip not recorded: free=%d oper=%d seen=%v",
-			srv.peerFree[1], srv.peerOper[1], srv.peerSeen[1])
+	if peer := srv.peers[1]; peer.free != 4 || peer.oper != 5 || !peer.seen || peer.classFree["fpga"] != 3 || peer.classOper["fermi"] != 2 {
+		t.Errorf("gossip not recorded: %+v", peer)
 	}
 }
 
-// TestGossipStepDown: gossip whose id slot claims a higher epoch for
+// TestGossipStepDown: gossip whose header claims a higher epoch for
 // this shard — the rebuff a successor sends a deposed leader — forces
 // abdication.
 func TestGossipStepDown(t *testing.T) {
 	srv := epochServer(t)
-	msg := encodeLoad(wire.NewWriter(64), 5, 1, 4, 5, 5)
-	srv.handle(2, msg)
+	srv.handle(2, loadFrame(5, 1, 5, classLoad{free: 4, oper: 5}))
 	if !srv.Abdicated() {
 		t.Fatal("gossip rebuff did not depose the stale leader")
 	}
@@ -176,16 +188,17 @@ func TestGossipStepDown(t *testing.T) {
 	}
 }
 
-// TestGoldenForwardEncoding pins the peer-forward envelope — target
-// epoch in the id slot, original client rank, then the unwrapped
-// request — and proves the server executes it on the client's behalf.
+// TestGoldenForwardEncoding pins the peer forward — the client's reqID
+// and the target's epoch in the header, then the original client rank,
+// the relayed op and its body — and proves the server executes it on the
+// client's behalf.
 func TestGoldenForwardEncoding(t *testing.T) {
 	srv := epochServer(t)
-	// opForward | epoch=1 | src=0 | opAcquire | reqID=21 | n=1 | blocking=0 | replay=0
-	want := "10" + u64hex(1) + u64hex(0) + "01" + u64hex(21) + u64hex(1) + "00" + "00"
+	// opForward | reqID=21 | epoch=1 | src=0 | opAcquire | n=1 | flags=0 | any class | any kernel
+	want := "0f" + u64hex(21) + u64hex(1) + u64hex(0) + "01" + u64hex(1) + "00" + "00000000" + "00000000"
 	msg := wire.NewWriter(64).
-		U8(opForward).U64(1).Int(0).
-		U8(opAcquire).U64(21).Int(1).U8(0).U8(0).
+		U8(opForward).U64(21).U64(1).Int(0).
+		U8(opAcquire).Int(1).U8(0).Str("").Str("").
 		Bytes()
 	if got := hex.EncodeToString(msg); got != want {
 		t.Fatalf("forward encoding drifted:\n got  %s\n want %s", got, want)
@@ -193,18 +206,19 @@ func TestGoldenForwardEncoding(t *testing.T) {
 	if !srv.handle(2, msg) { // relayed by peer rank 2
 		t.Fatal("forwarded acquire refused")
 	}
-	if srv.cachedReply(0, 21) == nil {
+	if srv.replies[0][21] == nil {
 		t.Error("forwarded acquire cached no reply for the original client")
 	}
 }
 
-// TestGoldenRecallEncoding pins the recall query layout with its
-// trailing epoch claim, and checks both the benign (cache miss) and
+// TestGoldenRecallEncoding pins the recall query layout — the asking
+// shard's reply tag and its epoch claim in the header, then the client
+// and reqID being recalled — and checks both the benign (cache miss) and
 // deposing (higher claim) paths.
 func TestGoldenRecallEncoding(t *testing.T) {
-	want := "12" + u64hex(77) + u64hex(0) + u64hex(21) + u64hex(1)
+	want := "11" + u64hex(77) + u64hex(1) + u64hex(0) + u64hex(21)
 	msg := wire.NewWriter(64).
-		U8(opRecall).U64(77).Int(0).U64(21).U64(1).
+		U8(opRecall).U64(77).U64(1).Int(0).U64(21).
 		Bytes()
 	if got := hex.EncodeToString(msg); got != want {
 		t.Fatalf("recall encoding drifted:\n got  %s\n want %s", got, want)
@@ -214,28 +228,32 @@ func TestGoldenRecallEncoding(t *testing.T) {
 	if srv.Abdicated() {
 		t.Error("recall with matching epoch deposed the server")
 	}
-	srv.handle(2, wire.NewWriter(64).U8(opRecall).U64(78).Int(0).U64(21).U64(6).Bytes())
+	srv.handle(2, wire.NewWriter(64).U8(opRecall).U64(78).U64(6).Int(0).U64(21).Bytes())
 	if !srv.Abdicated() {
 		t.Error("recall claiming epoch 6 did not depose the server")
 	}
 }
 
-// TestGoldenReplyEpochTrailer pins the sharded reply: status byte,
-// length-prefixed body, then the server's epoch hint. After observing a
-// higher epoch the hint must advertise the successor's epoch, steering
-// clients to refresh.
+// TestGoldenReplyEpochTrailer pins the reply: status byte, the server's
+// epoch hint, then the body to the end of the message (the hint was a
+// trailer behind a length-prefixed body once; the name stays). After
+// observing a higher epoch the hint must advertise the successor's epoch,
+// steering clients to refresh.
 func TestGoldenReplyEpochTrailer(t *testing.T) {
 	srv := epochServer(t)
-	srv.reply(0, 42, statusOK, nil)
-	want := "00" + "00000000" + u64hex(1)
-	if got := hex.EncodeToString(srv.cachedReply(0, 42)); got != want {
-		t.Fatalf("sharded reply encoding drifted:\n got  %s\n want %s", got, want)
+	srv.reply(0, 42, statusOK, []byte{0xab})
+	want := "00" + u64hex(1) + "ab"
+	if got := hex.EncodeToString(srv.replies[0][42]); got != want {
+		t.Fatalf("reply encoding drifted:\n got  %s\n want %s", got, want)
 	}
 	srv.observeEpoch(6)
 	srv.reply(0, 43, statusOK, nil)
-	want = "00" + "00000000" + u64hex(6)
-	if got := hex.EncodeToString(srv.cachedReply(0, 43)); got != want {
-		t.Fatalf("post-deposition reply trailer drifted:\n got  %s\n want %s", got, want)
+	want = "00" + u64hex(6)
+	if got := hex.EncodeToString(srv.replies[0][43]); got != want {
+		t.Fatalf("post-deposition reply drifted:\n got  %s\n want %s", got, want)
+	}
+	if status, epoch, body, err := decodeReply(srv.replies[0][42]); err != nil || status != statusOK || epoch != 1 || len(body) != 1 {
+		t.Errorf("decodeReply = %d, %d, % x, %v", status, epoch, body, err)
 	}
 }
 
@@ -304,7 +322,7 @@ func TestReplicaStop(t *testing.T) {
 	}
 	dir := NewDirectory(NewRing(1), []int{1}, []int{2})
 	inv := []Handle{{ID: 0, Rank: 100}}
-	opts := Options{Shards: 1, Shard: 0, Directory: dir}
+	opts := Options{Shard: 0, Directory: dir}
 	rp, err := ReplicaFor(w.Comm(2), dir, 0, inv, opts, 10*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +359,7 @@ func TestReplicaStopAfterPromotion(t *testing.T) {
 	}
 	dir := NewDirectory(NewRing(1), []int{1}, []int{2})
 	inv := []Handle{{ID: 0, Rank: 100}}
-	opts := Options{Shards: 1, Shard: 0, Directory: dir}
+	opts := Options{Shard: 0, Directory: dir}
 	rp, err := ReplicaFor(w.Comm(2), dir, 0, inv, opts, 5*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package arm
 
-// golden_test.go pins the opStats and opStatsEx reply encodings to
-// byte-exact golden vectors. The sharded ARM aggregates these payloads
-// client-side, and external tooling (acbench's figure output) parses
-// them, so the wire layout must never drift — a failure here means a
-// protocol break, not a test to update casually.
+// golden_test.go pins the opStats and opStatsEx reply bodies to
+// byte-exact golden vectors. The client aggregates these payloads across
+// shards, and external tooling (acbench's figure output) parses them — a
+// failure here means a protocol break (and a nettrans.ProtocolVersion
+// bump), not a test to update casually.
 
 import (
 	"encoding/hex"
@@ -41,6 +41,7 @@ func goldenServer(t *testing.T) *Server {
 	srv.waitSeconds = 0.25
 
 	a := srv.byID[0]
+	a.cap = capFermi()
 	a.state = acAssigned
 	a.holders = map[int]sim.Time{3: 0}
 	a.grants = 4
@@ -73,18 +74,18 @@ const goldenStatsHex = "0600000000000000" /* Total=6 */ +
 	"0200000000000000" /* Reclaimed=2 */ +
 	"0100000000000000" /* Migrations=1 */
 
-// Each opStatsEx row is id, rank, state string, holders, grants,
-// busySeconds, waitSeconds for one accelerator.
+// Each opStatsEx row is id, rank, state string, class string, holders,
+// grants, busySeconds, waitSeconds for one accelerator.
 const goldenStatsExHex = goldenStatsHex +
 	"0100000000000000" /* Shared=1 */ +
 	"0200000000000000" /* Sessions=2 */ +
 	"0600000000000000" /* row count */ +
-	"000000000000000064000000000000000800000061737369676e656401000000000000000400000000000000000000000000e03f000000000000c03f" /* assigned */ +
-	"010000000000000065000000000000000600000073686172656402000000000000000300000000000000000000000000e83f0000000000000000" /* shared */ +
-	"02000000000000006600000000000000060000006661696c65640000000000000000000000000000000000000000000000000000000000000000" /* failed */ +
-	"0300000000000000670000000000000007000000737573706563740000000000000000000000000000000000000000000000000000000000000000" /* suspect */ +
-	"0400000000000000680000000000000007000000726574697265640000000000000000000000000000000000000000000000000000000000000000" /* retired */ +
-	"0500000000000000690000000000000004000000667265650000000000000000000000000000000000000000000000000000000000000000" /* free */
+	"000000000000000064000000000000000800000061737369676e6564" + "050000006665726d69" + "01000000000000000400000000000000000000000000e03f000000000000c03f" /* assigned, fermi */ +
+	"0100000000000000650000000000000006000000736861726564" + "00000000" + "02000000000000000300000000000000000000000000e83f0000000000000000" /* shared */ +
+	"02000000000000006600000000000000060000006661696c6564" + "00000000" + "0000000000000000000000000000000000000000000000000000000000000000" /* failed */ +
+	"030000000000000067000000000000000700000073757370656374" + "00000000" + "0000000000000000000000000000000000000000000000000000000000000000" /* suspect */ +
+	"040000000000000068000000000000000700000072657469726564" + "00000000" + "0000000000000000000000000000000000000000000000000000000000000000" /* retired */ +
+	"050000000000000069000000000000000400000066726565" + "00000000" + "0000000000000000000000000000000000000000000000000000000000000000" /* free */
 
 func TestGoldenStatsEncoding(t *testing.T) {
 	srv := goldenServer(t)
@@ -127,7 +128,7 @@ func TestGoldenStatsRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d per-accel rows", len(st.PerAccel))
 	}
 	a0 := st.PerAccel[0]
-	if a0.ID != 0 || a0.Rank != 100 || a0.State != "assigned" || a0.Sessions != 1 ||
+	if a0.ID != 0 || a0.Rank != 100 || a0.State != "assigned" || a0.Class != "fermi" || a0.Sessions != 1 ||
 		a0.Grants != 4 || a0.BusySeconds != 0.5 || a0.WaitSeconds != 0.125 {
 		t.Errorf("decoded accel 0: %+v", a0)
 	}

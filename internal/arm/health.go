@@ -106,8 +106,8 @@ func (s *Server) SetSessionReaper(fn func(p *sim.Proc, rank, client int) error) 
 // the ARM renews those clients' leases (the daemon-side half of
 // implicit renewal).
 func EncodeHeartbeat(active []int) []byte {
-	w := wire.NewWriter(16 + 8*len(active))
-	return w.U8(opHeartbeat).U64(0).Ints(active).Bytes()
+	w := wire.NewWriter(32 + 8*len(active))
+	return w.U8(opHeartbeat).U64(0).U64(0).Ints(active).Bytes() // no reply to tag, no epoch to claim
 }
 
 // NoticeKind classifies an unsolicited ARM→client health notice.
@@ -488,21 +488,14 @@ func (s *Server) migrate(src int, reqID uint64, rank int) {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	if s.freeCount() < 1 || (s.policy == FIFO && len(s.queue) > 0) {
+	// Resident device state only moves to a capability-compatible spare,
+	// same-class preferred (a C1060's state never lands on the FPGA).
+	// Checked before surrendering the old assignment — limping on a
+	// suspect device beats trading a working hold for nothing.
+	req := &pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now(), replaces: old}
+	if !s.canGrant(req) || (s.policy == FIFO && len(s.queue) > 0) {
 		s.reply(src, reqID, statusUnavailable, nil)
 		return
-	}
-	var target *accel
-	if s.classed {
-		// Mixed-model pool: resident device state only moves to a
-		// capability-compatible spare, same-class preferred (a C1060's
-		// state never lands on the FPGA). Picked before surrendering the
-		// old assignment — limping on a suspect device beats trading a
-		// working hold for nothing.
-		if target = s.migrationTarget(old); target == nil {
-			s.reply(src, reqID, statusUnavailable, nil)
-			return
-		}
 	}
 	s.accrue(s.now())
 	s.logEnd(old, src)
@@ -512,9 +505,5 @@ func (s *Server) migrate(src int, reqID uint64, rank int) {
 	old.notified = false
 	s.migrateCount++
 	s.settleDrainer(old)
-	if target != nil {
-		s.grantOne(target, src, reqID)
-	} else {
-		s.acquire(&pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now()}, false)
-	}
+	s.grant(req)
 }

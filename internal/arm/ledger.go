@@ -1,7 +1,7 @@
 package arm
 
 // ledger.go is the split-brain consistency checker (PR 7, DESIGN.md
-// §12). Every sharded server appends a GrantEvent for each lease grant
+// §12). Every server appends a GrantEvent for each lease grant
 // and each hold end (release, reclaim, detector death, repair, forced
 // drain), stamped with the server's leadership epoch and the virtual
 // time. After a chaos run the test merges the ledgers of every server
@@ -73,11 +73,8 @@ func (e GrantEvent) String() string {
 		e.Time, e.Shard, e.Epoch, e.Accel, e.Holder, e.Kind)
 }
 
-// logGrant records a lease grant in the ledger (sharded operation only).
+// logGrant records a lease grant in the ledger.
 func (s *Server) logGrant(a *accel, holder int, shared bool) {
-	if s.dir == nil {
-		return
-	}
 	kind := LedgerGrant
 	if shared {
 		kind = LedgerGrantShared
@@ -93,9 +90,6 @@ func (s *Server) logGrant(a *accel, holder int, shared bool) {
 // unconditionally; an end with no matching open hold is a no-op in the
 // checker.
 func (s *Server) logEnd(a *accel, holder int) {
-	if s.dir == nil {
-		return
-	}
 	s.ledger = append(s.ledger, GrantEvent{
 		Time: s.now(), Shard: s.shard, Epoch: s.myEpoch,
 		Accel: a.id, Holder: holder, Kind: LedgerEnd,

@@ -5,8 +5,8 @@ package arm
 // (TagReplicate), so an ARM crash no longer strands leases. The stream
 // is simple effect-record shipping rather than an operation log: after
 // every handled request and every detector tick the leader sends its
-// full per-accelerator state (id, rank, lifecycle state, owner, sharer
-// ranks, drain/remove flags) plus the replies issued since the last
+// full per-accelerator state (id, rank, lifecycle state, drain/remove
+// flags, holder ranks, capability) plus the replies issued since the last
 // shipment. At the simulated fleet's scale a shard owns a handful of
 // accelerators, so a full snapshot costs less than the bookkeeping a
 // diff protocol would need, and it is trivially idempotent.
@@ -36,53 +36,29 @@ import (
 )
 
 // ship sends the current state snapshot and pending reply records to the
-// follower. A no-op unless replication is configured; called after every
-// request, detector tick, and helper-process completion that can mutate
-// state, and once per shard tick as a liveness beat even when idle.
+// follower. A no-op without one; called after every request, detector
+// tick, and helper-process completion that can mutate state, and once per
+// shard tick as a liveness beat even when idle.
 func (s *Server) ship() {
-	if !s.replicated || s.closed || s.abdicated {
+	if s.followerRank < 0 || s.closed || s.abdicated {
 		return
 	}
-	w := s.repW.Reset()
+	w := s.scratch.Reset()
 	s.repSeq++
 	w.U64(s.repSeq)
 	w.Int(len(s.accels))
 	for _, a := range s.accels {
-		// The record keeps its owner slot + sharer list layout: an
-		// exclusive holder travels in the slot, any other holders (shared,
-		// or frozen by a Fail) in the list.
-		owner, sharers := 0, a.holderRanks()
-		if a.state == acAssigned && len(sharers) == 1 {
-			owner, sharers = sharers[0], nil
-		}
-		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).Int(owner)
-		var fl uint8
-		if a.draining {
-			fl |= 1
-		}
-		if a.removing {
-			fl |= 2
-		}
-		if a.dirty {
-			fl |= 4
-		}
-		w.U8(fl).Ints(sharers)
+		fl := flag(a.draining, 1) | flag(a.removing, 2) | flag(a.dirty, 4)
+		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).U8(fl).Ints(a.holderRanks())
+		// The capability, so a promoted follower keeps making class-aware
+		// placement and migration decisions.
+		encodeCapability(w, a.cap)
 	}
 	w.Int(len(s.repReplies))
 	for _, rr := range s.repReplies {
 		w.Int(rr.dst).U64(rr.reqID).Blob(rr.msg)
 	}
 	s.repReplies = s.repReplies[:0]
-	if s.classed {
-		// Capability descriptors, so a promoted follower can keep making
-		// class-aware placement and migration decisions. Appended after
-		// the legacy sections: untagged fleets ship the legacy bytes.
-		w.Int(len(s.accels))
-		for _, a := range s.accels {
-			w.Int(a.id)
-			encodeCapability(w, a.cap)
-		}
-	}
 	s.comm.Isend(s.followerRank, TagReplicate, w.CopyBytes()).Free()
 }
 
@@ -106,7 +82,6 @@ type Replica struct {
 func ReplicaFor(comm *minimpi.Comm, dir *Directory, shard int, inventory []Handle, opts Options, promoteAfter sim.Duration) (*Replica, error) {
 	opts.Directory = dir
 	opts.Shard = shard
-	opts.Shards = dir.Shards()
 	if dir.Follower(shard) != comm.Rank() {
 		return nil, fmt.Errorf("arm: replica rank %d is not shard %d's follower %d",
 			comm.Rank(), shard, dir.Follower(shard))
@@ -193,10 +168,10 @@ func (rp *Replica) apply(data []byte) {
 		id := r.Int()
 		rank := r.Int()
 		state := acState(r.U8())
-		owner := r.Int()
 		fl := r.U8()
-		sharers := r.Ints()
-		if r.Err() != nil {
+		holders := r.Ints()
+		cap, err := decodeCapability(r)
+		if err != nil {
 			return
 		}
 		seen[id] = true
@@ -209,17 +184,15 @@ func (rp *Replica) apply(data []byte) {
 		}
 		a.rank = rank
 		a.state = state
+		a.cap = cap
 		a.draining = fl&1 != 0
 		a.removing = fl&2 != 0
 		a.dirty = fl&4 != 0
-		if state == acAssigned {
-			sharers = append(sharers, owner)
-		}
 		if a.holders == nil {
 			a.holders = make(map[int]sim.Time)
 		}
 		clear(a.holders)
-		for _, rk := range sharers {
+		for _, rk := range holders {
 			a.holders[rk] = 0 // leases re-arm at promotion
 		}
 	}
@@ -239,21 +212,6 @@ func (rp *Replica) apply(data []byte) {
 		}
 		// The blob aliases the message buffer; copy so the cache owns it.
 		s.rememberReply(dst, reqID, append([]byte(nil), msg...))
-	}
-	if r.Remaining() > 0 {
-		// Classed trailer: capability descriptors per accelerator.
-		nc := r.Int()
-		for i := 0; i < nc; i++ {
-			id := r.Int()
-			cap := decodeCapability(r)
-			if r.Err() != nil {
-				return
-			}
-			if a := s.byID[id]; a != nil {
-				a.cap = cap
-			}
-		}
-		s.updateClassed()
 	}
 }
 

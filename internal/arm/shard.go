@@ -18,9 +18,9 @@ package arm
 // before executing, closing the window where the dead leader had
 // forwarded the original to a peer that granted it.
 //
-// All of this is dormant when Options.Directory is nil: the classic
-// single manager sends and receives exactly the bytes it did before
-// sharding existed.
+// A lone manager is the one-shard, no-follower directory: the peer loops
+// below run zero times, and Directory.replayable says no replay can come,
+// so nothing is recorded for one.
 
 import (
 	"fmt"
@@ -45,43 +45,6 @@ type repReply struct {
 	dst   int
 	reqID uint64
 	msg   []byte
-}
-
-// configureShard wires the sharding options into a new server.
-func (s *Server) configureShard(opts Options) error {
-	if opts.Directory == nil {
-		if opts.Shards > 1 {
-			return fmt.Errorf("arm: %d shards need a Directory", opts.Shards)
-		}
-		return nil
-	}
-	shards := opts.Directory.Shards()
-	if opts.Shards != 0 && opts.Shards != shards {
-		return fmt.Errorf("arm: Options.Shards %d does not match directory's %d", opts.Shards, shards)
-	}
-	if opts.Shard < 0 || opts.Shard >= shards {
-		return fmt.Errorf("arm: shard index %d out of range [0,%d)", opts.Shard, shards)
-	}
-	s.dir = opts.Directory
-	s.shard = opts.Shard
-	s.sharded = shards > 1
-	s.myEpoch = s.dir.Epoch(s.shard)
-	s.followerRank = s.dir.Follower(s.shard)
-	// A server whose own rank is the shard's follower is the replica
-	// itself (post-promotion); it has nobody to ship to.
-	s.replicated = s.followerRank >= 0 && s.followerRank != s.comm.Rank()
-	s.peerFree = make([]int, shards)
-	s.peerOper = make([]int, shards)
-	s.peerSeen = make([]bool, shards)
-	s.peerClassFree = make([]map[string]int, shards)
-	s.peerClassOper = make([]map[string]int, shards)
-	s.fwdSeq = 1 << 32 // disjoint from client reqID sequences
-	s.fwdW = wire.NewWriter(64)
-	s.replies = make(map[int]map[uint64][]byte)
-	if s.replicated {
-		s.repW = wire.NewWriter(256)
-	}
-	return nil
 }
 
 // spawnTracked spawns a helper process that is killed along with the
@@ -133,43 +96,27 @@ func (s *Server) scheduleShardTick() {
 	})
 }
 
-// encodeLoad builds one gossip message. The id slot carries the
-// sender's directory view of the *receiver's* shard epoch (the receiver
-// steps down if it is serving under a lower one), and the trailer
-// carries the epoch the sender claims for its own shard (so the
-// receiver can rebuff a deposed sender).
-func encodeLoad(w *wire.Writer, targetEpoch uint64, shard, free, oper int, senderEpoch uint64) []byte {
-	w.U8(opLoad).U64(targetEpoch).Int(shard).Int(free).Int(oper).U64(senderEpoch)
-	return w.CopyBytes()
-}
-
-// encodeLoadMsg is encodeLoad for this server's own load, extended with
-// the per-class table when the inventory is capability-tagged: sorted
-// class names, each with its free and operational counts. Untagged
-// servers emit exactly the legacy gossip bytes.
-func (s *Server) encodeLoadMsg(targetEpoch uint64) []byte {
-	w := s.fwdW.Reset()
-	w.U8(opLoad).U64(targetEpoch).Int(s.shard).Int(s.freeCount()).Int(s.operational()).U64(s.myEpoch)
-	if s.classed {
-		names, cf, co := s.classLoads()
-		w.Int(len(names))
-		for _, cl := range names {
-			w.Str(cl).Int(cf[cl]).Int(co[cl])
-		}
+// encodeLoad builds one gossip message for a peer: the header's epoch
+// is the sender's directory view of the *receiver's* shard epoch (the
+// receiver steps down if it is serving under a lower one); the body is
+// the sender's shard, the epoch it claims for itself (so the receiver can
+// rebuff a deposed sender) and its per-class load table.
+func (s *Server) encodeLoad(targetEpoch uint64) []byte {
+	loads := s.classLoads()
+	w := s.scratch.Reset()
+	w.U8(opLoad).U64(0).U64(targetEpoch).Int(s.shard).U64(s.myEpoch).Int(len(loads))
+	for _, l := range loads {
+		w.Str(l.class).Int(l.free).Int(l.oper)
 	}
 	return w.CopyBytes()
 }
 
 // gossip broadcasts this shard's load to its peers (fire and forget).
 func (s *Server) gossip() {
-	if !s.sharded {
-		return
-	}
 	for sh := 0; sh < s.dir.Shards(); sh++ {
-		if sh == s.shard {
-			continue
+		if sh != s.shard {
+			s.comm.Isend(s.dir.Serving(sh), TagRequest, s.encodeLoad(s.dir.Epoch(sh))).Free()
 		}
-		s.comm.Isend(s.dir.Serving(sh), TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh))).Free()
 	}
 }
 
@@ -177,65 +124,38 @@ func (s *Server) gossip() {
 // epoch below its shard's current one is a deposed leader that has not
 // heard about its own succession (the partition healed, but nothing
 // routes traffic to it anymore): rebuff it with one gossip message sent
-// straight back at its rank, carrying the epoch it is missing in the id
-// slot so it steps down.
+// straight back at its rank, whose header carries the epoch it is missing
+// so it steps down.
 func (s *Server) handleLoad(src int, r *wire.Reader) {
-	sh := r.Int()
-	free := r.Int()
-	oper := r.Int()
-	var senderEpoch uint64
-	if r.Remaining() >= 8 {
-		senderEpoch = r.U64()
-	}
-	if r.Err() != nil || sh < 0 || sh >= len(s.peerFree) || sh == s.shard {
+	sh, senderEpoch, nc := r.Int(), r.U64(), r.Int()
+	if r.Err() != nil || sh < 0 || sh >= len(s.peers) || sh == s.shard ||
+		nc < 0 || nc > r.Remaining()/20 { // a row is >= 20 bytes
 		return
 	}
-	s.peerFree[sh] = free
-	s.peerOper[sh] = oper
-	s.peerSeen[sh] = true
-	if r.Remaining() > 0 {
-		// Per-class table from a capability-tagged peer.
-		nc := r.Int()
-		if r.Err() == nil && nc >= 0 && nc <= r.Remaining()/20 { // a row is >= 20 bytes
-			cf := make(map[string]int, nc)
-			co := make(map[string]int, nc)
-			for i := 0; i < nc; i++ {
-				cl := r.Str()
-				cf[cl] = r.Int()
-				co[cl] = r.Int()
-			}
-			if r.Err() == nil {
-				s.peerClassFree[sh] = cf
-				s.peerClassOper[sh] = co
-			}
-		}
+	peer := &s.peers[sh]
+	peer.seen, peer.free, peer.oper = true, 0, 0
+	clear(peer.classFree)
+	clear(peer.classOper)
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		cl, free, oper := r.Str(), r.Int(), r.Int()
+		peer.classFree[cl], peer.classOper[cl] = free, oper
+		peer.free += free
+		peer.oper += oper
 	}
-	if !s.abdicated && senderEpoch > 0 && senderEpoch < s.dir.Epoch(sh) {
-		s.comm.Isend(src, TagRequest, s.encodeLoadMsg(s.dir.Epoch(sh))).Free()
+	if !s.abdicated && senderEpoch < s.dir.Epoch(sh) {
+		s.comm.Isend(src, TagRequest, s.encodeLoad(s.dir.Epoch(sh))).Free()
 	}
 }
 
 // gossipComplete reports whether every peer has gossiped at least once —
 // the precondition for trusting a cluster-wide "impossible" verdict.
 func (s *Server) gossipComplete() bool {
-	for sh, seen := range s.peerSeen {
-		if sh != s.shard && !seen {
+	for sh, peer := range s.peers {
+		if sh != s.shard && !peer.seen {
 			return false
 		}
 	}
 	return true
-}
-
-// clusterOperational estimates the cluster-wide operational count from
-// the local pool plus the last gossip.
-func (s *Server) clusterOperational() int {
-	n := s.operational()
-	for sh, oper := range s.peerOper {
-		if sh != s.shard {
-			n += oper
-		}
-	}
-	return n
 }
 
 // foreignOwner decides whether a request naming these accelerator ids
@@ -245,7 +165,7 @@ func (s *Server) clusterOperational() int {
 // batch here is already a malformed request and fails on the unknown
 // ids).
 func (s *Server) foreignOwner(ids []int, forwarded bool) (int, bool) {
-	if !s.sharded || forwarded || len(ids) == 0 {
+	if forwarded || len(ids) == 0 {
 		return 0, false
 	}
 	owner := s.dir.OwnerOf(ids[0])
@@ -260,28 +180,14 @@ func (s *Server) foreignOwner(ids []int, forwarded bool) (int, bool) {
 	return owner, true
 }
 
-// foreignOwnerOne is foreignOwner for single-id requests.
-func (s *Server) foreignOwnerOne(id int, forwarded bool) (int, bool) {
-	if !s.sharded || forwarded {
-		return 0, false
-	}
-	if owner := s.dir.OwnerOf(id); owner != s.shard {
-		return owner, true
-	}
-	return 0, false
-}
-
 // forwardOp relays a client's request to the owning shard. The owner
 // executes it as if the client had sent it there (same client rank, same
-// reqID) and replies straight to the client. The envelope's id slot
-// carries the forwarder's directory view of the owner's epoch: a
-// deposed owner that somehow still receives the forward steps down.
+// reqID) and replies straight to the client. The header's epoch is the
+// forwarder's directory view of the owner's: a deposed owner that
+// somehow still receives the forward steps down.
 func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, args func(w *wire.Writer)) {
-	w := s.fwdW.Reset()
-	w.U8(opForward).U64(s.dir.Epoch(owner)).Int(src).U8(op).U64(reqID)
-	if args != nil {
-		args(w)
-	}
+	w := s.scratch.Reset()
+	args(w.U8(opForward).U64(reqID).U64(s.dir.Epoch(owner)).Int(src).U8(op))
 	s.comm.Isend(s.dir.Serving(owner), TagRequest, w.CopyBytes()).Free()
 }
 
@@ -289,25 +195,23 @@ func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, args func
 // to the least-loaded peer (most gossiped free accelerators). Reports
 // whether a forward was issued; the peer replies directly to the client.
 func (s *Server) forwardAcquire(req *pendingAcquire) bool {
+	// A class-constrained request judges peers by their gossiped per-class
+	// free counts, and a replacement travels constrained to the replaced
+	// device's class — the peer cannot see what it replaces. (A kernel-only
+	// constraint cannot be evaluated remotely — gossip carries classes, not
+	// kernel tables — so it goes by the total free count and the peer
+	// gives the final verdict.)
+	c := req.constraint
+	if req.replaces != nil && c.Class == "" {
+		c.Class = req.replaces.cap.Class
+	}
 	best, bestFree := -1, 0
-	for sh := 0; sh < s.dir.Shards(); sh++ {
-		if sh == s.shard {
-			continue
+	for sh, peer := range s.peers {
+		free := peer.free
+		if c.Class != "" {
+			free = peer.classFree[c.Class]
 		}
-		free := s.peerFree[sh]
-		if req.constraint.Class != "" {
-			// Class-constrained: judge peers by their gossiped per-class
-			// free counts. A peer that never gossiped a class table has no
-			// matching devices. (A kernel-only constraint cannot be
-			// evaluated remotely — gossip carries classes, not kernel
-			// tables — so it falls through to the total free count and the
-			// peer gives the final verdict.)
-			free = 0
-			if m := s.peerClassFree[sh]; m != nil {
-				free = m[req.constraint.Class]
-			}
-		}
-		if free > bestFree {
+		if sh != s.shard && free > bestFree {
 			best, bestFree = sh, free
 		}
 	}
@@ -317,34 +221,12 @@ func (s *Server) forwardAcquire(req *pendingAcquire) bool {
 	// Optimistically decay the gossiped count so a burst of local misses
 	// spreads across peers instead of dogpiling the same one until the
 	// next gossip tick corrects it.
-	s.peerFree[best] -= req.n
-	if req.constraint.Class != "" {
-		if m := s.peerClassFree[best]; m != nil {
-			m[req.constraint.Class] -= req.n
-		}
-	}
-	op := opAcquire
-	if req.shared {
-		op = opAcquireShared
-	}
-	if req.capable {
-		op = opAcquireCapable
-	}
-	s.forwardOp(best, req.src, req.reqID, op, func(w *wire.Writer) {
-		w.Int(req.n).U8(0) // non-blocking at the peer
-		if req.capable {
-			encodeConstraint(w, req.constraint)
-		}
+	s.peers[best].free -= req.n
+	s.peers[best].classFree[c.Class] -= req.n
+	s.forwardOp(best, req.src, req.reqID, opAcquire, func(w *wire.Writer) {
+		encodeConstraint(w.Int(req.n).U8(flag(req.shared, flagShared)), c) // non-blocking at the peer
 	})
 	return true
-}
-
-// cachedReply returns the recorded reply for (src, reqID), or nil.
-func (s *Server) cachedReply(src int, reqID uint64) []byte {
-	if s.dir == nil {
-		return nil
-	}
-	return s.replies[src][reqID]
 }
 
 // rememberReply records a sent reply for failover replays, bounding the
@@ -381,15 +263,11 @@ func (s *Server) resendReply(dst int, reqID uint64, msg []byte) {
 func (s *Server) handleRecall(src int, reqID uint64, r *wire.Reader) {
 	client := r.Int()
 	origReqID := r.U64()
-	if r.Remaining() >= 8 {
-		// Trailing epoch claim for this shard (absent pre-fencing).
-		s.observeEpoch(r.U64())
-	}
 	if r.Err() != nil {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	if cached := s.cachedReply(client, origReqID); cached != nil {
+	if cached := s.replies[client][origReqID]; cached != nil {
 		s.reply(src, reqID, statusOK, cached)
 		return
 	}
@@ -415,17 +293,14 @@ func (s *Server) recallThenAcquire(req *pendingAcquire, blocking bool) {
 			peer := s.dir.Serving(sh)
 			resp := s.comm.Irecv(peer, tagReplyBase+minimpi.Tag(id))
 			w := wire.NewWriter(40)
-			w.U8(opRecall).U64(id).Int(req.src).U64(req.reqID).U64(s.dir.Epoch(sh))
+			w.U8(opRecall).U64(id).U64(s.dir.Epoch(sh)).Int(req.src).U64(req.reqID)
 			s.comm.Isend(peer, TagRequest, w.Bytes()).Free()
 			data, _, ok := resp.WaitTimeout(p, timeout)
 			if !ok {
 				resp.Cancel()
 				continue // peer silent; it cannot have granted recently
 			}
-			r := wire.NewReader(data)
-			status := r.U8()
-			cached := r.Blob()
-			if r.Err() == nil && status == statusOK && len(cached) > 0 {
+			if status, _, cached, err := decodeReply(data); err == nil && status == statusOK && len(cached) > 0 {
 				// A peer already answered this request: relay its reply
 				// verbatim and record it here for any further replays.
 				s.rememberReply(req.src, req.reqID, cached)
@@ -453,9 +328,6 @@ func (s *Server) register(src int, reqID uint64, id, rank int, cap Capability) {
 	a := &accel{id: id, rank: rank, state: acFree, cap: cap}
 	s.accels = append(s.accels, a)
 	s.byID[id] = a
-	if !cap.IsZero() {
-		s.classed = true
-	}
 	if s.lastBeat != nil {
 		s.lastBeat[rank] = s.now()
 	}
@@ -497,5 +369,4 @@ func (s *Server) removeAccel(a *accel) {
 		}
 	}
 	s.accels = out
-	s.updateClassed()
 }

@@ -30,6 +30,13 @@ type shardPool struct {
 
 func newShardPool(t *testing.T, nAC, nCN, shards int, replicas bool) *shardPool {
 	t.Helper()
+	return newPlanePool(t, nAC, nCN, shards, replicas, Options{}, func(int) Capability { return Capability{} })
+}
+
+// newPlanePool is newShardPool with server options and a capability per
+// accelerator id.
+func newPlanePool(t *testing.T, nAC, nCN, shards int, replicas bool, opts Options, capOf func(id int) Capability) *shardPool {
+	t.Helper()
 	s := sim.New()
 	armRanks := shards
 	if replicas {
@@ -54,11 +61,11 @@ func newShardPool(t *testing.T, nAC, nCN, shards int, replicas bool) *shardPool 
 	perShard := make([][]Handle, shards)
 	for id := 0; id < nAC; id++ {
 		sh := dir.OwnerOf(id)
-		perShard[sh] = append(perShard[sh], Handle{ID: id, Rank: 100 + id})
+		perShard[sh] = append(perShard[sh], Handle{ID: id, Rank: 100 + id, Cap: capOf(id)})
 	}
 	sp := &shardPool{t: t, s: s, w: w, dir: dir, nCN: nCN}
 	for sh := 0; sh < shards; sh++ {
-		opts := Options{Shards: shards, Shard: sh, Directory: dir}
+		opts.Shard, opts.Directory = sh, dir
 		srv, err := NewServerOpts(w.Comm(leaders[sh]), perShard[sh], opts)
 		if err != nil {
 			t.Fatal(err)

@@ -94,13 +94,13 @@ type Config struct {
 	// shards: accelerator ownership is partitioned by consistent hashing
 	// over accelerator ids, and the nodes' arm.Client routes each request
 	// to the owning shard through the shared directory. 0 or 1 keeps the
-	// single manager, byte-identical to the classic wire traffic.
+	// single manager.
 	ARMShards int
 
 	// ARMReplicas gives every shard a follower replica that applies the
 	// leader's replication stream and takes over (promoting itself in the
-	// shared directory) when the leader goes silent. Implies directory
-	// servers (epochs, reply dedup) even with one shard.
+	// shared directory) when the leader goes silent. Implies leadership
+	// epochs and reply dedup even with one shard.
 	ARMReplicas bool
 
 	// ARMPromoteAfter is the replication-stream silence threshold for
@@ -299,13 +299,10 @@ type Cluster struct {
 	infraProcs []*sim.Proc
 
 	// The resource-management plane. dir names who serves what and is
-	// shared by the nodes' clients, the daemons' heartbeat sinks and
-	// teardown; a single manager is its one-shard case
-	// (arm.SingleDirectory). sharded says the servers are built over the
-	// directory too (ARM shards or replicas) — the classic single manager
-	// is not, which keeps its wire traffic byte-identical.
+	// shared by the servers, the nodes' clients, the daemons' heartbeat
+	// sinks and teardown; a single manager is its one-shard case
+	// (arm.SingleDirectory).
 	dir       *arm.Directory
-	sharded   bool
 	shardSrvs []*arm.Server // leader per locally hosted shard
 	shardReps []*arm.Replica
 }
@@ -419,8 +416,7 @@ func New(cfg Config) (*Cluster, error) {
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
-		dir:       l.directory(cfg.ARMReplicas),
-		sharded:   len(l.ARM) > 1}
+		dir:       l.directory(cfg.ARMReplicas)}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {
 		return nil, err
@@ -521,12 +517,7 @@ func shardInventory(dir *arm.Directory, inventory []arm.Handle) [][]arm.Handle {
 // manager when there is one shard — on the rank the directory assigns it,
 // returning the server options a replica of the same shard must share.
 func (cl *Cluster) startARM(sh int, inv []arm.Handle) (arm.Options, error) {
-	srvOpts := arm.Options{Policy: cl.cfg.Policy, ShareCapacity: cl.cfg.ShareCapacity}
-	name := "arm"
-	if cl.sharded {
-		srvOpts.Shards, srvOpts.Shard, srvOpts.Directory = cl.dir.Shards(), sh, cl.dir
-		name = fmt.Sprintf("arm-s%d", sh)
-	}
+	srvOpts := arm.Options{Policy: cl.cfg.Policy, ShareCapacity: cl.cfg.ShareCapacity, Shard: sh, Directory: cl.dir}
 	srv, err := arm.NewServerOpts(cl.World.Comm(cl.dir.Leader(sh)), inv, srvOpts)
 	if err != nil {
 		return srvOpts, err
@@ -535,7 +526,7 @@ func (cl *Cluster) startARM(sh int, inv []arm.Handle) (arm.Options, error) {
 		return srvOpts, err
 	}
 	cl.shardSrvs = append(cl.shardSrvs, srv)
-	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn(name, srv.Run))
+	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn(fmt.Sprintf("arm-s%d", sh), srv.Run))
 	return srvOpts, nil
 }
 

@@ -5,8 +5,8 @@ package cluster
 // syntax) resolved against the gpu package's model registry. When a fleet
 // is configured, every ARM inventory handle is tagged with the device's
 // capability descriptor, so placement, migration, and gossip become
-// capability-aware. Homogeneous clusters never enter this file's paths
-// and keep their historical wire traffic byte-identical.
+// capability-aware. A homogeneous cluster's handles stay untagged: one
+// class with the empty name.
 
 import (
 	"fmt"
@@ -81,8 +81,7 @@ func (env *buildEnv) modelFor(i int) gpu.Model {
 }
 
 // inventoryHandle builds accelerator id's ARM handle, capability-tagged
-// on heterogeneous fleets and untagged (byte-identical wire registration)
-// otherwise.
+// on heterogeneous fleets and untagged otherwise.
 func (env *buildEnv) inventoryHandle(computeNodes, id int) arm.Handle {
 	h := arm.Handle{ID: id, Rank: computeNodes + id}
 	if env.hetero() {

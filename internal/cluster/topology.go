@@ -234,7 +234,6 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 		Daemons:   make([]*core.Daemon, daemonRanks),
 		nodes:     make([]*Node, cfg.ComputeNodes),
 		dir:       l.directory(false),
-		sharded:   len(l.ARM) > 1,
 	}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {

@@ -200,6 +200,38 @@ func TestDecodeRequestErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestRejectsBadWindows: a strided window whose size is not a
+// multiple of its column count, or whose pitch is below a column, used to
+// decode and then fail the copy at its last block. All five ops that carry
+// a window must refuse it in the decoder; the well-formed window beside
+// each must keep decoding to the same request.
+func TestDecodeRequestRejectsBadWindows(t *testing.T) {
+	for _, op := range []uint8{OpMemcpyH2D, OpMemcpyD2H, OpD2DSend, OpD2DRecv, OpWriteInline} {
+		for _, tc := range []struct {
+			size, cols, pitch int
+			ok                bool
+		}{
+			{size: 96, cols: 3, pitch: 64, ok: true},
+			{size: 96, cols: 3, pitch: 0, ok: true}, // pitch 0: columns back to back
+			{size: 100, cols: 1, pitch: 8, ok: true},
+			{size: 100, cols: 3, pitch: 64},
+			{size: 96, cols: 3, pitch: 31},
+		} {
+			q := &request{op: op, reqID: 7, ptr: 1, size: tc.size, cols: tc.cols, pitch: tc.pitch, block: 64, depth: 2}
+			if op == OpWriteInline {
+				q.block, q.depth = 0, 0
+			}
+			got, err := decodeRequest(encodeRequest(q))
+			if (err == nil) != tc.ok {
+				t.Errorf("op %d size=%d cols=%d pitch=%d: err = %v, want ok=%v", op, tc.size, tc.cols, tc.pitch, err, tc.ok)
+			}
+			if tc.ok && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", q) {
+				t.Errorf("op %d: round trip mismatch:\n got %+v\nwant %+v", op, got, q)
+			}
+		}
+	}
+}
+
 func TestMemAllocFreeRemote(t *testing.T) {
 	runTestbed(t, 1, true, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
 		a := tb.accels[0]

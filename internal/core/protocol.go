@@ -623,6 +623,14 @@ const maxPayload = 1 << 40
 // capacities, so they must never leave the decoder.
 func (q *request) validate() error {
 	switch q.op {
+	case OpMemcpyH2D, OpMemcpyD2H, OpD2DSend, OpD2DRecv, OpWriteInline:
+		// Columns that do not tile the window's bytes, or overlap, would
+		// fail the copy at its last block: refuse before the first ships.
+		if q.cols > 1 && (q.size%q.cols != 0 || q.pitch > 0 && q.pitch < q.size/q.cols) {
+			return fmt.Errorf("core: malformed request: window of %d bytes in %d columns at pitch %d", q.size, q.cols, q.pitch)
+		}
+	}
+	switch q.op {
 	case OpMemAlloc:
 		if q.size < 0 || q.size > maxPayload {
 			return fmt.Errorf("core: malformed request: alloc size %d", q.size)

@@ -15,9 +15,9 @@ import (
 // (hello/welcome, wire codec) and the message frame that carries one
 // minimpi envelope as a fixed header, then the payload.
 
-// ProtocolVersion is the wire protocol revision. Connections between
-// mismatched versions are refused during the handshake.
-const ProtocolVersion uint32 = 1
+// ProtocolVersion is the wire protocol revision (2: the ARM's one fixed
+// header); mismatched versions are refused during the handshake.
+const ProtocolVersion uint32 = 2
 
 // helloMagic opens every hello body so a stray connection from something
 // that is not a dynacc transport fails fast, before any length prefix is

@@ -123,9 +123,11 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzDecodeHandshake covers the hello/welcome decoders.
 func FuzzDecodeHandshake(f *testing.F) {
 	w := wire.NewWriter(64)
-	appendHello(w, hello{version: 1, procID: 2, ranks: []int{3, 4}, token: "tok"})
-	f.Add(append([]byte(nil), w.Bytes()[lenPrefixSize:]...))
-	w.Reset()
+	for _, version := range []uint32{ProtocolVersion, ProtocolVersion - 1} {
+		appendHello(w, hello{version: version, procID: 2, ranks: []int{3, 4}, token: "tok"})
+		f.Add(append([]byte(nil), w.Bytes()[lenPrefixSize:]...))
+		w.Reset()
+	}
 	appendWelcome(w, welcome{ok: false, version: 9, reason: "nope"})
 	f.Add(append([]byte(nil), w.Bytes()[lenPrefixSize:]...))
 

@@ -356,11 +356,13 @@ func TestReconnectAfterKill(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch checks that mismatched protocol versions
-// produce the typed refusal on the dialer and count on both sides.
+// — a binary of the previous revision dialling a current one, whose ARM
+// frames it would misparse — produce the typed refusal on the dialer and
+// count on both sides.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
-	a := startNode(t, 2, 0, procs, lns[0], func(c *Config) { c.Version = 1 })
-	b := startNode(t, 2, 1, procs, lns[1], func(c *Config) { c.Version = 2 })
+	a := startNode(t, 2, 0, procs, lns[0], func(c *Config) { c.Version = ProtocolVersion - 1 })
+	b := startNode(t, 2, 1, procs, lns[1], nil)
 	defer a.halt()
 	defer b.halt()
 
@@ -375,8 +377,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if !errors.As(err, &vm) {
 		t.Fatalf("error is not a VersionMismatchError: %v", err)
 	}
-	if vm.Mine != 1 || vm.Theirs != 2 {
-		t.Errorf("mismatch detail = %+v, want mine=1 theirs=2", vm)
+	if vm.Mine != ProtocolVersion-1 || vm.Theirs != ProtocolVersion {
+		t.Errorf("mismatch detail = %+v, want mine=%d theirs=%d", vm, ProtocolVersion-1, ProtocolVersion)
 	}
 	if a.tr.Stats().HandshakeFailures == 0 {
 		t.Error("dialer did not count the handshake failure")
