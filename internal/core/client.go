@@ -241,8 +241,8 @@ func (a *Accel) finished(err error) error {
 // namespace (no other session can read, write or free them), count
 // against Options.SessionQuota, and are freed together by CloseSession.
 // Use it with shared ARM leases (arm.AcquireShared) to time-share one
-// accelerator among several clients; plain Attach keeps the exclusive
-// session-less protocol bit for bit.
+// accelerator among several clients; plain Attach runs in the daemon's
+// root session (id 0).
 func (c *Client) AttachSession(p *sim.Proc, daemonRank int) (*Accel, error) {
 	a := c.Attach(daemonRank)
 	if err := a.OpenSession(p); err != nil {
@@ -330,14 +330,12 @@ type Accel struct {
 	noFlush bool
 
 	// session is the tenant session id every request of this handle
-	// carries (AttachSession); zero is the exclusive session-less mode,
-	// whose wire traffic is identical to the pre-session protocol.
+	// carries (AttachSession); zero is the exclusive session-less mode.
 	session uint64
 
 	// fence is the fencing token every request of this handle carries:
 	// the ARM leadership epoch the underlying lease was granted under
-	// (DESIGN.md §12). Zero (the default) omits the token entirely,
-	// keeping the wire traffic identical to the pre-fencing protocol.
+	// (DESIGN.md §12). Zero (the default) is never fence-checked.
 	fence uint64
 }
 

@@ -192,7 +192,7 @@ func TestRequestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRequestErrors(t *testing.T) {
-	if _, err := decodeRequest([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeRequest(encodeRequest(&request{op: 99})); err == nil {
 		t.Error("unknown op accepted")
 	}
 	if _, err := decodeRequest([]byte{OpMemAlloc}); err == nil {
@@ -209,21 +209,39 @@ func TestDecodeRequestRejectsBadWindows(t *testing.T) {
 	for _, op := range []uint8{OpMemcpyH2D, OpMemcpyD2H, OpD2DSend, OpD2DRecv, OpWriteInline} {
 		for _, tc := range []struct {
 			size, cols, pitch int
-			ok                bool
+			block, depth      int // 0: the 64-byte, depth-2 default
+			ok, streamedOnly  bool
 		}{
 			{size: 96, cols: 3, pitch: 64, ok: true},
 			{size: 96, cols: 3, pitch: 0, ok: true}, // pitch 0: columns back to back
 			{size: 100, cols: 1, pitch: 8, ok: true},
 			{size: 100, cols: 3, pitch: 64},
 			{size: 96, cols: 3, pitch: 31},
+			// A streamed copy allocates a record per block and a slot per
+			// unit of depth before any byte moves: both are bounded.
+			{size: maxBlocks, cols: 1, block: 1, depth: maxBlocks, ok: true},
+			{size: maxBlocks + 1, cols: 1, block: 1, streamedOnly: true},
+			{size: maxPayload, cols: 1, block: 1, streamedOnly: true},
+			{size: 96, cols: 1, depth: maxBlocks + 1, streamedOnly: true},
+			{size: 96, cols: 1, block: maxPayload + 1, streamedOnly: true},
 		} {
 			q := &request{op: op, reqID: 7, ptr: 1, size: tc.size, cols: tc.cols, pitch: tc.pitch, block: 64, depth: 2}
+			if tc.block != 0 {
+				q.block = tc.block
+			}
+			if tc.depth != 0 {
+				q.depth = tc.depth
+			}
 			if op == OpWriteInline {
+				if tc.streamedOnly {
+					continue
+				}
 				q.block, q.depth = 0, 0
 			}
 			got, err := decodeRequest(encodeRequest(q))
 			if (err == nil) != tc.ok {
-				t.Errorf("op %d size=%d cols=%d pitch=%d: err = %v, want ok=%v", op, tc.size, tc.cols, tc.pitch, err, tc.ok)
+				t.Errorf("op %d size=%d cols=%d pitch=%d block=%d depth=%d: err = %v, want ok=%v",
+					op, tc.size, tc.cols, tc.pitch, q.block, q.depth, err, tc.ok)
 			}
 			if tc.ok && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", q) {
 				t.Errorf("op %d: round trip mismatch:\n got %+v\nwant %+v", op, got, q)
@@ -958,10 +976,15 @@ func TestResetClearsDeviceBetweenHolders(t *testing.T) {
 func TestDaemonSurvivesGarbageRequests(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
 		a := tb.accels[0]
-		// Garbage with a decodable op+reqID prefix gets an error response;
-		// shorter garbage is dropped. Either way the daemon keeps serving.
-		tb.client.comm.Send(p, 1, TagRequest, []byte{OpMemAlloc, 1, 0, 0, 0, 0, 0, 0, 0, 9}) // truncated size
+		// Garbage behind a whole header gets an error response; a cut header
+		// is dropped. Either way the daemon keeps serving.
+		alloc := encodeRequest(&request{op: OpMemAlloc, reqID: 1, size: 4096})
+		tb.client.comm.Send(p, 1, TagRequest, alloc[:requestHeaderSize+1]) // truncated size
+		tb.client.comm.Send(p, 1, TagRequest, alloc[:10])                  // cut in the session field
 		tb.client.comm.Send(p, 1, TagRequest, []byte{0xFF})
+		// A header that decodes but asks for 2^40 one-byte blocks: it used
+		// to pass validate() and kill the stream worker in make().
+		tb.client.comm.Send(p, 1, TagRequest, encodeRequest(&request{op: OpMemcpyD2H, reqID: 2, size: 1 << 40, cols: 1, block: 1, depth: 1}))
 		if _, err := a.MemAlloc(p, 128); err != nil {
 			t.Errorf("daemon unusable after garbage: %v", err)
 		}

@@ -145,7 +145,7 @@ type Daemon struct {
 	// ownership ops (reset, session open, session reap) below it are
 	// rejected with ErrFenced. fenceLog records each advance for the
 	// post-run consistency checker. Both stay zero-valued under
-	// token-less (legacy) traffic.
+	// token-less traffic.
 	fenceHigh uint64
 	fenceLog  []FenceMark
 }
@@ -290,17 +290,15 @@ func (d *Daemon) Run(p *sim.Proc) {
 		data, st := req.Wait(p)
 		d.active[st.Source] = struct{}{}
 		q, err := decodeRequest(data)
+		req.Free() // decodeRequest copied what it keeps; over sockets data is a pool buffer
 		if err != nil {
-			// A malformed header still deserves an answer when its reqID
-			// survived, or the caller waits for a response forever.
-			reqID, ok := peekReqID(data)
-			req.Free()
-			if ok {
-				d.respond(st.Source, reqID, err, 0)
+			// A refused body still deserves an answer when its header was
+			// whole, or the caller waits for a response forever.
+			if q != nil {
+				d.respond(st.Source, q.reqID, err, 0)
 			}
 			continue
 		}
-		req.Free() // decodeRequest copied what it keeps; over sockets data is a pool buffer
 		key := dedupKey{src: st.Source, reqID: q.reqID}
 		if cached, dup := d.seen[key]; dup {
 			d.stats.DupsDropped++

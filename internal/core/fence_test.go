@@ -1,97 +1,95 @@
 package core
 
-// fence_test.go covers the daemon side of lease fencing (DESIGN.md
-// §12): the OpFencePrefix wire marker, the fencing high-water mark any
-// tokened request advances, and the stale-token rejection that is
-// limited to destructive ownership ops (reset, session open, session
-// reap) — data-path traffic from surviving holders is never fenced, and
-// token-less legacy traffic encodes and behaves bit-for-bit as before.
+// fence_test.go covers the request header that carries the fencing token
+// and the daemon side of lease fencing (DESIGN.md §12): the fencing
+// high-water mark any tokened request advances, and the stale-token
+// rejection that is limited to destructive ownership ops (reset, session
+// open, session reap) — data-path traffic from surviving holders is never
+// fenced, and neither is token-less traffic.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"dynacc/internal/sim"
 )
 
-func fenceHex(v uint64) string {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	return hex.EncodeToString(b)
-}
-
-// TestFencePrefixGolden pins the fence-prefixed request encoding: the
-// fence marker is OUTERMOST (before any session prefix), and a token-
-// less request stays byte-identical to the legacy layout.
+// TestFencePrefixGolden pins the request wire format: the full frame of
+// every op, and the session and fence fields at header offsets 10 and 18
+// whether they are zero or not.
 func TestFencePrefixGolden(t *testing.T) {
-	q := &request{op: OpSync, reqID: 9, fence: 3, session: 5}
-	// OpFencePrefix | token | OpSessionPrefix | session | OpSync | reqID | stream
-	want := "13" + fenceHex(3) + "12" + fenceHex(5) + "06" + fenceHex(9) + "00"
-	if got := hex.EncodeToString(encodeRequest(q)); got != want {
-		t.Fatalf("fence-prefixed encoding drifted:\n got  %s\n want %s", got, want)
+	seen := map[uint8]bool{}
+	for _, tc := range requestFrames {
+		seen[tc.q.op] = true
+		enc := encodeRequest(tc.q)
+		if got := hex.EncodeToString(enc); got != tc.hex {
+			t.Errorf("%s: frame drifted:\n got  %s\n want %s", tc.name, got, tc.hex)
+			continue
+		}
+		if enc[0] != tc.q.op || binary.LittleEndian.Uint64(enc[1:]) != tc.q.reqID || enc[9] != tc.q.stream ||
+			binary.LittleEndian.Uint64(enc[10:]) != tc.q.session || binary.LittleEndian.Uint64(enc[18:]) != tc.q.fence {
+			t.Errorf("%s: header fields not at offsets 0, 1, 9, 10, 18: %x", tc.name, enc[:requestHeaderSize])
+		}
 	}
-	// Fence without session.
-	q = &request{op: OpReset, reqID: 4, fence: 2}
-	want = "13" + fenceHex(2) + "0b" + fenceHex(4) + "00"
-	if got := hex.EncodeToString(encodeRequest(q)); got != want {
-		t.Fatalf("fence-only encoding drifted:\n got  %s\n want %s", got, want)
-	}
-	// No fence: legacy bytes, no prefix.
-	q = &request{op: OpReset, reqID: 4}
-	want = "0b" + fenceHex(4) + "00"
-	if got := hex.EncodeToString(encodeRequest(q)); got != want {
-		t.Fatalf("legacy encoding drifted:\n got  %s\n want %s", got, want)
+	for op := OpMemAlloc; op <= OpMemcpyD2D; op++ {
+		if retired := op == 18 || op == 19; !seen[op] && !retired {
+			t.Errorf("op %d has no row in requestFrames", op)
+		}
 	}
 }
 
+// TestFencePrefixRoundTrip: every pinned frame decodes to the request it
+// was encoded from, header and body.
 func TestFencePrefixRoundTrip(t *testing.T) {
-	for _, q := range []*request{
-		{op: OpSync, reqID: 9, fence: 3, session: 5},
-		{op: OpReset, reqID: 1, fence: 1},
-		{op: OpSessionReap, reqID: 2, fence: 7, peer: 3},
-	} {
-		got, err := decodeRequest(encodeRequest(q))
+	for _, tc := range requestFrames {
+		frame := mustHex(t, tc.hex)
+		got, err := decodeRequest(frame)
 		if err != nil {
-			t.Fatalf("decode %+v: %v", q, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.op != q.op || got.reqID != q.reqID || got.fence != q.fence || got.session != q.session {
-			t.Errorf("round trip %+v → %+v", q, got)
+		// %+v prints a batch's commands as addresses; the re-encoding covers them.
+		if tc.q.op != OpBatch && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", tc.q) {
+			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", tc.name, got, tc.q)
 		}
-		id, ok := peekReqID(encodeRequest(q))
-		if !ok || id != q.reqID {
-			t.Errorf("peekReqID(%+v) = %d, %v", q, id, ok)
+		if !bytes.Equal(encodeRequest(got), frame) {
+			t.Errorf("%s: re-encoding differs", tc.name)
 		}
 	}
 }
 
+// TestFencePrefixMalformed: the two retired prefix markers are unknown
+// ops, a header cut inside any of its five fields is refused with nothing
+// to answer, and a body cut behind a whole header is refused with the
+// header still in hand.
 func TestFencePrefixMalformed(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"nested fence", append(append([]byte{OpFencePrefix}, make([]byte, 8)...), OpFencePrefix), "nested fence"},
-		{"zero token", append(append([]byte{OpFencePrefix}, make([]byte, 8)...), OpSync), "zero fencing token"},
-		{"fence after session", func() []byte {
-			b := []byte{OpSessionPrefix}
-			b = append(b, 5, 0, 0, 0, 0, 0, 0, 0)
-			return append(b, OpFencePrefix)
-		}(), "misplaced prefix"},
-	}
-	for _, c := range cases {
-		_, err := decodeRequest(c.data)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+	for _, op := range []uint8{18, 19} {
+		frame := encodeRequest(&request{op: op, reqID: 9, session: 5, fence: 3})
+		q, err := decodeRequest(frame)
+		if err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("retired prefix marker %d as op: err = %v, want unknown op", op, err)
+		}
+		if q == nil || q.reqID != 9 {
+			t.Errorf("retired prefix marker %d: header not returned for the answer: %+v", op, q)
 		}
 	}
-	// A valid token in the nested-fence case: set token bytes non-zero.
-	b := []byte{OpFencePrefix, 1, 0, 0, 0, 0, 0, 0, 0, OpFencePrefix}
-	if _, err := decodeRequest(b); err == nil {
-		t.Error("nested fence prefix with non-zero token accepted")
+	for _, tc := range requestFrames {
+		frame := mustHex(t, tc.hex)
+		for n := 0; n < len(frame); n++ {
+			q, err := decodeRequest(frame[:n])
+			switch {
+			case err == nil:
+				t.Errorf("%s cut at %d of %d bytes accepted", tc.name, n, len(frame))
+			case n < requestHeaderSize && q != nil:
+				t.Errorf("%s: header cut at byte %d still produced a request", tc.name, n)
+			case n >= requestHeaderSize && (q == nil || q.reqID != tc.q.reqID):
+				t.Errorf("%s: body cut at byte %d lost the header's reqID: %+v", tc.name, n, q)
+			}
+		}
 	}
 }
 

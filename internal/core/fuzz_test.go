@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -15,37 +16,87 @@ import (
 	"dynacc/internal/sim"
 )
 
-func fuzzSeedRequests() []*request {
-	return []*request{
-		{op: OpMemAlloc, reqID: 1, size: 4096},
-		{op: OpMemFree, reqID: 2, ptr: 0x1000},
-		{op: OpMemcpyH2D, reqID: 3, stream: 1, ptr: 0x1000, off: 64, size: 1 << 20,
-			cols: 4, pitch: 1 << 18, block: 128 << 10, depth: 2},
-		{op: OpMemcpyD2H, reqID: 4, ptr: 0x2000, size: 64 << 10, cols: 1, pitch: 64 << 10,
-			block: 128 << 10, depth: 4},
-		{op: OpMemset, reqID: 5, ptr: 0x1000, off: 16, size: 256, value: 0xCD},
-		{op: OpKernelRun, reqID: 6, kernel: "vadd", launch: gpu.Launch{
-			Grid: gpu.Dim3{X: 16, Y: 1, Z: 1}, Block: gpu.Dim3{X: 256, Y: 1, Z: 1},
-			Args: []gpu.Value{gpu.PtrArg(0x1000), gpu.IntArg(42), gpu.FloatArg(1.5)},
-		}},
-		{op: OpSync, reqID: 7},
-		{op: OpDeviceInfo, reqID: 8},
-		{op: OpD2DSend, reqID: 9, ptr: 0x1000, size: 1 << 16, cols: 2, pitch: 1 << 15,
-			block: 1 << 14, depth: 2, peer: 3, xferID: 99},
-		{op: OpD2DRecv, reqID: 10, ptr: 0x2000, size: 1 << 16, cols: 1, pitch: 1 << 16,
-			block: 1 << 14, depth: 2, peer: 2, xferID: 99},
-		{op: OpReset, reqID: 11},
-		{op: OpShutdown, reqID: 12},
-	}
+// requestFrames is the one table of the request wire format: every op with
+// the full frame it encodes to. The first 26 bytes are the fixed header —
+// op, reqID, stream, session at offset 10, fence at offset 18 — and the
+// rest is the op's body. The golden, malformed-frame and round-trip tests
+// and FuzzDecodeRequest's seeds all read it.
+var requestFrames = []struct {
+	name string
+	q    *request
+	hex  string
+}{
+	{"alloc", &request{op: OpMemAlloc, reqID: 1, size: 4096},
+		"0101000000000000000000000000000000000000000000000000" +
+			"0010000000000000"},
+	{"free, tenant", &request{op: OpMemFree, reqID: 2, session: 5, ptr: 0x1000},
+		"0202000000000000000005000000000000000000000000000000" +
+			"0010000000000000"},
+	{"h2d, strided", &request{op: OpMemcpyH2D, reqID: 3, stream: 1, ptr: 0x1000, off: 64, size: 1 << 20,
+		cols: 4, pitch: 1 << 18, block: 128 << 10, depth: 2},
+		"0303000000000000000100000000000000000000000000000000" +
+			"0010000000000000400000000000000000001000000000000400000000000000000004000000000000000200000000000200000000000000"},
+	{"d2h, tenant under a lease", &request{op: OpMemcpyD2H, reqID: 4, session: 5, fence: 3, ptr: 0x2000, size: 64 << 10,
+		cols: 1, pitch: 64 << 10, block: 128 << 10, depth: 4},
+		"0404000000000000000005000000000000000300000000000000" +
+			"0020000000000000000000000000000000000100000000000100000000000000000001000000000000000200000000000400000000000000"},
+	{"memset", &request{op: OpMemset, reqID: 5, ptr: 0x1000, off: 16, size: 256, value: 0xCD},
+		"0a05000000000000000000000000000000000000000000000000" +
+			"001000000000000010000000000000000001000000000000cd"},
+	{"kernel", &request{op: OpKernelRun, reqID: 6, stream: 2, kernel: "vadd", launch: gpu.Launch{
+		Grid: gpu.Dim3{X: 16, Y: 1, Z: 1}, Block: gpu.Dim3{X: 256, Y: 1, Z: 1},
+		Args: []gpu.Value{gpu.PtrArg(0x1000), gpu.IntArg(42), gpu.FloatArg(1.5)},
+	}},
+		"0506000000000000000200000000000000000000000000000000" +
+			"04000000766164641000000000000000010000000000000001000000000000000001000000000000010000000000000001000000000000000300000000000000010010000000000000022a0000000000000003000000000000f83f"},
+	{"sync, tenant under a lease", &request{op: OpSync, reqID: 7, session: 5, fence: 3},
+		"0607000000000000000005000000000000000300000000000000"},
+	{"info", &request{op: OpDeviceInfo, reqID: 8},
+		"0708000000000000000000000000000000000000000000000000"},
+	{"d2d send", &request{op: OpD2DSend, reqID: 9, ptr: 0x1000, size: 1 << 16, cols: 2, pitch: 1 << 15,
+		block: 1 << 14, depth: 2, peer: 3, xferID: 99},
+		"0809000000000000000000000000000000000000000000000000" +
+			"030000000000000063000000000000000010000000000000000000000000000000000100000000000200000000000000008000000000000000400000000000000200000000000000"},
+	{"d2d recv", &request{op: OpD2DRecv, reqID: 10, ptr: 0x2000, size: 1 << 16, cols: 1, pitch: 1 << 16,
+		block: 1 << 14, depth: 2, peer: 2, xferID: 99},
+		"090a000000000000000000000000000000000000000000000000" +
+			"020000000000000063000000000000000020000000000000000000000000000000000100000000000100000000000000000001000000000000400000000000000200000000000000"},
+	{"reset under a lease", &request{op: OpReset, reqID: 11, fence: 2},
+		"0b0b000000000000000000000000000000000200000000000000"},
+	{"shutdown", &request{op: OpShutdown, reqID: 12},
+		"0c0c000000000000000000000000000000000000000000000000"},
+	{"batch", &request{op: OpBatch, reqID: 13, stream: 1, session: 5, batch: []*request{
+		{op: OpWriteInline, reqID: 13, stream: 1, ptr: 0x1000, off: 8, size: 4, cols: 2, pitch: 16, inline: []byte{1, 2, 3, 4}},
+		{op: OpMemset, reqID: 13, stream: 1, ptr: 0x1000, size: 8, value: 1},
+		{op: OpMemFree, reqID: 13, stream: 1, ptr: 0x1000},
+	}},
+		"0d0d000000000000000105000000000000000000000000000000" +
+			"030000000e0010000000000000080000000000000004000000000000000200000000000000100000000000000004000000010203040a00100000000000000000000000000000080000000000000001020010000000000000"},
+	{"inline write", &request{op: OpWriteInline, reqID: 14, ptr: 0x1000, size: 2, inline: []byte{7, 8}},
+		"0e0e000000000000000000000000000000000000000000000000" +
+			"00100000000000000000000000000000020000000000000000000000000000000000000000000000020000000708"},
+	{"session open", &request{op: OpSessionOpen, reqID: 15, session: 5, fence: 3, quota: 1 << 30},
+		"0f0f000000000000000005000000000000000300000000000000" +
+			"0000004000000000"},
+	{"session close", &request{op: OpSessionClose, reqID: 16, session: 5},
+		"1010000000000000000005000000000000000000000000000000"},
+	{"session reap", &request{op: OpSessionReap, reqID: 17, fence: 7, peer: 3},
+		"1111000000000000000000000000000000000700000000000000" +
+			"0300000000000000"},
+	{"device-local copy", &request{op: OpMemcpyD2D, reqID: 18, ptr: 0x1000, off: 8, ptr2: 0x2000, off2: 16, size: 512},
+		"1412000000000000000000000000000000000000000000000000" +
+			"00100000000000000800000000000000002000000000000010000000000000000002000000000000"},
 }
 
 func FuzzDecodeRequest(f *testing.F) {
-	for _, q := range fuzzSeedRequests() {
-		f.Add(encodeRequest(q))
+	for _, tc := range requestFrames {
+		f.Add(mustHex(f, tc.hex))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
-	f.Add([]byte{OpMemAlloc, 1, 0, 0, 0, 0, 0, 0, 0, 9}) // truncated size
+	f.Add(mustHex(f, requestFrames[0].hex)[:requestHeaderSize+1]) // whole header, truncated size
+	// Decodes, and used to pass validate(): 2^40 one-byte blocks.
+	f.Add(encodeRequest(&request{op: OpMemcpyD2H, reqID: 1, size: 1 << 40, cols: 1, block: 1, depth: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := decodeRequest(data)
 		if err != nil {
@@ -62,6 +113,15 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("encoding is not canonical:\n first %x\nsecond %x", enc, encodeRequest(q2))
 		}
 	})
+}
+
+func mustHex(tb testing.TB, s string) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 func FuzzDecodeResponse(f *testing.F) {

@@ -85,20 +85,11 @@ const (
 	OpSessionOpen
 	OpSessionClose
 	OpSessionReap
-	// OpSessionPrefix is not an op: it is the wire marker that prefixes a
-	// request header with a session id. Session-less requests (the
-	// default, exclusive mode) omit it entirely, keeping their encoding
-	// bit-for-bit identical to the pre-session protocol.
-	OpSessionPrefix
-	// OpFencePrefix is likewise not an op: it is the outermost wire
-	// marker carrying the requester's fencing token — the ARM leadership
-	// epoch its lease was granted under (DESIGN.md §12). Any tokened
-	// request advances the daemon's fencing high-water mark; destructive
-	// ownership ops (reset, session open, session reap) carrying a token
-	// below that mark are rejected with ErrFenced. Token-less requests
-	// (the default) omit the prefix entirely and are never fence-checked,
-	// keeping legacy traffic bit-for-bit identical.
-	OpFencePrefix
+	// 18 and 19 were the session and fence prefix markers before the fixed
+	// header carried both fields; they stay unassigned so such a frame is
+	// refused as an unknown op, not run as a device-local copy.
+	_
+	_
 	// OpMemcpyD2D is a device-local copy between two allocations on the
 	// same accelerator: a header-only request (no payload ever crosses the
 	// wire) that the daemon resolves with one device-internal DMA. The
@@ -346,17 +337,18 @@ type request struct {
 
 	// session is the tenant session the request executes under; 0 is the
 	// session-less exclusive mode (the default, and the privileged path
-	// the ARM's sanitizer uses). Non-zero ids travel as an OpSessionPrefix
-	// before the normal header.
+	// the ARM's sanitizer uses).
 	session uint64
 	// quota is the session memory quota in bytes (OpSessionOpen only;
 	// 0 = unlimited).
 	quota int64
 
 	// fence is the requester's fencing token: the ARM leadership epoch
-	// its lease was granted under. 0 means token-less (legacy traffic,
-	// never fence-checked); non-zero tokens travel as an OpFencePrefix
-	// ahead of everything else in the header.
+	// its lease was granted under (DESIGN.md §12). Any non-zero token
+	// advances the daemon's fencing high-water mark, and destructive
+	// ownership ops (reset, session open, session reap) carrying a token
+	// below that mark are rejected with ErrFenced. 0 is token-less and
+	// never fence-checked.
 	fence uint64
 
 	// memory ops; size is the total payload in bytes. A copy is a strided
@@ -393,9 +385,15 @@ type request struct {
 	inline []byte
 }
 
-// encodeRequest serializes a request header. A non-zero session id is
-// emitted as an OpSessionPrefix marker ahead of the header; session-less
-// requests encode exactly as they did before the session layer existed.
+// requestHeaderSize is the fixed header every request opens with:
+//
+//	op u8 | reqID u64 | stream u8 | session u64 | fence u64
+//
+// Session 0 and fence 0 are values like any other, not absent fields; the
+// op's body follows. DESIGN.md §11 has the table.
+const requestHeaderSize = 26
+
+// encodeRequest serializes a request: the fixed header, then the body.
 func encodeRequest(q *request) []byte {
 	return encodeRequestTo(wire.NewWriter(64), q)
 }
@@ -406,27 +404,19 @@ func encodeRequest(q *request) []byte {
 // one writer for every request it ever sends.
 func encodeRequestTo(w *wire.Writer, q *request) []byte {
 	w.Reset()
-	if q.fence != 0 {
-		w.U8(OpFencePrefix).U64(q.fence)
-	}
-	if q.session != 0 {
-		w.U8(OpSessionPrefix).U64(q.session)
-	}
-	w.U8(q.op).U64(q.reqID).U8(q.stream)
-	if q.op == OpBatch {
-		w.U32(uint32(len(q.batch)))
-		for _, sub := range q.batch {
-			w.U8(sub.op)
-			encodeBody(w, sub)
-		}
-		return w.CopyBytes()
-	}
+	w.U8(q.op).U64(q.reqID).U8(q.stream).U64(q.session).U64(q.fence)
 	encodeBody(w, q)
 	return w.CopyBytes()
 }
 
+// encodeWindow serializes the strided device window shared by the copy
+// ops: cols columns of size/cols bytes each, pitch bytes apart at ptr+off.
+func encodeWindow(w *wire.Writer, q *request) *wire.Writer {
+	return w.U64(uint64(q.ptr)).Int(q.off).Int(q.size).Int(q.cols).Int(q.pitch)
+}
+
 // encodeBody serializes the op-specific fields of a request (everything
-// after op/reqID/stream). Batch framing reuses it per command.
+// after the header). Batch framing reuses it per command.
 func encodeBody(w *wire.Writer, q *request) {
 	switch q.op {
 	case OpMemAlloc:
@@ -434,7 +424,7 @@ func encodeBody(w *wire.Writer, q *request) {
 	case OpMemFree:
 		w.U64(uint64(q.ptr))
 	case OpMemcpyH2D, OpMemcpyD2H:
-		w.U64(uint64(q.ptr)).Int(q.off).Int(q.size).Int(q.cols).Int(q.pitch).Int(q.block).Int(q.depth)
+		encodeWindow(w, q).Int(q.block).Int(q.depth)
 	case OpKernelRun:
 		w.Str(q.kernel)
 		for _, d := range []gpu.Dim3{q.launch.Grid, q.launch.Block} {
@@ -453,13 +443,19 @@ func encodeBody(w *wire.Writer, q *request) {
 			}
 		}
 	case OpD2DSend, OpD2DRecv:
-		w.Int(q.peer).U64(q.xferID).U64(uint64(q.ptr)).Int(q.off).Int(q.size).Int(q.cols).Int(q.pitch).Int(q.block).Int(q.depth)
+		encodeWindow(w.Int(q.peer).U64(q.xferID), q).Int(q.block).Int(q.depth)
 	case OpMemset:
 		w.U64(uint64(q.ptr)).Int(q.off).Int(q.size).U8(q.value)
 	case OpMemcpyD2D:
 		w.U64(uint64(q.ptr)).Int(q.off).U64(uint64(q.ptr2)).Int(q.off2).Int(q.size)
 	case OpWriteInline:
-		w.U64(uint64(q.ptr)).Int(q.off).Int(q.size).Int(q.cols).Int(q.pitch).Blob(q.inline)
+		encodeWindow(w, q).Blob(q.inline)
+	case OpBatch:
+		w.U32(uint32(len(q.batch)))
+		for _, sub := range q.batch {
+			w.U8(sub.op)
+			encodeBody(w, sub)
+		}
 	case OpSessionOpen:
 		w.I64(q.quota)
 	case OpSessionReap:
@@ -469,66 +465,32 @@ func encodeBody(w *wire.Writer, q *request) {
 	}
 }
 
-// decodeRequest parses a request header.
+// decodeRequest parses a request: the header first, the body second. A
+// request whose header is whole comes back even when its body is refused,
+// so the daemon can answer the error to the reqID instead of leaving the
+// caller waiting; a cut header returns nil.
 func decodeRequest(data []byte) (*request, error) {
 	r := wire.NewReader(data)
-	op := r.U8()
-	var fence uint64
-	if op == OpFencePrefix {
-		fence = r.U64()
-		op = r.U8()
-		if op == OpFencePrefix {
-			return nil, fmt.Errorf("core: malformed request: nested fence prefix")
-		}
-		if fence == 0 && r.Err() == nil {
-			return nil, fmt.Errorf("core: malformed request: zero fencing token")
-		}
-	}
-	var session uint64
-	if op == OpSessionPrefix {
-		session = r.U64()
-		op = r.U8()
-		if op == OpSessionPrefix || op == OpFencePrefix {
-			return nil, fmt.Errorf("core: malformed request: misplaced prefix")
-		}
-		if session == 0 && r.Err() == nil {
-			return nil, fmt.Errorf("core: malformed request: zero session id")
-		}
-	}
-	q := &request{op: op, fence: fence, session: session, reqID: r.U64(), stream: r.U8()}
-	if q.op == OpBatch {
-		n := int(r.U32())
-		if r.Err() == nil && (n < 1 || n > maxBatchOps) {
-			return nil, fmt.Errorf("core: malformed request: batch of %d commands", n)
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			sub := &request{op: r.U8(), reqID: q.reqID, stream: q.stream}
-			if r.Err() == nil && !batchable(sub.op) {
-				return nil, fmt.Errorf("core: malformed request: op %d not allowed inside a batch", sub.op)
-			}
-			if err := decodeBody(r, sub); err != nil {
-				return nil, err
-			}
-			q.batch = append(q.batch, sub)
-		}
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("core: malformed request: %w", err)
-		}
-		if err := q.validate(); err != nil {
-			return nil, err
-		}
-		return q, nil
+	q := &request{op: r.U8(), reqID: r.U64(), stream: r.U8(), session: r.U64(), fence: r.U64()}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: malformed request header: %w", err)
 	}
 	if err := decodeBody(r, q); err != nil {
-		return nil, err
+		return q, err
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: malformed request: %w", err)
+		return q, fmt.Errorf("core: malformed request: %w", err)
 	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return q, q.validate()
+}
+
+// decodeWindow parses the strided device window of the copy ops.
+func decodeWindow(r *wire.Reader, q *request) {
+	q.ptr = gpu.Ptr(r.U64())
+	q.off = r.Int()
+	q.size = r.Int()
+	q.cols = r.Int()
+	q.pitch = r.Int()
 }
 
 // decodeBody parses the op-specific fields of a request.
@@ -539,11 +501,7 @@ func decodeBody(r *wire.Reader, q *request) error {
 	case OpMemFree:
 		q.ptr = gpu.Ptr(r.U64())
 	case OpMemcpyH2D, OpMemcpyD2H:
-		q.ptr = gpu.Ptr(r.U64())
-		q.off = r.Int()
-		q.size = r.Int()
-		q.cols = r.Int()
-		q.pitch = r.Int()
+		decodeWindow(r, q)
 		q.block = r.Int()
 		q.depth = r.Int()
 	case OpKernelRun:
@@ -576,11 +534,7 @@ func decodeBody(r *wire.Reader, q *request) error {
 	case OpD2DSend, OpD2DRecv:
 		q.peer = r.Int()
 		q.xferID = r.U64()
-		q.ptr = gpu.Ptr(r.U64())
-		q.off = r.Int()
-		q.size = r.Int()
-		q.cols = r.Int()
-		q.pitch = r.Int()
+		decodeWindow(r, q)
 		q.block = r.Int()
 		q.depth = r.Int()
 	case OpMemset:
@@ -595,12 +549,24 @@ func decodeBody(r *wire.Reader, q *request) error {
 		q.off2 = r.Int()
 		q.size = r.Int()
 	case OpWriteInline:
-		q.ptr = gpu.Ptr(r.U64())
-		q.off = r.Int()
-		q.size = r.Int()
-		q.cols = r.Int()
-		q.pitch = r.Int()
+		decodeWindow(r, q)
 		q.inline = append([]byte(nil), r.Blob()...)
+	case OpBatch:
+		// Sub-commands are batchable ops, so a batch never nests.
+		n := int(r.U32())
+		if r.Err() == nil && (n < 1 || n > maxBatchOps) {
+			return fmt.Errorf("core: malformed request: batch of %d commands", n)
+		}
+		for i := 0; i < n && r.Err() == nil; i++ {
+			sub := &request{op: r.U8(), reqID: q.reqID, stream: q.stream}
+			if r.Err() == nil && !batchable(sub.op) {
+				return fmt.Errorf("core: malformed request: op %d not allowed inside a batch", sub.op)
+			}
+			if err := decodeBody(r, sub); err != nil {
+				return err
+			}
+			q.batch = append(q.batch, sub)
+		}
 	case OpSessionOpen:
 		q.quota = r.I64()
 	case OpSessionReap:
@@ -614,39 +580,44 @@ func decodeBody(r *wire.Reader, q *request) error {
 
 // maxPayload bounds the size a request header may claim (1 TiB): anything
 // larger is a corrupted or hostile header, not a copy the simulated
-// cluster could perform. It keeps block-count arithmetic and staging
-// allocations safe.
-const maxPayload = 1 << 40
+// cluster could perform. maxBlocks bounds what a streamed copy may ask the
+// daemon to keep per transfer — its block count and its staging depth —
+// far above any real copy (64 MiB at the smallest 32 KiB autotune rung is
+// 2 048 blocks), because the pipeline allocates a record per block before
+// the first byte moves.
+const (
+	maxPayload = 1 << 40
+	maxBlocks  = 1 << 20
+)
 
 // validate rejects decoded headers whose fields would corrupt daemon
 // state: negative sizes or geometry flow into block counts and resource
 // capacities, so they must never leave the decoder.
 func (q *request) validate() error {
 	switch q.op {
+	case OpMemAlloc:
+		if q.size < 0 || q.size > maxPayload {
+			return fmt.Errorf("core: malformed request: alloc size %d", q.size)
+		}
 	case OpMemcpyH2D, OpMemcpyD2H, OpD2DSend, OpD2DRecv, OpWriteInline:
+		if q.size < 0 || q.size > maxPayload || q.off < 0 || q.cols < 0 || q.pitch < 0 {
+			return fmt.Errorf("core: malformed request: window size=%d off=%d cols=%d pitch=%d",
+				q.size, q.off, q.cols, q.pitch)
+		}
 		// Columns that do not tile the window's bytes, or overlap, would
 		// fail the copy at its last block: refuse before the first ships.
 		if q.cols > 1 && (q.size%q.cols != 0 || q.pitch > 0 && q.pitch < q.size/q.cols) {
 			return fmt.Errorf("core: malformed request: window of %d bytes in %d columns at pitch %d", q.size, q.cols, q.pitch)
 		}
-	}
-	switch q.op {
-	case OpMemAlloc:
-		if q.size < 0 || q.size > maxPayload {
-			return fmt.Errorf("core: malformed request: alloc size %d", q.size)
-		}
-	case OpMemcpyH2D, OpMemcpyD2H, OpD2DSend, OpD2DRecv:
-		if q.size < 0 || q.size > maxPayload || q.off < 0 || q.cols < 0 || q.pitch < 0 {
-			return fmt.Errorf("core: malformed request: copy geometry size=%d off=%d cols=%d pitch=%d",
-				q.size, q.off, q.cols, q.pitch)
-		}
-		if q.size > 0 && (q.block <= 0 || q.depth <= 0) {
-			return fmt.Errorf("core: malformed request: copy pipeline block=%d depth=%d", q.block, q.depth)
-		}
-		if q.block < 0 || q.depth < 0 {
-			return fmt.Errorf("core: malformed request: copy pipeline block=%d depth=%d", q.block, q.depth)
-		}
-		if q.peer < 0 {
+		switch {
+		case q.op == OpWriteInline:
+			if len(q.inline) != 0 && len(q.inline) != q.size {
+				return fmt.Errorf("core: malformed request: inline payload %d bytes for size %d", len(q.inline), q.size)
+			}
+		case q.block < 0 || q.block > maxPayload || q.depth < 0 || q.depth > maxBlocks ||
+			q.size > 0 && (q.block == 0 || q.depth == 0 || numBlocks(q.size, q.block) > maxBlocks):
+			return fmt.Errorf("core: malformed request: copy pipeline size=%d block=%d depth=%d", q.size, q.block, q.depth)
+		case q.peer < 0:
 			return fmt.Errorf("core: malformed request: negative peer rank %d", q.peer)
 		}
 	case OpMemset:
@@ -656,14 +627,6 @@ func (q *request) validate() error {
 	case OpMemcpyD2D:
 		if q.size < 0 || q.size > maxPayload || q.off < 0 || q.off2 < 0 {
 			return fmt.Errorf("core: malformed request: d2d copy size=%d off=%d off2=%d", q.size, q.off, q.off2)
-		}
-	case OpWriteInline:
-		if q.size < 0 || q.size > maxPayload || q.off < 0 || q.cols < 0 || q.pitch < 0 {
-			return fmt.Errorf("core: malformed request: inline write size=%d off=%d cols=%d pitch=%d",
-				q.size, q.off, q.cols, q.pitch)
-		}
-		if len(q.inline) != 0 && len(q.inline) != q.size {
-			return fmt.Errorf("core: malformed request: inline payload %d bytes for size %d", len(q.inline), q.size)
 		}
 	case OpBatch:
 		for i, sub := range q.batch {
@@ -699,24 +662,6 @@ func (q *request) modelPad() int {
 		return q.size
 	}
 	return 0
-}
-
-// peekReqID best-effort extracts (op, reqID) from a request header that
-// failed to decode, so the daemon can still answer with an error instead
-// of leaving the caller waiting for a response that will never come.
-func peekReqID(data []byte) (uint64, bool) {
-	r := wire.NewReader(data)
-	op := r.U8()
-	if op == OpFencePrefix {
-		r.U64() // fencing token
-		op = r.U8()
-	}
-	if op == OpSessionPrefix {
-		r.U64() // session id
-		r.U8()  // real op
-	}
-	id := r.U64()
-	return id, r.Err() == nil
 }
 
 // response is a decoded response. The echoed reqID lets a client reject

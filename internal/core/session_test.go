@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,26 +11,23 @@ import (
 	"dynacc/internal/sim"
 )
 
-// TestSessionPrefixWire pins the tentpole's compatibility contract: a
-// session-less request encodes byte for byte as before (no prefix), and a
-// sessioned one differs only by the 9-byte [OpSessionPrefix][id] marker
-// in front of the same header.
+// TestSessionPrefixWire: the session id is a header field like any other.
+// A session-less request and a sessioned one are the same length and
+// differ only in bytes 10..17, and the two ops that need a session refuse
+// id 0 — the one session rule still expressible on the wire.
 func TestSessionPrefixWire(t *testing.T) {
 	plain := &request{op: OpSync, reqID: 7, stream: 3}
 	sessioned := &request{op: OpSync, reqID: 7, stream: 3, session: 42}
 	pb := encodeRequest(plain)
 	sb := encodeRequest(sessioned)
-	if pb[0] != OpSync {
-		t.Fatalf("session-less request starts with %#x, want the op byte", pb[0])
+	if len(pb) != requestHeaderSize || len(sb) != requestHeaderSize {
+		t.Fatalf("header-only requests are %d and %d bytes, want %d", len(pb), len(sb), requestHeaderSize)
 	}
-	if sb[0] != OpSessionPrefix {
-		t.Fatalf("sessioned request starts with %#x, want OpSessionPrefix", sb[0])
+	if !bytes.Equal(sb[:10], pb[:10]) || !bytes.Equal(sb[18:], pb[18:]) {
+		t.Fatal("sessioned request differs outside the session field")
 	}
-	if len(sb) != len(pb)+9 {
-		t.Fatalf("prefix adds %d bytes, want 9", len(sb)-len(pb))
-	}
-	if !bytes.Equal(sb[9:], pb) {
-		t.Fatal("sessioned request body differs beyond the prefix")
+	if binary.LittleEndian.Uint64(pb[10:]) != 0 || binary.LittleEndian.Uint64(sb[10:]) != 42 {
+		t.Fatalf("session field reads %x and %x, want 0 and 42", pb[10:18], sb[10:18])
 	}
 	for _, q := range []*request{plain, sessioned} {
 		got, err := decodeRequest(encodeRequest(q))
@@ -40,11 +38,10 @@ func TestSessionPrefixWire(t *testing.T) {
 			t.Errorf("round trip %+v -> %+v", q, got)
 		}
 	}
-	// A zero session id must never appear behind a prefix.
-	w := encodeRequest(&request{op: OpSync, reqID: 1, session: 9})
-	w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8] = 0, 0, 0, 0, 0, 0, 0, 0
-	if _, err := decodeRequest(w); err == nil {
-		t.Error("zero session id behind a prefix accepted")
+	for _, op := range []uint8{OpSessionOpen, OpSessionClose} {
+		if _, err := decodeRequest(encodeRequest(&request{op: op, reqID: 1})); err == nil {
+			t.Errorf("op %d without a session id accepted", op)
+		}
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // minimpi envelope as a fixed header, then the payload.
 
 // ProtocolVersion is the wire protocol revision (2: the ARM's one fixed
-// header); mismatched versions are refused during the handshake.
-const ProtocolVersion uint32 = 2
+// header; 3: the daemon's); mismatched versions are refused during the
+// handshake.
+const ProtocolVersion uint32 = 3
 
 // helloMagic opens every hello body so a stray connection from something
 // that is not a dynacc transport fails fast, before any length prefix is

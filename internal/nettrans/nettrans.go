@@ -29,6 +29,7 @@
 package nettrans
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"net"
 	"slices"
@@ -560,7 +561,7 @@ func (t *Transport) handshakeIn(conn net.Conn) (*peer, error) {
 		t.refuse(conn, "protocol version mismatch")
 		return nil, &VersionMismatchError{Mine: t.version, Theirs: h.version}
 	}
-	if h.token != t.cfg.Token {
+	if subtle.ConstantTimeCompare([]byte(h.token), []byte(t.cfg.Token)) != 1 {
 		return nil, t.refuse(conn, "bad connection token")
 	}
 	if h.procID < 0 || h.procID >= len(t.cfg.Procs) || h.procID == t.cfg.ProcID {

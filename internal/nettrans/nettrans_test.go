@@ -356,8 +356,8 @@ func TestReconnectAfterKill(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch checks that mismatched protocol versions
-// — a binary of the previous revision dialling a current one, whose ARM
-// frames it would misparse — produce the typed refusal on the dialer and
+// — a binary of the previous revision dialling a current one, whose
+// daemon frames it would misparse — produce the typed refusal on the dialer and
 // count on both sides.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
