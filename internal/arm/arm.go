@@ -825,6 +825,10 @@ func (s *Server) stepDown(observed uint64) {
 // lone manager).
 func (s *Server) Epoch() uint64 { return s.myEpoch }
 
+// Snapshot returns the pool accounting Client.Stats would be answered
+// with, read in place — the server's books once it has stopped.
+func (s *Server) Snapshot() PoolStats { return s.snapshot(s.now()) }
+
 // Abdicated reports whether the server has stepped down after observing
 // a higher leadership epoch for its shard.
 func (s *Server) Abdicated() bool { return s.abdicated }

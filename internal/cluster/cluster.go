@@ -16,6 +16,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynacc/internal/arm"
@@ -275,23 +276,22 @@ func (n *Node) MigrateRank(p *sim.Proc, oldRank int) (arm.Handle, error) {
 	if err != nil {
 		return arm.Handle{}, err
 	}
-	if _, err := n.FE.MigrateRank(p, oldRank, h.Rank); err != nil {
-		return h, err
-	}
-	return h, nil
+	_, err = n.FE.MigrateRank(p, oldRank, h.Rank)
+	return h, err
 }
 
-// Cluster is a built system, ready to run node main functions.
+// Cluster is a built system, ready to run node main functions: the whole
+// machine in one simulation (New), or the ranks one process of a socket
+// deployment hosts (StartProcess). Every per-rank table below is sized
+// for the whole machine and holds nil where the rank lives elsewhere.
 type Cluster struct {
 	Sim     *sim.Simulation
 	World   *minimpi.World
 	Daemons []*core.Daemon
 	cfg     Config
-	dcfg    core.DaemonConfig
 	env     buildEnv
 
 	appGroup   *minimpi.Group
-	armRank    int
 	nodes      []*Node
 	mains      []*sim.Proc
 	nodeMains  [][]*sim.Proc
@@ -302,9 +302,10 @@ type Cluster struct {
 	// shared by the servers, the nodes' clients, the daemons' heartbeat
 	// sinks and teardown; a single manager is its one-shard case
 	// (arm.SingleDirectory).
-	dir       *arm.Directory
-	shardSrvs []*arm.Server // leader per locally hosted shard
-	shardReps []*arm.Replica
+	dir        *arm.Directory
+	shardSrvs  []*arm.Server  // leader per shard
+	shardReps  []*arm.Replica // follower per shard (Config.ARMReplicas)
+	sanitizers []*core.Client // one per health-enabled server, in build order
 }
 
 // Directory returns the shard directory (one shard, no follower, for a
@@ -317,12 +318,7 @@ func (cl *Cluster) ARMShardServer(i int) *arm.Server { return cl.shardSrvs[i] }
 
 // ARMShardReplica returns shard i's follower replica, or nil when the
 // cluster was built without ARMReplicas.
-func (cl *Cluster) ARMShardReplica(i int) *arm.Replica {
-	if len(cl.shardReps) == 0 {
-		return nil
-	}
-	return cl.shardReps[i]
-}
+func (cl *Cluster) ARMShardReplica(i int) *arm.Replica { return cl.shardReps[i] }
 
 // KillARMShard crash-kills shard i's leader: its serving process and
 // helper processes stop at their next scheduling point, exactly like a
@@ -331,31 +327,30 @@ func (cl *Cluster) ARMShardReplica(i int) *arm.Replica {
 // through the directory and replay in-flight requests.
 func (cl *Cluster) KillARMShard(i int) { cl.shardSrvs[i].Kill() }
 
-// ARMRank returns the world rank the ARM listens on.
-func (cl *Cluster) ARMRank() int { return cl.armRank }
+// ARMRank returns the world rank the ARM (shard 0's leader) listens on.
+func (cl *Cluster) ARMRank() int { return cl.dir.Leader(0) }
 
 // DaemonRank returns the world rank accelerator daemon i listens on.
 func (cl *Cluster) DaemonRank(i int) int { return cl.cfg.ComputeNodes + i }
 
-// buildEnv holds the resolved construction defaults shared by every
-// component builder (New for the all-in-sim cluster, StartProcess for one
-// process of a socket-mode deployment).
+// buildEnv holds the construction defaults a Config resolves to.
 type buildEnv struct {
 	net    netmodel.Params
 	model  gpu.Model
 	models []gpu.Model // per-accelerator models (nil = homogeneous)
 	reg    *gpu.Registry
 	opts   core.Options
+	dcfg   core.DaemonConfig
 }
 
 // resolveBuild validates a Config and resolves its defaults.
-func resolveBuild(cfg Config) (buildEnv, core.DaemonConfig, error) {
+func resolveBuild(cfg Config) (buildEnv, error) {
 	var env buildEnv
 	if cfg.ComputeNodes <= 0 {
-		return env, core.DaemonConfig{}, fmt.Errorf("cluster: need at least one compute node, got %d", cfg.ComputeNodes)
+		return env, fmt.Errorf("cluster: need at least one compute node, got %d", cfg.ComputeNodes)
 	}
 	if cfg.Accelerators < 0 {
-		return env, core.DaemonConfig{}, fmt.Errorf("cluster: negative accelerator count")
+		return env, fmt.Errorf("cluster: negative accelerator count")
 	}
 	env.net = netmodel.QDRInfiniBand()
 	if cfg.Net != nil {
@@ -366,18 +361,18 @@ func resolveBuild(cfg Config) (buildEnv, core.DaemonConfig, error) {
 		env.model = *cfg.GPUModel
 	}
 	if len(cfg.GPUModels) > 0 && cfg.Fleet != "" {
-		return env, core.DaemonConfig{}, fmt.Errorf("cluster: set GPUModels or Fleet, not both")
+		return env, fmt.Errorf("cluster: set GPUModels or Fleet, not both")
 	}
 	fleetSize := cfg.Accelerators + cfg.SpareAccelerators
 	if cfg.Fleet != "" {
 		models, err := ParseFleet(cfg.Fleet, fleetSize)
 		if err != nil {
-			return env, core.DaemonConfig{}, err
+			return env, err
 		}
 		env.models = models
 	} else if len(cfg.GPUModels) > 0 {
 		if len(cfg.GPUModels) != fleetSize {
-			return env, core.DaemonConfig{}, fmt.Errorf("cluster: GPUModels lists %d models, cluster has %d accelerators",
+			return env, fmt.Errorf("cluster: GPUModels lists %d models, cluster has %d accelerators",
 				len(cfg.GPUModels), fleetSize)
 		}
 		env.models = append([]gpu.Model(nil), cfg.GPUModels...)
@@ -390,33 +385,52 @@ func resolveBuild(cfg Config) (buildEnv, core.DaemonConfig, error) {
 	if cfg.Options != nil {
 		env.opts = *cfg.Options
 	}
-	dcfg := core.DefaultDaemonConfig()
+	env.dcfg = core.DefaultDaemonConfig()
 	if cfg.Daemon != nil {
-		dcfg = *cfg.Daemon
+		env.dcfg = *cfg.Daemon
 	}
-	return env, dcfg, nil
+	return env, nil
 }
 
-// New builds (but does not run) a cluster.
+// New builds (but does not run) a cluster with every rank in this one
+// simulation: the one-process topology.
 func New(cfg Config) (*Cluster, error) {
-	env, dcfg, err := resolveBuild(cfg)
+	env, err := resolveBuild(cfg)
 	if err != nil {
 		return nil, err
 	}
+	l := RankLayout(cfg)
+	return build(cfg, env, slices.Concat(l.Compute, l.Daemons, l.ARM))
+}
+
+// build constructs the world and, of its ranks, the ones in local: every
+// rank for New, one topology entry's for a process of a socket
+// deployment. The order is fixed — accelerator nodes, then per shard the
+// leader and its follower, then compute nodes — so what a simulation
+// spawns, and in which order, depends only on which ranks it hosts.
+func build(cfg Config, env buildEnv, local []int) (*Cluster, error) {
 	s := sim.New()
 	l := RankLayout(cfg)
 	w, err := minimpi.NewWorld(s, l.Total, env.net)
 	if err != nil {
 		return nil, err
 	}
-	daemonRanks := len(l.Daemons)
+	hosted := make([]bool, l.Total)
+	for _, r := range local {
+		if r < 0 || r >= l.Total {
+			return nil, fmt.Errorf("cluster: rank %d outside world [0,%d)", r, l.Total)
+		}
+		hosted[r] = true
+	}
 	// The directory must exist before the daemons: their heartbeat sinks
 	// resolve the serving rank through it.
-	cl := &Cluster{Sim: s, World: w, cfg: cfg, dcfg: dcfg, env: env, armRank: l.ARM[0],
+	dir := l.directory(cfg.ARMReplicas)
+	cl := &Cluster{Sim: s, World: w, cfg: cfg, env: env, dir: dir,
 		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
-		Daemons:   make([]*core.Daemon, daemonRanks),
+		Daemons:   make([]*core.Daemon, len(l.Daemons)),
 		nodes:     make([]*Node, cfg.ComputeNodes),
-		dir:       l.directory(cfg.ARMReplicas)}
+		shardSrvs: make([]*arm.Server, dir.Shards()),
+		shardReps: make([]*arm.Replica, dir.Shards())}
 	cl.appGroup, err = w.NewGroup(l.Compute)
 	if err != nil {
 		return nil, err
@@ -424,44 +438,56 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Accelerator nodes: device + daemon per rank. Spares get the same
 	// hardware but start outside every ARM inventory.
-	var inventory []arm.Handle
-	for i := 0; i < daemonRanks; i++ {
-		if err := cl.addAccelNode(i); err != nil {
-			return nil, err
-		}
-		if i < cfg.Accelerators {
-			inventory = append(inventory, env.inventoryHandle(cfg.ComputeNodes, i))
+	for i, rank := range l.Daemons {
+		if hosted[rank] {
+			if err := cl.addAccelNode(i); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	// The ARM: ownership partitioned by the directory's consistent-hash
-	// ring, one leader (and optionally one follower) per shard — a single
-	// manager owns everything.
-	for sh, inv := range shardInventory(cl.dir, inventory) {
-		srvOpts, err := cl.startARM(sh, inv)
-		if err != nil {
-			return nil, err
+	// The ARM: ownership of the regular accelerators — listed in full
+	// whether or not their daemons live here — partitioned by the
+	// directory's consistent-hash ring, one leader (and optionally one
+	// follower) per shard. A single manager owns everything.
+	inventory := make([][]arm.Handle, dir.Shards())
+	for id := 0; id < cfg.Accelerators; id++ {
+		sh := dir.OwnerOf(id)
+		inventory[sh] = append(inventory[sh], env.inventoryHandle(cfg.ComputeNodes, id))
+	}
+	for sh, inv := range inventory {
+		srvOpts := arm.Options{Policy: cfg.Policy, ShareCapacity: cfg.ShareCapacity, Shard: sh, Directory: dir}
+		if hosted[dir.Leader(sh)] {
+			srv, err := arm.NewServerOpts(w.Comm(dir.Leader(sh)), inv, srvOpts)
+			if err != nil {
+				return nil, err
+			}
+			if err := cl.armHealthSetup(srv, dir.Leader(sh)); err != nil {
+				return nil, err
+			}
+			cl.shardSrvs[sh] = srv
+			cl.infraProcs = append(cl.infraProcs, s.Spawn(fmt.Sprintf("arm-s%d", sh), srv.Run))
 		}
-		if cfg.ARMReplicas {
-			rp, err := arm.ReplicaFor(w.Comm(cl.dir.Follower(sh)), cl.dir, sh,
-				inv, srvOpts, cfg.ARMPromoteAfter)
+		if cfg.ARMReplicas && hosted[dir.Follower(sh)] {
+			rp, err := arm.ReplicaFor(w.Comm(dir.Follower(sh)), dir, sh, inv, srvOpts, cfg.ARMPromoteAfter)
 			if err != nil {
 				return nil, err
 			}
 			// The follower gets its own sanitizer front-end (on its own
 			// rank) now, so a promotion needs no extra wiring.
-			if err := cl.armHealthSetup(rp.Server(), cl.dir.Follower(sh), env.opts); err != nil {
+			if err := cl.armHealthSetup(rp.Server(), dir.Follower(sh)); err != nil {
 				return nil, err
 			}
-			cl.shardReps = append(cl.shardReps, rp)
+			cl.shardReps[sh] = rp
 			s.Spawn(fmt.Sprintf("arm-s%d-replica", sh), rp.Run)
 		}
 	}
 
-	// Compute nodes.
-	for i := 0; i < cfg.ComputeNodes; i++ {
-		if err := cl.addComputeNode(i); err != nil {
-			return nil, err
+	for _, i := range l.Compute {
+		if hosted[i] {
+			if err := cl.addComputeNode(i); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return cl, nil
@@ -503,33 +529,6 @@ func (l Layout) directory(replicas bool) *arm.Directory {
 	return arm.NewDirectory(arm.NewRing(shards), l.ARM[:shards], followers)
 }
 
-// shardInventory partitions the inventory by the directory's hash ring.
-func shardInventory(dir *arm.Directory, inventory []arm.Handle) [][]arm.Handle {
-	perShard := make([][]arm.Handle, dir.Shards())
-	for _, h := range inventory {
-		sh := dir.OwnerOf(h.ID)
-		perShard[sh] = append(perShard[sh], h)
-	}
-	return perShard
-}
-
-// startARM builds and starts shard sh's leader server — the single
-// manager when there is one shard — on the rank the directory assigns it,
-// returning the server options a replica of the same shard must share.
-func (cl *Cluster) startARM(sh int, inv []arm.Handle) (arm.Options, error) {
-	srvOpts := arm.Options{Policy: cl.cfg.Policy, ShareCapacity: cl.cfg.ShareCapacity, Shard: sh, Directory: cl.dir}
-	srv, err := arm.NewServerOpts(cl.World.Comm(cl.dir.Leader(sh)), inv, srvOpts)
-	if err != nil {
-		return srvOpts, err
-	}
-	if err := cl.armHealthSetup(srv, cl.dir.Leader(sh), cl.env.opts); err != nil {
-		return srvOpts, err
-	}
-	cl.shardSrvs = append(cl.shardSrvs, srv)
-	cl.infraProcs = append(cl.infraProcs, cl.Sim.Spawn(fmt.Sprintf("arm-s%d", sh), srv.Run))
-	return srvOpts, nil
-}
-
 // addComputeNode builds compute node i: its computation-API front-end,
 // resource-management client, optional health watcher and local GPUs.
 func (cl *Cluster) addComputeNode(i int) error {
@@ -558,10 +557,9 @@ func (cl *Cluster) addComputeNode(i int) error {
 		// The watcher reacts to the ARM's suspect notices by migrating
 		// this node's handles off the silent daemon — the application
 		// never has to notice, let alone call Failover.
-		n := node
 		wp := cl.Sim.Spawn(fmt.Sprintf("cn%d-health-watch", i), func(p *sim.Proc) {
 			for {
-				nt, err := n.ARM.RecvNotice(p)
+				nt, err := node.ARM.RecvNotice(p)
 				if err != nil {
 					return
 				}
@@ -570,7 +568,7 @@ func (cl *Cluster) addComputeNode(i int) error {
 				}
 				// Best effort: with no spare free (or the handle already
 				// gone) the node limps on and Failover remains the net.
-				_, _ = n.MigrateRank(p, nt.Rank)
+				_, _ = node.MigrateRank(p, nt.Rank)
 			}
 		})
 		cl.watchers = append(cl.watchers, wp)
@@ -594,7 +592,7 @@ func (cl *Cluster) addComputeNode(i int) error {
 // armHealthSetup configures the health subsystem on an ARM server (a
 // single manager, a shard leader, or a shard follower) with a sanitizer
 // front-end living on the server's own rank.
-func (cl *Cluster) armHealthSetup(srv *arm.Server, rank int, opts core.Options) error {
+func (cl *Cluster) armHealthSetup(srv *arm.Server, serverRank int) error {
 	cfg := cl.cfg
 	if cfg.Health == nil {
 		return nil
@@ -606,7 +604,7 @@ func (cl *Cluster) armHealthSetup(srv *arm.Server, rank int, opts core.Options) 
 	// that device-resets a reclaimed accelerator before it re-enters
 	// the pool. Bounded timeout — the daemon being sanitized may be
 	// the one that just went silent.
-	sanOpts := opts
+	sanOpts := cl.env.opts
 	if sanOpts.Timeout <= 0 {
 		switch {
 		case cfg.Health.SuspectAfter > 0:
@@ -617,27 +615,37 @@ func (cl *Cluster) armHealthSetup(srv *arm.Server, rank int, opts core.Options) 
 			sanOpts.Timeout = 10 * sim.Millisecond
 		}
 	}
-	sanFE, err := core.NewClient(cl.World.Comm(rank), sanOpts)
+	sanFE, err := core.NewClient(cl.World.Comm(serverRank), sanOpts)
 	if err != nil {
 		return err
 	}
-	// Every control-plane RPC below carries the server's current epoch as
-	// its fencing token (read at call time — promotions change it), and
-	// translates the daemon's fenced rejection into arm.ErrFenced so the
-	// server's health machinery recognizes its own deposition.
+	cl.sanitizers = append(cl.sanitizers, sanFE)
+	// One handle per daemon rank serves every control-plane RPC below, for
+	// the life of the server: a reap or a fence leaves the handle listed
+	// on sanFE, so a fresh Attach per call would grow that list without
+	// bound. Each call carries a fencing token (the server's current epoch,
+	// read at call time — promotions change it), and a daemon's fenced
+	// rejection is translated into arm.ErrFenced so the server's health
+	// machinery recognizes its own deposition.
+	handles := make(map[int]*core.Accel)
+	fenced := func(rank int, epoch uint64) *core.Accel {
+		ac := handles[rank]
+		if ac == nil {
+			ac = sanFE.Attach(rank)
+			handles[rank] = ac
+		}
+		ac.SetFence(epoch)
+		return ac
+	}
 	srv.SetSanitizer(func(p *sim.Proc, rank int) error {
-		ac := sanFE.Attach(rank)
-		ac.SetFence(srv.Epoch())
-		return fenceErr("sanitize", rank, ac.Reset(p))
+		return fenceErr("sanitize", rank, fenced(rank, srv.Epoch()).Reset(p))
 	})
 	if cfg.ShareCapacity > 0 {
 		// Expired sharer leases must not device-reset the accelerator
 		// under the surviving tenants: reap only the dead client's
 		// sessions instead.
 		srv.SetSessionReaper(func(p *sim.Proc, rank, client int) error {
-			ac := sanFE.Attach(rank)
-			ac.SetFence(srv.Epoch())
-			return fenceErr("reap", rank, ac.ReapSessions(p, client))
+			return fenceErr("reap", rank, fenced(rank, srv.Epoch()).ReapSessions(p, client))
 		})
 	}
 	// The fencer pushes a just-minted epoch to one daemon at promotion
@@ -646,11 +654,8 @@ func (cl *Cluster) armHealthSetup(srv *arm.Server, rank int, opts core.Options) 
 	// ARM never opens tenant sessions), but it is fence-checked, so the
 	// daemon both records the new high-water mark and tells a fencer
 	// whose epoch is already stale that it, too, has been deposed.
-	serverRank := rank
 	srv.SetFencer(func(p *sim.Proc, rank int, epoch uint64) error {
-		ac := sanFE.Attach(rank)
-		ac.SetFence(epoch)
-		return fenceErr("fence", rank, ac.ReapSessions(p, serverRank))
+		return fenceErr("fence", rank, fenced(rank, epoch).ReapSessions(p, serverRank))
 	})
 	return nil
 }
@@ -669,7 +674,7 @@ func fenceErr(what string, rank int, err error) error {
 // re-resolves the owning shard's serving rank on every beat, so
 // heartbeats follow a failover to the promoted follower.
 func (cl *Cluster) daemonConfig(rank int) core.DaemonConfig {
-	dc := cl.dcfg
+	dc := cl.env.dcfg
 	if cl.cfg.Health != nil && cl.cfg.Health.HeartbeatInterval > 0 {
 		comm, dir, id := cl.World.Comm(rank), cl.dir, rank-cl.cfg.ComputeNodes
 		dc.HeartbeatInterval = cl.cfg.Health.HeartbeatInterval
@@ -680,22 +685,26 @@ func (cl *Cluster) daemonConfig(rank int) core.DaemonConfig {
 	return dc
 }
 
-// Node returns the context of compute node i (for inspection in tests).
-func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
-
-// Spawn registers main as compute node i's process. Call once per node
-// before Run.
-func (cl *Cluster) Spawn(i int, main func(p *sim.Proc, n *Node)) {
+// Spawn registers main as compute node i's process; the node must be
+// hosted by this cluster. Call before Run.
+func (cl *Cluster) Spawn(i int, main func(p *sim.Proc, n *Node)) error {
+	if i < 0 || i >= len(cl.nodes) || cl.nodes[i] == nil {
+		return fmt.Errorf("cluster: compute node %d is not hosted here", i)
+	}
 	node := cl.nodes[i]
 	proc := cl.Sim.Spawn(fmt.Sprintf("cn%d", i), func(p *sim.Proc) { main(p, node) })
 	cl.mains = append(cl.mains, proc)
 	cl.nodeMains[i] = append(cl.nodeMains[i], proc)
+	return nil
 }
 
-// SpawnAll registers the same main on every compute node (SPMD style).
+// SpawnAll registers the same main on every compute node hosted here
+// (SPMD style).
 func (cl *Cluster) SpawnAll(main func(p *sim.Proc, n *Node)) {
-	for i := range cl.nodes {
-		cl.Spawn(i, main)
+	for i, n := range cl.nodes {
+		if n != nil {
+			cl.Spawn(i, main)
+		}
 	}
 }
 
@@ -703,111 +712,136 @@ func (cl *Cluster) SpawnAll(main func(p *sim.Proc, n *Node)) {
 // infrastructure (daemons, ARM) is shut down. It returns the first
 // simulation error and the final virtual time.
 func (cl *Cluster) Run() (sim.Time, error) {
-	cl.Sim.Spawn("teardown", func(p *sim.Proc) {
-		for _, m := range cl.mains {
-			m.Done().Await(p)
-		}
-		// The health watchers would otherwise block in RecvNotice forever
-		// (and could race teardown's use of the same ARM clients).
-		for _, wp := range cl.watchers {
-			wp.Kill()
-		}
-		// Auto-release: any accelerator still held when a job's main
-		// returned is wiped and returned to the pool. Accelerators whose
-		// daemon died (chaos tests, injected failures) can't be reset over
-		// the wire; they are reported failed instead so the ARM's books
-		// stay consistent.
-		for _, n := range cl.nodes {
-			// Close leftover sessions first: a session close sanitizes only
-			// that session's allocations, so shared accelerators are never
-			// device-reset under surviving tenants.
-			for _, ac := range n.sessions {
-				d := cl.daemonAt(ac.Rank())
-				if d == nil || !d.Alive() || d.Device().Failed() != nil {
-					continue
-				}
-				if err := ac.CloseSession(p); err != nil && !errors.Is(err, core.ErrNoSession) {
-					panic(fmt.Sprintf("cluster: auto-release session close: %v", err))
-				}
-			}
-			leftovers := n.ARM.Held()
-			if len(leftovers) == 0 {
-				continue
-			}
-			for _, h := range leftovers {
-				d := cl.daemonAt(h.Rank)
-				if d == nil || !d.Alive() || d.Device().Failed() != nil {
-					if err := n.ARM.Fail(p, h.ID); err != nil && err != arm.ErrBadRequest {
-						panic(fmt.Sprintf("cluster: auto-release fail report: %v", err))
-					}
-					continue
-				}
-				if h.Shared {
-					// The node's state on a shared accelerator lives in its
-					// sessions, wiped above; a device-wide reset would take
-					// the other tenants' memory with it.
-					continue
-				}
-				if err := n.FE.Attach(h.Rank).Reset(p); err != nil {
-					panic(fmt.Sprintf("cluster: auto-release reset: %v", err))
-				}
-			}
-			if err := n.ARM.Release(p, leftovers); err != nil {
-				// The batch can be stale when the health subsystem revoked
-				// a lease behind the node's back (expiry, forced drain):
-				// release what is still ours, one by one.
-				for _, h := range leftovers {
-					if err := n.ARM.Release(p, []arm.Handle{h}); err != nil && err != arm.ErrBadRequest {
-						panic(fmt.Sprintf("cluster: auto-release: %v", err))
-					}
-				}
-			}
-		}
-		node := cl.nodes[0]
-		for _, d := range cl.Daemons {
-			if !d.Alive() {
-				continue // killed by fault injection; nothing to stop
-			}
-			// Shutdown through the regular protocol, from CN 0's front-end.
-			ac := node.FE.Attach(d.Rank())
-			if err := ac.Shutdown(p); err != nil {
-				panic(fmt.Sprintf("cluster: daemon shutdown: %v", err))
-			}
-		}
-		// Standby followers first: once the leaders stop beating, a
-		// surviving follower would promote itself into an empty cluster
-		// and tick forever.
-		for _, rp := range cl.shardReps {
-			if rp != nil {
-				rp.Stop() // no-op on promoted replicas
-			}
-		}
-		// Deposed leaders next: a leader that lost its shard to a
-		// promotion but was never crash-killed (a partition, not a
-		// crash) receives no shutdown — nothing routes to it — so it
-		// must be stopped like the stale process it is.
-		for sh, srv := range cl.shardSrvs {
-			if cl.dir.Serving(sh) != cl.dir.Leader(sh) && !srv.Closed() {
-				srv.Kill()
-			}
-		}
-		for sh, srv := range cl.shardSrvs {
-			if rp := cl.ARMShardReplica(sh); rp != nil && rp.Promoted() {
-				srv = rp.Server()
-			}
-			if srv.Closed() {
-				continue // crash-killed by the test; nothing to stop
-			}
-			if err := node.ARM.ShutdownShard(p, sh); err != nil {
-				panic(fmt.Sprintf("cluster: arm shard %d shutdown: %v", sh, err))
-			}
-		}
-	})
+	cl.Sim.Spawn("teardown", cl.teardown)
 	err := cl.Sim.Run()
 	return cl.Sim.Now(), err
 }
 
-// daemonAt returns the daemon listening on a world rank, or nil.
+// teardown waits for the node mains, auto-releases what they still hold
+// and shuts the infrastructure down. Every request's target is judged by
+// what this process can observe of it. A daemon or ARM server hosted here
+// is inspected first — one that is dead gets no request — and an error
+// from one that is alive is a bug, so it panics. One hosted elsewhere can
+// only be tried: an error (its timeout, typically) means unreachable and
+// teardown moves on. Either way an accelerator that could not be wiped is
+// reported failed, never released as clean.
+func (cl *Cluster) teardown(p *sim.Proc) {
+	for _, m := range cl.mains {
+		m.Done().Await(p)
+	}
+	// The health watchers would otherwise block in RecvNotice forever
+	// (and could race teardown's use of the same ARM clients).
+	for _, wp := range cl.watchers {
+		wp.Kill()
+	}
+	var lead *Node // the first node hosted here runs the shutdowns
+	for _, n := range cl.nodes {
+		if n == nil {
+			continue
+		}
+		if lead == nil {
+			lead = n
+		}
+		// Close leftover sessions first: a session close sanitizes only
+		// that session's allocations, so shared accelerators are never
+		// device-reset under surviving tenants.
+		var unwiped []int // daemon ranks a session close did not get through to
+		for _, ac := range n.sessions {
+			d := cl.daemonAt(ac.Rank())
+			closed := !broken(d)
+			if closed {
+				err := ac.CloseSession(p)
+				closed = errors.Is(err, core.ErrNoSession) || settle(d != nil, "auto-release session close", err)
+			}
+			if !closed {
+				unwiped = append(unwiped, ac.Rank())
+			}
+		}
+		leftovers := n.ARM.Held()
+		if len(leftovers) == 0 {
+			continue
+		}
+		for _, h := range leftovers {
+			d := cl.daemonAt(h.Rank)
+			clean := !broken(d) && !slices.Contains(unwiped, h.Rank)
+			if clean && !h.Shared {
+				// (The node's state on a shared accelerator lives in its
+				// sessions, wiped above; a device-wide reset would take
+				// the other tenants' memory with it.)
+				clean = settle(d != nil, "auto-release reset", n.FE.Attach(h.Rank).Reset(p))
+			}
+			if !clean {
+				err := n.ARM.Fail(p, h.ID)
+				settle(cl.armHosted(h.ID) && err != arm.ErrBadRequest, "auto-release fail report", err)
+			}
+		}
+		if err := n.ARM.Release(p, leftovers); err != nil {
+			// The batch can be stale when the health subsystem revoked
+			// a lease behind the node's back (expiry, forced drain):
+			// release what is still ours, one by one.
+			for _, h := range leftovers {
+				err := n.ARM.Release(p, []arm.Handle{h})
+				settle(cl.armHosted(h.ID) && err != arm.ErrBadRequest, "auto-release", err)
+			}
+		}
+	}
+	if lead == nil {
+		return // nothing hosted here runs the application; no teardown to lead
+	}
+	for i, d := range cl.Daemons {
+		if d != nil && !d.Alive() {
+			continue // killed by fault injection; nothing to stop
+		}
+		// Shutdown through the regular protocol, from the lead's front-end.
+		settle(d != nil, "daemon shutdown", lead.FE.Attach(cl.DaemonRank(i)).Shutdown(p))
+	}
+	// Standby followers first: once the leaders stop beating, a
+	// surviving follower would promote itself into an empty cluster
+	// and tick forever.
+	for _, rp := range cl.shardReps {
+		if rp != nil {
+			rp.Stop() // no-op on promoted replicas
+		}
+	}
+	for sh, srv := range cl.shardSrvs {
+		// A deposed leader that was never crash-killed (a partition, not
+		// a crash) receives no shutdown — nothing routes to it — so it
+		// is stopped like the stale process it is.
+		if srv != nil && cl.dir.Serving(sh) != cl.dir.Leader(sh) && !srv.Closed() {
+			srv.Kill()
+		}
+	}
+	for sh, srv := range cl.shardSrvs {
+		if rp := cl.shardReps[sh]; rp != nil && rp.Promoted() {
+			srv = rp.Server()
+		}
+		if srv != nil && srv.Closed() {
+			continue // crash-killed by the test; nothing to stop
+		}
+		settle(srv != nil, fmt.Sprintf("arm shard %d shutdown", sh), lead.ARM.ShutdownShard(p, sh))
+	}
+}
+
+// settle takes the outcome of one teardown request: an error from a peer
+// hosted in this simulation is fatal, one from a remote peer means the
+// peer is unreachable. It reports whether the request succeeded.
+func settle(fatal bool, what string, err error) bool {
+	if err != nil && fatal {
+		panic(fmt.Sprintf("cluster: %s: %v", what, err))
+	}
+	return err == nil
+}
+
+// broken reports whether a daemon hosted here (non-nil) is observably
+// unable to wipe its device: crash-killed, or its device failed.
+func broken(d *core.Daemon) bool {
+	return d != nil && (!d.Alive() || d.Device().Failed() != nil)
+}
+
+// armHosted reports whether the shard owning accelerator id serves here.
+func (cl *Cluster) armHosted(id int) bool { return cl.shardSrvs[cl.dir.OwnerOf(id)] != nil }
+
+// daemonAt returns the daemon hosted here on a world rank, or nil.
 func (cl *Cluster) daemonAt(rank int) *core.Daemon {
 	i := rank - cl.cfg.ComputeNodes
 	if i < 0 || i >= len(cl.Daemons) {
@@ -849,10 +883,16 @@ func (cl *Cluster) DrainDaemon(p *sim.Proc, n *Node, i int, deadline sim.Duratio
 	if err := n.ARM.Drain(p, i, deadline); err != nil {
 		return err
 	}
-	if d := cl.Daemons[i]; d.Alive() {
-		return n.FE.Attach(d.Rank()).Shutdown(p)
+	return cl.stopDaemon(p, n, i)
+}
+
+// stopDaemon shuts accelerator daemon i down through the regular
+// protocol, unless it is hosted here and already dead.
+func (cl *Cluster) stopDaemon(p *sim.Proc, n *Node, i int) error {
+	if d := cl.Daemons[i]; d != nil && !d.Alive() {
+		return nil
 	}
-	return nil
+	return n.FE.Attach(cl.DaemonRank(i)).Shutdown(p)
 }
 
 // promoteThreshold resolves the follower-promotion silence threshold the
@@ -893,10 +933,7 @@ func (cl *Cluster) RetireDaemon(p *sim.Proc, n *Node, i int, deadline sim.Durati
 	if err := n.ARM.Retire(p, i, deadline); err != nil {
 		return err
 	}
-	if d := cl.Daemons[i]; d.Alive() {
-		return n.FE.Attach(d.Rank()).Shutdown(p)
-	}
-	return nil
+	return cl.stopDaemon(p, n, i)
 }
 
 // RestartDaemon replaces a killed daemon i with a fresh one on the same

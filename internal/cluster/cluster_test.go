@@ -319,3 +319,54 @@ func TestExplicitReleaseClearsBookkeeping(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSanitizerHandlesBounded drives the ARM-side front-ends the way a
+// long-lived server does — a sharer lease expiring over and over on one
+// daemon, then a promotion fencing it, then more expiries under the
+// promoted follower — and pins that each sanitizer client keeps one handle
+// per daemon, not one per reap or fence.
+func TestSanitizerHandlesBounded(t *testing.T) {
+	const (
+		ttl      = 4 * sim.Millisecond
+		expiries = 50
+	)
+	hc := arm.HealthConfig{HeartbeatInterval: sim.Millisecond, LeaseTTL: ttl}
+	cl, err := New(Config{ComputeNodes: 1, Accelerators: 1, ShareCapacity: 2,
+		Health: &hc, ARMReplicas: true, ARMPromoteAfter: 5 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Spawn(0, func(p *sim.Proc, n *Node) {
+		lapse := func(rounds int) {
+			for i := 0; i < rounds; i++ {
+				if _, err := n.ARM.AcquireShared(p, 1, true); err != nil {
+					t.Errorf("acquire %d: %v", i, err)
+					return
+				}
+				p.Wait(2 * ttl) // silent past the lease: the ARM revokes it and reaps
+			}
+		}
+		lapse(expiries)
+		cl.KillARMShard(0)
+		lapse(5) // replayed to the follower once it promotes
+		if rp := cl.ARMShardReplica(0); !rp.Promoted() {
+			t.Error("follower not promoted after the leader kill")
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	led, promoted := cl.ARMShardServer(0).Snapshot(), cl.ARMShardReplica(0).Server().Snapshot()
+	if led.Reclaimed < expiries || promoted.Reclaimed < 5 {
+		t.Fatalf("leases reclaimed: %d by the leader, %d by the promoted follower; the scenario did not run",
+			led.Reclaimed, promoted.Reclaimed)
+	}
+	if len(cl.sanitizers) != 2 {
+		t.Fatalf("%d sanitizer clients, want leader's and follower's", len(cl.sanitizers))
+	}
+	for i, fe := range cl.sanitizers {
+		if got := fe.Attached(); got > len(cl.Daemons) {
+			t.Errorf("sanitizer client %d lists %d handles for %d daemon(s)", i, got, len(cl.Daemons))
+		}
+	}
+}

@@ -69,9 +69,6 @@ func armCapOf(m gpu.Model) arm.Capability {
 	return arm.Capability{Class: m.Class, Kernels: append([]string(nil), m.KernelClasses...)}
 }
 
-// hetero reports whether a per-accelerator model list is configured.
-func (env *buildEnv) hetero() bool { return len(env.models) > 0 }
-
 // modelFor returns accelerator i's device model.
 func (env *buildEnv) modelFor(i int) gpu.Model {
 	if len(env.models) > 0 {
@@ -84,7 +81,7 @@ func (env *buildEnv) modelFor(i int) gpu.Model {
 // on heterogeneous fleets and untagged otherwise.
 func (env *buildEnv) inventoryHandle(computeNodes, id int) arm.Handle {
 	h := arm.Handle{ID: id, Rank: computeNodes + id}
-	if env.hetero() {
+	if len(env.models) > 0 {
 		h.Cap = armCapOf(env.modelFor(id))
 	}
 	return h

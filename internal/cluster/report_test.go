@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"dynacc/internal/sim"
@@ -37,31 +36,28 @@ func TestReportCountsActivity(t *testing.T) {
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r := cl.Report()
-	if r.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
+	// The three sources every consumer reads directly: the device's
+	// counters, the daemon's, and the world's per-rank traffic.
+	if len(cl.Daemons) != 1 {
+		t.Fatalf("%d daemons, want 1", len(cl.Daemons))
 	}
-	if len(r.Accels) != 1 || len(r.Nodes) != 2 {
-		t.Fatalf("report shape: %d accels, %d nodes", len(r.Accels), len(r.Nodes))
+	d := cl.Daemons[0]
+	dev := d.Device().Stats()
+	if dev.BytesIn != n || dev.BytesOut != n/2 {
+		t.Errorf("device bytes = %d in, %d out", dev.BytesIn, dev.BytesOut)
 	}
-	a := r.Accels[0]
-	if a.BytesIn != n || a.BytesOut != n/2 {
-		t.Errorf("device bytes = %d in, %d out", a.BytesIn, a.BytesOut)
+	if elapsed := sim.Duration(cl.Sim.Now()); elapsed <= 0 || dev.Busy <= 0 || dev.Busy > elapsed {
+		t.Errorf("device busy %v of %v elapsed", dev.Busy, elapsed)
 	}
-	if a.GPUBusy <= 0 || a.GPUBusy > 1 {
-		t.Errorf("GPU busy = %v", a.GPUBusy)
-	}
-	if a.Requests == 0 {
+	if d.Stats().Requests == 0 {
 		t.Error("no requests recorded")
 	}
-	// Node 0 moved the payloads; node 1 idled.
-	if r.Nodes[0].BytesSent <= r.Nodes[1].BytesSent {
-		t.Errorf("node byte accounting: %d vs %d", r.Nodes[0].BytesSent, r.Nodes[1].BytesSent)
+	// Node 0 moved the payloads; node 1 idled; the daemon received them.
+	cn0, cn1, ac := cl.World.Traffic(0), cl.World.Traffic(1), cl.World.Traffic(d.Rank())
+	if cn0.BytesSent <= cn1.BytesSent || cn0.BytesSent < n {
+		t.Errorf("node byte accounting: %d vs %d", cn0.BytesSent, cn1.BytesSent)
 	}
-	text := r.String()
-	for _, want := range []string{"cluster activity", "ac0", "cn0", "gpu-busy"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("report text missing %q:\n%s", want, text)
-		}
+	if ac.BytesReceived < n || ac.BytesSent < n/2 || ac.RxBusy <= 0 {
+		t.Errorf("daemon traffic: %+v", ac)
 	}
 }

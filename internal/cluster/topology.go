@@ -16,9 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"dynacc/internal/arm"
-	"dynacc/internal/core"
-	"dynacc/internal/minimpi"
 	"dynacc/internal/nettrans"
 	"dynacc/internal/sim"
 )
@@ -32,32 +29,19 @@ type Layout struct {
 	Total   int
 }
 
-// RankLayout computes the Layout for a Config, mirroring New.
+// RankLayout computes the Layout for a Config.
 func RankLayout(cfg Config) Layout {
-	var l Layout
-	for i := 0; i < cfg.ComputeNodes; i++ {
-		l.Compute = append(l.Compute, i)
+	armRanks := max(cfg.ARMShards, 1)
+	if cfg.ARMReplicas {
+		armRanks *= 2
 	}
-	daemonRanks := cfg.Accelerators + cfg.SpareAccelerators
-	for i := 0; i < daemonRanks; i++ {
-		l.Daemons = append(l.Daemons, cfg.ComputeNodes+i)
+	cn, ac := max(cfg.ComputeNodes, 0), max(cfg.Accelerators+cfg.SpareAccelerators, 0)
+	all := make([]int, cn+ac+armRanks)
+	for r := range all {
+		all[r] = r
 	}
-	armBase := cfg.ComputeNodes + daemonRanks
-	armRanks := 1
-	if shards := cfg.ARMShards; shards > 1 || cfg.ARMReplicas {
-		if shards < 1 {
-			shards = 1
-		}
-		armRanks = shards
-		if cfg.ARMReplicas {
-			armRanks *= 2
-		}
-	}
-	for i := 0; i < armRanks; i++ {
-		l.ARM = append(l.ARM, armBase+i)
-	}
-	l.Total = armBase + armRanks
-	return l
+	// Capped, so appending to one tier never writes into the next.
+	return Layout{Compute: all[:cn:cn], Daemons: all[cn : cn+ac : cn+ac], ARM: all[cn+ac:], Total: len(all)}
 }
 
 // Topology assigns every world rank to a process and names where each
@@ -173,13 +157,13 @@ func resolveRole(l Layout, role string) ([]int, error) {
 	return pool[from : to+1], nil
 }
 
-// Member is one process of a socket-mode deployment: the subset of the
-// cluster its topology entry assigns to it, wired to the rest over TCP.
+// Member is one process of a socket-mode deployment: a Cluster holding
+// the ranks its topology entry assigns to it, wired to the rest over TCP
+// and driven in real time.
 type Member struct {
-	Cluster *Cluster // local components only; Sim and World always set
-	ProcID  int
+	*Cluster
+	ProcID int
 
-	topo     Topology
 	tr       *nettrans.Transport
 	quit     chan struct{}
 	quitOnce sync.Once
@@ -191,18 +175,16 @@ type Member struct {
 const socketTimeout = 2 * sim.Second
 
 // StartProcess builds the process topo.Procs[procID] of a socket-mode
-// deployment: a simulation and full-size world of its own, the compute
-// nodes / accelerator daemons / resource manager whose ranks the topology
-// assigns to this process, and a TCP transport joining the other
-// processes. Drive it with Run (processes hosting the application) or
-// Serve (infrastructure-only processes), both of which own the real-time
-// loop.
+// deployment: the same cluster New builds, reduced to the ranks the
+// topology assigns to this process, plus a TCP transport joining the
+// other processes. Drive it with Run (processes hosting the application)
+// or Serve (infrastructure-only processes), both of which own the
+// real-time loop.
 //
 // Restriction against the in-sim builder: ARMReplicas is not supported —
 // a follower's promotion mutates the shard directory, and every process
-// holds its own copy. ARMShards > 1 works, across OS processes too: a
-// directory without followers is never written, so each process derives
-// an identical one from cfg.
+// holds its own copy. (A directory without followers is never written, so
+// each process derives an identical one from cfg.)
 func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 	if cfg.ARMReplicas {
 		return nil, fmt.Errorf("cluster: ARM replicas are not supported over sockets")
@@ -210,72 +192,26 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 	if procID < 0 || procID >= len(topo.Procs) {
 		return nil, fmt.Errorf("cluster: proc id %d out of range [0,%d)", procID, len(topo.Procs))
 	}
-	env, dcfg, err := resolveBuild(cfg)
+	env, err := resolveBuild(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if env.opts.Timeout <= 0 {
 		env.opts.Timeout = socketTimeout
 	}
-	if dcfg.PayloadTimeout <= 0 {
-		dcfg.PayloadTimeout = socketTimeout
+	if env.dcfg.PayloadTimeout <= 0 {
+		env.dcfg.PayloadTimeout = socketTimeout
 	}
-
-	l := RankLayout(cfg)
-	s := sim.New()
-	w, err := minimpi.NewWorld(s, l.Total, env.net)
+	cl, err := build(cfg, env, topo.Procs[procID].Ranks)
 	if err != nil {
 		return nil, err
 	}
-	daemonRanks := cfg.Accelerators + cfg.SpareAccelerators
-	cl := &Cluster{Sim: s, World: w, cfg: cfg, dcfg: dcfg, env: env,
-		armRank:   cfg.ComputeNodes + daemonRanks,
-		nodeMains: make([][]*sim.Proc, cfg.ComputeNodes),
-		Daemons:   make([]*core.Daemon, daemonRanks),
-		nodes:     make([]*Node, cfg.ComputeNodes),
-		dir:       l.directory(false),
-	}
-	cl.appGroup, err = w.NewGroup(l.Compute)
-	if err != nil {
-		return nil, err
-	}
-
-	// The full regular inventory — the ARM rank needs it whether or not
-	// the daemons are local.
-	inventory := make([]arm.Handle, 0, cfg.Accelerators)
-	for i := 0; i < cfg.Accelerators; i++ {
-		inventory = append(inventory, env.inventoryHandle(cfg.ComputeNodes, i))
-	}
-
-	// Build only the locally hosted ranks, in rank order so construction
-	// stays deterministic per process.
-	local := append([]int(nil), topo.Procs[procID].Ranks...)
-	for _, r := range local {
-		switch {
-		case r < 0 || r >= l.Total:
-			return nil, fmt.Errorf("cluster: topology assigns rank %d outside world [0,%d)", r, l.Total)
-		case r < cfg.ComputeNodes:
-			if err := cl.addComputeNode(r); err != nil {
-				return nil, err
-			}
-		case r < cl.armRank:
-			if err := cl.addAccelNode(r - cfg.ComputeNodes); err != nil {
-				return nil, err
-			}
-		default:
-			sh := r - cl.armRank
-			if _, err := cl.startARM(sh, shardInventory(cl.dir, inventory)[sh]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	var ln net.Listener
 	if topo.Listeners != nil {
 		ln = topo.Listeners[procID]
 	}
 	tr, err := nettrans.New(nettrans.Config{
-		World:    w,
+		World:    cl.World,
 		ProcID:   procID,
 		Procs:    topo.Procs,
 		Token:    topo.Token,
@@ -284,74 +220,45 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.SetTransport(tr)
-	return &Member{Cluster: cl, ProcID: procID, topo: topo, tr: tr, quit: make(chan struct{})}, nil
+	cl.World.SetTransport(tr)
+	return &Member{Cluster: cl, ProcID: procID, tr: tr, quit: make(chan struct{})}, nil
 }
 
 // Transport exposes the member's TCP transport (stats, WaitReady).
 func (m *Member) Transport() *nettrans.Transport { return m.tr }
 
-// Node returns the context of compute node i, which must be hosted here.
-func (m *Member) Node(i int) *Node { return m.Cluster.nodes[i] }
-
-// Spawn registers main as compute node i's process; rank i must be hosted
-// by this member. Call before Run.
-func (m *Member) Spawn(i int, main func(p *sim.Proc, n *Node)) error {
-	if i < 0 || i >= len(m.Cluster.nodes) || m.Cluster.nodes[i] == nil {
-		return fmt.Errorf("cluster: compute node %d is not hosted by proc %d", i, m.ProcID)
-	}
-	m.Cluster.Spawn(i, main)
-	return nil
-}
-
-// SpawnAll registers main on every compute node this member hosts.
-func (m *Member) SpawnAll(main func(p *sim.Proc, n *Node)) {
-	for i, n := range m.Cluster.nodes {
-		if n != nil {
-			m.Cluster.Spawn(i, main)
-		}
-	}
-}
-
 // Stop asks a running Run or Serve to wind down.
 func (m *Member) Stop() { m.quitOnce.Do(func() { close(m.quit) }) }
 
 // Run drives a process hosting (part of) the application: the real-time
-// loop runs until every spawned node main finishes, then this member
-// performs the distributed teardown — auto-release of held accelerators,
+// loop runs until every spawned node main finishes and this member has
+// performed the cluster teardown — auto-release of held accelerators,
 // daemon and ARM shutdown — over the wire, tolerating unreachable peers
 // (a dead daemon answers nothing; its timeout is the answer). Exactly one
 // member of the topology should run the teardown: the one hosting compute
 // node 0, by convention.
-func (m *Member) Run() error {
-	cl := m.Cluster
-	done := make(chan struct{})
-	cl.Sim.Spawn("teardown", func(p *sim.Proc) {
-		defer close(done)
-		m.teardown(p)
-	})
-	return m.drive(done)
-}
+func (m *Member) Run() error { return m.drive("teardown", m.teardown) }
 
 // Serve drives an infrastructure-only process (accelerator daemons, the
 // ARM): the real-time loop runs until every hosted infrastructure process
 // exits — daemons and managers leave when the application's teardown sends
 // their shutdown over the wire — or Stop is called.
 func (m *Member) Serve() error {
-	cl := m.Cluster
-	done := make(chan struct{})
-	cl.Sim.Spawn("serve-watch", func(p *sim.Proc) {
-		defer close(done)
-		for _, pr := range cl.infraProcs {
+	return m.drive("serve-watch", func(p *sim.Proc) {
+		for _, pr := range m.infraProcs {
 			pr.Done().Await(p)
 		}
 	})
-	return m.drive(done)
 }
 
-// drive runs the real-time loop until done or Stop, then drains and
-// closes the transport.
-func (m *Member) drive(done chan struct{}) error {
+// drive runs the real-time loop until the process until has returned or
+// Stop is called, then drains and closes the transport.
+func (m *Member) drive(name string, until func(p *sim.Proc)) error {
+	done := make(chan struct{})
+	m.Sim.Spawn(name, func(p *sim.Proc) {
+		defer close(done)
+		until(p)
+	})
 	stop := make(chan struct{})
 	go func() {
 		select {
@@ -360,56 +267,8 @@ func (m *Member) drive(done chan struct{}) error {
 		}
 		close(stop)
 	}()
-	err := m.Cluster.Sim.RunRealtime(stop)
+	err := m.Sim.RunRealtime(stop)
 	m.tr.Flush(2 * time.Second)
 	m.tr.Close()
 	return err
-}
-
-// teardown is the socket-mode analogue of Cluster.Run's epilogue: release
-// what the local nodes still hold and shut the infrastructure down over
-// the wire. Every step is best-effort — an unreachable daemon times out
-// and is skipped, exactly like the in-sim teardown skips killed daemons.
-func (m *Member) teardown(p *sim.Proc) {
-	cl := m.Cluster
-	for _, mn := range cl.mains {
-		mn.Done().Await(p)
-	}
-	for _, wp := range cl.watchers {
-		wp.Kill()
-	}
-	var node *Node
-	for _, n := range cl.nodes {
-		if n == nil {
-			continue
-		}
-		if node == nil {
-			node = n
-		}
-		for _, ac := range n.sessions {
-			_ = ac.CloseSession(p)
-		}
-		leftovers := n.ARM.Held()
-		if len(leftovers) == 0 {
-			continue
-		}
-		for _, h := range leftovers {
-			if h.Shared {
-				continue // sessions above; never device-reset under other tenants
-			}
-			_ = n.FE.Attach(h.Rank).Reset(p)
-		}
-		if err := n.ARM.Release(p, leftovers); err != nil {
-			for _, h := range leftovers {
-				_ = n.ARM.Release(p, []arm.Handle{h})
-			}
-		}
-	}
-	if node == nil {
-		return // nothing hosted here runs the application; no teardown to lead
-	}
-	for r := cl.cfg.ComputeNodes; r < cl.armRank; r++ {
-		_ = node.FE.Attach(r).Shutdown(p)
-	}
-	_ = node.ARM.Shutdown(p)
 }

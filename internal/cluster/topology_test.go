@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dynacc/internal/arm"
+	"dynacc/internal/core"
 	"dynacc/internal/sim"
 )
 
@@ -264,4 +268,206 @@ func TestDistributedShardedARM(t *testing.T) {
 		t.Fatalf("client Run: %v", err)
 	}
 	join()
+}
+
+// components lists what a built cluster hosts, as one tag per world rank.
+func components(cl *Cluster) map[int]string {
+	got := make(map[int]string)
+	for i, n := range cl.nodes {
+		if n != nil {
+			got[n.World.Rank()] = "node"
+			if n.Rank != i || n.App.Rank() != i {
+				got[n.World.Rank()] = "node on the wrong rank"
+			}
+		}
+	}
+	for i, d := range cl.Daemons {
+		if d != nil {
+			got[d.Rank()] = "daemon"
+			if d.Rank() != cl.DaemonRank(i) {
+				got[d.Rank()] = "daemon on the wrong rank"
+			}
+		}
+	}
+	for sh := range cl.shardSrvs {
+		if cl.shardSrvs[sh] != nil {
+			got[cl.dir.Leader(sh)] = "arm"
+		}
+		if cl.shardReps[sh] != nil {
+			got[cl.dir.Follower(sh)] = "replica"
+		}
+	}
+	return got
+}
+
+// TestBuildPartitionsNew pins that a deployment is New's cluster cut along
+// rank boundaries and nothing else: however the ranks are spread over
+// processes, every rank is built exactly once, as the component New puts
+// there, and each process spawns only what it hosts.
+func TestBuildPartitionsNew(t *testing.T) {
+	hc := arm.DefaultHealthConfig()
+	for _, cfg := range []Config{
+		{ComputeNodes: 2, Accelerators: 3, SpareAccelerators: 1},
+		{ComputeNodes: 1, Accelerators: 4, ARMShards: 2, ShareCapacity: 2, Health: &hc},
+		{ComputeNodes: 2, Accelerators: 2, ARMShards: 2, ARMReplicas: true, Health: &hc, AutoMigrate: true},
+	} {
+		whole, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := components(whole)
+		l := RankLayout(cfg)
+		if len(want) != l.Total {
+			t.Fatalf("New built %d of %d ranks: %v", len(want), l.Total, want)
+		}
+		perRank := make([][]int, l.Total)
+		for r := range perRank {
+			perRank[r] = []int{r}
+		}
+		for name, rankSets := range map[string][][]int{
+			"all-in-one": {slices.Concat(l.Compute, l.Daemons, l.ARM)},
+			"three-tier": ThreeTierSplit(cfg),
+			"per-rank":   perRank,
+		} {
+			env, err := resolveBuild(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			union, procs := make(map[int]string), 0
+			for _, ranks := range rankSets {
+				part, err := build(cfg, env, ranks)
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, ranks, err)
+				}
+				got := components(part)
+				if len(got) != len(ranks) {
+					t.Errorf("%s: ranks %v built %v", name, ranks, got)
+				}
+				for r, c := range got {
+					if _, dup := union[r]; dup {
+						t.Errorf("%s: rank %d built twice", name, r)
+					}
+					union[r] = c
+				}
+				procs += part.Sim.LiveProcs()
+			}
+			if !maps.Equal(union, want) {
+				t.Errorf("%s: union of parts = %v, New = %v", name, union, want)
+			}
+			if whole := whole.Sim.LiveProcs(); procs != whole {
+				t.Errorf("%s: parts spawned %d processes, New %d", name, procs, whole)
+			}
+		}
+	}
+	if _, err := build(Config{ComputeNodes: 1}, buildEnv{}, []int{2}); err == nil {
+		t.Error("rank outside the world accepted")
+	}
+}
+
+// heldOnDeadDaemon is the auto-release scenario the two teardowns used to
+// answer differently: the node's main returns holding two exclusive
+// accelerators with device memory on both, one of whose daemons died
+// meanwhile (kill does that, by accelerator id).
+func heldOnDeadDaemon(t *testing.T, kill func(id int)) func(p *sim.Proc, n *Node) {
+	return func(p *sim.Proc, n *Node) {
+		handles, err := n.ARM.Acquire(p, 2, false)
+		if err != nil {
+			t.Errorf("acquire: %v", err)
+			return
+		}
+		for _, h := range handles {
+			if _, err := n.Attach(h).MemAlloc(p, 1<<16); err != nil {
+				t.Errorf("alloc on ac%d: %v", h.ID, err)
+			}
+		}
+		kill(handles[0].ID)
+	}
+}
+
+// checkDeadDaemonBooks reads the stopped ARM's books: the accelerator
+// whose daemon died is failed, never back in the pool as clean; the rest
+// are free and the survivors' devices wiped.
+func checkDeadDaemonBooks(t *testing.T, st arm.PoolStats, survivors []*core.Daemon) {
+	t.Helper()
+	if st.Total != 3 || st.Failed != 1 || st.Free != 2 || st.Assigned != 0 {
+		t.Errorf("ARM books after teardown: %d total, %d failed, %d free, %d assigned; want 3/1/2/0",
+			st.Total, st.Failed, st.Free, st.Assigned)
+	}
+	for _, d := range survivors {
+		if used := d.Device().MemUsed(); used != 0 {
+			t.Errorf("daemon rank %d still holds %d bytes", d.Rank(), used)
+		}
+	}
+}
+
+// TestTeardownFailsDeadDaemon pins that the one teardown keeps the same
+// promise on both backends: hosted in this simulation the dead daemon is
+// seen dead, hosted in another process it is found unreachable, and either
+// way its accelerator is reported failed.
+func TestTeardownFailsDeadDaemon(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Timeout = 50 * sim.Millisecond
+	cfg := Config{ComputeNodes: 1, Accelerators: 3, Execute: true, Options: &opts}
+
+	t.Run("sim", func(t *testing.T) {
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := -1
+		cl.Spawn(0, heldOnDeadDaemon(t, func(id int) { dead = id; cl.KillDaemon(id) }))
+		if _, err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		checkDeadDaemonBooks(t, cl.ARMShardServer(0).Snapshot(), slices.Delete(slices.Clone(cl.Daemons), dead, dead+1))
+	})
+
+	t.Run("socket", func(t *testing.T) {
+		// One process per rank: cn0 | ac0 | ac1 | ac2 | arm.
+		l := RankLayout(cfg)
+		var rankSets [][]int
+		for r := 0; r < l.Total; r++ {
+			rankSets = append(rankSets, []int{r})
+		}
+		topo, err := ListenTopology("teardown-test", rankSets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := make([]*Member, l.Total)
+		var wg sync.WaitGroup
+		for pid := range members {
+			if members[pid], err = StartProcess(cfg, topo, pid); err != nil {
+				t.Fatalf("StartProcess(%d): %v", pid, err)
+			}
+			if pid == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := members[pid].Serve(); err != nil {
+					t.Errorf("proc %d Serve: %v", pid, err)
+				}
+			}()
+		}
+		client := members[0]
+		dead := -1
+		if err := client.Spawn(0, heldOnDeadDaemon(t, func(id int) {
+			dead = id
+			members[client.DaemonRank(id)].Stop()
+		})); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Run(); err != nil {
+			t.Fatalf("client Run: %v", err)
+		}
+		wg.Wait()
+		var survivors []*core.Daemon
+		for id := 0; id < cfg.Accelerators; id++ {
+			if id != dead {
+				survivors = append(survivors, members[client.DaemonRank(id)].Daemons[id])
+			}
+		}
+		checkDeadDaemonBooks(t, members[l.ARM[0]].ARMShardServer(0).Snapshot(), survivors)
+	})
 }

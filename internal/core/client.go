@@ -183,6 +183,9 @@ func (c *Client) Options() Options { return c.opts }
 // WireStats to assert how many wire messages an operation sequence cost.
 func (c *Client) Comm() *minimpi.Comm { return c.comm }
 
+// Attached returns how many handles the client lists as in use.
+func (c *Client) Attached() int { return len(c.attached) }
+
 // SetReplacer installs the failover path used by Client.Failover. The
 // cluster builder wires its ARM client in here.
 func (c *Client) SetReplacer(r Replacer) { c.replacer = r }
