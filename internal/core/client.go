@@ -166,6 +166,8 @@ type Client struct {
 	// CopyConfig{Kind: Autotune} (autotune.go). Nil until the first
 	// Autotune-planned transfer; never touched on the default path.
 	tuner *tuner
+
+	spare [][]shadowBlock // emptied block lists, for the next streamed copy
 }
 
 // NewClient creates a front-end on the given communicator.
@@ -225,6 +227,9 @@ func (a *Accel) list() {
 func (a *Accel) finished(err error) error {
 	if err != nil {
 		return err
+	}
+	for _, rec := range a.allocs {
+		a.dropPending(rec)
 	}
 	a.allocs = make(map[gpu.Ptr]*allocRecord)
 	a.remap = make(map[gpu.Ptr]gpu.Ptr)
@@ -296,12 +301,24 @@ func (a *Accel) ReapSessions(p *sim.Proc, clientRank int) error {
 }
 
 // allocRecord is the front-end's failover ledger entry for one device
-// allocation: its size, and a lazily created host mirror of everything
-// the front-end itself put there (uploads and memsets). The mirror is
-// what Failover replays onto a replacement accelerator.
+// allocation: its size and the host shadow Failover replays — a mirror made
+// on first need, overlaid by pending blocks (disjoint, oldest first; see keep).
 type allocRecord struct {
-	size   int
-	shadow []byte
+	size, pendBytes int
+	shadow          []byte
+	pend            []shadowBlock
+}
+
+// shadowBlock is one pooled block of a streamed copy: packed bytes
+// [lo, lo+len(buf)) of window win.
+type shadowBlock struct {
+	buf []byte
+	lo  int
+	win window
+}
+
+func (r *allocRecord) holds(w window) bool {
+	return r != nil && w.colBytes > 0 && w.off >= 0 && w.end() <= r.size
 }
 
 // virtBase is where minted pointer ids start; far above any address a
@@ -444,11 +461,12 @@ type call struct {
 	cmds    []*call   // an opBatch's recorded commands, in q.batch order
 
 	// A streamed copy's block loop (see stream).
-	dir   TransferDir
-	host  []byte             // the packed host bytes, source or destination; nil in model mode
-	sends []*minimpi.Request // host-to-device: every block's send, posted up front
-	i, nb int                // the block the loop is at, of how many
-	t0    sim.Time
+	dir    TransferDir
+	host   []byte             // the packed host bytes, source or destination; nil in model mode
+	sends  []*minimpi.Request // host-to-device: every block's send, posted up front
+	blocks []shadowBlock      // with a host side: an upload's every block, a download's as they came
+	i, nb  int                // the block the loop is at, of how many
+	t0     sim.Time
 }
 
 // stateCall is what a synchronous caller is blocked on, parkedCopy what the
@@ -574,6 +592,7 @@ func (cl *call) finish(rsp *response, err error) {
 	if cl.dir != 0 {
 		cl.a.sim().Unpark(parkedCopy)
 		cl.sends = nil // the caller's Pending may outlive the copy by long
+		cl.keep()
 	}
 	cl.done.Trigger()
 	if cl.p != nil {
@@ -585,26 +604,62 @@ func (cl *call) finish(rsp *response, err error) {
 // forgets the allocation, and whatever the front-end itself put into device
 // memory — a memset's value, an upload's or inline write's bytes — or read
 // from it (a download is host-visible truth all the same) goes into the
-// allocation's host shadow. A streamed copy also teaches the link model.
+// allocation's host shadow (a streamed copy's blocks: see keep). A streamed
+// copy also teaches the link model.
 func (cl *call) applied() {
 	a, q := cl.a, cl.q
-	src := cl.host
+	rec := a.allocs[cl.app]
 	switch q.op {
 	case OpMemFree:
+		if rec != nil {
+			a.dropPending(rec)
+		}
 		delete(a.allocs, cl.app)
 		delete(a.remap, cl.app)
-		return
 	case OpMemset:
+		a.shadowWrite(rec, q.window(), nil, q.value)
 	case OpWriteInline:
-		src = q.inline
+		if q.inline != nil {
+			a.shadowWrite(rec, q.window(), q.inline, 0)
+		}
 	case OpMemcpyH2D, OpMemcpyD2H:
 		a.c.tuneRecord(a.c.protocol(cl.dir), a.rank, cl.dir, q.block, q.size, a.sim().Now().Sub(cl.t0))
-	default:
-		return
 	}
-	if src != nil || q.op == OpMemset {
-		colBytes, cols, pitch := q.geometry()
-		a.shadowWrite(cl.app, q.off, colBytes, cols, pitch, src, q.value)
+}
+
+// keep hands a finished copy's pooled blocks — kept instead of copied — to
+// the shadow if it succeeded, else back to the pool (not an upload's: a
+// transport may still be writing it). Whole cover drops the mirror.
+func (cl *call) keep() {
+	a, w := cl.a, cl.q.window()
+	if rec := a.allocs[cl.app]; cl.err == nil && cl.host != nil && rec.holds(w) {
+		a.makeRoom(rec, w)
+		for i := range cl.blocks {
+			cl.blocks[i].win = w
+			rec.pendBytes += len(cl.blocks[i].buf)
+		}
+		if len(rec.pend) == 0 { // the copy's list becomes the record's
+			rec.pend, cl.blocks = cl.blocks, rec.pend
+		} else {
+			rec.pend = append(rec.pend, cl.blocks...)
+		}
+		if rec.pendBytes == rec.size {
+			rec.shadow = nil
+		}
+	} else if cl.err == nil || cl.dir == DirD2H {
+		for _, b := range cl.blocks {
+			a.c.comm.World().PutBuf(b.buf)
+		}
+	}
+	a.c.spareBlocks(cl.blocks)
+	cl.blocks = nil
+}
+
+// spareBlocks keeps an emptied block list for the next streamed copy.
+func (c *Client) spareBlocks(b []shadowBlock) {
+	if cap(b) > 0 {
+		clear(b)
+		c.spare = append(c.spare, b[:0])
 	}
 }
 
@@ -764,18 +819,25 @@ func (a *Accel) streamCopy(dir TransferDir, q *request, host []byte) *Pending {
 }
 
 // startStream posts an upload's sends, all of them (each waits for the
-// daemon's clearance), and enters the block loop.
+// daemon's clearance) — with a host side, from pooled blocks the shadow keeps:
+// the upload's one host copy — and enters the block loop.
 func startStream(v any) {
 	cl := v.(*call)
 	a, q := cl.a, cl.q
 	cl.t0, cl.nb = a.sim().Now(), numBlocks(q.size, q.block)
+	if k := len(a.c.spare); cl.host != nil && k > 0 {
+		cl.blocks, a.c.spare = a.c.spare[k-1], a.c.spare[:k-1]
+	}
 	if cl.dir == DirH2D {
 		cl.sends = make([]*minimpi.Request, cl.nb)
 		for i := range cl.sends {
 			lo := i * q.block
 			hi := min(lo+q.block, q.size)
 			if cl.host != nil {
-				cl.sends[i] = a.c.comm.Isend(a.rank, dataTag(q.reqID), cl.host[lo:hi])
+				b := a.c.comm.World().GetBuf(hi - lo)
+				copy(b, cl.host[lo:hi])
+				cl.blocks = append(cl.blocks, shadowBlock{buf: b, lo: lo})
+				cl.sends[i] = a.c.comm.Isend(a.rank, dataTag(q.reqID), b)
 			} else {
 				cl.sends[i] = a.c.comm.IsendSized(a.rank, dataTag(q.reqID), hi-lo)
 			}
@@ -801,13 +863,11 @@ func (cl *call) stream() {
 		if !cl.await(a.sim(), a.c.opts.Timeout, blockOver, cl) {
 			return
 		}
-		if cl.dir == DirD2H {
-			if data, _ := cl.req.Result(); cl.host != nil && data != nil {
-				copy(cl.host[cl.i*q.block:], data)
-			}
+		if data, _ := cl.req.Result(); cl.dir == DirD2H && cl.host != nil && data != nil {
+			// A download's block arrives pool-owned: copied out, and kept.
+			copy(cl.host[cl.i*q.block:], data)
+			cl.blocks = append(cl.blocks, shadowBlock{buf: cl.req.TakePayload(), lo: cl.i * q.block})
 		}
-		// The block is done with, either way; a download's arrived in a
-		// pooled buffer (ownership handoff) whose bytes are copied out.
 		cl.req.Free()
 		cl.req = nil
 	}
@@ -863,24 +923,63 @@ func (a *Accel) MemFree(p *sim.Proc, ptr gpu.Ptr) error {
 }
 
 // shadowWrite mirrors a write to a device window — src's packed columns, or
-// with src nil the byte value throughout — into the allocation's host
-// shadow, made on first touch, so Failover can replay it.
-func (a *Accel) shadowWrite(ptr gpu.Ptr, off, colBytes, cols, pitch int, src []byte, value byte) {
-	rec := a.allocs[ptr]
-	if rec == nil || colBytes <= 0 || off < 0 || off+(cols-1)*pitch+colBytes > rec.size {
+// with src nil a memset's value — into the allocation's host mirror.
+func (a *Accel) shadowWrite(rec *allocRecord, w window, src []byte, value byte) {
+	if !rec.holds(w) {
 		return
 	}
+	a.makeRoom(rec, w)
 	if rec.shadow == nil {
 		rec.shadow = make([]byte, rec.size)
 	}
-	for c := 0; c < cols; c++ {
-		col := rec.shadow[off+c*pitch:][:colBytes]
-		if src != nil {
-			copy(col, src[c*colBytes:])
-		} else {
-			fillBytes(col, value)
-		}
+	if src == nil {
+		gpu.FillBytes(rec.shadow[w.off:w.end()], value) // a memset's window is contiguous
+	} else {
+		w.scatter(rec.shadow, 0, src)
 	}
+}
+
+// makeRoom readies the shadow for a write to w: pending blocks w surely covers
+// (its window, or contiguous over their extent) drop; other overlaps settle.
+func (a *Accel) makeRoom(rec *allocRecord, w window) {
+	kept, partial := rec.pend[:0], false
+	for _, b := range rec.pend {
+		lo, hi := b.win.at(b.lo), b.win.at(b.lo+len(b.buf)-1)+1
+		meets := lo < w.end() && w.off < hi
+		if meets && (b.win == w || w.pitch == w.colBytes && w.off <= lo && hi <= w.end()) {
+			a.c.comm.World().PutBuf(b.buf)
+			rec.pendBytes -= len(b.buf)
+			continue
+		}
+		partial = partial || meets
+		kept = append(kept, b)
+	}
+	clear(rec.pend[len(kept):])
+	if rec.pend = kept; partial {
+		a.settle(rec)
+	}
+}
+
+// settle folds the pending blocks into the mirror, oldest first, and drops
+// them; it reports whether there is a mirror.
+func (a *Accel) settle(rec *allocRecord) bool {
+	if len(rec.pend) > 0 && rec.shadow == nil {
+		rec.shadow = make([]byte, rec.size)
+	}
+	for _, b := range rec.pend {
+		b.win.scatter(rec.shadow, b.lo, b.buf)
+	}
+	a.dropPending(rec)
+	return rec.shadow != nil
+}
+
+// dropPending returns the pending blocks to the pool, their list to the client.
+func (a *Accel) dropPending(rec *allocRecord) {
+	for _, b := range rec.pend {
+		a.c.comm.World().PutBuf(b.buf)
+	}
+	a.c.spareBlocks(rec.pend)
+	rec.pend, rec.pendBytes = nil, 0
 }
 
 // checkWindow validates a strided window and, when the copy has a host side
@@ -973,19 +1072,6 @@ func (a *Accel) MemsetAsync(dst gpu.Ptr, off, n int, value byte, stream uint8) *
 		return a.failed(fmt.Errorf("core: Memset: negative size %d", n))
 	}
 	return a.submit(&request{op: OpMemset, stream: stream, ptr: dst, off: off, size: n, value: value})
-}
-
-// fillBytes sets every byte of b to v at memmove speed: a zero fill is a
-// clear, any other value is seeded once and doubled.
-func fillBytes(b []byte, v byte) {
-	if v == 0 || len(b) == 0 {
-		clear(b)
-		return
-	}
-	b[0] = v
-	for n := 1; n < len(b); n *= 2 {
-		copy(b[n:], b[:n])
-	}
 }
 
 // Kernel is a client-side kernel object, created per the paper's
@@ -1099,7 +1185,7 @@ func (c *Client) Failover(p *sim.Proc, a *Accel) error {
 	}
 	err = a.rebuild(p, a, fmt.Sprintf("failover %d->%d: re-alloc", oldRank, newRank), func(ptr, phys gpu.Ptr, rec *allocRecord) error {
 		a.remap[ptr] = phys
-		if rec.shadow != nil {
+		if a.settle(rec) {
 			if err := a.MemcpyH2D(p, ptr, 0, rec.shadow, rec.size); err != nil {
 				return fmt.Errorf("core: failover %d->%d: re-upload: %w", oldRank, newRank, err)
 			}
@@ -1179,7 +1265,7 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 		if err := c.DirectCopy(p, a, ptr, 0, tmp, phys, 0, rec.size); err != nil {
 			// The old daemon died mid-copy after all: fall back to the
 			// failover path for this allocation when a host shadow exists.
-			if rec.shadow == nil {
+			if !a.settle(rec) {
 				return fmt.Errorf("core: migrate %d->%d: direct copy: %w", oldRank, newRank, err)
 			}
 			if err2 := tmp.MemcpyH2D(p, phys, 0, rec.shadow, rec.size); err2 != nil {
@@ -1303,8 +1389,8 @@ func (a *Accel) MemcpyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, src
 	err := a.status(p, q)
 	// Whatever host shadow the source range has becomes the destination
 	// range's, so a replayed replacement sees the copied bytes too.
-	if rec := a.allocs[src]; err == nil && rec != nil && rec.shadow != nil && srcOff+n <= len(rec.shadow) {
-		a.shadowWrite(dst, dstOff, n, 1, n, rec.shadow[srcOff:], 0)
+	if rec := a.allocs[src]; err == nil && rec != nil && srcOff+n <= rec.size && a.settle(rec) {
+		a.shadowWrite(a.allocs[dst], window{dstOff, n, 1, n}, rec.shadow[srcOff:srcOff+n], 0)
 	}
 	return err
 }

@@ -847,21 +847,6 @@ func TestMemsetRemote(t *testing.T) {
 	})
 }
 
-// fillBytes backs the memset shadow: every length around the doubling
-// steps, zero and non-zero, and nothing outside the slice.
-func TestFillBytes(t *testing.T) {
-	for _, v := range []byte{0, 0xA5} {
-		for n := 0; n <= 67; n++ {
-			b := bytes.Repeat([]byte{0x3C}, n+2)
-			fillBytes(b[1:n+1], v)
-			want := append(append([]byte{0x3C}, bytes.Repeat([]byte{v}, n)...), 0x3C)
-			if !bytes.Equal(b, want) {
-				t.Fatalf("fillBytes(%d bytes, %#x) = %x", n, v, b)
-			}
-		}
-	}
-}
-
 // Failure injection: a daemon that stopped serving must produce
 // ErrTimeout instead of hanging the compute node.
 func TestTimeoutOnDeadAccelerator(t *testing.T) {

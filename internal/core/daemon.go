@@ -610,8 +610,8 @@ func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
 // memory, so the cost is one async-copy setup plus an unpinned DMA — no
 // staging pipeline, no extra wire exchange.
 func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
-	colBytes, cols, pitch := q.geometry()
-	if err := d.dev.ValidRange(q.ptr, q.off, (cols-1)*pitch+colBytes); err != nil {
+	w := q.window()
+	if err := d.dev.ValidRange(q.ptr, q.off, w.end()-q.off); err != nil {
 		return err
 	}
 	if q.size == 0 {
@@ -622,7 +622,7 @@ func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
 		return err
 	}
 	if len(q.inline) > 0 {
-		return d.dev.ScatterColumns(q.ptr, q.off, colBytes, cols, pitch, q.inline)
+		return d.dev.ScatterColumns(q.ptr, q.off, w.colBytes, w.cols, w.pitch, q.inline)
 	}
 	return nil
 }
@@ -661,8 +661,8 @@ type pipeScratch struct {
 	deadline sim.Duration
 	// cost is the per-block CPU work: progress the message, post the
 	// asynchronous DMA.
-	cost                  sim.Duration
-	colBytes, cols, pitch int
+	cost   sim.Duration
+	window // the device window the blocks pack
 
 	next    int // the block the per-block loop is at
 	nposted int // receive: blocks the poster has posted a receive for
@@ -721,11 +721,11 @@ func (ps *pipeScratch) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Ta
 	ps.owner, ps.q, ps.peer, ps.tag = p, q, peer, tag
 	ps.deadline = d.cfg.PayloadTimeout
 	ps.cost = d.cfg.PostCost + d.dev.AsyncSetupCost()
-	ps.colBytes, ps.cols, ps.pitch = q.geometry()
+	ps.window = q.window()
 	ps.next, ps.nposted, ps.ndone, ps.placed = 0, 0, 0, 0
 	ps.winErr, ps.peerErr, ps.dmaErr = preErr, nil, nil
 	if ps.winErr == nil {
-		ps.winErr = d.dev.ValidRange(q.ptr, q.off, (ps.cols-1)*ps.pitch+ps.colBytes)
+		ps.winErr = d.dev.ValidRange(q.ptr, q.off, ps.end()-q.off)
 	}
 }
 
@@ -807,18 +807,28 @@ func (d *Daemon) noteStaging(block, depth, nb int) {
 	}
 }
 
-// geometry normalizes a copy request's strided-window description.
-func (q *request) geometry() (colBytes, cols, pitch int) {
-	cols = q.cols
-	if cols <= 0 {
-		cols = 1
+// window is a device range of an allocation: cols columns of colBytes
+// bytes, pitch bytes apart, from off; contiguous if pitch is colBytes.
+type window struct{ off, colBytes, cols, pitch int }
+
+// window normalizes a copy request's strided-window description.
+func (q *request) window() window {
+	w := window{off: q.off, cols: max(q.cols, 1), pitch: q.pitch}
+	if w.colBytes = q.size / w.cols; w.pitch <= 0 {
+		w.pitch = w.colBytes
 	}
-	colBytes = q.size / cols
-	pitch = q.pitch
-	if pitch <= 0 {
-		pitch = colBytes
+	return w
+}
+
+// at is the device offset of w's packed byte k; end is one past w's last.
+func (w window) at(k int) int { return w.off + k/w.colBytes*w.pitch + k%w.colBytes }
+func (w window) end() int     { return w.off + (w.cols-1)*w.pitch + w.colBytes }
+
+// scatter writes packed bytes src, from w's packed byte lo on, into mirror.
+func (w window) scatter(mirror []byte, lo int, src []byte) {
+	for k := 0; k < len(src); {
+		k += copy(mirror[w.at(lo+k):][:w.colBytes-(lo+k)%w.colBytes], src[k:])
 	}
-	return colBytes, cols, pitch
 }
 
 // recvToDevice implements the receiving half of the copy protocols: data

@@ -241,11 +241,16 @@ func (d *Device) Memset(p *sim.Proc, ptr Ptr, off, n int, value byte) error {
 		if err != nil {
 			return err
 		}
-		for i := range buf {
-			buf[i] = value
-		}
+		FillBytes(buf, value)
 	}
 	return nil
+}
+
+// FillBytes sets every byte of b to v at memmove speed: seeded, then doubled.
+func FillBytes(b []byte, v byte) {
+	for n := copy(b, []byte{v}); n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // CopyD2D copies n bytes between two device allocations through device

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -778,4 +779,20 @@ func TestCopyD2DErrorPaths(t *testing.T) {
 			t.Error("out-of-range dst accepted")
 		}
 	})
+}
+
+// FillBytes backs Memset and the front-end's memset shadow: every length
+// around the doubling steps, zero and non-zero, and nothing outside the
+// slice.
+func TestFillBytes(t *testing.T) {
+	for _, v := range []byte{0, 0xA5} {
+		for n := 0; n <= 67; n++ {
+			b := bytes.Repeat([]byte{0x3C}, n+2)
+			FillBytes(b[1:n+1], v)
+			want := append(append([]byte{0x3C}, bytes.Repeat([]byte{v}, n)...), 0x3C)
+			if !bytes.Equal(b, want) {
+				t.Fatalf("FillBytes(%d bytes, %#x) = %x", n, v, b)
+			}
+		}
+	}
 }

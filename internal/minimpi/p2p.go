@@ -144,6 +144,16 @@ func (r *Request) Result() ([]byte, Status) {
 	return r.data, r.status
 }
 
+// TakePayload detaches a completed receive's pool-owned payload (nil if it
+// has none): the buffer is the caller's from now on, not Free's.
+func (r *Request) TakePayload() (b []byte) {
+	r.check()
+	if r.owned {
+		b, r.data, r.owned = r.data, nil, false
+	}
+	return b
+}
+
 // WaitTimeout blocks until the request completes or d elapses. The
 // boolean reports completion; on timeout the request stays posted (MPI
 // has no portable cancel either — the caller must treat the peer as

@@ -25,10 +25,14 @@ import "fmt"
 //   - The sender's request must eventually complete (FinishLocal or the
 //     sim flight), or be cancellable; "lost forever with no signal" is
 //     reserved for fault injection.
+//   - A borrowed payload (Isend) is the sender's again once its request
+//     completes. Copy it out and FinishLocal at once (eager), or write it
+//     from the sender's buffer, FinishLocal once written and let OnCancel
+//     take back a send not yet written (rendezvous).
 //   - Whoever completes the sender's request ends the message's sender
 //     half: the sim flight at sendRelease, a remote-bound transport with
 //     FinishLocal, which recycles the record — no local receiver will ever
-//     see it — so Deliver must not touch m afterwards.
+//     see it — so the transport must not touch m afterwards.
 type Transport interface {
 	// Deliver carries one message toward its destination rank.
 	Deliver(m *Message)
@@ -125,7 +129,7 @@ func (m *Message) RemoteEnvelope() Envelope {
 // and owned reports true: the transport now holds the only reference and
 // must PutBuf it once the bytes are on the wire. A borrowed payload is
 // returned as is and stays valid only until FinishLocal lets the sender
-// reuse it — the transport copies it out first.
+// reuse it.
 func (m *Message) TakePayload() (data []byte, owned bool) {
 	data, owned = m.data, m.owned
 	if owned {
@@ -137,10 +141,9 @@ func (m *Message) TakePayload() (data []byte, owned bool) {
 // FinishLocal completes the send at the sender without modelling a flight:
 // the request fires, the endpoint's send counters advance, and an owned
 // payload the transport did not take returns to the world pool. A
-// remote-bound transport calls it from Deliver once it holds its own
-// reference to the bytes — eager local completion, exactly what the sim
-// backend reports for eager sends. The message record is recycled: the
-// caller must not use m again.
+// remote-bound transport calls it, in scheduler context, once the sender's
+// buffer is free again (see Transport). The message record is recycled:
+// the caller must not use m again.
 func (m *Message) FinishLocal() {
 	m.completeSend()
 	m.srcEp.traffic.MsgsSent++
@@ -150,6 +153,17 @@ func (m *Message) FinishLocal() {
 	}
 	m.w.putMessage(m)
 }
+
+// OnCancel arms Request.Cancel for a send a transport holds by reference:
+// fn(arg) runs in scheduler context to drop the sends Canceled but unwritten.
+func (m *Message) OnCancel(fn func(any), arg any) {
+	m.sreq.cancelEv.Init(m.w.sim)
+	m.sreq.cancel = &m.sreq.cancelEv
+	m.sreq.cancel.OnTriggerCall(fn, arg)
+}
+
+// Canceled reports whether the send, still in flight, was canceled.
+func (m *Message) Canceled() bool { return m.sreq.canceled }
 
 // InjectRemote lands a message that arrived from another process in the
 // destination rank's matching queues, exactly as a local send's envelope

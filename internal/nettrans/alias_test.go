@@ -2,6 +2,8 @@ package nettrans
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"dynacc/internal/minimpi"
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
+	"dynacc/internal/wire"
 )
 
 // pooledAgain polls the world pool until a GetBuf of buf's size hands buf
@@ -24,9 +27,10 @@ func pooledAgain(w *minimpi.World, buf []byte, timeout time.Duration) bool {
 }
 
 // TestFrameCopyOutlivesEncoderReset pins who owns a payload between Deliver
-// and the wire. A borrowed payload (Isend) is the caller's again the moment
-// the send completes locally, so the outbox must hold its own copy: the
-// caller scribbles over it right away and the original bytes still arrive.
+// and the wire. A borrowed payload (Isend) below the eager threshold is the
+// caller's again the moment the send completes locally, so the outbox must
+// hold its own copy: the caller scribbles over it right away and the
+// original bytes still arrive.
 // An owned payload (IsendOwned) is taken over without a copy and returns
 // to the world pool exactly once, and only after the writer has put it on
 // the wire. A borrowed payload of length zero has nothing to copy, and
@@ -165,4 +169,105 @@ func TestWarmRoundTripAllocatesNoPayloadBuffer(t *testing.T) {
 	if grew >= 3*size {
 		t.Errorf("%d warmed 1 MiB round trips allocated %d bytes: payload-sized buffers are being allocated", rounds, grew)
 	}
+}
+
+// TestCancelQueuedRendezvousFrame: a rendezvous send still in the outbox —
+// the peer is not up yet — is taken back by Cancel. The send completes as
+// canceled, its frame leaves the outbox and never reaches the peer, and a
+// send queued behind it still arrives.
+func TestCancelQueuedRendezvousFrame(t *testing.T) {
+	lns, procs := listeners(t, 2, nil)
+	a := startNode(t, 2, 0, procs, lns[0], nil)
+	defer a.halt()
+
+	big := bytes.Repeat([]byte{'R'}, 64<<10)
+	done := a.run("cancel", func(p *sim.Proc) {
+		c := a.w.Comm(0)
+		r := c.Isend(1, 1, big)
+		if r.Completed() {
+			t.Error("a rendezvous send completed before any connection took it")
+		}
+		r.Cancel()
+		r.Wait(p)
+		if !r.Canceled() {
+			t.Error("the canceled send did not complete as canceled")
+		}
+		r.Free()
+		c.Isend(1, 2, []byte("after")).Free()
+	})
+	wait(t, done, "cancel with the peer down")
+	if n := a.tr.peers[1].queued(); n != 1 {
+		t.Fatalf("outbox holds %d frames after the cancel, want 1", n)
+	}
+
+	b := startNode(t, 2, 1, procs, lns[1], nil)
+	defer b.halt()
+	bDone := b.run("recv", func(p *sim.Proc) {
+		c := b.w.Comm(1)
+		if data, _ := c.Recv(p, 0, 2); string(data) != "after" {
+			t.Errorf("the send behind the canceled one arrived as %q", data)
+		}
+		// Per-pair FIFO: had it been written, the canceled frame would be here.
+		if _, ok := c.Iprobe(0, 1); ok {
+			t.Error("the canceled frame reached the peer")
+		}
+	})
+	wait(t, bDone, "the send queued behind the canceled one")
+	// The writer counts a frame after the write returned: give it the moment.
+	for deadline := time.Now().Add(time.Second); a.tr.Stats().FramesSent < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if st := a.tr.Stats(); st.FramesSent != 1 {
+		t.Errorf("%d frames written, want 1 (the canceled one must not be)", st.FramesSent)
+	}
+}
+
+// TestRendezvousCompletionAllocs pins the steady state of a rendezvous
+// send: queued by reference, written from the sender's buffer, completed
+// through the peer's one bound inject. Against a peer that only reads, the
+// sending process allocates nothing per frame once warm.
+func TestRendezvousCompletionAllocs(t *testing.T) {
+	if os.Getenv("DYNACC_POISON") == "1" {
+		t.Skip("DYNACC_POISON=1: freed records are retired, so every message allocates")
+	}
+	lns, procs := listeners(t, 2, nil)
+	a := startNode(t, 2, 0, procs, lns[0], nil)
+	defer a.halt()
+	go func() { // proc 1: shake hands, then discard the stream
+		conn, err := lns[1].Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn, maxHandshakeFrame); err != nil {
+			return
+		}
+		w := wire.NewWriter(32)
+		appendWelcome(w, welcome{ok: true, version: ProtocolVersion})
+		if _, err := conn.Write(w.Bytes()); err == nil {
+			io.Copy(io.Discard, conn)
+		}
+	}()
+
+	const warm, frames = 50, 400
+	payload := make([]byte, 64<<10)
+	var perFrame float64
+	done := a.run("send", func(p *sim.Proc) {
+		c := a.w.Comm(0)
+		for i := 0; i < warm; i++ {
+			c.Send(p, 1, 1, payload)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			c.Send(p, 1, 1, payload)
+		}
+		runtime.ReadMemStats(&after)
+		perFrame = float64(after.Mallocs-before.Mallocs) / frames
+	})
+	wait(t, done, "rendezvous sends")
+	if perFrame > 0.05 {
+		t.Errorf("%.2f allocations per warm rendezvous frame, want 0", perFrame)
+	}
+	t.Logf("allocations per warm rendezvous frame: %.3f", perFrame)
 }

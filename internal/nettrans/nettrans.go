@@ -105,10 +105,11 @@ type Transport struct {
 }
 
 // outFrame is one queued message frame: the fixed header inline and the
-// payload, a world-pool buffer the outbox owns until the frame is written.
+// payload, a world-pool buffer the outbox owns — or rendezvous send m's own.
 type outFrame struct {
 	hdr     [frameHeaderSize]byte
 	payload []byte
+	m       *minimpi.Message
 }
 
 // peer is the connection state toward one remote process.
@@ -122,8 +123,11 @@ type peer struct {
 	cond    *sync.Cond
 	queue   []outFrame // frames awaiting write; queue[head] is next
 	head    int
+	writing bool // queue[head] is the writer's: too late to cancel
 	conn    net.Conn
 	connGen int
+	written []*minimpi.Message // rendezvous sends on the wire, for settle
+	settle  func()             // settle(pr), bound once: Inject allocates nothing
 
 	ready   bool // first handshake completed
 	readyCh chan struct{}
@@ -199,6 +203,7 @@ func New(cfg Config) (*Transport, error) {
 			failCh:  make(chan struct{}),
 		}
 		pr.cond = sync.NewCond(&pr.mu)
+		pr.settle = func() { settle(pr) }
 		t.peers[pid] = pr
 		t.wg.Add(1)
 		go pr.writeLoop()
@@ -216,10 +221,9 @@ func New(cfg Config) (*Transport, error) {
 func (t *Transport) Addr() net.Addr { return t.ln.Addr() }
 
 // Deliver implements minimpi.Transport. Local-destination messages take
-// the in-sim path unchanged; remote ones complete locally and queue toward
-// the destination process. An owned payload is taken over as is; a
-// borrowed one is copied once into a world-pool buffer, because the caller
-// may reuse its slice the moment the send completes.
+// the in-sim path unchanged; remote ones queue toward the destination
+// process, completing at once if owned or borrowed below the eager threshold
+// (copied to a pool buffer), else once written from the sender's buffer.
 func (t *Transport) Deliver(m *minimpi.Message) {
 	dst := m.Dst()
 	pid := t.rankProc[dst]
@@ -232,12 +236,36 @@ func (t *Transport) Deliver(m *minimpi.Message) {
 	putMsgHeader(&f.hdr, m.RemoteEnvelope(), payload)
 	if owned {
 		f.payload = payload
+	} else if t.world.Params().Rendezvous(len(payload)) {
+		f.payload, f.m = payload, m
+		m.OnCancel(settle, t.peers[pid])
 	} else if len(payload) > 0 { // an empty borrowed slice stays the caller's
 		f.payload = t.world.GetBuf(len(payload))
 		copy(f.payload, payload)
 	}
-	m.FinishLocal()
+	if f.m == nil {
+		m.FinishLocal()
+	}
 	t.peers[pid].enqueue(f)
+}
+
+// settle completes, in scheduler context, the rendezvous sends the writer put
+// on the wire, and those canceled before it took them (their frames dropped).
+func settle(v any) {
+	pr := v.(*peer)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	for _, m := range pr.written {
+		m.FinishLocal()
+	}
+	clear(pr.written)
+	pr.written = pr.written[:0]
+	for i := len(pr.queue) - 1; i > pr.head || i == pr.head && !pr.writing; i-- {
+		if f := pr.queue[i]; f.m != nil && f.m.Canceled() {
+			pr.queue = slices.Delete(pr.queue, i, i+1)
+			f.m.FinishLocal()
+		}
+	}
 }
 
 // Stats implements minimpi.Transport.
@@ -370,6 +398,7 @@ func (pr *peer) writeLoop() {
 		}
 		frame = pr.queue[pr.head]
 		conn, gen := pr.conn, pr.connGen
+		pr.writing = true
 		pr.mu.Unlock()
 
 		iov[0], iov[1] = frame.hdr[:], frame.payload
@@ -377,6 +406,7 @@ func (pr *peer) writeLoop() {
 		n, err := bufs.WriteTo(conn)
 
 		pr.mu.Lock()
+		pr.writing = false
 		if err != nil {
 			if pr.connGen == gen && pr.conn != nil {
 				pr.conn.Close()
@@ -386,16 +416,21 @@ func (pr *peer) writeLoop() {
 			pr.mu.Unlock()
 			continue
 		}
-		pr.queue[pr.head].payload = nil
+		pr.queue[pr.head] = outFrame{}
 		pr.head++
 		if pr.head == len(pr.queue) {
 			pr.queue = pr.queue[:0]
 			pr.head = 0
 		}
+		if frame.m != nil {
+			pr.written = append(pr.written, frame.m)
+			pr.t.world.Sim().Inject(pr.settle)
+		} else {
+			pr.t.world.PutBuf(frame.payload)
+		}
 		pr.mu.Unlock()
 		pr.t.stats.framesSent.Add(1)
 		pr.t.stats.bytesSent.Add(n)
-		pr.t.world.PutBuf(frame.payload)
 	}
 }
 

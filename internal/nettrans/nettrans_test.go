@@ -250,10 +250,13 @@ func TestCollectivesAcrossProcesses(t *testing.T) {
 // restarts it on the same address with a fresh World, and checks what the
 // outbox owes a dead connection: a small message sent during the outage
 // and a large payload whose write the kill interrupts half-way must both
-// be delivered, intact, after the dialer reconnects. For the interrupted
-// write the test itself plays proc 1 for one connection — handshake, read
-// a little of the frame, reset — so the kill provably lands mid-payload
-// and the frame is resent whole from the outbox.
+// be delivered, intact, after the dialer reconnects. The small send is
+// eager and completes during the outage; the large one is rendezvous —
+// written from the sender's buffer — and completes only once the restarted
+// peer has been written it whole. For the interrupted write the test
+// itself plays proc 1 for one connection — handshake, read a little of
+// the frame, reset — so the kill provably lands mid-payload and the frame
+// is resent whole from the outbox.
 func TestReconnectAfterKill(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
 	a := startNode(t, 2, 0, procs, lns[0], nil)
@@ -300,11 +303,12 @@ func TestReconnectAfterKill(t *testing.T) {
 		big[i] = byte(i * 7)
 	}
 	aDone = a.run("send2", func(p *sim.Proc) {
-		c := a.w.Comm(0)
-		c.Send(p, 1, 2, []byte("two"))
-		c.Send(p, 1, 3, big)
+		a.w.Comm(0).Send(p, 1, 2, []byte("two"))
 	})
-	wait(t, aDone, "sends during outage (local completion)")
+	wait(t, aDone, "eager send during outage (local completion)")
+	bigDone := a.run("send3", func(p *sim.Proc) {
+		a.w.Comm(0).Send(p, 1, 3, big)
+	})
 
 	// A dying proc 1: accept the redial, shake hands, take "two" and the
 	// first 64 KiB of the large frame, then reset the connection.
@@ -328,6 +332,11 @@ func TestReconnectAfterKill(t *testing.T) {
 		t.Fatalf("read the head of the stream: %v", err)
 	}
 	conn.Close() // unread bytes pending: the kernel answers with a reset
+	select {
+	case <-bigDone:
+		t.Fatal("the rendezvous send completed though no connection took its frame whole")
+	case <-time.After(20 * time.Millisecond):
+	}
 
 	// Restart proc 1 for real on the same listener with a fresh World.
 	// "two" was written in full to the connection that died — the
@@ -342,6 +351,7 @@ func TestReconnectAfterKill(t *testing.T) {
 		}
 	})
 	wait(t, b2Done, "delivery after reconnect")
+	wait(t, bigDone, "rendezvous send completion once written")
 
 	st := a.tr.Stats()
 	if st.FramesResent < 1 {
