@@ -80,8 +80,8 @@ func (c *Client) homeShard() int {
 }
 
 // jitter returns the randomness behind client-paced blocking acquires,
-// seeded from the rank so runs replay exactly. It is built on first use:
-// a lone manager's client never paces.
+// seeded from the rank so runs replay exactly. It is built at the first
+// back-off: an acquire granted at once, or a lone manager's, never pays.
 func (c *Client) jitter() *rand.Rand {
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(int64(c.comm.Rank())*7919 + 1))
@@ -229,22 +229,22 @@ func (c *Client) acquire(p *sim.Proc, n int, shared bool, constraint Constraint,
 	case queued || attempts < 1:
 		attempts = 1
 	case blocking:
-		attempts, rng = blockingAttempts, c.jitter()
+		attempts = blockingAttempts
 	}
-	home := c.homeShard()
-	start := c.comm.World().Sim().Now()
+	home, start := c.homeShard(), c.comm.World().Sim().Now()
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
+			if blocking {
+				rng = c.jitter()
+			}
 			p.Wait(b.Delay(i-1, rng))
 		}
-		var payload []byte
-		var epoch uint64
-		payload, epoch, err = c.call(p, (home+i)%c.dir.Shards(), opAcquire, func(w *wire.Writer, replay bool) {
+		payload, epoch, callErr := c.call(p, (home+i)%c.dir.Shards(), opAcquire, func(w *wire.Writer, replay bool) {
 			w.Int(n).U8(flag(queued, flagBlocking) | flag(shared, flagShared) | flag(replay, flagReplay))
 			encodeConstraint(w, constraint)
 		})
-		if err == nil {
+		if err = callErr; err == nil {
 			return decodeHandles("acquire", payload, shared, epoch)
 		}
 		if err != ErrUnavailable {

@@ -180,6 +180,32 @@ func TestShardedAcquireReleaseStats(t *testing.T) {
 	})
 }
 
+// TestPacedAcquireBuildsJitterAtFirstBackOff: across shards a blocking
+// acquire is client-paced, and its jitter RNG — a 4.9 KB source and its
+// seeding — is built at the first back-off: an acquire granted at the first
+// try never builds it, one that has to wait for a holder does.
+func TestPacedAcquireBuildsJitterAtFirstBackOff(t *testing.T) {
+	sp := newShardPool(t, 1, 2, 2, false)
+	sp.run(func(p *sim.Proc, c *Client, rank int) {
+		p.Wait(sim.Duration(3+rank) * sim.Millisecond) // gossip warms up; rank 0 goes first
+		handles, err := c.Acquire(p, 1, true)
+		if err != nil {
+			t.Errorf("cn%d acquire: %v", rank, err)
+			return
+		}
+		switch {
+		case rank == 0 && c.rng != nil:
+			t.Error("an acquire granted at the first try built its jitter RNG")
+		case rank == 1 && c.rng == nil:
+			t.Error("an acquire that backed off did so without its jitter RNG")
+		}
+		p.Wait(5 * sim.Millisecond) // hold it: rank 1 backs off meanwhile
+		if err := c.Release(p, handles); err != nil {
+			t.Errorf("cn%d release: %v", rank, err)
+		}
+	})
+}
+
 func TestShardedCrossShardFallback(t *testing.T) {
 	// One client drains the whole 6-accelerator fleet one handle at a
 	// time: once its home shard is empty, grants must come from the

@@ -150,10 +150,8 @@ type Client struct {
 	nextSess uint64
 	replacer Replacer
 
-	// encw is the scratch encoder every request reuses: encoding costs one
-	// exact-size CopyBytes allocation (the encoding is retained for
-	// retransmission, so the copy is mandatory anyway). Safe without
-	// locking — encodes never block, and the simulation is cooperative.
+	// encw is the scratch each send encodes its request in (lock-free: an
+	// encode never blocks, and the simulation is cooperative).
 	encw *wire.Writer
 
 	// attached lists the handles in use, so rank-wide operations
@@ -167,7 +165,9 @@ type Client struct {
 	// Autotune-planned transfer; never touched on the default path.
 	tuner *tuner
 
-	spare [][]shadowBlock // emptied block lists, for the next streamed copy
+	// Free lists of calls (see release) and of copies' block loops.
+	calls []*call
+	xfers []*xfer
 }
 
 // NewClient creates a front-end on the given communicator.
@@ -231,8 +231,8 @@ func (a *Accel) finished(err error) error {
 	for _, rec := range a.allocs {
 		a.dropPending(rec)
 	}
-	a.allocs = make(map[gpu.Ptr]*allocRecord)
-	a.remap = make(map[gpu.Ptr]gpu.Ptr)
+	clear(a.allocs)
+	clear(a.remap)
 	if a.listed {
 		a.listed = false
 		att := a.c.attached
@@ -266,7 +266,7 @@ func (c *Client) AttachSession(p *sim.Proc, daemonRank int) (*Accel, error) {
 func (a *Accel) OpenSession(p *sim.Proc) error {
 	a.c.nextSess++
 	a.session = a.c.nextSess
-	err := a.status(p, &request{op: OpSessionOpen, quota: a.c.opts.SessionQuota})
+	err := a.status(p, request{op: OpSessionOpen, quota: a.c.opts.SessionQuota})
 	if err != nil {
 		// A refused open (table full, fenced token) must not leave the
 		// handle claiming a session the daemon never admitted — later
@@ -290,14 +290,14 @@ func (a *Accel) CloseSession(p *sim.Proc) error {
 		return nil
 	}
 	a.flushAll()
-	return a.finished(a.status(p, &request{op: OpSessionClose}))
+	return a.finished(a.status(p, request{op: OpSessionClose}))
 }
 
 // ReapSessions closes every session a given client rank holds on this
 // handle's daemon: the ARM's reclaim path after a tenant death. Only the
 // dead tenant's allocations are freed.
 func (a *Accel) ReapSessions(p *sim.Proc, clientRank int) error {
-	return a.status(p, &request{op: OpSessionReap, peer: clientRank})
+	return a.status(p, request{op: OpSessionReap, peer: clientRank})
 }
 
 // allocRecord is the front-end's failover ledger entry for one device
@@ -387,10 +387,9 @@ func (a *Accel) translate(ptr gpu.Ptr) gpu.Ptr {
 type Pending struct {
 	done sim.Event
 	err  error
-	// queued is the operation's call while it sits in a command recorder,
-	// nil once the batch is on the wire. Waiting on a recorded operation
-	// is a blocking call and therefore a flush trigger.
-	queued *call
+	cl   *call // the call this Pending is part of
+	// queued: in a command recorder, so waiting on it flushes (see Done).
+	queued bool
 }
 
 // Wait blocks until the operation completes and returns its error.
@@ -403,18 +402,33 @@ func (pd *Pending) Wait(p *sim.Proc) error {
 // the operation is still sitting in a command recorder it is flushed
 // first — the event could otherwise never trigger.
 func (pd *Pending) Done() *sim.Event {
-	if cl := pd.queued; cl != nil {
-		cl.a.Flush(cl.q.stream)
+	if pd.queued {
+		pd.cl.a.Flush(pd.cl.q.stream)
 	}
 	return &pd.done
 }
 
 // failed returns an operation that is over before it began.
 func (a *Accel) failed(err error) *Pending {
-	pd := &Pending{err: err}
-	pd.done.Init(a.sim())
-	pd.done.Trigger()
-	return pd
+	cl := a.newCall(request{})
+	cl.err = err
+	cl.done.Trigger()
+	return &cl.Pending
+}
+
+// join waits out a synchronous API call's Pending, which nobody else holds.
+func (c *Client) join(p *sim.Proc, pd *Pending) error {
+	err := pd.Wait(p)
+	c.release(pd.cl)
+	return err
+}
+
+// release recycles a call nobody can reach any more, unless it gave up on a
+// request (a timeout) whose wake-up may yet come.
+func (c *Client) release(cl *call) {
+	if cl.req == nil {
+		c.calls = append(c.calls, cl)
+	}
 }
 
 // call is one request to a daemon and the front-end's one way of waiting for
@@ -442,10 +456,12 @@ func (a *Accel) failed(err error) *Pending {
 // A synchronous caller (wait) suspends until finish resumes it inside the
 // finishing leg, so it goes on at the queue position a process woken by the
 // response itself would have; an asynchronous one holds the call's Pending.
+//
+// A client recycles its synchronous calls (see release); every send ships a
+// pool copy of the header, so no message in flight aliases a recycled call.
 type call struct {
-	a   *Accel
-	q   *request
-	enc []byte // the encoded header, kept for retransmission
+	a *Accel
+	q request // kept for retransmission
 	// pad inflates the request message's wire size (model-mode inline
 	// writes carry no payload bytes but must cost the same virtual time).
 	pad     int
@@ -455,12 +471,15 @@ type call struct {
 	due     sim.Time         // when the last send runs out of time, under a Timeout
 	reqWait                  // on req: resp (re-posted after a stale reply), or a copy's block i
 	Pending                  // done fires when the call is over, err is its outcome
-	rsp     *response
+	rsp     response
 	p       *sim.Proc // a synchronous caller, suspended in wait
 	app     gpu.Ptr   // q.ptr as the application names it, for the ledger (see applied)
 	cmds    []*call   // an opBatch's recorded commands, in q.batch order
+	x       *xfer     // a streamed copy's block loop, until the copy finishes
+}
 
-	// A streamed copy's block loop (see stream).
+// xfer is a streamed copy's block loop (see stream), recycled by the client.
+type xfer struct {
 	dir    TransferDir
 	host   []byte             // the packed host bytes, source or destination; nil in model mode
 	sends  []*minimpi.Request // host-to-device: every block's send, posted up front
@@ -476,16 +495,27 @@ const (
 	parkedCopy = "streamed-copy"
 )
 
-func (a *Accel) newCall(q *request) *call {
-	cl := &call{a: a, q: q, app: q.ptr}
+// newCall readies a call for q; a recycled record keeps the arrays of its
+// response payload and launch arguments (RunAsync appends to the latter).
+func (a *Accel) newCall(q request) *call {
+	cl := pop(&a.c.calls)
+	q.launch.Args = cl.q.launch.Args[:0]
+	*cl = call{a: a, q: q, rsp: response{payload: cl.rsp.payload[:0]}, app: q.ptr}
 	cl.done.Init(a.sim())
+	cl.Pending.cl = cl
 	return cl
 }
 
-// send ships (or re-ships) the encoded header.
+// send ships (or re-ships) a pool copy of the encoded header; a resend
+// encodes the same request again. A padded one's copy is private.
 func (cl *call) send() {
 	cl.sent++
-	cl.a.c.comm.IsendPadded(cl.a.rank, TagRequest, cl.enc, len(cl.enc)+cl.pad).Free()
+	c, enc := cl.a.c, encodeRequestTo(cl.a.c.encw, &cl.q)
+	if cl.pad == 0 {
+		sendCopy(c.comm, cl.a.rank, TagRequest, enc)
+	} else {
+		c.comm.IsendPadded(cl.a.rank, TagRequest, append([]byte(nil), enc...), len(enc)+cl.pad).Free()
+	}
 }
 
 // translateReq maps a request's device pointers through the failover
@@ -510,14 +540,14 @@ func (a *Accel) translateReq(q *request) {
 // failover ledger, posts the response receive and ships the header, to be
 // retransmitted up to resends times.
 func (cl *call) issue(resends, pad int) *call {
-	a, q := cl.a, cl.q
+	a, q := cl.a, &cl.q
 	a.list()
 	a.c.nextReq++
 	q.reqID = a.c.nextReq
 	q.session = a.session
 	q.fence = a.fence
 	a.translateReq(q)
-	cl.enc, cl.resends, cl.pad = encodeRequestTo(a.c.encw, q), resends, pad
+	cl.resends, cl.pad = resends, pad
 	cl.resp = a.c.comm.Irecv(a.rank, respTag(q.reqID))
 	cl.send()
 	return cl
@@ -548,10 +578,11 @@ func (cl *call) respond() {
 		switch {
 		case cl.req.Completed():
 			data, _ := cl.req.Result()
-			rsp, err := decodeResponse(data)
-			cl.req.Free() // decodeResponse copied what it keeps
-			if err != nil || rsp.reqID == cl.q.reqID {
-				cl.finish(rsp, err)
+			err := cl.rsp.decode(data)
+			cl.req.Free() // decode copied what it keeps
+			cl.req = nil
+			if err != nil || cl.rsp.reqID == cl.q.reqID {
+				cl.finish(err)
 				return
 			}
 			cl.req = c.comm.Irecv(cl.a.rank, respTag(cl.q.reqID))
@@ -560,7 +591,7 @@ func (cl *call) respond() {
 			cl.send()
 			cl.due = s.Now().Add(t)
 		default:
-			cl.finish(nil, &TimeoutError{Op: cl.q.op, Rank: cl.a.rank, Attempts: cl.sent})
+			cl.finish(&TimeoutError{Op: cl.q.op, Rank: cl.a.rank, Attempts: cl.sent})
 			return
 		}
 		left := t
@@ -578,20 +609,19 @@ func (cl *call) respond() {
 // finish ends the call, once: the outcome is the transport's error or else
 // the daemon's status, a success is entered in the ledger, and whoever waits
 // goes on.
-func (cl *call) finish(rsp *response, err error) {
+func (cl *call) finish(err error) {
 	if err == nil {
-		err = rsp.err()
+		err = cl.rsp.err()
 	}
-	cl.rsp, cl.err = rsp, err
+	cl.err = err
 	switch {
 	case cl.q.op == OpBatch:
 		cl.fanOut()
 	case err == nil:
 		cl.applied()
 	}
-	if cl.dir != 0 {
+	if cl.x != nil {
 		cl.a.sim().Unpark(parkedCopy)
-		cl.sends = nil // the caller's Pending may outlive the copy by long
 		cl.keep()
 	}
 	cl.done.Trigger()
@@ -607,7 +637,7 @@ func (cl *call) finish(rsp *response, err error) {
 // allocation's host shadow (a streamed copy's blocks: see keep). A streamed
 // copy also teaches the link model.
 func (cl *call) applied() {
-	a, q := cl.a, cl.q
+	a, q := cl.a, &cl.q
 	rec := a.allocs[cl.app]
 	switch q.op {
 	case OpMemFree:
@@ -623,64 +653,62 @@ func (cl *call) applied() {
 			a.shadowWrite(rec, q.window(), q.inline, 0)
 		}
 	case OpMemcpyH2D, OpMemcpyD2H:
-		a.c.tuneRecord(a.c.protocol(cl.dir), a.rank, cl.dir, q.block, q.size, a.sim().Now().Sub(cl.t0))
+		x := cl.x
+		a.c.tuneRecord(a.c.protocol(x.dir), a.rank, x.dir, q.block, q.size, a.sim().Now().Sub(x.t0))
 	}
 }
 
 // keep hands a finished copy's pooled blocks — kept instead of copied — to
 // the shadow if it succeeded, else back to the pool (not an upload's: a
-// transport may still be writing it). Whole cover drops the mirror.
+// transport may still be writing it), and its block loop to the client.
 func (cl *call) keep() {
-	a, w := cl.a, cl.q.window()
-	if rec := a.allocs[cl.app]; cl.err == nil && cl.host != nil && rec.holds(w) {
+	a, w, x := cl.a, cl.q.window(), cl.x
+	if rec := a.allocs[cl.app]; cl.err == nil && x.host != nil && rec.holds(w) {
 		a.makeRoom(rec, w)
-		for i := range cl.blocks {
-			cl.blocks[i].win = w
-			rec.pendBytes += len(cl.blocks[i].buf)
+		for i := range x.blocks {
+			x.blocks[i].win = w
+			rec.pendBytes += len(x.blocks[i].buf)
 		}
 		if len(rec.pend) == 0 { // the copy's list becomes the record's
-			rec.pend, cl.blocks = cl.blocks, rec.pend
+			rec.pend, x.blocks = x.blocks, rec.pend
 		} else {
-			rec.pend = append(rec.pend, cl.blocks...)
+			rec.pend = append(rec.pend, x.blocks...)
 		}
 		if rec.pendBytes == rec.size {
 			rec.shadow = nil
 		}
-	} else if cl.err == nil || cl.dir == DirD2H {
-		for _, b := range cl.blocks {
+	} else if cl.err == nil || x.dir == DirD2H {
+		for _, b := range x.blocks {
 			a.c.comm.World().PutBuf(b.buf)
 		}
 	}
-	a.c.spareBlocks(cl.blocks)
-	cl.blocks = nil
-}
-
-// spareBlocks keeps an emptied block list for the next streamed copy.
-func (c *Client) spareBlocks(b []shadowBlock) {
-	if cap(b) > 0 {
-		clear(b)
-		c.spare = append(c.spare, b[:0])
-	}
+	clear(x.blocks) // the lists stay with the block loop, for its next copy
+	clear(x.sends)
+	x.host, x.blocks, x.sends, cl.x = nil, x.blocks[:0], x.sends[:0], nil
+	a.c.xfers = append(a.c.xfers, x)
 }
 
 // wait is the synchronous call: it arms the response wait and blocks p until
 // the call is over.
-func (cl *call) wait(p *sim.Proc) (*response, error) {
+func (cl *call) wait(p *sim.Proc) error {
 	cl.arm()
 	if !cl.done.Triggered() {
 		cl.p = p
 		p.Suspend(stateCall)
 	}
-	return cl.rsp, cl.err
+	return cl.err
 }
 
-// call is a synchronous header-only round trip; status is one whose answer
-// is only the daemon's status.
-func (a *Accel) call(p *sim.Proc, q *request) (*response, error) {
-	return a.newCall(q).issue(a.c.opts.Retries, 0).wait(p)
+// call is a synchronous header-only round trip, answered with a pointer
+// (OpMemAlloc's) or nothing; status is one answered with a status only.
+func (a *Accel) call(p *sim.Proc, q request) (gpu.Ptr, error) {
+	cl := a.newCall(q).issue(a.c.opts.Retries, 0)
+	defer a.c.release(cl)
+	err := cl.wait(p)
+	return cl.rsp.ptr, err
 }
 
-func (a *Accel) status(p *sim.Proc, q *request) error {
+func (a *Accel) status(p *sim.Proc, q request) error {
 	_, err := a.call(p, q)
 	return err
 }
@@ -690,8 +718,8 @@ func (a *Accel) status(p *sim.Proc, q *request) error {
 // commands. The buffer flushes at the BatchOps/BatchBytes thresholds;
 // otherwise it ships at the next blocking call on the stream, an explicit
 // Flush, or a Wait on any recorded Pending.
-func (a *Accel) submit(q *request) *Pending {
-	cl := a.newCall(q)
+func (a *Accel) submit(cl *call) *Pending {
+	q := &cl.q
 	if !a.batching() {
 		cl.issue(a.c.opts.Retries, 0).arm()
 		return &cl.Pending
@@ -700,7 +728,7 @@ func (a *Accel) submit(q *request) *Pending {
 		a.recs = append(a.recs, make([]recorder, n-len(a.recs))...)
 	}
 	rec := &a.recs[q.stream]
-	cl.queued = cl
+	cl.queued = true
 	rec.cmds = append(rec.cmds, cl)
 	rec.bytes += cmdCost(q)
 	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= cmp.Or(a.c.opts.BatchBytes, DefaultBatchBytes) {
@@ -750,16 +778,16 @@ func (a *Accel) Flush(stream uint8) *Pending {
 	cmds := rec.cmds
 	rec.cmds, rec.bytes = nil, 0
 	for _, cm := range cmds {
-		cm.queued = nil
+		cm.queued = false
 	}
 	cl, pad := cmds[0], 0
 	if len(cmds) > 1 || cl.q.op == OpWriteInline {
 		sub := make([]*request, len(cmds))
 		for i, cm := range cmds {
-			sub[i] = cm.q
+			sub[i] = &cm.q
 			pad += cm.q.modelPad()
 		}
-		cl = a.newCall(&request{op: OpBatch, stream: stream, batch: sub})
+		cl = a.newCall(request{op: OpBatch, stream: stream, batch: sub})
 		cl.cmds = cmds
 	}
 	cl.issue(a.c.opts.Retries, pad).arm()
@@ -804,14 +832,15 @@ func (cl *call) fanOut() {
 // blocks planned by the direction's protocol. The stream is a chain of legs
 // over the call's reqWait; its first leg takes the queue position the copy's
 // helper process was spawned at.
-func (a *Accel) streamCopy(dir TransferDir, q *request, host []byte) *Pending {
+func (a *Accel) streamCopy(dir TransferDir, q request, host []byte) *Pending {
 	// A streamed copy is a blocking exchange on its stream: recorded
 	// commands there must reach the daemon first to keep stream order (and
 	// a download reads what they wrote).
 	a.Flush(q.stream)
 	q.block, q.depth = a.c.tunePlan(a.c.protocol(dir), a.rank, dir, q.size, true)
 	cl := a.newCall(q)
-	cl.dir, cl.host = dir, host
+	cl.x = pop(&a.c.xfers)
+	*cl.x = xfer{dir: dir, host: host, sends: cl.x.sends, blocks: cl.x.blocks}
 	cl.issue(0, 0)
 	a.sim().Park(parkedCopy)
 	a.sim().AfterCall(0, startStream, cl)
@@ -823,23 +852,19 @@ func (a *Accel) streamCopy(dir TransferDir, q *request, host []byte) *Pending {
 // the upload's one host copy — and enters the block loop.
 func startStream(v any) {
 	cl := v.(*call)
-	a, q := cl.a, cl.q
-	cl.t0, cl.nb = a.sim().Now(), numBlocks(q.size, q.block)
-	if k := len(a.c.spare); cl.host != nil && k > 0 {
-		cl.blocks, a.c.spare = a.c.spare[k-1], a.c.spare[:k-1]
-	}
-	if cl.dir == DirH2D {
-		cl.sends = make([]*minimpi.Request, cl.nb)
-		for i := range cl.sends {
+	a, q, x := cl.a, &cl.q, cl.x
+	x.t0, x.nb = a.sim().Now(), numBlocks(q.size, q.block)
+	if x.dir == DirH2D {
+		for i := 0; i < x.nb; i++ {
 			lo := i * q.block
 			hi := min(lo+q.block, q.size)
-			if cl.host != nil {
+			if x.host != nil {
 				b := a.c.comm.World().GetBuf(hi - lo)
-				copy(b, cl.host[lo:hi])
-				cl.blocks = append(cl.blocks, shadowBlock{buf: b, lo: lo})
-				cl.sends[i] = a.c.comm.Isend(a.rank, dataTag(q.reqID), b)
+				copy(b, x.host[lo:hi])
+				x.blocks = append(x.blocks, shadowBlock{buf: b, lo: lo})
+				x.sends = append(x.sends, a.c.comm.Isend(a.rank, dataTag(q.reqID), b))
 			} else {
-				cl.sends[i] = a.c.comm.IsendSized(a.rank, dataTag(q.reqID), hi-lo)
+				x.sends = append(x.sends, a.c.comm.IsendSized(a.rank, dataTag(q.reqID), hi-lo))
 			}
 		}
 	}
@@ -851,22 +876,22 @@ func startStream(v any) {
 // each wait bounded by the client's Timeout, single attempt: payload blocks
 // are not retransmitted — and past the last block it arms the response wait.
 func (cl *call) stream() {
-	a, q := cl.a, cl.q
-	for ; cl.i < cl.nb; cl.i++ {
+	a, q, x := cl.a, &cl.q, cl.x
+	for ; x.i < x.nb; x.i++ {
 		switch {
 		case cl.req != nil: // back from waiting on it
-		case cl.dir == DirH2D:
-			cl.req = cl.sends[cl.i]
+		case x.dir == DirH2D:
+			cl.req = x.sends[x.i]
 		default:
 			cl.req = a.c.comm.Irecv(a.rank, dataTag(q.reqID))
 		}
 		if !cl.await(a.sim(), a.c.opts.Timeout, blockOver, cl) {
 			return
 		}
-		if data, _ := cl.req.Result(); cl.dir == DirD2H && cl.host != nil && data != nil {
+		if data, _ := cl.req.Result(); x.dir == DirD2H && x.host != nil && data != nil {
 			// A download's block arrives pool-owned: copied out, and kept.
-			copy(cl.host[cl.i*q.block:], data)
-			cl.blocks = append(cl.blocks, shadowBlock{buf: cl.req.TakePayload(), lo: cl.i * q.block})
+			copy(x.host[x.i*q.block:], data)
+			x.blocks = append(x.blocks, shadowBlock{buf: cl.req.TakePayload(), lo: x.i * q.block})
 		}
 		cl.req.Free()
 		cl.req = nil
@@ -883,19 +908,18 @@ func blockOver(v any) {
 		cl.stream()
 		return
 	}
-	for i := cl.i; i < len(cl.sends); i++ {
-		cl.sends[i].Cancel()
+	for i := cl.x.i; i < len(cl.x.sends); i++ {
+		cl.x.sends[i].Cancel()
 	}
-	cl.finish(nil, &TimeoutError{Rank: cl.a.rank, Attempts: 1})
+	cl.finish(&TimeoutError{Rank: cl.a.rank, Attempts: 1})
 }
 
 // MemAlloc allocates n bytes on the accelerator (acMemAlloc).
 func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
-	rsp, err := a.call(p, &request{op: OpMemAlloc, size: n})
+	phys, err := a.call(p, request{op: OpMemAlloc, size: n})
 	if err != nil {
 		return 0, err
 	}
-	phys := rsp.ptr
 	app := phys
 	if _, taken := a.allocs[app]; taken {
 		// A replacement daemon reused an address the ledger still maps:
@@ -917,9 +941,9 @@ func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
 // but coalesces with everything recorded before it.
 func (a *Accel) MemFree(p *sim.Proc, ptr gpu.Ptr) error {
 	if a.batching() {
-		return a.submit(&request{op: OpMemFree, ptr: ptr}).Wait(p)
+		return a.c.join(p, a.submit(a.newCall(request{op: OpMemFree, ptr: ptr})))
 	}
-	return a.status(p, &request{op: OpMemFree, ptr: ptr})
+	return a.status(p, request{op: OpMemFree, ptr: ptr})
 }
 
 // shadowWrite mirrors a write to a device window — src's packed columns, or
@@ -973,13 +997,13 @@ func (a *Accel) settle(rec *allocRecord) bool {
 	return rec.shadow != nil
 }
 
-// dropPending returns the pending blocks to the pool, their list to the client.
+// dropPending returns the pending blocks to the pool and empties the list.
 func (a *Accel) dropPending(rec *allocRecord) {
 	for _, b := range rec.pend {
 		a.c.comm.World().PutBuf(b.buf)
 	}
-	a.c.spareBlocks(rec.pend)
-	rec.pend, rec.pendBytes = nil, 0
+	clear(rec.pend)
+	rec.pend, rec.pendBytes = rec.pend[:0], 0
 }
 
 // checkWindow validates a strided window and, when the copy has a host side
@@ -999,8 +1023,7 @@ func checkWindow(op, name string, host []byte, colBytes, cols, pitch int) error 
 // then carries only its size. The call uses the client's H2D protocol and
 // completes when the daemon acknowledges the full payload.
 func (a *Accel) MemcpyH2D(p *sim.Proc, dst gpu.Ptr, off int, src []byte, n int) error {
-	pd := a.MemcpyH2DAsync(dst, off, src, n, 0)
-	return pd.Wait(p)
+	return a.c.join(p, a.MemcpyH2DAsync(dst, off, src, n, 0))
 }
 
 // MemcpyH2DAsync starts a host-to-device copy on the given stream and
@@ -1014,7 +1037,7 @@ func (a *Accel) MemcpyH2DAsync(dst gpu.Ptr, off int, src []byte, n int, stream u
 // dst+off. src is the packed host data (colBytes*cols bytes, or nil in
 // model mode).
 func (a *Accel) MemcpyH2D2D(p *sim.Proc, dst gpu.Ptr, off, colBytes, cols, pitch int, src []byte) error {
-	return a.MemcpyH2D2DAsync(dst, off, colBytes, cols, pitch, src, 0).Wait(p)
+	return a.c.join(p, a.MemcpyH2D2DAsync(dst, off, colBytes, cols, pitch, src, 0))
 }
 
 // MemcpyH2D2DAsync is the asynchronous strided host-to-device copy.
@@ -1023,7 +1046,7 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 		return a.failed(err)
 	}
 	n := colBytes * cols
-	q := &request{op: OpMemcpyH2D, stream: stream, ptr: dst, off: off, size: n, cols: cols, pitch: pitch}
+	q := request{op: OpMemcpyH2D, stream: stream, ptr: dst, off: off, size: n, cols: cols, pitch: pitch}
 	if a.batching() && a.c.opts.InlineCopy > 0 && n <= a.c.opts.InlineCopy {
 		// Small upload: the payload rides inside the command buffer (a
 		// copy is taken now — the caller may reuse src immediately). In
@@ -1033,7 +1056,7 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 		if src != nil {
 			q.inline = append([]byte(nil), src...)
 		}
-		return a.submit(q)
+		return a.submit(a.newCall(q))
 	}
 	return a.streamCopy(DirH2D, q, src)
 }
@@ -1041,7 +1064,7 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 // MemcpyD2H copies n bytes of device memory at src+off into dst
 // (acMemCpy, device→host). dst may be nil in model mode.
 func (a *Accel) MemcpyD2H(p *sim.Proc, dst []byte, src gpu.Ptr, off, n int) error {
-	return a.MemcpyD2HAsync(dst, src, off, n, 0).Wait(p)
+	return a.c.join(p, a.MemcpyD2HAsync(dst, src, off, n, 0))
 }
 
 // MemcpyD2HAsync starts a device-to-host copy on the given stream; the
@@ -1056,14 +1079,14 @@ func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, p
 	if err := checkWindow("MemcpyD2H", "dst", dst, colBytes, cols, pitch); err != nil {
 		return a.failed(err)
 	}
-	return a.streamCopy(DirD2H, &request{op: OpMemcpyD2H, stream: stream, ptr: src, off: off, size: colBytes * cols,
+	return a.streamCopy(DirD2H, request{op: OpMemcpyD2H, stream: stream, ptr: src, off: off, size: colBytes * cols,
 		cols: cols, pitch: pitch}, dst)
 }
 
 // Memset fills n bytes of device memory at dst+off with value
 // (acMemSet / cuMemsetD8).
 func (a *Accel) Memset(p *sim.Proc, dst gpu.Ptr, off, n int, value byte) error {
-	return a.MemsetAsync(dst, off, n, value, 0).Wait(p)
+	return a.c.join(p, a.MemsetAsync(dst, off, n, value, 0))
 }
 
 // MemsetAsync queues the fill on a stream.
@@ -1071,7 +1094,7 @@ func (a *Accel) MemsetAsync(dst gpu.Ptr, off, n int, value byte, stream uint8) *
 	if n < 0 {
 		return a.failed(fmt.Errorf("core: Memset: negative size %d", n))
 	}
-	return a.submit(&request{op: OpMemset, stream: stream, ptr: dst, off: off, size: n, value: value})
+	return a.submit(a.newCall(request{op: OpMemset, stream: stream, ptr: dst, off: off, size: n, value: value}))
 }
 
 // Kernel is a client-side kernel object, created per the paper's
@@ -1097,19 +1120,15 @@ func (k *Kernel) SetArgs(args ...gpu.Value) *Kernel {
 // Run launches the kernel with the given configuration and blocks until
 // it has executed on the accelerator (acKernelRun).
 func (k *Kernel) Run(p *sim.Proc, grid, block gpu.Dim3) error {
-	return k.RunAsync(grid, block, 0).Wait(p)
+	return k.a.c.join(p, k.RunAsync(grid, block, 0))
 }
 
 // RunAsync launches the kernel on a stream and returns immediately; the
 // returned Pending completes when the daemon reports the kernel finished.
 func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
-	q := &request{
-		op:     OpKernelRun,
-		stream: stream,
-		kernel: k.name,
-		launch: gpu.Launch{Grid: grid, Block: block, Args: append([]gpu.Value(nil), k.args...)},
-	}
-	return k.a.submit(q)
+	cl := k.a.newCall(request{op: OpKernelRun, stream: stream, kernel: k.name, launch: gpu.Launch{Grid: grid, Block: block}})
+	cl.q.launch.Args = append(cl.q.launch.Args, k.args...) // the call's own copy
+	return k.a.submit(cl)
 }
 
 // Sync blocks until every outstanding request on every stream of this
@@ -1117,18 +1136,19 @@ func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
 // command buffers on every stream are flushed first.
 func (a *Accel) Sync(p *sim.Proc) error {
 	a.flushAll()
-	return a.status(p, &request{op: OpSync})
+	return a.status(p, request{op: OpSync})
 }
 
 // Info queries the accelerator's device description. Queued commands
 // flush first so MemUsed reflects every recorded alloc-affecting op.
 func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 	a.flushAll()
-	rsp, err := a.call(p, &request{op: OpDeviceInfo})
-	if err != nil {
+	cl := a.newCall(request{op: OpDeviceInfo}).issue(a.c.opts.Retries, 0)
+	defer a.c.release(cl)
+	if err := cl.wait(p); err != nil {
 		return DeviceInfo{}, err
 	}
-	return decodeDeviceInfo(rsp.payload)
+	return decodeDeviceInfo(cl.rsp.payload)
 }
 
 // Reset frees every allocation on the accelerator, giving the next
@@ -1136,14 +1156,14 @@ func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 // back to the ARM.
 func (a *Accel) Reset(p *sim.Proc) error {
 	a.flushAll()
-	return a.finished(a.status(p, &request{op: OpReset}))
+	return a.finished(a.status(p, request{op: OpReset}))
 }
 
 // Shutdown stops the accelerator's daemon (simulation teardown).
 // Recorded commands flush first so nothing queued is lost.
 func (a *Accel) Shutdown(p *sim.Proc) error {
 	a.flushAll()
-	return a.finished(a.status(p, &request{op: OpShutdown}))
+	return a.finished(a.status(p, request{op: OpShutdown}))
 }
 
 // Failover migrates the handle to a replacement accelerator after its
@@ -1211,11 +1231,11 @@ func (a *Accel) rebuild(p *sim.Proc, on *Accel, what string, fill func(ptr, phys
 	slices.Sort(ptrs)
 	for _, ptr := range ptrs {
 		rec := a.allocs[ptr]
-		rsp, err := on.call(p, &request{op: OpMemAlloc, size: rec.size})
+		phys, err := on.call(p, request{op: OpMemAlloc, size: rec.size})
 		if err != nil {
 			return fmt.Errorf("core: %s %d bytes: %w", what, rec.size, err)
 		}
-		if err := fill(ptr, rsp.ptr, rec); err != nil {
+		if err := fill(ptr, phys, rec); err != nil {
 			return err
 		}
 	}
@@ -1356,15 +1376,16 @@ func (c *Client) DirectCopy2DOn(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff,
 	t0 := p.Now()
 	c.nextReq++
 	xferID := c.nextReq
-	sendQ := &request{op: OpD2DSend, ptr: srcPtr, off: srcOff, size: n, cols: cols, pitch: pitch,
+	sendQ := request{op: OpD2DSend, ptr: srcPtr, off: srcOff, size: n, cols: cols, pitch: pitch,
 		block: block, depth: depth, peer: dst.rank, xferID: xferID, stream: srcStream}
-	recvQ := &request{op: OpD2DRecv, ptr: dstPtr, off: dstOff, size: n, cols: 1, pitch: n,
+	recvQ := request{op: OpD2DRecv, ptr: dstPtr, off: dstOff, size: n, cols: 1, pitch: n,
 		block: block, depth: depth, peer: src.rank, xferID: xferID, stream: dstStream}
 	// Post the receiver side first so its daemon is ready for the stream.
 	recvCall := dst.newCall(recvQ).issue(0, 0)
 	sendCall := src.newCall(sendQ).issue(0, 0)
-	_, errRecv := recvCall.wait(p)
-	_, errSend := sendCall.wait(p)
+	errRecv, errSend := recvCall.wait(p), sendCall.wait(p)
+	c.release(recvCall)
+	c.release(sendCall)
 	if errSend != nil {
 		return errSend
 	}
@@ -1385,7 +1406,7 @@ func (a *Accel) MemcpyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, src
 	}
 	// The copy reads and writes device state touched by queued commands.
 	a.flushAll()
-	q := &request{op: OpMemcpyD2D, ptr: src, off: srcOff, ptr2: dst, off2: dstOff, size: n}
+	q := request{op: OpMemcpyD2D, ptr: src, off: srcOff, ptr2: dst, off2: dstOff, size: n}
 	err := a.status(p, q)
 	// Whatever host shadow the source range has becomes the destination
 	// range's, so a replayed replacement sees the copied bytes too.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynacc/internal/gpu"
 	"dynacc/internal/minimpi"
@@ -76,18 +76,9 @@ type FenceMark struct {
 	Time  sim.Time
 }
 
-// dedupKey identifies a request for idempotency: the sender's rank plus
-// its per-client request sequence number.
-type dedupKey struct {
-	src   int
-	reqID uint64
-}
-
-// dedupWindow is how many completed requests the daemon remembers. A
-// retransmit older than the window is indistinguishable from a new
-// request; the window therefore just needs to exceed the deepest retry
-// horizon a client can have in flight, and 512 is orders of magnitude
-// beyond that.
+// dedupWindow is how many requests the daemon remembers. An older
+// retransmit looks new, so the window need only exceed the deepest retry
+// horizon a client can have in flight; 512 is orders of magnitude beyond.
 const dedupWindow = 512
 
 // Daemon is the back-end running on an accelerator node: it receives
@@ -114,20 +105,11 @@ type Daemon struct {
 	// heartbeat, so beats can piggyback lease renewals for them.
 	active map[int]struct{}
 
-	// seen is the idempotent-request table: nil value while the request is
-	// executing (duplicates are dropped — the original will answer),
-	// encoded response afterwards (duplicates are re-answered from cache).
-	// seenOrder is a ring over its backing array (seenHead is the oldest
-	// live entry) so window eviction never reallocates.
-	seen      map[dedupKey][]byte
-	seenOrder []dedupKey
-	seenHead  int
-
-	// encw is the scratch encoder for responses: every response encode
-	// reuses its backing array and pays one exact-size CopyBytes
-	// allocation (the copy must exist anyway — responses are retained by
-	// the dedup table and by in-flight messages).
-	encw *wire.Writer
+	// The dedup table, the scratch responses are encoded in, and the request
+	// records free to decode into (see putRequest).
+	replies replyCache
+	encw    *wire.Writer
+	reqs    []*request
 
 	// scratches recycles copy-pipeline state (staging resource, per-block
 	// request/event slices) between transfers. A transfer in flight holds
@@ -159,7 +141,7 @@ func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 		cfg:      cfg,
 		sim:      comm.World().Sim(),
 		root:     &session{streams: make(map[uint8]*sim.Mailbox)},
-		seen:     make(map[dedupKey][]byte),
+		replies:  replyCache{window: dedupWindow, at: make(map[dedupKey]int)},
 		active:   make(map[int]struct{}),
 		sessions: make(map[sessKey]*session),
 		encw:     wire.NewWriter(64),
@@ -244,13 +226,6 @@ func (d *Daemon) spawn(parent *sim.Proc, name string, fn func(*sim.Proc)) {
 	d.track(parent.Spawn(name, fn))
 }
 
-// workItem travels from the dispatch loop to a stream worker.
-type workItem struct {
-	src  int
-	q    *request
-	sync *syncGroup
-}
-
 // syncGroup implements the cross-stream barrier behind OpSync, session
 // close/reset/reap and OpShutdown: each stream worker "arrives" when it
 // drains to the marker; the last arrival completes the group.
@@ -289,27 +264,29 @@ func (d *Daemon) Run(p *sim.Proc) {
 		req := d.comm.Irecv(minimpi.AnySource, TagRequest)
 		data, st := req.Wait(p)
 		d.active[st.Source] = struct{}{}
-		q, err := decodeRequest(data)
-		req.Free() // decodeRequest copied what it keeps; over sockets data is a pool buffer
+		q := pop(&d.reqs)
+		err, whole := q.decode(data, d.dev.Registry()), len(data) >= requestHeaderSize
+		req.Free() // q copied what it keeps; data is a pool buffer
+		q.src = st.Source
 		if err != nil {
 			// A refused body still deserves an answer when its header was
 			// whole, or the caller waits for a response forever.
-			if q != nil {
-				d.respond(st.Source, q.reqID, err, 0)
+			if whole {
+				d.respond(q.src, q.reqID, err, 0)
 			}
+			d.putRequest(q)
 			continue
 		}
-		key := dedupKey{src: st.Source, reqID: q.reqID}
-		if cached, dup := d.seen[key]; dup {
+		if reply, dup := d.replies.admit(dedupKey{src: q.src, reqID: q.reqID}); dup {
 			d.stats.DupsDropped++
-			if cached != nil {
+			if reply != nil {
 				// Completed before: replay the recorded response.
-				d.comm.Isend(st.Source, respTag(q.reqID), cached).Free()
+				sendCopy(d.comm, q.src, respTag(q.reqID), reply)
 			}
 			// Still in flight: drop the duplicate; the original will answer.
+			d.putRequest(q)
 			continue
 		}
-		d.admit(key)
 		d.stats.Requests++
 		if q.fence != 0 {
 			if q.fence > d.fenceHigh {
@@ -317,7 +294,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 				d.fenceLog = append(d.fenceLog, FenceMark{Epoch: q.fence, Time: d.sim.Now()})
 			} else if q.fence < d.fenceHigh && fenceChecked(q.op) {
 				d.stats.Fenced++
-				d.respond(st.Source, q.reqID, ErrFenced, 0)
+				d.answer(q, ErrFenced, 0)
 				continue
 			}
 		}
@@ -326,7 +303,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 			// Sessions are drained, not closed: their allocations die with
 			// the device.
 			d.barrier(true, append(d.sortedSessions(), d.root)...).Await(p)
-			d.respond(st.Source, q.reqID, nil, 0)
+			d.answer(q, nil, 0)
 			return
 		case OpDeviceInfo:
 			di := DeviceInfo{
@@ -336,81 +313,66 @@ func (d *Daemon) Run(p *sim.Proc) {
 				Execute:   d.dev.ExecuteMode(),
 				Kernels:   d.dev.Registry().Names(),
 			}
-			d.sendResponse(st.Source, q.reqID, &response{status: statusOK, payload: encodeDeviceInfo(di)})
+			d.sendResponse(q.src, q.reqID, &response{status: statusOK, payload: encodeDeviceInfo(di)})
 		case OpSessionReap:
-			d.reapSessions(st.Source, q)
+			d.reapSessions(q)
 		case OpSessionOpen:
-			d.openSession(st.Source, q)
+			d.openSession(q)
 		case OpSessionClose:
-			d.closeSession(st.Source, q)
+			d.closeSession(q)
 		default:
-			d.submit(st.Source, q)
+			d.submit(q)
+			continue
 		}
+		d.putRequest(q)
 	}
 }
+
+// putRequest recycles a request nothing reads any more (see answer).
+func (d *Daemon) putRequest(q *request) { d.reqs = append(d.reqs, q) }
 
 // submit hands a request to its session: the root for session-less
 // traffic, the sender's own tenant session otherwise. Sync and a tenant's
 // reset are barriers over that session's streams only, so neither waits
-// for a neighbour's work; everything else queues on its stream's worker.
-func (d *Daemon) submit(src int, q *request) {
+// for a neighbour's work; everything else queues on its stream's worker,
+// which recycles it.
+func (d *Daemon) submit(q *request) {
 	sess := d.root
 	if q.session != 0 {
-		sess = d.sessions[sessKey{src: src, id: q.session}]
+		sess = d.sessions[sessKey{src: q.src, id: q.session}]
 		if sess == nil || sess.drained != nil {
-			d.respond(src, q.reqID, sessGone(q.session), 0)
+			d.answer(q, sessGone(q.session), 0)
 			return
 		}
 	}
 	switch {
 	case q.op == OpSync:
-		reqID := q.reqID
+		src, reqID := q.src, q.reqID
 		d.barrier(false, sess).OnTrigger(func() { d.respond(src, reqID, nil, 0) })
 	case q.op == OpReset && sess != d.root:
-		d.resetSession(src, sess, q)
+		d.resetSession(sess, q)
 	default:
 		mbox, err := d.stream(sess, q.stream)
 		if err != nil {
-			d.respond(src, q.reqID, err, 0)
+			d.answer(q, err, 0)
 			return
 		}
-		mbox.Send(workItem{src: src, q: q})
+		mbox.Send(q)
+		return
 	}
+	d.putRequest(q)
 }
 
 // takeActive returns (sorted, for determinism) and clears the set of
 // ranks that sent requests since the previous call.
 func (d *Daemon) takeActive() []int {
-	if len(d.active) == 0 {
-		return nil
-	}
 	ranks := make([]int, 0, len(d.active))
 	for r := range d.active {
 		ranks = append(ranks, r)
-		delete(d.active, r)
 	}
-	sort.Ints(ranks)
+	clear(d.active)
+	slices.Sort(ranks)
 	return ranks
-}
-
-// admit records a request as in flight and evicts the oldest entry once
-// the table outgrows the dedup window.
-func (d *Daemon) admit(key dedupKey) {
-	if len(d.seenOrder)-d.seenHead >= dedupWindow {
-		delete(d.seen, d.seenOrder[d.seenHead])
-		d.seenOrder[d.seenHead] = dedupKey{}
-		d.seenHead++
-		// Slide the live window down once the dead prefix reaches a full
-		// window, so the backing array settles at twice the window and the
-		// table never reallocates again.
-		if d.seenHead >= dedupWindow {
-			n := copy(d.seenOrder, d.seenOrder[d.seenHead:])
-			d.seenOrder = d.seenOrder[:n]
-			d.seenHead = 0
-		}
-	}
-	d.seen[key] = nil
-	d.seenOrder = append(d.seenOrder, key)
 }
 
 // barrier posts a sync marker to every live stream of the given sessions
@@ -423,7 +385,7 @@ func (d *Daemon) barrier(poison bool, sessions ...*session) *sim.Event {
 	for _, sess := range sessions {
 		for _, id := range sess.sortedStreams() {
 			g.remaining++
-			sess.streams[id].Send(workItem{sync: g})
+			sess.streams[id].Send(g)
 		}
 		if poison {
 			clear(sess.streams)
@@ -453,15 +415,14 @@ func (d *Daemon) stream(sess *session, id uint8) (*sim.Mailbox, error) {
 	sess.streams[id] = mbox
 	d.spawn(d.mainP, name, func(p *sim.Proc) {
 		for {
-			item := mbox.Recv(p).(workItem)
-			if item.sync != nil {
-				item.sync.arrive()
-				if item.sync.poison {
+			switch item := mbox.Recv(p).(type) {
+			case *syncGroup:
+				if item.arrive(); item.poison {
 					return
 				}
-				continue
+			case *request:
+				d.execute(p, sess, item)
 			}
-			d.execute(p, sess, item.src, item.q)
 		}
 	})
 	return mbox, nil
@@ -477,16 +438,17 @@ func (d *Daemon) respond(src int, reqID uint64, err error, ptr gpu.Ptr) {
 	d.sendResponse(src, reqID, rsp)
 }
 
-// sendResponse encodes, records (for duplicate replay) and sends a
-// response.
+// sendResponse encodes a response, records it for replay, sends a copy.
 func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 	rsp.reqID = reqID
-	enc := encodeResponseTo(d.encw, rsp)
-	key := dedupKey{src: src, reqID: reqID}
-	if _, ok := d.seen[key]; ok {
-		d.seen[key] = enc
-	}
-	d.comm.Isend(src, respTag(reqID), enc).Free()
+	enc := d.replies.store(dedupKey{src: src, reqID: reqID}, encodeResponseTo(d.encw, rsp))
+	sendCopy(d.comm, src, respTag(reqID), enc)
+}
+
+// answer sends q's status-only response and recycles q.
+func (d *Daemon) answer(q *request, err error, ptr gpu.Ptr) {
+	d.respond(q.src, q.reqID, err, ptr)
+	d.putRequest(q)
 }
 
 // execute runs one request inside a stream worker, under its session:
@@ -495,31 +457,31 @@ func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 // is threaded into the copy pipeline as a pre-error so the payload still
 // drains in lockstep — the wire winds down cleanly and the typed error
 // travels in the response.
-func (d *Daemon) execute(p *sim.Proc, sess *session, src int, q *request) {
+func (d *Daemon) execute(p *sim.Proc, sess *session, q *request) {
 	err := sess.checkOwned(q)
 	switch q.op {
 	case OpMemcpyH2D:
-		d.recvToDevice(p, src, q, src, dataTag(q.reqID), err)
+		d.recvToDevice(p, q, q.src, dataTag(q.reqID), err)
 		return
 	case OpMemcpyD2H:
-		d.sendFromDevice(p, src, q, src, dataTag(q.reqID), err)
+		d.sendFromDevice(p, q, q.src, dataTag(q.reqID), err)
 		return
 	case OpD2DRecv, OpD2DSend:
 		if q.peer >= d.comm.Size() {
-			d.respond(src, q.reqID, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
+			d.answer(q, fmt.Errorf("core: D2D peer rank %d out of range", q.peer), 0)
 		} else if q.op == OpD2DRecv {
-			d.recvToDevice(p, src, q, q.peer, d2dTag(q.xferID), err)
+			d.recvToDevice(p, q, q.peer, d2dTag(q.xferID), err)
 		} else {
-			d.sendFromDevice(p, src, q, q.peer, d2dTag(q.xferID), err)
+			d.sendFromDevice(p, q, q.peer, d2dTag(q.xferID), err)
 		}
 		return
 	case OpBatch:
-		d.executeBatch(p, src, q, sess)
+		d.executeBatch(p, q, sess)
 		return
 	}
 	if err != nil {
 		// Refused: the allocation behind a foreign pointer is never touched.
-		d.respond(src, q.reqID, err, 0)
+		d.answer(q, err, 0)
 		return
 	}
 	var ptr gpu.Ptr
@@ -549,7 +511,7 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, src int, q *request) {
 	default:
 		err = fmt.Errorf("op %d not executable on a stream", q.op)
 	}
-	d.respond(src, q.reqID, err, ptr)
+	d.answer(q, err, ptr)
 }
 
 // executeBatch runs a command buffer in order inside its stream worker,
@@ -560,7 +522,7 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, src int, q *request) {
 // replayed atomically: executed once, answered twice. Under a tenant
 // session every command passes the ownership check first and frees update
 // the session's allocator view.
-func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
+func (d *Daemon) executeBatch(p *sim.Proc, q *request, sess *session) {
 	sts := make([]cmdStatus, len(q.batch))
 	failed := false
 	// The buffer arrived through one driver submission: its first kernel
@@ -602,7 +564,8 @@ func (d *Daemon) executeBatch(p *sim.Proc, src int, q *request, sess *session) {
 	}
 	d.stats.Batches++
 	d.stats.BatchedOps += int64(len(q.batch))
-	d.sendResponse(src, q.reqID, &response{status: statusOK, payload: encodeBatchStatus(sts)})
+	d.sendResponse(q.src, q.reqID, &response{status: statusOK, payload: encodeBatchStatus(sts)})
+	d.putRequest(q)
 }
 
 // writeInline lands a small host-to-device write whose payload arrived
@@ -693,12 +656,12 @@ type pipeBlock struct {
 // legs run.
 const statePipeline = "in copy pipeline"
 
-// prepare sizes the scratch for a transfer of nb blocks on behalf of
-// worker p, re-initializing the per-block events in place, and checks the
-// device window unless preErr (e.g. a session ownership failure) has
-// already refused it.
-func (ps *pipeScratch) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb int, preErr error) {
-	d := ps.d
+// prepare takes a scratch off the free list and readies it for worker p's
+// transfer of nb blocks, re-initializing the per-block events in place; it
+// checks the device window unless preErr has already refused the transfer.
+func (d *Daemon) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb int, preErr error) *pipeScratch {
+	ps := pop(&d.scratches)
+	ps.d = d
 	if ps.staging == nil || ps.depth != q.depth {
 		ps.staging = sim.NewResource(d.sim, "staging", q.depth)
 		ps.depth = q.depth
@@ -727,6 +690,7 @@ func (ps *pipeScratch) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Ta
 	if ps.winErr == nil {
 		ps.winErr = d.dev.ValidRange(q.ptr, q.off, ps.end()-q.off)
 	}
+	return ps
 }
 
 // firstOf returns the first non-nil error.
@@ -783,17 +747,18 @@ func drainOn(v any) {
 	ps.drain()
 }
 
-// getScratch pops a pipeline scratch from the daemon's free list. A
-// transfer killed mid-flight never returns its scratch — it simply falls
-// out of the pool, like every other pooled object in a killed process.
-func (d *Daemon) getScratch() *pipeScratch {
-	if n := len(d.scratches); n > 0 {
-		ps := d.scratches[n-1]
-		d.scratches[n-1] = nil
-		d.scratches = d.scratches[:n-1]
-		return ps
+// pop takes the last record off a free list, or makes a new one. A record in
+// use when its owner is killed (a transfer killed mid-flight, say) never
+// goes back, like every other pooled object of a killed process.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
 	}
-	return &pipeScratch{d: d}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
 }
 
 func (d *Daemon) putScratch(ps *pipeScratch) { d.scratches = append(d.scratches, ps) }
@@ -844,15 +809,14 @@ func (w window) scatter(mirror []byte, lo int, src []byte) {
 // the place of the range check: the payload still drains so the sender
 // winds down in lockstep, but the device is never touched and preErr
 // travels in the response.
-func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int, tag minimpi.Tag, preErr error) {
+func (d *Daemon) recvToDevice(p *sim.Proc, q *request, dataSrc int, tag minimpi.Tag, preErr error) {
 	nb := numBlocks(q.size, q.block)
 	if nb == 0 {
-		d.respond(respDst, q.reqID, preErr, 0)
+		d.answer(q, preErr, 0)
 		return
 	}
 	d.noteStaging(q.block, q.depth, nb)
-	ps := d.getScratch()
-	ps.prepare(p, q, dataSrc, tag, nb, preErr)
+	ps := d.prepare(p, q, dataSrc, tag, nb, preErr)
 	d.sim.AfterCall(0, postReceives, ps)
 	ps.recvNext()
 	p.Suspend(statePipeline)
@@ -861,7 +825,7 @@ func (d *Daemon) recvToDevice(p *sim.Proc, respDst int, q *request, dataSrc int,
 		firstErr = fmt.Errorf("core: payload carried %d bytes for %d columns of %d", ps.placed, ps.cols, ps.colBytes)
 	}
 	d.putScratch(ps)
-	d.respond(respDst, q.reqID, firstErr, 0)
+	d.answer(q, firstErr, 0)
 }
 
 // postReceives is the receive pipeline's poster: it keeps `depth` receives
@@ -990,24 +954,23 @@ func dmaInDone(v any) {
 // DMA proceeds. A non-nil preErr (e.g. a session ownership failure)
 // replaces the range check: nb empty blocks still ship so the receiver
 // stays in lockstep, and the device is never read.
-func (d *Daemon) sendFromDevice(p *sim.Proc, respDst int, q *request, dataDst int, tag minimpi.Tag, preErr error) {
+func (d *Daemon) sendFromDevice(p *sim.Proc, q *request, dataDst int, tag minimpi.Tag, preErr error) {
 	nb := numBlocks(q.size, q.block)
 	if nb == 0 {
-		d.respond(respDst, q.reqID, preErr, 0)
+		d.answer(q, preErr, 0)
 		return
 	}
 	d.noteStaging(q.block, q.depth, nb)
-	ps := d.getScratch()
 	// The device range is validated once, before any block ships: when it
 	// is bad, the protocol still ships nb empty blocks so the receiver stays
 	// in lockstep, and the error travels in the response. Timing flows
 	// through the per-block DMA+send pipeline.
-	ps.prepare(p, q, dataDst, tag, nb, preErr)
+	ps := d.prepare(p, q, dataDst, tag, nb, preErr)
 	ps.shipNext()
 	p.Suspend(statePipeline)
 	firstErr := firstOf(ps.winErr, ps.dmaErr, ps.peerErr)
 	d.putScratch(ps)
-	d.respond(respDst, q.reqID, firstErr, 0)
+	d.answer(q, firstErr, 0)
 }
 
 // shipNext is the head of the send loop: take a staging slot for the next

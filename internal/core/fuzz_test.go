@@ -14,6 +14,7 @@ import (
 	"dynacc/internal/gpu"
 	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
+	"dynacc/internal/wire"
 )
 
 // requestFrames is the one table of the request wire format: every op with
@@ -88,15 +89,23 @@ var requestFrames = []struct {
 			"00100000000000000800000000000000002000000000000010000000000000000002000000000000"},
 }
 
-func FuzzDecodeRequest(f *testing.F) {
+// requestCorpus is FuzzDecodeRequest's seed corpus: every frame of the
+// table, and garbage.
+func requestCorpus(tb testing.TB) [][]byte {
+	var corpus [][]byte
 	for _, tc := range requestFrames {
-		f.Add(mustHex(f, tc.hex))
+		corpus = append(corpus, mustHex(tb, tc.hex))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0xFF})
-	f.Add(mustHex(f, requestFrames[0].hex)[:requestHeaderSize+1]) // whole header, truncated size
-	// Decodes, and used to pass validate(): 2^40 one-byte blocks.
-	f.Add(encodeRequest(&request{op: OpMemcpyD2H, reqID: 1, size: 1 << 40, cols: 1, block: 1, depth: 1}))
+	return append(corpus, []byte{}, []byte{0xFF},
+		mustHex(tb, requestFrames[0].hex)[:requestHeaderSize+1], // whole header, truncated size
+		// Decodes, and used to pass validate(): 2^40 one-byte blocks.
+		encodeRequest(&request{op: OpMemcpyD2H, reqID: 1, size: 1 << 40, cols: 1, block: 1, depth: 1}))
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	for _, data := range requestCorpus(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := decodeRequest(data)
 		if err != nil {
@@ -113,6 +122,30 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("encoding is not canonical:\n first %x\nsecond %x", enc, encodeRequest(q2))
 		}
 	})
+}
+
+// The codec's fresh-record forms: the daemon decodes into recycled records
+// and both ends encode into scratch writers.
+func encodeRequest(q *request) []byte { return encodeRequestTo(wire.NewWriter(64), q) }
+
+func encodeResponse(rsp *response) []byte { return encodeResponseTo(wire.NewWriter(32), rsp) }
+
+// decodeRequest returns nil for a cut header (see request.decode).
+func decodeRequest(data []byte) (*request, error) {
+	q := new(request)
+	err := q.decode(data, gpu.NewRegistry())
+	if len(data) < requestHeaderSize {
+		q = nil
+	}
+	return q, err
+}
+
+func decodeResponse(data []byte) (*response, error) {
+	rsp := new(response)
+	if err := rsp.decode(data); err != nil {
+		return nil, err
+	}
+	return rsp, nil
 }
 
 func mustHex(tb testing.TB, s string) []byte {

@@ -27,6 +27,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dynacc/internal/gpu"
 	"dynacc/internal/minimpi"
@@ -154,19 +155,19 @@ var (
 // to host staging instead of aborting.
 var ErrNoPeerPath = errors.New("core: no direct peer path between accelerators")
 
+// sentinels holds the typed status codes' errors, by code.
+var sentinels = [...]error{statusNotOwner: ErrNotOwner, statusQuota: ErrQuotaExceeded,
+	statusNoSession: ErrNoSession, statusFenced: ErrFenced}
+
 // statusForErr maps a daemon-side error to its wire status code.
 func statusForErr(err error) uint8 {
-	switch {
-	case err == nil:
+	if err == nil {
 		return statusOK
-	case errors.Is(err, ErrNotOwner):
-		return statusNotOwner
-	case errors.Is(err, ErrQuotaExceeded):
-		return statusQuota
-	case errors.Is(err, ErrNoSession):
-		return statusNoSession
-	case errors.Is(err, ErrFenced):
-		return statusFenced
+	}
+	for st, sentinel := range sentinels {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return uint8(st)
+		}
 	}
 	return statusError
 }
@@ -174,15 +175,8 @@ func statusForErr(err error) uint8 {
 // sentinelFor maps a wire status code back to the sentinel it carries
 // (nil for plain errors).
 func sentinelFor(status uint8) error {
-	switch status {
-	case statusNotOwner:
-		return ErrNotOwner
-	case statusQuota:
-		return ErrQuotaExceeded
-	case statusNoSession:
-		return ErrNoSession
-	case statusFenced:
-		return ErrFenced
+	if int(status) < len(sentinels) {
+		return sentinels[status]
 	}
 	return nil
 }
@@ -383,6 +377,8 @@ type request struct {
 	// OpWriteInline: the payload carried inside the header. Empty in
 	// model mode, where only size is charged on the wire.
 	inline []byte
+
+	src int // the rank the daemon received it from; not on the wire
 }
 
 // requestHeaderSize is the fixed header every request opens with:
@@ -393,20 +389,20 @@ type request struct {
 // op's body follows. DESIGN.md §11 has the table.
 const requestHeaderSize = 26
 
-// encodeRequest serializes a request: the fixed header, then the body.
-func encodeRequest(q *request) []byte {
-	return encodeRequestTo(wire.NewWriter(64), q)
-}
-
-// encodeRequestTo encodes into a reusable scratch writer and returns an
-// exact-size copy of the encoding (the copy must be taken regardless: the
-// encoding is retained for retransmission). The client's hot path reuses
-// one writer for every request it ever sends.
+// encodeRequestTo serializes a request, header then body, into scratch w; it
+// returns w's bytes.
 func encodeRequestTo(w *wire.Writer, q *request) []byte {
 	w.Reset()
 	w.U8(q.op).U64(q.reqID).U8(q.stream).U64(q.session).U64(q.fence)
 	encodeBody(w, q)
-	return w.CopyBytes()
+	return w.Bytes()
+}
+
+// sendCopy sends a pool copy of b, which the receiver frees.
+func sendCopy(comm *minimpi.Comm, dst int, tag minimpi.Tag, b []byte) {
+	buf := comm.World().GetBuf(len(b))
+	copy(buf, b)
+	comm.IsendOwned(dst, tag, buf).Free()
 }
 
 // encodeWindow serializes the strided device window shared by the copy
@@ -465,23 +461,28 @@ func encodeBody(w *wire.Writer, q *request) {
 	}
 }
 
-// decodeRequest parses a request: the header first, the body second. A
-// request whose header is whole comes back even when its body is refused,
-// so the daemon can answer the error to the reqID instead of leaving the
-// caller waiting; a cut header returns nil.
-func decodeRequest(data []byte) (*request, error) {
+// decode parses a request into q, a recycled record (see reset). A whole
+// header stays in q when the body is refused, so the daemon can answer it.
+func (q *request) decode(data []byte, reg *gpu.Registry) error {
+	q.reset()
 	r := wire.NewReader(data)
-	q := &request{op: r.U8(), reqID: r.U64(), stream: r.U8(), session: r.U64(), fence: r.U64()}
+	q.op, q.reqID, q.stream, q.session, q.fence = r.U8(), r.U64(), r.U8(), r.U64(), r.U64()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: malformed request header: %w", err)
+		return fmt.Errorf("core: malformed request header: %w", err)
 	}
-	if err := decodeBody(r, q); err != nil {
-		return q, err
+	if err := decodeBody(r, q, reg); err != nil {
+		return err
 	}
 	if err := r.Err(); err != nil {
-		return q, fmt.Errorf("core: malformed request: %w", err)
+		return fmt.Errorf("core: malformed request: %w", err)
 	}
-	return q, q.validate()
+	return q.validate()
+}
+
+// reset empties q but for the arrays of its launch arguments, batch (with
+// the sub-records in it) and inline payload.
+func (q *request) reset() {
+	*q = request{launch: gpu.Launch{Args: q.launch.Args[:0]}, batch: q.batch[:0], inline: q.inline[:0]}
 }
 
 // decodeWindow parses the strided device window of the copy ops.
@@ -493,8 +494,8 @@ func decodeWindow(r *wire.Reader, q *request) {
 	q.pitch = r.Int()
 }
 
-// decodeBody parses the op-specific fields of a request.
-func decodeBody(r *wire.Reader, q *request) error {
+// decodeBody parses the op-specific fields of a request into a reset q.
+func decodeBody(r *wire.Reader, q *request, reg *gpu.Registry) error {
 	switch q.op {
 	case OpMemAlloc:
 		q.size = r.Int()
@@ -505,7 +506,12 @@ func decodeBody(r *wire.Reader, q *request) error {
 		q.block = r.Int()
 		q.depth = r.Int()
 	case OpKernelRun:
-		q.kernel = r.Str()
+		name := r.Blob()
+		if k, ok := reg.Lookup(string(name)); ok {
+			q.kernel = k.Name() // the registry's string: a warm decode allocates none
+		} else {
+			q.kernel = string(name)
+		}
 		var dims [6]int
 		for i := range dims {
 			dims[i] = r.Int()
@@ -550,7 +556,7 @@ func decodeBody(r *wire.Reader, q *request) error {
 		q.size = r.Int()
 	case OpWriteInline:
 		decodeWindow(r, q)
-		q.inline = append([]byte(nil), r.Blob()...)
+		q.inline = append(q.inline, r.Blob()...)
 	case OpBatch:
 		// Sub-commands are batchable ops, so a batch never nests.
 		n := int(r.U32())
@@ -558,14 +564,18 @@ func decodeBody(r *wire.Reader, q *request) error {
 			return fmt.Errorf("core: malformed request: batch of %d commands", n)
 		}
 		for i := 0; i < n && r.Err() == nil; i++ {
-			sub := &request{op: r.U8(), reqID: q.reqID, stream: q.stream}
+			if q.batch = slices.Grow(q.batch, 1)[:i+1]; q.batch[i] == nil { // else a record it held before
+				q.batch[i] = new(request)
+			}
+			sub := q.batch[i]
+			sub.reset()
+			sub.op, sub.reqID, sub.stream = r.U8(), q.reqID, q.stream
 			if r.Err() == nil && !batchable(sub.op) {
 				return fmt.Errorf("core: malformed request: op %d not allowed inside a batch", sub.op)
 			}
-			if err := decodeBody(r, sub); err != nil {
+			if err := decodeBody(r, sub, reg); err != nil {
 				return err
 			}
-			q.batch = append(q.batch, sub)
 		}
 	case OpSessionOpen:
 		q.quota = r.I64()
@@ -676,27 +686,22 @@ type response struct {
 	payload []byte  // OpDeviceInfo
 }
 
-func encodeResponse(rsp *response) []byte {
-	return encodeResponseTo(wire.NewWriter(32), rsp)
-}
-
-// encodeResponseTo is encodeResponse against a reusable scratch writer;
-// the returned copy is exact-size (responses are retained by the daemon's
-// dedup table, so a copy is mandatory anyway).
+// encodeResponseTo serializes a response into scratch w; it returns w's bytes.
 func encodeResponseTo(w *wire.Writer, rsp *response) []byte {
 	w.Reset()
 	w.U64(rsp.reqID).U8(rsp.status).Str(rsp.errmsg).U64(uint64(rsp.ptr)).Blob(rsp.payload)
-	return w.CopyBytes()
+	return w.Bytes()
 }
 
-func decodeResponse(data []byte) (*response, error) {
+// decode parses a response into rsp, a call's, reusing its payload's array.
+func (rsp *response) decode(data []byte) error {
 	r := wire.NewReader(data)
-	rsp := &response{reqID: r.U64(), status: r.U8(), errmsg: r.Str(), ptr: gpu.Ptr(r.U64())}
-	rsp.payload = append([]byte(nil), r.Blob()...)
+	rsp.reqID, rsp.status, rsp.errmsg, rsp.ptr = r.U64(), r.U8(), r.Str(), gpu.Ptr(r.U64())
+	rsp.payload = append(rsp.payload[:0], r.Blob()...)
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: malformed response: %w", err)
+		return fmt.Errorf("core: malformed response: %w", err)
 	}
-	return rsp, nil
+	return nil
 }
 
 // Per-command statuses inside a batch response's status vector.

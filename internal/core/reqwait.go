@@ -15,7 +15,7 @@ type reqWait struct {
 	// waiting is set while the wait lasts, and expires is when it runs out
 	// under a deadline. Deadline timers are never cancelled, and a record
 	// is reused for later waits: a timer armed for an earlier one fires
-	// before expires and is ignored.
+	// before expires, a wake-up by an earlier request finds req incomplete.
 	waiting bool
 	expires sim.Time
 	sim     *sim.Simulation
@@ -46,8 +46,10 @@ func (w *reqWait) await(s *sim.Simulation, deadline sim.Duration, fn func(any), 
 
 func reqWaitWoken(v any) {
 	w := v.(*reqWait)
-	if !w.waiting {
-		return // the deadline resumed the chain first
+	if !w.waiting || !w.req.Completed() {
+		// The deadline resumed the chain first, or a request waited on
+		// before woke a record that is waiting on another now.
+		return
 	}
 	w.waiting = false
 	w.fn(w.arg)

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynacc/internal/gpu"
 	"dynacc/internal/sim"
@@ -54,15 +55,14 @@ type session struct {
 	drained *sim.Event
 }
 
-// sortedStreams returns the session's stream ids in ascending order:
-// sorted iteration keeps event creation order — and therefore the whole
-// simulation — deterministic.
+// sortedStreams returns the session's stream ids in ascending order, which
+// keeps event creation order — and the whole simulation — deterministic.
 func (sess *session) sortedStreams() []uint8 {
 	ids := make([]uint8, 0, len(sess.streams))
 	for id := range sess.streams {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -110,8 +110,8 @@ func sessGone(id uint64) error {
 }
 
 // openSession registers a new session.
-func (d *Daemon) openSession(src int, q *request) {
-	key := sessKey{src: src, id: q.session}
+func (d *Daemon) openSession(q *request) {
+	src, key := q.src, sessKey{src: q.src, id: q.session}
 	if d.sessions[key] != nil {
 		d.respond(src, q.reqID, fmt.Errorf("core: session %d already open", q.session), 0)
 		return
@@ -130,21 +130,21 @@ func (d *Daemon) openSession(src int, q *request) {
 // never a device-wide reset), and forgets it. Closing an unknown session
 // succeeds: closes are idempotent so retransmits and teardown races are
 // harmless.
-func (d *Daemon) closeSession(src int, q *request) {
+func (d *Daemon) closeSession(q *request) {
+	src, reqID := q.src, q.reqID
 	sess := d.sessions[sessKey{src: src, id: q.session}]
 	if sess == nil {
-		d.respond(src, q.reqID, nil, 0)
+		d.respond(src, reqID, nil, 0)
 		return
 	}
-	reqID := q.reqID
 	d.retire(sess, func(err error) { d.respond(src, reqID, err, 0) })
 }
 
 // resetSession is the session-scoped acDeviceReset: it waits for the
 // session's in-flight work, then frees its allocations. The session
 // stays open.
-func (d *Daemon) resetSession(src int, sess *session, q *request) {
-	reqID := q.reqID
+func (d *Daemon) resetSession(sess *session, q *request) {
+	src, reqID := q.src, q.reqID
 	bar := d.barrier(false, sess)
 	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-reset", d.dev.Name(), sess.key.id), func(p *sim.Proc) {
 		bar.Await(p)
@@ -156,7 +156,8 @@ func (d *Daemon) resetSession(src int, sess *session, q *request) {
 // ARM's reclaim path after a tenant dies. Only the dead tenant's state
 // is sanitized; every other session keeps running throughout. The
 // response arrives once all victim sessions are drained and freed.
-func (d *Daemon) reapSessions(src int, q *request) {
+func (d *Daemon) reapSessions(q *request) {
+	src, reqID := q.src, q.reqID
 	var victims []*session
 	for _, sess := range d.sortedSessions() {
 		if sess.key.src == q.peer {
@@ -164,10 +165,9 @@ func (d *Daemon) reapSessions(src int, q *request) {
 		}
 	}
 	if len(victims) == 0 {
-		d.respond(src, q.reqID, nil, 0)
+		d.respond(src, reqID, nil, 0)
 		return
 	}
-	reqID := q.reqID
 	remaining := len(victims)
 	for _, sess := range victims {
 		d.retire(sess, func(error) {
@@ -213,18 +213,14 @@ func (d *Daemon) freeSession(p *sim.Proc, sess *session) error {
 }
 
 // sortedSessions returns the open tenant sessions ordered by client rank,
-// then session id (a client's ids grow in open order), so teardown
-// scans are deterministic.
+// then session id (in open order), so teardown scans are deterministic.
 func (d *Daemon) sortedSessions() []*session {
 	out := make([]*session, 0, len(d.sessions))
 	for _, sess := range d.sessions {
 		out = append(out, sess)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.src != out[j].key.src {
-			return out[i].key.src < out[j].key.src
-		}
-		return out[i].key.id < out[j].key.id
+	slices.SortFunc(out, func(a, b *session) int {
+		return cmp.Or(cmp.Compare(a.key.src, b.key.src), cmp.Compare(a.key.id, b.key.id))
 	})
 	return out
 }

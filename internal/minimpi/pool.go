@@ -6,17 +6,17 @@ import (
 	"sync"
 )
 
-// Payload buffer pool. Pipelined transfers move bounded windows of
-// uniformly-sized blocks, so recycling buffers keeps the steady-state
-// transfer path allocation-free: the sender takes a block with
-// World.GetBuf, ships it with Comm.IsendOwned (ownership travels with the
-// message), and the receiver returns it with Request.Free once the bytes
-// are consumed. A socket transport runs every remote payload through the
-// same pool from its own goroutines (the connection reader takes the
-// receive buffer, the writer returns the sent one), so the pool is
-// goroutine-safe. A buffer whose message is dropped, canceled or never
-// received simply falls out of the pool — correctness never depends on a
-// Free happening.
+// Payload buffer pool. Recycling buffers keeps steady-state traffic
+// allocation-free: the sender takes a buffer with World.GetBuf, ships it
+// with Comm.IsendOwned (ownership travels with the message), and the
+// receiver returns it with Request.Free once the bytes are consumed. Owned
+// payloads are pipelined copy blocks and core's control messages: request
+// headers, replies and replays. A socket transport runs every remote
+// payload through the same pool from its own goroutines (the connection
+// reader takes the receive buffer, the writer returns the sent one), so the
+// pool is goroutine-safe. A buffer whose message is dropped, canceled or
+// never received simply falls out of the pool — correctness never depends
+// on a Free happening.
 //
 // Recycled records. Every Request and every Message comes from a per-World
 // free list (scheduler context only, so unlocked; empty in a new World) and
