@@ -28,6 +28,7 @@ package arm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynacc/internal/minimpi"
@@ -311,12 +312,12 @@ type accel struct {
 	rank  int
 	state acState
 
-	// holders maps the world rank of each client holding the accelerator
-	// to its lease expiry (0 = no lease): one entry while acAssigned, up
-	// to ShareCapacity while acShared. Empty in every other state, except
-	// that an administrative Fail freezes the table so the holders can
-	// still release.
-	holders map[int]sim.Time
+	// holders lists the clients holding the accelerator by ascending world
+	// rank, so loops over them are deterministic, each with its lease
+	// expiry: one while acAssigned, up to ShareCapacity while acShared.
+	// Empty in every other state, except that an administrative Fail
+	// freezes the table so the holders can still release.
+	holders []holder
 
 	// Health bookkeeping (unused while the subsystem is off).
 	dirty    bool       // device may hold residue; sanitize before re-granting
@@ -333,6 +334,40 @@ type accel struct {
 	busySeconds float64
 	waitSeconds float64
 	grants      int
+
+	mark uint64 // the last replicated snapshot that listed it (follower only)
+}
+
+// holder is one client holding an accelerator, with its lease expiry (0 =
+// no lease).
+type holder struct {
+	rank   int
+	expiry sim.Time
+}
+
+// find returns where rank is, or would go, in a's holders, and whether it
+// is there.
+func (a *accel) find(rank int) (int, bool) {
+	return slices.BinarySearchFunc(a.holders, rank, func(h holder, r int) int { return h.rank - r })
+}
+
+// holds reports whether client rank holds a.
+func (a *accel) holds(rank int) bool { _, ok := a.find(rank); return ok }
+
+// hold enters rank among a's holders, or renews it, with that expiry.
+func (a *accel) hold(rank int, expiry sim.Time) {
+	i, ok := a.find(rank)
+	if !ok {
+		a.holders = slices.Insert(a.holders, i, holder{rank: rank})
+	}
+	a.holders[i].expiry = expiry
+}
+
+// unhold drops rank from a's holders.
+func (a *accel) unhold(rank int) {
+	if i, ok := a.find(rank); ok {
+		a.holders = slices.Delete(a.holders, i, i+1)
+	}
 }
 
 // held reports whether a is in use: exclusively assigned or shared.
@@ -346,20 +381,6 @@ func (a *accel) holderCount() int {
 		return 0
 	}
 	return len(a.holders)
-}
-
-// holderRanks returns a's holder ranks in ascending order, so loops over
-// them are deterministic.
-func (a *accel) holderRanks() []int {
-	if len(a.holders) == 0 {
-		return nil
-	}
-	ranks := make([]int, 0, len(a.holders))
-	for r := range a.holders {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 type pendingAcquire struct {
@@ -434,16 +455,26 @@ type Server struct {
 	// Directory.replayable — no reply kept for a replay that cannot come.
 	dir          *Directory
 	shard        int
-	followerRank int                       // replication target; -1 when there is none
-	peers        []peerLoad                // indexed by shard; this server's own entry is unused
-	loads        []classLoad               // classLoads scratch
-	fwdSeq       uint64                    // reply-tag sequence for server-to-server calls
-	scratch      *wire.Writer              // forwards, gossip and snapshots (copied out at once)
-	replies      map[int]map[uint64][]byte // client → reqID → sent reply (dedup)
+	followerRank int         // replication target; -1 when there is none
+	peers        []peerLoad  // indexed by shard; this server's own entry is unused
+	loads        []classLoad // classLoads scratch
+	fwdSeq       uint64      // reply-tag sequence for server-to-server calls
+	replies      minimpi.ReplyCache
 	repSeq       uint64
-	repReplies   []repReply
+	repN         int         // replies recorded since the last ship, encoded in repW
+	repW         wire.Writer // (dst, reqID, reply) entries for the next ship
+	mark         uint64      // snapshots applied (follower only)
 	mainProc     *sim.Proc
 	spawned      []*sim.Proc // helper procs that die with the server (Kill)
+
+	// Scratch a request reuses: every message is encoded into scratch and
+	// sent as a pool copy, a reply body into body; ids holds a decoded id
+	// list, cand pick's candidates, acq an acquire that need not wait.
+	scratch *wire.Writer
+	body    wire.Writer
+	ids     []int
+	cand    byHolders
+	acq     pendingAcquire
 
 	// Epoch fencing (DESIGN.md §12). myEpoch is the leadership epoch this
 	// server believes it serves under (directory epoch at construction,
@@ -508,7 +539,7 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 		peers:        make([]peerLoad, dir.Shards()),
 		fwdSeq:       1 << 32, // disjoint from client reqID sequences
 		scratch:      wire.NewWriter(64),
-		replies:      make(map[int]map[uint64][]byte),
+		replies:      minimpi.NewReplyCache(dedupKeep * comm.Size()),
 	}
 	if s.followerRank == comm.Rank() {
 		// The shard's follower itself (serving after a promotion) has
@@ -558,8 +589,11 @@ func (s *Server) Run(p *sim.Proc) {
 		s.scheduleShardTick()
 	}
 	for {
-		data, st := s.comm.Recv(p, minimpi.AnySource, TagRequest)
-		if !s.handle(st.Source, data) {
+		req := s.comm.Irecv(minimpi.AnySource, TagRequest)
+		data, st := req.Wait(p)
+		more := s.handle(st.Source, data)
+		req.Free() // handle copied what it keeps
+		if !more {
 			s.closed = true
 			return
 		}
@@ -601,10 +635,10 @@ func (s *Server) handle(src int, data []byte) bool {
 	// leases implicitly (the front-end's piggybacked renewal).
 	if op != opHeartbeat {
 		s.touchClient(src)
-		if cached := s.replies[src][reqID]; cached != nil {
+		if cached := s.replies.Lookup(minimpi.ReplyKey{Src: src, ReqID: reqID}); cached != nil {
 			// Failover replay of a request we already answered: resend
 			// the recorded reply instead of executing twice.
-			s.resendReply(src, reqID, cached)
+			s.comm.SendCopy(src, tagReplyBase+minimpi.Tag(reqID), cached)
 			s.ship()
 			return true
 		}
@@ -646,7 +680,8 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		req := &pendingAcquire{
+		req := &s.acq
+		*req = pendingAcquire{
 			src: src, reqID: reqID, n: n, shared: flags&flagShared != 0,
 			enqueued: s.now(), forwarded: forwarded, constraint: constraint,
 		}
@@ -654,14 +689,15 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		if flags&flagReplay != 0 && !forwarded {
 			// The original attempt may have been forwarded and granted by
 			// a peer before this shard's leader died: ask the peers first.
-			s.recallThenAcquire(req, blocking)
+			s.recallThenAcquire(*req, blocking)
 			return true
 		}
 		s.acquire(req, blocking)
 	case opRelease:
-		// Ints checks the count against the bytes left before allocating:
-		// a negative or absurd count off the wire is a bad request.
-		ids := r.Ints()
+		// AppendInts checks the count against the bytes left before
+		// growing: a negative or absurd count off the wire is a bad request.
+		s.ids = r.AppendInts(s.ids[:0])
+		ids := s.ids
 		if r.Err() != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
@@ -698,9 +734,8 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		}
 		s.replace(src, reqID, rank)
 	case opHeartbeat:
-		active := r.Ints()
-		if r.Err() == nil {
-			s.heartbeat(src, active)
+		if s.ids = r.AppendInts(s.ids[:0]); r.Err() == nil {
+			s.heartbeat(src, s.ids)
 		}
 		// Beats are fire-and-forget: no reply.
 	case opRenew:
@@ -761,7 +796,7 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 // their fencing token; an abdicated server advertises the higher epoch it
 // observed, steering the client to refresh.
 func (s *Server) reply(dst int, reqID uint64, status uint8, body []byte) {
-	msg := wire.NewWriter(9 + len(body)).U8(status).U64(s.epochHint()).Raw(body).Bytes()
+	msg := s.scratch.Reset().U8(status).U64(s.epochHint()).Raw(body).Bytes()
 	if status != statusFenced && s.dir.replayable(s.shard) {
 		// A replay can reach this server or its follower: record the reply
 		// so the same (client, reqID) is resent instead of re-executed, and
@@ -769,12 +804,13 @@ func (s *Server) reply(dst int, reqID uint64, status uint8, body []byte) {
 		// deliberately not recorded: the replay must re-execute at
 		// whichever server is actually serving. A lone manager records
 		// nothing — clients on one rank may each count reqIDs from 1.
-		s.rememberReply(dst, reqID, msg)
+		s.replies.Record(minimpi.ReplyKey{Src: dst, ReqID: reqID}, msg)
 		if s.followerRank >= 0 {
-			s.repReplies = append(s.repReplies, repReply{dst: dst, reqID: reqID, msg: msg})
+			s.repN++
+			s.repW.Int(dst).U64(reqID).Blob(msg)
 		}
 	}
-	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg).Free()
+	s.comm.SendCopy(dst, tagReplyBase+minimpi.Tag(reqID), msg)
 }
 
 // decodeReply splits a reply into its status, the answering server's
@@ -867,8 +903,7 @@ func (s *Server) sharedGrantable(a *accel, src int) bool {
 	if a.state != acFree && a.state != acShared {
 		return false
 	}
-	_, dup := a.holders[src]
-	return !dup
+	return !a.holds(src)
 }
 
 // canGrant reports whether req is satisfiable right now. Shared and
@@ -881,6 +916,8 @@ func (s *Server) canGrant(req *pendingAcquire) bool {
 	return s.freeCountFor(req) >= req.n
 }
 
+// acquire serves req. One that must wait is queued as a copy, so the
+// caller may reuse req.
 func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 	if req.shared && s.shareCap <= 0 {
 		// Sharing disabled: exclusive-only operation.
@@ -893,7 +930,7 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 		// request (one lease per tenant per accelerator). One it holds
 		// exclusively stays in the ceiling: releasing it makes it shareable.
 		for _, a := range s.accels {
-			if _, held := a.holders[req.src]; held && a.state == acShared && s.eligible(a, req) {
+			if a.state == acShared && a.holds(req.src) && s.eligible(a, req) {
 				ceiling--
 			}
 		}
@@ -926,19 +963,22 @@ func (s *Server) acquire(req *pendingAcquire, blocking bool) {
 		s.reply(req.src, req.reqID, statusUnavailable, nil)
 		return
 	}
-	s.queue = append(s.queue, req)
+	queued := *req
+	s.queue = append(s.queue, &queued)
 }
 
 // pick selects the accelerators a grantable request gets, eligible ones
 // only: the lowest-id free ones for an exclusive request (a replacement's
 // class first); for a shared request the least-loaded shareable ones
 // (fewest current holders) so tenants spread across the pool, pool order
-// breaking ties for determinism.
+// breaking ties for determinism. The picks live in the server's scratch
+// until the next pick.
 func (s *Server) pick(req *pendingAcquire) []*accel {
+	cand := s.cand[:0]
 	if req.replaces != nil {
-		return []*accel{s.migrationTarget(req.replaces)}
+		s.cand = append(cand, s.migrationTarget(req.replaces))
+		return s.cand
 	}
-	cand := make([]*accel, 0, req.n)
 	for _, a := range s.accels {
 		grantable := a.state == acFree
 		if req.shared {
@@ -951,16 +991,22 @@ func (s *Server) pick(req *pendingAcquire) []*accel {
 			}
 		}
 	}
+	s.cand = cand
 	if req.shared {
-		sort.SliceStable(cand, func(i, j int) bool {
-			return len(cand[i].holders) < len(cand[j].holders)
-		})
+		sort.Stable(&s.cand) // a pointer is a sort.Interface without allocating
 	}
 	if len(cand) < req.n {
 		panic(fmt.Sprintf("arm: grant invariant broken: %d of %d", len(cand), req.n))
 	}
 	return cand[:req.n]
 }
+
+// byHolders orders accelerators by holder count.
+type byHolders []*accel
+
+func (b *byHolders) Len() int           { return len(*b) }
+func (b *byHolders) Less(i, j int) bool { return len((*b)[i].holders) < len((*b)[j].holders) }
+func (b *byHolders) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
 
 // grant picks req.n accelerators and leases them to the requester.
 func (s *Server) grant(req *pendingAcquire) { s.lease(req, s.pick(req)) }
@@ -975,17 +1021,13 @@ func (s *Server) lease(req *pendingAcquire, picked []*accel) {
 		expiry = now.Add(s.health.LeaseTTL)
 	}
 	wait := now.Sub(req.enqueued).Seconds()
-	w := wire.NewWriter(8 + 28*len(picked))
-	w.Int(len(picked))
+	w := s.body.Reset().Int(len(picked))
 	for _, a := range picked {
 		a.state = acAssigned
 		if req.shared {
 			a.state = acShared
 		}
-		if a.holders == nil {
-			a.holders = make(map[int]sim.Time)
-		}
-		a.holders[req.src] = expiry
+		a.hold(req.src, expiry)
 		a.notified = false
 		a.grants++
 		a.waitSeconds += wait
@@ -1005,7 +1047,7 @@ func (s *Server) release(src int, reqID uint64, ids []int) {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return
 		}
-		if _, holds := a.holders[src]; !holds && a.held() {
+		if !a.holds(src) && a.held() {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return
 		}
@@ -1014,7 +1056,7 @@ func (s *Server) release(src int, reqID uint64, ids []int) {
 	for _, id := range ids {
 		a := s.byID[id]
 		s.logEnd(a, src)
-		delete(a.holders, src)
+		a.unhold(src)
 		// Releasing a failed (or suspect, reclaiming, retired) accelerator
 		// leaves it in that state; only the frozen hold is dropped.
 		if a.held() && len(a.holders) == 0 {
@@ -1078,7 +1120,7 @@ func (s *Server) drainQueue() {
 func (s *Server) replace(src int, reqID uint64, rank int) {
 	var failed *accel
 	for _, a := range s.accels {
-		if _, holds := a.holders[src]; holds && a.rank == rank && a.held() {
+		if a.rank == rank && a.held() && a.holds(src) {
 			failed = a
 			break
 		}
@@ -1091,13 +1133,13 @@ func (s *Server) replace(src int, reqID uint64, rank int) {
 	s.accrue(s.now())
 	// The daemon is down for every holder on it: tell the other sharers so
 	// they can fail over too.
-	for _, r := range failed.holderRanks() {
-		s.logEnd(failed, r)
-		if r != src {
-			s.notify(r, NoticeDead, failed)
+	for _, h := range failed.holders {
+		s.logEnd(failed, h.rank)
+		if h.rank != src {
+			s.notify(h.rank, NoticeDead, failed)
 		}
 	}
-	clear(failed.holders)
+	failed.holders = failed.holders[:0]
 	failed.state = acFailed
 	s.settleDrainer(failed)
 	// The shrunken pool may make queued requests impossible; settle them
@@ -1127,10 +1169,10 @@ func (s *Server) setState(id int, state acState, src int, reqID uint64) {
 	if state == acFree {
 		// Administrative repair returns any out-of-service accelerator
 		// (failed, suspect, retired) to the pool, presumed clean.
-		for _, rk := range a.holderRanks() {
-			s.logEnd(a, rk)
+		for _, h := range a.holders {
+			s.logEnd(a, h.rank)
 		}
-		clear(a.holders)
+		a.holders = a.holders[:0]
 		a.dirty = false
 		a.draining = false
 		if s.lastBeat != nil {
@@ -1191,7 +1233,7 @@ func encodeLegacyStats(w *wire.Writer, st PoolStats) {
 }
 
 func (s *Server) encodeStats(now sim.Time) []byte {
-	w := wire.NewWriter(96)
+	w := s.body.Reset()
 	encodeLegacyStats(w, s.snapshot(now))
 	return w.Bytes()
 }
@@ -1200,7 +1242,7 @@ func (s *Server) encodeStats(now sim.Time) []byte {
 // utilization table to the opStats layout.
 func (s *Server) encodeStatsEx(now sim.Time) []byte {
 	st := s.snapshot(now)
-	w := wire.NewWriter(96 + 64*len(s.accels))
+	w := s.body.Reset()
 	encodeLegacyStats(w, st)
 	w.Int(st.Shared).Int(st.Sessions)
 	w.Int(len(s.accels))

@@ -210,7 +210,7 @@ func TestPropertyCapabilityPlacement(t *testing.T) {
 		for _, a := range srv.accels {
 			if rng.Intn(2) == 1 {
 				a.state = acAssigned
-				a.holders = map[int]sim.Time{3: 0}
+				a.hold(3, 0)
 			}
 		}
 		c := Constraint{Class: classes[rng.Intn(len(classes))], Kernel: kernels[rng.Intn(len(kernels))]}

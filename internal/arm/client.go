@@ -39,7 +39,8 @@ type Client struct {
 	failTimeout sim.Duration
 	maxSilence  int // give up after this many consecutive timeouts
 
-	groups [][]int // per-shard id scratch for Release routing (reused)
+	groups [][]int     // per-shard id scratch for Release routing (reused)
+	w      wire.Writer // encodes each request, then holds its reply's body (see call)
 }
 
 // NewClient creates a resource-management client addressing the lone ARM
@@ -55,7 +56,7 @@ func NewClient(comm *minimpi.Comm, armRank int) *Client {
 // Failover timeouts arm automatically when at least one shard has a
 // follower replica.
 func NewDirectoryClient(comm *minimpi.Comm, dir *Directory) *Client {
-	c := &Client{comm: comm, dir: dir, groups: make([][]int, dir.Shards())}
+	c := &Client{comm: comm, dir: dir, groups: make([][]int, dir.Shards()), w: *wire.NewWriter(64)}
 	for sh := 0; sh < dir.Shards(); sh++ {
 		if dir.Follower(sh) >= 0 {
 			c.failTimeout = 2 * DefaultHealthConfig().DeadAfter
@@ -93,16 +94,16 @@ func (c *Client) jitter() *rand.Rand {
 // failover or fencing replay, which only opAcquire encodes (flagReplay).
 type argsFunc func(w *wire.Writer, replay bool)
 
-// request encodes one request frame for shard: op | reqID | epoch | body.
-// The epoch is the one the client believes the shard is serving under —
-// re-read at every send, so a fenced replay carries the successor's.
-func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args argsFunc) []byte {
-	w := wire.NewWriter(64)
-	w.U8(op).U64(reqID).U64(c.dir.Epoch(shard))
+// send encodes one request frame for shard, op | reqID | epoch | body, and
+// sends it to rank. The epoch is the one the client believes the shard is
+// serving under — re-read at every send, so a fenced replay carries the
+// successor's.
+func (c *Client) send(rank, shard int, op uint8, reqID uint64, replay bool, args argsFunc) {
+	w := c.w.Reset().U8(op).U64(reqID).U64(c.dir.Epoch(shard))
 	if args != nil {
 		args(w, replay)
 	}
-	return w.Bytes()
+	c.comm.SendCopy(rank, TagRequest, w.Bytes())
 }
 
 // call performs one request/reply round trip against a shard, with
@@ -113,7 +114,9 @@ func (c *Client) request(shard int, op uint8, reqID uint64, replay bool, args ar
 // executed it. Any other status comes back as its client error
 // (statusErr). The returned epoch is the answering server's epoch hint
 // from the reply header (zero from a lone manager), stamped into Handles
-// as the fencing token.
+// as the fencing token. The returned body lives in c.w, which the next call
+// from any process on this Client overwrites (an AutoMigrate watcher calls
+// while the application may be inside one): consume it before yielding.
 func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
 	c.nextReq++
 	reqID := c.nextReq
@@ -124,7 +127,7 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, 
 		// cannot collide.
 		resp := c.comm.Irecv(minimpi.AnySource, tagReplyBase+minimpi.Tag(reqID))
 		served := c.dir.Serving(shard)
-		c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, fenceReplays > 0, args)).Free()
+		c.send(served, shard, op, reqID, fenceReplays > 0, args)
 		var data []byte
 		if c.failTimeout <= 0 {
 			data, _ = resp.Wait(p)
@@ -145,13 +148,15 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, 
 					// The shard failed over: replay at the promoted follower
 					// with the same reqID (dedup makes this safe).
 					served = cur
-					c.comm.Isend(served, TagRequest, c.request(shard, op, reqID, true, args)).Free()
+					c.send(served, shard, op, reqID, true, args)
 				}
 				// Still the same serving rank: the shard is slow (a delayed
 				// drain reply, say), not dead — keep waiting.
 			}
 		}
 		status, epoch, payload, err := decodeReply(data)
+		payload = c.w.Reset().Raw(payload).Bytes()
+		resp.Free()
 		if err != nil {
 			return nil, 0, fmt.Errorf("arm: malformed reply: %w", err)
 		}
@@ -533,7 +538,9 @@ func (c *Client) Shutdown(p *sim.Proc) error {
 // dedicated watcher process: notices are unsolicited and arrive on their
 // own tag, so they never interleave with request/reply traffic.
 func (c *Client) RecvNotice(p *sim.Proc) (Notice, error) {
-	data, _ := c.comm.Recv(p, minimpi.AnySource, TagNotify)
+	req := c.comm.Irecv(minimpi.AnySource, TagNotify)
+	defer req.Free()
+	data, _ := req.Wait(p)
 	return DecodeNotice(data)
 }
 

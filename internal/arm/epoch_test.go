@@ -48,6 +48,11 @@ func epochServer(t *testing.T) *Server {
 	return srv
 }
 
+// cachedReply is the reply srv's dedup cache holds for (client, reqID).
+func cachedReply(srv *Server, client int, reqID uint64) []byte {
+	return srv.replies.Lookup(minimpi.ReplyKey{Src: client, ReqID: reqID})
+}
+
 func u64hex(v uint64) string {
 	b := make([]byte, 8)
 	for i := 0; i < 8; i++ {
@@ -94,7 +99,7 @@ func TestGoldenEpochedRequest(t *testing.T) {
 	if srv.Abdicated() {
 		t.Error("matching epoch claim must not depose the server")
 	}
-	if srv.replies[0][7] == nil {
+	if cachedReply(srv, 0, 7) == nil {
 		t.Error("epoched acquire left no dedup-cached reply")
 	}
 	var granted bool
@@ -135,7 +140,7 @@ func TestEpochedRequestStepDown(t *testing.T) {
 	if srv.freeCountFor(&pendingAcquire{}) != free {
 		t.Error("abdicated server granted an accelerator")
 	}
-	if srv.replies[0][10] != nil {
+	if cachedReply(srv, 0, 10) != nil {
 		t.Error("fenced refusal was dedup-cached; replays must re-execute at the successor")
 	}
 	if len(srv.GrantLedger()) != 0 {
@@ -206,7 +211,7 @@ func TestGoldenForwardEncoding(t *testing.T) {
 	if !srv.handle(2, msg) { // relayed by peer rank 2
 		t.Fatal("forwarded acquire refused")
 	}
-	if srv.replies[0][21] == nil {
+	if cachedReply(srv, 0, 21) == nil {
 		t.Error("forwarded acquire cached no reply for the original client")
 	}
 }
@@ -243,16 +248,16 @@ func TestGoldenReplyEpochTrailer(t *testing.T) {
 	srv := epochServer(t)
 	srv.reply(0, 42, statusOK, []byte{0xab})
 	want := "00" + u64hex(1) + "ab"
-	if got := hex.EncodeToString(srv.replies[0][42]); got != want {
+	if got := hex.EncodeToString(cachedReply(srv, 0, 42)); got != want {
 		t.Fatalf("reply encoding drifted:\n got  %s\n want %s", got, want)
 	}
 	srv.observeEpoch(6)
 	srv.reply(0, 43, statusOK, nil)
 	want = "00" + u64hex(6)
-	if got := hex.EncodeToString(srv.replies[0][43]); got != want {
+	if got := hex.EncodeToString(cachedReply(srv, 0, 43)); got != want {
 		t.Fatalf("post-deposition reply drifted:\n got  %s\n want %s", got, want)
 	}
-	if status, epoch, body, err := decodeReply(srv.replies[0][42]); err != nil || status != statusOK || epoch != 1 || len(body) != 1 {
+	if status, epoch, body, err := decodeReply(cachedReply(srv, 0, 42)); err != nil || status != statusOK || epoch != 1 || len(body) != 1 {
 		t.Errorf("decodeReply = %d, %d, % x, %v", status, epoch, body, err)
 	}
 }

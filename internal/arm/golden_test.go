@@ -43,14 +43,15 @@ func goldenServer(t *testing.T) *Server {
 	a := srv.byID[0]
 	a.cap = capFermi()
 	a.state = acAssigned
-	a.holders = map[int]sim.Time{3: 0}
+	a.hold(3, 0)
 	a.grants = 4
 	a.busySeconds = 0.5
 	a.waitSeconds = 0.125
 
 	sh := srv.byID[1]
 	sh.state = acShared
-	sh.holders = map[int]sim.Time{5: 0, 6: 0}
+	sh.hold(5, 0)
+	sh.hold(6, 0)
 	sh.grants = 3
 	sh.busySeconds = 0.75
 

@@ -148,10 +148,8 @@ type Notice struct {
 	Rank int // its daemon's world rank
 }
 
-func encodeNotice(n Notice) []byte {
-	w := wire.NewWriter(24)
-	w.U8(uint8(n.Kind)).Int(n.ID).Int(n.Rank)
-	return w.Bytes()
+func encodeNotice(w *wire.Writer, n Notice) []byte {
+	return w.U8(uint8(n.Kind)).Int(n.ID).Int(n.Rank).Bytes()
 }
 
 // DecodeNotice parses a TagNotify message body.
@@ -167,20 +165,19 @@ func DecodeNotice(data []byte) (Notice, error) {
 // notify sends a health notice to an accelerator's owner, fire and
 // forget: a dead client simply never reads it.
 func (s *Server) notify(owner int, kind NoticeKind, a *accel) {
-	s.comm.Isend(owner, TagNotify, encodeNotice(Notice{Kind: kind, ID: a.id, Rank: a.rank})).Free()
+	s.comm.SendCopy(owner, TagNotify, encodeNotice(s.scratch.Reset(), Notice{Kind: kind, ID: a.id, Rank: a.rank}))
 }
 
 // scheduleTick re-arms the detector until the server shuts down or
 // steps down (an abdicated server must not reclaim anything: its leases
 // are the new leader's to manage).
-func (s *Server) scheduleTick() {
-	s.sim.After(s.health.HeartbeatInterval, func() {
-		if s.closed || s.abdicated {
-			return
-		}
+func (s *Server) scheduleTick() { s.sim.AfterCall(s.health.HeartbeatInterval, healthTick, s) }
+
+func healthTick(v any) {
+	if s := v.(*Server); !s.closed && !s.abdicated {
 		s.checkHealth()
 		s.scheduleTick()
-	})
+	}
 }
 
 // checkHealth is one detector pass over the inventory: silence
@@ -205,10 +202,13 @@ func (s *Server) checkHealth() {
 				continue
 			}
 			// Leases expire per holder: on a shared accelerator only the
-			// silent sharer is revoked, the others keep it.
-			for _, rank := range a.holderRanks() {
-				if lease := a.holders[rank]; lease > 0 && now.Sub(lease) >= 0 {
-					s.reclaim(a, rank)
+			// silent sharer is revoked, the others keep it. A reclaim drops
+			// its holder, so the next one slides into its place; a grant
+			// the reclaim lets through is not yet expired.
+			for i := 0; i < len(a.holders); i++ {
+				if h := a.holders[i]; h.expiry > 0 && now.Sub(h.expiry) >= 0 {
+					s.reclaim(a, h.rank)
+					i--
 				}
 			}
 		}
@@ -226,8 +226,8 @@ func (s *Server) markSuspect(a *accel) {
 		a.state = acSuspect
 	case a.held() && !a.notified:
 		a.notified = true
-		for _, rank := range a.holderRanks() {
-			s.notify(rank, NoticeSuspect, a)
+		for _, h := range a.holders {
+			s.notify(h.rank, NoticeSuspect, a)
 		}
 	}
 }
@@ -240,11 +240,11 @@ func (s *Server) markDead(a *accel) {
 	}
 	if a.held() {
 		s.accrue(s.now())
-		for _, rank := range a.holderRanks() {
-			s.notify(rank, NoticeDead, a)
-			s.logEnd(a, rank)
+		for _, h := range a.holders {
+			s.notify(h.rank, NoticeDead, a)
+			s.logEnd(a, h.rank)
 		}
-		clear(a.holders)
+		a.holders = a.holders[:0]
 	}
 	a.state = acFailed
 	s.settleDrainer(a)
@@ -293,8 +293,8 @@ func (s *Server) touchClient(src int) {
 	}
 	exp := s.now().Add(s.health.LeaseTTL)
 	for _, a := range s.accels {
-		if _, holds := a.holders[src]; holds {
-			a.holders[src] = exp
+		if a.holds(src) {
+			a.hold(src, exp)
 		}
 	}
 }
@@ -310,7 +310,7 @@ func (s *Server) reclaim(a *accel, client int) {
 	s.accrue(s.now())
 	s.notify(client, NoticeRevoked, a)
 	s.logEnd(a, client)
-	delete(a.holders, client)
+	a.unhold(client)
 	s.reclaimedCount++
 	if a.state == acAssigned {
 		a.dirty = true
@@ -454,12 +454,12 @@ func (s *Server) forceDrain(a *accel) {
 	}
 	defer s.ship()
 	s.accrue(s.now())
-	for _, rank := range a.holderRanks() {
-		s.notify(rank, NoticeRevoked, a)
-		s.logEnd(a, rank)
+	for _, h := range a.holders {
+		s.notify(h.rank, NoticeRevoked, a)
+		s.logEnd(a, h.rank)
 		s.reclaimedCount++
 	}
-	clear(a.holders)
+	a.holders = a.holders[:0]
 	a.dirty = true
 	s.sanitizeOrSettle(a)
 	s.drainQueue()
@@ -479,7 +479,7 @@ func (s *Server) forceDrain(a *accel) {
 func (s *Server) migrate(src int, reqID uint64, rank int) {
 	var old *accel
 	for _, a := range s.accels {
-		if _, holds := a.holders[src]; holds && a.rank == rank && a.state == acAssigned {
+		if a.rank == rank && a.state == acAssigned && a.holds(src) {
 			old = a
 			break
 		}
@@ -499,7 +499,7 @@ func (s *Server) migrate(src int, reqID uint64, rank int) {
 	}
 	s.accrue(s.now())
 	s.logEnd(old, src)
-	delete(old.holders, src)
+	old.unhold(src)
 	old.state = acSuspect
 	old.dirty = true
 	old.notified = false

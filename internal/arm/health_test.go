@@ -430,3 +430,36 @@ func TestAcquireRetryBacksOff(t *testing.T) {
 			}
 		})
 }
+
+// TestHealthPassReclaimsEveryExpiredSharer: one detector pass revokes every
+// expired lease on a shared accelerator, though each reclaim drops its
+// holder from the list the pass walks, and keeps the live one.
+func TestHealthPassReclaimsEveryExpiredSharer(t *testing.T) {
+	s := sim.New()
+	w, err := minimpi.NewWorld(s, 5, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerOpts(w.Comm(0), []Handle{{ID: 0, Rank: 4}}, Options{ShareCapacity: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ConfigureHealth(HealthConfig{HeartbeatInterval: sim.Millisecond, LeaseTTL: 5 * sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("detector", func(p *sim.Proc) {
+		p.Wait(10 * sim.Millisecond)
+		a := srv.byID[0]
+		a.state = acShared
+		a.hold(1, sim.Time(sim.Millisecond))
+		a.hold(2, sim.Time(2*sim.Millisecond))
+		a.hold(3, p.Now().Add(sim.Millisecond))
+		srv.checkHealth()
+		if len(a.holders) != 1 || a.holders[0].rank != 3 || srv.reclaimedCount != 2 {
+			t.Errorf("after one pass: holders %+v, %d reclaimed; want only rank 3 left, 2 reclaimed", a.holders, srv.reclaimedCount)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

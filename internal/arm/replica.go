@@ -43,23 +43,23 @@ func (s *Server) ship() {
 	if s.followerRank < 0 || s.closed || s.abdicated {
 		return
 	}
-	w := s.scratch.Reset()
 	s.repSeq++
-	w.U64(s.repSeq)
-	w.Int(len(s.accels))
+	w := s.scratch.Reset().U64(s.repSeq).Int(len(s.accels))
 	for _, a := range s.accels {
 		fl := flag(a.draining, 1) | flag(a.removing, 2) | flag(a.dirty, 4)
-		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).U8(fl).Ints(a.holderRanks())
+		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).U8(fl).Int(len(a.holders))
+		for _, h := range a.holders {
+			w.Int(h.rank)
+		}
 		// The capability, so a promoted follower keeps making class-aware
 		// placement and migration decisions.
 		encodeCapability(w, a.cap)
 	}
-	w.Int(len(s.repReplies))
-	for _, rr := range s.repReplies {
-		w.Int(rr.dst).U64(rr.reqID).Blob(rr.msg)
-	}
-	s.repReplies = s.repReplies[:0]
-	s.comm.Isend(s.followerRank, TagReplicate, w.CopyBytes()).Free()
+	// The replies recorded since the last shipment, encoded as they were.
+	w.Int(s.repN).Raw(s.repW.Bytes())
+	s.repN = 0
+	s.repW.Reset()
+	s.comm.SendCopy(s.followerRank, TagReplicate, w.Bytes())
 }
 
 // Replica is a shard follower: it applies the leader's replication
@@ -141,6 +141,7 @@ func (rp *Replica) Run(p *sim.Proc) {
 			break // leader silent past the detector threshold: take over
 		}
 		rp.apply(data)
+		req.Free() // apply copied what it keeps
 	}
 	if rp.stopped || s.closed {
 		return // teardown Stop raced the silence timeout: do not promote
@@ -154,7 +155,10 @@ func (rp *Replica) Run(p *sim.Proc) {
 	s.Run(p)
 }
 
-// apply replays one shipped snapshot into the passive server state.
+// apply replays one shipped snapshot into the passive server state, in
+// place: each listed accelerator is updated where it stands and marked with
+// the snapshot, and the unmarked ones are swept out. Nothing iterates the
+// inventory of a follower that has not promoted, so the sweep needs no copy.
 func (rp *Replica) apply(data []byte) {
 	s := rp.srv
 	r := wire.NewReader(data)
@@ -163,22 +167,21 @@ func (rp *Replica) apply(data []byte) {
 	if r.Err() != nil {
 		return
 	}
-	seen := make(map[int]bool, n)
+	s.mark++
 	for i := 0; i < n; i++ {
 		id := r.Int()
 		rank := r.Int()
 		state := acState(r.U8())
 		fl := r.U8()
-		holders := r.Ints()
+		s.ids = r.AppendInts(s.ids[:0])
 		cap, err := decodeCapability(r)
 		if err != nil {
 			return
 		}
-		seen[id] = true
 		a := s.byID[id]
 		if a == nil {
 			// Elastic grow on the leader: mirror the registration.
-			a = &accel{id: id, rank: rank}
+			a = &accel{id: id}
 			s.accels = append(s.accels, a)
 			s.byID[id] = a
 		}
@@ -188,20 +191,23 @@ func (rp *Replica) apply(data []byte) {
 		a.draining = fl&1 != 0
 		a.removing = fl&2 != 0
 		a.dirty = fl&4 != 0
-		if a.holders == nil {
-			a.holders = make(map[int]sim.Time)
+		a.holders = a.holders[:0]
+		for _, rk := range s.ids {
+			a.hold(rk, 0) // leases re-arm at promotion
 		}
-		clear(a.holders)
-		for _, rk := range holders {
-			a.holders[rk] = 0 // leases re-arm at promotion
-		}
+		a.mark = s.mark
 	}
 	// Elastic shrink on the leader: drop accelerators it no longer has.
-	for _, a := range append([]*accel(nil), s.accels...) {
-		if !seen[a.id] {
-			s.removeAccel(a)
+	kept := s.accels[:0]
+	for _, a := range s.accels {
+		if a.mark == s.mark {
+			kept = append(kept, a)
+		} else {
+			delete(s.byID, a.id)
 		}
 	}
+	clear(s.accels[len(kept):])
+	s.accels = kept
 	nr := r.Int()
 	for i := 0; i < nr; i++ {
 		dst := r.Int()
@@ -210,8 +216,7 @@ func (rp *Replica) apply(data []byte) {
 		if r.Err() != nil {
 			return
 		}
-		// The blob aliases the message buffer; copy so the cache owns it.
-		s.rememberReply(dst, reqID, append([]byte(nil), msg...))
+		s.replies.Record(minimpi.ReplyKey{Src: dst, ReqID: reqID}, msg) // the cache copies msg
 	}
 }
 
@@ -254,9 +259,9 @@ func (rp *Replica) rearm() {
 				}
 			})
 		}
-		for _, rk := range a.holderRanks() {
-			a.holders[rk] = lease
-			s.logGrant(a, rk, a.state != acAssigned)
+		for i := range a.holders {
+			a.holders[i].expiry = lease
+			s.logGrant(a, a.holders[i].rank, a.state != acAssigned)
 		}
 		// A sanitize that was in flight on the dead leader is lost with
 		// it; restart the reclaim from scratch.

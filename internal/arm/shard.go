@@ -11,7 +11,7 @@ package arm
 // (per-shard free/operational counts exchanged every tick).
 //
 // Failure handling rides on the reply-dedup cache: every reply is
-// recorded per (client, reqID), so a client replaying an in-flight
+// recorded by (client, reqID), so a client replaying an in-flight
 // request after a leader death (see replica.go for promotion) gets the
 // recorded answer instead of a second execution. A replayed acquire on a
 // freshly promoted follower additionally recalls the peers (opRecall)
@@ -35,17 +35,10 @@ import (
 // off.
 const shardTickInterval = sim.Millisecond
 
-// dedupKeep bounds the per-client reply cache. Client reqIDs increase
-// monotonically, so evicting the smallest keeps the most recent replies —
-// the only ones a failover replay can ask for.
+// dedupKeep is the reply cache's window per rank of the world: a server
+// remembers its last dedupKeep × comm.Size() replies, FIFO (DESIGN.md §11
+// says why that is enough).
 const dedupKeep = 64
-
-// repReply is one recorded reply awaiting shipment to the follower.
-type repReply struct {
-	dst   int
-	reqID uint64
-	msg   []byte
-}
 
 // spawnTracked spawns a helper process that is killed along with the
 // server by Kill, so a simulated crash takes down the whole rank — main
@@ -85,15 +78,14 @@ func (s *Server) tickInterval() sim.Duration {
 
 // scheduleShardTick re-arms the gossip/replication beat until shutdown
 // or step-down (an abdicated server neither gossips nor ships).
-func (s *Server) scheduleShardTick() {
-	s.sim.After(s.tickInterval(), func() {
-		if s.closed || s.abdicated {
-			return
-		}
+func (s *Server) scheduleShardTick() { s.sim.AfterCall(s.tickInterval(), shardTick, s) }
+
+func shardTick(v any) {
+	if s := v.(*Server); !s.closed && !s.abdicated {
 		s.gossip()
 		s.ship()
 		s.scheduleShardTick()
-	})
+	}
 }
 
 // encodeLoad builds one gossip message for a peer: the header's epoch
@@ -108,14 +100,14 @@ func (s *Server) encodeLoad(targetEpoch uint64) []byte {
 	for _, l := range loads {
 		w.Str(l.class).Int(l.free).Int(l.oper)
 	}
-	return w.CopyBytes()
+	return w.Bytes()
 }
 
 // gossip broadcasts this shard's load to its peers (fire and forget).
 func (s *Server) gossip() {
 	for sh := 0; sh < s.dir.Shards(); sh++ {
 		if sh != s.shard {
-			s.comm.Isend(s.dir.Serving(sh), TagRequest, s.encodeLoad(s.dir.Epoch(sh))).Free()
+			s.comm.SendCopy(s.dir.Serving(sh), TagRequest, s.encodeLoad(s.dir.Epoch(sh)))
 		}
 	}
 }
@@ -143,7 +135,7 @@ func (s *Server) handleLoad(src int, r *wire.Reader) {
 		peer.oper += oper
 	}
 	if !s.abdicated && senderEpoch < s.dir.Epoch(sh) {
-		s.comm.Isend(src, TagRequest, s.encodeLoad(s.dir.Epoch(sh))).Free()
+		s.comm.SendCopy(src, TagRequest, s.encodeLoad(s.dir.Epoch(sh)))
 	}
 }
 
@@ -188,7 +180,7 @@ func (s *Server) foreignOwner(ids []int, forwarded bool) (int, bool) {
 func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, args func(w *wire.Writer)) {
 	w := s.scratch.Reset()
 	args(w.U8(opForward).U64(reqID).U64(s.dir.Epoch(owner)).Int(src).U8(op))
-	s.comm.Isend(s.dir.Serving(owner), TagRequest, w.CopyBytes()).Free()
+	s.comm.SendCopy(s.dir.Serving(owner), TagRequest, w.Bytes())
 }
 
 // forwardAcquire tries to hand an acquire the local pool cannot satisfy
@@ -229,34 +221,6 @@ func (s *Server) forwardAcquire(req *pendingAcquire) bool {
 	return true
 }
 
-// rememberReply records a sent reply for failover replays, bounding the
-// per-client cache by evicting the oldest (smallest) reqID.
-func (s *Server) rememberReply(dst int, reqID uint64, msg []byte) {
-	if reqID == 0 {
-		return
-	}
-	m := s.replies[dst]
-	if m == nil {
-		m = make(map[uint64][]byte, 8)
-		s.replies[dst] = m
-	}
-	m[reqID] = msg
-	if len(m) > dedupKeep {
-		oldest := ^uint64(0)
-		for id := range m {
-			if id < oldest {
-				oldest = id
-			}
-		}
-		delete(m, oldest)
-	}
-}
-
-// resendReply re-sends a recorded reply verbatim.
-func (s *Server) resendReply(dst int, reqID uint64, msg []byte) {
-	s.comm.Isend(dst, tagReplyBase+minimpi.Tag(reqID), msg).Free()
-}
-
 // handleRecall answers a peer's dedup query: did this shard already
 // answer (client, origReqID)? The cached reply travels back verbatim so
 // the asking shard can relay it unchanged.
@@ -267,7 +231,7 @@ func (s *Server) handleRecall(src int, reqID uint64, r *wire.Reader) {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	if cached := s.replies[client][origReqID]; cached != nil {
+	if cached := s.replies.Lookup(minimpi.ReplyKey{Src: client, ReqID: origReqID}); cached != nil {
 		s.reply(src, reqID, statusOK, cached)
 		return
 	}
@@ -281,7 +245,7 @@ func (s *Server) handleRecall(src int, reqID uint64, r *wire.Reader) {
 // peer, once here), stranding a lease the client never learns about.
 // Runs in its own process — peers answer in bounded time, and the main
 // loop keeps serving meanwhile.
-func (s *Server) recallThenAcquire(req *pendingAcquire, blocking bool) {
+func (s *Server) recallThenAcquire(req pendingAcquire, blocking bool) {
 	s.spawnTracked(fmt.Sprintf("arm-recall-cn%d-req%d", req.src, req.reqID), func(p *sim.Proc) {
 		timeout := 4 * s.tickInterval()
 		for sh := 0; sh < s.dir.Shards(); sh++ {
@@ -292,28 +256,30 @@ func (s *Server) recallThenAcquire(req *pendingAcquire, blocking bool) {
 			id := s.fwdSeq
 			peer := s.dir.Serving(sh)
 			resp := s.comm.Irecv(peer, tagReplyBase+minimpi.Tag(id))
-			w := wire.NewWriter(40)
-			w.U8(opRecall).U64(id).U64(s.dir.Epoch(sh)).Int(req.src).U64(req.reqID)
-			s.comm.Isend(peer, TagRequest, w.Bytes()).Free()
+			w := s.scratch.Reset().U8(opRecall).U64(id).U64(s.dir.Epoch(sh)).Int(req.src).U64(req.reqID)
+			s.comm.SendCopy(peer, TagRequest, w.Bytes())
 			data, _, ok := resp.WaitTimeout(p, timeout)
 			if !ok {
 				resp.Cancel()
 				continue // peer silent; it cannot have granted recently
 			}
-			if status, _, cached, err := decodeReply(data); err == nil && status == statusOK && len(cached) > 0 {
+			status, _, cached, err := decodeReply(data)
+			if err == nil && status == statusOK && len(cached) > 0 {
 				// A peer already answered this request: relay its reply
 				// verbatim and record it here for any further replays.
-				s.rememberReply(req.src, req.reqID, cached)
-				s.resendReply(req.src, req.reqID, cached)
+				cached = s.replies.Record(minimpi.ReplyKey{Src: req.src, ReqID: req.reqID}, cached)
+				resp.Free()
+				s.comm.SendCopy(req.src, tagReplyBase+minimpi.Tag(req.reqID), cached)
 				s.ship()
 				return
 			}
+			resp.Free()
 		}
 		if s.closed {
 			return
 		}
 		// Nobody answered it before: execute fresh.
-		s.acquire(req, blocking)
+		s.acquire(&req, blocking)
 		s.ship()
 	})
 }

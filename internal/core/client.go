@@ -512,7 +512,7 @@ func (cl *call) send() {
 	cl.sent++
 	c, enc := cl.a.c, encodeRequestTo(cl.a.c.encw, &cl.q)
 	if cl.pad == 0 {
-		sendCopy(c.comm, cl.a.rank, TagRequest, enc)
+		c.comm.SendCopy(cl.a.rank, TagRequest, enc)
 	} else {
 		c.comm.IsendPadded(cl.a.rank, TagRequest, append([]byte(nil), enc...), len(enc)+cl.pad).Free()
 	}

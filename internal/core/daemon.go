@@ -107,7 +107,7 @@ type Daemon struct {
 
 	// The dedup table, the scratch responses are encoded in, and the request
 	// records free to decode into (see putRequest).
-	replies replyCache
+	replies minimpi.ReplyCache
 	encw    *wire.Writer
 	reqs    []*request
 
@@ -141,7 +141,7 @@ func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 		cfg:      cfg,
 		sim:      comm.World().Sim(),
 		root:     &session{streams: make(map[uint8]*sim.Mailbox)},
-		replies:  replyCache{window: dedupWindow, at: make(map[dedupKey]int)},
+		replies:  minimpi.NewReplyCache(dedupWindow),
 		active:   make(map[int]struct{}),
 		sessions: make(map[sessKey]*session),
 		encw:     wire.NewWriter(64),
@@ -277,11 +277,11 @@ func (d *Daemon) Run(p *sim.Proc) {
 			d.putRequest(q)
 			continue
 		}
-		if reply, dup := d.replies.admit(dedupKey{src: q.src, reqID: q.reqID}); dup {
+		if reply, dup := d.replies.Admit(minimpi.ReplyKey{Src: q.src, ReqID: q.reqID}); dup {
 			d.stats.DupsDropped++
 			if reply != nil {
 				// Completed before: replay the recorded response.
-				sendCopy(d.comm, q.src, respTag(q.reqID), reply)
+				d.comm.SendCopy(q.src, respTag(q.reqID), reply)
 			}
 			// Still in flight: drop the duplicate; the original will answer.
 			d.putRequest(q)
@@ -441,8 +441,8 @@ func (d *Daemon) respond(src int, reqID uint64, err error, ptr gpu.Ptr) {
 // sendResponse encodes a response, records it for replay, sends a copy.
 func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 	rsp.reqID = reqID
-	enc := d.replies.store(dedupKey{src: src, reqID: reqID}, encodeResponseTo(d.encw, rsp))
-	sendCopy(d.comm, src, respTag(reqID), enc)
+	enc := d.replies.Store(minimpi.ReplyKey{Src: src, ReqID: reqID}, encodeResponseTo(d.encw, rsp))
+	d.comm.SendCopy(src, respTag(reqID), enc)
 }
 
 // answer sends q's status-only response and recycles q.

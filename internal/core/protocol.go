@@ -398,13 +398,6 @@ func encodeRequestTo(w *wire.Writer, q *request) []byte {
 	return w.Bytes()
 }
 
-// sendCopy sends a pool copy of b, which the receiver frees.
-func sendCopy(comm *minimpi.Comm, dst int, tag minimpi.Tag, b []byte) {
-	buf := comm.World().GetBuf(len(b))
-	copy(buf, b)
-	comm.IsendOwned(dst, tag, buf).Free()
-}
-
 // encodeWindow serializes the strided device window shared by the copy
 // ops: cols columns of size/cols bytes each, pitch bytes apart at ptr+off.
 func encodeWindow(w *wire.Writer, q *request) *wire.Writer {

@@ -154,7 +154,7 @@ func TestReplayAfterReplyRingWraps(t *testing.T) {
 		for id := uint64(2); id <= last; id++ {
 			replies[id] = call(id)
 		}
-		if inline := len(replySlot{}.small); len(replies[last]) <= inline || len(replies[last-1]) > inline {
+		if inline := minimpi.ReplyInline; len(replies[last]) <= inline || len(replies[last-1]) > inline {
 			t.Fatalf("replies of %d and %d bytes: want one spilled past %d and one inline",
 				len(replies[last]), len(replies[last-1]), inline)
 		}

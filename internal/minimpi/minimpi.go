@@ -62,6 +62,8 @@ type World struct {
 	pool     bufPool
 	freeReqs []*Request // recycled per-message records; see pool.go
 	freeMsgs []*Message
+	reqsOut  int // records handed out and not back (RecordsOut)
+	msgsOut  int
 	// transport carries every posted send. The default is the in-sim
 	// backend (simTransport); SetTransport swaps in a socket-backed one.
 	transport Transport

@@ -220,6 +220,15 @@ func (c *Comm) IsendOwned(dst int, tag Tag, data []byte) *Request {
 	return c.isend(dst, tag, data, len(data), true)
 }
 
+// SendCopy sends a pool copy of data (GetBuf + IsendOwned), fire and
+// forget: data is the caller's again at once, and the receiver's
+// Request.Free returns the copy. Both control planes send every message so.
+func (c *Comm) SendCopy(dst int, tag Tag, data []byte) {
+	buf := c.world.GetBuf(len(data))
+	copy(buf, data)
+	c.IsendOwned(dst, tag, buf).Free()
+}
+
 // IsendSized starts a nonblocking send of size metadata-only bytes: it
 // costs exactly the virtual time of a real size-byte message but carries
 // no payload. Used by paper-scale benchmarks.

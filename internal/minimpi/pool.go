@@ -116,7 +116,12 @@ func (w *World) GetBuf(n int) []byte { return w.pool.get(n) }
 // must hold the only live reference. Safe to call from any goroutine.
 func (w *World) PutBuf(b []byte) { w.pool.put(b) }
 
+// RecordsOut reports how many Request and Message records are handed out
+// and not back: flat across a stretch of traffic, every record came home.
+func (w *World) RecordsOut() (reqs, msgs int) { return w.reqsOut, w.msgsOut }
+
 func (w *World) getRequest() *Request {
+	w.reqsOut++
 	var r *Request
 	if n := len(w.freeReqs); n > 0 {
 		r, w.freeReqs = w.freeReqs[n-1], w.freeReqs[:n-1]
@@ -133,6 +138,7 @@ func (w *World) getRequest() *Request {
 // putRequest recycles a request nobody will touch again: the caller freed
 // it and no message still points at it.
 func (w *World) putRequest(r *Request) {
+	w.reqsOut--
 	*r = Request{freed: true}
 	if !poisonFreed {
 		w.freeReqs = append(w.freeReqs, r)
@@ -141,6 +147,7 @@ func (w *World) putRequest(r *Request) {
 
 // getMessage returns a blank message with that many flight halves to end.
 func (w *World) getMessage(halves int8) *Message {
+	w.msgsOut++
 	var m *Message
 	if n := len(w.freeMsgs); n > 0 {
 		m, w.freeMsgs = w.freeMsgs[n-1], w.freeMsgs[:n-1]
@@ -154,6 +161,7 @@ func (w *World) getMessage(halves int8) *Message {
 }
 
 func (w *World) putMessage(m *Message) {
+	w.msgsOut--
 	*m = Message{}
 	if !poisonFreed {
 		w.freeMsgs = append(w.freeMsgs, m)

@@ -108,6 +108,46 @@ func TestTimedWaitAllocFree(t *testing.T) {
 	}
 }
 
+// TestAwaitTimeoutAllocFree pins a wait under a deadline, the shape of every
+// ARM call and replication receive: once the waiters outliving their waits
+// until the deadline are warm, neither a wait that the event ends nor one
+// that times out allocates.
+func TestAwaitTimeoutAllocFree(t *testing.T) {
+	s := New()
+	var fired, timedOut uint64
+	s.Spawn("waiter", func(p *Proc) {
+		var ev, never Event
+		arg := any(&ev)
+		cycle := func(rounds int) {
+			for i := 0; i < rounds; i++ {
+				ev.Init(s)
+				s.AfterCall(Microsecond, triggerEventArg, arg)
+				if !ev.AwaitTimeout(p, 100*Microsecond) {
+					t.Fatal("AwaitTimeout timed out before its event fired")
+				}
+			}
+		}
+		expire := func(rounds int) {
+			for i := 0; i < rounds; i++ {
+				never.Init(s) // drops the last wait's registration
+				if never.AwaitTimeout(p, Microsecond) {
+					t.Fatal("AwaitTimeout on an event nobody fires reported it fired")
+				}
+			}
+		}
+		cycle(200) // deadlines outlive 100 waits: warm that many
+		fired = mallocsAround(func() { cycle(1000) })
+		expire(200)
+		timedOut = mallocsAround(func() { expire(1000) })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 0 || timedOut != 0 {
+		t.Errorf("AwaitTimeout allocated %d times over 1000 fired waits and %d over 1000 timed-out ones, want 0", fired, timedOut)
+	}
+}
+
 // TestMailboxSendRecvAllocFree pins mailbox round trips between two
 // processes. Values stay in the runtime's small-int interface cache so
 // the ring itself is the only possible allocator.

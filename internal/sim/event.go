@@ -31,6 +31,10 @@ type eventWaiter struct {
 	p     *Proc
 	woken bool // set by the first event that fires; later fires are no-ops
 	gen   uint32
+	// An AwaitTimeout deadline refers to the waiter until it fires (timed),
+	// so a wait that returned before it (over) leaves the waiter for the
+	// deadline to recycle: it never wakes the waiter's next user.
+	timed, over bool
 }
 
 // waiterRef is a registration of a waiter on one event, pinned to the
@@ -57,7 +61,7 @@ func (s *Simulation) getWaiter(p *Proc) *eventWaiter {
 func (s *Simulation) putWaiter(w *eventWaiter) {
 	w.gen++
 	w.p = nil
-	w.woken = false
+	w.woken, w.over = false, false
 	s.freeWaiters = append(s.freeWaiters, w)
 }
 
@@ -195,15 +199,26 @@ func (e *Event) AwaitTimeout(p *Proc, d Duration) bool {
 	s := e.sim
 	w := s.getWaiter(p)
 	e.addWaiter(w)
-	gen := w.gen
-	s.schedule(s.now.Add(d), func() {
-		if w.gen == gen && !w.woken {
-			w.woken = true
-			w.p.wake()
-		}
-	})
+	w.timed = true
+	s.AfterCall(d, awaitDeadline, w)
 	p.block(stateAwaitingTimeout)
 	fired := e.fired
-	s.putWaiter(w)
+	if w.over = w.timed; !w.over {
+		s.putWaiter(w)
+	}
 	return fired
+}
+
+// awaitDeadline is an AwaitTimeout deadline: it wakes the wait if it still
+// blocks, or recycles the waiter of one that returned before it.
+func awaitDeadline(v any) {
+	w := v.(*eventWaiter)
+	w.timed = false
+	switch {
+	case w.over:
+		w.p.sim.putWaiter(w)
+	case !w.woken:
+		w.woken = true
+		w.p.wake()
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer appends values to a buffer.
@@ -26,21 +27,11 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reset empties the writer for reuse, keeping the allocated capacity.
 // Bytes returned before the Reset remain valid only if the caller copied
-// them (see CopyBytes): further appends reuse the same backing array.
+// them: further appends reuse the same backing array, so a scratch writer
+// encodes without allocating once it has grown.
 func (w *Writer) Reset() *Writer {
 	w.buf = w.buf[:0]
 	return w
-}
-
-// CopyBytes returns an exact-size copy of the encoded buffer. Encode paths
-// that retain encodings (retransmit queues, dedup caches) use a persistent
-// writer with Reset plus CopyBytes: the writer's grown backing array is
-// reused forever and each encoding costs exactly one right-sized
-// allocation.
-func (w *Writer) CopyBytes() []byte {
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
-	return out
 }
 
 // Len returns the number of encoded bytes.
@@ -189,18 +180,22 @@ func (r *Reader) Blob() []byte {
 // Ints reads a count-prefixed int slice. A count that cannot fit in the
 // remaining bytes fails like any other truncation (bounding allocation
 // before it happens).
-func (r *Reader) Ints() []int {
+func (r *Reader) Ints() []int { return r.AppendInts(nil) }
+
+// AppendInts is Ints appending to dst, so a decoder that reuses a scratch
+// slice reads an id list without allocating. On error dst comes back as is.
+func (r *Reader) AppendInts(dst []int) []int {
 	n := r.Int()
 	if r.err != nil || n == 0 {
-		return nil
+		return dst
 	}
 	if n < 0 || n > r.Remaining()/8 {
 		r.err = fmt.Errorf("wire: invalid int-slice count %d with %d bytes left", n, r.Remaining())
-		return nil
+		return dst
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Int())
 	}
-	return out
+	return dst
 }
