@@ -12,15 +12,15 @@ import (
 // and every response.
 type reqWait struct {
 	req *minimpi.Request
-	// waiting is set while the wait lasts, and expires is when it runs out
-	// under a deadline. Deadline timers are never cancelled, and a record
-	// is reused for later waits: a timer armed for an earlier one fires
-	// before expires, a wake-up by an earlier request finds req incomplete.
-	waiting bool
-	expires sim.Time
-	sim     *sim.Simulation
-	fn      func(any)
-	arg     any
+	// waiting is set while the wait lasts, and deadline guards it under a
+	// positive deadline. A record is reused for later waits, and a wake-up
+	// by a request waited on before finds req, the one waited on now,
+	// incomplete.
+	waiting  bool
+	deadline sim.Timer
+	sim      *sim.Simulation
+	fn       func(any)
+	arg      any
 }
 
 // await reports true when req is already complete: the caller continues
@@ -28,9 +28,9 @@ type reqWait struct {
 // once, when req completes or — with a positive deadline — has run out of
 // time, whichever comes first, at the instant and queue position at which a
 // process blocked in WaitTimeout would have resumed; like that process, fn
-// tells the two apart by looking at the request when it runs. The timer is
-// the one behind Event.AwaitTimeout: it stays queued when the request wins,
-// and resumes the chain through one more event when it does not.
+// tells the two apart by looking at the request when it runs. The deadline
+// is the one behind Event.AwaitTimeout: the request's win cancels it, and
+// it resumes the chain through one more event when it runs.
 func (w *reqWait) await(s *sim.Simulation, deadline sim.Duration, fn func(any), arg any) bool {
 	if w.req.Completed() {
 		return true
@@ -38,8 +38,7 @@ func (w *reqWait) await(s *sim.Simulation, deadline sim.Duration, fn func(any), 
 	w.waiting, w.sim, w.fn, w.arg = true, s, fn, arg
 	w.req.Done().OnTriggerCall(reqWaitWoken, w)
 	if deadline > 0 {
-		w.expires = s.Now().Add(deadline)
-		s.AfterCall(deadline, reqWaitExpired, w)
+		w.deadline = s.AfterCallTimer(deadline, reqWaitExpired, w)
 	}
 	return false
 }
@@ -52,14 +51,15 @@ func reqWaitWoken(v any) {
 		return
 	}
 	w.waiting = false
+	w.deadline.Cancel()
 	w.fn(w.arg)
 }
 
 func reqWaitExpired(v any) {
 	w := v.(*reqWait)
-	if !w.waiting || w.sim.Now() < w.expires || w.req.Completed() {
-		// Stale, or the request completed this very instant and
-		// reqWaitWoken is already queued.
+	if w.req.Completed() {
+		// The request completed this very instant: reqWaitWoken is
+		// already queued.
 		return
 	}
 	w.waiting = false

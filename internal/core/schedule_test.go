@@ -29,7 +29,9 @@ import (
 // The timestamps were moved once since, with the fixed 26-byte request
 // header: 16 more bytes a request are 5.69 ns at 2680 MiB/s (5 to 7 after
 // each message's truncation), so every instant sits that much later per
-// request sent before it, and nothing else changed.
+// request sent before it, and nothing else changed. The end instants moved
+// once more when deadlines became cancellable: a run that used to end at a
+// deadline its wait had beaten ends at its last live event.
 func TestGoldenCopySchedule(t *testing.T) {
 	const k, m = netmodel.KiB, netmodel.MiB
 	pipe128 := Options{H2D: PaperPipeline(128 * k), D2H: PaperPipeline(128 * k)}
@@ -88,7 +90,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 		},
 		{
 			// Every socket-mode daemon runs with a payload deadline: each
-			// block wait that can time out leaves its timer in the heap.
+			// block wait that can time out arms a timer, which it cancels.
 			name: "pipeline 128K with deadline", opts: pipe128, cfg: timeout,
 			run: roundTrips(256*k, 4*m),
 			want: copySchedule{
@@ -97,7 +99,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", "", "", ""},
 				blocksIn: 34, blocksOut: 34, stagingPeak: 524288,
 				gpu:      gpu.Stats{BytesIn: 4456448, BytesOut: 4456448, Launches: 0, Busy: 2098072},
-				wireMsgs: 80, wireHash: 0xc21f6045c174c390, end: 8401757,
+				wireMsgs: 80, wireHash: 0xc21f6045c174c390, end: 3577539,
 			},
 		},
 		{
@@ -220,12 +222,12 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"core: accelerator error: core: payload block 3/6 from rank 0 timed out", "core: accelerator error: core: payload block to rank 0 timed out", ""},
 				blocksIn: 8, blocksOut: 6, stagingPeak: 524288,
 				gpu:      gpu.Stats{BytesIn: 1048576, BytesOut: 786432, Launches: 0, Busy: 431650},
-				wireMsgs: 24, wireHash: 0xd501c7b738c5b5f8, end: 35481761,
+				wireMsgs: 24, wireHash: 0xd501c7b738c5b5f8, end: 30570978,
 			},
 		},
 		{
 			// A front-end with a request timeout: every block wait it makes
-			// leaves its timer in the heap too.
+			// arms and cancels a timer too.
 			name: "front-end deadline", opts: patient, cfg: DefaultDaemonConfig(),
 			run: roundTrips(256*k, 4*m),
 			want: copySchedule{
@@ -234,7 +236,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", "", "", ""},
 				blocksIn: 34, blocksOut: 34, stagingPeak: 524288,
 				gpu:      gpu.Stats{BytesIn: 4456448, BytesOut: 4456448, Launches: 0, Busy: 2098072},
-				wireMsgs: 80, wireHash: 0xc21f6045c174c390, end: 23570672,
+				wireMsgs: 80, wireHash: 0xc21f6045c174c390, end: 3577539,
 			},
 		},
 		{
@@ -312,7 +314,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", "", "core: accelerator error: gpu: access [1048576,1048577) beyond allocation of 1048576 bytes", "", "", "core: accelerator error: gpu: unknown kernel \"bogus\""},
 				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
 				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 2, Busy: 614000},
-				wireMsgs: 16, wireHash: 0x461d4aed414882d1, end: 20632060,
+				wireMsgs: 16, wireHash: 0x461d4aed414882d1, end: 638927,
 			},
 		},
 		{
@@ -359,7 +361,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", "", "", "core: accelerator error: gpu: access [2097152,6291456) beyond allocation of 4194304 bytes"},
 				blocksIn: 32, blocksOut: 56, stagingPeak: 524288,
 				gpu:      gpu.Stats{BytesIn: 4194304, BytesOut: 3072000, Launches: 0, Busy: 1714221},
-				wireMsgs: 108, wireHash: 0xfe9ba7ef7fa6967f, end: 23244250,
+				wireMsgs: 108, wireHash: 0xfe9ba7ef7fa6967f, end: 3251117,
 			},
 		},
 		{
@@ -383,7 +385,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", "", "", ""},
 				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
 				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
-				wireMsgs: 18, wireHash: 0x27a7a7e55e68850a, end: 20026083,
+				wireMsgs: 18, wireHash: 0x27a7a7e55e68850a, end: 15032950,
 			},
 		},
 		{
@@ -426,7 +428,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", ""},
 				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
 				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
-				wireMsgs: 14, wireHash: 0xe569fe7c70e38b7c, end: 10032091,
+				wireMsgs: 14, wireHash: 0xe569fe7c70e38b7c, end: 5038958,
 			},
 		},
 		{
@@ -449,7 +451,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				errs:     []string{"", ""},
 				blocksIn: 0, blocksOut: 0, stagingPeak: 0,
 				gpu:      gpu.Stats{BytesIn: 0, BytesOut: 0, Launches: 0, Busy: 0},
-				wireMsgs: 12, wireHash: 0xf11c6106bf8fcc62, end: 10011043,
+				wireMsgs: 12, wireHash: 0xf11c6106bf8fcc62, end: 5017910,
 			},
 		},
 	}

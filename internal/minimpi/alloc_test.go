@@ -84,6 +84,64 @@ func TestPipelinedBlockCycleAllocs(t *testing.T) {
 	}
 }
 
+// TestInjectRemoteAllocs pins the landing of frames from remote peers, the
+// receive half of every socket-mode message: a frame joins the world's
+// inbound queue by value and a burst is landed by one pre-bound drain, so
+// once the queue's arrays, the free lists and the pool are warm a landed
+// frame allocates nothing (one closure a frame while each was injected on
+// its own). Frames land in arrival order.
+func TestInjectRemoteAllocs(t *testing.T) {
+	const burst, runs, size = 64, 50, 256
+	skipUnderPoison(t)
+	s := sim.New()
+	w, err := NewWorld(s, 2, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Envelope{Src: 0, SrcComm: 0, Dst: 1, Tag: 3, Size: size}
+	landed := make(chan struct{}, 1)
+	bursts := 3 + runs + 1 // the warm-up below, then AllocsPerRun's
+	s.Spawn("receiver", func(p *sim.Proc) {
+		c := w.Comm(1)
+		for b := 0; b < bursts; b++ {
+			for i := 0; i < burst; i++ {
+				req := c.Irecv(0, 3)
+				data, _ := req.Wait(p)
+				if data[0] != byte(i) {
+					t.Errorf("burst %d: frame %d landed in place of frame %d", b, data[0], i)
+				}
+				req.Free()
+			}
+			landed <- struct{}{}
+		}
+	})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- s.RunRealtime(stop) }()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+	send := func() {
+		for i := 0; i < burst; i++ {
+			buf := w.GetBuf(size)
+			buf[0] = byte(i)
+			if err := w.InjectRemote(env, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		<-landed
+	}
+	for i := 0; i < 3; i++ {
+		send()
+	}
+	if perFrame := testing.AllocsPerRun(runs, send) / burst; perFrame != 0 {
+		t.Errorf("a landed frame allocates %.2f, want 0", perFrame)
+	}
+}
+
 // skipUnderPoison skips an allocation pin when DYNACC_POISON=1 retires
 // every freed record instead of reusing it.
 func skipUnderPoison(t *testing.T) {

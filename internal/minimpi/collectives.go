@@ -22,9 +22,6 @@ const (
 	tagAllgather
 	tagSplit
 	tagAlltoall
-	tagBcastv
-	tagScatterv
-	tagGatherv
 )
 
 // BcastTree returns the binomial-tree edges of one virtual rank in a
@@ -92,115 +89,6 @@ func (c *Comm) Bcast(p *sim.Proc, root int, data []byte) []byte {
 		c.isendAnyTag((child+root)%n, tagBcast, data, len(data), false).Wait(p)
 	}
 	return data
-}
-
-// Bcastv is the byte-level variable-size broadcast: root's buffer (any
-// length, unknown to the receivers in advance) reaches every rank over
-// the BcastTree schedule. It matches on its own tag so a driver can
-// interleave it with the fixed collectives; the returned slice is the
-// received copy (root returns data unchanged).
-func (c *Comm) Bcastv(p *sim.Proc, root int, data []byte) []byte {
-	c.checkRank(root, "Bcastv")
-	n := c.Size()
-	if n == 1 {
-		return data
-	}
-	vrank := (c.rank - root + n) % n
-	parent, children := BcastTree(n, vrank)
-	if parent >= 0 {
-		data, _ = c.irecvAnyTag((parent+root)%n, tagBcastv).Wait(p)
-	}
-	for _, child := range children {
-		c.isendAnyTag((child+root)%n, tagBcastv, data, len(data), false).Wait(p)
-	}
-	return data
-}
-
-// Scatterv distributes parts[i] — arbitrary, possibly differing sizes —
-// from the root to rank i and returns the local part (the byte-level
-// MPI_Scatterv). Non-root callers pass nil. All sends are posted before
-// any completes, so the scatter overlaps across receivers.
-func (c *Comm) Scatterv(p *sim.Proc, root int, parts [][]byte) []byte {
-	c.checkRank(root, "Scatterv")
-	if c.rank != root {
-		data, _ := c.irecvAnyTag(root, tagScatterv).Wait(p)
-		return data
-	}
-	if len(parts) != c.Size() {
-		panic(fmt.Sprintf("minimpi: Scatterv: %d parts for %d ranks", len(parts), c.Size()))
-	}
-	var reqs []*Request
-	for r, part := range parts {
-		if r == root {
-			continue
-		}
-		reqs = append(reqs, c.isendAnyTag(r, tagScatterv, part, len(part), false))
-	}
-	WaitAll(p, reqs...)
-	return append([]byte(nil), parts[root]...)
-}
-
-// Gatherv collects every rank's variable-size contribution at the root
-// (the byte-level MPI_Gatherv); the root returns the slices indexed by
-// rank, others return nil. All receives are posted up front so arrivals
-// complete in whatever order the network delivers them.
-func (c *Comm) Gatherv(p *sim.Proc, root int, contrib []byte) [][]byte {
-	c.checkRank(root, "Gatherv")
-	if c.rank != root {
-		c.isendAnyTag(root, tagGatherv, contrib, len(contrib), false).Wait(p)
-		return nil
-	}
-	n := c.Size()
-	out := make([][]byte, n)
-	out[root] = append([]byte(nil), contrib...)
-	recvs := make([]*Request, n)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		recvs[r] = c.irecvAnyTag(r, tagGatherv)
-	}
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		out[r], _ = recvs[r].Wait(p)
-	}
-	return out
-}
-
-// Alltoallv is the byte-level personalized exchange: parts[i] travels
-// to rank i, and the returned slice holds what each rank sent here,
-// indexed by sender (the local part is copied). Every rank posts all
-// receives before waiting on anything, so the n² exchange proceeds
-// fully concurrently without ordering deadlocks.
-func (c *Comm) Alltoallv(p *sim.Proc, parts [][]byte) [][]byte {
-	n := c.Size()
-	if len(parts) != n {
-		panic(fmt.Sprintf("minimpi: Alltoallv: %d parts for %d ranks", len(parts), n))
-	}
-	out := make([][]byte, n)
-	recvs := make([]*Request, n)
-	for r := 0; r < n; r++ {
-		if r != c.rank {
-			recvs[r] = c.irecvAnyTag(r, tagAlltoall)
-		}
-	}
-	sends := make([]*Request, 0, n-1)
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			out[r] = append([]byte(nil), parts[r]...)
-			continue
-		}
-		sends = append(sends, c.isendAnyTag(r, tagAlltoall, parts[r], len(parts[r]), false))
-	}
-	for r := 0; r < n; r++ {
-		if r != c.rank {
-			out[r], _ = recvs[r].Wait(p)
-		}
-	}
-	WaitAll(p, sends...)
-	return out
 }
 
 // ReduceOp combines src into dst element-wise; both are payload byte

@@ -51,7 +51,8 @@ func TestBcastTreeShape(t *testing.T) {
 	}
 }
 
-// TestBcastvMatchesLinearBcast runs the tree Bcastv against a linear
+// TestBcastvMatchesLinearBcast runs the tree Bcast, with a payload whose
+// length the receivers do not know in advance, against a linear
 // root-sends-to-everyone reference on the same communicator for every
 // world size 1..17 and asserts each rank receives byte-identical data
 // from both. This pins the tree schedule to the semantics of the naive
@@ -68,7 +69,7 @@ func TestBcastvMatchesLinearBcast(t *testing.T) {
 				if c.Rank() == root {
 					in = payload
 				}
-				tree := c.Bcastv(p, root, in)
+				tree := c.Bcast(p, root, in)
 
 				// Linear reference: the root sends its buffer directly to
 				// every other rank, point to point.
@@ -96,8 +97,8 @@ func TestBcastvMatchesLinearBcast(t *testing.T) {
 	}
 }
 
-// TestBcastvZeroAndLarge covers the degenerate and the multi-segment
-// payload sizes the QR panel broadcast exercises.
+// TestBcastvZeroAndLarge covers Bcast at the degenerate and the
+// multi-segment payload sizes the QR panel broadcast exercises.
 func TestBcastvZeroAndLarge(t *testing.T) {
 	for _, size := range []int{0, 1, 64 * 1024} {
 		payload := make([]byte, size)
@@ -109,7 +110,7 @@ func TestBcastvZeroAndLarge(t *testing.T) {
 			if c.Rank() == 2 {
 				in = payload
 			}
-			out := c.Bcastv(p, 2, in)
+			out := c.Bcast(p, 2, in)
 			if !bytes.Equal(out, payload) {
 				t.Errorf("size=%d rank=%d: got %d bytes", size, c.Rank(), len(out))
 			}
@@ -118,8 +119,8 @@ func TestBcastvZeroAndLarge(t *testing.T) {
 }
 
 // TestScattervGathervRoundtrip scatters variable-size parts from a root
-// and gathers them back; the gathered set must reproduce the originals
-// exactly, including empty parts.
+// with Scatter and gathers them back with Gather; the gathered set must
+// reproduce the originals exactly, including empty parts.
 func TestScattervGathervRoundtrip(t *testing.T) {
 	const n, root = 7, 3
 	parts := make([][]byte, n)
@@ -132,11 +133,11 @@ func TestScattervGathervRoundtrip(t *testing.T) {
 		if c.Rank() == root {
 			in = parts
 		}
-		mine := c.Scatterv(p, root, in)
+		mine := c.Scatter(p, root, in)
 		if !bytes.Equal(mine, parts[c.Rank()]) {
 			t.Errorf("rank %d: scattered %q, want %q", c.Rank(), mine, parts[c.Rank()])
 		}
-		back := c.Gatherv(p, root, mine)
+		back := c.Gather(p, root, mine)
 		if c.Rank() == root {
 			for r := range parts {
 				if !bytes.Equal(back[r], parts[r]) {
@@ -144,13 +145,13 @@ func TestScattervGathervRoundtrip(t *testing.T) {
 				}
 			}
 		} else if back != nil {
-			t.Errorf("rank %d: non-root Gatherv returned %d parts", c.Rank(), len(back))
+			t.Errorf("rank %d: non-root Gather returned %d parts", c.Rank(), len(back))
 		}
 	})
 }
 
-// TestAlltoallvExchange checks the personalized exchange: what rank i
-// addressed to rank j arrives at j indexed under i, for parts whose
+// TestAlltoallvExchange checks Alltoall's personalized exchange: what
+// rank i addressed to rank j arrives at j indexed under i, for parts whose
 // sizes differ per (sender, receiver) pair.
 func TestAlltoallvExchange(t *testing.T) {
 	const n = 5
@@ -162,7 +163,7 @@ func TestAlltoallvExchange(t *testing.T) {
 		for r := range parts {
 			parts[r] = msg(c.Rank(), r)
 		}
-		got := c.Alltoallv(p, parts)
+		got := c.Alltoall(p, parts)
 		for r := range got {
 			if !bytes.Equal(got[r], msg(r, c.Rank())) {
 				t.Errorf("rank %d: from %d got %q, want %q", c.Rank(), r, got[r], msg(r, c.Rank()))

@@ -67,6 +67,7 @@ type World struct {
 	// transport carries every posted send. The default is the in-sim
 	// backend (simTransport); SetTransport swaps in a socket-backed one.
 	transport Transport
+	inbound   inbound // frames from remote peers; see InjectRemote
 }
 
 type splitKey struct {
@@ -103,6 +104,7 @@ func NewWorld(s *sim.Simulation, n int, params netmodel.Params) (*World, error) 
 		splitCtx: make(map[splitKey]int),
 	}
 	w.transport = simTransport{w}
+	w.inbound.land = w.landInbound
 	for i := 0; i < n; i++ {
 		w.eps = append(w.eps, &endpoint{
 			world: w,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
@@ -611,6 +613,63 @@ func TestPropertyAllreduceSum(t *testing.T) {
 		return good
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInjectRemoteFromManyReaders lands frames injected by several
+// goroutines at once, the way a socket transport's per-peer readers do:
+// every frame arrives, and each sender's frames land in the order it
+// injected them.
+func TestInjectRemoteFromManyReaders(t *testing.T) {
+	const senders, frames = 4, 300
+	s := sim.New()
+	w, err := NewWorld(s, senders+1, fastNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := make(chan struct{})
+	s.Spawn("receiver", func(p *sim.Proc) {
+		defer close(landed)
+		c := w.Comm(senders)
+		next := make([]int, senders)
+		for i := 0; i < senders*frames; i++ {
+			req := c.Irecv(AnySource, 5)
+			data, st := req.Wait(p)
+			if got := int(data[0])<<8 | int(data[1]); got != next[st.Source] {
+				t.Errorf("from rank %d: frame %d landed in place of frame %d", st.Source, got, next[st.Source])
+			}
+			next[st.Source]++
+			req.Free()
+		}
+	})
+	stop := make(chan struct{})
+	ran := make(chan error, 1)
+	go func() { ran <- s.RunRealtime(stop) }()
+	var wg sync.WaitGroup
+	for src := 0; src < senders; src++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := Envelope{Src: src, SrcComm: src, Dst: senders, Tag: 5, Size: 2}
+			for i := 0; i < frames; i++ {
+				buf := w.GetBuf(2)
+				buf[0], buf[1] = byte(i>>8), byte(i)
+				if err := w.InjectRemote(env, buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case <-landed:
+	case <-time.After(10 * time.Second):
+		t.Error("not every injected frame landed")
+	}
+	close(stop)
+	if err := <-ran; err != nil {
 		t.Fatal(err)
 	}
 }

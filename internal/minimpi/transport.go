@@ -1,6 +1,9 @@
 package minimpi
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Transport is the pluggable message-carrying backend of a World. Every
 // posted send — point-to-point or collective-internal — reaches the wire
@@ -168,9 +171,9 @@ func (m *Message) Canceled() bool { return m.sreq.canceled }
 // InjectRemote lands a message that arrived from another process in the
 // destination rank's matching queues, exactly as a local send's envelope
 // would, with the payload already present (remote transfers are always
-// eager). It is safe to call from any goroutine: the work is injected into
-// the scheduler loop, so it requires the simulation to be running under
-// sim.RunRealtime.
+// eager). It is safe to call from any goroutine: the frame joins the
+// world's inbound queue, which is landed from the scheduler loop, so it
+// requires the simulation to be running under sim.RunRealtime.
 //
 // payload must be nil (sized send) or exactly env.Size bytes; the World
 // takes ownership of it as a pool buffer (transports read into
@@ -182,18 +185,60 @@ func (w *World) InjectRemote(env Envelope, payload []byte) error {
 	if payload != nil && len(payload) != env.Size {
 		return fmt.Errorf("minimpi: InjectRemote: payload %dB does not match envelope size %dB", len(payload), env.Size)
 	}
-	w.sim.Inject(func() {
-		ep := w.eps[env.Dst]
-		m := w.getMessage(1) // the sender's half ended in another process
-		m.ctx, m.srcWorld, m.srcComm, m.tag, m.size = env.Ctx, env.Src, env.SrcComm, env.Tag, env.Size
-		m.data, m.owned, m.dstEp = payload, payload != nil, ep
-		ep.traffic.MsgsReceived++
-		ep.traffic.BytesReceived += int64(env.Size)
-		ep.deliverEnvelope(m)
-		// The payload is already here: fire bodyArrived immediately. A
-		// receive posted later still completes — OnTriggerCall on a fired
-		// event schedules the completion at registration time.
-		m.bodyArrived.Trigger()
-	})
+	in := &w.inbound
+	in.mu.Lock()
+	first := len(in.frames) == 0
+	in.frames = append(in.frames, inboundFrame{env, payload})
+	in.mu.Unlock()
+	if first {
+		w.sim.Inject(in.land)
+	}
 	return nil
+}
+
+// inbound is the world's queue of frames from remote peers. InjectRemote
+// appends a frame by value and injects land, bound once, only when the
+// queue goes from empty to non-empty; land takes the whole queue, so a frame
+// costs no allocation and frames land in arrival order.
+type inbound struct {
+	mu     sync.Mutex
+	frames []inboundFrame
+	// spare is the previous batch, emptied: land swaps it in for frames,
+	// as the simulation's injection queue does. Scheduler context only.
+	spare []inboundFrame
+	land  func()
+}
+
+type inboundFrame struct {
+	env     Envelope
+	payload []byte
+}
+
+// landInbound lands every queued frame, in scheduler context.
+func (w *World) landInbound() {
+	in := &w.inbound
+	in.mu.Lock()
+	batch := in.frames
+	in.frames, in.spare = in.spare, nil
+	in.mu.Unlock()
+	for _, f := range batch {
+		w.land(f.env, f.payload)
+	}
+	clear(batch) // drop the payloads, keep the array
+	in.spare = batch[:0]
+}
+
+// land delivers one remote frame to its destination's matching queues.
+func (w *World) land(env Envelope, payload []byte) {
+	ep := w.eps[env.Dst]
+	m := w.getMessage(1) // the sender's half ended in another process
+	m.ctx, m.srcWorld, m.srcComm, m.tag, m.size = env.Ctx, env.Src, env.SrcComm, env.Tag, env.Size
+	m.data, m.owned, m.dstEp = payload, payload != nil, ep
+	ep.traffic.MsgsReceived++
+	ep.traffic.BytesReceived += int64(env.Size)
+	ep.deliverEnvelope(m)
+	// The payload is already here: fire bodyArrived immediately. A
+	// receive posted later still completes — OnTriggerCall on a fired
+	// event schedules the completion at registration time.
+	m.bodyArrived.Trigger()
 }

@@ -29,12 +29,8 @@ type eventCallback struct {
 // cannot wake the waiter's next user.
 type eventWaiter struct {
 	p     *Proc
-	woken bool // set by the first event that fires; later fires are no-ops
+	woken bool // set by the first event or deadline that fires; later ones are no-ops
 	gen   uint32
-	// An AwaitTimeout deadline refers to the waiter until it fires (timed),
-	// so a wait that returned before it (over) leaves the waiter for the
-	// deadline to recycle: it never wakes the waiter's next user.
-	timed, over bool
 }
 
 // waiterRef is a registration of a waiter on one event, pinned to the
@@ -61,7 +57,7 @@ func (s *Simulation) getWaiter(p *Proc) *eventWaiter {
 func (s *Simulation) putWaiter(w *eventWaiter) {
 	w.gen++
 	w.p = nil
-	w.woken, w.over = false, false
+	w.woken = false
 	s.freeWaiters = append(s.freeWaiters, w)
 }
 
@@ -188,7 +184,9 @@ func AwaitAny(p *Proc, events ...*Event) int {
 
 // AwaitTimeout blocks until the event fires or d elapses. It reports true
 // if the event fired (possibly exactly at the deadline) and false on
-// timeout.
+// timeout. The deadline is cancelled when the wait ends, however it ends —
+// a kill unwinds through the defer — so a won wait recycles its waiter at
+// once and leaves nothing that can move the clock.
 func (e *Event) AwaitTimeout(p *Proc, d Duration) bool {
 	if e.fired {
 		return true
@@ -199,25 +197,17 @@ func (e *Event) AwaitTimeout(p *Proc, d Duration) bool {
 	s := e.sim
 	w := s.getWaiter(p)
 	e.addWaiter(w)
-	w.timed = true
-	s.AfterCall(d, awaitDeadline, w)
+	deadline := s.AfterCallTimer(d, awaitDeadline, w)
+	defer deadline.Cancel()
 	p.block(stateAwaitingTimeout)
-	fired := e.fired
-	if w.over = w.timed; !w.over {
-		s.putWaiter(w)
-	}
-	return fired
+	s.putWaiter(w)
+	return e.fired
 }
 
-// awaitDeadline is an AwaitTimeout deadline: it wakes the wait if it still
-// blocks, or recycles the waiter of one that returned before it.
+// awaitDeadline is an AwaitTimeout deadline that ran: it wakes the wait
+// unless the event already has.
 func awaitDeadline(v any) {
-	w := v.(*eventWaiter)
-	w.timed = false
-	switch {
-	case w.over:
-		w.p.sim.putWaiter(w)
-	case !w.woken:
+	if w := v.(*eventWaiter); !w.woken {
 		w.woken = true
 		w.p.wake()
 	}

@@ -38,6 +38,28 @@ func TestKillWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestKilledAwaitTimeoutEndsAtKill kills a process blocked in AwaitTimeout:
+// the wait's deadline is cancelled as the victim unwinds, so Run ends at the
+// kill instant, not an hour later at a deadline that guards nothing.
+func TestKilledAwaitTimeoutEndsAtKill(t *testing.T) {
+	s := New()
+	ev := NewEvent(s)
+	victim := s.Spawn("victim", func(p *Proc) { ev.AwaitTimeout(p, 3600*Second) })
+	s.Spawn("killer", func(p *Proc) {
+		p.Wait(10)
+		victim.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !victim.Terminated() {
+		t.Error("victim did not unwind")
+	}
+	if s.Now() != 10 {
+		t.Errorf("Run ended at %v, want the kill instant 10ns", Duration(s.Now()))
+	}
+}
+
 // TestKillResourceWaiter kills a process queued on a Resource: the grant
 // path must skip it so the capacity goes to the next live waiter.
 func TestKillResourceWaiter(t *testing.T) {

@@ -135,6 +135,42 @@ func TestRealtimeTimeoutFires(t *testing.T) {
 	}
 }
 
+// TestRealtimeCancelledDeadline checks a cancelled deadline under the wall
+// clock: a wait won at once leaves its 1 h deadline a tombstone, which the
+// loop neither runs nor sleeps toward, so a 1 ms timer queued behind it
+// fires about 1 ms later and the clock stays far short of the hour.
+func TestRealtimeCancelledDeadline(t *testing.T) {
+	s := New()
+	ev := NewEvent(s)
+	took := make(chan time.Duration, 1)
+	s.Spawn("waiter", func(p *Proc) {
+		s.AfterCall(0, triggerEventArg, ev)
+		if !ev.AwaitTimeout(p, 3600*Second) {
+			t.Error("AwaitTimeout timed out on an event fired at once")
+		}
+		start := time.Now()
+		s.AfterCall(Millisecond, func(any) { took <- time.Since(start) }, nil)
+	})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- s.RunRealtime(stop) }()
+	select {
+	case d := <-took:
+		if d > time.Second {
+			t.Errorf("1ms timer behind a cancelled 1h deadline fired after %v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("1ms timer behind a cancelled 1h deadline never fired")
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("RunRealtime: %v", err)
+	}
+	if s.Now() >= Time(Second) {
+		t.Errorf("clock reached %v, want well under a second", Duration(s.Now()))
+	}
+}
+
 // TestRealtimeResume checks a stopped realtime loop can be resumed and that
 // injections queued while stopped are drained on resume.
 func TestRealtimeResume(t *testing.T) {

@@ -21,7 +21,9 @@
 // that waits on another party brackets the wait with Park and Unpark and
 // is then reported like a blocked process. A process can hand a stretch of
 // its own script to a chain and stay visible meanwhile: it blocks in
-// Suspend, and the chain's last leg switches back into it with Resume.
+// Suspend, and the chain's last leg switches back into it with Resume. A
+// deadline guarding such a wait is an AfterCallTimer, which the leg that
+// beats it cancels: nothing outlives the wait it guarded.
 //
 // A process function that panics fails the simulation: Run returns the
 // panic as an error. One that leaves through runtime.Goexit — testing's
@@ -84,9 +86,11 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // event is a scheduled callback or process resumption. Events are executed
 // by the scheduler goroutine in (at, seq) order; events for the current
-// instant bypass the heap (see push). Exactly one of fn and p is set: fn
-// runs in scheduler context, p is dispatched. Executed events return to the
-// simulation's free list.
+// instant bypass the heap (see push). Exactly one of fn, afn and p is set:
+// fn and afn run in scheduler context, p is dispatched — unless the event
+// is dead, a cancelled Timer's tombstone, which holds none and which next
+// discards unrun. Executed and discarded events return to the simulation's
+// free list.
 type event struct {
 	at Time
 	fn func()
@@ -94,8 +98,29 @@ type event struct {
 	// afn/arg is the closure-free callback form: afn is typically a
 	// top-level function and arg its state, so hot paths schedule work
 	// without capturing.
-	afn func(any)
-	arg any
+	afn  func(any)
+	arg  any
+	gen  uint32 // bumped on recycling: a Timer names one use of the record
+	dead bool
+}
+
+// Timer is a handle on one event scheduled by AfterCallTimer. The zero
+// Timer is valid and cancels nothing.
+type Timer struct {
+	e   *event
+	gen uint32
+}
+
+// Cancel stops the timer if it has not run yet. The event stays queued as
+// a tombstone that the scheduler discards without running it or advancing
+// the clock to it, and lets go of its callback's argument at once.
+// Cancelling a timer that already ran or was cancelled is a no-op: its
+// record may be serving another event by now, which the generation check
+// leaves alone. Scheduler context only.
+func (t Timer) Cancel() {
+	if e := t.e; e != nil && e.gen == t.gen {
+		e.fn, e.p, e.afn, e.arg, e.dead = nil, nil, nil, nil, true
+	}
 }
 
 // eventHeap is the future-event queue: a binary min-heap on (at, seq) with
@@ -182,7 +207,8 @@ type Simulation struct {
 
 	// Free lists. Items are recycled only once no live reference remains
 	// (see the ownership comments at each put site); generation counters on
-	// waiter records invalidate any registration that outlives its wait.
+	// waiter and event records invalidate any registration or Timer that
+	// outlives its use.
 	freeEvents     []*event
 	freeWorkers    []*worker
 	freeWaiters    []*eventWaiter
@@ -237,12 +263,20 @@ func (s *Simulation) scheduleProc(at Time, p *Proc) {
 // Equivalent to After with a closure over arg, but allocation-free when fn
 // is a top-level function and arg a pointer.
 func (s *Simulation) AfterCall(d Duration, fn func(any), arg any) {
+	s.AfterCallTimer(d, fn, arg)
+}
+
+// AfterCallTimer is AfterCall returning a Timer that can cancel the call: a
+// deadline that is cancelled by the wait it guards, once that wait is over,
+// neither runs nor holds arg nor moves the clock.
+func (s *Simulation) AfterCallTimer(d Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
 	e := s.getEvent()
 	e.afn, e.arg = fn, arg
 	s.push(e, s.now.Add(d))
+	return Timer{e, e.gen}
 }
 
 // push routes an event to the ready queue (same instant) or the heap
@@ -274,13 +308,16 @@ func (s *Simulation) getEvent() *event {
 	return &event{}
 }
 
-// putEvent recycles an executed event. Safe because events are owned
-// exclusively by the queue that pops them.
+// putEvent recycles an executed or discarded event. Safe because events
+// are owned exclusively by the queue that pops them; bumping gen retires
+// every Timer naming the use that ended.
 func (s *Simulation) putEvent(e *event) {
 	e.fn = nil
 	e.p = nil
 	e.afn = nil
 	e.arg = nil
+	e.gen++
+	e.dead = false
 	s.freeEvents = append(s.freeEvents, e)
 }
 
@@ -528,18 +565,27 @@ func (s *Simulation) RunUntil(limit Time) error { return s.run(limit, true) }
 // next selects the next event to execute, honouring the order argument in
 // the push comment: heap entries for the current instant first, then the
 // ready queue, then the earliest future heap entry. The returned event is
-// still queued; the caller pops it after the limit check.
+// still queued; the caller pops it after the limit check. Tombstones of
+// cancelled timers are discarded on the way, without touching the clock:
+// a run ends at the last event that did something.
 func (s *Simulation) next() (e *event, fromReady bool) {
-	if len(s.events) > 0 && s.events[0].at <= s.now {
-		return s.events[0].e, false
+	for {
+		switch {
+		case len(s.events) > 0 && s.events[0].at <= s.now:
+			e, fromReady = s.events[0].e, false
+		case s.readyHead < len(s.ready):
+			e, fromReady = s.ready[s.readyHead], true
+		case len(s.events) > 0:
+			e, fromReady = s.events[0].e, false
+		default:
+			return nil, false
+		}
+		if !e.dead {
+			return e, fromReady
+		}
+		s.pop(fromReady)
+		s.putEvent(e)
 	}
-	if s.readyHead < len(s.ready) {
-		return s.ready[s.readyHead], true
-	}
-	if len(s.events) > 0 {
-		return s.events[0].e, false
-	}
-	return nil, false
 }
 
 func (s *Simulation) pop(fromReady bool) {
@@ -638,7 +684,8 @@ func (s *Simulation) deadlockError() error {
 		Duration(s.now), blocked, names)
 }
 
-// Pending reports the number of scheduled events.
+// Pending reports the number of scheduled events, counting a cancelled
+// timer until the scheduler has discarded it.
 func (s *Simulation) Pending() int {
 	return len(s.events) + len(s.ready) - s.readyHead
 }

@@ -235,6 +235,48 @@ func TestAwaitTimeout(t *testing.T) {
 	}
 }
 
+// TestCancelledTimerNeverRuns pins Timer.Cancel: a cancelled call never
+// runs, whether queued for later or for this instant, and Run ends at the
+// last event that ran, not at the cancelled one. Cancelling twice, or a
+// zero Timer, is harmless, and cancelling a timer that already ran leaves
+// alone the event its recycled record serves now.
+func TestCancelledTimerNeverRuns(t *testing.T) {
+	s := New()
+	var ran []string
+	note := func(v any) { ran = append(ran, v.(string)) }
+	s.AfterCall(3*Microsecond, note, "live")
+	s.AfterCallTimer(Second, note, "later").Cancel()
+	now := s.AfterCallTimer(0, note, "now")
+	now.Cancel()
+	now.Cancel()
+	Timer{}.Cancel()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 1 || ran[0] != "live" {
+		t.Fatalf("ran %v, want [live]", ran)
+	}
+	if s.Now() != Time(3*Microsecond) {
+		t.Errorf("Run ended at %v, want 3us: a cancelled timer moved the clock", Duration(s.Now()))
+	}
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d events pending after Run, want 0", n)
+	}
+
+	spent := s.AfterCallTimer(0, note, "spent")
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	s.AfterCall(Microsecond, note, "reused") // takes the spent timer's record
+	spent.Cancel()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"live", "spent", "reused"}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("ran %v, want %v", ran, want)
+	}
+}
+
 func TestProcDoneEvent(t *testing.T) {
 	s := New()
 	var joined Time
