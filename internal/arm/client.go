@@ -3,16 +3,19 @@ package arm
 // client.go is the client side of the ARM: one Client whatever sits
 // behind it. Every operation is routed to the owning shard via a
 // Directory; a lone manager is the one-shard directory NewClient builds.
-// Replies are received with an any-source Irecv, because the shard that
-// answers is not always the shard that was asked (peer forwarding and
-// least-loaded fallback reply directly from the executing shard). When
-// shards have follower replicas, calls use a failover timeout: on
-// silence past the promotion threshold the client re-resolves the
-// shard's serving rank from the directory and replays the request with
-// its original reqID — the server-side dedup cache turns an
-// already-answered replay into a resend, never a re-execution.
+// Every request is a call on the engine both control planes share
+// (minimpi.Call), so no process blocks in Irecv per ARM call. Replies are
+// received with an any-source receive, because the shard that answers is
+// not always the shard that was asked (peer forwarding and least-loaded
+// fallback reply directly from the executing shard). When shards have
+// follower replicas, calls use a failover timeout: on silence past the
+// promotion threshold the client re-resolves the shard's serving rank
+// from the directory and replays the request with its original reqID —
+// the server-side dedup cache turns an already-answered replay into a
+// resend, never a re-execution.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -39,8 +42,9 @@ type Client struct {
 	failTimeout sim.Duration
 	maxSilence  int // give up after this many consecutive timeouts
 
-	groups [][]int     // per-shard id scratch for Release routing (reused)
-	w      wire.Writer // encodes each request, then holds its reply's body (see call)
+	groups [][]int  // per-shard id scratch for Release routing (reused)
+	free   *armCall // recycled call records (see call), spare first
+	spare  armCall
 }
 
 // NewClient creates a resource-management client addressing the lone ARM
@@ -56,7 +60,8 @@ func NewClient(comm *minimpi.Comm, armRank int) *Client {
 // Failover timeouts arm automatically when at least one shard has a
 // follower replica.
 func NewDirectoryClient(comm *minimpi.Comm, dir *Directory) *Client {
-	c := &Client{comm: comm, dir: dir, groups: make([][]int, dir.Shards()), w: *wire.NewWriter(64)}
+	c := &Client{comm: comm, dir: dir, groups: make([][]int, dir.Shards())}
+	c.spare.frame, c.free = *wire.NewWriter(64), &c.spare
 	for sh := 0; sh < dir.Shards(); sh++ {
 		if dir.Follower(sh) >= 0 {
 			c.failTimeout = 2 * DefaultHealthConfig().DeadAfter
@@ -90,88 +95,111 @@ func (c *Client) jitter() *rand.Rand {
 	return c.rng
 }
 
-// argsFunc writes a request body. replay is set when the frame is a
-// failover or fencing replay, which only opAcquire encodes (flagReplay).
-type argsFunc func(w *wire.Writer, replay bool)
+// argsFunc writes a request body.
+type argsFunc func(w *wire.Writer)
 
-// send encodes one request frame for shard, op | reqID | epoch | body, and
-// sends it to rank. The epoch is the one the client believes the shard is
-// serving under — re-read at every send, so a fenced replay carries the
-// successor's.
-func (c *Client) send(rank, shard int, op uint8, reqID uint64, replay bool, args argsFunc) {
-	w := c.w.Reset().U8(op).U64(reqID).U64(c.dir.Epoch(shard))
-	if args != nil {
-		args(w, replay)
-	}
-	c.comm.SendCopy(rank, TagRequest, w.Bytes())
+// armCall is one ARM request on the shared call engine: its frame, op |
+// reqID | epoch | body, until the answer's body replaces it, and what the
+// reply said. A client recycles it.
+type armCall struct {
+	minimpi.Call // Silence.Rank is the rank the frame was last sent to
+	c            *Client
+	next         *armCall // on the client's free list
+	shard        int
+	frame        wire.Writer
+	sent, fences int    // times the frame was shipped, fenced replies so far
+	epoch        uint64 // the reply's epoch hint
+	err          error
 }
+
+const (
+	// acquireFlags is where an opAcquire frame keeps its flags byte: after
+	// op, reqID, epoch and n.
+	acquireFlags = 1 + 8 + 8 + 8
+	// maxFenceReplays bounds the replays fenced replies may cause.
+	maxFenceReplays = 4
+)
 
 // call performs one request/reply round trip against a shard, with
 // directory-driven failover replay when armed and fencing-driven replay
-// always: a statusFenced reply (the server we reached has been deposed)
-// re-resolves the serving rank and replays with the original reqID — the
-// dedup cache makes the replay a resend when the successor already
-// executed it. Any other status comes back as its client error
-// (statusErr). The returned epoch is the answering server's epoch hint
-// from the reply header (zero from a lone manager), stamped into Handles
-// as the fencing token. The returned body lives in c.w, which the next call
-// from any process on this Client overwrites (an AutoMigrate watcher calls
-// while the application may be inside one): consume it before yielding.
+// always (see Send and Reply). Any other status comes back as its client
+// error (statusErr); silence past the failover budget as a
+// *minimpi.TimeoutError. The returned epoch is the answering server's epoch
+// hint from the reply header (zero from a lone manager), stamped into
+// Handles as the fencing token. The returned body, valid when the error is
+// nil, lives in a recycled record the next call from any process on this
+// Client takes (an AutoMigrate watcher calls while the application may be
+// inside one): consume it before yielding.
 func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
-	c.nextReq++
-	reqID := c.nextReq
-	const maxFenceReplays = 4
-	for fenceReplays := 0; ; fenceReplays++ {
-		// Any shard may answer (forwarding replies directly), so match any
-		// source on the reply tag; reqIDs are unique per client, so the tag
-		// cannot collide.
-		resp := c.comm.Irecv(minimpi.AnySource, tagReplyBase+minimpi.Tag(reqID))
-		served := c.dir.Serving(shard)
-		c.send(served, shard, op, reqID, fenceReplays > 0, args)
-		var data []byte
-		if c.failTimeout <= 0 {
-			data, _ = resp.Wait(p)
-		} else {
-			silent := 0
-			for {
-				d, _, ok := resp.WaitTimeout(p, c.failTimeout)
-				if ok {
-					data = d
-					break
-				}
-				silent++
-				if silent > c.maxSilence {
-					resp.Cancel()
-					return nil, 0, fmt.Errorf("arm: shard %d unresponsive after %d timeouts", shard, silent)
-				}
-				if cur := c.dir.Serving(shard); cur != served {
-					// The shard failed over: replay at the promoted follower
-					// with the same reqID (dedup makes this safe).
-					served = cur
-					c.send(served, shard, op, reqID, true, args)
-				}
-				// Still the same serving rank: the shard is slow (a delayed
-				// drain reply, say), not dead — keep waiting.
-			}
-		}
-		status, epoch, payload, err := decodeReply(data)
-		payload = c.w.Reset().Raw(payload).Bytes()
-		resp.Free()
-		if err != nil {
-			return nil, 0, fmt.Errorf("arm: malformed reply: %w", err)
-		}
-		if status != statusFenced {
-			return payload, epoch, statusErr(status)
-		}
-		if fenceReplays >= maxFenceReplays {
-			return nil, 0, fmt.Errorf("arm: shard %d request fenced %d times: %w",
-				shard, fenceReplays+1, ErrFenced)
-		}
-		// A deposed server answered. The directory already names the
-		// successor (promotion flips it before anything can fence);
-		// replay there under the fresh epoch.
+	cl := c.free
+	if cl != nil {
+		c.free = cl.next
+	} else {
+		cl = &armCall{frame: *wire.NewWriter(64)}
 	}
+	c.nextReq++
+	*cl = armCall{c: c, shard: shard, frame: cl.frame}
+	cl.frame.Reset().U8(op).U64(c.nextReq).U64(0)
+	if args != nil {
+		args(&cl.frame)
+	}
+	cl.Timeout, cl.Resends = c.failTimeout, c.maxSilence
+	cl.Silence = minimpi.TimeoutError{Plane: "arm", Peer: "ARM", Op: op}
+	// Any shard may answer (forwarding replies directly), so match any
+	// source on the reply tag; reqIDs are unique per client, so the tag
+	// cannot collide.
+	cl.Start(c.comm, cl, minimpi.AnySource, tagReplyBase+minimpi.Tag(c.nextReq))
+	cl.Wait(p)
+	if cl.Req == nil { // else it gave up on a reply that may yet come
+		cl.next, c.free = c.free, cl
+	}
+	return cl.frame.Bytes(), cl.epoch, cl.err
 }
+
+// Send ships the frame to the shard's serving rank under the epoch the
+// client believes it serves under, re-read at every send so a fenced replay
+// carries the successor's; past the first send it is a replay. At a silent
+// deadline it ships only when the shard failed over: the same serving rank
+// is slow (a delayed drain reply, say), not dead.
+func (cl *armCall) Send(silent bool) {
+	dir, f := cl.c.dir, cl.frame.Bytes()
+	served := dir.Serving(cl.shard)
+	if silent && served == cl.Silence.Rank {
+		return
+	}
+	binary.LittleEndian.PutUint64(f[9:], dir.Epoch(cl.shard))
+	if cl.sent > 0 && f[0] == opAcquire {
+		f[acquireFlags] |= flagReplay
+	}
+	cl.sent++
+	cl.Silence.Rank = served
+	cl.c.comm.SendCopy(served, TagRequest, f)
+}
+
+// Reply takes a reply: its body into the frame, which the answered request
+// needs no more, and its epoch hint. A statusFenced one — the server reached
+// has been deposed — is asked again with the original reqID: the directory
+// already names the successor (promotion flips it before anything can
+// fence), and the dedup cache makes the replay a resend when the successor
+// already executed it.
+func (cl *armCall) Reply(data []byte) (minimpi.ReplyKind, error) {
+	status, epoch, payload, err := decodeReply(data)
+	switch {
+	case err != nil:
+		return minimpi.ReplyOver, fmt.Errorf("arm: malformed reply: %w", err)
+	case status == statusFenced && cl.fences < maxFenceReplays:
+		cl.fences++
+		return minimpi.ReplyAgain, nil
+	case status == statusFenced:
+		return minimpi.ReplyOver, fmt.Errorf("arm: shard %d request fenced %d times: %w", cl.shard, cl.fences+1, ErrFenced)
+	}
+	cl.frame.Reset().Raw(payload)
+	cl.epoch = epoch
+	return minimpi.ReplyOver, statusErr(status)
+}
+
+// Finish keeps the call's outcome for call to return.
+func (cl *armCall) Finish(err error) { cl.err = err }
 
 func statusErr(status uint8) error {
 	switch status {
@@ -245,8 +273,8 @@ func (c *Client) acquire(p *sim.Proc, n int, shared bool, constraint Constraint,
 			}
 			p.Wait(b.Delay(i-1, rng))
 		}
-		payload, epoch, callErr := c.call(p, (home+i)%c.dir.Shards(), opAcquire, func(w *wire.Writer, replay bool) {
-			w.Int(n).U8(flag(queued, flagBlocking) | flag(shared, flagShared) | flag(replay, flagReplay))
+		payload, epoch, callErr := c.call(p, (home+i)%c.dir.Shards(), opAcquire, func(w *wire.Writer) {
+			w.Int(n).U8(flag(queued, flagBlocking) | flag(shared, flagShared))
 			encodeConstraint(w, constraint)
 		})
 		if err = callErr; err == nil {
@@ -333,7 +361,7 @@ func (c *Client) Release(p *sim.Proc, handles []Handle) error {
 		if len(ids) == 0 {
 			continue
 		}
-		_, _, err := c.call(p, sh, opRelease, func(w *wire.Writer, _ bool) { w.Ints(ids) })
+		_, _, err := c.call(p, sh, opRelease, func(w *wire.Writer) { w.Ints(ids) })
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -349,7 +377,7 @@ func (c *Client) rankKeyedCall(p *sim.Proc, op uint8, what string, rank int) (Ha
 	shards := c.dir.Shards()
 	home := c.homeShard()
 	for i := 0; i < shards; i++ {
-		payload, epoch, err := c.call(p, (home+i)%shards, op, func(w *wire.Writer, _ bool) { w.Int(rank) })
+		payload, epoch, err := c.call(p, (home+i)%shards, op, func(w *wire.Writer) { w.Int(rank) })
 		if err == ErrBadRequest {
 			continue // not held on this shard
 		}
@@ -398,12 +426,12 @@ func (c *Client) idCall(p *sim.Proc, id int, op uint8, args argsFunc) error {
 // comes from a health monitor). Queued requests that become impossible
 // are rejected.
 func (c *Client) Fail(p *sim.Proc, id int) error {
-	return c.idCall(p, id, opFail, func(w *wire.Writer, _ bool) { w.Int(id) })
+	return c.idCall(p, id, opFail, func(w *wire.Writer) { w.Int(id) })
 }
 
 // Repair returns a failed accelerator to the free pool.
 func (c *Client) Repair(p *sim.Proc, id int) error {
-	return c.idCall(p, id, opRepair, func(w *wire.Writer, _ bool) { w.Int(id) })
+	return c.idCall(p, id, opRepair, func(w *wire.Writer) { w.Int(id) })
 }
 
 // Drain takes accelerator id out of service: no new grants, in-flight
@@ -412,7 +440,7 @@ func (c *Client) Repair(p *sim.Proc, id int) error {
 // deadline bounds the wait: when it expires with the holder still
 // attached the ARM revokes the lease, sanitizes, and retires.
 func (c *Client) Drain(p *sim.Proc, id int, deadline sim.Duration) error {
-	return c.idCall(p, id, opDrain, func(w *wire.Writer, _ bool) { w.Int(id).I64(int64(deadline)) })
+	return c.idCall(p, id, opDrain, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
 }
 
 // Register admits a new accelerator — pool id plus its daemon's world
@@ -429,7 +457,7 @@ func (c *Client) Register(p *sim.Proc, id, rank int) error {
 // supported kernel classes, making it eligible for constrained acquires
 // and class-aware migration. A zero capability is exactly Register.
 func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) error {
-	return c.idCall(p, id, opRegister, func(w *wire.Writer, _ bool) {
+	return c.idCall(p, id, opRegister, func(w *wire.Writer) {
 		encodeCapability(w.Int(id).Int(rank), cap)
 	})
 }
@@ -441,7 +469,7 @@ func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) erro
 // wait by revoking stragglers. After Retire returns, the pool holds no
 // record of the accelerator and therefore no stranded lease on it.
 func (c *Client) Retire(p *sim.Proc, id int, deadline sim.Duration) error {
-	return c.idCall(p, id, opRetire, func(w *wire.Writer, _ bool) { w.Int(id).I64(int64(deadline)) })
+	return c.idCall(p, id, opRetire, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
 }
 
 // Renew explicitly renews every lease this client rank holds, on every

@@ -9,6 +9,7 @@ package arm
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -204,6 +205,89 @@ func TestLoneManagerExecutesEveryRequest(t *testing.T) {
 			t.Errorf("release: %v", err)
 		}
 	})
+}
+
+// TestSilentShardIsATypedTimeout: an ARM call rides the call engine the
+// front-end uses. Against a shard nobody serves, with failover armed, it
+// sends once (the serving rank never changes, so silence is slowness, not a
+// failover), waits out its silence budget and ends with the engine's typed
+// error — no process blocked in a receive, none left behind.
+func TestSilentShardIsATypedTimeout(t *testing.T) {
+	s := sim.New()
+	w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := 0
+	w.SetLinkFilter(func(_, _ int, tag minimpi.Tag, _ int) minimpi.LinkVerdict {
+		if tag == TagRequest {
+			requests++
+		}
+		return minimpi.LinkVerdict{}
+	})
+	c := NewClient(w.Comm(1), 0) // rank 0 runs no server
+	c.SetFailover(sim.Millisecond, 3)
+	var took sim.Duration
+	s.Spawn("cn1", func(p *sim.Proc) {
+		_, err = c.Stats(p)
+		took = sim.Duration(p.Now())
+	})
+	if runErr := s.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	var te *minimpi.TimeoutError
+	if !errors.As(err, &te) || !errors.Is(err, minimpi.ErrTimeout) || te.Attempts != 4 || te.Rank != 0 || te.Op != opStats {
+		t.Fatalf("Stats against a silent shard: %v, want a *minimpi.TimeoutError for op %d at rank 0 after 4 attempts", err, opStats)
+	}
+	if requests != 1 || took != 4*sim.Millisecond || s.LiveProcs() != 0 {
+		t.Errorf("%d requests sent, gave up after %v, %d processes left: want 1, 4ms, 0", requests, took, s.LiveProcs())
+	}
+}
+
+// TestFencedAcquireIsReplayed: a fenced reply makes the call ask again with
+// the same frame, now flagged as a replay so the successor recalls its
+// peers first, and the grant that answers the replay is the call's outcome.
+// Five fenced replies in a row end the call with ErrFenced.
+func TestFencedAcquireIsReplayed(t *testing.T) {
+	for _, fenced := range []int{1, 5} {
+		s := sim.New()
+		w, err := minimpi.NewWorld(s, 2, netmodel.QDRInfiniBand())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		s.Spawn("responder", func(p *sim.Proc) {
+			for i := 0; i <= fenced && i <= maxFenceReplays; i++ {
+				data, _ := w.Comm(1).Recv(p, 0, TagRequest)
+				frames = append(frames, append([]byte(nil), data...))
+				reply := wire.NewWriter(32).U8(statusFenced).U64(0)
+				if i == fenced {
+					reply = wire.NewWriter(64).U8(statusOK).U64(0).Int(1).Int(3).Int(103)
+					encodeCapability(reply, Capability{})
+				}
+				w.Comm(1).Send(p, 0, tagReplyBase+minimpi.Tag(wire.NewReader(data[1:]).U64()), reply.Bytes())
+			}
+		})
+		var handles []Handle
+		s.Spawn("cn0", func(p *sim.Proc) { handles, err = NewClient(w.Comm(0), 1).Acquire(p, 1, false) })
+		if runErr := s.Run(); runErr != nil {
+			t.Fatal(runErr)
+		}
+		if fenced > maxFenceReplays {
+			if !errors.Is(err, ErrFenced) || len(frames) != maxFenceReplays+1 {
+				t.Errorf("%d fenced replies: %v after %d frames, want ErrFenced after %d", fenced, err, len(frames), maxFenceReplays+1)
+			}
+			continue
+		}
+		if err != nil || len(handles) != 1 || handles[0].ID != 3 || len(frames) != 2 {
+			t.Fatalf("after a fenced reply: %v, %v from %d frames; want accelerator 3 from 2", handles, err, len(frames))
+		}
+		replay := append([]byte(nil), frames[0]...)
+		replay[acquireFlags] |= flagReplay
+		if string(frames[1]) != string(replay) {
+			t.Errorf("replayed frame % x, want the first % x with flagReplay set", frames[1], frames[0])
+		}
+	}
 }
 
 // hostileFrames are requests no client sends: element counts that are

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -16,31 +15,19 @@ import (
 // ErrTimeout reports that an accelerator stopped answering within the
 // configured request timeout — the client-side half of the paper's fault
 // tolerance story (a broken accelerator must not take the compute node
-// down with it). Concrete timeout errors are *TimeoutError values;
-// errors.Is(err, ErrTimeout) matches them.
-var ErrTimeout = errors.New("core: request timed out; accelerator unreachable")
+// down with it). errors.Is(err, ErrTimeout) matches every *TimeoutError.
+var ErrTimeout = minimpi.ErrTimeout
 
-// TimeoutError is the typed error for a request that exhausted its
-// timeout budget, including retransmissions.
-type TimeoutError struct {
-	// Op is the request op code, or zero for a payload-stream transfer.
-	Op uint8
-	// Rank is the daemon rank that stopped answering.
-	Rank int
-	// Attempts is how many times the request was sent.
-	Attempts int
+// TimeoutError is the typed error for a request that exhausted its timeout
+// budget, including retransmissions: the one both control planes share,
+// here with Plane "core" and Peer "accelerator".
+type TimeoutError = minimpi.TimeoutError
+
+// silence is the error a call to the daemon at rank ends with when the
+// daemon stays silent (op zero: a payload stream).
+func silence(op uint8, rank int) TimeoutError {
+	return TimeoutError{Plane: "core", Peer: "accelerator", Op: op, Rank: rank}
 }
-
-func (e *TimeoutError) Error() string {
-	what := "payload transfer"
-	if e.Op != 0 {
-		what = fmt.Sprintf("op %d", e.Op)
-	}
-	return fmt.Sprintf("core: %s to accelerator rank %d timed out after %d attempt(s)", what, e.Rank, e.Attempts)
-}
-
-// Is makes errors.Is(err, ErrTimeout) succeed for TimeoutError values.
-func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
 // Options configures a front-end's copy protocols.
 type Options struct {
@@ -426,36 +413,19 @@ func (c *Client) join(p *sim.Proc, pd *Pending) error {
 // release recycles a call nobody can reach any more, unless it gave up on a
 // request (a timeout) whose wake-up may yet come.
 func (c *Client) release(cl *call) {
-	if cl.req == nil {
+	if cl.Req == nil {
 		c.calls = append(c.calls, cl)
 	}
 }
 
-// call is one request to a daemon and the front-end's one way of waiting for
-// its answer: the paper's two MPI messages per request, with the payload
-// blocks of a streamed copy in between. Whoever issues it, a call is driven
-// by legs — scheduler callbacks over its reqWait, each standing where a
-// process making the same wait (the caller, or the helper a copy used to
-// spawn) would have resumed:
-//
-//   - issue posts the response receive and ships the header; nothing waits
-//     yet.
-//   - arm starts the response wait: at once for a header-only call, after the
-//     last block for a copy, one call after the other for the two halves of a
-//     direct copy — never at issue, or a transfer longer than Options.Timeout
-//     would time out with its payload still streaming.
-//   - respond runs when the response is in or its deadline has run out:
-//     resend (the daemon's dedup table makes that idempotent) or fail with a
-//     TimeoutError, decode, discard a stale reply, finish — once.
-//
-// The deadline belongs to the send: a reply whose echoed request ID is not
-// this call's (a tag-window collision, an error reply to garbage) is dropped
-// and the re-posted receive waits out the time the send has left, so stale
-// replies cannot postpone a TimeoutError.
-//
-// A synchronous caller (wait) suspends until finish resumes it inside the
-// finishing leg, so it goes on at the queue position a process woken by the
-// response itself would have; an asynchronous one holds the call's Pending.
+// call is one request to a daemon: the paper's two MPI messages per request,
+// with the payload blocks of a streamed copy in between, on the call engine
+// both control planes share (minimpi.Call: the response wait, resends — the
+// daemon's dedup table makes them idempotent — and the TimeoutError). The
+// response wait is armed at once for a header-only call, after the last
+// block for a copy, one call after the other for the two halves of a direct
+// copy. A synchronous caller (wait) suspends until the finishing leg resumes
+// it; an asynchronous one holds the call's Pending.
 //
 // A client recycles its synchronous calls (see release); every send ships a
 // pool copy of the header, so no message in flight aliases a recycled call.
@@ -464,18 +434,13 @@ type call struct {
 	q request // kept for retransmission
 	// pad inflates the request message's wire size (model-mode inline
 	// writes carry no payload bytes but must cost the same virtual time).
-	pad     int
-	resp    *minimpi.Request // the posted response receive
-	sent    int              // times the header was shipped
-	resends int              // retransmissions left
-	due     sim.Time         // when the last send runs out of time, under a Timeout
-	reqWait                  // on req: resp (re-posted after a stale reply), or a copy's block i
-	Pending                  // done fires when the call is over, err is its outcome
-	rsp     response
-	p       *sim.Proc // a synchronous caller, suspended in wait
-	app     gpu.Ptr   // q.ptr as the application names it, for the ledger (see applied)
-	cmds    []*call   // an opBatch's recorded commands, in q.batch order
-	x       *xfer     // a streamed copy's block loop, until the copy finishes
+	pad          int
+	minimpi.Call // on Req: the response (re-posted after a stale reply), or a copy's block i
+	Pending      // done fires when the call is over, err is its outcome
+	rsp          response
+	app          gpu.Ptr // q.ptr as the application names it, for the ledger (see applied)
+	cmds         []*call // an opBatch's recorded commands, in q.batch order
+	x            *xfer   // a streamed copy's block loop, until the copy finishes
 }
 
 // xfer is a streamed copy's block loop (see stream), recycled by the client.
@@ -488,12 +453,9 @@ type xfer struct {
 	t0     sim.Time
 }
 
-// stateCall is what a synchronous caller is blocked on, parkedCopy what the
-// deadlock report calls a streamed copy nobody answers (it has no process).
-const (
-	stateCall  = "awaiting accelerator response"
-	parkedCopy = "streamed-copy"
-)
+// parkedCopy is what the deadlock report calls a streamed copy nobody
+// answers (it has no process).
+const parkedCopy = "streamed-copy"
 
 // newCall readies a call for q; a recycled record keeps the arrays of its
 // response payload and launch arguments (RunAsync appends to the latter).
@@ -506,10 +468,9 @@ func (a *Accel) newCall(q request) *call {
 	return cl
 }
 
-// send ships (or re-ships) a pool copy of the encoded header; a resend
+// Send ships (or re-ships) a pool copy of the encoded header; a resend
 // encodes the same request again. A padded one's copy is private.
-func (cl *call) send() {
-	cl.sent++
+func (cl *call) Send(bool) {
 	c, enc := cl.a.c, encodeRequestTo(cl.a.c.encw, &cl.q)
 	if cl.pad == 0 {
 		c.comm.SendCopy(cl.a.rank, TagRequest, enc)
@@ -547,69 +508,24 @@ func (cl *call) issue(resends, pad int) *call {
 	q.session = a.session
 	q.fence = a.fence
 	a.translateReq(q)
-	cl.resends, cl.pad = resends, pad
-	cl.resp = a.c.comm.Irecv(a.rank, respTag(q.reqID))
-	cl.send()
+	cl.pad, cl.Timeout, cl.Resends, cl.Silence = pad, a.c.opts.Timeout, resends, silence(q.op, a.rank)
+	cl.Start(a.c.comm, cl, a.rank, respTag(q.reqID))
 	return cl
 }
 
-// arm starts the wait for the response.
-func (cl *call) arm() {
-	s, t := cl.a.sim(), cl.a.c.opts.Timeout
-	cl.req, cl.due = cl.resp, s.Now().Add(t)
-	if cl.await(s, t, callOver, cl) {
-		cl.respond()
+// Reply decodes a response (decode copies what it keeps); one whose echoed
+// request ID is not this call's is stale.
+func (cl *call) Reply(data []byte) (minimpi.ReplyKind, error) {
+	if err := cl.rsp.decode(data); err != nil || cl.rsp.reqID == cl.q.reqID {
+		return minimpi.ReplyOver, err
 	}
+	return minimpi.ReplyStale, nil
 }
 
-// callOver is the leg after a response wait. A caller killed meanwhile takes
-// its call with it, as the loop in its own process ended with the process.
-func callOver(v any) {
-	if cl := v.(*call); cl.p == nil || !cl.p.Killed() {
-		cl.respond()
-	}
-}
-
-// respond deals with the response wait that just ended — request complete
-// or out of time — until the call is over or waits again.
-func (cl *call) respond() {
-	c, s := cl.a.c, cl.a.sim()
-	for t := c.opts.Timeout; ; {
-		switch {
-		case cl.req.Completed():
-			data, _ := cl.req.Result()
-			err := cl.rsp.decode(data)
-			cl.req.Free() // decode copied what it keeps
-			cl.req = nil
-			if err != nil || cl.rsp.reqID == cl.q.reqID {
-				cl.finish(err)
-				return
-			}
-			cl.req = c.comm.Irecv(cl.a.rank, respTag(cl.q.reqID))
-		case cl.resends > 0:
-			cl.resends--
-			cl.send()
-			cl.due = s.Now().Add(t)
-		default:
-			cl.finish(&TimeoutError{Op: cl.q.op, Rank: cl.a.rank, Attempts: cl.sent})
-			return
-		}
-		left := t
-		if t > 0 {
-			if left = cl.due.Sub(s.Now()); left <= 0 {
-				continue // a stale reply at the very deadline
-			}
-		}
-		if !cl.await(s, left, callOver, cl) {
-			return
-		}
-	}
-}
-
-// finish ends the call, once: the outcome is the transport's error or else
-// the daemon's status, a success is entered in the ledger, and whoever waits
-// goes on.
-func (cl *call) finish(err error) {
+// Finish ends the call, once: the outcome is the transport's error or else
+// the daemon's status, a success is entered in the ledger, and whoever
+// holds the Pending goes on.
+func (cl *call) Finish(err error) {
 	if err == nil {
 		err = cl.rsp.err()
 	}
@@ -625,9 +541,6 @@ func (cl *call) finish(err error) {
 		cl.keep()
 	}
 	cl.done.Trigger()
-	if cl.p != nil {
-		cl.p.Resume()
-	}
 }
 
 // applied enters a successful operation in the failover ledger: a free
@@ -691,11 +604,7 @@ func (cl *call) keep() {
 // wait is the synchronous call: it arms the response wait and blocks p until
 // the call is over.
 func (cl *call) wait(p *sim.Proc) error {
-	cl.arm()
-	if !cl.done.Triggered() {
-		cl.p = p
-		p.Suspend(stateCall)
-	}
+	cl.Call.Wait(p)
 	return cl.err
 }
 
@@ -721,7 +630,7 @@ func (a *Accel) status(p *sim.Proc, q request) error {
 func (a *Accel) submit(cl *call) *Pending {
 	q := &cl.q
 	if !a.batching() {
-		cl.issue(a.c.opts.Retries, 0).arm()
+		cl.issue(a.c.opts.Retries, 0).Arm()
 		return &cl.Pending
 	}
 	if n := int(q.stream) + 1; n > len(a.recs) {
@@ -790,7 +699,7 @@ func (a *Accel) Flush(stream uint8) *Pending {
 		cl = a.newCall(request{op: OpBatch, stream: stream, batch: sub})
 		cl.cmds = cmds
 	}
-	cl.issue(a.c.opts.Retries, pad).arm()
+	cl.issue(a.c.opts.Retries, pad).Arm()
 	return &cl.Pending
 }
 
@@ -830,7 +739,7 @@ func (cl *call) fanOut() {
 // streamCopy issues a copy request and starts its block stream: q.size bytes
 // between host (nil in model mode) and the device window q describes, in
 // blocks planned by the direction's protocol. The stream is a chain of legs
-// over the call's reqWait; its first leg takes the queue position the copy's
+// over the call's Waiter; its first leg takes the queue position the copy's
 // helper process was spawned at.
 func (a *Accel) streamCopy(dir TransferDir, q request, host []byte) *Pending {
 	// A streamed copy is a blocking exchange on its stream: recorded
@@ -879,24 +788,24 @@ func (cl *call) stream() {
 	a, q, x := cl.a, &cl.q, cl.x
 	for ; x.i < x.nb; x.i++ {
 		switch {
-		case cl.req != nil: // back from waiting on it
+		case cl.Req != nil: // back from waiting on it
 		case x.dir == DirH2D:
-			cl.req = x.sends[x.i]
+			cl.Req = x.sends[x.i]
 		default:
-			cl.req = a.c.comm.Irecv(a.rank, dataTag(q.reqID))
+			cl.Req = a.c.comm.Irecv(a.rank, dataTag(q.reqID))
 		}
-		if !cl.await(a.sim(), a.c.opts.Timeout, blockOver, cl) {
+		if !cl.Await(a.c.opts.Timeout, blockOver, cl) {
 			return
 		}
-		if data, _ := cl.req.Result(); x.dir == DirD2H && x.host != nil && data != nil {
+		if data, _ := cl.Req.Result(); x.dir == DirD2H && x.host != nil && data != nil {
 			// A download's block arrives pool-owned: copied out, and kept.
 			copy(x.host[x.i*q.block:], data)
-			x.blocks = append(x.blocks, shadowBlock{buf: cl.req.TakePayload(), lo: x.i * q.block})
+			x.blocks = append(x.blocks, shadowBlock{buf: cl.Req.TakePayload(), lo: x.i * q.block})
 		}
-		cl.req.Free()
-		cl.req = nil
+		cl.Req.Free()
+		cl.Req = nil
 	}
-	cl.arm()
+	cl.Arm()
 }
 
 // blockOver is the leg after a block wait: on with the loop, or the peer is
@@ -904,14 +813,16 @@ func (cl *call) stream() {
 // the in-flight transfers) and the copy fails.
 func blockOver(v any) {
 	cl := v.(*call)
-	if cl.req.Completed() {
+	if cl.Req.Completed() {
 		cl.stream()
 		return
 	}
 	for i := cl.x.i; i < len(cl.x.sends); i++ {
 		cl.x.sends[i].Cancel()
 	}
-	cl.finish(&TimeoutError{Rank: cl.a.rank, Attempts: 1})
+	te := silence(0, cl.a.rank)
+	te.Attempts = 1
+	cl.End(&te)
 }
 
 // MemAlloc allocates n bytes on the accelerator (acMemAlloc).

@@ -642,14 +642,14 @@ type pipeScratch struct {
 
 // pipeBlock is one block's slot in a pipeline.
 type pipeBlock struct {
-	ps      *pipeScratch
-	reqWait           // on req: the block's posted receive, or its send
-	posted  sim.Event // receive: req is posted
-	done    sim.Event // the block is through; its staging slot is free
-	lo      int       // send: packed offset of the block in the window
-	size    int
-	buf     []byte // send: the gathered bytes (execute mode), while the DMA runs
-	dma     gpu.PinnedCopy
+	ps             *pipeScratch
+	minimpi.Waiter           // on Req: the block's posted receive, or its send
+	posted         sim.Event // receive: req is posted
+	done           sim.Event // the block is through; its staging slot is free
+	lo             int       // send: packed offset of the block in the window
+	size           int
+	buf            []byte // send: the gathered bytes (execute mode), while the DMA runs
+	dma            gpu.PinnedCopy
 }
 
 // statePipeline is what a stream worker is blocked on while its transfer's
@@ -676,10 +676,9 @@ func (d *Daemon) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb 
 	for i := range ps.blocks {
 		blk := &ps.blocks[i]
 		blk.ps = ps
-		blk.req = nil
+		blk.Waiter = minimpi.Waiter{}
 		blk.posted.Init(d.sim)
 		blk.done.Init(d.sim)
-		blk.waiting = false
 	}
 	ps.owner, ps.q, ps.peer, ps.tag = p, q, peer, tag
 	ps.deadline = d.cfg.PayloadTimeout
@@ -706,7 +705,7 @@ func firstOf(errs ...error) error {
 // await continues the block's leg with then(blk) once its request has
 // completed or, under a payload deadline, has run out of time.
 func (blk *pipeBlock) await(then func(any)) {
-	if blk.reqWait.await(blk.ps.d.sim, blk.ps.deadline, then, blk) {
+	if blk.Waiter.Await(blk.ps.deadline, then, blk) {
 		then(blk)
 	}
 }
@@ -858,7 +857,7 @@ func postGranted(v any) {
 func (ps *pipeScratch) post() {
 	blk := &ps.blocks[ps.nposted]
 	ps.nposted++
-	blk.req = ps.d.comm.Irecv(ps.peer, ps.tag)
+	blk.Req = ps.d.comm.Irecv(ps.peer, ps.tag)
 	blk.posted.Trigger()
 }
 
@@ -894,7 +893,7 @@ func recvArrived(v any) {
 	if d.dead {
 		return
 	}
-	if !blk.req.Completed() {
+	if !blk.Req.Completed() {
 		// Peer presumed dead: the block never arrived. Return the staging
 		// buffer (no DMA will mark this block through) and keep draining so
 		// the pipeline winds down; the error travels in the response.
@@ -906,7 +905,7 @@ func recvArrived(v any) {
 		ps.recvNext()
 		return
 	}
-	data, st := blk.req.Result()
+	data, st := blk.Req.Result()
 	d.stats.BlocksIn++
 	if data != nil && ps.winErr == nil {
 		ps.winErr = d.dev.ScatterColumnsAt(ps.q.ptr, ps.q.off, ps.colBytes, ps.cols, ps.pitch, ps.placed, data)
@@ -914,7 +913,7 @@ func recvArrived(v any) {
 	ps.placed += len(data)
 	// The block's bytes are copied out; a pooled payload buffer (from a
 	// peer daemon's ownership handoff or a socket reader) goes back.
-	blk.req.Free()
+	blk.Req.Free()
 	blk.size = st.Size
 	d.sim.AfterCall(ps.cost, recvProgressed, blk)
 }
@@ -1032,7 +1031,7 @@ func shipBlock(v any) {
 		}
 	}
 	if ps.winErr != nil {
-		blk.req = d.comm.IsendSized(ps.peer, ps.tag, 0)
+		blk.Req = d.comm.IsendSized(ps.peer, ps.tag, 0)
 		blk.await(blockShipped)
 		return
 	}
@@ -1046,10 +1045,10 @@ func dmaOutDone(v any) {
 	ps := blk.ps
 	ps.noteDMA(blk.dma.Err)
 	if blk.buf != nil {
-		blk.req = ps.d.comm.IsendOwned(ps.peer, ps.tag, blk.buf)
+		blk.Req = ps.d.comm.IsendOwned(ps.peer, ps.tag, blk.buf)
 		blk.buf = nil
 	} else {
-		blk.req = ps.d.comm.IsendSized(ps.peer, ps.tag, blk.size)
+		blk.Req = ps.d.comm.IsendSized(ps.peer, ps.tag, blk.size)
 	}
 	blk.await(blockShipped)
 }
@@ -1063,15 +1062,15 @@ func blockShipped(v any) {
 	if d.dead {
 		return
 	}
-	if !blk.req.Completed() {
+	if !blk.Req.Completed() {
 		// Receiver presumed dead: abandon the un-cleared payload so the
 		// pipeline winds down instead of wedging.
-		blk.req.Cancel()
+		blk.Req.Cancel()
 		if ps.peerErr == nil {
 			ps.peerErr = fmt.Errorf("core: payload block to rank %d timed out", ps.peer)
 		}
 	}
-	blk.req.Free()
+	blk.Req.Free()
 	d.stats.BlocksOut++
 	blk.release()
 }

@@ -260,7 +260,7 @@ func TestUnansweredCallIsADeadlockByName(t *testing.T) {
 		run  func(p *sim.Proc, a *Accel)
 		want string
 	}{
-		{"synchronous call", func(p *sim.Proc, a *Accel) { _ = a.Sync(p) }, "cn (" + stateCall + ")"},
+		{"synchronous call", func(p *sim.Proc, a *Accel) { _ = a.Sync(p) }, "cn (" + minimpi.StateCall + ")"},
 		{"upload", func(_ *sim.Proc, a *Accel) { a.MemcpyH2DAsync(0x100, 0, nil, 1<<20, 0) }, parkedCopy + " ×1"},
 		{"download", func(_ *sim.Proc, a *Accel) { a.MemcpyD2HAsync(nil, 0x100, 0, 1<<20, 0) }, parkedCopy + " ×1"},
 	} {
