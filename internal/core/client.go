@@ -216,7 +216,7 @@ func (a *Accel) finished(err error) error {
 		return err
 	}
 	for _, rec := range a.allocs {
-		a.dropPending(rec)
+		a.drop(rec)
 	}
 	clear(a.allocs)
 	clear(a.remap)
@@ -555,7 +555,7 @@ func (cl *call) applied() {
 	switch q.op {
 	case OpMemFree:
 		if rec != nil {
-			a.dropPending(rec)
+			a.drop(rec)
 		}
 		delete(a.allocs, cl.app)
 		delete(a.remap, cl.app)
@@ -588,6 +588,7 @@ func (cl *call) keep() {
 			rec.pend = append(rec.pend, x.blocks...)
 		}
 		if rec.pendBytes == rec.size {
+			a.c.comm.World().PutBuf(rec.shadow)
 			rec.shadow = nil
 		}
 	} else if cl.err == nil || x.dir == DirD2H {
@@ -864,14 +865,20 @@ func (a *Accel) shadowWrite(rec *allocRecord, w window, src []byte, value byte) 
 		return
 	}
 	a.makeRoom(rec, w)
-	if rec.shadow == nil {
-		rec.shadow = make([]byte, rec.size)
-	}
 	if src == nil {
-		gpu.FillBytes(rec.shadow[w.off:w.end()], value) // a memset's window is contiguous
+		gpu.FillBytes(a.mirror(rec)[w.off:w.end()], value) // a memset's window is contiguous
 	} else {
-		w.scatter(rec.shadow, 0, src)
+		w.scatter(a.mirror(rec), 0, src)
 	}
+}
+
+// mirror is the record's host mirror, made on first need from a cleared pool buffer.
+func (a *Accel) mirror(rec *allocRecord) []byte {
+	if rec.shadow == nil {
+		rec.shadow = a.c.comm.World().GetBuf(rec.size)
+		clear(rec.shadow)
+	}
+	return rec.shadow
 }
 
 // makeRoom readies the shadow for a write to w: pending blocks w surely covers
@@ -898,23 +905,18 @@ func (a *Accel) makeRoom(rec *allocRecord, w window) {
 // settle folds the pending blocks into the mirror, oldest first, and drops
 // them; it reports whether there is a mirror.
 func (a *Accel) settle(rec *allocRecord) bool {
-	if len(rec.pend) > 0 && rec.shadow == nil {
-		rec.shadow = make([]byte, rec.size)
-	}
 	for _, b := range rec.pend {
-		b.win.scatter(rec.shadow, b.lo, b.buf)
+		b.win.scatter(a.mirror(rec), b.lo, b.buf)
 	}
-	a.dropPending(rec)
+	a.makeRoom(rec, window{0, rec.size, 1, rec.size}) // covers, so drops, every pending block
 	return rec.shadow != nil
 }
 
-// dropPending returns the pending blocks to the pool and empties the list.
-func (a *Accel) dropPending(rec *allocRecord) {
-	for _, b := range rec.pend {
-		a.c.comm.World().PutBuf(b.buf)
-	}
-	clear(rec.pend)
-	rec.pend, rec.pendBytes = rec.pend[:0], 0
+// drop returns the pending blocks and the mirror of a gone allocation to the pool.
+func (a *Accel) drop(rec *allocRecord) {
+	a.makeRoom(rec, window{0, rec.size, 1, rec.size})
+	a.c.comm.World().PutBuf(rec.shadow)
+	rec.shadow = nil
 }
 
 // checkWindow validates a strided window and, when the copy has a host side

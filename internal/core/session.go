@@ -89,10 +89,7 @@ func (sess *session) checkOwned(q *request) error {
 	case OpMemFree, OpMemset, OpMemcpyH2D, OpMemcpyD2H, OpWriteInline, OpD2DSend, OpD2DRecv:
 		return owns(q.ptr)
 	case OpMemcpyD2D:
-		if err := owns(q.ptr); err != nil {
-			return err
-		}
-		return owns(q.ptr2)
+		return cmp.Or(owns(q.ptr), owns(q.ptr2))
 	case OpKernelRun:
 		for _, a := range q.launch.Args {
 			if a.Kind == gpu.KindPtr {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"os"
 	"sort"
 )
 
@@ -15,6 +16,14 @@ func (p Ptr) IsNull() bool { return p == 0 }
 // alignment guarantee.
 const allocAlign = 256
 
+// poison is the chaos guard DYNACC_POISON=1 turns on across the tree (see
+// minimpi): here freed device ranges and a retired slab are scribbled with
+// poisonByte, and a launch's arena reads NaN once the launch is over, so a
+// holder of memory it no longer owns reads garbage instead of passing by luck.
+var poison = os.Getenv("DYNACC_POISON") == "1"
+
+const poisonByte = 0xDB
+
 // region is a contiguous span of device memory.
 type region struct {
 	off  uint64
@@ -22,26 +31,22 @@ type region struct {
 }
 
 // allocator is a first-fit device-memory allocator with free-list
-// coalescing. Address 0 is reserved so that Ptr(0) means null.
+// coalescing. Address 0 is reserved so that Ptr(0) means null. In execute
+// mode device memory is one slab and a Ptr an offset into it, as on real
+// hardware: a freed range is reused by the next allocation that fits, which
+// is all the recycling there is, and it is zeroed when handed out again.
 type allocator struct {
 	total uint64
 	used  uint64
 	free  []region       // sorted by offset, pairwise non-adjacent
-	live  map[Ptr]uint64 // allocation -> size
-	data  map[Ptr][]byte // execute mode: backing store per allocation
+	live  map[Ptr]uint64 // allocation -> requested size
+	mem   []byte         // execute mode: the slab, grown to the highest allocation's end
 	exec  bool
 }
 
 func newAllocator(total int64, exec bool) *allocator {
-	a := &allocator{
-		total: uint64(total),
-		free:  []region{{off: allocAlign, size: uint64(total) - allocAlign}},
-		live:  make(map[Ptr]uint64),
-		exec:  exec,
-	}
-	if exec {
-		a.data = make(map[Ptr][]byte)
-	}
+	a := &allocator{total: uint64(total), live: make(map[Ptr]uint64), exec: exec}
+	a.reset()
 	return a
 }
 
@@ -78,26 +83,46 @@ func (a *allocator) alloc(n int) (Ptr, error) {
 		} else {
 			a.free[i] = region{off: r.off + want, size: r.size - want}
 		}
-		a.live[p] = want
+		a.live[p] = uint64(n)
 		a.used += want
 		if a.exec {
-			a.data[p] = make([]byte, n)
+			a.grow(int(p) + n)
+			clear(a.at(p, 0, n))
 		}
 		return p, nil
 	}
 	return 0, &oomError{want: want, free: a.total - allocAlign - a.used}
 }
 
+// grow makes the slab reach end, at least doubling it; the live ranges move
+// over and the retired slab is scribbled.
+func (a *allocator) grow(end int) {
+	if end <= len(a.mem) {
+		return
+	}
+	mem := make([]byte, min(max(end, 2*len(a.mem)), int(a.total)))
+	copy(mem, a.mem)
+	scribble(a.mem)
+	a.mem = mem
+}
+
+func scribble(b []byte) {
+	if poison {
+		FillBytes(b, poisonByte)
+	}
+}
+
 // freePtr releases an allocation made by alloc.
 func (a *allocator) freePtr(p Ptr) error {
-	size, ok := a.live[p]
+	n, ok := a.live[p]
 	if !ok {
 		return fmt.Errorf("gpu: free of invalid device pointer %#x", uint64(p))
 	}
 	delete(a.live, p)
 	if a.exec {
-		delete(a.data, p)
+		scribble(a.at(p, 0, int(n)))
 	}
+	size := roundUp(n)
 	a.used -= size
 	// Insert into the sorted free list and coalesce with neighbours.
 	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > uint64(p) })
@@ -120,36 +145,46 @@ func (a *allocator) coalesce(i int) {
 	}
 }
 
+// check validates a (p+off, n) access against the live allocation's
+// requested size, like a device segfault check: the one bound both modes
+// check, before any work is charged.
+func (a *allocator) check(p Ptr, off, n int) error {
+	if n < 0 || off < 0 {
+		return fmt.Errorf("gpu: negative range [%d,%d)", off, off+n)
+	}
+	size, ok := a.live[p]
+	if !ok {
+		return fmt.Errorf("gpu: invalid device pointer %#x", uint64(p))
+	}
+	if uint64(off+n) > size {
+		return fmt.Errorf("gpu: access [%d,%d) beyond allocation of %d bytes", off, off+n, size)
+	}
+	return nil
+}
+
+// at is the slab's [p+off, p+off+n), capped there: the caller checked it.
+func (a *allocator) at(p Ptr, off, n int) []byte {
+	lo := int(p) + off
+	return a.mem[lo : lo+n : lo+n]
+}
+
 // slice resolves (p+off, n) to the backing bytes of the containing
-// allocation. Execute mode only; bounds are checked against the
-// allocation like a device segfault check.
+// allocation. Execute mode only.
 func (a *allocator) slice(p Ptr, off, n int) ([]byte, error) {
 	if !a.exec {
 		return nil, fmt.Errorf("gpu: data access in model mode")
 	}
-	buf, ok := a.data[p]
-	if !ok {
-		return nil, fmt.Errorf("gpu: invalid device pointer %#x", uint64(p))
+	if err := a.check(p, off, n); err != nil {
+		return nil, err
 	}
-	if off < 0 || n < 0 || off+n > len(buf) {
-		return nil, fmt.Errorf("gpu: device access [%d,%d) out of allocation of %d bytes", off, off+n, len(buf))
-	}
-	return buf[off : off+n], nil
+	return a.at(p, off, n), nil
 }
 
 // reset releases every live allocation, returning the allocator to its
-// initial state.
+// initial state; the slab stays, scribbled.
 func (a *allocator) reset() {
-	a.free = []region{{off: allocAlign, size: a.total - allocAlign}}
+	a.free = append(a.free[:0], region{off: allocAlign, size: a.total - allocAlign})
 	a.used = 0
-	a.live = make(map[Ptr]uint64)
-	if a.exec {
-		a.data = make(map[Ptr][]byte)
-	}
-}
-
-// sizeOf returns the rounded size of a live allocation.
-func (a *allocator) sizeOf(p Ptr) (uint64, bool) {
-	s, ok := a.live[p]
-	return s, ok
+	clear(a.live)
+	scribble(a.mem)
 }

@@ -44,6 +44,15 @@ type Device struct {
 	// the silicon is gone but the daemon in front of it is still up).
 	failure error
 
+	// arena holds the float64 windows ReadFloat64s decodes and the
+	// workspaces Scratch hands out, taken in order from arenaUsed and
+	// started over at every launch: it grows to the largest launch's need
+	// and then serves every launch without allocating. retired keeps the
+	// arrays a launch outgrew, for the poison fill at its end.
+	arena     []float64
+	arenaUsed int
+	retired   [][]float64
+
 	// stats
 	bytesIn, bytesOut int64
 	launches          int64
@@ -183,7 +192,7 @@ func (d *Device) CopyH2D(p *sim.Proc, dst Ptr, off int, src []byte, n int, pinne
 	if d.failure != nil {
 		return d.failure
 	}
-	if err := d.checkRange(dst, off, n); err != nil {
+	if err := d.alloc.check(dst, off, n); err != nil {
 		return err
 	}
 	t := d.copyModel(true, pinned).Time(n)
@@ -191,11 +200,7 @@ func (d *Device) CopyH2D(p *sim.Proc, dst Ptr, off int, src []byte, n int, pinne
 	d.busy += t
 	d.bytesIn += int64(n)
 	if d.execute && src != nil {
-		buf, err := d.alloc.slice(dst, off, n)
-		if err != nil {
-			return err
-		}
-		copy(buf, src)
+		copy(d.alloc.at(dst, off, n), src)
 	}
 	return nil
 }
@@ -209,7 +214,7 @@ func (d *Device) CopyD2H(p *sim.Proc, dst []byte, src Ptr, off, n int, pinned bo
 	if d.failure != nil {
 		return d.failure
 	}
-	if err := d.checkRange(src, off, n); err != nil {
+	if err := d.alloc.check(src, off, n); err != nil {
 		return err
 	}
 	t := d.copyModel(false, pinned).Time(n)
@@ -217,11 +222,7 @@ func (d *Device) CopyD2H(p *sim.Proc, dst []byte, src Ptr, off, n int, pinned bo
 	d.busy += t
 	d.bytesOut += int64(n)
 	if d.execute && dst != nil {
-		buf, err := d.alloc.slice(src, off, n)
-		if err != nil {
-			return err
-		}
-		copy(dst, buf)
+		copy(dst, d.alloc.at(src, off, n))
 	}
 	return nil
 }
@@ -232,16 +233,12 @@ func (d *Device) Memset(p *sim.Proc, ptr Ptr, off, n int, value byte) error {
 	if d.failure != nil {
 		return d.failure
 	}
-	if err := d.checkRange(ptr, off, n); err != nil {
+	if err := d.alloc.check(ptr, off, n); err != nil {
 		return err
 	}
 	p.Wait(sim.Duration(float64(n)/d.model.MemBandwidth*1e9) + d.model.LaunchOverhead)
 	if d.execute {
-		buf, err := d.alloc.slice(ptr, off, n)
-		if err != nil {
-			return err
-		}
-		FillBytes(buf, value)
+		FillBytes(d.alloc.at(ptr, off, n), value)
 	}
 	return nil
 }
@@ -259,23 +256,15 @@ func (d *Device) CopyD2D(p *sim.Proc, dst Ptr, dstOff int, src Ptr, srcOff, n in
 	if d.failure != nil {
 		return d.failure
 	}
-	if err := d.checkRange(dst, dstOff, n); err != nil {
+	if err := d.alloc.check(dst, dstOff, n); err != nil {
 		return err
 	}
-	if err := d.checkRange(src, srcOff, n); err != nil {
+	if err := d.alloc.check(src, srcOff, n); err != nil {
 		return err
 	}
 	p.Wait(sim.Duration(2 * float64(n) / d.model.MemBandwidth * 1e9))
 	if d.execute {
-		db, err := d.alloc.slice(dst, dstOff, n)
-		if err != nil {
-			return err
-		}
-		sb, err := d.alloc.slice(src, srcOff, n)
-		if err != nil {
-			return err
-		}
-		copy(db, sb)
+		copy(d.alloc.at(dst, dstOff, n), d.alloc.at(src, srcOff, n))
 	}
 	return nil
 }
@@ -397,22 +386,7 @@ func pinnedCopyDone(v any) {
 
 // ValidRange checks that [ptr+off, ptr+off+n) lies inside a live
 // allocation, without charging any virtual time.
-func (d *Device) ValidRange(ptr Ptr, off, n int) error { return d.checkRange(ptr, off, n) }
-
-// checkRange validates a (ptr, off, n) access against the allocation map.
-func (d *Device) checkRange(ptr Ptr, off, n int) error {
-	if n < 0 || off < 0 {
-		return fmt.Errorf("gpu: negative range [%d,%d)", off, off+n)
-	}
-	size, ok := d.alloc.sizeOf(ptr)
-	if !ok {
-		return fmt.Errorf("gpu: invalid device pointer %#x", uint64(ptr))
-	}
-	if uint64(off+n) > size {
-		return fmt.Errorf("gpu: access [%d,%d) beyond allocation of %d bytes", off, off+n, size)
-	}
-	return nil
-}
+func (d *Device) ValidRange(ptr Ptr, off, n int) error { return d.alloc.check(ptr, off, n) }
 
 // LaunchKernel resolves name in the registry, charges the launch overhead
 // plus the kernel cost on the compute engine, and (in execute mode) runs
@@ -467,6 +441,8 @@ func (d *Device) launchKernel(p *sim.Proc, name string, l Launch, overhead sim.D
 		return d.failure
 	}
 	if d.execute {
+		d.arenaUsed = 0
+		defer d.endLaunch()
 		if err := k.Execute(l, d); err != nil {
 			return fmt.Errorf("gpu: kernel %q: %w", name, err)
 		}
@@ -510,7 +486,7 @@ func (d *Device) ScatterColumnsAt(ptr Ptr, off, colBytes, cols, pitchBytes, lo i
 		return fmt.Errorf("gpu: scatter: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitchBytes)
 	}
 	if cols > 0 {
-		if err := d.checkRange(ptr, off, (cols-1)*pitchBytes+colBytes); err != nil {
+		if err := d.alloc.check(ptr, off, (cols-1)*pitchBytes+colBytes); err != nil {
 			return err
 		}
 	}
@@ -553,7 +529,7 @@ func (d *Device) GatherColumns(ptr Ptr, off, colBytes, cols, pitchBytes int) ([]
 		return nil, fmt.Errorf("gpu: gather: invalid geometry colBytes=%d cols=%d pitch=%d", colBytes, cols, pitchBytes)
 	}
 	if cols > 0 {
-		if err := d.checkRange(ptr, off, (cols-1)*pitchBytes+colBytes); err != nil {
+		if err := d.alloc.check(ptr, off, (cols-1)*pitchBytes+colBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -590,21 +566,57 @@ func (d *Device) GatherColumnsInto(dst []byte, ptr Ptr, off, colBytes, cols, pit
 
 // Execute-mode data accessors, used by kernel implementations and tests.
 
-// Bytes returns the backing bytes of [ptr+off, ptr+off+n). Execute mode
-// only.
+// Bytes returns the backing bytes of [ptr+off, ptr+off+n), valid until the
+// device's next allocation (which may move the slab). Execute mode only.
 func (d *Device) Bytes(ptr Ptr, off, n int) ([]byte, error) {
 	return d.alloc.slice(ptr, off, n)
 }
 
-// ReadFloat64s decodes device memory at byte offset off as n float64
-// values into a fresh slice. Kernels follow a read–compute–WriteFloat64s
-// pattern. Execute mode only.
+// ReadFloat64s decodes device memory at byte offset off as n float64 values
+// into the device's launch arena. The slice is the caller's until the
+// device's next launch begins; a kernel follows a read–compute–WriteFloat64s
+// pattern and keeps nothing. Execute mode only.
 func (d *Device) ReadFloat64s(ptr Ptr, off, n int) ([]float64, error) {
 	raw, err := d.alloc.slice(ptr, off, 8*n)
 	if err != nil {
 		return nil, err
 	}
-	return bytesToF64(raw), nil
+	vals := d.Scratch(n)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return vals, nil
+}
+
+// Scratch returns n float64s of the launch arena, with unspecified contents,
+// for a kernel's workspace: valid, like ReadFloat64s's windows, until the
+// device's next launch begins.
+func (d *Device) Scratch(n int) []float64 {
+	if d.arenaUsed+n > len(d.arena) {
+		if poison {
+			d.retired = append(d.retired, d.arena)
+		}
+		d.arena, d.arenaUsed = make([]float64, max(2*len(d.arena), n)), 0
+	}
+	lo := d.arenaUsed
+	d.arenaUsed += n
+	return d.arena[lo:d.arenaUsed:d.arenaUsed]
+}
+
+// endLaunch ends a launch's hold on the arena: under DYNACC_POISON every
+// slice it was handed reads NaN from here on.
+func (d *Device) endLaunch() {
+	if !poison {
+		return
+	}
+	d.retired = append(d.retired, d.arena)
+	for _, a := range d.retired {
+		for i := range a {
+			a[i] = math.NaN()
+		}
+	}
+	clear(d.retired)
+	d.retired = d.retired[:0]
 }
 
 // WriteFloat64s stores vals into device memory at byte offset off.
@@ -618,15 +630,6 @@ func (d *Device) WriteFloat64s(ptr Ptr, off int, vals []float64) error {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
 	return nil
-}
-
-// bytesToF64 decodes a byte slice into float64s.
-func bytesToF64(raw []byte) []float64 {
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
 }
 
 // StoreFloat64s writes vals back over the raw bytes previously obtained

@@ -757,12 +757,19 @@ func TestDeviceAccessors(t *testing.T) {
 }
 
 func TestStoreFloat64sHelper(t *testing.T) {
-	raw := make([]byte, 24)
-	StoreFloat64s(raw, []float64{1.5, -2, 3})
-	got := bytesToF64(raw)
-	if got[0] != 1.5 || got[1] != -2 || got[2] != 3 {
-		t.Errorf("round trip = %v", got)
-	}
+	inProc(t, func(p *sim.Proc) {
+		d := testDevice(t, p.Sim(), true)
+		ptr, _ := d.MemAlloc(p, 24)
+		raw, err := d.Bytes(ptr, 0, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		StoreFloat64s(raw, []float64{1.5, -2, 3})
+		got, err := d.ReadFloat64s(ptr, 0, 3)
+		if err != nil || got[0] != 1.5 || got[1] != -2 || got[2] != 3 {
+			t.Errorf("round trip = %v, %v", got, err)
+		}
+	})
 }
 
 func TestCopyD2DErrorPaths(t *testing.T) {

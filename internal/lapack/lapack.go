@@ -137,10 +137,10 @@ func Dlarf(m, n int, v []float64, incV int, tau float64, c []float64, ldc int, w
 
 // Dgeqr2 computes an unblocked QR factorization of the m×n matrix a. On
 // return the upper triangle holds R, the lower trapezoid the reflector
-// tails, and tau the reflector scales (len >= min(m,n)).
-func Dgeqr2(m, n int, a []float64, lda int, tau []float64) {
+// tails, and tau the reflector scales (len >= min(m,n)). work holds at
+// least n entries.
+func Dgeqr2(m, n int, a []float64, lda int, tau []float64, work []float64) {
 	k := min(m, n)
-	work := make([]float64, n)
 	for j := 0; j < k; j++ {
 		var beta float64
 		beta, tau[j] = Dlarfg(m-j, a[j+j*lda], a[j+1+j*lda:], 1)
@@ -179,14 +179,14 @@ func Dlarft(n, k int, v []float64, ldv int, tau []float64, t []float64, ldt int)
 
 // Dlarfb applies the block reflector H (or Hᵀ when trans) from the left
 // to the m×n matrix c. V is m×k forward/columnwise as produced by Dgeqrf;
-// t is the k×k triangular factor from Dlarft.
-func Dlarfb(trans blas.Transpose, m, n, k int, v []float64, ldv int, t []float64, ldt int, c []float64, ldc int) {
+// t is the k×k triangular factor from Dlarft. work holds at least n*k
+// entries.
+func Dlarfb(trans blas.Transpose, m, n, k int, v []float64, ldv int, t []float64, ldt int, c []float64, ldc int, work []float64) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	// W = C1ᵀ V1 + C2ᵀ V2  (n×k)
-	w := make([]float64, n*k)
-	ldw := n
+	w, ldw := work[:n*k], n
 	// W = C1ᵀ (n×k)
 	for j := 0; j < k; j++ {
 		blas.Dcopy(n, c[j:], ldc, w[j*ldw:], 1)
@@ -223,21 +223,29 @@ const DefaultBlock = 32
 
 // Dgeqrf computes a blocked QR factorization of the m×n matrix a with
 // block size nb, storing R in the upper triangle, the reflectors below
-// the diagonal, and the scales in tau (len >= min(m,n)).
+// the diagonal, and the scales in tau (len >= min(m,n)). It allocates its
+// workspace once; DgeqrfWork runs in the caller's.
 func Dgeqrf(m, n int, a []float64, lda int, tau []float64, nb int) {
 	if nb <= 0 {
 		nb = DefaultBlock
 	}
+	DgeqrfWork(m, n, a, lda, tau, nb, make([]float64, nb*(n+nb)))
+}
+
+// DgeqrfWork is Dgeqrf with block size nb > 0 in a caller-provided
+// workspace of at least nb*(n+nb) entries, as LAPACK's WORK argument: T,
+// then the panel's and the trailing update's scratch.
+func DgeqrfWork(m, n int, a []float64, lda int, tau []float64, nb int, work []float64) {
 	k := min(m, n)
-	t := make([]float64, nb*nb)
+	t, w := work[:nb*nb], work[nb*nb:]
 	for j := 0; j < k; j += nb {
 		jb := min(nb, k-j)
 		// Factor the panel A[j:m, j:j+jb].
-		Dgeqr2(m-j, jb, a[j+j*lda:], lda, tau[j:])
+		Dgeqr2(m-j, jb, a[j+j*lda:], lda, tau[j:], w)
 		if j+jb < n {
 			// Form T and apply Hᵀ to the trailing matrix.
 			Dlarft(m-j, jb, a[j+j*lda:], lda, tau[j:], t, nb)
-			Dlarfb(blas.Trans, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda)
+			Dlarfb(blas.Trans, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda, w)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func qrResidual(t *testing.T, a []float64, m, n, nb int) (float64, float64) {
 	fact := append([]float64(nil), a...)
 	tau := make([]float64, k)
 	if nb == 0 {
-		Dgeqr2(m, n, fact, m, tau)
+		Dgeqr2(m, n, fact, m, tau, make([]float64, n))
 	} else {
 		Dgeqrf(m, n, fact, m, tau, nb)
 	}
@@ -195,8 +195,8 @@ func TestDgeqrfMatchesUnblocked(t *testing.T) {
 		f2 := append([]float64(nil), a...)
 		tau1 := make([]float64, n)
 		tau2 := make([]float64, n)
-		Dgeqr2(m, n, f1, m, tau1)
-		Dgeqrf(m, n, f2, m, tau2, nb)
+		Dgeqr2(m, n, f1, m, tau1, make([]float64, n))
+		DgeqrfWork(m, n, f2, m, tau2, nb, make([]float64, nb*(n+nb)))
 		for i := range f1 {
 			if math.Abs(f1[i]-f2[i]) > 1e-11 {
 				t.Fatalf("nb=%d: factor differs at %d: %g vs %g", nb, i, f1[i], f2[i])
@@ -230,7 +230,7 @@ func TestDlarftDlarfbConsistentWithDlarf(t *testing.T) {
 	a := randMat(rng, m, k)
 	// Make V unit lower trapezoidal with tails from a QR of a.
 	tau := make([]float64, k)
-	Dgeqr2(m, k, a, m, tau)
+	Dgeqr2(m, k, a, m, tau, make([]float64, k))
 	c1 := randMat(rng, m, n)
 	c2 := append([]float64(nil), c1...)
 	// one by one: C = H(k-1)ᵀ ... H(0)ᵀ C — LAPACK applies Hᵀ in geqrf
@@ -252,7 +252,7 @@ func TestDlarftDlarfbConsistentWithDlarf(t *testing.T) {
 	}
 	tmat := make([]float64, k*k)
 	Dlarft(m, k, a, m, tau, tmat, k)
-	Dlarfb(blas.Trans, m, n, k, a, m, tmat, k, c2, m)
+	Dlarfb(blas.Trans, m, n, k, a, m, tmat, k, c2, m, make([]float64, n*k))
 	for i := range c1 {
 		if math.Abs(c1[i]-c2[i]) > 1e-11 {
 			t.Fatalf("blocked apply differs at %d: %g vs %g", i, c1[i], c2[i])

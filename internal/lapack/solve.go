@@ -26,14 +26,14 @@ func Dormqr(trans blas.Transpose, m, n, k int, a []float64, lda int, tau []float
 	if nb <= 0 {
 		nb = DefaultBlock
 	}
-	t := make([]float64, nb*nb)
+	t, work := make([]float64, nb*nb), make([]float64, n*nb)
 	// Q = H(0) H(1) ... H(k-1). Applying Qᵀ sweeps blocks forward,
 	// applying Q sweeps them backward.
 	if trans == blas.Trans {
 		for i := 0; i < k; i += nb {
 			ib := min(nb, k-i)
 			Dlarft(m-i, ib, a[i+i*lda:], lda, tau[i:], t, ib)
-			Dlarfb(blas.Trans, m-i, n, ib, a[i+i*lda:], lda, t, ib, c[i:], ldc)
+			Dlarfb(blas.Trans, m-i, n, ib, a[i+i*lda:], lda, t, ib, c[i:], ldc, work)
 		}
 		return
 	}
@@ -41,7 +41,7 @@ func Dormqr(trans blas.Transpose, m, n, k int, a []float64, lda int, tau []float
 	for i := start; i >= 0; i -= nb {
 		ib := min(nb, k-i)
 		Dlarft(m-i, ib, a[i+i*lda:], lda, tau[i:], t, ib)
-		Dlarfb(blas.NoTrans, m-i, n, ib, a[i+i*lda:], lda, t, ib, c[i:], ldc)
+		Dlarfb(blas.NoTrans, m-i, n, ib, a[i+i*lda:], lda, t, ib, c[i:], ldc, work)
 	}
 }
 

@@ -102,15 +102,6 @@ func (tp *treePending) Wait(p *sim.Proc) error {
 	return tp.err
 }
 
-// segBytes slices the host panel to segment [lo, hi), staying nil in
-// model mode.
-func segBytes(b []byte, lo, hi int) []byte {
-	if b == nil {
-		return nil
-	}
-	return b[lo:hi]
-}
-
 // treeBroadcastV fans the panel (nbytes, host copy panelBytes — nil in
 // model mode) into every device's dV over the segment-pipelined
 // binomial tree rooted at the owner, issuing the seed upload itself.
@@ -243,7 +234,11 @@ func (d *Dist) treeBroadcastV(p *sim.Proc, owner, nbytes int, dV []gpu.Ptr, pane
 		var seedErr error
 		for s := 0; s < S; s++ {
 			lo, hi := segLo(s), segHi(s)
-			if err := d.Devs[owner].CopyH2DAsync(dV[owner], lo, segBytes(panelBytes, lo, hi), hi-lo, treeRecvStream).Wait(hp); err != nil {
+			seg := panelBytes // nil in model mode
+			if seg != nil {
+				seg = seg[lo:hi]
+			}
+			if err := d.Devs[owner].CopyH2DAsync(dV[owner], lo, seg, hi-lo, treeRecvStream).Wait(hp); err != nil {
 				seedErr = err
 				bad[owner] = true
 				break

@@ -50,8 +50,8 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 	track := func(pends ...Pending) { issued = append(issued, pends...) }
 
 	// Prologue: fetch diagonal block 0.
-	if err := waitAllPending(p, d.downloadCols(p, 0, 0, d.blockWidth(0), 0, d.blockWidth(0),
-		hostPanel(diag, d.blockWidth(0)*d.blockWidth(0)), 0)); err != nil {
+	if err := d.downloadCols(p, 0, 0, d.blockWidth(0), 0, d.blockWidth(0),
+		hostPanel(diag, d.blockWidth(0)*d.blockWidth(0)), 0).Wait(p); err != nil {
 		return err
 	}
 
@@ -72,7 +72,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 		p.Wait(CPUPanelTime(float64(jb)*float64(jb)*float64(jb)/3, cfg.CPUGFlops))
 
 		// Upload L11 back to the owner.
-		track(d.uploadCols(pj, j, jb, 0, jb, hostPanel(diag, jb*jb), 0)...)
+		track(d.uploadCols(pj, j, jb, 0, jb, hostPanel(diag, jb*jb), 0))
 
 		if mt > 0 {
 			// Owner: A21 = A21 · L11⁻ᵀ on the device.
@@ -126,13 +126,13 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 			}
 
 			next := pj + 1
-			var nextPends []Pending
+			var nextPend Pending
 			if next < npanels {
 				// Lookahead: update and download the next diagonal block
 				// first.
 				launchUpdate(next)
 				jbn := d.blockWidth(next)
-				nextPends = d.downloadCols(p, next, j+jb, jbn, 0, jbn,
+				nextPend = d.downloadCols(p, next, j+jb, jbn, 0, jbn,
 					hostPanel(diag, jbn*jbn), 0)
 			}
 			for c := pj + 2; c < npanels; c++ {
@@ -152,7 +152,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 						}
 					}
 				}
-				if err := waitAllPending(p, nextPends); err != nil {
+				if err := nextPend.Wait(p); err != nil {
 					return err
 				}
 			}
@@ -198,11 +198,11 @@ func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l
 		}
 		// Fall through to the host route when a peer lacks the capability.
 	}
-	if err := waitAllPending(p, d.downloadCols(p, pj, j+jb, mt, 0, jb,
-		hostPanel(l21, mt*jb), 0)); err != nil {
+	if err := d.downloadCols(p, pj, j+jb, mt, 0, jb,
+		hostPanel(l21, mt*jb), 0).Wait(p); err != nil {
 		return err
 	}
-	l21Bytes := hostBytes(l21, mt*jb)
+	l21Bytes := d.hostBytes(l21, mt*jb)
 	var bcast []Pending
 	for g, other := range d.Devs {
 		if g == owner {
@@ -210,5 +210,9 @@ func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l
 		}
 		bcast = append(bcast, other.CopyH2DAsync(dW[g], 0, l21Bytes, 8*mt*jb, 0))
 	}
-	return waitAllPending(p, bcast)
+	err := waitAllPending(p, bcast)
+	if err == nil {
+		d.putScratch(l21Bytes)
+	}
+	return err
 }

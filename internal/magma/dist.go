@@ -22,7 +22,7 @@ type Dist struct {
 	widths   []int // local columns per GPU
 	exec     bool
 
-	// scratch recycles the byte staging buffers f64bytes/copyBack encode
+	// scratch recycles the byte staging buffers hostBytes/copyBack encode
 	// through (execute mode only): a buffer is taken when a transfer is
 	// issued and returned once its Pending completes and the bytes are
 	// decoded, so concurrent in-flight transfers each hold their own and
@@ -47,9 +47,11 @@ func (d *Dist) getScratch(n int) []byte {
 	return make([]byte, n)
 }
 
-func (d *Dist) putScratch(b []byte) {
-	if cap(b) > 0 {
-		d.scratch = append(d.scratch, b)
+func (d *Dist) putScratch(bufs ...[]byte) {
+	for _, b := range bufs {
+		if cap(b) > 0 {
+			d.scratch = append(d.scratch, b)
+		}
 	}
 }
 
@@ -244,7 +246,7 @@ func (d *Dist) devPtr(b int) (Device, gpu.Ptr) { return d.Devs[d.Owner(b)], d.pt
 // devices; hostA may be nil in model mode. One contiguous transfer per
 // block, all issued asynchronously and awaited together.
 func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
-	var pends []Pending
+	pends := make([]Pending, 0, d.Blocks())
 	for b := 0; b < d.Blocks(); b++ {
 		dev, ptr := d.devPtr(b)
 		w := d.blockWidth(b)
@@ -255,8 +257,7 @@ func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
 		}
 		pd := dev.CopyH2DAsync(ptr, 8*d.elemOff(b, 0, 0), src, nbytes, 0)
 		if src != nil {
-			src := src
-			pd = pendFunc{pd: pd, after: func() { d.putScratch(src) }}
+			pd = staged{pd: pd, d: d, raw: src}
 		}
 		pends = append(pends, pd)
 	}
@@ -266,7 +267,7 @@ func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
 // Download gathers the distributed matrix back into hostA (nil in model
 // mode).
 func (d *Dist) Download(p *sim.Proc, hostA []float64) error {
-	var pends []Pending
+	pends := make([]Pending, 0, d.Blocks())
 	for b := 0; b < d.Blocks(); b++ {
 		dev, ptr := d.devPtr(b)
 		w := d.blockWidth(b)
@@ -277,15 +278,9 @@ func (d *Dist) Download(p *sim.Proc, hostA []float64) error {
 		}
 		pd := dev.CopyD2HAsync(dst, ptr, 8*d.elemOff(b, 0, 0), nbytes, 0)
 		if hostA != nil {
-			b := b
-			dstF := hostA[b*d.NB*d.M : b*d.NB*d.M+d.M*w]
-			pends = append(pends, pendFunc{pd: pd, after: func() {
-				copyBack(dstF, dst)
-				d.putScratch(dst)
-			}})
-		} else {
-			pends = append(pends, pd)
+			pd = staged{pd: pd, d: d, host: hostA[b*d.NB*d.M : b*d.NB*d.M+d.M*w], raw: dst}
 		}
+		pends = append(pends, pd)
 	}
 	return waitAllPending(p, pends)
 }
@@ -293,7 +288,7 @@ func (d *Dist) Download(p *sim.Proc, hostA []float64) error {
 // downloadCols fetches rows [row0, row0+rows) of block b's columns
 // [c0, c0+cols) into host (leading dimension rows) as one strided
 // transfer (the cudaMemcpy2D the real MAGMA issues).
-func (d *Dist) downloadCols(p *sim.Proc, b, row0, rows, c0, cols int, host []float64, stream uint8) []Pending {
+func (d *Dist) downloadCols(p *sim.Proc, b, row0, rows, c0, cols int, host []float64, stream uint8) Pending {
 	dev, ptr := d.devPtr(b)
 	var dst []byte
 	if host != nil {
@@ -301,19 +296,15 @@ func (d *Dist) downloadCols(p *sim.Proc, b, row0, rows, c0, cols int, host []flo
 	}
 	pd := dev.CopyD2H2DAsync(dst, ptr, 8*d.elemOff(b, row0, c0), 8*rows, cols, 8*d.M, stream)
 	if host == nil {
-		return []Pending{pd}
+		return pd
 	}
-	h := host[:rows*cols]
-	return []Pending{pendFunc{pd: pd, after: func() {
-		copyBack(h, dst)
-		d.putScratch(dst)
-	}}}
+	return staged{pd: pd, d: d, host: host[:rows*cols], raw: dst}
 }
 
 // uploadCols pushes host (leading dimension rows) into rows
 // [row0, row0+rows) of block b's columns [c0, c0+cols) as one strided
 // transfer.
-func (d *Dist) uploadCols(b, row0, rows, c0, cols int, host []float64, stream uint8) []Pending {
+func (d *Dist) uploadCols(b, row0, rows, c0, cols int, host []float64, stream uint8) Pending {
 	dev, ptr := d.devPtr(b)
 	var src []byte
 	if host != nil {
@@ -321,23 +312,26 @@ func (d *Dist) uploadCols(b, row0, rows, c0, cols int, host []float64, stream ui
 	}
 	pd := dev.CopyH2D2DAsync(ptr, 8*d.elemOff(b, row0, c0), 8*rows, cols, 8*d.M, src, stream)
 	if src != nil {
-		src := src
-		pd = pendFunc{pd: pd, after: func() { d.putScratch(src) }}
+		return staged{pd: pd, d: d, raw: src}
 	}
-	return []Pending{pd}
+	return pd
 }
 
-// pendFunc runs a fix-up after an async op completes (decoding a raw
-// byte destination back into the caller's float64 buffer).
-type pendFunc struct {
-	pd    Pending
-	after func()
+// staged is a transfer through a scratch buffer: once it has completed, a
+// download's bytes are decoded into host (nil for an upload) and the buffer
+// goes back to the Dist for the next transfer.
+type staged struct {
+	pd   Pending
+	d    *Dist
+	host []float64
+	raw  []byte
 }
 
-func (pf pendFunc) Wait(p *sim.Proc) error {
-	err := pf.pd.Wait(p)
-	if err == nil && pf.after != nil {
-		pf.after()
+func (s staged) Wait(p *sim.Proc) error {
+	err := s.pd.Wait(p)
+	if err == nil {
+		copyBack(s.host, s.raw)
+		s.d.putScratch(s.raw)
 	}
 	return err
 }
@@ -352,10 +346,14 @@ func waitAllPending(p *sim.Proc, pends []Pending) error {
 	return first
 }
 
-// f64bytes encodes float64s as the little-endian byte payload the copy
-// layer carries. copyBack decodes a destination buffer in place.
-func f64bytes(vals []float64) []byte {
-	return f64bytesTo(make([]byte, 8*len(vals)), vals)
+// hostBytes encodes the leading want elements into a scratch buffer the
+// caller returns once the transfers reading it are over, or is nil in model
+// mode. copyBack decodes a destination buffer in place.
+func (d *Dist) hostBytes(buf []float64, want int) []byte {
+	if buf == nil {
+		return nil
+	}
+	return f64bytesTo(d.getScratch(8*want), buf[:want])
 }
 
 // f64bytesTo encodes into a caller-provided buffer of exactly

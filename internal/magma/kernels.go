@@ -275,7 +275,7 @@ func RegisterKernels(reg *gpu.Registry) {
 			if err != nil {
 				return err
 			}
-			lapack.Dlarfb(blas.Trans, m, n, k, v, ldv, tm, ldt, c, ldc)
+			lapack.Dlarfb(blas.Trans, m, n, k, v, ldv, tm, ldt, c, ldc, dev.Scratch(n*k))
 			return writeWin(dev, cPtr, cOff, c)
 		},
 	})

@@ -57,8 +57,8 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 	track := func(pends ...Pending) { issued = append(issued, pends...) }
 
 	// Prologue: fetch panel 0.
-	if err := waitAllPending(p, d.downloadCols(p, 0, 0, m, 0, minInt(nb, k),
-		hostPanel(panel, m*minInt(nb, k)), 0)); err != nil {
+	if err := d.downloadCols(p, 0, 0, m, 0, minInt(nb, k),
+		hostPanel(panel, m*minInt(nb, k)), 0).Wait(p); err != nil {
 		return err
 	}
 
@@ -89,17 +89,19 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			}
 		}
 		var bcast []Pending
+		panelBytes, pivBytes := d.hostBytes(panel, mj*jb), d.hostBytes(pivF, jb)
 		for g, dev := range d.Devs {
 			if g == owner {
-				bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0)...)
+				bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0))
 			} else {
-				bcast = append(bcast, dev.CopyH2DAsync(dV[g], 0, hostBytes(panel, mj*jb), 8*mj*jb, 0))
+				bcast = append(bcast, dev.CopyH2DAsync(dV[g], 0, panelBytes, 8*mj*jb, 0))
 			}
-			bcast = append(bcast, dev.CopyH2DAsync(dP[g], 0, hostBytes(pivF, jb), 8*jb, 0))
+			bcast = append(bcast, dev.CopyH2DAsync(dP[g], 0, pivBytes, 8*jb, 0))
 		}
 		if err := waitAllPending(p, bcast); err != nil {
 			return err
 		}
+		d.putScratch(panelBytes, pivBytes)
 
 		// Apply the interchanges to every local column except the panel's
 		// own block (the host already pivoted those). The owner's local
@@ -149,14 +151,14 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 		}
 
 		next := pj + 1
-		var nextPends []Pending
+		var nextPend Pending
 		if next < npanels {
 			// Lookahead: update the next panel's block first and queue its
 			// download right behind the update, so the CPU factors it while
 			// the wide updates run.
 			owner2 := d.Owner(next)
 			update(owner2, d.localCol(next), d.blockWidth(next))
-			nextPends = d.downloadCols(p, next, j+jb, m-j-jb, 0, minInt(nb, k-j-jb),
+			nextPend = d.downloadCols(p, next, j+jb, m-j-jb, 0, minInt(nb, k-j-jb),
 				hostPanel(nextPanel, (m-j-jb)*minInt(nb, k-j-jb)), 0)
 		}
 		for g := range d.Devs {
@@ -192,7 +194,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 					}
 				}
 			}
-			if err := waitAllPending(p, nextPends); err != nil {
+			if err := nextPend.Wait(p); err != nil {
 				return err
 			}
 			panel, nextPanel = nextPanel, panel

@@ -65,20 +65,21 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		return err
 	}
 
-	var panel, nextPanel, tmat []float64
+	var panel, nextPanel, tmat, work []float64
 	if d.exec {
 		panel = make([]float64, m*nb)
 		nextPanel = make([]float64, m*nb)
 		tmat = make([]float64, nb*nb)
+		work = make([]float64, lapack.DefaultBlock*(nb+lapack.DefaultBlock))
 	}
 
 	// All asynchronous operations are collected so their errors surface
-	// after the final device sync.
-	var issued []Pending
+	// after the final device sync; bcast is each panel's broadcast.
+	issued, bcast := make([]Pending, 0, npanels*(len(d.Devs)+1)), []Pending(nil)
 	track := func(pends ...Pending) { issued = append(issued, pends...) }
 
 	// Prologue: fetch panel 0.
-	if err := waitAllPending(p, d.downloadCols(p, 0, 0, m, 0, d.blockWidth(0), hostPanel(panel, m*d.blockWidth(0)), 0)); err != nil {
+	if err := d.downloadCols(p, 0, 0, m, 0, d.blockWidth(0), hostPanel(panel, m*d.blockWidth(0)), 0).Wait(p); err != nil {
 		return err
 	}
 
@@ -118,7 +119,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		// Host panel factorization (real math in execute mode) plus the
 		// modelled CPU time: geqr2 (~2·mj·jb²) and larft (~mj·jb²).
 		if d.exec {
-			lapack.Dgeqrf(mj, jb, panel, mj, tau[j:], 32)
+			lapack.DgeqrfWork(mj, jb, panel, mj, tau[j:], lapack.DefaultBlock, work)
 			lapack.Dlarft(mj, jb, panel, mj, tau[j:], tmat, jb)
 		}
 		p.Wait(CPUPanelTime(3*float64(mj)*float64(jb)*float64(jb), cfg.CPUGFlops))
@@ -126,8 +127,8 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		// Broadcast: factored panel back into the owner's matrix, V to the
 		// other GPUs' workspaces, T everywhere. MAGMA 1.1's dsetmatrix is
 		// synchronous, so by default the host waits for the broadcast.
-		tBytes := hostBytes(tmat, jb*jb)
-		var bcast []Pending
+		tBytes, panelBytes := d.hostBytes(tmat, jb*jb), d.hostBytes(panel, mj*jb)
+		bcast = bcast[:0]
 		var treePend Pending
 		if cfg.Direct && G > 1 {
 			// Direct route: the host seeds the owner's V
@@ -136,8 +137,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			// tree (broadcast.go) — the host NIC carries the panel once
 			// instead of G times. The owner's matrix copy and the small
 			// T uploads stay host-staged as before.
-			panelBytes := hostBytes(panel, mj*jb)
-			bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0)...)
+			bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0))
 			treePend = d.treeBroadcastV(p, owner, 8*mj*jb, dV, panelBytes)
 			for g, dev := range d.Devs {
 				bcast = append(bcast, dev.CopyH2DAsync(dT[g], 0, tBytes, 8*jb*jb, 0))
@@ -145,9 +145,9 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		} else {
 			for g, dev := range d.Devs {
 				if g == owner {
-					bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0)...)
+					bcast = append(bcast, d.uploadCols(pj, j, mj, 0, jb, hostPanel(panel, mj*jb), 0))
 				} else {
-					bcast = append(bcast, dev.CopyH2DAsync(dV[g], 0, hostBytes(panel, mj*jb), 8*mj*jb, 0))
+					bcast = append(bcast, dev.CopyH2DAsync(dV[g], 0, panelBytes, 8*mj*jb, 0))
 				}
 				bcast = append(bcast, dev.CopyH2DAsync(dT[g], 0, tBytes, 8*jb*jb, 0))
 			}
@@ -168,6 +168,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 				return err
 			}
 		}
+		d.putScratch(tBytes, panelBytes)
 
 		vLaunch := func(g int, cols, cOff int) gpu.Launch {
 			if g == owner {
@@ -179,7 +180,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		}
 
 		next := pj + 1
-		var nextPends []Pending
+		var nextPend Pending
 		if next < npanels {
 			owner2 := d.Owner(next)
 			jbn := d.blockWidth(next)
@@ -187,7 +188,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			// then queue its download behind that update.
 			track(d.Devs[owner2].LaunchAsync(KernelLarfb,
 				vLaunch(owner2, jbn, d.elemOff(next, j, 0)), 0))
-			nextPends = d.downloadCols(p, next, j+jb, m-j-jb, 0, jbn,
+			nextPend = d.downloadCols(p, next, j+jb, m-j-jb, 0, jbn,
 				hostPanel(nextPanel, (m-j-jb)*jbn), 0)
 		}
 
@@ -226,7 +227,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 					}
 				}
 			}
-			if err := waitAllPending(p, nextPends); err != nil {
+			if err := nextPend.Wait(p); err != nil {
 				return err
 			}
 			panel, nextPanel = nextPanel, panel
@@ -274,12 +275,4 @@ func hostPanel(buf []float64, want int) []float64 {
 		return nil
 	}
 	return buf[:want]
-}
-
-// hostBytes encodes the leading want elements, or nil in model mode.
-func hostBytes(buf []float64, want int) []byte {
-	if buf == nil {
-		return nil
-	}
-	return f64bytes(buf[:want])
 }
