@@ -23,6 +23,10 @@
 // dead, assignments become leases that expire when their holder stops
 // renewing, and reclaimed accelerators are sanitized before re-entering
 // the free pool. See health.go.
+//
+// A server is one process, its main loop (Server.Run): ticks drive the
+// detector and gossip, and each call it makes, to a daemon (the one hook,
+// SetDaemonCaller) or to a peer (recall), runs as legs of a minimpi.Call.
 package arm
 
 import (
@@ -442,12 +446,11 @@ type Server struct {
 	queue  []*pendingAcquire
 
 	// Health subsystem (health.go); healthOn only after ConfigureHealth.
-	health    HealthConfig
-	healthOn  bool
-	sanitizer func(p *sim.Proc, rank int) error
-	reaper    func(p *sim.Proc, rank, client int) error
-	lastBeat  map[int]sim.Time // daemon rank → last heartbeat arrival
-	closed    bool             // stops the detector tick after shutdown
+	health   HealthConfig
+	healthOn bool
+	daemon   DaemonCaller     // the one hook to the daemons (SetDaemonCaller)
+	lastBeat map[int]sim.Time // daemon rank → last heartbeat arrival
+	closed   bool             // stops the detector tick after shutdown
 
 	// Sharding and replication (shard.go, replica.go). A lone manager is
 	// the one-shard directory with no follower: no peer to gossip with or
@@ -458,14 +461,14 @@ type Server struct {
 	followerRank int         // replication target; -1 when there is none
 	peers        []peerLoad  // indexed by shard; this server's own entry is unused
 	loads        []classLoad // classLoads scratch
-	fwdSeq       uint64      // reply-tag sequence for server-to-server calls
+	asker        *Client     // asks the peer shards (recall), made at first use
 	replies      minimpi.ReplyCache
 	repSeq       uint64
 	repN         int         // replies recorded since the last ship, encoded in repW
 	repW         wire.Writer // (dst, reqID, reply) entries for the next ship
 	mark         uint64      // snapshots applied (follower only)
 	mainProc     *sim.Proc
-	spawned      []*sim.Proc // helper procs that die with the server (Kill)
+	waits        []*minimpi.Waiter // in flight on the server's behalf: Kill cancels them
 
 	// Scratch a request reuses: every message is encoded into scratch and
 	// sent as a pool copy, a reply body into body; ids holds a decoded id
@@ -487,12 +490,6 @@ type Server struct {
 	myEpoch   uint64
 	seenEpoch uint64
 	abdicated bool
-	// fencer pushes this server's epoch to one daemon as a fencing
-	// token (the cluster wires a tokened no-op through the computation
-	// API). Run at promotion for every daemon of the shard so stale
-	// lease holders and the deposed leader's reclaims are rejected
-	// before the new leader re-grants anything.
-	fencer func(p *sim.Proc, rank int, epoch uint64) error
 	// ledger records every grant and hold-end with its epoch and
 	// virtual time; the split-brain checker replays merged ledgers
 	// after chaos runs (ledger.go).
@@ -537,7 +534,6 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 		myEpoch:      dir.Epoch(opts.Shard),
 		followerRank: dir.Follower(opts.Shard),
 		peers:        make([]peerLoad, dir.Shards()),
-		fwdSeq:       1 << 32, // disjoint from client reqID sequences
 		scratch:      wire.NewWriter(64),
 		replies:      minimpi.NewReplyCache(dedupKeep * comm.Size()),
 	}
@@ -687,9 +683,8 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		}
 		blocking := flags&flagBlocking != 0 && !forwarded
 		if flags&flagReplay != 0 && !forwarded {
-			// The original attempt may have been forwarded and granted by
-			// a peer before this shard's leader died: ask the peers first.
-			s.recallThenAcquire(*req, blocking)
+			// A failover replay: a peer may have granted it (recall).
+			s.recall(*req, blocking)
 			return true
 		}
 		s.acquire(req, blocking)
@@ -868,13 +863,6 @@ func (s *Server) Snapshot() PoolStats { return s.snapshot(s.now()) }
 // Abdicated reports whether the server has stepped down after observing
 // a higher leadership epoch for its shard.
 func (s *Server) Abdicated() bool { return s.abdicated }
-
-// SetFencer installs the function the ARM uses at promotion to push its
-// new epoch to one daemon as a fencing token (the cluster wires a
-// tokened no-op through the computation API). It runs in its own
-// process per daemon; an ErrFenced result means an even newer epoch
-// exists and this server steps down too.
-func (s *Server) SetFencer(fn func(p *sim.Proc, rank int, epoch uint64) error) { s.fencer = fn }
 
 // accrue charges the busy-time integral up to now: each accelerator with
 // at least one holder adds the elapsed interval to its own busy time and

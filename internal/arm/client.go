@@ -110,6 +110,7 @@ type armCall struct {
 	sent, fences int    // times the frame was shipped, fenced replies so far
 	epoch        uint64 // the reply's epoch hint
 	err          error
+	then         func(*armCall) // an asynchronous call's ending (see start)
 }
 
 const (
@@ -131,6 +132,18 @@ const (
 // Client takes (an AutoMigrate watcher calls while the application may be
 // inside one): consume it before yielding.
 func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
+	cl := c.start(shard, op, args, nil)
+	cl.Wait(p)
+	if cl.Req == nil { // else it gave up on a reply that may yet come
+		cl.next, c.free = c.free, cl
+	}
+	return cl.frame.Bytes(), cl.epoch, cl.err
+}
+
+// start issues a call. With then — scheduler-context code, a server asking
+// its peers — the reply wait is armed at once and then takes the call in the
+// leg that ends it; without, the caller waits (call).
+func (c *Client) start(shard int, op uint8, args argsFunc, then func(*armCall)) *armCall {
 	cl := c.free
 	if cl != nil {
 		c.free = cl.next
@@ -138,7 +151,7 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, 
 		cl = &armCall{frame: *wire.NewWriter(64)}
 	}
 	c.nextReq++
-	*cl = armCall{c: c, shard: shard, frame: cl.frame}
+	*cl = armCall{c: c, shard: shard, frame: cl.frame, then: then}
 	cl.frame.Reset().U8(op).U64(c.nextReq).U64(0)
 	if args != nil {
 		args(&cl.frame)
@@ -149,11 +162,10 @@ func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, 
 	// source on the reply tag; reqIDs are unique per client, so the tag
 	// cannot collide.
 	cl.Start(c.comm, cl, minimpi.AnySource, tagReplyBase+minimpi.Tag(c.nextReq))
-	cl.Wait(p)
-	if cl.Req == nil { // else it gave up on a reply that may yet come
-		cl.next, c.free = c.free, cl
+	if then != nil {
+		cl.Arm()
 	}
-	return cl.frame.Bytes(), cl.epoch, cl.err
+	return cl
 }
 
 // Send ships the frame to the shard's serving rank under the epoch the
@@ -198,8 +210,12 @@ func (cl *armCall) Reply(data []byte) (minimpi.ReplyKind, error) {
 	return minimpi.ReplyOver, statusErr(status)
 }
 
-// Finish keeps the call's outcome for call to return.
-func (cl *armCall) Finish(err error) { cl.err = err }
+// Finish keeps the call's outcome for call to return, or hands it to then.
+func (cl *armCall) Finish(err error) {
+	if cl.err = err; cl.then != nil {
+		cl.then(cl)
+	}
+}
 
 func statusErr(status uint8) error {
 	switch status {

@@ -351,6 +351,9 @@ func TestReplicaStop(t *testing.T) {
 	if !rp.Server().Closed() {
 		t.Error("Stop did not close the embedded server")
 	}
+	if s.Now() != sim.Time(5*sim.Millisecond) {
+		t.Errorf("run ended at %v, want the stop at 5ms: Stop left the stream's deadline behind", sim.Duration(s.Now()))
+	}
 }
 
 // TestReplicaStopAfterPromotion: Stop must be a no-op once the replica

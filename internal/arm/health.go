@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
 	"dynacc/internal/wire"
 )
@@ -83,22 +84,53 @@ func (s *Server) ConfigureHealth(hc HealthConfig) error {
 	return nil
 }
 
-// SetSanitizer installs the function the ARM uses to wipe a reclaimed
-// accelerator's device before re-granting it (the cluster wires a
-// computation-API Reset here). It runs in its own process and must
-// return within bounded virtual time — give the underlying client a
-// timeout. Without a sanitizer, reclaimed accelerators return to the
-// pool unwiped.
-func (s *Server) SetSanitizer(fn func(p *sim.Proc, rank int) error) { s.sanitizer = fn }
+// DaemonOp is what the ARM asks of a daemon: a device reset (sanitize
+// before reuse), the teardown of one dead tenant's sessions, or a fence
+// pushing a just-promoted server's epoch before it grants anything.
+type DaemonOp uint8
 
-// SetSessionReaper installs the function the ARM uses to tear down one
-// dead tenant's state on a shared accelerator's daemon (the cluster wires
-// core.Accel.ReapSessions here). Unlike the sanitizer, it is scoped to a
-// single client so surviving tenants on the same accelerator are
-// untouched. It runs in its own process; errors are ignored (the daemon
-// may itself be dead). Without a reaper, a revoked sharer's device state
-// is reclaimed only when the daemon's payload timeouts clean it up.
-func (s *Server) SetSessionReaper(fn func(p *sim.Proc, rank, client int) error) { s.reaper = fn }
+const (
+	DaemonReset DaemonOp = iota + 1
+	DaemonReap
+	DaemonFence
+)
+
+// DaemonCaller is the ARM's one hook to the daemons (the cluster wires the
+// computation API's asynchronous calls here): start op on the daemon at rank
+// under the fencing token epoch — a reap names the tenant, a fence the
+// server's own rank, which holds no sessions — and return the call, which a
+// Kill cancels. done takes the outcome once, in a later leg and in bounded
+// virtual time; ErrFenced means the daemon answers to a higher epoch.
+type DaemonCaller func(op DaemonOp, rank, client int, epoch uint64, done func(error)) *minimpi.Call
+
+// SetDaemonCaller installs the daemon hook. Call before Run.
+func (s *Server) SetDaemonCaller(fn DaemonCaller) { s.daemon = fn }
+
+// callDaemon asks the daemon at rank for op under this server's epoch, in a
+// leg where the helper process it replaced started; a reset names the
+// accelerator it sanitizes. Every op ends in one leg, skipped once the server
+// is closed: a fenced refusal steps it down (a successor is live), and a reset
+// settles the accelerator unless the server abdicated or the detector won.
+func (s *Server) callDaemon(op DaemonOp, rank, client int, a *accel) {
+	var c *minimpi.Call
+	done := func(err error) {
+		s.untrack(&c.Waiter)
+		if !s.closed && errors.Is(err, ErrFenced) {
+			s.stepDown(s.myEpoch + 1)
+		}
+		if a != nil && !s.closed && !s.abdicated && a.state == acReclaiming {
+			s.settle(a, err == nil)
+			s.drainQueue()
+			s.ship()
+		}
+	}
+	s.sim.After(0, func() {
+		if !s.closed {
+			c = s.daemon(op, rank, client, s.myEpoch, done)
+			s.waits = append(s.waits, &c.Waiter)
+		}
+	})
+}
 
 // EncodeHeartbeat builds the message a daemon sends the ARM every
 // heartbeat interval on TagRequest. active lists the world ranks of
@@ -267,10 +299,9 @@ func (s *Server) heartbeat(src int, active []int) {
 			// The node came back. A clean accelerator rejoins the pool
 			// directly; one abandoned mid-use (migration source) is
 			// sanitized first.
-			if a.dirty && s.sanitizer != nil {
-				s.startSanitize(a)
+			if a.dirty {
+				s.sanitizeOrSettle(a)
 			} else {
-				a.dirty = false
 				a.state = acFree
 			}
 		case acAssigned, acShared:
@@ -317,17 +348,8 @@ func (s *Server) reclaim(a *accel, client int) {
 		s.sanitizeOrSettle(a)
 		return
 	}
-	if s.reaper != nil {
-		rank := a.rank
-		s.spawnTracked(fmt.Sprintf("arm-reap-ac%d-cn%d", a.id, client), func(p *sim.Proc) {
-			// Best effort: the daemon may be dead too, in which case the
-			// detector handles the accelerator itself. A fenced rejection
-			// is different — the daemon is alive and answers to a higher
-			// epoch, meaning this server was deposed: step down.
-			if err := s.reaper(p, rank, client); err != nil && errors.Is(err, ErrFenced) {
-				s.stepDown(s.myEpoch + 1)
-			}
-		})
+	if s.daemon != nil { // best effort: a dead daemon is the detector's
+		s.callDaemon(DaemonReap, a.rank, client, nil)
 	}
 	if len(a.holders) == 0 {
 		s.vacate(a)
@@ -335,46 +357,22 @@ func (s *Server) reclaim(a *accel, client int) {
 	}
 }
 
-// sanitizeOrSettle wipes a just-revoked accelerator's device when a
-// sanitizer is wired, or settles it immediately when not.
+// sanitizeOrSettle wipes a just-revoked accelerator's device through the
+// daemon hook, or settles it at once without one. It parks in acReclaiming
+// until the reset is over; a detector verdict first drops the outcome.
 func (s *Server) sanitizeOrSettle(a *accel) {
-	if s.sanitizer != nil {
-		s.startSanitize(a)
+	if s.daemon == nil {
+		s.settle(a, true)
 		return
 	}
-	a.dirty = false
-	s.settle(a, true)
-}
-
-// startSanitize runs the daemon-side device reset in its own process and
-// settles the accelerator on completion. The accelerator parks in
-// acReclaiming meanwhile; if the detector declares it dead first, the
-// completion is dropped.
-func (s *Server) startSanitize(a *accel) {
 	a.state = acReclaiming
-	s.spawnTracked(fmt.Sprintf("arm-sanitize-ac%d", a.id), func(p *sim.Proc) {
-		err := s.sanitizer(p, a.rank)
-		if err != nil && errors.Is(err, ErrFenced) {
-			// The daemon holds a fencing token newer than our epoch: a
-			// promoted successor is live and this server is the deposed
-			// half of a partition. Step down instead of fighting it.
-			s.stepDown(s.myEpoch + 1)
-		}
-		if s.closed || s.abdicated || a.state != acReclaiming {
-			return
-		}
-		if err == nil {
-			a.dirty = false
-		}
-		s.settle(a, err == nil)
-		s.drainQueue()
-		s.ship()
-	})
+	s.callDaemon(DaemonReset, a.rank, 0, a)
 }
 
 // settle places a reclaimed accelerator in its final state: retired when
 // a drain was pending, free on a clean sanitize, failed otherwise.
 func (s *Server) settle(a *accel, clean bool) {
+	a.dirty = a.dirty && !clean
 	switch {
 	case !clean:
 		a.state = acFailed

@@ -345,19 +345,25 @@ func TestHealthMigrateOp(t *testing.T) {
 	})
 }
 
-// Reclaim runs the wired sanitizer before the accelerator re-enters the
-// pool, and a failing sanitizer parks it as failed instead.
+// Reclaim resets the device through the daemon hook before the accelerator
+// re-enters the pool, and a failing reset parks it as failed instead.
 func TestHealthSanitizerGate(t *testing.T) {
 	hc := HealthConfig{HeartbeatInterval: sim.Millisecond, LeaseTTL: 4 * sim.Millisecond}
 	hb := newHealthBed(t, 2, 1, hc)
 	sanitized := make(map[int]int)
-	hb.srv.SetSanitizer(func(p *sim.Proc, rank int) error {
-		p.Wait(100 * sim.Microsecond) // a real reset takes time
-		sanitized[rank]++
-		if rank == hb.daemonRank(1) {
-			return errors.New("reset rejected")
+	hb.srv.SetDaemonCaller(func(op DaemonOp, rank, _ int, _ uint64, done func(error)) *minimpi.Call {
+		if op != DaemonReset {
+			t.Errorf("daemon op %d on an exclusive pool, want only resets", op)
 		}
-		return nil
+		hb.s.AfterCall(100*sim.Microsecond, func(any) { // a real reset takes time
+			sanitized[rank]++
+			if rank == hb.daemonRank(1) {
+				done(errors.New("reset rejected"))
+			} else {
+				done(nil)
+			}
+		}, nil)
+		return new(minimpi.Call)
 	})
 	hb.run(t, func(p *sim.Proc, c *Client) {
 		if _, err := c.Acquire(p, 2, false); err != nil {

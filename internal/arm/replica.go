@@ -28,6 +28,7 @@ package arm
 // (BusySeconds and friends restart from zero after a failover).
 
 import (
+	"cmp"
 	"fmt"
 
 	"dynacc/internal/minimpi"
@@ -37,7 +38,7 @@ import (
 
 // ship sends the current state snapshot and pending reply records to the
 // follower. A no-op without one; called after every request, detector
-// tick, and helper-process completion that can mutate state, and once per
+// tick, and daemon call completion that can mutate state, and once per
 // shard tick as a liveness beat even when idle.
 func (s *Server) ship() {
 	if s.followerRank < 0 || s.closed || s.abdicated {
@@ -71,7 +72,7 @@ type Replica struct {
 	shard        int
 	promoteAfter sim.Duration
 	promoted     bool
-	stopped      bool
+	stream       minimpi.Waiter // on Req: the stream receive, under the silence threshold
 }
 
 // ReplicaFor builds the follower replica for the given shard. The
@@ -90,62 +91,37 @@ func ReplicaFor(comm *minimpi.Comm, dir *Directory, shard int, inventory []Handl
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{srv: srv, dir: dir, shard: shard, promoteAfter: promoteAfter}, nil
+	return &Replica{srv: srv, dir: dir, shard: shard, promoteAfter: max(promoteAfter, 0)}, nil
 }
 
-// Server exposes the embedded server so the cluster can configure health,
-// sanitizers, and reapers on it before promotion ever happens.
+// Server exposes the embedded server so the cluster can configure health
+// and the daemon hook on it before promotion ever happens.
 func (rp *Replica) Server() *Server { return rp.srv }
 
 // Promoted reports whether the replica has taken over its shard.
 func (rp *Replica) Promoted() bool { return rp.promoted }
 
-// Stop shuts down an un-promoted standby cleanly at teardown: it kills
-// the embedded server's processes (including the Run loop blocked on the
-// replication stream) and marks the replica so a racing stream timeout
-// cannot promote it afterwards. A no-op once the replica has promoted —
-// a serving server is shut down through the normal Shutdown op instead.
+// Stop shuts down an un-promoted standby at teardown: its Kill cancels the
+// stream wait, deadline and receive, so nothing can promote it or run the
+// clock on. A promoted replica is shut down through the Shutdown op instead.
 func (rp *Replica) Stop() {
-	if rp.stopped || rp.promoted {
-		return
+	if !rp.promoted {
+		rp.srv.Kill()
 	}
-	rp.stopped = true
-	rp.srv.Kill()
-}
-
-// silenceThreshold resolves the promotion timeout.
-func (rp *Replica) silenceThreshold() sim.Duration {
-	if rp.promoteAfter > 0 {
-		return rp.promoteAfter
-	}
-	if rp.srv.healthOn && rp.srv.health.DeadAfter > 0 {
-		return rp.srv.health.DeadAfter
-	}
-	return DefaultHealthConfig().DeadAfter
 }
 
 // Run applies the replication stream until the leader goes silent, then
-// promotes and serves. Spawn it as the follower rank's process; at
-// simulation teardown an un-promoted replica must be killed (the cluster
-// does this), exactly like the standby process it models.
+// promotes and serves. Spawn it as the follower rank's process, and Stop an
+// un-promoted replica at teardown (the cluster does). Until the promotion p
+// is suspended, and the legs of follow apply the snapshots.
 func (rp *Replica) Run(p *sim.Proc) {
 	s := rp.srv
 	s.mainProc = p
-	leader := rp.dir.Leader(rp.shard)
-	threshold := rp.silenceThreshold()
-	for {
-		req := s.comm.Irecv(leader, TagReplicate)
-		data, _, ok := req.WaitTimeout(p, threshold)
-		if !ok {
-			req.Cancel()
-			break // leader silent past the detector threshold: take over
-		}
-		rp.apply(data)
-		req.Free() // apply copied what it keeps
-	}
-	if rp.stopped || s.closed {
-		return // teardown Stop raced the silence timeout: do not promote
-	}
+	s.waits = append(s.waits, &rp.stream)
+	// Health is off (a zero DeadAfter) unless ConfigureHealth ran.
+	rp.promoteAfter = cmp.Or(rp.promoteAfter, s.health.DeadAfter, DefaultHealthConfig().DeadAfter)
+	follow(rp)
+	p.Suspend("following the leader's stream")
 	rp.promoted = true
 	rp.dir.Promote(rp.shard)
 	// Serve under the epoch the promotion just minted: every grant,
@@ -153,6 +129,27 @@ func (rp *Replica) Run(p *sim.Proc) {
 	s.myEpoch = rp.dir.Epoch(rp.shard)
 	rp.rearm()
 	s.Run(p)
+}
+
+// follow is the wait on the stream, a leg per snapshot: apply the one in and
+// wait for the next under the silence threshold — or, the leader silent past
+// it, withdraw the receive and resume Run to take over.
+func follow(v any) {
+	rp := v.(*Replica)
+	if req := rp.stream.Req; req != nil {
+		if !req.Completed() {
+			rp.stream.Cancel()
+			rp.srv.mainProc.Resume()
+			return
+		}
+		data, _ := req.Result()
+		rp.apply(data)
+		req.Free() // apply copied what it keeps
+	}
+	rp.stream.Req = rp.srv.comm.Irecv(rp.dir.Leader(rp.shard), TagReplicate)
+	if rp.stream.Await(rp.promoteAfter, follow, rp) {
+		follow(rp)
+	}
 }
 
 // apply replays one shipped snapshot into the passive server state, in
@@ -248,16 +245,9 @@ func (rp *Replica) rearm() {
 	}
 	fenced := make(map[int]bool)
 	for _, a := range s.accels {
-		if s.fencer != nil && !fenced[a.rank] {
+		if s.daemon != nil && !fenced[a.rank] {
 			fenced[a.rank] = true
-			rank, epoch := a.rank, s.myEpoch
-			s.spawnTracked(fmt.Sprintf("arm-fence-d%d", rank), func(p *sim.Proc) {
-				if err := s.fencer(p, rank, epoch); err != nil {
-					// Only a yet-higher epoch refuses a fence: we were
-					// deposed in turn while fencing our predecessor's.
-					s.stepDown(epoch + 1)
-				}
-			})
+			s.callDaemon(DaemonFence, a.rank, s.comm.Rank(), nil)
 		}
 		for i := range a.holders {
 			a.holders[i].expiry = lease
@@ -272,7 +262,7 @@ func (rp *Replica) rearm() {
 		// Quarantine the free pool behind a fence-tokened reset when
 		// sanitize-before-reuse is available; settle() returns each one
 		// to service once its daemon provably rejects stale tokens.
-		if a.state == acFree && s.healthOn && s.sanitizer != nil {
+		if a.state == acFree && s.healthOn && s.daemon != nil {
 			a.dirty = true
 			s.sanitizeOrSettle(a)
 		}

@@ -1,6 +1,6 @@
 package arm
 
-// shard.go is the server side of the sharded ARM (ISSUE 6 tentpole):
+// shard.go is the server side of the sharded ARM:
 // accelerator ownership is partitioned across N shard leaders by the
 // consistent-hash ring in the shared Directory. A request that lands on
 // the wrong shard is forwarded to the owner in one extra hop — the owner
@@ -13,17 +13,15 @@ package arm
 // Failure handling rides on the reply-dedup cache: every reply is
 // recorded by (client, reqID), so a client replaying an in-flight
 // request after a leader death (see replica.go for promotion) gets the
-// recorded answer instead of a second execution. A replayed acquire on a
-// freshly promoted follower additionally recalls the peers (opRecall)
-// before executing, closing the window where the dead leader had
-// forwarded the original to a peer that granted it.
+// recorded answer instead of a second execution; a replayed acquire asks
+// the peers too (recall), in case the dead leader had forwarded it.
 //
 // A lone manager is the one-shard, no-follower directory: the peer loops
 // below run zero times, and Directory.replayable says no replay can come,
 // so nothing is recorded for one.
 
 import (
-	"fmt"
+	"slices"
 
 	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
@@ -40,29 +38,23 @@ const shardTickInterval = sim.Millisecond
 // says why that is enough).
 const dedupKeep = 64
 
-// spawnTracked spawns a helper process that is killed along with the
-// server by Kill, so a simulated crash takes down the whole rank — main
-// loop, sanitizers, reapers, recalls — exactly as a real process death
-// would.
-func (s *Server) spawnTracked(name string, fn func(p *sim.Proc)) {
-	s.spawned = append(s.spawned, s.sim.Spawn(name, fn))
-}
-
 // Kill simulates a crash of this ARM rank: the server stops processing,
 // its detector and gossip ticks go silent (which is what the follower's
 // promotion timer and the clients' failover timeouts key on), and every
-// helper process dies with it. Used by chaos tests via the cluster's
-// KillARMShard.
+// call in flight dies with it: no resend, no outcome, no deadline left.
 func (s *Server) Kill() {
 	s.closed = true
-	for _, p := range s.spawned {
-		if !p.Terminated() {
-			p.Kill()
-		}
+	for _, w := range s.waits {
+		w.Cancel()
 	}
 	if s.mainProc != nil && !s.mainProc.Terminated() {
 		s.mainProc.Kill()
 	}
+}
+
+// untrack takes a wait that is over off the list Kill cancels.
+func (s *Server) untrack(w *minimpi.Waiter) {
+	s.waits = slices.DeleteFunc(s.waits, func(x *minimpi.Waiter) bool { return x == w })
 }
 
 // Closed reports whether the server has shut down or been killed.
@@ -238,49 +230,52 @@ func (s *Server) handleRecall(src int, reqID uint64, r *wire.Reader) {
 	s.reply(src, reqID, statusUnavailable, nil)
 }
 
-// recallThenAcquire serves a replayed acquire on a freshly promoted
-// shard: the dead leader may have forwarded the original request to a
-// peer that granted it, so ask every peer for a cached answer before
-// executing. Without this, a replay could be granted twice (once by the
-// peer, once here), stranding a lease the client never learns about.
-// Runs in its own process — peers answer in bounded time, and the main
-// loop keeps serving meanwhile.
-func (s *Server) recallThenAcquire(req pendingAcquire, blocking bool) {
-	s.spawnTracked(fmt.Sprintf("arm-recall-cn%d-req%d", req.src, req.reqID), func(p *sim.Proc) {
-		timeout := 4 * s.tickInterval()
-		for sh := 0; sh < s.dir.Shards(); sh++ {
-			if sh == s.shard {
-				continue
+// recall serves a replayed acquire on a freshly promoted shard: the dead
+// leader may have forwarded the original to a peer that granted it, so each
+// peer is asked at once (opRecall, a call on the client engine) for a cached
+// answer before anything executes, or a lease could be granted twice. A
+// peer silent for 4 ticks cannot have granted recently. The calls start in a
+// leg where the helper process they replaced started; after the last one, a
+// cached answer is relayed and recorded for further replays, or else the
+// acquire executes — unless the server stepped down meanwhile, which answers
+// statusFenced as dispatch does.
+func (s *Server) recall(req pendingAcquire, blocking bool) {
+	left, relay := s.dir.Shards(), []byte(nil) // shards yet to count out, this one included
+	recalled := func(cl *armCall) {
+		if cl != nil { // a peer's answer (an asynchronous call's frame is kept), or its silence
+			s.untrack(&cl.Waiter)
+			cl.Cancel()
+			if cached := cl.frame.Bytes(); cl.err == nil && len(cached) > 0 && relay == nil {
+				relay = cached
 			}
-			s.fwdSeq++
-			id := s.fwdSeq
-			peer := s.dir.Serving(sh)
-			resp := s.comm.Irecv(peer, tagReplyBase+minimpi.Tag(id))
-			w := s.scratch.Reset().U8(opRecall).U64(id).U64(s.dir.Epoch(sh)).Int(req.src).U64(req.reqID)
-			s.comm.SendCopy(peer, TagRequest, w.Bytes())
-			data, _, ok := resp.WaitTimeout(p, timeout)
-			if !ok {
-				resp.Cancel()
-				continue // peer silent; it cannot have granted recently
-			}
-			status, _, cached, err := decodeReply(data)
-			if err == nil && status == statusOK && len(cached) > 0 {
-				// A peer already answered this request: relay its reply
-				// verbatim and record it here for any further replays.
-				cached = s.replies.Record(minimpi.ReplyKey{Src: req.src, ReqID: req.reqID}, cached)
-				resp.Free()
-				s.comm.SendCopy(req.src, tagReplyBase+minimpi.Tag(req.reqID), cached)
-				s.ship()
-				return
-			}
-			resp.Free()
 		}
-		if s.closed {
+		if left--; left > 0 || s.closed {
 			return
 		}
-		// Nobody answered it before: execute fresh.
-		s.acquire(&req, blocking)
+		switch {
+		case relay != nil:
+			cached := s.replies.Record(minimpi.ReplyKey{Src: req.src, ReqID: req.reqID}, relay)
+			s.comm.SendCopy(req.src, tagReplyBase+minimpi.Tag(req.reqID), cached)
+		case s.abdicated:
+			s.reply(req.src, req.reqID, statusFenced, nil)
+		default:
+			s.acquire(&req, blocking)
+		}
 		s.ship()
+	}
+	s.sim.After(0, func() {
+		if s.asker == nil {
+			s.asker = NewDirectoryClient(s.comm, s.dir)
+			s.asker.SetFailover(4*s.tickInterval(), 0)
+			s.asker.nextReq = 1 << 32 // disjoint from a client's on this rank
+		}
+		for sh := 0; sh < s.dir.Shards() && !s.closed; sh++ {
+			if sh != s.shard {
+				args := func(w *wire.Writer) { w.Int(req.src).U64(req.reqID) }
+				s.waits = append(s.waits, &s.asker.start(sh, opRecall, args, recalled).Waiter)
+			}
+		}
+		recalled(nil) // this shard counts out
 	})
 }
 

@@ -320,9 +320,9 @@ func (cl *Cluster) ARMShardServer(i int) *arm.Server { return cl.shardSrvs[i] }
 // cluster was built without ARMReplicas.
 func (cl *Cluster) ARMShardReplica(i int) *arm.Replica { return cl.shardReps[i] }
 
-// KillARMShard crash-kills shard i's leader: its serving process and
-// helper processes stop at their next scheduling point, exactly like a
-// manager-node panic. With ARMReplicas the shard's follower notices the
+// KillARMShard crash-kills shard i's leader: its serving process stops at
+// its next scheduling point and its calls in flight die with it, exactly
+// like a manager-node panic. With ARMReplicas the shard's follower notices the
 // silent replication stream and promotes itself; clients re-resolve
 // through the directory and replay in-flight requests.
 func (cl *Cluster) KillARMShard(i int) { cl.shardSrvs[i].Kill() }
@@ -620,53 +620,37 @@ func (cl *Cluster) armHealthSetup(srv *arm.Server, serverRank int) error {
 		return err
 	}
 	cl.sanitizers = append(cl.sanitizers, sanFE)
-	// One handle per daemon rank serves every control-plane RPC below, for
-	// the life of the server: a reap or a fence leaves the handle listed
+	// One handle per daemon rank serves every call of the ARM's daemon hook,
+	// for the life of the server: a reap or a fence leaves the handle listed
 	// on sanFE, so a fresh Attach per call would grow that list without
-	// bound. Each call carries a fencing token (the server's current epoch,
-	// read at call time — promotions change it), and a daemon's fenced
-	// rejection is translated into arm.ErrFenced so the server's health
-	// machinery recognizes its own deposition.
+	// bound. Each call carries the server's epoch as its fencing token, and
+	// a daemon's fenced rejection is translated into arm.ErrFenced so the
+	// server recognizes its own deposition. A reset sanitizes; a reap closes
+	// one client's sessions, and a fence is the reap of the server's own
+	// rank — a no-op on the device (the ARM never opens tenant sessions),
+	// but fence-checked, so the daemon both records the new high-water mark
+	// and tells a server whose epoch is already stale that it, too, has been
+	// deposed.
 	handles := make(map[int]*core.Accel)
-	fenced := func(rank int, epoch uint64) *core.Accel {
+	srv.SetDaemonCaller(func(op arm.DaemonOp, rank, client int, epoch uint64, done func(error)) *minimpi.Call {
 		ac := handles[rank]
 		if ac == nil {
 			ac = sanFE.Attach(rank)
 			handles[rank] = ac
 		}
 		ac.SetFence(epoch)
-		return ac
-	}
-	srv.SetSanitizer(func(p *sim.Proc, rank int) error {
-		return fenceErr("sanitize", rank, fenced(rank, srv.Epoch()).Reset(p))
-	})
-	if cfg.ShareCapacity > 0 {
-		// Expired sharer leases must not device-reset the accelerator
-		// under the surviving tenants: reap only the dead client's
-		// sessions instead.
-		srv.SetSessionReaper(func(p *sim.Proc, rank, client int) error {
-			return fenceErr("reap", rank, fenced(rank, srv.Epoch()).ReapSessions(p, client))
-		})
-	}
-	// The fencer pushes a just-minted epoch to one daemon at promotion
-	// time, before the promoted leader grants anything. Session reap of
-	// the ARM's own rank is the vehicle: it is a no-op on the device (the
-	// ARM never opens tenant sessions), but it is fence-checked, so the
-	// daemon both records the new high-water mark and tells a fencer
-	// whose epoch is already stale that it, too, has been deposed.
-	srv.SetFencer(func(p *sim.Proc, rank int, epoch uint64) error {
-		return fenceErr("fence", rank, fenced(rank, epoch).ReapSessions(p, serverRank))
+		then := func(err error) {
+			if errors.Is(err, core.ErrFenced) {
+				err = fmt.Errorf("cluster: daemon op %d on rank %d: %w", op, rank, arm.ErrFenced)
+			}
+			done(err)
+		}
+		if op == arm.DaemonReset {
+			return ac.ResetAsync(then)
+		}
+		return ac.ReapSessionsAsync(client, then)
 	})
 	return nil
-}
-
-// fenceErr maps a daemon's fenced rejection onto the ARM's sentinel,
-// passing every other outcome through untouched.
-func fenceErr(what string, rank int, err error) error {
-	if err != nil && errors.Is(err, core.ErrFenced) {
-		return fmt.Errorf("cluster: %s rank %d: %w", what, rank, arm.ErrFenced)
-	}
-	return err
 }
 
 // daemonConfig returns the daemon configuration for the given world

@@ -208,13 +208,10 @@ func (a *Accel) list() {
 	}
 }
 
-// finished takes the outcome of a call that, if it succeeded, left the
-// handle nothing on its daemon (Reset, CloseSession, Shutdown): the ledger
-// empties and the handle leaves the list, until its next request if any.
-func (a *Accel) finished(err error) error {
-	if err != nil {
-		return err
-	}
+// finished follows a call that left the handle nothing on its daemon (a
+// successful Reset, CloseSession or Shutdown): the ledger empties and the
+// handle leaves the list, until its next request if any.
+func (a *Accel) finished() {
 	for _, rec := range a.allocs {
 		a.drop(rec)
 	}
@@ -228,7 +225,6 @@ func (a *Accel) finished(err error) error {
 		att[len(att)-1] = nil
 		a.c.attached = att[:len(att)-1]
 	}
-	return nil
 }
 
 // AttachSession binds a daemon rank like Attach and opens a private
@@ -277,7 +273,7 @@ func (a *Accel) CloseSession(p *sim.Proc) error {
 		return nil
 	}
 	a.flushAll()
-	return a.finished(a.status(p, request{op: OpSessionClose}))
+	return a.status(p, request{op: OpSessionClose})
 }
 
 // ReapSessions closes every session a given client rank holds on this
@@ -285,6 +281,12 @@ func (a *Accel) CloseSession(p *sim.Proc) error {
 // dead tenant's allocations are freed.
 func (a *Accel) ReapSessions(p *sim.Proc, clientRank int) error {
 	return a.status(p, request{op: OpSessionReap, peer: clientRank})
+}
+
+// ReapSessionsAsync is ReapSessions for scheduler-context code (the ARM's
+// reaps and fences); see callAsync.
+func (a *Accel) ReapSessionsAsync(clientRank int, then func(error)) *minimpi.Call {
+	return a.callAsync(request{op: OpSessionReap, peer: clientRank}, then)
 }
 
 // allocRecord is the front-end's failover ledger entry for one device
@@ -438,9 +440,10 @@ type call struct {
 	minimpi.Call // on Req: the response (re-posted after a stale reply), or a copy's block i
 	Pending      // done fires when the call is over, err is its outcome
 	rsp          response
-	app          gpu.Ptr // q.ptr as the application names it, for the ledger (see applied)
-	cmds         []*call // an opBatch's recorded commands, in q.batch order
-	x            *xfer   // a streamed copy's block loop, until the copy finishes
+	app          gpu.Ptr     // q.ptr as the application names it, for the ledger (see applied)
+	cmds         []*call     // an opBatch's recorded commands, in q.batch order
+	x            *xfer       // a streamed copy's block loop, until the copy finishes
+	then         func(error) // an asynchronous header-only call's ending (callAsync)
 }
 
 // xfer is a streamed copy's block loop (see stream), recycled by the client.
@@ -541,6 +544,10 @@ func (cl *call) Finish(err error) {
 		cl.keep()
 	}
 	cl.done.Trigger()
+	if cl.then != nil {
+		cl.then(err)
+		cl.a.c.release(cl)
+	}
 }
 
 // applied enters a successful operation in the failover ledger: a free
@@ -559,6 +566,8 @@ func (cl *call) applied() {
 		}
 		delete(a.allocs, cl.app)
 		delete(a.remap, cl.app)
+	case OpReset, OpSessionClose, OpShutdown:
+		a.finished()
 	case OpMemset:
 		a.shadowWrite(rec, q.window(), nil, q.value)
 	case OpWriteInline:
@@ -607,6 +616,15 @@ func (cl *call) keep() {
 func (cl *call) wait(p *sim.Proc) error {
 	cl.Call.Wait(p)
 	return cl.err
+}
+
+// callAsync is call for scheduler-context code: it returns the call in
+// flight, and then(err) runs inside the leg that ends it.
+func (a *Accel) callAsync(q request, then func(error)) *minimpi.Call {
+	cl := a.newCall(q).issue(a.c.opts.Retries, 0)
+	cl.then = then
+	cl.Arm()
+	return &cl.Call
 }
 
 // call is a synchronous header-only round trip, answered with a pointer
@@ -1069,14 +1087,21 @@ func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 // back to the ARM.
 func (a *Accel) Reset(p *sim.Proc) error {
 	a.flushAll()
-	return a.finished(a.status(p, request{op: OpReset}))
+	return a.status(p, request{op: OpReset})
+}
+
+// ResetAsync is Reset for scheduler-context code (the ARM's sanitize
+// before reuse); see callAsync.
+func (a *Accel) ResetAsync(then func(error)) *minimpi.Call {
+	a.flushAll()
+	return a.callAsync(request{op: OpReset}, then)
 }
 
 // Shutdown stops the accelerator's daemon (simulation teardown).
 // Recorded commands flush first so nothing queued is lost.
 func (a *Accel) Shutdown(p *sim.Proc) error {
 	a.flushAll()
-	return a.finished(a.status(p, request{op: OpShutdown}))
+	return a.status(p, request{op: OpShutdown})
 }
 
 // Failover migrates the handle to a replacement accelerator after its

@@ -12,6 +12,7 @@ package minimpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dynacc/internal/sim"
 )
@@ -47,17 +48,16 @@ func (e *TimeoutError) Error() string {
 // Is makes errors.Is(err, ErrTimeout) succeed for TimeoutError values.
 func (e *TimeoutError) Is(target error) bool { return target == ErrTimeout }
 
-// Waiter is Request.WaitTimeout (Wait, without a deadline) for
-// scheduler-context code, which cannot block: the one wait on a request that
-// a leg of a callback chain makes, embedded in the chain's record (a Call, a
-// daemon's pipeline block).
+// Waiter is the one wait on a request under a deadline: a leg of a callback
+// chain makes it, scheduler-context code that cannot block, embedded in the
+// chain's record (a Call, a daemon's pipeline block, a follower's stream).
 type Waiter struct {
 	// Req is the request waited on. A record is reused for later waits, and
 	// a wake-up by a request waited on before finds Req, the one waited on
 	// now, incomplete.
 	Req *Request
 	// waiting is set while the wait lasts, and deadline guards it under a
-	// positive deadline.
+	// positive deadline: first the time limit, then the leg it resumes.
 	waiting  bool
 	deadline sim.Timer
 	fn       func(any)
@@ -68,10 +68,9 @@ type Waiter struct {
 // inline, where a process would not have yielded. Otherwise fn(arg) runs
 // once, when Req completes or — with a positive deadline — has run out of
 // time, whichever comes first, at the instant and queue position at which a
-// process blocked in WaitTimeout would have resumed; like that process, fn
-// tells the two apart by looking at the request when it runs. The deadline
-// is the one behind Event.AwaitTimeout: the request's win cancels it, and it
-// resumes the chain through one more event when it runs.
+// process blocked on both would have resumed; like that process, fn tells
+// the two apart by looking at the request when it runs. The request's win
+// cancels the deadline.
 func (w *Waiter) Await(deadline sim.Duration, fn func(any), arg any) bool {
 	if w.Req.Completed() {
 		return true
@@ -82,6 +81,25 @@ func (w *Waiter) Await(deadline sim.Duration, fn func(any), arg any) bool {
 		w.deadline = w.Req.world.sim.AfterCallTimer(deadline, waiterExpired, w)
 	}
 	return false
+}
+
+// Cancel gives the wait up, on or over, for a chain whose owner died or
+// moved on: fn will not run again, the deadline is cancelled, and Req, a
+// receive, is freed — withdrawn if nothing matched it yet, left to land if
+// something did. Nothing is left to resend or to move the clock.
+func (w *Waiter) Cancel() {
+	w.waiting = false
+	w.deadline.Cancel()
+	if r := w.Req; r != nil {
+		w.Req = nil
+		ep := r.prComm.ep()
+		if i := slices.Index(ep.posted, r); i >= 0 {
+			ep.posted = slices.Delete(ep.posted, i, i+1)
+			r.world.putRequest(r)
+		} else {
+			r.Free()
+		}
+	}
 }
 
 func waiterWoken(v any) {
@@ -97,14 +115,17 @@ func waiterWoken(v any) {
 }
 
 func waiterExpired(v any) {
-	w := v.(*Waiter)
-	if w.Req.Completed() {
-		// The request completed this very instant: waiterWoken is already
-		// queued.
-		return
+	// A request that completed this very instant has waiterWoken queued.
+	if w := v.(*Waiter); !w.Req.Completed() {
+		w.deadline = w.Req.world.sim.AfterCallTimer(0, waiterLate, w)
 	}
+}
+
+// waiterLate resumes the chain of a wait that ran out of time.
+func waiterLate(v any) {
+	w := v.(*Waiter)
 	w.waiting = false
-	w.Req.world.sim.AfterCall(0, w.fn, w.arg)
+	w.fn(w.arg)
 }
 
 // ReplyKind is what a Caller makes of a reply.

@@ -154,18 +154,6 @@ func (r *Request) TakePayload() (b []byte) {
 	return b
 }
 
-// WaitTimeout blocks until the request completes or d elapses. The
-// boolean reports completion; on timeout the request stays posted (MPI
-// has no portable cancel either — the caller must treat the peer as
-// failed).
-func (r *Request) WaitTimeout(p *sim.Proc, d sim.Duration) ([]byte, Status, bool) {
-	r.check()
-	if !r.done.AwaitTimeout(p, d) {
-		return nil, Status{}, false
-	}
-	return r.data, r.status, true
-}
-
 // Free says the caller is done with the request and its payload
 // (MPI_Request_free): neither may be touched again. On a completed request
 // a pool-owned payload (see IsendOwned) returns to the buffer pool and the
@@ -446,6 +434,7 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 	w := c.world
 	ep := c.ep()
 	req := w.getRequest()
+	req.prComm, req.prCtx, req.prSrc, req.prTag = c, c.ctx, src, tag
 	// First try the unexpected queue, in envelope-arrival order.
 	for i, m := range ep.unexpected {
 		if envelopeMatches(m, c.ctx, src, tag) {
@@ -454,7 +443,6 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 			return req
 		}
 	}
-	req.prComm, req.prCtx, req.prSrc, req.prTag = c, c.ctx, src, tag
 	ep.posted = append(ep.posted, req)
 	return req
 }

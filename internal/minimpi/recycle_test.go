@@ -201,14 +201,13 @@ func TestFreedRequestPanicsUnderPoison(t *testing.T) {
 			t.Error("a freed request was kept for reuse under poison")
 		}
 		for name, call := range map[string]func(){
-			"Done":        func() { r.Done() },
-			"Cancel":      func() { r.Cancel() },
-			"Canceled":    func() { r.Canceled() },
-			"Completed":   func() { r.Completed() },
-			"Wait":        func() { r.Wait(p) },
-			"Result":      func() { r.Result() },
-			"WaitTimeout": func() { r.WaitTimeout(p, sim.Microsecond) },
-			"Free":        func() { r.Free() },
+			"Done":      func() { r.Done() },
+			"Cancel":    func() { r.Cancel() },
+			"Canceled":  func() { r.Canceled() },
+			"Completed": func() { r.Completed() },
+			"Wait":      func() { r.Wait(p) },
+			"Result":    func() { r.Result() },
+			"Free":      func() { r.Free() },
 		} {
 			func() {
 				defer func() {

@@ -25,11 +25,11 @@ type eventCallback struct {
 
 // eventWaiter links a blocked process to one or more events (AwaitAny).
 // Waiters are pooled: gen identifies the wait they were registered for, so
-// a registration left behind on a never-fired event (AwaitAny, timeouts)
-// cannot wake the waiter's next user.
+// a registration left behind on a never-fired event (AwaitAny) cannot wake
+// the waiter's next user.
 type eventWaiter struct {
 	p     *Proc
-	woken bool // set by the first event or deadline that fires; later ones are no-ops
+	woken bool // set by the first event that fires; later ones are no-ops
 	gen   uint32
 }
 
@@ -137,9 +137,8 @@ func (e *Event) OnTriggerCall(fn func(any), arg any) {
 }
 
 const (
-	stateAwaitingEvent   = "awaiting event"
-	stateAwaitingAny     = "awaiting any event"
-	stateAwaitingTimeout = "awaiting event with timeout"
+	stateAwaitingEvent = "awaiting event"
+	stateAwaitingAny   = "awaiting any event"
 )
 
 // Await blocks the calling process until the event fires. Returns
@@ -180,35 +179,4 @@ func AwaitAny(p *Proc, events ...*Event) int {
 	}
 	// Unreachable: we were woken, so some event fired.
 	panic("sim: AwaitAny woken with no fired event")
-}
-
-// AwaitTimeout blocks until the event fires or d elapses. It reports true
-// if the event fired (possibly exactly at the deadline) and false on
-// timeout. The deadline is cancelled when the wait ends, however it ends —
-// a kill unwinds through the defer — so a won wait recycles its waiter at
-// once and leaves nothing that can move the clock.
-func (e *Event) AwaitTimeout(p *Proc, d Duration) bool {
-	if e.fired {
-		return true
-	}
-	if d < 0 {
-		d = 0
-	}
-	s := e.sim
-	w := s.getWaiter(p)
-	e.addWaiter(w)
-	deadline := s.AfterCallTimer(d, awaitDeadline, w)
-	defer deadline.Cancel()
-	p.block(stateAwaitingTimeout)
-	s.putWaiter(w)
-	return e.fired
-}
-
-// awaitDeadline is an AwaitTimeout deadline that ran: it wakes the wait
-// unless the event already has.
-func awaitDeadline(v any) {
-	if w := v.(*eventWaiter); !w.woken {
-		w.woken = true
-		w.p.wake()
-	}
 }

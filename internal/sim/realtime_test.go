@@ -109,25 +109,24 @@ func TestRealtimeInjectOrder(t *testing.T) {
 	}
 }
 
-// TestRealtimeTimeoutFires checks AwaitTimeout maps to a real deadline: it
-// must report failure after roughly the virtual duration, not hang.
+// TestRealtimeTimeoutFires checks a deadline (AfterCallTimer) maps to a
+// real one: guarding an event nobody fires, it runs after roughly the
+// virtual duration, not never.
 func TestRealtimeTimeoutFires(t *testing.T) {
 	s := New()
 	ev := NewEvent(s) // never triggered
 	res := make(chan bool, 1)
-	s.Spawn("to", func(p *Proc) {
-		res <- ev.AwaitTimeout(p, 20*Millisecond)
-	})
+	s.AfterCallTimer(20*Millisecond, func(any) { res <- ev.Triggered() }, nil)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- s.RunRealtime(stop) }()
 	select {
 	case fired := <-res:
 		if fired {
-			t.Fatal("timeout wait reported fired on an untriggered event")
+			t.Fatal("deadline found an untriggered event fired")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AwaitEventTimeout never returned under RunRealtime")
+		t.Fatal("deadline never ran under RunRealtime")
 	}
 	close(stop)
 	if err := <-done; err != nil {
@@ -136,21 +135,18 @@ func TestRealtimeTimeoutFires(t *testing.T) {
 }
 
 // TestRealtimeCancelledDeadline checks a cancelled deadline under the wall
-// clock: a wait won at once leaves its 1 h deadline a tombstone, which the
-// loop neither runs nor sleeps toward, so a 1 ms timer queued behind it
-// fires about 1 ms later and the clock stays far short of the hour.
+// clock: a wait won at once cancels its 1 h deadline, a tombstone the loop
+// neither runs nor sleeps toward, so a 1 ms timer queued behind it fires
+// about 1 ms later and the clock stays far short of the hour.
 func TestRealtimeCancelledDeadline(t *testing.T) {
 	s := New()
-	ev := NewEvent(s)
 	took := make(chan time.Duration, 1)
-	s.Spawn("waiter", func(p *Proc) {
-		s.AfterCall(0, triggerEventArg, ev)
-		if !ev.AwaitTimeout(p, 3600*Second) {
-			t.Error("AwaitTimeout timed out on an event fired at once")
-		}
+	deadline := s.AfterCallTimer(3600*Second, func(any) { t.Error("cancelled deadline ran") }, nil)
+	s.AfterCall(0, func(any) {
+		deadline.Cancel() // the wait it guarded is won
 		start := time.Now()
 		s.AfterCall(Millisecond, func(any) { took <- time.Since(start) }, nil)
-	})
+	}, nil)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- s.RunRealtime(stop) }()

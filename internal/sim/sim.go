@@ -88,7 +88,7 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // by the scheduler goroutine in (at, seq) order; events for the current
 // instant bypass the heap (see push). Exactly one of fn, afn and p is set:
 // fn and afn run in scheduler context, p is dispatched — unless the event
-// is dead, a cancelled Timer's tombstone, which holds none and which next
+// is a cancelled Timer's tombstone, which holds none and which next
 // discards unrun. Executed and discarded events return to the simulation's
 // free list.
 type event struct {
@@ -98,10 +98,9 @@ type event struct {
 	// afn/arg is the closure-free callback form: afn is typically a
 	// top-level function and arg its state, so hot paths schedule work
 	// without capturing.
-	afn  func(any)
-	arg  any
-	gen  uint32 // bumped on recycling: a Timer names one use of the record
-	dead bool
+	afn func(any)
+	arg any
+	gen uint32 // bumped on recycling: a Timer names one use of the record
 }
 
 // Timer is a handle on one event scheduled by AfterCallTimer. The zero
@@ -119,7 +118,7 @@ type Timer struct {
 // leaves alone. Scheduler context only.
 func (t Timer) Cancel() {
 	if e := t.e; e != nil && e.gen == t.gen {
-		e.fn, e.p, e.afn, e.arg, e.dead = nil, nil, nil, nil, true
+		e.fn, e.p, e.afn, e.arg = nil, nil, nil, nil
 	}
 }
 
@@ -317,7 +316,6 @@ func (s *Simulation) putEvent(e *event) {
 	e.afn = nil
 	e.arg = nil
 	e.gen++
-	e.dead = false
 	s.freeEvents = append(s.freeEvents, e)
 }
 
@@ -580,7 +578,7 @@ func (s *Simulation) next() (e *event, fromReady bool) {
 		default:
 			return nil, false
 		}
-		if !e.dead {
+		if e.p != nil || e.afn != nil || e.fn != nil {
 			return e, fromReady
 		}
 		s.pop(fromReady)

@@ -207,34 +207,6 @@ func TestAwaitAnyAlreadyFired(t *testing.T) {
 	}
 }
 
-func TestAwaitTimeout(t *testing.T) {
-	s := New()
-	ev := NewEvent(s)
-	var fired, timedOut bool
-	var tFired, tTimeout Time
-	s.Spawn("w1", func(p *Proc) {
-		fired = ev.AwaitTimeout(p, 10*Microsecond)
-		tFired = p.Now()
-	})
-	s.Spawn("w2", func(p *Proc) {
-		timedOut = ev.AwaitTimeout(p, 2*Microsecond)
-		tTimeout = p.Now()
-	})
-	s.Spawn("t", func(p *Proc) {
-		p.Wait(5 * Microsecond)
-		ev.Trigger()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired || tFired != Time(5*Microsecond) {
-		t.Fatalf("w1: fired=%v at %v, want true at 5us", fired, tFired)
-	}
-	if timedOut || tTimeout != Time(2*Microsecond) {
-		t.Fatalf("w2: fired=%v at %v, want false at 2us", timedOut, tTimeout)
-	}
-}
-
 // TestCancelledTimerNeverRuns pins Timer.Cancel: a cancelled call never
 // runs, whether queued for later or for this instant, and Run ends at the
 // last event that ran, not at the cancelled one. Cancelling twice, or a
