@@ -1,16 +1,30 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestDataplaneReport pins the data-plane fast path's acceptance
-// numbers (the figures BENCH_dataplane.json publishes): the tree panel
-// broadcast at 8 GPUs beats the host-staged loop by at least 2x while
-// taking the panel off the host NIC, and a redistribution whose owners
-// all stay put moves zero payload bytes — against a host-staged
-// baseline that round-trips the whole matrix. The simulation is
-// deterministic, so these are exact regressions, not flaky perf tests.
+// numbers: the tree panel broadcast at 8 GPUs beats the host-staged loop
+// by at least 2x while taking the panel off the host NIC, and a
+// redistribution whose owners all stay put moves zero payload bytes —
+// against a host-staged baseline that round-trips the whole matrix. The
+// simulation is deterministic, so the direct route's times and wire
+// bytes are exact literals, not flaky perf bounds.
 func TestDataplaneReport(t *testing.T) {
 	rep := MeasureDataplane()
+
+	treeSecs := map[int]string{8: "0.006291481", 16: "0.008302129"}
+	treeNIC := map[int]int64{8: 8393722, 16: 8399994}
+	for _, b := range rep.Broadcast {
+		if got := fmt.Sprintf("%.9f", b.TreeSecs); got != treeSecs[b.GPUs] {
+			t.Errorf("%d-GPU TreeSecs = %s, want %s", b.GPUs, got, treeSecs[b.GPUs])
+		}
+		if b.TreeNICBytes != treeNIC[b.GPUs] {
+			t.Errorf("%d-GPU TreeNICBytes = %d, want %d", b.GPUs, b.TreeNICBytes, treeNIC[b.GPUs])
+		}
+	}
 
 	var b8 *BroadcastResult
 	for i := range rep.Broadcast {
@@ -64,6 +78,14 @@ func TestDataplaneReport(t *testing.T) {
 	if unchanged.StagedWireBytes < unchanged.BlockBytes {
 		t.Errorf("staged baseline sent %d wire bytes, expected at least the %d block bytes",
 			unchanged.StagedWireBytes, unchanged.BlockBytes)
+	}
+
+	if unchanged.DefaultWireBytes != 418 {
+		t.Errorf("unchanged-owner DefaultWireBytes = %d, want 418", unchanged.DefaultWireBytes)
+	}
+	if mixed.DefaultWireBytes != 16778790 || mixed.DirectWireBytes != 8390310 {
+		t.Errorf("mixed DefaultWireBytes, DirectWireBytes = %d, %d, want 16778790, 8390310",
+			mixed.DefaultWireBytes, mixed.DirectWireBytes)
 	}
 
 	// Moved blocks: direct D2D carries each moved block once; the default
