@@ -2,6 +2,7 @@ package accel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dynacc/internal/core"
@@ -205,6 +206,116 @@ func TestRemoteAdapterMatchesLocalSemantics(t *testing.T) {
 		}
 		if err := ac.Shutdown(p); err != nil {
 			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCopyD2DRoutes is the route table: every pair of ends, bare and
+// wrapped in a decorator that embeds Device, takes the route its
+// attachments name — read off the wire bytes the copy cost — and a
+// successful copy lands the source's bytes.
+func TestCopyD2DRoutes(t *testing.T) {
+	const n = 4096
+	const (
+		headerOnly  = iota // under one payload's worth of bytes on the wire
+		payloadOnce        // the payload crosses the wire once, plus headers
+		onDevice           // nothing on the wire
+		noPath             // core.ErrNoPeerPath, nothing on the wire
+	)
+	s := sim.New()
+	w, err := minimpi.NewWorld(s, 4, netmodel.QDRInfiniBand()) // 0, 3: front-ends; 1, 2: daemons
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := gpu.TeslaC1060()
+	model.MemBytes = 16 << 20
+	var devs []*gpu.Device
+	for i := 0; i < 4; i++ {
+		dev, err := gpu.NewDevice(s, gpu.Config{Model: model, Registry: gpu.NewRegistry(), Execute: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, dev)
+	}
+	for r := 1; r <= 2; r++ {
+		s.Spawn("daemon", core.NewDaemon(w.Comm(r), devs[r-1], core.DefaultDaemonConfig()).Run)
+	}
+	wire := func() (sum int64) {
+		for r := 0; r < w.Size(); r++ {
+			sum += w.Traffic(r).BytesSent
+		}
+		return sum
+	}
+	s.Spawn("cn", func(p *sim.Proc) {
+		clientA, errA := core.NewClient(w.Comm(0), core.DefaultOptions())
+		clientB, errB := core.NewClient(w.Comm(3), core.DefaultOptions())
+		if err := errors.Join(errA, errB); err != nil {
+			t.Error(err)
+			return
+		}
+		a1, a2 := clientA.Attach(1), clientA.Attach(2)
+		r1, r2, rb := Remote(a1), Remote(a2), Remote(clientB.Attach(2))
+		l1, l2 := Local(p, devs[2]), Local(p, devs[3])
+		defer l1.Close()
+		defer l2.Close()
+		rows := []struct {
+			name     string
+			src, dst Device
+			route    int
+		}{
+			{"remote, same handle", r1, r1, headerOnly},
+			{"remote, same client", r1, r2, payloadOnce},
+			{"remote, different clients", r1, rb, noPath},
+			{"local, same device", l1, l1, onDevice},
+			{"local, different devices", l1, l2, noPath},
+			{"local to remote", l1, r1, noPath},
+			{"remote to local", r1, l1, noPath},
+		}
+		for _, row := range rows {
+			for _, wrap := range []bool{false, true} {
+				src, dst, name := row.src, row.dst, row.name
+				if wrap {
+					src, dst, name = struct{ Device }{src}, struct{ Device }{dst}, name+", decorated"
+				}
+				sp, errS := src.MemAlloc(p, n)
+				dp, errD := dst.MemAlloc(p, 2*n)
+				payload := bytes.Repeat([]byte{0xC3}, n)
+				if err := errors.Join(errS, errD, src.CopyH2DAsync(sp, 0, payload, n, 0).Wait(p)); err != nil {
+					t.Errorf("%s: set-up: %v", name, err)
+					return
+				}
+				before := wire()
+				err = CopyD2D(p, src, sp, Window{Off: 0, ColBytes: n, Cols: 1, Pitch: n}, dst, dp, n, 0, 0)
+				bytesOnWire := wire() - before
+				switch {
+				case row.route == noPath:
+					if !errors.Is(err, core.ErrNoPeerPath) || bytesOnWire != 0 {
+						t.Errorf("%s: err %v, %d wire bytes; want ErrNoPeerPath and none", name, err, bytesOnWire)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", name, err)
+				case row.route == headerOnly && bytesOnWire >= n,
+					row.route == payloadOnce && (bytesOnWire < n || bytesOnWire >= 2*n),
+					row.route == onDevice && bytesOnWire != 0:
+					t.Errorf("%s: %d wire bytes for a %d-byte copy took the wrong route", name, bytesOnWire, n)
+				default:
+					got := make([]byte, n)
+					if err := dst.CopyD2HAsync(got, dp, n, n, 0).Wait(p); err != nil || !bytes.Equal(got, payload) {
+						t.Errorf("%s: the destination does not hold the copied bytes (%v)", name, err)
+					}
+				}
+				if err := errors.Join(src.MemFree(p, sp), dst.MemFree(p, dp)); err != nil {
+					t.Errorf("%s: free: %v", name, err)
+				}
+			}
+		}
+		for _, a := range []*core.Accel{a1, a2} {
+			if err := a.Shutdown(p); err != nil {
+				t.Error(err)
+			}
 		}
 	})
 	if err := s.Run(); err != nil {

@@ -43,6 +43,10 @@ type Device interface {
 	// waiting for a blocking call to trigger the flush.
 	Flush(stream uint8)
 	Sync(p *sim.Proc) error
+	// attachment names what the device is attached through: a middleware
+	// handle or a node-local GPU, the other nil. A type that embeds a
+	// Device inherits it, so wrapping a device never changes its route.
+	attachment() (*core.Accel, *LocalDevice)
 }
 
 // Batched reports whether the device records commands into buffers that
@@ -50,10 +54,8 @@ type Device interface {
 // Algorithms use it to pick an issue-all-then-wait shape only when it
 // pays.
 func Batched(d Device) bool {
-	if r, ok := d.(remoteDevice); ok {
-		return r.a.Client().Options().BatchOps > 0
-	}
-	return false
+	a, _ := d.attachment()
+	return a != nil && a.Client().Options().BatchOps > 0
 }
 
 // CloseSession ends the session behind a remote device attached with
@@ -62,41 +64,39 @@ func Batched(d Device) bool {
 // other tenants sharing the accelerator. It reports false for local
 // devices and for remote attachments without a session.
 func CloseSession(p *sim.Proc, d Device) (bool, error) {
-	r, ok := d.(remoteDevice)
-	if !ok || r.a.Session() == 0 {
+	a, _ := d.attachment()
+	if a == nil || a.Session() == 0 {
 		return false, nil
 	}
-	return true, r.a.CloseSession(p)
+	return true, a.CloseSession(p)
 }
 
-// PeerCopier is an optional Device capability: moving data directly
-// between two accelerators without staging it through the compute node —
-// the paper's AC-to-AC transfer advantage (Section III). The source is a
-// strided window (cols columns of colBytes bytes, pitch bytes apart); the
-// destination receives the packed bytes contiguously. CopyToPeer reports
-// false when the destination is not a peer it can reach directly.
-type PeerCopier interface {
-	CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int) (bool, error)
-}
+// Window is a strided device range: Cols columns of ColBytes bytes,
+// Pitch bytes apart from Off. A contiguous n-byte range is {off, n, 1, n}.
+type Window struct{ Off, ColBytes, Cols, Pitch int }
 
-// StreamPeerCopier is PeerCopier with explicit daemon streams: the
-// source daemon sends on srcStream and the destination receives on
-// dstStream. Daemon stream workers run concurrently, so a relay device
-// that receives on one stream and forwards on another overlaps the two
-// — the dual-DMA behavior a pipelined broadcast tree needs. Both
-// streams 0 is exactly CopyToPeer.
-type StreamPeerCopier interface {
-	CopyToPeerOn(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error)
-}
-
-// LocalCopier is an optional Device capability: a contiguous copy
-// between two allocations on the same device, with no payload crossing
-// any wire — a remote attachment resolves it with one header-only
-// request, a local device with one device-internal DMA. The
-// redistribution fast path uses it for blocks whose owning device is
-// unchanged but whose offset shifts with the block-cyclic layout.
-type LocalCopier interface {
-	CopyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, srcOff, n int) error
+// CopyD2D copies src's window at srcPtr into dst's memory at
+// dstPtr+dstOff, packed, without staging it through the compute node. The
+// route follows from where the two ends live, never from the types that
+// wrap them: one local device copies on srcStream; two remote handles run
+// core.Client.CopyD2D (header-only on one handle, daemon to daemon on two,
+// srcStream sending and dstStream receiving); anything else returns
+// core.ErrNoPeerPath, and the caller stages the copy through the host.
+func CopyD2D(p *sim.Proc, src Device, srcPtr gpu.Ptr, w Window, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) error {
+	sa, sl := src.attachment()
+	da, dl := dst.attachment()
+	switch {
+	case sa != nil && da != nil:
+		return sa.Client().CopyD2D(p, sa, srcPtr, w.Off, w.ColBytes, w.Cols, w.Pitch, da, dstPtr, dstOff, srcStream, dstStream)
+	case sl != nil && sl == dl:
+		if w.Cols != 1 {
+			return fmt.Errorf("accel: CopyD2D: a copy on one device is contiguous, got %d columns", w.Cols)
+		}
+		return sl.enqueue(srcStream, func(wp *sim.Proc) error {
+			return sl.dev.CopyD2D(wp, dstPtr, dstOff, srcPtr, w.Off, w.ColBytes)
+		}).Wait(p)
+	}
+	return core.ErrNoPeerPath
 }
 
 // ---- Remote adapter: network-attached accelerator via the middleware ----
@@ -132,32 +132,7 @@ func (r remoteDevice) LaunchAsync(kernel string, l gpu.Launch, stream uint8) Pen
 	return k.RunAsync(l.Grid, l.Block, stream)
 }
 
-// CopyToPeer implements PeerCopier for two accelerators attached through
-// the same front-end: the daemons stream the payload directly to each
-// other (OpD2DSend/OpD2DRecv), bypassing the compute node.
-func (r remoteDevice) CopyToPeer(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int) (bool, error) {
-	peer, ok := dst.(remoteDevice)
-	if !ok || peer.a.Client() != r.a.Client() {
-		return false, nil
-	}
-	return true, r.a.Client().DirectCopy2D(p, r.a, srcPtr, srcOff, colBytes, cols, pitch, peer.a, dstPtr, dstOff)
-}
-
-// CopyToPeerOn implements StreamPeerCopier, picking the daemon stream
-// each side runs its half of the transfer on.
-func (r remoteDevice) CopyToPeerOn(p *sim.Proc, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst Device, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) (bool, error) {
-	peer, ok := dst.(remoteDevice)
-	if !ok || peer.a.Client() != r.a.Client() {
-		return false, nil
-	}
-	return true, r.a.Client().DirectCopy2DOn(p, r.a, srcPtr, srcOff, colBytes, cols, pitch, peer.a, dstPtr, dstOff, srcStream, dstStream)
-}
-
-// CopyD2D implements LocalCopier: the daemon performs the copy with one
-// device-internal DMA; only the request header crosses the wire.
-func (r remoteDevice) CopyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, srcOff, n int) error {
-	return r.a.MemcpyD2D(p, dst, dstOff, src, srcOff, n)
-}
+func (r remoteDevice) attachment() (*core.Accel, *LocalDevice) { return r.a, nil }
 
 // ---- Local adapter: node-attached GPU (paper's "CUDA local") ----
 
@@ -261,13 +236,7 @@ func (l *LocalDevice) CopyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, col
 	})
 }
 
-// CopyD2D implements LocalCopier as a stream-ordered device-internal
-// copy (cudaMemcpyDeviceToDevice on stream 0).
-func (l *LocalDevice) CopyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, srcOff, n int) error {
-	return l.enqueue(0, func(wp *sim.Proc) error {
-		return l.dev.CopyD2D(wp, dst, dstOff, src, srcOff, n)
-	}).Wait(p)
-}
+func (l *LocalDevice) attachment() (*core.Accel, *LocalDevice) { return nil, l }
 
 func (l *LocalDevice) LaunchAsync(kernel string, launch gpu.Launch, stream uint8) Pending {
 	return l.enqueue(stream, func(p *sim.Proc) error {

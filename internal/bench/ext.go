@@ -170,7 +170,7 @@ func measureD2D(n int, direct bool) sim.Duration {
 		}
 		start := p.Now()
 		if direct {
-			if err := client.DirectCopy(p, a1, src, 0, a2, dst, 0, n); err != nil {
+			if err := client.CopyD2D(p, a1, src, 0, n, 1, n, a2, dst, 0, 0, 0); err != nil {
 				panic(err)
 			}
 		} else {

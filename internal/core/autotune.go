@@ -195,7 +195,7 @@ func rungPlan(idx, n int) (block, depth int) {
 }
 
 // protocol is the configured copy protocol of a direction (DirD2D uses the
-// D2H protocol, like DirectCopy does).
+// D2H protocol, like CopyD2D does).
 func (c *Client) protocol(dir TransferDir) CopyConfig {
 	if dir == DirH2D {
 		return c.opts.H2D

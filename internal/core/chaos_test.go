@@ -240,7 +240,7 @@ func TestChaosLinkSeveredDuringD2D(t *testing.T) {
 			t.Fatalf("alloc dst: %v", err)
 		}
 		cb.sim.After(4*sim.Millisecond, func() { severed = true })
-		err = cb.client.DirectCopy(p, src, sp, 0, dst, dp, 0, n)
+		err = cb.client.CopyD2D(p, src, sp, 0, n, 1, n, dst, dp, 0, 0, 0)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("direct copy over severed link: got %v, want timeout", err)
 		}

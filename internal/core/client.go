@@ -963,15 +963,10 @@ func (a *Accel) MemcpyH2DAsync(dst gpu.Ptr, off int, src []byte, n int, stream u
 	return a.MemcpyH2D2DAsync(dst, off, n, 1, n, src, stream)
 }
 
-// MemcpyH2D2D copies a strided device window (the cudaMemcpy2D
+// MemcpyH2D2DAsync copies a strided device window (the cudaMemcpy2D
 // analogue): cols columns of colBytes bytes land pitch bytes apart at
 // dst+off. src is the packed host data (colBytes*cols bytes, or nil in
 // model mode).
-func (a *Accel) MemcpyH2D2D(p *sim.Proc, dst gpu.Ptr, off, colBytes, cols, pitch int, src []byte) error {
-	return a.c.join(p, a.MemcpyH2D2DAsync(dst, off, colBytes, cols, pitch, src, 0))
-}
-
-// MemcpyH2D2DAsync is the asynchronous strided host-to-device copy.
 func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, src []byte, stream uint8) *Pending {
 	if err := checkWindow("MemcpyH2D", "src", src, colBytes, cols, pitch); err != nil {
 		return a.failed(err)
@@ -1005,7 +1000,7 @@ func (a *Accel) MemcpyD2HAsync(dst []byte, src gpu.Ptr, off, n int, stream uint8
 }
 
 // MemcpyD2H2DAsync is the asynchronous strided device-to-host copy of a
-// device window into packed host memory, the inverse of MemcpyH2D2D.
+// device window into packed host memory, the inverse of MemcpyH2D2DAsync.
 func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, pitch int, stream uint8) *Pending {
 	if err := checkWindow("MemcpyD2H", "dst", dst, colBytes, cols, pitch); err != nil {
 		return a.failed(err)
@@ -1110,9 +1105,10 @@ func (a *Accel) Shutdown(p *sim.Proc) error {
 // replacer reports the failure and returns a fresh rank, then every live
 // allocation is re-created there and its host-shadowed contents are
 // re-uploaded. App-visible pointers stay valid — subsequent requests
-// translate them to the replacement's memory. Device contents that never
-// passed through the host (kernel results, direct AC-to-AC transfers)
-// are not restored; applications re-run from the recovered state.
+// translate them to the replacement's memory. A device-to-device copy
+// carries its source's shadow along (CopyD2D); contents the front-end
+// never saw, such as kernel results, are not restored: applications
+// re-run from the recovered state.
 func (c *Client) Failover(p *sim.Proc, a *Accel) error {
 	if a.c != c {
 		return fmt.Errorf("core: Failover: accelerator belongs to a different client")
@@ -1220,7 +1216,7 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 	}
 	newRemap := make(map[gpu.Ptr]gpu.Ptr, len(a.allocs))
 	err := a.rebuild(p, tmp, fmt.Sprintf("migrate %d->%d: alloc", oldRank, newRank), func(ptr, phys gpu.Ptr, rec *allocRecord) error {
-		if err := c.DirectCopy(p, a, ptr, 0, tmp, phys, 0, rec.size); err != nil {
+		if err := c.CopyD2D(p, a, ptr, 0, rec.size, 1, rec.size, tmp, phys, 0, 0, 0); err != nil {
 			// The old daemon died mid-copy after all: fall back to the
 			// failover path for this allocation when a host shadow exists.
 			if !a.settle(rec) {
@@ -1271,85 +1267,58 @@ func (c *Client) MigrateRank(p *sim.Proc, oldRank, newRank int) (int, error) {
 	return moved, nil
 }
 
-// DirectCopy moves n bytes from src's device memory to dst's device
-// memory accelerator-to-accelerator, without staging through the compute
-// node — the capability the paper highlights that plain CUDA/OpenCL
-// clusters lack. Both daemons run the pipeline protocol against each
-// other; the call returns when both sides confirm.
-func (c *Client) DirectCopy(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff int, dst *Accel, dstPtr gpu.Ptr, dstOff, n int) error {
-	return c.DirectCopy2D(p, src, srcPtr, srcOff, n, 1, n, dst, dstPtr, dstOff)
-}
-
-// DirectCopy2D is DirectCopy for a strided source window (cols columns
-// of colBytes bytes, pitch bytes apart at src); the destination receives
-// the packed bytes contiguously. The payload still flows daemon to
-// daemon only.
-func (c *Client) DirectCopy2D(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst *Accel, dstPtr gpu.Ptr, dstOff int) error {
-	return c.DirectCopy2DOn(p, src, srcPtr, srcOff, colBytes, cols, pitch, dst, dstPtr, dstOff, 0, 0)
-}
-
-// DirectCopy2DOn is DirectCopy2D with explicit daemon streams: the
-// source daemon executes its OpD2DSend on srcStream, the destination
-// its OpD2DRecv on dstStream. Stream workers run concurrently, so
-// placing a device's incoming and outgoing transfers on different
-// streams lets it receive and forward at the same time — the dual-DMA
-// overlap a relay node in a broadcast tree needs to pipeline segments.
-// Both streams 0 keeps the classic fully-serialized behavior.
-func (c *Client) DirectCopy2DOn(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst *Accel, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) error {
+// CopyD2D copies a window of src's device memory (cols columns of
+// colBytes bytes, pitch bytes apart from srcPtr+srcOff; contiguous n bytes
+// are the window n, 1, n) to dst's memory at dstPtr+dstOff, packed, with no
+// byte staged through the compute node. The handles pick the route: one
+// handle runs a header-only OpMemcpyD2D on srcStream (contiguous only);
+// two handles of this client stream the payload daemon to daemon, sent on
+// srcStream and received on dstStream, so a relay on distinct streams
+// receives and forwards at once; another client's handle gets
+// ErrNoPeerPath. On success the source window's host shadow becomes the
+// destination range's, so a failed-over destination replays the copy.
+func (c *Client) CopyD2D(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colBytes, cols, pitch int, dst *Accel, dstPtr gpu.Ptr, dstOff int, srcStream, dstStream uint8) error {
 	if src.c != c || dst.c != c {
-		// Handles of different clients share no communicator, so no
-		// daemon-to-daemon stream can exist between them: the typed
-		// sentinel lets data-plane callers fall back to host staging.
-		return fmt.Errorf("core: DirectCopy: accelerators belong to a different client: %w", ErrNoPeerPath)
+		return fmt.Errorf("core: CopyD2D: accelerators belong to a different client: %w", ErrNoPeerPath)
 	}
-	if err := checkWindow("DirectCopy", "", nil, colBytes, cols, pitch); err != nil {
+	if err := checkWindow("CopyD2D", "", nil, colBytes, cols, pitch); err != nil {
 		return err
 	}
-	// The copy reads and writes device state touched by queued commands:
-	// flush both handles before the daemons start streaming.
-	src.flushAll()
-	dst.flushAll()
-	n := colBytes * cols
-	block, depth := c.tunePlan(c.opts.D2H, dst.rank, DirD2D, n, true)
-	t0 := p.Now()
-	c.nextReq++
-	xferID := c.nextReq
-	sendQ := request{op: OpD2DSend, ptr: srcPtr, off: srcOff, size: n, cols: cols, pitch: pitch,
-		block: block, depth: depth, peer: dst.rank, xferID: xferID, stream: srcStream}
-	recvQ := request{op: OpD2DRecv, ptr: dstPtr, off: dstOff, size: n, cols: 1, pitch: n,
-		block: block, depth: depth, peer: src.rank, xferID: xferID, stream: dstStream}
-	// Post the receiver side first so its daemon is ready for the stream.
-	recvCall := dst.newCall(recvQ).issue(0, 0)
-	sendCall := src.newCall(sendQ).issue(0, 0)
-	errRecv, errSend := recvCall.wait(p), sendCall.wait(p)
-	c.release(recvCall)
-	c.release(sendCall)
-	if errSend != nil {
-		return errSend
-	}
-	if errRecv == nil {
-		c.tuneRecord(c.opts.D2H, dst.rank, DirD2D, block, n, sim.Duration(p.Now()-t0))
-	}
-	return errRecv
-}
-
-// MemcpyD2D copies n bytes between two allocations on the same
-// accelerator (dst+dstOff ← src+srcOff) with a single device-internal
-// DMA: the request is header-only, so no payload bytes ever cross the
-// wire. The redistribution fast path uses it for blocks whose owner is
-// unchanged but whose offset shifts with the block-cyclic layout.
-func (a *Accel) MemcpyD2D(p *sim.Proc, dst gpu.Ptr, dstOff int, src gpu.Ptr, srcOff, n int) error {
-	if n < 0 || dstOff < 0 || srcOff < 0 {
-		return fmt.Errorf("core: MemcpyD2D: invalid geometry n=%d dstOff=%d srcOff=%d", n, dstOff, srcOff)
+	if src == dst && cols > 1 {
+		return fmt.Errorf("core: CopyD2D: a copy on one accelerator is contiguous, got %d columns", cols)
 	}
 	// The copy reads and writes device state touched by queued commands.
-	a.flushAll()
-	q := request{op: OpMemcpyD2D, ptr: src, off: srcOff, ptr2: dst, off2: dstOff, size: n}
-	err := a.status(p, q)
-	// Whatever host shadow the source range has becomes the destination
-	// range's, so a replayed replacement sees the copied bytes too.
-	if rec := a.allocs[src]; err == nil && rec != nil && srcOff+n <= rec.size && a.settle(rec) {
-		a.shadowWrite(a.allocs[dst], window{dstOff, n, 1, n}, rec.shadow[srcOff:srcOff+n], 0)
+	src.flushAll()
+	dst.flushAll()
+	w, n := window{srcOff, colBytes, cols, pitch}, colBytes*cols
+	var err error
+	if src == dst {
+		err = src.status(p, request{op: OpMemcpyD2D, stream: srcStream, ptr: srcPtr, off: srcOff, ptr2: dstPtr, off2: dstOff, size: n})
+	} else {
+		block, depth := c.tunePlan(c.opts.D2H, dst.rank, DirD2D, n, true)
+		c.nextReq++
+		t0, xferID := p.Now(), c.nextReq
+		// Post the receiver side first so its daemon is ready for the stream.
+		recvCall := dst.newCall(request{op: OpD2DRecv, ptr: dstPtr, off: dstOff, size: n, cols: 1, pitch: n,
+			block: block, depth: depth, peer: src.rank, xferID: xferID, stream: dstStream}).issue(0, 0)
+		sendCall := src.newCall(request{op: OpD2DSend, ptr: srcPtr, off: srcOff, size: n, cols: cols, pitch: pitch,
+			block: block, depth: depth, peer: dst.rank, xferID: xferID, stream: srcStream}).issue(0, 0)
+		errRecv, errSend := recvCall.wait(p), sendCall.wait(p)
+		c.release(recvCall)
+		c.release(sendCall)
+		if err = firstOf(errSend, errRecv); err == nil {
+			c.tuneRecord(c.opts.D2H, dst.rank, DirD2D, block, n, sim.Duration(p.Now()-t0))
+		}
+	}
+	to := window{dstOff, n, 1, n}
+	if rec, drec := src.allocs[srcPtr], dst.allocs[dstPtr]; err == nil && rec.holds(w) && drec.holds(to) && src.settle(rec) {
+		packed := rec.shadow[w.off:w.end()]
+		if cols > 1 {
+			packed = c.comm.World().GetBuf(n)
+			defer c.comm.World().PutBuf(packed)
+			w.gather(packed, rec.shadow)
+		}
+		dst.shadowWrite(drec, to, packed, 0)
 	}
 	return err
 }

@@ -497,7 +497,7 @@ func TestDirectCopyBetweenAccelerators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.client.DirectCopy(p, a0, src, 0, a1, dst, 0, n); err != nil {
+		if err := tb.client.CopyD2D(p, a0, src, 0, n, 1, n, a1, dst, 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		back := make([]byte, n)
@@ -514,7 +514,7 @@ func TestDirectCopyBadSourceReportsError(t *testing.T) {
 	runTestbed(t, 2, true, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
 		a0, a1 := tb.accels[0], tb.accels[1]
 		dst, _ := a1.MemAlloc(p, 4096)
-		err := tb.client.DirectCopy(p, a0, gpu.Ptr(777), 0, a1, dst, 0, 4096)
+		err := tb.client.CopyD2D(p, a0, gpu.Ptr(777), 0, 4096, 1, 4096, a1, dst, 0, 0, 0)
 		if err == nil {
 			t.Error("bad-source direct copy succeeded")
 		}

@@ -795,6 +795,13 @@ func (w window) scatter(mirror []byte, lo int, src []byte) {
 	}
 }
 
+// gather copies w's columns out of mirror into packed dst.
+func (w window) gather(dst, mirror []byte) {
+	for c := 0; c < w.cols; c++ {
+		copy(dst[c*w.colBytes:], mirror[w.off+c*w.pitch:][:w.colBytes])
+	}
+}
+
 // recvToDevice implements the receiving half of the copy protocols: data
 // blocks arrive from dataSrc (the front-end for H2D, a peer daemon for
 // direct AC-to-AC transfers) into a bounded pool of pinned staging

@@ -147,9 +147,9 @@ var (
 	ErrFenced = errors.New("core: fencing token is stale")
 )
 
-// ErrNoPeerPath is returned when a direct daemon-to-daemon fast path is
-// requested between accelerators that share no direct link (different
-// front-ends, or a node-local device outside the fabric). It mirrors
+// ErrNoPeerPath is returned when a device-to-device copy is requested
+// between accelerators that share no direct link (different front-ends,
+// or a node-local device outside the fabric). It mirrors
 // arm.ErrNoCapableDevice: a typed "this route cannot exist" that callers
 // distinguish from transfer failures, so data-plane code can fall back
 // to host staging instead of aborting.

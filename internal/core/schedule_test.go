@@ -109,7 +109,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				const colBytes, cols, pitch, off = 10000, 37, 12288, 512
 				ptr := gb.alloc(p, off+cols*pitch)
 				src := pattern(colBytes * cols)
-				gb.note(p, gb.a.MemcpyH2D2D(p, ptr, off, colBytes, cols, pitch, src))
+				gb.note(p, gb.a.c.join(p, gb.a.MemcpyH2D2DAsync(ptr, off, colBytes, cols, pitch, src, 0)))
 				got := make([]byte, len(src))
 				gb.note(p, gb.a.MemcpyD2H2DAsync(got, ptr, off, colBytes, cols, pitch, 0).Wait(p))
 				if !bytes.Equal(got, src) {
@@ -271,7 +271,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				gb.note(p, err)
 				b, err := gb.a.MemAlloc(p, 2*m)
 				gb.note(p, err)
-				gb.note(p, gb.a.MemcpyD2D(p, b, 4*k, a, 0, 64*k))
+				gb.note(p, gb.a.c.CopyD2D(p, gb.a, a, 0, 64*k, 1, 64*k, gb.a, b, 4*k, 0, 0))
 				gb.note(p, gb.a.Sync(p))
 				_, err = gb.a.Info(p)
 				gb.note(p, err)
@@ -351,9 +351,9 @@ func TestGoldenCopySchedule(t *testing.T) {
 				dst, err := gb.a2.MemAlloc(p, 4*m)
 				gb.note(p, err)
 				c := gb.a.Client()
-				gb.note(p, c.DirectCopy2DOn(p, gb.a, src, 512, 100*k, 30, 128*k, gb.a2, dst, 0, 1, 2))
-				gb.note(p, c.DirectCopy(p, gb.a2, dst, 0, gb.a, src, 0, 4*m))
-				gb.note(p, c.DirectCopy(p, gb.a, src, 2*m, gb.a2, dst, 0, 4*m))
+				gb.note(p, c.CopyD2D(p, gb.a, src, 512, 100*k, 30, 128*k, gb.a2, dst, 0, 1, 2))
+				gb.note(p, c.CopyD2D(p, gb.a2, dst, 0, 4*m, 1, 4*m, gb.a, src, 0, 0, 0))
+				gb.note(p, c.CopyD2D(p, gb.a, src, 2*m, 4*m, 1, 4*m, gb.a2, dst, 0, 0, 0))
 			},
 			want: copySchedule{
 				client:   []sim.Time{28040, 1267461, 2935157, 3240233},

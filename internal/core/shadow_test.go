@@ -135,7 +135,7 @@ func TestShadowMatchesCopyOnSuccess(t *testing.T) {
 				var err error
 				switch k := rng.Intn(7); k {
 				case 0, 1: // upload, streamed or inline by size
-					if err = a.MemcpyH2D2D(p, r.ptr, w.off, w.colBytes, w.cols, w.pitch, packed); err == nil {
+					if err = a.c.join(p, a.MemcpyH2D2DAsync(r.ptr, w.off, w.colBytes, w.cols, w.pitch, packed, 0)); err == nil {
 						r.write(w, packed)
 					}
 				case 2: // download: host-visible truth enters the shadow too
@@ -151,7 +151,7 @@ func TestShadowMatchesCopyOnSuccess(t *testing.T) {
 					d := live[rng.Intn(len(live))]
 					n := 1 + rng.Intn(min(r.size, d.size))
 					so, do := rng.Intn(r.size-n+1), rng.Intn(d.size-n+1)
-					if err = a.MemcpyD2D(p, d.ptr, do, r.ptr, so, n); err == nil && r.ref != nil {
+					if err = a.c.CopyD2D(p, a, r.ptr, so, n, 1, n, a, d.ptr, do, 0, 0); err == nil && r.ref != nil {
 						d.write(window{do, n, 1, n}, append([]byte(nil), r.ref[so:so+n]...))
 					}
 				case 5: // a failed upload leaves the shadow as it was
@@ -227,6 +227,50 @@ func TestSeveredUploadReplaysPreUploadBytes(t *testing.T) {
 		}
 		if !bytes.Equal(got, before) {
 			t.Fatal("the replacement does not hold the window's pre-upload bytes")
+		}
+	})
+}
+
+// TestPeerCopyShadowFollowsSource: a daemon-to-daemon copy carries the
+// source window's shadow, gathered to packed, into the destination's
+// record, so failing the destination over replays the copied bytes — not
+// the destination's stale pre-copy ones.
+func TestPeerCopyShadowFollowsSource(t *testing.T) {
+	const n = 2048
+	cb := newChaosBed(t, 2, true, chaosOpts())
+	cb.client.SetReplacer(flipReplacer{})
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		src, dst := cb.accels[0], cb.accels[1]
+		sp, err := src.MemAlloc(p, 4096)
+		if err != nil {
+			t.Fatalf("alloc src: %v", err)
+		}
+		dp, err := dst.MemAlloc(p, n)
+		if err != nil {
+			t.Fatalf("alloc dst: %v", err)
+		}
+		// Four 512-byte columns of 0xAA, 1024 bytes apart from 64, in 0x11.
+		w := window{64, 512, 4, 1024}
+		fill := bytes.Repeat([]byte{0x11}, 4096)
+		w.scatter(fill, 0, bytes.Repeat([]byte{0xAA}, n))
+		if err := src.MemcpyH2D(p, sp, 0, fill, len(fill)); err != nil {
+			t.Fatalf("upload src: %v", err)
+		}
+		if err := dst.MemcpyH2D(p, dp, 0, bytes.Repeat([]byte{0x55}, n), n); err != nil {
+			t.Fatalf("upload dst: %v", err)
+		}
+		if err := cb.client.CopyD2D(p, src, sp, w.off, w.colBytes, w.cols, w.pitch, dst, dp, 0, 0, 0); err != nil {
+			t.Fatalf("peer copy: %v", err)
+		}
+		if err := dst.Failover(p); err != nil {
+			t.Fatalf("failover: %v", err)
+		}
+		got := make([]byte, n)
+		if err := dst.MemcpyD2H(p, got, dp, 0, n); err != nil {
+			t.Fatalf("read back: %v", err)
+		}
+		if i := slices.IndexFunc(got, func(b byte) bool { return b != 0xAA }); i >= 0 {
+			t.Fatalf("the replacement reads %#x at byte %d, want the copied 0xaa", got[i], i)
 		}
 	})
 }

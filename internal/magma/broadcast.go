@@ -28,7 +28,7 @@ import (
 // pipelining a depth-d leaf waits d full panel times after the seed.
 //
 // The fan-out is client-orchestrated (daemons are request-driven: each
-// edge is one DirectCopy exchange per segment the front-end issues),
+// edge is one accel.CopyD2D per segment the front-end issues),
 // and degrades per destination: a child with no peer path — or whose
 // parent's own copy failed — receives the whole panel from the host
 // instead, the panel being host-resident throughout. Any transfer error
@@ -39,7 +39,7 @@ import (
 // pipelining; treeMaxSegs bounds the per-edge request overhead.
 // treeRecvStream/treeSendStream are the daemon streams a device
 // receives and forwards panel segments on: distinct streams make the
-// two overlap (accel.StreamPeerCopier), which is what lets segment s+1
+// two overlap (accel.CopyD2D), which is what lets segment s+1
 // arrive while segment s is already being forwarded down the tree.
 const (
 	treeSegTarget  = 1 << 20
@@ -181,32 +181,25 @@ func (d *Dist) treeBroadcastV(p *sim.Proc, owner, nbytes int, dV []gpu.Ptr, pane
 				cg := (cv + owner) % G
 				var childErr error
 				peerOK := true
-				spc, isStream := d.Devs[g].(accel.StreamPeerCopier)
-				pc, isPeer := d.Devs[g].(accel.PeerCopier)
 				for s := 0; s < S && peerOK; s++ {
 					have[g][s].Await(hp)
-					if bad[g] || !(isStream || isPeer) {
+					if bad[g] {
 						peerOK = false
 						break
 					}
 					lo, hi := segLo(s), segHi(s)
-					var handled bool
-					var err error
-					if isStream {
-						handled, err = spc.CopyToPeerOn(hp, dV[g], lo, hi-lo, 1, hi-lo, d.Devs[cg], dV[cg], lo, treeSendStream, treeRecvStream)
-					} else {
-						handled, err = pc.CopyToPeer(hp, dV[g], lo, hi-lo, 1, hi-lo, d.Devs[cg], dV[cg], lo)
+					err := accel.CopyD2D(hp, d.Devs[g], dV[g], accel.Window{Off: lo, ColBytes: hi - lo, Cols: 1, Pitch: hi - lo},
+						d.Devs[cg], dV[cg], lo, treeSendStream, treeRecvStream)
+					if err == nil {
+						have[cg][s].Trigger()
+						continue
 					}
-					if !handled || errors.Is(err, core.ErrNoPeerPath) {
-						peerOK = false
-					} else if err != nil {
+					peerOK = false
+					if !errors.Is(err, core.ErrNoPeerPath) {
 						// A real transfer failure (daemon died mid-tree):
 						// remember it, then try the host route so the
 						// subtree is still served if only this hop broke.
 						childErr = err
-						peerOK = false
-					} else {
-						have[cg][s].Trigger()
 					}
 				}
 				if !peerOK {

@@ -1,10 +1,12 @@
 package magma
 
 import (
+	"errors"
 	"fmt"
 
 	"dynacc/internal/accel"
 	"dynacc/internal/blas"
+	"dynacc/internal/core"
 	"dynacc/internal/gpu"
 	"dynacc/internal/lapack"
 	"dynacc/internal/sim"
@@ -172,31 +174,20 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 // other GPU's workspace.
 func (d *Dist) broadcastL21(p *sim.Proc, cfg Config, pj, j, jb, mt, owner int, l21 []float64, dW []gpu.Ptr) error {
 	if cfg.Direct {
-		// Direct accelerator-to-accelerator: the L21 columns are strided
-		// in the owner's matrix, so ship them column by column (each
-		// device column is contiguous). The transfer never touches the
-		// compute node's memory.
-		if pc, ok := d.Devs[owner].(accel.PeerCopier); ok {
-			allDirect := true
-			for g, other := range d.Devs {
-				if g == owner {
-					continue
-				}
-				handled, err := pc.CopyToPeer(p, d.ptrs[owner], 8*d.elemOff(pj, j+jb, 0),
-					8*mt, jb, 8*d.M, other, dW[g], 0)
-				if err != nil {
-					return err
-				}
-				if !handled {
-					allDirect = false
-					break
-				}
-			}
-			if allDirect {
-				return nil
+		// Direct accelerator-to-accelerator: the strided L21 columns
+		// reach each peer's workspace packed, never touching the compute
+		// node's memory. Without a direct path to every peer, all of
+		// them take the host route.
+		w := accel.Window{Off: 8 * d.elemOff(pj, j+jb, 0), ColBytes: 8 * mt, Cols: jb, Pitch: 8 * d.M}
+		var err error
+		for g, other := range d.Devs {
+			if g != owner && err == nil {
+				err = accel.CopyD2D(p, d.Devs[owner], d.ptrs[owner], w, other, dW[g], 0, 0, 0)
 			}
 		}
-		// Fall through to the host route when a peer lacks the capability.
+		if !errors.Is(err, core.ErrNoPeerPath) {
+			return err
+		}
 	}
 	if err := d.downloadCols(p, pj, j+jb, mt, 0, jb,
 		hostPanel(l21, mt*jb), 0).Wait(p); err != nil {

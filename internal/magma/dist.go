@@ -102,9 +102,9 @@ func (d *Dist) Free(p *sim.Proc) {
 // device-local copy shifts them to their new offset — zero payload
 // bytes on the wire). A block whose owner changed is staged through
 // the host, or with direct set moves between its two accelerators
-// (accel.PeerCopier), falling back to host staging per block when no
-// peer path exists (core.ErrNoPeerPath, or a device without the
-// capability). An identical device list is a no-op. In model mode
+// (accel.CopyD2D), falling back to host staging per block when no
+// direct path exists (core.ErrNoPeerPath). An identical device list is
+// a no-op. In model mode
 // the same transfers are issued with nil payloads, so the
 // redistribution cost still lands in virtual time. The caller must have
 // quiesced all in-flight operations first. On error the Dist may be
@@ -146,27 +146,16 @@ func (d *Dist) Redistribute(p *sim.Proc, devs []Device, direct bool) error {
 		nbytes := 8 * old.M * old.blockWidth(b)
 		srcOff := 8 * old.elemOff(b, 0, 0)
 		dstOff := 8 * nd.elemOff(b, 0, 0)
-		if srcDev == dstDev {
-			// Unchanged owner: the block stays on its device. A local
-			// copy shifts it to the new layout's offset with no payload
-			// on the wire; only a device without the capability stages.
-			if lc, ok := srcDev.(accel.LocalCopier); ok {
-				if err := lc.CopyD2D(p, dstPtr, dstOff, srcPtr, srcOff, nbytes); err != nil {
-					return fail(err)
-				}
+		if srcDev == dstDev || direct {
+			// An unchanged owner shifts the block on its device, header
+			// only; with direct set a re-homed block moves daemon to
+			// daemon. Without a direct path the block stages.
+			err := accel.CopyD2D(p, srcDev, srcPtr, accel.Window{Off: srcOff, ColBytes: nbytes, Cols: 1, Pitch: nbytes}, dstDev, dstPtr, dstOff, 0, 0)
+			if err == nil {
 				continue
 			}
-		} else if direct {
-			// Changed owner, fast path: daemon-to-daemon, no host staging.
-			if pc, ok := srcDev.(accel.PeerCopier); ok {
-				handled, err := pc.CopyToPeer(p, srcPtr, srcOff, nbytes, 1, nbytes, dstDev, dstPtr, dstOff)
-				if handled && err == nil {
-					continue
-				}
-				if handled && !errors.Is(err, core.ErrNoPeerPath) {
-					return fail(err)
-				}
-				// No peer path: this block stages through the host.
+			if !errors.Is(err, core.ErrNoPeerPath) {
+				return fail(err)
 			}
 		}
 		var buf []byte

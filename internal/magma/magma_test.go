@@ -1,6 +1,7 @@
 package magma
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -662,6 +663,46 @@ func TestD2DBroadcastFasterThanHostRoute(t *testing.T) {
 	d2d := timeChol(true)
 	if d2d >= host {
 		t.Errorf("D2D broadcast (%v) not faster than host route (%v)", d2d, host)
+	}
+}
+
+// A decorator that embeds Device (benchmark/layers.go's tracedDev does)
+// must not change the route: the wrapped devices still broadcast L21
+// daemon-to-daemon, in the same virtual time as the bare ones (the host
+// route takes 240.7 ms here).
+func TestDpotrfD2DThroughDecorator(t *testing.T) {
+	timeChol := func(wrap bool) sim.Duration {
+		var elapsed sim.Duration
+		withCluster(t, 3, false, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
+			if wrap {
+				for g, d := range devs {
+					devs[g] = struct{ Device }{d}
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.Direct = true
+			dist, err := NewDist(p, devs, 4032, 4032, cfg.NB, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dist.Free(p)
+			if err := dist.Upload(p, nil); err != nil {
+				t.Fatal(err)
+			}
+			start := p.Now()
+			if err := Dpotrf(p, dist, cfg); err != nil {
+				t.Fatal(err)
+			}
+			elapsed = p.Now().Sub(start)
+		})
+		return elapsed
+	}
+	bare, wrapped := timeChol(false), timeChol(true)
+	if got := fmt.Sprintf("%.1f", bare.Seconds()*1e3); got != "218.6" {
+		t.Errorf("bare D2D Cholesky took %s virtual ms, want 218.6", got)
+	}
+	if wrapped != bare {
+		t.Errorf("decorated devices took %v, bare %v: the decorator changed the route", wrapped, bare)
 	}
 }
 

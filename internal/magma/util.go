@@ -32,15 +32,15 @@ type Config struct {
 	// Lookahead overlaps the next panel's download and CPU factorization
 	// with the wide trailing update, as MAGMA does.
 	Lookahead bool
-	// Direct moves blocks accelerator-to-accelerator wherever both ends
-	// support it (the paper's AC-to-AC transfers, Section III), per
-	// destination, and host-staged otherwise: Cholesky's L21 broadcast
-	// goes owner-to-peer (accel.PeerCopier), the QR panel fans out over
-	// a binomial tree of daemon-to-daemon links (broadcast.go) — the
-	// host uploads it once instead of G times — and a Rebalance
-	// redistribution moves re-homed blocks between their two
-	// accelerators. Off is MAGMA 1.1's host-staged routes, the ones
-	// Figures 9-10 reproduce, wire traffic byte-identical.
+	// Direct moves blocks accelerator-to-accelerator (the paper's AC-to-AC
+	// transfers, Section III) wherever accel.CopyD2D finds a direct path
+	// between the two ends, and host-staged otherwise: Cholesky's L21
+	// broadcast goes owner-to-peer, the QR panel fans out over a binomial
+	// tree of daemon-to-daemon links (broadcast.go) — the host uploads it
+	// once instead of G times — and a Rebalance redistribution moves
+	// re-homed blocks between their two accelerators. Off is MAGMA 1.1's
+	// host-staged routes, the ones Figures 9-10 reproduce, wire traffic
+	// byte-identical.
 	Direct bool
 	// Rebalance, when set, is consulted by Dgeqrf between panel steps
 	// with the number of panels already factored. Returning a non-nil
