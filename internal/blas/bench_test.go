@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -42,5 +43,46 @@ func BenchmarkDsyrk128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Dsyrk(Lower, NoTrans, n, k, 1, a, n, 0, c, n)
+	}
+}
+
+// The QR trailing update's two Dgemm calls (lapack.Dlarfb), at the
+// (m, n, k) of sim_qr's first check panel (384, 256, 128) and of
+// sock_soak's (96, 80, 16): W += C2ᵀV2 (TN, n×k over m-k) and
+// C2 -= V2·Wᵀ (NT, (m-k)×n over k).
+var larfbShapes = []struct{ m, n, k int }{{384, 256, 128}, {96, 80, 16}}
+
+func benchGemmShape(b *testing.B, tA, tB Transpose, m, n, k int) {
+	rng := rand.New(rand.NewSource(5))
+	ar, ac, br, bc := m, k, k, n
+	if tA == Trans {
+		ar, ac = k, m
+	}
+	if tB == Trans {
+		br, bc = n, k
+	}
+	a, bb, c := randMat(rng, ar, ac, ar), randMat(rng, br, bc, br), randMat(rng, m, n, m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dgemm(tA, tB, m, n, k, -1, a, ar, bb, br, 1, c, m)
+	}
+	flops := 2 * float64(m) * float64(n) * float64(k)
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
+func BenchmarkDgemmTN(b *testing.B) {
+	for _, s := range larfbShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) {
+			benchGemmShape(b, Trans, NoTrans, s.n, s.k, s.m-s.k)
+		})
+	}
+}
+
+func BenchmarkDgemmNT(b *testing.B) {
+	for _, s := range larfbShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) {
+			benchGemmShape(b, NoTrans, Trans, s.m-s.k, s.n, s.k)
+		})
 	}
 }

@@ -1,9 +1,12 @@
 package blas
 
 // Dgemm computes C = alpha*op(A)*op(B) + beta*C, with op(A) m×k, op(B)
-// k×n, and C m×n. The inner loops are ordered for column-major locality
-// (jki with a column accumulator), which keeps pure-Go performance usable
-// for the execute-mode tests.
+// k×n, and C m×n. C is scaled by beta first. With op(A) = A, column j of C
+// is one axpy chain over the columns of A, multipliers alpha*op(B)[l,j] in
+// l order, a zero one skipped. With op(A) = Aᵀ, C[i,j] += alpha·s with s
+// the dot product of A[:,i] and op(B)[:,j] accumulated in l order, four
+// rows of C at a time when B is not transposed. The result is bit for bit
+// the textbook loops' (see the package doc).
 func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	if m == 0 || n == 0 {
 		return
@@ -24,63 +27,24 @@ func Dgemm(transA, transB Transpose, m, n, k int, alpha float64, a []float64, ld
 	if alpha == 0 || k == 0 {
 		return
 	}
-	switch {
-	case transA == NoTrans && transB == NoTrans:
-		// C[:,j] += alpha * A[:,l] * B[l,j]
+	// op(B)[l,j] is b[l*bl+j*bj].
+	bl, bj := 1, ldb
+	if transB == Trans {
+		bl, bj = ldb, 1
+	}
+	if transA == Trans {
 		for j := 0; j < n; j++ {
-			ccol := c[j*ldc : j*ldc+m]
-			for l := 0; l < k; l++ {
-				blj := alpha * b[l+j*ldb]
-				if blj == 0 {
-					continue
-				}
-				acol := a[l*lda : l*lda+m]
-				for i := range ccol {
-					ccol[i] += blj * acol[i]
-				}
-			}
+			dotCols(m, k, alpha, a, lda, b[j*bj:], bl, c[j*ldc:], 1)
 		}
-	case transA == Trans && transB == NoTrans:
-		// C[i,j] += alpha * dot(A[:,i], B[:,j])
-		for j := 0; j < n; j++ {
-			ccol := c[j*ldc : j*ldc+m]
-			bcol := b[j*ldb : j*ldb+k]
-			for i := 0; i < m; i++ {
-				acol := a[i*lda : i*lda+k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += acol[l] * bcol[l]
-				}
-				ccol[i] += alpha * s
-			}
+		return
+	}
+	var ch chain
+	for j := 0; j < n; j++ {
+		y := c[j*ldc : j*ldc+m]
+		for l := 0; l < k; l++ {
+			ch.add(alpha*b[l*bl+j*bj], l*lda, y, a)
 		}
-	case transA == NoTrans && transB == Trans:
-		// C[:,j] += alpha * A[:,l] * B[j,l]
-		for j := 0; j < n; j++ {
-			ccol := c[j*ldc : j*ldc+m]
-			for l := 0; l < k; l++ {
-				bjl := alpha * b[j+l*ldb]
-				if bjl == 0 {
-					continue
-				}
-				acol := a[l*lda : l*lda+m]
-				for i := range ccol {
-					ccol[i] += bjl * acol[i]
-				}
-			}
-		}
-	default: // both transposed
-		for j := 0; j < n; j++ {
-			ccol := c[j*ldc : j*ldc+m]
-			for i := 0; i < m; i++ {
-				acol := a[i*lda : i*lda+k]
-				var s float64
-				for l := 0; l < k; l++ {
-					s += acol[l] * b[j+l*ldb]
-				}
-				ccol[i] += alpha * s
-			}
-		}
+		ch.flush(y, a)
 	}
 }
 
@@ -156,9 +120,14 @@ func Dsyrk(uplo UpLo, trans Transpose, n, k int, alpha float64, a []float64, lda
 
 // Dtrsm solves op(A)*X = alpha*B (side == Left) or X*op(A) = alpha*B
 // (side == Right) for X, overwriting the m×n matrix B. A is triangular of
-// order m (Left) or n (Right).
+// order m (Left) or n (Right). With alpha == 0, B is set to zero and
+// neither A nor B is read.
 func Dtrsm(side Side, uplo UpLo, transA Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	if m == 0 || n == 0 {
+		return
+	}
+	if alpha == 0 {
+		zero(m, n, b, ldb)
 		return
 	}
 	if alpha != 1 {
@@ -176,70 +145,57 @@ func Dtrsm(side Side, uplo UpLo, transA Transpose, diag Diag, m, n int, alpha fl
 		}
 		return
 	}
-	// side == Right: X op(A) = B. Treat rows of B; equivalently solve
-	// op(A)ᵀ Xᵀ = Bᵀ, i.e. a column sweep over A with axpy updates.
+	// side == Right: X op(A) = B, column j of X at a time: once the
+	// columns it depends on are final, column j is one axpy chain over
+	// them, multipliers -op(A)[l,j], then scaled by 1/A[j,j]. The
+	// transposed cases are the same chains the right-looking sweep
+	// (scale column j, subtract it from every later column) applies to
+	// each column, in the same order.
 	unit := diag == Unit
-	if transA == NoTrans {
-		if uplo == Upper {
-			// forward sweep over columns of X
-			for j := 0; j < n; j++ {
-				for l := 0; l < j; l++ {
-					alj := a[l+j*lda]
-					if alj != 0 {
-						Daxpy(m, -alj, b[l*ldb:l*ldb+m], 1, b[j*ldb:j*ldb+m], 1)
-					}
-				}
-				if !unit {
-					Dscal(m, 1/a[j+j*lda], b[j*ldb:j*ldb+m], 1)
-				}
-			}
-		} else {
-			for j := n - 1; j >= 0; j-- {
-				for l := j + 1; l < n; l++ {
-					alj := a[l+j*lda]
-					if alj != 0 {
-						Daxpy(m, -alj, b[l*ldb:l*ldb+m], 1, b[j*ldb:j*ldb+m], 1)
-					}
-				}
-				if !unit {
-					Dscal(m, 1/a[j+j*lda], b[j*ldb:j*ldb+m], 1)
-				}
+	var ch chain
+	solve := func(j, from, to, step int) {
+		y := b[j*ldb : j*ldb+m]
+		for l := from; l != to; l += step {
+			if transA == NoTrans {
+				ch.add(-a[l+j*lda], l*ldb, y, b)
+			} else {
+				ch.add(-a[j+l*lda], l*ldb, y, b)
 			}
 		}
-		return
+		ch.flush(y, b)
+		if !unit {
+			Dscal(m, 1/a[j+j*lda], y, 1)
+		}
 	}
-	// side == Right, transA == Trans: X Aᵀ = B.
-	if uplo == Upper {
-		for j := n - 1; j >= 0; j-- {
-			if !unit {
-				Dscal(m, 1/a[j+j*lda], b[j*ldb:j*ldb+m], 1)
-			}
-			for l := 0; l < j; l++ {
-				ajl := a[l+j*lda]
-				if ajl != 0 {
-					Daxpy(m, -ajl, b[j*ldb:j*ldb+m], 1, b[l*ldb:l*ldb+m], 1)
-				}
-			}
-		}
-	} else {
+	switch {
+	case transA == NoTrans && uplo == Upper:
 		for j := 0; j < n; j++ {
-			if !unit {
-				Dscal(m, 1/a[j+j*lda], b[j*ldb:j*ldb+m], 1)
-			}
-			for l := j + 1; l < n; l++ {
-				ajl := a[l+j*lda]
-				if ajl != 0 {
-					Daxpy(m, -ajl, b[j*ldb:j*ldb+m], 1, b[l*ldb:l*ldb+m], 1)
-				}
-			}
+			solve(j, 0, j, 1)
+		}
+	case transA == NoTrans:
+		for j := n - 1; j >= 0; j-- {
+			solve(j, j+1, n, 1)
+		}
+	case uplo == Upper: // X Aᵀ = B
+		for j := n - 1; j >= 0; j-- {
+			solve(j, n-1, j, -1)
+		}
+	default:
+		for j := 0; j < n; j++ {
+			solve(j, 0, j, 1)
 		}
 	}
 }
 
 // Dtrmm computes B = alpha*op(A)*B (side == Left) or B = alpha*B*op(A)
-// (side == Right) for triangular A, overwriting the m×n matrix B.
+// (side == Right) for triangular A, overwriting the m×n matrix B. With
+// alpha == 0, B is set to zero and neither A nor B is read.
 func Dtrmm(side Side, uplo UpLo, transA Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	if m == 0 || n == 0 {
+		return
+	}
+	if alpha == 0 {
+		zero(m, n, b, ldb)
 		return
 	}
 	if side == Left {
@@ -247,47 +203,36 @@ func Dtrmm(side Side, uplo UpLo, transA Transpose, diag Diag, m, n int, alpha fl
 			Dtrmv(uplo, transA, diag, m, a, lda, b[j*ldb:j*ldb+m], 1)
 		}
 	} else {
-		// B = B * op(A): process columns in an order that avoids
-		// overwriting inputs still needed.
+		// B = B * op(A): column j becomes op(A)[j,j]·B[:,j] plus one axpy
+		// chain over the columns l it depends on, multipliers op(A)[l,j],
+		// taken in an order that reads each of them before it is
+		// overwritten.
 		unit := diag == Unit
+		var ch chain
+		mul := func(j, from, to int) {
+			y := b[j*ldb : j*ldb+m]
+			var djj float64 = 1
+			if !unit {
+				djj = a[j+j*lda]
+			}
+			Dscal(m, djj, y, 1)
+			for l := from; l < to; l++ {
+				if transA == NoTrans {
+					ch.add(a[l+j*lda], l*ldb, y, b)
+				} else {
+					ch.add(a[j+l*lda], l*ldb, y, b)
+				}
+			}
+			ch.flush(y, b)
+		}
 		if (uplo == Upper) == (transA == NoTrans) {
-			// effective upper: column j depends on columns l <= j.
+			// effective upper: column j depends on columns l < j.
 			for j := n - 1; j >= 0; j-- {
-				var djj float64 = 1
-				if !unit {
-					djj = a[j+j*lda]
-				}
-				Dscal(m, djj, b[j*ldb:j*ldb+m], 1)
-				for l := 0; l < j; l++ {
-					var alj float64
-					if transA == NoTrans {
-						alj = a[l+j*lda]
-					} else {
-						alj = a[j+l*lda]
-					}
-					if alj != 0 {
-						Daxpy(m, alj, b[l*ldb:l*ldb+m], 1, b[j*ldb:j*ldb+m], 1)
-					}
-				}
+				mul(j, 0, j)
 			}
 		} else {
 			for j := 0; j < n; j++ {
-				var djj float64 = 1
-				if !unit {
-					djj = a[j+j*lda]
-				}
-				Dscal(m, djj, b[j*ldb:j*ldb+m], 1)
-				for l := j + 1; l < n; l++ {
-					var alj float64
-					if transA == NoTrans {
-						alj = a[l+j*lda]
-					} else {
-						alj = a[j+l*lda]
-					}
-					if alj != 0 {
-						Daxpy(m, alj, b[l*ldb:l*ldb+m], 1, b[j*ldb:j*ldb+m], 1)
-					}
-				}
+				mul(j, j+1, n)
 			}
 		}
 	}
@@ -295,5 +240,12 @@ func Dtrmm(side Side, uplo UpLo, transA Transpose, diag Diag, m, n int, alpha fl
 		for j := 0; j < n; j++ {
 			Dscal(m, alpha, b[j*ldb:j*ldb+m], 1)
 		}
+	}
+}
+
+// zero sets the m×n matrix b to zero.
+func zero(m, n int, b []float64, ldb int) {
+	for j := 0; j < n; j++ {
+		clear(b[j*ldb : j*ldb+m])
 	}
 }
