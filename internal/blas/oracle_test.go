@@ -491,3 +491,216 @@ func TestZeroMultiplierKeepsNaNOutOfC(t *testing.T) {
 		check(name+" column 1", b[2:])
 	}
 }
+
+// refDtrmv is Dtrmv as the textbook loops: row i of op(A)x is its
+// diagonal term, then op(A)[i,j]·x[j] added in j order, rows taken in the
+// order that reads each x[j] before it is overwritten.
+func refDtrmv(uplo UpLo, trans Transpose, diag Diag, n int, a []float64, lda int, x []float64, incX int) {
+	if n == 0 {
+		return
+	}
+	unit := diag == Unit
+	// op(A)[i,j] is a[i*ri+j*rj].
+	ri, rj := 1, lda
+	if trans == Trans {
+		ri, rj = lda, 1
+	}
+	row := func(i, from, to int) {
+		s := x[i*incX]
+		if !unit {
+			s = a[i+i*lda] * x[i*incX]
+		}
+		for j := from; j < to; j++ {
+			s += a[i*ri+j*rj] * x[j*incX]
+		}
+		x[i*incX] = s
+	}
+	if (uplo == Upper) == (trans == NoTrans) {
+		for i := 0; i < n; i++ {
+			row(i, i+1, n)
+		}
+		return
+	}
+	for i := n - 1; i >= 0; i-- {
+		row(i, 0, i)
+	}
+}
+
+func TestDtrmvBitIdenticalToLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 800; trial++ {
+		n := oracleDim(rng)
+		uplo, diag, tr := UpLo(trial%2), Diag(trial/2%2), oracleTrans[trial/4%2]
+		incX := 1 + rng.Intn(3)
+		if trial%16 < 8 {
+			incX = 1
+		}
+		lda, off := max(n, 1)+rng.Intn(3), rng.Intn(2)
+		poison := trial%3 == 0
+		a := oracleMat(rng, off+lda*n, poison)
+		x := oracleMat(rng, off+max(1+(n-1)*incX, 0), poison)
+		want := append([]float64(nil), x...)
+		refDtrmv(uplo, tr, diag, n, a[off:], lda, want[off:], incX)
+		Dtrmv(uplo, tr, diag, n, a[off:], lda, x[off:], incX)
+		if err := sameBits(x, want); err != nil {
+			t.Fatalf("trial %d: Dtrmv(uplo=%d, %v, diag=%d) n=%d lda=%d incX=%d offset=%d: %v",
+				trial, uplo, tr, diag, n, lda, incX, off, err)
+		}
+	}
+}
+
+// offsetMat is oracleMat of size entries starting at element off of its
+// buffer, so that off = 1 moves the operand's 16-byte alignment.
+func offsetMat(rng *rand.Rand, off, size int, poison bool) []float64 {
+	return oracleMat(rng, off+size, poison)[off:]
+}
+
+// The kernels' edges, swept rather than drawn: every m of 0–17 (each
+// remainder of an eight-column dot tile and of the four- and two-row
+// update tiles), k of 0–5, 8 and 9 (no term, one term, a four-column
+// chain with and without a remainder), and each operand at element 0 or
+// 1 of its buffer.
+func TestTileEdgesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for m := 0; m <= 17; m++ {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 8, 9} {
+			for trial := 0; trial < 8; trial++ {
+				tA, tB := oracleTrans[trial%2], oracleTrans[trial/2%2]
+				poison := trial/4 == 1
+				n := 1 + rng.Intn(3)
+				ar, ac, br, bc := m, k, k, n
+				if tA == Trans {
+					ar, ac = k, m
+				}
+				if tB == Trans {
+					br, bc = n, k
+				}
+				lda, ldb, ldc := max(ar, 1), max(br, 1), max(m, 1)
+				a := offsetMat(rng, rng.Intn(2), lda*ac, poison)
+				b := offsetMat(rng, rng.Intn(2), ldb*bc, poison)
+				c := offsetMat(rng, rng.Intn(2), ldc*n, false)
+				want := append([]float64(nil), c...)
+				refDgemm(tA, tB, m, n, k, -0.37, a, lda, b, ldb, 1, want, ldc)
+				Dgemm(tA, tB, m, n, k, -0.37, a, lda, b, ldb, 1, c, ldc)
+				if err := sameBits(c, want); err != nil {
+					t.Fatalf("Dgemm(%v,%v) m=%d n=%d k=%d: %v", tA, tB, m, n, k, err)
+				}
+
+				// Dgemv over the m×k matrix a (lda = m), Dger over the m×k c.
+				x := offsetMat(rng, rng.Intn(2), max(m, k), poison)
+				y := offsetMat(rng, rng.Intn(2), max(m, k), false)
+				a = offsetMat(rng, rng.Intn(2), max(m, 1)*k, poison)
+				want = append([]float64(nil), y...)
+				refDgemv(tA, m, k, 0.37, a, max(m, 1), x, 1, 1, want, 1)
+				Dgemv(tA, m, k, 0.37, a, max(m, 1), x, 1, 1, y, 1)
+				if err := sameBits(y, want); err != nil {
+					t.Fatalf("Dgemv(%v) m=%d n=%d: %v", tA, m, k, err)
+				}
+				want = append([]float64(nil), a...)
+				refDger(m, k, -1, x, 1, y, 1, want, max(m, 1))
+				Dger(m, k, -1, x, 1, y, 1, a, max(m, 1))
+				if err := sameBits(a, want); err != nil {
+					t.Fatalf("Dger m=%d n=%d: %v", m, k, err)
+				}
+			}
+		}
+	}
+}
+
+// laneSpecials go into every element of every operand in turn.
+var laneSpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+
+// everyLane sets each element of each of ops to each of laneSpecials in
+// turn, restoring it afterwards, and returns the first error check gives.
+func everyLane(ops [][]float64, check func() error) error {
+	for o, op := range ops {
+		for p, old := range op {
+			for _, v := range laneSpecials {
+				op[p] = v
+				if err := check(); err != nil {
+					return fmt.Errorf("operand %d element %d = %v: %w", o, p, v, err)
+				}
+			}
+			op[p] = old
+		}
+	}
+	return nil
+}
+
+// NaN, ±Inf and −0 in every lane of every tile, with zero multipliers
+// (one element in five) opposite them: m = 15 is an eight-column dot tile,
+// a four-column one and three single columns, or three four-row update
+// tiles, a two-row one and a single row; k = 5 is one four-column chain
+// and one single column.
+func TestSpecialValuesInEveryLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const m, n, k = 15, 2, 5
+	for _, tA := range oracleTrans {
+		for _, tB := range oracleTrans {
+			lda, ldb := m, k
+			if tA == Trans {
+				lda = k
+			}
+			if tB == Trans {
+				ldb = n
+			}
+			a, b, c := oracleMat(rng, m*k, false), oracleMat(rng, k*n, false), oracleMat(rng, m*n, false)
+			got, want := make([]float64, m*n), make([]float64, m*n)
+			err := everyLane([][]float64{a, b, c}, func() error {
+				copy(want, c)
+				copy(got, c)
+				refDgemm(tA, tB, m, n, k, 1, a, lda, b, ldb, 1, want, m)
+				Dgemm(tA, tB, m, n, k, 1, a, lda, b, ldb, 1, got, m)
+				return sameBits(got, want)
+			})
+			if err != nil {
+				t.Fatalf("Dgemm(%v,%v): %v", tA, tB, err)
+			}
+		}
+		a, x, y := oracleMat(rng, m*k, false), oracleMat(rng, m, false), oracleMat(rng, m, false)
+		got, want := make([]float64, m), make([]float64, m)
+		err := everyLane([][]float64{a, x, y}, func() error {
+			copy(want, y)
+			copy(got, y)
+			if tA == Trans {
+				refDgemv(Trans, k, m, 1, a, k, x, 1, 1, want, 1)
+				Dgemv(Trans, k, m, 1, a, k, x, 1, 1, got, 1)
+			} else {
+				refDgemv(NoTrans, m, k, 1, a, m, x, 1, 1, want, 1)
+				Dgemv(NoTrans, m, k, 1, a, m, x, 1, 1, got, 1)
+			}
+			return sameBits(got, want)
+		})
+		if err != nil {
+			t.Fatalf("Dgemv(%v): %v", tA, err)
+		}
+	}
+	a, x, y := oracleMat(rng, m*k, false), oracleMat(rng, m, false), oracleMat(rng, k, false)
+	got, want := make([]float64, m*k), make([]float64, m*k)
+	err := everyLane([][]float64{a, x, y}, func() error {
+		copy(want, a)
+		copy(got, a)
+		refDger(m, k, 1, x, 1, y, 1, want, m)
+		Dger(m, k, 1, x, 1, y, 1, got, m)
+		return sameBits(got, want)
+	})
+	if err != nil {
+		t.Fatalf("Dger: %v", err)
+	}
+	for _, tr := range oracleTrans {
+		for _, uplo := range []UpLo{Upper, Lower} {
+			a, x := oracleMat(rng, m*m, false), oracleMat(rng, m, false)
+			got, want := make([]float64, m), make([]float64, m)
+			err := everyLane([][]float64{a, x}, func() error {
+				copy(want, x)
+				copy(got, x)
+				refDtrmv(uplo, tr, NonUnit, m, a, m, want, 1)
+				Dtrmv(uplo, tr, NonUnit, m, a, m, got, 1)
+				return sameBits(got, want)
+			})
+			if err != nil {
+				t.Fatalf("Dtrmv(uplo=%d, %v): %v", uplo, tr, err)
+			}
+		}
+	}
+}

@@ -21,6 +21,23 @@ func BenchmarkDgeqrf256(b *testing.B) {
 	}
 }
 
+// BenchmarkDgeqrf384 factors at the shape of sim_qr's execute-mode check
+// and LAPACK reference (n = 384, nb = 128), counting 4n³/3 flops.
+func BenchmarkDgeqrf384(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n, nb = 384, 128
+	a := randMat(rng, n, n)
+	tau := make([]float64, n)
+	work := append([]float64(nil), a...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, a)
+		Dgeqrf(n, n, work, n, tau, nb)
+	}
+	b.ReportMetric(4*n*n*n/3*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
 func BenchmarkDpotrf256(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 256
