@@ -9,10 +9,12 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynacc/internal/core"
 	"dynacc/internal/gpu"
+	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
 )
 
@@ -34,6 +36,8 @@ type Device interface {
 	// packed contiguously on the host.
 	CopyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, src []byte, stream uint8) Pending
 	CopyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, pitch int, stream uint8) Pending
+	// LaunchAsync copies l.Args before it returns: the caller may reuse the
+	// array at once.
 	LaunchAsync(kernel string, l gpu.Launch, stream uint8) Pending
 	// Flush submits any commands the attachment has recorded but not yet
 	// shipped for the given stream. Local devices and unbatched remote
@@ -69,6 +73,15 @@ func CloseSession(p *sim.Proc, d Device) (bool, error) {
 		return false, nil
 	}
 	return true, a.CloseSession(p)
+}
+
+// World returns the world a remote device's payloads travel through, whose
+// buffer pool host staging can borrow from, or nil for a local device.
+func World(d Device) *minimpi.World {
+	if a, _ := d.attachment(); a != nil {
+		return a.Client().Comm().World()
+	}
+	return nil
 }
 
 // Window is a strided device range: Cols columns of ColBytes bytes,
@@ -128,8 +141,7 @@ func (r remoteDevice) CopyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, col
 }
 
 func (r remoteDevice) LaunchAsync(kernel string, l gpu.Launch, stream uint8) Pending {
-	k := r.a.KernelCreate(kernel).SetArgs(l.Args...)
-	return k.RunAsync(l.Grid, l.Block, stream)
+	return r.a.LaunchAsync(kernel, l, stream)
 }
 
 func (r remoteDevice) attachment() (*core.Accel, *LocalDevice) { return r.a, nil }
@@ -239,6 +251,7 @@ func (l *LocalDevice) CopyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, col
 func (l *LocalDevice) attachment() (*core.Accel, *LocalDevice) { return nil, l }
 
 func (l *LocalDevice) LaunchAsync(kernel string, launch gpu.Launch, stream uint8) Pending {
+	launch.Args = slices.Clone(launch.Args) // runs later, on the stream's worker
 	return l.enqueue(stream, func(p *sim.Proc) error {
 		return l.dev.LaunchKernel(p, kernel, launch)
 	})

@@ -523,6 +523,12 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 	if opts.Shard < 0 || opts.Shard >= dir.Shards() {
 		return nil, fmt.Errorf("arm: shard index %d out of range [0,%d)", opts.Shard, dir.Shards())
 	}
+	// Every accelerator's holder list is carved from one array, room for
+	// ShareCapacity holders (one exclusive) each, and the scratch writers are
+	// sized for a snapshot of the inventory (some 96 bytes an accelerator
+	// besides its holders): no grant grows either.
+	per := max(1, opts.ShareCapacity)
+	room, wireCap := make([]holder, len(inventory)*per), 64+len(inventory)*(96+8*per)
 	s := &Server{
 		comm:         comm,
 		sim:          comm.World().Sim(),
@@ -534,7 +540,9 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 		myEpoch:      dir.Epoch(opts.Shard),
 		followerRank: dir.Follower(opts.Shard),
 		peers:        make([]peerLoad, dir.Shards()),
-		scratch:      wire.NewWriter(64),
+		scratch:      wire.NewWriter(wireCap),
+		body:         *wire.NewWriter(wireCap),
+		repW:         *wire.NewWriter(wireCap),
 		replies:      minimpi.NewReplyCache(dedupKeep * comm.Size()),
 	}
 	if s.followerRank == comm.Rank() {
@@ -548,14 +556,14 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 			s.peers[sh].classOper = make(map[string]int)
 		}
 	}
-	for _, h := range inventory {
+	for i, h := range inventory {
 		if _, dup := s.byID[h.ID]; dup {
 			return nil, fmt.Errorf("arm: duplicate accelerator id %d", h.ID)
 		}
 		if owner := dir.OwnerOf(h.ID); owner != s.shard {
 			return nil, fmt.Errorf("arm: accelerator %d belongs to shard %d, not %d", h.ID, owner, s.shard)
 		}
-		a := &accel{id: h.ID, rank: h.Rank, state: acFree, cap: h.Cap}
+		a := &accel{id: h.ID, rank: h.Rank, state: acFree, cap: h.Cap, holders: room[i*per : i*per : (i+1)*per]}
 		s.accels = append(s.accels, a)
 		s.byID[h.ID] = a
 	}

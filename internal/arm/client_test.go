@@ -426,7 +426,7 @@ func FuzzServerHandle(f *testing.F) {
 	}
 	f.Add(uint8(2), loadFrame(1, 1, 1, classLoad{free: 4, oper: 5}))
 	f.Add(uint8(2), wire.NewWriter(64).U8(opRecall).U64(77).U64(1).Int(0).U64(21).Bytes())
-	f.Add(uint8(0), EncodeHeartbeat([]int{0, 1}))
+	f.Add(uint8(0), EncodeHeartbeat(wire.NewWriter(0), []int{0, 1}))
 	f.Fuzz(func(t *testing.T, src uint8, data []byte) {
 		lone, sharded := goldenServer(t), epochServer(t)
 		handleBounded(t, lone, int(src)%lone.comm.Size(), data)

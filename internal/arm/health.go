@@ -132,14 +132,13 @@ func (s *Server) callDaemon(op DaemonOp, rank, client int, a *accel) {
 	})
 }
 
-// EncodeHeartbeat builds the message a daemon sends the ARM every
+// EncodeHeartbeat builds, in w, the message a daemon sends the ARM every
 // heartbeat interval on TagRequest. active lists the world ranks of
 // clients that issued requests to the daemon since its previous beat;
 // the ARM renews those clients' leases (the daemon-side half of
 // implicit renewal).
-func EncodeHeartbeat(active []int) []byte {
-	w := wire.NewWriter(32 + 8*len(active))
-	return w.U8(opHeartbeat).U64(0).U64(0).Ints(active).Bytes() // no reply to tag, no epoch to claim
+func EncodeHeartbeat(w *wire.Writer, active []int) []byte {
+	return w.Reset().U8(opHeartbeat).U64(0).U64(0).Ints(active).Bytes() // no reply to tag, no epoch to claim
 }
 
 // NoticeKind classifies an unsolicited ARM→client health notice.

@@ -9,6 +9,7 @@ import (
 	"dynacc/internal/minimpi"
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
+	"dynacc/internal/wire"
 )
 
 // healthBed is a control-plane world where the daemon ranks are real, so
@@ -52,7 +53,7 @@ func (hb *healthBed) beat(i, n int, every sim.Duration, active []int) {
 	hb.s.Spawn(fmt.Sprintf("beater-ac%d", i), func(p *sim.Proc) {
 		for k := 0; k < n; k++ {
 			p.Wait(every)
-			comm.Isend(0, TagRequest, EncodeHeartbeat(active))
+			comm.Isend(0, TagRequest, EncodeHeartbeat(wire.NewWriter(0), active))
 		}
 	})
 }
@@ -126,7 +127,7 @@ func TestHealthSuspectRecovery(t *testing.T) {
 		comm := hb.w.Comm(hb.daemonRank(0))
 		p.Wait(6 * sim.Millisecond)
 		for k := 0; k < 10; k++ {
-			comm.Isend(0, TagRequest, EncodeHeartbeat(nil))
+			comm.Isend(0, TagRequest, EncodeHeartbeat(wire.NewWriter(0), nil))
 			p.Wait(sim.Millisecond)
 		}
 	})

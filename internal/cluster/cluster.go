@@ -25,6 +25,7 @@ import (
 	"dynacc/internal/minimpi"
 	"dynacc/internal/netmodel"
 	"dynacc/internal/sim"
+	"dynacc/internal/wire"
 )
 
 // Config describes a cluster to build.
@@ -660,10 +661,10 @@ func (cl *Cluster) armHealthSetup(srv *arm.Server, serverRank int) error {
 func (cl *Cluster) daemonConfig(rank int) core.DaemonConfig {
 	dc := cl.env.dcfg
 	if cl.cfg.Health != nil && cl.cfg.Health.HeartbeatInterval > 0 {
-		comm, dir, id := cl.World.Comm(rank), cl.dir, rank-cl.cfg.ComputeNodes
+		comm, dir, id, w := cl.World.Comm(rank), cl.dir, rank-cl.cfg.ComputeNodes, wire.NewWriter(64)
 		dc.HeartbeatInterval = cl.cfg.Health.HeartbeatInterval
 		dc.Heartbeat = func(active []int) {
-			comm.Isend(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(active)).Free()
+			comm.SendCopy(dir.RankFor(id), arm.TagRequest, arm.EncodeHeartbeat(w, active))
 		}
 	}
 	return dc

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"os"
 	"slices"
 	"sync/atomic"
 
@@ -128,6 +129,12 @@ type Replacer interface {
 // simulation timing — identical regardless of epoch.
 var clientEpoch atomic.Uint64
 
+// poisonFreed is the chaos guard DYNACC_POISON=1 turns on across the tree
+// (see minimpi): here a record handed back — a launch's arguments, a ledger
+// record, a daemon's session record — is scribbled over and retired instead
+// of reused, so whoever still holds it fails.
+var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
+
 // Client is the front-end of the computation API: it lives in a
 // compute-node process and forwards ac* calls to accelerator daemons.
 type Client struct {
@@ -152,9 +159,12 @@ type Client struct {
 	// Autotune-planned transfer; never touched on the default path.
 	tuner *tuner
 
-	// Free lists of calls (see release) and of copies' block loops.
+	// Free lists of calls (see release), of copies' block loops, of launch
+	// arguments (see dropArgs) and of ledger records (see drop).
 	calls []*call
 	xfers []*xfer
+	argvs []*launchArgs
+	recs  []*allocRecord
 }
 
 // NewClient creates a front-end on the given communicator.
@@ -162,7 +172,7 @@ func NewClient(comm *minimpi.Comm, opts Options) (*Client, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Client{comm: comm, opts: opts, nextReq: clientEpoch.Add(1) << 40, encw: wire.NewWriter(64)}, nil
+	return &Client{comm: comm, opts: opts, nextReq: clientEpoch.Add(1) << 40, encw: wire.NewWriter(128)}, nil
 }
 
 // Options returns the client's protocol configuration.
@@ -191,13 +201,7 @@ func (c *Client) Attach(daemonRank int) *Accel {
 // handle makes an unlisted handle; a temporary one (Migrate's: not the
 // application's to repoint) stays so.
 func (c *Client) handle(rank int, temp bool) *Accel {
-	return &Accel{
-		c:      c,
-		rank:   rank,
-		temp:   temp,
-		allocs: make(map[gpu.Ptr]*allocRecord),
-		remap:  make(map[gpu.Ptr]gpu.Ptr),
-	}
+	return &Accel{c: c, rank: rank, temp: temp, allocs: make(map[gpu.Ptr]*allocRecord)}
 }
 
 // list enters the handle among the client's handles in use.
@@ -307,6 +311,9 @@ type shadowBlock struct {
 }
 
 func (r *allocRecord) holds(w window) bool {
+	if r != nil && r.size < 0 {
+		panic("core: use of a freed allocation record")
+	}
 	return r != nil && w.colBytes > 0 && w.off >= 0 && w.end() <= r.size
 }
 
@@ -444,7 +451,12 @@ type call struct {
 	cmds         []*call     // an opBatch's recorded commands, in q.batch order
 	x            *xfer       // a streamed copy's block loop, until the copy finishes
 	then         func(error) // an asynchronous header-only call's ending (callAsync)
+	argv         *launchArgs // a launch's arguments (q.launch.Args), until the call is over
 }
+
+// launchArgs holds a launch's arguments while a resend may encode them; the
+// client recycles it. Sixteen fit the widest kernel in the tree, magma's dgemm.
+type launchArgs [16]gpu.Value
 
 // xfer is a streamed copy's block loop (see stream), recycled by the client.
 type xfer struct {
@@ -460,11 +472,10 @@ type xfer struct {
 // answers (it has no process).
 const parkedCopy = "streamed-copy"
 
-// newCall readies a call for q; a recycled record keeps the arrays of its
-// response payload and launch arguments (RunAsync appends to the latter).
+// newCall readies a call for q; a recycled record keeps the array of its
+// response payload.
 func (a *Accel) newCall(q request) *call {
 	cl := pop(&a.c.calls)
-	q.launch.Args = cl.q.launch.Args[:0]
 	*cl = call{a: a, q: q, rsp: response{payload: cl.rsp.payload[:0]}, app: q.ptr}
 	cl.done.Init(a.sim())
 	cl.Pending.cl = cl
@@ -543,6 +554,10 @@ func (cl *call) Finish(err error) {
 		cl.a.sim().Unpark(parkedCopy)
 		cl.keep()
 	}
+	for _, cm := range cl.cmds {
+		cm.dropArgs()
+	}
+	cl.dropArgs()
 	cl.done.Trigger()
 	if cl.then != nil {
 		cl.then(err)
@@ -609,6 +624,19 @@ func (cl *call) keep() {
 	clear(x.sends)
 	x.host, x.blocks, x.sends, cl.x = nil, x.blocks[:0], x.sends[:0], nil
 	a.c.xfers = append(a.c.xfers, x)
+}
+
+// dropArgs hands a launch's arguments back to the client once no resend can
+// read them; under DYNACC_POISON=1 they are zeroed (no daemon decodes kind 0)
+// and retired.
+func (cl *call) dropArgs() {
+	if av := cl.argv; av != nil {
+		if cl.argv = nil; poisonFreed {
+			*av = launchArgs{}
+		} else {
+			cl.a.c.argvs = append(cl.a.c.argvs, av)
+		}
+	}
 }
 
 // wait is the synchronous call: it arms the response wait and blocks p until
@@ -859,9 +887,14 @@ func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
 		app = virtBase + a.nextVirt
 	}
 	if app != phys {
+		if a.remap == nil {
+			a.remap = make(map[gpu.Ptr]gpu.Ptr)
+		}
 		a.remap[app] = phys
 	}
-	a.allocs[app] = &allocRecord{size: n}
+	rec := pop(&a.c.recs)
+	rec.size = n
+	a.allocs[app] = rec
 	return app, nil
 }
 
@@ -930,11 +963,17 @@ func (a *Accel) settle(rec *allocRecord) bool {
 	return rec.shadow != nil
 }
 
-// drop returns the pending blocks and the mirror of a gone allocation to the pool.
+// drop returns the pending blocks and the mirror of a gone allocation to the
+// pool, and its record, block list kept, to the client (MemAlloc reuses it);
+// under DYNACC_POISON=1 the record is retired and a later use panics.
 func (a *Accel) drop(rec *allocRecord) {
 	a.makeRoom(rec, window{0, rec.size, 1, rec.size})
 	a.c.comm.World().PutBuf(rec.shadow)
-	rec.shadow = nil
+	if rec.shadow = nil; poisonFreed {
+		rec.size = -1
+	} else {
+		a.c.recs = append(a.c.recs, rec)
+	}
 }
 
 // checkWindow validates a strided window and, when the copy has a host side
@@ -1052,9 +1091,17 @@ func (k *Kernel) Run(p *sim.Proc, grid, block gpu.Dim3) error {
 // RunAsync launches the kernel on a stream and returns immediately; the
 // returned Pending completes when the daemon reports the kernel finished.
 func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
-	cl := k.a.newCall(request{op: OpKernelRun, stream: stream, kernel: k.name, launch: gpu.Launch{Grid: grid, Block: block}})
-	cl.q.launch.Args = append(cl.q.launch.Args, k.args...) // the call's own copy
-	return k.a.submit(cl)
+	return k.a.LaunchAsync(k.name, gpu.Launch{Grid: grid, Block: block, Args: k.args}, stream)
+}
+
+// LaunchAsync is the three launch steps in one, without a Kernel object:
+// l.Args is copied into the call's own array, so the caller may reuse it at
+// once.
+func (a *Accel) LaunchAsync(kernel string, l gpu.Launch, stream uint8) *Pending {
+	cl := a.newCall(request{op: OpKernelRun, stream: stream, kernel: kernel, launch: l})
+	cl.argv = pop(&a.c.argvs)
+	cl.q.launch.Args = append(cl.argv[:0], l.Args...)
+	return a.submit(cl)
 }
 
 // Sync blocks until every outstanding request on every stream of this
@@ -1137,6 +1184,7 @@ func (c *Client) Failover(p *sim.Proc, a *Accel) error {
 			return fmt.Errorf("core: failover %d->%d: open session: %w", oldRank, newRank, err)
 		}
 	}
+	a.remap = make(map[gpu.Ptr]gpu.Ptr, len(a.allocs)) // the rebuild maps every allocation
 	err = a.rebuild(p, a, fmt.Sprintf("failover %d->%d: re-alloc", oldRank, newRank), func(ptr, phys gpu.Ptr, rec *allocRecord) error {
 		a.remap[ptr] = phys
 		if a.settle(rec) {

@@ -31,7 +31,8 @@ type DaemonConfig struct {
 	// subsystem; the daemon itself knows nothing about the ARM.
 	HeartbeatInterval sim.Duration
 	// Heartbeat is the beat sink (see HeartbeatInterval). It runs on the
-	// daemon's heartbeat process and must not block for long.
+	// daemon's heartbeat process and must not block for long; active is the
+	// daemon's scratch, valid until the call returns.
 	Heartbeat func(active []int)
 }
 
@@ -104,6 +105,7 @@ type Daemon struct {
 	// active records the ranks that sent requests since the last
 	// heartbeat, so beats can piggyback lease renewals for them.
 	active map[int]struct{}
+	beat   []int // takeActive's scratch
 
 	// The dedup table, the scratch responses are encoded in, and the request
 	// records free to decode into (see putRequest).
@@ -121,6 +123,12 @@ type Daemon struct {
 	// empty in exclusive mode). See session.go.
 	root     *session
 	sessions map[sessKey]*session
+
+	// What retired sessions and OpSync's barriers hand back (see retired and
+	// synced).
+	freeSessions []*session
+	mboxes       []*sim.Mailbox
+	groups       []*syncGroup
 
 	// Fencing (split-brain safety). fenceHigh is the highest fencing
 	// token ever seen; any tokened request advances it, and destructive
@@ -231,8 +239,12 @@ func (d *Daemon) spawn(parent *sim.Proc, name string, fn func(*sim.Proc)) {
 // drains to the marker; the last arrival completes the group.
 type syncGroup struct {
 	remaining int
-	done      *sim.Event
+	done      sim.Event
 	poison    bool // workers exit after arriving (close, reap, shutdown)
+	// OpSync's: the daemon and the request it answers (see synced).
+	d     *Daemon
+	src   int
+	reqID uint64
 }
 
 func (g *syncGroup) arrive() {
@@ -302,7 +314,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 		case OpShutdown:
 			// Sessions are drained, not closed: their allocations die with
 			// the device.
-			d.barrier(true, append(d.sortedSessions(), d.root)...).Await(p)
+			d.barrier(new(syncGroup), true, append(d.sortedSessions(), d.root)...).Await(p)
 			d.answer(q, nil, 0)
 			return
 		case OpDeviceInfo:
@@ -340,15 +352,16 @@ func (d *Daemon) submit(q *request) {
 	sess := d.root
 	if q.session != 0 {
 		sess = d.sessions[sessKey{src: q.src, id: q.session}]
-		if sess == nil || sess.drained != nil {
+		if sess == nil || sess.closing {
 			d.answer(q, sessGone(q.session), 0)
 			return
 		}
 	}
 	switch {
 	case q.op == OpSync:
-		src, reqID := q.src, q.reqID
-		d.barrier(false, sess).OnTrigger(func() { d.respond(src, reqID, nil, 0) })
+		g := pop(&d.groups)
+		g.d, g.src, g.reqID = d, q.src, q.reqID
+		d.barrier(g, false, sess).OnTriggerCall(synced, g)
 	case q.op == OpReset && sess != d.root:
 		d.resetSession(sess, q)
 	default:
@@ -366,52 +379,66 @@ func (d *Daemon) submit(q *request) {
 // takeActive returns (sorted, for determinism) and clears the set of
 // ranks that sent requests since the previous call.
 func (d *Daemon) takeActive() []int {
-	ranks := make([]int, 0, len(d.active))
+	d.beat = d.beat[:0]
 	for r := range d.active {
-		ranks = append(ranks, r)
+		d.beat = append(d.beat, r)
 	}
 	clear(d.active)
-	slices.Sort(ranks)
-	return ranks
+	slices.Sort(d.beat)
+	return d.beat
 }
 
-// barrier posts a sync marker to every live stream of the given sessions
-// and returns the event that fires once each has drained to it — at once
-// when there are none. Commands queued later are not waited for. A
-// poisoned marker also ends the stream's worker, so the caller must let
-// no further work reach those sessions.
-func (d *Daemon) barrier(poison bool, sessions ...*session) *sim.Event {
-	g := &syncGroup{done: sim.NewEvent(d.sim), poison: poison}
+// synced answers an OpSync whose barrier has drained and hands the group back.
+func synced(v any) {
+	g := v.(*syncGroup)
+	g.d.respond(g.src, g.reqID, nil, 0)
+	if !poisonFreed {
+		g.d.groups = append(g.d.groups, g)
+	}
+}
+
+// barrier posts g's sync marker to every stream of the given sessions and
+// returns the event that fires once each has drained to it — at once when
+// there are none. Commands queued later are not waited for. A poisoned
+// marker also ends the stream's worker, so the caller must let no further
+// work reach those sessions; a closing session's are ending already.
+func (d *Daemon) barrier(g *syncGroup, poison bool, sessions ...*session) *sim.Event {
+	g.remaining, g.poison = 0, poison
+	g.done.Init(d.sim)
 	for _, sess := range sessions {
-		for _, id := range sess.sortedStreams() {
-			g.remaining++
-			sess.streams[id].Send(g)
-		}
-		if poison {
-			clear(sess.streams)
+		if !sess.closing {
+			sess.eachStream(func(mbox *sim.Mailbox) {
+				g.remaining++
+				mbox.Send(g)
+			})
 		}
 	}
 	if g.remaining == 0 {
 		g.done.Trigger()
 	}
-	return g.done
+	return &g.done
 }
 
 // stream returns the mailbox of a session's stream, starting its worker
-// on first use. A tenant's stream id is outside input, so the number it
-// can start is capped.
+// on first use (a tenant's on a retired session's mailbox). A tenant's
+// stream id is outside input, so the number it can start is capped.
 func (d *Daemon) stream(sess *session, id uint8) (*sim.Mailbox, error) {
 	if mbox, ok := sess.streams[id]; ok {
 		return mbox, nil
 	}
-	name := fmt.Sprintf("%s-stream%d", d.dev.Name(), id)
-	if sess != d.root {
-		if len(sess.streams) >= maxSessionStreams {
-			return nil, fmt.Errorf("core: session %d already has %d streams", sess.key.id, maxSessionStreams)
-		}
-		name = fmt.Sprintf("%s-cn%d-sess%d-stream%d", d.dev.Name(), sess.key.src, sess.key.id, id)
+	var mbox *sim.Mailbox
+	name := "sess-stream"
+	switch {
+	case sess == d.root:
+		name = fmt.Sprintf("%s-stream%d", d.dev.Name(), id)
+	case len(sess.streams) >= maxSessionStreams:
+		return nil, fmt.Errorf("core: session %d already has %d streams", sess.key.id, maxSessionStreams)
+	case len(d.mboxes) > 0:
+		mbox = pop(&d.mboxes)
 	}
-	mbox := sim.NewMailbox(d.sim, name)
+	if mbox == nil {
+		mbox = sim.NewMailbox(d.sim, name)
+	}
 	sess.streams[id] = mbox
 	d.spawn(d.mainP, name, func(p *sim.Proc) {
 		for {
@@ -479,13 +506,18 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, q *request) {
 		d.executeBatch(p, q, sess)
 		return
 	}
-	if err != nil {
-		// Refused: the allocation behind a foreign pointer is never touched.
-		d.answer(q, err, 0)
-		return
-	}
 	var ptr gpu.Ptr
-	view := sess.view
+	if err == nil { // refused: the allocation behind a foreign pointer is never touched
+		ptr, err = d.run(p, sess.view, q, false)
+	}
+	d.answer(q, err, ptr)
+}
+
+// run executes a header-only command under a session's view (nil for the
+// root) and returns the pointer an alloc made. queued: a kernel behind a
+// command buffer's first pays only the device-side dispatch share (the
+// buffer came through one driver submission).
+func (d *Daemon) run(p *sim.Proc, view *gpu.AllocView, q *request, queued bool) (ptr gpu.Ptr, err error) {
 	switch q.op {
 	case OpMemAlloc:
 		if view != nil && !view.Admits(q.size) {
@@ -499,7 +531,11 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, q *request) {
 			view.NoteFree(q.ptr)
 		}
 	case OpKernelRun:
-		err = d.dev.LaunchKernel(p, q.kernel, q.launch)
+		if queued {
+			err = d.dev.LaunchKernelQueued(p, q.kernel, q.launch)
+		} else {
+			err = d.dev.LaunchKernel(p, q.kernel, q.launch)
+		}
 	case OpMemset:
 		err = d.dev.Memset(p, q.ptr, q.off, q.size, q.value)
 	case OpMemcpyD2D:
@@ -511,7 +547,7 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, q *request) {
 	default:
 		err = fmt.Errorf("op %d not executable on a stream", q.op)
 	}
-	d.answer(q, err, ptr)
+	return ptr, err
 }
 
 // executeBatch runs a command buffer in order inside its stream worker,
@@ -524,38 +560,20 @@ func (d *Daemon) execute(p *sim.Proc, sess *session, q *request) {
 // the session's allocator view.
 func (d *Daemon) executeBatch(p *sim.Proc, q *request, sess *session) {
 	sts := make([]cmdStatus, len(q.batch))
-	failed := false
-	// The buffer arrived through one driver submission: its first kernel
-	// pays the full launch overhead (covering the submit), later kernels
-	// only the device-side dispatch share.
-	submitPaid := false
+	failed, submitPaid := false, false // the first kernel pays the submit
 	for i, sub := range q.batch {
 		if failed {
 			sts[i] = cmdStatus{status: batchCmdSkipped}
 			continue
 		}
 		err := sess.checkOwned(sub)
-		if err == nil {
-			switch sub.op {
-			case OpKernelRun:
-				if submitPaid {
-					err = d.dev.LaunchKernelQueued(p, sub.kernel, sub.launch)
-				} else {
-					err = d.dev.LaunchKernel(p, sub.kernel, sub.launch)
-					submitPaid = true
-				}
-			case OpMemset:
-				err = d.dev.Memset(p, sub.ptr, sub.off, sub.size, sub.value)
-			case OpMemFree:
-				err = d.dev.MemFree(p, sub.ptr)
-				if err == nil && sess.view != nil {
-					sess.view.NoteFree(sub.ptr)
-				}
-			case OpWriteInline:
-				err = d.writeInline(p, sub)
-			default:
-				err = fmt.Errorf("core: op %d not executable in a batch", sub.op)
-			}
+		switch {
+		case err != nil:
+		case sub.op == OpWriteInline:
+			err = d.writeInline(p, sub)
+		default:
+			_, err = d.run(p, sess.view, sub, submitPaid)
+			submitPaid = submitPaid || sub.op == OpKernelRun
 		}
 		if err != nil {
 			sts[i] = cmdStatus{status: batchCmdFailed, errmsg: err.Error()}

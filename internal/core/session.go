@@ -40,7 +40,9 @@ type sessKey struct {
 	id  uint64
 }
 
-// session is one namespace on the daemon: a tenant's, or the root.
+// session is one namespace on the daemon: a tenant's, or the root. A
+// tenant's record goes back to the daemon once the session is retired, and
+// the next open reuses it, view, tables and helper.
 type session struct {
 	key sessKey
 	// view is the tenant's ownership set and quota; nil for the root
@@ -49,21 +51,36 @@ type session struct {
 	// streams maps a stream id to the mailbox of its worker, started on
 	// first use.
 	streams map[uint8]*sim.Mailbox
-	// drained is set once a close or reap has begun, which rejects new
-	// work; it fires when every command accepted before that has completed
-	// and the stream workers have exited.
-	drained *sim.Event
+	// closing is set once a close or reap has begun, which rejects new work;
+	// drain fires when every command accepted before that has completed and
+	// the stream workers have exited; then retired, bound to the record once,
+	// frees the session and answers closers.
+	closing bool
+	drain   syncGroup
+	closers []closer
+	retired func(*sim.Proc)
+	// reset: a session reset's helper may still hold the record, so it is
+	// not reused.
+	reset bool
 }
 
-// sortedStreams returns the session's stream ids in ascending order, which
-// keeps event creation order — and the whole simulation — deterministic.
-func (sess *session) sortedStreams() []uint8 {
-	ids := make([]uint8, 0, len(sess.streams))
-	for id := range sess.streams {
-		ids = append(ids, id)
+// closer is a request a retiring session answers once freed: a close, or a
+// reap counting its victims down (left) and answering at zero.
+type closer struct {
+	src   int
+	reqID uint64
+	left  *int
+}
+
+// eachStream calls fn on the session's stream mailboxes in stream order,
+// which keeps event creation order — and the simulation — deterministic.
+func (sess *session) eachStream(fn func(*sim.Mailbox)) {
+	for id, n := 0, len(sess.streams); n > 0; id++ {
+		if mbox := sess.streams[uint8(id)]; mbox != nil {
+			n--
+			fn(mbox)
+		}
 	}
-	slices.Sort(ids)
-	return ids
 }
 
 // checkOwned rejects a command that names a device pointer outside the
@@ -73,6 +90,9 @@ func (sess *session) sortedStreams() []uint8 {
 // ErrNotOwner and the allocation behind it is never touched. The root
 // session has no view: its holder owns the whole device.
 func (sess *session) checkOwned(q *request) error {
+	if sess.key.src < 0 {
+		panic("core: use of a retired session record")
+	}
 	if sess.view == nil {
 		return nil
 	}
@@ -117,7 +137,14 @@ func (d *Daemon) openSession(q *request) {
 		d.respond(src, q.reqID, fmt.Errorf("core: session table full (%d sessions)", maxSessions), 0)
 		return
 	}
-	d.sessions[key] = &session{key: key, view: gpu.NewAllocView(q.quota), streams: make(map[uint8]*sim.Mailbox)}
+	sess := pop(&d.freeSessions)
+	if sess.view == nil {
+		sess.view, sess.streams = gpu.NewAllocView(0), make(map[uint8]*sim.Mailbox)
+		sess.retired = func(p *sim.Proc) { d.retired(p, sess) }
+	}
+	sess.key, sess.closing, sess.closers = key, false, sess.closers[:0]
+	sess.view.Reset(q.quota)
+	d.sessions[key] = sess
 	d.stats.SessionsOpened++
 	d.respond(src, q.reqID, nil, 0)
 }
@@ -134,7 +161,7 @@ func (d *Daemon) closeSession(q *request) {
 		d.respond(src, reqID, nil, 0)
 		return
 	}
-	d.retire(sess, func(err error) { d.respond(src, reqID, err, 0) })
+	d.retire(sess, closer{src: src, reqID: reqID})
 }
 
 // resetSession is the session-scoped acDeviceReset: it waits for the
@@ -142,7 +169,8 @@ func (d *Daemon) closeSession(q *request) {
 // stays open.
 func (d *Daemon) resetSession(sess *session, q *request) {
 	src, reqID := q.src, q.reqID
-	bar := d.barrier(false, sess)
+	bar := d.barrier(new(syncGroup), false, sess)
+	sess.reset = true
 	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-reset", d.dev.Name(), sess.key.id), func(p *sim.Proc) {
 		bar.Await(p)
 		d.respond(src, reqID, d.freeSession(p, sess), 0)
@@ -154,46 +182,56 @@ func (d *Daemon) resetSession(sess *session, q *request) {
 // is sanitized; every other session keeps running throughout. The
 // response arrives once all victim sessions are drained and freed.
 func (d *Daemon) reapSessions(q *request) {
-	src, reqID := q.src, q.reqID
-	var victims []*session
+	left := 0
 	for _, sess := range d.sortedSessions() {
 		if sess.key.src == q.peer {
-			victims = append(victims, sess)
+			left++
+			d.retire(sess, closer{src: q.src, reqID: q.reqID, left: &left})
 		}
 	}
-	if len(victims) == 0 {
-		d.respond(src, reqID, nil, 0)
-		return
-	}
-	remaining := len(victims)
-	for _, sess := range victims {
-		d.retire(sess, func(error) {
-			remaining--
-			if remaining == 0 {
-				d.respond(src, reqID, nil, 0)
-			}
-		})
+	if left == 0 {
+		d.respond(q.src, q.reqID, nil, 0)
 	}
 }
 
 // retire tears a session down on behalf of a close or a reap: it stops
-// admitting work, waits until every command accepted so far has completed
-// and the stream workers have exited, frees what the session still owns,
-// drops it from the table and reports to done. A session being retired
-// twice (a reap racing the tenant's own close) drains once; both callers
-// wait on the same event.
-func (d *Daemon) retire(sess *session, done func(error)) {
-	if sess.drained == nil {
-		sess.drained = d.barrier(true, sess)
+// admitting work and starts the helper that waits until every command
+// accepted so far has completed and the stream workers have exited, frees
+// what the session still owns, drops it from the table and answers to. A
+// session being retired twice (a reap racing the tenant's own close) drains
+// once, and one helper answers both.
+func (d *Daemon) retire(sess *session, to closer) {
+	sess.closers = append(sess.closers, to)
+	if !sess.closing {
+		d.barrier(&sess.drain, true, sess)
+		sess.closing = true
+		d.spawn(d.mainP, "sess-close", sess.retired)
 	}
-	d.spawn(d.mainP, fmt.Sprintf("%s-sess%d-close", d.dev.Name(), sess.key.id), func(p *sim.Proc) {
-		sess.drained.Await(p)
-		err := d.freeSession(p, sess)
-		if d.sessions[sess.key] == sess {
-			delete(d.sessions, sess.key)
+}
+
+// retired is a retiring session's helper. It hands the record and its
+// mailboxes back to the daemon, unless a reset's helper may still hold the
+// record; under DYNACC_POISON=1 it retires the record (a later use panics).
+func (d *Daemon) retired(p *sim.Proc, sess *session) {
+	sess.drain.done.Await(p)
+	err := d.freeSession(p, sess)
+	if d.sessions[sess.key] == sess {
+		delete(d.sessions, sess.key)
+	}
+	for _, to := range sess.closers {
+		if to.left == nil {
+			d.respond(to.src, to.reqID, err, 0)
+		} else if *to.left--; *to.left == 0 {
+			d.respond(to.src, to.reqID, nil, 0)
 		}
-		done(err)
-	})
+	}
+	if poisonFreed || sess.reset {
+		sess.key.src = -1
+	} else {
+		sess.eachStream(func(mbox *sim.Mailbox) { d.mboxes = append(d.mboxes, mbox) })
+		d.freeSessions = append(d.freeSessions, sess)
+	}
+	clear(sess.streams)
 }
 
 // freeSession releases every allocation the session still owns.

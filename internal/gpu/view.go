@@ -1,6 +1,6 @@
 package gpu
 
-import "sort"
+import "slices"
 
 // AllocView is the per-session bookkeeping a multi-tenant daemon layers
 // over a single device allocator: which allocations a session owns and
@@ -59,6 +59,13 @@ func (v *AllocView) NoteFree(p Ptr) int {
 	return n
 }
 
+// Reset empties the view for a new owner with the given quota, keeping its
+// table, so a recycled view allocates nothing.
+func (v *AllocView) Reset(quota int64) {
+	v.quota, v.used = quota, 0
+	clear(v.owned)
+}
+
 // Ptrs returns the owned pointers in ascending order, so release loops
 // are deterministic.
 func (v *AllocView) Ptrs() []Ptr {
@@ -66,6 +73,6 @@ func (v *AllocView) Ptrs() []Ptr {
 	for p := range v.owned {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -78,7 +78,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 
 		if mt > 0 {
 			// Owner: A21 = A21 · L11⁻ᵀ on the device.
-			track(dev.LaunchAsync(KernelTrsm, trsmArgs(
+			track(dev.LaunchAsync(KernelTrsm, trsmArgs(d.args[:0],
 				blas.Right, blas.Lower, blas.Trans, blas.NonUnit, mt, jb, 1,
 				d.ptrs[owner], d.elemOff(pj, j, 0), n,
 				d.ptrs[owner], d.elemOff(pj, j+jb, 0), n), 0))
@@ -112,14 +112,14 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 				aPtr, aOff, lda := l21Src(g, cs-j-jb)
 				// Diagonal part: the wc×wc block at (cs, cs) is symmetric —
 				// a rank-jb SYRK on the lower triangle, as MAGMA issues.
-				track(d.Devs[g].LaunchAsync(KernelSyrk, syrkArgs(
+				track(d.Devs[g].LaunchAsync(KernelSyrk, syrkArgs(d.args[:0],
 					blas.Lower, blas.NoTrans, wc, jb, -1,
 					aPtr, aOff, lda,
 					1, d.ptrs[g], d.elemOff(c, cs, 0), n), 0))
 				// Off-diagonal rows below the block: a plain GEMM.
 				if mc > wc {
 					bPtr, bOff, ldb := l21Src(g, cs-j-jb)
-					track(d.Devs[g].LaunchAsync(KernelGemm, gemmArgs(
+					track(d.Devs[g].LaunchAsync(KernelGemm, gemmArgs(d.args[:0],
 						blas.NoTrans, blas.Trans, mc-wc, wc, jb, -1,
 						aPtr, aOff+wc, lda,
 						bPtr, bOff, ldb,

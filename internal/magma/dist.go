@@ -3,12 +3,19 @@ package magma
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"dynacc/internal/accel"
 	"dynacc/internal/core"
 	"dynacc/internal/gpu"
+	"dynacc/internal/minimpi"
 	"dynacc/internal/sim"
 )
+
+// poisonFreed is the chaos guard DYNACC_POISON=1 turns on across the tree
+// (see minimpi): here no staged record is reused, and a host workspace
+// reads NaN whenever a factorization takes it up again.
+var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
 
 // Dist is an m×n column-major matrix distributed 1-D block-cyclically
 // over a set of GPUs: column block b (nb columns wide) lives on GPU
@@ -22,35 +29,37 @@ type Dist struct {
 	widths   []int // local columns per GPU
 	exec     bool
 
-	// scratch recycles the byte staging buffers hostBytes/copyBack encode
-	// through (execute mode only): a buffer is taken when a transfer is
-	// issued and returned once its Pending completes and the bytes are
-	// decoded, so concurrent in-flight transfers each hold their own and
-	// the per-panel loops of the solvers stop allocating. A transfer that
-	// fails simply never returns its buffer — correctness does not depend
-	// on the return happening.
-	scratch [][]byte
+	// world's buffer pool lends the byte staging buffers hostBytes/copyBack
+	// encode through (execute mode only; made where the devices have no
+	// world): a buffer is taken when a transfer is issued and returned once
+	// its Pending completes and the bytes are decoded, so concurrent
+	// in-flight transfers each hold their own. A transfer that fails simply
+	// never returns its buffer — correctness does not depend on the return
+	// happening.
+	world *minimpi.World
+
+	// What the solvers reuse while the Dist lives, each made on first need:
+	// staged transfers' records, Dgeqrf's host workspace, Pending lists and
+	// device workspace pointers; and the array launch arguments are built in.
+	stages []staged
+	ws     []float64
+	pends  []Pending
+	wsPtrs []gpu.Ptr
+	args   [16]gpu.Value
 }
 
-// getScratch returns an n-byte staging buffer, recycling a retired one
-// whose capacity fits.
+// getScratch returns an n-byte staging buffer.
 func (d *Dist) getScratch(n int) []byte {
-	for i, b := range d.scratch {
-		if cap(b) >= n {
-			last := len(d.scratch) - 1
-			d.scratch[i] = d.scratch[last]
-			d.scratch[last] = nil
-			d.scratch = d.scratch[:last]
-			return b[:n]
-		}
+	if d.world != nil {
+		return d.world.GetBuf(n)
 	}
 	return make([]byte, n)
 }
 
 func (d *Dist) putScratch(bufs ...[]byte) {
 	for _, b := range bufs {
-		if cap(b) > 0 {
-			d.scratch = append(d.scratch, b)
+		if d.world != nil {
+			d.world.PutBuf(b)
 		}
 	}
 }
@@ -68,11 +77,14 @@ func NewDist(p *sim.Proc, devs []Device, m, n, nb int, exec bool) (*Dist, error)
 	d := &Dist{M: m, N: n, NB: nb, Devs: devs, exec: exec}
 	G := len(devs)
 	nblocks := (n + nb - 1) / nb
-	d.widths = make([]int, G)
+	d.widths, d.ptrs = make([]int, G), make([]gpu.Ptr, 0, G)
 	for b := 0; b < nblocks; b++ {
 		d.widths[b%G] += d.blockWidth(b)
 	}
 	for g, dev := range devs {
+		if d.world == nil {
+			d.world = accel.World(dev)
+		}
 		if d.widths[g] == 0 {
 			d.ptrs = append(d.ptrs, 0)
 			continue
@@ -235,7 +247,7 @@ func (d *Dist) devPtr(b int) (Device, gpu.Ptr) { return d.Devs[d.Owner(b)], d.pt
 // devices; hostA may be nil in model mode. One contiguous transfer per
 // block, all issued asynchronously and awaited together.
 func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
-	pends := make([]Pending, 0, d.Blocks())
+	pends := d.pendList(d.Blocks())
 	for b := 0; b < d.Blocks(); b++ {
 		dev, ptr := d.devPtr(b)
 		w := d.blockWidth(b)
@@ -246,7 +258,7 @@ func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
 		}
 		pd := dev.CopyH2DAsync(ptr, 8*d.elemOff(b, 0, 0), src, nbytes, 0)
 		if src != nil {
-			pd = staged{pd: pd, d: d, raw: src}
+			pd = d.stage(pd, nil, src)
 		}
 		pends = append(pends, pd)
 	}
@@ -256,7 +268,7 @@ func (d *Dist) Upload(p *sim.Proc, hostA []float64) error {
 // Download gathers the distributed matrix back into hostA (nil in model
 // mode).
 func (d *Dist) Download(p *sim.Proc, hostA []float64) error {
-	pends := make([]Pending, 0, d.Blocks())
+	pends := d.pendList(d.Blocks())
 	for b := 0; b < d.Blocks(); b++ {
 		dev, ptr := d.devPtr(b)
 		w := d.blockWidth(b)
@@ -267,7 +279,7 @@ func (d *Dist) Download(p *sim.Proc, hostA []float64) error {
 		}
 		pd := dev.CopyD2HAsync(dst, ptr, 8*d.elemOff(b, 0, 0), nbytes, 0)
 		if hostA != nil {
-			pd = staged{pd: pd, d: d, host: hostA[b*d.NB*d.M : b*d.NB*d.M+d.M*w], raw: dst}
+			pd = d.stage(pd, hostA[b*d.NB*d.M:b*d.NB*d.M+d.M*w], dst)
 		}
 		pends = append(pends, pd)
 	}
@@ -287,7 +299,7 @@ func (d *Dist) downloadCols(p *sim.Proc, b, row0, rows, c0, cols int, host []flo
 	if host == nil {
 		return pd
 	}
-	return staged{pd: pd, d: d, host: host[:rows*cols], raw: dst}
+	return d.stage(pd, host[:rows*cols], dst)
 }
 
 // uploadCols pushes host (leading dimension rows) into rows
@@ -301,14 +313,15 @@ func (d *Dist) uploadCols(b, row0, rows, c0, cols int, host []float64, stream ui
 	}
 	pd := dev.CopyH2D2DAsync(ptr, 8*d.elemOff(b, row0, c0), 8*rows, cols, 8*d.M, src, stream)
 	if src != nil {
-		return staged{pd: pd, d: d, raw: src}
+		return d.stage(pd, nil, src)
 	}
 	return pd
 }
 
 // staged is a transfer through a scratch buffer: once it has completed, a
 // download's bytes are decoded into host (nil for an upload) and the buffer
-// goes back to the Dist for the next transfer.
+// goes back to the Dist for the next transfer. It is waited for once, and
+// then the record is free (d nil) for the Dist's next staged transfer.
 type staged struct {
 	pd   Pending
 	d    *Dist
@@ -316,12 +329,40 @@ type staged struct {
 	raw  []byte
 }
 
-func (s staged) Wait(p *sim.Proc) error {
+// pendList returns the Dist's Pending list, emptied, with room for n: made
+// once with room for Dgeqrf's, the longest list.
+func (d *Dist) pendList(n int) []Pending {
+	if G := len(d.Devs); cap(d.pends) < n {
+		d.pends = make([]Pending, max(n, d.Blocks()*(G+1)+2*G+1))
+	}
+	return d.pends[:0]
+}
+
+// stage wraps a transfer in a free record of the Dist's, enough for every
+// block's plus two more; past that a record is made.
+func (d *Dist) stage(pd Pending, host []float64, raw []byte) *staged {
+	if d.stages == nil {
+		d.stages = make([]staged, d.Blocks()+2)
+	}
+	for i := range d.stages {
+		if s := &d.stages[i]; s.d == nil && !poisonFreed {
+			*s = staged{pd: pd, d: d, host: host, raw: raw}
+			return s
+		}
+	}
+	return &staged{pd: pd, d: d, host: host, raw: raw}
+}
+
+func (s *staged) Wait(p *sim.Proc) error {
+	if s.d == nil {
+		panic("magma: a staged transfer waited for twice")
+	}
 	err := s.pd.Wait(p)
 	if err == nil {
 		copyBack(s.host, s.raw)
 		s.d.putScratch(s.raw)
 	}
+	*s = staged{}
 	return err
 }
 

@@ -284,19 +284,19 @@ func RegisterKernels(reg *gpu.Registry) {
 // laswpArgs: apply k row interchanges (pivot rows stored as float64
 // values at pivPtr) to cols columns starting at element offset cOff with
 // leading dimension ldc. Row indices are relative to the window at cOff.
-func laswpArgs(cols int, c gpu.Ptr, cOff, ldc int, piv gpu.Ptr, pivOff, k int) gpu.Launch {
+func laswpArgs(args []gpu.Value, cols int, c gpu.Ptr, cOff, ldc int, piv gpu.Ptr, pivOff, k int) gpu.Launch {
 	return gpu.Launch{Grid: gpu.Dim3{X: ceilDiv(cols, 64)}, Block: gpu.Dim3{X: 64},
-		Args: []gpu.Value{
+		Args: append(args[:0],
 			gpu.IntArg(int64(cols)),
 			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)),
-			gpu.PtrArg(piv), gpu.IntArg(int64(pivOff)), gpu.IntArg(int64(k)),
-		}}
+			gpu.PtrArg(piv), gpu.IntArg(int64(pivOff)), gpu.IntArg(int64(k)))}
 }
 
 // Launch-argument builders keep call sites readable and the wire format
-// in one place.
+// in one place. Each builds into args's array (the Dist's, whose devices copy
+// a launch's arguments before LaunchAsync returns).
 
-func gemmArgs(tA, tB blas.Transpose, m, n, k int, alpha float64, a gpu.Ptr, aOff, lda int, b gpu.Ptr, bOff, ldb int, beta float64, c gpu.Ptr, cOff, ldc int) gpu.Launch {
+func gemmArgs(args []gpu.Value, tA, tB blas.Transpose, m, n, k int, alpha float64, a gpu.Ptr, aOff, lda int, b gpu.Ptr, bOff, ldb int, beta float64, c gpu.Ptr, cOff, ldc int) gpu.Launch {
 	bi := func(t blas.Transpose) int64 {
 		if t == blas.Trans {
 			return 1
@@ -304,56 +304,52 @@ func gemmArgs(tA, tB blas.Transpose, m, n, k int, alpha float64, a gpu.Ptr, aOff
 		return 0
 	}
 	return gpu.Launch{Grid: gpu.Dim3{X: ceilDiv(m, 64), Y: ceilDiv(n, 16)}, Block: gpu.Dim3{X: 64, Y: 16},
-		Args: []gpu.Value{
+		Args: append(args[:0],
 			gpu.IntArg(bi(tA)), gpu.IntArg(bi(tB)),
 			gpu.IntArg(int64(m)), gpu.IntArg(int64(n)), gpu.IntArg(int64(k)),
 			gpu.FloatArg(alpha),
 			gpu.PtrArg(a), gpu.IntArg(int64(aOff)), gpu.IntArg(int64(lda)),
 			gpu.PtrArg(b), gpu.IntArg(int64(bOff)), gpu.IntArg(int64(ldb)),
 			gpu.FloatArg(beta),
-			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)),
-		}}
+			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)))}
 }
 
-func syrkArgs(uplo blas.UpLo, trans blas.Transpose, n, k int, alpha float64, a gpu.Ptr, aOff, lda int, beta float64, c gpu.Ptr, cOff, ldc int) gpu.Launch {
+func syrkArgs(args []gpu.Value, uplo blas.UpLo, trans blas.Transpose, n, k int, alpha float64, a gpu.Ptr, aOff, lda int, beta float64, c gpu.Ptr, cOff, ldc int) gpu.Launch {
 	ti := int64(0)
 	if trans == blas.Trans {
 		ti = 1
 	}
 	return gpu.Launch{Grid: gpu.Dim3{X: ceilDiv(n, 64)}, Block: gpu.Dim3{X: 64},
-		Args: []gpu.Value{
+		Args: append(args[:0],
 			gpu.IntArg(int64(uplo)), gpu.IntArg(ti),
 			gpu.IntArg(int64(n)), gpu.IntArg(int64(k)),
 			gpu.FloatArg(alpha),
 			gpu.PtrArg(a), gpu.IntArg(int64(aOff)), gpu.IntArg(int64(lda)),
 			gpu.FloatArg(beta),
-			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)),
-		}}
+			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)))}
 }
 
-func trsmArgs(side blas.Side, uplo blas.UpLo, trans blas.Transpose, diag blas.Diag, m, n int, alpha float64, a gpu.Ptr, aOff, lda int, b gpu.Ptr, bOff, ldb int) gpu.Launch {
+func trsmArgs(args []gpu.Value, side blas.Side, uplo blas.UpLo, trans blas.Transpose, diag blas.Diag, m, n int, alpha float64, a gpu.Ptr, aOff, lda int, b gpu.Ptr, bOff, ldb int) gpu.Launch {
 	ti := int64(0)
 	if trans == blas.Trans {
 		ti = 1
 	}
 	return gpu.Launch{Grid: gpu.Dim3{X: ceilDiv(m, 64)}, Block: gpu.Dim3{X: 64},
-		Args: []gpu.Value{
+		Args: append(args[:0],
 			gpu.IntArg(int64(side)), gpu.IntArg(int64(uplo)), gpu.IntArg(ti), gpu.IntArg(int64(diag)),
 			gpu.IntArg(int64(m)), gpu.IntArg(int64(n)),
 			gpu.FloatArg(alpha),
 			gpu.PtrArg(a), gpu.IntArg(int64(aOff)), gpu.IntArg(int64(lda)),
-			gpu.PtrArg(b), gpu.IntArg(int64(bOff)), gpu.IntArg(int64(ldb)),
-		}}
+			gpu.PtrArg(b), gpu.IntArg(int64(bOff)), gpu.IntArg(int64(ldb)))}
 }
 
-func larfbArgs(m, n, k int, v gpu.Ptr, vOff, ldv int, t gpu.Ptr, tOff, ldt int, c gpu.Ptr, cOff, ldc int) gpu.Launch {
+func larfbArgs(args []gpu.Value, m, n, k int, v gpu.Ptr, vOff, ldv int, t gpu.Ptr, tOff, ldt int, c gpu.Ptr, cOff, ldc int) gpu.Launch {
 	return gpu.Launch{Grid: gpu.Dim3{X: ceilDiv(m, 64), Y: ceilDiv(n, 16)}, Block: gpu.Dim3{X: 64, Y: 16},
-		Args: []gpu.Value{
+		Args: append(args[:0],
 			gpu.IntArg(int64(m)), gpu.IntArg(int64(n)), gpu.IntArg(int64(k)),
 			gpu.PtrArg(v), gpu.IntArg(int64(vOff)), gpu.IntArg(int64(ldv)),
 			gpu.PtrArg(t), gpu.IntArg(int64(tOff)), gpu.IntArg(int64(ldt)),
-			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)),
-		}}
+			gpu.PtrArg(c), gpu.IntArg(int64(cOff)), gpu.IntArg(int64(ldc)))}
 }
 
 func ceilDiv(a, b int) int {

@@ -115,7 +115,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			for _, r := range ranges {
 				if w := r[1] - r[0]; w > 0 {
 					track(dev.LaunchAsync(KernelLaswp,
-						laswpArgs(w, d.ptrs[g], r[0]*m+j, m, dP[g], 0, jb), 0))
+						laswpArgs(d.args[:0], w, d.ptrs[g], r[0]*m+j, m, dP[g], 0, jb), 0))
 				}
 			}
 		}
@@ -137,12 +137,12 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			}
 			dev := d.Devs[g]
 			vPtr, vOff, ldv := l11l21(g)
-			track(dev.LaunchAsync(KernelTrsm, trsmArgs(
+			track(dev.LaunchAsync(KernelTrsm, trsmArgs(d.args[:0],
 				blas.Left, blas.Lower, blas.NoTrans, blas.Unit, jb, width, 1,
 				vPtr, vOff, ldv,
 				d.ptrs[g], startCol*m+j, m), 0))
 			if mj > jb {
-				track(dev.LaunchAsync(KernelGemm, gemmArgs(
+				track(dev.LaunchAsync(KernelGemm, gemmArgs(d.args[:0],
 					blas.NoTrans, blas.NoTrans, mj-jb, width, jb, -1,
 					vPtr, vOff+jb, ldv,
 					d.ptrs[g], startCol*m+j, m,

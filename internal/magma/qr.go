@@ -2,6 +2,7 @@ package magma
 
 import (
 	"fmt"
+	"math"
 
 	"dynacc/internal/gpu"
 	"dynacc/internal/lapack"
@@ -32,7 +33,8 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 
 	// Workspaces: V (panel broadcast target) and T per GPU. They are freed
 	// on wsDevs, the list they were allocated on: a rebalance replaces
-	// d.Devs, also when it fails half-way.
+	// d.Devs, also when it fails half-way. Their pointers, the host
+	// workspaces and the Pending lists below live in storage the Dist keeps.
 	var (
 		wsDevs []Device
 		dV, dT []gpu.Ptr
@@ -48,7 +50,12 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		wsDevs = nil
 	}
 	allocWS := func() error {
-		wsDevs, dV, dT = d.Devs, make([]gpu.Ptr, len(d.Devs)), make([]gpu.Ptr, len(d.Devs))
+		G := len(d.Devs)
+		if len(d.wsPtrs) < 2*G {
+			d.wsPtrs = make([]gpu.Ptr, 2*G)
+		}
+		wsDevs, dV, dT = d.Devs, d.wsPtrs[:G], d.wsPtrs[G:2*G]
+		clear(d.wsPtrs)
 		for g, dev := range wsDevs {
 			var err error
 			if dV[g], err = dev.MemAlloc(p, 8*m*nb); err != nil {
@@ -67,15 +74,21 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 
 	var panel, nextPanel, tmat, work []float64
 	if d.exec {
-		panel = make([]float64, m*nb)
-		nextPanel = make([]float64, m*nb)
-		tmat = make([]float64, nb*nb)
-		work = make([]float64, lapack.DefaultBlock*(nb+lapack.DefaultBlock))
+		mnb, t := m*nb, 2*m*nb+nb*nb
+		if end := t + lapack.DefaultBlock*(nb+lapack.DefaultBlock); len(d.ws) < end {
+			d.ws = make([]float64, end)
+		}
+		panel, nextPanel, tmat, work = d.ws[:mnb], d.ws[mnb:2*mnb], d.ws[2*mnb:t], d.ws[t:]
+		for i := 0; poisonFreed && i < len(d.ws); i++ {
+			d.ws[i] = math.NaN() // a factorization reads nothing it did not write
+		}
 	}
 
 	// All asynchronous operations are collected so their errors surface
 	// after the final device sync; bcast is each panel's broadcast.
-	issued, bcast := make([]Pending, 0, npanels*(len(d.Devs)+1)), []Pending(nil)
+	nIssued := npanels * (len(d.Devs) + 1)
+	issued := d.pendList(nIssued + 2*len(d.Devs) + 1)
+	issued, bcast := issued[:0:nIssued], issued[nIssued:nIssued]
 	track := func(pends ...Pending) { issued = append(issued, pends...) }
 
 	// Prologue: fetch panel 0.
@@ -172,10 +185,10 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 
 		vLaunch := func(g int, cols, cOff int) gpu.Launch {
 			if g == owner {
-				return larfbArgs(mj, cols, jb, d.ptrs[owner], d.elemOff(pj, j, 0), m,
+				return larfbArgs(d.args[:0], mj, cols, jb, d.ptrs[owner], d.elemOff(pj, j, 0), m,
 					dT[g], 0, jb, d.ptrs[g], cOff, m)
 			}
-			return larfbArgs(mj, cols, jb, dV[g], 0, mj,
+			return larfbArgs(d.args[:0], mj, cols, jb, dV[g], 0, mj,
 				dT[g], 0, jb, d.ptrs[g], cOff, m)
 		}
 
