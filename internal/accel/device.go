@@ -62,8 +62,8 @@ func Batched(d Device) bool {
 	return a != nil && a.Client().Options().BatchOps > 0
 }
 
-// CloseSession ends the session behind a remote device attached with
-// core.Client.AttachSession (or cluster.Node.AttachSession), freeing
+// CloseSession ends the session behind a remote device whose handle
+// opened one (core.Accel.OpenSession, cluster.Node.AttachSession), freeing
 // every allocation the session still owns daemon-side without touching
 // other tenants sharing the accelerator. It reports false for local
 // devices and for remote attachments without a session.

@@ -37,21 +37,14 @@ type Config struct {
 	// Net is the interconnect model; defaults to QDR InfiniBand.
 	Net *netmodel.Params
 
-	// GPUModel is the accelerator device model; defaults to Tesla C1060.
-	GPUModel *gpu.Model
-
-	// GPUModels assigns a device model per accelerator id (spares
-	// included; length must be Accelerators+SpareAccelerators), making
-	// the fleet heterogeneous: ARM inventory handles are tagged with
-	// each device's capability descriptor and placement becomes
-	// capability-aware. Overrides GPUModel for the accelerator nodes
-	// (compute-node LocalGPUs keep GPUModel).
-	GPUModels []gpu.Model
-
-	// Fleet is the textual form of GPUModels — comma-separated
-	// "model:count" groups resolved in order against the gpu model
-	// registry, e.g. "tesla-c1060:2,tesla-m2050:1,fpga:1". Mutually
-	// exclusive with GPUModels.
+	// Fleet assigns a device model per accelerator id, spares included:
+	// comma-separated "model:count" groups resolved in order against the
+	// gpu model registry (see ParseFleet), e.g.
+	// "tesla-c1060:2,tesla-m2050:1,fpga:1". A fleet is heterogeneous: ARM
+	// inventory handles are tagged with each device's capability
+	// descriptor and placement becomes capability-aware. Empty, every
+	// device, compute-node LocalGPUs included, is a Tesla C1060; a model of
+	// one's own is registered with gpu.RegisterModel and named here.
 	Fleet string
 
 	// Registry resolves kernel names on every device (local and remote).
@@ -140,7 +133,8 @@ type Node struct {
 
 	// sessions records the session-scoped attachments made through
 	// AttachSession, so teardown can close them without device-resetting
-	// shared accelerators under other tenants.
+	// shared accelerators under other tenants. The next AttachSession
+	// drops the ones left with nothing on their daemon (closed) meanwhile.
 	sessions []*core.Accel
 }
 
@@ -151,6 +145,7 @@ type Node struct {
 type NodeARM struct {
 	*arm.Client
 	held map[int]arm.Handle
+	fe   *core.Client // detaches the handles of a released grant
 }
 
 // hold records an acquire's grants for end-of-job cleanup.
@@ -180,12 +175,15 @@ func (na *NodeARM) AcquireCapable(p *sim.Proc, n int, blocking bool, c arm.Const
 	return na.hold(na.Client.AcquireCapable(p, n, blocking, c))
 }
 
-// Release returns accelerators to the pool (see arm.Client.Release).
+// Release returns accelerators to the pool (see arm.Client.Release), and
+// the front-end's root-session handles on them are done with (a node
+// holds one grant per accelerator at most).
 func (na *NodeARM) Release(p *sim.Proc, handles []arm.Handle) error {
 	err := na.Client.Release(p, handles)
 	if err == nil {
 		for _, h := range handles {
 			delete(na.held, h.ID)
+			na.fe.Detach(h.Rank)
 		}
 	}
 	return err
@@ -261,7 +259,14 @@ func (n *Node) AttachSession(p *sim.Proc, h arm.Handle) (*core.Accel, error) {
 	if err := ac.OpenSession(p); err != nil {
 		return nil, err
 	}
-	n.sessions = append(n.sessions, ac)
+	open := n.sessions[:0]
+	for _, s := range n.sessions {
+		if s.InUse() {
+			open = append(open, s)
+		}
+	}
+	clear(n.sessions[len(open):])
+	n.sessions = append(open, ac)
 	return ac, nil
 }
 
@@ -337,8 +342,8 @@ func (cl *Cluster) DaemonRank(i int) int { return cl.cfg.ComputeNodes + i }
 // buildEnv holds the construction defaults a Config resolves to.
 type buildEnv struct {
 	net    netmodel.Params
-	model  gpu.Model
-	models []gpu.Model // per-accelerator models (nil = homogeneous)
+	model  gpu.Model   // every device's model on a homogeneous cluster
+	models []gpu.Model // per-accelerator models from Fleet (nil = homogeneous)
 	reg    *gpu.Registry
 	opts   core.Options
 	dcfg   core.DaemonConfig
@@ -358,25 +363,12 @@ func resolveBuild(cfg Config) (buildEnv, error) {
 		env.net = *cfg.Net
 	}
 	env.model = gpu.TeslaC1060()
-	if cfg.GPUModel != nil {
-		env.model = *cfg.GPUModel
-	}
-	if len(cfg.GPUModels) > 0 && cfg.Fleet != "" {
-		return env, fmt.Errorf("cluster: set GPUModels or Fleet, not both")
-	}
-	fleetSize := cfg.Accelerators + cfg.SpareAccelerators
 	if cfg.Fleet != "" {
-		models, err := ParseFleet(cfg.Fleet, fleetSize)
+		models, err := ParseFleet(cfg.Fleet, cfg.Accelerators+cfg.SpareAccelerators)
 		if err != nil {
 			return env, err
 		}
 		env.models = models
-	} else if len(cfg.GPUModels) > 0 {
-		if len(cfg.GPUModels) != fleetSize {
-			return env, fmt.Errorf("cluster: GPUModels lists %d models, cluster has %d accelerators",
-				len(cfg.GPUModels), fleetSize)
-		}
-		env.models = append([]gpu.Model(nil), cfg.GPUModels...)
 	}
 	env.reg = cfg.Registry
 	if env.reg == nil {
@@ -550,7 +542,7 @@ func (cl *Cluster) addComputeNode(i int) error {
 		Rank:  i,
 		World: worldComm,
 		App:   cl.appGroup.Comm(i),
-		ARM:   &NodeARM{Client: api, held: make(map[int]arm.Handle)},
+		ARM:   &NodeARM{Client: api, held: make(map[int]arm.Handle), fe: fe},
 		FE:    fe,
 	}
 	fe.SetReplacer(node.ARM)

@@ -152,9 +152,12 @@ func TestAppCommunicatorExcludesInfrastructure(t *testing.T) {
 			t.Errorf("app rank %d != node rank %d", n.App.Rank(), n.Rank)
 		}
 		// A collective over App must complete without the daemons.
-		sum := n.App.Allreduce(p, []byte{byte(n.Rank)}, func(dst, src []byte) { dst[0] += src[0] })
-		if sum[0] != 3 {
-			t.Errorf("allreduce = %d", sum[0])
+		sum := 0
+		for _, part := range n.App.Allgather(p, []byte{byte(n.Rank)}) {
+			sum += int(part[0])
+		}
+		if sum != 3 {
+			t.Errorf("allgather sums to %d", sum)
 		}
 	})
 	if _, err := cl.Run(); err != nil {
@@ -216,12 +219,15 @@ func TestBrokenAcceleratorDoesNotStopComputeNode(t *testing.T) {
 
 func TestCustomModelsAndOptions(t *testing.T) {
 	net := netmodel.GigabitEthernet()
-	model := gpu.TeslaC1060()
-	model.Name = "custom"
+	gpu.RegisterModel(func() gpu.Model {
+		m := gpu.TeslaC1060()
+		m.Name = "custom"
+		return m
+	})
 	opts := core.Options{H2D: core.PaperNaive(), D2H: core.PaperNaive()}
 	cl, err := New(Config{
 		ComputeNodes: 1, Accelerators: 1,
-		Net: &net, GPUModel: &model, Options: &opts,
+		Net: &net, Fleet: "custom:1", Options: &opts,
 		Policy: arm.Backfill,
 	})
 	if err != nil {
@@ -314,6 +320,75 @@ func TestExplicitReleaseClearsBookkeeping(t *testing.T) {
 			t.Errorf("held after partial release = %v", got)
 		}
 		n.ARM.Release(p, h[1:])
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongLivedFrontEndDropsFinishedHandles runs 50 rounds shaped like
+// sock_soak's on one node: an exclusive pair acquired, attached, used and
+// released, then two tenant sessions on a shared lease opened, used and
+// closed. A released grant's handles and a closed session's handle must
+// not stay listed: after every round the front-end lists no handle, and
+// the node keeps no more sessions than the round opened, every one closed
+// (the next AttachSession drops them).
+func TestLongLivedFrontEndDropsFinishedHandles(t *testing.T) {
+	const rounds = 50
+	cl, err := New(Config{ComputeNodes: 1, Accelerators: 3, ShareCapacity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := func(p *sim.Proc, ac *core.Accel) {
+		ptr, err := ac.MemAlloc(p, 4096)
+		if err == nil {
+			err = ac.MemFree(p, ptr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Spawn(0, func(p *sim.Proc, n *Node) {
+		for r := 0; r < rounds; r++ {
+			pair, err := n.ARM.Acquire(p, 2, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range pair {
+				use(p, n.Attach(h))
+			}
+			if err := n.ARM.Release(p, pair); err != nil {
+				t.Fatal(err)
+			}
+			shared, err := n.ARM.AcquireShared(p, 1, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tenant := 0; tenant < 2; tenant++ {
+				ac, err := n.AttachSession(p, shared[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				use(p, ac)
+				if err := ac.CloseSession(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.ARM.Release(p, shared); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.FE.Attached(); got != 0 {
+				t.Fatalf("round %d: the front-end lists %d handles, want 0", r, got)
+			}
+			if len(n.sessions) > 2 {
+				t.Fatalf("round %d: the node keeps %d sessions, want at most the round's 2", r, len(n.sessions))
+			}
+			for _, ac := range n.sessions {
+				if ac.InUse() {
+					t.Fatalf("round %d: session %#x still in use", r, ac.Session())
+				}
+			}
+		}
 	})
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)

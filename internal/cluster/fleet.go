@@ -1,8 +1,8 @@
 package cluster
 
 // fleet.go describes heterogeneous accelerator fleets: a per-accelerator
-// device-model assignment (Config.GPUModels, or the textual Config.Fleet
-// syntax) resolved against the gpu package's model registry. When a fleet
+// device-model assignment (Config.Fleet) resolved against the gpu
+// package's model registry. When a fleet
 // is configured, every ARM inventory handle is tagged with the device's
 // capability descriptor, so placement, migration, and gossip become
 // capability-aware. A homogeneous cluster's handles stay untagged: one

@@ -3,8 +3,6 @@ package cluster
 import (
 	"strings"
 	"testing"
-
-	"dynacc/internal/gpu"
 )
 
 func TestParseFleet(t *testing.T) {
@@ -38,19 +36,11 @@ func TestParseFleet(t *testing.T) {
 }
 
 func TestFleetConfigValidation(t *testing.T) {
-	// Fleet and GPUModels are mutually exclusive.
-	m, _ := gpu.LookupModel("fpga")
-	_, err := New(Config{ComputeNodes: 1, Accelerators: 1,
-		Fleet: "fpga:1", GPUModels: []gpu.Model{m}})
-	if err == nil {
-		t.Error("Fleet + GPUModels accepted")
-	}
-
-	// GPUModels must cover regular + spare accelerators.
-	_, err = New(Config{ComputeNodes: 1, Accelerators: 2, SpareAccelerators: 1,
-		GPUModels: []gpu.Model{m}})
-	if err == nil {
-		t.Error("short GPUModels accepted")
+	// Fleet must cover regular + spare accelerators.
+	_, err := New(Config{ComputeNodes: 1, Accelerators: 2, SpareAccelerators: 1,
+		Fleet: "fpga:1"})
+	if err == nil || !strings.Contains(err.Error(), "cluster has 3") {
+		t.Errorf("short Fleet: err = %v, want a size mismatch", err)
 	}
 
 	// A correctly sized fleet builds.

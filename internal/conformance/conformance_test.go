@@ -183,8 +183,8 @@ func TestP2P(t *testing.T) {
 	})
 }
 
-// TestWildcardsAndProbe covers AnySource/AnyTag receives and blocking
-// probes with matching status.
+// TestWildcardsAndProbe covers AnySource/AnyTag receives and Iprobe with
+// matching status: polled until the message lands, it does not consume it.
 func TestWildcardsAndProbe(t *testing.T) {
 	forEachBackend(t, 3, func(p *sim.Proc, w *minimpi.World, c *minimpi.Comm) {
 		switch c.Rank() {
@@ -193,12 +193,15 @@ func TestWildcardsAndProbe(t *testing.T) {
 		case 1:
 			c.Send(p, 2, 6, []byte("from-one"))
 		case 2:
-			st := c.Probe(p, 0, 5)
+			st, ok := c.Iprobe(0, 5)
+			for ; !ok; st, ok = c.Iprobe(0, 5) {
+				p.Wait(sim.Microsecond)
+			}
 			if st.Source != 0 || st.Tag != 5 || st.Size != len("from-zero") {
 				t.Errorf("probe status %+v", st)
 			}
 			if _, ok := c.Iprobe(0, 5); !ok {
-				t.Error("Iprobe missed a probed message")
+				t.Error("Iprobe consumed the probed message")
 			}
 			got := map[string]bool{}
 			for i := 0; i < 2; i++ {
@@ -215,7 +218,7 @@ func TestWildcardsAndProbe(t *testing.T) {
 	})
 }
 
-// TestCollectives runs the full collective battery on four ranks.
+// TestCollectives runs Barrier, Bcast, Gather and Allgather on four ranks.
 func TestCollectives(t *testing.T) {
 	const n = 4
 	forEachBackend(t, n, func(p *sim.Proc, w *minimpi.World, c *minimpi.Comm) {
@@ -228,18 +231,6 @@ func TestCollectives(t *testing.T) {
 		}
 		if got := c.Bcast(p, 1, bdata); len(got) != 1 || got[0] != 42 {
 			t.Errorf("rank %d Bcast got %v", r, got)
-		}
-
-		red := c.Reduce(p, 0, minimpi.F64Bytes([]float64{float64(r + 1)}), minimpi.SumF64)
-		if r == 0 {
-			if got := minimpi.BytesF64(red)[0]; got != 10 {
-				t.Errorf("Reduce sum = %v, want 10", got)
-			}
-		}
-
-		mx := c.Allreduce(p, minimpi.F64Bytes([]float64{float64(r)}), minimpi.MaxF64)
-		if got := minimpi.BytesF64(mx)[0]; got != n-1 {
-			t.Errorf("rank %d Allreduce max = %v, want %d", r, got, n-1)
 		}
 
 		gat := c.Gather(p, 3, []byte{byte(r), byte(r * 10)})
@@ -257,22 +248,11 @@ func TestCollectives(t *testing.T) {
 				t.Errorf("rank %d Allgather part %d = %v", r, i, part)
 			}
 		}
-
-		var parts [][]byte
-		if r == 0 {
-			for i := 0; i < n; i++ {
-				parts = append(parts, []byte{byte(i), byte(i + 1)})
-			}
-		}
-		sc := c.Scatter(p, 0, parts)
-		if len(sc) != 2 || sc[0] != byte(r) || sc[1] != byte(r+1) {
-			t.Errorf("rank %d Scatter got %v", r, sc)
-		}
 	})
 }
 
-// TestExtras covers Sendrecv ring shifts, Alltoall, and derived
-// communicators (Split/Dup) whose contexts must survive the wire.
+// TestExtras covers Isend/Irecv ring shifts and all-pairs exchanges, and
+// derived communicators (Split) whose contexts must survive the wire.
 func TestExtras(t *testing.T) {
 	const n = 4
 	forEachBackend(t, n, func(p *sim.Proc, w *minimpi.World, c *minimpi.Comm) {
@@ -280,22 +260,37 @@ func TestExtras(t *testing.T) {
 
 		// Ring shift: send to the right, receive from the left.
 		right, left := (r+1)%n, (r+n-1)%n
-		data, st := c.Sendrecv(p, right, 9, []byte{byte(r)}, left, 9)
+		rr := c.Irecv(left, 9)
+		sr := c.Isend(right, 9, []byte{byte(r)})
+		data, st := rr.Wait(p)
+		sr.Wait(p)
 		if len(data) != 1 || data[0] != byte(left) || st.Source != left {
-			t.Errorf("rank %d Sendrecv got %v from %d", r, data, st.Source)
+			t.Errorf("rank %d ring shift got %v from %d", r, data, st.Source)
 		}
 
-		// Alltoall with rank-stamped parts.
-		parts := make([][]byte, n)
-		for j := range parts {
-			parts[j] = []byte{byte(r), byte(j)}
-		}
-		out := c.Alltoall(p, parts)
-		for j, part := range out {
-			if len(part) != 2 || part[0] != byte(j) || part[1] != byte(r) {
-				t.Errorf("rank %d Alltoall part %d = %v", r, j, part)
+		// All pairs: every rank posts a receive from and a send of a
+		// rank-stamped part to every other rank.
+		recvs := make([]*minimpi.Request, n)
+		sends := make([]*minimpi.Request, 0, n-1)
+		for j := 0; j < n; j++ {
+			if j != r {
+				recvs[j] = c.Irecv(j, 10)
 			}
 		}
+		for j := 0; j < n; j++ {
+			if j != r {
+				sends = append(sends, c.Isend(j, 10, []byte{byte(r), byte(j)}))
+			}
+		}
+		for j, req := range recvs {
+			if req == nil {
+				continue
+			}
+			if part, _ := req.Wait(p); len(part) != 2 || part[0] != byte(j) || part[1] != byte(r) {
+				t.Errorf("rank %d all-pairs part from %d = %v", r, j, part)
+			}
+		}
+		minimpi.WaitAll(p, sends...)
 
 		// Split into even/odd subcomms; broadcast within each.
 		color := r % 2
@@ -309,11 +304,19 @@ func TestExtras(t *testing.T) {
 		}
 		sub.Barrier(p)
 
-		// Dup: independent context, same group.
-		d := c.Dup(p)
-		sum := d.Allreduce(p, minimpi.F64Bytes([]float64{1}), minimpi.SumF64)
-		if got := minimpi.BytesF64(sum)[0]; got != n {
-			t.Errorf("rank %d Dup Allreduce = %v, want %d", r, got, n)
+		// A one-color Split duplicates the communicator: same group, an
+		// independent context. The same (source, tag) on both must not
+		// cross, whichever lands first.
+		d := c.Split(p, 0, r)
+		if d.Rank() != r || d.Size() != n {
+			t.Errorf("rank %d duplicate is rank %d of %d", r, d.Rank(), d.Size())
+		}
+		c.Send(p, right, 12, []byte("orig"))
+		d.Send(p, right, 12, []byte("dup"))
+		dd, _ := d.Recv(p, left, 12)
+		od, _ := c.Recv(p, left, 12)
+		if string(dd) != "dup" || string(od) != "orig" {
+			t.Errorf("rank %d contexts crossed: dup=%q orig=%q", r, dd, od)
 		}
 	})
 }

@@ -223,33 +223,29 @@ func (a *Accel) finished() {
 	clear(a.remap)
 	if a.listed {
 		a.listed = false
-		att := a.c.attached
-		i := slices.Index(att, a)
-		copy(att[i:], att[i+1:])
-		att[len(att)-1] = nil
-		a.c.attached = att[:len(att)-1]
+		i := slices.Index(a.c.attached, a)
+		a.c.attached = slices.Delete(a.c.attached, i, i+1)
 	}
 }
 
-// AttachSession binds a daemon rank like Attach and opens a private
-// tenant session on it: the handle's allocations live in their own
-// namespace (no other session can read, write or free them), count
-// against Options.SessionQuota, and are freed together by CloseSession.
-// Use it with shared ARM leases (arm.AcquireShared) to time-share one
-// accelerator among several clients; plain Attach runs in the daemon's
-// root session (id 0).
-func (c *Client) AttachSession(p *sim.Proc, daemonRank int) (*Accel, error) {
-	a := c.Attach(daemonRank)
-	if err := a.OpenSession(p); err != nil {
-		return nil, err
+// Detach ends the root-session handles on daemonRank as a successful
+// Reset would, without a request: the cluster calls it once the grant
+// behind them is released. A session's handle ends with its CloseSession.
+func (c *Client) Detach(daemonRank int) {
+	for i := len(c.attached) - 1; i >= 0; i-- {
+		if a := c.attached[i]; a.rank == daemonRank && a.session == 0 {
+			a.finished()
+		}
 	}
-	return a, nil
 }
 
-// OpenSession establishes a tenant session, under a fresh id, on an
-// already-attached handle's current rank. Equivalent to AttachSession, but
-// usable when the handle needs configuration (e.g. a fencing token) before
-// the open travels; Failover/Migrate reuse it to re-home a sessioned handle.
+// OpenSession opens a private tenant session, under a fresh id, on the
+// handle's current rank: its allocations live in their own namespace (no
+// other session can read, write or free them), count against
+// Options.SessionQuota, and are freed together by CloseSession. Use it
+// with shared ARM leases (arm.AcquireShared) to time-share one accelerator
+// among several clients; a handle without one runs in the daemon's root
+// session (id 0). Failover/Migrate reuse it to re-home a sessioned handle.
 func (a *Accel) OpenSession(p *sim.Proc) error {
 	a.c.nextSess++
 	a.session = a.c.nextSess
@@ -266,6 +262,10 @@ func (a *Accel) OpenSession(p *sim.Proc) error {
 // Session returns the handle's session id; zero means the exclusive
 // session-less mode.
 func (a *Accel) Session() uint64 { return a.session }
+
+// InUse reports whether the client lists the handle as in use (see
+// Client.Attached): false once a call left it nothing on its daemon.
+func (a *Accel) InUse() bool { return a.listed }
 
 // CloseSession flushes the handle and closes its session: the daemon
 // drains the session's in-flight work and frees every allocation it
@@ -346,7 +346,7 @@ type Accel struct {
 	noFlush bool
 
 	// session is the tenant session id every request of this handle
-	// carries (AttachSession); zero is the exclusive session-less mode.
+	// carries (OpenSession); zero is the exclusive session-less mode.
 	session uint64
 
 	// fence is the fencing token every request of this handle carries:
@@ -394,7 +394,7 @@ func (pd *Pending) Wait(p *sim.Proc) error {
 	return pd.err
 }
 
-// Done exposes the completion event for WaitAny-style composition. If
+// Done exposes the completion event for composition (OnTrigger). If
 // the operation is still sitting in a command recorder it is flushed
 // first — the event could otherwise never trigger.
 func (pd *Pending) Done() *sim.Event {

@@ -319,7 +319,7 @@ func FuzzDaemonSessions(f *testing.F) {
 				switch op {
 				case fzOpen:
 					if actor != fzHolder {
-						fresh, err := h.Client().AttachSession(p, daemonRank)
+						fresh, err := attachSession(p, h.Client(), daemonRank)
 						if err != nil {
 							t.Errorf("step %d: open: %v", i/3, err)
 							continue

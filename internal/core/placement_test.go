@@ -86,11 +86,11 @@ func TestRefusedH2DLeavesDeviceUntouched(t *testing.T) {
 	opts := DefaultOptions()
 	opts.H2D = PaperPipeline(block)
 	runTestbed(t, 1, true, fastNet(), opts, func(p *sim.Proc, tb *testbed) {
-		owner, err := tb.client.AttachSession(p, 1)
+		owner, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatalf("attach owner: %v", err)
 		}
-		other, err := tb.client.AttachSession(p, 1)
+		other, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatalf("attach other: %v", err)
 		}

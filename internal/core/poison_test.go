@@ -163,7 +163,7 @@ func TestSessionRecordRetiredUnderPoison(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
 		d := tb.daemons[0]
 		open := func() (*Accel, *session) {
-			h, err := tb.client.AttachSession(p, 1)
+			h, err := attachSession(p, tb.client, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

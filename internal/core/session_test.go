@@ -11,6 +11,16 @@ import (
 	"dynacc/internal/sim"
 )
 
+// attachSession attaches daemonRank and opens a tenant session on the
+// handle, the way cluster.Node.AttachSession does.
+func attachSession(p *sim.Proc, c *Client, daemonRank int) (*Accel, error) {
+	a := c.Attach(daemonRank)
+	if err := a.OpenSession(p); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // TestSessionPrefixWire: the session id is a header field like any other.
 // A session-less request and a sessioned one are the same length and
 // differ only in bytes 10..17, and the two ops that need a session refuse
@@ -50,11 +60,11 @@ func TestSessionPrefixWire(t *testing.T) {
 // allocation is untouched.
 func TestSessionIsolation(t *testing.T) {
 	runTestbed(t, 1, true, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatalf("attach session 1: %v", err)
 		}
-		s2, err := tb.client.AttachSession(p, 1)
+		s2, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatalf("attach session 2: %v", err)
 		}
@@ -117,7 +127,7 @@ func TestSessionQuota(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SessionQuota = 1 << 20
 	runTestbed(t, 1, false, fastNet(), opts, func(p *sim.Proc, tb *testbed) {
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +148,7 @@ func TestSessionQuota(t *testing.T) {
 		}
 		// Another session has its own budget, and the device-wide
 		// allocator still backs both.
-		s2, err := tb.client.AttachSession(p, 1)
+		s2, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +172,11 @@ func TestSessionQuota(t *testing.T) {
 func TestSessionCloseReclaimsOnlyOwn(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
 		dev := tb.daemons[0].Device()
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := tb.client.AttachSession(p, 1)
+		s2, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +235,11 @@ func TestSessionFairScheduling(t *testing.T) {
 
 	s := sim.New()
 	tbRun(t, s, reg, func(p *sim.Proc, c *Client) {
-		s1, err := c.AttachSession(p, 1)
+		s1, err := attachSession(p, c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := c.AttachSession(p, 1)
+		s2, err := attachSession(p, c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,11 +328,11 @@ func tbRun(t *testing.T, s *sim.Simulation, reg *gpu.Registry, fn func(p *sim.Pr
 // session a given client rank holds, and only those.
 func TestSessionReap(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := tb.client.AttachSession(p, 1)
+		s2, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +371,7 @@ func TestSessionReap(t *testing.T) {
 // 17th distinct id of a session is refused — and only that request.
 func TestSessionStreamCap(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +422,7 @@ func TestSessionTeardownLeavesNoProcess(t *testing.T) {
 			{"ReapSessions", func(*Accel) error { return tb.accels[0].ReapSessions(p, 0) }},
 		} {
 			before := tb.sim.LiveProcs()
-			h, err := tb.client.AttachSession(p, 1)
+			h, err := attachSession(p, tb.client, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,11 +459,11 @@ func TestSessionTeardownLeavesNoProcess(t *testing.T) {
 // does not hold them up.
 func TestSessionBarriersAreScoped(t *testing.T) {
 	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
-		s1, err := tb.client.AttachSession(p, 1)
+		s1, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := tb.client.AttachSession(p, 1)
+		s2, err := attachSession(p, tb.client, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +501,7 @@ func TestMigrateRankMovesOnlyHandlesInUse(t *testing.T) {
 	cb.run(t, sim.Second, func(p *sim.Proc) {
 		c := cb.client
 		idle := len(c.attached) // the bed's own three handles
-		a, err := c.AttachSession(p, 1)
+		a, err := attachSession(p, c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

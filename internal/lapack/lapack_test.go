@@ -339,6 +339,34 @@ func TestPropertyCholeskyReconstruction(t *testing.T) {
 	}
 }
 
+// Property: the Cholesky factor round-trips random SPD systems through the
+// two triangular solves L·y = b, Lᵀ·x = y.
+func TestPropertyCholeskySolve(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(16)
+		a := spd(rng, n)
+		orig := append([]float64(nil), a...)
+		x := randMat(rng, n, 1)
+		b := make([]float64, n)
+		blas.Dgemv(blas.NoTrans, n, n, 1, orig, n, x, 1, 0, b, 1)
+		if err := Dpotrf(n, a, n, 4); err != nil {
+			return false
+		}
+		blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, n, 1, 1, a, n, b, n)
+		blas.Dtrsm(blas.Left, blas.Lower, blas.Trans, blas.NonUnit, n, 1, 1, a, n, b, n)
+		for i := range x {
+			if math.Abs(b[i]-x[i]) > 1e-7*(1+math.Abs(x[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: blocked QR reconstructs random matrices with orthogonal Q.
 func TestPropertyQRReconstruction(t *testing.T) {
 	f := func(seed int64) bool {

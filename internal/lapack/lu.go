@@ -92,12 +92,3 @@ func Dgetrf(m, n int, a []float64, lda int, ipiv []int, nb int) error {
 	}
 	return nil
 }
-
-// Dgetrs solves A*X = B using the LU factorization from Dgetrf: apply
-// the interchanges to B, then two triangular solves over the n×nrhs
-// right-hand sides.
-func Dgetrs(n, nrhs int, a []float64, lda int, ipiv []int, b []float64, ldb int) {
-	Dlaswp(nrhs, b, ldb, 0, n, ipiv)
-	blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, n, nrhs, 1, a, lda, b, ldb)
-	blas.Dtrsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, n, nrhs, 1, a, lda, b, ldb)
-}

@@ -131,26 +131,6 @@ func TestDgetrfSingularDetected(t *testing.T) {
 	}
 }
 
-func TestDgetrsSolvesSystem(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	n, nrhs := 16, 3
-	a := randMat(rng, n, n)
-	orig := append([]float64(nil), a...)
-	xTrue := randMat(rng, n, nrhs)
-	b := make([]float64, n*nrhs)
-	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, nrhs, n, 1, orig, n, xTrue, n, 0, b, n)
-	ipiv := make([]int, n)
-	if err := Dgetrf(n, n, a, n, ipiv, 4); err != nil {
-		t.Fatal(err)
-	}
-	Dgetrs(n, nrhs, a, n, ipiv, b, n)
-	for i := range xTrue {
-		if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %g, want %g", i, b[i], xTrue[i])
-		}
-	}
-}
-
 func TestDlaswpRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	m, n := 10, 4

@@ -705,122 +705,3 @@ func TestDpotrfD2DThroughDecorator(t *testing.T) {
 		t.Errorf("decorated devices took %v, bare %v: the decorator changed the route", wrapped, bare)
 	}
 }
-
-// End-to-end solvers: factor on the devices, solve on the host, recover
-// known solutions.
-func TestHybridSolvers(t *testing.T) {
-	withCluster(t, 2, true, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
-		rng := rand.New(rand.NewSource(71))
-		cfg := DefaultConfig()
-		cfg.NB = 16
-
-		// Dgesv: general square system.
-		{
-			n, nrhs := 64, 2
-			a := randSquare(rng, n)
-			orig := append([]float64(nil), a...)
-			xTrue := make([]float64, n*nrhs)
-			for i := range xTrue {
-				xTrue[i] = rng.NormFloat64()
-			}
-			b := make([]float64, n*nrhs)
-			blas.Dgemm(blas.NoTrans, blas.NoTrans, n, nrhs, n, 1, orig, n, xTrue, n, 0, b, n)
-			dist, err := NewDist(p, devs, n, n, cfg.NB, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dist.Upload(p, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := Dgesv(p, dist, b, nrhs, cfg); err != nil {
-				t.Fatal(err)
-			}
-			dist.Free(p)
-			for i := range xTrue {
-				if math.Abs(b[i]-xTrue[i]) > 1e-7 {
-					t.Fatalf("Dgesv x[%d] = %g, want %g", i, b[i], xTrue[i])
-				}
-			}
-		}
-
-		// Dposv: SPD system.
-		{
-			n := 48
-			a := spdMatrix(rng, n)
-			orig := append([]float64(nil), a...)
-			xTrue := make([]float64, n)
-			for i := range xTrue {
-				xTrue[i] = rng.NormFloat64()
-			}
-			b := make([]float64, n)
-			blas.Dgemv(blas.NoTrans, n, n, 1, orig, n, xTrue, 1, 0, b, 1)
-			dist, err := NewDist(p, devs, n, n, cfg.NB, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dist.Upload(p, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := Dposv(p, dist, b, 1, cfg); err != nil {
-				t.Fatal(err)
-			}
-			dist.Free(p)
-			for i := range xTrue {
-				if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-					t.Fatalf("Dposv x[%d] = %g, want %g", i, b[i], xTrue[i])
-				}
-			}
-		}
-
-		// Dgels: overdetermined least squares with b in range(A).
-		{
-			m, n := 72, 40
-			a := make([]float64, m*n)
-			for i := range a {
-				a[i] = rng.NormFloat64()
-			}
-			orig := append([]float64(nil), a...)
-			xTrue := make([]float64, n)
-			for i := range xTrue {
-				xTrue[i] = rng.NormFloat64()
-			}
-			b := make([]float64, m)
-			blas.Dgemv(blas.NoTrans, m, n, 1, orig, m, xTrue, 1, 0, b, 1)
-			dist, err := NewDist(p, devs, m, n, cfg.NB, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dist.Upload(p, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := Dgels(p, dist, b, 1, cfg); err != nil {
-				t.Fatal(err)
-			}
-			dist.Free(p)
-			for i := range xTrue {
-				if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-					t.Fatalf("Dgels x[%d] = %g, want %g", i, b[i], xTrue[i])
-				}
-			}
-		}
-	})
-}
-
-func TestSolversRequireExecuteMode(t *testing.T) {
-	withCluster(t, 1, false, 0, func(p *sim.Proc, devs []Device, _ []*gpu.Device) {
-		dist, err := NewDist(p, devs, 8, 8, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dist.Free(p)
-		if err := Dgesv(p, dist, nil, 1, DefaultConfig()); err == nil {
-			t.Error("model-mode Dgesv accepted")
-		}
-		if err := Dposv(p, dist, nil, 1, DefaultConfig()); err == nil {
-			t.Error("model-mode Dposv accepted")
-		}
-		if err := Dgels(p, dist, nil, 1, DefaultConfig()); err == nil {
-			t.Error("model-mode Dgels accepted")
-		}
-	})
-}

@@ -2,7 +2,6 @@ package minimpi
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 
@@ -12,16 +11,12 @@ import (
 // Reserved internal tags for collectives. Collective calls on a
 // communicator must be made by all ranks in the same order (as in MPI);
 // non-overtaking matching then keeps successive collectives separate even
-// though they reuse tags.
+// though they reuse tags. The values travel in socket frames, so a retired
+// collective's tag is not reused.
 const (
-	tagBarrier Tag = -2 - iota
-	tagBcast
-	tagReduce
-	tagGather
-	tagScatter
-	tagAllgather
-	tagSplit
-	tagAlltoall
+	tagBarrier Tag = -2
+	tagBcast   Tag = -3
+	tagGather  Tag = -5
 )
 
 // BcastTree returns the binomial-tree edges of one virtual rank in a
@@ -91,47 +86,6 @@ func (c *Comm) Bcast(p *sim.Proc, root int, data []byte) []byte {
 	return data
 }
 
-// ReduceOp combines src into dst element-wise; both are payload byte
-// slices of equal length.
-type ReduceOp func(dst, src []byte)
-
-// Reduce combines every rank's equally-sized contribution at the root
-// using op, over a binomial tree, and returns the result at the root (nil
-// elsewhere). The contribution slice is not modified.
-func (c *Comm) Reduce(p *sim.Proc, root int, contrib []byte, op ReduceOp) []byte {
-	c.checkRank(root, "Reduce")
-	n := c.Size()
-	acc := append([]byte(nil), contrib...)
-	if n == 1 {
-		return acc
-	}
-	vrank := (c.rank - root + n) % n
-	for bit := 1; bit < n; bit *= 2 {
-		if vrank&bit != 0 {
-			// Send accumulated value to the subtree parent and stop.
-			parent := ((vrank &^ bit) + root) % n
-			c.isendAnyTag(parent, tagReduce, acc, len(acc), false).Wait(p)
-			return nil
-		}
-		child := vrank | bit
-		if child < n {
-			data, st := c.irecvAnyTag((child+root)%n, tagReduce).Wait(p)
-			if st.Size != len(acc) {
-				panic(fmt.Sprintf("minimpi: Reduce: rank %d got %d bytes, want %d", c.rank, st.Size, len(acc)))
-			}
-			op(acc, data)
-		}
-	}
-	return acc
-}
-
-// Allreduce is Reduce followed by Bcast; every rank returns the combined
-// value.
-func (c *Comm) Allreduce(p *sim.Proc, contrib []byte, op ReduceOp) []byte {
-	res := c.Reduce(p, 0, contrib, op)
-	return c.Bcast(p, 0, res)
-}
-
 // Gather collects every rank's contribution at the root; the root returns
 // the slices indexed by rank, others return nil. Contributions may have
 // different sizes.
@@ -171,28 +125,6 @@ func (c *Comm) Allgather(p *sim.Proc, contrib []byte) [][]byte {
 	return unpackSlices(blob)
 }
 
-// Scatter distributes parts[i] from the root to rank i and returns the
-// local part. Non-root callers pass nil.
-func (c *Comm) Scatter(p *sim.Proc, root int, parts [][]byte) []byte {
-	c.checkRank(root, "Scatter")
-	if c.rank == root {
-		if len(parts) != c.Size() {
-			panic(fmt.Sprintf("minimpi: Scatter: %d parts for %d ranks", len(parts), c.Size()))
-		}
-		var reqs []*Request
-		for r, part := range parts {
-			if r == root {
-				continue
-			}
-			reqs = append(reqs, c.isendAnyTag(r, tagScatter, part, len(part), false))
-		}
-		WaitAll(p, reqs...)
-		return append([]byte(nil), parts[root]...)
-	}
-	data, _ := c.irecvAnyTag(root, tagScatter).Wait(p)
-	return data
-}
-
 // packSlices/unpackSlices frame a [][]byte as one buffer for broadcast.
 func packSlices(parts [][]byte) []byte {
 	size := 4
@@ -221,8 +153,6 @@ func unpackSlices(buf []byte) [][]byte {
 	return out
 }
 
-// Float64 payload helpers for reduce-style collectives.
-
 // F64Bytes encodes a float64 slice as a payload.
 func F64Bytes(vals []float64) []byte {
 	buf := make([]byte, 8*len(vals))
@@ -239,25 +169,6 @@ func BytesF64(buf []byte) []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return out
-}
-
-// SumF64 is a ReduceOp adding float64 payloads element-wise.
-func SumF64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:])) +
-			math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(v))
-	}
-}
-
-// MaxF64 is a ReduceOp taking the element-wise maximum of float64
-// payloads.
-func MaxF64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(math.Max(a, b)))
-	}
 }
 
 // Split partitions the communicator: ranks passing the same color form a
@@ -314,10 +225,4 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 		w.splitCtx[k] = ctx
 	}
 	return &Comm{world: w, ctx: ctx, rank: myNew, group: group}
-}
-
-// Dup creates a communicator with the same group but an isolated matching
-// context. Like Split, all ranks must call it.
-func (c *Comm) Dup(p *sim.Proc) *Comm {
-	return c.Split(p, 0, c.rank)
 }

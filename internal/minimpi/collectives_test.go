@@ -2,7 +2,6 @@ package minimpi
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"dynacc/internal/sim"
@@ -116,58 +115,4 @@ func TestBcastvZeroAndLarge(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestScattervGathervRoundtrip scatters variable-size parts from a root
-// with Scatter and gathers them back with Gather; the gathered set must
-// reproduce the originals exactly, including empty parts.
-func TestScattervGathervRoundtrip(t *testing.T) {
-	const n, root = 7, 3
-	parts := make([][]byte, n)
-	for r := range parts {
-		parts[r] = []byte(fmt.Sprintf("part-%d:%s", r, bytes.Repeat([]byte{byte(r)}, r*13)))
-	}
-	parts[5] = nil // one empty contribution
-	runWorld(t, n, fastNet(), func(p *sim.Proc, c *Comm) {
-		var in [][]byte
-		if c.Rank() == root {
-			in = parts
-		}
-		mine := c.Scatter(p, root, in)
-		if !bytes.Equal(mine, parts[c.Rank()]) {
-			t.Errorf("rank %d: scattered %q, want %q", c.Rank(), mine, parts[c.Rank()])
-		}
-		back := c.Gather(p, root, mine)
-		if c.Rank() == root {
-			for r := range parts {
-				if !bytes.Equal(back[r], parts[r]) {
-					t.Errorf("gathered[%d] = %q, want %q", r, back[r], parts[r])
-				}
-			}
-		} else if back != nil {
-			t.Errorf("rank %d: non-root Gather returned %d parts", c.Rank(), len(back))
-		}
-	})
-}
-
-// TestAlltoallvExchange checks Alltoall's personalized exchange: what
-// rank i addressed to rank j arrives at j indexed under i, for parts whose
-// sizes differ per (sender, receiver) pair.
-func TestAlltoallvExchange(t *testing.T) {
-	const n = 5
-	msg := func(from, to int) []byte {
-		return bytes.Repeat([]byte{byte(10*from + to)}, 1+from*n+to)
-	}
-	runWorld(t, n, fastNet(), func(p *sim.Proc, c *Comm) {
-		parts := make([][]byte, n)
-		for r := range parts {
-			parts[r] = msg(c.Rank(), r)
-		}
-		got := c.Alltoall(p, parts)
-		for r := range got {
-			if !bytes.Equal(got[r], msg(r, c.Rank())) {
-				t.Errorf("rank %d: from %d got %q, want %q", c.Rank(), r, got[r], msg(r, c.Rank()))
-			}
-		}
-	})
 }

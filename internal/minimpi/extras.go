@@ -6,52 +6,6 @@ import (
 	"dynacc/internal/sim"
 )
 
-// Sendrecv posts the send and the receive together and waits for both,
-// the deadlock-free paired exchange of MPI_Sendrecv. It returns the
-// received payload and status.
-func (c *Comm) Sendrecv(p *sim.Proc, dst int, sendTag Tag, data []byte, src int, recvTag Tag) ([]byte, Status) {
-	rreq := c.Irecv(src, recvTag)
-	sreq := c.Isend(dst, sendTag, data)
-	out, st := rreq.Wait(p)
-	sreq.Wait(p)
-	return out, st
-}
-
-// Alltoall delivers parts[i] to rank i and returns the parts received
-// from every rank (the caller's own contribution is passed through).
-// Parts may have different sizes (MPI_Alltoallv flavour). All ranks must
-// call it with len(parts) == Size().
-func (c *Comm) Alltoall(p *sim.Proc, parts [][]byte) [][]byte {
-	n := c.Size()
-	if len(parts) != n {
-		panic(fmt.Sprintf("minimpi: Alltoall: %d parts for %d ranks", len(parts), n))
-	}
-	out := make([][]byte, n)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	sends := make([]*Request, 0, n-1)
-	recvs := make([]*Request, 0, n-1)
-	order := make([]int, 0, n-1)
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		recvs = append(recvs, c.irecvAnyTag(r, tagAlltoall))
-		order = append(order, r)
-	}
-	for r := 0; r < n; r++ {
-		if r == c.rank {
-			continue
-		}
-		sends = append(sends, c.isendAnyTag(r, tagAlltoall, parts[r], len(parts[r]), false))
-	}
-	for i, rr := range recvs {
-		data, _ := rr.Wait(p)
-		out[order[i]] = data
-	}
-	WaitAll(p, sends...)
-	return out
-}
-
 // TrafficStats summarizes one endpoint's network activity.
 type TrafficStats struct {
 	MsgsSent      int64

@@ -1,70 +1,11 @@
 package minimpi
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"dynacc/internal/sim"
 )
-
-func TestSendrecvRingExchange(t *testing.T) {
-	const n = 4
-	runWorld(t, n, fastNet(), func(p *sim.Proc, c *Comm) {
-		right := (c.Rank() + 1) % n
-		left := (c.Rank() - 1 + n) % n
-		out := []byte{byte(c.Rank())}
-		in, st := c.Sendrecv(p, right, 5, out, left, 5)
-		if len(in) != 1 || in[0] != byte(left) {
-			t.Errorf("rank %d received %v, want from %d", c.Rank(), in, left)
-		}
-		if st.Source != left {
-			t.Errorf("status source = %d", st.Source)
-		}
-	})
-}
-
-func TestSendrecvSelfPairNoDeadlock(t *testing.T) {
-	// Two ranks exchanging simultaneously with blocking semantics must
-	// not deadlock — the whole point of Sendrecv.
-	runWorld(t, 2, fastNet(), func(p *sim.Proc, c *Comm) {
-		peer := 1 - c.Rank()
-		big := bytes.Repeat([]byte{byte(c.Rank())}, 64*1024) // rendezvous-sized
-		in, _ := c.Sendrecv(p, peer, 0, big, peer, 0)
-		if len(in) != 64*1024 || in[0] != byte(peer) {
-			t.Errorf("rank %d got %d bytes from %d", c.Rank(), len(in), in[0])
-		}
-	})
-}
-
-func TestAlltoallDeliversEverything(t *testing.T) {
-	const n = 5
-	runWorld(t, n, fastNet(), func(p *sim.Proc, c *Comm) {
-		parts := make([][]byte, n)
-		for r := 0; r < n; r++ {
-			parts[r] = []byte(fmt.Sprintf("%d->%d", c.Rank(), r))
-		}
-		got := c.Alltoall(p, parts)
-		for r := 0; r < n; r++ {
-			want := fmt.Sprintf("%d->%d", r, c.Rank())
-			if string(got[r]) != want {
-				t.Errorf("rank %d slot %d = %q, want %q", c.Rank(), r, got[r], want)
-			}
-		}
-	})
-}
-
-func TestAlltoallWrongPartCountPanics(t *testing.T) {
-	s := sim.New()
-	w, _ := NewWorld(s, 2, fastNet())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	w.Comm(0).Alltoall(nil, make([][]byte, 3))
-}
 
 func TestTrafficCounters(t *testing.T) {
 	s := sim.New()
@@ -325,16 +266,13 @@ func TestWireStatsCountsPostedMessages(t *testing.T) {
 
 // TestWireStatsCountsCollectiveSends: collectives go through the same
 // chokepoint, so their internal sends are attributed to the calling Comm.
+// A dissemination Barrier over four ranks sends once in each of its two
+// rounds.
 func TestWireStatsCountsCollectiveSends(t *testing.T) {
-	const n = 4
-	runWorld(t, n, fastNet(), func(p *sim.Proc, c *Comm) {
-		parts := make([][]byte, n)
-		for r := range parts {
-			parts[r] = []byte{byte(c.Rank()), byte(r)}
-		}
-		c.Alltoall(p, parts)
-		if got := c.WireStats().Msgs; got != n-1 {
-			t.Errorf("rank %d posted %d wire messages in Alltoall, want %d", c.Rank(), got, n-1)
+	runWorld(t, 4, fastNet(), func(p *sim.Proc, c *Comm) {
+		c.Barrier(p)
+		if got := c.WireStats().Msgs; got != 2 {
+			t.Errorf("rank %d posted %d wire messages in Barrier, want 2", c.Rank(), got)
 		}
 	})
 }

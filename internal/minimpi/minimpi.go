@@ -10,8 +10,8 @@
 //
 // The programming surface follows MPI: tagged point-to-point messages with
 // blocking (Send/Recv) and nonblocking (Isend/Irecv + Wait) variants,
-// wildcard receives (AnySource/AnyTag), Probe, the usual collectives, and
-// communicator Split/Dup with isolated matching contexts. Message matching
+// wildcard receives (AnySource/AnyTag), Iprobe, Barrier, Bcast, Gather,
+// Allgather, and communicator Split with isolated matching contexts. Message matching
 // is non-overtaking per (source, destination, context): envelopes arrive
 // in send order even when a rendezvous payload trails an eager one.
 //
@@ -31,7 +31,7 @@ import (
 // negative values are reserved for collectives.
 type Tag int
 
-// Wildcards for Recv/Irecv/Probe.
+// Wildcards for Recv/Irecv/Iprobe.
 const (
 	AnySource     = -1
 	AnyTag    Tag = -1
@@ -85,7 +85,6 @@ type endpoint struct {
 	tx, rx     *sim.Resource
 	unexpected []*Message
 	posted     []*Request
-	probers    []*prober
 	traffic    TrafficStats
 }
 

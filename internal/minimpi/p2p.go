@@ -60,20 +60,8 @@ func (m *Message) completeSend() {
 	}
 }
 
-// prober is a blocked Probe. It copies the status of the envelope that
-// satisfies it: the Message may be recycled before the prober runs again.
-type prober struct {
-	ctx  int
-	src  int
-	tag  Tag
-	comm *Comm
-	ev   *sim.Event
-	st   Status
-}
-
-// Request is a handle for a nonblocking operation. Wait (or the Comm
-// Wait* helpers) block until completion; Done exposes the underlying
-// completion event for select-style composition with sim.AwaitAny.
+// Request is a handle for a nonblocking operation. Wait (or WaitAll)
+// blocks until completion; Done exposes the underlying completion event.
 type Request struct {
 	doneEv   sim.Event // backing storage for done
 	done     *sim.Event
@@ -266,8 +254,8 @@ func (c *Comm) isendAnyTag(dst int, tag Tag, data []byte, size int, owned bool) 
 // callbacks, not a process: each function below is one leg — overheads,
 // fault verdict, envelope flight, optional rendezvous, then payload
 // serialization across both NICs — and ends by scheduling the next at the
-// point where a process running the same script would have called Wait,
-// AwaitAny or Acquire. Every leg therefore pushes exactly one event, at the
+// point where a process running the same script would have called Wait or
+// Acquire, or waited for the first of two events. Every leg therefore pushes exactly one event, at the
 // queue position the process's resumption had, so the (at, seq) order of
 // every other event in the simulation does not depend on the form. All are
 // top-level functions over the Message.
@@ -483,45 +471,16 @@ func recvComplete(v any) {
 }
 
 // deliverEnvelope lands an envelope at the endpoint: match a posted
-// receive (oldest matching first), otherwise queue as unexpected. Probers
-// are satisfied either way.
+// receive (oldest matching first), otherwise queue as unexpected.
 func (ep *endpoint) deliverEnvelope(m *Message) {
 	for i, pr := range ep.posted {
 		if envelopeMatches(m, pr.prCtx, pr.prSrc, pr.prTag) {
 			ep.posted = append(ep.posted[:i], ep.posted[i+1:]...)
 			pr.prComm.completeRecv(pr, m)
-			ep.notifyProbers(m)
 			return
 		}
 	}
 	ep.unexpected = append(ep.unexpected, m)
-	ep.notifyProbers(m)
-}
-
-func (ep *endpoint) notifyProbers(m *Message) {
-	kept := ep.probers[:0]
-	for _, pb := range ep.probers {
-		if envelopeMatches(m, pb.ctx, pb.src, pb.tag) {
-			pb.st = m.status()
-			pb.ev.Trigger()
-			continue
-		}
-		kept = append(kept, pb)
-	}
-	ep.probers = kept
-}
-
-// Probe blocks until a message matching (src, tag) is available to
-// receive, without consuming it, and returns its status.
-func (c *Comm) Probe(p *sim.Proc, src int, tag Tag) Status {
-	if st, ok := c.Iprobe(src, tag); ok {
-		return st
-	}
-	ep := c.ep()
-	pb := &prober{ctx: c.ctx, src: src, tag: tag, comm: c, ev: sim.NewEvent(c.world.sim)}
-	ep.probers = append(ep.probers, pb)
-	pb.ev.Await(p)
-	return pb.st
 }
 
 // Iprobe reports whether a matching message has arrived (matched or
@@ -544,14 +503,4 @@ func WaitAll(p *sim.Proc, reqs ...*Request) {
 	for _, r := range reqs {
 		r.done.Await(p)
 	}
-}
-
-// WaitAny blocks until at least one request completes and returns the
-// index of a completed one (lowest index if several already are).
-func WaitAny(p *sim.Proc, reqs ...*Request) int {
-	events := make([]*sim.Event, len(reqs))
-	for i, r := range reqs {
-		events[i] = r.done
-	}
-	return sim.AwaitAny(p, events...)
 }

@@ -16,8 +16,8 @@ import (
 // A distributed backend routes local-destination messages to the sim
 // backend unchanged and remote-destination messages onto the wire; frames
 // arriving from remote peers re-enter the World through InjectRemote and
-// land in the same matching queues (posted receives, unexpected envelopes,
-// probers) a local send would.
+// land in the same matching queues (posted receives, unexpected envelopes)
+// a local send would.
 //
 // Contract for Deliver:
 //   - It runs in scheduler context and must not block.

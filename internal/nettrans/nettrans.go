@@ -10,8 +10,8 @@
 // oracle — while messages to remote ranks are framed and written to a
 // per-process-pair TCP connection. A goroutine-per-connection reader
 // decodes arriving frames and injects them into the destination World,
-// where they land in the same matching queues (posted receives, unexpected
-// envelopes, probers) a local send would.
+// where they land in the same matching queues (posted receives and
+// unexpected envelopes) a local send would.
 //
 // Connections. Process i dials process j exactly when i < j, so each pair
 // shares a single full-duplex connection carrying all of its rank traffic

@@ -235,9 +235,12 @@ func TestCollectivesAcrossProcesses(t *testing.T) {
 			if len(data) != 1 || data[0] != 10 {
 				t.Errorf("rank %d Bcast got %v", i, data)
 			}
-			sum := c.Allreduce(p, minimpi.F64Bytes([]float64{float64(i + 1)}), minimpi.SumF64)
-			if got := minimpi.BytesF64(sum)[0]; got != 10 {
-				t.Errorf("rank %d Allreduce got %v, want 10", i, got)
+			sum := 0
+			for _, part := range c.Allgather(p, []byte{byte(i + 1)}) {
+				sum += int(part[0])
+			}
+			if sum != 10 {
+				t.Errorf("rank %d Allgather sums to %d, want 10", i, sum)
 			}
 		})
 	}

@@ -7,11 +7,11 @@ package sim
 type Event struct {
 	sim       *Simulation
 	fired     bool
-	waiters   []waiterRef
+	waiters   []*Proc
 	callbacks []eventCallback
 	// Inline backing arrays: nearly all events carry at most two waiters
 	// and one callback, so registration allocates nothing.
-	winline  [2]waiterRef
+	winline  [2]*Proc
 	cbinline [1]eventCallback
 }
 
@@ -21,44 +21,6 @@ type eventCallback struct {
 	fn  func()
 	afn func(any)
 	arg any
-}
-
-// eventWaiter links a blocked process to one or more events (AwaitAny).
-// Waiters are pooled: gen identifies the wait they were registered for, so
-// a registration left behind on a never-fired event (AwaitAny) cannot wake
-// the waiter's next user.
-type eventWaiter struct {
-	p     *Proc
-	woken bool // set by the first event that fires; later ones are no-ops
-	gen   uint32
-}
-
-// waiterRef is a registration of a waiter on one event, pinned to the
-// waiter's generation at registration time.
-type waiterRef struct {
-	w   *eventWaiter
-	gen uint32
-}
-
-func (s *Simulation) getWaiter(p *Proc) *eventWaiter {
-	if n := len(s.freeWaiters); n > 0 {
-		w := s.freeWaiters[n-1]
-		s.freeWaiters = s.freeWaiters[:n-1]
-		w.p = p
-		return w
-	}
-	return &eventWaiter{p: p}
-}
-
-// putWaiter recycles a waiter once its wait has returned. Bumping gen
-// invalidates every registration still pointing at it. Waits that unwind
-// via kill never reach their put call, so a waiter referenced by a dead
-// process's registrations is simply dropped.
-func (s *Simulation) putWaiter(w *eventWaiter) {
-	w.gen++
-	w.p = nil
-	w.woken = false
-	s.freeWaiters = append(s.freeWaiters, w)
 }
 
 // NewEvent creates an untriggered event.
@@ -81,10 +43,6 @@ func (e *Event) Init(s *Simulation) {
 // Triggered reports whether the event has fired.
 func (e *Event) Triggered() bool { return e.fired }
 
-func (e *Event) addWaiter(w *eventWaiter) {
-	e.waiters = append(e.waiters, waiterRef{w: w, gen: w.gen})
-}
-
 // Trigger fires the event, waking all current waiters at the present
 // virtual time. Triggering an already-fired event is a no-op.
 func (e *Event) Trigger() {
@@ -92,14 +50,10 @@ func (e *Event) Trigger() {
 		return
 	}
 	e.fired = true
-	for i, ref := range e.waiters {
-		e.waiters[i] = waiterRef{}
-		w := ref.w
-		if w.gen != ref.gen || w.woken {
-			continue // registration outlived its wait, or already woken
-		}
-		w.woken = true
-		w.p.wake()
+	// A waiter killed meanwhile is woken too; dispatch skips it.
+	for i, p := range e.waiters {
+		e.waiters[i] = nil
+		p.wake()
 	}
 	e.waiters = nil
 	for i, cb := range e.callbacks {
@@ -136,10 +90,7 @@ func (e *Event) OnTriggerCall(fn func(any), arg any) {
 	e.callbacks = append(e.callbacks, eventCallback{afn: fn, arg: arg})
 }
 
-const (
-	stateAwaitingEvent = "awaiting event"
-	stateAwaitingAny   = "awaiting any event"
-)
+const stateAwaitingEvent = "awaiting event"
 
 // Await blocks the calling process until the event fires. Returns
 // immediately if it already has.
@@ -147,36 +98,6 @@ func (e *Event) Await(p *Proc) {
 	if e.fired {
 		return
 	}
-	s := e.sim
-	w := s.getWaiter(p)
-	e.addWaiter(w)
+	e.waiters = append(e.waiters, p)
 	p.block(stateAwaitingEvent)
-	s.putWaiter(w)
-}
-
-// AwaitAny blocks until any of the given events fires and returns the index
-// of one fired event. If several are already triggered, the lowest index
-// wins.
-func AwaitAny(p *Proc, events ...*Event) int {
-	for i, e := range events {
-		if e.fired {
-			return i
-		}
-	}
-	s := p.sim
-	w := s.getWaiter(p)
-	for _, e := range events {
-		e.addWaiter(w)
-	}
-	p.block(stateAwaitingAny)
-	// Registrations left on the other events die with the waiter's
-	// generation once it is recycled below.
-	for i, e := range events {
-		if e.fired {
-			s.putWaiter(w)
-			return i
-		}
-	}
-	// Unreachable: we were woken, so some event fired.
-	panic("sim: AwaitAny woken with no fired event")
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Mailbox is an unbounded FIFO queue of values with blocking receive. It is
 // the basic inter-process communication channel inside a simulation: sends
 // never block; receivers block until a value is available. Values are
@@ -12,29 +10,22 @@ import "fmt"
 // reuse their backing arrays, so a mailbox in steady state allocates
 // nothing per send/receive cycle.
 type Mailbox struct {
-	sim            *Simulation
-	name           string
-	recvState      string // precomputed block() labels: building them per
-	recvTimedState string // receive was a measurable share of the hot path
-	items          []any
-	ihead          int
-	waiters        []boxRef
-	whead          int
+	sim *Simulation
+	// recvState is the precomputed block() label: building it per receive
+	// was a measurable share of the hot path.
+	recvState string
+	items     []any
+	ihead     int
+	waiters   []*boxWaiter // blocked receivers, oldest first
+	whead     int
 }
 
-// boxWaiter is a pooled receiver registration; gen works exactly like
-// eventWaiter.gen (see event.go).
+// boxWaiter is a pooled receiver registration: the blocked process and,
+// once Send hands it over, the value. A receiver killed while it waits
+// keeps its registration, which Send skips; the waiter is not recycled.
 type boxWaiter struct {
-	p     *Proc
-	woken bool
-	val   any
-	got   bool
-	gen   uint32
-}
-
-type boxRef struct {
-	w   *boxWaiter
-	gen uint32
+	p   *Proc
+	val any
 }
 
 func (s *Simulation) getBoxWaiter(p *Proc) *boxWaiter {
@@ -48,22 +39,13 @@ func (s *Simulation) getBoxWaiter(p *Proc) *boxWaiter {
 }
 
 func (s *Simulation) putBoxWaiter(w *boxWaiter) {
-	w.gen++
-	w.p = nil
-	w.woken = false
-	w.val = nil
-	w.got = false
+	w.p, w.val = nil, nil
 	s.freeBoxWaiters = append(s.freeBoxWaiters, w)
 }
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox(s *Simulation, name string) *Mailbox {
-	return &Mailbox{
-		sim:            s,
-		name:           name,
-		recvState:      "receiving from mailbox " + name,
-		recvTimedState: "receiving from mailbox " + name + " (timed)",
-	}
+	return &Mailbox{sim: s, recvState: "receiving from mailbox " + name}
 }
 
 // Len reports the number of queued values.
@@ -100,21 +82,21 @@ func (m *Mailbox) popItem() any {
 }
 
 // Send enqueues v. If a receiver is blocked, the value is handed to the
-// oldest one and it is woken at the current virtual time.
+// oldest live one and it is woken at the current virtual time; a receiver
+// killed while it waited is skipped.
 func (m *Mailbox) Send(v any) {
 	for m.whead < len(m.waiters) {
-		ref := m.waiters[m.whead]
-		m.waiters[m.whead] = boxRef{}
+		w := m.waiters[m.whead]
+		m.waiters[m.whead] = nil
 		m.whead++
 		if m.whead == len(m.waiters) {
 			m.waiters = m.waiters[:0]
 			m.whead = 0
 		}
-		w := ref.w
-		if w.gen != ref.gen || w.woken || w.p.gone() {
-			continue // wait already over, timed out, or killed concurrently
+		if w.p.gone() {
+			continue
 		}
-		w.val, w.got, w.woken = v, true, true
+		w.val = v
 		w.p.wake()
 		return
 	}
@@ -126,15 +108,11 @@ func (m *Mailbox) Recv(p *Proc) any {
 	if m.Len() > 0 {
 		return m.popItem()
 	}
-	s := m.sim
-	w := s.getBoxWaiter(p)
-	m.waiters = append(m.waiters, boxRef{w: w, gen: w.gen})
+	w := m.sim.getBoxWaiter(p)
+	m.waiters = append(m.waiters, w)
 	p.block(m.recvState)
-	if !w.got {
-		panic(fmt.Sprintf("sim: mailbox %s: receiver woken without value", m.name))
-	}
 	v := w.val
-	s.putBoxWaiter(w)
+	m.sim.putBoxWaiter(w)
 	return v
 }
 
@@ -144,29 +122,4 @@ func (m *Mailbox) TryRecv() (any, bool) {
 		return nil, false
 	}
 	return m.popItem(), true
-}
-
-// RecvTimeout blocks until a value arrives or d elapses. The boolean
-// reports whether a value was received.
-func (m *Mailbox) RecvTimeout(p *Proc, d Duration) (any, bool) {
-	if v, ok := m.TryRecv(); ok {
-		return v, true
-	}
-	if d < 0 {
-		d = 0
-	}
-	s := m.sim
-	w := s.getBoxWaiter(p)
-	m.waiters = append(m.waiters, boxRef{w: w, gen: w.gen})
-	gen := w.gen
-	s.schedule(s.now.Add(d), func() {
-		if w.gen == gen && !w.woken {
-			w.woken = true
-			w.p.wake()
-		}
-	})
-	p.block(m.recvTimedState)
-	v, got := w.val, w.got
-	s.putBoxWaiter(w)
-	return v, got
 }

@@ -205,12 +205,10 @@ type Simulation struct {
 	failure error              // first process panic, if any
 
 	// Free lists. Items are recycled only once no live reference remains
-	// (see the ownership comments at each put site); generation counters on
-	// waiter and event records invalidate any registration or Timer that
-	// outlives its use.
+	// (see the ownership comments at each put site); the generation counter
+	// on event records invalidates any Timer that outlives its use.
 	freeEvents     []*event
 	freeWorkers    []*worker
-	freeWaiters    []*eventWaiter
 	freeBoxWaiters []*boxWaiter
 	freeResWaiters []*resWaiter
 

@@ -167,46 +167,6 @@ func TestDoubleTriggerIsNoop(t *testing.T) {
 	}
 }
 
-func TestAwaitAny(t *testing.T) {
-	s := New()
-	a, b, c := NewEvent(s), NewEvent(s), NewEvent(s)
-	var got int
-	var when Time
-	s.Spawn("w", func(p *Proc) {
-		got = AwaitAny(p, a, b, c)
-		when = p.Now()
-	})
-	s.Spawn("t", func(p *Proc) {
-		p.Wait(3 * Microsecond)
-		b.Trigger()
-		p.Wait(Microsecond)
-		a.Trigger()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("AwaitAny returned %d, want 1", got)
-	}
-	if when != Time(3*Microsecond) {
-		t.Fatalf("woke at %v, want 3us", when)
-	}
-}
-
-func TestAwaitAnyAlreadyFired(t *testing.T) {
-	s := New()
-	a, b := NewEvent(s), NewEvent(s)
-	b.Trigger()
-	var got int
-	s.Spawn("w", func(p *Proc) { got = AwaitAny(p, a, b) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("AwaitAny = %d, want 1", got)
-	}
-}
-
 // TestCancelledTimerNeverRuns pins Timer.Cancel: a cancelled call never
 // runs, whether queued for later or for this instant, and Run ends at the
 // last event that ran, not at the cancelled one. Cancelling twice, or a
@@ -486,47 +446,6 @@ func TestMailboxTryRecv(t *testing.T) {
 	v, ok := m.TryRecv()
 	if !ok || v.(int) != 7 {
 		t.Fatalf("TryRecv = %v,%v", v, ok)
-	}
-}
-
-func TestMailboxRecvTimeout(t *testing.T) {
-	s := New()
-	m := NewMailbox(s, "box")
-	var v1 any
-	var ok1, ok2 bool
-	s.Spawn("r1", func(p *Proc) { v1, ok1 = m.RecvTimeout(p, 10*Microsecond) })
-	s.Spawn("r2", func(p *Proc) { _, ok2 = m.RecvTimeout(p, Microsecond) })
-	s.Spawn("sender", func(p *Proc) {
-		p.Wait(5 * Microsecond)
-		m.Send(42)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok1 || v1.(int) != 42 {
-		t.Fatalf("r1 got %v,%v; want 42,true", v1, ok1)
-	}
-	if ok2 {
-		t.Fatal("r2 should have timed out")
-	}
-}
-
-func TestMailboxTimedOutWaiterSkipped(t *testing.T) {
-	// A send after r1's timeout must go to r2, not the dead r1 waiter.
-	s := New()
-	m := NewMailbox(s, "box")
-	var r2got any
-	s.Spawn("r1", func(p *Proc) { m.RecvTimeout(p, Microsecond) })
-	s.Spawn("r2", func(p *Proc) { r2got = m.Recv(p) })
-	s.Spawn("sender", func(p *Proc) {
-		p.Wait(5 * Microsecond)
-		m.Send("live")
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if r2got != "live" {
-		t.Fatalf("r2 got %v, want live", r2got)
 	}
 }
 
