@@ -222,7 +222,7 @@ type PoolStats struct {
 	// WaitSeconds integrates time acquire requests spent queued.
 	WaitSeconds float64
 	// Shared counts accelerators currently under shared leases (these are
-	// also counted in Assigned, preserving the legacy partition of Total);
+	// also counted in Assigned: Free+Assigned+Failed+Suspect+Retired=Total);
 	// Sessions counts the shared leases held across them. Both are zero in
 	// exclusive-only operation.
 	Shared   int
@@ -263,52 +263,13 @@ func (ps PoolStats) Utilization(elapsed sim.Duration) float64 {
 	return ps.BusySeconds / (elapsed.Seconds() * float64(ps.Total))
 }
 
-type acState int
-
-const (
-	acFree acState = iota
-	acAssigned
-	acFailed
-	// acSuspect: the daemon stopped heartbeating (or the accelerator was
-	// migrated away from); unowned and not grantable, but may recover.
-	acSuspect
-	// acReclaiming: a revoked lease's accelerator while its daemon-side
-	// sanitize (device reset) is in flight.
-	acReclaiming
-	// acRetired: drained out of service; only an administrative repair
-	// brings it back.
-	acRetired
-	// acShared: held by one or more tenants under capacity-N shared
-	// leases (AcquireShared). Counted as assigned in the legacy stats.
-	acShared
-)
-
-func (st acState) String() string {
-	switch st {
-	case acFree:
-		return "free"
-	case acAssigned:
-		return "assigned"
-	case acShared:
-		return "shared"
-	case acFailed:
-		return "failed"
-	case acSuspect:
-		return "suspect"
-	case acReclaiming:
-		return "reclaiming"
-	case acRetired:
-		return "retired"
-	default:
-		return fmt.Sprintf("state(%d)", int(st))
-	}
-}
-
-// drainWait remembers the requester of a pending opDrain so the reply can
-// be sent once the accelerator actually retires.
+// drainWait is a pending opDrain, or opRetire (remove): whom to answer
+// once the accelerator is out of service. A follower's copy has no
+// requester (src -1), as the client replays its request after a promotion.
 type drainWait struct {
-	src   int
-	reqID uint64
+	src    int
+	reqID  uint64
+	remove bool
 }
 
 type accel struct {
@@ -323,12 +284,11 @@ type accel struct {
 	// freezes the table so the holders can still release.
 	holders []holder
 
-	// Health bookkeeping (unused while the subsystem is off).
-	dirty    bool       // device may hold residue; sanitize before re-granting
-	draining bool       // retire instead of freeing on next un-assignment
-	removing bool       // opRetire: leave the inventory once out of service
-	notified bool       // owner has been sent a suspect notice
-	drainer  *drainWait // pending opDrain reply
+	drain *drainWait // the pending drain; nil unless draining
+	// notified keeps a suspect episode to one notice: the detector fires
+	// beat lost every tick, and a held device stays held (and open to
+	// sharers) while suspect, so the episode is no state of its own.
+	notified bool
 
 	// cap is the capability descriptor the accelerator registered with;
 	// zero for legacy untagged inventory.
@@ -374,14 +334,11 @@ func (a *accel) unhold(rank int) {
 	}
 }
 
-// held reports whether a is in use: exclusively assigned or shared.
-func (a *accel) held() bool { return a.state == acAssigned || a.state == acShared }
-
 // holderCount counts the clients currently using a: 1 for an exclusive
 // assignment, the sharer count for a shared accelerator, 0 otherwise (a
 // frozen table on a failed accelerator is nobody using it).
 func (a *accel) holderCount() int {
-	if !a.held() {
+	if !a.state.held() {
 		return 0
 	}
 	return len(a.holders)
@@ -563,7 +520,7 @@ func NewServerOpts(comm *minimpi.Comm, inventory []Handle, opts Options) (*Serve
 		if owner := dir.OwnerOf(h.ID); owner != s.shard {
 			return nil, fmt.Errorf("arm: accelerator %d belongs to shard %d, not %d", h.ID, owner, s.shard)
 		}
-		a := &accel{id: h.ID, rank: h.Rank, state: acFree, cap: h.Cap, holders: room[i*per : i*per : (i+1)*per]}
+		a := &accel{id: h.ID, rank: h.Rank, cap: h.Cap, holders: room[i*per : i*per : (i+1)*per]}
 		s.accels = append(s.accels, a)
 		s.byID[h.ID] = a
 	}
@@ -647,34 +604,23 @@ func (s *Server) handle(src int, data []byte) bool {
 			return true
 		}
 	}
-	res := s.dispatch(src, reqID, op, forwarded, r)
+	res := s.dispatch(src, reqID, op, forwarded, data[len(data)-r.Remaining():])
 	s.ship()
 	return res
 }
 
 // dispatch executes one unwrapped request; it reports false on shutdown.
-func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wire.Reader) bool {
-	if s.abdicated {
+func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, body []byte) bool {
+	r := wire.NewReader(body)
+	if s.abdicated && op != opShutdown && op != opStats && op != opStatsEx {
 		// A deposed leader serves nothing that touches ownership: the
 		// client re-resolves the directory and replays at the real
 		// leader. Read-only stats stay up for postmortems, shutdown
 		// still works, and heartbeats are dropped on the floor.
-		switch op {
-		case opShutdown:
-			s.reply(src, reqID, statusOK, nil)
-			return false
-		case opHeartbeat:
-			return true
-		case opStats:
-			s.reply(src, reqID, statusOK, s.encodeStats(s.now()))
-			return true
-		case opStatsEx:
-			s.reply(src, reqID, statusOK, s.encodeStatsEx(s.now()))
-			return true
-		default:
+		if op != opHeartbeat {
 			s.reply(src, reqID, statusFenced, nil)
-			return true
 		}
+		return true
 	}
 	switch op {
 	case opAcquire:
@@ -699,43 +645,30 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 	case opRelease:
 		// AppendInts checks the count against the bytes left before
 		// growing: a negative or absurd count off the wire is a bad request.
-		s.ids = r.AppendInts(s.ids[:0])
-		ids := s.ids
-		if r.Err() != nil {
+		if s.ids = r.AppendInts(s.ids[:0]); r.Err() != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		if owner, ok := s.foreignOwner(ids, forwarded); ok {
-			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) { w.Ints(ids) })
+		if owner, ok := s.foreignOwner(s.ids, forwarded); ok {
+			s.forwardOp(owner, src, reqID, op, body)
 			return true
 		}
-		s.release(src, reqID, ids)
+		s.release(src, reqID, s.ids)
 	case opStats:
 		s.reply(src, reqID, statusOK, s.encodeStats(s.now()))
 	case opStatsEx:
 		s.reply(src, reqID, statusOK, s.encodeStatsEx(s.now()))
-	case opFail, opRepair:
-		id := r.Int()
-		if r.Err() != nil {
-			s.reply(src, reqID, statusBadRequest, nil)
-			return true
-		}
-		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
-			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) { w.Int(id) })
-			return true
-		}
-		if op == opFail {
-			s.setState(id, acFailed, src, reqID)
-		} else {
-			s.setState(id, acFree, src, reqID)
-		}
-	case opReplace:
+	case opReplace, opMigrate:
 		rank := r.Int()
 		if r.Err() != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
-		s.replace(src, reqID, rank)
+		if op == opReplace {
+			s.replace(src, reqID, rank)
+		} else {
+			s.migrate(src, reqID, rank)
+		}
 	case opHeartbeat:
 		if s.ids = r.AppendInts(s.ids[:0]); r.Err() == nil {
 			s.heartbeat(src, s.ids)
@@ -745,46 +678,46 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, r *wi
 		// The touchClient above already renewed; this op exists so a
 		// client with no other traffic can keep its leases alive.
 		s.reply(src, reqID, statusOK, nil)
-	case opMigrate:
-		rank := r.Int()
-		if r.Err() != nil {
-			s.reply(src, reqID, statusBadRequest, nil)
-			return true
+	case opFail, opRepair, opDrain, opRetire, opRegister:
+		// The ops naming one accelerator, which its owner serves.
+		id, rank, deadline := r.Int(), 0, sim.Duration(0)
+		var cap Capability
+		var err error
+		switch op {
+		case opDrain, opRetire:
+			deadline = sim.Duration(r.I64())
+		case opRegister:
+			rank = r.Int()
+			cap, err = decodeCapability(r)
 		}
-		s.migrate(src, reqID, rank)
-	case opDrain, opRetire:
-		id := r.Int()
-		deadline := sim.Duration(r.I64())
-		if r.Err() != nil {
-			s.reply(src, reqID, statusBadRequest, nil)
-			return true
-		}
-		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
-			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) {
-				w.Int(id).I64(int64(deadline))
-			})
-			return true
-		}
-		if op == opRetire {
-			s.retireRemove(src, reqID, id, deadline)
-		} else {
-			s.drain(src, reqID, id, deadline)
-		}
-	case opRegister:
-		id := r.Int()
-		rank := r.Int()
-		cap, err := decodeCapability(r)
-		if err != nil {
+		if r.Err() != nil || err != nil {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return true
 		}
 		if owner, ok := s.foreignOwner([]int{id}, forwarded); ok {
-			s.forwardOp(owner, src, reqID, op, func(w *wire.Writer) {
-				encodeCapability(w.Int(id).Int(rank), cap)
-			})
+			s.forwardOp(owner, src, reqID, op, body)
 			return true
 		}
-		s.register(src, reqID, id, rank, cap)
+		a := s.byID[id]
+		switch {
+		case op == opRegister && a == nil:
+			// Elastic grow: the daemon gets a full silence budget from now.
+			s.transition(&accel{id: id, rank: rank, cap: cap}, evRegister, -1)
+		case a == nil || op == opRegister:
+			s.reply(src, reqID, statusBadRequest, nil)
+			return true
+		case op == opDrain || op == opRetire:
+			s.drain(src, reqID, a, deadline, op == opRetire)
+			return true
+		case op == opFail:
+			// Failing a held accelerator keeps its holder table: the compute
+			// nodes survive (the paper's fault tolerance) and still release.
+			s.transition(a, evFail, -1)
+		default:
+			s.transition(a, evRepair, -1)
+		}
+		s.reply(src, reqID, statusOK, nil)
+		s.drainQueue()
 	case opShutdown:
 		s.reply(src, reqID, statusOK, nil)
 		return false
@@ -890,16 +823,10 @@ func (s *Server) accrue(now sim.Time) {
 }
 
 // sharedGrantable reports whether a can take one more sharer for client
-// src: free or already shared, not draining, below capacity, and src not
-// already sharing it (one lease per tenant per accelerator).
+// src: the table lets it share, it is not draining, below capacity, and src
+// not already sharing it (one lease per tenant per accelerator).
 func (s *Server) sharedGrantable(a *accel, src int) bool {
-	if a.draining || len(a.holders) >= s.shareCap {
-		return false
-	}
-	if a.state != acFree && a.state != acShared {
-		return false
-	}
-	return !a.holds(src)
+	return lifecycle[evShare][a.state].ok && a.drain == nil && len(a.holders) < s.shareCap && !a.holds(src)
 }
 
 // canGrant reports whether req is satisfiable right now. Shared and
@@ -907,7 +834,7 @@ func (s *Server) sharedGrantable(a *accel, src int) bool {
 // grant predicate both kinds are checked against.
 func (s *Server) canGrant(req *pendingAcquire) bool {
 	if req.shared {
-		return s.sharedAvailableFor(req) >= req.n
+		return s.countFor(req, func(a *accel) bool { return s.sharedGrantable(a, req.src) }) >= req.n
 	}
 	return s.freeCountFor(req) >= req.n
 }
@@ -976,7 +903,7 @@ func (s *Server) pick(req *pendingAcquire) []*accel {
 		return s.cand
 	}
 	for _, a := range s.accels {
-		grantable := a.state == acFree
+		grantable := a.state.grantable()
 		if req.shared {
 			grantable = s.sharedGrantable(a, req.src)
 		}
@@ -1004,31 +931,21 @@ func (b *byHolders) Len() int           { return len(*b) }
 func (b *byHolders) Less(i, j int) bool { return len((*b)[i].holders) < len((*b)[j].holders) }
 func (b *byHolders) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
 
-// grant picks req.n accelerators and leases them to the requester.
-func (s *Server) grant(req *pendingAcquire) { s.lease(req, s.pick(req)) }
-
-// lease enters req.src in the holder table of each picked accelerator and
+// grant picks req.n accelerators, leases them to the requester and
 // replies with their handles.
-func (s *Server) lease(req *pendingAcquire, picked []*accel) {
-	now := s.now()
-	s.accrue(now)
-	var expiry sim.Time
-	if s.healthOn && s.health.LeaseTTL > 0 {
-		expiry = now.Add(s.health.LeaseTTL)
+func (s *Server) grant(req *pendingAcquire) {
+	ev, kind := evGrant, LedgerGrant
+	if req.shared {
+		ev, kind = evShare, LedgerGrantShared
 	}
-	wait := now.Sub(req.enqueued).Seconds()
+	picked, wait := s.pick(req), s.now().Sub(req.enqueued).Seconds()
 	w := s.body.Reset().Int(len(picked))
 	for _, a := range picked {
-		a.state = acAssigned
-		if req.shared {
-			a.state = acShared
-		}
-		a.hold(req.src, expiry)
-		a.notified = false
+		s.transition(a, ev, req.src)
 		a.grants++
 		a.waitSeconds += wait
 		encodeCapability(w.Int(a.id).Int(a.rank), a.cap)
-		s.logGrant(a, req.src, req.shared)
+		s.logHold(a, req.src, kind)
 	}
 	s.acquireCount++
 	s.waitSeconds += wait
@@ -1036,42 +953,22 @@ func (s *Server) lease(req *pendingAcquire, picked []*accel) {
 }
 
 func (s *Server) release(src int, reqID uint64, ids []int) {
-	// Validate ownership first so a bad release changes nothing.
-	for _, id := range ids {
+	// Validate ownership first so a bad release changes nothing. Releasing
+	// a failed (or suspect, reclaiming, retired) accelerator leaves it in
+	// that state; only a frozen hold is dropped.
+	for i, id := range ids {
 		a, ok := s.byID[id]
-		if !ok || a.state == acFree {
-			s.reply(src, reqID, statusBadRequest, nil)
-			return
-		}
-		if !a.holds(src) && a.held() {
+		if !ok || !lifecycle[evRelease][a.state].ok || a.state.held() && !a.holds(src) || slices.Contains(ids[:i], id) {
 			s.reply(src, reqID, statusBadRequest, nil)
 			return
 		}
 	}
-	s.accrue(s.now())
 	for _, id := range ids {
-		a := s.byID[id]
-		s.logEnd(a, src)
-		a.unhold(src)
-		// Releasing a failed (or suspect, reclaiming, retired) accelerator
-		// leaves it in that state; only the frozen hold is dropped.
-		if a.held() && len(a.holders) == 0 {
-			s.vacate(a)
-		}
+		s.transition(s.byID[id], evRelease, src)
 	}
 	s.releaseCount++
 	s.reply(src, reqID, statusOK, nil)
 	s.drainQueue()
-}
-
-// vacate settles an accelerator its last holder has left: back to the
-// free pool, or into retirement when a drain was waiting for that.
-func (s *Server) vacate(a *accel) {
-	if a.draining {
-		s.retire(a)
-	} else {
-		a.state = acFree
-	}
 }
 
 // drainQueue grants queued requests according to the policy and rejects
@@ -1106,86 +1003,72 @@ func (s *Server) drainQueue() {
 	}
 }
 
-// replace handles a compute node's failure report for an accelerator it
-// holds (identified by daemon rank, which is what the computation API
-// knows): the accelerator is marked failed and a replacement is granted
-// from the free pool. The grant is non-blocking — waiting for another
-// job to release could deadlock the reporter, so an empty pool answers
-// unavailable and the caller decides whether to retry. The reply has the
-// same shape as an acquire reply with one handle.
-func (s *Server) replace(src int, reqID uint64, rank int) {
-	var failed *accel
+// heldAt finds the accelerator client src holds on daemon rank (what the
+// computation API knows) in a state the table lets ev happen in.
+func (s *Server) heldAt(src, rank int, ev event) *accel {
 	for _, a := range s.accels {
-		if a.rank == rank && a.held() && a.holds(src) {
-			failed = a
-			break
+		if a.rank == rank && lifecycle[ev][a.state].ok && a.holds(src) {
+			return a
 		}
 	}
+	return nil
+}
+
+// replace handles a compute node's failure report for an accelerator it
+// holds: the accelerator fails, its other sharers are told so they can
+// fail over too, and a replacement is granted from the free pool with the
+// reply shape of a one-handle acquire. The grant is non-blocking — waiting
+// for another job to release could deadlock the reporter, so an empty pool
+// answers unavailable and the caller decides whether to retry.
+func (s *Server) replace(src int, reqID uint64, rank int) {
+	failed := s.heldAt(src, rank, evReplace)
 	if failed == nil {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	shared := failed.state == acShared
-	s.accrue(s.now())
-	// The daemon is down for every holder on it: tell the other sharers so
-	// they can fail over too.
-	for _, h := range failed.holders {
-		s.logEnd(failed, h.rank)
-		if h.rank != src {
-			s.notify(h.rank, NoticeDead, failed)
-		}
-	}
-	failed.holders = failed.holders[:0]
-	failed.state = acFailed
-	s.settleDrainer(failed)
-	// The shrunken pool may make queued requests impossible; settle them
-	// before queueing the replacement acquire.
-	s.drainQueue()
-	req := &pendingAcquire{src: src, reqID: reqID, n: 1, shared: shared, enqueued: s.now()}
-	if !shared {
+	req := &pendingAcquire{src: src, reqID: reqID, n: 1, shared: failed.state == acShared, enqueued: s.now()}
+	if !req.shared {
 		// The replacement is the job's failed device by another name: a
 		// pool must not hand back just any device.
 		req.replaces = failed
 	}
+	s.transition(failed, evReplace, src)
+	// The shrunken pool may make queued requests impossible; settle them
+	// before queueing the replacement acquire.
+	s.drainQueue()
 	s.acquire(req, false)
 }
 
-// setState handles fail/repair administrative requests.
-func (s *Server) setState(id int, state acState, src int, reqID uint64) {
-	a, ok := s.byID[id]
-	if !ok {
+// migrate handles opMigrate: the client trades an accelerator it holds on
+// a suspect (or otherwise unwanted) daemon for a spare that can host its
+// resident state, same class first. The old one becomes a dirty suspect —
+// its daemon's next beat sanitizes it back into the pool, continued silence
+// kills it, and a pending drain sanitizes it into retirement at once — and
+// the spare is granted non-blocking, with the reply shape of an acquire.
+// When no spare can be granted right now the old assignment is kept:
+// limping on a suspect node beats holding nothing. Migration is
+// exclusive-only: a shared lease has no device state the ARM could hand
+// over wholesale, so a tenant on a suspect shared accelerator releases and
+// re-acquires instead (the client fails with ErrBadRequest here).
+func (s *Server) migrate(src int, reqID uint64, rank int) {
+	old := s.heldAt(src, rank, evMigrate)
+	if old == nil {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	s.accrue(s.now())
-	// Failing an assigned or shared accelerator is the paper's
-	// fault-tolerance property: the compute nodes survive and discover
-	// the failure on next use or at release (the holder table is kept so
-	// those releases still validate).
-	if state == acFree {
-		// Administrative repair returns any out-of-service accelerator
-		// (failed, suspect, retired) to the pool, presumed clean.
-		for _, h := range a.holders {
-			s.logEnd(a, h.rank)
-		}
-		a.holders = a.holders[:0]
-		a.dirty = false
-		a.draining = false
-		if s.lastBeat != nil {
-			s.lastBeat[a.rank] = s.now()
-		}
+	req := &pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now(), replaces: old}
+	if !s.canGrant(req) || (s.policy == FIFO && len(s.queue) > 0) {
+		s.reply(src, reqID, statusUnavailable, nil)
+		return
 	}
-	a.state = state
-	if state == acFailed {
-		s.settleDrainer(a)
-	}
-	s.reply(src, reqID, statusOK, nil)
-	s.drainQueue()
+	s.transition(old, evMigrate, src)
+	s.migrateCount++
+	s.grant(req)
 }
 
-// snapshot accrues the time integrals and summarizes the pool. Shared
-// accelerators count under Assigned so the legacy partition of Total
-// (free + assigned + failed + suspect + retired) is unchanged.
+// snapshot accrues the time integrals and summarizes the pool: Total is
+// free + assigned + failed + suspect + retired, shared accelerators under
+// Assigned, reclaiming and dirty ones under Suspect.
 func (s *Server) snapshot(now sim.Time) PoolStats {
 	s.accrue(now)
 	st := PoolStats{
@@ -1199,47 +1082,31 @@ func (s *Server) snapshot(now sim.Time) PoolStats {
 		BusySeconds: s.busySeconds,
 		WaitSeconds: s.waitSeconds,
 	}
+	bucket := [nStates]*int{&st.Free, &st.Assigned, &st.Failed, &st.Suspect, &st.Suspect, &st.Retired, &st.Assigned, &st.Suspect}
 	for _, a := range s.accels {
-		switch a.state {
-		case acFree:
-			st.Free++
-		case acAssigned:
-			st.Assigned++
-		case acShared:
-			st.Assigned++
+		*bucket[a.state]++
+		if a.state == acShared {
 			st.Shared++
 			st.Sessions += len(a.holders)
-		case acFailed:
-			st.Failed++
-		case acSuspect, acReclaiming:
-			st.Suspect++
-		case acRetired:
-			st.Retired++
 		}
 	}
 	return st
 }
 
-// encodeLegacyStats writes the original opStats reply layout, which is
-// byte-for-byte unchanged by the sharing work.
-func encodeLegacyStats(w *wire.Writer, st PoolStats) {
-	w.Int(st.Total).Int(st.Free).Int(st.Assigned).Int(st.Failed).Int(st.Queued)
+// encodeStats writes the opStats reply body.
+func (s *Server) encodeStats(now sim.Time) []byte {
+	st := s.snapshot(now)
+	w := s.body.Reset().Int(st.Total).Int(st.Free).Int(st.Assigned).Int(st.Failed).Int(st.Queued)
 	w.Int(st.Acquires).Int(st.Releases).F64(st.BusySeconds).F64(st.WaitSeconds)
 	w.Int(st.Suspect).Int(st.Retired).Int(st.Reclaimed).Int(st.Migrations)
-}
-
-func (s *Server) encodeStats(now sim.Time) []byte {
-	w := s.body.Reset()
-	encodeLegacyStats(w, s.snapshot(now))
 	return w.Bytes()
 }
 
 // encodeStatsEx appends the sharing counters and the per-accelerator
 // utilization table to the opStats layout.
 func (s *Server) encodeStatsEx(now sim.Time) []byte {
-	st := s.snapshot(now)
-	w := s.body.Reset()
-	encodeLegacyStats(w, st)
+	s.encodeStats(now)
+	st, w := s.snapshot(now), &s.body
 	w.Int(st.Shared).Int(st.Sessions)
 	w.Int(len(s.accels))
 	for _, a := range s.accels {

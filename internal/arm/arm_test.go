@@ -178,7 +178,13 @@ func TestReleaseNotOwnedRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Wait(10 * sim.Millisecond)
-			c.Release(p, h)
+			// A release naming an accelerator twice is refused whole.
+			if err := c.Release(p, append(h, h...)); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("release naming one id twice: %v", err)
+			}
+			if err := c.Release(p, h); err != nil {
+				t.Errorf("release: %v", err)
+			}
 		case 2:
 			p.Wait(sim.Millisecond)
 			// Rank 1 owns accelerator 0; stealing its release must fail.
@@ -333,6 +339,45 @@ func TestUtilizationAccounting(t *testing.T) {
 			t.Errorf("counters = %+v", st)
 		}
 	})
+}
+
+// An accelerator nobody holds accrues no busy time: only the held one of
+// two counts, and the pool's integral is its alone.
+func TestIdleAcceleratorAccruesNothing(t *testing.T) {
+	pool(t, 2, 1, FIFO, func(p *sim.Proc, c *Client, rank int) {
+		h, err := c.Acquire(p, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Wait(10 * sim.Millisecond)
+		if err := c.Release(p, h); err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.StatsEx(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy, idle := st.PerAccel[h[0].ID], st.PerAccel[1-h[0].ID]
+		if idle.BusySeconds != 0 || busy.BusySeconds < 0.0099 || st.BusySeconds != busy.BusySeconds {
+			t.Errorf("busy seconds: held %v, idle %v, pool %v", busy.BusySeconds, idle.BusySeconds, st.BusySeconds)
+		}
+	})
+}
+
+// A shard index must name one of the directory's shards: Shards() is one
+// past the last.
+func TestNewServerRejectsShardPastTheDirectory(t *testing.T) {
+	w, err := minimpi.NewWorld(sim.New(), 3, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := NewDirectory(NewRing(2), []int{1, 2}, nil)
+	if _, err := NewServerOpts(w.Comm(1), nil, Options{Shard: dir.Shards(), Directory: dir}); err == nil {
+		t.Fatal("shard index Shards() accepted")
+	}
+	if _, err := NewServerOpts(w.Comm(2), nil, Options{Shard: dir.Shards() - 1, Directory: dir}); err != nil {
+		t.Fatalf("last shard refused: %v", err)
+	}
 }
 
 func TestNewServerRejectsDuplicateIDs(t *testing.T) {

@@ -132,15 +132,20 @@ func (s *Server) eligible(a *accel, req *pendingAcquire) bool {
 	return req.constraint.Matches(a.cap) && (req.replaces == nil || a.cap.CanHost(req.replaces.cap))
 }
 
-// freeCountFor counts free accelerators eligible for req.
-func (s *Server) freeCountFor(req *pendingAcquire) int {
+// countFor counts the accelerators eligible for req that pass ok.
+func (s *Server) countFor(req *pendingAcquire, ok func(a *accel) bool) int {
 	n := 0
 	for _, a := range s.accels {
-		if a.state == acFree && s.eligible(a, req) {
+		if ok(a) && s.eligible(a, req) {
 			n++
 		}
 	}
 	return n
+}
+
+// freeCountFor counts free accelerators eligible for req.
+func (s *Server) freeCountFor(req *pendingAcquire) int {
+	return s.countFor(req, func(a *accel) bool { return a.state.grantable() })
 }
 
 // operationalFor counts accelerators eligible for req that can
@@ -149,25 +154,7 @@ func (s *Server) freeCountFor(req *pendingAcquire) int {
 // one blocks rather than being rejected until the detector declares the
 // node dead.
 func (s *Server) operationalFor(req *pendingAcquire) int {
-	n := 0
-	for _, a := range s.accels {
-		if a.state != acFailed && a.state != acRetired && s.eligible(a, req) {
-			n++
-		}
-	}
-	return n
-}
-
-// sharedAvailableFor counts eligible accelerators that could take
-// req.src as a new sharer.
-func (s *Server) sharedAvailableFor(req *pendingAcquire) int {
-	n := 0
-	for _, a := range s.accels {
-		if s.sharedGrantable(a, req.src) && s.eligible(a, req) {
-			n++
-		}
-	}
-	return n
+	return s.countFor(req, func(a *accel) bool { return a.state.operational() })
 }
 
 // exhaustedStatus is the status for a request exceeding its ceiling: a
@@ -189,7 +176,7 @@ func exhaustedStatus(req *pendingAcquire) uint8 {
 func (s *Server) migrationTarget(old *accel) *accel {
 	var compat *accel
 	for _, a := range s.accels {
-		if a == old || a.state != acFree || !a.cap.CanHost(old.cap) {
+		if a == old || !a.state.grantable() || !a.cap.CanHost(old.cap) {
 			continue
 		}
 		if a.cap.Class == old.cap.Class {
@@ -214,7 +201,7 @@ type classLoad struct {
 func (s *Server) classLoads() []classLoad {
 	loads := s.loads[:0]
 	for _, a := range s.accels {
-		if a.state == acFailed || a.state == acRetired {
+		if !a.state.operational() {
 			continue
 		}
 		i := 0
@@ -227,7 +214,7 @@ func (s *Server) classLoads() []classLoad {
 			loads[i] = classLoad{class: a.cap.Class}
 		}
 		loads[i].oper++
-		if a.state == acFree {
+		if a.state.grantable() {
 			loads[i].free++
 		}
 	}

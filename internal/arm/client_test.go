@@ -304,6 +304,8 @@ func hostileFrames() [][]byte {
 	return append(frames,
 		wire.NewWriter(32).U8(opForward).U64(9).U64(1).Int(-5).U8(opStats).Bytes(),
 		wire.NewWriter(32).U8(opForward).U64(9).U64(1).Int(1<<40).U8(opStats).Bytes(),
+		// One past the last rank of goldenServer's two-rank world.
+		wire.NewWriter(32).U8(opForward).U64(9).U64(1).Int(2).U8(opStats).Bytes(),
 		wire.NewWriter(17).U8(opStats).U64(1<<63).U64(0).Bytes(),
 		wire.NewWriter(17).U8(opStats).U64(math.MaxUint64-uint64(tagReplyBase)).U64(0).Bytes(),
 		wire.NewWriter(9).U8(opStats).U64(9).Bytes())

@@ -7,18 +7,8 @@ package arm
 // implicitly with every ARM request and daemons renew on their holders'
 // behalf with every heartbeat, and revoked leases are sanitized via a
 // daemon-side device reset before their accelerator re-enters the pool.
-//
-// Accelerator lifecycle with the subsystem on:
-//
-//	free ──grant──▶ leased(assigned) ──release──▶ free
-//	  │                  │ lease expiry / forced drain
-//	  │ silence          ▼
-//	  ▼              reclaiming ──sanitize ok──▶ free (or retired)
-//	suspect ◀─migrate─┘  │ sanitize failed
-//	  │ beats resume     ▼
-//	  │ (sanitize)     dead(failed)
-//	  ▼
-//	free        silence ≥ DeadAfter from any live state ──▶ dead(failed)
+// What each of these does to an accelerator is a row of lifecycle.go's
+// table (DESIGN.md §11 prints it).
 
 import (
 	"errors"
@@ -119,7 +109,11 @@ func (s *Server) callDaemon(op DaemonOp, rank, client int, a *accel) {
 			s.stepDown(s.myEpoch + 1)
 		}
 		if a != nil && !s.closed && !s.abdicated && a.state == acReclaiming {
-			s.settle(a, err == nil)
+			ev := evSanitized
+			if err != nil {
+				ev = evSanitizeFailed
+			}
+			s.transition(a, ev, -1)
 			s.drainQueue()
 			s.ship()
 		}
@@ -179,10 +173,6 @@ type Notice struct {
 	Rank int // its daemon's world rank
 }
 
-func encodeNotice(w *wire.Writer, n Notice) []byte {
-	return w.U8(uint8(n.Kind)).Int(n.ID).Int(n.Rank).Bytes()
-}
-
 // DecodeNotice parses a TagNotify message body.
 func DecodeNotice(data []byte) (Notice, error) {
 	r := wire.NewReader(data)
@@ -193,10 +183,10 @@ func DecodeNotice(data []byte) (Notice, error) {
 	return n, nil
 }
 
-// notify sends a health notice to an accelerator's owner, fire and
-// forget: a dead client simply never reads it.
+// notify sends a health notice (kind · id · rank, what DecodeNotice reads)
+// to an accelerator's owner, fire and forget: a dead client never reads it.
 func (s *Server) notify(owner int, kind NoticeKind, a *accel) {
-	s.comm.SendCopy(owner, TagNotify, encodeNotice(s.scratch.Reset(), Notice{Kind: kind, ID: a.id, Rank: a.rank}))
+	s.comm.SendCopy(owner, TagNotify, s.scratch.Reset().U8(uint8(kind)).Int(a.id).Int(a.rank).Bytes())
 }
 
 // scheduleTick re-arms the detector until the server shuts down or
@@ -221,24 +211,29 @@ func (s *Server) checkHealth() {
 			silence := now.Sub(s.lastBeat[a.rank])
 			switch {
 			case hc.DeadAfter > 0 && silence >= hc.DeadAfter:
-				s.markDead(a)
+				s.transition(a, evBeatDead, -1)
 			case hc.SuspectAfter > 0 && silence >= hc.SuspectAfter:
-				s.markSuspect(a)
+				s.transition(a, evBeatLost, -1)
 			}
 		}
 	}
 	if hc.LeaseTTL > 0 {
 		for _, a := range s.accels {
-			if !a.held() {
+			if !a.state.held() {
 				continue
 			}
-			// Leases expire per holder: on a shared accelerator only the
-			// silent sharer is revoked, the others keep it. A reclaim drops
-			// its holder, so the next one slides into its place; a grant
-			// the reclaim lets through is not yet expired.
+			// An expired lease is reclaimed, its holder presumed dead: an
+			// exclusive accelerator is sanitized whole; on a shared one only
+			// the silent sharer's sessions are reaped, and the last to go
+			// vacates it for the queue. A reclaim drops its holder, so the
+			// next slides into its place; a grant it lets through is fresh.
+			shared := a.state == acShared
 			for i := 0; i < len(a.holders); i++ {
 				if h := a.holders[i]; h.expiry > 0 && now.Sub(h.expiry) >= 0 {
-					s.reclaim(a, h.rank)
+					s.transition(a, evExpire, h.rank)
+					if shared && !a.state.held() {
+						s.drainQueue()
+					}
 					i--
 				}
 			}
@@ -246,39 +241,6 @@ func (s *Server) checkHealth() {
 	}
 	s.drainQueue()
 	s.ship()
-}
-
-// markSuspect moves a silent node's accelerator out of circulation: a
-// free one leaves the pool, a held one stays with its holders but they
-// are told (once per episode) so they can migrate.
-func (s *Server) markSuspect(a *accel) {
-	switch {
-	case a.state == acFree:
-		a.state = acSuspect
-	case a.held() && !a.notified:
-		a.notified = true
-		for _, h := range a.holders {
-			s.notify(h.rank, NoticeSuspect, a)
-		}
-	}
-}
-
-// markDead declares a node's accelerator failed after prolonged silence;
-// whoever held it is told and their holds end.
-func (s *Server) markDead(a *accel) {
-	if a.state == acFailed || a.state == acRetired {
-		return
-	}
-	if a.held() {
-		s.accrue(s.now())
-		for _, h := range a.holders {
-			s.notify(h.rank, NoticeDead, a)
-			s.logEnd(a, h.rank)
-		}
-		a.holders = a.holders[:0]
-	}
-	a.state = acFailed
-	s.settleDrainer(a)
 }
 
 // heartbeat processes one daemon beat: refresh the detector, recover
@@ -290,25 +252,11 @@ func (s *Server) heartbeat(src int, active []int) {
 	}
 	s.lastBeat[src] = s.now()
 	for _, a := range s.accels {
-		if a.rank != src {
-			continue
+		// A failed accelerator stays failed: a partition long enough to be
+		// declared dead needs an administrative Repair.
+		if a.rank == src {
+			s.transition(a, evBeatBack, -1)
 		}
-		switch a.state {
-		case acSuspect:
-			// The node came back. A clean accelerator rejoins the pool
-			// directly; one abandoned mid-use (migration source) is
-			// sanitized first.
-			if a.dirty {
-				s.sanitizeOrSettle(a)
-			} else {
-				a.state = acFree
-			}
-		case acAssigned, acShared:
-			a.notified = false // suspicion episode over
-		}
-		// Detector-declared deaths (acFailed) do NOT auto-recover on
-		// resumed beats: a partition long enough to be declared dead needs
-		// an administrative Repair, matching real operator workflows.
 	}
 	for _, r := range active {
 		s.touchClient(r)
@@ -318,189 +266,38 @@ func (s *Server) heartbeat(src int, active []int) {
 
 // touchClient renews every lease held by the given client rank.
 func (s *Server) touchClient(src int) {
-	if !s.healthOn || s.health.LeaseTTL <= 0 {
-		return
-	}
-	exp := s.now().Add(s.health.LeaseTTL)
-	for _, a := range s.accels {
-		if a.holds(src) {
-			a.hold(src, exp)
+	if exp := s.leaseExpiry(); exp > 0 {
+		for _, a := range s.accels {
+			if a.holds(src) {
+				a.hold(src, exp)
+			}
 		}
 	}
 }
 
-// reclaim revokes one expired lease: the holder is presumed dead. An
-// exclusive holder's accelerator is taken back and sanitized before
-// re-entering the pool. A shared one is not sanitized wholesale — the
-// surviving tenants' state must stay intact — so instead the session
-// reaper tears down just the dead tenant's sessions on the daemon, and
-// only when the last sharer leaves does the accelerator return to the
-// free pool.
-func (s *Server) reclaim(a *accel, client int) {
-	s.accrue(s.now())
-	s.notify(client, NoticeRevoked, a)
-	s.logEnd(a, client)
-	a.unhold(client)
-	s.reclaimedCount++
-	if a.state == acAssigned {
-		a.dirty = true
-		s.sanitizeOrSettle(a)
-		return
-	}
-	if s.daemon != nil { // best effort: a dead daemon is the detector's
-		s.callDaemon(DaemonReap, a.rank, client, nil)
-	}
-	if len(a.holders) == 0 {
-		s.vacate(a)
-		s.drainQueue()
-	}
-}
-
-// sanitizeOrSettle wipes a just-revoked accelerator's device through the
-// daemon hook, or settles it at once without one. It parks in acReclaiming
-// until the reset is over; a detector verdict first drops the outcome.
-func (s *Server) sanitizeOrSettle(a *accel) {
-	if s.daemon == nil {
-		s.settle(a, true)
-		return
-	}
-	a.state = acReclaiming
-	s.callDaemon(DaemonReset, a.rank, 0, a)
-}
-
-// settle places a reclaimed accelerator in its final state: retired when
-// a drain was pending, free on a clean sanitize, failed otherwise.
-func (s *Server) settle(a *accel, clean bool) {
-	a.dirty = a.dirty && !clean
-	switch {
-	case !clean:
-		a.state = acFailed
-		s.settleDrainer(a)
-	case a.draining:
-		s.retire(a)
-	default:
-		a.state = acFree
-	}
-}
-
-// retire takes an accelerator out of service and answers the drain
-// request that asked for it.
-func (s *Server) retire(a *accel) {
-	a.state = acRetired
-	a.draining = false
-	s.settleDrainer(a)
-}
-
-// settleDrainer answers a pending drain once its accelerator reaches an
-// out-of-service state (retired, or failed along the way — either way it
-// no longer serves). An accelerator being retired out of the inventory
-// (opRetire) leaves it here, once the drain semantics have run their
-// course.
-func (s *Server) settleDrainer(a *accel) {
-	a.draining = false
-	if a.drainer != nil {
-		s.reply(a.drainer.src, a.drainer.reqID, statusOK, nil)
-		a.drainer = nil
-	}
-	if a.removing {
-		s.removeAccel(a)
-	}
-}
-
-// drain handles opDrain: stop granting the accelerator, wait (bounded by
-// deadline, when positive) for in-flight work to release it, then retire
-// it. The reply is delayed until the accelerator is out of service.
-func (s *Server) drain(src int, reqID uint64, id int, deadline sim.Duration) {
-	a, ok := s.byID[id]
-	if !ok || a.drainer != nil {
+// drain handles opDrain, and opRetire (remove: leave the inventory too):
+// stop granting the accelerator, wait (bounded by deadline, when positive)
+// for its holders to let go, then retire it. The reply waits until it is
+// out of service. A drain a follower replicated has nobody to answer, so
+// the client's replay after the promotion takes it over.
+func (s *Server) drain(src int, reqID uint64, a *accel, deadline sim.Duration, remove bool) {
+	if a.drain != nil && a.drain.src >= 0 {
 		s.reply(src, reqID, statusBadRequest, nil)
 		return
 	}
-	switch a.state {
-	case acRetired, acFailed:
-		// Already out of service; retiring a failed accelerator is a
-		// formality that keeps it from being repaired back by accident.
-		a.state = acRetired
-		s.reply(src, reqID, statusOK, nil)
-	case acFree, acSuspect:
-		a.state = acRetired
-		a.dirty = false
-		s.reply(src, reqID, statusOK, nil)
-		s.drainQueue()
-	case acReclaiming:
-		// Sanitize in flight: mark it so settle() retires instead of
-		// freeing, and answer then.
-		a.draining = true
-		a.drainer = &drainWait{src: src, reqID: reqID}
-	case acAssigned, acShared:
-		s.accrue(s.now())
-		a.draining = true
-		a.drainer = &drainWait{src: src, reqID: reqID}
-		if deadline > 0 {
-			s.sim.After(deadline, func() { s.forceDrain(a) })
-		}
+	d := &drainWait{src: src, reqID: reqID, remove: remove}
+	a.drain = d
+	s.transition(a, evDrain, -1)
+	if a.state.held() && deadline > 0 {
+		s.sim.After(deadline, func() {
+			// This drain still waits on holders: revoke them and sanitize
+			// into retirement. A later drain keeps its own deadline.
+			if !s.closed && a.state.held() && a.drain == d {
+				s.transition(a, evDrainDeadline, -1)
+				s.drainQueue()
+				s.ship()
+			}
+		})
 	}
-}
-
-// forceDrain fires when a drain deadline expires with holders still
-// attached: the lease(s) are revoked and the accelerator sanitized into
-// retirement.
-func (s *Server) forceDrain(a *accel) {
-	if s.closed || !a.held() || !a.draining {
-		return
-	}
-	defer s.ship()
-	s.accrue(s.now())
-	for _, h := range a.holders {
-		s.notify(h.rank, NoticeRevoked, a)
-		s.logEnd(a, h.rank)
-		s.reclaimedCount++
-	}
-	a.holders = a.holders[:0]
-	a.dirty = true
-	s.sanitizeOrSettle(a)
 	s.drainQueue()
-}
-
-// migrate handles opMigrate: the client holds an accelerator on a
-// suspect (or otherwise unwanted) daemon rank and asks to trade it for a
-// spare. The old assignment is surrendered into the suspect state — its
-// daemon's next heartbeat will sanitize it back into the pool; continued
-// silence lets the detector declare it dead — and a spare is granted
-// non-blocking, with the same reply shape as acquire. When no spare can
-// be granted right now the old assignment is kept: limping on a suspect
-// node beats holding nothing. Migration is exclusive-only: a shared
-// lease has no device state the ARM could hand over wholesale, so a
-// tenant on a suspect shared accelerator releases and re-acquires
-// instead (the client fails with ErrBadRequest here).
-func (s *Server) migrate(src int, reqID uint64, rank int) {
-	var old *accel
-	for _, a := range s.accels {
-		if a.rank == rank && a.state == acAssigned && a.holds(src) {
-			old = a
-			break
-		}
-	}
-	if old == nil {
-		s.reply(src, reqID, statusBadRequest, nil)
-		return
-	}
-	// Resident device state only moves to a capability-compatible spare,
-	// same-class preferred (a C1060's state never lands on the FPGA).
-	// Checked before surrendering the old assignment — limping on a
-	// suspect device beats trading a working hold for nothing.
-	req := &pendingAcquire{src: src, reqID: reqID, n: 1, enqueued: s.now(), replaces: old}
-	if !s.canGrant(req) || (s.policy == FIFO && len(s.queue) > 0) {
-		s.reply(src, reqID, statusUnavailable, nil)
-		return
-	}
-	s.accrue(s.now())
-	s.logEnd(old, src)
-	old.unhold(src)
-	old.state = acSuspect
-	old.dirty = true
-	old.notified = false
-	s.migrateCount++
-	s.settleDrainer(old)
-	s.grant(req)
 }

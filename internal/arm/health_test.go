@@ -470,3 +470,162 @@ func TestHealthPassReclaimsEveryExpiredSharer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A Repair that arrives while a Drain waits on a held accelerator ends the
+// holds and completes the drain: the accelerator retires and the drain is
+// answered OK, so a later Drain or Retire of the same id is accepted.
+func TestHealthRepairDuringDrainAnswersIt(t *testing.T) {
+	hb := newHealthBed(t, 1, 2, HealthConfig{}) // no detector tick: a lost drain is a deadlock
+	hb.run(t,
+		func(p *sim.Proc, c *Client) { // holder, then operator
+			if _, err := c.Acquire(p, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			p.Wait(3 * sim.Millisecond) // the drain is pending by now
+			if err := c.Repair(p, 0); err != nil {
+				t.Fatalf("repair: %v", err)
+			}
+		},
+		func(p *sim.Proc, c *Client) { // drainer
+			p.Wait(sim.Millisecond)
+			if err := c.Drain(p, 0, 0); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if p.Now() < sim.Time(3*sim.Millisecond) {
+				t.Fatalf("drain answered at %v, before the repair", p.Now())
+			}
+			st, err := c.Stats(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Retired != 1 || st.Assigned != 0 || st.Free != 0 {
+				t.Fatalf("after repair during drain: %+v", st)
+			}
+			if err := c.Drain(p, 0, 0); err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+			if err := c.Retire(p, 0, 0); err != nil {
+				t.Fatalf("retire: %v", err)
+			}
+			if st, _ = c.Stats(p); st.Total != 0 {
+				t.Fatalf("after retire: %+v", st)
+			}
+		})
+}
+
+// Migrating away from an accelerator with a pending drain keeps the drain:
+// the source is sanitized into retirement (not back into the pool), and
+// the drain is answered only once the reset is over. A pending Retire
+// still takes it out of the inventory.
+func TestHealthMigrateKeepsDrain(t *testing.T) {
+	const reset = sim.Millisecond
+	for _, remove := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remove=%v", remove), func(t *testing.T) {
+			hb := newHealthBed(t, 2, 2, HealthConfig{HeartbeatInterval: sim.Millisecond})
+			hb.beat(0, 20, sim.Millisecond, nil)
+			hb.beat(1, 20, sim.Millisecond, nil)
+			var resetDone sim.Time
+			hb.srv.SetDaemonCaller(func(op DaemonOp, _, _ int, _ uint64, done func(error)) *minimpi.Call {
+				if op != DaemonReset {
+					t.Errorf("daemon op %d, want only the migration source's reset", op)
+				}
+				hb.s.AfterCall(reset, func(any) { resetDone = hb.s.Now(); done(nil) }, nil)
+				return new(minimpi.Call)
+			})
+			hb.run(t,
+				func(p *sim.Proc, c *Client) { // holder
+					hs, err := c.Acquire(p, 1, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.Wait(2 * sim.Millisecond) // the drain is pending by now
+					h, err := c.Migrate(p, hs[0].Rank)
+					if err != nil {
+						t.Fatalf("migrate: %v", err)
+					}
+					p.Wait(10 * sim.Millisecond) // the source's daemon beats on
+					st, err := c.Stats(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := PoolStats{Total: 2, Assigned: 1, Retired: 1}
+					if remove {
+						want = PoolStats{Total: 1, Assigned: 1}
+					}
+					if st.Total != want.Total || st.Assigned != want.Assigned || st.Retired != want.Retired || st.Free != 0 {
+						t.Fatalf("migration source of a pending drain: %+v, want %+v", st, want)
+					}
+					if err := c.Release(p, []Handle{h}); err != nil {
+						t.Fatalf("release: %v", err)
+					}
+				},
+				func(p *sim.Proc, c *Client) { // drainer
+					p.Wait(sim.Millisecond)
+					var err error
+					if remove {
+						err = c.Retire(p, 0, 0)
+					} else {
+						err = c.Drain(p, 0, 0)
+					}
+					if err != nil {
+						t.Fatalf("drain: %v", err)
+					}
+					if resetDone == 0 || p.Now() < resetDone {
+						t.Fatalf("drain answered at %v, before the source's reset was over (%v)", p.Now(), resetDone)
+					}
+				})
+		})
+	}
+}
+
+// DeadAfter may equal SuspectAfter: a silent node goes straight to dead.
+func TestHealthConfigDeadAtSuspect(t *testing.T) {
+	hc := HealthConfig{HeartbeatInterval: sim.Millisecond, SuspectAfter: 3 * sim.Millisecond, DeadAfter: 3 * sim.Millisecond}
+	if err := hc.Validate(); err != nil {
+		t.Fatalf("DeadAfter == SuspectAfter refused: %v", err)
+	}
+}
+
+// A drain's deadline is that drain's: once it is answered, its timer must
+// not cut short a later drain, which set none, on a later holder.
+func TestHealthStaleDrainDeadline(t *testing.T) {
+	hb := newHealthBed(t, 1, 3, HealthConfig{})
+	hb.run(t,
+		func(p *sim.Proc, c *Client) { // first holder, then operator
+			hs, err := c.Acquire(p, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Wait(2 * sim.Millisecond) // the first drain, deadline 10 ms, is pending
+			if err := c.Release(p, hs); err != nil {
+				t.Fatalf("release: %v", err)
+			}
+			if err := c.Repair(p, 0); err != nil {
+				t.Fatalf("repair: %v", err)
+			}
+		},
+		func(p *sim.Proc, c *Client) { // first drainer, then second holder
+			p.Wait(sim.Millisecond)
+			if err := c.Drain(p, 0, 10*sim.Millisecond); err != nil {
+				t.Fatalf("first drain: %v", err)
+			}
+			p.Wait(sim.Millisecond) // past the repair
+			hs, err := c.Acquire(p, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Wait(20 * sim.Millisecond)
+			if err := c.Release(p, hs); err != nil {
+				t.Fatalf("second release: %v", err)
+			}
+		},
+		func(p *sim.Proc, c *Client) { // second drainer, no deadline
+			p.Wait(5 * sim.Millisecond)
+			if err := c.Drain(p, 0, 0); err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+			if p.Now() < sim.Time(20*sim.Millisecond) {
+				t.Fatalf("second drain answered at %v, before its holder released", p.Now())
+			}
+		})
+}

@@ -73,26 +73,14 @@ func (e GrantEvent) String() string {
 		e.Time, e.Shard, e.Epoch, e.Accel, e.Holder, e.Kind)
 }
 
-// logGrant records a lease grant in the ledger.
-func (s *Server) logGrant(a *accel, holder int, shared bool) {
-	kind := LedgerGrant
-	if shared {
-		kind = LedgerGrantShared
-	}
+// logHold records a lease grant, or the end of one holder's association
+// with a. Holder 0 is a legal client rank (compute node 0), so ends are
+// logged unconditionally; an end with no matching open hold is a no-op in
+// the checker.
+func (s *Server) logHold(a *accel, holder int, kind GrantEventKind) {
 	s.ledger = append(s.ledger, GrantEvent{
 		Time: s.now(), Shard: s.shard, Epoch: s.myEpoch,
 		Accel: a.id, Holder: holder, Kind: kind,
-	})
-}
-
-// logEnd records the end of one holder's association with a. Holder 0
-// is a legal client rank (compute node 0), so ends are logged
-// unconditionally; an end with no matching open hold is a no-op in the
-// checker.
-func (s *Server) logEnd(a *accel, holder int) {
-	s.ledger = append(s.ledger, GrantEvent{
-		Time: s.now(), Shard: s.shard, Epoch: s.myEpoch,
-		Accel: a.id, Holder: holder, Kind: LedgerEnd,
 	})
 }
 

@@ -145,9 +145,8 @@ func (hp *handPlane) diff() string {
 		switch {
 		case a.id != b.id || a.rank != b.rank || f.byID[b.id] != b:
 			return fmt.Sprintf("slot %d: leader has %d@%d, follower %d@%d", i, a.id, a.rank, b.id, b.rank)
-		case a.state != b.state || a.draining != b.draining || a.removing != b.removing || a.dirty != b.dirty:
-			return fmt.Sprintf("accel %d: leader %v draining=%v removing=%v dirty=%v, follower %v %v %v %v",
-				a.id, a.state, a.draining, a.removing, a.dirty, b.state, b.draining, b.removing, b.dirty)
+		case a.state != b.state || (a.drain == nil) != (b.drain == nil) || a.drain != nil && a.drain.remove != b.drain.remove:
+			return fmt.Sprintf("accel %d: leader %d drain=%+v, follower %d drain=%+v", a.id, a.state, a.drain, b.state, b.drain)
 		case !slices.Equal(ranks(a), ranks(b)):
 			return fmt.Sprintf("accel %d: leader holders %v, follower %v", a.id, ranks(a), ranks(b))
 		case !capEqual(a.cap, b.cap):
@@ -291,5 +290,38 @@ func TestFailoverReplayAfterReplyWindow(t *testing.T) {
 	renew(1)
 	if hp.leader.replies.Lookup(key) != nil || f.replies.Lookup(key) != nil {
 		t.Errorf("reply still cached after %d later replies, window %d", window, window)
+	}
+}
+
+// TestFollowerOnRankZeroGetsReplies: a follower may live on world rank 0,
+// and the leader ships it the replies it records like any other.
+func TestFollowerOnRankZeroGetsReplies(t *testing.T) {
+	w, err := minimpi.NewWorld(sim.New(), 3, netmodel.QDRInfiniBand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &tap{w: w}
+	w.SetTransport(tp)
+	dir := NewDirectory(NewRing(1), []int{1}, []int{0})
+	inv := []Handle{{ID: 0, Rank: 100}}
+	leader, err := NewServerOpts(w.Comm(1), inv, Options{Directory: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := ReplicaFor(w.Comm(0), dir, 0, inv, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquire := wire.NewWriter(64).U8(opAcquire).U64(1).U64(dir.Epoch(0)).Int(1).U8(0)
+	encodeConstraint(acquire, Constraint{})
+	leader.handle(2, acquire.Bytes())
+	for _, m := range tp.take() {
+		if m.tag == TagReplicate {
+			rp.apply(m.data)
+		}
+		w.PutBuf(m.data)
+	}
+	if got := rp.srv.replies.Lookup(minimpi.ReplyKey{Src: 2, ReqID: 1}); got == nil || !bytes.Equal(got, leader.replies.Lookup(minimpi.ReplyKey{Src: 2, ReqID: 1})) {
+		t.Fatalf("follower on rank 0 caches %x for the grant", got)
 	}
 }

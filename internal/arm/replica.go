@@ -5,8 +5,8 @@ package arm
 // (TagReplicate), so an ARM crash no longer strands leases. The stream
 // is simple effect-record shipping rather than an operation log: after
 // every handled request and every detector tick the leader sends its
-// full per-accelerator state (id, rank, lifecycle state, drain/remove
-// flags, holder ranks, capability) plus the replies issued since the last
+// full per-accelerator state (id, rank, accel.wire's state and drain,
+// holder ranks, capability) plus the replies issued since the last
 // shipment. At the simulated fleet's scale a shard owns a handful of
 // accelerators, so a full snapshot costs less than the bookkeeping a
 // diff protocol would need, and it is trivially idempotent.
@@ -47,8 +47,8 @@ func (s *Server) ship() {
 	s.repSeq++
 	w := s.scratch.Reset().U64(s.repSeq).Int(len(s.accels))
 	for _, a := range s.accels {
-		fl := flag(a.draining, 1) | flag(a.removing, 2) | flag(a.dirty, 4)
-		w.Int(a.id).Int(a.rank).U8(uint8(a.state)).U8(fl).Int(len(a.holders))
+		st, fl := a.wire()
+		w.Int(a.id).Int(a.rank).U8(st).U8(fl).Int(len(a.holders))
 		for _, h := range a.holders {
 			w.Int(h.rank)
 		}
@@ -168,11 +168,17 @@ func (rp *Replica) apply(data []byte) {
 	for i := 0; i < n; i++ {
 		id := r.Int()
 		rank := r.Int()
-		state := acState(r.U8())
-		fl := r.U8()
+		code, fl := r.U8(), r.U8()
 		s.ids = r.AppendInts(s.ids[:0])
 		cap, err := decodeCapability(r)
 		if err != nil {
+			return
+		}
+		state, ok := unwire(code, fl)
+		if !ok {
+			if strict {
+				panic(fmt.Sprintf("arm: snapshot names state %d, flags %d for accelerator %d", code, fl, id))
+			}
 			return
 		}
 		a := s.byID[id]
@@ -185,9 +191,14 @@ func (rp *Replica) apply(data []byte) {
 		a.rank = rank
 		a.state = state
 		a.cap = cap
-		a.draining = fl&1 != 0
-		a.removing = fl&2 != 0
-		a.dirty = fl&4 != 0
+		switch {
+		case fl&1 == 0:
+			a.drain = nil
+		case a.drain == nil:
+			a.drain = &drainWait{src: -1, remove: fl&2 != 0}
+		default:
+			a.drain.remove = fl&2 != 0
+		}
 		a.holders = a.holders[:0]
 		for _, rk := range s.ids {
 			a.hold(rk, 0) // leases re-arm at promotion
@@ -238,33 +249,27 @@ func (rp *Replica) apply(data []byte) {
 // live hold from a dead epoch.
 func (rp *Replica) rearm() {
 	s := rp.srv
-	now := s.now()
-	var lease sim.Time
-	if s.healthOn && s.health.LeaseTTL > 0 {
-		lease = now.Add(s.health.LeaseTTL)
-	}
+	lease := s.leaseExpiry()
 	fenced := make(map[int]bool)
 	for _, a := range s.accels {
 		if s.daemon != nil && !fenced[a.rank] {
 			fenced[a.rank] = true
 			s.callDaemon(DaemonFence, a.rank, s.comm.Rank(), nil)
 		}
+		kind := LedgerGrant
+		if a.state != acAssigned {
+			kind = LedgerGrantShared
+		}
 		for i := range a.holders {
 			a.holders[i].expiry = lease
-			s.logGrant(a, a.holders[i].rank, a.state != acAssigned)
+			s.logHold(a, a.holders[i].rank, kind)
 		}
 		// A sanitize that was in flight on the dead leader is lost with
-		// it; restart the reclaim from scratch.
-		if a.state == acReclaiming {
-			a.dirty = true
-			s.sanitizeOrSettle(a)
-		}
-		// Quarantine the free pool behind a fence-tokened reset when
-		// sanitize-before-reuse is available; settle() returns each one
-		// to service once its daemon provably rejects stale tokens.
-		if a.state == acFree && s.healthOn && s.daemon != nil {
-			a.dirty = true
-			s.sanitizeOrSettle(a)
+		// it: restart it. The free pool waits behind a fence-tokened reset
+		// when sanitize-before-reuse is available, and returns to service
+		// once its daemon provably rejects stale tokens.
+		if a.state == acReclaiming || a.state == acFree && s.healthOn && s.daemon != nil {
+			s.transition(a, evPromote, -1)
 		}
 	}
 }

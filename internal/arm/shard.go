@@ -164,14 +164,13 @@ func (s *Server) foreignOwner(ids []int, forwarded bool) (int, bool) {
 	return owner, true
 }
 
-// forwardOp relays a client's request to the owning shard. The owner
-// executes it as if the client had sent it there (same client rank, same
-// reqID) and replies straight to the client. The header's epoch is the
-// forwarder's directory view of the owner's: a deposed owner that
+// forwardOp relays a client's request, op and body, to the owning shard.
+// The owner executes it as if the client had sent it there (same client
+// rank, same reqID) and replies straight to the client. The header's epoch
+// is the forwarder's directory view of the owner's: a deposed owner that
 // somehow still receives the forward steps down.
-func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, args func(w *wire.Writer)) {
-	w := s.scratch.Reset()
-	args(w.U8(opForward).U64(reqID).U64(s.dir.Epoch(owner)).Int(src).U8(op))
+func (s *Server) forwardOp(owner int, src int, reqID uint64, op uint8, body []byte) {
+	w := s.scratch.Reset().U8(opForward).U64(reqID).U64(s.dir.Epoch(owner)).Int(src).U8(op).Raw(body)
 	s.comm.SendCopy(s.dir.Serving(owner), TagRequest, w.Bytes())
 }
 
@@ -207,9 +206,9 @@ func (s *Server) forwardAcquire(req *pendingAcquire) bool {
 	// next gossip tick corrects it.
 	s.peers[best].free -= req.n
 	s.peers[best].classFree[c.Class] -= req.n
-	s.forwardOp(best, req.src, req.reqID, opAcquire, func(w *wire.Writer) {
-		encodeConstraint(w.Int(req.n).U8(flag(req.shared, flagShared)), c) // non-blocking at the peer
-	})
+	w := s.body.Reset().Int(req.n).U8(flag(req.shared, flagShared)) // non-blocking at the peer
+	encodeConstraint(w, c)
+	s.forwardOp(best, req.src, req.reqID, opAcquire, w.Bytes())
 	return true
 }
 
@@ -279,49 +278,11 @@ func (s *Server) recall(req pendingAcquire, blocking bool) {
 	})
 }
 
-// register admits a new accelerator into the live inventory (elastic
-// grow). The daemon is granted a full heartbeat silence budget from now.
-func (s *Server) register(src int, reqID uint64, id, rank int, cap Capability) {
-	if _, dup := s.byID[id]; dup {
-		s.reply(src, reqID, statusBadRequest, nil)
-		return
-	}
-	a := &accel{id: id, rank: rank, state: acFree, cap: cap}
-	s.accels = append(s.accels, a)
-	s.byID[id] = a
-	if s.lastBeat != nil {
-		s.lastBeat[rank] = s.now()
-	}
-	s.reply(src, reqID, statusOK, nil)
-	s.drainQueue()
-}
-
-// retireRemove drains an accelerator and removes it from the inventory
-// (elastic shrink). The reply semantics are opDrain's — delayed until the
-// accelerator is out of service — and the removal happens at that same
-// moment, so a completed Retire guarantees zero stranded leases on the
-// departed accelerator.
-func (s *Server) retireRemove(src int, reqID uint64, id int, deadline sim.Duration) {
-	a, ok := s.byID[id]
-	if !ok || a.drainer != nil {
-		s.reply(src, reqID, statusBadRequest, nil)
-		return
-	}
-	a.removing = true
-	s.drain(src, reqID, id, deadline)
-	if a.state == acRetired {
-		// Drain settled immediately (the accelerator was already idle or
-		// out of service); the deferred paths remove via settleDrainer.
-		s.removeAccel(a)
-	}
-}
-
 // removeAccel drops an accelerator from the inventory. Copy-on-write:
 // detector passes may be mid-iteration over the old slice, which stays
-// valid (the removed accelerator is retired, so every lifecycle check
-// treats it as a no-op).
+// valid (the removed accelerator is out of service, where the detector's
+// events leave it be).
 func (s *Server) removeAccel(a *accel) {
-	a.removing = false
 	delete(s.byID, a.id)
 	out := make([]*accel, 0, len(s.accels))
 	for _, b := range s.accels {
