@@ -18,10 +18,10 @@ import (
 	"dynacc/internal/sim"
 )
 
-// Pending is an in-flight asynchronous device operation.
-type Pending interface {
-	Wait(p *sim.Proc) error
-}
+// Pending is an in-flight asynchronous device operation. Wait for it at most
+// once: under MPI_Wait's rule a remote one's Wait hands its call record back to
+// the front-end for reuse. A Pending never waited for is left to the GC.
+type Pending interface{ Wait(p *sim.Proc) error }
 
 // Device is the GPU surface the hybrid algorithms need. Offsets and sizes
 // are in bytes. Operations issued on the same stream execute in order;

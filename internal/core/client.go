@@ -159,7 +159,7 @@ type Client struct {
 	// Autotune-planned transfer; never touched on the default path.
 	tuner *tuner
 
-	// Free lists of calls (see release), of copies' block loops, of launch
+	// Free lists of calls (see handBack), of copies' block loops, of launch
 	// arguments (see dropArgs) and of ledger records (see drop).
 	calls []*call
 	xfers []*xfer
@@ -361,9 +361,6 @@ type Accel struct {
 // a daemon a promoted successor already fenced.
 func (a *Accel) SetFence(epoch uint64) { a.fence = epoch }
 
-// Fence returns the handle's fencing token (0 = token-less).
-func (a *Accel) Fence() uint64 { return a.fence }
-
 // Rank returns the communicator rank of the accelerator's daemon.
 func (a *Accel) Rank() int { return a.rank }
 
@@ -379,19 +376,33 @@ func (a *Accel) translate(ptr gpu.Ptr) gpu.Ptr {
 	return ptr
 }
 
-// Pending is an in-flight asynchronous operation.
+// Pending is an in-flight asynchronous operation under MPI_Wait's rule: the
+// Wait that sees it complete hands its call record back to the client, so
+// wait at most once (a second Wait panics, naming the op, while the record is
+// not reused; DYNACC_POISON=1 never reuses it). One never waited is the GC's.
 type Pending struct {
 	done sim.Event
 	err  error
 	cl   *call // the call this Pending is part of
 	// queued: in a command recorder, so waiting on it flushes (see Done).
 	queued bool
+	// holds counts the Waits to come: 2 for a lone command Flush returned
+	// too, 0 for a call nobody waits for (Finish hands that one back).
+	holds uint8
 }
 
-// Wait blocks until the operation completes and returns its error.
+// Wait blocks until the operation completes and returns its error; the last
+// hold's Wait hands the call record back.
 func (pd *Pending) Wait(p *sim.Proc) error {
 	pd.Done().Await(p)
-	return pd.err
+	cl, err := pd.cl, pd.err
+	if cl.holds == 0 {
+		panic(fmt.Sprintf("core: Wait on a Pending already handed back (op %d)", cl.q.op))
+	}
+	if cl.holds--; cl.holds == 0 {
+		cl.handBack()
+	}
+	return err
 }
 
 // Done exposes the completion event for composition (OnTrigger). If
@@ -399,7 +410,7 @@ func (pd *Pending) Wait(p *sim.Proc) error {
 // first — the event could otherwise never trigger.
 func (pd *Pending) Done() *sim.Event {
 	if pd.queued {
-		pd.cl.a.Flush(pd.cl.q.stream)
+		pd.cl.a.flush(pd.cl.q.stream, 0)
 	}
 	return &pd.done
 }
@@ -412,18 +423,11 @@ func (a *Accel) failed(err error) *Pending {
 	return &cl.Pending
 }
 
-// join waits out a synchronous API call's Pending, which nobody else holds.
-func (c *Client) join(p *sim.Proc, pd *Pending) error {
-	err := pd.Wait(p)
-	c.release(pd.cl)
-	return err
-}
-
-// release recycles a call nobody can reach any more, unless it gave up on a
-// request (a timeout) whose wake-up may yet come.
-func (c *Client) release(cl *call) {
-	if cl.Req == nil {
-		c.calls = append(c.calls, cl)
+// handBack recycles a call nobody can reach any more, unless it gave up on a
+// request (a timeout) whose wake-up may yet come; DYNACC_POISON=1 retires it.
+func (cl *call) handBack() {
+	if cl.Req == nil && !poisonFreed {
+		cl.a.c.calls = append(cl.a.c.calls, cl)
 	}
 }
 
@@ -434,10 +438,10 @@ func (c *Client) release(cl *call) {
 // response wait is armed at once for a header-only call, after the last
 // block for a copy, one call after the other for the two halves of a direct
 // copy. A synchronous caller (wait) suspends until the finishing leg resumes
-// it; an asynchronous one holds the call's Pending.
-//
-// A client recycles its synchronous calls (see release); every send ships a
-// pool copy of the header, so no message in flight aliases a recycled call.
+// it; an asynchronous one holds the call's Pending. Either way the call ends
+// with the Pending's Wait, which hands the record back to the client (see
+// handBack); every send ships a pool copy of the header, so no message in
+// flight aliases a recycled call.
 type call struct {
 	a *Accel
 	q request // kept for retransmission
@@ -478,7 +482,7 @@ func (a *Accel) newCall(q request) *call {
 	cl := pop(&a.c.calls)
 	*cl = call{a: a, q: q, rsp: response{payload: cl.rsp.payload[:0]}, app: q.ptr}
 	cl.done.Init(a.sim())
-	cl.Pending.cl = cl
+	cl.Pending.cl, cl.holds = cl, 1
 	return cl
 }
 
@@ -561,7 +565,9 @@ func (cl *call) Finish(err error) {
 	cl.done.Trigger()
 	if cl.then != nil {
 		cl.then(err)
-		cl.a.c.release(cl)
+	}
+	if cl.holds == 0 {
+		cl.handBack()
 	}
 }
 
@@ -639,18 +645,12 @@ func (cl *call) dropArgs() {
 	}
 }
 
-// wait is the synchronous call: it arms the response wait and blocks p until
-// the call is over.
-func (cl *call) wait(p *sim.Proc) error {
-	cl.Call.Wait(p)
-	return cl.err
-}
-
 // callAsync is call for scheduler-context code: it returns the call in
-// flight, and then(err) runs inside the leg that ends it.
+// flight, and then(err) runs inside the leg that ends it. Nobody waits for
+// it, so Finish hands the record back.
 func (a *Accel) callAsync(q request, then func(error)) *minimpi.Call {
 	cl := a.newCall(q).issue(a.c.opts.Retries, 0)
-	cl.then = then
+	cl.then, cl.holds = then, 0
 	cl.Arm()
 	return &cl.Call
 }
@@ -659,9 +659,9 @@ func (a *Accel) callAsync(q request, then func(error)) *minimpi.Call {
 // (OpMemAlloc's) or nothing; status is one answered with a status only.
 func (a *Accel) call(p *sim.Proc, q request) (gpu.Ptr, error) {
 	cl := a.newCall(q).issue(a.c.opts.Retries, 0)
-	defer a.c.release(cl)
-	err := cl.wait(p)
-	return cl.rsp.ptr, err
+	cl.Call.Wait(p) // blocks p until the call is over
+	ptr := cl.rsp.ptr
+	return ptr, cl.Pending.Wait(p)
 }
 
 func (a *Accel) status(p *sim.Proc, q request) error {
@@ -688,7 +688,7 @@ func (a *Accel) submit(cl *call) *Pending {
 	rec.cmds = append(rec.cmds, cl)
 	rec.bytes += cmdCost(q)
 	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= cmp.Or(a.c.opts.BatchBytes, DefaultBatchBytes) {
-		a.Flush(q.stream)
+		a.flush(q.stream, 0)
 	}
 	return &cl.Pending
 }
@@ -714,7 +714,7 @@ func cmdCost(q *request) int {
 // flushAll flushes every stream's recorder, in ascending stream order.
 func (a *Accel) flushAll() {
 	for id := range a.recs {
-		a.Flush(uint8(id))
+		a.flush(uint8(id), 0)
 	}
 }
 
@@ -726,7 +726,13 @@ func (a *Accel) flushAll() {
 // (or an inline write) travel as one opBatch carrying one request ID: the
 // daemon executes them in order, answers with a per-command status vector,
 // and its dedup table replays the whole batch atomically on retransmission.
-func (a *Accel) Flush(stream uint8) *Pending {
+// The Pending is waited at most once, as any other; a lone command's is its
+// own, held twice, so its record comes back once both holders have waited.
+func (a *Accel) Flush(stream uint8) *Pending { return a.flush(stream, 1) }
+
+// flush is Flush with the holds its caller takes on the Pending: the client's
+// own take none, so an unheld batch's record comes back when it is over.
+func (a *Accel) flush(stream, holds uint8) *Pending {
 	if a.noFlush || int(stream) >= len(a.recs) || len(a.recs[stream].cmds) == 0 {
 		return nil
 	}
@@ -744,8 +750,9 @@ func (a *Accel) Flush(stream uint8) *Pending {
 			pad += cm.q.modelPad()
 		}
 		cl = a.newCall(request{op: OpBatch, stream: stream, batch: sub})
-		cl.cmds = cmds
+		cl.cmds, cl.holds = cmds, 0
 	}
+	cl.holds += holds
 	cl.issue(a.c.opts.Retries, pad).Arm()
 	return &cl.Pending
 }
@@ -792,7 +799,7 @@ func (a *Accel) streamCopy(dir TransferDir, q request, host []byte) *Pending {
 	// A streamed copy is a blocking exchange on its stream: recorded
 	// commands there must reach the daemon first to keep stream order (and
 	// a download reads what they wrote).
-	a.Flush(q.stream)
+	a.flush(q.stream, 0)
 	q.block, q.depth = a.c.tunePlan(a.c.protocol(dir), a.rank, dir, q.size, true)
 	cl := a.newCall(q)
 	cl.x = pop(&a.c.xfers)
@@ -904,7 +911,7 @@ func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
 // but coalesces with everything recorded before it.
 func (a *Accel) MemFree(p *sim.Proc, ptr gpu.Ptr) error {
 	if a.batching() {
-		return a.c.join(p, a.submit(a.newCall(request{op: OpMemFree, ptr: ptr})))
+		return a.submit(a.newCall(request{op: OpMemFree, ptr: ptr})).Wait(p)
 	}
 	return a.status(p, request{op: OpMemFree, ptr: ptr})
 }
@@ -993,7 +1000,7 @@ func checkWindow(op, name string, host []byte, colBytes, cols, pitch int) error 
 // then carries only its size. The call uses the client's H2D protocol and
 // completes when the daemon acknowledges the full payload.
 func (a *Accel) MemcpyH2D(p *sim.Proc, dst gpu.Ptr, off int, src []byte, n int) error {
-	return a.c.join(p, a.MemcpyH2DAsync(dst, off, src, n, 0))
+	return a.MemcpyH2DAsync(dst, off, src, n, 0).Wait(p)
 }
 
 // MemcpyH2DAsync starts a host-to-device copy on the given stream and
@@ -1029,7 +1036,7 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 // MemcpyD2H copies n bytes of device memory at src+off into dst
 // (acMemCpy, device→host). dst may be nil in model mode.
 func (a *Accel) MemcpyD2H(p *sim.Proc, dst []byte, src gpu.Ptr, off, n int) error {
-	return a.c.join(p, a.MemcpyD2HAsync(dst, src, off, n, 0))
+	return a.MemcpyD2HAsync(dst, src, off, n, 0).Wait(p)
 }
 
 // MemcpyD2HAsync starts a device-to-host copy on the given stream; the
@@ -1051,7 +1058,7 @@ func (a *Accel) MemcpyD2H2DAsync(dst []byte, src gpu.Ptr, off, colBytes, cols, p
 // Memset fills n bytes of device memory at dst+off with value
 // (acMemSet / cuMemsetD8).
 func (a *Accel) Memset(p *sim.Proc, dst gpu.Ptr, off, n int, value byte) error {
-	return a.c.join(p, a.MemsetAsync(dst, off, n, value, 0))
+	return a.MemsetAsync(dst, off, n, value, 0).Wait(p)
 }
 
 // MemsetAsync queues the fill on a stream.
@@ -1085,7 +1092,7 @@ func (k *Kernel) SetArgs(args ...gpu.Value) *Kernel {
 // Run launches the kernel with the given configuration and blocks until
 // it has executed on the accelerator (acKernelRun).
 func (k *Kernel) Run(p *sim.Proc, grid, block gpu.Dim3) error {
-	return k.a.c.join(p, k.RunAsync(grid, block, 0))
+	return k.RunAsync(grid, block, 0).Wait(p)
 }
 
 // RunAsync launches the kernel on a stream and returns immediately; the
@@ -1117,11 +1124,12 @@ func (a *Accel) Sync(p *sim.Proc) error {
 func (a *Accel) Info(p *sim.Proc) (DeviceInfo, error) {
 	a.flushAll()
 	cl := a.newCall(request{op: OpDeviceInfo}).issue(a.c.opts.Retries, 0)
-	defer a.c.release(cl)
-	if err := cl.wait(p); err != nil {
-		return DeviceInfo{}, err
+	cl.Call.Wait(p)
+	info, err := decodeDeviceInfo(cl.rsp.payload)
+	if werr := cl.Pending.Wait(p); werr != nil {
+		return DeviceInfo{}, werr
 	}
-	return decodeDeviceInfo(cl.rsp.payload)
+	return info, err
 }
 
 // Reset frees every allocation on the accelerator, giving the next
@@ -1351,9 +1359,9 @@ func (c *Client) CopyD2D(p *sim.Proc, src *Accel, srcPtr gpu.Ptr, srcOff, colByt
 			block: block, depth: depth, peer: src.rank, xferID: xferID, stream: dstStream}).issue(0, 0)
 		sendCall := src.newCall(request{op: OpD2DSend, ptr: srcPtr, off: srcOff, size: n, cols: cols, pitch: pitch,
 			block: block, depth: depth, peer: dst.rank, xferID: xferID, stream: srcStream}).issue(0, 0)
-		errRecv, errSend := recvCall.wait(p), sendCall.wait(p)
-		c.release(recvCall)
-		c.release(sendCall)
+		recvCall.Call.Wait(p)
+		sendCall.Call.Wait(p)
+		errRecv, errSend := recvCall.Pending.Wait(p), sendCall.Pending.Wait(p)
 		if err = firstOf(errSend, errRecv); err == nil {
 			c.tuneRecord(c.opts.D2H, dst.rank, DirD2D, block, n, sim.Duration(p.Now()-t0))
 		}

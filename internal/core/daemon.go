@@ -781,12 +781,7 @@ func pop[T any](free *[]*T) *T {
 func (d *Daemon) putScratch(ps *pipeScratch) { d.scratches = append(d.scratches, ps) }
 
 func (d *Daemon) noteStaging(block, depth, nb int) {
-	if nb < depth {
-		depth = nb
-	}
-	if footprint := int64(block) * int64(depth); footprint > d.stats.StagingPeak {
-		d.stats.StagingPeak = footprint
-	}
+	d.stats.StagingPeak = max(d.stats.StagingPeak, int64(block)*int64(min(depth, nb)))
 }
 
 // window is a device range of an allocation: cols columns of colBytes

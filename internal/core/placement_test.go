@@ -53,7 +53,7 @@ func TestStridedH2DPlacesBlocksInPlace(t *testing.T) {
 		a := tb.accels[0]
 		ptr := filledAlloc(t, p, a, span)
 		src := pattern(colBytes * cols)
-		if err := a.c.join(p, a.MemcpyH2D2DAsync(ptr, off, colBytes, cols, pitch, src, 0)); err != nil {
+		if err := a.MemcpyH2D2DAsync(ptr, off, colBytes, cols, pitch, src, 0).Wait(p); err != nil {
 			t.Fatalf("strided upload: %v", err)
 		}
 		if got, want := tb.daemons[0].Stats().BlocksIn, int64(numBlocks(len(src), block)); got != want || want <= cols {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -185,5 +186,28 @@ func TestSessionRecordRetiredUnderPoison(t *testing.T) {
 		h, sess = open()
 		closeSession(h)
 		wantPanic(t, "use of a retired session record", func() { _ = sess.checkOwned(&request{op: OpMemFree, ptr: 256}) })
+	})
+}
+
+// A Pending's Wait hands its call back to the client, for the next call to
+// reuse; under the guard the record is retired, and a second Wait panics
+// naming the op, though another call is in flight meanwhile.
+func TestSecondWaitPanicsUnderPoison(t *testing.T) {
+	withPoison(t)
+	runTestbed(t, 1, false, fastNet(), DefaultOptions(), func(p *sim.Proc, tb *testbed) {
+		a := tb.accels[0]
+		ptr, err := a.MemAlloc(p, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd := a.MemsetAsync(ptr, 0, 4096, 1, 0)
+		if err := pd.Wait(p); err != nil {
+			t.Fatal(err)
+		}
+		next := a.MemsetAsync(ptr, 0, 4096, 2, 0)
+		wantPanic(t, fmt.Sprintf("Wait on a Pending already handed back (op %d)", OpMemset), func() { _ = pd.Wait(p) })
+		if err := next.Wait(p); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

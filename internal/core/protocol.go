@@ -308,10 +308,7 @@ func (c CopyConfig) resolve(n int) (block, depth int) {
 	default:
 		block = c.Block
 	}
-	if block > n {
-		block = n
-	}
-	return block, depth
+	return min(block, n), depth
 }
 
 // numBlocks returns the block count of an n-byte payload at the given

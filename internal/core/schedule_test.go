@@ -109,7 +109,7 @@ func TestGoldenCopySchedule(t *testing.T) {
 				const colBytes, cols, pitch, off = 10000, 37, 12288, 512
 				ptr := gb.alloc(p, off+cols*pitch)
 				src := pattern(colBytes * cols)
-				gb.note(p, gb.a.c.join(p, gb.a.MemcpyH2D2DAsync(ptr, off, colBytes, cols, pitch, src, 0)))
+				gb.note(p, gb.a.MemcpyH2D2DAsync(ptr, off, colBytes, cols, pitch, src, 0).Wait(p))
 				got := make([]byte, len(src))
 				gb.note(p, gb.a.MemcpyD2H2DAsync(got, ptr, off, colBytes, cols, pitch, 0).Wait(p))
 				if !bytes.Equal(got, src) {

@@ -135,7 +135,7 @@ func TestShadowMatchesCopyOnSuccess(t *testing.T) {
 				var err error
 				switch k := rng.Intn(7); k {
 				case 0, 1: // upload, streamed or inline by size
-					if err = a.c.join(p, a.MemcpyH2D2DAsync(r.ptr, w.off, w.colBytes, w.cols, w.pitch, packed, 0)); err == nil {
+					if err = a.MemcpyH2D2DAsync(r.ptr, w.off, w.colBytes, w.cols, w.pitch, packed, 0).Wait(p); err == nil {
 						r.write(w, packed)
 					}
 				case 2: // download: host-visible truth enters the shadow too

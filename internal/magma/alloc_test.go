@@ -213,3 +213,149 @@ func TestWarmRemoteLaunchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// warmQRRound measures TestWarmQRRoundAllocs' round — acquire two GPUs, lay
+// out, upload, factor, download, free, release — three rounds warm: the
+// fewest allocations and bytes a round took over three runs of five.
+func warmQRRound(t *testing.T) (allocs, bytes uint64) {
+	const n, nb = 96, 16
+	reg := gpu.NewRegistry()
+	RegisterKernels(reg)
+	cl, err := cluster.New(cluster.Config{ComputeNodes: 1, Accelerators: 2, Execute: true, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	matrix, got, tau := make([]float64, n*n), make([]float64, n*n), make([]float64, n)
+	for i := range matrix {
+		matrix[i] = rng.NormFloat64()
+	}
+	cfg := DefaultConfig()
+	cfg.NB = nb
+	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
+		devs := make([]Device, 2)
+		round := func() {
+			handles, err := node.ARM.Acquire(p, 2, true)
+			if err != nil {
+				t.Fatalf("acquire: %v", err)
+			}
+			for i, h := range handles {
+				devs[i] = accel.Remote(node.Attach(h))
+			}
+			dist, err := NewDist(p, devs, n, n, nb, true)
+			if err == nil {
+				err = dist.Upload(p, matrix)
+			}
+			if err == nil {
+				err = Dgeqrf(p, dist, tau, cfg)
+			}
+			if err == nil {
+				err = dist.Download(p, got)
+			}
+			if err != nil {
+				t.Fatalf("qr: %v", err)
+			}
+			dist.Free(p)
+			if err := node.ARM.Release(p, handles); err != nil {
+				t.Fatalf("release: %v", err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			round()
+		}
+		allocs, bytes = ^uint64(0), ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for j := 0; j < 5; j++ {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, (after.Mallocs-before.Mallocs)/5)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/5)
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return allocs, bytes
+}
+
+// A warm QR round once every Pending's Wait hands its call record back.
+func TestWarmQRRoundRecyclesCalls(t *testing.T) {
+	const (
+		// Measured 14 allocations and 50 224 bytes a round; the ceilings are
+		// 2 % above. It read 68 and 98 710 while the 54 asynchronous copies'
+		// and launches' call records were made afresh.
+		maxAllocs = 14
+		maxBytes  = 51228
+	)
+	if os.Getenv("DYNACC_POISON") == "1" {
+		t.Skip("DYNACC_POISON=1: freed records are retired, so every message allocates")
+	}
+	allocs, bytes := warmQRRound(t)
+	t.Logf("a warm QR round: %d allocations, %d bytes", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a warm QR round: %d allocations and %d bytes, want <= %d and <= %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// A warm larfb launch through accel.Remote, issued and waited for, past the
+// daemon's reply-cache window: the Wait hands the call record back for the
+// next launch, so none allocates.
+func TestWarmRemoteLaunchAllocatesNothing(t *testing.T) {
+	const n, k, launches = 48, 16, 50
+	if os.Getenv("DYNACC_POISON") == "1" {
+		t.Skip("DYNACC_POISON=1: freed records are retired, so every message allocates")
+	}
+	reg := gpu.NewRegistry()
+	RegisterKernels(reg)
+	cl, err := cluster.New(cluster.Config{ComputeNodes: 1, Accelerators: 1, Execute: true, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
+		handles, err := node.ARM.Acquire(p, 1, true)
+		if err != nil {
+			t.Fatalf("acquire: %v", err)
+		}
+		dev := accel.Remote(node.Attach(handles[0]))
+		var ptrs [3]gpu.Ptr
+		for i := range ptrs {
+			if ptrs[i], err = dev.MemAlloc(p, 8*n*n); err != nil {
+				t.Fatalf("alloc: %v", err)
+			}
+		}
+		l := larfbArgs(nil, n, n, k, ptrs[0], 0, n, ptrs[1], 0, n, ptrs[2], 0, n)
+		launch := func() {
+			if err := dev.LaunchAsync(KernelLarfb, l, 0).Wait(p); err != nil {
+				t.Fatalf("launch: %v", err)
+			}
+		}
+		// The daemon's reply cache fills its 512 slots before it recycles them.
+		for i := 0; i < 600; i++ {
+			launch()
+		}
+		allocs, bytes := ^uint64(0), ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for j := 0; j < launches; j++ {
+				launch()
+			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d warm remote launches: %d allocations, %d bytes", launches, allocs, bytes)
+		if allocs != 0 {
+			t.Errorf("%d warm remote launches: %d allocations and %d bytes, want none", launches, allocs, bytes)
+		}
+		if err := node.ARM.Release(p, handles); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

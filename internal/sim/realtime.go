@@ -95,14 +95,18 @@ func (s *Simulation) RunRealtime(stop <-chan struct{}) error {
 	return s.runRealtime(stop, DefaultCoarseness)
 }
 
+// sleepFor is the realtime loop's sleep before an event due at at, the clock
+// reading wall: none within the coarseness window, else until the window
+// reaches the event, which then runs at once instead of a window late.
+func sleepFor(at, wall Time, coarse Duration) Duration { return max(0, at.Sub(wall)-coarse) }
+
 func (s *Simulation) runRealtime(stop <-chan struct{}, coarse Duration) error {
 	start := time.Now()
 	base := s.now
 	wallNow := func() Time { return base.Add(Duration(time.Since(start))) }
+	// Go 1.23 timers: Stop and Reset leave no stale tick in timer.C.
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer.Stop()
 	for {
 		s.drainInjected(wallNow())
 		if s.failure != nil {
@@ -124,38 +128,22 @@ func (s *Simulation) runRealtime(stop <-chan struct{}, coarse Duration) error {
 				return nil
 			}
 		}
-		if wall := wallNow(); e.at > wall.Add(coarse) {
-			timer.Reset(time.Duration(e.at.Sub(wall)))
+		if wait := sleepFor(e.at, wallNow(), coarse); wait > 0 {
+			timer.Reset(time.Duration(wait))
 			select {
 			case <-s.inj.sig:
-				if !timer.Stop() {
-					<-timer.C
-				}
 			case <-stop:
-				if !timer.Stop() {
-					<-timer.C
-				}
+				timer.Stop()
 				return nil
 			case <-timer.C:
 			}
 			continue // re-drain injections, re-select the event
 		}
 		s.pop(fromReady)
-		// Inline exec with a monotonic clock: injections may have advanced
-		// now past e.at, in which case the event runs "late" at the
-		// advanced time rather than rewinding the clock.
-		if e.at > s.now {
-			s.now = e.at
-		}
-		switch {
-		case e.p != nil:
-			s.dispatch(e.p)
-		case e.afn != nil:
-			e.afn(e.arg)
-		default:
-			e.fn()
-		}
-		s.putEvent(e)
+		// Injections may have advanced now past e.at: the event then runs
+		// "late" at the advanced time rather than rewinding the clock.
+		e.at = max(e.at, s.now)
+		s.exec(e)
 		if s.failure != nil {
 			return s.failure
 		}

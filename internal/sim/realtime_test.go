@@ -191,3 +191,26 @@ func TestRealtimeResume(t *testing.T) {
 		t.Fatalf("second RunRealtime: %v", err)
 	}
 }
+
+// TestSleepForStopsAtTheWindow: the realtime loop sleeps until the event
+// enters the coarseness window, not until it is due, so an event just past
+// the window waits out only its distance from it.
+func TestSleepForStopsAtTheWindow(t *testing.T) {
+	const wall, coarse = Time(5 * Second), Millisecond
+	for _, c := range []struct {
+		at   Time
+		want Duration
+	}{
+		{wall.Add(-Millisecond), 0}, // overdue
+		{wall, 0},
+		{wall.Add(coarse / 2), 0},
+		{wall.Add(coarse), 0}, // the window's edge runs at once
+		{wall.Add(coarse + Microsecond), Microsecond},
+		{wall.Add(coarse + 29*Microsecond), 29 * Microsecond},
+		{wall.Add(30 * Millisecond), 29 * Millisecond},
+	} {
+		if got := sleepFor(c.at, wall, coarse); got != c.want {
+			t.Errorf("event at %v, wall %v: sleep %v, want %v", c.at, wall, got, c.want)
+		}
+	}
+}

@@ -200,7 +200,7 @@ type Simulation struct {
 	readyHead int
 
 	procs   map[*Proc]struct{} // live (spawned, not yet terminated) processes
-	parked  map[string]int     // scheduler-context activities waiting on another party; see Park
+	parked  []parkCount        // scheduler-context activities waiting on another party; see Park
 	nprocs  int                // total processes ever spawned, for naming
 	failure error              // first process panic, if any
 
@@ -220,10 +220,7 @@ type Simulation struct {
 
 // New creates an empty simulation with the clock at zero.
 func New() *Simulation {
-	s := &Simulation{
-		procs:  make(map[*Proc]struct{}),
-		parked: make(map[string]int),
-	}
+	s := &Simulation{procs: make(map[*Proc]struct{})}
 	s.inj.sig = make(chan struct{}, 1)
 	return s
 }
@@ -235,10 +232,7 @@ func (s *Simulation) Now() Time { return s.now }
 // After schedules fn to run in scheduler context d from now. Like event
 // callbacks, fn must not block.
 func (s *Simulation) After(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.schedule(s.now.Add(d), fn)
+	s.schedule(s.now.Add(max(d, 0)), fn)
 }
 
 // schedule enqueues fn to run at time at (>= now).
@@ -309,10 +303,7 @@ func (s *Simulation) getEvent() *event {
 // are owned exclusively by the queue that pops them; bumping gen retires
 // every Timer naming the use that ended.
 func (s *Simulation) putEvent(e *event) {
-	e.fn = nil
-	e.p = nil
-	e.afn = nil
-	e.arg = nil
+	e.fn, e.p, e.afn, e.arg = nil, nil, nil, nil
 	e.gen++
 	s.freeEvents = append(s.freeEvents, e)
 }
@@ -627,8 +618,8 @@ func (s *Simulation) run(limit Time, advance bool) error {
 			return s.failure
 		}
 	}
-	if len(s.procs) > 0 || len(s.parked) > 0 {
-		return s.deadlockError()
+	if err := s.deadlockError(); err != nil {
+		return err
 	}
 	s.drainWorkers()
 	if advance && s.now < limit {
@@ -654,26 +645,44 @@ func (s *Simulation) Step() (bool, error) {
 // party, and Unpark that it went on. An activity still parked when the
 // event queue drains is a deadlock exactly as a blocked process is, and is
 // reported under the name it parked with.
-func (s *Simulation) Park(what string) { s.parked[what]++ }
+func (s *Simulation) Park(what string) { s.parked[s.parkAt(what)].n++ }
 
 // Unpark undoes one Park(what).
-func (s *Simulation) Unpark(what string) {
-	if n := s.parked[what]; n > 1 {
-		s.parked[what] = n - 1
-	} else {
-		delete(s.parked, what)
+func (s *Simulation) Unpark(what string) { s.parked[s.parkAt(what)].n-- }
+
+// parkAt indexes what's count in s.parked, entered on first use: the tree
+// parks under two names, so a scan beats hashing.
+func (s *Simulation) parkAt(what string) int {
+	for i := range s.parked {
+		if s.parked[i].what == what {
+			return i
+		}
 	}
+	s.parked = append(s.parked, parkCount{what: what})
+	return len(s.parked) - 1
 }
 
+// parkCount is how many activities are parked under one name.
+type parkCount struct {
+	what string
+	n    int
+}
+
+// deadlockError reports what is blocked forever, or nil if nothing is.
 func (s *Simulation) deadlockError() error {
 	var names []string
 	blocked := len(s.procs)
 	for p := range s.procs {
 		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.state))
 	}
-	for what, n := range s.parked {
-		names = append(names, fmt.Sprintf("%s ×%d", what, n))
-		blocked += n
+	for _, pc := range s.parked {
+		if pc.n > 0 {
+			names = append(names, fmt.Sprintf("%s ×%d", pc.what, pc.n))
+			blocked += pc.n
+		}
+	}
+	if blocked == 0 {
+		return nil
 	}
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at t=%v: %d blocked forever: %v",
