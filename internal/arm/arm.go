@@ -550,10 +550,9 @@ func (s *Server) Run(p *sim.Proc) {
 		s.scheduleShardTick()
 	}
 	for {
-		req := s.comm.Irecv(minimpi.AnySource, TagRequest)
-		data, st := req.Wait(p)
+		data, st := s.comm.Recv(p, minimpi.AnySource, TagRequest)
 		more := s.handle(st.Source, data)
-		req.Free() // handle copied what it keeps
+		s.comm.World().PutPayload(data, st) // handle copied what it keeps
 		if !more {
 			s.closed = true
 			return
@@ -604,9 +603,12 @@ func (s *Server) handle(src int, data []byte) bool {
 			return true
 		}
 	}
-	res := s.dispatch(src, reqID, op, forwarded, data[len(data)-r.Remaining():])
+	// After shutdown the follower is gone: nothing to ship to.
+	if !s.dispatch(src, reqID, op, forwarded, data[len(data)-r.Remaining():]) {
+		return false
+	}
 	s.ship()
-	return res
+	return true
 }
 
 // dispatch executes one unwrapped request; it reports false on shutdown.

@@ -134,9 +134,7 @@ const (
 func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
 	cl := c.start(shard, op, args, nil)
 	cl.Wait(p)
-	if cl.Req == nil { // else it gave up on a reply that may yet come
-		cl.next, c.free = c.free, cl
-	}
+	cl.next, c.free = c.free, cl
 	return cl.frame.Bytes(), cl.epoch, cl.err
 }
 
@@ -582,9 +580,8 @@ func (c *Client) Shutdown(p *sim.Proc) error {
 // dedicated watcher process: notices are unsolicited and arrive on their
 // own tag, so they never interleave with request/reply traffic.
 func (c *Client) RecvNotice(p *sim.Proc) (Notice, error) {
-	req := c.comm.Irecv(minimpi.AnySource, TagNotify)
-	defer req.Free()
-	data, _ := req.Wait(p)
+	data, st := c.comm.Recv(p, minimpi.AnySource, TagNotify)
+	defer c.comm.World().PutPayload(data, st)
 	return DecodeNotice(data)
 }
 

@@ -142,9 +142,9 @@ func follow(v any) {
 			rp.srv.mainProc.Resume()
 			return
 		}
-		data, _ := req.Result()
+		data, st := req.Result()
 		rp.apply(data)
-		req.Free() // apply copied what it keeps
+		rp.srv.comm.World().PutPayload(data, st) // apply copied what it keeps
 	}
 	rp.stream.Req = rp.srv.comm.Irecv(rp.dir.Leader(rp.shard), TagReplicate)
 	if rp.stream.Await(rp.promoteAfter, follow, rp) {

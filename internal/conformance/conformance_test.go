@@ -161,7 +161,8 @@ func TestP2P(t *testing.T) {
 			// tag 20 first; matching must be by tag, not arrival.
 			r1 := c.Isend(2, 20, []byte("twenty"))
 			r2 := c.Isend(2, 21, []byte("twentyone"))
-			minimpi.WaitAll(p, r1, r2)
+			r1.Wait(p)
+			r2.Wait(p)
 		case 1:
 			data, st := c.Recv(p, 0, 7)
 			if string(data) != string(payload) || st.Source != 0 || st.Tag != 7 || st.Size != len(payload) {
@@ -290,7 +291,9 @@ func TestExtras(t *testing.T) {
 				t.Errorf("rank %d all-pairs part from %d = %v", r, j, part)
 			}
 		}
-		minimpi.WaitAll(p, sends...)
+		for _, r := range sends {
+			r.Wait(p)
+		}
 
 		// Split into even/odd subcomms; broadcast within each.
 		color := r % 2
@@ -322,8 +325,8 @@ func TestExtras(t *testing.T) {
 }
 
 // TestPoolOwnership covers the portable IsendOwned contract: the payload
-// arrives intact however the backend recycles the buffer, and Free on the
-// receive side is always safe.
+// arrives intact however the backend recycles the buffer, the receive's
+// status says it is a pool buffer, and returning it is always safe.
 func TestPoolOwnership(t *testing.T) {
 	const n = 3
 	const sz = 2048
@@ -338,10 +341,9 @@ func TestPoolOwnership(t *testing.T) {
 			}
 			return
 		}
-		req := c.Irecv(0, 11)
-		data, st := req.Wait(p)
-		if st.Size != sz || len(data) != sz {
-			t.Errorf("rank %d owned recv size %d/%d", c.Rank(), len(data), st.Size)
+		data, st := c.Recv(p, 0, 11)
+		if st.Size != sz || len(data) != sz || !st.Pooled {
+			t.Errorf("rank %d owned recv size %d/%d, pooled %v", c.Rank(), len(data), st.Size, st.Pooled)
 		}
 		for i, bb := range data {
 			if bb != byte('A'+c.Rank()) {
@@ -349,6 +351,6 @@ func TestPoolOwnership(t *testing.T) {
 				break
 			}
 		}
-		req.Free()
+		w.PutPayload(data, st)
 	})
 }

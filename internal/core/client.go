@@ -423,10 +423,10 @@ func (a *Accel) failed(err error) *Pending {
 	return &cl.Pending
 }
 
-// handBack recycles a call nobody can reach any more, unless it gave up on a
-// request (a timeout) whose wake-up may yet come; DYNACC_POISON=1 retires it.
+// handBack recycles a call nobody can reach any more (its End freed what it
+// still waited on); DYNACC_POISON=1 retires it.
 func (cl *call) handBack() {
-	if cl.Req == nil && !poisonFreed {
+	if !poisonFreed {
 		cl.a.c.calls = append(cl.a.c.calls, cl)
 	}
 }
@@ -851,13 +851,14 @@ func (cl *call) stream() {
 		if !cl.Await(a.c.opts.Timeout, blockOver, cl) {
 			return
 		}
-		if data, _ := cl.Req.Result(); x.dir == DirD2H && x.host != nil && data != nil {
-			// A download's block arrives pool-owned: copied out, and kept.
+		data, st := cl.Req.Result()
+		if cl.Req = nil; x.dir == DirD2H && x.host != nil && st.Pooled {
+			// A download's block, a pool buffer: copied out, and kept.
 			copy(x.host[x.i*q.block:], data)
-			x.blocks = append(x.blocks, shadowBlock{buf: cl.Req.TakePayload(), lo: x.i * q.block})
+			x.blocks = append(x.blocks, shadowBlock{buf: data, lo: x.i * q.block})
+		} else {
+			a.c.comm.World().PutPayload(data, st)
 		}
-		cl.Req.Free()
-		cl.Req = nil
 	}
 	cl.Arm()
 }

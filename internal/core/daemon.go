@@ -273,12 +273,11 @@ func (d *Daemon) Run(p *sim.Proc) {
 		})
 	}
 	for {
-		req := d.comm.Irecv(minimpi.AnySource, TagRequest)
-		data, st := req.Wait(p)
+		data, st := d.comm.Recv(p, minimpi.AnySource, TagRequest)
 		d.active[st.Source] = struct{}{}
 		q := pop(&d.reqs)
 		err, whole := q.decode(data, d.dev.Registry()), len(data) >= requestHeaderSize
-		req.Free() // q copied what it keeps; data is a pool buffer
+		d.comm.World().PutPayload(data, st) // q copied what it keeps
 		q.src = st.Source
 		if err != nil {
 			// A refused body still deserves an answer when its header was
@@ -933,7 +932,7 @@ func recvArrived(v any) {
 	ps.placed += len(data)
 	// The block's bytes are copied out; a pooled payload buffer (from a
 	// peer daemon's ownership handoff or a socket reader) goes back.
-	blk.Req.Free()
+	d.comm.World().PutPayload(data, st)
 	blk.size = st.Size
 	d.sim.AfterCall(ps.cost, recvProgressed, blk)
 }
@@ -1029,7 +1028,7 @@ func shipProgressed(v any) {
 // shipBlock is the head of an outgoing block's leg, run holding the
 // block's staging slot. In execute mode it gathers the block's bytes into
 // a pooled payload buffer whose ownership travels with the send
-// (Request.Free on the receiving side recycles it), so a steady-state
+// (the receiving side returns it to the pool), so a steady-state
 // transfer allocates nothing, copies nothing extra and keeps at most
 // depth blocks of pooled memory in flight. A gather that fails — the
 // allocation went away under the copy — fails the transfer like a bad

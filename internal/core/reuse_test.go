@@ -150,8 +150,8 @@ func TestReplayAfterReplyRingWraps(t *testing.T) {
 			}
 			r := comm.Irecv(1, respTag(id))
 			cb.rawSend(id, q)
-			data, _ := r.Wait(p)
-			defer r.Free()
+			data, st := r.Wait(p)
+			defer cb.world.PutPayload(data, st)
 			return bytes.Clone(data)
 		}
 		buf := cb.rawCall(t, p, 1, &request{op: OpMemAlloc, size: 16 << 20})
@@ -183,11 +183,11 @@ func TestReplayAfterReplyRingWraps(t *testing.T) {
 		r := comm.Irecv(1, respTag(busy))
 		cb.rawSend(busy, &request{op: OpMemset, ptr: buf.ptr, size: 16 << 20})
 		cb.rawSend(busy, &request{op: OpMemset, ptr: buf.ptr, size: 16 << 20})
-		data, _ := r.Wait(p)
+		data, rst := r.Wait(p)
 		if rsp, err := decodeResponse(data); err != nil || rsp.reqID != busy || rsp.err() != nil {
 			t.Errorf("answer to the busy request: %+v, %v", rsp, err)
 		}
-		r.Free()
+		cb.world.PutPayload(data, rst)
 		p.Wait(sim.Millisecond)
 		if st, ok := comm.Iprobe(1, respTag(busy)); ok {
 			t.Errorf("a second answer to the busy request: %+v", st)

@@ -10,8 +10,8 @@ import (
 
 // TestPipelinedBlockCycleAllocs pins the allocation cost of the copy
 // pipeline's inner loop: sender takes a pooled buffer and hands it off
-// with IsendOwned, receiver Irecvs, waits, and Frees the request — record
-// and payload — back to the world. With the pools and free lists warm, a
+// with IsendOwned, receiver Irecvs and waits — the Wait hands the record
+// back — and returns the payload to the pool. With the pools and free lists warm, a
 // full cycle allocates nothing.
 func TestPipelinedBlockCycleAllocs(t *testing.T) {
 	const (
@@ -43,9 +43,7 @@ func TestPipelinedBlockCycleAllocs(t *testing.T) {
 		cycle := func(n int) {
 			for i := 0; i < n; i++ {
 				buf := w.GetBuf(block)
-				req := c.IsendOwned(1, 0, buf)
-				req.Wait(p)
-				req.Free()
+				c.IsendOwned(1, 0, buf).Wait(p)
 			}
 		}
 		cycle(warmup)
@@ -66,12 +64,11 @@ func TestPipelinedBlockCycleAllocs(t *testing.T) {
 	s.Spawn("receiver", func(p *sim.Proc) {
 		c := w.Comm(1)
 		for i := 0; i < warmup+attempts*rounds; i++ {
-			req := c.Irecv(0, 0)
-			data, _ := req.Wait(p)
+			data, st := c.Irecv(0, 0).Wait(p)
 			if len(data) != block {
 				panic("short block")
 			}
-			req.Free()
+			w.PutPayload(data, st)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -105,12 +102,11 @@ func TestInjectRemoteAllocs(t *testing.T) {
 		c := w.Comm(1)
 		for b := 0; b < bursts; b++ {
 			for i := 0; i < burst; i++ {
-				req := c.Irecv(0, 3)
-				data, _ := req.Wait(p)
+				data, st := c.Irecv(0, 3).Wait(p)
 				if data[0] != byte(i) {
 					t.Errorf("burst %d: frame %d landed in place of frame %d", b, data[0], i)
 				}
-				req.Free()
+				w.PutPayload(data, st)
 			}
 			landed <- struct{}{}
 		}

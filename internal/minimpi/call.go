@@ -12,7 +12,6 @@ package minimpi
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"dynacc/internal/sim"
 )
@@ -84,21 +83,14 @@ func (w *Waiter) Await(deadline sim.Duration, fn func(any), arg any) bool {
 }
 
 // Cancel gives the wait up, on or over, for a chain whose owner died or
-// moved on: fn will not run again, the deadline is cancelled, and Req, a
-// receive, is freed — withdrawn if nothing matched it yet, left to land if
-// something did. Nothing is left to resend or to move the clock.
+// moved on: fn will not run again, the deadline is cancelled, and Req is
+// freed (Request.Free). Nothing is left to resend or to move the clock.
 func (w *Waiter) Cancel() {
 	w.waiting = false
 	w.deadline.Cancel()
 	if r := w.Req; r != nil {
 		w.Req = nil
-		ep := r.prComm.ep()
-		if i := slices.Index(ep.posted, r); i >= 0 {
-			ep.posted = slices.Delete(ep.posted, i, i+1)
-			r.world.putRequest(r)
-		} else {
-			r.Free()
-		}
+		r.Free()
 	}
 }
 
@@ -151,8 +143,9 @@ type Caller interface {
 	// then with silent set, and the caller may decline: a slow peer is not
 	// a gone one.
 	Send(silent bool)
-	// Reply judges the payload of a reply, which the Call frees afterwards
-	// (keep a copy of what is needed), and with ReplyOver gives the outcome.
+	// Reply judges the payload of a reply, which the Call returns to the
+	// pool afterwards (keep a copy of what is needed), and with ReplyOver
+	// gives the outcome.
 	Reply(data []byte) (ReplyKind, error)
 	// Finish ends the call with its outcome, once.
 	Finish(err error)
@@ -189,7 +182,7 @@ type Call struct {
 	comm   *Comm
 	src    int // the reply's source: a rank, or AnySource
 	tag    Tag
-	resp   *Request // the posted reply receive
+	resp   *Request // the posted reply receive, until armed
 	silent int      // deadlines run out since the last send that was not a resend
 	due    sim.Time // when the last send runs out of time, under a Timeout
 	p      *sim.Proc
@@ -209,7 +202,7 @@ func (c *Call) Start(comm *Comm, caller Caller, src int, tag Tag) {
 
 // Arm starts the wait for the reply.
 func (c *Call) Arm() {
-	c.Req, c.due = c.resp, c.comm.world.sim.Now().Add(c.Timeout)
+	c.Req, c.resp, c.due = c.resp, nil, c.comm.world.sim.Now().Add(c.Timeout)
 	if c.Await(c.Timeout, callOver, c) {
 		c.respond()
 	}
@@ -241,10 +234,10 @@ func (c *Call) respond() {
 	for {
 		switch {
 		case c.Req.Completed():
-			data, _ := c.Req.Result()
-			kind, err := c.caller.Reply(data)
-			c.Req.Free()
+			data, st := c.Req.Result()
 			c.Req = nil
+			kind, err := c.caller.Reply(data)
+			c.comm.world.PutPayload(data, st)
 			if kind == ReplyOver {
 				c.End(err)
 				return
@@ -277,10 +270,15 @@ func (c *Call) respond() {
 	}
 }
 
-// End ends the call, once: the caller takes the outcome, then a synchronous
-// caller goes on, inside this leg.
+// End ends the call, once: it frees what it still holds after a silence (the
+// reply receive, a copy's block), the caller takes the outcome, then a
+// synchronous caller goes on, inside this leg.
 func (c *Call) End(err error) {
 	c.over = true
+	c.Cancel()
+	if c.resp != nil { // a copy's blocks ran out of time
+		c.resp.Free()
+	}
 	c.caller.Finish(err)
 	if c.p != nil {
 		c.p.Resume()

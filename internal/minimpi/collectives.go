@@ -97,18 +97,16 @@ func (c *Comm) Gather(p *sim.Proc, root int, contrib []byte) [][]byte {
 	}
 	out := make([][]byte, c.Size())
 	out[root] = append([]byte(nil), contrib...)
-	reqs := make([]*Request, 0, c.Size()-1)
-	order := make([]int, 0, c.Size()-1)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
+	reqs := make([]*Request, c.Size())
+	for r := range reqs {
+		if r != root {
+			reqs[r] = c.irecvAnyTag(r, tagGather)
 		}
-		reqs = append(reqs, c.irecvAnyTag(r, tagGather))
-		order = append(order, r)
 	}
-	for i, req := range reqs {
-		data, _ := req.Wait(p)
-		out[order[i]] = data
+	for r, req := range reqs {
+		if req != nil {
+			out[r], _ = req.Wait(p)
+		}
 	}
 	return out
 }

@@ -70,15 +70,14 @@ func TestCancelAbandonsRendezvousSend(t *testing.T) {
 			t.Error("send completed with no receiver")
 		}
 		req.Cancel()
-		req.Wait(p) // must return now
-		if !req.Canceled() {
-			t.Error("Canceled() = false after Cancel")
+		if _, st := req.Wait(p); !st.Canceled { // must return now
+			t.Error("Status.Canceled = false after Cancel")
 		}
 		// Cancel after completion is a no-op.
 		done := c.IsendSized(1, 1, 16)
 		p.Wait(50 * sim.Microsecond)
 		done.Cancel()
-		if done.Canceled() {
+		if _, st := done.Result(); st.Canceled {
 			t.Error("completed eager send marked canceled")
 		}
 	})
@@ -128,8 +127,7 @@ func TestResetEndpointMidTransfer(t *testing.T) {
 		req := c.IsendSized(1, 0, big)
 		p.Wait(500 * sim.Microsecond) // mid-payload: 8 MiB takes 8.4 ms
 		w.ResetEndpoint(1)
-		req.Wait(p)
-		if req.Canceled() {
+		if _, st := req.Wait(p); st.Canceled {
 			t.Error("in-flight send reported canceled")
 		}
 		p.Wait(sim.Millisecond)
@@ -160,11 +158,9 @@ func TestCancelOnRecvIsNoop(t *testing.T) {
 		c := w.Comm(0)
 		req := c.Irecv(1, 0)
 		req.Cancel() // receives cannot be canceled; must not panic
-		if req.Canceled() {
+		if _, st := req.Wait(p); st.Canceled {
 			t.Error("recv marked canceled")
 		}
-		w.Comm(0) // keep c alive
-		_ = req
 	})
 	s.Spawn("sender", func(p *sim.Proc) {
 		w.Comm(1).Send(p, 0, 0, []byte("x"))
@@ -244,7 +240,7 @@ func TestWireStatsCountsPostedMessages(t *testing.T) {
 		r1 := c.Isend(1, 0, make([]byte, 100))
 		r2 := c.IsendPadded(1, 0, make([]byte, 10), 64)
 		r3 := c.IsendSized(1, 0, 256)
-		WaitAll(p, r1, r2, r3)
+		waitAll(p, r1, r2, r3)
 		ws := c.WireStats()
 		if ws.Msgs != 3 {
 			t.Errorf("Msgs = %d, want 3", ws.Msgs)

@@ -37,12 +37,18 @@ const (
 	AnyTag    Tag = -1
 )
 
-// Status describes a completed receive (or probe): the world-independent
-// communicator rank it came from, its tag and its payload size in bytes.
+// Status describes a completed request (or a probe): for a receive, the
+// communicator rank it came from, its tag and its payload size in bytes; for
+// a send, the destination, tag and size.
 type Status struct {
 	Source int
 	Tag    Tag
 	Size   int
+	// Pooled: the payload is a world pool buffer, the caller's to return
+	// with World.PutPayload once consumed.
+	Pooled bool
+	// Canceled: the send was aborted by Cancel (MPI_Test_cancelled).
+	Canceled bool
 }
 
 // World is a set of ranks sharing one interconnect.
@@ -58,7 +64,7 @@ type World struct {
 	// injection). See SetLinkFilter.
 	linkFilter LinkFilter
 	// pool recycles payload block buffers for the ownership-handoff send
-	// path (IsendOwned / Request.Free).
+	// path (IsendOwned / PutPayload).
 	pool     bufPool
 	freeReqs []*Request // recycled per-message records; see pool.go
 	freeMsgs []*Message

@@ -27,6 +27,13 @@ func fastNet() netmodel.Params {
 	}
 }
 
+// waitAll waits on each request in turn.
+func waitAll(p *sim.Proc, reqs ...*Request) {
+	for _, r := range reqs {
+		r.Wait(p)
+	}
+}
+
 // runWorld builds a simulation and world of n ranks, runs fn(rank) as the
 // rank's process, and completes the simulation.
 func runWorld(t *testing.T, n int, params netmodel.Params, fn func(p *sim.Proc, c *Comm)) {
@@ -156,7 +163,7 @@ func TestNonOvertakingSameTag(t *testing.T) {
 			big := bytes.Repeat([]byte{1}, 64*netmodel.KiB)
 			r1 := c.Isend(1, 0, big)
 			r2 := c.Isend(1, 0, []byte{2})
-			WaitAll(p, r1, r2)
+			waitAll(p, r1, r2)
 		case 1:
 			p.Wait(100 * sim.Microsecond)
 			first, _ := c.Recv(p, 0, 0)
@@ -182,7 +189,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 		start := p.Now()
 		sr := c.IsendSized(peer, 0, n)
 		rr := c.Irecv(peer, 0)
-		WaitAll(p, sr, rr)
+		waitAll(p, sr, rr)
 		if c.Rank() == 0 {
 			elapsed = p.Now().Sub(start)
 		}
@@ -204,12 +211,12 @@ func TestSameDirectionTransfersSerialize(t *testing.T) {
 		case 0:
 			r1 := c.IsendSized(1, 0, n)
 			r2 := c.IsendSized(1, 1, n)
-			WaitAll(p, r1, r2)
+			waitAll(p, r1, r2)
 		case 1:
 			start := p.Now()
 			r1 := c.Irecv(0, 0)
 			r2 := c.Irecv(0, 1)
-			WaitAll(p, r1, r2)
+			waitAll(p, r1, r2)
 			elapsed = p.Now().Sub(start)
 		}
 	})
@@ -305,10 +312,11 @@ func TestRequestCompletedFlag(t *testing.T) {
 			if req.Completed() {
 				t.Error("request completed before any send")
 			}
-			req.Wait(p)
+			req.Done().Await(p)
 			if !req.Completed() {
-				t.Error("request not completed after Wait")
+				t.Error("request not completed once its completion event fired")
 			}
+			req.Wait(p)
 		case 1:
 			c.Send(p, 0, 0, []byte("z"))
 		}
@@ -552,13 +560,12 @@ func TestInjectRemoteFromManyReaders(t *testing.T) {
 		c := w.Comm(senders)
 		next := make([]int, senders)
 		for i := 0; i < senders*frames; i++ {
-			req := c.Irecv(AnySource, 5)
-			data, st := req.Wait(p)
+			data, st := c.Recv(p, AnySource, 5)
 			if got := int(data[0])<<8 | int(data[1]); got != next[st.Source] {
 				t.Errorf("from rank %d: frame %d landed in place of frame %d", st.Source, got, next[st.Source])
 			}
 			next[st.Source]++
-			req.Free()
+			w.PutPayload(data, st)
 		}
 	})
 	stop := make(chan struct{})

@@ -2,6 +2,7 @@ package minimpi
 
 import (
 	"fmt"
+	"slices"
 
 	"dynacc/internal/sim"
 )
@@ -23,7 +24,7 @@ type Message struct {
 	tag         Tag
 	size        int
 	data        []byte
-	owned       bool // data came from the world pool; receiver frees it
+	owned       bool // data came from the world pool; the receiver returns it
 	w           *World
 	srcEp       *endpoint
 	dstEp       *endpoint
@@ -60,20 +61,20 @@ func (m *Message) completeSend() {
 	}
 }
 
-// Request is a handle for a nonblocking operation. Wait (or WaitAll)
-// blocks until completion; Done exposes the underlying completion event.
+// Request is a handle for a nonblocking operation, under MPI's rule: the
+// Wait (or Result) that sees it complete hands the record back to its World
+// (pool.go), and the payload and Status become the caller's. Free abandons
+// a request nobody will wait for. Done exposes the completion event.
 type Request struct {
 	doneEv   sim.Event // backing storage for done
 	done     *sim.Event
 	cancel   *sim.Event // armed only for rendezvous sends on the sim backend
 	cancelEv sim.Event  // backing storage for cancel
 	isSend   bool
-	canceled bool
 	status   Status
 	data     []byte
-	owned    bool   // data is a pool buffer; Free returns it
 	world    *World // owner of the payload pool and of this record
-	freed    bool   // the caller called Free; see there
+	freed    bool   // handed back, or abandoned in flight by Free
 	// Posted-receive matching state, filled by irecvAnyTag: folding the
 	// queue entry into the request saves an allocation per receive.
 	prComm *Comm
@@ -82,7 +83,7 @@ type Request struct {
 	prTag  Tag
 }
 
-// check panics on use of a freed request under the chaos guard.
+// check panics on use of a handed-back request under the chaos guard.
 func (r *Request) check() {
 	if r.freed && poisonFreed {
 		panic("minimpi: use of a freed Request")
@@ -94,75 +95,74 @@ func (r *Request) Done() *sim.Event { r.check(); return r.done }
 
 // Cancel aborts a send that has not completed (MPI_Cancel): a rendezvous
 // payload still waiting for the receiver's clearance is abandoned and the
-// request completes as canceled. Cancelling a completed request or a
-// receive is a no-op. Like MPI, a canceled-but-already-matched transfer
-// leaves the peer's receive pending forever — cancellation is for
+// request completes with Status.Canceled set. Cancelling a completed
+// request or a receive is a no-op. Like MPI, a canceled-but-already-matched
+// transfer leaves the peer's receive pending forever — cancellation is for
 // unreachable peers.
 func (r *Request) Cancel() {
 	r.check()
 	if r.isSend && !r.done.Triggered() {
-		r.canceled = true
+		r.status.Canceled = true
 		if r.cancel != nil {
 			r.cancel.Trigger()
 		}
 	}
 }
 
-// Canceled reports whether the request was aborted by Cancel.
-func (r *Request) Canceled() bool { r.check(); return r.canceled }
-
 // Completed reports whether the operation has finished.
 func (r *Request) Completed() bool { r.check(); return r.done.Triggered() }
 
-// Wait blocks the calling process until the request completes. For
-// receives it returns the payload (nil for sized sends) and the status.
+// Wait blocks the calling process until the request completes, hands the
+// record back and returns the payload (nil for sends and sized messages)
+// and the status. Wait at most once: the request must not be touched again.
 func (r *Request) Wait(p *sim.Proc) ([]byte, Status) {
 	r.check()
 	r.done.Await(p)
-	return r.data, r.status
+	return r.handBack()
 }
 
-// Result returns the payload and status of an already-completed request.
-// It panics if the request is still in flight (use Wait or Done first).
+// Result is Wait for a request already complete (see Done): it panics if
+// the request is still in flight.
 func (r *Request) Result() ([]byte, Status) {
 	r.check()
 	if !r.done.Triggered() {
 		panic("minimpi: Result on incomplete request")
 	}
-	return r.data, r.status
+	return r.handBack()
 }
 
-// TakePayload detaches a completed receive's pool-owned payload (nil if it
-// has none): the buffer is the caller's from now on, not Free's.
-func (r *Request) TakePayload() (b []byte) {
-	r.check()
-	if r.owned {
-		b, r.data, r.owned = r.data, nil, false
-	}
-	return b
+// handBack recycles a completed request and returns what it carried.
+func (r *Request) handBack() ([]byte, Status) {
+	data, st := r.data, r.status
+	r.world.putRequest(r)
+	return data, st
 }
 
-// Free says the caller is done with the request and its payload
-// (MPI_Request_free): neither may be touched again. On a completed request
-// a pool-owned payload (see IsendOwned) returns to the buffer pool and the
-// record to the world's free list, both to be handed out again (under
-// DYNACC_POISON=1 the bytes are scribbled over, the record is retired and
-// every later method call on it panics). A send still in flight is marked
-// and recycled by the leg that completes it: Isend(...).Free() is a
-// fire-and-forget send. On a receive still incomplete — it stays posted —
-// and on a request already freed, Free does nothing.
+// Free abandons a request nobody will wait for (MPI_Request_free). A send
+// still in flight is recycled by the leg that completes it:
+// Isend(...).Free() is a fire-and-forget send. A receive is withdrawn if
+// nothing matched it yet, and otherwise recycled, payload and all, when the
+// matched message lands. A completed request is recycled at once, its pool
+// payload returned. Under DYNACC_POISON=1 every later method call panics.
 func (r *Request) Free() {
 	r.check()
 	switch {
 	case r.freed:
 	case r.done.Triggered():
-		if r.owned && r.data != nil {
-			r.world.PutBuf(r.data)
-		}
-		r.world.putRequest(r)
-	case r.isSend:
+		r.world.PutPayload(r.handBack())
+	case r.isSend || !r.prComm.ep().withdraw(r):
 		r.freed = true
 	}
+}
+
+// withdraw unposts and recycles a receive nothing has matched.
+func (ep *endpoint) withdraw(r *Request) bool {
+	i := slices.Index(ep.posted, r)
+	if i >= 0 {
+		ep.posted = slices.Delete(ep.posted, i, i+1)
+		r.world.putRequest(r)
+	}
+	return i >= 0
 }
 
 // matches reports whether an envelope satisfies a posted (src, tag) pair,
@@ -189,16 +189,16 @@ func (c *Comm) Isend(dst int, tag Tag, data []byte) *Request {
 
 // IsendOwned is Isend with buffer ownership transferred to the transport:
 // data must come from World.GetBuf, the caller must not touch it after the
-// call, and the receiver releases it back to the pool with Request.Free
-// once the payload has been consumed. This is the zero-copy handoff path
+// call, and the receiver returns it to the pool (World.PutPayload) once the
+// payload has been consumed. This is the zero-copy handoff path
 // for pipelined transfer blocks.
 func (c *Comm) IsendOwned(dst int, tag Tag, data []byte) *Request {
 	return c.isend(dst, tag, data, len(data), true)
 }
 
 // SendCopy sends a pool copy of data (GetBuf + IsendOwned), fire and
-// forget: data is the caller's again at once, and the receiver's
-// Request.Free returns the copy. Both control planes send every message so.
+// forget: data is the caller's again at once, and the receiver returns the
+// copy (World.PutPayload). Both control planes send every message so.
 func (c *Comm) SendCopy(dst int, tag Tag, data []byte) {
 	buf := c.world.GetBuf(len(data))
 	copy(buf, data)
@@ -393,17 +393,11 @@ func sendRelease(v any) {
 }
 
 // Send is the blocking form of Isend.
-func (c *Comm) Send(p *sim.Proc, dst int, tag Tag, data []byte) {
-	r := c.Isend(dst, tag, data)
-	r.Wait(p)
-	r.Free()
-}
+func (c *Comm) Send(p *sim.Proc, dst int, tag Tag, data []byte) { c.Isend(dst, tag, data).Wait(p) }
 
 // SendSized is the blocking form of IsendSized.
 func (c *Comm) SendSized(p *sim.Proc, dst int, tag Tag, size int) {
-	r := c.IsendSized(dst, tag, size)
-	r.Wait(p)
-	r.Free()
+	c.IsendSized(dst, tag, size).Wait(p)
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
@@ -436,14 +430,8 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 }
 
 // Recv blocks until a matching message arrives and returns its payload
-// (nil for sized sends) and status; the request record never escapes and
-// is recycled here.
-func (c *Comm) Recv(p *sim.Proc, src int, tag Tag) ([]byte, Status) {
-	r := c.Irecv(src, tag)
-	data, st := r.Wait(p)
-	c.world.putRequest(r)
-	return data, st
-}
+// (nil for sized sends) and status.
+func (c *Comm) Recv(p *sim.Proc, src int, tag Tag) ([]byte, Status) { return c.Irecv(src, tag).Wait(p) }
 
 // completeRecv wires a matched message to its receive request: grant the
 // rendezvous sender clearance, then complete once the payload has landed
@@ -465,8 +453,12 @@ func recvComplete(v any) {
 	m := v.(*Message)
 	req := m.rreq
 	m.rreq = nil
-	req.data, req.owned, req.status = m.data, m.owned, m.status()
+	req.data, req.status = m.data, m.status()
+	req.status.Pooled = m.owned
 	req.done.Trigger()
+	if req.freed {
+		m.w.PutPayload(req.handBack())
+	}
 	m.halfOver()
 }
 
@@ -496,11 +488,4 @@ func (c *Comm) Iprobe(src int, tag Tag) (Status, bool) {
 		}
 	}
 	return Status{}, false
-}
-
-// WaitAll blocks until every request has completed.
-func WaitAll(p *sim.Proc, reqs ...*Request) {
-	for _, r := range reqs {
-		r.done.Await(p)
-	}
 }

@@ -9,31 +9,35 @@ import (
 // Payload buffer pool. Recycling buffers keeps steady-state traffic
 // allocation-free: the sender takes a buffer with World.GetBuf, ships it
 // with Comm.IsendOwned (ownership travels with the message), and the
-// receiver returns it with Request.Free once the bytes are consumed. Owned
-// payloads are pipelined copy blocks and core's control messages: request
-// headers, replies and replays. A socket transport runs every remote
-// payload through the same pool from its own goroutines (the connection
-// reader takes the receive buffer, the writer returns the sent one), so the
-// pool is goroutine-safe. A buffer whose message is dropped, canceled or
-// never received simply falls out of the pool — correctness never depends
-// on a Free happening.
+// receiver, whose Status says Pooled, returns it with World.PutPayload once
+// the bytes are consumed. Owned payloads are pipelined copy blocks and
+// core's control messages: request headers, replies and replays. A socket
+// transport runs every remote payload through the same pool from its own
+// goroutines (the connection reader takes the receive buffer, the writer
+// returns the sent one), so the pool is goroutine-safe. A buffer whose
+// message is dropped, canceled or never received simply falls out of the
+// pool — correctness never depends on a buffer coming back.
 //
 // Recycled records. Every Request and every Message comes from a per-World
 // free list (scheduler context only, so unlocked; empty in a new World) and
-// goes back under one ownership rule. A Message is internal: it returns by
+// goes back under one rule, MPI's. A Request goes back at the Wait or
+// Result that sees it complete, which hands its payload and Status to the
+// caller; Free abandons one nobody will wait for, which goes back when its
+// flight ends (a send at completion, a matched receive when its message
+// lands, with the payload) or at once (a completed one, an unmatched
+// receive, which is withdrawn). A Message is internal: it returns by
 // itself when both halves of its flight are over — the sender's at
 // sendRelease, the receiver's at recvComplete; at once where no receiver
 // will ever see it (the link filter's drop, FinishLocal) and never when a
 // rendezvous send was canceled after its envelope landed, since the peer may
-// still match it. A Request is the caller's until Request.Free; the blocking
-// forms whose handle never escapes (Send, SendSized, Recv) recycle their
-// own. A record nobody frees is garbage-collected, as a buffer is.
+// still match it. A Request nobody waits for or frees is garbage-collected,
+// as a buffer is, and RecordsOut counts it.
 
 // poisonFreed enables the chaos guard: freed pool buffers are scribbled
 // with a sentinel so any consumer that wrongly held on to a released
 // buffer reads garbage (and data-integrity checks fail loudly) instead of
-// silently aliasing recycled memory, and a freed Request is retired instead
-// of reused and panics on every later method call. Enabled by
+// silently aliasing recycled memory, and a handed-back Request is retired
+// instead of reused and panics on every later method call. Enabled by
 // DYNACC_POISON=1; CI runs the test suites with it set.
 var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
 
@@ -116,6 +120,14 @@ func (w *World) GetBuf(n int) []byte { return w.pool.get(n) }
 // must hold the only live reference. Safe to call from any goroutine.
 func (w *World) PutBuf(b []byte) { w.pool.put(b) }
 
+// PutPayload returns a payload Wait or Result handed over to the pool if
+// its status says it is a pool buffer; the caller is done with it.
+func (w *World) PutPayload(data []byte, st Status) {
+	if st.Pooled && data != nil {
+		w.pool.put(data)
+	}
+}
+
 // RecordsOut reports how many Request and Message records are handed out
 // and not back: flat across a stretch of traffic, every record came home.
 func (w *World) RecordsOut() (reqs, msgs int) { return w.reqsOut, w.msgsOut }
@@ -135,8 +147,8 @@ func (w *World) getRequest() *Request {
 	return r
 }
 
-// putRequest recycles a request nobody will touch again: the caller freed
-// it and no message still points at it.
+// putRequest recycles a request nobody will touch again: it was handed
+// back or freed, and no message still points at it.
 func (w *World) putRequest(r *Request) {
 	w.reqsOut--
 	*r = Request{freed: true}

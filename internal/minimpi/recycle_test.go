@@ -64,9 +64,10 @@ func stepUntil(t *testing.T, s *sim.Simulation, cond func() bool) sim.Time {
 	}
 }
 
-// TestFreedRequestIsHandedOutNext: Free on a completed request recycles the
-// record at once, a second Free does nothing, and Free on a receive still
-// posted does nothing either — the receive completes as if never freed.
+// TestFreedRequestIsHandedOutNext: the Wait that sees a request complete
+// recycles the record at once, so it is the next one handed out; Free on a
+// receive nothing has matched withdraws it and recycles it at once too, and
+// the message it would have matched lands unexpected.
 func TestFreedRequestIsHandedOutNext(t *testing.T) {
 	setPoison(t, false)
 	s, w, _ := recycleWorld(t)
@@ -74,21 +75,23 @@ func TestFreedRequestIsHandedOutNext(t *testing.T) {
 		c := w.Comm(0)
 		r := c.Isend(1, 0, []byte("x"))
 		r.Wait(p)
-		r.Free()
-		r.Free()
 		if len(w.freeReqs) != 1 || w.freeReqs[0] != r {
-			t.Errorf("free list holds %d requests after Free, Free of one completed send, want that one", len(w.freeReqs))
+			t.Errorf("free list holds %d requests after the Wait on one send, want that one", len(w.freeReqs))
 		}
 		posted := c.Irecv(1, 9)
 		if posted != r {
-			t.Error("the freed request is not the next one handed out")
+			t.Error("the handed-back request is not the next one handed out")
 		}
-		posted.Free() // incomplete receive: stays posted, is not recycled
-		if len(w.freeReqs) != 0 {
-			t.Error("Free recycled a receive that is still posted")
+		posted.Free()
+		if len(w.freeReqs) != 1 || w.freeReqs[0] != posted || len(w.eps[0].posted) != 0 {
+			t.Error("Free did not withdraw and recycle a receive nothing matched")
 		}
-		if data, st := posted.Wait(p); string(data) != "late" || st.Tag != 9 {
-			t.Errorf("receive freed while posted completed with %q, %+v", data, st)
+		p.Wait(50 * sim.Microsecond)
+		if len(w.eps[0].unexpected) != 1 {
+			t.Errorf("%d unexpected envelopes after the withdrawn receive's message landed, want 1", len(w.eps[0].unexpected))
+		}
+		if data, st := c.Recv(p, 1, 9); string(data) != "late" || st.Tag != 9 {
+			t.Errorf("receive posted after the withdrawal completed with %q, %+v", data, st)
 		}
 	})
 	s.Spawn("rank1", func(p *sim.Proc) {
@@ -99,6 +102,46 @@ func TestFreedRequestIsHandedOutNext(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if reqs, msgs := w.RecordsOut(); reqs != 0 || msgs != 0 {
+		t.Errorf("RecordsOut = %d, %d at the end, want 0, 0", reqs, msgs)
+	}
+}
+
+// TestReceiveFreedInFlightIsRecycledWhenItLands: Free on a receive already
+// matched, its payload still on the wire, leaves it to land; the leg that
+// completes it recycles the record and returns the pool payload.
+func TestReceiveFreedInFlightIsRecycledWhenItLands(t *testing.T) {
+	setPoison(t, false)
+	const size = 256 << 10 // rendezvous: the payload trails the match
+	s, w, _ := recycleWorld(t)
+	completed := sim.Time(-1)
+	var r *Request
+	s.Spawn("rank0", func(p *sim.Proc) {
+		buf := w.GetBuf(size)
+		w.Comm(0).IsendOwned(1, 0, buf).Free()
+	})
+	s.Spawn("rank1", func(p *sim.Proc) {
+		r = w.Comm(1).Irecv(0, 0)
+		r.Done().OnTrigger(func() { completed = s.Now() })
+		p.Wait(10 * sim.Microsecond) // matched, the payload in flight
+		if len(w.eps[1].posted) != 0 || r.Completed() {
+			t.Fatal("the receive is not matched and in flight at 10µs")
+		}
+		r.Free()
+		if slices.Contains(w.freeReqs, r) {
+			t.Error("Free recycled a receive still in flight")
+		}
+	})
+	recycled := stepUntil(t, s, func() bool { return slices.Contains(w.freeReqs, r) })
+	if completed <= 0 || recycled != completed {
+		t.Errorf("receive completed at %d, its freed request was recycled at %d", completed, recycled)
+	}
+	if w.pool.retained != sizeClass(size) {
+		t.Errorf("pool retains %d bytes after the freed receive landed, want its payload's %d", w.pool.retained, sizeClass(size))
+	}
+	if reqs, msgs := w.RecordsOut(); reqs != 0 || msgs != 0 {
+		t.Errorf("RecordsOut = %d, %d at the end, want 0, 0", reqs, msgs)
 	}
 }
 
@@ -170,13 +213,11 @@ func TestMessageRecycledWhenBothHalvesAreOver(t *testing.T) {
 		r := w.Comm(0).IsendSized(1, 0, 256<<10)
 		p.Wait(50 * sim.Microsecond) // the envelope has landed; nobody clears it
 		r.Cancel()
-		r.Wait(p)
-		if !r.Canceled() {
+		if _, st := r.Wait(p); !st.Canceled {
 			t.Error("parked send did not complete as canceled")
 		}
-		r.Free()
 		if !slices.Contains(w.freeReqs, r) {
-			t.Error("the canceled send's request was not recycled by Free")
+			t.Error("the canceled send's request was not recycled by its Wait")
 		}
 	})
 	if at := recycledAt(s, w, sp); at >= 0 {
@@ -187,8 +228,9 @@ func TestMessageRecycledWhenBothHalvesAreOver(t *testing.T) {
 	}
 }
 
-// TestFreedRequestPanicsUnderPoison: with the chaos guard on, a freed
-// record is retired, not reused, and every exported method says so.
+// TestFreedRequestPanicsUnderPoison: with the chaos guard on, a request
+// used after the Wait that handed it back is retired, not reused, and every
+// exported method says so; so is one freed in flight.
 func TestFreedRequestPanicsUnderPoison(t *testing.T) {
 	setPoison(t, true)
 	s, w, _ := recycleWorld(t)
@@ -196,14 +238,12 @@ func TestFreedRequestPanicsUnderPoison(t *testing.T) {
 		c := w.Comm(0)
 		r := c.Isend(1, 0, []byte("x"))
 		r.Wait(p)
-		r.Free()
 		if len(w.freeReqs) != 0 || c.Irecv(1, 1) == r {
-			t.Error("a freed request was kept for reuse under poison")
+			t.Error("a handed-back request was kept for reuse under poison")
 		}
 		for name, call := range map[string]func(){
 			"Done":      func() { r.Done() },
 			"Cancel":    func() { r.Cancel() },
-			"Canceled":  func() { r.Canceled() },
 			"Completed": func() { r.Completed() },
 			"Wait":      func() { r.Wait(p) },
 			"Result":    func() { r.Result() },

@@ -88,7 +88,7 @@ func TestGoldenSendSchedule(t *testing.T) {
 		abandoned := sent("G 0>2 rndv 1M cancelled", c.IsendSized(2, 9, 1024*k))
 		p.Wait(60 * sim.Microsecond)
 		abandoned.Cancel()
-		WaitAll(p, append(reqs, abandoned, recvH)...)
+		waitAll(p, append(reqs, abandoned, recvH)...)
 	})
 	s.Spawn("rank1", func(p *sim.Proc) {
 		c := w.Comm(1)
@@ -101,8 +101,8 @@ func TestGoldenSendSchedule(t *testing.T) {
 		}
 		// H leaves once D is out, so it queues behind D on rank 1's tx.
 		reqs[0].Wait(p)
-		reqs = append(reqs, sent("H 1>0 eager 4K", c.IsendSized(0, 5, 4*k)))
-		WaitAll(p, reqs...)
+		reqs = append(reqs[1:], sent("H 1>0 eager 4K", c.IsendSized(0, 5, 4*k)))
+		waitAll(p, reqs...)
 	})
 	s.Spawn("rank2", func(p *sim.Proc) {
 		c := w.Comm(2)
@@ -120,7 +120,7 @@ func TestGoldenSendSchedule(t *testing.T) {
 			sent("J 2>1 rndv 64K", c.IsendSized(1, 6, 64*k)),
 			sent("K 2>1 eager 8K", c.IsendSized(1, 10, 8*k)),
 		)
-		WaitAll(p, reqs...)
+		waitAll(p, reqs...)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 //   - It runs in scheduler context and must not block.
 //   - It owns the Message from that point on. An owned payload
 //     (IsendOwned) must eventually return to the world pool — either by
-//     the receiver's Request.Free (local delivery) or by the transport
+//     the receiver (local delivery; World.PutPayload) or by the transport
 //     itself once the bytes are on the wire (remote delivery).
 //   - The sender's request must eventually complete (FinishLocal or the
 //     sim flight), or be cancellable; "lost forever with no signal" is
@@ -166,7 +166,7 @@ func (m *Message) OnCancel(fn func(any), arg any) {
 }
 
 // Canceled reports whether the send, still in flight, was canceled.
-func (m *Message) Canceled() bool { return m.sreq.canceled }
+func (m *Message) Canceled() bool { return m.sreq.status.Canceled }
 
 // InjectRemote lands a message that arrived from another process in the
 // destination rank's matching queues, exactly as a local send's envelope
@@ -177,7 +177,7 @@ func (m *Message) Canceled() bool { return m.sreq.canceled }
 //
 // payload must be nil (sized send) or exactly env.Size bytes; the World
 // takes ownership of it as a pool buffer (transports read into
-// World.GetBuf), so the receiver's Request.Free recycles it.
+// World.GetBuf), and the receiver's status says so (Status.Pooled).
 func (w *World) InjectRemote(env Envelope, payload []byte) error {
 	if env.Dst < 0 || env.Dst >= len(w.eps) {
 		return fmt.Errorf("minimpi: InjectRemote: rank %d out of range [0,%d)", env.Dst, len(w.eps))

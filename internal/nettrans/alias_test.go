@@ -124,8 +124,9 @@ func TestEncodeEnqueueSteadyStateAllocs(t *testing.T) {
 // TestWarmRoundTripAllocatesNoPayloadBuffer pins the steady state of the
 // whole socket hop: once the pools are warm, a 1 MiB payload going out
 // borrowed (one copy into a pool buffer), coming in through the reader
-// (pool buffer), being forwarded back owned (no copy) and freed by the
-// final receiver allocates no payload-sized buffer on either side.
+// (pool buffer), being forwarded back owned (no copy) and returned to the
+// pool by the final receiver allocates no payload-sized buffer on either
+// side.
 func TestWarmRoundTripAllocatesNoPayloadBuffer(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
 	a := startNode(t, 2, 0, procs, lns[0], nil)
@@ -151,11 +152,11 @@ func TestWarmRoundTripAllocatesNoPayloadBuffer(t *testing.T) {
 				runtime.ReadMemStats(&before)
 			}
 			c.Isend(1, 1, src).Wait(p)
-			req := c.Irecv(1, 2)
-			if data, _ := req.Wait(p); !bytes.Equal(data, src) {
+			data, st := c.Recv(p, 1, 2)
+			if !bytes.Equal(data, src) {
 				t.Errorf("round %d: echo differs from what was sent", i)
 			}
-			req.Free()
+			a.w.PutPayload(data, st)
 		}
 		runtime.ReadMemStats(&after)
 		grew = after.TotalAlloc - before.TotalAlloc
@@ -188,11 +189,9 @@ func TestCancelQueuedRendezvousFrame(t *testing.T) {
 			t.Error("a rendezvous send completed before any connection took it")
 		}
 		r.Cancel()
-		r.Wait(p)
-		if !r.Canceled() {
+		if _, st := r.Wait(p); !st.Canceled {
 			t.Error("the canceled send did not complete as canceled")
 		}
-		r.Free()
 		c.Isend(1, 2, []byte("after")).Free()
 	})
 	wait(t, done, "cancel with the peer down")

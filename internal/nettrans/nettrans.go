@@ -624,7 +624,7 @@ func (t *Transport) refuse(conn net.Conn, reason string) error {
 
 // readLoop reads message frames off one connection and injects them into
 // the local World until the connection dies. Payloads land in world-pool
-// buffers that the receiver's Request.Free recycles.
+// buffers that the receiver returns to the pool (World.PutPayload).
 func (t *Transport) readLoop(conn net.Conn, pr *peer) {
 	var hdr [frameHeaderSize]byte
 	getBuf := t.world.GetBuf

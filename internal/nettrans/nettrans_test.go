@@ -460,8 +460,8 @@ func TestConfigValidation(t *testing.T) {
 // TestOwnedBufferReturnsToPool checks the pool round trip on both ends of
 // a socket hop. Sender: an IsendOwned buffer is taken over by the outbox
 // and comes back to the sender's world pool once written. Receiver: the
-// payload lands in a buffer from the receiver's world pool, and
-// Request.Free puts exactly that buffer back.
+// payload lands in a buffer from the receiver's world pool, its status says
+// so, and World.PutPayload puts exactly that buffer back.
 func TestOwnedBufferReturnsToPool(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)
 	a := startNode(t, 2, 0, procs, lns[0], nil)
@@ -473,14 +473,13 @@ func TestOwnedBufferReturnsToPool(t *testing.T) {
 	bDone := b.run("recv-owned", func(p *sim.Proc) {
 		c := b.w.Comm(1)
 		for i := 0; i < 2; i++ {
-			req := c.Irecv(0, 9)
-			data, _ := req.Wait(p)
-			if want := bytes.Repeat([]byte{byte('A' + i)}, n); !bytes.Equal(data, want) {
-				t.Errorf("owned payload %d corrupted: got %d bytes starting %q", i, len(data), data[:1])
+			data, st := c.Recv(p, 0, 9)
+			if want := bytes.Repeat([]byte{byte('A' + i)}, n); !bytes.Equal(data, want) || !st.Pooled {
+				t.Errorf("owned payload %d corrupted or not pooled: got %d bytes starting %q, %+v", i, len(data), data[:1], st)
 			}
-			req.Free()
+			b.w.PutPayload(data, st)
 			if again := b.w.GetBuf(n); &again[0] != &data[0] {
-				t.Errorf("payload %d: Free did not return the reader's buffer to the pool", i)
+				t.Errorf("payload %d: PutPayload did not return the reader's buffer to the pool", i)
 			} else {
 				b.w.PutBuf(again)
 			}
