@@ -40,7 +40,7 @@ func main() {
 
 	// The chaos schedule: accelerator 0's daemon is crash-killed at
 	// t=200ms, while node 0's last phase is holding it.
-	plan := faults.NewPlan(0).KillDaemon(200*sim.Millisecond, 0)
+	plan := faults.Plan{Faults: []faults.Fault{{At: 200 * sim.Millisecond, Verb: faults.KillDaemon, A: 0}}}
 	plan.Log = func(s string) { fmt.Println(s) }
 	plan.Arm(cl)
 

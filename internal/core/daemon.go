@@ -99,6 +99,7 @@ type Daemon struct {
 	// down the way a host crash would. Copy pipelines are callback legs,
 	// not processes: they stop on dead (see pipeScratch).
 	procs   []*sim.Proc
+	pipes   *pipeScratch // the copy-pipeline scratches made, linked: Kill abandons their waits
 	dead    bool
 	stopped bool // Run returned (graceful shutdown)
 
@@ -209,6 +210,11 @@ func (d *Daemon) Kill() {
 		p.Kill()
 	}
 	d.procs = nil
+	for ps := d.pipes; ps != nil; ps = ps.older {
+		for i := range ps.blocks {
+			ps.blocks[i].Abandon()
+		}
+	}
 }
 
 // track registers a daemon-owned process for Kill, pruning corpses so the
@@ -630,6 +636,7 @@ func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
 // triggered.
 type pipeScratch struct {
 	d       *Daemon
+	older   *pipeScratch // the scratch the daemon made before this one (Daemon.pipes)
 	staging *sim.Resource
 	depth   int
 	blocks  []pipeBlock
@@ -678,6 +685,9 @@ const statePipeline = "in copy pipeline"
 // checks the device window unless preErr has already refused the transfer.
 func (d *Daemon) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb int, preErr error) *pipeScratch {
 	ps := pop(&d.scratches)
+	if ps.d == nil {
+		ps.older, d.pipes = d.pipes, ps
+	}
 	ps.d = d
 	if ps.staging == nil || ps.depth != q.depth {
 		ps.staging = sim.NewResource(d.sim, "staging", q.depth)
@@ -919,12 +929,14 @@ func recvArrived(v any) {
 		if ps.peerErr == nil {
 			ps.peerErr = fmt.Errorf("core: payload block %d/%d from rank %d timed out", ps.next+1, len(ps.blocks), ps.peer)
 		}
+		blk.Abandon() // a late block still lands in the receive
 		blk.release()
 		ps.next++
 		ps.recvNext()
 		return
 	}
 	data, st := blk.Req.Result()
+	blk.Req = nil
 	d.stats.BlocksIn++
 	if data != nil && ps.winErr == nil {
 		ps.winErr = d.dev.ScatterColumnsAt(ps.q.ptr, ps.q.off, ps.colBytes, ps.cols, ps.pitch, ps.placed, data)
@@ -1089,7 +1101,7 @@ func blockShipped(v any) {
 			ps.peerErr = fmt.Errorf("core: payload block to rank %d timed out", ps.peer)
 		}
 	}
-	blk.Req.Free()
+	blk.Cancel()
 	d.stats.BlocksOut++
 	blk.release()
 }

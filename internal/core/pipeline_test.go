@@ -108,6 +108,58 @@ func TestKilledDaemonLegsStop(t *testing.T) {
 	})
 }
 
+// TestRebootInsidePayloadDeadline crashes a daemon whose upload is waiting
+// for blocks that will never come and reboots the rank before the payload
+// deadline runs out. The reboot recycles the rank's posted receives, so
+// the dead pipeline must not hold them: a deadline left running reads a
+// recycled Request when it fires (under DYNACC_POISON=1, a freed one).
+// Past the deadline the rebooted rank serves, and every record is back
+// with the world.
+func TestRebootInsidePayloadDeadline(t *testing.T) {
+	const block, nb, sent = 4 << 10, 4, 2
+	cb := newChaosBed(t, 1, true, DefaultOptions())
+	old := cb.daemons[0]
+	old.cfg.PayloadTimeout = 5 * sim.Millisecond
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		a, dev := cb.accels[0], cb.devs[0]
+		ptr := filledAlloc(t, p, a, nb*block)
+		reqs0, msgs0 := cb.world.RecordsOut()
+
+		const reqID = 1 << 40 // clear of the front-end's own sequence
+		comm := cb.world.Comm(0)
+		resp := comm.Irecv(1, respTag(reqID))
+		comm.SendCopy(1, TagRequest, encodeRequest(&request{reqID: reqID, op: OpMemcpyH2D, ptr: ptr, size: nb * block, block: block, depth: 2}))
+		src := pattern(nb * block)
+		for i := 0; i < sent; i++ {
+			comm.SendCopy(1, dataTag(reqID), src[i*block:(i+1)*block])
+		}
+		p.Wait(sim.Millisecond) // the blocks after them are posted for
+		if in := old.Stats().BlocksIn; in != sent {
+			t.Fatalf("the daemon took %d blocks before the crash, want %d", in, sent)
+		}
+		old.Kill()
+		cb.world.ResetEndpoint(1)
+		dev.ResetEngines()
+		dev.Reset(p)
+		d := NewDaemon(cb.world.Comm(1), dev, DefaultDaemonConfig())
+		cb.daemons[0] = d
+		cb.sim.Spawn("daemon0-reborn", d.Run)
+		p.Wait(2 * old.cfg.PayloadTimeout)
+
+		resp.Free() // the crash took the answer with it
+		ptr, err := a.MemAlloc(p, nb*block)
+		if err != nil {
+			t.Fatalf("alloc after restart: %v", err)
+		}
+		if err := a.MemcpyH2D(p, ptr, 0, src, nb*block); err != nil {
+			t.Fatalf("upload after restart: %v", err)
+		}
+		if reqs, msgs := cb.world.RecordsOut(); reqs != reqs0 || msgs != msgs0 {
+			t.Errorf("RecordsOut = (%d, %d) after the reboot, want (%d, %d) as before the upload", reqs, msgs, reqs0, msgs0)
+		}
+	})
+}
+
 // TestEngineResetUnderLiveTransfer swaps the device's engines under a live
 // daemon's transfers, as faults.RepairGPU does right after a repair: each
 // DMA leg in flight gives its unit back to the engine it took it from (a

@@ -66,11 +66,11 @@ func TestChaosClientCrashLeaseReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(chaosSeed(t)).
-		DropLink(0, cl.DaemonRank(0), cl.ARMRank(), 0.05). // seeded heartbeat loss
-		DropLink(25*sim.Millisecond, cl.DaemonRank(0), cl.ARMRank(), 0).
-		KillClient(killAt, 0).
-		Arm(cl)
+	faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{
+		{Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank(), Drop: 0.05}, // seeded heartbeat loss
+		{At: 25 * sim.Millisecond, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank()},
+		{At: killAt, Verb: faults.KillClient, A: 0},
+	}}.Arm(cl)
 
 	// The victim: grabs the whole pool, uploads, and works until killed.
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
@@ -181,10 +181,10 @@ func TestChaosSuspectDaemonLiveMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(chaosSeed(t)).
-		DropLink(2*sim.Millisecond, cl.DaemonRank(0), cl.ARMRank(), 0.1). // flaky, then
-		PartitionARM(10*sim.Millisecond, 0).                              // gone for good
-		Arm(cl)
+	faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{
+		{At: 2 * sim.Millisecond, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank(), Drop: 0.1}, // flaky, then
+		{At: 10 * sim.Millisecond, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank(), Drop: 1},  // gone for good
+	}}.Arm(cl)
 
 	spare := cl.DaemonRank(1)
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {

@@ -35,7 +35,7 @@ func chaosOptions() core.Options {
 }
 
 // TestAutotuneStepChangeConvergence degrades a healthy link with heavy
-// per-message latency mid-run (faults.DelayLink) and requires the
+// per-message latency mid-run (a faults.Link fault's Delay) and requires the
 // client's link model to walk its plan off the paper warm start toward
 // larger blocks, which amortize the new per-block handshake cost. This
 // is the end-to-end convergence check: the bandwidth samples come from
@@ -65,7 +65,9 @@ func TestAutotuneStepChangeConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faults.NewPlan(1).DelayLink(delayAt, 0, cl.DaemonRank(0), extra).Arm(cl)
+		faults.Plan{Seed: 1, Faults: []faults.Fault{
+			{At: delayAt, Verb: faults.Link, A: 0, B: cl.DaemonRank(0), Delay: extra},
+		}}.Arm(cl)
 
 		cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 			handles, err := node.ARM.Acquire(p, 1, false)
@@ -175,7 +177,7 @@ func treeQR(t *testing.T, n, nb int, a []float64, killAt sim.Duration, victim in
 		t.Fatal(err)
 	}
 	if killAt > 0 {
-		faults.NewPlan(chaosSeed(t)).KillDaemon(killAt, victim).Arm(cl)
+		faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{{At: killAt, Verb: faults.KillDaemon, A: victim}}}.Arm(cl)
 	}
 
 	var got, tau []float64

@@ -1,15 +1,11 @@
 // Package faults injects failures into a simulated accelerator cluster:
 // daemon crashes and reboots, GPU hardware failures, and interconnect
-// faults (severed, lossy, or slow links). A Plan is a deterministic,
-// virtual-time schedule of such events; arming it on a cluster spawns a
-// chaos controller process that applies each event at its instant.
-//
-// Determinism: the same plan (same construction calls, same seed) armed
-// on the same cluster produces bit-identical simulations — probabilistic
-// drops draw from a seeded generator in message-arrival order, which the
-// simulation itself makes deterministic. That keeps chaos tests
-// reproducible and lets regression tests assert identical output across
-// runs with active fault injection.
+// faults (severed, lossy, or slow links). A Plan is data, a seed and a
+// list of Fault values; arming it spawns a chaos process that applies
+// each fault at its virtual instant. The same plan armed on the same
+// cluster gives bit-identical runs: probabilistic drops draw, in the
+// simulation's deterministic message-arrival order, from a generator
+// seeded afresh at every Arm, so one plan value can drive many clusters.
 package faults
 
 import (
@@ -22,272 +18,143 @@ import (
 	"dynacc/internal/sim"
 )
 
-// event is one scheduled fault (or repair).
-type event struct {
-	at    sim.Duration // virtual time from simulation start
-	seq   int          // insertion order breaks ties deterministically
-	desc  string
-	apply func(p *sim.Proc, cl *cluster.Cluster)
+// Verb names what a Fault does.
+type Verb int
+
+const (
+	// KillDaemon crash-kills accelerator daemon A (cluster.KillDaemon).
+	KillDaemon Verb = iota
+	// RestartDaemon reboots killed daemon A (cluster.RestartDaemon).
+	RestartDaemon
+	// KillClient crash-kills compute node A's main process
+	// (cluster.KillClient), leaving its accelerators held.
+	KillClient
+	// KillARMShard crash-kills ARM shard A's leader (cluster.KillARMShard).
+	KillARMShard
+	// FailGPU breaks accelerator A's GPU: every device operation from then
+	// on, kernels already executing included, returns gpu.ErrDeviceFailed.
+	FailGPU
+	// RepairGPU undoes FailGPU on accelerator A and releases engines
+	// stranded by operations that died mid-flight.
+	RepairGPU
+	// Link sets the state of the link between world ranks A and B, both
+	// directions or, with OneWay, only A→B: each message is dropped with
+	// probability Drop (1 severs it, drawing nothing from the generator)
+	// and otherwise delayed by Delay. Zero in both heals the link;
+	// messages lost while it was down stay lost, as on a real network.
+	Link
+)
+
+// Fault is one scheduled event: Verb applied with its arguments at
+// virtual time At from simulation start.
+type Fault struct {
+	At     sim.Duration
+	Verb   Verb
+	A, B   int
+	OneWay bool
+	Drop   float64
+	Delay  sim.Duration
 }
 
-// pair is an unordered world-rank link key.
-type pair struct{ a, b int }
-
-func mkPair(a, b int) pair {
-	if a > b {
-		a, b = b, a
+// String is the fault's chaos log line.
+func (f Fault) String() string {
+	switch f.Verb {
+	case KillDaemon:
+		return fmt.Sprintf("kill daemon ac%d", f.A)
+	case RestartDaemon:
+		return fmt.Sprintf("restart daemon ac%d", f.A)
+	case KillClient:
+		return fmt.Sprintf("kill client cn%d", f.A)
+	case KillARMShard:
+		return fmt.Sprintf("kill ARM shard %d leader", f.A)
+	case FailGPU:
+		return fmt.Sprintf("fail gpu ac%d", f.A)
+	case RepairGPU:
+		return fmt.Sprintf("repair gpu ac%d", f.A)
+	case Link:
+		arrow := "<->"
+		if f.OneWay {
+			arrow = "->"
+		}
+		link := fmt.Sprintf("link %d%s%d", f.A, arrow, f.B)
+		switch {
+		case f.Drop >= 1:
+			return "sever " + link
+		case f.Drop > 0 && f.Delay > 0:
+			return fmt.Sprintf("drop %s p=%g, delay %v", link, f.Drop, f.Delay)
+		case f.Drop > 0:
+			return fmt.Sprintf("drop %s p=%g", link, f.Drop)
+		case f.Delay > 0:
+			return "delay " + link
+		}
+		return "heal " + link
 	}
-	return pair{a, b}
+	return fmt.Sprintf("verb %d", int(f.Verb))
 }
 
-// linkState is the mutable interconnect-fault table the installed
-// LinkFilter consults on every message. severed cuts both directions;
-// severedDir cuts a single direction (keyed by ordered (src, dst)), the
-// asymmetric partition where a can still reach b but not vice versa.
-type linkState struct {
-	severed    map[pair]bool
-	severedDir map[pair]bool
-	delay      map[pair]sim.Duration
-	drop       map[pair]float64
-	rng        *rand.Rand
-}
-
-func (ls *linkState) filter(src, dst int, _ minimpi.Tag, _ int) minimpi.LinkVerdict {
-	k := mkPair(src, dst)
-	v := minimpi.LinkVerdict{}
-	if ls.severed[k] || ls.severedDir[pair{src, dst}] {
-		v.Drop = true
-		return v
-	}
-	if p, ok := ls.drop[k]; ok && ls.rng.Float64() < p {
-		v.Drop = true
-		return v
-	}
-	v.Delay = ls.delay[k]
-	return v
-}
-
-// Plan is a schedule of fault events under construction. All times are
-// virtual durations from simulation start; events at the same instant
-// apply in the order they were added.
+// Plan is a fault schedule. Faults at the same instant apply in list
+// order. Seed drives probabilistic drops; plans without them are
+// seed-independent.
 type Plan struct {
-	events []event
-	links  *linkState
-	// Log, when set, receives a line per applied event (handy in tests).
+	Seed   int64
+	Faults []Fault
+	// Log, when set, receives a line per applied fault.
 	Log func(string)
 }
 
-// NewPlan creates an empty plan. The seed drives probabilistic drops
-// (DropLink); plans without them are seed-independent.
-func NewPlan(seed int64) *Plan {
-	return &Plan{links: &linkState{
-		severed:    make(map[pair]bool),
-		severedDir: make(map[pair]bool),
-		delay:      make(map[pair]sim.Duration),
-		drop:       make(map[pair]float64),
-		rng:        rand.New(rand.NewSource(seed)),
-	}}
-}
-
-func (pl *Plan) add(at sim.Duration, desc string, apply func(p *sim.Proc, cl *cluster.Cluster)) *Plan {
-	pl.events = append(pl.events, event{at: at, seq: len(pl.events), desc: desc, apply: apply})
-	return pl
-}
-
-// KillDaemon crash-kills accelerator daemon ac at time at (see
-// cluster.KillDaemon).
-func (pl *Plan) KillDaemon(at sim.Duration, ac int) *Plan {
-	return pl.add(at, fmt.Sprintf("kill daemon ac%d", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		cl.KillDaemon(ac)
-	})
-}
-
-// RestartDaemon reboots a previously killed daemon ac at time at (see
-// cluster.RestartDaemon).
-func (pl *Plan) RestartDaemon(at sim.Duration, ac int) *Plan {
-	return pl.add(at, fmt.Sprintf("restart daemon ac%d", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		cl.RestartDaemon(p, ac)
-	})
-}
-
-// KillClient crash-kills compute node cn's main process at time at (see
-// cluster.KillClient): its held accelerators are not released and, with
-// the ARM health subsystem on, come back via lease expiry.
-func (pl *Plan) KillClient(at sim.Duration, cn int) *Plan {
-	return pl.add(at, fmt.Sprintf("kill client cn%d", cn), func(p *sim.Proc, cl *cluster.Cluster) {
-		cl.KillClient(cn)
-	})
-}
-
-// KillARMShard crash-kills ARM shard sh's leader at time at (see
-// cluster.KillARMShard): with replicas, the shard's follower promotes
-// itself after the replication stream goes silent and clients replay
-// in-flight requests against it.
-func (pl *Plan) KillARMShard(at sim.Duration, sh int) *Plan {
-	return pl.add(at, fmt.Sprintf("kill ARM shard %d leader", sh), func(p *sim.Proc, cl *cluster.Cluster) {
-		cl.KillARMShard(sh)
-	})
-}
-
-// PartitionARM severs accelerator daemon ac's link to the ARM at time at
-// — heartbeats stop arriving while the daemon keeps serving clients, the
-// classic partial partition that makes a node *suspect*. Undo with
-// HealARM.
-func (pl *Plan) PartitionARM(at sim.Duration, ac int) *Plan {
-	return pl.add(at, fmt.Sprintf("partition daemon ac%d from ARM", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		pl.links.severed[mkPair(cl.DaemonRank(ac), cl.ARMRank())] = true
-	})
-}
-
-// HealARM restores daemon ac's link to the ARM at time at.
-func (pl *Plan) HealARM(at sim.Duration, ac int) *Plan {
-	return pl.add(at, fmt.Sprintf("heal daemon ac%d link to ARM", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		delete(pl.links.severed, mkPair(cl.DaemonRank(ac), cl.ARMRank()))
-	})
-}
-
-// FailGPU breaks accelerator ac's GPU at time at: every device operation
-// from then on — including kernels already executing — returns
-// gpu.ErrDeviceFailed, which the daemon reports to its client.
-func (pl *Plan) FailGPU(at sim.Duration, ac int, cause string) *Plan {
-	return pl.add(at, fmt.Sprintf("fail gpu ac%d", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		cl.Daemons[ac].Device().Fail(cause)
-	})
-}
-
-// RepairGPU undoes FailGPU at time at and releases engines stranded by
-// operations that died mid-flight.
-func (pl *Plan) RepairGPU(at sim.Duration, ac int) *Plan {
-	return pl.add(at, fmt.Sprintf("repair gpu ac%d", ac), func(p *sim.Proc, cl *cluster.Cluster) {
-		dev := cl.Daemons[ac].Device()
-		dev.Repair()
-		dev.ResetEngines()
-	})
-}
-
-// SeverLink cuts the link between world ranks a and b at time at: every
-// message between them is silently dropped in both directions until
-// HealLink.
-func (pl *Plan) SeverLink(at sim.Duration, a, b int) *Plan {
-	return pl.add(at, fmt.Sprintf("sever link %d<->%d", a, b), func(p *sim.Proc, cl *cluster.Cluster) {
-		pl.links.severed[mkPair(a, b)] = true
-	})
-}
-
-// HealLink restores a severed link at time at (messages dropped while it
-// was down stay lost, as on a real network).
-func (pl *Plan) HealLink(at sim.Duration, a, b int) *Plan {
-	return pl.add(at, fmt.Sprintf("heal link %d<->%d", a, b), func(p *sim.Proc, cl *cluster.Cluster) {
-		delete(pl.links.severed, mkPair(a, b))
-	})
-}
-
-// SeverLinkOneWay cuts only the src→dst direction of a link at time at:
-// messages from src to dst are dropped while dst's messages still reach
-// src — the asymmetric partition (a broken transmit path, a one-sided
-// firewall) that symmetric severing cannot express. Undo with
-// HealLinkOneWay.
-func (pl *Plan) SeverLinkOneWay(at sim.Duration, src, dst int) *Plan {
-	return pl.add(at, fmt.Sprintf("sever link %d->%d", src, dst), func(p *sim.Proc, cl *cluster.Cluster) {
-		pl.links.severedDir[pair{src, dst}] = true
-	})
-}
-
-// HealLinkOneWay restores the src→dst direction at time at.
-func (pl *Plan) HealLinkOneWay(at sim.Duration, src, dst int) *Plan {
-	return pl.add(at, fmt.Sprintf("heal link %d->%d", src, dst), func(p *sim.Proc, cl *cluster.Cluster) {
-		delete(pl.links.severedDir, pair{src, dst})
-	})
-}
-
-// PartitionLeaderFollower severs ARM shard sh's replication link — the
-// leader's stream to its follower — at time at, without touching either
-// side's client traffic: the classic split-brain opening where the
-// follower promotes itself while the old leader keeps serving whoever
-// can still reach it. Undo with HealLeaderFollower.
-func (pl *Plan) PartitionLeaderFollower(at sim.Duration, sh int) *Plan {
-	return pl.add(at, fmt.Sprintf("partition ARM shard %d leader<->follower", sh), func(p *sim.Proc, cl *cluster.Cluster) {
-		dir := cl.Directory()
-		pl.links.severed[mkPair(dir.Leader(sh), dir.Follower(sh))] = true
-	})
-}
-
-// HealLeaderFollower restores shard sh's leader↔follower link at time at.
-func (pl *Plan) HealLeaderFollower(at sim.Duration, sh int) *Plan {
-	return pl.add(at, fmt.Sprintf("heal ARM shard %d leader<->follower", sh), func(p *sim.Proc, cl *cluster.Cluster) {
-		dir := cl.Directory()
-		delete(pl.links.severed, mkPair(dir.Leader(sh), dir.Follower(sh)))
-	})
-}
-
-// PartitionLeaderClient severs the link between ARM shard sh's leader
-// and compute node cn at time at: the client's requests to the old
-// leader vanish (and so do its replies), forcing directory-driven
-// failover while the leader may still be healthy. Undo with
-// HealLeaderClient.
-func (pl *Plan) PartitionLeaderClient(at sim.Duration, sh, cn int) *Plan {
-	return pl.add(at, fmt.Sprintf("partition ARM shard %d leader<->cn%d", sh, cn), func(p *sim.Proc, cl *cluster.Cluster) {
-		pl.links.severed[mkPair(cl.Directory().Leader(sh), cn)] = true
-	})
-}
-
-// HealLeaderClient restores the shard-sh-leader↔cn link at time at.
-func (pl *Plan) HealLeaderClient(at sim.Duration, sh, cn int) *Plan {
-	return pl.add(at, fmt.Sprintf("heal ARM shard %d leader<->cn%d", sh, cn), func(p *sim.Proc, cl *cluster.Cluster) {
-		delete(pl.links.severed, mkPair(cl.Directory().Leader(sh), cn))
-	})
-}
-
-// DelayLink adds extra one-way latency to every message between world
-// ranks a and b from time at on; zero removes the penalty.
-func (pl *Plan) DelayLink(at sim.Duration, a, b int, extra sim.Duration) *Plan {
-	return pl.add(at, fmt.Sprintf("delay link %d<->%d", a, b), func(p *sim.Proc, cl *cluster.Cluster) {
-		if extra <= 0 {
-			delete(pl.links.delay, mkPair(a, b))
-			return
-		}
-		pl.links.delay[mkPair(a, b)] = extra
-	})
-}
-
-// DropLink makes the link between world ranks a and b lossy from time at
-// on: each message is independently dropped with probability prob (drawn
-// from the plan's seeded generator); zero makes it reliable again.
-func (pl *Plan) DropLink(at sim.Duration, a, b int, prob float64) *Plan {
-	return pl.add(at, fmt.Sprintf("drop link %d<->%d p=%g", a, b, prob), func(p *sim.Proc, cl *cluster.Cluster) {
-		if prob <= 0 {
-			delete(pl.links.drop, mkPair(a, b))
-			return
-		}
-		pl.links.drop[mkPair(a, b)] = prob
-	})
-}
-
 // Arm installs the plan on a cluster: the interconnect filter goes live
-// immediately and a "chaos" process applies each scheduled event at its
-// virtual time. Call between cluster.New and cluster.Run. A plan arms
-// one cluster once.
-func (pl *Plan) Arm(cl *cluster.Cluster) {
-	cl.World.SetLinkFilter(pl.links.filter)
-	if len(pl.events) == 0 {
+// immediately, over a fresh link table and a freshly seeded generator, and
+// a "chaos" process applies each fault at its virtual time. Call between
+// cluster.New and cluster.Run; the plan itself is not changed, so it can
+// arm any number of clusters.
+func (pl Plan) Arm(cl *cluster.Cluster) {
+	// links holds the last Link fault applied to each direction, keyed by
+	// ordered (src, dst).
+	links := make(map[[2]int]Fault)
+	rng := rand.New(rand.NewSource(pl.Seed))
+	cl.World.SetLinkFilter(func(src, dst int, _ minimpi.Tag, _ int) minimpi.LinkVerdict {
+		l := links[[2]int{src, dst}]
+		if l.Drop >= 1 || l.Drop > 0 && rng.Float64() < l.Drop {
+			return minimpi.LinkVerdict{Drop: true}
+		}
+		return minimpi.LinkVerdict{Delay: l.Delay}
+	})
+	if len(pl.Faults) == 0 {
 		return
 	}
-	evs := append([]event(nil), pl.events...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].seq < evs[j].seq
-	})
+	fs := append([]Fault(nil), pl.Faults...)
+	sort.SliceStable(fs, func(i, j int) bool { return fs[i].At < fs[j].At })
 	start := cl.Sim.Now()
 	cl.Sim.Spawn("chaos", func(p *sim.Proc) {
-		for _, ev := range evs {
-			if d := start.Add(ev.at).Sub(p.Now()); d > 0 {
+		for _, f := range fs {
+			if d := start.Add(f.At).Sub(p.Now()); d > 0 {
 				p.Wait(d)
 			}
-			ev.apply(p, cl)
+			switch f.Verb {
+			case KillDaemon:
+				cl.KillDaemon(f.A)
+			case RestartDaemon:
+				cl.RestartDaemon(p, f.A)
+			case KillClient:
+				cl.KillClient(f.A)
+			case KillARMShard:
+				cl.KillARMShard(f.A)
+			case FailGPU:
+				cl.Daemons[f.A].Device().Fail("")
+			case RepairGPU:
+				dev := cl.Daemons[f.A].Device()
+				dev.Repair()
+				dev.ResetEngines()
+			case Link:
+				links[[2]int{f.A, f.B}] = f
+				if !f.OneWay {
+					links[[2]int{f.B, f.A}] = f
+				}
+			default:
+				panic(fmt.Sprintf("faults: unknown verb %d", int(f.Verb)))
+			}
 			if pl.Log != nil {
-				pl.Log(fmt.Sprintf("[%v] chaos: %s", p.Now(), ev.desc))
+				pl.Log(fmt.Sprintf("[%v] chaos: %s", p.Now(), f))
 			}
 		}
 	})

@@ -10,6 +10,7 @@ package faults_test
 // timestamps and result hash included, to be byte-identical.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -53,18 +54,19 @@ func faultCluster(t *testing.T, nAC int) *cluster.Cluster {
 // TestPlanAppliesEventsInOrder schedules one of each fault primitive,
 // lets the full storm pass, and then checks that (a) the chaos log
 // shows every event at its instant in schedule order, ties broken by
-// insertion, and (b) the cluster actually recovered: the repaired GPU
+// list order, and (b) the cluster actually recovered: the repaired GPU
 // and the rebooted daemon both serve requests afterwards.
 func TestPlanAppliesEventsInOrder(t *testing.T) {
 	cl := faultCluster(t, 2)
 	var log []string
-	plan := faults.NewPlan(1).
-		FailGPU(1*sim.Millisecond, 0, "ecc error").
-		SeverLink(1*sim.Millisecond, 0, 2). // same instant: must apply second
-		RepairGPU(2*sim.Millisecond, 0).
-		HealLink(3*sim.Millisecond, 0, 2).
-		KillDaemon(4*sim.Millisecond, 1).
-		RestartDaemon(5*sim.Millisecond, 1)
+	plan := faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{At: 1 * sim.Millisecond, Verb: faults.FailGPU, A: 0},
+		{At: 1 * sim.Millisecond, Verb: faults.Link, A: 0, B: 2, Drop: 1}, // same instant: must apply second
+		{At: 2 * sim.Millisecond, Verb: faults.RepairGPU, A: 0},
+		{At: 3 * sim.Millisecond, Verb: faults.Link, A: 0, B: 2},
+		{At: 4 * sim.Millisecond, Verb: faults.KillDaemon, A: 1},
+		{At: 5 * sim.Millisecond, Verb: faults.RestartDaemon, A: 1},
+	}}
 	plan.Log = func(s string) { log = append(log, s) }
 	plan.Arm(cl)
 
@@ -118,6 +120,85 @@ func TestPlanAppliesEventsInOrder(t *testing.T) {
 			t.Errorf("log[%d] = %q, want applied at %s", i, log[i], at)
 		}
 	}
+	// The reboot discards the dead daemon's posted receive: it must come
+	// home, not stay out for the rest of the world's life.
+	if reqs, msgs := cl.World.RecordsOut(); reqs != 0 || msgs != 0 {
+		t.Errorf("RecordsOut after the storm = (%d, %d), want (0, 0)", reqs, msgs)
+	}
+}
+
+// TestFaultStringKeepsLogWording pins every verb's chaos log line: the
+// golden outputs and the faulted-QR transcripts are written in these words.
+func TestFaultStringKeepsLogWording(t *testing.T) {
+	for _, tc := range []struct {
+		f    faults.Fault
+		want string
+	}{
+		{faults.Fault{Verb: faults.KillDaemon, A: 0}, "kill daemon ac0"},
+		{faults.Fault{Verb: faults.RestartDaemon, A: 1}, "restart daemon ac1"},
+		{faults.Fault{Verb: faults.KillClient, A: 2}, "kill client cn2"},
+		{faults.Fault{Verb: faults.KillARMShard, A: 1}, "kill ARM shard 1 leader"},
+		{faults.Fault{Verb: faults.FailGPU, A: 0}, "fail gpu ac0"},
+		{faults.Fault{Verb: faults.RepairGPU, A: 0}, "repair gpu ac0"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 2, Drop: 1}, "sever link 0<->2"},
+		{faults.Fault{Verb: faults.Link, A: 3, B: 4, OneWay: true, Drop: 1}, "sever link 3->4"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 2}, "heal link 0<->2"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 1, OneWay: true}, "heal link 0->1"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 1, Delay: 2 * sim.Microsecond}, "delay link 0<->1"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 2, Drop: 0.5}, "drop link 0<->2 p=0.5"},
+		{faults.Fault{Verb: faults.Link, A: 0, B: 2, Drop: 0.5, Delay: 2 * sim.Microsecond}, "drop link 0<->2 p=0.5, delay 2us"},
+	} {
+		if got := tc.f.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.f, got, tc.want)
+		}
+	}
+}
+
+// TestPlanArmsAnyNumberOfClusters arms one plan value — a seeded lossy
+// link and a sever that is never healed — on two fresh clusters in turn.
+// Each Arm starts from a whole link table and the seed's first draw, so
+// the two runs must be byte-identical.
+func TestPlanArmsAnyNumberOfClusters(t *testing.T) {
+	const n = 30 // seq k leaves at t = k ms, both ways
+	var b strings.Builder
+	plan := faults.Plan{Seed: 7, Faults: []faults.Fault{
+		{Verb: faults.Link, A: 0, B: 1, Drop: 0.5},
+		{At: 20 * sim.Millisecond, Verb: faults.Link, A: 1, B: 0, OneWay: true, Drop: 1},
+	}}
+	plan.Log = func(s string) { fmt.Fprintln(&b, s) }
+	// Each node streams to the other, then logs whatever got through.
+	stream := func(p *sim.Proc, node *cluster.Node) {
+		peer := 1 - node.Rank
+		semStream(p, node.App, peer, semTagFwd, n)
+		p.Wait(5 * sim.Millisecond)
+		for {
+			if _, ok := node.App.Iprobe(peer, semTagFwd); !ok {
+				return
+			}
+			data, _ := node.App.Recv(p, peer, semTagFwd)
+			fmt.Fprintf(&b, "cn%d got %d\n", node.Rank, binary.LittleEndian.Uint64(data))
+		}
+	}
+	run := func() string {
+		b.Reset()
+		cl, err := cluster.New(cluster.Config{ComputeNodes: 2, Accelerators: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Arm(cl)
+		cl.Spawn(0, stream)
+		cl.Spawn(1, stream)
+		end, err := cl.Run()
+		fmt.Fprintf(&b, "end %v err=%v\n", end, err)
+		return b.String()
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("the second cluster ran differently:\n--- first ---\n%s--- second ---\n%s", first, second)
+	}
+	if !strings.Contains(first, "sever link 1->0") || !strings.Contains(first, "cn0 got") {
+		t.Fatalf("transcript missing the sever:\n%s", first)
+	}
 }
 
 // faultedQR runs a 2-GPU QR (pool of 3, one spare) under plan-injected
@@ -130,10 +211,11 @@ func faultedQR(t *testing.T, n, nb int, a []float64, killAt sim.Duration) string
 	t.Helper()
 	var b strings.Builder
 	cl := faultCluster(t, 3)
-	plan := faults.NewPlan(99).
-		DelayLink(0, 0, 1, 2*sim.Microsecond).
-		DropLink(killAt, 0, 2, 0.5).
-		KillDaemon(killAt, 1)
+	plan := faults.Plan{Seed: 99, Faults: []faults.Fault{
+		{Verb: faults.Link, A: 0, B: 1, Delay: 2 * sim.Microsecond},
+		{At: killAt, Verb: faults.Link, A: 0, B: 2, Drop: 0.5},
+		{At: killAt, Verb: faults.KillDaemon, A: 1},
+	}}
 	plan.Log = func(s string) { fmt.Fprintln(&b, s) }
 	plan.Arm(cl)
 
@@ -214,7 +296,9 @@ func TestFaultedQRDeterministic(t *testing.T) {
 	// kill, so the crash lands mid-factorization.
 	var tStart, tEnd sim.Time
 	cl := faultCluster(t, 3)
-	faults.NewPlan(99).DelayLink(0, 0, 1, 2*sim.Microsecond).Arm(cl)
+	faults.Plan{Seed: 99, Faults: []faults.Fault{
+		{Verb: faults.Link, A: 0, B: 1, Delay: 2 * sim.Microsecond},
+	}}.Arm(cl)
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 		handles, err := node.ARM.Acquire(p, 2, false)
 		if err != nil {

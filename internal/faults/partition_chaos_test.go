@@ -105,23 +105,18 @@ func TestChaosPartitionSplitBrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := cl.Directory().OwnerOf(0)
-	pl := faults.NewPlan(chaosSeed(t))
-	switch mode {
-	case "sym":
-		pl.PartitionLeaderFollower(partitionAt, victim).
-			HealLeaderFollower(healAt, victim)
-	case "asym":
-		leader := cl.Directory().Leader(victim)
-		follower := cl.Directory().Follower(victim)
-		pl.SeverLinkOneWay(partitionAt, leader, follower).
-			HealLinkOneWay(healAt, leader, follower)
-	}
+	leader, follower := cl.Directory().Leader(victim), cl.Directory().Follower(victim)
+	oneWay := mode == "asym"
 	// Tenant 1 additionally loses its link to the victim's old leader
 	// for the same window, so at least one client rides the partition
 	// purely on request timeouts and directory-refresh replays.
-	pl.PartitionLeaderClient(partitionAt, victim, 1).
-		HealLeaderClient(healAt, victim, 1).
-		Arm(cl)
+	pl := faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{
+		{At: partitionAt, Verb: faults.Link, A: leader, B: follower, OneWay: oneWay, Drop: 1},
+		{At: healAt, Verb: faults.Link, A: leader, B: follower, OneWay: oneWay},
+		{At: partitionAt, Verb: faults.Link, A: leader, B: 1, Drop: 1},
+		{At: healAt, Verb: faults.Link, A: leader, B: 1},
+	}}
+	pl.Arm(cl)
 
 	// The storm: shared acquires with live sessions, an exclusive
 	// acquire every fourth round. Errors are expected casualties while
@@ -259,9 +254,15 @@ func TestChaosPartitionSplitBrain(t *testing.T) {
 	}
 	if dir := os.Getenv("CHAOS_ARTIFACT_DIR"); dir != "" {
 		name := fmt.Sprintf("ledger-partition-%s-shards%d-seed%d.txt", mode, shards, chaosSeed(t))
+		// The schedule leads the file, one fault a line, so the failing
+		// cell can be replayed from its artifact alone.
+		var sched strings.Builder
+		for _, f := range pl.Faults {
+			fmt.Fprintf(&sched, "%v %s\n", f.At, f)
+		}
 		if err := os.MkdirAll(dir, 0o755); err == nil {
 			_ = os.WriteFile(filepath.Join(dir, name),
-				[]byte(arm.FormatLedger(events, fences)), 0o644)
+				[]byte(sched.String()+arm.FormatLedger(events, fences)), 0o644)
 		}
 	}
 	for _, v := range violations {

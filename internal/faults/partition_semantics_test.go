@@ -5,8 +5,8 @@ package faults_test
 // delivered after the heal (a heal that replayed stale traffic would
 // resurrect pre-partition leases, heartbeats, and grants the fencing
 // machinery already wrote off). One-way severs must cut exactly one
-// direction. The fault injectors are driven through the same Plan
-// builders the chaos batteries use.
+// direction. The faults are the same Plan values the chaos batteries
+// use.
 
 import (
 	"encoding/binary"
@@ -90,10 +90,10 @@ func TestSeverLinkDropsStayDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sever [4.5 ms, 14.5 ms): sequences 5..14 die on the wire.
-	faults.NewPlan(1).
-		SeverLink(4500*sim.Microsecond, 0, 1).
-		HealLink(14500*sim.Microsecond, 0, 1).
-		Arm(cl)
+	faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{At: 4500 * sim.Microsecond, Verb: faults.Link, A: 0, B: 1, Drop: 1},
+		{At: 14500 * sim.Microsecond, Verb: faults.Link, A: 0, B: 1},
+	}}.Arm(cl)
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 		semStream(p, node.App, 1, semTagFwd, n)
 	})
@@ -115,10 +115,10 @@ func TestSeverLinkOneWayIsDirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(1).
-		SeverLinkOneWay(4500*sim.Microsecond, 0, 1).
-		HealLinkOneWay(14500*sim.Microsecond, 0, 1).
-		Arm(cl)
+	faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{At: 4500 * sim.Microsecond, Verb: faults.Link, A: 0, B: 1, OneWay: true, Drop: 1},
+		{At: 14500 * sim.Microsecond, Verb: faults.Link, A: 0, B: 1, OneWay: true},
+	}}.Arm(cl)
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 		semStream(p, node.App, 1, semTagFwd, n)
 		got := semCollect(p, node.App, 1, semTagRev)
@@ -152,10 +152,10 @@ func TestPartitionARMSuspectAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(1).
-		PartitionARM(severAt, 0).
-		HealARM(healAt, 0).
-		Arm(cl)
+	faults.Plan{Seed: 1, Faults: []faults.Fault{
+		{At: severAt, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank(), Drop: 1},
+		{At: healAt, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank()},
+	}}.Arm(cl)
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 		sawSuspect := false
 		// During the partition the accelerator must leave the pool.

@@ -66,10 +66,10 @@ func TestChaosShardLeaderKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := cl.Directory().OwnerOf(0)
-	faults.NewPlan(chaosSeed(t)).
-		DropLink(0, cl.DaemonRank(0), cl.Directory().Leader(victim), 0.05). // seeded heartbeat loss
-		KillARMShard(killAt, victim).
-		Arm(cl)
+	faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{
+		{Verb: faults.Link, A: cl.DaemonRank(0), B: cl.Directory().Leader(victim), Drop: 0.05}, // seeded heartbeat loss
+		{At: killAt, Verb: faults.KillARMShard, A: victim},
+	}}.Arm(cl)
 
 	// Every tenant storms: acquire a shared lease (blocking, so the
 	// sharded client retries across shards), open a session, do a little
@@ -179,9 +179,7 @@ func TestChaosShardedSharedTenantKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(chaosSeed(t)).
-		KillClient(killAt, 0).
-		Arm(cl)
+	faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{{At: killAt, Verb: faults.KillClient, A: 0}}}.Arm(cl)
 
 	cl.Spawn(0, func(p *sim.Proc, node *cluster.Node) {
 		handles, err := node.ARM.AcquireShared(p, 1, true)

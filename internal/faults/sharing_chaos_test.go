@@ -46,11 +46,11 @@ func TestChaosSharedTenantKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.NewPlan(chaosSeed(t)).
-		DropLink(0, cl.DaemonRank(0), cl.ARMRank(), 0.05). // seeded heartbeat loss
-		DropLink(25*sim.Millisecond, cl.DaemonRank(0), cl.ARMRank(), 0).
-		KillClient(killAt, 0).
-		Arm(cl)
+	faults.Plan{Seed: chaosSeed(t), Faults: []faults.Fault{
+		{Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank(), Drop: 0.05}, // seeded heartbeat loss
+		{At: 25 * sim.Millisecond, Verb: faults.Link, A: cl.DaemonRank(0), B: cl.ARMRank()},
+		{At: killAt, Verb: faults.KillClient, A: 0},
+	}}.Arm(cl)
 
 	// The victim tenant: a shared lease, a session, a fat allocation, and
 	// a batch of work in flight when the crash lands.

@@ -85,12 +85,20 @@ func (w *Waiter) Await(deadline sim.Duration, fn func(any), arg any) bool {
 // Cancel gives the wait up, on or over, for a chain whose owner died or
 // moved on: fn will not run again, the deadline is cancelled, and Req is
 // freed (Request.Free). Nothing is left to resend or to move the clock.
-func (w *Waiter) Cancel() {
+func (w *Waiter) Cancel() { w.giveUp(true) }
+
+// Abandon is Cancel for a chain whose owner was killed: like a dead
+// process's NIC, the network keeps Req (a posted receive still matches, a
+// send still flies) and recycles it when it ends, or at ResetEndpoint.
+func (w *Waiter) Abandon() { w.giveUp(false) }
+
+func (w *Waiter) giveUp(withdraw bool) {
 	w.waiting = false
 	w.deadline.Cancel()
 	if r := w.Req; r != nil {
 		w.Req = nil
-		r.Free()
+		r.check()
+		r.letGo(withdraw)
 	}
 }
 

@@ -309,3 +309,30 @@ func TestIsendPaddedRejectsShortSize(t *testing.T) {
 	}()
 	w.Comm(0).IsendPadded(1, 0, make([]byte, 10), 5)
 }
+
+// TestResetEndpointReturnsRecords restarts a rank holding a posted receive
+// and an unmatched eager message: both records come home, as a rebooted
+// daemon's must, instead of staying out for the rest of the world's life.
+func TestResetEndpointReturnsRecords(t *testing.T) {
+	s := sim.New()
+	w, err := NewWorld(s, 2, fastNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("main", func(p *sim.Proc) {
+		reqs0, msgs0 := w.RecordsOut()
+		w.Comm(1).Irecv(0, 8)
+		w.Comm(0).SendCopy(1, 7, []byte("lost on reboot"))
+		p.Wait(sim.Millisecond) // the message has landed, unmatched
+		if reqs, msgs := w.RecordsOut(); reqs != reqs0+1 || msgs != msgs0+1 {
+			t.Fatalf("before the reset RecordsOut = (%d, %d), want (%d, %d)", reqs, msgs, reqs0+1, msgs0+1)
+		}
+		w.ResetEndpoint(1)
+		if reqs, msgs := w.RecordsOut(); reqs != reqs0 || msgs != msgs0 {
+			t.Errorf("after the reset RecordsOut = (%d, %d), want (%d, %d)", reqs, msgs, reqs0, msgs0)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}

@@ -39,15 +39,23 @@ func (w *World) verdict(src, dst int, tag Tag, size int) LinkVerdict {
 // ResetEndpoint clears a rank's matching state — posted receives and
 // unexpected envelopes — and replaces its NIC resources with fresh ones.
 // It models the network-facing half of restarting a crashed daemon:
-// messages that arrived while the process was dead are lost, and transfers
-// the corpse left holding the NIC no longer pin it (a transfer still in
-// flight runs to completion on the old resources and returns its units
-// there). Rendezvous senders whose envelope is discarded stay parked until
-// their request is Canceled (the client timeout path does exactly that).
+// messages that arrived while the process was dead are lost, their pool
+// payloads returned, and transfers the corpse left holding the NIC no
+// longer pin it (a transfer still in flight runs to completion on the old
+// resources and returns its units there). The posted receives are recycled:
+// nobody may hold them any more (see Waiter.Abandon). Rendezvous senders
+// whose envelope is discarded stay parked until their request is Canceled
+// (the client timeout path does exactly that).
 func (w *World) ResetEndpoint(rank int) {
 	ep := w.eps[rank]
-	ep.unexpected = nil
-	ep.posted = nil
+	for _, r := range ep.posted {
+		w.putRequest(r)
+	}
+	for _, m := range ep.unexpected {
+		w.PutPayload(m.data, Status{Pooled: m.owned})
+		m.halfOver()
+	}
+	ep.unexpected, ep.posted = nil, nil
 	ep.tx = sim.NewResource(w.sim, fmt.Sprintf("nic%d.tx", rank), 1)
 	ep.rx = sim.NewResource(w.sim, fmt.Sprintf("nic%d.rx", rank), 1)
 }

@@ -144,13 +144,16 @@ func (r *Request) handBack() ([]byte, Status) {
 // nothing matched it yet, and otherwise recycled, payload and all, when the
 // matched message lands. A completed request is recycled at once, its pool
 // payload returned. Under DYNACC_POISON=1 every later method call panics.
-func (r *Request) Free() {
-	r.check()
+func (r *Request) Free() { r.check(); r.letGo(true) }
+
+// letGo is Free, or with withdraw false Free that leaves a receive nothing
+// has matched posted: a message landing in it, or ResetEndpoint, recycles it.
+func (r *Request) letGo(withdraw bool) {
 	switch {
 	case r.freed:
 	case r.done.Triggered():
 		r.world.PutPayload(r.handBack())
-	case r.isSend || !r.prComm.ep().withdraw(r):
+	case r.isSend || !withdraw || !r.prComm.ep().withdraw(r):
 		r.freed = true
 	}
 }
