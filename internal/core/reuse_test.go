@@ -84,11 +84,17 @@ func TestRecycledCallIgnoresInFlightResend(t *testing.T) {
 		}
 		rtt := p.Now().Sub(t0)
 		// Under DYNACC_POISON=1 a handed-back call is retired: the record
-		// checks below hold only where records are recycled.
+		// checks below hold only where records are recycled. next reports
+		// the record the client hands the next call, and gives it back.
 		recycled := !poisonFreed
+		next := func() *call {
+			pd := a.failed(nil)
+			pd.Wait(p)
+			return pd.cl
+		}
 		var rec *call
 		if recycled {
-			rec = c.calls[len(c.calls)-1]
+			rec = next()
 		}
 		// Late by the deadline less half a round trip: the reply lands
 		// between the resend and the resend's answer.
@@ -101,7 +107,7 @@ func TestRecycledCallIgnoresInFlightResend(t *testing.T) {
 			t.Fatalf("late reply: %d headers sent, took %v: want 3, finished before the resend's answer (%v)",
 				headers, took, opts.Timeout+rtt)
 		}
-		if recycled && (len(c.calls) != 1 || c.calls[0] != rec) {
+		if recycled && next() != rec {
 			t.Fatal("the call's record did not go back to the client's free list")
 		}
 		t2 := p.Now()
@@ -111,7 +117,7 @@ func TestRecycledCallIgnoresInFlightResend(t *testing.T) {
 		if took := p.Now().Sub(t2); headers != 4 || took != rtt {
 			t.Errorf("next call: %d headers sent in all, took %v: want 4 and %v", headers, took, rtt)
 		}
-		if recycled && (len(c.calls) != 1 || c.calls[0] != rec) {
+		if recycled && next() != rec {
 			t.Error("the next call did not reuse the record")
 		}
 		p.Wait(opts.Timeout)
