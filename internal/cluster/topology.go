@@ -227,8 +227,8 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 // Transport exposes the member's TCP transport (stats, WaitReady).
 func (m *Member) Transport() *nettrans.Transport { return m.tr }
 
-// Stop asks a running Run or Serve to wind down.
-func (m *Member) Stop() { m.quitOnce.Do(func() { close(m.quit) }) }
+// Stop cuts the member off, closing its transport, and winds Run or Serve down.
+func (m *Member) Stop() { m.quitOnce.Do(func() { m.tr.Close(); close(m.quit) }) }
 
 // Run drives a process hosting (part of) the application: the real-time
 // loop runs until every spawned node main finishes and this member has

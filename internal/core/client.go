@@ -161,10 +161,10 @@ type Client struct {
 
 	// Free lists of calls (see handBack), of copies' block loops, of launch
 	// arguments (see dropArgs) and of ledger records (see drop).
-	calls []*call
-	xfers []*xfer
-	argvs []*launchArgs
-	recs  []*allocRecord
+	calls sim.FreeList[call]
+	xfers sim.FreeList[xfer]
+	argvs sim.FreeList[launchArgs]
+	recs  sim.FreeList[allocRecord]
 }
 
 // NewClient creates a front-end on the given communicator.
@@ -427,7 +427,7 @@ func (a *Accel) failed(err error) *Pending {
 // still waited on); DYNACC_POISON=1 retires it.
 func (cl *call) handBack() {
 	if !poisonFreed {
-		cl.a.c.calls = append(cl.a.c.calls, cl)
+		cl.a.c.calls.Put(cl)
 	}
 }
 
@@ -479,7 +479,7 @@ const parkedCopy = "streamed-copy"
 // newCall readies a call for q; a recycled record keeps the array of its
 // response payload.
 func (a *Accel) newCall(q request) *call {
-	cl := pop(&a.c.calls)
+	cl := a.c.calls.Get()
 	*cl = call{a: a, q: q, rsp: response{payload: cl.rsp.payload[:0]}, app: q.ptr}
 	cl.done.Init(a.sim())
 	cl.Pending.cl, cl.holds = cl, 1
@@ -629,7 +629,7 @@ func (cl *call) keep() {
 	clear(x.blocks) // the lists stay with the block loop, for its next copy
 	clear(x.sends)
 	x.host, x.blocks, x.sends, cl.x = nil, x.blocks[:0], x.sends[:0], nil
-	a.c.xfers = append(a.c.xfers, x)
+	a.c.xfers.Put(x)
 }
 
 // dropArgs hands a launch's arguments back to the client once no resend can
@@ -640,7 +640,7 @@ func (cl *call) dropArgs() {
 		if cl.argv = nil; poisonFreed {
 			*av = launchArgs{}
 		} else {
-			cl.a.c.argvs = append(cl.a.c.argvs, av)
+			cl.a.c.argvs.Put(av)
 		}
 	}
 }
@@ -802,7 +802,7 @@ func (a *Accel) streamCopy(dir TransferDir, q request, host []byte) *Pending {
 	a.flush(q.stream, 0)
 	q.block, q.depth = a.c.tunePlan(a.c.protocol(dir), a.rank, dir, q.size, true)
 	cl := a.newCall(q)
-	cl.x = pop(&a.c.xfers)
+	cl.x = a.c.xfers.Get()
 	*cl.x = xfer{dir: dir, host: host, sends: cl.x.sends, blocks: cl.x.blocks}
 	cl.issue(0, 0)
 	a.sim().Park(parkedCopy)
@@ -817,7 +817,11 @@ func startStream(v any) {
 	cl := v.(*call)
 	a, q, x := cl.a, &cl.q, cl.x
 	x.t0, x.nb = a.sim().Now(), numBlocks(q.size, q.block)
+	if x.host != nil { // the lists are sized once, not block by block
+		x.blocks = slices.Grow(x.blocks, x.nb)
+	}
 	if x.dir == DirH2D {
+		x.sends = slices.Grow(x.sends, x.nb)
 		for i := 0; i < x.nb; i++ {
 			lo := i * q.block
 			hi := min(lo+q.block, q.size)
@@ -900,7 +904,7 @@ func (a *Accel) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) {
 		}
 		a.remap[app] = phys
 	}
-	rec := pop(&a.c.recs)
+	rec := a.c.recs.Get()
 	rec.size = n
 	a.allocs[app] = rec
 	return app, nil
@@ -980,7 +984,7 @@ func (a *Accel) drop(rec *allocRecord) {
 	if rec.shadow = nil; poisonFreed {
 		rec.size = -1
 	} else {
-		a.c.recs = append(a.c.recs, rec)
+		a.c.recs.Put(rec)
 	}
 }
 
@@ -1107,7 +1111,7 @@ func (k *Kernel) RunAsync(grid, block gpu.Dim3, stream uint8) *Pending {
 // once.
 func (a *Accel) LaunchAsync(kernel string, l gpu.Launch, stream uint8) *Pending {
 	cl := a.newCall(request{op: OpKernelRun, stream: stream, kernel: kernel, launch: l})
-	cl.argv = pop(&a.c.argvs)
+	cl.argv = a.c.argvs.Get()
 	cl.q.launch.Args = append(cl.argv[:0], l.Args...)
 	return a.submit(cl)
 }

@@ -109,15 +109,17 @@ type Daemon struct {
 	beat   []int // takeActive's scratch
 
 	// The dedup table, the scratch responses are encoded in, and the request
-	// records free to decode into (see putRequest).
+	// records free to decode into (answer recycles one nothing reads).
 	replies minimpi.ReplyCache
 	encw    *wire.Writer
-	reqs    []*request
+	reqs    sim.FreeList[request]
 
 	// scratches recycles copy-pipeline state (staging resource, per-block
 	// request/event slices) between transfers. A transfer in flight holds
-	// its scratch exclusively; steady state runs allocation-free.
-	scratches []*pipeScratch
+	// its scratch exclusively; steady state runs allocation-free. A record
+	// in use when the daemon is killed never goes back, like every other
+	// pooled object of a killed process.
+	scratches sim.FreeList[pipeScratch]
 
 	// root is the session session-less requests run in: no ownership
 	// view, no quota. sessions holds the tenants' (multi-tenant sharing;
@@ -127,9 +129,9 @@ type Daemon struct {
 
 	// What retired sessions and OpSync's barriers hand back (see retired and
 	// synced).
-	freeSessions []*session
-	mboxes       []*sim.Mailbox
-	groups       []*syncGroup
+	freeSessions sim.FreeList[session]
+	mboxes       []*sim.Mailbox // a plain slice: a mailbox comes from NewMailbox
+	groups       sim.FreeList[syncGroup]
 
 	// Fencing (split-brain safety). fenceHigh is the highest fencing
 	// token ever seen; any tokened request advances it, and destructive
@@ -281,7 +283,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 	for {
 		data, st := d.comm.Recv(p, minimpi.AnySource, TagRequest)
 		d.active[st.Source] = struct{}{}
-		q := pop(&d.reqs)
+		q := d.reqs.Get()
 		err, whole := q.decode(data, d.dev.Registry()), len(data) >= requestHeaderSize
 		d.comm.World().PutPayload(data, st) // q copied what it keeps
 		q.src = st.Source
@@ -291,7 +293,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 			if whole {
 				d.respond(q.src, q.reqID, err, 0)
 			}
-			d.putRequest(q)
+			d.reqs.Put(q)
 			continue
 		}
 		if reply, dup := d.replies.Admit(minimpi.ReplyKey{Src: q.src, ReqID: q.reqID}); dup {
@@ -301,7 +303,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 				d.comm.SendCopy(q.src, respTag(q.reqID), reply)
 			}
 			// Still in flight: drop the duplicate; the original will answer.
-			d.putRequest(q)
+			d.reqs.Put(q)
 			continue
 		}
 		d.stats.Requests++
@@ -341,12 +343,9 @@ func (d *Daemon) Run(p *sim.Proc) {
 			d.submit(q)
 			continue
 		}
-		d.putRequest(q)
+		d.reqs.Put(q)
 	}
 }
-
-// putRequest recycles a request nothing reads any more (see answer).
-func (d *Daemon) putRequest(q *request) { d.reqs = append(d.reqs, q) }
 
 // submit hands a request to its session: the root for session-less
 // traffic, the sender's own tenant session otherwise. Sync and a tenant's
@@ -364,7 +363,7 @@ func (d *Daemon) submit(q *request) {
 	}
 	switch {
 	case q.op == OpSync:
-		g := pop(&d.groups)
+		g := d.groups.Get()
 		g.d, g.src, g.reqID = d, q.src, q.reqID
 		d.barrier(g, false, sess).OnTriggerCall(synced, g)
 	case q.op == OpReset && sess != d.root:
@@ -378,7 +377,7 @@ func (d *Daemon) submit(q *request) {
 		mbox.Send(q)
 		return
 	}
-	d.putRequest(q)
+	d.reqs.Put(q)
 }
 
 // takeActive returns (sorted, for determinism) and clears the set of
@@ -398,7 +397,7 @@ func synced(v any) {
 	g := v.(*syncGroup)
 	g.d.respond(g.src, g.reqID, nil, 0)
 	if !poisonFreed {
-		g.d.groups = append(g.d.groups, g)
+		g.d.groups.Put(g)
 	}
 }
 
@@ -439,7 +438,8 @@ func (d *Daemon) stream(sess *session, id uint8) (*sim.Mailbox, error) {
 	case len(sess.streams) >= maxSessionStreams:
 		return nil, fmt.Errorf("core: session %d already has %d streams", sess.key.id, maxSessionStreams)
 	case len(d.mboxes) > 0:
-		mbox = pop(&d.mboxes)
+		mbox = d.mboxes[len(d.mboxes)-1]
+		d.mboxes = d.mboxes[:len(d.mboxes)-1]
 	}
 	if mbox == nil {
 		mbox = sim.NewMailbox(d.sim, name)
@@ -480,7 +480,7 @@ func (d *Daemon) sendResponse(src int, reqID uint64, rsp *response) {
 // answer sends q's status-only response and recycles q.
 func (d *Daemon) answer(q *request, err error, ptr gpu.Ptr) {
 	d.respond(q.src, q.reqID, err, ptr)
-	d.putRequest(q)
+	d.reqs.Put(q)
 }
 
 // execute runs one request inside a stream worker, under its session:
@@ -588,7 +588,7 @@ func (d *Daemon) executeBatch(p *sim.Proc, q *request, sess *session) {
 	d.stats.Batches++
 	d.stats.BatchedOps += int64(len(q.batch))
 	d.sendResponse(q.src, q.reqID, &response{status: statusOK, payload: encodeBatchStatus(sts)})
-	d.putRequest(q)
+	d.reqs.Put(q)
 }
 
 // writeInline lands a small host-to-device write whose payload arrived
@@ -684,7 +684,7 @@ const statePipeline = "in copy pipeline"
 // transfer of nb blocks, re-initializing the per-block events in place; it
 // checks the device window unless preErr has already refused the transfer.
 func (d *Daemon) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb int, preErr error) *pipeScratch {
-	ps := pop(&d.scratches)
+	ps := d.scratches.Get()
 	if ps.d == nil {
 		ps.older, d.pipes = d.pipes, ps
 	}
@@ -773,22 +773,6 @@ func drainOn(v any) {
 	ps.drain()
 }
 
-// pop takes the last record off a free list, or makes a new one. A record in
-// use when its owner is killed (a transfer killed mid-flight, say) never
-// goes back, like every other pooled object of a killed process.
-func pop[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*free)[n-1]
-	(*free)[n-1] = nil
-	*free = (*free)[:n-1]
-	return x
-}
-
-func (d *Daemon) putScratch(ps *pipeScratch) { d.scratches = append(d.scratches, ps) }
-
 func (d *Daemon) noteStaging(block, depth, nb int) {
 	d.stats.StagingPeak = max(d.stats.StagingPeak, int64(block)*int64(min(depth, nb)))
 }
@@ -852,7 +836,7 @@ func (d *Daemon) recvToDevice(p *sim.Proc, q *request, dataSrc int, tag minimpi.
 	if firstErr == nil && ps.placed > 0 && ps.placed != ps.colBytes*ps.cols && d.dev.ExecuteMode() {
 		firstErr = fmt.Errorf("core: payload carried %d bytes for %d columns of %d", ps.placed, ps.cols, ps.colBytes)
 	}
-	d.putScratch(ps)
+	d.scratches.Put(ps)
 	d.answer(q, firstErr, 0)
 }
 
@@ -999,7 +983,7 @@ func (d *Daemon) sendFromDevice(p *sim.Proc, q *request, dataDst int, tag minimp
 	ps.shipNext()
 	p.Suspend(statePipeline)
 	firstErr := firstOf(ps.winErr, ps.dmaErr, ps.peerErr)
-	d.putScratch(ps)
+	d.scratches.Put(ps)
 	d.answer(q, firstErr, 0)
 }
 

@@ -108,6 +108,35 @@ func TestKilledDaemonLegsStop(t *testing.T) {
 	})
 }
 
+// TestKilledDaemonShipsNothing crashes a daemon mid-download, one block on
+// the wire and the next ones' DMAs queued on the slow engine. A DMA leg
+// ends with its owner, the killed stream worker, so no block is sent from
+// the crash on; the block already on the wire still lands, as a dead
+// process's NIC finishes its transfer (Waiter.Abandon).
+func TestKilledDaemonShipsNothing(t *testing.T) {
+	const n = 4 << 20
+	cb := slowDMABed(t)
+	cb.run(t, sim.Second, func(p *sim.Proc) {
+		a, old := cb.accels[0], cb.daemons[0]
+		ptr := filledAlloc(t, p, a, n)
+		var posted, landed int64
+		cb.sim.After(4*sim.Millisecond, func() {
+			posted, landed = old.comm.WireStats().Msgs, cb.world.Traffic(1).MsgsSent
+			old.Kill()
+		})
+		if err := a.MemcpyD2H(p, make([]byte, n), ptr, 0, n); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("download into the crash: %v, want a timeout", err)
+		}
+		if got := old.comm.WireStats().Msgs; got != posted {
+			t.Errorf("the dead rank had posted %d messages at the crash and %d after it", posted, got)
+		}
+		if got := cb.world.Traffic(1).MsgsSent; posted != landed+1 || got != posted {
+			t.Errorf("%d of the %d messages posted before the crash had landed, %d after it: want one on the wire, landing",
+				landed, posted, got)
+		}
+	})
+}
+
 // TestRebootInsidePayloadDeadline crashes a daemon whose upload is waiting
 // for blocks that will never come and reboots the rank before the payload
 // deadline runs out. The reboot recycles the rank's posted receives, so

@@ -137,7 +137,7 @@ func (d *Daemon) openSession(q *request) {
 		d.respond(src, q.reqID, fmt.Errorf("core: session table full (%d sessions)", maxSessions), 0)
 		return
 	}
-	sess := pop(&d.freeSessions)
+	sess := d.freeSessions.Get()
 	if sess.view == nil {
 		sess.view, sess.streams = gpu.NewAllocView(0), make(map[uint8]*sim.Mailbox)
 		sess.retired = func(p *sim.Proc) { d.retired(p, sess) }
@@ -229,7 +229,7 @@ func (d *Daemon) retired(p *sim.Proc, sess *session) {
 		sess.key.src = -1
 	} else {
 		sess.eachStream(func(mbox *sim.Mailbox) { d.mboxes = append(d.mboxes, mbox) })
-		d.freeSessions = append(d.freeSessions, sess)
+		d.freeSessions.Put(sess)
 	}
 	clear(sess.streams)
 }

@@ -336,3 +336,31 @@ func TestResetEndpointReturnsRecords(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// TestCanceledRendezvousSendReturnsItsMessage restarts a rank holding the
+// envelope of an unmatched rendezvous send, then cancels the send: the
+// reset ends the receiver's half of the flight and the cancel the sender's,
+// so the Message comes home along with the Request.
+func TestCanceledRendezvousSendReturnsItsMessage(t *testing.T) {
+	s := sim.New()
+	w, err := NewWorld(s, 2, fastNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("main", func(p *sim.Proc) {
+		reqs0, msgs0 := w.RecordsOut()
+		r := w.Comm(0).IsendSized(1, 7, 64<<20)
+		p.Wait(sim.Millisecond) // the envelope has landed, unmatched
+		w.ResetEndpoint(1)
+		r.Cancel()
+		if _, st := r.Wait(p); !st.Canceled {
+			t.Error("the parked send did not complete as canceled")
+		}
+		if reqs, msgs := w.RecordsOut(); reqs != reqs0 || msgs != msgs0 {
+			t.Errorf("after the reset and the cancel RecordsOut = (%d, %d), want (%d, %d)", reqs, msgs, reqs0, msgs0)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}

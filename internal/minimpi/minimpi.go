@@ -66,8 +66,8 @@ type World struct {
 	// pool recycles payload block buffers for the ownership-handoff send
 	// path (IsendOwned / PutPayload).
 	pool     bufPool
-	freeReqs []*Request // recycled per-message records; see pool.go
-	freeMsgs []*Message
+	freeReqs sim.FreeList[Request] // recycled per-message records; see pool.go
+	freeMsgs sim.FreeList[Message]
 	reqsOut  int // records handed out and not back (RecordsOut)
 	msgsOut  int
 	// transport carries every posted send. The default is the in-sim

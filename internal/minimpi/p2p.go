@@ -311,8 +311,10 @@ func sendEnvelopeArrived(v any) {
 	case m.cts.Triggered():
 		sendCleared(m)
 	case req.cancel.Triggered():
-		// The peer may still match the landed envelope: m is never recycled.
+		// The sender's half is over. The receiver's stays with the landed
+		// envelope, which the peer may still match or ResetEndpoint drop.
 		m.completeSend()
+		m.halfOver()
 	default:
 		// Wait for the receiver's clearance or the sender's Cancel,
 		// whichever fires first. Neither event has another registrant.
@@ -333,8 +335,9 @@ func sendUnparked(v any) {
 	m.w.sim.Unpark(parkedSend)
 	if !m.cts.Triggered() {
 		// Canceled while waiting for the receiver's clearance: the
-		// payload never flows.
+		// payload never flows. As above, only the sender's half is over.
 		m.completeSend()
+		m.halfOver()
 		return
 	}
 	sendCleared(m)

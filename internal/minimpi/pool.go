@@ -19,19 +19,21 @@ import (
 // pool — correctness never depends on a buffer coming back.
 //
 // Recycled records. Every Request and every Message comes from a per-World
-// free list (scheduler context only, so unlocked; empty in a new World) and
-// goes back under one rule, MPI's. A Request goes back at the Wait or
-// Result that sees it complete, which hands its payload and Status to the
-// caller; Free abandons one nobody will wait for, which goes back when its
-// flight ends (a send at completion, a matched receive when its message
-// lands, with the payload) or at once (a completed one, an unmatched
-// receive, which is withdrawn). A Message is internal: it returns by
-// itself when both halves of its flight are over — the sender's at
-// sendRelease, the receiver's at recvComplete; at once where no receiver
-// will ever see it (the link filter's drop, FinishLocal) and never when a
-// rendezvous send was canceled after its envelope landed, since the peer may
-// still match it. A Request nobody waits for or frees is garbage-collected,
-// as a buffer is, and RecordsOut counts it.
+// sim.FreeList (scheduler context only, so unlocked), which a new World
+// refills a slab of records at a time, and goes back under one rule, MPI's.
+// A Request goes back at the Wait or Result that sees it complete, which
+// hands its payload and Status to the caller; Free abandons one nobody will
+// wait for, which goes back when its flight ends (a send at completion, a
+// matched receive when its message lands, with the payload) or at once (a
+// completed one, an unmatched receive, which is withdrawn). A Message is
+// internal: it returns by itself when both halves of its flight are over —
+// the sender's at sendRelease, the receiver's at recvComplete; at once
+// where no receiver will ever see it (the link filter's drop, FinishLocal).
+// A rendezvous send canceled after its envelope landed ends the sender's
+// half at the cancel; the receiver's ends when ResetEndpoint drops the
+// envelope (a match would wait for a payload that never flows). A Request
+// nobody waits for or frees is garbage-collected, as a buffer is, and
+// RecordsOut counts it.
 
 // poisonFreed enables the chaos guard: freed pool buffers are scribbled
 // with a sentinel so any consumer that wrongly held on to a released
@@ -134,14 +136,8 @@ func (w *World) RecordsOut() (reqs, msgs int) { return w.reqsOut, w.msgsOut }
 
 func (w *World) getRequest() *Request {
 	w.reqsOut++
-	var r *Request
-	if n := len(w.freeReqs); n > 0 {
-		r, w.freeReqs = w.freeReqs[n-1], w.freeReqs[:n-1]
-		r.freed = false
-	} else {
-		r = &Request{}
-	}
-	r.world = w
+	r := w.freeReqs.Get()
+	r.freed, r.world = false, w
 	r.doneEv.Init(w.sim)
 	r.done = &r.doneEv
 	return r
@@ -153,19 +149,14 @@ func (w *World) putRequest(r *Request) {
 	w.reqsOut--
 	*r = Request{freed: true}
 	if !poisonFreed {
-		w.freeReqs = append(w.freeReqs, r)
+		w.freeReqs.Put(r)
 	}
 }
 
 // getMessage returns a blank message with that many flight halves to end.
 func (w *World) getMessage(halves int8) *Message {
 	w.msgsOut++
-	var m *Message
-	if n := len(w.freeMsgs); n > 0 {
-		m, w.freeMsgs = w.freeMsgs[n-1], w.freeMsgs[:n-1]
-	} else {
-		m = &Message{}
-	}
+	m := w.freeMsgs.Get()
 	m.w, m.halves = w, halves
 	m.bodyEv.Init(w.sim)
 	m.bodyArrived = &m.bodyEv
@@ -176,6 +167,6 @@ func (w *World) putMessage(m *Message) {
 	w.msgsOut--
 	*m = Message{}
 	if !poisonFreed {
-		w.freeMsgs = append(w.freeMsgs, m)
+		w.freeMsgs.Put(m)
 	}
 }

@@ -307,8 +307,8 @@ func (t *Transport) WaitReady(timeout time.Duration) error {
 }
 
 // Flush waits until every outbox has drained (all queued frames written to
-// a live connection) or the timeout elapses, reporting whether it drained.
-// Call before Close when in-flight responses must reach their peers.
+// a live connection), the timeout elapses or Close runs, reporting whether
+// it drained. Call before Close when in-flight responses must reach peers.
 func (t *Transport) Flush(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -319,8 +319,8 @@ func (t *Transport) Flush(timeout time.Duration) bool {
 				break
 			}
 		}
-		if empty {
-			return true
+		if empty || t.closed.Load() {
+			return empty
 		}
 		if time.Now().After(deadline) {
 			return false

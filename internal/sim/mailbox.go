@@ -28,21 +28,6 @@ type boxWaiter struct {
 	val any
 }
 
-func (s *Simulation) getBoxWaiter(p *Proc) *boxWaiter {
-	if n := len(s.freeBoxWaiters); n > 0 {
-		w := s.freeBoxWaiters[n-1]
-		s.freeBoxWaiters = s.freeBoxWaiters[:n-1]
-		w.p = p
-		return w
-	}
-	return &boxWaiter{p: p}
-}
-
-func (s *Simulation) putBoxWaiter(w *boxWaiter) {
-	w.p, w.val = nil, nil
-	s.freeBoxWaiters = append(s.freeBoxWaiters, w)
-}
-
 // NewMailbox creates an empty mailbox.
 func NewMailbox(s *Simulation, name string) *Mailbox {
 	return &Mailbox{sim: s, recvState: "receiving from mailbox " + name}
@@ -108,11 +93,13 @@ func (m *Mailbox) Recv(p *Proc) any {
 	if m.Len() > 0 {
 		return m.popItem()
 	}
-	w := m.sim.getBoxWaiter(p)
+	w := m.sim.freeBoxWaiters.Get()
+	w.p = p
 	m.waiters = append(m.waiters, w)
 	p.block(m.recvState)
 	v := w.val
-	m.sim.putBoxWaiter(w)
+	*w = boxWaiter{}
+	m.sim.freeBoxWaiters.Put(w)
 	return v
 }
 

@@ -32,19 +32,9 @@ type resWaiter struct {
 	arg any
 }
 
-func (s *Simulation) getResWaiter(p *Proc, n int) *resWaiter {
-	if k := len(s.freeResWaiters); k > 0 {
-		w := s.freeResWaiters[k-1]
-		s.freeResWaiters = s.freeResWaiters[:k-1]
-		w.p, w.n = p, n
-		return w
-	}
-	return &resWaiter{p: p, n: n}
-}
-
 func (s *Simulation) putResWaiter(w *resWaiter) {
 	w.p, w.fn, w.arg = nil, nil, nil
-	s.freeResWaiters = append(s.freeResWaiters, w)
+	s.freeResWaiters.Put(w)
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -71,7 +61,8 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		r.inUse += n
 		return
 	}
-	w := r.sim.getResWaiter(p, n)
+	w := r.sim.freeResWaiters.Get()
+	w.p, w.n = p, n
 	r.waiters = append(r.waiters, w)
 	p.block(r.acqState)
 	// grant popped w before waking us, so we are its sole owner now. A
@@ -89,8 +80,8 @@ func (r *Resource) AcquireCall(n int, fn func(any), arg any) bool {
 	if r.TryAcquire(n) {
 		return true
 	}
-	w := r.sim.getResWaiter(nil, n)
-	w.fn, w.arg = fn, arg
+	w := r.sim.freeResWaiters.Get()
+	w.n, w.fn, w.arg = n, fn, arg
 	r.waiters = append(r.waiters, w)
 	return false
 }

@@ -33,8 +33,9 @@
 //
 // The scheduler is allocation-free in steady state: event records, process
 // waiter records and worker coroutines are recycled through free lists
-// owned by the Simulation. Recycling never changes execution order — see
-// the comment on push for the ordering argument.
+// owned by the Simulation; the records' lists are FreeLists, the type the
+// layers above recycle theirs with too. Recycling never changes execution
+// order — see the comment on push for the ordering argument.
 package sim
 
 import (
@@ -207,10 +208,12 @@ type Simulation struct {
 	// Free lists. Items are recycled only once no live reference remains
 	// (see the ownership comments at each put site); the generation counter
 	// on event records invalidates any Timer that outlives its use.
-	freeEvents     []*event
+	// The worker list stays a plain slice: drainWorkers walks it to stop
+	// the coroutines.
+	freeEvents     FreeList[event]
 	freeWorkers    []*worker
-	freeBoxWaiters []*boxWaiter
-	freeResWaiters []*resWaiter
+	freeBoxWaiters FreeList[boxWaiter]
+	freeResWaiters FreeList[resWaiter]
 
 	// inj is the cross-goroutine injection queue used by RunRealtime; see
 	// realtime.go. It is the only part of a Simulation other goroutines may
@@ -237,7 +240,7 @@ func (s *Simulation) After(d Duration, fn func()) {
 
 // schedule enqueues fn to run at time at (>= now).
 func (s *Simulation) schedule(at Time, fn func()) {
-	e := s.getEvent()
+	e := s.freeEvents.Get()
 	e.fn = fn
 	s.push(e, at)
 }
@@ -245,7 +248,7 @@ func (s *Simulation) schedule(at Time, fn func()) {
 // scheduleProc enqueues a resumption of p at time at without allocating a
 // dispatch closure.
 func (s *Simulation) scheduleProc(at Time, p *Proc) {
-	e := s.getEvent()
+	e := s.freeEvents.Get()
 	e.p = p
 	s.push(e, at)
 }
@@ -264,7 +267,7 @@ func (s *Simulation) AfterCallTimer(d Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	e := s.getEvent()
+	e := s.freeEvents.Get()
 	e.afn, e.arg = fn, arg
 	s.push(e, s.now.Add(d))
 	return Timer{e, e.gen}
@@ -290,22 +293,13 @@ func (s *Simulation) push(e *event, at Time) {
 	s.events.pushEvent(heapEntry{at, s.seq, e})
 }
 
-func (s *Simulation) getEvent() *event {
-	if n := len(s.freeEvents); n > 0 {
-		e := s.freeEvents[n-1]
-		s.freeEvents = s.freeEvents[:n-1]
-		return e
-	}
-	return &event{}
-}
-
 // putEvent recycles an executed or discarded event. Safe because events
 // are owned exclusively by the queue that pops them; bumping gen retires
 // every Timer naming the use that ended.
 func (s *Simulation) putEvent(e *event) {
 	e.fn, e.p, e.afn, e.arg = nil, nil, nil, nil
 	e.gen++
-	s.freeEvents = append(s.freeEvents, e)
+	s.freeEvents.Put(e)
 }
 
 // Proc is the handle a process function uses to interact with the
