@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"dynacc/internal/bench"
-	"dynacc/internal/core"
-	"dynacc/internal/magma"
-	"dynacc/internal/netmodel"
 )
 
 // One benchmark per experiment of the paper's evaluation section. Each
@@ -54,59 +51,6 @@ func BenchmarkExtAPoolUtilization(b *testing.B) { benchFigure(b, bench.ExtA) }
 
 // BenchmarkExtB regenerates the protocol/lookahead ablations.
 func BenchmarkExtBAblations(b *testing.B) { benchFigure(b, bench.ExtB) }
-
-// BenchmarkLaunchStorm measures a burst of 1000 small kernel launches
-// against one network-attached accelerator, with the wire protocol's
-// command batching off and on. The virtops/s metric is the simulated
-// launch throughput (virtual ops per virtual second); wiremsgs is how
-// many wire messages the storm cost. Batched must show >= 3x fewer
-// messages and higher throughput (pinned by internal/bench's
-// TestLaunchStormBatchingWins).
-func BenchmarkLaunchStorm(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		batched bool
-	}{{"unbatched", false}, {"batched", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var r bench.LaunchStormResult
-			for i := 0; i < b.N; i++ {
-				r = bench.LaunchStorm(1000, mode.batched)
-			}
-			b.ReportMetric(r.OpsPerSec, "virtops/s")
-			b.ReportMetric(float64(r.WireMsgs), "wiremsgs")
-		})
-	}
-}
-
-// Micro-benchmarks of individual simulated operations, useful when
-// tuning the simulator itself.
-
-func BenchmarkSimPipelineCopy16MiB(b *testing.B) {
-	opts := core.Options{H2D: core.PaperAdaptive(), D2H: core.PaperNaive()}
-	for i := 0; i < b.N; i++ {
-		bench.MeasureRemoteCopy(16*netmodel.MiB, true, opts)
-	}
-}
-
-func BenchmarkSimNaiveCopy16MiB(b *testing.B) {
-	opts := core.Options{H2D: core.PaperNaive(), D2H: core.PaperNaive()}
-	for i := 0; i < b.N; i++ {
-		bench.MeasureRemoteCopy(16*netmodel.MiB, true, opts)
-	}
-}
-
-func BenchmarkSimPingPong1MiB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.MeasurePingPong(netmodel.MiB)
-	}
-}
-
-func BenchmarkSimQRThreeGPUsN2048(b *testing.B) {
-	cfg := magma.DefaultConfig()
-	for i := 0; i < b.N; i++ {
-		bench.RunFactorizationQR(3, 2048, cfg)
-	}
-}
 
 // BenchmarkFleetScale simulates the full CI rack — 32 network-attached
 // accelerator daemons time-shared by 96 tenants running a mixed

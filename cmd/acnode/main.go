@@ -11,7 +11,7 @@
 //	    -topo "cn@127.0.0.1:7000;ac@127.0.0.1:7001;arm@127.0.0.1:7002" \
 //	    -proc 1
 //
-// The cluster-shape flags (-cn, -ac, -spares, -share, -execute) and the
+// The cluster-shape flags (-cn, -ac, -share, -execute) and the
 // topology string must be identical across every process of the cluster:
 // they define the world-rank layout each peer claims during the
 // connection handshake.
@@ -35,7 +35,6 @@ func main() {
 		proc     = flag.Int("proc", -1, "index of this process in the topology")
 		cn       = flag.Int("cn", 1, "compute nodes in the cluster")
 		ac       = flag.Int("ac", 2, "accelerator nodes")
-		spares   = flag.Int("spares", 0, "spare accelerator nodes")
 		share    = flag.Int("share", 0, "shared-lease capacity per accelerator (0 = exclusive only)")
 		execute  = flag.Bool("execute", true, "run devices in execute mode (real data)")
 		token    = flag.String("token", "", "connection token; must match on every process")
@@ -50,12 +49,11 @@ func main() {
 	reg := gpu.NewRegistry()
 	magma.RegisterKernels(reg)
 	cfg := cluster.Config{
-		ComputeNodes:      *cn,
-		Accelerators:      *ac,
-		SpareAccelerators: *spares,
-		ShareCapacity:     *share,
-		Execute:           *execute,
-		Registry:          reg,
+		ComputeNodes:  *cn,
+		Accelerators:  *ac,
+		ShareCapacity: *share,
+		Execute:       *execute,
+		Registry:      reg,
 	}
 	topo, err := cluster.ParseTopology(cfg, *topoSpec)
 	if err != nil {

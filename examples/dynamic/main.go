@@ -3,8 +3,9 @@
 // of differing accelerator demand share a pool of three network-attached
 // GPUs: they acquire at runtime, block while the pool is drained, release
 // early when a phase ends, and keep running when an accelerator breaks —
-// both when an administrator retires one and when a fault-injection plan
-// crash-kills a daemon under a job that then fails over to a spare.
+// both when an administrator fails, retires or drains one and when a
+// fault-injection plan crash-kills a daemon under a job that then fails
+// over to a spare the administrator registered mid-run.
 package main
 
 import (
@@ -28,11 +29,12 @@ func main() {
 	dcfg := core.DefaultDaemonConfig()
 	dcfg.PayloadTimeout = 20 * sim.Millisecond
 	cl, err := cluster.New(cluster.Config{
-		ComputeNodes: 3,
-		Accelerators: 3,
-		Policy:       arm.Backfill,
-		Options:      &opts,
-		Daemon:       &dcfg,
+		ComputeNodes:      3,
+		Accelerators:      3,
+		SpareAccelerators: 1, // running, but outside the pool until registered
+		Policy:            arm.Backfill,
+		Options:           &opts,
+		Daemon:            &dcfg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -152,7 +154,10 @@ func main() {
 	cl.Spawn(2, func(p *sim.Proc, node *cluster.Node) {
 		// Node 2: an administrator breaks accelerator 2 mid-run; the
 		// cluster keeps operating with a smaller pool (fault tolerance:
-		// broken accelerators never take compute nodes down).
+		// broken accelerators never take compute nodes down). Then the
+		// pool changes shape under the running jobs: a spare joins,
+		// accelerator 2 is retired for good once its holder lets go, and
+		// after the crash accelerator 1 is drained out of service.
 		p.Wait(60 * sim.Millisecond)
 		if err := node.ARM.Fail(p, 2); err != nil {
 			log.Fatal(err)
@@ -163,6 +168,22 @@ func main() {
 			log.Fatal(err)
 		}
 		say(p, node.Rank, "accelerator 2 repaired and returned to the pool")
+		h, err := cl.RegisterSpare(p, node, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		say(p, node.Rank, "spare accelerator %d on rank %d registered — the pool grows", h.ID, h.Rank)
+		if err := cl.RetireDaemon(p, node, 2, 0); err != nil {
+			log.Fatal(err)
+		}
+		say(p, node.Rank, "accelerator 2 retired once released, its daemon shut down")
+		if d := sim.Time(0).Add(400 * sim.Millisecond).Sub(p.Now()); d > 0 {
+			p.Wait(d)
+		}
+		if err := cl.DrainDaemon(p, node, 1, 10*sim.Millisecond); err != nil {
+			log.Fatal(err)
+		}
+		say(p, node.Rank, "accelerator 1 drained out of service, its daemon shut down")
 		st, err := node.ARM.Stats(p)
 		if err != nil {
 			log.Fatal(err)

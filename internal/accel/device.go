@@ -62,19 +62,6 @@ func Batched(d Device) bool {
 	return a != nil && a.Client().Options().BatchOps > 0
 }
 
-// CloseSession ends the session behind a remote device whose handle
-// opened one (core.Accel.OpenSession, cluster.Node.AttachSession), freeing
-// every allocation the session still owns daemon-side without touching
-// other tenants sharing the accelerator. It reports false for local
-// devices and for remote attachments without a session.
-func CloseSession(p *sim.Proc, d Device) (bool, error) {
-	a, _ := d.attachment()
-	if a == nil || a.Session() == 0 {
-		return false, nil
-	}
-	return true, a.CloseSession(p)
-}
-
 // World returns the world a remote device's payloads travel through, whose
 // buffer pool host staging can borrow from, or nil for a local device.
 func World(d Device) *minimpi.World {

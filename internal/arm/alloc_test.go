@@ -162,8 +162,8 @@ func TestReplicaApplyAllocFree(t *testing.T) {
 	}
 	hp.leader.ship() // a snapshot of the leases, with no reply in it
 	snaps := hp.tap.take()
-	w, _ := hp.frame(0, opRenew)
-	hp.leader.handle(0, w.Bytes()) // and one with a reply
+	w, _ := hp.frame(0, opRelease)
+	hp.leader.handle(0, w.Ints(nil).Bytes()) // and one with a reply
 	snaps = append(snaps, hp.tap.take()...)
 	var stream [][]byte
 	for _, m := range snaps {

@@ -85,7 +85,7 @@ const (
 	opShutdown
 	opReplace
 	opHeartbeat // daemon→ARM liveness beat; no reply
-	opRenew     // explicit lease renewal
+	_           // 9: a retired explicit renewal; held so later codes keep their values
 	opMigrate   // swap a suspect assignment for a spare
 	opDrain     // retire an accelerator gracefully
 	opStatsEx   // opStats plus per-accelerator utilization
@@ -425,6 +425,7 @@ type Server struct {
 	repW         wire.Writer // (dst, reqID, reply) entries for the next ship
 	mark         uint64      // snapshots applied (follower only)
 	mainProc     *sim.Proc
+	recv         *minimpi.Request  // the main loop's posted request receive
 	waits        []*minimpi.Waiter // in flight on the server's behalf: Kill cancels them
 
 	// Scratch a request reuses: every message is encoded into scratch and
@@ -550,7 +551,9 @@ func (s *Server) Run(p *sim.Proc) {
 		s.scheduleShardTick()
 	}
 	for {
-		data, st := s.comm.Recv(p, minimpi.AnySource, TagRequest)
+		s.recv = s.comm.Irecv(minimpi.AnySource, TagRequest)
+		data, st := s.recv.Wait(p)
+		s.recv = nil
 		more := s.handle(st.Source, data)
 		s.comm.World().PutPayload(data, st) // handle copied what it keeps
 		if !more {
@@ -676,10 +679,6 @@ func (s *Server) dispatch(src int, reqID uint64, op uint8, forwarded bool, body 
 			s.heartbeat(src, s.ids)
 		}
 		// Beats are fire-and-forget: no reply.
-	case opRenew:
-		// The touchClient above already renewed; this op exists so a
-		// client with no other traffic can keep its leases alive.
-		s.reply(src, reqID, statusOK, nil)
 	case opFail, opRepair, opDrain, opRetire, opRegister:
 		// The ops naming one accelerator, which its owner serves.
 		id, rank, deadline := r.Int(), 0, sim.Duration(0)

@@ -378,9 +378,6 @@ func TestGoldenRequestFrames(t *testing.T) {
 			_, err := c.AcquireShared(p, 1, false)
 			return err
 		}},
-		{"Register", goldenRegisterReqHex, nil, func(p *sim.Proc, c *Client) error {
-			return c.Register(p, 7, 107)
-		}},
 		{"RegisterCapable zero", goldenRegisterReqHex, nil, func(p *sim.Proc, c *Client) error {
 			return c.RegisterCapable(p, 7, 107, Capability{})
 		}},

@@ -80,7 +80,7 @@ func (c *Client) SetFailover(timeout sim.Duration, maxSilence int) {
 }
 
 // homeShard spreads clients across shards for operations with no natural
-// owner (acquires, renews with one target).
+// owner (acquires).
 func (c *Client) homeShard() int {
 	return int(mix64(uint64(c.comm.Rank())) % uint64(c.dir.Shards()))
 }
@@ -254,8 +254,8 @@ func decodeHandles(what string, payload []byte, shared bool, epoch uint64) ([]Ha
 	return handles, nil
 }
 
-// acquire is the one acquire routine behind Acquire, AcquireShared,
-// AcquireCapable and AcquireRetry: up to attempts non-blocking tries,
+// acquire is the one acquire routine behind Acquire, AcquireShared and
+// AcquireCapable: up to attempts non-blocking tries,
 // rotating the target shard (which forwards to the least-loaded peer
 // itself when its pool can't satisfy) and sleeping b.Delay between
 // ErrUnavailable results; any other verdict — a grant,
@@ -341,15 +341,6 @@ func (c *Client) AcquireCapable(p *sim.Proc, n int, blocking bool, constraint Co
 // can take one more sharer for this client.
 func (c *Client) AcquireShared(p *sim.Proc, n int, blocking bool) ([]Handle, error) {
 	return c.acquire(p, n, true, Constraint{}, blocking, 1, DefaultBackoff(), nil)
-}
-
-// AcquireRetry is Acquire(n, blocking=false) wrapped in a jittered
-// exponential backoff: up to attempts tries, sleeping b.Delay between
-// ErrUnavailable results. Other errors abort immediately. rng may be nil
-// (no jitter); pass a seeded one for deterministic-but-decorrelated
-// retries.
-func (c *Client) AcquireRetry(p *sim.Proc, n, attempts int, b Backoff, rng *rand.Rand) ([]Handle, error) {
-	return c.acquire(p, n, false, Constraint{}, false, attempts, b, rng)
 }
 
 // routeIDs groups handle ids by owning shard into reused scratch slices
@@ -457,19 +448,13 @@ func (c *Client) Drain(p *sim.Proc, id int, deadline sim.Duration) error {
 	return c.idCall(p, id, opDrain, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
 }
 
-// Register admits a new accelerator — pool id plus its daemon's world
-// rank — into the live inventory of the owning shard (elastic grow). The
-// daemon should already be running and heartbeating; it gets a full
-// silence budget from the moment of registration. ErrBadRequest means
-// the id is already in the inventory.
-func (c *Client) Register(p *sim.Proc, id, rank int) error {
-	return c.RegisterCapable(p, id, rank, Capability{})
-}
-
-// RegisterCapable is Register with a capability descriptor: the
-// accelerator joins the inventory tagged with its device class and
-// supported kernel classes, making it eligible for constrained acquires
-// and class-aware migration. A zero capability is exactly Register.
+// RegisterCapable admits a new accelerator — pool id plus its daemon's
+// world rank — into the live inventory of the owning shard (elastic
+// grow), tagged with its device class and supported kernel classes, which
+// make it eligible for constrained acquires and class-aware migration; a
+// zero capability is an untagged device. The daemon should already be
+// running and heartbeating; it gets a full silence budget from the moment
+// of registration. ErrBadRequest means the id is already in the inventory.
 func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) error {
 	return c.idCall(p, id, opRegister, func(w *wire.Writer) {
 		encodeCapability(w.Int(id).Int(rank), cap)
@@ -484,19 +469,6 @@ func (c *Client) RegisterCapable(p *sim.Proc, id, rank int, cap Capability) erro
 // record of the accelerator and therefore no stranded lease on it.
 func (c *Client) Retire(p *sim.Proc, id int, deadline sim.Duration) error {
 	return c.idCall(p, id, opRetire, func(w *wire.Writer) { w.Int(id).I64(int64(deadline)) })
-}
-
-// Renew explicitly renews every lease this client rank holds, on every
-// shard. Lease renewal is normally implicit (any ARM request, or daemon
-// heartbeats reporting the client active), so Renew is only needed by a
-// client that holds accelerators while idling on both fronts.
-func (c *Client) Renew(p *sim.Proc) error {
-	for sh := 0; sh < c.dir.Shards(); sh++ {
-		if _, _, err := c.call(p, sh, opRenew, nil); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mergeStats folds one shard's snapshot into the aggregate.

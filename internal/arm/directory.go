@@ -83,9 +83,6 @@ func (d *Directory) replayable(shard int) bool {
 // Shards returns the shard count.
 func (d *Directory) Shards() int { return len(d.leaders) }
 
-// Ring returns the ownership ring.
-func (d *Directory) Ring() *Ring { return d.ring }
-
 // OwnerOf returns the shard index owning accelerator id. Allocation-free.
 func (d *Directory) OwnerOf(id int) int { return d.ring.Owner(id) }
 

@@ -138,3 +138,25 @@ func TestGoldenStatsRoundTrip(t *testing.T) {
 		t.Errorf("decoded accel 1: %+v", a1)
 	}
 }
+
+// TestGoldenOpCodes pins every request op's wire value (DESIGN.md §11's
+// op table). Code 9, the retired explicit renewal, stays unassigned: a
+// deleted op must not renumber the ops after it.
+func TestGoldenOpCodes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   uint8
+		want uint8
+	}{
+		{"opAcquire", opAcquire, 1}, {"opRelease", opRelease, 2}, {"opStats", opStats, 3},
+		{"opFail", opFail, 4}, {"opRepair", opRepair, 5}, {"opShutdown", opShutdown, 6},
+		{"opReplace", opReplace, 7}, {"opHeartbeat", opHeartbeat, 8}, {"opMigrate", opMigrate, 10},
+		{"opDrain", opDrain, 11}, {"opStatsEx", opStatsEx, 12}, {"opRegister", opRegister, 13},
+		{"opRetire", opRetire, 14}, {"opForward", opForward, 15}, {"opLoad", opLoad, 16},
+		{"opRecall", opRecall, 17},
+	} {
+		if c.op != c.want {
+			t.Errorf("%s = %d on the wire, want %d", c.name, c.op, c.want)
+		}
+	}
+}

@@ -34,8 +34,8 @@ type HealthConfig struct {
 	// dead: its accelerators are marked failed and owners notified.
 	DeadAfter sim.Duration
 	// LeaseTTL is how long an assignment stays valid without renewal.
-	// Renewal is implicit: any ARM request from the owner, any daemon
-	// heartbeat reporting the owner active, or an explicit Renew.
+	// Renewal is implicit: any ARM request from the owner, or any daemon
+	// heartbeat reporting the owner active.
 	LeaseTTL sim.Duration
 }
 

@@ -173,9 +173,8 @@ func TestHealthNotices(t *testing.T) {
 	})
 }
 
-// Leases expire without renewal; implicit renewal via requests, daemon
-// heartbeats reporting the client active, and explicit Renew all keep an
-// assignment alive.
+// Leases expire without renewal; renewal via requests and via daemon
+// heartbeats reporting the client active both keep an assignment alive.
 func TestHealthLeaseExpiry(t *testing.T) {
 	hc := HealthConfig{HeartbeatInterval: sim.Millisecond, LeaseTTL: 5 * sim.Millisecond}
 	hb := newHealthBed(t, 1, 1, hc)
@@ -183,10 +182,10 @@ func TestHealthLeaseExpiry(t *testing.T) {
 		if _, err := c.Acquire(p, 1, false); err != nil {
 			t.Fatal(err)
 		}
-		// Explicit renewals keep it alive well past one TTL.
+		// Requests keep it alive well past one TTL.
 		for k := 0; k < 4; k++ {
 			p.Wait(3 * sim.Millisecond)
-			if err := c.Renew(p); err != nil {
+			if _, err := c.Stats(p); err != nil {
 				t.Fatalf("renew %d: %v", k, err)
 			}
 		}
@@ -406,8 +405,8 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 	}
 }
 
-// AcquireRetry rides out transient exhaustion that a plain non-blocking
-// Acquire would surface immediately.
+// A non-blocking acquire with a retry budget rides out transient
+// exhaustion that a plain non-blocking Acquire surfaces immediately.
 func TestAcquireRetryBacksOff(t *testing.T) {
 	hb := newHealthBed(t, 1, 2, HealthConfig{HeartbeatInterval: sim.Millisecond})
 	hb.beat(0, 30, sim.Millisecond, nil)
@@ -428,9 +427,9 @@ func TestAcquireRetryBacksOff(t *testing.T) {
 			if _, err := c.Acquire(p, 1, false); !errors.Is(err, ErrUnavailable) {
 				t.Fatalf("plain acquire: %v", err)
 			}
-			hs, err := c.AcquireRetry(p, 1, 5, b, nil)
+			hs, err := c.acquire(p, 1, false, Constraint{}, false, 5, b, nil)
 			if err != nil {
-				t.Fatalf("AcquireRetry: %v", err)
+				t.Fatalf("acquire with retries: %v", err)
 			}
 			if err := c.Release(p, hs); err != nil {
 				t.Fatal(err)

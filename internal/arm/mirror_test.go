@@ -263,9 +263,9 @@ func TestFailoverReplayAfterReplyWindow(t *testing.T) {
 	if status, _, _, err := decodeReply(granted); err != nil || status != statusOK {
 		t.Fatalf("acquire answered %x", granted)
 	}
-	renew := func(c int) {
-		w, _ := hp.frame(c, opRenew)
-		hp.send(c, w.Bytes())
+	renew := func(c int) { // an empty release: a reply that changes no lease
+		w, _ := hp.frame(c, opRelease)
+		hp.send(c, w.Ints(nil).Bytes())
 	}
 	for i := 0; i < dedupKeep-1; i++ {
 		renew(0)

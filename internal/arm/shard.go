@@ -50,6 +50,10 @@ func (s *Server) Kill() {
 	if s.mainProc != nil && !s.mainProc.Terminated() {
 		s.mainProc.Kill()
 	}
+	if s.recv != nil { // nobody will take what it matches: give it up
+		s.recv.Free()
+		s.recv = nil
+	}
 }
 
 // untrack takes a wait that is over off the list Kill cancels.

@@ -264,12 +264,12 @@ func TestShardedRegisterRetire(t *testing.T) {
 		p.Wait(3 * sim.Millisecond)
 		// Elastic grow: admit two new accelerators into the live fleet.
 		for _, id := range []int{3, 4} {
-			if err := c.Register(p, id, 100+id); err != nil {
+			if err := c.RegisterCapable(p, id, 100+id, Capability{}); err != nil {
 				t.Errorf("register %d: %v", id, err)
 				return
 			}
 		}
-		if err := c.Register(p, 3, 103); err != ErrBadRequest {
+		if err := c.RegisterCapable(p, 3, 103, Capability{}); err != ErrBadRequest {
 			t.Errorf("duplicate register: %v, want ErrBadRequest", err)
 		}
 		st, err := c.StatsEx(p)

@@ -146,15 +146,6 @@ func measureLocalCopy(n int, toDevice, pinned bool) sim.Duration {
 
 const kib = netmodel.KiB
 
-// MeasureRemoteCopy and MeasurePingPong expose the single-shot probes for
-// external benchmarks (bench_test.go at the repository root).
-func MeasureRemoteCopy(n int, toDevice bool, opts core.Options) sim.Duration {
-	return measureRemoteCopy(n, toDevice, opts)
-}
-
-// MeasurePingPong measures the simulated IMB PingPong one-way time.
-func MeasurePingPong(n int) sim.Duration { return measurePingPong(n) }
-
 // bandwidthSeries sweeps one protocol configuration over the size grid.
 func bandwidthSeries(label string, sizes []int, measure func(n int) sim.Duration) Series {
 	ys := make([]float64, len(sizes))

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"dynacc/internal/core"
+	"dynacc/internal/magma"
+	"dynacc/internal/netmodel"
 )
 
 // The quick grids keep these tests fast; the shapes they assert are the
@@ -334,5 +336,36 @@ func TestExtELUShapes(t *testing.T) {
 	}
 	if three <= local {
 		t.Errorf("LU: 3 network GPUs (%.1f) not above local (%.1f)", three, local)
+	}
+}
+
+// Micro-benchmarks of single simulated operations, for tuning the
+// simulator itself. The reported wall time is the cost of simulating one
+// operation, not its virtual time.
+
+func BenchmarkSimPipelineCopy16MiB(b *testing.B) {
+	opts := core.Options{H2D: core.PaperAdaptive(), D2H: core.PaperNaive()}
+	for i := 0; i < b.N; i++ {
+		measureRemoteCopy(16*netmodel.MiB, true, opts)
+	}
+}
+
+func BenchmarkSimNaiveCopy16MiB(b *testing.B) {
+	opts := core.Options{H2D: core.PaperNaive(), D2H: core.PaperNaive()}
+	for i := 0; i < b.N; i++ {
+		measureRemoteCopy(16*netmodel.MiB, true, opts)
+	}
+}
+
+func BenchmarkSimPingPong1MiB(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		measurePingPong(netmodel.MiB)
+	}
+}
+
+func BenchmarkSimQRThreeGPUsN2048(b *testing.B) {
+	cfg := magma.DefaultConfig()
+	for i := 0; i < b.N; i++ {
+		runFactorization(factorQR, 3, 2048, cfg)
 	}
 }

@@ -101,12 +101,6 @@ func runFactorizationNet(kind factorKind, remoteGPUs, n int, cfg magma.Config, n
 	return elapsed
 }
 
-// RunFactorizationQR exposes a single QR run for external benchmarks:
-// remoteGPUs == 0 selects the node-local baseline.
-func RunFactorizationQR(remoteGPUs, n int, cfg magma.Config) sim.Duration {
-	return runFactorization(factorQR, remoteGPUs, n, cfg)
-}
-
 // linalgFigure sweeps the four configurations of Figures 9 and 10.
 func linalgFigure(id, title string, kind factorKind, flops func(n int) float64, o Options) *Figure {
 	ns := paperNs(o.Quick)

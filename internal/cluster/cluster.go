@@ -765,8 +765,10 @@ func (cl *Cluster) teardown(p *sim.Proc) {
 	if lead == nil {
 		return // nothing hosted here runs the application; no teardown to lead
 	}
+	var dead []int // ranks crash-killed and not restarted
 	for i, d := range cl.Daemons {
 		if d != nil && !d.Alive() {
+			dead = append(dead, cl.DaemonRank(i))
 			continue // killed by fault injection; nothing to stop
 		}
 		// Shutdown through the regular protocol, from the lead's front-end.
@@ -787,6 +789,9 @@ func (cl *Cluster) teardown(p *sim.Proc) {
 		if srv != nil && cl.dir.Serving(sh) != cl.dir.Leader(sh) && !srv.Closed() {
 			srv.Kill()
 		}
+		if srv != nil && srv.Closed() {
+			dead = append(dead, cl.dir.Leader(sh))
+		}
 	}
 	for sh, srv := range cl.shardSrvs {
 		if rp := cl.shardReps[sh]; rp != nil && rp.Promoted() {
@@ -796,6 +801,11 @@ func (cl *Cluster) teardown(p *sim.Proc) {
 			continue // crash-killed by the test; nothing to stop
 		}
 		settle(srv != nil, fmt.Sprintf("arm shard %d shutdown", sh), lead.ARM.ShutdownShard(p, sh))
+	}
+	// Envelopes sent to a dead rank would stay out of the record pools for
+	// good: drop them, as RestartDaemon does.
+	for _, r := range dead {
+		cl.World.ResetEndpoint(r)
 	}
 }
 
@@ -915,8 +925,8 @@ func (cl *Cluster) RetireDaemon(p *sim.Proc, n *Node, i int, deadline sim.Durati
 
 // RestartDaemon replaces a killed daemon i with a fresh one on the same
 // rank and device, modeling an accelerator-node reboot: the NIC endpoint
-// state is discarded, engines stranded by the crash are released, and
-// device memory is wiped. No-op while the daemon is still alive.
+// state is discarded, engines stranded by the crash are released, device
+// memory is wiped, and the fencing mark is kept. No-op while it is alive.
 func (cl *Cluster) RestartDaemon(p *sim.Proc, i int) {
 	old := cl.Daemons[i]
 	if old.Alive() {
@@ -927,7 +937,7 @@ func (cl *Cluster) RestartDaemon(p *sim.Proc, i int) {
 	dev := old.Device()
 	dev.ResetEngines()
 	dev.Reset(p)
-	d := core.NewDaemon(cl.World.Comm(rank), dev, cl.daemonConfig(rank))
+	d := old.Restart(cl.World.Comm(rank), cl.daemonConfig(rank))
 	cl.Daemons[rank-cl.cfg.ComputeNodes] = d
 	cl.Sim.Spawn(fmt.Sprintf("daemon-ac%d", rank-cl.cfg.ComputeNodes), d.Run)
 }

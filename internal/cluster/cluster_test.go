@@ -445,3 +445,41 @@ func TestSanitizerHandlesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartedDaemonKeepsItsFence: a daemon restarted after a newer
+// leadership epoch reached it still refuses a reset or a session open from
+// a holder of the deposed leader. The fencing mark belongs to the
+// accelerator node, like the device the restart keeps, so the mark and its
+// log outlive the daemon process.
+func TestRestartedDaemonKeepsItsFence(t *testing.T) {
+	cl, err := New(Config{ComputeNodes: 1, Accelerators: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Spawn(0, func(p *sim.Proc, n *Node) {
+		a := n.FE.Attach(cl.DaemonRank(0))
+		a.SetFence(2) // the new leader's epoch reaches the daemon
+		if err := a.Reset(p); err != nil {
+			t.Fatalf("epoch-2 reset: %v", err)
+		}
+		cl.KillDaemon(0)
+		cl.RestartDaemon(p, 0)
+		a.SetFence(1) // a holder the deposed epoch-1 leader granted
+		if err := a.Reset(p); !errors.Is(err, core.ErrFenced) {
+			t.Errorf("stale reset after the restart: err = %v, want ErrFenced", err)
+		}
+		if err := a.OpenSession(p); !errors.Is(err, core.ErrFenced) {
+			t.Errorf("stale session open after the restart: err = %v, want ErrFenced", err)
+		}
+	})
+	if _, err := cl.Run(); err != nil {
+		t.Fatal(err)
+	}
+	d := cl.Daemons[0]
+	if got := d.FenceEpoch(); got != 2 {
+		t.Errorf("restarted daemon's fence mark = %d, want 2", got)
+	}
+	if marks := d.FenceMarks(); len(marks) != 1 || marks[0].Epoch != 2 {
+		t.Errorf("restarted daemon's fence log = %+v, want the one epoch-2 mark", marks)
+	}
+}

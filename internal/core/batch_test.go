@@ -15,15 +15,15 @@ import (
 	"dynacc/internal/sim"
 )
 
-// launchStormMsgs runs `launches` kernel launches plus one Sync and
-// returns how many wire messages the client posted for them.
-func launchStormMsgs(t *testing.T, opts Options, launches int) int64 {
+// launchStorm runs `launches` small kernel launches plus one Sync and
+// returns how many wire messages the client posted for them and how long
+// the storm took in virtual time.
+func launchStorm(t *testing.T, opts Options, launches int) (msgs int64, took sim.Duration) {
 	t.Helper()
-	var msgs int64
 	runTestbed(t, 1, false, fastNet(), opts, func(p *sim.Proc, tb *testbed) {
 		a := tb.accels[0]
-		k := a.KernelCreate("slow")
-		before := tb.client.Comm().WireStats().Msgs
+		k := a.KernelCreate("tiny")
+		before, start := tb.client.Comm().WireStats().Msgs, p.Now()
 		pends := make([]*Pending, 0, launches)
 		for i := 0; i < launches; i++ {
 			pends = append(pends, k.RunAsync(gpu.Dim3{X: 1}, gpu.Dim3{X: 1}, 0))
@@ -36,18 +36,21 @@ func launchStormMsgs(t *testing.T, opts Options, launches int) int64 {
 				t.Fatalf("launch %d: %v", i, err)
 			}
 		}
-		msgs = tb.client.Comm().WireStats().Msgs - before
+		msgs, took = tb.client.Comm().WireStats().Msgs-before, p.Now().Sub(start)
 	})
-	return msgs
+	return msgs, took
 }
 
-// TestBatchingCoalescesLaunchStorm pins the tentpole win: a storm of
-// small launches costs at least 3x fewer wire messages batched than
-// unbatched (the acceptance bar of the command-buffer refactor).
+// TestBatchingCoalescesLaunchStorm pins the command buffer's acceptance
+// bar: a storm of small launches costs at least 3x fewer wire messages
+// batched than unbatched, and ends sooner in virtual time.
 func TestBatchingCoalescesLaunchStorm(t *testing.T) {
-	const launches = 24
-	unbatched := launchStormMsgs(t, DefaultOptions(), launches)
-	batched := launchStormMsgs(t, BatchedOptions(), launches)
+	const launches = 500
+	unbatched, slow := launchStorm(t, DefaultOptions(), launches)
+	batched, fast := launchStorm(t, BatchedOptions(), launches)
+	if fast >= slow {
+		t.Errorf("batched storm took %v, unbatched %v: want batched shorter", fast, slow)
+	}
 	if unbatched != launches+1 {
 		t.Errorf("unbatched storm posted %d messages, want %d (one per launch plus sync)", unbatched, launches+1)
 	}
@@ -236,30 +239,34 @@ func TestBatchAutoFlushOnOpCount(t *testing.T) {
 	})
 }
 
-// TestBatchAutoFlushOnBytes: the BatchBytes bound flushes before the
-// buffer outgrows one wire message.
+// TestBatchAutoFlushOnBytes: the batchBytes bound flushes before the
+// buffer outgrows one wire message, though far fewer than BatchOps
+// commands are queued.
 func TestBatchAutoFlushOnBytes(t *testing.T) {
-	opts := BatchedOptions()
-	opts.BatchBytes = 256
-	runTestbed(t, 1, false, fastNet(), opts, func(p *sim.Proc, tb *testbed) {
+	runTestbed(t, 1, false, fastNet(), BatchedOptions(), func(p *sim.Proc, tb *testbed) {
 		a := tb.accels[0]
-		ptr, err := a.MemAlloc(p, 4096)
+		ptr, err := a.MemAlloc(p, 16*inlineCopy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := tb.client.Comm().WireStats().Msgs
-		// Model-mode inline writes of 200 bytes cost ~248 estimated wire
-		// bytes each: the second one crosses the 256-byte bound.
-		pd1 := a.MemcpyH2DAsync(ptr, 0, nil, 200, 0)
-		pd2 := a.MemcpyH2DAsync(ptr, 200, nil, 200, 0)
-		if got := tb.client.Comm().WireStats().Msgs - before; got != 1 {
-			t.Fatalf("BatchBytes overflow posted %d messages, want 1", got)
+		// Model-mode inline writes of inlineCopy bytes cost 48 + 4096
+		// estimated wire bytes each: the sixteenth crosses 64 KiB.
+		pends := make([]*Pending, 16)
+		for i := range pends {
+			pends[i] = a.MemcpyH2DAsync(ptr, i*inlineCopy, nil, inlineCopy, 0)
+			want := int64(0)
+			if i == len(pends)-1 {
+				want = 1
+			}
+			if got := tb.client.Comm().WireStats().Msgs - before; got != want {
+				t.Fatalf("after %d inline writes the recorder posted %d messages, want %d", i+1, got, want)
+			}
 		}
-		if err := pd1.Wait(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := pd2.Wait(p); err != nil {
-			t.Fatal(err)
+		for _, pd := range pends {
+			if err := pd.Wait(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

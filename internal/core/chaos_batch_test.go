@@ -174,7 +174,7 @@ func TestChaosBatchMigrateFlushesBufferFirst(t *testing.T) {
 		}
 		m1 := a.MemsetAsync(ptr, 0, 64, 0xCC, 0)
 		m2 := a.MemsetAsync(ptr, 64, 64, 0xDD, 0)
-		if err := a.Migrate(p, 2); err != nil {
+		if err := a.c.Migrate(p, a, 2); err != nil {
 			t.Fatalf("migrate with recorded commands: %v", err)
 		}
 		if a.Rank() != 2 {

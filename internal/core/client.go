@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"slices"
@@ -52,18 +51,10 @@ type Options struct {
 	// header-only operations (kernel launches, memsets, frees and small
 	// inline uploads) are recorded per stream and coalesced into a single
 	// opBatch wire message, flushed when BatchOps commands are queued,
-	// when the buffer reaches BatchBytes, at any blocking call on the
+	// when the buffer reaches batchBytes, at any blocking call on the
 	// stream, or explicitly via Accel.Flush. Zero (the default) keeps the
 	// paper's one-wire-message-per-request path bit for bit.
 	BatchOps int
-	// BatchBytes bounds the wire size of one command buffer (headers plus
-	// inline payloads); a recorder flushes before exceeding it. Zero
-	// means DefaultBatchBytes.
-	BatchBytes int
-	// InlineCopy, when positive, lets host-to-device copies of at most
-	// this many bytes ride inside the command buffer instead of opening a
-	// block-stream exchange. Only effective with batching on.
-	InlineCopy int
 	// SessionQuota is the per-session device-memory budget in bytes for
 	// handles opened with AttachSession: allocations past it fail with
 	// ErrQuotaExceeded. Zero means unlimited. Exclusive (session-less)
@@ -71,9 +62,12 @@ type Options struct {
 	SessionQuota int64
 }
 
-// DefaultBatchBytes bounds one command buffer's wire size when
-// Options.BatchBytes is zero.
-const DefaultBatchBytes = 64 * 1024
+// A command buffer flushes at batchBytes of wire size (headers plus inline
+// payloads); uploads of at most inlineCopy bytes ride inside it.
+const (
+	batchBytes = 64 * 1024
+	inlineCopy = 4 * 1024
+)
 
 // DefaultOptions returns the paper's best-performing configuration.
 func DefaultOptions() Options {
@@ -83,14 +77,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// BatchedOptions returns DefaultOptions with command batching enabled at
-// tuned defaults: buffers of up to 64 commands or 64 KiB, and uploads of
-// up to 4 KiB carried inline.
+// BatchedOptions returns DefaultOptions with command batching enabled:
+// buffers of up to 64 commands.
 func BatchedOptions() Options {
 	o := DefaultOptions()
 	o.BatchOps = 64
-	o.BatchBytes = DefaultBatchBytes
-	o.InlineCopy = 4 * 1024
 	return o
 }
 
@@ -102,12 +93,8 @@ func (o Options) Validate() error {
 	if o.Retries < 0 {
 		return fmt.Errorf("core: negative retry count %d", o.Retries)
 	}
-	if o.BatchOps < 0 || o.BatchBytes < 0 || o.InlineCopy < 0 {
-		return fmt.Errorf("core: negative batching option (BatchOps=%d BatchBytes=%d InlineCopy=%d)",
-			o.BatchOps, o.BatchBytes, o.InlineCopy)
-	}
-	if o.BatchOps > maxBatchOps {
-		return fmt.Errorf("core: BatchOps %d exceeds protocol limit %d", o.BatchOps, maxBatchOps)
+	if o.BatchOps < 0 || o.BatchOps > maxBatchOps {
+		return fmt.Errorf("core: BatchOps %d outside [0, %d], the protocol limit", o.BatchOps, maxBatchOps)
 	}
 	if o.SessionQuota < 0 {
 		return fmt.Errorf("core: negative session quota %d", o.SessionQuota)
@@ -280,15 +267,10 @@ func (a *Accel) CloseSession(p *sim.Proc) error {
 	return a.status(p, request{op: OpSessionClose})
 }
 
-// ReapSessions closes every session a given client rank holds on this
-// handle's daemon: the ARM's reclaim path after a tenant death. Only the
-// dead tenant's allocations are freed.
-func (a *Accel) ReapSessions(p *sim.Proc, clientRank int) error {
-	return a.status(p, request{op: OpSessionReap, peer: clientRank})
-}
-
-// ReapSessionsAsync is ReapSessions for scheduler-context code (the ARM's
-// reaps and fences); see callAsync.
+// ReapSessionsAsync closes every session a given client rank holds on
+// this handle's daemon: the ARM's reclaim path after a tenant death, run
+// from scheduler context (see callAsync). Only the dead tenant's
+// allocations are freed.
 func (a *Accel) ReapSessionsAsync(clientRank int, then func(error)) *minimpi.Call {
 	return a.callAsync(request{op: OpSessionReap, peer: clientRank}, then)
 }
@@ -671,7 +653,7 @@ func (a *Accel) status(p *sim.Proc, q request) error {
 
 // submit starts a header-only stream command and returns at once: on its way
 // to the daemon, or with batching on recorded behind the stream's queued
-// commands. The buffer flushes at the BatchOps/BatchBytes thresholds;
+// commands. The buffer flushes at the BatchOps/batchBytes thresholds;
 // otherwise it ships at the next blocking call on the stream, an explicit
 // Flush, or a Wait on any recorded Pending.
 func (a *Accel) submit(cl *call) *Pending {
@@ -687,7 +669,7 @@ func (a *Accel) submit(cl *call) *Pending {
 	cl.queued = true
 	rec.cmds = append(rec.cmds, cl)
 	rec.bytes += cmdCost(q)
-	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= cmp.Or(a.c.opts.BatchBytes, DefaultBatchBytes) {
+	if len(rec.cmds) >= a.c.opts.BatchOps || rec.bytes >= batchBytes {
 		a.flush(q.stream, 0)
 	}
 	return &cl.Pending
@@ -705,7 +687,7 @@ type recorder struct {
 func (a *Accel) batching() bool { return a.c.opts.BatchOps > 0 && !a.noFlush }
 
 // cmdCost estimates the bytes a command adds to the batch message. It
-// only steers the BatchBytes flush threshold, so a rough upper bound on
+// only steers the batchBytes flush threshold, so a rough upper bound on
 // the encoded header is fine.
 func cmdCost(q *request) int {
 	return 48 + len(q.kernel) + 12*len(q.launch.Args) + len(q.inline) + q.modelPad()
@@ -1024,7 +1006,7 @@ func (a *Accel) MemcpyH2D2DAsync(dst gpu.Ptr, off, colBytes, cols, pitch int, sr
 	}
 	n := colBytes * cols
 	q := request{op: OpMemcpyH2D, stream: stream, ptr: dst, off: off, size: n, cols: cols, pitch: pitch}
-	if a.batching() && a.c.opts.InlineCopy > 0 && n <= a.c.opts.InlineCopy {
+	if a.batching() && n <= inlineCopy {
 		// Small upload: the payload rides inside the command buffer (a
 		// copy is taken now — the caller may reuse src immediately). In
 		// model mode (src nil) the flush pads the wire message by n bytes
@@ -1307,9 +1289,6 @@ func (c *Client) Migrate(p *sim.Proc, a *Accel, newRank int) error {
 	}
 	return nil
 }
-
-// Migrate is the handle-level convenience for Client.Migrate.
-func (a *Accel) Migrate(p *sim.Proc, newRank int) error { return a.c.Migrate(p, a, newRank) }
 
 // MigrateRank migrates every handle this client has attached to oldRank
 // over to newRank, returning how many moved. The first error aborts

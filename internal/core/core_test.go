@@ -97,6 +97,10 @@ func registerTestKernels(reg *gpu.Registry) {
 		KernelName: "slow",
 		CostFn:     func(gpu.Launch, gpu.Model) sim.Duration { return sim.Millisecond },
 	})
+	reg.Register(gpu.FuncKernel{ // small enough that the wire, not compute, dominates a storm
+		KernelName: "tiny",
+		CostFn:     func(gpu.Launch, gpu.Model) sim.Duration { return 2 * sim.Microsecond },
+	})
 }
 
 func fastNet() netmodel.Params {

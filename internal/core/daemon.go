@@ -10,14 +10,13 @@ import (
 	"dynacc/internal/wire"
 )
 
+// postCost is the daemon-CPU time per pipeline block (posting the next
+// receive, progressing MPI); with the device's async-copy setup cost it makes
+// very small blocks unprofitable for large payloads (paper Section V-A).
+const postCost = 1 * sim.Microsecond
+
 // DaemonConfig tunes the back-end daemon.
 type DaemonConfig struct {
-	// PostCost is the daemon-CPU time spent per pipeline block on
-	// bookkeeping (posting the next receive, progressing MPI). Together
-	// with the device's async-copy setup cost it is the per-block overhead
-	// that makes very small blocks unprofitable for large payloads (paper
-	// Section V-A).
-	PostCost sim.Duration
 	// PayloadTimeout bounds how long a copy pipeline waits for any single
 	// payload block (or for a receiver's clearance when sending). Zero
 	// waits forever. With a timeout set, a transfer whose peer died —
@@ -36,10 +35,10 @@ type DaemonConfig struct {
 	Heartbeat func(active []int)
 }
 
-// DefaultDaemonConfig returns the configuration used on the paper's
-// testbed emulation.
+// DefaultDaemonConfig returns the paper's daemon: no payload timeout and
+// no heartbeat.
 func DefaultDaemonConfig() DaemonConfig {
-	return DaemonConfig{PostCost: 1 * sim.Microsecond}
+	return DaemonConfig{}
 }
 
 // DaemonStats reports cumulative daemon activity.
@@ -93,6 +92,7 @@ type Daemon struct {
 	stats DaemonStats
 
 	mainP *sim.Proc
+	recv  *minimpi.Request // the dispatch loop's posted request receive
 
 	// procs tracks every process the daemon owns (dispatch loop, stream
 	// workers, session teardown helpers) so Kill can take the whole daemon
@@ -159,6 +159,15 @@ func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 	}
 }
 
+// Restart returns a fresh daemon serving comm and d's device, as after a
+// node reboot: no session, stream or reply survives; the fencing mark and
+// its log do, so holders of a deposed ARM epoch stay refused (DESIGN.md §12).
+func (d *Daemon) Restart(comm *minimpi.Comm, cfg DaemonConfig) *Daemon {
+	nd := NewDaemon(comm, d.dev, cfg)
+	nd.fenceHigh, nd.fenceLog = d.fenceHigh, d.fenceLog
+	return nd
+}
+
 // OpenSessions returns the number of tenant sessions currently open.
 func (d *Daemon) OpenSessions() int { return len(d.sessions) }
 
@@ -212,6 +221,9 @@ func (d *Daemon) Kill() {
 		p.Kill()
 	}
 	d.procs = nil
+	if d.recv != nil { // nobody will take what it matches: give it up
+		d.recv.Free()
+	}
 	for ps := d.pipes; ps != nil; ps = ps.older {
 		for i := range ps.blocks {
 			ps.blocks[i].Abandon()
@@ -281,7 +293,9 @@ func (d *Daemon) Run(p *sim.Proc) {
 		})
 	}
 	for {
-		data, st := d.comm.Recv(p, minimpi.AnySource, TagRequest)
+		d.recv = d.comm.Irecv(minimpi.AnySource, TagRequest)
+		data, st := d.recv.Wait(p)
+		d.recv = nil
 		d.active[st.Source] = struct{}{}
 		q := d.reqs.Get()
 		err, whole := q.decode(data, d.dev.Registry()), len(data) >= requestHeaderSize
@@ -603,7 +617,7 @@ func (d *Daemon) writeInline(p *sim.Proc, q *request) error {
 	if q.size == 0 {
 		return nil
 	}
-	p.Wait(d.cfg.PostCost + d.dev.AsyncSetupCost())
+	p.Wait(postCost + d.dev.AsyncSetupCost())
 	if err := d.dev.CopyEngineTransfer(p, q.size, true, false); err != nil {
 		return err
 	}
@@ -709,7 +723,7 @@ func (d *Daemon) prepare(p *sim.Proc, q *request, peer int, tag minimpi.Tag, nb 
 	}
 	ps.owner, ps.q, ps.peer, ps.tag = p, q, peer, tag
 	ps.deadline = d.cfg.PayloadTimeout
-	ps.cost = d.cfg.PostCost + d.dev.AsyncSetupCost()
+	ps.cost = postCost + d.dev.AsyncSetupCost()
 	ps.window = q.window()
 	ps.next, ps.nposted, ps.ndone, ps.placed = 0, 0, 0, 0
 	ps.winErr, ps.peerErr, ps.dmaErr = preErr, nil, nil

@@ -129,7 +129,7 @@ func TestDaemonFencing(t *testing.T) {
 		if err := a.OpenSession(p); !errors.Is(err, ErrFenced) {
 			t.Errorf("stale session open err = %v, want ErrFenced", err)
 		}
-		if err := a.ReapSessions(p, 0); !errors.Is(err, ErrFenced) {
+		if err := reapSessions(p, a, 0); !errors.Is(err, ErrFenced) {
 			t.Errorf("stale reap err = %v, want ErrFenced", err)
 		}
 		if got := d.Stats().Fenced; got != 3 {

@@ -353,7 +353,7 @@ func FuzzDaemonSessions(f *testing.F) {
 				case fzClose:
 					err = h.CloseSession(p)
 				case fzReap:
-					err = handles[fzHolder].ReapSessions(p, arg%(fzActors+1))
+					err = reapSessions(p, handles[fzHolder], arg%(fzActors+1))
 				}
 				settle(i/3, op, err)
 			}

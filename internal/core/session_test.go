@@ -344,14 +344,14 @@ func TestSessionReap(t *testing.T) {
 		}
 		dev := tb.daemons[0].Device()
 		// Reap a rank with no sessions: a no-op, not an error.
-		if err := tb.accels[0].ReapSessions(p, 7); err != nil {
+		if err := reapSessions(p, tb.accels[0], 7); err != nil {
 			t.Fatalf("reap of session-less rank: %v", err)
 		}
 		if tb.daemons[0].OpenSessions() != 2 {
 			t.Fatalf("no-op reap closed sessions: %d open", tb.daemons[0].OpenSessions())
 		}
 		// Reap this client: both sessions and all their memory go.
-		if err := tb.accels[0].ReapSessions(p, 0); err != nil {
+		if err := reapSessions(p, tb.accels[0], 0); err != nil {
 			t.Fatalf("reap: %v", err)
 		}
 		if tb.daemons[0].OpenSessions() != 0 {
@@ -419,7 +419,7 @@ func TestSessionTeardownLeavesNoProcess(t *testing.T) {
 			fn   func(h *Accel) error
 		}{
 			{"CloseSession", func(h *Accel) error { return h.CloseSession(p) }},
-			{"ReapSessions", func(*Accel) error { return tb.accels[0].ReapSessions(p, 0) }},
+			{"ReapSessions", func(*Accel) error { return reapSessions(p, tb.accels[0], 0) }},
 		} {
 			before := tb.sim.LiveProcs()
 			h, err := attachSession(p, tb.client, 1)
@@ -590,4 +590,10 @@ func TestAttachedHandlesStayBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// reapSessions is the blocking form of ReapSessionsAsync, which the ARM
+// runs from scheduler context.
+func reapSessions(p *sim.Proc, a *Accel, clientRank int) error {
+	return a.status(p, request{op: OpSessionReap, peer: clientRank})
 }

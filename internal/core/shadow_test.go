@@ -109,7 +109,7 @@ func TestShadowMatchesCopyOnSuccess(t *testing.T) {
 	const opsPer = 8
 	opts := chaosOpts()
 	opts.H2D, opts.D2H = PaperPipeline(700), PaperPipeline(1000)
-	opts.BatchOps, opts.InlineCopy = 8, 256 // uploads of <= 256 bytes ride inline
+	opts.BatchOps = 8 // uploads of <= inlineCopy bytes ride inline
 	cb := newChaosBed(t, 2, true, opts)
 	cb.client.SetReplacer(flipReplacer{})
 	rng := rand.New(rand.NewSource(29))
@@ -118,7 +118,7 @@ func TestShadowMatchesCopyOnSuccess(t *testing.T) {
 		for seq := 0; seq < shadowSequences; seq++ {
 			var live []*refAlloc
 			alloc := func() {
-				r := &refAlloc{size: 1 + rng.Intn(3000)}
+				r := &refAlloc{size: 1 + rng.Intn(3*inlineCopy)}
 				var err error
 				if r.ptr, err = a.MemAlloc(p, r.size); err != nil {
 					t.Fatalf("seq %d: alloc: %v", seq, err)

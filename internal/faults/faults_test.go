@@ -277,6 +277,11 @@ func faultedQR(t *testing.T, n, nb int, a []float64, killAt sim.Duration) string
 	})
 	end, err := cl.Run()
 	fmt.Fprintf(&b, "end %v err=%v\n", end, err)
+	// The killed daemon's posted receive and the envelopes sent to it come
+	// home at teardown.
+	if reqs, msgs := cl.World.RecordsOut(); reqs != 0 || msgs != 0 {
+		t.Errorf("records out after the faulted run: %d requests, %d messages, want 0 and 0", reqs, msgs)
+	}
 	return b.String()
 }
 

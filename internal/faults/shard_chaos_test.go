@@ -140,6 +140,11 @@ func TestChaosShardLeaderKill(t *testing.T) {
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// The killed leader's posted receive and the envelopes sent to it come
+	// home at teardown.
+	if reqs, msgs := cl.World.RecordsOut(); reqs != 0 || msgs != 0 {
+		t.Errorf("records out after the run: %d requests, %d messages, want 0 and 0", reqs, msgs)
+	}
 }
 
 // TestChaosShardedSharedTenantKill is TestChaosSharedTenantKill on the

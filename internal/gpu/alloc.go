@@ -57,12 +57,6 @@ func (e *oomError) Error() string {
 	return fmt.Sprintf("gpu: out of device memory: want %d bytes, %d free", e.want, e.free)
 }
 
-// IsOOM reports whether err is a device out-of-memory failure.
-func IsOOM(err error) bool {
-	_, ok := err.(*oomError)
-	return ok
-}
-
 func roundUp(n uint64) uint64 {
 	return (n + allocAlign - 1) &^ (allocAlign - 1)
 }

@@ -631,11 +631,3 @@ func (d *Device) WriteFloat64s(ptr Ptr, off int, vals []float64) error {
 	}
 	return nil
 }
-
-// StoreFloat64s writes vals back over the raw bytes previously obtained
-// via Bytes; helper for kernels operating on float64 data.
-func StoreFloat64s(raw []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-}

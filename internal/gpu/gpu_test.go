@@ -113,7 +113,7 @@ func TestAllocOOMAndRecovery(t *testing.T) {
 		if err == nil {
 			t.Fatal("expected OOM")
 		}
-		if !IsOOM(err) {
+		if _, ok := err.(*oomError); !ok {
 			t.Fatalf("error is not OOM: %v", err)
 		}
 		if err := d.MemFree(p, big); err != nil {
@@ -450,15 +450,30 @@ func TestValueStringAndArgPanic(t *testing.T) {
 	Launch{}.Arg(0)
 }
 
+// TestDim3Count: a kernel's cost model and body see the grid and block
+// extents it was launched with, zero components included.
 func TestDim3Count(t *testing.T) {
-	if got := (Dim3{X: 4, Y: 2, Z: 3}).Count(); got != 24 {
-		t.Errorf("Count = %d", got)
+	s := sim.New()
+	d := testDevice(t, s, true)
+	want := Launch{Grid: Dim3{X: 4, Y: 2, Z: 3}, Block: Dim3{X: 5}}
+	var costSaw, execSaw Launch
+	d.Registry().Register(FuncKernel{
+		KernelName: "dims",
+		CostFn:     func(l Launch, m Model) sim.Duration { costSaw = l; return sim.Microsecond },
+		ExecFn:     func(l Launch, dev *Device) error { execSaw = l; return nil },
+	})
+	s.Spawn("test", func(p *sim.Proc) {
+		if err := d.LaunchKernel(p, "dims", want); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if got := (Dim3{}).Count(); got != 1 {
-		t.Errorf("zero Dim3 Count = %d", got)
-	}
-	if got := (Dim3{X: 5}).Count(); got != 5 {
-		t.Errorf("Count = %d", got)
+	for _, got := range []Launch{costSaw, execSaw} {
+		if got.Grid != want.Grid || got.Block != want.Block {
+			t.Errorf("kernel saw grid %+v block %+v, want %+v and %+v", got.Grid, got.Block, want.Grid, want.Block)
+		}
 	}
 }
 
@@ -754,22 +769,6 @@ func TestDeviceAccessors(t *testing.T) {
 	if !strings.Contains(err.Error(), "100") || !strings.Contains(err.Error(), "50") {
 		t.Errorf("oom message: %v", err)
 	}
-}
-
-func TestStoreFloat64sHelper(t *testing.T) {
-	inProc(t, func(p *sim.Proc) {
-		d := testDevice(t, p.Sim(), true)
-		ptr, _ := d.MemAlloc(p, 24)
-		raw, err := d.Bytes(ptr, 0, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		StoreFloat64s(raw, []float64{1.5, -2, 3})
-		got, err := d.ReadFloat64s(ptr, 0, 3)
-		if err != nil || got[0] != 1.5 || got[1] != -2 || got[2] != 3 {
-			t.Errorf("round trip = %v, %v", got, err)
-		}
-	})
 }
 
 func TestCopyD2DErrorPaths(t *testing.T) {

@@ -54,17 +54,6 @@ func (v Value) String() string {
 // Dim3 is a CUDA-style grid or block dimension.
 type Dim3 struct{ X, Y, Z int }
 
-// Count returns the total extent (X*Y*Z), treating zero components as 1.
-func (d Dim3) Count() int {
-	n := 1
-	for _, v := range []int{d.X, d.Y, d.Z} {
-		if v > 1 {
-			n *= v
-		}
-	}
-	return n
-}
-
 // Launch is one kernel invocation: configuration plus arguments.
 type Launch struct {
 	Grid, Block Dim3

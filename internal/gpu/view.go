@@ -27,9 +27,6 @@ func (v *AllocView) Quota() int64 { return v.quota }
 // Used returns the bytes currently charged against the quota.
 func (v *AllocView) Used() int64 { return v.used }
 
-// Count returns the number of live allocations owned by the view.
-func (v *AllocView) Count() int { return len(v.owned) }
-
 // Admits reports whether an allocation of n bytes fits under the quota.
 func (v *AllocView) Admits(n int) bool {
 	return v.quota == 0 || v.used+int64(n) <= v.quota

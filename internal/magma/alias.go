@@ -1,10 +1,6 @@
 package magma
 
-import (
-	"dynacc/internal/accel"
-	"dynacc/internal/gpu"
-	"dynacc/internal/sim"
-)
+import "dynacc/internal/accel"
 
 // The hybrid routines are written against the shared accelerator
 // abstraction; these aliases keep magma call sites self-contained.
@@ -14,9 +10,6 @@ type Device = accel.Device
 
 // Pending is an in-flight asynchronous device operation.
 type Pending = accel.Pending
-
-// Local wraps a node-attached gpu.Device (see accel.Local).
-func Local(host *sim.Proc, dev *gpu.Device) *accel.LocalDevice { return accel.Local(host, dev) }
 
 // Remote wraps a middleware accelerator handle (see accel.Remote).
 var Remote = accel.Remote

@@ -71,7 +71,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 				return &lapack.PositiveDefiniteError{Pivot: pe.Pivot + j}
 			}
 		}
-		p.Wait(CPUPanelTime(float64(jb)*float64(jb)*float64(jb)/3, cfg.CPUGFlops))
+		p.Wait(cpuPanelTime(float64(jb) * float64(jb) * float64(jb) / 3))
 
 		// Upload L11 back to the owner.
 		track(d.uploadCols(pj, j, jb, 0, jb, hostPanel(diag, jb*jb), 0))

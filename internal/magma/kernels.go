@@ -359,11 +359,15 @@ func ceilDiv(a, b int) int {
 	return (a + b - 1) / b
 }
 
-// CPUPanelTime models the host-side panel factorization rate: skinny
-// panels run memory-bound on the host, far below the CPU's dense peak.
-func CPUPanelTime(flops, gflops float64) sim.Duration {
-	if flops <= 0 || gflops <= 0 {
+// cpuGFlops is the host panel-factorization rate in GFlop/s: a dual-socket
+// Westmere host on skinny panels, which run memory-bound, far below the
+// CPU's dense peak.
+const cpuGFlops = 12
+
+// cpuPanelTime is the host time to factor a panel of the given flops.
+func cpuPanelTime(flops float64) sim.Duration {
+	if flops <= 0 {
 		return 0
 	}
-	return sim.Duration(flops / (gflops * 1e9) * 1e9)
+	return sim.Duration(flops / (cpuGFlops * 1e9) * 1e9)
 }

@@ -76,7 +76,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 				ipiv[j+i] = locPiv[i] + j
 			}
 		}
-		p.Wait(CPUPanelTime(float64(mj)*float64(jb)*float64(jb), cfg.CPUGFlops))
+		p.Wait(cpuPanelTime(float64(mj) * float64(jb) * float64(jb)))
 
 		// Broadcast: the factored panel back to the owner in place, the
 		// full panel to the other GPUs' workspaces, and the pivot list

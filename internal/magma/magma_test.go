@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dynacc/internal/accel"
 	"dynacc/internal/blas"
 	"dynacc/internal/cluster"
 	"dynacc/internal/gpu"
@@ -164,7 +165,7 @@ func TestDgeqrfNoLookaheadSameResult(t *testing.T) {
 
 func TestDgeqrfLocalGPUMatchesLAPACK(t *testing.T) {
 	withCluster(t, 0, true, 1, func(p *sim.Proc, _ []Device, local []*gpu.Device) {
-		ld := Local(p, local[0])
+		ld := accel.Local(p, local[0])
 		defer ld.Close()
 		qrAgainstLAPACK(t, p, []Device{ld}, 72, 16, true)
 	})
@@ -245,7 +246,7 @@ func TestDpotrfMultiGPUMatchesLAPACK(t *testing.T) {
 
 func TestDpotrfLocalAndOddSizes(t *testing.T) {
 	withCluster(t, 0, true, 1, func(p *sim.Proc, _ []Device, local []*gpu.Device) {
-		ld := Local(p, local[0])
+		ld := accel.Local(p, local[0])
 		defer ld.Close()
 		cholAgainstLAPACK(t, p, []Device{ld}, 61, 13, true)
 	})
@@ -293,7 +294,7 @@ func qrModelTime(t *testing.T, nAC, localGPUs, n int, lookahead bool) sim.Durati
 	var elapsed sim.Duration
 	withCluster(t, nAC, false, localGPUs, func(p *sim.Proc, devs []Device, local []*gpu.Device) {
 		if localGPUs > 0 {
-			ld := Local(p, local[0])
+			ld := accel.Local(p, local[0])
 			defer ld.Close()
 			devs = []Device{ld}
 		}
@@ -471,7 +472,7 @@ func TestDgetrfNoLookaheadSameResult(t *testing.T) {
 
 func TestDgetrfLocalGPU(t *testing.T) {
 	withCluster(t, 0, true, 1, func(p *sim.Proc, _ []Device, local []*gpu.Device) {
-		ld := Local(p, local[0])
+		ld := accel.Local(p, local[0])
 		defer ld.Close()
 		luAgainstLAPACK(t, p, []Device{ld}, 61, 61, 13, true)
 	})
@@ -598,7 +599,7 @@ func TestDpotrfD2DBroadcast(t *testing.T) {
 // route for the local GPU and still produce the right factors.
 func TestDpotrfD2DFallbackWithLocalDevice(t *testing.T) {
 	withCluster(t, 1, true, 1, func(p *sim.Proc, remote []Device, local []*gpu.Device) {
-		ld := Local(p, local[0])
+		ld := accel.Local(p, local[0])
 		defer ld.Close()
 		devs := []Device{remote[0], ld}
 		rng := rand.New(rand.NewSource(98))

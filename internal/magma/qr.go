@@ -135,7 +135,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			lapack.DgeqrfWork(mj, jb, panel, mj, tau[j:], lapack.DefaultBlock, work)
 			lapack.Dlarft(mj, jb, panel, mj, tau[j:], tmat, jb)
 		}
-		p.Wait(CPUPanelTime(3*float64(mj)*float64(jb)*float64(jb), cfg.CPUGFlops))
+		p.Wait(cpuPanelTime(3 * float64(mj) * float64(jb) * float64(jb)))
 
 		// Broadcast: factored panel back into the owner's matrix, V to the
 		// other GPUs' workspaces, T everywhere. MAGMA 1.1's dsetmatrix is

@@ -26,9 +26,6 @@ func minInt(a, b int) int {
 type Config struct {
 	// NB is the panel width (MAGMA's blocking factor).
 	NB int
-	// CPUGFlops is the host panel-factorization rate in GFlop/s; skinny
-	// panels run memory-bound, far below dense CPU peak.
-	CPUGFlops float64
 	// Lookahead overlaps the next panel's download and CPU factorization
 	// with the wide trailing update, as MAGMA does.
 	Lookahead bool
@@ -54,19 +51,15 @@ type Config struct {
 }
 
 // DefaultConfig returns the MAGMA 1.1 style defaults on the paper's
-// testbed: 128-wide panels, a dual-socket Westmere host worth ~12
-// GFlop/s on skinny panels, lookahead on.
+// testbed: 128-wide panels, lookahead on.
 func DefaultConfig() Config {
-	return Config{NB: 128, CPUGFlops: 12, Lookahead: true}
+	return Config{NB: 128, Lookahead: true}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.NB <= 0 {
 		c.NB = d.NB
-	}
-	if c.CPUGFlops <= 0 {
-		c.CPUGFlops = d.CPUGFlops
 	}
 	return c
 }

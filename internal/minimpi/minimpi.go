@@ -175,9 +175,6 @@ func (w *World) NewGroup(worldRanks []int) (*Group, error) {
 	return g, nil
 }
 
-// Size returns the group size.
-func (g *Group) Size() int { return len(g.ranks) }
-
 // Comm attaches to the group's communicator as the member with the given
 // world rank.
 func (g *Group) Comm(worldRank int) *Comm {

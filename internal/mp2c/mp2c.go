@@ -252,27 +252,6 @@ func (s *Sim) SoluteCount() int {
 // srdParticles is the total count taking part in the collision step.
 func (s *Sim) srdParticles() int { return s.Particles() + s.SoluteCount() }
 
-// Temperature returns the instantaneous kinetic temperature of the local
-// particles (unit mass, k_B = 1: T = <v²>/3). Execute mode only; model
-// mode returns 0.
-func (s *Sim) Temperature() float64 {
-	if !s.cfg.Execute {
-		return 0
-	}
-	n := s.Particles() + s.SoluteCount()
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.vel {
-		sum += v * v
-	}
-	for _, v := range s.solVel {
-		sum += v * v
-	}
-	return sum / (3 * float64(n))
-}
-
 // Setup allocates the device buffers and computes the initial MD forces.
 // Call once before Run.
 func (s *Sim) Setup(p *sim.Proc) error {

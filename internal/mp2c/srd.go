@@ -119,14 +119,6 @@ func f64sBytes2(a, b []float64) []byte {
 	return buf
 }
 
-func f64sBytes(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
 // RegisterKernels adds the SRD kernel to a registry.
 func RegisterKernels(reg *gpu.Registry) {
 	reg.Register(gpu.FuncKernel{

@@ -102,11 +102,3 @@ func (m *Mailbox) Recv(p *Proc) any {
 	m.sim.freeBoxWaiters.Put(w)
 	return v
 }
-
-// TryRecv returns a queued value if one is available.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if m.Len() == 0 {
-		return nil, false
-	}
-	return m.popItem(), true
-}

@@ -142,13 +142,5 @@ func (r *Resource) grant() {
 	}
 }
 
-// Use acquires n units, waits for d, then releases: the common pattern for
-// "occupy this hardware for this long".
-func (r *Resource) Use(p *Proc, n int, d Duration) {
-	r.Acquire(p, n)
-	p.Wait(d)
-	r.Release(n)
-}
-
 // QueueLen reports the number of blocked acquirers.
 func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }

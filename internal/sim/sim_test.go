@@ -341,23 +341,6 @@ func TestResourceTryAcquire(t *testing.T) {
 	}
 }
 
-func TestResourceUse(t *testing.T) {
-	s := New()
-	r := NewResource(s, "dma", 1)
-	var done Time
-	s.Spawn("a", func(p *Proc) { r.Use(p, 1, 5*Microsecond) })
-	s.Spawn("b", func(p *Proc) {
-		r.Use(p, 1, 5*Microsecond)
-		done = p.Now()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != Time(10*Microsecond) {
-		t.Fatalf("serialized Use finished at %v, want 10us", done)
-	}
-}
-
 func TestResourcePanicsOnMisuse(t *testing.T) {
 	s := New()
 	r := NewResource(s, "r", 1)
@@ -433,19 +416,6 @@ func TestMailboxBufferedBeforeRecv(t *testing.T) {
 	}
 	if a != "x" || b != "y" {
 		t.Fatalf("got %q,%q", a, b)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	s := New()
-	m := NewMailbox(s, "box")
-	if _, ok := m.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox succeeded")
-	}
-	m.Send(7)
-	v, ok := m.TryRecv()
-	if !ok || v.(int) != 7 {
-		t.Fatalf("TryRecv = %v,%v", v, ok)
 	}
 }
 
