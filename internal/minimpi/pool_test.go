@@ -55,16 +55,17 @@ func TestPoolReusesWithinClass(t *testing.T) {
 	}
 }
 
-// TestPoolBoundedUnderDistinctSizes feeds the pool 1000 distinct sizes,
-// far more bytes than it may keep: retained capacity must stay under the
-// bound and the bucket count under what the size classes allow, however
-// many distinct sizes pass through.
+// TestPoolBoundedUnderDistinctSizes feeds a pool 1000 distinct sizes, far
+// more bytes than it may keep: retained capacity must stay under the bound
+// and the bucket count under what the size classes allow, however many
+// distinct sizes pass through. The pool is a private one, so what other
+// tests left in the payload pool does not count.
 func TestPoolBoundedUnderDistinctSizes(t *testing.T) {
-	w := poolWorld(t)
+	bp := &bufPool{}
 	bufs := make([][]byte, 0, 1000)
 	total := 0
 	for i := 0; i < 1000; i++ {
-		b := w.GetBuf(100<<10 + i*257)
+		b := bp.get(100<<10 + i*257)
 		total += cap(b)
 		bufs = append(bufs, b)
 	}
@@ -72,9 +73,8 @@ func TestPoolBoundedUnderDistinctSizes(t *testing.T) {
 		t.Fatalf("test feeds only %d bytes, bound is %d", total, maxPooledBytes)
 	}
 	for _, b := range bufs {
-		w.PutBuf(b)
+		bp.put(b)
 	}
-	bp := &w.pool
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	held := 0

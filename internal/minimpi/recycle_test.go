@@ -120,8 +120,8 @@ func TestReceiveFreedInFlightIsRecycledWhenItLands(t *testing.T) {
 	s, w, _ := recycleWorld(t)
 	completed := sim.Time(-1)
 	var r *Request
+	buf := w.GetBuf(size)
 	s.Spawn("rank0", func(p *sim.Proc) {
-		buf := w.GetBuf(size)
 		w.Comm(0).IsendOwned(1, 0, buf).Free()
 	})
 	s.Spawn("rank1", func(p *sim.Proc) {
@@ -140,8 +140,8 @@ func TestReceiveFreedInFlightIsRecycledWhenItLands(t *testing.T) {
 	if completed <= 0 || recycled != completed {
 		t.Errorf("receive completed at %d, its freed request was recycled at %d", completed, recycled)
 	}
-	if w.pool.retained != sizeClass(size) {
-		t.Errorf("pool retains %d bytes after the freed receive landed, want its payload's %d", w.pool.retained, sizeClass(size))
+	if again := w.GetBuf(size); &again[0] != &buf[0] {
+		t.Error("the freed receive landed, but its payload is not the pool's next buffer of its size")
 	}
 	if reqs, msgs := w.RecordsOut(); reqs != 0 || msgs != 0 {
 		t.Errorf("RecordsOut = %d, %d at the end, want 0, 0", reqs, msgs)
