@@ -4,7 +4,7 @@ package magma
 // lives; under DYNACC_POISON=1 a record once waited for is retired and a
 // workspace reads NaN whenever a factorization takes it up again, so a
 // holder that still uses either fails. These tests turn the guard on
-// themselves. (The staging buffers are the world pool's, which scribbles
+// themselves. (The staging buffers are the payload pool's, which scribbles
 // them under the same guard.)
 
 import (

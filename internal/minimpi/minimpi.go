@@ -44,7 +44,7 @@ type Status struct {
 	Source int
 	Tag    Tag
 	Size   int
-	// Pooled: the payload is a world pool buffer, the caller's to return
+	// Pooled: the payload is a pool buffer, the caller's to return
 	// with World.PutPayload once consumed.
 	Pooled bool
 	// Canceled: the send was aborted by Cancel (MPI_Test_cancelled).
@@ -63,13 +63,10 @@ type World struct {
 	// linkFilter, when set, decides the fate of every message (fault
 	// injection). See SetLinkFilter.
 	linkFilter LinkFilter
-	// pool recycles payload block buffers for the ownership-handoff send
-	// path (IsendOwned / PutPayload).
-	pool     bufPool
-	freeReqs sim.FreeList[Request] // recycled per-message records; see pool.go
-	freeMsgs sim.FreeList[Message]
-	reqsOut  int // records handed out and not back (RecordsOut)
-	msgsOut  int
+	freeReqs   sim.FreeList[Request] // recycled per-message records; see pool.go
+	freeMsgs   sim.FreeList[Message]
+	reqsOut    int // records handed out and not back (RecordsOut)
+	msgsOut    int
 	// transport carries every posted send. The default is the in-sim
 	// backend (simTransport); SetTransport swaps in a socket-backed one.
 	transport Transport

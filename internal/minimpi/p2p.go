@@ -24,7 +24,7 @@ type Message struct {
 	tag         Tag
 	size        int
 	data        []byte
-	owned       bool // data came from the world pool; the receiver returns it
+	owned       bool // data came from the payload pool; the receiver returns it
 	w           *World
 	srcEp       *endpoint
 	dstEp       *endpoint
@@ -73,7 +73,7 @@ type Request struct {
 	isSend   bool
 	status   Status
 	data     []byte
-	world    *World // owner of the payload pool and of this record
+	world    *World // owner of this record
 	freed    bool   // handed back, or abandoned in flight by Free
 	// Posted-receive matching state, filled by irecvAnyTag: folding the
 	// queue entry into the request saves an allocation per receive.

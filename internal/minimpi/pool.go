@@ -11,12 +11,13 @@ import (
 // with Comm.IsendOwned (ownership travels with the message), and the
 // receiver, whose Status says Pooled, returns it with World.PutPayload once
 // the bytes are consumed. Owned payloads are pipelined copy blocks and
-// core's control messages: request headers, replies and replays. A socket
-// transport runs every remote payload through the same pool from its own
-// goroutines (the connection reader takes the receive buffer, the writer
-// returns the sent one), so the pool is goroutine-safe. A buffer whose
-// message is dropped, canceled or never received simply falls out of the
-// pool — correctness never depends on a buffer coming back.
+// core's control messages: request headers, replies and replays. One pool
+// serves the OS process: every World's GetBuf, PutBuf and PutPayload, on
+// any goroutine, and the socket transports' readers (which take receive
+// buffers) and writers (which return sent ones), so a fresh World starts
+// on the buffers earlier ones gave back. A buffer whose message is dropped,
+// canceled or never received simply falls out of the pool — correctness
+// never depends on a buffer coming back.
 //
 // Recycled records. Every Request and every Message comes from a per-World
 // sim.FreeList (scheduler context only, so unlocked), which a new World
@@ -45,8 +46,8 @@ var poisonFreed = os.Getenv("DYNACC_POISON") == "1"
 
 const poisonByte = 0xDB
 
-// maxPooledBytes bounds the capacity the pool retains; a buffer freed
-// beyond it is left to the garbage collector. It covers the largest
+// maxPooledBytes bounds the capacity the process's pool retains; a buffer
+// freed beyond it is left to the garbage collector. It covers the largest
 // steady-state working set in the tree (a whole 16 MiB payload queued in
 // a socket outbox) several times over.
 const maxPooledBytes = 64 << 20
@@ -69,6 +70,8 @@ type bufPool struct {
 	buckets  map[int][][]byte
 	retained int // total capacity held in buckets
 }
+
+var payloads bufPool // the OS process's payload pool
 
 func (bp *bufPool) get(n int) []byte {
 	if n <= 0 {
@@ -112,21 +115,21 @@ func (bp *bufPool) put(b []byte) {
 	bp.mu.Unlock()
 }
 
-// GetBuf returns an n-byte buffer from the world's payload pool,
+// GetBuf returns an n-byte buffer from the process's payload pool,
 // allocating only when no recycled buffer of that size class exists. The
 // contents are unspecified — callers overwrite the whole buffer. Safe to
 // call from any goroutine.
-func (w *World) GetBuf(n int) []byte { return w.pool.get(n) }
+func (w *World) GetBuf(n int) []byte { return payloads.get(n) }
 
 // PutBuf returns a buffer obtained from GetBuf to the pool. The caller
 // must hold the only live reference. Safe to call from any goroutine.
-func (w *World) PutBuf(b []byte) { w.pool.put(b) }
+func (w *World) PutBuf(b []byte) { payloads.put(b) }
 
 // PutPayload returns a payload Wait or Result handed over to the pool if
 // its status says it is a pool buffer; the caller is done with it.
 func (w *World) PutPayload(data []byte, st Status) {
 	if st.Pooled && data != nil {
-		w.pool.put(data)
+		payloads.put(data)
 	}
 }
 

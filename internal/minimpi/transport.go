@@ -22,7 +22,7 @@ import (
 // Contract for Deliver:
 //   - It runs in scheduler context and must not block.
 //   - It owns the Message from that point on. An owned payload
-//     (IsendOwned) must eventually return to the world pool — either by
+//     (IsendOwned) must eventually return to the payload pool — either by
 //     the receiver (local delivery; World.PutPayload) or by the transport
 //     itself once the bytes are on the wire (remote delivery).
 //   - The sender's request must eventually complete (FinishLocal or the
@@ -143,7 +143,7 @@ func (m *Message) TakePayload() (data []byte, owned bool) {
 
 // FinishLocal completes the send at the sender without modelling a flight:
 // the request fires, the endpoint's send counters advance, and an owned
-// payload the transport did not take returns to the world pool. A
+// payload the transport did not take returns to the payload pool. A
 // remote-bound transport calls it, in scheduler context, once the sender's
 // buffer is free again (see Transport). The message record is recycled:
 // the caller must not use m again.

@@ -459,8 +459,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestOwnedBufferReturnsToPool checks the pool round trip on both ends of
 // a socket hop. Sender: an IsendOwned buffer is taken over by the outbox
-// and comes back to the sender's world pool once written. Receiver: the
-// payload lands in a buffer from the receiver's world pool, its status says
+// and comes back to the payload pool once written. Receiver: the
+// payload lands in a buffer from the payload pool, its status says
 // so, and World.PutPayload puts exactly that buffer back.
 func TestOwnedBufferReturnsToPool(t *testing.T) {
 	lns, procs := listeners(t, 2, nil)

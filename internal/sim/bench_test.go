@@ -70,3 +70,17 @@ func BenchmarkMailboxSendRecv(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkWarmSpawn measures a fresh Simulation running one short
+// process: New, Spawn and Run, the process on a worker the simulation
+// before it handed to the process's idle list.
+func BenchmarkWarmSpawn(b *testing.B) {
+	body := func(p *Proc) { p.Wait(Microsecond) }
+	for i := 0; i < b.N; i++ {
+		s := New()
+		s.Spawn("short", body)
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
