@@ -2,8 +2,12 @@ package nettrans
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"dynacc/internal/minimpi"
 	"dynacc/internal/wire"
@@ -85,11 +89,47 @@ func FuzzDecodeMsgBody(f *testing.F) {
 	})
 }
 
+// decoded is one readMsgFrame result, the error kept as its text.
+type decoded struct {
+	env     minimpi.Envelope
+	payload []byte
+	err     string
+}
+
+// decodeStream reads message frames from r until the first error and
+// returns every result, that error's included.
+func decodeStream(r io.Reader, limit int) []decoded {
+	var hdr [frameHeaderSize]byte
+	var cb countingBuf
+	var out []decoded
+	for {
+		env, payload, err := readMsgFrame(r, &hdr, limit, cb.get)
+		out = append(out, decoded{env: env, payload: payload})
+		if err != nil {
+			out[len(out)-1].err = err.Error()
+			return out
+		}
+	}
+}
+
+// chunkReader hands out at most 1, 2, … n bytes per Read, cycling.
+type chunkReader struct {
+	r    io.Reader
+	n, i int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.i = c.i%c.n + 1
+	return c.r.Read(p[:min(len(p), c.i)])
+}
+
 // FuzzReadFrame exercises the stream layer, header then payload: arbitrary
 // byte streams must produce either a message within the limit or an error,
 // never a panic, and never a buffer request that the frame limit or the
 // bytes actually present do not cover. The handshake reader sees the same
-// streams.
+// streams. Decoded frame after frame, the stream gives the same envelopes,
+// payloads and errors through readers that return it a few bytes at a
+// time, or with the last bytes and EOF together, as through bytes.Reader.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(minimpi.Envelope{Src: 0, Dst: 1, Tag: 1, Size: 3}, []byte("xyz")))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}) // absurd length prefix
@@ -99,6 +139,8 @@ func FuzzReadFrame(f *testing.F) {
 	for _, bad := range badFrames {
 		f.Add(bad.frame)
 	}
+	// A burst: two frames back to back, then the head of a third.
+	f.Add(slices.Concat(goodFrame, sizedFrame, goodFrame[:frameHeaderSize+1]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
@@ -116,6 +158,18 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if body, err := readFrame(bytes.NewReader(data), limit); err == nil && len(body) > limit {
 			t.Fatalf("readFrame returned %d bytes past the %d limit", len(body), limit)
+		}
+
+		want := decodeStream(bytes.NewReader(data), limit)
+		for name, r := range map[string]io.Reader{
+			"one byte":  iotest.OneByteReader(bytes.NewReader(data)),
+			"half":      iotest.HalfReader(bytes.NewReader(data)),
+			"data+EOF":  iotest.DataErrReader(bytes.NewReader(data)),
+			"1..7 each": &chunkReader{r: bytes.NewReader(data), n: 7},
+		} {
+			if got := decodeStream(r, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s reader decoded\n%+v\nbytes.Reader decoded\n%+v", name, got, want)
+			}
 		}
 	})
 }
