@@ -125,6 +125,34 @@ func readMsgFrame(r io.Reader, hdr *[frameHeaderSize]byte, maxFrame int, getBuf 
 	return env, payload, nil
 }
 
+// connReader is readLoop's 4 KiB buffer over one connection: one read
+// takes in a frame's header and small payload, or a burst of frames. A Read
+// that finds the buffer empty and asks for at least its size goes straight
+// into the caller's slice, so at most 4 KiB of a large payload is copied. An
+// error that comes with data is left for the next read of the connection to
+// return again (net.Conn errors and io.EOF stay).
+type connReader struct {
+	r    io.Reader
+	i, n int // buf[i:n] is read but not yet handed out
+	buf  [4 << 10]byte
+}
+
+func (c *connReader) Read(p []byte) (int, error) {
+	if c.i == c.n {
+		if len(p) >= len(c.buf) {
+			return c.r.Read(p)
+		}
+		n, err := c.r.Read(c.buf[:])
+		if n == 0 {
+			return 0, err
+		}
+		c.i, c.n = 0, n
+	}
+	n := copy(p, c.buf[c.i:c.n])
+	c.i += n
+	return n, nil
+}
+
 // hello is the handshake opener: the dialer claims a proc id and the exact
 // rank set the shared topology assigns to it, and proves membership with
 // the connection token.

@@ -2,6 +2,7 @@ package nettrans
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -112,6 +113,15 @@ func decodeStream(r io.Reader, limit int) []decoded {
 	}
 }
 
+// describe prints result i of ds, its payload by length.
+func describe(ds []decoded, i int) string {
+	if i >= len(ds) {
+		return "(none)"
+	}
+	d := ds[i]
+	return fmt.Sprintf("%+v, %d payload bytes (nil: %v), error %q", d.env, len(d.payload), d.payload == nil, d.err)
+}
+
 // chunkReader hands out at most 1, 2, … n bytes per Read, cycling.
 type chunkReader struct {
 	r    io.Reader
@@ -129,7 +139,8 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // bytes actually present do not cover. The handshake reader sees the same
 // streams. Decoded frame after frame, the stream gives the same envelopes,
 // payloads and errors through readers that return it a few bytes at a
-// time, or with the last bytes and EOF together, as through bytes.Reader.
+// time, or with the last bytes and EOF together, and through readLoop's
+// connReader over each, as through bytes.Reader.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(minimpi.Envelope{Src: 0, Dst: 1, Tag: 1, Size: 3}, []byte("xyz")))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}) // absurd length prefix
@@ -141,6 +152,9 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	// A burst: two frames back to back, then the head of a third.
 	f.Add(slices.Concat(goodFrame, sizedFrame, goodFrame[:frameHeaderSize+1]))
+	// A payload larger than connReader's buffer, then a frame behind it.
+	big := make([]byte, len(connReader{}.buf)+1000)
+	f.Add(slices.Concat(frameBytes(minimpi.Envelope{Dst: 1, Tag: 2, Size: len(big)}, big), goodFrame))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
@@ -162,13 +176,20 @@ func FuzzReadFrame(f *testing.F) {
 
 		want := decodeStream(bytes.NewReader(data), limit)
 		for name, r := range map[string]io.Reader{
-			"one byte":  iotest.OneByteReader(bytes.NewReader(data)),
-			"half":      iotest.HalfReader(bytes.NewReader(data)),
-			"data+EOF":  iotest.DataErrReader(bytes.NewReader(data)),
-			"1..7 each": &chunkReader{r: bytes.NewReader(data), n: 7},
+			"one byte":                  iotest.OneByteReader(bytes.NewReader(data)),
+			"half":                      iotest.HalfReader(bytes.NewReader(data)),
+			"data+EOF":                  iotest.DataErrReader(bytes.NewReader(data)),
+			"1..7 each":                 &chunkReader{r: bytes.NewReader(data), n: 7},
+			"connReader over 1..7 each": &connReader{r: &chunkReader{r: bytes.NewReader(data), n: 7}},
+			"connReader over data+EOF":  &connReader{r: iotest.DataErrReader(bytes.NewReader(data))},
+			"connReader":                &connReader{r: bytes.NewReader(data)},
 		} {
-			if got := decodeStream(r, limit); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s reader decoded\n%+v\nbytes.Reader decoded\n%+v", name, got, want)
+			got := decodeStream(r, limit)
+			for i := range max(len(got), len(want)) {
+				if i >= len(got) || i >= len(want) || !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s reader: frame %d decoded differently from bytes.Reader's (%d and %d results):\n%s\n%s",
+						name, i, len(got), len(want), describe(got, i), describe(want, i))
+				}
 			}
 		}
 	})

@@ -119,15 +119,15 @@ type peer struct {
 	addr   string
 	dialer bool // we dial them (our proc id is lower)
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []outFrame // frames awaiting write; queue[head] is next
-	head    int
-	writing bool // queue[head] is the writer's: too late to cancel
-	conn    net.Conn
-	connGen int
-	written []*minimpi.Message // rendezvous sends on the wire, for settle
-	settle  func()             // settle(pr), bound once: Inject allocates nothing
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []outFrame // frames awaiting write; queue[head] is next
+	head     int
+	inflight int // queue[head:head+inflight] is the writer's: too late to cancel
+	conn     net.Conn
+	connGen  int
+	written  []*minimpi.Message // rendezvous sends on the wire, for settle
+	settle   func()             // settle(pr), bound once: Inject allocates nothing
 
 	ready   bool // first handshake completed
 	readyCh chan struct{}
@@ -260,7 +260,7 @@ func settle(v any) {
 	}
 	clear(pr.written)
 	pr.written = pr.written[:0]
-	for i := len(pr.queue) - 1; i > pr.head || i == pr.head && !pr.writing; i-- {
+	for i := len(pr.queue) - 1; i >= pr.head+pr.inflight; i-- {
 		if f := pr.queue[i]; f.m != nil && f.m.Canceled() {
 			pr.queue = slices.Delete(pr.queue, i, i+1)
 			f.m.FinishLocal()
@@ -375,17 +375,20 @@ func (pr *peer) queued() int {
 	return len(pr.queue) - pr.head
 }
 
-// writeLoop writes queued frames to the current connection, header and
-// payload in one writev, and returns each written payload to the world
-// pool. A failed write drops the connection and leaves the frame at the
-// head of the queue; it is resent whole on the next connection (counted in
-// FramesResent).
+// maxBatch caps the frames one writev carries.
+const maxBatch = 64
+
+// writeLoop writes queued frames to the current connection, every frame
+// queued (up to maxBatch) in one writev, header and payload each, and
+// returns each written payload to the payload pool. A failed write drops
+// the connection; the frames it carried whole are sent, and the first it
+// did not is left at the head of the queue, to be resent whole on the next
+// connection (counted once in FramesResent).
 func (pr *peer) writeLoop() {
 	defer pr.t.wg.Done()
-	// Declared once: these escape into the writev call. frame copies the
-	// queue head because enqueue may move the queue's backing array.
-	var frame outFrame
-	var iov [2][]byte
+	// Declared once: these escape into the writev call. The batch stays in
+	// the queue: enqueue only appends, and settle spares the writer's frames.
+	var iov [2 * maxBatch][]byte
 	var bufs net.Buffers
 	for {
 		pr.mu.Lock()
@@ -396,41 +399,53 @@ func (pr *peer) writeLoop() {
 			pr.mu.Unlock()
 			return
 		}
-		frame = pr.queue[pr.head]
+		batch := pr.queue[pr.head:min(len(pr.queue), pr.head+maxBatch)]
+		for i := range batch {
+			iov[2*i], iov[2*i+1] = batch[i].hdr[:], batch[i].payload
+		}
 		conn, gen := pr.conn, pr.connGen
-		pr.writing = true
+		pr.inflight = len(batch)
 		pr.mu.Unlock()
 
-		iov[0], iov[1] = frame.hdr[:], frame.payload
-		bufs = iov[:]
+		bufs = iov[:2*len(batch)]
 		n, err := bufs.WriteTo(conn)
+		clear(iov[:2*len(batch)]) // hold no payload past its write
 
 		pr.mu.Lock()
-		pr.writing = false
+		pr.inflight = 0
+		var sent, sentBytes int64
+		for _, f := range batch {
+			size := int64(frameHeaderSize + len(f.payload))
+			if n-sentBytes < size {
+				break
+			}
+			sent++
+			sentBytes += size
+			if f.m != nil {
+				pr.written = append(pr.written, f.m)
+			} else {
+				pr.t.world.PutBuf(f.payload)
+			}
+			pr.queue[pr.head] = outFrame{}
+			pr.head++
+		}
+		if pr.head == len(pr.queue) {
+			pr.queue = pr.queue[:0]
+			pr.head = 0
+		}
+		if len(pr.written) > 0 {
+			pr.t.world.Sim().Inject(pr.settle)
+		}
 		if err != nil {
 			if pr.connGen == gen && pr.conn != nil {
 				pr.conn.Close()
 				pr.conn = nil
 			}
 			pr.t.stats.framesResent.Add(1)
-			pr.mu.Unlock()
-			continue
-		}
-		pr.queue[pr.head] = outFrame{}
-		pr.head++
-		if pr.head == len(pr.queue) {
-			pr.queue = pr.queue[:0]
-			pr.head = 0
-		}
-		if frame.m != nil {
-			pr.written = append(pr.written, frame.m)
-			pr.t.world.Sim().Inject(pr.settle)
-		} else {
-			pr.t.world.PutBuf(frame.payload)
 		}
 		pr.mu.Unlock()
-		pr.t.stats.framesSent.Add(1)
-		pr.t.stats.bytesSent.Add(n)
+		pr.t.stats.framesSent.Add(sent)
+		pr.t.stats.bytesSent.Add(sentBytes)
 	}
 }
 
@@ -623,13 +638,15 @@ func (t *Transport) refuse(conn net.Conn, reason string) error {
 }
 
 // readLoop reads message frames off one connection and injects them into
-// the local World until the connection dies. Payloads land in world-pool
+// the local World until the connection dies, through a connReader: one read
+// takes in a frame and the frames behind it. Payloads land in payload-pool
 // buffers that the receiver returns to the pool (World.PutPayload).
 func (t *Transport) readLoop(conn net.Conn, pr *peer) {
 	var hdr [frameHeaderSize]byte
 	getBuf := t.world.GetBuf
+	r := &connReader{r: conn}
 	for {
-		env, payload, err := readMsgFrame(conn, &hdr, DefaultMaxFrame, getBuf)
+		env, payload, err := readMsgFrame(r, &hdr, DefaultMaxFrame, getBuf)
 		if err != nil {
 			break
 		}

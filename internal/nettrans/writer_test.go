@@ -15,7 +15,8 @@ import (
 
 // cutConn is a net.Conn that only records what is written to it. With a
 // limit ≥ 0 it takes limit bytes in all, then a write that would pass the
-// limit writes up to it and fails, like a connection reset mid-frame.
+// limit writes up to it and fails, like a connection reset mid-frame. With
+// hold set, its first write signals entered and waits for hold to close.
 // Nothing reads from it: the writer under test is handed it directly.
 type cutConn struct {
 	net.Conn // nil: the writer calls only Write and Close
@@ -24,11 +25,17 @@ type cutConn struct {
 	limit    int
 	closed   chan struct{}
 	once     sync.Once
+
+	hold, entered chan struct{}
+	held          sync.Once
 }
 
 func newCutConn(limit int) *cutConn { return &cutConn{limit: limit, closed: make(chan struct{})} }
 
 func (c *cutConn) Write(p []byte) (int, error) {
+	if c.hold != nil {
+		c.held.Do(func() { close(c.entered); <-c.hold })
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.limit >= 0 && c.out.Len()+len(p) > c.limit {
@@ -108,5 +115,53 @@ func TestWriteCutMidFrameResendsOnlyThatFrame(t *testing.T) {
 	}
 	if n := pr.queued(); n != 0 {
 		t.Errorf("%d frames left in the outbox", n)
+	}
+}
+
+// TestCancelInFlightRendezvousFrameIsWritten: a rendezvous send canceled
+// while the writer has its frame in a write that has not returned is past
+// taking back. Its frame stays in the outbox until the write returns, goes
+// out whole, and the send completes. The frame is second in the write, so
+// it is in flight without being at the head of the queue.
+func TestCancelInFlightRendezvousFrameIsWritten(t *testing.T) {
+	lns, procs := listeners(t, 2, nil)
+	b := startNode(t, 2, 1, procs, lns[1], nil) // proc 0 never comes up
+	defer b.halt()
+
+	var r *minimpi.Request
+	done := b.run("enqueue", func(p *sim.Proc) {
+		c := b.w.Comm(1)
+		c.Isend(0, 1, []byte{1, 1, 1}).Wait(p)
+		r = c.Isend(0, 2, bytes.Repeat([]byte{2}, 64<<10))
+	})
+	wait(t, done, "enqueue with the peer down")
+	pr := b.tr.peers[0]
+
+	conn := newCutConn(-1)
+	conn.hold, conn.entered = make(chan struct{}), make(chan struct{})
+	pr.setConn(conn)
+	select {
+	case <-conn.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer never wrote to the connection")
+	}
+	canceled := b.run("cancel", func(p *sim.Proc) {
+		r.Cancel()
+		p.Wait(sim.Millisecond) // the cancel's settle runs before this returns
+	})
+	wait(t, canceled, "the cancel")
+	if n := pr.queued(); n != 2 {
+		t.Errorf("outbox holds %d frames after canceling one in flight, want 2", n)
+	}
+
+	close(conn.hold)
+	completed := b.run("wait", func(p *sim.Proc) { r.Wait(p) })
+	wait(t, completed, "the canceled rendezvous send to complete once written")
+	st := statsWhen(b.tr, func(st minimpi.TransportStats) bool { return st.FramesSent >= 2 })
+	if tags, cut := conn.written(t); !slices.Equal(tags, []minimpi.Tag{1, 2}) || cut {
+		t.Errorf("connection carried frames %v (cut short: %v), want [1 2] whole", tags, cut)
+	}
+	if st.FramesSent != 2 || st.FramesResent != 0 {
+		t.Errorf("%d frames sent and %d resent, want 2 and 0", st.FramesSent, st.FramesResent)
 	}
 }
