@@ -55,7 +55,7 @@ func (w *World) ResetEndpoint(rank int) {
 		w.PutPayload(m.data, Status{Pooled: m.owned})
 		m.halfOver()
 	}
-	ep.unexpected, ep.posted = nil, nil
+	ep.unexpected, ep.unexpBase, ep.posted = nil, nil, nil
 	ep.tx = sim.NewResource(w.sim, fmt.Sprintf("nic%d.tx", rank), 1)
 	ep.rx = sim.NewResource(w.sim, fmt.Sprintf("nic%d.rx", rank), 1)
 }

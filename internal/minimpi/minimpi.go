@@ -86,7 +86,8 @@ type endpoint struct {
 	world      *World
 	rank       int // world rank
 	tx, rx     *sim.Resource
-	unexpected []*Message
+	unexpected []*Message // oldest first; a window onto unexpBase's array
+	unexpBase  []*Message // that array from its first slot, popped ones free
 	posted     []*Request
 	traffic    TrafficStats
 }

@@ -598,3 +598,46 @@ func TestInjectRemoteFromManyReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnexpectedQueueKeepsArrivalOrder drives the unexpected queue with
+// random arrivals and matches (mostly at the head, as in the daemons'
+// receive loops, sometimes anywhere) against a plain slice. The order
+// stays the slice's, no slot outside the queue keeps a message, and the
+// array grows exactly when the plain slice's append grows it.
+func TestUnexpectedQueueKeepsArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ep endpoint
+	var model []*Message
+	for step := 0; step < 20000; step++ {
+		if len(model) == 0 || rng.Intn(5) < 2+step/5000%2 {
+			m := new(Message)
+			ep.queueUnexpected(m)
+			model = append(model, m)
+		} else {
+			i := 0
+			if rng.Intn(4) == 0 {
+				i = rng.Intn(len(model))
+			}
+			ep.takeUnexpected(i)
+			model = append(model[:i], model[i+1:]...)
+		}
+		if len(ep.unexpected) != len(model) {
+			t.Fatalf("step %d: queue holds %d messages, want %d", step, len(ep.unexpected), len(model))
+		}
+		for i, m := range model {
+			if ep.unexpected[i] != m {
+				t.Fatalf("step %d: message %d out of order", step, i)
+			}
+		}
+		base := ep.unexpBase[:cap(ep.unexpBase)]
+		front := len(base) - cap(ep.unexpected)
+		for i, m := range base {
+			if m != nil && (i < front || i >= front+len(model)) {
+				t.Fatalf("step %d: slot %d outside the queue [%d,%d) still holds a message", step, i, front, front+len(model))
+			}
+		}
+		if cap(base) != cap(model) {
+			t.Fatalf("step %d: array holds %d slots, a plain append's %d", step, cap(base), cap(model))
+		}
+	}
+}

@@ -426,13 +426,48 @@ func (c *Comm) irecvAnyTag(src int, tag Tag) *Request {
 	// First try the unexpected queue, in envelope-arrival order.
 	for i, m := range ep.unexpected {
 		if envelopeMatches(m, c.ctx, src, tag) {
-			ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
+			ep.takeUnexpected(i)
 			c.completeRecv(req, m)
 			return req
 		}
 	}
 	ep.posted = append(ep.posted, req)
 	return req
+}
+
+// takeUnexpected removes unexpected[i], keeping the order: the match is
+// nearly always at the head of a long queue, so the shorter side shifts
+// and a pop at the head moves nothing.
+func (ep *endpoint) takeUnexpected(i int) {
+	u := ep.unexpected
+	if i < len(u)/2 {
+		copy(u[1:], u[:i])
+		u[0] = nil
+		u = u[1:]
+	} else {
+		copy(u[i:], u[i+1:])
+		u[len(u)-1] = nil
+		u = u[:len(u)-1]
+	}
+	if len(u) == 0 {
+		u = ep.unexpBase[:0]
+	}
+	ep.unexpected = u
+}
+
+// queueUnexpected appends m to the unexpected queue. Only an append into a
+// full array moves the queue back to the array's front, and only one with
+// no slot free there grows it, as a plain append would.
+func (ep *endpoint) queueUnexpected(m *Message) {
+	u, base := ep.unexpected, ep.unexpBase[:cap(ep.unexpBase)]
+	if len(u) == cap(u) && len(base) > cap(u) {
+		clear(base[copy(base, u):])
+		u = base[:len(u)]
+	}
+	ep.unexpected = append(u, m)
+	if cap(ep.unexpected) > len(base) {
+		ep.unexpBase = ep.unexpected[:0]
+	}
 }
 
 // Recv blocks until a matching message arrives and returns its payload
@@ -478,7 +513,7 @@ func (ep *endpoint) deliverEnvelope(m *Message) {
 			return
 		}
 	}
-	ep.unexpected = append(ep.unexpected, m)
+	ep.queueUnexpected(m)
 }
 
 // Iprobe reports whether a matching message has arrived (matched or
