@@ -95,13 +95,16 @@ func linkedSymbols(t *testing.T, gobin, dir string) map[string]bool {
 				continue
 			}
 			name := strings.TrimSuffix(strings.Join(f[2:], " "), ".abi0")
-			syms[typeArgs.ReplaceAllString(name, "")] = true
+			for bare := typeArgs.ReplaceAllString(name, ""); bare != name; bare = typeArgs.ReplaceAllString(name, "") {
+				name = bare // innermost brackets first: a type argument may hold a slice type
+			}
+			syms[name] = true
 		}
 	}
 	return syms
 }
 
-var typeArgs = regexp.MustCompile(`\[[^\]]*\]`)
+var typeArgs = regexp.MustCompile(`\[[^\[\]]*\]`)
 
 // declaredFuncs lists the functions and methods declared in the non-test
 // files that go/build selects for this platform under root, named as the

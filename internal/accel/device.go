@@ -108,7 +108,7 @@ func Remote(a *core.Accel) Device { return remoteDevice{a: a} }
 
 func (r remoteDevice) MemAlloc(p *sim.Proc, n int) (gpu.Ptr, error) { return r.a.MemAlloc(p, n) }
 func (r remoteDevice) MemFree(p *sim.Proc, ptr gpu.Ptr) error       { return r.a.MemFree(p, ptr) }
-func (r remoteDevice) Flush(stream uint8)                           { r.a.Flush(stream) }
+func (r remoteDevice) Flush(stream uint8)                           { r.a.Submit(stream) }
 func (r remoteDevice) Sync(p *sim.Proc) error                       { return r.a.Sync(p) }
 
 func (r remoteDevice) CopyH2DAsync(dst gpu.Ptr, off int, src []byte, n int, stream uint8) Pending {

@@ -64,6 +64,10 @@ func (s *Server) untrack(w *minimpi.Waiter) {
 // Closed reports whether the server has shut down or been killed.
 func (s *Server) Closed() bool { return s.closed }
 
+// EndRun hands the reply cache's ring and map to the OS process's depot
+// once the simulation is over (see minimpi.World.Close). It stops nothing.
+func (s *Server) EndRun() { s.replies.Close() }
+
 // tickInterval is the shard gossip/beat cadence.
 func (s *Server) tickInterval() sim.Duration {
 	if s.healthOn && s.health.HeartbeatInterval > 0 {

@@ -16,8 +16,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 
 	"dynacc/internal/arm"
 	"dynacc/internal/core"
@@ -686,12 +688,82 @@ func (cl *Cluster) SpawnAll(main func(p *sim.Proc, n *Node)) {
 }
 
 // Run executes the simulation: node mains run to completion, then the
-// infrastructure (daemons, ARM) is shut down. It returns the first
-// simulation error and the final virtual time.
+// infrastructure (daemons, ARM) is shut down, and the run ends (see
+// minimpi.World.Close). It returns the first simulation error, or what
+// RecordsCheck makes of Close's report, and the final virtual time.
 func (cl *Cluster) Run() (sim.Time, error) {
 	cl.Sim.Spawn("teardown", cl.teardown)
 	err := cl.Sim.Run()
+	if report := cl.close(); err == nil && report != nil && RecordsCheck != nil {
+		err = RecordsCheck(report)
+	}
 	return cl.Sim.Now(), err
+}
+
+// RecordsCheck, when set, is what Run makes of a report of records still
+// out at the end of a run that otherwise succeeded: Run returns its result.
+// Unset, as in every program, such a report is dropped. A test binary sets
+// it in TestMain, before any cluster runs (ROADMAP item 1(a)'s records
+// clause).
+var RecordsCheck func(report error) error
+
+// recordsResidue names the tests whose runs still end with records out, of
+// the kinds ROADMAP item 2 has yet to remove: health notices nobody reads
+// at a node without a watcher, a test's own abandoned sends, and (the last
+// two tests, under ARM_SHARDS=1 only) such notices plus a deposed leader's
+// replication frames that its promoted follower never reads.
+var recordsResidue = []string{
+	"TestSanitizerHandlesBounded", "TestChaosClientCrashLeaseReclaim",
+	"TestChaosGracefulDrain", "TestChaosSharedTenantKill",
+	"TestChaosSuspectDaemonLiveMigration", "TestSeverLinkDropsStayDropped",
+	"TestSeverLinkOneWayIsDirectional", "TestPlanArmsAnyNumberOfClusters",
+	"TestChaosPartitionSplitBrain", "TestChaosShardedSharedTenantKill",
+}
+
+// AllowResidue is the RecordsCheck every test binary that runs clusters
+// sets: the report stands, unless a test recordsResidue names is on the
+// stack of the goroutine that called Run.
+func AllowResidue(report error) error {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		for _, t := range recordsResidue {
+			if strings.Contains(f.Function+".", "."+t+".") { // the test or a closure in it
+				return nil
+			}
+		}
+	}
+	return report
+}
+
+// close ends the run: the daemons, front-ends and ARM servers hosted here
+// hand their free records and reply caches to the OS process's depots, then
+// the World does and reports what is still out. Nothing here may run again.
+func (cl *Cluster) close() error {
+	for _, d := range cl.Daemons {
+		if d != nil {
+			d.EndRun()
+		}
+	}
+	for _, n := range cl.nodes {
+		if n != nil {
+			n.FE.EndRun()
+		}
+	}
+	for _, c := range cl.sanitizers {
+		c.EndRun()
+	}
+	for sh, srv := range cl.shardSrvs {
+		if srv != nil {
+			srv.EndRun()
+		}
+		if rp := cl.shardReps[sh]; rp != nil {
+			rp.Server().EndRun()
+		}
+	}
+	return cl.World.Close()
 }
 
 // teardown waits for the node mains, auto-releases what they still hold

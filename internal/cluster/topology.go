@@ -167,6 +167,10 @@ type Member struct {
 	tr       *nettrans.Transport
 	quit     chan struct{}
 	quitOnce sync.Once
+	// loop is held while Run or Serve drives the simulation, so Stop ends
+	// the run only once the loop has stopped; ended says it has.
+	loop  sync.Mutex
+	ended bool
 }
 
 // socketTimeout is the default request/payload timeout in socket mode.
@@ -227,8 +231,18 @@ func StartProcess(cfg Config, topo Topology, procID int) (*Member, error) {
 // Transport exposes the member's TCP transport (stats, WaitReady).
 func (m *Member) Transport() *nettrans.Transport { return m.tr }
 
-// Stop cuts the member off, closing its transport, and winds Run or Serve down.
-func (m *Member) Stop() { m.quitOnce.Do(func() { m.tr.Close(); close(m.quit) }) }
+// Stop cuts the member off, closing its transport, winds Run or Serve down
+// and, once the loop has stopped, ends the run (see minimpi.World.Close):
+// the member cannot run again. Call it from outside the member's own loop.
+func (m *Member) Stop() {
+	m.quitOnce.Do(func() { m.tr.Close(); close(m.quit) })
+	m.loop.Lock()
+	defer m.loop.Unlock()
+	if !m.ended {
+		m.ended = true
+		m.close()
+	}
+}
 
 // Run drives a process hosting (part of) the application: the real-time
 // loop runs until every spawned node main finishes and this member has
@@ -254,6 +268,11 @@ func (m *Member) Serve() error {
 // drive runs the real-time loop until the process until has returned or
 // Stop is called, then drains and closes the transport.
 func (m *Member) drive(name string, until func(p *sim.Proc)) error {
+	m.loop.Lock()
+	defer m.loop.Unlock()
+	if m.ended { // stopped before it ran: nothing to drive
+		return nil
+	}
 	done := make(chan struct{})
 	m.Sim.Spawn(name, func(p *sim.Proc) {
 		defer close(done)

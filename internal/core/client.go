@@ -148,10 +148,11 @@ type Client struct {
 
 	// Free lists of calls (see handBack), of copies' block loops, of launch
 	// arguments (see dropArgs) and of ledger records (see drop).
-	calls sim.FreeList[call]
-	xfers sim.FreeList[xfer]
-	argvs sim.FreeList[launchArgs]
-	recs  sim.FreeList[allocRecord]
+	calls    sim.FreeList[call]
+	callsOut int // call records made or drawn and not handed back
+	xfers    sim.FreeList[xfer]
+	argvs    sim.FreeList[launchArgs]
+	recs     sim.FreeList[allocRecord]
 }
 
 // NewClient creates a front-end on the given communicator.
@@ -159,8 +160,32 @@ func NewClient(comm *minimpi.Comm, opts Options) (*Client, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Client{comm: comm, opts: opts, nextReq: clientEpoch.Add(1) << 40, encw: wire.NewWriter(128)}, nil
+	return &Client{comm: comm, opts: opts, nextReq: clientEpoch.Add(1) << 40, encw: wire.NewWriter(128),
+		calls: sim.NewFreeList(&callDepot), xfers: sim.NewFreeList(&xferDepot),
+		argvs: sim.NewFreeList(&argvDepot), recs: sim.NewFreeList(&recDepot)}, nil
 }
+
+// The depots behind every front-end's free lists; see EndRun.
+var (
+	callDepot sim.Depot[[]*call]
+	xferDepot sim.Depot[[]*xfer]
+	argvDepot sim.Depot[[]*launchArgs]
+	recDepot  sim.Depot[[]*allocRecord]
+)
+
+// EndRun hands the client's free records to the OS process's depots once
+// the simulation is over (see minimpi.World.Close); a call record keeps only
+// its response array.
+func (c *Client) EndRun() {
+	c.calls.Close(func(cl *call) { *cl = call{rsp: response{payload: cl.rsp.payload[:0]}} })
+	c.xfers.Close(nil)
+	c.argvs.Close(nil)
+	c.recs.Close(nil)
+}
+
+// CallsOut reports how many call records are out, not handed back: zero
+// once every Pending was waited for and every call is over.
+func (c *Client) CallsOut() int { return c.callsOut }
 
 // Options returns the client's protocol configuration.
 func (c *Client) Options() Options { return c.opts }
@@ -408,7 +433,7 @@ func (a *Accel) failed(err error) *Pending {
 // handBack recycles a call nobody can reach any more (its End freed what it
 // still waited on); DYNACC_POISON=1 retires it.
 func (cl *call) handBack() {
-	if !poisonFreed {
+	if cl.a.c.callsOut--; !poisonFreed {
 		cl.a.c.calls.Put(cl)
 	}
 }
@@ -462,6 +487,7 @@ const parkedCopy = "streamed-copy"
 // response payload.
 func (a *Accel) newCall(q request) *call {
 	cl := a.c.calls.Get()
+	a.c.callsOut++
 	*cl = call{a: a, q: q, rsp: response{payload: cl.rsp.payload[:0]}, app: q.ptr}
 	cl.done.Init(a.sim())
 	cl.Pending.cl, cl.holds = cl, 1
@@ -711,6 +737,10 @@ func (a *Accel) flushAll() {
 // The Pending is waited at most once, as any other; a lone command's is its
 // own, held twice, so its record comes back once both holders have waited.
 func (a *Accel) Flush(stream uint8) *Pending { return a.flush(stream, 1) }
+
+// Submit is Flush for a caller that will not wait: it takes no hold, so the
+// flushed commands' records come back once their own holders have waited.
+func (a *Accel) Submit(stream uint8) { a.flush(stream, 0) }
 
 // flush is Flush with the holds its caller takes on the Pending: the client's
 // own take none, so an unheld batch's record comes back when it is over.

@@ -156,7 +156,29 @@ func NewDaemon(comm *minimpi.Comm, dev *gpu.Device, cfg DaemonConfig) *Daemon {
 		active:   make(map[int]struct{}),
 		sessions: make(map[sessKey]*session),
 		encw:     wire.NewWriter(64),
+		reqs:     sim.NewFreeList(&reqDepot),
+		groups:   sim.NewFreeList(&groupDepot),
+
+		freeSessions: sim.NewFreeList(&sessionDepot),
 	}
+}
+
+// The depots behind every daemon's free lists but the copy pipelines' (whose
+// staging resources belong to one simulation); see EndRun.
+var (
+	reqDepot     sim.Depot[[]*request]
+	groupDepot   sim.Depot[[]*syncGroup]
+	sessionDepot sim.Depot[[]*session]
+)
+
+// EndRun hands the daemon's reply cache and free records to the OS process's
+// depots once the simulation is over (see minimpi.World.Close). A session
+// record keeps its view and stream map, not the helper bound to this daemon.
+func (d *Daemon) EndRun() {
+	d.replies.Close()
+	d.reqs.Close(nil)
+	d.groups.Close(func(g *syncGroup) { *g = syncGroup{} })
+	d.freeSessions.Close(func(s *session) { *s = session{view: s.view, streams: s.streams} })
 }
 
 // Restart returns a fresh daemon serving comm and d's device, as after a

@@ -140,6 +140,8 @@ func (d *Daemon) openSession(q *request) {
 	sess := d.freeSessions.Get()
 	if sess.view == nil {
 		sess.view, sess.streams = gpu.NewAllocView(0), make(map[uint8]*sim.Mailbox)
+	}
+	if sess.retired == nil { // a new record, or one an ended run handed back
 		sess.retired = func(p *sim.Proc) { d.retired(p, sess) }
 	}
 	sess.key, sess.closing, sess.closers = key, false, sess.closers[:0]

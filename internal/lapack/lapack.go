@@ -85,27 +85,6 @@ func Dlange(norm Norm, m, n int, a []float64, lda int) float64 {
 	}
 }
 
-// Dlacpy copies the m×n matrix a into b.
-func Dlacpy(m, n int, a []float64, lda int, b []float64, ldb int) {
-	for j := 0; j < n; j++ {
-		copy(b[j*ldb:j*ldb+m], a[j*lda:j*lda+m])
-	}
-}
-
-// Dlaset sets the off-diagonal elements of the m×n matrix a to alpha and
-// the diagonal to beta.
-func Dlaset(m, n int, alpha, beta float64, a []float64, lda int) {
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			if i == j {
-				a[i+j*lda] = beta
-			} else {
-				a[i+j*lda] = alpha
-			}
-		}
-	}
-}
-
 // Dlarfg generates an elementary Householder reflector H = I - tau*v*vᵀ
 // with v = [1; x'] such that H*[alpha; x] = [beta; 0]. On return x holds
 // the reflector tail v[1:], and the function returns (beta, tau).
@@ -248,37 +227,6 @@ func DgeqrfWork(m, n int, a []float64, lda int, tau []float64, nb int, work []fl
 			Dlarfb(blas.Trans, m-j, n-j-jb, jb, a[j+j*lda:], lda, t, nb, a[j+(j+jb)*lda:], lda, w)
 		}
 	}
-}
-
-// Dorgqr overwrites the m×n matrix a (as produced by Dgeqrf, n <= m) with
-// the first n columns of the orthogonal factor Q defined by the first k
-// reflectors.
-func Dorgqr(m, n, k int, a []float64, lda int, tau []float64) {
-	if n == 0 {
-		return
-	}
-	// Start from the identity in the trailing columns and apply
-	// H(k-1)...H(0) to it.
-	q := make([]float64, m*n)
-	ldq := m
-	Dlaset(m, n, 0, 1, q, ldq)
-	work := make([]float64, n)
-	v := make([]float64, m)
-	for j := k - 1; j >= 0; j-- {
-		// Build v from column j of a.
-		for i := 0; i < m; i++ {
-			switch {
-			case i < j:
-				v[i] = 0
-			case i == j:
-				v[i] = 1
-			default:
-				v[i] = a[i+j*lda]
-			}
-		}
-		Dlarf(m, n, v, 1, tau[j], q, ldq, work)
-	}
-	Dlacpy(m, n, q, ldq, a, lda)
 }
 
 // PositiveDefiniteError reports a non-positive pivot during Cholesky, as

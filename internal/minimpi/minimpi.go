@@ -105,6 +105,8 @@ func NewWorld(s *sim.Simulation, n int, params netmodel.Params) (*World, error) 
 		params:   params,
 		nextCtx:  1,
 		splitCtx: make(map[splitKey]int),
+		freeReqs: sim.NewFreeList(&reqDepot),
+		freeMsgs: sim.NewFreeList(&msgDepot),
 	}
 	w.transport = simTransport{w}
 	w.inbound.land = w.landInbound

@@ -1,9 +1,13 @@
 package minimpi
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 	"os"
 	"sync"
+
+	"dynacc/internal/sim"
 )
 
 // Payload buffer pool. Recycling buffers keeps steady-state traffic
@@ -21,7 +25,8 @@ import (
 //
 // Recycled records. Every Request and every Message comes from a per-World
 // sim.FreeList (scheduler context only, so unlocked), which a new World
-// refills a slab of records at a time, and goes back under one rule, MPI's.
+// fills from the process's depots, where Close left an ended World's free
+// records, or else a slab at a time, and goes back under one rule, MPI's.
 // A Request goes back at the Wait or Result that sees it complete, which
 // hands its payload and Status to the caller; Free abandons one nobody will
 // wait for, which goes back when its flight ends (a send at completion, a
@@ -136,6 +141,35 @@ func (w *World) PutPayload(data []byte, st Status) {
 // RecordsOut reports how many Request and Message records are handed out
 // and not back: flat across a stretch of traffic, every record came home.
 func (w *World) RecordsOut() (reqs, msgs int) { return w.reqsOut, w.msgsOut }
+
+// The depots behind every World's free lists; see Close.
+var (
+	reqDepot sim.Depot[[]*Request]
+	msgDepot sim.Depot[[]*Message]
+)
+
+// Close ends the World's run, as MPI_Finalize ends a process's: every
+// operation should be complete by then. It reports the records still out,
+// with each rank's posted receives and unexpected messages, and hands the
+// free Request and Message records, then the Simulation's free records (see
+// sim.Simulation.Close), to the OS process's depots, where the next World
+// draws them from. A record still out stays with whoever holds it. Neither
+// the World nor its Simulation may run again; their counters stay readable.
+func (w *World) Close() error {
+	w.freeReqs.Close(nil)
+	w.freeMsgs.Close(nil)
+	w.sim.Close()
+	if w.reqsOut == 0 && w.msgsOut == 0 {
+		return nil
+	}
+	out := fmt.Sprintf("minimpi: %d requests and %d messages still out at Close", w.reqsOut, w.msgsOut)
+	for _, ep := range w.eps {
+		if len(ep.posted)+len(ep.unexpected) > 0 {
+			out += fmt.Sprintf("; rank %d: %d posted receives, %d unexpected messages", ep.rank, len(ep.posted), len(ep.unexpected))
+		}
+	}
+	return errors.New(out)
+}
 
 func (w *World) getRequest() *Request {
 	w.reqsOut++

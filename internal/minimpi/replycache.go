@@ -1,5 +1,11 @@
 package minimpi
 
+import (
+	"unsafe"
+
+	"dynacc/internal/sim"
+)
+
 // ReplyKey identifies a request: the sender's rank and its request ID.
 type ReplyKey struct {
 	Src   int
@@ -19,14 +25,38 @@ const ReplyInline = 48
 // before its first use.
 type ReplyCache struct {
 	window int
-	at     map[ReplyKey]int // slot of every remembered request
-	slots  []replySlot      // by admission; once full, next is the oldest
-	next   int
+	replyRing
+	next int
 }
+
+// replyRing is what a cache grows: its map and its ring of slots, which an
+// ended run's Close hands to ringDepot, emptied, for the next cache.
+type replyRing struct {
+	at    map[ReplyKey]int // slot of every remembered request
+	slots []replySlot      // by admission; once full, next is the oldest
+}
+
+var ringDepot sim.Depot[replyRing]
 
 // NewReplyCache returns a cache that remembers the last window requests.
 func NewReplyCache(window int) ReplyCache {
-	return ReplyCache{window: window, at: make(map[ReplyKey]int)}
+	r, ok := ringDepot.Take()
+	if !ok {
+		r.at = make(map[ReplyKey]int)
+	}
+	return ReplyCache{window: window, replyRing: r}
+}
+
+// Close ends the cache's run: its ring and map, emptied, go to the OS
+// process's depot. The cache must not be used again.
+func (c *ReplyCache) Close() {
+	if c.at == nil {
+		return
+	}
+	weight := (cap(c.slots) + len(c.at)) * int(unsafe.Sizeof(replySlot{}))
+	clear(c.at)
+	ringDepot.Put(replyRing{c.at, c.slots[:0]}, weight)
+	c.replyRing = replyRing{}
 }
 
 // replySlot is one remembered request with its reply, n bytes of small, or

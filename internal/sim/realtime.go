@@ -108,7 +108,9 @@ func (s *Simulation) runRealtime(stop <-chan struct{}, coarse Duration) error {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for {
-		s.drainInjected(wallNow())
+		// One clock reading a turn serves the drain and the sleep decision.
+		wall := wallNow()
+		s.drainInjected(wall)
 		if s.failure != nil {
 			return s.failure
 		}
@@ -128,7 +130,7 @@ func (s *Simulation) runRealtime(stop <-chan struct{}, coarse Duration) error {
 				return nil
 			}
 		}
-		if wait := sleepFor(e.at, wallNow(), coarse); wait > 0 {
+		if wait := sleepFor(e.at, wall, coarse); wait > 0 {
 			timer.Reset(time.Duration(wait))
 			select {
 			case <-s.inj.sig:

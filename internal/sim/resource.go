@@ -12,7 +12,7 @@ import "fmt"
 type Resource struct {
 	sim      *Simulation
 	name     string
-	acqState string // precomputed block() label
+	acqState string // block()'s label, built at the first blocking Acquire
 	capacity int
 	inUse    int
 	waiters  []*resWaiter
@@ -42,7 +42,7 @@ func NewResource(s *Simulation, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q: capacity must be positive, got %d", name, capacity))
 	}
-	return &Resource{sim: s, name: name, acqState: "acquiring resource " + name, capacity: capacity}
+	return &Resource{sim: s, name: name, capacity: capacity}
 }
 
 // Capacity returns the total number of units.
@@ -64,6 +64,9 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	w := r.sim.freeResWaiters.Get()
 	w.p, w.n = p, n
 	r.waiters = append(r.waiters, w)
+	if r.acqState == "" {
+		r.acqState = "acquiring resource " + r.name
+	}
 	p.block(r.acqState)
 	// grant popped w before waking us, so we are its sole owner now. A
 	// killed process unwinds in block and never reaches this; its waiter is

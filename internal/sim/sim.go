@@ -33,9 +33,10 @@
 //
 // The scheduler is allocation-free in steady state: event and waiter
 // records recycle through the Simulation's FreeLists, the type the layers
-// above use too, and idle worker coroutines through one list per OS
-// process, so a fresh Simulation starts warm. Recycling never changes
-// execution order — see the comment on push for the ordering argument.
+// above use too, which Close hands to depots the whole OS process shares,
+// and idle worker coroutines through one list per OS process, so a fresh
+// Simulation starts warm. Recycling never changes execution order — see the
+// comment on push for the ordering argument.
 package sim
 
 import (
@@ -218,11 +219,31 @@ type Simulation struct {
 	inj injector
 }
 
+// The depots behind every Simulation's free lists; see Close.
+var (
+	eventDepot     Depot[[]*event]
+	boxWaiterDepot Depot[[]*boxWaiter]
+	resWaiterDepot Depot[[]*resWaiter]
+)
+
 // New creates an empty simulation with the clock at zero.
 func New() *Simulation {
-	s := &Simulation{procs: make(map[*Proc]struct{})}
+	s := &Simulation{procs: make(map[*Proc]struct{}),
+		freeEvents:     NewFreeList(&eventDepot),
+		freeBoxWaiters: NewFreeList(&boxWaiterDepot),
+		freeResWaiters: NewFreeList(&resWaiterDepot)}
 	s.inj.sig = make(chan struct{}, 1)
 	return s
+}
+
+// Close ends the simulation's run: its free event and waiter records go to
+// the OS process's depots, where the next Simulation's lists draw them
+// from. The simulation must not run again; its clock and counters stay
+// readable.
+func (s *Simulation) Close() {
+	s.freeEvents.Close(nil)
+	s.freeBoxWaiters.Close(nil)
+	s.freeResWaiters.Close(nil)
 }
 
 // Now returns the current virtual time. It may be called from process
