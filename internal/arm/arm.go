@@ -425,7 +425,6 @@ type Server struct {
 	repW         wire.Writer // (dst, reqID, reply) entries for the next ship
 	mark         uint64      // snapshots applied (follower only)
 	mainProc     *sim.Proc
-	recv         *minimpi.Request  // the main loop's posted request receive
 	waits        []*minimpi.Waiter // in flight on the server's behalf: Kill cancels them
 
 	// Scratch a request reuses: every message is encoded into scratch and
@@ -551,9 +550,7 @@ func (s *Server) Run(p *sim.Proc) {
 		s.scheduleShardTick()
 	}
 	for {
-		s.recv = s.comm.Irecv(minimpi.AnySource, TagRequest)
-		data, st := s.recv.Wait(p)
-		s.recv = nil
+		data, st := s.comm.Recv(p, minimpi.AnySource, TagRequest)
 		more := s.handle(st.Source, data)
 		s.comm.World().PutPayload(data, st) // handle copied what it keeps
 		if !more {

@@ -129,7 +129,7 @@ const (
 // hint from the reply header (zero from a lone manager), stamped into
 // Handles as the fencing token. The returned body, valid when the error is
 // nil, lives in a recycled record the next call from any process on this
-// Client takes (an AutoMigrate watcher calls while the application may be
+// Client takes (a health watcher calls while the application may be
 // inside one): consume it before yielding.
 func (c *Client) call(p *sim.Proc, shard int, op uint8, args argsFunc) ([]byte, uint64, error) {
 	cl := c.start(shard, op, args, nil)

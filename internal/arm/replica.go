@@ -128,12 +128,16 @@ func (rp *Replica) Run(p *sim.Proc) {
 	// gossip message, and fencer RPC from here on carries it.
 	s.myEpoch = rp.dir.Epoch(rp.shard)
 	rp.rearm()
+	rp.promoteAfter = 0 // a deposed leader ships until it learns: read it all
+	follow(rp)
 	s.Run(p)
+	rp.stream.Cancel()
 }
 
 // follow is the wait on the stream, a leg per snapshot: apply the one in and
 // wait for the next under the silence threshold — or, the leader silent past
-// it, withdraw the receive and resume Run to take over.
+// it, withdraw the receive and resume Run to take over. Once promoted, it
+// drops what comes in and waits with no threshold.
 func follow(v any) {
 	rp := v.(*Replica)
 	if req := rp.stream.Req; req != nil {
@@ -143,7 +147,9 @@ func follow(v any) {
 			return
 		}
 		data, st := req.Result()
-		rp.apply(data)
+		if !rp.promoted {
+			rp.apply(data)
+		}
 		rp.srv.comm.World().PutPayload(data, st) // apply copied what it keeps
 	}
 	rp.stream.Req = rp.srv.comm.Irecv(rp.dir.Leader(rp.shard), TagReplicate)

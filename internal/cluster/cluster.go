@@ -16,10 +16,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"strings"
 
 	"dynacc/internal/arm"
 	"dynacc/internal/core"
@@ -78,14 +76,10 @@ type Config struct {
 	// Health, when set, turns on the ARM's health subsystem: daemons
 	// heartbeat to the ARM, silent daemons are detected, assignments
 	// become leases, and reclaimed accelerators are sanitized through a
-	// device reset before re-entering the pool.
+	// device reset before re-entering the pool. Every compute node runs
+	// a watcher that reads the ARM's notices and live-migrates the node's
+	// handles off a suspect daemon (device-to-device).
 	Health *arm.HealthConfig
-
-	// AutoMigrate spawns a per-node watcher that reacts to the ARM's
-	// suspect notices by live-migrating the node's handles off the
-	// suspect daemon (device-to-device). Leave it off to handle notices
-	// yourself via node.ARM.RecvNotice.
-	AutoMigrate bool
 
 	// ARMShards > 1 splits resource management across that many ARM
 	// shards: accelerator ownership is partitioned by consistent hashing
@@ -548,7 +542,7 @@ func (cl *Cluster) addComputeNode(i int) error {
 		FE:    fe,
 	}
 	fe.SetReplacer(node.ARM)
-	if cfg.AutoMigrate && cfg.Health != nil {
+	if cfg.Health != nil {
 		// The watcher reacts to the ARM's suspect notices by migrating
 		// this node's handles off the silent daemon — the application
 		// never has to notice, let alone call Failover.
@@ -689,71 +683,41 @@ func (cl *Cluster) SpawnAll(main func(p *sim.Proc, n *Node)) {
 
 // Run executes the simulation: node mains run to completion, then the
 // infrastructure (daemons, ARM) is shut down, and the run ends (see
-// minimpi.World.Close). It returns the first simulation error, or what
-// RecordsCheck makes of Close's report, and the final virtual time.
+// minimpi.World.Close). It returns the first simulation error, or else
+// Close's report of what is still out, and the final virtual time.
 func (cl *Cluster) Run() (sim.Time, error) {
 	cl.Sim.Spawn("teardown", cl.teardown)
 	err := cl.Sim.Run()
-	if report := cl.close(); err == nil && report != nil && RecordsCheck != nil {
-		err = RecordsCheck(report)
+	if report := cl.close(); err == nil {
+		err = report
 	}
 	return cl.Sim.Now(), err
 }
 
-// RecordsCheck, when set, is what Run makes of a report of records still
-// out at the end of a run that otherwise succeeded: Run returns its result.
-// Unset, as in every program, such a report is dropped. A test binary sets
-// it in TestMain, before any cluster runs (ROADMAP item 1(a)'s records
-// clause).
-var RecordsCheck func(report error) error
-
-// recordsResidue names the tests whose runs still end with records out, of
-// the kinds ROADMAP item 2 has yet to remove: health notices nobody reads
-// at a node without a watcher, a test's own abandoned sends, and (the last
-// two tests, under ARM_SHARDS=1 only) such notices plus a deposed leader's
-// replication frames that its promoted follower never reads.
-var recordsResidue = []string{
-	"TestSanitizerHandlesBounded", "TestChaosClientCrashLeaseReclaim",
-	"TestChaosGracefulDrain", "TestChaosSharedTenantKill",
-	"TestChaosSuspectDaemonLiveMigration", "TestSeverLinkDropsStayDropped",
-	"TestSeverLinkOneWayIsDirectional", "TestPlanArmsAnyNumberOfClusters",
-	"TestChaosPartitionSplitBrain", "TestChaosShardedSharedTenantKill",
-}
-
-// AllowResidue is the RecordsCheck every test binary that runs clusters
-// sets: the report stands, unless a test recordsResidue names is on the
-// stack of the goroutine that called Run.
-func AllowResidue(report error) error {
-	pcs := make([]uintptr, 64)
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-	for more := true; more; {
-		var f runtime.Frame
-		f, more = frames.Next()
-		for _, t := range recordsResidue {
-			if strings.Contains(f.Function+".", "."+t+".") { // the test or a closure in it
-				return nil
-			}
-		}
-	}
-	return report
-}
-
 // close ends the run: the daemons, front-ends and ARM servers hosted here
 // hand their free records and reply caches to the OS process's depots, then
-// the World does and reports what is still out. Nothing here may run again.
+// the World does. It reports the front-ends with calls out and the records
+// still out. Nothing here may run again.
 func (cl *Cluster) close() error {
 	for _, d := range cl.Daemons {
 		if d != nil {
 			d.EndRun()
 		}
 	}
+	var calls string
+	endFE := func(fe *core.Client) {
+		fe.EndRun()
+		if n := fe.CallsOut(); n != 0 {
+			calls += fmt.Sprintf("; rank %d's front-end: %d", fe.Comm().Rank(), n)
+		}
+	}
 	for _, n := range cl.nodes {
 		if n != nil {
-			n.FE.EndRun()
+			endFE(n.FE)
 		}
 	}
 	for _, c := range cl.sanitizers {
-		c.EndRun()
+		endFE(c)
 	}
 	for sh, srv := range cl.shardSrvs {
 		if srv != nil {
@@ -763,7 +727,14 @@ func (cl *Cluster) close() error {
 			rp.Server().EndRun()
 		}
 	}
-	return cl.World.Close()
+	report := cl.World.Close()
+	if calls == "" {
+		return report
+	}
+	if report != nil {
+		calls += "; " + report.Error()
+	}
+	return errors.New("cluster: calls still out at Close" + calls)
 }
 
 // teardown waits for the node mains, auto-releases what they still hold

@@ -375,7 +375,7 @@ func TestBuildPartitionsNew(t *testing.T) {
 	for _, cfg := range []Config{
 		{ComputeNodes: 2, Accelerators: 3, SpareAccelerators: 1},
 		{ComputeNodes: 1, Accelerators: 4, ARMShards: 2, ShareCapacity: 2, Health: &hc},
-		{ComputeNodes: 2, Accelerators: 2, ARMShards: 2, ARMReplicas: true, Health: &hc, AutoMigrate: true},
+		{ComputeNodes: 2, Accelerators: 2, ARMShards: 2, ARMReplicas: true, Health: &hc},
 	} {
 		whole, err := New(cfg)
 		if err != nil {

@@ -92,7 +92,6 @@ type Daemon struct {
 	stats DaemonStats
 
 	mainP *sim.Proc
-	recv  *minimpi.Request // the dispatch loop's posted request receive
 
 	// procs tracks every process the daemon owns (dispatch loop, stream
 	// workers, session teardown helpers) so Kill can take the whole daemon
@@ -243,9 +242,6 @@ func (d *Daemon) Kill() {
 		p.Kill()
 	}
 	d.procs = nil
-	if d.recv != nil { // nobody will take what it matches: give it up
-		d.recv.Free()
-	}
 	for ps := d.pipes; ps != nil; ps = ps.older {
 		for i := range ps.blocks {
 			ps.blocks[i].Abandon()
@@ -315,9 +311,7 @@ func (d *Daemon) Run(p *sim.Proc) {
 		})
 	}
 	for {
-		d.recv = d.comm.Irecv(minimpi.AnySource, TagRequest)
-		data, st := d.recv.Wait(p)
-		d.recv = nil
+		data, st := d.comm.Recv(p, minimpi.AnySource, TagRequest)
 		d.active[st.Source] = struct{}{}
 		q := d.reqs.Get()
 		err, whole := q.decode(data, d.dev.Registry()), len(data) >= requestHeaderSize

@@ -136,7 +136,7 @@ func TestChaosClientCrashLeaseReclaim(t *testing.T) {
 }
 
 // A daemon partitioned from the ARM (but still serving its client) goes
-// suspect; the AutoMigrate watcher must move the client's resident
+// suspect; the health watcher must move the client's resident
 // device state to a spare over the daemon-to-daemon pipeline. The
 // contents are kernel-produced — they exist nowhere on the host, so a
 // byte-identical buffer on the spare proves the device-to-device path,
@@ -176,7 +176,6 @@ func TestChaosSuspectDaemonLiveMigration(t *testing.T) {
 		Options:      &opts,
 		Daemon:       &dcfg,
 		Health:       &hc,
-		AutoMigrate:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -189,7 +189,10 @@ func TestPlanArmsAnyNumberOfClusters(t *testing.T) {
 		cl.Spawn(0, stream)
 		cl.Spawn(1, stream)
 		end, err := cl.Run()
-		fmt.Fprintf(&b, "end %v err=%v\n", end, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "end %v\n", end)
 		return b.String()
 	}
 	first, second := run(), run()

@@ -28,7 +28,7 @@ const (
 func semSend(c *minimpi.Comm, dst int, tag minimpi.Tag, seq uint64) {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, seq)
-	c.Isend(dst, tag, buf)
+	c.Isend(dst, tag, buf).Free()
 }
 
 // semStream sends sequence numbers 0..n-1 at 1 ms intervals, then the

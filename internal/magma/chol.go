@@ -68,7 +68,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 		if d.exec {
 			if err := lapack.Dpotf2(jb, diag, jb); err != nil {
 				pe := err.(*lapack.PositiveDefiniteError)
-				return &lapack.PositiveDefiniteError{Pivot: pe.Pivot + j}
+				return settle(p, &lapack.PositiveDefiniteError{Pivot: pe.Pivot + j}, issued)
 			}
 		}
 		p.Wait(cpuPanelTime(float64(jb) * float64(jb) * float64(jb) / 3))
@@ -92,7 +92,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 			// when cfg.Direct is set.
 			if G > 1 {
 				if err := d.broadcastL21(p, cfg, pj, j, jb, mt, owner, l21, dW); err != nil {
-					return err
+					return settle(p, err, issued)
 				}
 			}
 
@@ -150,12 +150,12 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 				if !cfg.Lookahead {
 					for _, dv := range d.Devs {
 						if err := dv.Sync(p); err != nil {
-							return err
+							return settle(p, err, issued, nextPend)
 						}
 					}
 				}
 				if err := nextPend.Wait(p); err != nil {
-					return err
+					return settle(p, err, issued)
 				}
 			}
 		}
@@ -163,7 +163,7 @@ func Dpotrf(p *sim.Proc, d *Dist, cfg Config) error {
 
 	for _, dev := range d.Devs {
 		if err := dev.Sync(p); err != nil {
-			return err
+			return settle(p, err, issued)
 		}
 	}
 	return waitAllPending(p, issued)

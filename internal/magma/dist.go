@@ -366,6 +366,13 @@ func (s *staged) Wait(p *sim.Proc) error {
 	return err
 }
 
+// settle ends an error return that would leave issued and more in flight: it
+// waits them out, so every call the routine started is over when it returns.
+func settle(p *sim.Proc, err error, issued []Pending, more ...Pending) error {
+	waitAllPending(p, append(issued, more...))
+	return err
+}
+
 func waitAllPending(p *sim.Proc, pends []Pending) error {
 	var first error
 	for _, pd := range pends {

@@ -70,7 +70,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 		if d.exec {
 			if err := lapack.Dgetf2(mj, jb, panel, mj, locPiv); err != nil {
 				se := err.(*lapack.SingularError)
-				return &lapack.SingularError{Pivot: se.Pivot + j}
+				return settle(p, &lapack.SingularError{Pivot: se.Pivot + j}, issued)
 			}
 			for i := 0; i < jb; i++ {
 				ipiv[j+i] = locPiv[i] + j
@@ -99,7 +99,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			bcast = append(bcast, dev.CopyH2DAsync(dP[g], 0, pivBytes, 8*jb, 0))
 		}
 		if err := waitAllPending(p, bcast); err != nil {
-			return err
+			return settle(p, err, issued)
 		}
 		d.putScratch(panelBytes, pivBytes)
 
@@ -190,12 +190,12 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 			if !cfg.Lookahead {
 				for _, dev := range d.Devs {
 					if err := dev.Sync(p); err != nil {
-						return err
+						return settle(p, err, issued, nextPend)
 					}
 				}
 			}
 			if err := nextPend.Wait(p); err != nil {
-				return err
+				return settle(p, err, issued)
 			}
 			panel, nextPanel = nextPanel, panel
 		}
@@ -203,7 +203,7 @@ func Dgetrf(p *sim.Proc, d *Dist, ipiv []int, cfg Config) error {
 
 	for _, dev := range d.Devs {
 		if err := dev.Sync(p); err != nil {
-			return err
+			return settle(p, err, issued)
 		}
 	}
 	return waitAllPending(p, issued)

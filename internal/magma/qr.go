@@ -106,7 +106,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			if devs := cfg.Rebalance(p, pj); devs != nil && !sameDevs(devs, d.Devs) {
 				for _, dev := range d.Devs {
 					if err := dev.Sync(p); err != nil {
-						return err
+						return settle(p, err, issued)
 					}
 				}
 				if err := waitAllPending(p, issued); err != nil {
@@ -170,7 +170,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 		// factorizations sensitive to the host-accelerator bandwidth (paper
 		// Figures 9-10).
 		if err := waitAllPending(p, bcast); err != nil {
-			return err
+			return settle(p, err, issued)
 		}
 		if treePend != nil {
 			// The tree fan-out writes dV over dedicated daemon streams, so
@@ -178,7 +178,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 			// behind it: the fan-out must complete before any kernel that
 			// reads dV is issued.
 			if err := treePend.Wait(p); err != nil {
-				return err
+				return settle(p, err, issued)
 			}
 		}
 		d.putScratch(tBytes, panelBytes)
@@ -236,12 +236,12 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 				// next panel.
 				for _, dev := range d.Devs {
 					if err := dev.Sync(p); err != nil {
-						return err
+						return settle(p, err, issued, nextPend)
 					}
 				}
 			}
 			if err := nextPend.Wait(p); err != nil {
-				return err
+				return settle(p, err, issued)
 			}
 			panel, nextPanel = nextPanel, panel
 		}
@@ -249,7 +249,7 @@ func Dgeqrf(p *sim.Proc, d *Dist, tau []float64, cfg Config) error {
 
 	for _, dev := range d.Devs {
 		if err := dev.Sync(p); err != nil {
-			return err
+			return settle(p, err, issued)
 		}
 	}
 	return waitAllPending(p, issued)

@@ -337,6 +337,54 @@ func TestResetEndpointReturnsRecords(t *testing.T) {
 	}
 }
 
+// TestKilledReceiverGivesUpItsRequestAtKill kills a process blocked in
+// Recv: its request is given up at the Kill, not when the victim unwinds,
+// so the records are back at their baseline right after it. A reset of the
+// rank and a restarted receiver on it then recycle nothing twice: the
+// counts never dip below the baseline, and the new receive gets its
+// message.
+func TestKilledReceiverGivesUpItsRequestAtKill(t *testing.T) {
+	s := sim.New()
+	w, err := NewWorld(s, 2, fastNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs0, msgs0 := w.RecordsOut()
+	check := func(when string) {
+		t.Helper()
+		if reqs, msgs := w.RecordsOut(); reqs != reqs0 || msgs != msgs0 {
+			t.Errorf("%s: RecordsOut = (%d, %d), want (%d, %d)", when, reqs, msgs, reqs0, msgs0)
+		}
+	}
+	victim := s.Spawn("victim", func(p *sim.Proc) {
+		w.Comm(1).Recv(p, 0, 7)
+		t.Error("the victim's Recv returned")
+	})
+	var got string
+	s.Spawn("main", func(p *sim.Proc) {
+		p.Wait(sim.Millisecond) // the victim is blocked in Recv
+		victim.Kill()
+		check("right after the Kill")
+		w.ResetEndpoint(1)
+		check("after the reset")
+		restarted := p.Spawn("restarted", func(p *sim.Proc) {
+			data, st := w.Comm(1).Recv(p, 0, 7)
+			got = string(data)
+			w.PutPayload(data, st)
+		})
+		w.Comm(0).SendCopy(1, 7, []byte("after the restart"))
+		restarted.Done().Await(p)
+		check("after the restarted receive")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got != "after the restart" {
+		t.Errorf("the restarted receiver got %q", got)
+	}
+	check("at the end")
+}
+
 // TestCanceledRendezvousSendReturnsItsMessage restarts a rank holding the
 // envelope of an unmatched rendezvous send, then cancels the send: the
 // reset ends the receiver's half of the flight and the cancel the sender's,

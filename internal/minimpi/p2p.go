@@ -115,9 +115,12 @@ func (r *Request) Completed() bool { r.check(); return r.done.Triggered() }
 // Wait blocks the calling process until the request completes, hands the
 // record back and returns the payload (nil for sends and sized messages)
 // and the status. Wait at most once: the request must not be touched again.
+// A process killed in Wait gives the request up (Free) at the Kill.
 func (r *Request) Wait(p *sim.Proc) ([]byte, Status) {
 	r.check()
+	p.Hold(r)
 	r.done.Await(p)
+	p.Hold(nil)
 	return r.handBack()
 }
 

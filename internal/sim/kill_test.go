@@ -167,3 +167,37 @@ func TestKillIsNotAFailure(t *testing.T) {
 		t.Error("Killed() = false after Kill")
 	}
 }
+
+// countFreer counts the Free calls it gets.
+type countFreer struct{ n int }
+
+func (f *countFreer) Free() { f.n++ }
+
+// TestKillFreesWhatTheVictimHolds: Kill gives up what a process blocked
+// under Hold holds, once and at the Kill; a hold the process let go of is
+// not freed by a later Kill.
+func TestKillFreesWhatTheVictimHolds(t *testing.T) {
+	s := New()
+	var held, released countFreer
+	victim := s.Spawn("victim", func(p *Proc) {
+		p.Hold(&released)
+		p.Wait(1)
+		p.Hold(nil)
+		p.Hold(&held)
+		p.Wait(100)
+	})
+	s.Spawn("killer", func(p *Proc) {
+		p.Wait(10)
+		victim.Kill()
+		if held.n != 1 {
+			t.Errorf("right after the Kill the hold was freed %d times, want 1", held.n)
+		}
+		victim.Kill()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if held.n != 1 || released.n != 0 {
+		t.Errorf("freed %d times and the released hold %d times, want 1 and 0", held.n, released.n)
+	}
+}

@@ -347,6 +347,7 @@ type worker struct {
 	yield func(struct{}) bool // valid inside the coroutine only
 	p     *Proc
 	fn    func(*Proc)
+	held  interface{ Free() } // what its process blocks on (see Proc.Hold)
 }
 
 // killSignal is the panic value that unwinds a killed process. It is
@@ -384,15 +385,24 @@ func (p *Proc) Terminated() bool { return p.terminated }
 // unwinds (running its defers) the next time it would resume, without
 // marking the simulation as failed. Any resource units the victim holds are
 // lost — exactly like hardware seized by a crashed host — so killing models
-// a process crash, not a graceful stop. Killing a terminated or
+// a process crash, not a graceful stop, except that what the victim
+// holds through Hold is given up here. Killing a terminated or
 // already-killed process is a no-op.
 func (p *Proc) Kill() {
 	if p.killed || p.terminated {
 		return
 	}
 	p.killed = true
+	if p.w.held != nil {
+		p.w.held.Free()
+	}
 	p.wake()
 }
+
+// Hold names f (a message-passing request, say) as what the process is about
+// to block on, or nil once the wait is over. Killed meanwhile, the process
+// gives f up at the Kill: nothing on its unwinding path will.
+func (p *Proc) Hold(f interface{ Free() }) { p.w.held = f }
 
 // Killed reports whether Kill has been called on the process.
 func (p *Proc) Killed() bool { return p.killed }
@@ -492,7 +502,7 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	w := getWorker()
 	p := &Proc{sim: s, name: name, w: w}
-	w.p, w.fn = p, fn
+	w.p, w.fn, w.held = p, fn, nil
 	s.procs[p] = struct{}{}
 	s.scheduleProc(s.now, p)
 	return p
